@@ -10,7 +10,7 @@
 //! kernels — the baseline the packed/implicit speedups are measured
 //! against (see `kernel_sweep` for the JSON summary + regression gate).
 
-use bench::kernels::{conv_shapes, gemm_shapes};
+use bench::kernels::{conv_backward_shapes, conv_shapes, gemm_shapes};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use tensor::conv::{
     conv2d, conv2d_backward, conv2d_backward_ref, conv2d_direct, conv2d_im2col, conv2d_im2col_ref,
@@ -76,7 +76,7 @@ fn bench_conv(c: &mut Criterion) {
 fn bench_conv_direct_small(c: &mut Criterion) {
     // Direct convolution is orders slower; keep one small tracking
     // entry rather than running it on the zoo shapes.
-    let s = &conv_shapes()[3]; // resnet18_conv3, the smallest
+    let s = &conv_shapes()[3]; // resnet18_conv3, the smallest zoo layer
     let (x, w) = s.operands(6);
     let mut g = c.benchmark_group(format!("conv/{}_direct", s.name));
     g.sample_size(10)
@@ -88,41 +88,39 @@ fn bench_conv_direct_small(c: &mut Criterion) {
 }
 
 fn bench_conv_backward(c: &mut Criterion) {
-    // The adjoint pair on the acceptance shape: implicit dW/dX versus
-    // the materialized im2col + col2im reference. Backward charges
-    // both products, so FLOPs are 2× the forward count.
-    let shapes = conv_shapes();
-    let s = shapes
-        .iter()
-        .find(|s| s.name == "alexnet_conv2")
-        .expect("alexnet_conv2 in catalogue");
-    let (x, w) = s.operands(7);
-    let (oh, ow) = s.p.out_hw(s.h, s.w);
-    let dy = init::uniform_tensor(s.batch, s.p.out_c, oh, ow, -1.0, 1.0, 9);
-    let mut g = c.benchmark_group(format!("conv_backward/{}", s.name));
-    g.sample_size(10)
-        .throughput(Throughput::Elements((2.0 * s.flops()) as u64));
-    g.bench_function("implicit", |bch| {
-        bch.iter(|| {
-            black_box(conv2d_backward(
-                black_box(&x),
-                black_box(&w),
-                black_box(&dy),
-                &s.p,
-            ))
-        })
-    });
-    g.bench_function("ref", |bch| {
-        bch.iter(|| {
-            black_box(conv2d_backward_ref(
-                black_box(&x),
-                black_box(&w),
-                black_box(&dy),
-                &s.p,
-            ))
-        })
-    });
-    g.finish();
+    // The adjoint pair on the acceptance shape and the strip windows:
+    // implicit dW/dX versus the materialized im2col + col2im
+    // reference. Backward charges both products, so FLOPs are 2× the
+    // forward count.
+    for s in conv_backward_shapes() {
+        let (x, w) = s.operands(7);
+        let (oh, ow) = s.p.out_hw(s.h, s.w);
+        let dy = init::uniform_tensor(s.batch, s.p.out_c, oh, ow, -1.0, 1.0, 9);
+        let mut g = c.benchmark_group(format!("conv_backward/{}", s.name));
+        g.sample_size(10)
+            .throughput(Throughput::Elements((2.0 * s.flops()) as u64));
+        g.bench_function("implicit", |bch| {
+            bch.iter(|| {
+                black_box(conv2d_backward(
+                    black_box(&x),
+                    black_box(&w),
+                    black_box(&dy),
+                    &s.p,
+                ))
+            })
+        });
+        g.bench_function("ref", |bch| {
+            bch.iter(|| {
+                black_box(conv2d_backward_ref(
+                    black_box(&x),
+                    black_box(&w),
+                    black_box(&dy),
+                    &s.p,
+                ))
+            })
+        });
+        g.finish();
+    }
 }
 
 criterion_group!(

@@ -11,9 +11,11 @@
 //!
 //! It is also the CI perf gate (`kernel-smoke` job): the run **panics**
 //! if the packed GEMM fails to beat the frozen kernel on the largest
-//! GEMM shape, or if the implicit convolution fails to beat the
-//! materialized reference on the AlexNet conv2 acceptance shape — a
-//! silent kernel regression fails the build.
+//! GEMM shape, if the implicit convolution fails to beat the
+//! materialized reference on the AlexNet conv2 acceptance shape, or if
+//! any backward row (AlexNet conv2 and the `mini_alexnet` strip
+//! windows) fails to beat `conv2d_backward_ref` — a silent kernel
+//! regression fails the build.
 //!
 //! ```text
 //! cargo run --release -p bench --bin kernel_sweep            # full sweep
@@ -23,7 +25,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use bench::kernels::{conv_shapes, gemm_shapes, measure_gflops};
+use bench::kernels::{conv_backward_shapes, conv_shapes, gemm_shapes, measure_gflops};
 use bench::parse_args;
 use integrated::report::Table;
 use tensor::conv::{conv2d, conv2d_backward, conv2d_backward_ref, conv2d_im2col_ref};
@@ -109,21 +111,19 @@ fn main() {
         });
     }
 
-    // Backward on the conv acceptance shape.
-    {
-        let shapes = conv_shapes();
-        let s = shapes
-            .iter()
-            .find(|s| s.name == "alexnet_conv2")
-            .expect("alexnet_conv2 in catalogue");
+    // Backward charges both products, so FLOPs are 2× the forward.
+    for s in conv_backward_shapes() {
         let (x, w) = s.operands(19);
         let (oh, ow) = s.p.out_hw(s.h, s.w);
         let dy = init::uniform_tensor(s.batch, s.p.out_c, oh, ow, -1.0, 1.0, 21);
         let flops = 2.0 * s.flops();
         rows.push(Row {
             kind: "conv_bwd",
-            shape: "alexnet_conv2_bwd".into(),
-            dims: format!("b{} {}c {}x{} k{}", s.batch, s.p.in_c, s.h, s.w, s.p.kh),
+            shape: format!("{}_bwd", s.name),
+            dims: format!(
+                "b{} {}c {}x{} k{} s{} p{}",
+                s.batch, s.p.in_c, s.h, s.w, s.p.kh, s.p.stride, s.p.pad
+            ),
             flops,
             new_gflops: measure_gflops(flops, warmup, reps, || conv2d_backward(&x, &w, &dy, &s.p)),
             ref_gflops: measure_gflops(flops, warmup, reps, || {
@@ -202,10 +202,21 @@ fn main() {
         conv2.new_gflops,
         conv2.ref_gflops
     );
+    let mut bwd_min = f64::INFINITY;
+    for r in rows.iter().filter(|r| r.kind == "conv_bwd") {
+        assert!(
+            r.speedup() > 1.0,
+            "implicit conv backward regression: {:.2} GF/s <= backward_ref {:.2} GF/s on {}",
+            r.new_gflops,
+            r.ref_gflops,
+            r.shape
+        );
+        bwd_min = bwd_min.min(r.speedup());
+    }
     eprintln!(
-        "gates passed: gemm {}x on {}, conv {}x on alexnet_conv2",
-        format_args!("{:.2}", largest.speedup()),
+        "gates passed: gemm {:.2}x on {}, conv {:.2}x on alexnet_conv2, conv_bwd >= {bwd_min:.2}x",
+        largest.speedup(),
         largest.shape,
-        format_args!("{:.2}", conv2.speedup()),
+        conv2.speedup(),
     );
 }

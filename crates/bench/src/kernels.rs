@@ -4,11 +4,13 @@
 //! GEMM and convolution shapes are pulled from the `dnn::zoo` networks
 //! — the layers whose products the paper's per-layer cost sums actually
 //! charge — plus the canonical 512³ square used as the packed-GEMM
-//! acceptance shape. Batches are kept small so a full sweep stays in
+//! acceptance shape, plus the strip windows the domain path really
+//! runs (`mini_alexnet` on a `pd × pc` grid: few output channels, a few
+//! rows per strip). Batches are kept small so a full sweep stays in
 //! seconds on one core; throughput is reported as GFLOP/s, which is
 //! batch-invariant.
 
-use dnn::zoo::{alexnet, resnet18ish, vgg16};
+use dnn::zoo::{alexnet, mini_alexnet, resnet18ish, vgg16};
 use dnn::LayerSpec;
 use tensor::conv::Conv2dParams;
 use tensor::init;
@@ -79,6 +81,8 @@ impl ConvShape {
 const FC_BATCH: usize = 16;
 /// Batch used for the convolution shapes.
 const CONV_BATCH: usize = 2;
+/// Batch shard of the strip-window shapes (B = 64 over `pc` = 4).
+const STRIP_BATCH: usize = 16;
 
 /// Pulls one named conv layer (1-based among conv layers) out of a zoo
 /// network as a benchmark shape.
@@ -159,24 +163,59 @@ pub fn gemm_shapes() -> Vec<GemmShape> {
     shapes
 }
 
-/// The convolution benchmark shapes from the zoo networks. The
-/// AlexNet conv2 entry is the acceptance shape for the implicit-GEMM
-/// speedup criterion.
+/// Turns a zoo conv layer into the local convolution
+/// `distmm::domain_general` issues for one strip of it: `rows` input
+/// rows (the fetched window plus any synthetic zero rows) and the
+/// horizontal padding already applied, hence `pad: 0`.
+fn strip_window(mut s: ConvShape, rows: usize) -> ConvShape {
+    s.h = rows;
+    s.w += 2 * s.p.pad;
+    s.p.pad = 0;
+    s
+}
+
+/// The convolution benchmark shapes: zoo layers (the AlexNet conv2
+/// entry is the acceptance shape for the implicit-GEMM speedup
+/// criterion), then the `mini_alexnet` strip windows of the
+/// `cnn_domain` workload at B = 64, `pc` = 4 — conv1 (7×7/2 on 35×35)
+/// at `pd` = 4, where a strip's 4 output rows need a 13-row window, and
+/// conv2 (5×5 same-pad on 7×7) at `pd` = 1, extended to 11×11.
 pub fn conv_shapes() -> Vec<ConvShape> {
     let alex = alexnet();
     let vgg = vgg16();
     let res = resnet18ish();
+    let mini = mini_alexnet();
     let mut shapes = Vec::new();
     shapes.extend(conv_from_zoo(&alex, 1, "alexnet_conv1", CONV_BATCH));
     shapes.extend(conv_from_zoo(&alex, 2, "alexnet_conv2", CONV_BATCH));
     shapes.extend(conv_from_zoo(&vgg, 3, "vgg16_conv2_1", 1));
     shapes.extend(conv_from_zoo(&res, 6, "resnet18_conv3", CONV_BATCH));
+    let strip = |conv_index, name, rows| {
+        conv_from_zoo(&mini, conv_index, name, STRIP_BATCH).map(|s| strip_window(s, rows))
+    };
+    shapes.extend(strip(1, "mini_alexnet_conv1_strip", 13));
+    shapes.extend(strip(2, "mini_alexnet_conv2_strip", 11));
     shapes
 }
 
+/// The shapes the backward kernels are measured (and gated) on: the
+/// AlexNet conv2 acceptance shape and the strip windows.
+pub fn conv_backward_shapes() -> Vec<ConvShape> {
+    conv_shapes()
+        .into_iter()
+        .filter(|s| s.name == "alexnet_conv2" || s.name.ends_with("_strip"))
+        .collect()
+}
+
+/// Work below which one call is too short to time: `measure_gflops`
+/// repeats small shapes until a timed run covers this many FLOPs.
+const MIN_TIMED_FLOPS: f64 = 1e8;
+
 /// Times `f` and returns GFLOP/s for `flops` of work: `warmup` untimed
-/// calls, then the mean over `reps` timed calls.
+/// calls, then the mean over `reps` timed calls (more for shapes so
+/// small that `reps` calls would be timer noise).
 pub fn measure_gflops<T>(flops: f64, warmup: usize, reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let reps = reps.max((MIN_TIMED_FLOPS / flops.max(1.0)).ceil() as usize);
     for _ in 0..warmup {
         std::hint::black_box(f());
     }
@@ -209,7 +248,16 @@ mod tests {
             (96, 256, 5, 1)
         );
         assert_eq!(conv2.p.out_hw(conv2.h, conv2.w), (27, 27));
-        assert_eq!(convs.len(), 4);
+        // The strip windows are what `cnn_domain` runs: conv1's window
+        // yields the strip's 4 output rows, conv2's the full 7×7.
+        let strip = |name: &str| {
+            let s = convs.iter().find(|s| s.name == name).expect(name);
+            (s.p.out_c, s.p.pad, s.p.out_hw(s.h, s.w))
+        };
+        assert_eq!(strip("mini_alexnet_conv1_strip"), (8, 0, (4, 15)));
+        assert_eq!(strip("mini_alexnet_conv2_strip"), (12, 0, (7, 7)));
+        assert_eq!(convs.len(), 6);
+        assert_eq!(conv_backward_shapes().len(), 3);
     }
 
     #[test]

@@ -52,30 +52,6 @@ fn input_window(
     (lo..hi.max(lo), zeros_above, zeros_below)
 }
 
-/// Builds the vertically-extended, horizontally-padded local input for
-/// a fetched window: `[zeros_above; window; zeros_below]` rows and
-/// `pad_w` zero columns on each side.
-fn extend(window: &Tensor4, zeros_above: usize, zeros_below: usize, pad_w: usize) -> Tensor4 {
-    let (n, c, h, w) = (window.n, window.c, window.h, window.w);
-    let mut ext = Tensor4::zeros(n, c, h + zeros_above + zeros_below, w + 2 * pad_w);
-    for ni in 0..n {
-        for ci in 0..c {
-            for hi in 0..h {
-                for wi in 0..w {
-                    ext.set(
-                        ni,
-                        ci,
-                        hi + zeros_above,
-                        wi + pad_w,
-                        window.get(ni, ci, hi, wi),
-                    );
-                }
-            }
-        }
-    }
-    ext
-}
-
 /// General domain-parallel convolution forward. `x_strip` covers this
 /// rank's block of the input height (`row_partition(in_h, P)`); the
 /// result covers its block of the output height. Any stride, padding,
@@ -103,7 +79,9 @@ pub fn conv_forward(
         return Ok(Tensor4::zeros(x_strip.n, p.out_c, 0, out_w));
     }
     let (_, za, zb) = windows[me];
-    let ext = extend(&window, za, zb, p.pad);
+    // The fetched window framed in the zeros the global padding
+    // implies: `za`/`zb` synthetic rows, `pad` columns on each side.
+    let ext = window.zero_extend(za, zb, p.pad);
     let flops = 2.0 * weights.len() as f64 * (my_out.len() * out_w * x_strip.n) as f64;
     comm.advance_flops(flops);
     let local = Conv2dParams { pad: 0, ..*p };
@@ -150,16 +128,11 @@ pub fn conv_backward(
         )
     } else {
         let (_, za, zb) = windows[me];
-        let ext = extend(&window, za, zb, p.pad);
+        let ext = window.zero_extend(za, zb, p.pad);
         let local = Conv2dParams { pad: 0, ..*p };
         let (dw, dx_ext) = conv2d_backward(&ext, weights, dy_strip, &local);
         // Peel the synthetic zero rows and the horizontal padding.
-        let (n, c) = (x_strip.n, p.in_c);
-        let inner_h = needed[me].len();
-        let dx = Tensor4::from_fn(n, c, inner_h, x_strip.w, |ni, ci, hi, wi| {
-            dx_ext.get(ni, ci, hi + za, wi + p.pad)
-        });
-        (dw, dx)
+        (dw, dx_ext.peel(za, zb, p.pad))
     };
     allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum)?;
     let dx = scatter_add_rows(comm, &dx_window, &needed, &in_part)?;

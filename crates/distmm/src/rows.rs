@@ -31,12 +31,11 @@ fn intersect(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
     start..end.max(start)
 }
 
-/// Extracts rows `global.clone()` from `strip` (which covers rows
-/// `owned`) as a flat buffer.
-fn rows_to_buf(strip: &Tensor4, owned: &Range<usize>, global: &Range<usize>) -> Vec<f64> {
+/// Extracts the global rows `global` from `strip` (which covers rows
+/// `owned`).
+fn rows_of(strip: &Tensor4, owned: &Range<usize>, global: &Range<usize>) -> Tensor4 {
     debug_assert!(global.start >= owned.start && global.end <= owned.end);
-    let local = (global.start - owned.start)..(global.end - owned.start);
-    strip.row_strip(local.start, local.end).as_slice().to_vec()
+    strip.row_strip(global.start - owned.start, global.end - owned.start)
 }
 
 /// Gathers the global row range `needed[me]` of a height-partitioned
@@ -65,31 +64,22 @@ pub fn fetch_rows(
         }
         let overlap = intersect(my_owned, &needed[q]);
         if !overlap.is_empty() {
-            comm.send_vec(q, FETCH_TAG, rows_to_buf(strip, my_owned, &overlap))?;
+            comm.send_vec(q, FETCH_TAG, rows_of(strip, my_owned, &overlap).into_vec())?;
         }
     }
     // Assemble: local part plus received parts, in owner order.
     let mut out = Tensor4::zeros(n, c, my_needed.len(), w);
-    let place = |out: &mut Tensor4, buf: &[f64], global: &Range<usize>| {
-        let h = global.len();
-        let t = Tensor4::from_fn(n, c, h, w, |ni, ci, hi, wi| {
-            buf[((ni * c + ci) * h + hi) * w + wi]
-        });
-        out.set_row_strip(global.start - my_needed.start, &t);
-    };
     for q in 0..p {
         let overlap = intersect(&owned[q], my_needed);
         if overlap.is_empty() {
             continue;
         }
-        if q == me {
-            let buf = rows_to_buf(strip, my_owned, &overlap);
-            place(&mut out, &buf, &overlap);
+        let rows = if q == me {
+            rows_of(strip, my_owned, &overlap)
         } else {
-            let buf = comm.recv(q, FETCH_TAG)?;
-            debug_assert_eq!(buf.len(), n * c * overlap.len() * w);
-            place(&mut out, &buf, &overlap);
-        }
+            Tensor4::from_vec(n, c, overlap.len(), w, comm.recv(q, FETCH_TAG)?)
+        };
+        out.set_row_strip(overlap.start - my_needed.start, &rows);
     }
     Ok(out)
 }
@@ -120,36 +110,23 @@ pub fn scatter_add_rows(
             comm.send_vec(
                 q,
                 SCATTER_TAG,
-                rows_to_buf(produced_strip, my_produced, &overlap),
+                rows_of(produced_strip, my_produced, &overlap).into_vec(),
             )?;
         }
     }
+    // Accumulate: local part plus received parts, in producer order.
     let mut out = Tensor4::zeros(n, c, my_owned.len(), w);
-    let add = |out: &mut Tensor4, buf: &[f64], global: &Range<usize>| {
-        let h = global.len();
-        for ni in 0..n {
-            for ci in 0..c {
-                for hi in 0..h {
-                    for wi in 0..w {
-                        let v = buf[((ni * c + ci) * h + hi) * w + wi];
-                        out.add_at(ni, ci, global.start - my_owned.start + hi, wi, v);
-                    }
-                }
-            }
-        }
-    };
     for q in 0..p {
         let overlap = intersect(&produced[q], my_owned);
         if overlap.is_empty() {
             continue;
         }
-        if q == me {
-            let buf = rows_to_buf(produced_strip, my_produced, &overlap);
-            add(&mut out, &buf, &overlap);
+        let rows = if q == me {
+            rows_of(produced_strip, my_produced, &overlap)
         } else {
-            let buf = comm.recv(q, SCATTER_TAG)?;
-            add(&mut out, &buf, &overlap);
-        }
+            Tensor4::from_vec(n, c, overlap.len(), w, comm.recv(q, SCATTER_TAG)?)
+        };
+        out.add_row_strip(overlap.start - my_owned.start, &rows);
     }
     Ok(out)
 }

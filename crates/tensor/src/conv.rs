@@ -6,11 +6,12 @@
 //! (its footnote 1); im2col is the lowering that makes this literal.
 //! The executed kernel here is [`conv2d`], an *implicit*-GEMM: the
 //! panel-packed GEMM core ([`crate::gemm`]) reads the column matrix
-//! through [`Im2colMap`] — a fused index mapping
-//! `(k, m) → ((ic, ky, kx), (n, oy, ox))` built on strength-reduced
-//! div/mod ([`crate::fastdiv`]) — so receptive-field patches are packed
-//! straight out of the NCHW input and **no `(in_c·kh·kw) × (n·oh·ow)`
-//! column matrix is ever materialized** (see [`conv_scratch_words`]).
+//! through [`Im2colMap`] — the separable offset map
+//! `idx(k, m) = col_base[m] + k_off[k]`, two small tables and one add
+//! per element — so receptive-field patches are packed straight out of
+//! the NCHW input and **no `(in_c·kh·kw) × (n·oh·ow)` column matrix is
+//! ever materialized** (see [`conv_scratch_words`]). Padding is not the
+//! map's business: a padded convolution zero-extends its input once.
 //! The backward pass gets the adjoint treatment: `∆W` contracts the
 //! output gradient against implicit im2col panels, and `∆X` runs a
 //! column-blocked `Wᵀ·∆Y` GEMM fused with col2im scatter-accumulation.
@@ -22,7 +23,8 @@
 //! pre-packing executed path (materialized im2col + the frozen blocked
 //! matmul) as the benchmark baseline.
 
-use crate::fastdiv::FastDivmod;
+use std::borrow::Cow;
+
 use crate::gemm;
 use crate::matmul::{matmul, matmul_at_b, matmul_ref};
 use crate::matrix::Matrix;
@@ -74,6 +76,17 @@ impl Tensor4 {
             }
         }
         Tensor4 { n, c, h, w, data }
+    }
+
+    /// Wraps an NCHW buffer without copying it.
+    pub fn from_vec(n: usize, c: usize, h: usize, w: usize, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), n * c * h * w, "buffer does not match shape");
+        Tensor4 { n, c, h, w, data }
+    }
+
+    /// The NCHW buffer, without copying it.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
     }
 
     #[inline]
@@ -129,24 +142,80 @@ impl Tensor4 {
             "row strip {h0}..{h1} out of {}",
             self.h
         );
-        Tensor4::from_fn(self.n, self.c, h1 - h0, self.w, |n, c, h, w| {
-            self.get(n, c, h0 + h, w)
-        })
+        self.peel(h0, self.h - h1, 0)
     }
 
     /// Writes `strip` back into rows `h0..`.
     pub fn set_row_strip(&mut self, h0: usize, strip: &Tensor4) {
+        for (dst, src) in self.strip_planes_mut(h0, strip) {
+            dst.copy_from_slice(src);
+        }
+    }
+
+    /// Adds `strip` element-wise onto rows `h0..`.
+    pub fn add_row_strip(&mut self, h0: usize, strip: &Tensor4) {
+        for (dst, src) in self.strip_planes_mut(h0, strip) {
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d += s;
+            }
+        }
+    }
+
+    /// Pairs each `(n, c)` plane of `strip` with the rows `h0..` of the
+    /// same plane here; within a plane those rows are one contiguous run.
+    fn strip_planes_mut<'a>(
+        &'a mut self,
+        h0: usize,
+        strip: &'a Tensor4,
+    ) -> impl Iterator<Item = (&'a mut [f64], &'a [f64])> {
         assert_eq!((strip.n, strip.c, strip.w), (self.n, self.c, self.w));
         assert!(h0 + strip.h <= self.h, "strip overflows tensor height");
-        for n in 0..strip.n {
-            for c in 0..strip.c {
-                for h in 0..strip.h {
-                    for w in 0..strip.w {
-                        self.set(n, c, h0 + h, w, strip.get(n, c, h, w));
-                    }
+        let (plane, run) = (self.h * self.w, strip.h * self.w);
+        // `max(1)`: chunk sizes must be nonzero; an empty side then
+        // yields no planes at all.
+        self.data
+            .chunks_exact_mut(plane.max(1))
+            .zip(strip.data.chunks_exact(run.max(1)))
+            .map(move |(dst, src)| (&mut dst[h0 * strip.w..][..run], src))
+    }
+
+    /// A copy framed in zeros: `above` / `below` extra rows and `side`
+    /// extra columns on the left and on the right of every plane.
+    pub fn zero_extend(&self, above: usize, below: usize, side: usize) -> Tensor4 {
+        let mut ext = Tensor4::zeros(self.n, self.c, self.h + above + below, self.w + 2 * side);
+        let (w, ew) = (self.w, ext.w);
+        if !self.data.is_empty() {
+            let rows = ext
+                .data
+                .chunks_exact_mut(ext.h * ew)
+                .flat_map(|plane| plane[above * ew..][..self.h * ew].chunks_exact_mut(ew));
+            for (dst, src) in rows.zip(self.data.chunks_exact(w)) {
+                dst[side..side + w].copy_from_slice(src);
+            }
+        }
+        ext
+    }
+
+    /// The inverse of [`Tensor4::zero_extend`]: a copy without the
+    /// first `above` and last `below` rows and `side` columns on the
+    /// left and on the right of every plane.
+    pub fn peel(&self, above: usize, below: usize, side: usize) -> Tensor4 {
+        assert!(
+            above + below <= self.h && 2 * side <= self.w,
+            "peel {above}+{below} rows, 2x{side} columns off {}x{}",
+            self.h,
+            self.w
+        );
+        let (h, w) = (self.h - above - below, self.w - 2 * side);
+        let mut data = Vec::with_capacity(self.n * self.c * h * w);
+        if h * w > 0 {
+            for plane in self.data.chunks_exact(self.h * self.w) {
+                for row in plane[above * self.w..][..h * self.w].chunks_exact(self.w) {
+                    data.extend_from_slice(&row[side..side + w]);
                 }
             }
         }
+        Tensor4::from_vec(self.n, self.c, h, w, data)
     }
 
     /// Flattens into a matrix with one *column* per sample (the `d × B`
@@ -212,7 +281,18 @@ pub struct Conv2dParams {
 impl Conv2dParams {
     /// Output spatial size for an `h × w` input:
     /// `⌊(x + 2·pad − k)/stride⌋ + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel does not fit the padded input.
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        assert!(
+            h + 2 * self.pad >= self.kh && w + 2 * self.pad >= self.kw,
+            "conv kernel {}x{} does not fit a {h}x{w} input with pad {}",
+            self.kh,
+            self.kw,
+            self.pad
+        );
         let oh = (h + 2 * self.pad - self.kh) / self.stride + 1;
         let ow = (w + 2 * self.pad - self.kw) / self.stride + 1;
         (oh, ow)
@@ -231,13 +311,7 @@ impl Conv2dParams {
 
 /// Direct convolution: `out[n][oc][oh][ow] = Σ w[oc][ic,kh,kw] · in[…]`.
 pub fn conv2d_direct(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
-    assert_eq!(input.c, p.in_c, "input channel mismatch");
-    assert_eq!(weights.rows(), p.out_c, "weight rows must be out_c");
-    assert_eq!(
-        weights.cols(),
-        p.patch_len(),
-        "weight cols must be in_c*kh*kw"
-    );
+    assert_conv_shapes(input, weights, p);
     let (oh, ow) = p.out_hw(input.h, input.w);
     let mut out = Tensor4::zeros(input.n, p.out_c, oh, ow);
     for n in 0..input.n {
@@ -376,89 +450,76 @@ pub fn conv2d_im2col_ref(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) ->
     out
 }
 
-/// Fused im2col index mapping for implicit-GEMM convolution.
+/// Separable im2col offset map for implicit-GEMM convolution over an
+/// *unpadded* NCHW buffer.
 ///
 /// The virtual column matrix element at `(kidx, col)` — with
 /// `kidx = (ic·kh + ky)·kw + kx` matching the weight-column layout and
-/// `col = (n·oh + oy)·ow + ox` matching the output layout — is
-/// decomposed on the fly with precomputed magic-number div/mod and
-/// gathered from the NCHW buffer (out-of-bounds taps read the implicit
-/// zero padding). Four `FastDivmod`s per element on the packing path,
-/// no hardware divides, no materialized matrix.
+/// `col = (n·oh + oy)·ow + ox` matching the output layout — lives at
+/// flat input index
+/// `((n·C + ic)·H + oy·s + ky)·W + ox·s + kx`, which splits into a
+/// column-only and a patch-only term:
+///
+/// ```text
+/// idx(kidx, col) = col_base[col] + k_off[kidx]
+/// col_base[(n, oy, ox)]  = n·C·H·W + oy·s·W + ox·s
+/// k_off[(ic, ky, kx)]    = ic·H·W + ky·W + kx
+/// ```
+///
+/// Two `u32` tables of `m + k` entries, built by nested loops with no
+/// division, replace any per-element index arithmetic; without padding
+/// every tap is in bounds, so there is no validity test either. The
+/// forward gather, the `∆W` transposed gather and the `∆X` scatter all
+/// walk the same two tables.
 pub struct Im2colMap {
-    ohw: FastDivmod,
-    ow: FastDivmod,
-    khw: FastDivmod,
-    kw: FastDivmod,
-    stride: usize,
-    pad: usize,
-    in_c: usize,
-    h: usize,
-    w: usize,
+    /// Per output column `(n, oy, ox)`: flat index of its patch origin.
+    pub col_base: Vec<u32>,
+    /// Per patch row `(ic, ky, kx)`: offset from the patch origin.
+    pub k_off: Vec<u32>,
 }
 
 impl Im2colMap {
-    /// Builds the mapping for an `h × w` input under `p`. All spatial
-    /// extents must be nonzero (callers early-out on empty shapes).
-    pub fn new(p: &Conv2dParams, h: usize, w: usize) -> Self {
-        let (oh, ow) = p.out_hw(h, w);
-        Im2colMap {
-            ohw: FastDivmod::new((oh * ow) as u32),
-            ow: FastDivmod::new(ow as u32),
-            khw: FastDivmod::new((p.kh * p.kw) as u32),
-            kw: FastDivmod::new(p.kw as u32),
-            stride: p.stride,
-            pad: p.pad,
-            in_c: p.in_c,
-            h,
-            w,
+    /// Builds the tables for an unpadded `n × p.in_c × h × w` input
+    /// (`p.pad` is ignored: the caller has already zero-extended).
+    pub fn new(p: &Conv2dParams, n: usize, h: usize, w: usize) -> Self {
+        assert!(
+            n * p.in_c * h * w <= u32::MAX as usize,
+            "conv input of {n}x{}x{h}x{w} overflows the u32 offset tables",
+            p.in_c
+        );
+        let flat = Conv2dParams { pad: 0, ..*p };
+        let (oh, ow) = flat.out_hw(h, w);
+        let mut col_base = Vec::with_capacity(n * oh * ow);
+        for ni in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    col_base.push((ni * p.in_c * h * w + oy * p.stride * w + ox * p.stride) as u32);
+                }
+            }
         }
-    }
-
-    /// Flat NCHW index of the input element behind column-matrix
-    /// coordinate `(kidx, col)`, or `None` for a padding tap.
-    #[inline]
-    pub fn input_index(&self, kidx: u32, col: u32) -> Option<usize> {
-        let (n, rem) = self.ohw.div_mod(col);
-        let (oy, ox) = self.ow.div_mod(rem);
-        let (ic, krem) = self.khw.div_mod(kidx);
-        let (ky, kx) = self.kw.div_mod(krem);
-        let iy = (oy as usize * self.stride + ky as usize) as isize - self.pad as isize;
-        let ix = (ox as usize * self.stride + kx as usize) as isize - self.pad as isize;
-        if iy < 0 || iy >= self.h as isize || ix < 0 || ix >= self.w as isize {
-            return None;
+        let mut k_off = Vec::with_capacity(p.patch_len());
+        for ic in 0..p.in_c {
+            for ky in 0..p.kh {
+                for kx in 0..p.kw {
+                    k_off.push((ic * h * w + ky * w + kx) as u32);
+                }
+            }
         }
-        Some(((n as usize * self.in_c + ic as usize) * self.h + iy as usize) * self.w + ix as usize)
-    }
-
-    /// The column-matrix element at `(kidx, col)` gathered from `data`
-    /// (padding taps read as `0.0`).
-    #[inline]
-    pub fn gather(&self, data: &[f64], kidx: u32, col: u32) -> f64 {
-        match self.input_index(kidx, col) {
-            Some(i) => data[i],
-            None => 0.0,
-        }
+        Im2colMap { col_base, k_off }
     }
 }
 
-/// Transient words the implicit-GEMM forward allocates beyond its
-/// output: the `out_c × (n·oh·ow)` GEMM staging buffer plus the
-/// cache-blocking packing scratch — bounded by the output size and the
-/// blocking constants, never by the `(in_c·kh·kw) × (n·oh·ow)` column
-/// matrix that [`im2col`] would materialize.
-pub fn conv_scratch_words(batch: usize, h: usize, w: usize, p: &Conv2dParams) -> usize {
-    let (oh, ow) = p.out_hw(h, w);
-    let m = batch * oh * ow;
-    p.out_c * m + gemm::packing_scratch_words(p.out_c, m, p.patch_len())
+/// The input a pad-free kernel runs on: `input` itself when `pad == 0`,
+/// else one zero-extended copy (O(input) words, made once per call).
+fn padded<'a>(input: &'a Tensor4, p: &Conv2dParams) -> Cow<'a, Tensor4> {
+    if p.pad > 0 {
+        Cow::Owned(input.zero_extend(p.pad, p.pad, p.pad))
+    } else {
+        Cow::Borrowed(input)
+    }
 }
 
-/// Implicit-GEMM convolution: `Y = W · im2col(X)` where the column
-/// matrix is read through [`Im2colMap`] during panel packing — the
-/// executed forward kernel. Agrees with [`conv2d_direct`] to rounding
-/// error and is bit-reproducible run-to-run ([`crate::gemm`]'s
-/// determinism contract).
-pub fn conv2d(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
+fn assert_conv_shapes(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) {
     assert_eq!(input.c, p.in_c, "input channel mismatch");
     assert_eq!(weights.rows(), p.out_c, "weight rows must be out_c");
     assert_eq!(
@@ -466,6 +527,34 @@ pub fn conv2d(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
         p.patch_len(),
         "weight cols must be in_c*kh*kw"
     );
+}
+
+/// Transient words the implicit-GEMM forward allocates beyond its
+/// output: the `out_c × (n·oh·ow)` GEMM staging buffer, the
+/// cache-blocking packing scratch, the offset tables, and (when
+/// `pad > 0`) the zero-extended input — bounded by the output size, the
+/// blocking constants and the input size, never by the
+/// `(in_c·kh·kw) × (n·oh·ow)` column matrix that [`im2col`] would
+/// materialize.
+pub fn conv_scratch_words(batch: usize, h: usize, w: usize, p: &Conv2dParams) -> usize {
+    let (oh, ow) = p.out_hw(h, w);
+    let m = batch * oh * ow;
+    let padded_input = if p.pad > 0 {
+        batch * p.in_c * (h + 2 * p.pad) * (w + 2 * p.pad)
+    } else {
+        0
+    };
+    let tables = (m + p.patch_len()).div_ceil(2); // u32 entries
+    p.out_c * m + gemm::packing_scratch_words(p.out_c, m, p.patch_len()) + tables + padded_input
+}
+
+/// Implicit-GEMM convolution: `Y = W · im2col(X)` where the column
+/// matrix is read through [`Im2colMap`] during panel packing — the
+/// executed forward kernel. Agrees with [`conv2d_direct`] to rounding
+/// error, bit-for-bit with [`conv2d_im2col`], and is bit-reproducible
+/// run-to-run ([`crate::gemm`]'s determinism contract).
+pub fn conv2d(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
+    assert_conv_shapes(input, weights, p);
     let (oh, ow) = p.out_hw(input.h, input.w);
     let m = input.n * oh * ow;
     let k = p.patch_len();
@@ -473,9 +562,9 @@ pub fn conv2d(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
     if m == 0 || k == 0 || p.out_c == 0 {
         return out;
     }
-    assert!(m < 1 << 31 && k < 1 << 31, "conv extents overflow u32");
-    let map = Im2colMap::new(p, input.h, input.w);
-    let (wv, xv) = (weights.as_slice(), input.as_slice());
+    let x = padded(input, p);
+    let map = Im2colMap::new(p, x.n, x.h, x.w);
+    let (wv, xv) = (weights.as_slice(), x.as_slice());
     // GEMM lands in W-major staging (out_c × m); the output wants
     // sample-major NCHW, so rows are scattered as contiguous oh·ow runs.
     let mut y = vec![0.0; p.out_c * m];
@@ -483,8 +572,13 @@ pub fn conv2d(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
         p.out_c,
         m,
         k,
-        |i, kk| wv[i * k + kk],
-        |kk, j| map.gather(xv, kk as u32, j as u32),
+        |i0, kk, dst| gemm::gather_lanes(wv, i0 * k + kk, k, dst),
+        |kk, j0, dst| {
+            let off = map.k_off[kk];
+            for (d, &base) in dst.iter_mut().zip(&map.col_base[j0..]) {
+                *d = xv[(base + off) as usize];
+            }
+        },
         &mut y,
     );
     let hw = oh * ow;
@@ -497,9 +591,9 @@ pub fn conv2d(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
     out
 }
 
-/// Column block width for the backward `∆X` pass: the `Wᵀ·∆Y` product
+/// Column block height for the backward `∆X` pass: the `∆Yᵀ·W` product
 /// is computed `COL_BLOCK` columns at a time and immediately
-/// scatter-added into `∆X`, so the transient is `patch_len × COL_BLOCK`
+/// scatter-added into `∆X`, so the transient is `COL_BLOCK × patch_len`
 /// words instead of the full column-gradient matrix.
 const COL_BLOCK: usize = 256;
 
@@ -523,66 +617,80 @@ fn dy_rows(dy: &Tensor4, oc: usize, hw: usize) -> Vec<f64> {
 /// instantiation of the paper's §7.2 derivation — both computed
 /// implicitly: `dW` packs im2col panels through [`Im2colMap`], and
 /// `dX` fuses the col2im scatter with a column-blocked GEMM so neither
-/// direction materializes a `patch_len × (n·oh·ow)` matrix.
+/// direction materializes a `patch_len × (n·oh·ow)` matrix. Bit-for-bit
+/// equal to [`conv2d_backward_ref`].
 pub fn conv2d_backward(
     input: &Tensor4,
     weights: &Matrix,
     dy: &Tensor4,
     p: &Conv2dParams,
 ) -> (Matrix, Tensor4) {
+    assert_conv_shapes(input, weights, p);
     let (oh, ow) = p.out_hw(input.h, input.w);
-    assert_eq!((dy.c, dy.h, dy.w), (p.out_c, oh, ow), "dy shape mismatch");
+    assert_eq!(
+        (dy.n, dy.c, dy.h, dy.w),
+        (input.n, p.out_c, oh, ow),
+        "dy shape mismatch"
+    );
     let m = input.n * oh * ow;
     let k = p.patch_len();
     let oc = p.out_c;
     let mut dw = Matrix::zeros(oc, k);
-    let mut dx = Tensor4::zeros(input.n, p.in_c, input.h, input.w);
     if m == 0 || k == 0 || oc == 0 {
-        return (dw, dx);
+        return (dw, Tensor4::zeros(input.n, p.in_c, input.h, input.w));
     }
-    assert!(m < 1 << 31 && k < 1 << 31, "conv extents overflow u32");
-    let map = Im2colMap::new(p, input.h, input.w);
-    let xv = input.as_slice();
+    let x = padded(input, p);
+    let map = Im2colMap::new(p, x.n, x.h, x.w);
+    let xv = x.as_slice();
     let dy_m = dy_rows(dy, oc, oh * ow);
     // dW = ∆Y · colsᵀ: contract over the n·oh·ow columns, reading the
-    // column matrix transposed through the same implicit mapping.
+    // column matrix transposed through the same two tables.
     gemm::gemm_packed(
         oc,
         k,
         m,
-        |i, kk| dy_m[i * m + kk],
-        |kk, j| map.gather(xv, j as u32, kk as u32),
+        |i0, kk, dst| gemm::gather_lanes(&dy_m, i0 * m + kk, m, dst),
+        |kk, j0, dst| {
+            let base = map.col_base[kk];
+            for (d, &off) in dst.iter_mut().zip(&map.k_off[j0..]) {
+                *d = xv[(base + off) as usize];
+            }
+        },
         dw.as_mut_slice(),
     );
-    // dX: per column block, dcols = Wᵀ·∆Y (patch_len × cb) via the
-    // packed GEMM, then a serial fused col2im scatter. Blocks ascend
-    // and the scatter runs column-outer / k-inner, reproducing the
-    // accumulation order of materialized col2im exactly.
+    // dX: per column block, dcolsᵀ = ∆Yᵀ·W (cb × patch_len) via the
+    // packed GEMM — each element the same ascending-out_c fold as
+    // Wᵀ·∆Y, products commuted — then a serial fused col2im scatter
+    // onto the (padded) input grid. Blocks ascend and the scatter runs
+    // column-outer / k-inner, reproducing the accumulation order of
+    // materialized col2im exactly; the padding frame collects the taps
+    // col2im would skip and is peeled off at the end.
     let wv = weights.as_slice();
+    let mut dx = Tensor4::zeros(x.n, x.c, x.h, x.w);
     let dxs = dx.as_mut_slice();
-    let mut dcols = vec![0.0; k * COL_BLOCK.min(m)];
+    let mut dcols = vec![0.0; COL_BLOCK.min(m) * k];
     let mut c0 = 0;
     while c0 < m {
         let cb = COL_BLOCK.min(m - c0);
-        let blk = &mut dcols[..k * cb];
+        let blk = &mut dcols[..cb * k];
         blk.fill(0.0);
         gemm::gemm_packed(
-            k,
             cb,
+            k,
             oc,
-            |i, kk| wv[kk * k + i],
-            |kk, j| dy_m[kk * m + c0 + j],
+            |i0, kk, dst| gemm::copy_lanes(&dy_m, kk * m + c0 + i0, dst),
+            |kk, j0, dst| gemm::copy_lanes(wv, kk * k + j0, dst),
             blk,
         );
-        for j in 0..cb {
-            let col = (c0 + j) as u32;
-            for kidx in 0..k {
-                if let Some(idx) = map.input_index(kidx as u32, col) {
-                    dxs[idx] += blk[kidx * cb + j];
-                }
+        for (row, &base) in blk.chunks_exact(k).zip(&map.col_base[c0..]) {
+            for (&v, &off) in row.iter().zip(&map.k_off) {
+                dxs[(base + off) as usize] += v;
             }
         }
         c0 += cb;
+    }
+    if p.pad > 0 {
+        dx = dx.peel(p.pad, p.pad, p.pad);
     }
     (dw, dx)
 }
@@ -787,8 +895,8 @@ mod tests {
         });
         let (dw_i, dx_i) = conv2d_backward(&x, &w, &dy, &p);
         let (dw_r, dx_r) = conv2d_backward_ref(&x, &w, &dy, &p);
-        assert!(dw_i.approx_eq(&dw_r, 1e-11));
-        assert!(dx_i.approx_eq(&dx_r, 1e-11));
+        assert_eq!(dw_i.as_slice(), dw_r.as_slice());
+        assert_eq!(dx_i.as_slice(), dx_r.as_slice());
     }
 
     #[test]
@@ -837,9 +945,16 @@ mod tests {
         let m = batch * oh * ow;
         let col_matrix_words = p.patch_len() * m;
         let scratch = conv_scratch_words(batch, h, w, &p);
+        let padded_input = batch * p.in_c * (h + 2 * p.pad) * (w + 2 * p.pad);
         assert!(
-            scratch <= p.out_c * m + gemm::KC * gemm::NC + gemm::MC * gemm::KC,
-            "scratch {scratch} exceeds staging + blocking bound"
+            scratch
+                <= p.out_c * m
+                    + gemm::KC * gemm::NC
+                    + gemm::MC * gemm::KC
+                    + padded_input
+                    + m
+                    + p.patch_len(),
+            "scratch {scratch} exceeds staging + blocking + O(input) bound"
         );
         assert!(
             scratch * 3 < col_matrix_words,
@@ -848,7 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn im2col_map_agrees_with_materialized_im2col() {
+    fn offset_tables_agree_with_materialized_im2col() {
         let p = Conv2dParams {
             in_c: 3,
             out_c: 2,
@@ -859,16 +974,80 @@ mod tests {
         };
         let x = test_input(2, 3, 6, 5);
         let cols = im2col(&x, &p);
-        let map = Im2colMap::new(&p, x.h, x.w);
-        for kidx in 0..cols.rows() {
-            for col in 0..cols.cols() {
+        let xp = x.zero_extend(p.pad, p.pad, p.pad);
+        let map = Im2colMap::new(&p, xp.n, xp.h, xp.w);
+        assert_eq!(
+            (map.k_off.len(), map.col_base.len()),
+            (cols.rows(), cols.cols())
+        );
+        for (kidx, &off) in map.k_off.iter().enumerate() {
+            for (col, &base) in map.col_base.iter().enumerate() {
                 assert_eq!(
-                    map.gather(x.as_slice(), kidx as u32, col as u32),
+                    xp.as_slice()[(base + off) as usize],
                     cols.get(kidx, col),
                     "({kidx}, {col})"
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv kernel 5x3 does not fit a 2x7 input with pad 1")]
+    fn out_hw_rejects_a_kernel_larger_than_the_padded_input() {
+        let p = Conv2dParams {
+            in_c: 1,
+            out_c: 1,
+            kh: 5,
+            kw: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let _ = p.out_hw(2, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight cols must be in_c*kh*kw")]
+    fn backward_rejects_a_mismatched_weight_matrix() {
+        let p = Conv2dParams {
+            in_c: 2,
+            out_c: 3,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            pad: 0,
+        };
+        let x = test_input(1, 2, 6, 6);
+        let dy = Tensor4::zeros(1, 3, 4, 4);
+        // One weight column short of in_c·kh·kw.
+        let w = Matrix::zeros(3, p.patch_len() - 1);
+        let _ = conv2d_backward(&x, &w, &dy, &p);
+    }
+
+    #[test]
+    fn zero_extend_and_peel_are_inverse_and_frame_in_zeros() {
+        let x = test_input(2, 3, 4, 5);
+        let ext = x.zero_extend(2, 1, 3);
+        assert_eq!((ext.n, ext.c, ext.h, ext.w), (2, 3, 7, 11));
+        assert_eq!(ext.get(1, 2, 2, 3), x.get(1, 2, 0, 0));
+        assert_eq!(ext.get(1, 2, 5, 7), x.get(1, 2, 3, 4));
+        let framed: f64 = ext.as_slice().iter().map(|v| v.abs()).sum();
+        let inner: f64 = x.as_slice().iter().map(|v| v.abs()).sum();
+        assert_eq!(framed, inner);
+        assert_eq!(ext.peel(2, 1, 3), x);
+        assert_eq!(Tensor4::zeros(1, 2, 0, 3).zero_extend(1, 1, 0).h, 2);
+    }
+
+    #[test]
+    fn add_row_strip_accumulates_onto_the_addressed_rows() {
+        let x = test_input(2, 2, 6, 3);
+        let strip = x.row_strip(1, 4);
+        let mut y = x.clone();
+        y.add_row_strip(2, &strip);
+        for (n, c, h, w) in [(0, 0, 2, 0), (1, 1, 4, 2)] {
+            assert_eq!(y.get(n, c, h, w), x.get(n, c, h, w) + x.get(n, c, h - 1, w));
+        }
+        assert_eq!(y.get(1, 0, 1, 1), x.get(1, 0, 1, 1));
+        assert_eq!(y.get(1, 0, 5, 1), x.get(1, 0, 5, 1));
     }
 
     #[test]
@@ -919,14 +1098,13 @@ mod tests {
         #[test]
         fn implicit_forward_matches_direct_on_random_shapes(
             n in 1usize..3, in_c in 1usize..4, out_c in 1usize..5,
-            kh in 1usize..4, kw in 1usize..4,
-            stride in 1usize..3, pad in 0usize..3,
+            kh in 1usize..5, kw in 1usize..5,
+            stride in 1usize..4, pad in 0usize..3,
             extra_h in 0usize..5, extra_w in 0usize..5,
         ) {
             // Input at least as big as the kernel so out_hw stays valid.
             let h = kh + extra_h;
             let w = kw + extra_w;
-            prop_assume!(h + 2 * pad >= kh && w + 2 * pad >= kw);
             let p = Conv2dParams { in_c, out_c, kh, kw, stride, pad };
             let x = test_input(n, in_c, h, w);
             let wt = test_weights(&p);
@@ -936,18 +1114,19 @@ mod tests {
                 direct.approx_eq(&implicit, 1e-12),
                 "diff {}", direct.max_abs_diff(&implicit)
             );
+            // Same fold as the materialized lowering: equal to the bit.
+            prop_assert_eq!(implicit, conv2d_im2col(&x, &wt, &p));
         }
 
         #[test]
         fn implicit_backward_matches_reference_on_random_shapes(
             n in 1usize..3, in_c in 1usize..4, out_c in 1usize..4,
-            kh in 1usize..4, kw in 1usize..4,
-            stride in 1usize..3, pad in 0usize..2,
+            kh in 1usize..5, kw in 1usize..5,
+            stride in 1usize..4, pad in 0usize..3,
             extra_h in 0usize..4, extra_w in 0usize..4,
         ) {
             let h = kh + extra_h;
             let w = kw + extra_w;
-            prop_assume!(h + 2 * pad >= kh && w + 2 * pad >= kw);
             let p = Conv2dParams { in_c, out_c, kh, kw, stride, pad };
             let x = test_input(n, in_c, h, w);
             let wt = test_weights(&p);
@@ -957,8 +1136,8 @@ mod tests {
             });
             let (dw_i, dx_i) = conv2d_backward(&x, &wt, &dy, &p);
             let (dw_r, dx_r) = conv2d_backward_ref(&x, &wt, &dy, &p);
-            prop_assert!(dw_i.approx_eq(&dw_r, 1e-11));
-            prop_assert!(dx_i.approx_eq(&dx_r, 1e-11));
+            prop_assert_eq!(dw_i.as_slice(), dw_r.as_slice());
+            prop_assert_eq!(dx_i.as_slice(), dx_r.as_slice());
         }
     }
 }

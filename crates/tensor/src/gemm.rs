@@ -13,13 +13,18 @@
 //!       for each (MR×NR) tile: microkernel(Ã sliver, B̃ sliver, C tile)
 //! ```
 //!
-//! Operands are supplied as *element closures* `(i, k) → a` and
-//! `(k, j) → b`, so the same core serves plain row-major matrices, the
-//! transposed operand shapes (`AᵀB`, `ABᵀ`), and the fused im2col
-//! layout that packs convolution panels straight out of an NCHW tensor
-//! without materializing the column matrix. Packing touches each
-//! operand element exactly once per panel pass; all floating-point
-//! arithmetic lives in the microkernels.
+//! Operands are supplied as *sliver-row closures*: `fill_a(i0, k, dst)`
+//! writes the `dst.len() ≤ MR` consecutive rows `i0..` of column `k`,
+//! and `fill_b(k, j0, dst)` the `dst.len() ≤ NR` consecutive columns
+//! `j0..` of row `k` — exactly one row of a packed sliver. The same
+//! core therefore serves plain row-major matrices, the transposed
+//! operand shapes (`AᵀB`, `ABᵀ`), and the fused im2col layout that
+//! packs convolution panels straight out of an NCHW tensor without
+//! materializing the column matrix, and whenever the sliver row is
+//! contiguous in the source (row-major `B`, transposed `A`) the closure
+//! is a single `copy_from_slice`. Packing touches each operand element
+//! exactly once per panel pass; all floating-point arithmetic lives in
+//! the microkernels.
 //!
 //! ## Determinism contract
 //!
@@ -118,23 +123,12 @@ thread_local! {
     static A_PANEL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Portable microkernel: loads the `mr_eff × nr_eff` C tile, folds the
-/// packed slivers over ascending k with `mul_add`, stores it back.
-/// Padded sliver lanes (zero-filled by packing) accumulate into
-/// discarded tile entries, so the loop body is branch-free.
-#[inline(always)]
-fn micro_body(
-    kc: usize,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
+/// Portable full-tile microkernel: loads the `MR × NR` C tile, folds
+/// the packed slivers over ascending k with `mul_add`, stores it back.
+fn micro_6x8(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
     let mut acc = [[0.0f64; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate().take(mr_eff) {
-        row[..nr_eff].copy_from_slice(&c[r * ldc..r * ldc + nr_eff]);
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
     }
     for kk in 0..kc {
         let av = &a[kk * MR..kk * MR + MR];
@@ -146,30 +140,9 @@ fn micro_body(
             }
         }
     }
-    for (r, row) in acc.iter().enumerate().take(mr_eff) {
-        c[r * ldc..r * ldc + nr_eff].copy_from_slice(&row[..nr_eff]);
+    for (r, row) in acc.iter().enumerate() {
+        c[r * ldc..r * ldc + NR].copy_from_slice(row);
     }
-}
-
-/// `micro_body` compiled with FMA enabled so `mul_add` inlines to
-/// hardware `vfmadd` (bit-identical to the libm fallback — fma is
-/// exactly rounded either way).
-///
-/// # Safety
-///
-/// Caller must have verified FMA support via [`fma_kernel_available`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn micro_edge_fma(
-    kc: usize,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    micro_body(kc, a, b, c, ldc, mr_eff, nr_eff);
 }
 
 /// Full-tile AVX2+FMA microkernel: 6×8 register tile (12 accumulator
@@ -211,7 +184,25 @@ unsafe fn micro_6x8_fma(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usi
     }
 }
 
-/// Dispatches one tile to the best available microkernel.
+/// Runs one full `MR × NR` tile on the best available microkernel.
+#[inline]
+fn micro_full(fma: bool, kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+    assert!(a.len() >= kc * MR && b.len() >= kc * NR && c.len() >= (MR - 1) * ldc + NR);
+    #[cfg(target_arch = "x86_64")]
+    if fma {
+        // SAFETY: `fma` is only true after runtime AVX2+FMA detection,
+        // and the assert above is the kernel's extent precondition.
+        unsafe { micro_6x8_fma(kc, a, b, c, ldc) };
+        return;
+    }
+    let _ = fma;
+    micro_6x8(kc, a, b, c, ldc);
+}
+
+/// Dispatches one `mr_eff × nr_eff` tile. Edge tiles run the same
+/// full-tile kernel into a stack tile and copy the valid part back:
+/// the zero-filled sliver lanes only ever reach discarded entries, and
+/// every kept element is still the ascending-k fold chained from `c`.
 // The argument list mirrors the microkernel ABI; bundling it into a
 // struct would just move the field list.
 #[allow(clippy::too_many_arguments)]
@@ -226,20 +217,18 @@ fn micro_dispatch(
     mr_eff: usize,
     nr_eff: usize,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if fma {
-        // SAFETY: `fma` is only true after runtime AVX2+FMA detection.
-        unsafe {
-            if mr_eff == MR && nr_eff == NR {
-                micro_6x8_fma(kc, a, b, c, ldc);
-            } else {
-                micro_edge_fma(kc, a, b, c, ldc, mr_eff, nr_eff);
-            }
-        }
+    if mr_eff == MR && nr_eff == NR {
+        micro_full(fma, kc, a, b, c, ldc);
         return;
     }
-    let _ = fma;
-    micro_body(kc, a, b, c, ldc, mr_eff, nr_eff);
+    let mut tile = [0.0f64; MR * NR];
+    for r in 0..mr_eff {
+        tile[r * NR..r * NR + nr_eff].copy_from_slice(&c[r * ldc..r * ldc + nr_eff]);
+    }
+    micro_full(fma, kc, a, b, &mut tile, NR);
+    for r in 0..mr_eff {
+        c[r * ldc..r * ldc + nr_eff].copy_from_slice(&tile[r * NR..r * NR + nr_eff]);
+    }
 }
 
 /// The shape of a small-path product over dense row-major buffers.
@@ -352,17 +341,55 @@ pub fn gemm_small(
     small_body(shape, m, n, k, a, b, c);
 }
 
+/// Sliver-row fill for an operand whose lanes are contiguous in `src`
+/// (row-major B, or A stored transposed): `dst[l] = src[start + l]`.
+#[inline(always)]
+pub fn copy_lanes(src: &[f64], start: usize, dst: &mut [f64]) {
+    dst.copy_from_slice(&src[start..start + dst.len()]);
+}
+
+/// Sliver-row fill for an operand whose lanes are `stride` apart in
+/// `src` (row-major A, or B stored transposed):
+/// `dst[l] = src[start + l·stride]`.
+#[inline(always)]
+pub fn gather_lanes(src: &[f64], start: usize, stride: usize, dst: &mut [f64]) {
+    for (l, d) in dst.iter_mut().enumerate() {
+        *d = src[start + l * stride];
+    }
+}
+
+/// Packs one sliver (`W` lanes wide, k-major) of `kc` rows, `lanes` of
+/// them valid: `fill(kk, dst)` writes the valid lanes of row `kk`. The
+/// tail lanes of a ragged sliver are zeroed once up front, so the
+/// microkernel stays branch-free and the fill never tests a lane.
+#[inline(always)]
+fn pack_sliver<const W: usize>(sliver: &mut [f64], lanes: usize, fill: impl Fn(usize, &mut [f64])) {
+    if lanes == W {
+        for (kk, dst) in sliver.chunks_exact_mut(W).enumerate() {
+            fill(kk, dst);
+        }
+    } else {
+        sliver.fill(0.0);
+        for (kk, dst) in sliver.chunks_exact_mut(W).enumerate() {
+            fill(kk, &mut dst[..lanes]);
+        }
+    }
+}
+
 /// Panel-packed GEMM: `C += op(A)·op(B)` where the operands are
-/// presented as element closures `fill_a(i, kk)` (an `m×k` view) and
-/// `fill_b(kk, j)` (a `k×n` view). `c` is row-major `m×n` and is
-/// normally zero-initialized by the caller.
+/// presented as sliver-row closures over an `m×k` view of A and a
+/// `k×n` view of B: `fill_a(i0, kk, dst)` must write
+/// `dst[r] = A[i0 + r, kk]` and `fill_b(kk, j0, dst)` must write
+/// `dst[c] = B[kk, j0 + c]`, for every lane of `dst` (at most
+/// [`MR`] / [`NR`] of them, always in range). `c` is row-major `m×n`
+/// and is normally zero-initialized by the caller.
 ///
 /// Row blocks fan out over rayon when the product is large enough to
 /// amortize the dispatch; the result is bit-identical either way.
 pub fn gemm_packed<FA, FB>(m: usize, n: usize, k: usize, fill_a: FA, fill_b: FB, c: &mut [f64])
 where
-    FA: Fn(usize, usize) -> f64 + Sync,
-    FB: Fn(usize, usize) -> f64 + Sync,
+    FA: Fn(usize, usize, &mut [f64]) + Sync,
+    FB: Fn(usize, usize, &mut [f64]) + Sync,
 {
     debug_assert_eq!(c.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
@@ -380,20 +407,15 @@ where
         let mut k0 = 0;
         while k0 < k {
             let keff = KC.min(k - k0);
-            // Pack B̃: NR-column slivers, k-major within a sliver, tail
-            // lanes zero-filled so the microkernel is branch-free.
-            for t in 0..jsl {
-                let sliver = &mut b_panel[t * keff * NR..(t + 1) * keff * NR];
-                for kk in 0..keff {
-                    for cc in 0..NR {
-                        let j = j0 + t * NR + cc;
-                        sliver[kk * NR + cc] = if j < j0 + jeff {
-                            fill_b(k0 + kk, j)
-                        } else {
-                            0.0
-                        };
-                    }
-                }
+            // Pack B̃: NR-column slivers, k-major within a sliver.
+            for (t, sliver) in b_panel[..jsl * keff * NR]
+                .chunks_exact_mut(keff * NR)
+                .enumerate()
+            {
+                let js = j0 + t * NR;
+                pack_sliver::<NR>(sliver, NR.min(j0 + jeff - js), |kk, dst| {
+                    fill_b(k0 + kk, js, dst)
+                });
             }
             let b_ref = &b_panel;
             let fill_a = &fill_a;
@@ -403,21 +425,18 @@ where
                 let isl = ieff.div_ceil(MR);
                 A_PANEL.with(|cell| {
                     let mut ap = cell.borrow_mut();
-                    ap.clear();
-                    ap.resize(isl * MR * keff, 0.0);
-                    // Pack Ã: MR-row slivers, k-major, tail rows zeroed.
-                    for s in 0..isl {
-                        let sliver = &mut ap[s * keff * MR..(s + 1) * keff * MR];
-                        for kk in 0..keff {
-                            for r in 0..MR {
-                                let i = i0 + s * MR + r;
-                                sliver[kk * MR + r] = if i < i0 + ieff {
-                                    fill_a(i, k0 + kk)
-                                } else {
-                                    0.0
-                                };
-                            }
-                        }
+                    if ap.len() < isl * MR * keff {
+                        ap.resize(isl * MR * keff, 0.0);
+                    }
+                    // Pack Ã: MR-row slivers, k-major.
+                    for (s, sliver) in ap[..isl * keff * MR]
+                        .chunks_exact_mut(keff * MR)
+                        .enumerate()
+                    {
+                        let is = i0 + s * MR;
+                        pack_sliver::<MR>(sliver, MR.min(i0 + ieff - is), |kk, dst| {
+                            fill_a(is, k0 + kk, dst)
+                        });
                     }
                     for t in 0..jsl {
                         let nr_eff = NR.min(jeff - t * NR);
@@ -480,6 +499,18 @@ mod tests {
         c
     }
 
+    /// `gemm_packed` over row-major `a` (m×k) and `b` (k×n).
+    fn packed_nn(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+        gemm_packed(
+            m,
+            n,
+            k,
+            |i0, kk, dst| gather_lanes(a, i0 * k + kk, k, dst),
+            |kk, j0, dst| copy_lanes(b, kk * n + j0, dst),
+            c,
+        );
+    }
+
     #[test]
     fn packed_matches_contract_bitwise_across_panel_boundaries() {
         // Sizes straddle MR/NR/KC/MC/NC edges, including k > KC so the
@@ -494,16 +525,97 @@ mod tests {
             let a = dense(m, k, 0.3);
             let b = dense(k, n, 0.7);
             let mut c = vec![0.0; m * n];
+            packed_nn(m, n, k, &a, &b, &mut c);
+            let expect = fma_dot(m, n, k, &a, &b);
+            assert_eq!(c, expect, "m={m} n={n} k={k}");
+        }
+    }
+
+    #[test]
+    fn sliver_row_packing_matches_contract_on_ragged_shapes() {
+        // Ragged in every blocking dimension (m % MR, n % NR, k > KC),
+        // including the conv-path `m = 8` (a full sliver plus a 2-row
+        // one). A larger product runs first so the thread-local Ã block
+        // holds stale words where the ragged slivers' zero lanes go.
+        // Operands are read through the opposite layouts from
+        // `packed_nn` (A stored k×m, B stored n×k), and the fills check
+        // that the packer never asks for a lane outside the operand.
+        let (bm, bn, bk) = (MC, 2 * NR, KC);
+        let mut big = vec![0.0; bm * bn];
+        packed_nn(
+            bm,
+            bn,
+            bk,
+            &dense(bm, bk, 1.1),
+            &dense(bk, bn, 1.3),
+            &mut big,
+        );
+        for (m, n, k) in [
+            (8, 3 * NR + 5, KC + 19),
+            (MR + 2, NR - 1, 2 * KC + 1),
+            (MC + MR - 1, NC + NR + 3, KC + 1),
+        ] {
+            let a = dense(m, k, 0.2);
+            let b = dense(k, n, 0.8);
+            let mut at = vec![0.0; k * m];
+            for i in 0..m {
+                for kk in 0..k {
+                    at[kk * m + i] = a[i * k + kk];
+                }
+            }
+            let mut bt = vec![0.0; n * k];
+            for kk in 0..k {
+                for j in 0..n {
+                    bt[j * k + kk] = b[kk * n + j];
+                }
+            }
+            let mut c = vec![0.0; m * n];
             gemm_packed(
                 m,
                 n,
                 k,
-                |i, kk| a[i * k + kk],
-                |kk, j| b[kk * n + j],
+                |i0, kk, dst| {
+                    assert!(!dst.is_empty() && dst.len() <= MR && i0 + dst.len() <= m && kk < k);
+                    copy_lanes(&at, kk * m + i0, dst)
+                },
+                |kk, j0, dst| {
+                    assert!(!dst.is_empty() && dst.len() <= NR && j0 + dst.len() <= n && kk < k);
+                    gather_lanes(&bt, j0 * k + kk, k, dst)
+                },
                 &mut c,
             );
-            let expect = fma_dot(m, n, k, &a, &b);
-            assert_eq!(c, expect, "m={m} n={n} k={k}");
+            assert_eq!(c, fma_dot(m, n, k, &a, &b), "m={m} n={n} k={k}");
+        }
+    }
+
+    #[test]
+    fn portable_and_dispatched_microkernels_agree_bitwise() {
+        // On an AVX2+FMA host the portable tile kernel is otherwise
+        // never run; pin it to the dispatched one on a full and a
+        // ragged tile, chained from a nonzero C.
+        let kc = 37;
+        let (a, b) = (dense(kc, MR, 0.4), dense(kc, NR, 0.6));
+        for (mr_eff, nr_eff) in [(MR, NR), (2, 5)] {
+            let c0 = dense(MR, NR, 0.9);
+            let mut portable = c0.clone();
+            let mut dispatched = c0.clone();
+            micro_dispatch(false, kc, &a, &b, &mut portable, NR, mr_eff, nr_eff);
+            micro_dispatch(
+                fma_kernel_available(),
+                kc,
+                &a,
+                &b,
+                &mut dispatched,
+                NR,
+                mr_eff,
+                nr_eff,
+            );
+            assert_eq!(portable, dispatched, "{mr_eff}x{nr_eff}");
+            // A ragged tile leaves C outside its valid part untouched.
+            for (i, (got, was)) in portable.iter().zip(&c0).enumerate() {
+                let inside = i / NR < mr_eff && i % NR < nr_eff;
+                assert_eq!(got == was, !inside, "entry {i} of {mr_eff}x{nr_eff}");
+            }
         }
     }
 
@@ -515,14 +627,7 @@ mod tests {
         let mut small = vec![0.0; m * n];
         gemm_small(SmallShape::Nn, m, n, k, &a, &b, &mut small);
         let mut packed = vec![0.0; m * n];
-        gemm_packed(
-            m,
-            n,
-            k,
-            |i, kk| a[i * k + kk],
-            |kk, j| b[kk * n + j],
-            &mut packed,
-        );
+        packed_nn(m, n, k, &a, &b, &mut packed);
         assert_eq!(small, packed);
     }
 

@@ -23,7 +23,6 @@
 pub mod abft;
 pub mod activation;
 pub mod conv;
-pub mod fastdiv;
 pub mod gemm;
 pub mod init;
 pub mod lrn;

@@ -1,9 +1,10 @@
 //! Matrix products: `C = A·B`, `C = Aᵀ·B`, `C = A·Bᵀ`.
 //!
-//! All three run on the panel-packed GEMM core in [`crate::gemm`]: the
-//! transposed variants feed the packer transposed element accessors
-//! instead of materializing `Aᵀ`/`Bᵀ`, so packing cost is identical for
-//! every operand orientation. Products below
+//! All three run on the panel-packed GEMM core in [`crate::gemm`]: each
+//! operand is handed to the packer one sliver row at a time — a
+//! `copy_from_slice` where that row is contiguous in the source
+//! (row-major `B`, `A` stored transposed), a strided gather otherwise —
+//! so `Aᵀ`/`Bᵀ` are never materialized. Products below
 //! [`gemm::SMALL_GEMM_MNK`] multiply-adds take a serial unpacked path
 //! that skips rayon dispatch and panel setup entirely — tiny
 //! layer-shard GEMMs at large P are latency-bound, not bandwidth-bound.
@@ -95,8 +96,8 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
             m,
             n,
             k,
-            |i, kk| av[i * k + kk],
-            |kk, j| bv[kk * n + j],
+            |i0, kk, dst| gemm::gather_lanes(av, i0 * k + kk, k, dst),
+            |kk, j0, dst| gemm::copy_lanes(bv, kk * n + j0, dst),
             c.as_mut_slice(),
         );
     }
@@ -115,14 +116,14 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
     if gemm::is_small_gemm(m, n, k) {
         gemm::gemm_small(SmallShape::Tn, m, n, k, av, bv, c.as_mut_slice());
     } else {
-        // A is stored k×m; the packer reads it through the transposed
-        // accessor, strided but touched once per panel pass.
+        // A is stored k×m, so a sliver row (consecutive i at one k) is
+        // contiguous in the source.
         gemm::gemm_packed(
             m,
             n,
             k,
-            |i, kk| av[kk * m + i],
-            |kk, j| bv[kk * n + j],
+            |i0, kk, dst| gemm::copy_lanes(av, kk * m + i0, dst),
+            |kk, j0, dst| gemm::copy_lanes(bv, kk * n + j0, dst),
             c.as_mut_slice(),
         );
     }
@@ -141,13 +142,13 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     if gemm::is_small_gemm(m, n, k) {
         gemm::gemm_small(SmallShape::Nt, m, n, k, av, bv, c.as_mut_slice());
     } else {
-        // B is stored n×k; transposed accessor, same packing cost.
+        // B is stored n×k: both operands are strided gathers.
         gemm::gemm_packed(
             m,
             n,
             k,
-            |i, kk| av[i * k + kk],
-            |kk, j| bv[j * k + kk],
+            |i0, kk, dst| gemm::gather_lanes(av, i0 * k + kk, k, dst),
+            |kk, j0, dst| gemm::gather_lanes(bv, j0 * k + kk, k, dst),
             c.as_mut_slice(),
         );
     }

@@ -13,7 +13,16 @@ pub struct Pool2dParams {
 
 impl Pool2dParams {
     /// Output spatial size: `⌊(x − k)/stride⌋ + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not fit the input.
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        assert!(
+            h >= self.k && w >= self.k,
+            "pool window {0}x{0} does not fit a {h}x{w} input",
+            self.k
+        );
         (
             (h - self.k) / self.stride + 1,
             (w - self.k) / self.stride + 1,
@@ -84,6 +93,12 @@ mod tests {
         assert_eq!(p.out_hw(55, 55), (27, 27));
         assert_eq!(p.out_hw(27, 27), (13, 13));
         assert_eq!(p.out_hw(13, 13), (6, 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "pool window 3x3 does not fit a 2x9 input")]
+    fn out_hw_rejects_a_window_larger_than_the_input() {
+        let _ = Pool2dParams { k: 3, stride: 2 }.out_hw(2, 9);
     }
 
     #[test]
