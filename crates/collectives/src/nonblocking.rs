@@ -207,12 +207,12 @@ impl IallreduceHandle {
         Ok(self.pr.done())
     }
 
-    /// Whether every chunk step has been issued — [`progress`]
-    /// (`IallreduceHandle::progress`) has nothing left to drive. The
+    /// Whether every chunk step has been issued —
+    /// [`IallreduceHandle::progress`] has nothing left to drive. The
     /// channel work may still finish in the rank's future; see
-    /// [`IallreduceHandle::ready_at`]. Unlike [`test`]
-    /// (`IallreduceHandle::test`) this never drives a step, so
-    /// schedulers can use it to pick *which* handle to progress.
+    /// [`IallreduceHandle::ready_at`]. Unlike [`IallreduceHandle::test`]
+    /// this never drives a step, so schedulers can use it to pick
+    /// *which* handle to progress.
     pub fn issued(&self) -> bool {
         self.pr.done()
     }

@@ -19,10 +19,13 @@ use tensor::Matrix;
 
 use collectives::cost::CostTerms;
 use distmm::dist::{col_shard, part_range, row_shard};
-use distmm::onep5d::{backward as grid_backward, forward as grid_forward, Grid};
+use distmm::onep5d::{Grid, Guard};
 
 use crate::data::{accuracy, epoch_order, Dataset};
-use crate::trainer::{act_backward, apply_act, extract_fc_layers, init_weights, FcLayer};
+use crate::trainer::{
+    act_backward, apply_act, assemble_weights, backward_pass, extract_fc_layers, forward_pass,
+    init_weights, FcLayer, Pass,
+};
 
 /// SGD variant parameters.
 #[derive(Debug, Clone, Copy)]
@@ -71,9 +74,9 @@ impl Default for EpochConfig {
 
 /// One SGD update with momentum and weight decay:
 /// `v ← μ·v + (g + λ·w)`, `w ← w − η·v`.
-fn sgd_step(w: &mut Matrix, v: &mut Matrix, g: &Matrix, cfg: &SgdConfig) {
-    let (vs, ws, gs) = (v.as_mut_slice(), w.as_mut_slice(), g.as_slice());
-    for ((vi, wi), &gi) in vs.iter_mut().zip(ws.iter_mut()).zip(gs) {
+fn sgd_step(w: &mut Matrix, v: &mut Matrix, g: &[f64], cfg: &SgdConfig) {
+    let (vs, ws) = (v.as_mut_slice(), w.as_mut_slice());
+    for ((vi, wi), &gi) in vs.iter_mut().zip(ws.iter_mut()).zip(g) {
         *vi = cfg.momentum * *vi + gi + cfg.weight_decay * *wi;
         *wi -= cfg.lr * *vi;
     }
@@ -161,7 +164,7 @@ pub fn train_epochs_serial(net: &Network, data: &Dataset, cfg: &EpochConfig) -> 
             dy = act_backward(l.act, &pres[li], &inputs[li + 1], &dy);
             let dw = matmul_a_bt(&dy, &inputs[li]);
             let dx = matmul_at_b(&weights[li], &dy);
-            sgd_step(&mut weights[li], &mut velocity[li], &dw, &cfg.sgd);
+            sgd_step(&mut weights[li], &mut velocity[li], dw.as_slice(), &cfg.sgd);
             dy = dx;
         }
     }
@@ -207,53 +210,30 @@ pub fn train_epochs_1p5d(
             .iter()
             .map(|w| Matrix::zeros(w.rows(), w.cols()))
             .collect();
-        for idx in &batches {
+        let mut apply = |w: &mut [Matrix], li: usize, dw: &[f64]| {
+            sgd_step(&mut w[li], &mut v_local[li], dw, &cfg.sgd)
+        };
+        for (step, idx) in batches.iter().enumerate() {
             let (x, labels) = data.batch(idx);
             let b_global = x.cols();
-            let x_local = col_shard(&x, pc, grid.j);
-            let lrange = part_range(b_global, pc, grid.j);
-            let labels_local = &labels[lrange];
-            let b_local = x_local.cols();
-            // Forward.
-            let mut inputs = vec![x_local];
-            let mut pres = Vec::with_capacity(layers.len());
-            for (l, w) in layers.iter().zip(&w_local) {
-                let pre = grid_forward(&grid, w, inputs.last().expect("input")).expect("forward");
-                let post = apply_act(l.act, &pre);
-                pres.push(pre);
-                inputs.push(post);
-            }
-            let (_loss, mut grad) = softmax_xent(inputs.last().expect("logits"), labels_local);
-            let scale = b_local as f64 / b_global as f64;
-            for g in grad.as_mut_slice() {
-                *g *= scale;
-            }
-            // Backward + update.
-            let mut dy = grad;
-            for (li, l) in layers.iter().enumerate().rev() {
-                dy = act_backward(l.act, &pres[li], &inputs[li + 1], &dy);
-                let (dw, dx) =
-                    grid_backward(&grid, &w_local[li], &inputs[li], &dy).expect("backward");
-                sgd_step(&mut w_local[li], &mut v_local[li], &dw, &cfg.sgd);
-                dy = dx;
-            }
+            // Every mini-batch step is the trainer's blocking iteration
+            // body on this batch's shard.
+            let mut pass = Pass {
+                grid: &grid,
+                guard: Guard::Off,
+                layers: &layers,
+                x_local: &col_shard(&x, pc, grid.j),
+                labels_local: &labels[part_range(b_global, pc, grid.j)],
+                b_global,
+                iter: step,
+                sched: None,
+            };
+            let tape = forward_pass(&mut pass, &mut w_local, &mut apply).expect("forward");
+            backward_pass(&mut pass, tape, &mut w_local, &mut apply).expect("backward");
         }
         (grid.i, grid.j, w_local)
     });
-    // Assemble from column 0.
-    let n_layers = layers.len();
-    let mut weights = Vec::with_capacity(n_layers);
-    for l in 0..n_layers {
-        let mut rows: Vec<(usize, Matrix)> = shards
-            .iter()
-            .filter(|(_, j, _)| *j == 0)
-            .map(|(i, _, w)| (*i, w[l].clone()))
-            .collect();
-        rows.sort_by_key(|&(i, _)| i);
-        weights.push(Matrix::vcat(
-            &rows.into_iter().map(|(_, m)| m).collect::<Vec<_>>(),
-        ));
-    }
+    let weights = assemble_weights(shards.iter().map(|(i, j, w)| (*i, *j, w)));
     EpochDistResult {
         weights,
         stats,

@@ -46,22 +46,18 @@ use mpsim::fault::checksum;
 use mpsim::{
     BitFlip, Communicator, Error, FaultCtx, FaultPlan, TraceConfig, World, WorldStats, WorldTrace,
 };
-use tensor::activation::softmax_xent;
 use tensor::ops::axpy;
 use tensor::Matrix;
 
 use distmm::dist::{col_shard, part_range, row_shard};
-use distmm::onep5d::{
-    backward_dw_deferred_sdc, backward_dx_overlap_sdc, backward_sdc, forward_resume_ft,
-    forward_sdc, forward_start_sdc, Grid, SdcCtx,
-};
-use tensor::matmul::{matmul, matmul_flops};
+use distmm::onep5d::{Grid, Guard, SdcCtx};
 
 use crate::cost::integrated_model_batch;
 use crate::machine::MachineModel;
-use crate::overlap::{FlushSchedule, OverlapPlan};
+use crate::overlap::OverlapPlan;
 use crate::trainer::{
-    act_backward, apply_act, extract_fc_layers, init_weights, BucketScheduler, FcLayer,
+    assemble_weights, backward_pass, extract_fc_layers, forward_pass, init_weights,
+    BucketScheduler, FcLayer, Pass,
 };
 
 /// Configuration for a fault-tolerant training run.
@@ -87,21 +83,22 @@ pub struct FtTrainConfig {
     pub machine: MachineModel,
     /// Overlap the ∆W all-reduces with the remaining backward compute
     /// using the non-blocking collectives (the executed Fig. 8 path,
-    /// bucketed like [`crate::trainer::train_1p5d_overlap`]); chunk
-    /// receives stay deadline-bound and faults still abort group-wide,
-    /// so recovery semantics are unchanged. `false` reproduces the
-    /// fully blocking iteration.
+    /// bucketed and scheduled like
+    /// [`crate::trainer::train_1p5d_scheduled`]); chunk receives stay
+    /// deadline-bound and faults still abort group-wide, so recovery
+    /// semantics are unchanged. `false` reproduces the fully blocking
+    /// iteration of [`crate::trainer::train_1p5d`].
     pub overlap: bool,
     /// Scheduling plan for the overlapped path (ignored when `overlap`
     /// is off): bucket fusion size, flush priority/polls, ∆X overlap,
     /// and forward prefetch. Two knobs are constrained here relative
-    /// to [`crate::trainer::train_1p5d_scheduled`]:
-    /// [`OverlapPlan::interleave`] is ignored — the checkpoint/rollback
-    /// protocol needs iteration-complete weights, so every bucket is
-    /// applied (per bucket, no barrier) before the iteration commits —
-    /// and [`OverlapPlan::fwd_prefetch`] is disabled under `abft`,
-    /// whose checksums verify whole products, not block-accumulated
-    /// ones.
+    /// to [`crate::trainer::train_1p5d_scheduled`], which runs the same
+    /// iteration body: [`OverlapPlan::interleave`] is ignored — the
+    /// checkpoint/rollback protocol needs iteration-complete weights,
+    /// so every bucket is applied (per bucket, no barrier) before the
+    /// iteration commits — and [`OverlapPlan::fwd_prefetch`] is
+    /// disabled under `abft`, whose checksums verify whole products,
+    /// not block-accumulated ones.
     pub plan: OverlapPlan,
     /// Defend against *silent* data corruption: every local GEMM output
     /// is ABFT checksum-verified (single-element errors repaired in
@@ -237,21 +234,16 @@ impl FtDistResult {
 
     /// Assembles the full weight matrices from the final grid's
     /// column-0 shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no rank survived.
     pub fn weights(&self) -> Vec<Matrix> {
-        let survivors = self.survivors();
-        let first = survivors.first().expect("at least one survivor");
-        let n_layers = first.weight_shards.len();
-        (0..n_layers)
-            .map(|l| {
-                let mut shards: Vec<(usize, Matrix)> = survivors
-                    .iter()
-                    .filter(|r| r.j == 0)
-                    .map(|r| (r.i, r.weight_shards[l].clone()))
-                    .collect();
-                shards.sort_by_key(|&(i, _)| i);
-                Matrix::vcat(&shards.into_iter().map(|(_, m)| m).collect::<Vec<_>>())
-            })
-            .collect()
+        assemble_weights(
+            self.survivors()
+                .into_iter()
+                .map(|r| (r.i, r.j, &r.weight_shards)),
+        )
     }
 }
 
@@ -486,175 +478,62 @@ impl Checkpoint {
     }
 }
 
-/// One synchronous training iteration on the current grid with
-/// fault-tolerant collectives. Returns the *global* loss (identical on
-/// every rank of the grid). `iter` names the iteration for the SDC
-/// layer: scripted compute bit flips target `(rank, iter, op)` triples,
-/// and — with [`FtTrainConfig::abft`] — every local GEMM is
-/// checksum-verified under the same numbering.
-#[allow(clippy::too_many_arguments)]
+/// One synchronous training iteration on the current grid: the shared
+/// [`forward_pass`]/[`backward_pass`] body under [`Guard::On`], with
+/// the global-loss all-reduce in between and a momentum-aware optimizer
+/// apply. Returns the *global* loss (identical on every rank of the
+/// grid). The iteration number names the SDC ops: scripted compute bit
+/// flips target `(rank, iter, op)` triples, and — with
+/// [`FtTrainConfig::abft`] — every local GEMM is checksum-verified
+/// under the same numbering.
 fn run_iteration(
-    grid: &Grid,
+    st: &mut GridState,
     layers: &[FcLayer],
-    w: &mut [Matrix],
-    v: &mut [Matrix],
-    x_local: &Matrix,
-    labels_local: &[usize],
     b_global: usize,
-    iter: u64,
     cfg: &FtTrainConfig,
 ) -> Result<f64, Error> {
-    let b_local = x_local.cols();
-    let sdc = SdcCtx::new(iter, cfg.abft);
-    // Forward. Prefetch (when enabled, overlapping, not under ABFT,
-    // and a column ring exists) pipelines each layer's all-gather
-    // behind per-block activation and the next layer's partial
-    // accumulation; chunk receives stay deadline-bound, so fault
-    // detection and group abort are unchanged. Note the accumulated
-    // partials of layers ≥ 1 are never one monolithic GEMM, so they
-    // carry no per-GEMM SDC injection/verification op — which is why
-    // ABFT forces this path off.
-    let prefetch = cfg.overlap && cfg.plan.fwd_prefetch && !cfg.abft && grid.pr > 1;
-    let mut inputs = vec![x_local.clone()];
-    let mut pres = Vec::with_capacity(layers.len());
-    {
-        let _fwd = grid.row_comm.trace_span("trainer", "forward", &[]);
-        if prefetch {
-            let mut pf = forward_start_sdc(grid, &w[0], x_local, &cfg.ft, &sdc)?;
-            for idx in 0..layers.len() {
-                let _layer =
-                    grid.row_comm
-                        .trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                let next = idx + 1;
-                let l = &layers[idx];
-                let mut acc = if next < layers.len() {
-                    Some(Matrix::zeros(w[next].rows(), b_local))
-                } else {
-                    None
-                };
-                let mut pre_blocks: Vec<Option<Matrix>> = vec![None; grid.pr];
-                let mut post_blocks: Vec<Option<Matrix>> = vec![None; grid.pr];
-                while let Some((src, block)) = pf.next_block()? {
-                    let post = apply_act(l.act, &block);
-                    if let Some(acc) = acc.as_mut() {
-                        let crange = part_range(l.d_out, grid.pr, src);
-                        let wcols = w[next].col_block(crange.start, crange.end);
-                        grid.col_comm.advance_flops(matmul_flops(
-                            wcols.rows(),
-                            wcols.cols(),
-                            b_local,
-                        ));
-                        let prod = matmul(&wcols, &post);
-                        axpy(1.0, prod.as_slice(), acc.as_mut_slice());
-                    }
-                    pre_blocks[src] = Some(block);
-                    post_blocks[src] = Some(post);
-                }
-                let pre = Matrix::vcat(
-                    &pre_blocks
-                        .into_iter()
-                        .map(|m| m.expect("all blocks delivered"))
-                        .collect::<Vec<_>>(),
-                );
-                let post = Matrix::vcat(
-                    &post_blocks
-                        .into_iter()
-                        .map(|m| m.expect("all blocks delivered"))
-                        .collect::<Vec<_>>(),
-                );
-                pres.push(pre);
-                inputs.push(post);
-                if let Some(acc) = acc {
-                    pf = forward_resume_ft(grid, acc, &cfg.ft)?;
-                }
+    let sdc = SdcCtx::new(st.iter as u64, cfg.abft);
+    // The checkpoint/rollback protocol needs iteration-complete
+    // weights, so buckets never stay in flight across the boundary
+    // (no interleave); and ABFT checksums whole products, not the
+    // block-accumulated partials of a pipelined forward (no prefetch).
+    let plan = OverlapPlan {
+        interleave: false,
+        fwd_prefetch: cfg.plan.fwd_prefetch && !cfg.abft,
+        ..cfg.plan
+    };
+    let mut sched = cfg
+        .overlap
+        .then(|| BucketScheduler::new(&st.grid.row_comm, &plan, Some(cfg.ft)));
+    let mut pass = Pass {
+        grid: &st.grid,
+        guard: Guard::On(&cfg.ft, &sdc),
+        layers,
+        x_local: &st.x_local,
+        labels_local: &st.labels_local,
+        b_global,
+        iter: st.iter,
+        sched: sched.as_mut().map(|s| (s, plan)),
+    };
+    let v = &mut st.v;
+    let mut apply = |w: &mut [Matrix], idx: usize, summed: &[f64]| {
+        if cfg.momentum != 0.0 {
+            for (vi, &di) in v[idx].as_mut_slice().iter_mut().zip(summed) {
+                *vi = cfg.momentum * *vi + di;
             }
+            axpy(-cfg.lr, v[idx].as_slice(), w[idx].as_mut_slice());
         } else {
-            for (idx, (l, wl)) in layers.iter().zip(w.iter()).enumerate() {
-                let _layer =
-                    grid.row_comm
-                        .trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                let pre = forward_sdc(grid, wl, inputs.last().expect("input"), &cfg.ft, &sdc)?;
-                let post = apply_act(l.act, &pre);
-                pres.push(pre);
-                inputs.push(post);
-            }
+            axpy(-cfg.lr, summed, w[idx].as_mut_slice());
         }
-    }
-    let logits = inputs.last().expect("logits");
-    let (loss_local, mut grad) = softmax_xent(logits, labels_local);
-    let scale = b_local as f64 / b_global as f64;
-    for g in grad.as_mut_slice() {
-        *g *= scale;
-    }
+    };
+    let tape = forward_pass(&mut pass, &mut st.w, &mut apply)?;
     // Global loss: the partials of one grid row sum to the global loss
     // (rows hold replicas), so a one-word all-reduce over the row group
     // gives every rank the same number — and doubles as a per-iteration
     // liveness probe of the row group.
-    let mut lbuf = [loss_local * scale];
-    allreduce_ring_ft(&grid.row_comm, &mut lbuf, ReduceOp::Sum, &cfg.ft)?;
-    // Backward.
-    let _bwd = grid.row_comm.trace_span("trainer", "backward", &[]);
-    let mut dy = grad;
-    if cfg.overlap {
-        // Executed overlap: ∆W partials are bucketed and their
-        // row-group sums launched non-blocking (deadline-bound chunk
-        // receives, group abort on faults) while backprop continues.
-        // Priority scheduling polls a chunk of the deepest in-flight
-        // bucket after each layer; the drain stays within the
-        // iteration (launch order, applying per bucket as each wait
-        // completes) so the committed weights are always
-        // iteration-complete for checkpoint/rollback — the
-        // cross-iteration interleave knob is deliberately not honored
-        // here.
-        let mut sched = BucketScheduler::new(
-            &grid.row_comm,
-            cfg.plan.bucket_words,
-            Some(cfg.ft),
-            cfg.plan.schedule == FlushSchedule::Priority,
-        );
-        for (idx, l) in layers.iter().enumerate().rev() {
-            let _layer = grid
-                .row_comm
-                .trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-            dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-            let (dw, dx) = if cfg.plan.dx_overlap {
-                backward_dx_overlap_sdc(grid, &w[idx], &inputs[idx], &dy, &cfg.ft, &sdc)?
-            } else {
-                backward_dw_deferred_sdc(grid, &w[idx], &inputs[idx], &dy, &cfg.ft, &sdc)?
-            };
-            sched.push(idx, &dw)?;
-            sched.poll()?;
-            dy = dx;
-        }
-        let _step = grid.row_comm.trace_span("trainer", "optimizer_step", &[]);
-        sched.drain_all(|idx, summed| {
-            if cfg.momentum != 0.0 {
-                for (vi, &di) in v[idx].as_mut_slice().iter_mut().zip(summed) {
-                    *vi = cfg.momentum * *vi + di;
-                }
-                axpy(-cfg.lr, v[idx].as_slice(), w[idx].as_mut_slice());
-            } else {
-                axpy(-cfg.lr, summed, w[idx].as_mut_slice());
-            }
-        })?;
-    } else {
-        for (idx, l) in layers.iter().enumerate().rev() {
-            let _layer = grid
-                .row_comm
-                .trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-            dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-            let (dw, dx) = backward_sdc(grid, &w[idx], &inputs[idx], &dy, &cfg.ft, &sdc)?;
-            if cfg.momentum != 0.0 {
-                for (vi, di) in v[idx].as_mut_slice().iter_mut().zip(dw.as_slice()) {
-                    *vi = cfg.momentum * *vi + di;
-                }
-                axpy(-cfg.lr, v[idx].as_slice(), w[idx].as_mut_slice());
-            } else {
-                axpy(-cfg.lr, dw.as_slice(), w[idx].as_mut_slice());
-            }
-            dy = dx;
-        }
-    }
+    let mut lbuf = [tape.loss];
+    allreduce_ring_ft(&st.grid.row_comm, &mut lbuf, ReduceOp::Sum, &cfg.ft)?;
+    backward_pass(&mut pass, tape, &mut st.w, &mut apply)?;
     Ok(lbuf[0])
 }
 
@@ -674,6 +553,42 @@ struct GridState {
     /// means a memory bit flip landed between iterations and escalates
     /// to rollback.
     wsum: u64,
+}
+
+impl GridState {
+    /// Lays a `pr × pc` grid over `alive` and cuts this rank's shards
+    /// out of full-size state: the one way a rank comes to hold
+    /// training state, at start-up and after every recovery alike. An
+    /// empty `full_v` means zero velocity.
+    fn shard(
+        alive: &Communicator,
+        (pr, pc): (usize, usize),
+        full_w: &[Matrix],
+        full_v: &[Matrix],
+        x: &Matrix,
+        labels: &[usize],
+        iter: usize,
+    ) -> Result<GridState, Error> {
+        let grid = Grid::new(alive, pr, pc)?;
+        let w: Vec<Matrix> = full_w.iter().map(|m| row_shard(m, pr, grid.i)).collect();
+        let v: Vec<Matrix> = if full_v.is_empty() {
+            w.iter()
+                .map(|m| Matrix::zeros(m.rows(), m.cols()))
+                .collect()
+        } else {
+            full_v.iter().map(|m| row_shard(m, pr, grid.i)).collect()
+        };
+        Ok(GridState {
+            members: alive.members().to_vec(),
+            x_local: col_shard(x, pc, grid.j),
+            labels_local: labels[part_range(x.cols(), pc, grid.j)].to_vec(),
+            wsum: weights_checksum(&w),
+            grid,
+            w,
+            v,
+            iter,
+        })
+    }
 }
 
 /// Order-sensitive checksum over all weight shards.
@@ -733,7 +648,7 @@ fn attempt_recovery(
     x: &Matrix,
     labels: &[usize],
     cfg: &FtTrainConfig,
-) -> Result<(GridState, usize, usize), Error> {
+) -> Result<GridState, Error> {
     let my_global = comm.global_rank_of(comm.rank())?;
     let alive = comm.shrink_exclude(dead, epoch)?;
     let b_global = x.cols();
@@ -796,34 +711,8 @@ fn attempt_recovery(
     }
 
     // Re-plan with Eq. 8 and rebuild the grid over the survivors.
-    let (npr, npc) = plan_grid(wlayers, b_global as f64, alive.size(), &cfg.machine);
-    let grid = Grid::new(&alive, npr, npc)?;
-    let w: Vec<Matrix> = full_w.iter().map(|m| row_shard(m, npr, grid.i)).collect();
-    let v: Vec<Matrix> = if cfg.momentum != 0.0 {
-        full_v.iter().map(|m| row_shard(m, npr, grid.i)).collect()
-    } else {
-        w.iter()
-            .map(|m| Matrix::zeros(m.rows(), m.cols()))
-            .collect()
-    };
-    let x_local = col_shard(x, npc, grid.j);
-    let labels_local = labels[part_range(b_global, npc, grid.j)].to_vec();
-    let members = alive.members().to_vec();
-    let wsum = weights_checksum(&w);
-    Ok((
-        GridState {
-            grid,
-            members,
-            w,
-            v,
-            x_local,
-            labels_local,
-            iter: ck.iter,
-            wsum,
-        },
-        npr,
-        npc,
-    ))
+    let dims = plan_grid(wlayers, b_global as f64, alive.size(), &cfg.machine);
+    GridState::shard(&alive, dims, &full_w, &full_v, x, labels, ck.iter)
 }
 
 /// How a rank enters the training loop: from scratch, or mid-run as a
@@ -881,23 +770,12 @@ fn run_rank(
             // Epoch-0 "shrink" of nothing: gives the training phase its
             // own context namespace, uniform with post-recovery grids.
             let alive0 = comm.shrink_exclude(&[], 0)?;
-            let grid = Grid::new(&alive0, pr0, pc0)?;
             let full_weights = init_weights(layers, cfg.seed);
-            let w: Vec<Matrix> = full_weights
-                .iter()
-                .map(|m| row_shard(m, pr0, grid.i))
-                .collect();
-            let v: Vec<Matrix> = w
-                .iter()
-                .map(|m| Matrix::zeros(m.rows(), m.cols()))
-                .collect();
-            let x_local = col_shard(x, pc0, grid.j);
-            let labels_local = labels[part_range(b_global, pc0, grid.j)].to_vec();
-            let members = alive0.members().to_vec();
+            let st = GridState::shard(&alive0, (pr0, pc0), &full_weights, &[], x, labels, 0)?;
             ckpt_cur = Checkpoint {
                 iter: 0,
-                w: w.clone(),
-                v: v.clone(),
+                w: st.w.clone(),
+                v: st.v.clone(),
             };
             ckpt_prev = ckpt_cur.clone();
             comm.record_checkpoint_words(ckpt_cur.words());
@@ -906,18 +784,8 @@ fn run_rank(
                 "checkpoint",
                 &[("iter", 0.0), ("words", ckpt_cur.words() as f64)],
             );
-            old_view = (pr0, pc0, members.clone());
-            let wsum = weights_checksum(&w);
-            member = Some(GridState {
-                grid,
-                members,
-                w,
-                v,
-                x_local,
-                labels_local,
-                iter: 0,
-                wsum,
-            });
+            old_view = (pr0, pc0, st.members.clone());
+            member = Some(st);
             losses = Vec::new();
             excluded = Vec::new();
             stateless = Vec::new();
@@ -1240,7 +1108,8 @@ fn run_rank(
             });
             comm.record_recovery_secs(comm.now() - t0);
             if all_ok {
-                let (new_state, npr, npc) = attempt.expect("ok implies state");
+                let new_state = attempt.expect("ok implies state");
+                let (npr, npc) = (new_state.grid.pr, new_state.grid.pc);
                 let rejoined = stateless.clone();
                 ckpt_cur = Checkpoint {
                     iter: new_state.iter,
@@ -1249,11 +1118,7 @@ fn run_rank(
                 };
                 ckpt_prev = ckpt_cur.clone();
                 losses.truncate(new_state.iter);
-                old_view = (
-                    new_state.grid.pr,
-                    new_state.grid.pc,
-                    new_state.members.clone(),
-                );
+                old_view = (npr, npc, new_state.members.clone());
                 member = Some(new_state);
                 iter_comm.clear();
                 iter_wall.clear();
@@ -1335,19 +1200,7 @@ fn run_rank(
                 Ok(())
             }
         };
-        match pre.and_then(|_| {
-            run_iteration(
-                &st.grid,
-                layers,
-                &mut st.w,
-                &mut st.v,
-                &st.x_local,
-                &st.labels_local,
-                b_global,
-                st.iter as u64,
-                cfg,
-            )
-        }) {
+        match pre.and_then(|_| run_iteration(st, layers, b_global, cfg)) {
             Ok(global_loss) => {
                 losses.push(global_loss);
                 st.iter += 1;

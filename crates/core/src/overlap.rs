@@ -20,9 +20,7 @@ use dnn::Network;
 use mpsim::{NetModel, TraceConfig};
 use tensor::Matrix;
 
-use crate::trainer::{
-    train_1p5d_scheduled, train_1p5d_scheduled_traced, TrainConfig, DEFAULT_BUCKET_WORDS,
-};
+use crate::trainer::{train_1p5d_scheduled, train_1p5d_scheduled_traced, TrainConfig};
 
 /// The fraction of communication the paper treats as overlappable
 /// (backprop all-reduces; two of the three per-layer products).
@@ -44,10 +42,19 @@ pub fn fig8_total(comm: f64, compute: f64) -> f64 {
     overlapped_total(comm, compute, PAPER_BACKPROP_FRACTION)
 }
 
+/// Default gradient-bucket fusion threshold (in f64 words): per-layer
+/// ∆W shards are concatenated in reverse layer order until a bucket
+/// reaches this size, then the bucket's row-group sum is launched as
+/// one non-blocking all-reduce. Bigger buckets amortize the ring's
+/// `2(P−1)·α` latency over more words; smaller buckets start transfers
+/// earlier. This is the DDP-style trade-off; the value is deliberately
+/// small because the simulated layers are.
+pub const DEFAULT_BUCKET_WORDS: usize = 1 << 13;
+
 /// Order in which filled gradient buckets are progressed and drained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushSchedule {
-    /// Legacy order: buckets are waited strictly in launch order at a
+    /// Launch order: buckets are waited strictly in launch order at a
     /// single drain point after backward, with no progress polls in
     /// between.
     Fifo,
@@ -71,7 +78,7 @@ pub enum FlushSchedule {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapPlan {
     /// Gradient-bucket fusion threshold in f64 words (see
-    /// [`crate::trainer::DEFAULT_BUCKET_WORDS`]).
+    /// [`DEFAULT_BUCKET_WORDS`]).
     pub bucket_words: usize,
     /// Bucket progress/drain order.
     pub schedule: FlushSchedule,
@@ -106,20 +113,6 @@ impl Default for OverlapPlan {
             dx_overlap: false,
             fwd_prefetch: false,
             interleave: true,
-        }
-    }
-}
-
-impl OverlapPlan {
-    /// The plan that reproduces the legacy engine exactly: FIFO flush,
-    /// drain barrier, blocking forward and ∆X.
-    pub fn legacy() -> Self {
-        OverlapPlan {
-            bucket_words: DEFAULT_BUCKET_WORDS,
-            schedule: FlushSchedule::Fifo,
-            dx_overlap: false,
-            fwd_prefetch: false,
-            interleave: false,
         }
     }
 }
@@ -309,7 +302,7 @@ pub fn autotune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::{synthetic_data, train_1p5d_overlap};
+    use crate::trainer::synthetic_data;
     use dnn::zoo::mlp;
 
     #[test]
@@ -382,10 +375,15 @@ mod tests {
         assert!(report.candidates.len() >= 2, "ladder was evaluated");
         assert!(report.probe.makespan > 0.0);
         assert!(report.probe.bucket_flushes > 0, "probe recorded flushes");
-        // The winner's numerics still match the legacy engine.
-        let legacy = train_1p5d_overlap(&net, &x, &labels, &cfg, 2, 2, model);
+        // The winner's numerics still match the FIFO/barrier plan.
+        let fifo = OverlapPlan {
+            schedule: FlushSchedule::Fifo,
+            interleave: false,
+            ..OverlapPlan::default()
+        };
+        let fifo = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, fifo);
         let tuned = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, report.chosen);
-        for (a, b) in legacy.losses().iter().zip(tuned.losses()) {
+        for (a, b) in fifo.losses().iter().zip(tuned.losses()) {
             assert!((a - b).abs() < 1e-9, "loss drift {a} vs {b}");
         }
     }

@@ -26,8 +26,8 @@ use tensor::Matrix;
 
 use distmm::dist::{col_shard, part_range, row_shard};
 use distmm::onep5d::{
-    backward as grid_backward, backward_dw_deferred, backward_dx_overlap, forward as grid_forward,
-    forward_resume, forward_start, Grid,
+    backward_dw_deferred, backward_dx_overlap, backward_with, forward_resume, forward_start,
+    forward_with, Grid, Guard,
 };
 
 use crate::overlap::{FlushSchedule, OverlapPlan};
@@ -103,88 +103,6 @@ pub(crate) fn act_backward(act: Act, pre: &Matrix, post: &Matrix, dy: &Matrix) -
         Act::None => dy.clone(),
         Act::Relu => relu_backward(pre, dy),
         Act::Tanh => tanh_backward(post, dy),
-    }
-}
-
-/// Default fusion threshold (in f64 words) for gradient bucketing in
-/// [`train_1p5d_overlap`]: per-layer ∆W shards are concatenated in
-/// reverse layer order until a bucket reaches this size, then the
-/// bucket's row-group sum is launched as one non-blocking all-reduce.
-/// Bigger buckets amortize the ring's `2(P−1)·α` latency over more
-/// words; smaller buckets start transfers earlier. This is the
-/// DDP-style trade-off; the value is deliberately small because the
-/// simulated layers are.
-pub const DEFAULT_BUCKET_WORDS: usize = 1 << 13;
-
-/// DDP-style gradient buckets: deferred per-layer ∆W partials are fused
-/// (in push order) into flat buffers and their row-group sums launched
-/// as non-blocking all-reduces the moment a bucket fills, so the
-/// transfers run on the comm channel while backprop continues into
-/// earlier layers. [`GradBuckets::drain`] settles every outstanding
-/// handle — call it before the optimizer step.
-pub(crate) struct GradBuckets {
-    comm: Communicator,
-    cap: usize,
-    ft: Option<FtConfig>,
-    /// Launched buckets: the in-flight handle plus the (layer, words)
-    /// segments fused into it, in fusion order.
-    pending: Vec<(IallreduceHandle, Vec<(usize, usize)>)>,
-    buf: Vec<f64>,
-    buf_layers: Vec<(usize, usize)>,
-}
-
-impl GradBuckets {
-    /// `comm` is the group to sum over (the grid's row group); `ft`
-    /// selects deadline-bounded receives with group abort.
-    pub(crate) fn new(comm: &Communicator, cap: usize, ft: Option<FtConfig>) -> Self {
-        assert!(cap >= 1, "bucket capacity must be at least one word");
-        GradBuckets {
-            comm: comm.clone(),
-            cap,
-            ft,
-            pending: Vec::new(),
-            buf: Vec::new(),
-            buf_layers: Vec::new(),
-        }
-    }
-
-    /// Appends layer `idx`'s local ∆W partial; launches the bucket's
-    /// all-reduce once the fusion threshold is reached.
-    pub(crate) fn push(&mut self, idx: usize, dw: &Matrix) -> Result<(), Error> {
-        self.buf_layers.push((idx, dw.len()));
-        self.buf.extend_from_slice(dw.as_slice());
-        if self.buf.len() >= self.cap {
-            self.launch()?;
-        }
-        Ok(())
-    }
-
-    fn launch(&mut self) -> Result<(), Error> {
-        let data = std::mem::take(&mut self.buf);
-        let segs = std::mem::take(&mut self.buf_layers);
-        let handle = match &self.ft {
-            Some(cfg) => iallreduce_ft(&self.comm, data, ReduceOp::Sum, cfg)?,
-            None => iallreduce(&self.comm, data, ReduceOp::Sum)?,
-        };
-        self.pending.push((handle, segs));
-        Ok(())
-    }
-
-    /// Flushes the partial bucket, waits on every outstanding handle in
-    /// launch order, and hands each layer its summed gradient slice.
-    pub(crate) fn drain(mut self, mut apply: impl FnMut(usize, &[f64])) -> Result<(), Error> {
-        if !self.buf.is_empty() {
-            self.launch()?;
-        }
-        for (handle, segs) in self.pending {
-            let summed = handle.wait()?;
-            let mut at = 0;
-            for (idx, len) in segs {
-                apply(idx, &summed[at..at + len]);
-                at += len;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -304,26 +222,14 @@ impl DistResult {
     /// Assembles the full weight matrices from the shards held by grid
     /// column 0.
     pub fn weights(&self) -> Vec<Matrix> {
-        let n_layers = self.per_rank[0].weight_shards.len();
-        (0..n_layers)
-            .map(|l| {
-                let mut shards: Vec<(usize, Matrix)> = self
-                    .per_rank
-                    .iter()
-                    .filter(|r| r.j == 0)
-                    .map(|r| (r.i, r.weight_shards[l].clone()))
-                    .collect();
-                shards.sort_by_key(|&(i, _)| i);
-                Matrix::vcat(&shards.into_iter().map(|(_, m)| m).collect::<Vec<_>>())
-            })
-            .collect()
+        assemble_weights(self.per_rank.iter().map(|r| (r.i, r.j, &r.weight_shards)))
     }
 
     /// Measured fraction of executed collective transfer time that was
     /// hidden behind compute (see
     /// [`WorldStats::measured_overlap_fraction`]): 0 for
     /// [`train_1p5d`] (everything blocking), positive for
-    /// [`train_1p5d_overlap`]. Compare against the paper's analytic
+    /// [`train_1p5d_scheduled`]. Compare against the paper's analytic
     /// 2/3 backprop fraction
     /// ([`crate::overlap::PAPER_BACKPROP_FRACTION`]).
     pub fn measured_overlap_fraction(&self) -> f64 {
@@ -348,10 +254,25 @@ impl DistResult {
     }
 }
 
+/// Stacks the row shards held by grid column 0 — `(i, j, shards)` per
+/// rank — back into full per-layer weight matrices.
+pub(crate) fn assemble_weights<'a>(
+    ranks: impl Iterator<Item = (usize, usize, &'a Vec<Matrix>)>,
+) -> Vec<Matrix> {
+    let mut col0: Vec<(usize, &Vec<Matrix>)> = ranks
+        .filter(|&(_, j, _)| j == 0)
+        .map(|(i, _, shards)| (i, shards))
+        .collect();
+    col0.sort_by_key(|&(i, _)| i);
+    (0..col0[0].1.len())
+        .map(|l| Matrix::vcat(&col0.iter().map(|(_, s)| s[l].clone()).collect::<Vec<_>>()))
+        .collect()
+}
+
 /// Distributed full-batch SGD on a `pr × pc` grid over the `mpsim`
-/// virtual cluster. Data and initial weights are derived from the same
-/// seeds as [`train_serial`], so the trajectories are comparable
-/// element-wise.
+/// virtual cluster, every collective blocking. Data and initial weights
+/// are derived from the same seeds as [`train_serial`], so the
+/// trajectories are comparable element-wise.
 pub fn train_1p5d(
     net: &Network,
     x: &Matrix,
@@ -361,16 +282,7 @@ pub fn train_1p5d(
     pc: usize,
     model: NetModel,
 ) -> DistResult {
-    let layers = extract_fc_layers(net);
-    let (per_rank, stats) = World::run_with_stats(pr * pc, model, |comm| {
-        plain_rank(comm, &layers, x, labels, cfg, pr, pc)
-    });
-    DistResult {
-        pr,
-        pc,
-        per_rank,
-        stats,
-    }
+    train_1p5d_traced(net, x, labels, cfg, pr, pc, model, TraceConfig::disabled()).0
 }
 
 /// [`train_1p5d`] with per-rank event tracing (see [`mpsim::trace`]):
@@ -388,150 +300,16 @@ pub fn train_1p5d_traced(
     model: NetModel,
     trace: TraceConfig,
 ) -> (DistResult, WorldTrace) {
-    let layers = extract_fc_layers(net);
-    let (per_rank, stats, traces) = World::run_traced_with_stats(pr * pc, model, trace, |comm| {
-        plain_rank(comm, &layers, x, labels, cfg, pr, pc)
-    });
-    (
-        DistResult {
-            pr,
-            pc,
-            per_rank,
-            stats,
-        },
-        traces,
-    )
+    train_grid(net, x, labels, cfg, pr, pc, model, trace, None)
 }
 
-/// Rank body shared by [`train_1p5d`] and [`train_1p5d_traced`].
-fn plain_rank(
-    comm: &Communicator,
-    layers: &[FcLayer],
-    x: &Matrix,
-    labels: &[usize],
-    cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
-) -> RankOutcome {
-    let b_global = x.cols();
-    let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-    let full_weights = init_weights(layers, cfg.seed);
-    let mut w_local: Vec<Matrix> = full_weights
-        .iter()
-        .map(|w| row_shard(w, pr, grid.i))
-        .collect();
-    let x_local = col_shard(x, pc, grid.j);
-    let label_range = part_range(b_global, pc, grid.j);
-    let labels_local = &labels[label_range.clone()];
-    let b_local = x_local.cols();
-
-    let mut partial_losses = Vec::with_capacity(cfg.iters);
-    for it in 0..cfg.iters {
-        // Forward.
-        let mut inputs = vec![x_local.clone()];
-        let mut pres = Vec::with_capacity(layers.len());
-        {
-            let _fwd = comm.trace_span("trainer", "forward", &[("iter", it as f64)]);
-            for (idx, (l, w)) in layers.iter().zip(&w_local).enumerate() {
-                let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                let pre = grid_forward(&grid, w, inputs.last().expect("input")).expect("forward");
-                let post = apply_act(l.act, &pre);
-                pres.push(pre);
-                inputs.push(post);
-            }
-        }
-        let logits = inputs.last().expect("logits");
-        let (loss_local, mut grad) = softmax_xent(logits, labels_local);
-        // softmax_xent normalizes by the *local* batch; rescale to
-        // the global 1/B of the paper's Eq. 1 so the ∆W all-reduce
-        // sums to the global mean gradient.
-        let scale = b_local as f64 / b_global as f64;
-        for g in grad.as_mut_slice() {
-            *g *= scale;
-        }
-        partial_losses.push(loss_local * scale);
-        // Backward.
-        {
-            let _bwd = comm.trace_span("trainer", "backward", &[("iter", it as f64)]);
-            let mut dy = grad;
-            for (idx, l) in layers.iter().enumerate().rev() {
-                let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-                dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-                let (dw, dx) =
-                    grid_backward(&grid, &w_local[idx], &inputs[idx], &dy).expect("backward");
-                axpy(-cfg.lr, dw.as_slice(), w_local[idx].as_mut_slice());
-                dy = dx;
-            }
-        }
-        comm.trace_instant("trainer", "optimizer_step", &[("iter", it as f64)]);
-    }
-    RankOutcome {
-        i: grid.i,
-        j: grid.j,
-        partial_losses,
-        weight_shards: w_local,
-    }
-}
-
-/// [`train_1p5d`] with **executed communication/computation overlap**
-/// (the paper's Fig. 8, run rather than modelled): each layer's ∆W
-/// all-reduce is launched non-blocking as soon as its local partial
-/// `∆Y·Xᵀ` is formed — bucketed DDP-style
-/// ([`DEFAULT_BUCKET_WORDS`]) — and the transfers progress on the
-/// per-rank comm channel while backprop keeps computing ∆X and earlier
-/// layers' products. All buckets are drained before the optimizer
-/// `axpy`, preserving synchronous SGD semantics: the trajectory matches
-/// [`train_serial`] up to the reduction-order noise of fusing layer
-/// shards into shared ring buckets (~1 ulp; replicas within a row
-/// group remain bitwise identical).
-///
-/// The ∆X all-reduce and the forward all-gather stay blocking — they
-/// are on the critical path of the chain rule.
-pub fn train_1p5d_overlap(
-    net: &Network,
-    x: &Matrix,
-    labels: &[usize],
-    cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
-    model: NetModel,
-) -> DistResult {
-    train_1p5d_overlap_with_bucket(net, x, labels, cfg, pr, pc, model, DEFAULT_BUCKET_WORDS)
-}
-
-/// [`train_1p5d_overlap`] with an explicit bucket fusion threshold
-/// (words). `bucket_words = 1` degenerates to one all-reduce per layer
-/// (earliest launch, most latency); `bucket_words = ∞` to a single
-/// fused all-reduce per iteration (fewest launches, latest start).
+/// The one world runner behind the four plain entry points: `plan =
+/// None` trains with blocking collectives, `Some` with the scheduled
+/// overlap engine. Every rank runs the shared
+/// [`forward_pass`]/[`backward_pass`] pair unguarded with a plain SGD
+/// `axpy` as the optimizer apply.
 #[allow(clippy::too_many_arguments)]
-pub fn train_1p5d_overlap_with_bucket(
-    net: &Network,
-    x: &Matrix,
-    labels: &[usize],
-    cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
-    model: NetModel,
-    bucket_words: usize,
-) -> DistResult {
-    let layers = extract_fc_layers(net);
-    let (per_rank, stats) = World::run_with_stats(pr * pc, model, |comm| {
-        overlap_rank(comm, &layers, x, labels, cfg, pr, pc, bucket_words)
-    });
-    DistResult {
-        pr,
-        pc,
-        per_rank,
-        stats,
-    }
-}
-
-/// [`train_1p5d_overlap`] with per-rank event tracing: besides the
-/// `trainer` phase spans, the trace shows the overlapped ∆W transfers
-/// as `channel`-track spans with their exposed remainder as `drain`
-/// spans at the optimizer step.
-#[allow(clippy::too_many_arguments)]
-pub fn train_1p5d_overlap_traced(
+fn train_grid(
     net: &Network,
     x: &Matrix,
     labels: &[usize],
@@ -540,104 +318,263 @@ pub fn train_1p5d_overlap_traced(
     pc: usize,
     model: NetModel,
     trace: TraceConfig,
+    plan: Option<OverlapPlan>,
 ) -> (DistResult, WorldTrace) {
     let layers = extract_fc_layers(net);
+    let b_global = x.cols();
     let (per_rank, stats, traces) = World::run_traced_with_stats(pr * pc, model, trace, |comm| {
-        overlap_rank(comm, &layers, x, labels, cfg, pr, pc, DEFAULT_BUCKET_WORDS)
+        let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
+        let mut w_local: Vec<Matrix> = init_weights(&layers, cfg.seed)
+            .iter()
+            .map(|w| row_shard(w, pr, grid.i))
+            .collect();
+        let x_local = col_shard(x, pc, grid.j);
+        let labels_local = &labels[part_range(b_global, pc, grid.j)];
+        let mut apply =
+            |w: &mut [Matrix], k: usize, g: &[f64]| axpy(-cfg.lr, g, w[k].as_mut_slice());
+        // The scheduler outlives the iteration loop: under `interleave`,
+        // buckets launched in iteration t are settled lazily during the
+        // forward pass of iteration t+1.
+        let mut sched = plan.map(|p| (BucketScheduler::new(&grid.row_comm, &p, None), p));
+        let mut partial_losses = Vec::with_capacity(cfg.iters);
+        for it in 0..cfg.iters {
+            // The final iteration always drains so the returned weights
+            // are complete.
+            let sched = sched.as_mut().map(|(s, p)| {
+                let interleave = p.interleave && it + 1 < cfg.iters;
+                (s, OverlapPlan { interleave, ..*p })
+            });
+            let mut pass = Pass {
+                grid: &grid,
+                guard: Guard::Off,
+                layers: &layers,
+                x_local: &x_local,
+                labels_local,
+                b_global,
+                iter: it,
+                sched,
+            };
+            let tape = forward_pass(&mut pass, &mut w_local, &mut apply).expect("forward");
+            partial_losses.push(tape.loss);
+            backward_pass(&mut pass, tape, &mut w_local, &mut apply).expect("backward");
+        }
+        RankOutcome {
+            i: grid.i,
+            j: grid.j,
+            partial_losses,
+            weight_shards: w_local,
+        }
     });
-    (
-        DistResult {
-            pr,
-            pc,
-            per_rank,
-            stats,
-        },
-        traces,
-    )
+    let result = DistResult {
+        pr,
+        pc,
+        per_rank,
+        stats,
+    };
+    (result, traces)
 }
 
-/// Rank body shared by [`train_1p5d_overlap_with_bucket`] and
-/// [`train_1p5d_overlap_traced`].
-#[allow(clippy::too_many_arguments)]
-fn overlap_rank(
-    comm: &Communicator,
-    layers: &[FcLayer],
-    x: &Matrix,
-    labels: &[usize],
-    cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
-    bucket_words: usize,
-) -> RankOutcome {
-    let b_global = x.cols();
-    let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-    let full_weights = init_weights(layers, cfg.seed);
-    let mut w_local: Vec<Matrix> = full_weights
-        .iter()
-        .map(|w| row_shard(w, pr, grid.i))
-        .collect();
-    let x_local = col_shard(x, pc, grid.j);
-    let label_range = part_range(b_global, pc, grid.j);
-    let labels_local = &labels[label_range.clone()];
-    let b_local = x_local.cols();
+/// One rank's view of one iteration: everything the shared
+/// [`forward_pass`]/[`backward_pass`] pair reads besides the weight
+/// shards it updates.
+pub(crate) struct Pass<'a> {
+    pub(crate) grid: &'a Grid,
+    /// Fault treatment of every collective and local GEMM.
+    pub(crate) guard: Guard<'a>,
+    pub(crate) layers: &'a [FcLayer],
+    pub(crate) x_local: &'a Matrix,
+    pub(crate) labels_local: &'a [usize],
+    pub(crate) b_global: usize,
+    /// Iteration number, carried on every phase span of the trace.
+    pub(crate) iter: usize,
+    /// `None`: blocking ∆W sums, applied layer by layer. `Some`: ∆W
+    /// partials are bucketed through the scheduler, and the plan's
+    /// `fwd_prefetch`, `dx_overlap` and `interleave` (= leave this
+    /// iteration's buckets in flight for the next forward) are honored.
+    pub(crate) sched: Option<(&'a mut BucketScheduler, OverlapPlan)>,
+}
 
-    let mut partial_losses = Vec::with_capacity(cfg.iters);
-    for it in 0..cfg.iters {
-        // Forward (unchanged from train_1p5d).
-        let mut inputs = vec![x_local.clone()];
-        let mut pres = Vec::with_capacity(layers.len());
-        {
-            let _fwd = comm.trace_span("trainer", "forward", &[("iter", it as f64)]);
-            for (idx, (l, w)) in layers.iter().zip(&w_local).enumerate() {
+/// What [`forward_pass`] leaves for [`backward_pass`].
+pub(crate) struct Tape {
+    /// `inputs[l]` feeds layer `l`; the last entry holds the logits.
+    inputs: Vec<Matrix>,
+    /// Pre-activation outputs per layer.
+    pres: Vec<Matrix>,
+    /// `∂loss/∂logits`, already rescaled to the global `1/B`.
+    grad: Matrix,
+    /// This rank's share of the global loss
+    /// (`local_loss · b_local / B`; sums to the global loss over one
+    /// grid row).
+    pub(crate) loss: f64,
+}
+
+/// The forward half of the one iteration body (Eq. 8: all-gather
+/// `W_i·X_j` over `Pr`, layer by layer), then the loss gradient.
+///
+/// Under a scheduler, buckets left in flight by the previous iteration
+/// are settled through `apply` right before the first layer that reads
+/// each one. With `fwd_prefetch` (and a column ring to hide), layer
+/// `idx`'s gather blocks are consumed in ring arrival order while layer
+/// `idx+1`'s partial accumulates per block, so the ring hides behind
+/// the activation + partial-GEMM work. Those accumulated partials are
+/// never one monolithic GEMM, so under [`Guard::On`] they carry no SDC
+/// op — which is why the fault-tolerant trainer gates prefetch off
+/// under ABFT.
+pub(crate) fn forward_pass(
+    p: &mut Pass<'_>,
+    w: &mut [Matrix],
+    apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
+) -> Result<Tape, Error> {
+    let (grid, guard, layers) = (p.grid, p.guard, p.layers);
+    let comm = &grid.row_comm;
+    let b_local = p.x_local.cols();
+    let prefetch = grid.pr > 1 && p.sched.as_ref().is_some_and(|(_, plan)| plan.fwd_prefetch);
+    let mut settle = |layer: usize, w: &mut [Matrix]| match &mut p.sched {
+        Some((sched, _)) => sched.apply_ready_for(layer, |k, g| apply(w, k, g)),
+        None => Ok(()),
+    };
+    let mut inputs = vec![p.x_local.clone()];
+    let mut pres = Vec::with_capacity(layers.len());
+    {
+        let _fwd = comm.trace_span("trainer", "forward", &[("iter", p.iter as f64)]);
+        if prefetch {
+            settle(0, w)?;
+            let mut pf = forward_start(grid, &w[0], p.x_local, guard)?;
+            for (idx, l) in layers.iter().enumerate() {
                 let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                let pre = grid_forward(&grid, w, inputs.last().expect("input")).expect("forward");
+                let next = idx + 1;
+                let mut acc = None;
+                if next < layers.len() {
+                    // The consume loop below reads W[next]; any bucket
+                    // updating it must land first.
+                    settle(next, w)?;
+                    acc = Some(Matrix::zeros(w[next].rows(), b_local));
+                }
+                let mut pre_blocks: Vec<Option<Matrix>> = vec![None; grid.pr];
+                let mut post_blocks: Vec<Option<Matrix>> = vec![None; grid.pr];
+                while let Some((src, block)) = pf.next_block()? {
+                    let post = apply_act(l.act, &block);
+                    if let Some(acc) = acc.as_mut() {
+                        let crange = part_range(l.d_out, grid.pr, src);
+                        let wcols = w[next].col_block(crange.start, crange.end);
+                        grid.col_comm.advance_flops(matmul_flops(
+                            wcols.rows(),
+                            wcols.cols(),
+                            b_local,
+                        ));
+                        let prod = matmul(&wcols, &post);
+                        axpy(1.0, prod.as_slice(), acc.as_mut_slice());
+                    }
+                    pre_blocks[src] = Some(block);
+                    post_blocks[src] = Some(post);
+                }
+                let stack = |blocks: Vec<Option<Matrix>>| {
+                    let blocks: Vec<Matrix> = blocks
+                        .into_iter()
+                        .map(|b| b.expect("all blocks delivered"))
+                        .collect();
+                    Matrix::vcat(&blocks)
+                };
+                pres.push(stack(pre_blocks));
+                inputs.push(stack(post_blocks));
+                if let Some(acc) = acc {
+                    pf = forward_resume(grid, acc, guard)?;
+                }
+            }
+        } else {
+            for (idx, l) in layers.iter().enumerate() {
+                let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
+                settle(idx, w)?;
+                let pre = forward_with(grid, &w[idx], inputs.last().expect("input"), guard)?;
                 let post = apply_act(l.act, &pre);
                 pres.push(pre);
                 inputs.push(post);
             }
         }
-        let logits = inputs.last().expect("logits");
-        let (loss_local, mut grad) = softmax_xent(logits, labels_local);
-        let scale = b_local as f64 / b_global as f64;
-        for g in grad.as_mut_slice() {
-            *g *= scale;
+    }
+    let logits = inputs.last().expect("logits");
+    let (loss_local, mut grad) = softmax_xent(logits, p.labels_local);
+    // softmax_xent normalizes by the *local* batch; rescale to the
+    // global 1/B of the paper's Eq. 1 so the ∆W all-reduce sums to the
+    // global mean gradient.
+    let scale = b_local as f64 / p.b_global as f64;
+    for g in grad.as_mut_slice() {
+        *g *= scale;
+    }
+    Ok(Tape {
+        inputs,
+        pres,
+        grad,
+        loss: loss_local * scale,
+    })
+}
+
+/// The backward half of the one iteration body (Eq. 8: all-reduce `∆W`
+/// over `Pc` and `∆X` over `Pr`), ending in the optimizer step: every
+/// summed `∆W_i` reaches `apply(w, layer, summed)` exactly once.
+///
+/// Blocking (`p.sched` is `None`): each layer's ∆W is summed and
+/// applied on the spot — ∆X was already formed from the pre-update
+/// weights. Scheduled: ∆W partials flush through the bucket scheduler
+/// while backprop continues (Fig. 8), each layer's poll drives a chunk
+/// of the deepest in-flight bucket, and the buckets are then drained
+/// and applied — unless the plan's `interleave` leaves them in flight
+/// for the next [`forward_pass`] to settle.
+pub(crate) fn backward_pass(
+    p: &mut Pass<'_>,
+    tape: Tape,
+    w: &mut [Matrix],
+    apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
+) -> Result<(), Error> {
+    let (grid, guard) = (p.grid, p.guard);
+    let comm = &grid.row_comm;
+    let iter_arg = [("iter", p.iter as f64)];
+    let Tape {
+        inputs,
+        pres,
+        grad: mut dy,
+        ..
+    } = tape;
+    {
+        let _bwd = comm.trace_span("trainer", "backward", &iter_arg);
+        for (idx, l) in p.layers.iter().enumerate().rev() {
+            let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
+            dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
+            let (wl, xl) = (&w[idx], &inputs[idx]);
+            let dx = match &mut p.sched {
+                None => {
+                    let (dw, dx) = backward_with(grid, wl, xl, &dy, guard)?;
+                    apply(w, idx, dw.as_slice());
+                    dx
+                }
+                Some((sched, plan)) => {
+                    let (dw, dx) = if plan.dx_overlap {
+                        backward_dx_overlap(grid, wl, xl, &dy, guard)?
+                    } else {
+                        backward_dw_deferred(grid, wl, xl, &dy, guard)?
+                    };
+                    sched.push(idx, &dw)?;
+                    sched.poll()?;
+                    dx
+                }
+            };
+            dy = dx;
         }
-        partial_losses.push(loss_local * scale);
-        // Backward with executed overlap: ∆W partials go into
-        // buckets whose row-group sums run on the comm channel
-        // while the loop keeps computing; ∆X stays blocking (the
-        // chain rule needs it immediately).
-        let mut buckets = GradBuckets::new(&grid.row_comm, bucket_words, None);
-        {
-            let _bwd = comm.trace_span("trainer", "backward", &[("iter", it as f64)]);
-            let mut dy = grad;
-            for (idx, l) in layers.iter().enumerate().rev() {
-                let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-                dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-                let (dw, dx) = backward_dw_deferred(&grid, &w_local[idx], &inputs[idx], &dy)
-                    .expect("backward");
-                buckets.push(idx, &dw).expect("bucket launch");
-                dy = dx;
-            }
-        }
-        // Drain every outstanding bucket, then step. Deferring the
-        // axpy changes nothing numerically: ∆X already used the
-        // pre-update weights in the blocking trainer too.
-        {
-            let _step = comm.trace_span("trainer", "optimizer_step", &[("iter", it as f64)]);
-            buckets
-                .drain(|idx, summed| {
-                    axpy(-cfg.lr, summed, w_local[idx].as_mut_slice());
-                })
-                .expect("bucket drain");
+        if let Some((sched, _)) = &mut p.sched {
+            sched.flush()?;
         }
     }
-    RankOutcome {
-        i: grid.i,
-        j: grid.j,
-        partial_losses,
-        weight_shards: w_local,
+    match &mut p.sched {
+        None => comm.trace_instant("trainer", "optimizer_step", &iter_arg),
+        Some((_, plan)) if plan.interleave => {
+            comm.trace_instant("trainer", "optimizer_deferred", &iter_arg)
+        }
+        Some((sched, _)) => {
+            let _step = comm.trace_span("trainer", "optimizer_step", &iter_arg);
+            sched.drain_all(|k, g| apply(w, k, g))?;
+        }
     }
+    Ok(())
 }
 
 /// Total trainable parameter count of the FC chain. Each rank's ∆W
@@ -667,8 +604,10 @@ struct PendingBucket {
     min_layer: usize,
 }
 
-/// Priority-scheduled gradient buckets — the successor of
-/// [`GradBuckets`]. Three things distinguish it:
+/// Priority-scheduled DDP-style gradient buckets: deferred per-layer ∆W
+/// partials are fused (in push order) into flat buffers whose row-group
+/// sums launch as non-blocking all-reduces the moment a bucket fills.
+/// Beyond launching, it schedules:
 ///
 /// * **Flush instants**: every launch records a zero-duration
 ///   `sched`/`bucket_flush` trace event, so `trace_analyze` can see
@@ -699,21 +638,20 @@ pub(crate) struct BucketScheduler {
 }
 
 impl BucketScheduler {
-    /// `comm` is the group to sum over (the grid's row group); `ft`
-    /// selects deadline-bounded receives; `priority` enables polls
-    /// (drain order is always need-aware where the caller asks for it).
-    pub(crate) fn new(
-        comm: &Communicator,
-        cap: usize,
-        ft: Option<FtConfig>,
-        priority: bool,
-    ) -> Self {
-        assert!(cap >= 1, "bucket capacity must be at least one word");
+    /// `comm` is the group to sum over (the grid's row group); the
+    /// plan gives the fusion threshold and whether polls are enabled
+    /// (drain order is always need-aware where the caller asks for it);
+    /// `ft` selects deadline-bounded receives.
+    pub(crate) fn new(comm: &Communicator, plan: &OverlapPlan, ft: Option<FtConfig>) -> Self {
+        assert!(
+            plan.bucket_words >= 1,
+            "bucket capacity must be at least one word"
+        );
         BucketScheduler {
             comm: comm.clone(),
-            cap,
+            cap: plan.bucket_words,
             ft,
-            priority,
+            priority: plan.schedule == FlushSchedule::Priority,
             pending: Vec::new(),
             buf: Vec::new(),
             buf_layers: Vec::new(),
@@ -876,8 +814,13 @@ impl BucketScheduler {
     }
 }
 
-/// [`train_1p5d_overlap`] rebuilt around an explicit [`OverlapPlan`]:
-/// the communication is *scheduled*, not merely launched.
+/// [`train_1p5d`] with **executed communication/computation overlap**
+/// (the paper's Fig. 8, run rather than modelled) under an explicit
+/// [`OverlapPlan`]: each layer's ∆W partial is fused DDP-style into
+/// buckets of `plan.bucket_words` whose row-group sums are launched
+/// non-blocking the moment a bucket fills, and progress on the per-rank
+/// comm channel while backprop keeps computing ∆X and earlier layers'
+/// products. The communication is *scheduled*, not merely launched:
 ///
 /// * Buckets flush under a priority queue keyed by layer depth, with
 ///   progress polls inside the backward loop
@@ -894,8 +837,12 @@ impl BucketScheduler {
 ///   bit-identical to the barrier version — buckets touch disjoint
 ///   layers, so the applies commute.
 ///
-/// With [`OverlapPlan::legacy`] this is numerically and
-/// virtual-time-identical to [`train_1p5d_overlap`].
+/// Synchronous SGD semantics are preserved: the trajectory matches
+/// [`train_serial`] up to the reduction-order noise of fusing layer
+/// shards into shared ring buckets (~1 ulp; replicas within a row
+/// group remain bitwise identical). The FIFO/barrier plan (`Fifo`, every
+/// flag off) is the retired PR-3 engine to the bit, pinned by golden
+/// constants in this module's tests.
 #[allow(clippy::too_many_arguments)]
 pub fn train_1p5d_scheduled(
     net: &Network,
@@ -907,21 +854,15 @@ pub fn train_1p5d_scheduled(
     model: NetModel,
     plan: OverlapPlan,
 ) -> DistResult {
-    let layers = extract_fc_layers(net);
-    let (per_rank, stats) = World::run_with_stats(pr * pc, model, |comm| {
-        scheduled_rank(comm, &layers, x, labels, cfg, pr, pc, plan)
-    });
-    DistResult {
-        pr,
-        pc,
-        per_rank,
-        stats,
-    }
+    let off = TraceConfig::disabled();
+    train_1p5d_scheduled_traced(net, x, labels, cfg, pr, pc, model, off, plan).0
 }
 
 /// [`train_1p5d_scheduled`] with per-rank event tracing: the usual
 /// `trainer` phase spans plus the scheduler's `sched`-category
-/// `bucket_flush`/`progress_poll` instants.
+/// `bucket_flush`/`progress_poll` instants, the overlapped ∆W
+/// transfers as `channel`-track spans and their exposed remainder as
+/// `drain` spans at the optimizer step.
 #[allow(clippy::too_many_arguments)]
 pub fn train_1p5d_scheduled_traced(
     net: &Network,
@@ -934,180 +875,7 @@ pub fn train_1p5d_scheduled_traced(
     trace: TraceConfig,
     plan: OverlapPlan,
 ) -> (DistResult, WorldTrace) {
-    let layers = extract_fc_layers(net);
-    let (per_rank, stats, traces) = World::run_traced_with_stats(pr * pc, model, trace, |comm| {
-        scheduled_rank(comm, &layers, x, labels, cfg, pr, pc, plan)
-    });
-    (
-        DistResult {
-            pr,
-            pc,
-            per_rank,
-            stats,
-        },
-        traces,
-    )
-}
-
-/// Rank body of the scheduled overlap engine.
-#[allow(clippy::too_many_arguments)]
-fn scheduled_rank(
-    comm: &Communicator,
-    layers: &[FcLayer],
-    x: &Matrix,
-    labels: &[usize],
-    cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
-    plan: OverlapPlan,
-) -> RankOutcome {
-    let b_global = x.cols();
-    let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-    let full_weights = init_weights(layers, cfg.seed);
-    let mut w_local: Vec<Matrix> = full_weights
-        .iter()
-        .map(|w| row_shard(w, pr, grid.i))
-        .collect();
-    let x_local = col_shard(x, pc, grid.j);
-    let label_range = part_range(b_global, pc, grid.j);
-    let labels_local = &labels[label_range.clone()];
-    let b_local = x_local.cols();
-    let lr = cfg.lr;
-    let priority = plan.schedule == FlushSchedule::Priority;
-    // The scheduler outlives the iteration loop: under `interleave`,
-    // buckets launched in iteration t are settled lazily during the
-    // forward pass of iteration t+1.
-    let mut sched = BucketScheduler::new(&grid.row_comm, plan.bucket_words, None, priority);
-
-    let mut partial_losses = Vec::with_capacity(cfg.iters);
-    for it in 0..cfg.iters {
-        // Forward; settles last iteration's in-flight buckets right
-        // before the first layer that reads each one.
-        let mut inputs = vec![x_local.clone()];
-        let mut pres = Vec::with_capacity(layers.len());
-        {
-            let _fwd = comm.trace_span("trainer", "forward", &[("iter", it as f64)]);
-            if plan.fwd_prefetch && pr > 1 {
-                // Pipelined gathers: layer idx's blocks are consumed in
-                // ring arrival order while layer idx+1's partial
-                // accumulates per block, so the ring hides behind the
-                // activation + partial-GEMM work.
-                sched
-                    .apply_ready_for(0, |k, g| axpy(-lr, g, w_local[k].as_mut_slice()))
-                    .expect("lazy drain");
-                let mut pf = forward_start(&grid, &w_local[0], &x_local).expect("forward");
-                for idx in 0..layers.len() {
-                    let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                    let next = idx + 1;
-                    if next < layers.len() {
-                        // The consume loop below reads W[next]; any
-                        // bucket updating it must land first.
-                        sched
-                            .apply_ready_for(next, |k, g| axpy(-lr, g, w_local[k].as_mut_slice()))
-                            .expect("lazy drain");
-                    }
-                    let l = &layers[idx];
-                    let mut acc = if next < layers.len() {
-                        Some(Matrix::zeros(w_local[next].rows(), b_local))
-                    } else {
-                        None
-                    };
-                    let mut pre_blocks: Vec<Option<Matrix>> = vec![None; pr];
-                    let mut post_blocks: Vec<Option<Matrix>> = vec![None; pr];
-                    while let Some((src, block)) = pf.next_block().expect("gather block") {
-                        let post = apply_act(l.act, &block);
-                        if let Some(acc) = acc.as_mut() {
-                            let crange = part_range(l.d_out, pr, src);
-                            let wcols = w_local[next].col_block(crange.start, crange.end);
-                            grid.col_comm.advance_flops(matmul_flops(
-                                wcols.rows(),
-                                wcols.cols(),
-                                b_local,
-                            ));
-                            let prod = matmul(&wcols, &post);
-                            axpy(1.0, prod.as_slice(), acc.as_mut_slice());
-                        }
-                        pre_blocks[src] = Some(block);
-                        post_blocks[src] = Some(post);
-                    }
-                    let pre = Matrix::vcat(
-                        &pre_blocks
-                            .into_iter()
-                            .map(|b| b.expect("all blocks delivered"))
-                            .collect::<Vec<_>>(),
-                    );
-                    let post = Matrix::vcat(
-                        &post_blocks
-                            .into_iter()
-                            .map(|b| b.expect("all blocks delivered"))
-                            .collect::<Vec<_>>(),
-                    );
-                    pres.push(pre);
-                    inputs.push(post);
-                    if let Some(acc) = acc {
-                        pf = forward_resume(&grid, acc).expect("gather launch");
-                    }
-                }
-            } else {
-                for (idx, l) in layers.iter().enumerate() {
-                    let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                    sched
-                        .apply_ready_for(idx, |k, g| axpy(-lr, g, w_local[k].as_mut_slice()))
-                        .expect("lazy drain");
-                    let pre = grid_forward(&grid, &w_local[idx], inputs.last().expect("input"))
-                        .expect("forward");
-                    let post = apply_act(l.act, &pre);
-                    pres.push(pre);
-                    inputs.push(post);
-                }
-            }
-        }
-        let logits = inputs.last().expect("logits");
-        let (loss_local, mut grad) = softmax_xent(logits, labels_local);
-        let scale = b_local as f64 / b_global as f64;
-        for g in grad.as_mut_slice() {
-            *g *= scale;
-        }
-        partial_losses.push(loss_local * scale);
-        // Backward: ∆W partials flush through the scheduler; each
-        // layer's poll drives a chunk of the deepest in-flight bucket.
-        {
-            let _bwd = comm.trace_span("trainer", "backward", &[("iter", it as f64)]);
-            let mut dy = grad;
-            for (idx, l) in layers.iter().enumerate().rev() {
-                let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-                dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-                let (dw, dx) = if plan.dx_overlap {
-                    backward_dx_overlap(&grid, &w_local[idx], &inputs[idx], &dy)
-                } else {
-                    backward_dw_deferred(&grid, &w_local[idx], &inputs[idx], &dy)
-                }
-                .expect("backward");
-                sched.push(idx, &dw).expect("bucket flush");
-                sched.poll().expect("bucket progress");
-                dy = dx;
-            }
-            sched.flush().expect("bucket flush");
-        }
-        if plan.interleave && it + 1 < cfg.iters {
-            // Buckets stay in flight across the boundary; the next
-            // forward's lazy drain is the optimizer step. The final
-            // iteration still drains below so the returned weights are
-            // complete.
-            comm.trace_instant("trainer", "optimizer_deferred", &[("iter", it as f64)]);
-        } else {
-            let _step = comm.trace_span("trainer", "optimizer_step", &[("iter", it as f64)]);
-            sched
-                .drain_all(|k, g| axpy(-lr, g, w_local[k].as_mut_slice()))
-                .expect("bucket drain");
-        }
-    }
-    RankOutcome {
-        i: grid.i,
-        j: grid.j,
-        partial_losses,
-        weight_shards: w_local,
-    }
+    train_grid(net, x, labels, cfg, pr, pc, model, trace, Some(plan))
 }
 
 /// Synthetic classification data shaped for a network: inputs in
@@ -1125,7 +893,41 @@ pub fn synthetic_data(net: &Network, b: usize, seed: u64) -> (Matrix, Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlap::DEFAULT_BUCKET_WORDS;
     use dnn::zoo::{mlp, mlp_tiny, rnn_unrolled};
+
+    /// The retired PR-3 overlap engine expressed as a plan: FIFO flush,
+    /// drain barrier, blocking forward and ∆X.
+    const FIFO_BARRIER: OverlapPlan = OverlapPlan {
+        bucket_words: DEFAULT_BUCKET_WORDS,
+        schedule: FlushSchedule::Fifo,
+        dx_overlap: false,
+        fwd_prefetch: false,
+        interleave: false,
+    };
+
+    /// Asserts `r` reproduces `[makespan bits, total overlapped seconds
+    /// bits, FNV-1a over every rank's final weight bits]` as recorded
+    /// from the PR-3 engine at the last commit that shipped it
+    /// (d11a3ce; see DESIGN.md §10).
+    fn assert_pr3_golden(r: &DistResult, golden: [u64; 3]) {
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        for v in r.per_rank.iter().flat_map(|rank| &rank.weight_shards) {
+            for b in v.as_slice().iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+                fnv = (fnv ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let got = [
+            r.stats.makespan().to_bits(),
+            r.stats.total_overlapped_secs().to_bits(),
+            fnv,
+        ];
+        assert_eq!(
+            got, golden,
+            "grid {}x{}: [makespan, overlapped, weight fnv] {got:#018x?} vs golden {golden:#018x?}",
+            r.pr, r.pc
+        );
+    }
 
     fn max_weight_diff(a: &[Matrix], b: &[Matrix]) -> f64 {
         a.iter()
@@ -1177,7 +979,7 @@ mod tests {
     }
 
     #[test]
-    fn overlap_training_matches_serial_for_all_grids_and_bucket_sizes() {
+    fn fifo_barrier_training_matches_serial_for_all_grids_and_bucket_sizes() {
         let net = mlp_tiny();
         let (x, labels) = synthetic_data(&net, 24, 5);
         let cfg = TrainConfig {
@@ -1189,16 +991,12 @@ mod tests {
         for (pr, pc) in [(1, 1), (1, 4), (4, 1), (2, 3), (4, 2)] {
             // Per-layer launches, mid-size fusion, and one giant bucket.
             for bucket in [1, 64, usize::MAX] {
-                let dist = train_1p5d_overlap_with_bucket(
-                    &net,
-                    &x,
-                    &labels,
-                    &cfg,
-                    pr,
-                    pc,
-                    NetModel::free(),
-                    bucket,
-                );
+                let plan = OverlapPlan {
+                    bucket_words: bucket,
+                    ..FIFO_BARRIER
+                };
+                let dist =
+                    train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, NetModel::free(), plan);
                 let diff = max_weight_diff(&serial.weights, &dist.weights());
                 assert!(
                     diff < 1e-9,
@@ -1232,9 +1030,25 @@ mod tests {
             iters: 2,
             seed: 1,
         };
-        for (pr, pc) in [(1, 4), (2, 4), (4, 2)] {
+        let goldens = [
+            (
+                (1, 4),
+                [0x3f5f2e325c377d39, 0x3f59c511dc3a41db, 0xb98e8d42db1ee7ad],
+            ),
+            (
+                (2, 4),
+                [0x3f56b24912ee6f36, 0x3c34000000000000, 0x0519d16b7edc4d15],
+            ),
+            (
+                (4, 2),
+                [0x3f5aa6b094990feb, 0x3c28000000000000, 0xec79957119e7b479],
+            ),
+        ];
+        for ((pr, pc), golden) in goldens {
             let serialized = train_1p5d(&net, &x, &labels, &cfg, pr, pc, model);
-            let overlapped = train_1p5d_overlap(&net, &x, &labels, &cfg, pr, pc, model);
+            let overlapped =
+                train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, FIFO_BARRIER);
+            assert_pr3_golden(&overlapped, golden);
             let t_ser = serialized.stats.makespan();
             let t_ovl = overlapped.stats.makespan();
             assert!(
@@ -1319,7 +1133,7 @@ mod tests {
     fn all_plans() -> Vec<OverlapPlan> {
         vec![
             OverlapPlan::default(),
-            OverlapPlan::legacy(),
+            FIFO_BARRIER,
             OverlapPlan {
                 dx_overlap: true,
                 ..OverlapPlan::default()
@@ -1372,7 +1186,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_without_prefetch_is_bit_identical_to_legacy_overlap() {
+    fn scheduled_without_prefetch_is_bit_identical_to_fifo_barrier() {
         // Priority flush + per-bucket interleave only move *when*
         // transfers are driven and where applies happen; the bucket
         // partition and ring sums are unchanged, so the weights must
@@ -1386,24 +1200,16 @@ mod tests {
         };
         for (pr, pc) in [(1, 4), (4, 1), (2, 3), (4, 2)] {
             for bucket in [1, 512, usize::MAX] {
-                let legacy = train_1p5d_overlap_with_bucket(
-                    &net,
-                    &x,
-                    &labels,
-                    &cfg,
-                    pr,
-                    pc,
-                    NetModel::free(),
-                    bucket,
-                );
+                let fifo = OverlapPlan {
+                    bucket_words: bucket,
+                    ..FIFO_BARRIER
+                };
+                let legacy =
+                    train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, NetModel::free(), fifo);
                 for plan in [
                     OverlapPlan {
                         bucket_words: bucket,
                         ..OverlapPlan::default()
-                    },
-                    OverlapPlan {
-                        bucket_words: bucket,
-                        ..OverlapPlan::legacy()
                     },
                     OverlapPlan {
                         bucket_words: bucket,
@@ -1456,7 +1262,7 @@ mod tests {
             seed: 1,
         };
         for (pr, pc) in [(1, 4), (2, 4), (4, 2), (2, 2)] {
-            let legacy = train_1p5d_overlap(&net, &x, &labels, &cfg, pr, pc, model);
+            let legacy = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, FIFO_BARRIER);
             let sch = train_1p5d_scheduled(
                 &net,
                 &x,
@@ -1484,7 +1290,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_plan_reproduces_legacy_engine_virtual_time_exactly() {
+    fn fifo_barrier_plan_reproduces_the_retired_engine_to_the_bit() {
         let model = NetModel {
             alpha: 1e-5,
             beta: 1e-8,
@@ -1497,12 +1303,10 @@ mod tests {
             iters: 2,
             seed: 2,
         };
-        let legacy = train_1p5d_overlap(&net, &x, &labels, &cfg, 2, 2, model);
-        let sch = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, OverlapPlan::legacy());
-        assert_eq!(legacy.stats.makespan(), sch.stats.makespan());
-        assert_eq!(
-            legacy.stats.total_overlapped_secs(),
-            sch.stats.total_overlapped_secs()
+        let sch = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, FIFO_BARRIER);
+        assert_pr3_golden(
+            &sch,
+            [0x3f4063830fc7fcb6, 0x3bf8000000000000, 0xe7e19beecc6cc70d],
         );
     }
 
@@ -1581,7 +1385,7 @@ mod tests {
             TraceConfig::enabled(),
             OverlapPlan {
                 bucket_words: 64,
-                ..OverlapPlan::legacy()
+                ..FIFO_BARRIER
             },
         );
         let fifo_polls: usize = fifo_trace

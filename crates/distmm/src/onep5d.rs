@@ -24,7 +24,7 @@ use std::cell::Cell;
 
 use collectives::ft::{allgatherv_ring_ft, allreduce_ring_ft};
 use collectives::nonblocking::{
-    iallgatherv, iallgatherv_ft, iallreduce, iallreduce_ft, IallgathervHandle,
+    iallgatherv, iallgatherv_ft, iallreduce, iallreduce_ft, IallgathervHandle, IallreduceHandle,
 };
 use collectives::ring::allgatherv_ring;
 use collectives::{allreduce, FtConfig, ReduceOp};
@@ -108,10 +108,10 @@ impl Grid {
     }
 }
 
-/// Per-iteration silent-data-corruption context for the `_sdc` GEMM
-/// wrappers: carries the iteration number (so scripted
-/// [`mpsim::FaultPlan`] bit flips target the right GEMM), whether ABFT
-/// verification is enabled, and a running operation counter.
+/// Per-iteration silent-data-corruption context of [`Guard::On`]:
+/// carries the iteration number (so scripted [`mpsim::FaultPlan`] bit
+/// flips target the right GEMM), whether ABFT verification is enabled,
+/// and a running operation counter.
 ///
 /// Ops are numbered in execution order within the iteration — every
 /// local GEMM increments the counter, so with the trainer's fixed
@@ -221,24 +221,123 @@ fn sdc_guard(
     }
 }
 
+/// How a 1.5D op treats faults — the one switch between the reliable
+/// machine and the defended one. Every schedule below is written once
+/// and takes the guard, so the two trainers cannot drift apart.
+#[derive(Clone, Copy)]
+pub enum Guard<'a> {
+    /// Reliable machine: plain ring collectives, no GEMM check.
+    Off,
+    /// Deadline-bound, checksummed collectives that abort group-wide on
+    /// a fault (`collectives::ft`), plus `sdc_guard` after every local
+    /// GEMM: scripted compute bit flips land on the fresh product and —
+    /// when `SdcCtx::abft` is set — it is checksum-verified and repaired
+    /// (or escalated) before any corrupted word can reach a collective.
+    On(&'a FtConfig, &'a SdcCtx),
+}
+
+impl Guard<'_> {
+    fn gemm(
+        self,
+        comm: &Communicator,
+        a: &Matrix,
+        b: &Matrix,
+        c: &mut Matrix,
+        kind: GemmKind,
+    ) -> Result<()> {
+        match self {
+            Guard::Off => Ok(()),
+            Guard::On(_, sdc) => sdc_guard(comm, sdc, a, b, c, kind),
+        }
+    }
+
+    fn allreduce(self, comm: &Communicator, data: &mut [f64]) -> Result<()> {
+        match self {
+            Guard::Off => allreduce(comm, data, ReduceOp::Sum),
+            Guard::On(cfg, _) => allreduce_ring_ft(comm, data, ReduceOp::Sum, cfg),
+        }
+    }
+
+    fn iallreduce(self, comm: &Communicator, data: Vec<f64>) -> Result<IallreduceHandle> {
+        match self {
+            Guard::Off => iallreduce(comm, data, ReduceOp::Sum),
+            Guard::On(cfg, _) => iallreduce_ft(comm, data, ReduceOp::Sum, cfg),
+        }
+    }
+
+    fn allgatherv(self, comm: &Communicator, mine: &[f64]) -> Result<Vec<Vec<f64>>> {
+        match self {
+            Guard::Off => allgatherv_ring(comm, mine),
+            Guard::On(cfg, _) => allgatherv_ring_ft(comm, mine, cfg),
+        }
+    }
+
+    fn iallgatherv(self, comm: &Communicator, mine: &[f64]) -> Result<IallgathervHandle> {
+        match self {
+            Guard::Off => iallgatherv(comm, mine),
+            Guard::On(cfg, _) => iallgatherv_ft(comm, mine, cfg),
+        }
+    }
+}
+
+/// The local forward product `W_i · X_j` (flops charged, guarded).
+fn y_partial(grid: &Grid, w_local: &Matrix, x_local: &Matrix, guard: Guard) -> Result<Matrix> {
+    let comm = &grid.col_comm;
+    comm.advance_flops(matmul_flops(w_local.rows(), w_local.cols(), x_local.cols()));
+    let mut y = matmul(w_local, x_local);
+    guard.gemm(comm, w_local, x_local, &mut y, GemmKind::Plain)?;
+    Ok(y)
+}
+
+/// This rank's row block `∆Y_{i,j}` of the full-depth `∆Y_j`.
+fn dy_block(grid: &Grid, dy_local: &Matrix) -> Matrix {
+    let rows = grid.w_rows(dy_local.rows());
+    dy_local.row_block(rows.start, rows.end)
+}
+
+/// The local `∆W` partial `∆Y_{i,j}·X_jᵀ` (flops charged, guarded).
+fn dw_partial(grid: &Grid, x_local: &Matrix, dy_i: &Matrix, guard: Guard) -> Result<Matrix> {
+    let comm = &grid.row_comm;
+    comm.advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
+    let mut dw = matmul_a_bt(dy_i, x_local);
+    guard.gemm(comm, dy_i, x_local, &mut dw, GemmKind::ABt)?;
+    Ok(dw)
+}
+
+/// The local `∆X` partial `W_iᵀ·∆Y_{i,j}` (flops charged, guarded).
+fn dx_partial(grid: &Grid, w_local: &Matrix, dy_i: &Matrix, guard: Guard) -> Result<Matrix> {
+    let comm = &grid.col_comm;
+    comm.advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
+    let mut dx = matmul_at_b(w_local, dy_i);
+    guard.gemm(comm, w_local, dy_i, &mut dx, GemmKind::AtB)?;
+    Ok(dx)
+}
+
 /// Forward: `Y_j = allgather_{Pr}(W_i · X_j)`. `w_local` is this rank's
 /// `d_out/Pr × d_in` shard; `x_local` is the full-depth `d_in × B/Pc`
 /// batch shard. Returns the assembled `d_out × B/Pc` output shard.
 pub fn forward(grid: &Grid, w_local: &Matrix, x_local: &Matrix) -> Result<Matrix> {
+    forward_with(grid, w_local, x_local, Guard::Off)
+}
+
+/// [`forward`] under a [`Guard`]: the local product is verified before
+/// the all-gather, so a corrupted word never spreads to the column
+/// group.
+pub fn forward_with(
+    grid: &Grid,
+    w_local: &Matrix,
+    x_local: &Matrix,
+    guard: Guard,
+) -> Result<Matrix> {
     let bloc = x_local.cols();
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.rows(), w_local.cols(), bloc));
-    let y_partial = matmul(w_local, x_local);
+    let y_partial = y_partial(grid, w_local, x_local, guard)?;
     if grid.pr == 1 {
         return Ok(y_partial);
     }
-    let blocks = allgatherv_ring(&grid.col_comm, y_partial.as_slice())?;
+    let blocks = guard.allgatherv(&grid.col_comm, y_partial.as_slice())?;
     let mats: Vec<Matrix> = blocks
         .into_iter()
-        .map(|v| {
-            let rows = v.len() / bloc;
-            Matrix::from_vec(rows, bloc, v)
-        })
+        .map(|v| Matrix::from_vec(v.len() / bloc, bloc, v))
         .collect();
     Ok(Matrix::vcat(&mats))
 }
@@ -255,182 +354,47 @@ pub fn backward(
     x_local: &Matrix,
     dy_local: &Matrix,
 ) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let mut dw = matmul_a_bt(&dy_i, x_local);
-    allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    allreduce(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum)?;
+    backward_with(grid, w_local, x_local, dy_local, Guard::Off)
+}
+
+/// [`backward`] under a [`Guard`]. Verification happens on the *local*
+/// partials, before either all-reduce — a corrected flip never enters
+/// the sum, and an escalation aborts the group before the reduction
+/// commits. SDC op order: (∆W, ∆X).
+pub fn backward_with(
+    grid: &Grid,
+    w_local: &Matrix,
+    x_local: &Matrix,
+    dy_local: &Matrix,
+    guard: Guard,
+) -> Result<(Matrix, Matrix)> {
+    let dy_i = dy_block(grid, dy_local);
+    let mut dw = dw_partial(grid, x_local, &dy_i, guard)?;
+    guard.allreduce(&grid.row_comm, dw.as_mut_slice())?;
+    let mut dx = dx_partial(grid, w_local, &dy_i, guard)?;
+    guard.allreduce(&grid.col_comm, dx.as_mut_slice())?;
     Ok((dw, dx))
 }
 
-/// [`backward`] with the ∆W all-reduce **deferred**: returns the local
-/// partial `∆Y_{i,j}·X_jᵀ` — *not* yet summed over the `Pc`-sized row
-/// group — and the fully reduced `∆X_j`. The caller owns the row-group
-/// sum, typically launching it as a bucketed non-blocking all-reduce
+/// [`backward_with`] with the ∆W all-reduce **deferred**: returns the
+/// local partial `∆Y_{i,j}·X_jᵀ` — *not* yet summed over the `Pc`-sized
+/// row group, but already verified under the guard — and the fully
+/// reduced `∆X_j`. The caller owns the row-group sum, typically
+/// launching it as a bucketed non-blocking all-reduce
 /// ([`collectives::nonblocking::iallreduce`]) so the transfer overlaps
 /// the remaining backward compute (the paper's Fig. 8 executed); see
-/// `integrated::trainer::train_1p5d_overlap`.
+/// `integrated::trainer::train_1p5d_scheduled`.
 pub fn backward_dw_deferred(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
     dy_local: &Matrix,
+    guard: Guard,
 ) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let dw = matmul_a_bt(&dy_i, x_local);
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    allreduce(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum)?;
-    Ok((dw, dx))
-}
-
-/// Fault-tolerant [`backward_dw_deferred`]: the ∆X all-reduce is
-/// deadline-bound and aborts group-wide on a fault; the deferred ∆W sum
-/// is still the caller's responsibility (use
-/// [`collectives::nonblocking::iallreduce_ft`] so the overlapped path
-/// keeps the same failure semantics).
-pub fn backward_dw_deferred_ft(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    cfg: &FtConfig,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let dw = matmul_a_bt(&dy_i, x_local);
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    allreduce_ring_ft(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    Ok((dw, dx))
-}
-
-/// Fault-tolerant [`forward`]: same data movement and fault-free cost,
-/// but the all-gather is deadline-bound and aborts group-wide on a
-/// fault (see `collectives::ft`).
-pub fn forward_ft(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    cfg: &FtConfig,
-) -> Result<Matrix> {
-    let bloc = x_local.cols();
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.rows(), w_local.cols(), bloc));
-    let y_partial = matmul(w_local, x_local);
-    if grid.pr == 1 {
-        return Ok(y_partial);
-    }
-    let blocks = allgatherv_ring_ft(&grid.col_comm, y_partial.as_slice(), cfg)?;
-    let mats: Vec<Matrix> = blocks
-        .into_iter()
-        .map(|v| {
-            let rows = v.len() / bloc;
-            Matrix::from_vec(rows, bloc, v)
-        })
-        .collect();
-    Ok(Matrix::vcat(&mats))
-}
-
-/// Fault-tolerant [`backward`]: the ∆W and ∆X all-reduces are
-/// deadline-bound, checksum-verified, and abort group-wide on a fault —
-/// a flipped bit surfaces as [`mpsim::Error::Corrupted`] instead of
-/// silently entering the weight update.
-pub fn backward_ft(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    cfg: &FtConfig,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let mut dw = matmul_a_bt(&dy_i, x_local);
-    allreduce_ring_ft(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    allreduce_ring_ft(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    Ok((dw, dx))
-}
-
-/// [`forward_ft`] with silent-data-corruption defense: scripted compute
-/// bit flips land on the local `W_i·X_j` product *before* the
-/// all-gather, and — when `sdc.abft` is set — the product is
-/// checksum-verified and repaired (or escalated) before any corrupted
-/// word can spread to the column group.
-pub fn forward_sdc(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    cfg: &FtConfig,
-    sdc: &SdcCtx,
-) -> Result<Matrix> {
-    let bloc = x_local.cols();
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.rows(), w_local.cols(), bloc));
-    let mut y_partial = matmul(w_local, x_local);
-    sdc_guard(
-        &grid.col_comm,
-        sdc,
-        w_local,
-        x_local,
-        &mut y_partial,
-        GemmKind::Plain,
-    )?;
-    if grid.pr == 1 {
-        return Ok(y_partial);
-    }
-    let blocks = allgatherv_ring_ft(&grid.col_comm, y_partial.as_slice(), cfg)?;
-    let mats: Vec<Matrix> = blocks
-        .into_iter()
-        .map(|v| {
-            let rows = v.len() / bloc;
-            Matrix::from_vec(rows, bloc, v)
-        })
-        .collect();
-    Ok(Matrix::vcat(&mats))
-}
-
-/// [`backward_ft`] with silent-data-corruption defense on both local
-/// GEMMs (`∆Y_{i,j}·X_jᵀ` and `W_iᵀ·∆Y_{i,j}`). Verification happens on
-/// the *local* partials, before either all-reduce — a corrected flip
-/// never enters the sum, and an escalation aborts the group before the
-/// reduction commits.
-pub fn backward_sdc(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    cfg: &FtConfig,
-    sdc: &SdcCtx,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let mut dw = matmul_a_bt(&dy_i, x_local);
-    sdc_guard(&grid.row_comm, sdc, &dy_i, x_local, &mut dw, GemmKind::ABt)?;
-    allreduce_ring_ft(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    sdc_guard(&grid.col_comm, sdc, w_local, &dy_i, &mut dx, GemmKind::AtB)?;
-    allreduce_ring_ft(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum, cfg)?;
+    let dy_i = dy_block(grid, dy_local);
+    let dw = dw_partial(grid, x_local, &dy_i, guard)?;
+    let mut dx = dx_partial(grid, w_local, &dy_i, guard)?;
+    guard.allreduce(&grid.col_comm, dx.as_mut_slice())?;
     Ok((dw, dx))
 }
 
@@ -440,51 +404,20 @@ pub fn backward_sdc(
 /// transfer before the wait. Values are bit-identical to
 /// [`backward_dw_deferred`] — the two local GEMMs are independent and
 /// the non-blocking ring reduces in the blocking ring's exact order —
-/// but note the GEMMs *execute* in the opposite order, which matters
-/// only to op-indexed fault scripts (see [`backward_dx_overlap_sdc`]).
+/// but the GEMMs *execute* in the opposite order, so the per-iteration
+/// SDC op order is (∆X, ∆W): op-indexed fault scripts written against
+/// one schedule do not transfer to the other.
 pub fn backward_dx_overlap(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
     dy_local: &Matrix,
+    guard: Guard,
 ) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let dx = matmul_at_b(w_local, &dy_i);
-    let h = iallreduce(&grid.col_comm, dx.into_vec(), ReduceOp::Sum)?;
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let dw = matmul_a_bt(&dy_i, x_local);
-    let dx = Matrix::from_vec(w_local.cols(), dy_i.cols(), h.wait()?);
-    Ok((dw, dx))
-}
-
-/// [`backward_dx_overlap`] with silent-data-corruption defense and a
-/// deadline-bound ∆X sum. Because the ∆X GEMM runs before the ∆W GEMM
-/// here, the per-iteration SDC op order is (∆X, ∆W) — the reverse of
-/// [`backward_dw_deferred_sdc`] — so op-indexed fault scripts written
-/// against one schedule do not transfer to the other.
-pub fn backward_dx_overlap_sdc(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    cfg: &FtConfig,
-    sdc: &SdcCtx,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    sdc_guard(&grid.col_comm, sdc, w_local, &dy_i, &mut dx, GemmKind::AtB)?;
-    let h = iallreduce_ft(&grid.col_comm, dx.into_vec(), ReduceOp::Sum, cfg)?;
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let mut dw = matmul_a_bt(&dy_i, x_local);
-    sdc_guard(&grid.row_comm, sdc, &dy_i, x_local, &mut dw, GemmKind::ABt)?;
+    let dy_i = dy_block(grid, dy_local);
+    let dx = dx_partial(grid, w_local, &dy_i, guard)?;
+    let h = guard.iallreduce(&grid.col_comm, dx.into_vec())?;
+    let dw = dw_partial(grid, x_local, &dy_i, guard)?;
     let dx = Matrix::from_vec(w_local.cols(), dy_i.cols(), h.wait()?);
     Ok((dw, dx))
 }
@@ -525,89 +458,27 @@ impl PipelinedForward {
     }
 }
 
-/// Starts a pipelined [`forward`]: computes the local partial and
-/// launches the non-blocking all-gather. Consuming every block from the
-/// returned handle and stacking them by `part_range` rebuilds exactly
-/// [`forward`]'s output (the blocks are copied verbatim).
-pub fn forward_start(grid: &Grid, w_local: &Matrix, x_local: &Matrix) -> Result<PipelinedForward> {
-    forward_start_inner(grid, w_local, x_local, None, None)
-}
-
-/// [`forward_start`] with deadline-bound chunk receives (group abort on
-/// fault) and optional silent-data-corruption defense on the local
-/// partial, mirroring [`forward_sdc`].
-pub fn forward_start_sdc(
+/// Starts a pipelined [`forward_with`]: computes (and, under the guard,
+/// verifies) the local partial and launches the non-blocking
+/// all-gather. Consuming every block from the returned handle and
+/// stacking them by `part_range` rebuilds exactly [`forward_with`]'s
+/// output (the blocks are copied verbatim).
+pub fn forward_start(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
-    cfg: &FtConfig,
-    sdc: &SdcCtx,
+    guard: Guard,
 ) -> Result<PipelinedForward> {
-    forward_start_inner(grid, w_local, x_local, Some(cfg), Some(sdc))
-}
-
-fn forward_start_inner(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    cfg: Option<&FtConfig>,
-    sdc: Option<&SdcCtx>,
-) -> Result<PipelinedForward> {
-    let bloc = x_local.cols();
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.rows(), w_local.cols(), bloc));
-    let mut y_partial = matmul(w_local, x_local);
-    if let Some(sdc) = sdc {
-        sdc_guard(
-            &grid.col_comm,
-            sdc,
-            w_local,
-            x_local,
-            &mut y_partial,
-            GemmKind::Plain,
-        )?;
-    }
-    if grid.pr == 1 {
-        return Ok(PipelinedForward {
-            local: Some(y_partial),
-            handle: None,
-            bloc,
-        });
-    }
-    let handle = match cfg {
-        Some(cfg) => iallgatherv_ft(&grid.col_comm, y_partial.as_slice(), cfg)?,
-        None => iallgatherv(&grid.col_comm, y_partial.as_slice())?,
-    };
-    Ok(PipelinedForward {
-        local: None,
-        handle: Some(handle),
-        bloc,
-    })
+    forward_resume(grid, y_partial(grid, w_local, x_local, guard)?, guard)
 }
 
 /// Launches the gather of a partial the caller already holds — the
 /// entry point for fused pipelines where layer `l+1`'s partial was
 /// accumulated block-by-block while layer `l`'s gather drained (so
-/// there is no monolithic GEMM for [`forward_start`] to run). Charges
-/// no flops: the caller paid for the accumulation as it happened.
-pub fn forward_resume(grid: &Grid, y_partial: Matrix) -> Result<PipelinedForward> {
-    forward_resume_inner(grid, y_partial, None)
-}
-
-/// [`forward_resume`] with deadline-bound chunk receives.
-pub fn forward_resume_ft(
-    grid: &Grid,
-    y_partial: Matrix,
-    cfg: &FtConfig,
-) -> Result<PipelinedForward> {
-    forward_resume_inner(grid, y_partial, Some(cfg))
-}
-
-fn forward_resume_inner(
-    grid: &Grid,
-    y_partial: Matrix,
-    cfg: Option<&FtConfig>,
-) -> Result<PipelinedForward> {
+/// there is no monolithic GEMM for [`forward_start`] to run, and hence
+/// no SDC op: the guard only bounds the chunk receives). Charges no
+/// flops: the caller paid for the accumulation as it happened.
+pub fn forward_resume(grid: &Grid, y_partial: Matrix, guard: Guard) -> Result<PipelinedForward> {
     let bloc = y_partial.cols();
     if grid.pr == 1 {
         return Ok(PipelinedForward {
@@ -616,41 +487,11 @@ fn forward_resume_inner(
             bloc,
         });
     }
-    let handle = match cfg {
-        Some(cfg) => iallgatherv_ft(&grid.col_comm, y_partial.as_slice(), cfg)?,
-        None => iallgatherv(&grid.col_comm, y_partial.as_slice())?,
-    };
     Ok(PipelinedForward {
         local: None,
-        handle: Some(handle),
+        handle: Some(guard.iallgatherv(&grid.col_comm, y_partial.as_slice())?),
         bloc,
     })
-}
-
-/// [`backward_dw_deferred_ft`] with silent-data-corruption defense:
-/// both local GEMMs are flip-injected and (when enabled) verified; the
-/// returned ∆W partial is already clean, so the caller's overlapped
-/// non-blocking row-group sum reduces verified data.
-pub fn backward_dw_deferred_sdc(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    cfg: &FtConfig,
-    sdc: &SdcCtx,
-) -> Result<(Matrix, Matrix)> {
-    let rows = grid.w_rows(dy_local.rows());
-    let dy_i = dy_local.row_block(rows.start, rows.end);
-    grid.row_comm
-        .advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
-    let mut dw = matmul_a_bt(&dy_i, x_local);
-    sdc_guard(&grid.row_comm, sdc, &dy_i, x_local, &mut dw, GemmKind::ABt)?;
-    grid.col_comm
-        .advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
-    let mut dx = matmul_at_b(w_local, &dy_i);
-    sdc_guard(&grid.col_comm, sdc, w_local, &dy_i, &mut dx, GemmKind::AtB)?;
-    allreduce_ring_ft(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum, cfg)?;
-    Ok((dw, dx))
 }
 
 #[cfg(test)]
@@ -794,41 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn ft_forward_backward_match_plain_when_fault_free() {
-        let (pr, pc) = (2usize, 3usize);
-        let r = reference(8, 5, 9);
-        let model = NetModel {
-            alpha: 1e-3,
-            beta: 1e-6,
-            flops: f64::INFINITY,
-        };
-        let cfg = FtConfig::fixed(1e6);
-        let plain = World::run(pr * pc, model, |comm| {
-            let grid = Grid::new(comm, pr, pc).unwrap();
-            let wl = row_shard(&r.w, pr, grid.i);
-            let xl = col_shard(&r.x, pc, grid.j);
-            let dyl = col_shard(&r.dy, pc, grid.j);
-            let y = forward(&grid, &wl, &xl).unwrap();
-            let (dw, dx) = backward(&grid, &wl, &xl, &dyl).unwrap();
-            (y, dw, dx, comm.now())
-        });
-        let ft = World::run(pr * pc, model, |comm| {
-            let grid = Grid::new(comm, pr, pc).unwrap();
-            let wl = row_shard(&r.w, pr, grid.i);
-            let xl = col_shard(&r.x, pc, grid.j);
-            let dyl = col_shard(&r.dy, pc, grid.j);
-            let y = forward_ft(&grid, &wl, &xl, &cfg).unwrap();
-            let (dw, dx) = backward_ft(&grid, &wl, &xl, &dyl, &cfg).unwrap();
-            (y, dw, dx, comm.now())
-        });
-        for ((y0, dw0, dx0, t0), (y1, dw1, dx1, t1)) in plain.iter().zip(&ft) {
-            assert!(y0 == y1 && dw0 == dw1 && dx0 == dx1, "identical numbers");
-            // Same α–β cost as the plain implementations.
-            assert!((t0 - t1).abs() < 1e-12, "{t0} vs {t1}");
-        }
-    }
-
-    #[test]
     fn deferred_dw_plus_explicit_sum_matches_backward_bitwise() {
         let (pr, pc) = (2usize, 3usize);
         let r = reference(8, 5, 9);
@@ -838,7 +644,7 @@ mod tests {
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
             let (dw_ref, dx_ref) = backward(&grid, &wl, &xl, &dyl).unwrap();
-            let (mut dw, dx) = backward_dw_deferred(&grid, &wl, &xl, &dyl).unwrap();
+            let (mut dw, dx) = backward_dw_deferred(&grid, &wl, &xl, &dyl, Guard::Off).unwrap();
             allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum).unwrap();
             (dw_ref, dx_ref, dw, dx)
         });
@@ -857,8 +663,9 @@ mod tests {
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
                 let dyl = col_shard(&r.dy, pc, grid.j);
-                let (dw_ref, dx_ref) = backward_dw_deferred(&grid, &wl, &xl, &dyl).unwrap();
-                let (dw, dx) = backward_dx_overlap(&grid, &wl, &xl, &dyl).unwrap();
+                let (dw_ref, dx_ref) =
+                    backward_dw_deferred(&grid, &wl, &xl, &dyl, Guard::Off).unwrap();
+                let (dw, dx) = backward_dx_overlap(&grid, &wl, &xl, &dyl, Guard::Off).unwrap();
                 (dw_ref, dx_ref, dw, dx)
             });
             for (g, (dw_ref, dx_ref, dw, dx)) in out.iter().enumerate() {
@@ -884,7 +691,7 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
-            backward_dx_overlap(&grid, &wl, &xl, &dyl).unwrap();
+            backward_dx_overlap(&grid, &wl, &xl, &dyl, Guard::Off).unwrap();
         });
         assert!(
             stats.total_overlapped_secs() > 0.0,
@@ -901,7 +708,7 @@ mod tests {
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
                 let y_ref = forward(&grid, &wl, &xl).unwrap();
-                let mut pf = forward_start(&grid, &wl, &xl).unwrap();
+                let mut pf = forward_start(&grid, &wl, &xl, Guard::Off).unwrap();
                 let mut blocks: Vec<Option<Matrix>> = vec![None; pr];
                 let mut arrivals = Vec::new();
                 while let Some((src, block)) = pf.next_block().unwrap() {
@@ -921,35 +728,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pipelined_forward_sdc_matches_and_verifies_the_partial() {
-        use mpsim::FaultPlan;
-        let (pr, pc) = (2usize, 2usize);
-        let r = reference(8, 5, 8);
-        let cfg = FtConfig::fixed(1e6);
-        let clean = run_grid(pr, pc, &r);
-        // A single flipped bit in rank 1's partial is repaired before
-        // any chunk of it is gathered.
-        let plan = FaultPlan::new(5).bitflip_compute(1, 0, 0, 51);
-        let (out, stats) = World::run_with_faults(pr * pc, NetModel::free(), plan, |comm| {
-            let grid = Grid::new(comm, pr, pc).unwrap();
-            let wl = row_shard(&r.w, pr, grid.i);
-            let xl = col_shard(&r.x, pc, grid.j);
-            let sdc = SdcCtx::new(0, true);
-            let mut pf = forward_start_sdc(&grid, &wl, &xl, &cfg, &sdc).unwrap();
-            let mut blocks: Vec<Option<Matrix>> = vec![None; pr];
-            while let Some((src, block)) = pf.next_block().unwrap() {
-                blocks[src] = Some(block);
-            }
-            let stacked: Vec<Matrix> = blocks.into_iter().map(|b| b.unwrap()).collect();
-            Matrix::vcat(&stacked)
-        });
-        for (g, y) in out.iter().enumerate() {
-            assert!(y == &clean[g].0, "rank {g}: repaired forward differs");
-        }
-        assert_eq!(stats.total_corrupt_corrected(), 1);
     }
 
     #[test]
@@ -976,37 +754,73 @@ mod tests {
         }
     }
 
+    /// Drains a pipelined forward and restacks its blocks by source.
+    fn reassemble(mut pf: PipelinedForward, pr: usize) -> Matrix {
+        let mut blocks: Vec<Option<Matrix>> = vec![None; pr];
+        while let Some((src, block)) = pf.next_block().unwrap() {
+            blocks[src] = Some(block);
+        }
+        Matrix::vcat(&blocks.into_iter().map(|b| b.unwrap()).collect::<Vec<_>>())
+    }
+
     #[test]
-    fn sdc_fault_free_matches_ft_bitwise() {
-        // With no scripted flips, the SDC wrappers produce bit-identical
-        // numbers whether ABFT is on or off — verification only reads.
-        let (pr, pc) = (2usize, 3usize);
-        let r = reference(8, 5, 9);
-        let cfg = FtConfig::fixed(1e6);
-        let run = |abft: bool| {
-            World::run(pr * pc, NetModel::free(), |comm| {
-                let grid = Grid::new(comm, pr, pc).unwrap();
-                let wl = row_shard(&r.w, pr, grid.i);
-                let xl = col_shard(&r.x, pc, grid.j);
-                let dyl = col_shard(&r.dy, pc, grid.j);
-                let sdc = SdcCtx::new(0, abft);
-                let y = forward_sdc(&grid, &wl, &xl, &cfg, &sdc).unwrap();
-                let (dw, dx) = backward_sdc(&grid, &wl, &xl, &dyl, &cfg, &sdc).unwrap();
-                assert_eq!(sdc.ops_done(), 3, "forward + dW + dX");
-                (y, dw, dx)
-            })
+    fn every_schedule_is_guard_invariant_when_fault_free() {
+        // One table: {unguarded, guarded abft off, guarded abft on} ×
+        // {forward, backward, dw_deferred, dx_overlap, start/resume}.
+        // The guard only reads, so every output is bit-equal across the
+        // three columns; and with ABFT off the guarded collectives cost
+        // exactly what the plain ones do, so the per-rank virtual clocks
+        // are equal too.
+        let model = NetModel {
+            alpha: 1e-3,
+            beta: 1e-6,
+            flops: 1e9,
         };
-        let plain = World::run(pr * pc, NetModel::free(), |comm| {
-            let grid = Grid::new(comm, pr, pc).unwrap();
-            let wl = row_shard(&r.w, pr, grid.i);
-            let xl = col_shard(&r.x, pc, grid.j);
-            let dyl = col_shard(&r.dy, pc, grid.j);
-            let y = forward(&grid, &wl, &xl).unwrap();
-            let (dw, dx) = backward(&grid, &wl, &xl, &dyl).unwrap();
-            (y, dw, dx)
-        });
-        assert_eq!(run(false), plain, "abft off == plain, bitwise");
-        assert_eq!(run(true), plain, "abft on == plain, bitwise");
+        let cfg = FtConfig::fixed(1e6);
+        for (pr, pc) in [(2usize, 3usize), (3, 2)] {
+            let r = reference(9, 5, 9);
+            // `abft`: None = unguarded.
+            let run = |abft: Option<bool>| {
+                World::run(pr * pc, model, |comm| {
+                    let grid = Grid::new(comm, pr, pc).unwrap();
+                    let wl = row_shard(&r.w, pr, grid.i);
+                    let xl = col_shard(&r.x, pc, grid.j);
+                    let dyl = col_shard(&r.dy, pc, grid.j);
+                    let sdc = SdcCtx::new(0, abft.unwrap_or(false));
+                    let guard = match abft {
+                        None => Guard::Off,
+                        Some(_) => Guard::On(&cfg, &sdc),
+                    };
+                    let y = forward_with(&grid, &wl, &xl, guard).unwrap();
+                    let (dw, dx) = backward_with(&grid, &wl, &xl, &dyl, guard).unwrap();
+                    let deferred = backward_dw_deferred(&grid, &wl, &xl, &dyl, guard).unwrap();
+                    let overlapped = backward_dx_overlap(&grid, &wl, &xl, &dyl, guard).unwrap();
+                    let started = reassemble(forward_start(&grid, &wl, &xl, guard).unwrap(), pr);
+                    let partial = matmul(&wl, &xl);
+                    let resumed = reassemble(forward_resume(&grid, partial, guard).unwrap(), pr);
+                    if abft.is_some() {
+                        // fwd + (∆W, ∆X) × 3 + start; resume runs no GEMM.
+                        assert_eq!(sdc.ops_done(), 8, "SDC op numbering");
+                    }
+                    assert!(started == y && resumed == y, "pipelined == blocking");
+                    assert!(deferred.1 == dx && overlapped == deferred, "∆X / partials");
+                    (vec![y, dw, dx, deferred.0], comm.now())
+                })
+            };
+            let plain = run(None);
+            let guarded = run(Some(false));
+            let verified = run(Some(true));
+            for (g, ((p, q), v)) in plain.iter().zip(&guarded).zip(&verified).enumerate() {
+                assert!(p.0 == q.0, "grid {pr}x{pc} rank {g}: guarded differs");
+                assert!(p.0 == v.0, "grid {pr}x{pc} rank {g}: abft-on differs");
+                assert_eq!(
+                    p.1.to_bits(),
+                    q.1.to_bits(),
+                    "grid {pr}x{pc} rank {g}: clock"
+                );
+                assert!(v.1 > p.1, "checksum FLOPs land on the virtual clock");
+            }
+        }
     }
 
     #[test]
@@ -1017,25 +831,34 @@ mod tests {
         let cfg = FtConfig::fixed(1e6);
         let clean = run_grid(pr, pc, &r);
         // One high bit flipped in rank 2's forward GEMM output (op 0),
-        // and one in rank 4's ∆X GEMM (op 2).
-        let plan = FaultPlan::new(7)
-            .bitflip_compute(2, 0, 0, 51)
-            .bitflip_compute(4, 0, 2, 55);
-        let (out, stats) = World::run_with_faults(pr * pc, NetModel::free(), plan, |comm| {
-            let grid = Grid::new(comm, pr, pc).unwrap();
-            let wl = row_shard(&r.w, pr, grid.i);
-            let xl = col_shard(&r.x, pc, grid.j);
-            let dyl = col_shard(&r.dy, pc, grid.j);
-            let sdc = SdcCtx::new(0, true);
-            let y = forward_sdc(&grid, &wl, &xl, &cfg, &sdc).unwrap();
-            let (dw, dx) = backward_sdc(&grid, &wl, &xl, &dyl, &cfg, &sdc).unwrap();
-            (y, dw, dx)
-        });
-        assert_eq!(out, clean, "both flips repaired bit-exactly");
-        assert_eq!(stats.total_bitflips_compute(), 2, "both flips injected");
-        assert_eq!(stats.total_corrupt_corrected(), 2);
-        assert_eq!(stats.total_corrupt_recovered(), 0);
-        assert_eq!(stats.total_aborts(), 0, "no escalation");
+        // and one in rank 4's ∆X GEMM (op 2). The pipelined forward
+        // verifies the same partial, so a flip is repaired before any
+        // chunk of it is gathered.
+        for pipelined in [false, true] {
+            let plan = FaultPlan::new(7)
+                .bitflip_compute(2, 0, 0, 51)
+                .bitflip_compute(4, 0, 2, 55);
+            let (out, stats) = World::run_with_faults(pr * pc, NetModel::free(), plan, |comm| {
+                let grid = Grid::new(comm, pr, pc).unwrap();
+                let wl = row_shard(&r.w, pr, grid.i);
+                let xl = col_shard(&r.x, pc, grid.j);
+                let dyl = col_shard(&r.dy, pc, grid.j);
+                let sdc = SdcCtx::new(0, true);
+                let guard = Guard::On(&cfg, &sdc);
+                let y = if pipelined {
+                    reassemble(forward_start(&grid, &wl, &xl, guard).unwrap(), pr)
+                } else {
+                    forward_with(&grid, &wl, &xl, guard).unwrap()
+                };
+                let (dw, dx) = backward_with(&grid, &wl, &xl, &dyl, guard).unwrap();
+                (y, dw, dx)
+            });
+            assert_eq!(out, clean, "both flips repaired bit-exactly");
+            assert_eq!(stats.total_bitflips_compute(), 2, "both flips injected");
+            assert_eq!(stats.total_corrupt_corrected(), 2);
+            assert_eq!(stats.total_corrupt_recovered(), 0);
+            assert_eq!(stats.total_aborts(), 0, "no escalation");
+        }
     }
 
     #[test]
@@ -1054,7 +877,7 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let sdc = SdcCtx::new(0, true);
-            forward_sdc(&grid, &wl, &xl, &cfg, &sdc)
+            forward_with(&grid, &wl, &xl, Guard::On(&cfg, &sdc))
         });
         match &out[1] {
             Err(Error::SilentCorruption {
@@ -1100,7 +923,7 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let sdc = SdcCtx::new(0, false);
-            forward_sdc(&grid, &wl, &xl, &cfg, &sdc).unwrap()
+            forward_with(&grid, &wl, &xl, Guard::On(&cfg, &sdc)).unwrap()
         });
         assert_eq!(stats.total_bitflips_compute(), 1, "flip was injected");
         assert_eq!(stats.total_corrupt_detected(), 0, "nobody noticed");

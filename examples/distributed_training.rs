@@ -12,10 +12,12 @@ use integrated_parallelism::collectives::FtConfig;
 use integrated_parallelism::dnn::zoo::mlp;
 use integrated_parallelism::integrated::cost::best_grid;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
-use integrated_parallelism::integrated::overlap::PAPER_BACKPROP_FRACTION;
+use integrated_parallelism::integrated::overlap::{
+    FlushSchedule, OverlapPlan, PAPER_BACKPROP_FRACTION,
+};
 use integrated_parallelism::integrated::report::fmt_seconds;
 use integrated_parallelism::integrated::trainer::{
-    synthetic_data, train_1p5d, train_1p5d_overlap, train_1p5d_overlap_traced, train_serial,
+    synthetic_data, train_1p5d, train_1p5d_scheduled, train_1p5d_scheduled_traced, train_serial,
     TrainConfig,
 };
 use integrated_parallelism::integrated::MachineModel;
@@ -84,7 +86,15 @@ fn main() {
     // ------------------------------------------------------------------
     println!("\nexecuted comm/compute overlap on the 2x4 grid:");
     let ser = train_1p5d(&net, &x, &labels, &cfg, 2, 4, NetModel::cori_knl());
-    let ovl = train_1p5d_overlap(&net, &x, &labels, &cfg, 2, 4, NetModel::cori_knl());
+    // Launch-and-drain only: FIFO flush, one barrier before the
+    // optimizer. `OverlapPlan::default()` schedules on top of this.
+    let fifo_barrier = OverlapPlan {
+        schedule: FlushSchedule::Fifo,
+        interleave: false,
+        ..OverlapPlan::default()
+    };
+    let model = NetModel::cori_knl();
+    let ovl = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 4, model, fifo_barrier);
     println!(
         "  serialized {}  overlapped {}  ({:.1}% saved; trajectories identical)",
         fmt_seconds(ser.stats.makespan()),
@@ -116,15 +126,16 @@ fn main() {
     // Trace Event JSON, loadable as-is in a timeline viewer.
     // ------------------------------------------------------------------
     println!("\ntraced rerun of the 2x4 overlapped training:");
-    let (traced, trace) = train_1p5d_overlap_traced(
+    let (traced, trace) = train_1p5d_scheduled_traced(
         &net,
         &x,
         &labels,
         &cfg,
         2,
         4,
-        NetModel::cori_knl(),
+        model,
         TraceConfig::enabled(),
+        fifo_barrier,
     );
     assert_eq!(
         traced.stats.makespan(),

@@ -17,7 +17,7 @@ use integrated_parallelism::dnn::zoo::mlp_tiny;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
 use integrated_parallelism::integrated::overlap::{FlushSchedule, OverlapPlan};
 use integrated_parallelism::integrated::trainer::{
-    synthetic_data, train_1p5d_overlap_with_bucket, train_1p5d_scheduled, TrainConfig,
+    synthetic_data, train_1p5d_scheduled, TrainConfig,
 };
 use integrated_parallelism::integrated::MachineModel;
 use integrated_parallelism::mpsim::{Error, FaultPlan, NetModel, Span, World};
@@ -249,13 +249,18 @@ proptest! {
         let cfg = TrainConfig { lr: 0.2, iters: 3, seed };
         let model = NetModel::cori_knl();
 
-        let legacy =
-            train_1p5d_overlap_with_bucket(&net, &x, &labels, &cfg, pr, pc, model, bucket);
-        let plan = OverlapPlan {
+        let fifo_barrier = OverlapPlan {
             bucket_words: bucket,
+            schedule: FlushSchedule::Fifo,
+            dx_overlap: false,
+            fwd_prefetch: false,
+            interleave: false,
+        };
+        let legacy = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, fifo_barrier);
+        let plan = OverlapPlan {
             schedule: FlushSchedule::Priority,
             interleave: true,
-            ..OverlapPlan::legacy()
+            ..fifo_barrier
         };
         let sched = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, plan);
 

@@ -11,13 +11,28 @@ use proptest::prelude::*;
 use integrated_parallelism::collectives::ft::FtConfig;
 use integrated_parallelism::dnn::zoo::mlp_tiny;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft_traced, FtTrainConfig};
+use integrated_parallelism::integrated::overlap::{
+    FlushSchedule, OverlapPlan, DEFAULT_BUCKET_WORDS,
+};
 use integrated_parallelism::integrated::trainer::{
-    synthetic_data, train_1p5d, train_1p5d_overlap, train_1p5d_overlap_traced, train_1p5d_traced,
-    TrainConfig,
+    synthetic_data, train_1p5d, train_1p5d_scheduled, train_1p5d_scheduled_traced,
+    train_1p5d_traced, TrainConfig,
 };
 use integrated_parallelism::integrated::MachineModel;
 use integrated_parallelism::mpsim::{
     EventKind, FaultPlan, NetModel, RankTrace, Span, TraceConfig, Track, WorldStats, WorldTrace,
+};
+
+/// Bucketed non-blocking ∆W sums with a FIFO flush and a drain barrier
+/// — overlap without scheduling, and the only plan whose iteration
+/// shape the fault-tolerant trainer shares exactly (it never defers a
+/// drain across the iteration boundary).
+const FIFO_BARRIER: OverlapPlan = OverlapPlan {
+    bucket_words: DEFAULT_BUCKET_WORDS,
+    schedule: FlushSchedule::Fifo,
+    dx_overlap: false,
+    fwd_prefetch: false,
+    interleave: false,
 };
 
 /// Slack for interval comparisons. Main-track leaf timestamps are
@@ -246,8 +261,8 @@ proptest! {
         }
         check_against_stats(&st, &ser.stats)?;
 
-        let (ovl, ot) = train_1p5d_overlap_traced(
-            &net, &x, &labels, &cfg, pr, pc, model, TraceConfig::enabled(),
+        let (ovl, ot) = train_1p5d_scheduled_traced(
+            &net, &x, &labels, &cfg, pr, pc, model, TraceConfig::enabled(), FIFO_BARRIER,
         );
         for rt in &ot.ranks {
             check_rank(rt)?;
@@ -310,8 +325,8 @@ fn tracing_adds_zero_overhead_to_the_virtual_clock() {
         }
         assert_eq!(plain.losses(), on.losses());
 
-        let ovl = train_1p5d_overlap(&net, &x, &labels, &cfg, pr, pc, model);
-        let (ovl_on, _) = train_1p5d_overlap_traced(
+        let ovl = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, FIFO_BARRIER);
+        let (ovl_on, _) = train_1p5d_scheduled_traced(
             &net,
             &x,
             &labels,
@@ -320,6 +335,7 @@ fn tracing_adds_zero_overhead_to_the_virtual_clock() {
             pc,
             model,
             TraceConfig::enabled(),
+            FIFO_BARRIER,
         );
         assert_eq!(
             ovl.stats.makespan().to_bits(),
@@ -327,5 +343,79 @@ fn tracing_adds_zero_overhead_to_the_virtual_clock() {
             "tracing perturbed the overlapped run"
         );
         assert_eq!(ovl.losses(), ovl_on.losses());
+    }
+}
+
+/// One iteration body serves both trainers, so a fault-free run leaves
+/// the same `trainer` layout in both traces: phase spans closed before
+/// `optimizer_step`, and `iter` carried on every phase event. The FT
+/// trainer's own `checkpoint` instants are the only extra events.
+#[test]
+fn ft_and_scheduled_traces_share_one_trainer_layout() {
+    let net = mlp_tiny();
+    let (x, labels) = synthetic_data(&net, 16, 9);
+    let iters = 3;
+    let layout = |trace: &WorldTrace| -> Vec<Vec<(&'static str, u32, Option<f64>)>> {
+        trace
+            .ranks
+            .iter()
+            .map(|rt| {
+                rt.events
+                    .iter()
+                    .filter(|e| e.cat == "trainer" && e.name != "checkpoint")
+                    .map(|e| (e.name, e.depth, e.arg("iter")))
+                    .collect()
+            })
+            .collect()
+    };
+    for overlap in [false, true] {
+        let ft = FtTrainConfig {
+            iters,
+            plan: FIFO_BARRIER,
+            ..ft_cfg(overlap, 2)
+        };
+        let (res, ft_trace) = train_1p5d_ft_traced(
+            &net,
+            &x,
+            &labels,
+            &ft,
+            2,
+            2,
+            FaultPlan::default(),
+            TraceConfig::enabled(),
+        );
+        assert_eq!(res.survivors().len(), 4);
+        let cfg = TrainConfig {
+            lr: ft.lr,
+            iters,
+            seed: ft.seed,
+        };
+        let model = ft.machine.net_model();
+        let (_, plain_trace) = if overlap {
+            train_1p5d_scheduled_traced(
+                &net,
+                &x,
+                &labels,
+                &cfg,
+                2,
+                2,
+                model,
+                TraceConfig::enabled(),
+                FIFO_BARRIER,
+            )
+        } else {
+            train_1p5d_traced(&net, &x, &labels, &cfg, 2, 2, model, TraceConfig::enabled())
+        };
+        let (ft_layout, plain_layout) = (layout(&ft_trace), layout(&plain_trace));
+        assert_eq!(ft_layout, plain_layout, "overlap={overlap}");
+        for (name, depth, iter) in &ft_layout[0] {
+            match *name {
+                "forward" | "backward" | "optimizer_step" => {
+                    assert_eq!(*depth, 0, "{name} is a top-level phase");
+                    assert!(iter.is_some(), "{name} carries its iteration");
+                }
+                _ => assert_eq!(*depth, 1, "{name} nests inside a phase"),
+            }
+        }
     }
 }
