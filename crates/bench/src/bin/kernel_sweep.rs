@@ -15,7 +15,12 @@
 //! materialized reference on the AlexNet conv2 acceptance shape, or if
 //! any backward row (AlexNet conv2 and the `mini_alexnet` strip
 //! windows) fails to beat `conv2d_backward_ref` — a silent kernel
-//! regression fails the build.
+//! regression fails the build. It also reports, in GB/s, the kernels
+//! that move words instead of multiplying them — in-place ReLU forward
+//! and backward on an `fc_1p5d` activation and the envelope checksum on
+//! a 4 096-word payload — and on an AVX2 host fails if ReLU or the
+//! checksum falls under 4 GB/s (the byte-serial checksum ran at ≈ 0.7,
+//! the clone-then-branch ReLU at ≈ 2.4).
 //!
 //! ```text
 //! cargo run --release -p bench --bin kernel_sweep            # full sweep
@@ -25,10 +30,16 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use bench::kernels::{conv_backward_shapes, conv_shapes, gemm_shapes, measure_gflops};
+use bench::kernels::{
+    conv_backward_shapes, conv_shapes, gemm_shapes, measure_gbps, measure_gflops, CHECKSUM_WORDS,
+    ELEMENTWISE_SHAPE,
+};
 use bench::parse_args;
 use integrated::report::Table;
+use mpsim::fault::checksum;
+use tensor::activation::{relu_backward_in_place, relu_in_place};
 use tensor::conv::{conv2d, conv2d_backward, conv2d_backward_ref, conv2d_im2col_ref};
+use tensor::gemm::fma_kernel_available;
 use tensor::init;
 use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_ref};
 
@@ -47,6 +58,20 @@ impl Row {
         self.new_gflops / self.ref_gflops.max(1e-12)
     }
 }
+
+/// One measured word-moving kernel (no frozen twin: the bodies these
+/// replaced are gone, their rates are in EXPERIMENTS.md).
+struct StreamRow {
+    kind: &'static str,
+    shape: &'static str,
+    dims: String,
+    bytes: f64,
+    gbps: f64,
+}
+
+/// Floor, in GB/s, under which `relu` and `checksum` fail the run on an
+/// AVX2 host.
+const STREAM_GATE_GBPS: f64 = 4.0;
 
 fn main() {
     let args = parse_args();
@@ -132,6 +157,43 @@ fn main() {
         });
     }
 
+    // Word-moving kernels. The select-based ReLU pair is data
+    // independent, so timing it on one buffer over and over is fair.
+    let mut streams: Vec<StreamRow> = Vec::new();
+    {
+        let (d, b) = ELEMENTWISE_SHAPE;
+        let bytes = (d * b * 8) as f64;
+        let pre = init::uniform(d, b, -1.0, 1.0, 23);
+        let mut act = pre.clone();
+        let mut grad = init::uniform(d, b, -1.0, 1.0, 24);
+        let dims = format!("{d}x{b}");
+        streams.push(StreamRow {
+            kind: "elementwise",
+            shape: "relu",
+            dims: dims.clone(),
+            bytes,
+            gbps: measure_gbps(bytes, warmup, reps, || relu_in_place(act.as_mut_slice())),
+        });
+        streams.push(StreamRow {
+            kind: "elementwise",
+            shape: "relu_backward",
+            dims,
+            bytes,
+            gbps: measure_gbps(bytes, warmup, reps, || {
+                relu_backward_in_place(pre.as_slice(), grad.as_mut_slice())
+            }),
+        });
+        let payload = init::uniform(1, CHECKSUM_WORDS, -1.0, 1.0, 25);
+        let bytes = (CHECKSUM_WORDS * 8) as f64;
+        streams.push(StreamRow {
+            kind: "checksum",
+            shape: "envelope_checksum",
+            dims: format!("{CHECKSUM_WORDS} words"),
+            bytes,
+            gbps: measure_gbps(bytes, warmup, reps, || checksum(payload.as_slice())),
+        });
+    }
+
     let wall = start.elapsed().as_secs_f64();
     let mut t = Table::new(
         format!(
@@ -153,6 +215,19 @@ fn main() {
         ]);
     }
     print!("{}", if args.csv { t.to_csv() } else { t.render() });
+    let mut st = Table::new(
+        "word-moving kernels (payload bytes per second)".to_string(),
+        &["kind", "kernel", "dims", "GB/s"],
+    );
+    for r in &streams {
+        st.row(vec![
+            r.kind.into(),
+            r.shape.into(),
+            r.dims.clone(),
+            format!("{:.2}", r.gbps),
+        ]);
+    }
+    print!("{}", if args.csv { st.to_csv() } else { st.render() });
 
     // The serde stub has no serializer, so the JSON is written by hand.
     let mut json = String::from("{\n  \"bench\": \"kernel_sweep\",\n  \"kernels\": [\n");
@@ -169,7 +244,24 @@ fn main() {
             r.new_gflops,
             r.ref_gflops,
             r.speedup(),
-            if i + 1 == rows.len() { "" } else { "," }
+            if i + 1 == rows.len() && streams.is_empty() {
+                ""
+            } else {
+                ","
+            }
+        );
+    }
+    for (i, r) in streams.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"kind\": \"{}\", \"shape\": \"{}\", \"dims\": \"{}\", \
+             \"bytes\": {:.4e}, \"gbps\": {:.3}}}{}",
+            r.kind,
+            r.shape,
+            r.dims,
+            r.bytes,
+            r.gbps,
+            if i + 1 == streams.len() { "" } else { "," }
         );
     }
     json.push_str("  ]\n}\n");
@@ -213,8 +305,21 @@ fn main() {
         );
         bwd_min = bwd_min.min(r.speedup());
     }
+    // The SIMD-width floor only means something where the select
+    // vectorises to 256 bits; elsewhere the rows are reported, not gated.
+    if fma_kernel_available() {
+        for r in streams.iter().filter(|r| r.shape != "relu_backward") {
+            assert!(
+                r.gbps >= STREAM_GATE_GBPS,
+                "{} regression: {:.2} GB/s < {STREAM_GATE_GBPS} GB/s",
+                r.shape,
+                r.gbps
+            );
+        }
+    }
     eprintln!(
-        "gates passed: gemm {:.2}x on {}, conv {:.2}x on alexnet_conv2, conv_bwd >= {bwd_min:.2}x",
+        "gates passed: gemm {:.2}x on {}, conv {:.2}x on alexnet_conv2, conv_bwd >= {bwd_min:.2}x, \
+         relu/checksum >= {STREAM_GATE_GBPS} GB/s",
         largest.speedup(),
         largest.shape,
         conv2.speedup(),

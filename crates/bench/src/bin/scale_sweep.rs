@@ -37,9 +37,21 @@ use std::time::Instant;
 use bench::parse_args;
 use dnn::zoo::mlp;
 use integrated::report::{fmt_seconds, Table};
-use mpsim::fault::checksum;
 use mpsim::{Communicator, NetModel, Result as MpResult, World};
 use rayon::prelude::*;
+
+/// Fingerprint of a reduced vector: FNV-1a over the little-endian bytes
+/// of its words. It is the artifact's own definition — `BENCH_scale.json`
+/// records its sums from commit to commit, so it must not follow the
+/// wire checksum ([`mpsim::fault::checksum`]) when that changes.
+fn checksum(words: &[f64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
 
 /// Recursive-doubling all-reduce (sum) over the implicit group
 /// `{base + k·stride : k < g}`; `g` must be a power of two and the

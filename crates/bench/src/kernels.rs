@@ -227,6 +227,20 @@ pub fn measure_gflops<T>(flops: f64, warmup: usize, reps: usize, mut f: impl FnM
     flops / secs.max(1e-12) / 1e9
 }
 
+/// Activation shape of the element-wise rows: one `fc_1p5d` layer
+/// output at `Pc = 1` (`d × B`).
+pub const ELEMENTWISE_SHAPE: (usize, usize) = (256, 512);
+/// Payload length of the checksum row: a mid-sized ring block.
+pub const CHECKSUM_WORDS: usize = 4096;
+
+/// Times `f` and returns GB/s for `bytes` of payload per call — the
+/// rate of the kernels that move words rather than multiply them
+/// (activations, the envelope checksum). Same repetition rule as
+/// [`measure_gflops`], one byte standing in for one FLOP.
+pub fn measure_gbps<T>(bytes: f64, warmup: usize, reps: usize, f: impl FnMut() -> T) -> f64 {
+    measure_gflops(bytes, warmup, reps, f)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

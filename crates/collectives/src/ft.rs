@@ -11,7 +11,7 @@
 //!    deadline, so a dropped or straggling message surfaces as
 //!    [`mpsim::Error::Timeout`] after a bounded, virtual-clock-charged
 //!    wait instead of hanging.
-//! 2. **Checksum verification** — `mpsim` stamps an FNV checksum on
+//! 2. **Checksum verification** — `mpsim` stamps a word-wise checksum on
 //!    every data envelope while a fault plan is active and re-verifies
 //!    it at the receiver, so corrupted payloads surface as
 //!    [`mpsim::Error::Corrupted`] rather than silently folding a
@@ -34,11 +34,13 @@
 //! the protocol the `integrated` crate's fault-tolerant trainer
 //! implements.
 
+use std::ops::Range;
+
 use mpsim::{Communicator, Error, NetModel, Result, RetryPolicy, Tag};
 
-use crate::chunks::block_range;
 use crate::op::ReduceOp;
 use crate::recursive::is_pow2;
+use crate::ring;
 
 const FT_RS_TAG: Tag = (1 << 48) + 96;
 const FT_AG_TAG: Tag = (1 << 48) + 97;
@@ -282,28 +284,10 @@ pub fn allreduce_ring_ft(
         &[("p", p as f64), ("words", data.len() as f64)],
     );
     guarded(comm, || {
-        let r = comm.rank();
-        let n = data.len();
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
-        // Reduce-scatter phase.
-        for step in 0..p - 1 {
-            let send_idx = (r + p - step) % p;
-            let recv_idx = (r + p - step - 1) % p;
-            let send_block = data[block_range(n, p, send_idx)].to_vec();
-            comm.send_vec(next, FT_RS_TAG, send_block)?;
-            let incoming = recv_ft(comm, prev, FT_RS_TAG, cfg)?;
-            op.apply(&mut data[block_range(n, p, recv_idx)], &incoming);
-        }
-        // All-gather phase.
-        for step in 0..p - 1 {
-            let send_idx = (r + 1 + p - step) % p;
-            let recv_idx = (r + p - step) % p;
-            let send_block = data[block_range(n, p, send_idx)].to_vec();
-            comm.send_vec(next, FT_AG_TAG, send_block)?;
-            let incoming = recv_ft(comm, prev, FT_AG_TAG, cfg)?;
-            data[block_range(n, p, recv_idx)].copy_from_slice(&incoming);
-        }
+        let recv = |src, tag| recv_ft(comm, src, tag, cfg);
+        let carry = ring::first_carry(data, p, comm.rank());
+        let owned = ring::allreduce_steps(comm, data, op, 0..p - 1, FT_RS_TAG, carry, &recv)?;
+        ring::allreduce_steps(comm, data, op, p - 1..2 * (p - 1), FT_AG_TAG, owned, &recv)?;
         Ok(())
     })
 }
@@ -361,17 +345,10 @@ pub fn allgather_ring_ft(comm: &Communicator, mine: &[f64], cfg: &FtConfig) -> R
         &[("p", p as f64), ("words", (m * p) as f64)],
     );
     guarded(comm, || {
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
-        for step in 0..p - 1 {
-            let send_idx = (r + p - step) % p;
-            let recv_idx = (r + p - step - 1) % p;
-            let block = out[send_idx * m..(send_idx + 1) * m].to_vec();
-            comm.send_vec(next, FT_AG_TAG, block)?;
-            let incoming = recv_ft(comm, prev, FT_AG_TAG, cfg)?;
-            out[recv_idx * m..(recv_idx + 1) * m].copy_from_slice(&incoming);
-        }
-        Ok(())
+        let recv = |src, tag| recv_ft(comm, src, tag, cfg);
+        ring::gather_steps(comm, FT_AG_TAG, mine.to_vec(), &recv, |src, block| {
+            ring::place_block(&mut out, src * m..(src + 1) * m, block)
+        })
     })?;
     Ok(out)
 }
@@ -397,17 +374,41 @@ pub fn allgatherv_ring_ft(
         &[("p", p as f64), ("words", mine.len() as f64)],
     );
     guarded(comm, || {
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
-        for step in 0..p - 1 {
-            let send_idx = (r + p - step) % p;
-            let recv_idx = (r + p - step - 1) % p;
-            comm.send(next, FT_AG_TAG, &out[send_idx])?;
-            out[recv_idx] = recv_ft(comm, prev, FT_AG_TAG, cfg)?;
-        }
-        Ok(())
+        let recv = |src, tag| recv_ft(comm, src, tag, cfg);
+        ring::gather_steps(comm, FT_AG_TAG, mine.to_vec(), &recv, |src, block| {
+            out[src] = block.to_vec();
+            Ok(())
+        })
     })?;
     Ok(out)
+}
+
+/// [`allgatherv_ring_ft`] into place; fault-free behavior matches
+/// [`crate::ring::allgatherv_ring_into`].
+pub fn allgatherv_ring_into_ft(
+    comm: &Communicator,
+    mine: Vec<f64>,
+    out: &mut [f64],
+    range_of: impl Fn(usize) -> Range<usize>,
+    cfg: &FtConfig,
+) -> Result<()> {
+    comm.record_allgather();
+    let p = comm.size();
+    ring::place_block(out, range_of(comm.rank()), &mine)?;
+    if p == 1 {
+        return Ok(());
+    }
+    let _span = comm.trace_span(
+        "collective",
+        "allgatherv_ring_ft",
+        &[("p", p as f64), ("words", mine.len() as f64)],
+    );
+    guarded(comm, || {
+        let recv = |src, tag| recv_ft(comm, src, tag, cfg);
+        ring::gather_steps(comm, FT_AG_TAG, mine, &recv, |src, block| {
+            ring::place_block(out, range_of(src), block)
+        })
+    })
 }
 
 /// Fault-tolerant 1-D halo exchange: like [`crate::halo::exchange_1d`]

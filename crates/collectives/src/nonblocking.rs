@@ -35,9 +35,9 @@
 
 use mpsim::{ChannelRecv, Communicator, Result, Tag};
 
-use crate::chunks::block_range;
 use crate::ft::FtConfig;
 use crate::op::ReduceOp;
+use crate::ring;
 
 /// Shared per-handle progress state: ring position, channel times, and
 /// the optional fault-tolerance policy.
@@ -72,20 +72,24 @@ impl Progress {
         }
     }
 
-    /// One chunk receive on the channel, deadline-bounded when an
-    /// [`FtConfig`] is attached.
-    fn recv_chunk(&self, prev: usize, tag: Tag) -> Result<ChannelRecv> {
-        match &self.ft {
+    /// One ring step's traffic: forwards `out` to the next rank,
+    /// departing when the channel produced it, receives the previous
+    /// rank's chunk on the channel (deadline-bounded when an
+    /// [`FtConfig`] is attached) and folds the receive into the
+    /// pipeline times.
+    fn exchange(&mut self, tag: Tag, out: Vec<f64>) -> Result<ChannelRecv> {
+        let p = self.comm.size();
+        let r = self.comm.rank();
+        let prev = (r + p - 1) % p;
+        self.comm
+            .send_vec_at((r + 1) % p, tag, out, self.next_depart)?;
+        let got = match &self.ft {
             Some(cfg) => {
                 let t = cfg.deadline.resolve(&self.comm, prev);
-                self.comm.recv_channel_deadline(prev, tag, Some(t))
+                self.comm.recv_channel_deadline(prev, tag, Some(t))?
             }
-            None => self.comm.recv_channel(prev, tag),
-        }
-    }
-
-    /// Folds a completed chunk receive into the pipeline times.
-    fn absorb(&mut self, got: &ChannelRecv) {
+            None => self.comm.recv_channel(prev, tag)?,
+        };
         self.comm.trace_instant(
             "nb",
             "chunk_step",
@@ -95,6 +99,7 @@ impl Progress {
         self.ready_at = got.ready_at;
         self.charged += got.transfer;
         self.step += 1;
+        Ok(got)
     }
 
     fn done(&self) -> bool {
@@ -125,6 +130,8 @@ impl Progress {
 pub struct IallreduceHandle {
     pr: Progress,
     data: Vec<f64>,
+    /// The block in flight: received last step, sent next step.
+    carry: Vec<f64>,
     op: ReduceOp,
     rs_tag: Tag,
     ag_tag: Tag,
@@ -169,9 +176,15 @@ pub fn iallreduce(comm: &Communicator, data: Vec<f64>, op: ReduceOp) -> Result<I
         "iallreduce_launch",
         &[("p", p as f64), ("words", data.len() as f64)],
     );
+    let carry = if p > 1 {
+        ring::first_carry(&data, p, comm.rank())
+    } else {
+        Vec::new()
+    };
     Ok(IallreduceHandle {
         pr: Progress::new(comm, steps, None),
         data,
+        carry,
         op,
         rs_tag: base,
         ag_tag: base + 1,
@@ -245,38 +258,22 @@ impl IallreduceHandle {
         Ok(self.data)
     }
 
+    /// One step of the blocking ring's schedule ([`ring::allreduce_step`])
+    /// with the channel as transport.
     fn step_once(&mut self) -> Result<()> {
         let p = self.pr.comm.size();
         let r = self.pr.comm.rank();
-        let n = self.data.len();
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
-        if self.pr.step < p - 1 {
-            // Reduce-scatter phase: same schedule as the blocking ring.
-            let s = self.pr.step;
-            let send_idx = (r + p - s) % p;
-            let recv_idx = (r + p - s - 1) % p;
-            let block = self.data[block_range(n, p, send_idx)].to_vec();
-            self.pr
-                .comm
-                .send_vec_at(next, self.rs_tag, block, self.pr.next_depart)?;
-            let got = self.pr.recv_chunk(prev, self.rs_tag)?;
-            self.op
-                .apply(&mut self.data[block_range(n, p, recv_idx)], &got.data);
-            self.pr.absorb(&got);
+        let step = self.pr.step;
+        let tag = if step < p - 1 {
+            self.rs_tag
         } else {
-            // All-gather phase.
-            let s = self.pr.step - (p - 1);
-            let send_idx = (r + 1 + p - s) % p;
-            let recv_idx = (r + p - s) % p;
-            let block = self.data[block_range(n, p, send_idx)].to_vec();
-            self.pr
-                .comm
-                .send_vec_at(next, self.ag_tag, block, self.pr.next_depart)?;
-            let got = self.pr.recv_chunk(prev, self.ag_tag)?;
-            self.data[block_range(n, p, recv_idx)].copy_from_slice(&got.data);
-            self.pr.absorb(&got);
-        }
+            self.ag_tag
+        };
+        let carry = std::mem::take(&mut self.carry);
+        let pr = &mut self.pr;
+        self.carry = ring::allreduce_step(&mut self.data, self.op, (p, r), step, carry, |out| {
+            Ok(pr.exchange(tag, out)?.data)
+        })?;
         Ok(())
     }
 }
@@ -286,6 +283,8 @@ impl IallreduceHandle {
 pub struct IallgatherHandle {
     pr: Progress,
     out: Vec<f64>,
+    /// The block in flight: received last step, sent next step.
+    carry: Vec<f64>,
     m: usize,
     tag: Tag,
 }
@@ -313,6 +312,7 @@ pub fn iallgather(comm: &Communicator, mine: &[f64]) -> Result<IallgatherHandle>
     Ok(IallgatherHandle {
         pr: Progress::new(comm, steps, None),
         out,
+        carry: mine.to_vec(),
         m,
         tag: base,
     })
@@ -361,20 +361,10 @@ impl IallgatherHandle {
     fn step_once(&mut self) -> Result<()> {
         let p = self.pr.comm.size();
         let r = self.pr.comm.rank();
-        let m = self.m;
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
-        let s = self.pr.step;
-        let send_idx = (r + p - s) % p;
-        let recv_idx = (r + p - s - 1) % p;
-        let block = self.out[send_idx * m..(send_idx + 1) * m].to_vec();
-        self.pr
-            .comm
-            .send_vec_at(next, self.tag, block, self.pr.next_depart)?;
-        let got = self.pr.recv_chunk(prev, self.tag)?;
-        self.out[recv_idx * m..(recv_idx + 1) * m].copy_from_slice(&got.data);
-        self.pr.absorb(&got);
-        Ok(())
+        let src = (r + p - self.pr.step - 1) % p;
+        let carry = std::mem::take(&mut self.carry);
+        self.carry = self.pr.exchange(self.tag, carry)?.data;
+        ring::place_block(&mut self.out, src * self.m..(src + 1) * self.m, &self.carry)
     }
 }
 
@@ -391,6 +381,8 @@ impl IallgatherHandle {
 pub struct IallgathervHandle {
     pr: Progress,
     out: Vec<Vec<f64>>,
+    /// The block in flight: received last step, sent next step.
+    carry: Vec<f64>,
     tag: Tag,
     /// Blocks handed out via `recv_next` (the rank's own block counts).
     delivered: usize,
@@ -417,6 +409,7 @@ pub fn iallgatherv(comm: &Communicator, mine: &[f64]) -> Result<IallgathervHandl
     Ok(IallgathervHandle {
         pr: Progress::new(comm, steps, None),
         out,
+        carry: if p > 1 { mine.to_vec() } else { Vec::new() },
         tag: base,
         delivered: 0,
     })
@@ -460,7 +453,7 @@ impl IallgathervHandle {
         }
         if self.delivered == 0 {
             self.delivered = 1;
-            return Ok(Some((r, self.out[r].clone())));
+            return Ok(Some((r, std::mem::take(&mut self.out[r]))));
         }
         let s = self.pr.step;
         let recv_idx = (r + p - s - 1) % p;
@@ -471,11 +464,13 @@ impl IallgathervHandle {
         self.pr.comm.complete_channel(self.pr.ready_at, transfer);
         self.pr.charged -= transfer;
         self.delivered += 1;
-        Ok(Some((recv_idx, self.out[recv_idx].clone())))
+        Ok(Some((recv_idx, std::mem::take(&mut self.out[recv_idx]))))
     }
 
     /// Drives any remaining steps, settles the (not yet settled) overlap
     /// accounting, and returns the per-rank blocks indexed by rank.
+    /// Blocks already handed out by [`IallgathervHandle::recv_next`]
+    /// were moved to the caller and come back empty.
     pub fn wait(mut self) -> Result<Vec<Vec<f64>>> {
         while !self.pr.done() {
             let res = self.step_once();
@@ -490,20 +485,14 @@ impl IallgathervHandle {
     fn step_once(&mut self) -> Result<f64> {
         let p = self.pr.comm.size();
         let r = self.pr.comm.rank();
-        let next = (r + 1) % p;
-        let prev = (r + p - 1) % p;
-        let s = self.pr.step;
-        let send_idx = (r + p - s) % p;
-        let recv_idx = (r + p - s - 1) % p;
-        let block = self.out[send_idx].clone();
-        self.pr
-            .comm
-            .send_vec_at(next, self.tag, block, self.pr.next_depart)?;
-        let got = self.pr.recv_chunk(prev, self.tag)?;
-        let transfer = got.transfer;
-        self.pr.absorb(&got);
-        self.out[recv_idx] = got.data;
-        Ok(transfer)
+        let src = (r + p - self.pr.step - 1) % p;
+        let carry = std::mem::take(&mut self.carry);
+        let got = self.pr.exchange(self.tag, carry)?;
+        if !self.pr.done() {
+            self.carry = got.data.clone();
+        }
+        self.out[src] = got.data;
+        Ok(got.transfer)
     }
 }
 

@@ -40,6 +40,36 @@ impl ReduceOp {
             }
         }
     }
+
+    /// [`ReduceOp::apply`] with the result written to the *right*
+    /// operand: `acc[i] = op(left[i], acc[i])`. Same operand order, so
+    /// the bits are those `apply(left, acc)` would leave in `left` —
+    /// which is what lets a ring reduce into the buffer it received and
+    /// forward that buffer, instead of reducing in place and copying
+    /// the block out again.
+    // `left + acc`, spelled in `apply`'s operand order on purpose.
+    #[allow(clippy::assign_op_pattern)]
+    #[inline]
+    pub fn apply_onto(self, left: &[f64], acc: &mut [f64]) {
+        assert_eq!(left.len(), acc.len(), "reduction operand length mismatch");
+        match self {
+            ReduceOp::Sum => {
+                for (&a, b) in left.iter().zip(acc) {
+                    *b = a + *b;
+                }
+            }
+            ReduceOp::Max => {
+                for (&a, b) in left.iter().zip(acc) {
+                    *b = a.max(*b);
+                }
+            }
+            ReduceOp::Min => {
+                for (&a, b) in left.iter().zip(acc) {
+                    *b = a.min(*b);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

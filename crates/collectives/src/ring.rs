@@ -7,7 +7,21 @@
 //! * all-gather:     `(P−1)·α + ((P−1)/P)·n·β`
 //! * all-reduce:     `2(P−1)·α + 2((P−1)/P)·n·β`
 
-use mpsim::{Communicator, Result, Tag};
+//! ## One copy per step
+//!
+//! The block a rank receives at step *s* is the block it sends at step
+//! *s + 1*, so every ring here is *move-through*: the received buffer
+//! is reduced into (or copied out of) once and then forwarded by move.
+//! A rank allocates one buffer per collective — its first outgoing
+//! block — instead of one per step, and no step both copies the
+//! outgoing block and copies the incoming one. `allreduce_step` and
+//! `gather_steps` are the only step bodies; the fault-tolerant
+//! ([`crate::ft`]) and non-blocking ([`crate::nonblocking`]) variants
+//! supply their own receive and share them.
+
+use std::ops::Range;
+
+use mpsim::{Communicator, Error, Rank, Result, Tag};
 
 use crate::chunks::block_range;
 use crate::op::ReduceOp;
@@ -15,62 +29,94 @@ use crate::op::ReduceOp;
 const RS_TAG: Tag = (1 << 48) + 16;
 const AG_TAG: Tag = (1 << 48) + 17;
 
+/// One step of the ring all-reduce schedule on `data` as seen by rank
+/// `r` of `p`: steps `0..P−1` are the reduce-scatter, `P−1..2(P−1)` the
+/// all-gather. `carry` is the block in flight — at step 0 a copy of
+/// this rank's block `r`, afterwards whatever the previous step
+/// returned — and `exchange` must send it to the next rank and return
+/// the block received from the previous one.
+///
+/// Reduce-scatter steps fold `data ⊕ incoming` **into the received
+/// buffer** (operand order as [`ReduceOp::apply`] on `data` would have
+/// it, so Sum/Max/Min bits are those of the accumulate-in-place ring);
+/// `data` itself is only written when a block is final: the owned
+/// block `(r+1) mod P` at the last reduce-scatter step, every other
+/// block as the gather delivers it.
+pub(crate) fn allreduce_step(
+    data: &mut [f64],
+    op: ReduceOp,
+    (p, r): (usize, Rank),
+    step: usize,
+    carry: Vec<f64>,
+    exchange: impl FnOnce(Vec<f64>) -> Result<Vec<f64>>,
+) -> Result<Vec<f64>> {
+    let n = data.len();
+    let mut got = exchange(carry)?;
+    if step < p - 1 {
+        let mine = &mut data[block_range(n, p, (r + p - step - 1) % p)];
+        op.apply_onto(mine, &mut got);
+        if step == p - 2 {
+            mine.copy_from_slice(&got);
+        }
+    } else {
+        let s = step - (p - 1);
+        data[block_range(n, p, (r + p - s) % p)].copy_from_slice(&got);
+    }
+    Ok(got)
+}
+
+/// Blocking driver for a run of [`allreduce_step`]s under one tag;
+/// `recv(prev, tag)` is the variant's receive (plain or
+/// deadline-bound). Returns the carry for the next phase.
+pub(crate) fn allreduce_steps(
+    comm: &Communicator,
+    data: &mut [f64],
+    op: ReduceOp,
+    steps: Range<usize>,
+    tag: Tag,
+    mut carry: Vec<f64>,
+    recv: &impl Fn(Rank, Tag) -> Result<Vec<f64>>,
+) -> Result<Vec<f64>> {
+    let (p, r) = (comm.size(), comm.rank());
+    let (next, prev) = ((r + 1) % p, (r + p - 1) % p);
+    for step in steps {
+        carry = allreduce_step(data, op, (p, r), step, carry, |out| {
+            comm.send_vec(next, tag, out)?;
+            recv(prev, tag)
+        })?;
+    }
+    Ok(carry)
+}
+
+/// The first block a rank sends in a ring all-reduce of `data`.
+pub(crate) fn first_carry(data: &[f64], p: usize, r: Rank) -> Vec<f64> {
+    data[block_range(data.len(), p, r)].to_vec()
+}
+
 /// Ring reduce-scatter: after the call, this rank's block
 /// `block_range(n, P, (rank+1) % P)` holds the fully reduced values;
-/// other positions of `data` are garbage (partially reduced).
-/// Returns the index of the block this rank owns.
+/// other positions of `data` are unspecified (they keep this rank's
+/// own contribution). Returns the index of the block this rank owns.
 pub fn reduce_scatter_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<usize> {
+    reduce_scatter_carry(comm, data, op)?;
+    Ok((comm.rank() + 1) % comm.size())
+}
+
+/// [`reduce_scatter_ring`], handing back the owned block's buffer —
+/// the first thing the all-gather phase sends.
+fn reduce_scatter_carry(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<Vec<f64>> {
     let p = comm.size();
-    let r = comm.rank();
     if p == 1 {
-        return Ok(0);
+        return Ok(Vec::new());
     }
     let _span = comm.trace_span(
         "collective",
         "reduce_scatter_ring",
         &[("p", p as f64), ("words", data.len() as f64)],
     );
-    let n = data.len();
-    let next = (r + 1) % p;
-    let prev = (r + p - 1) % p;
-    for step in 0..p - 1 {
-        let send_idx = (r + p - step) % p;
-        let recv_idx = (r + p - step - 1) % p;
-        let send_block = data[block_range(n, p, send_idx)].to_vec();
-        comm.send_vec(next, RS_TAG, send_block)?;
-        let incoming = comm.recv(prev, RS_TAG)?;
-        op.apply(&mut data[block_range(n, p, recv_idx)], &incoming);
-    }
-    Ok((r + 1) % p)
-}
-
-/// Ring all-gather of per-rank blocks already placed in `data`: rank `r`
-/// contributes the block `block_range(n, P, owned)` where
-/// `owned = (r+1) % P` (the reduce-scatter ownership convention). After
-/// the call every rank holds all blocks.
-fn allgather_ring_inplace(comm: &Communicator, data: &mut [f64]) -> Result<()> {
-    let p = comm.size();
-    let r = comm.rank();
-    if p == 1 {
-        return Ok(());
-    }
-    let _span = comm.trace_span(
-        "collective",
-        "allgather_ring",
-        &[("p", p as f64), ("words", data.len() as f64)],
-    );
-    let n = data.len();
-    let next = (r + 1) % p;
-    let prev = (r + p - 1) % p;
-    for step in 0..p - 1 {
-        let send_idx = (r + 1 + p - step) % p;
-        let recv_idx = (r + p - step) % p;
-        let send_block = data[block_range(n, p, send_idx)].to_vec();
-        comm.send_vec(next, AG_TAG, send_block)?;
-        let incoming = comm.recv(prev, AG_TAG)?;
-        data[block_range(n, p, recv_idx)].copy_from_slice(&incoming);
-    }
-    Ok(())
+    let carry = first_carry(data, p, comm.rank());
+    let recv = |src, tag| comm.recv(src, tag);
+    allreduce_steps(comm, data, op, 0..p - 1, RS_TAG, carry, &recv)
 }
 
 /// Ring all-reduce (reduce-scatter then all-gather). This is the
@@ -79,16 +125,58 @@ fn allgather_ring_inplace(comm: &Communicator, data: &mut [f64]) -> Result<()> {
 /// for the ring's `P−1` latency factor; see `cost::paper_allreduce`).
 pub fn allreduce_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
     comm.record_allreduce();
-    if comm.size() == 1 {
+    let p = comm.size();
+    if p == 1 {
         return Ok(());
     }
     let _span = comm.trace_span(
         "collective",
         "allreduce_ring",
-        &[("p", comm.size() as f64), ("words", data.len() as f64)],
+        &[("p", p as f64), ("words", data.len() as f64)],
     );
-    reduce_scatter_ring(comm, data, op)?;
-    allgather_ring_inplace(comm, data)
+    let owned = reduce_scatter_carry(comm, data, op)?;
+    let _span = comm.trace_span(
+        "collective",
+        "allgather_ring",
+        &[("p", p as f64), ("words", data.len() as f64)],
+    );
+    let recv = |src, tag| comm.recv(src, tag);
+    allreduce_steps(comm, data, op, p - 1..2 * (p - 1), AG_TAG, owned, &recv)?;
+    Ok(())
+}
+
+/// The `P−1` steps of a ring all-gather: `carry` starts as this rank's
+/// own block and is forwarded by move; each received block is handed
+/// to `place(source_rank, block)` — the one copy of the step — before
+/// it travels on. `recv(prev, tag)` is the variant's receive.
+pub(crate) fn gather_steps(
+    comm: &Communicator,
+    tag: Tag,
+    mut carry: Vec<f64>,
+    recv: &impl Fn(Rank, Tag) -> Result<Vec<f64>>,
+    mut place: impl FnMut(usize, &[f64]) -> Result<()>,
+) -> Result<()> {
+    let (p, r) = (comm.size(), comm.rank());
+    let (next, prev) = ((r + 1) % p, (r + p - 1) % p);
+    for step in 0..p - 1 {
+        comm.send_vec(next, tag, carry)?;
+        carry = recv(prev, tag)?;
+        place((r + p - step - 1) % p, &carry)?;
+    }
+    Ok(())
+}
+
+/// Copies a gathered `block` into its slot `out[range]`, or reports the
+/// length the sender got wrong.
+pub(crate) fn place_block(out: &mut [f64], range: Range<usize>, block: &[f64]) -> Result<()> {
+    if block.len() != range.len() {
+        return Err(Error::LengthMismatch {
+            expected: range.len(),
+            got: block.len(),
+        });
+    }
+    out[range].copy_from_slice(block);
+    Ok(())
 }
 
 /// Ring all-gather of equal-size per-rank blocks (`mine` from each rank,
@@ -108,17 +196,40 @@ pub fn allgather_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<f64>> {
         "allgather_ring",
         &[("p", p as f64), ("words", (m * p) as f64)],
     );
-    let next = (r + 1) % p;
-    let prev = (r + p - 1) % p;
-    for step in 0..p - 1 {
-        let send_idx = (r + p - step) % p;
-        let recv_idx = (r + p - step - 1) % p;
-        let block = out[send_idx * m..(send_idx + 1) * m].to_vec();
-        comm.send_vec(next, AG_TAG, block)?;
-        let incoming = comm.recv(prev, AG_TAG)?;
-        out[recv_idx * m..(recv_idx + 1) * m].copy_from_slice(&incoming);
-    }
+    let recv = |src, tag| comm.recv(src, tag);
+    gather_steps(comm, AG_TAG, mine.to_vec(), &recv, |src, block| {
+        place_block(&mut out, src * m..(src + 1) * m, block)
+    })?;
     Ok(out)
+}
+
+/// [`allgatherv_ring`] **into place**: rank `i`'s block lands in
+/// `out[range_of(i)]`, so a caller that wants the blocks stacked (the
+/// 1.5D forward's `Y_j`) gets them there with one copy each and no
+/// intermediate vectors. `mine` is this rank's block, taken by value
+/// because it becomes the first buffer on the ring. Same envelopes,
+/// trace span and call count as [`allgatherv_ring`].
+pub fn allgatherv_ring_into(
+    comm: &Communicator,
+    mine: Vec<f64>,
+    out: &mut [f64],
+    range_of: impl Fn(usize) -> Range<usize>,
+) -> Result<()> {
+    comm.record_allgather();
+    let p = comm.size();
+    place_block(out, range_of(comm.rank()), &mine)?;
+    if p == 1 {
+        return Ok(());
+    }
+    let _span = comm.trace_span(
+        "collective",
+        "allgatherv_ring",
+        &[("p", p as f64), ("words", mine.len() as f64)],
+    );
+    let recv = |src, tag| comm.recv(src, tag);
+    gather_steps(comm, AG_TAG, mine, &recv, |src, block| {
+        place_block(out, range_of(src), block)
+    })
 }
 
 /// Ring all-gather of *variable-length* per-rank blocks: returns one
@@ -128,9 +239,8 @@ pub fn allgather_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<f64>> {
 pub fn allgatherv_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<Vec<f64>>> {
     comm.record_allgather();
     let p = comm.size();
-    let r = comm.rank();
     let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-    out[r] = mine.to_vec();
+    out[comm.rank()] = mine.to_vec();
     if p == 1 {
         return Ok(out);
     }
@@ -139,14 +249,11 @@ pub fn allgatherv_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<Vec<f64>
         "allgatherv_ring",
         &[("p", p as f64), ("words", mine.len() as f64)],
     );
-    let next = (r + 1) % p;
-    let prev = (r + p - 1) % p;
-    for step in 0..p - 1 {
-        let send_idx = (r + p - step) % p;
-        let recv_idx = (r + p - step - 1) % p;
-        comm.send(next, AG_TAG, &out[send_idx])?;
-        out[recv_idx] = comm.recv(prev, AG_TAG)?;
-    }
+    let recv = |src, tag| comm.recv(src, tag);
+    gather_steps(comm, AG_TAG, mine.to_vec(), &recv, |src, block| {
+        out[src] = block.to_vec();
+        Ok(())
+    })?;
     Ok(out)
 }
 

@@ -30,7 +30,7 @@
 
 use dnn::{LayerSpec, Network};
 use mpsim::{NetModel, World, WorldStats};
-use tensor::activation::{relu, relu_backward, relu_backward_tensor, relu_tensor, softmax_xent};
+use tensor::activation::{relu_backward_in_place, relu_in_place, softmax_xent};
 use tensor::conv::{conv2d, conv2d_backward, Conv2dParams, Tensor4};
 use tensor::init;
 use tensor::lrn::{lrn_backward, lrn_forward, LrnParams};
@@ -207,10 +207,11 @@ pub struct CnnSerialResult {
     pub fc_weights: Vec<Matrix>,
 }
 
+/// What a trunk stage's backward needs besides its input and output
+/// activations (a conv stage needs nothing more: ReLU's mask is read
+/// off the stage's output).
 enum SerialSaved {
-    Conv {
-        pre: Tensor4,
-    },
+    Conv,
     Pool {
         argmax: Vec<usize>,
         in_h: usize,
@@ -231,27 +232,26 @@ pub fn train_cnn_serial(
     let (mut conv_w, mut fc_w) = spec.init_weights(cfg.seed);
     let mut losses = Vec::with_capacity(cfg.iters);
     for _ in 0..cfg.iters {
-        // Trunk forward.
-        let mut acts: Vec<Tensor4> = vec![x.clone()];
+        // Trunk forward: `acts[k]` is stage `k`'s output (stage 0
+        // reads `x`).
+        let mut acts: Vec<Tensor4> = Vec::with_capacity(spec.stages.len());
         let mut saved: Vec<SerialSaved> = Vec::new();
         let mut wi = 0usize;
         for s in &spec.stages {
-            let input = acts.last().expect("act");
+            let input = acts.last().unwrap_or(x);
             match s {
                 Stage::Conv {
                     params,
                     relu: has_relu,
                     ..
                 } => {
-                    let pre = conv2d(input, &conv_w[wi], params);
+                    let mut y = conv2d(input, &conv_w[wi], params);
                     wi += 1;
-                    let post = if *has_relu {
-                        relu_tensor(&pre)
-                    } else {
-                        pre.clone()
-                    };
-                    saved.push(SerialSaved::Conv { pre });
-                    acts.push(post);
+                    if *has_relu {
+                        relu_in_place(y.as_mut_slice());
+                    }
+                    saved.push(SerialSaved::Conv);
+                    acts.push(y);
                 }
                 Stage::Pool { params, in_h, in_w } => {
                     let (y, argmax) = maxpool2d(input, params);
@@ -271,12 +271,12 @@ pub fn train_cnn_serial(
         }
         // FC head forward.
         let mut fc_inputs: Vec<Matrix> = vec![acts.last().expect("trunk out").to_columns()];
-        let mut fc_pres: Vec<Matrix> = Vec::new();
         for (f, w) in spec.fcs.iter().zip(&fc_w) {
-            let pre = matmul(w, fc_inputs.last().expect("fc in"));
-            let post = if f.relu { relu(&pre) } else { pre.clone() };
-            fc_pres.push(pre);
-            fc_inputs.push(post);
+            let mut y = matmul(w, fc_inputs.last().expect("fc in"));
+            if f.relu {
+                relu_in_place(y.as_mut_slice());
+            }
+            fc_inputs.push(y);
         }
         let (loss, grad) = softmax_xent(fc_inputs.last().expect("logits"), labels);
         losses.push(loss);
@@ -284,7 +284,7 @@ pub fn train_cnn_serial(
         let mut dy = grad;
         for (idx, f) in spec.fcs.iter().enumerate().rev() {
             if f.relu {
-                dy = relu_backward(&fc_pres[idx], &dy);
+                relu_backward_in_place(fc_inputs[idx + 1].as_slice(), dy.as_mut_slice());
             }
             let dw = matmul_a_bt(&dy, &fc_inputs[idx]);
             let dx = matmul_at_b(&fc_w[idx], &dy);
@@ -296,6 +296,7 @@ pub fn train_cnn_serial(
         let mut dt = Tensor4::from_columns(&dy, c0, h0, w0);
         let mut wi = conv_w.len();
         for (idx, s) in spec.stages.iter().enumerate().rev() {
+            let input = if idx == 0 { x } else { &acts[idx - 1] };
             match (s, &saved[idx]) {
                 (
                     Stage::Conv {
@@ -303,13 +304,13 @@ pub fn train_cnn_serial(
                         relu: has_relu,
                         ..
                     },
-                    SerialSaved::Conv { pre },
+                    SerialSaved::Conv,
                 ) => {
                     wi -= 1;
                     if *has_relu {
-                        dt = relu_backward_tensor(pre, &dt);
+                        relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                     }
-                    let (dw, dx) = conv2d_backward(&acts[idx], &conv_w[wi], &dt, params);
+                    let (dw, dx) = conv2d_backward(input, &conv_w[wi], &dt, params);
                     axpy(-cfg.lr, dw.as_slice(), conv_w[wi].as_mut_slice());
                     dt = dx;
                 }
@@ -317,7 +318,7 @@ pub fn train_cnn_serial(
                     dt = maxpool2d_backward(&dt, argmax, *in_h, *in_w);
                 }
                 (Stage::Lrn { params }, SerialSaved::Lrn) => {
-                    dt = lrn_backward(&acts[idx], &dt, params);
+                    dt = lrn_backward(input, &dt, params);
                 }
                 _ => unreachable!("saved state matches stage kind"),
             }
@@ -390,7 +391,7 @@ impl CnnDistResult {
 }
 
 enum DistSaved {
-    Conv { pre_strip: Tensor4 },
+    Conv,
     Pool { argmax: Vec<usize> },
     Lrn,
 }
@@ -408,13 +409,15 @@ pub fn train_cnn_domain(
 ) -> CnnDistResult {
     let spec = CnnSpec::of(net);
     let b_global = x.n;
+    // Drawn once; every rank starts from its own copy of the replica.
+    let initial_weights = spec.init_weights(cfg.seed);
     let (per_rank, stats) = World::run_with_stats(pd * pc, model, |comm| {
         // Row-major grid: i = strip index (domain), j = batch shard.
         let i = comm.rank() / pc;
         let j = comm.rank() % pc;
         let (row_comm, col_comm) = comm.grid(pd, pc).expect("grid tiles the world");
 
-        let (mut conv_w, mut fc_w) = spec.init_weights(cfg.seed);
+        let (mut conv_w, mut fc_w) = initial_weights.clone();
         let batch_range = part_range(b_global, pc, j);
         let in_strip = part_range(x.h, pd, i);
         let x_shard = Tensor4::from_fn(
@@ -429,12 +432,13 @@ pub fn train_cnn_domain(
 
         let mut partial_losses = Vec::with_capacity(cfg.iters);
         for _ in 0..cfg.iters {
-            // Trunk forward on strips.
-            let mut acts: Vec<Tensor4> = vec![x_shard.clone()];
+            // Trunk forward on strips: `acts[k]` is stage `k`'s output
+            // (stage 0 reads `x_shard`).
+            let mut acts: Vec<Tensor4> = Vec::with_capacity(spec.stages.len());
             let mut saved: Vec<DistSaved> = Vec::new();
             let mut wi = 0usize;
             for s in &spec.stages {
-                let input = acts.last().expect("act");
+                let input = acts.last().unwrap_or(&x_shard);
                 match s {
                     Stage::Conv {
                         params,
@@ -442,16 +446,14 @@ pub fn train_cnn_domain(
                         in_h,
                         ..
                     } => {
-                        let pre = dg_conv_forward(&col_comm, input, &conv_w[wi], params, *in_h)
+                        let mut y = dg_conv_forward(&col_comm, input, &conv_w[wi], params, *in_h)
                             .expect("domain conv forward");
                         wi += 1;
-                        let post = if *has_relu {
-                            relu_tensor(&pre)
-                        } else {
-                            pre.clone()
-                        };
-                        saved.push(DistSaved::Conv { pre_strip: pre });
-                        acts.push(post);
+                        if *has_relu {
+                            relu_in_place(y.as_mut_slice());
+                        }
+                        saved.push(DistSaved::Conv);
+                        acts.push(y);
                     }
                     Stage::Pool {
                         params,
@@ -496,12 +498,12 @@ pub fn train_cnn_domain(
             };
             // FC head forward (replicated weights, full shard batch).
             let mut fc_inputs: Vec<Matrix> = vec![full_trunk.to_columns()];
-            let mut fc_pres: Vec<Matrix> = Vec::new();
             for (f, w) in spec.fcs.iter().zip(&fc_w) {
-                let pre = matmul(w, fc_inputs.last().expect("fc in"));
-                let post = if f.relu { relu(&pre) } else { pre.clone() };
-                fc_pres.push(pre);
-                fc_inputs.push(post);
+                let mut y = matmul(w, fc_inputs.last().expect("fc in"));
+                if f.relu {
+                    relu_in_place(y.as_mut_slice());
+                }
+                fc_inputs.push(y);
             }
             let (loss_local, mut grad) =
                 softmax_xent(fc_inputs.last().expect("logits"), labels_local);
@@ -514,7 +516,7 @@ pub fn train_cnn_domain(
             let mut dy = grad;
             for (idx, f) in spec.fcs.iter().enumerate().rev() {
                 if f.relu {
-                    dy = relu_backward(&fc_pres[idx], &dy);
+                    relu_backward_in_place(fc_inputs[idx + 1].as_slice(), dy.as_mut_slice());
                 }
                 let mut dw = matmul_a_bt(&dy, &fc_inputs[idx]);
                 allreduce(&row_comm, dw.as_mut_slice(), ReduceOp::Sum).expect("fc dW allreduce");
@@ -530,6 +532,7 @@ pub fn train_cnn_domain(
             // Trunk backward on strips.
             let mut wi = conv_w.len();
             for (idx, s) in spec.stages.iter().enumerate().rev() {
+                let input = if idx == 0 { &x_shard } else { &acts[idx - 1] };
                 match (s, &saved[idx]) {
                     (
                         Stage::Conv {
@@ -538,21 +541,15 @@ pub fn train_cnn_domain(
                             in_h,
                             ..
                         },
-                        DistSaved::Conv { pre_strip },
+                        DistSaved::Conv,
                     ) => {
                         wi -= 1;
                         if *has_relu {
-                            dt = relu_backward_tensor(pre_strip, &dt);
+                            relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                         }
-                        let (mut dw, dx) = dg_conv_backward(
-                            &col_comm,
-                            &acts[idx],
-                            &conv_w[wi],
-                            &dt,
-                            params,
-                            *in_h,
-                        )
-                        .expect("domain conv backward");
+                        let (mut dw, dx) =
+                            dg_conv_backward(&col_comm, input, &conv_w[wi], &dt, params, *in_h)
+                                .expect("domain conv backward");
                         allreduce(&row_comm, dw.as_mut_slice(), ReduceOp::Sum)
                             .expect("conv dW allreduce");
                         axpy(-cfg.lr, dw.as_slice(), conv_w[wi].as_mut_slice());
@@ -563,7 +560,7 @@ pub fn train_cnn_domain(
                             .expect("domain pool backward");
                     }
                     (Stage::Lrn { params }, DistSaved::Lrn) => {
-                        dt = lrn_backward(&acts[idx], &dt, params);
+                        dt = lrn_backward(input, &dt, params);
                     }
                     _ => unreachable!("saved state matches stage kind"),
                 }

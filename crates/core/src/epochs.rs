@@ -18,13 +18,13 @@ use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use tensor::Matrix;
 
 use collectives::cost::CostTerms;
-use distmm::dist::{col_shard, part_range, row_shard};
+use distmm::dist::{col_shard, part_range};
 use distmm::onep5d::{Grid, Guard};
 
 use crate::data::{accuracy, epoch_order, Dataset};
 use crate::trainer::{
     act_backward, apply_act, assemble_weights, backward_pass, extract_fc_layers, forward_pass,
-    init_weights, FcLayer, Pass,
+    init_weights, shard_weights, FcLayer, Pass,
 };
 
 /// SGD variant parameters.
@@ -111,7 +111,8 @@ pub struct EpochSerialResult {
 fn forward_logits(layers: &[FcLayer], weights: &[Matrix], x: &Matrix) -> Matrix {
     let mut act = x.clone();
     for (l, w) in layers.iter().zip(weights) {
-        act = apply_act(l.act, &matmul(w, &act));
+        act = matmul(w, &act);
+        apply_act(l.act, &mut act);
     }
     act
 }
@@ -149,19 +150,17 @@ pub fn train_epochs_serial(net: &Network, data: &Dataset, cfg: &EpochConfig) -> 
         let (x, labels) = data.batch(idx);
         // Forward.
         let mut inputs = vec![x];
-        let mut pres = Vec::with_capacity(layers.len());
         for (l, w) in layers.iter().zip(&weights) {
-            let pre = matmul(w, inputs.last().expect("input"));
-            let post = apply_act(l.act, &pre);
-            pres.push(pre);
-            inputs.push(post);
+            let mut y = matmul(w, inputs.last().expect("input"));
+            apply_act(l.act, &mut y);
+            inputs.push(y);
         }
         let (loss, grad) = softmax_xent(inputs.last().expect("logits"), &labels);
         epoch_losses[step / per_epoch] += loss / per_epoch as f64;
         // Backward + update.
         let mut dy = grad;
         for (li, l) in layers.iter().enumerate().rev() {
-            dy = act_backward(l.act, &pres[li], &inputs[li + 1], &dy);
+            act_backward(l.act, &inputs[li + 1], &mut dy);
             let dw = matmul_a_bt(&dy, &inputs[li]);
             let dx = matmul_at_b(&weights[li], &dy);
             sgd_step(&mut weights[li], &mut velocity[li], dw.as_slice(), &cfg.sgd);
@@ -202,10 +201,10 @@ pub fn train_epochs_1p5d(
     let layers = extract_fc_layers(net);
     let batches = batch_schedule(data.len(), cfg);
     let steps = batches.len();
+    let full = init_weights(&layers, cfg.seed);
     let (shards, stats) = World::run_with_stats(pr * pc, model, |comm| {
         let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-        let full = init_weights(&layers, cfg.seed);
-        let mut w_local: Vec<Matrix> = full.iter().map(|w| row_shard(w, pr, grid.i)).collect();
+        let mut w_local = shard_weights(&full, pr, grid.i);
         let mut v_local: Vec<Matrix> = w_local
             .iter()
             .map(|w| Matrix::zeros(w.rows(), w.cols()))

@@ -546,7 +546,7 @@ struct GridState {
     x_local: Matrix,
     labels_local: Vec<usize>,
     iter: usize,
-    /// Running FNV checksum over the weight shards, refreshed after
+    /// Running checksum over the weight shards, refreshed after
     /// every committed weight change. ABFT cannot see corruption of
     /// *resident* state (its checksums cover one GEMM), so the trainer
     /// audits `w` against this at every iteration start: a mismatch
@@ -715,10 +715,11 @@ fn attempt_recovery(
     GridState::shard(&alive, dims, &full_w, &full_v, x, labels, ck.iter)
 }
 
-/// How a rank enters the training loop: from scratch, or mid-run as a
-/// revived rank armed with the survivors' welcome.
-enum Entry {
-    Fresh,
+/// How a rank enters the training loop: from scratch, with the run's
+/// initial full-size weights (drawn once, before the world starts), or
+/// mid-run as a revived rank armed with the survivors' welcome.
+enum Entry<'a> {
+    Fresh(&'a [Matrix]),
     Rejoin(Welcome),
 }
 
@@ -766,12 +767,11 @@ fn run_rank(
     let mut in_recovery_epoch: bool;
 
     match entry {
-        Entry::Fresh => {
+        Entry::Fresh(full_weights) => {
             // Epoch-0 "shrink" of nothing: gives the training phase its
             // own context namespace, uniform with post-recovery grids.
             let alive0 = comm.shrink_exclude(&[], 0)?;
-            let full_weights = init_weights(layers, cfg.seed);
-            let st = GridState::shard(&alive0, (pr0, pc0), &full_weights, &[], x, labels, 0)?;
+            let st = GridState::shard(&alive0, (pr0, pc0), full_weights, &[], x, labels, 0)?;
             ckpt_cur = Checkpoint {
                 iter: 0,
                 w: st.w.clone(),
@@ -1282,9 +1282,10 @@ pub fn train_1p5d_ft_traced(
     let layers = extract_fc_layers(net);
     let wlayers = net.weighted_layers();
     let model = cfg.machine.net_model();
+    let full_weights = init_weights(&layers, cfg.seed);
     let (per_rank, stats, traces) = World::run_faults_traced(pr * pc, model, plan, trace, |comm| {
         let my_global = comm.global_rank_of(comm.rank())?;
-        let mut entry = Entry::Fresh;
+        let mut entry = Entry::Fresh(&full_weights);
         loop {
             match run_rank(comm, entry, &layers, &wlayers, x, labels, cfg, pr, pc) {
                 // A scripted death with a scripted rejoin: revive at

@@ -96,6 +96,7 @@ pub fn train_mixed(
         |pc: usize| -> Vec<std::ops::Range<usize>> { (0..p).map(|r| col_range(pc, r)).collect() };
     let sender_table = |pc: usize| -> Vec<bool> { (0..p).map(|r| r / pc == 0).collect() };
 
+    let full = init_weights(&layers, cfg.seed);
     let (shards, stats) = World::run_with_stats(p, model, |comm| {
         // Build each layer's row/col communicators once.
         let mut grids = Vec::with_capacity(n_layers);
@@ -104,7 +105,6 @@ pub fn train_mixed(
             grids.push((pr, pc, row_comm, col_comm));
         }
         let me = comm.rank();
-        let full = init_weights(&layers, cfg.seed);
         let mut w_local: Vec<Matrix> = layers
             .iter()
             .enumerate()
@@ -121,7 +121,7 @@ pub fn train_mixed(
             let r0 = col_range(*pc0, me);
             let mut act = x.col_block(r0.start, r0.end);
             let mut inputs: Vec<Matrix> = Vec::with_capacity(n_layers);
-            let mut pres: Vec<Matrix> = Vec::with_capacity(n_layers);
+            let mut posts: Vec<Matrix> = Vec::with_capacity(n_layers);
             for l in 0..n_layers {
                 let (pr, pc, _, col_comm) = &grids[l];
                 inputs.push(act.clone());
@@ -140,10 +140,11 @@ pub fn train_mixed(
                         .collect();
                     Matrix::vcat(&mats)
                 };
-                let post = apply_act(layers[l].act, &pre);
-                pres.push(pre);
+                let mut post = pre;
+                apply_act(layers[l].act, &mut post);
                 // Relayout for the next layer if the batch split
-                // changes (Eq. 6 executable).
+                // changes (Eq. 6 executable); the backward mask needs
+                // the output in *this* layer's layout either way.
                 act = if l + 1 < n_layers && grids[l + 1].1 != *pc {
                     let next_pc = grids[l + 1].1;
                     redistribute_cols(
@@ -155,8 +156,9 @@ pub fn train_mixed(
                     )
                     .expect("forward relayout")
                 } else {
-                    post
+                    post.clone()
                 };
+                posts.push(post);
             }
             // Loss on the final layer's layout.
             let (_, pc_last, _, _) = &grids[n_layers - 1];
@@ -171,14 +173,9 @@ pub fn train_mixed(
             let mut dy = grad;
             for l in (0..n_layers).rev() {
                 let (pr, pc, row_comm, col_comm) = &grids[l];
-                dy = act_backward(
-                    layers[l].act,
-                    &pres[l],
-                    &apply_act(layers[l].act, &pres[l]),
-                    &dy,
-                );
+                act_backward(layers[l].act, &posts[l], &mut dy);
                 let i = me / pc;
-                let rows = part_range(pres[l].rows(), *pr, i);
+                let rows = part_range(posts[l].rows(), *pr, i);
                 let dy_i = dy.row_block(rows.start, rows.end);
                 let mut dw = matmul_a_bt(&dy_i, &inputs[l]);
                 allreduce(row_comm, dw.as_mut_slice(), ReduceOp::Sum).expect("dW allreduce");

@@ -14,11 +14,15 @@
 //! masks would make the serial-vs-distributed comparison seed-order
 //! dependent without touching communication at all.
 
+use std::borrow::Cow;
+
 use collectives::nonblocking::{iallreduce, iallreduce_ft, IallreduceHandle};
 use collectives::{FtConfig, ReduceOp};
 use dnn::{LayerSpec, Network};
 use mpsim::{Communicator, Error, NetModel, TraceConfig, World, WorldStats, WorldTrace};
-use tensor::activation::{relu, relu_backward, softmax_xent, tanh, tanh_backward};
+use tensor::activation::{
+    relu_backward_in_place, relu_in_place, softmax_xent, tanh_backward_in_place, tanh_in_place,
+};
 use tensor::init;
 use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_flops};
 use tensor::ops::axpy;
@@ -26,8 +30,8 @@ use tensor::Matrix;
 
 use distmm::dist::{col_shard, part_range, row_shard};
 use distmm::onep5d::{
-    backward_dw_deferred, backward_dx_overlap, backward_with, forward_resume, forward_start,
-    forward_with, Grid, Guard,
+    backward_dw_deferred, backward_dx_overlap, backward_with, forward_into, forward_resume,
+    forward_start, Grid, Guard,
 };
 
 use crate::overlap::{FlushSchedule, OverlapPlan};
@@ -80,8 +84,10 @@ pub(crate) fn extract_fc_layers(net: &Network) -> Vec<FcLayer> {
     out
 }
 
-/// Deterministic initial weights for every layer (identical on every
-/// rank / in serial).
+/// Deterministic initial weights for every layer. Drawn once per run —
+/// by the serial trainer, or by a distributed entry point *before* it
+/// starts the world, whose ranks then cut their shards out of the one
+/// shared set ([`shard_weights`]).
 pub(crate) fn init_weights(layers: &[FcLayer], seed: u64) -> Vec<Matrix> {
     layers
         .iter()
@@ -90,19 +96,36 @@ pub(crate) fn init_weights(layers: &[FcLayer], seed: u64) -> Vec<Matrix> {
         .collect()
 }
 
-pub(crate) fn apply_act(act: Act, pre: &Matrix) -> Matrix {
+/// Grid row `i`'s shard of every layer's weights.
+pub(crate) fn shard_weights(full: &[Matrix], pr: usize, i: usize) -> Vec<Matrix> {
+    full.iter().map(|w| row_shard(w, pr, i)).collect()
+}
+
+/// Applies a layer's activation in place: `y` arrives as the
+/// pre-activation and leaves as the layer's output. No trainer keeps
+/// the pre-activation — every backward below needs only the output
+/// (see [`act_backward`]).
+pub(crate) fn apply_act(act: Act, y: &mut Matrix) {
     match act {
-        Act::None => pre.clone(),
-        Act::Relu => relu(pre),
-        Act::Tanh => tanh(pre),
+        Act::None => {}
+        Act::Relu => relu_in_place(y.as_mut_slice()),
+        Act::Tanh => tanh_in_place(y.as_mut_slice()),
     }
 }
 
-pub(crate) fn act_backward(act: Act, pre: &Matrix, post: &Matrix, dy: &Matrix) -> Matrix {
+/// Back-propagates `dy` through a layer's activation in place, given
+/// the layer's *output* `post`: tanh's derivative is a function of its
+/// output, and ReLU's mask `[pre > 0]` equals `[post > 0]`.
+pub(crate) fn act_backward(act: Act, post: &Matrix, dy: &mut Matrix) {
+    assert_eq!(
+        post.shape(),
+        dy.shape(),
+        "activation backward shape mismatch"
+    );
     match act {
-        Act::None => dy.clone(),
-        Act::Relu => relu_backward(pre, dy),
-        Act::Tanh => tanh_backward(post, dy),
+        Act::None => {}
+        Act::Relu => relu_backward_in_place(post.as_slice(), dy.as_mut_slice()),
+        Act::Tanh => tanh_backward_in_place(post.as_slice(), dy.as_mut_slice()),
     }
 }
 
@@ -149,14 +172,12 @@ pub fn train_serial(
     let mut weights = init_weights(&layers, cfg.seed);
     let mut losses = Vec::with_capacity(cfg.iters);
     for _ in 0..cfg.iters {
-        // Forward, keeping pre/post activations.
+        // Forward, keeping every layer's output.
         let mut inputs = vec![x.clone()];
-        let mut pres = Vec::with_capacity(layers.len());
         for (l, w) in layers.iter().zip(&weights) {
-            let pre = matmul(w, inputs.last().expect("input"));
-            let post = apply_act(l.act, &pre);
-            pres.push(pre);
-            inputs.push(post);
+            let mut y = matmul(w, inputs.last().expect("input"));
+            apply_act(l.act, &mut y);
+            inputs.push(y);
         }
         let logits = inputs.last().expect("logits");
         let (loss, grad) = softmax_xent(logits, labels);
@@ -164,7 +185,7 @@ pub fn train_serial(
         // Backward.
         let mut dy = grad;
         for (idx, l) in layers.iter().enumerate().rev() {
-            dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
+            act_backward(l.act, &inputs[idx + 1], &mut dy);
             let dw = matmul_a_bt(&dy, &inputs[idx]);
             let dx = matmul_at_b(&weights[idx], &dy);
             axpy(-cfg.lr, dw.as_slice(), weights[idx].as_mut_slice());
@@ -241,11 +262,10 @@ impl DistResult {
     pub fn replica_divergence(&self) -> f64 {
         let mut worst: f64 = 0.0;
         for r in &self.per_rank {
-            let reference = self
-                .per_rank
-                .iter()
-                .find(|q| q.i == r.i && q.j == 0)
-                .expect("column 0 exists");
+            // `per_rank` is in row-major rank order, so row `i`'s
+            // column-0 replica sits at `i · pc`.
+            let reference = &self.per_rank[r.i * self.pc];
+            assert_eq!((reference.i, reference.j), (r.i, 0), "row-major order");
             for (a, b) in r.weight_shards.iter().zip(&reference.weight_shards) {
                 worst = worst.max(a.max_abs_diff(b));
             }
@@ -265,7 +285,7 @@ pub(crate) fn assemble_weights<'a>(
         .collect();
     col0.sort_by_key(|&(i, _)| i);
     (0..col0[0].1.len())
-        .map(|l| Matrix::vcat(&col0.iter().map(|(_, s)| s[l].clone()).collect::<Vec<_>>()))
+        .map(|l| Matrix::vcat(col0.iter().map(|(_, shards)| &shards[l])))
         .collect()
 }
 
@@ -322,13 +342,16 @@ fn train_grid(
 ) -> (DistResult, WorldTrace) {
     let layers = extract_fc_layers(net);
     let b_global = x.cols();
+    let full_weights = init_weights(&layers, cfg.seed);
     let (per_rank, stats, traces) = World::run_traced_with_stats(pr * pc, model, trace, |comm| {
         let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-        let mut w_local: Vec<Matrix> = init_weights(&layers, cfg.seed)
-            .iter()
-            .map(|w| row_shard(w, pr, grid.i))
-            .collect();
-        let x_local = col_shard(x, pc, grid.j);
+        let mut w_local = shard_weights(&full_weights, pr, grid.i);
+        // An unsplit batch is the caller's matrix itself.
+        let x_local = if pc == 1 {
+            Cow::Borrowed(x)
+        } else {
+            Cow::Owned(col_shard(x, pc, grid.j))
+        };
         let labels_local = &labels[part_range(b_global, pc, grid.j)];
         let mut apply =
             |w: &mut [Matrix], k: usize, g: &[f64]| axpy(-cfg.lr, g, w[k].as_mut_slice());
@@ -396,10 +419,11 @@ pub(crate) struct Pass<'a> {
 
 /// What [`forward_pass`] leaves for [`backward_pass`].
 pub(crate) struct Tape {
-    /// `inputs[l]` feeds layer `l`; the last entry holds the logits.
-    inputs: Vec<Matrix>,
-    /// Pre-activation outputs per layer.
-    pres: Vec<Matrix>,
+    /// `acts[l]` is layer `l`'s output — the input of layer `l + 1`;
+    /// the last entry holds the logits. Layer 0's input is the pass's
+    /// `x_local`, borrowed. Pre-activations are not kept (see
+    /// [`act_backward`]).
+    acts: Vec<Matrix>,
     /// `∂loss/∂logits`, already rescaled to the global `1/B`.
     grad: Matrix,
     /// This rank's share of the global loss
@@ -409,7 +433,9 @@ pub(crate) struct Tape {
 }
 
 /// The forward half of the one iteration body (Eq. 8: all-gather
-/// `W_i·X_j` over `Pr`, layer by layer), then the loss gradient.
+/// `W_i·X_j` over `Pr`, layer by layer), then the loss gradient. Every
+/// layer's output is gathered straight into its tape entry and
+/// activated there.
 ///
 /// Under a scheduler, buckets left in flight by the previous iteration
 /// are settled through `apply` right before the first layer that reads
@@ -433,66 +459,53 @@ pub(crate) fn forward_pass(
         Some((sched, _)) => sched.apply_ready_for(layer, |k, g| apply(w, k, g)),
         None => Ok(()),
     };
-    let mut inputs = vec![p.x_local.clone()];
-    let mut pres = Vec::with_capacity(layers.len());
+    let mut acts: Vec<Matrix> = Vec::with_capacity(layers.len());
     {
         let _fwd = comm.trace_span("trainer", "forward", &[("iter", p.iter as f64)]);
+        let mut pf = None;
         if prefetch {
             settle(0, w)?;
-            let mut pf = forward_start(grid, &w[0], p.x_local, guard)?;
-            for (idx, l) in layers.iter().enumerate() {
-                let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-                let next = idx + 1;
-                let mut acc = None;
-                if next < layers.len() {
-                    // The consume loop below reads W[next]; any bucket
-                    // updating it must land first.
-                    settle(next, w)?;
-                    acc = Some(Matrix::zeros(w[next].rows(), b_local));
-                }
-                let mut pre_blocks: Vec<Option<Matrix>> = vec![None; grid.pr];
-                let mut post_blocks: Vec<Option<Matrix>> = vec![None; grid.pr];
-                while let Some((src, block)) = pf.next_block()? {
-                    let post = apply_act(l.act, &block);
-                    if let Some(acc) = acc.as_mut() {
-                        let crange = part_range(l.d_out, grid.pr, src);
-                        let wcols = w[next].col_block(crange.start, crange.end);
-                        grid.col_comm.advance_flops(matmul_flops(
-                            wcols.rows(),
-                            wcols.cols(),
-                            b_local,
-                        ));
-                        let prod = matmul(&wcols, &post);
-                        axpy(1.0, prod.as_slice(), acc.as_mut_slice());
-                    }
-                    pre_blocks[src] = Some(block);
-                    post_blocks[src] = Some(post);
-                }
-                let stack = |blocks: Vec<Option<Matrix>>| {
-                    let blocks: Vec<Matrix> = blocks
-                        .into_iter()
-                        .map(|b| b.expect("all blocks delivered"))
-                        .collect();
-                    Matrix::vcat(&blocks)
-                };
-                pres.push(stack(pre_blocks));
-                inputs.push(stack(post_blocks));
-                if let Some(acc) = acc {
-                    pf = forward_resume(grid, acc, guard)?;
-                }
-            }
-        } else {
-            for (idx, l) in layers.iter().enumerate() {
-                let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
+            pf = Some(forward_start(grid, &w[0], p.x_local, guard)?);
+        }
+        for (idx, l) in layers.iter().enumerate() {
+            let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
+            let mut y = Matrix::zeros(0, 0);
+            let Some(blocks) = pf.as_mut() else {
                 settle(idx, w)?;
-                let pre = forward_with(grid, &w[idx], inputs.last().expect("input"), guard)?;
-                let post = apply_act(l.act, &pre);
-                pres.push(pre);
-                inputs.push(post);
+                let x = acts.last().unwrap_or(p.x_local);
+                forward_into(grid, &w[idx], x, l.d_out, guard, &mut y)?;
+                apply_act(l.act, &mut y);
+                acts.push(y);
+                continue;
+            };
+            let next = idx + 1;
+            let mut acc = None;
+            if next < layers.len() {
+                // The consume loop below reads W[next]; any bucket
+                // updating it must land first.
+                settle(next, w)?;
+                acc = Some(Matrix::zeros(w[next].rows(), b_local));
+            }
+            y.reshape(l.d_out, b_local);
+            while let Some((src, mut block)) = blocks.next_block()? {
+                apply_act(l.act, &mut block);
+                let rows = part_range(l.d_out, grid.pr, src);
+                if let Some(acc) = acc.as_mut() {
+                    let wcols = w[next].col_block(rows.start, rows.end);
+                    grid.col_comm
+                        .advance_flops(matmul_flops(wcols.rows(), wcols.cols(), b_local));
+                    let prod = matmul(&wcols, &block);
+                    axpy(1.0, prod.as_slice(), acc.as_mut_slice());
+                }
+                y.set_row_block(rows.start, &block);
+            }
+            acts.push(y);
+            if let Some(acc) = acc {
+                *blocks = forward_resume(grid, acc, guard)?;
             }
         }
     }
-    let logits = inputs.last().expect("logits");
+    let logits = acts.last().expect("logits");
     let (loss_local, mut grad) = softmax_xent(logits, p.labels_local);
     // softmax_xent normalizes by the *local* batch; rescale to the
     // global 1/B of the paper's Eq. 1 so the ∆W all-reduce sums to the
@@ -502,8 +515,7 @@ pub(crate) fn forward_pass(
         *g *= scale;
     }
     Ok(Tape {
-        inputs,
-        pres,
+        acts,
         grad,
         loss: loss_local * scale,
     })
@@ -530,30 +542,27 @@ pub(crate) fn backward_pass(
     let comm = &grid.row_comm;
     let iter_arg = [("iter", p.iter as f64)];
     let Tape {
-        inputs,
-        pres,
-        grad: mut dy,
-        ..
+        acts, grad: mut dy, ..
     } = tape;
     {
         let _bwd = comm.trace_span("trainer", "backward", &iter_arg);
         for (idx, l) in p.layers.iter().enumerate().rev() {
             let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-            dy = act_backward(l.act, &pres[idx], &inputs[idx + 1], &dy);
-            let (wl, xl) = (&w[idx], &inputs[idx]);
+            act_backward(l.act, &acts[idx], &mut dy);
+            let xl = if idx == 0 { p.x_local } else { &acts[idx - 1] };
             let dx = match &mut p.sched {
                 None => {
-                    let (dw, dx) = backward_with(grid, wl, xl, &dy, guard)?;
+                    let (dw, dx) = backward_with(grid, &w[idx], xl, &dy, guard)?;
                     apply(w, idx, dw.as_slice());
                     dx
                 }
                 Some((sched, plan)) => {
                     let (dw, dx) = if plan.dx_overlap {
-                        backward_dx_overlap(grid, wl, xl, &dy, guard)?
+                        backward_dx_overlap(grid, &w[idx], xl, &dy, guard)?
                     } else {
-                        backward_dw_deferred(grid, wl, xl, &dy, guard)?
+                        backward_dw_deferred(grid, &w[idx], xl, &dy, guard)?
                     };
-                    sched.push(idx, &dw)?;
+                    sched.push(idx, dw)?;
                     sched.poll()?;
                     dx
                 }
@@ -658,11 +667,17 @@ impl BucketScheduler {
         }
     }
 
-    /// Appends layer `idx`'s local ∆W partial; flushes once the fusion
-    /// threshold is reached.
-    pub(crate) fn push(&mut self, idx: usize, dw: &Matrix) -> Result<(), Error> {
+    /// Stages layer `idx`'s local ∆W partial; flushes once the fusion
+    /// threshold is reached. The first partial of a bucket *becomes*
+    /// the bucket (a bucket that is one layer alone is never copied);
+    /// later ones are appended to it.
+    pub(crate) fn push(&mut self, idx: usize, dw: Matrix) -> Result<(), Error> {
         self.buf_layers.push((idx, dw.len()));
-        self.buf.extend_from_slice(dw.as_slice());
+        if self.buf.is_empty() {
+            self.buf = dw.into_vec();
+        } else {
+            self.buf.extend_from_slice(dw.as_slice());
+        }
         if self.buf.len() >= self.cap {
             self.flush()?;
         }

@@ -20,17 +20,19 @@
 //! `Pr = 1` degenerates to pure batch parallelism (Fig. 2) and
 //! `Pc = 1` to pure model parallelism (Fig. 1); tests pin both.
 
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::ops::Range;
 
-use collectives::ft::{allgatherv_ring_ft, allreduce_ring_ft};
+use collectives::ft::{allgatherv_ring_ft, allgatherv_ring_into_ft, allreduce_ring_ft};
 use collectives::nonblocking::{
     iallgatherv, iallgatherv_ft, iallreduce, iallreduce_ft, IallgathervHandle, IallreduceHandle,
 };
-use collectives::ring::allgatherv_ring;
+use collectives::ring::{allgatherv_ring, allgatherv_ring_into};
 use collectives::{allreduce, FtConfig, ReduceOp};
 use mpsim::{apply_flips, Communicator, Error, FaultCtx, Result};
 use tensor::abft::{self, Verdict};
-use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_flops};
+use tensor::matmul::{matmul_a_bt, matmul_at_b, matmul_flops, matmul_into};
 use tensor::Matrix;
 
 use crate::dist::part_range;
@@ -272,6 +274,19 @@ impl Guard<'_> {
         }
     }
 
+    fn allgatherv_into(
+        self,
+        comm: &Communicator,
+        mine: Vec<f64>,
+        out: &mut [f64],
+        range_of: impl Fn(usize) -> Range<usize>,
+    ) -> Result<()> {
+        match self {
+            Guard::Off => allgatherv_ring_into(comm, mine, out, range_of),
+            Guard::On(cfg, _) => allgatherv_ring_into_ft(comm, mine, out, range_of, cfg),
+        }
+    }
+
     fn iallgatherv(self, comm: &Communicator, mine: &[f64]) -> Result<IallgathervHandle> {
         match self {
             Guard::Off => iallgatherv(comm, mine),
@@ -280,19 +295,36 @@ impl Guard<'_> {
     }
 }
 
-/// The local forward product `W_i · X_j` (flops charged, guarded).
-fn y_partial(grid: &Grid, w_local: &Matrix, x_local: &Matrix, guard: Guard) -> Result<Matrix> {
+/// The local forward product `W_i · X_j` into `y` (flops charged,
+/// guarded).
+fn y_partial_into(
+    grid: &Grid,
+    w_local: &Matrix,
+    x_local: &Matrix,
+    guard: Guard,
+    y: &mut Matrix,
+) -> Result<()> {
     let comm = &grid.col_comm;
     comm.advance_flops(matmul_flops(w_local.rows(), w_local.cols(), x_local.cols()));
-    let mut y = matmul(w_local, x_local);
-    guard.gemm(comm, w_local, x_local, &mut y, GemmKind::Plain)?;
+    matmul_into(w_local, x_local, y);
+    guard.gemm(comm, w_local, x_local, y, GemmKind::Plain)
+}
+
+/// [`y_partial_into`] a fresh matrix.
+fn y_partial(grid: &Grid, w_local: &Matrix, x_local: &Matrix, guard: Guard) -> Result<Matrix> {
+    let mut y = Matrix::zeros(0, 0);
+    y_partial_into(grid, w_local, x_local, guard, &mut y)?;
     Ok(y)
 }
 
-/// This rank's row block `∆Y_{i,j}` of the full-depth `∆Y_j`.
-fn dy_block(grid: &Grid, dy_local: &Matrix) -> Matrix {
+/// This rank's row block `∆Y_{i,j}` of the full-depth `∆Y_j`: a copy
+/// of its rows, or `∆Y_j` itself when the model dimension is not split.
+fn dy_block<'a>(grid: &Grid, dy_local: &'a Matrix) -> Cow<'a, Matrix> {
+    if grid.pr == 1 {
+        return Cow::Borrowed(dy_local);
+    }
     let rows = grid.w_rows(dy_local.rows());
-    dy_local.row_block(rows.start, rows.end)
+    Cow::Owned(dy_local.row_block(rows.start, rows.end))
 }
 
 /// The local `∆W` partial `∆Y_{i,j}·X_jᵀ` (flops charged, guarded).
@@ -340,6 +372,34 @@ pub fn forward_with(
         .map(|v| Matrix::from_vec(v.len() / bloc, bloc, v))
         .collect();
     Ok(Matrix::vcat(&mats))
+}
+
+/// [`forward_with`] for a caller that knows the layer's full output
+/// depth `d_out` (the trainers do; only the column group as a whole
+/// does otherwise) and owns the output: `y` is reshaped to
+/// `d_out × B/Pc` and every row block is gathered straight into its
+/// rows — the partial's buffer leaves on the ring, each arriving block
+/// is copied once into place and forwarded, and nothing is stacked
+/// afterwards. With `Pr = 1` the product is written into `y` directly.
+/// Same values, envelopes, SDC op and virtual time as [`forward_with`].
+pub fn forward_into(
+    grid: &Grid,
+    w_local: &Matrix,
+    x_local: &Matrix,
+    d_out: usize,
+    guard: Guard,
+    y: &mut Matrix,
+) -> Result<()> {
+    if grid.pr == 1 {
+        return y_partial_into(grid, w_local, x_local, guard, y);
+    }
+    let bloc = x_local.cols();
+    let part = y_partial(grid, w_local, x_local, guard)?;
+    y.reshape(d_out, bloc);
+    guard.allgatherv_into(&grid.col_comm, part.into_vec(), y.as_mut_slice(), |src| {
+        let rows = part_range(d_out, grid.pr, src);
+        rows.start * bloc..rows.end * bloc
+    })
 }
 
 /// Backward: given the full-depth output-gradient shard `∆Y_j`
@@ -500,6 +560,7 @@ mod tests {
     use crate::dist::{col_shard, part_range, row_shard};
     use mpsim::{NetModel, World};
     use tensor::init;
+    use tensor::matmul::matmul;
 
     struct Reference {
         w: Matrix,

@@ -600,6 +600,28 @@ impl Inner {
         Ok(())
     }
 
+    /// The one delivery-side integrity check: unwraps a matched data
+    /// envelope, re-deriving the checksum `post` stamped (present only
+    /// while a fault plan is active). Envelope rejections always
+    /// escalate to the caller's rollback path — there is no in-place
+    /// repair for a wire flip. `src`/`tag` are the receive's own
+    /// (communicator-local) coordinates, echoed in the error.
+    #[inline]
+    fn verified_payload(&mut self, env: Envelope, src: Rank, tag: Tag) -> Result<Vec<f64>> {
+        let Payload::Words(v) = env.data else {
+            unreachable!("non-data payload matched on data tag")
+        };
+        if env.csum.is_some_and(|csum| fault::checksum(&v) != csum) {
+            self.stats.corrupt_recovered += 1;
+            return Err(Error::Corrupted {
+                rank: src,
+                tag,
+                ctx: self.fault_ctx,
+            });
+        }
+        Ok(v)
+    }
+
     /// Hands one envelope to the transport, counting send-side stats.
     fn transmit(&mut self, dst_global: usize, env: Envelope) -> Result<()> {
         match &env.data {
@@ -985,24 +1007,7 @@ impl Communicator {
                         &[("peer", src_global as f64), ("words", words as f64)],
                     );
                 }
-                if let (Some(csum), Payload::Words(v)) = (env.csum, &env.data) {
-                    if fault::checksum(v) != csum {
-                        // Envelope rejections always escalate to the
-                        // caller's rollback path — there is no in-place
-                        // repair for a wire flip.
-                        i.stats.corrupt_recovered += 1;
-                        let ctx = i.fault_ctx;
-                        return Err(Error::Corrupted {
-                            rank: src,
-                            tag,
-                            ctx,
-                        });
-                    }
-                }
-                match env.data {
-                    Payload::Words(v) => Ok(v),
-                    _ => unreachable!("non-data payload matched on data tag"),
-                }
+                i.verified_payload(env, src, tag)
             }
             Matched::Dropped => {
                 i.stats.timeouts += 1;
@@ -1146,21 +1151,7 @@ impl Communicator {
                         &[("peer", handle.src_global as f64), ("words", words as f64)],
                     );
                 }
-                if let (Some(csum), Payload::Words(v)) = (env.csum, &env.data) {
-                    if fault::checksum(v) != csum {
-                        i.stats.corrupt_recovered += 1;
-                        let ctx = i.fault_ctx;
-                        return Err(Error::Corrupted {
-                            rank: handle.src,
-                            tag: handle.tag,
-                            ctx,
-                        });
-                    }
-                }
-                match env.data {
-                    Payload::Words(v) => Ok(v),
-                    _ => unreachable!("non-data payload matched on data tag"),
-                }
+                i.verified_payload(env, handle.src, handle.tag)
             }
             Matched::Dropped => {
                 i.stats.timeouts += 1;
@@ -1276,25 +1267,11 @@ impl Communicator {
                         &[("peer", src_global as f64), ("words", words as f64)],
                     );
                 }
-                if let (Some(csum), Payload::Words(v)) = (env.csum, &env.data) {
-                    if fault::checksum(v) != csum {
-                        i.stats.corrupt_recovered += 1;
-                        let ctx = i.fault_ctx;
-                        return Err(Error::Corrupted {
-                            rank: src,
-                            tag,
-                            ctx,
-                        });
-                    }
-                }
-                match env.data {
-                    Payload::Words(v) => Ok(ChannelRecv {
-                        data: v,
-                        ready_at,
-                        transfer,
-                    }),
-                    _ => unreachable!("non-data payload matched on data tag"),
-                }
+                Ok(ChannelRecv {
+                    data: i.verified_payload(env, src, tag)?,
+                    ready_at,
+                    transfer,
+                })
             }
             Matched::Dropped => {
                 i.stats.timeouts += 1;

@@ -773,24 +773,57 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a checksum over the bit patterns of a word payload. Stamped on
-/// every data envelope while a plan is active and re-verified by the
+/// Independent lanes of [`checksum`]: consecutive words go to
+/// consecutive lanes, so the four multiply chains pipeline instead of
+/// serialising on one accumulator.
+const CHECKSUM_LANES: usize = 4;
+
+/// Checksum over the bit patterns of a word payload. Stamped on every
+/// data envelope while a plan is active and re-verified by the
 /// receiver, out of band of the α–β cost model (word counts are
 /// unchanged, so cost-fidelity tests hold under fault injection).
+///
+/// Word `i` is folded into lane `i mod 4` by
+/// `s ← rotl((s ⊕ bits(wᵢ)) · P, 29)` with `P` odd; the lanes are then
+/// folded, in order, into a state seeded with the length by the same
+/// step. Xor with a constant, multiplication by an odd constant and
+/// rotation are each bijections of `u64`, so a lane step is a
+/// bijection of the lane state for a fixed word *and* of the word for
+/// a fixed state, and the final fold is a bijection in each lane.
+/// Hence **any change confined to one word changes the checksum with
+/// certainty** — which is exactly the corruption fault (one flipped
+/// bit of one payload word). The lane seeds differ and every step
+/// depends on what came before it, so the value also depends on
+/// position and length (swapping two unequal words, or appending
+/// `0.0`, changes it short of a 2⁻⁶⁴ collision). The value is only
+/// ever compared with another `checksum` of the same process; it is
+/// not a stable format.
 pub fn checksum(words: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    const P: u64 = 0x9E37_79B9_7F4A_7C15;
+    let step = |s: u64, w: u64| (s ^ w).wrapping_mul(P).rotate_left(29);
+    let mut lanes: [u64; CHECKSUM_LANES] = [
+        0xcbf2_9ce4_8422_2325,
+        0x8422_2325_cbf2_9ce4,
+        0x2545_F491_4F6C_DD1D,
+        0xD6E8_FEB8_6659_FD93,
+    ];
+    let mut quads = words.chunks_exact(CHECKSUM_LANES);
+    for q in &mut quads {
+        for (s, w) in lanes.iter_mut().zip(q) {
+            *s = step(*s, w.to_bits());
         }
     }
-    h
+    // A ragged tail is a last, short row of the same lane layout.
+    for (s, w) in lanes.iter_mut().zip(quads.remainder()) {
+        *s = step(*s, w.to_bits());
+    }
+    lanes.iter().fold(words.len() as u64, |h, &s| step(h, s))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn builders_and_validate_reject_non_finite_times() {
@@ -1166,5 +1199,86 @@ mod tests {
         assert_ne!(checksum(&a), checksum(&b));
         assert_eq!(checksum(&a), checksum(&a.clone()));
         assert_eq!(checksum(&[]), checksum(&[]));
+    }
+
+    /// Seeded payload with arbitrary bit patterns (NaNs, subnormals,
+    /// both zeros): the checksum reads bits, not values.
+    fn payload(len: usize, seed: u64) -> Vec<f64> {
+        (0..len as u64)
+            .map(|i| f64::from_bits(mix3(seed, i, 0x5eed)))
+            .collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected_on_short_payloads() {
+        // Exhaustive over word × bit for every length up to three full
+        // lane rows plus every tail length.
+        for len in 0..=3 * CHECKSUM_LANES + 3 {
+            let v = payload(len, len as u64);
+            let base = checksum(&v);
+            for word in 0..len {
+                for bit in 0..64 {
+                    let mut w = v.clone();
+                    w[word] = f64::from_bits(w[word].to_bits() ^ (1u64 << bit));
+                    assert_ne!(checksum(&w), base, "len {len} word {word} bit {bit}");
+                }
+            }
+        }
+        assert_eq!(checksum(&[]), checksum(&payload(0, 9)), "empty is stable");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn any_single_word_change_is_detected(
+            len in 1usize..4100, seed in 0u64..u64::MAX, at in 0usize..4100, bit in 0u32..64,
+            other in 0u64..u64::MAX,
+        ) {
+            let v = payload(len, seed);
+            let base = checksum(&v);
+            let at = at % len;
+            let mut flipped = v.clone();
+            flipped[at] = f64::from_bits(v[at].to_bits() ^ (1u64 << bit));
+            prop_assert!(checksum(&flipped) != base, "len {} word {} bit {}", len, at, bit);
+            // Not just one bit: any other word in that slot.
+            if other != v[at].to_bits() {
+                let mut replaced = v.clone();
+                replaced[at] = f64::from_bits(other);
+                prop_assert!(checksum(&replaced) != base);
+            }
+        }
+
+        #[test]
+        fn position_and_length_are_part_of_the_checksum(
+            len in 2usize..4100, seed in 0u64..u64::MAX, a in 0usize..4100, b in 0usize..4100,
+        ) {
+            let v = payload(len, seed);
+            let (a, b) = (a % len, b % len);
+            if v[a].to_bits() != v[b].to_bits() {
+                let mut swapped = v.clone();
+                swapped.swap(a, b);
+                prop_assert!(checksum(&swapped) != checksum(&v), "swap {} {}", a, b);
+            }
+            let mut longer = v.clone();
+            longer.push(0.0);
+            prop_assert!(checksum(&longer) != checksum(&v));
+        }
+    }
+
+    #[test]
+    fn every_length_up_to_4099_detects_a_flip_in_its_last_and_a_sampled_word() {
+        // All tail lengths at every size the trainers send, one sampled
+        // bit each (the exhaustive sweep above covers the short ones).
+        for len in 1..=4099usize {
+            let v = payload(len, 77);
+            let base = checksum(&v);
+            for word in [len - 1, mix3(len as u64, 1, 2) as usize % len] {
+                let bit = mix3(len as u64, word as u64, 3) % 64;
+                let mut w = v.clone();
+                w[word] = f64::from_bits(w[word].to_bits() ^ (1u64 << bit));
+                assert_ne!(checksum(&w), base, "len {len} word {word} bit {bit}");
+            }
+        }
     }
 }

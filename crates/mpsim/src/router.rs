@@ -91,7 +91,7 @@ pub struct Envelope {
     /// among all data messages on its `src → dst` link). Only maintained
     /// while a fault plan is active; 0 otherwise.
     pub seq: u64,
-    /// FNV-1a checksum of the payload words as sent, stamped before any
+    /// [`crate::fault::checksum`] of the payload words as sent, stamped before any
     /// injected corruption so the receiver can verify integrity. `None`
     /// when no fault plan is active.
     pub csum: Option<u64>,

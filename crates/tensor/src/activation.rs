@@ -4,16 +4,56 @@
 //! followed by nonlinear transform `X_{i+1} = f(Y_i)`"; these are the
 //! `f`s. All operate on the `d × B` column-per-sample layout.
 
+use crate::conv::Tensor4;
 use crate::matrix::Matrix;
+
+/// ReLU over a slice, in place — the one body behind [`relu`],
+/// [`relu_tensor`] and the trainers' in-place activations.
+///
+/// A value *select*, not a conditional store and not `f64::max`: the
+/// select compiles to a compare-and-mask the vectoriser takes (a store
+/// behind a data-dependent branch mispredicts on every sign change),
+/// and unlike `max` it keeps `-0.0` and NaN exactly as they came in
+/// (`-0.0 < 0.0` and `NaN < 0.0` are both false), which is what the
+/// conditional store always did.
+pub fn relu_in_place(x: &mut [f64]) {
+    for v in x {
+        *v = if *v < 0.0 { 0.0 } else { *v };
+    }
+}
+
+/// Backward ReLU over slices, in place on the gradient:
+/// `g ← g ⊙ [x > 0]`. `x` may be the pre-activation or the activated
+/// output — `relu(x) ≤ 0` exactly when `x ≤ 0` (NaN fails both), so
+/// the mask is the same and a caller that applied [`relu_in_place`]
+/// need not keep the pre-activation. A select, like the forward.
+pub fn relu_backward_in_place(x: &[f64], g: &mut [f64]) {
+    assert_eq!(x.len(), g.len(), "relu backward shape mismatch");
+    for (g, &x) in g.iter_mut().zip(x) {
+        *g = if x <= 0.0 { 0.0 } else { *g };
+    }
+}
+
+/// tanh over a slice, in place.
+pub fn tanh_in_place(x: &mut [f64]) {
+    for v in x {
+        *v = v.tanh();
+    }
+}
+
+/// Backward tanh over slices given the *activated* output
+/// `y = tanh(pre)`, in place on the gradient: `g ← g ⊙ (1 − y²)`.
+pub fn tanh_backward_in_place(y: &[f64], g: &mut [f64]) {
+    assert_eq!(y.len(), g.len(), "tanh backward shape mismatch");
+    for (g, &yv) in g.iter_mut().zip(y) {
+        *g *= 1.0 - yv * yv;
+    }
+}
 
 /// Element-wise ReLU.
 pub fn relu(x: &Matrix) -> Matrix {
     let mut out = x.clone();
-    for v in out.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
+    relu_in_place(out.as_mut_slice());
     out
 }
 
@@ -21,46 +61,28 @@ pub fn relu(x: &Matrix) -> Matrix {
 pub fn relu_backward(pre: &Matrix, dy: &Matrix) -> Matrix {
     assert_eq!(pre.shape(), dy.shape(), "relu backward shape mismatch");
     let mut dx = dy.clone();
-    for (g, &x) in dx.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-        if x <= 0.0 {
-            *g = 0.0;
-        }
-    }
+    relu_backward_in_place(pre.as_slice(), dx.as_mut_slice());
     dx
 }
 
 /// Element-wise ReLU on an NCHW tensor.
-pub fn relu_tensor(x: &crate::conv::Tensor4) -> crate::conv::Tensor4 {
+pub fn relu_tensor(x: &Tensor4) -> Tensor4 {
     let mut out = x.clone();
-    for v in out.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
+    relu_in_place(out.as_mut_slice());
     out
 }
 
 /// Backward ReLU on an NCHW tensor: `dx = dy ⊙ [pre > 0]`.
-pub fn relu_backward_tensor(
-    pre: &crate::conv::Tensor4,
-    dy: &crate::conv::Tensor4,
-) -> crate::conv::Tensor4 {
-    assert_eq!(pre.len(), dy.len(), "relu tensor backward shape mismatch");
+pub fn relu_backward_tensor(pre: &Tensor4, dy: &Tensor4) -> Tensor4 {
     let mut dx = dy.clone();
-    for (g, &x) in dx.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-        if x <= 0.0 {
-            *g = 0.0;
-        }
-    }
+    relu_backward_in_place(pre.as_slice(), dx.as_mut_slice());
     dx
 }
 
 /// Element-wise tanh.
 pub fn tanh(x: &Matrix) -> Matrix {
     let mut out = x.clone();
-    for v in out.as_mut_slice() {
-        *v = v.tanh();
-    }
+    tanh_in_place(out.as_mut_slice());
     out
 }
 
@@ -69,9 +91,7 @@ pub fn tanh(x: &Matrix) -> Matrix {
 pub fn tanh_backward(y: &Matrix, dy: &Matrix) -> Matrix {
     assert_eq!(y.shape(), dy.shape(), "tanh backward shape mismatch");
     let mut dx = dy.clone();
-    for (g, &yv) in dx.as_mut_slice().iter_mut().zip(y.as_slice()) {
-        *g *= 1.0 - yv * yv;
-    }
+    tanh_backward_in_place(y.as_slice(), dx.as_mut_slice());
     dx
 }
 
@@ -110,6 +130,7 @@ pub fn softmax_xent(logits: &Matrix, labels: &[usize]) -> (f64, Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn relu_clamps_negatives() {
@@ -126,7 +147,6 @@ mod tests {
 
     #[test]
     fn relu_tensor_matches_matrix_semantics() {
-        use crate::conv::Tensor4;
         let x = Tensor4::from_fn(1, 2, 2, 2, |_, c, h, w| {
             (c as f64 - 0.5) * (h as f64 + w as f64 - 1.0)
         });
@@ -138,6 +158,95 @@ mod tests {
         let dx = relu_backward_tensor(&x, &dy);
         for (g, &b) in dx.as_slice().iter().zip(x.as_slice()) {
             assert_eq!(*g, if b > 0.0 { 1.0 } else { 0.0 });
+        }
+    }
+
+    /// The clone-then-conditional-store bodies the slice kernels
+    /// replaced, kept as the bit-for-bit reference.
+    fn legacy_relu(x: &[f64]) -> Vec<f64> {
+        let mut out = x.to_vec();
+        for v in &mut out {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+        out
+    }
+
+    fn legacy_relu_backward(pre: &[f64], dy: &[f64]) -> Vec<f64> {
+        let mut dx = dy.to_vec();
+        for (g, &x) in dx.iter_mut().zip(pre) {
+            if x <= 0.0 {
+                *g = 0.0;
+            }
+        }
+        dx
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Ordinary values salted with the cases a `max`-based ReLU would
+    /// get wrong or a careless select would normalise.
+    fn awkward(len: usize, seed: f64) -> Vec<f64> {
+        const SPECIAL: [f64; 8] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            -1e-320,
+        ];
+        (0..len)
+            .map(|i| match i % 3 {
+                0 => SPECIAL[(i / 3) % SPECIAL.len()],
+                _ => ((i as f64) * 0.37 + seed).sin() * 3.0,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn in_place_kernels_match_the_bodies_they_replaced_bit_for_bit(
+            len in 0usize..300, seed in 0.0f64..10.0
+        ) {
+            let x = awkward(len, seed);
+            let dy = awkward(len, seed + 1.0);
+            // Forward: in place, and through both allocating wrappers.
+            let want = bits(&legacy_relu(&x));
+            let mut got = x.clone();
+            relu_in_place(&mut got);
+            prop_assert_eq!(&bits(&got), &want);
+            let m = Matrix::from_vec(1, len, x.clone());
+            prop_assert_eq!(&bits(relu(&m).as_slice()), &want);
+            let t = Tensor4::from_vec(1, 1, 1, len, x.clone());
+            prop_assert_eq!(&bits(relu_tensor(&t).as_slice()), &want);
+            // Backward, masked by the pre-activation…
+            let want = bits(&legacy_relu_backward(&x, &dy));
+            let mut g = dy.clone();
+            relu_backward_in_place(&x, &mut g);
+            prop_assert_eq!(&bits(&g), &want);
+            let dm = Matrix::from_vec(1, len, dy.clone());
+            prop_assert_eq!(&bits(relu_backward(&m, &dm).as_slice()), &want);
+            let dt = Tensor4::from_vec(1, 1, 1, len, dy.clone());
+            prop_assert_eq!(&bits(relu_backward_tensor(&t, &dt).as_slice()), &want);
+            // …and by the activated output, which is all the trainers keep.
+            let mut g = dy.clone();
+            relu_backward_in_place(&got, &mut g);
+            prop_assert_eq!(&bits(&g), &want);
+            // tanh: wrapper and slice kernel are the same arithmetic.
+            let mut th = x.clone();
+            tanh_in_place(&mut th);
+            prop_assert_eq!(&bits(&th), &bits(tanh(&m).as_slice()));
+            let ym = Matrix::from_vec(1, len, th.clone());
+            let mut g = dy.clone();
+            tanh_backward_in_place(&th, &mut g);
+            prop_assert_eq!(&bits(&g), &bits(tanh_backward(&ym, &dm).as_slice()));
+            let legacy: Vec<f64> = dy.iter().zip(&th).map(|(&d, &y)| d * (1.0 - y * y)).collect();
+            prop_assert_eq!(&bits(&g), &bits(&legacy));
         }
     }
 

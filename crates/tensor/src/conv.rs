@@ -673,7 +673,6 @@ pub fn conv2d_backward(
     while c0 < m {
         let cb = COL_BLOCK.min(m - c0);
         let blk = &mut dcols[..cb * k];
-        blk.fill(0.0);
         gemm::gemm_packed(
             cb,
             k,

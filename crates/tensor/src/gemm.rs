@@ -30,8 +30,10 @@
 //!
 //! Every output element is the fold, over **ascending k**, of a fused
 //! multiply-add: `c ← fma(a_ik, b_kj, c)` starting from `0.0`. The
-//! microkernel loads the C tile into registers at the start of each KC
-//! panel and stores it after, so panel boundaries do not break the
+//! first KC panel folds into a zeroed register tile and *stores* it —
+//! whatever the output buffer held is never read, so a reused output
+//! needs no clearing pass — and every later panel loads the C tile at
+//! its start and stores it after, so panel boundaries do not break the
 //! chain, and IEEE-754 `fusedMultiplyAdd` is exactly rounded, so the
 //! hardware-FMA fast path, the scalar `f64::mul_add` fallback, and the
 //! small-matrix path all produce **bit-identical** results — on any
@@ -104,10 +106,13 @@ pub fn is_small_gemm(m: usize, n: usize, k: usize) -> bool {
     m.saturating_mul(n).saturating_mul(k) <= SMALL_GEMM_MNK
 }
 
-/// Words of packing scratch a `m×k · k×n` product allocates: one B̃
-/// panel plus one Ã block per worker thread. Bounded by the cache
-/// blocking — never by the operand sizes — which is what lets the
-/// implicit-GEMM convolution run without a materialized im2col matrix.
+/// Words of packing scratch a `m×k · k×n` product needs: one B̃ panel
+/// on the calling thread plus one Ã block per worker thread, both held
+/// in thread-local buffers that only ever grow to the largest such
+/// need. Bounded by the cache blocking
+/// (`KC·NC + MC·KC`) — never by the operand sizes — which is what lets
+/// the implicit-GEMM convolution run without a materialized im2col
+/// matrix.
 pub fn packing_scratch_words(m: usize, n: usize, k: usize) -> usize {
     if is_small_gemm(m, n, k) || m == 0 || n == 0 || k == 0 {
         return 0;
@@ -121,14 +126,39 @@ pub fn packing_scratch_words(m: usize, n: usize, k: usize) -> usize {
 thread_local! {
     /// Per-thread Ã block, reused across panels and GEMM calls.
     static A_PANEL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's B̃ panel, reused the same way: a fresh one
+    /// per call is up to 1 MB of pages faulted in and thrown away. Both
+    /// buffers are fully overwritten before they are read (a ragged
+    /// sliver zeroes its tail lanes), so stale contents never matter.
+    static B_PANEL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Portable full-tile microkernel: loads the `MR × NR` C tile, folds
-/// the packed slivers over ascending k with `mul_add`, stores it back.
-fn micro_6x8(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+/// Borrows the first `words` of a thread-local packing buffer, growing
+/// it on first need.
+fn with_scratch<R>(
+    cell: &'static std::thread::LocalKey<RefCell<Vec<f64>>>,
+    words: usize,
+    body: impl FnOnce(&mut [f64]) -> R,
+) -> R {
+    cell.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < words {
+            buf.resize(words, 0.0);
+        }
+        body(&mut buf[..words])
+    })
+}
+
+/// Portable full-tile microkernel: loads the `MR × NR` C tile — or,
+/// on the product's `first` K panel, starts from the `+0.0` a cleared
+/// tile would have held — folds the packed slivers over ascending k
+/// with `mul_add`, stores it back.
+fn micro_6x8(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize, first: bool) {
     let mut acc = [[0.0f64; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
+    if !first {
+        for (r, row) in acc.iter_mut().enumerate() {
+            row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
+        }
     }
     for kk in 0..kc {
         let av = &a[kk * MR..kk * MR + MR];
@@ -157,7 +187,7 @@ fn micro_6x8(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
 /// with at least `NR` valid columns at the tile origin.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn micro_6x8_fma(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+unsafe fn micro_6x8_fma(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize, first: bool) {
     use std::arch::x86_64::*;
     debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
     debug_assert!(c.len() >= (MR - 1) * ldc + NR);
@@ -165,9 +195,11 @@ unsafe fn micro_6x8_fma(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usi
     let bp = b.as_ptr();
     let cp = c.as_mut_ptr();
     let mut acc = [[_mm256_setzero_pd(); 2]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row[0] = _mm256_loadu_pd(cp.add(r * ldc));
-        row[1] = _mm256_loadu_pd(cp.add(r * ldc + 4));
+    if !first {
+        for (r, row) in acc.iter_mut().enumerate() {
+            row[0] = _mm256_loadu_pd(cp.add(r * ldc));
+            row[1] = _mm256_loadu_pd(cp.add(r * ldc + 4));
+        }
     }
     for kk in 0..kc {
         let b0 = _mm256_loadu_pd(bp.add(kk * NR));
@@ -186,23 +218,26 @@ unsafe fn micro_6x8_fma(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usi
 
 /// Runs one full `MR × NR` tile on the best available microkernel.
 #[inline]
-fn micro_full(fma: bool, kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+fn micro_full(fma: bool, kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize, first: bool) {
     assert!(a.len() >= kc * MR && b.len() >= kc * NR && c.len() >= (MR - 1) * ldc + NR);
     #[cfg(target_arch = "x86_64")]
     if fma {
         // SAFETY: `fma` is only true after runtime AVX2+FMA detection,
         // and the assert above is the kernel's extent precondition.
-        unsafe { micro_6x8_fma(kc, a, b, c, ldc) };
+        unsafe { micro_6x8_fma(kc, a, b, c, ldc, first) };
         return;
     }
     let _ = fma;
-    micro_6x8(kc, a, b, c, ldc);
+    micro_6x8(kc, a, b, c, ldc, first);
 }
 
-/// Dispatches one `mr_eff × nr_eff` tile. Edge tiles run the same
-/// full-tile kernel into a stack tile and copy the valid part back:
-/// the zero-filled sliver lanes only ever reach discarded entries, and
-/// every kept element is still the ascending-k fold chained from `c`.
+/// Dispatches one `mr_eff × nr_eff` tile; `first` marks the product's
+/// first K panel, whose fold starts from zero instead of from `c`.
+/// Edge tiles run the same full-tile kernel into a stack tile —
+/// preloaded with the valid part of `c` unless `first` — and copy the
+/// valid part back: the zero-filled sliver lanes only ever reach
+/// discarded entries, and every kept element is still the ascending-k
+/// fold.
 // The argument list mirrors the microkernel ABI; bundling it into a
 // struct would just move the field list.
 #[allow(clippy::too_many_arguments)]
@@ -216,16 +251,19 @@ fn micro_dispatch(
     ldc: usize,
     mr_eff: usize,
     nr_eff: usize,
+    first: bool,
 ) {
     if mr_eff == MR && nr_eff == NR {
-        micro_full(fma, kc, a, b, c, ldc);
+        micro_full(fma, kc, a, b, c, ldc, first);
         return;
     }
     let mut tile = [0.0f64; MR * NR];
-    for r in 0..mr_eff {
-        tile[r * NR..r * NR + nr_eff].copy_from_slice(&c[r * ldc..r * ldc + nr_eff]);
+    if !first {
+        for r in 0..mr_eff {
+            tile[r * NR..r * NR + nr_eff].copy_from_slice(&c[r * ldc..r * ldc + nr_eff]);
+        }
     }
-    micro_full(fma, kc, a, b, &mut tile, NR);
+    micro_full(fma, kc, a, b, &mut tile, NR, first);
     for r in 0..mr_eff {
         c[r * ldc..r * ldc + nr_eff].copy_from_slice(&tile[r * NR..r * NR + nr_eff]);
     }
@@ -320,8 +358,8 @@ unsafe fn small_fma(
     small_body(shape, m, n, k, a, b, c);
 }
 
-/// Serial, unpacked product for sub-threshold shapes; accumulates into
-/// `c` (callers pass a zeroed buffer).
+/// Serial, unpacked product for sub-threshold shapes. Overwrites `c`,
+/// like [`gemm_packed`].
 pub fn gemm_small(
     shape: SmallShape,
     m: usize,
@@ -332,6 +370,7 @@ pub fn gemm_small(
     c: &mut [f64],
 ) {
     debug_assert_eq!(c.len(), m * n);
+    c.fill(0.0);
     #[cfg(target_arch = "x86_64")]
     if fma_kernel_available() {
         // SAFETY: runtime-detected.
@@ -376,13 +415,14 @@ fn pack_sliver<const W: usize>(sliver: &mut [f64], lanes: usize, fill: impl Fn(u
     }
 }
 
-/// Panel-packed GEMM: `C += op(A)·op(B)` where the operands are
+/// Panel-packed GEMM: `C = op(A)·op(B)` where the operands are
 /// presented as sliver-row closures over an `m×k` view of A and a
 /// `k×n` view of B: `fill_a(i0, kk, dst)` must write
 /// `dst[r] = A[i0 + r, kk]` and `fill_b(kk, j0, dst)` must write
 /// `dst[c] = B[kk, j0 + c]`, for every lane of `dst` (at most
 /// [`MR`] / [`NR`] of them, always in range). `c` is row-major `m×n`
-/// and is normally zero-initialized by the caller.
+/// and is overwritten: its contents on entry are never read (an empty
+/// contraction, `k = 0`, leaves all zeros).
 ///
 /// Row blocks fan out over rayon when the product is large enough to
 /// amortize the dispatch; the result is bit-identical either way.
@@ -393,85 +433,83 @@ where
 {
     debug_assert_eq!(c.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
+        c.fill(0.0);
         return;
     }
     let fma = fma_kernel_available();
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let parallel = threads > 1 && m > MC && m.saturating_mul(n).saturating_mul(k) >= PAR_MIN_MNK;
+    let parallel = rayon::current_num_threads() > 1
+        && m > MC
+        && m.saturating_mul(n).saturating_mul(k) >= PAR_MIN_MNK;
 
-    let mut b_panel = vec![0.0; KC.min(k) * NC.min(n.next_multiple_of(NR))];
-    let mut j0 = 0;
-    while j0 < n {
-        let jeff = NC.min(n - j0);
-        let jsl = jeff.div_ceil(NR);
-        let mut k0 = 0;
-        while k0 < k {
-            let keff = KC.min(k - k0);
-            // Pack B̃: NR-column slivers, k-major within a sliver.
-            for (t, sliver) in b_panel[..jsl * keff * NR]
-                .chunks_exact_mut(keff * NR)
-                .enumerate()
-            {
-                let js = j0 + t * NR;
-                pack_sliver::<NR>(sliver, NR.min(j0 + jeff - js), |kk, dst| {
-                    fill_b(k0 + kk, js, dst)
-                });
-            }
-            let b_ref = &b_panel;
-            let fill_a = &fill_a;
-            let process = |blk: usize, c_chunk: &mut [f64]| {
-                let i0 = blk * MC;
-                let ieff = MC.min(m - i0);
-                let isl = ieff.div_ceil(MR);
-                A_PANEL.with(|cell| {
-                    let mut ap = cell.borrow_mut();
-                    if ap.len() < isl * MR * keff {
-                        ap.resize(isl * MR * keff, 0.0);
-                    }
-                    // Pack Ã: MR-row slivers, k-major.
-                    for (s, sliver) in ap[..isl * keff * MR]
-                        .chunks_exact_mut(keff * MR)
-                        .enumerate()
-                    {
-                        let is = i0 + s * MR;
-                        pack_sliver::<MR>(sliver, MR.min(i0 + ieff - is), |kk, dst| {
-                            fill_a(is, k0 + kk, dst)
-                        });
-                    }
-                    for t in 0..jsl {
-                        let nr_eff = NR.min(jeff - t * NR);
-                        let b_sliver = &b_ref[t * keff * NR..(t + 1) * keff * NR];
-                        for s in 0..isl {
-                            let mr_eff = MR.min(ieff - s * MR);
-                            let a_sliver = &ap[s * keff * MR..(s + 1) * keff * MR];
-                            let c_off = (s * MR) * n + j0 + t * NR;
-                            micro_dispatch(
-                                fma,
-                                keff,
-                                a_sliver,
-                                b_sliver,
-                                &mut c_chunk[c_off..],
-                                n,
-                                mr_eff,
-                                nr_eff,
-                            );
-                        }
-                    }
-                });
-            };
-            if parallel {
-                c.par_chunks_mut(MC * n)
+    let b_words = KC.min(k) * NC.min(n.next_multiple_of(NR));
+    with_scratch(&B_PANEL, b_words, |b_panel| {
+        let mut j0 = 0;
+        while j0 < n {
+            let jeff = NC.min(n - j0);
+            let jsl = jeff.div_ceil(NR);
+            let mut k0 = 0;
+            while k0 < k {
+                let keff = KC.min(k - k0);
+                // Pack B̃: NR-column slivers, k-major within a sliver.
+                for (t, sliver) in b_panel[..jsl * keff * NR]
+                    .chunks_exact_mut(keff * NR)
                     .enumerate()
-                    .for_each(|(blk, chunk)| process(blk, chunk));
-            } else {
-                for (blk, chunk) in c.chunks_mut(MC * n).enumerate() {
-                    process(blk, chunk);
+                {
+                    let js = j0 + t * NR;
+                    pack_sliver::<NR>(sliver, NR.min(j0 + jeff - js), |kk, dst| {
+                        fill_b(k0 + kk, js, dst)
+                    });
                 }
+                let b_ref = &*b_panel;
+                let fill_a = &fill_a;
+                let process = |blk: usize, c_chunk: &mut [f64]| {
+                    let i0 = blk * MC;
+                    let ieff = MC.min(m - i0);
+                    let isl = ieff.div_ceil(MR);
+                    with_scratch(&A_PANEL, isl * MR * keff, |ap| {
+                        // Pack Ã: MR-row slivers, k-major.
+                        for (s, sliver) in ap.chunks_exact_mut(keff * MR).enumerate() {
+                            let is = i0 + s * MR;
+                            pack_sliver::<MR>(sliver, MR.min(i0 + ieff - is), |kk, dst| {
+                                fill_a(is, k0 + kk, dst)
+                            });
+                        }
+                        for t in 0..jsl {
+                            let nr_eff = NR.min(jeff - t * NR);
+                            let b_sliver = &b_ref[t * keff * NR..(t + 1) * keff * NR];
+                            for s in 0..isl {
+                                let mr_eff = MR.min(ieff - s * MR);
+                                let a_sliver = &ap[s * keff * MR..(s + 1) * keff * MR];
+                                let c_off = (s * MR) * n + j0 + t * NR;
+                                micro_dispatch(
+                                    fma,
+                                    keff,
+                                    a_sliver,
+                                    b_sliver,
+                                    &mut c_chunk[c_off..],
+                                    n,
+                                    mr_eff,
+                                    nr_eff,
+                                    k0 == 0,
+                                );
+                            }
+                        }
+                    });
+                };
+                if parallel {
+                    c.par_chunks_mut(MC * n)
+                        .enumerate()
+                        .for_each(|(blk, chunk)| process(blk, chunk));
+                } else {
+                    for (blk, chunk) in c.chunks_mut(MC * n).enumerate() {
+                        process(blk, chunk);
+                    }
+                }
+                k0 += keff;
             }
-            k0 += keff;
+            j0 += jeff;
         }
-        j0 += jeff;
-    }
+    });
 }
 
 #[cfg(test)]
@@ -524,7 +562,9 @@ mod tests {
         ] {
             let a = dense(m, k, 0.3);
             let b = dense(k, n, 0.7);
-            let mut c = vec![0.0; m * n];
+            // The output arrives dirty: the first panel must store over
+            // it, not fold into it.
+            let mut c = dense(m, n, 5.5);
             packed_nn(m, n, k, &a, &b, &mut c);
             let expect = fma_dot(m, n, k, &a, &b);
             assert_eq!(c, expect, "m={m} n={n} k={k}");
@@ -536,8 +576,11 @@ mod tests {
         // Ragged in every blocking dimension (m % MR, n % NR, k > KC),
         // including the conv-path `m = 8` (a full sliver plus a 2-row
         // one). A larger product runs first so the thread-local Ã block
-        // holds stale words where the ragged slivers' zero lanes go.
-        // Operands are read through the opposite layouts from
+        // and B̃ panel hold stale words where the ragged slivers' zero
+        // lanes go, and each output starts as NaNs: a first panel that
+        // stores a zero-seeded fold is bit-identical to one that folds
+        // into a cleared tile (`fma(a, b, +0.0)` either way), and must
+        // never read what the buffer held. Operands are read through the opposite layouts from
         // `packed_nn` (A stored k×m, B stored n×k), and the fills check
         // that the packer never asks for a lane outside the operand.
         let (bm, bn, bk) = (MC, 2 * NR, KC);
@@ -569,7 +612,7 @@ mod tests {
                     bt[j * k + kk] = b[kk * n + j];
                 }
             }
-            let mut c = vec![0.0; m * n];
+            let mut c = vec![f64::NAN; m * n];
             gemm_packed(
                 m,
                 n,
@@ -592,14 +635,17 @@ mod tests {
     fn portable_and_dispatched_microkernels_agree_bitwise() {
         // On an AVX2+FMA host the portable tile kernel is otherwise
         // never run; pin it to the dispatched one on a full and a
-        // ragged tile, chained from a nonzero C.
+        // ragged tile, chained from a nonzero C (a later panel) and
+        // stored over it (the first).
         let kc = 37;
         let (a, b) = (dense(kc, MR, 0.4), dense(kc, NR, 0.6));
-        for (mr_eff, nr_eff) in [(MR, NR), (2, 5)] {
+        for (mr_eff, nr_eff, first) in
+            [(MR, NR, false), (2, 5, false), (MR, NR, true), (2, 5, true)]
+        {
             let c0 = dense(MR, NR, 0.9);
             let mut portable = c0.clone();
             let mut dispatched = c0.clone();
-            micro_dispatch(false, kc, &a, &b, &mut portable, NR, mr_eff, nr_eff);
+            micro_dispatch(false, kc, &a, &b, &mut portable, NR, mr_eff, nr_eff, first);
             micro_dispatch(
                 fma_kernel_available(),
                 kc,
@@ -609,8 +655,19 @@ mod tests {
                 NR,
                 mr_eff,
                 nr_eff,
+                first,
             );
             assert_eq!(portable, dispatched, "{mr_eff}x{nr_eff}");
+            if first {
+                // Storing over C equals folding into a cleared C.
+                let mut cleared = vec![0.0; MR * NR];
+                micro_dispatch(false, kc, &a, &b, &mut cleared, NR, mr_eff, nr_eff, false);
+                for (i, (got, want)) in portable.iter().zip(&cleared).enumerate() {
+                    if i / NR < mr_eff && i % NR < nr_eff {
+                        assert_eq!(got.to_bits(), want.to_bits(), "entry {i}");
+                    }
+                }
+            }
             // A ragged tile leaves C outside its valid part untouched.
             for (i, (got, was)) in portable.iter().zip(&c0).enumerate() {
                 let inside = i / NR < mr_eff && i % NR < nr_eff;
@@ -624,9 +681,9 @@ mod tests {
         let (m, n, k) = (7, 9, 11);
         let a = dense(m, k, 0.1);
         let b = dense(k, n, 0.9);
-        let mut small = vec![0.0; m * n];
+        let mut small = vec![f64::NAN; m * n];
         gemm_small(SmallShape::Nn, m, n, k, &a, &b, &mut small);
-        let mut packed = vec![0.0; m * n];
+        let mut packed = vec![f64::NAN; m * n];
         packed_nn(m, n, k, &a, &b, &mut packed);
         assert_eq!(small, packed);
     }

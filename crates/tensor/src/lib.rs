@@ -30,6 +30,7 @@ pub mod matmul;
 pub mod matrix;
 pub mod ops;
 pub mod pool;
+pub mod recycle;
 
 pub use conv::{Conv2dParams, Tensor4};
 pub use matrix::Matrix;

@@ -82,12 +82,19 @@ pub fn matmul_ref(a: &Matrix, b: &Matrix) -> Matrix {
 ///
 /// Panics if the inner dimensions disagree.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(0, 0);
+    matmul_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul`] into a caller-owned `c`: `c` is reshaped to `m×n` and
+/// overwritten, reusing its buffer when it is large enough — whatever
+/// it held before is neither read nor cleared first (the kernels store
+/// their first K panel; see [`crate::gemm`]).
+pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return c;
-    }
+    c.reshape(m, n);
     let (av, bv) = (a.as_slice(), b.as_slice());
     if gemm::is_small_gemm(m, n, k) {
         gemm::gemm_small(SmallShape::Nn, m, n, k, av, bv, c.as_mut_slice());
@@ -101,17 +108,20 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
             c.as_mut_slice(),
         );
     }
-    c
 }
 
 /// `C = Aᵀ·B` without materializing `Aᵀ` (used for `∆X = Wᵀ·∆Y`).
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(0, 0);
+    matmul_at_b_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul_at_b`] into a caller-owned `c` (see [`matmul_into`]).
+pub fn matmul_at_b_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(a.rows(), b.rows(), "AᵀB dimension mismatch");
     let (m, k, n) = (a.cols(), a.rows(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return c;
-    }
+    c.reshape(m, n);
     let (av, bv) = (a.as_slice(), b.as_slice());
     if gemm::is_small_gemm(m, n, k) {
         gemm::gemm_small(SmallShape::Tn, m, n, k, av, bv, c.as_mut_slice());
@@ -127,17 +137,20 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
             c.as_mut_slice(),
         );
     }
-    c
 }
 
 /// `C = A·Bᵀ` without materializing `Bᵀ` (used for `∆W = ∆Y·Xᵀ`).
 pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(0, 0);
+    matmul_a_bt_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul_a_bt`] into a caller-owned `c` (see [`matmul_into`]).
+pub fn matmul_a_bt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(a.cols(), b.cols(), "ABᵀ dimension mismatch");
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let mut c = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return c;
-    }
+    c.reshape(m, n);
     let (av, bv) = (a.as_slice(), b.as_slice());
     if gemm::is_small_gemm(m, n, k) {
         gemm::gemm_small(SmallShape::Nt, m, n, k, av, bv, c.as_mut_slice());
@@ -152,7 +165,6 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
             c.as_mut_slice(),
         );
     }
-    c
 }
 
 #[cfg(test)]
@@ -312,6 +324,29 @@ mod tests {
             let a2 = test_matrix(m, k, seed);
             let b2 = test_matrix(n, k, seed + 3.0);
             prop_assert!(matmul_a_bt(&a2, &b2).approx_eq(&matmul(&a2, &b2.transpose()), 1e-11));
+        }
+
+        #[test]
+        fn into_forms_equal_their_wrappers_even_on_a_dirty_reused_output(
+            m in 1usize..70, k in 1usize..70, n in 1usize..70, seed in 0.0f64..10.0
+        ) {
+            // Shapes straddle the small/packed threshold; `c` arrives
+            // holding another product (stale values, wrong shape, and —
+            // after the first call — more capacity than it needs).
+            let mut c = matmul(&test_matrix(n + 3, 5, seed), &test_matrix(5, m + 2, seed));
+            let (a, b) = (test_matrix(m, k, seed), test_matrix(k, n, seed + 1.0));
+            matmul_into(&a, &b, &mut c);
+            prop_assert_eq!(c.shape(), (m, n));
+            prop_assert!(c == matmul(&a, &b));
+            let (at, bt) = (test_matrix(k, m, seed + 2.0), test_matrix(n, k, seed + 3.0));
+            matmul_at_b_into(&at, &b, &mut c);
+            prop_assert!(c == matmul_at_b(&at, &b));
+            matmul_a_bt_into(&a, &bt, &mut c);
+            prop_assert!(c == matmul_a_bt(&a, &bt));
+            // Empty inner dimension: the reused output must come back
+            // all zeros, not as it was.
+            matmul_into(&Matrix::zeros(m, 0), &Matrix::zeros(0, n), &mut c);
+            prop_assert_eq!(&c, &Matrix::zeros(m, n));
         }
 
         #[test]

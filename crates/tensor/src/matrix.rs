@@ -2,12 +2,31 @@
 
 use std::fmt;
 
-/// A dense row-major `rows × cols` matrix of `f64`.
-#[derive(Clone, PartialEq)]
+use crate::recycle;
+
+/// A dense row-major `rows × cols` matrix of `f64`. Its buffer is drawn
+/// from, and on drop retired to, the thread's free list
+/// ([`crate::recycle`]), so the matrices a rank churns through are
+/// served from memory that is already mapped.
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        let mut out = Matrix::stale(self.rows, self.cols);
+        out.data.copy_from_slice(&self.data);
+        out
+    }
+}
+
+impl Drop for Matrix {
+    fn drop(&mut self) {
+        recycle::give(std::mem::take(&mut self.data));
+    }
 }
 
 impl Matrix {
@@ -16,19 +35,45 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: recycle::zeroed(rows * cols),
+        }
+    }
+
+    /// A matrix whose every element the caller is about to write:
+    /// contents unspecified (initialized, possibly stale).
+    fn stale(rows: usize, cols: usize) -> Self {
+        Matrix {
+            rows,
+            cols,
+            data: recycle::stale(rows * cols),
+        }
+    }
+
+    /// Reshapes to `rows × cols` for an output the caller is about to
+    /// overwrite entirely (a GEMM or a gather): the buffer is kept
+    /// when it is large enough and the contents afterwards are
+    /// unspecified.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        let len = rows * cols;
+        if self.data.capacity() < len {
+            *self = Matrix::stale(rows, cols);
+        } else {
+            self.data.resize(len, 0.0);
+            self.rows = rows;
+            self.cols = cols;
         }
     }
 
     /// Builds a matrix element-wise from `f(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut out = Matrix::stale(rows, cols);
+        let mut slots = out.data.iter_mut();
         for i in 0..rows {
             for j in 0..cols {
-                data.push(f(i, j));
+                *slots.next().expect("rows·cols slots") = f(i, j);
             }
         }
-        Matrix { rows, cols, data }
+        out
     }
 
     /// Wraps an existing row-major buffer.
@@ -42,6 +87,7 @@ impl Matrix {
             rows * cols,
             "buffer length must equal rows*cols"
         );
+        recycle::adopt(data.capacity());
         Matrix { rows, cols, data }
     }
 
@@ -125,14 +171,17 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
+    /// Consumes the matrix and returns its buffer (which thereby
+    /// leaves the free list's care).
+    pub fn into_vec(mut self) -> Vec<f64> {
+        let data = std::mem::take(&mut self.data);
+        recycle::release(data.capacity());
+        data
     }
 
     /// The transpose (materialized copy).
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::stale(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
                 out.data[j * self.rows + i] = self.data[i * self.cols + j];
@@ -148,11 +197,10 @@ impl Matrix {
             "row block {r0}..{r1} out of {}",
             self.rows
         );
-        Matrix {
-            rows: r1 - r0,
-            cols: self.cols,
-            data: self.data[r0 * self.cols..r1 * self.cols].to_vec(),
-        }
+        let mut out = Matrix::stale(r1 - r0, self.cols);
+        out.data
+            .copy_from_slice(&self.data[r0 * self.cols..r1 * self.cols]);
+        out
     }
 
     /// Copies columns `c0..c1` into a new `rows × (c1-c0)` matrix.
@@ -163,15 +211,11 @@ impl Matrix {
             self.cols
         );
         let w = c1 - c0;
-        let mut data = Vec::with_capacity(self.rows * w);
-        for i in 0..self.rows {
-            data.extend_from_slice(&self.row(i)[c0..c1]);
+        let mut out = Matrix::stale(self.rows, w);
+        for (i, dst) in out.data.chunks_exact_mut(w.max(1)).enumerate() {
+            dst.copy_from_slice(&self.row(i)[c0..c1]);
         }
-        Matrix {
-            rows: self.rows,
-            cols: w,
-            data,
-        }
+        out
     }
 
     /// Writes `block` into rows `r0..` of `self`.
@@ -191,12 +235,15 @@ impl Matrix {
         }
     }
 
-    /// Concatenates matrices vertically (equal column counts).
-    pub fn vcat(blocks: &[Matrix]) -> Matrix {
+    /// Concatenates matrices vertically (equal column counts). Takes
+    /// any iterator of borrows, so shards held in other structures
+    /// stack without being cloned first.
+    pub fn vcat<'a>(blocks: impl IntoIterator<Item = &'a Matrix>) -> Matrix {
+        let blocks: Vec<&Matrix> = blocks.into_iter().collect();
         assert!(!blocks.is_empty(), "vcat of zero blocks");
         let cols = blocks[0].cols;
         let rows = blocks.iter().map(|b| b.rows).sum();
-        let mut out = Matrix::zeros(rows, cols);
+        let mut out = Matrix::stale(rows, cols);
         let mut r = 0;
         for b in blocks {
             out.set_row_block(r, b);
@@ -205,12 +252,14 @@ impl Matrix {
         out
     }
 
-    /// Concatenates matrices horizontally (equal row counts).
-    pub fn hcat(blocks: &[Matrix]) -> Matrix {
+    /// Concatenates matrices horizontally (equal row counts); borrows
+    /// like [`Matrix::vcat`].
+    pub fn hcat<'a>(blocks: impl IntoIterator<Item = &'a Matrix>) -> Matrix {
+        let blocks: Vec<&Matrix> = blocks.into_iter().collect();
         assert!(!blocks.is_empty(), "hcat of zero blocks");
         let rows = blocks[0].rows;
         let cols = blocks.iter().map(|b| b.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
+        let mut out = Matrix::stale(rows, cols);
         let mut c = 0;
         for b in blocks {
             out.set_col_block(c, b);
