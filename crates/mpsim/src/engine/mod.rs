@@ -299,17 +299,7 @@ mod tests {
     use std::rc::Rc;
 
     fn msg(src: usize, tag: u64, depart: f64) -> Envelope {
-        Envelope {
-            ctx: 0,
-            src,
-            tag,
-            depart,
-            seq: 0,
-            csum: None,
-            dup: false,
-            severed: false,
-            data: Payload::Control(vec![src as u8]),
-        }
+        Envelope::new(0, src, tag, depart, Payload::Control(vec![src as u8]))
     }
 
     #[test]

@@ -108,6 +108,41 @@ pub struct Envelope {
     pub data: Payload,
 }
 
+impl Envelope {
+    /// An envelope as its sender builds it: sequence 0, no checksum,
+    /// neither duplicate nor severed. The fault layer stamps those on
+    /// the way out.
+    pub fn new(ctx: u64, src: usize, tag: Tag, depart: f64, data: Payload) -> Self {
+        Envelope {
+            ctx,
+            src,
+            tag,
+            depart,
+            seq: 0,
+            csum: None,
+            dup: false,
+            severed: false,
+            data,
+        }
+    }
+
+    /// A data message of `words` leaving `src` at virtual time `depart`.
+    pub fn data(ctx: u64, src: usize, tag: Tag, depart: f64, words: Vec<f64>) -> Self {
+        Envelope::new(ctx, src, tag, depart, Payload::Words(words))
+    }
+
+    /// A control message: free in virtual time, so it departs at 0.
+    pub fn control(ctx: u64, src: usize, tag: Tag, bytes: Vec<u8>) -> Self {
+        Envelope::new(ctx, src, tag, 0.0, Payload::Control(bytes))
+    }
+
+    /// An out-of-band notice stamped `at`: matched on any context and
+    /// any tag, so it carries context 0 and tag 0.
+    pub fn notice(src: usize, at: f64, notice: Payload) -> Self {
+        Envelope::new(0, src, 0, at, notice)
+    }
+}
+
 /// Per-rank transport endpoint, backend-polymorphic.
 ///
 /// The communicator only ever does two things with its endpoint: send
@@ -203,20 +238,7 @@ mod tests {
         }
         // Send from "rank 0" to "rank 2" and observe it.
         eps[0]
-            .send(
-                2,
-                Envelope {
-                    ctx: 0,
-                    src: 0,
-                    tag: 7,
-                    depart: 1.25,
-                    seq: 0,
-                    csum: None,
-                    dup: false,
-                    severed: false,
-                    data: Payload::Words(vec![1.0, 2.0]),
-                },
-            )
+            .send(2, Envelope::data(0, 0, 7, 1.25, vec![1.0, 2.0]))
             .unwrap();
         let e = eps[2].recv(0.0).unwrap();
         assert_eq!(e.src, 0);

@@ -419,3 +419,130 @@ fn ft_and_scheduled_traces_share_one_trainer_layout() {
         }
     }
 }
+
+/// The `(cat, name)` histogram of a world trace and an FNV-1a over every
+/// event's `(t0, t1)` bit patterns, rank by rank in recording order.
+fn trace_fingerprint(trace: &WorldTrace) -> (Vec<(&'static str, &'static str, usize)>, u64) {
+    let mut hist = std::collections::BTreeMap::new();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in trace.ranks.iter().flat_map(|rt| &rt.events) {
+        *hist.entry((e.cat, e.name)).or_insert(0usize) += 1;
+        for b in [e.t0.to_bits(), e.t1.to_bits()]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+        {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (hist.into_iter().map(|((c, n), k)| (c, n, k)).collect(), h)
+}
+
+const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
+    ("channel", "xfer", 71),
+    ("collective", "allgatherv_ring_ft", 129),
+    ("collective", "allreduce_ring_ft", 144),
+    ("comm", "backoff", 3),
+    ("comm", "recv", 450),
+    ("comm", "timeout", 4),
+    ("compute", "compute", 324),
+    ("drain", "drain", 35),
+    ("fault", "dead_gap", 1),
+    ("fault", "died", 1),
+    ("fault", "drop", 1),
+    ("fault", "peer_dead", 21),
+    ("fault", "rejoin", 1),
+    ("nb", "chunk_step", 71),
+    ("nb", "iallreduce_launch", 36),
+    ("quorum", "verdict", 3),
+    ("sched", "bucket_flush", 36),
+    ("trainer", "backward", 36),
+    ("trainer", "checkpoint", 16),
+    ("trainer", "forward", 36),
+    ("trainer", "layer_bwd", 108),
+    ("trainer", "layer_fwd", 108),
+    ("trainer", "optimizer_step", 36),
+    ("trainer", "recovery", 7),
+    ("trainer", "rollback", 7),
+];
+const GOLDEN_FT_FNV: u64 = 0xfb9a_5687_5ec0_3990;
+const GOLDEN_SCHED_HIST: &[(&str, &str, usize)] = &[
+    ("channel", "xfer", 132),
+    ("compute", "compute", 132),
+    ("drain", "drain", 84),
+    ("nb", "chunk_step", 132),
+    ("nb", "iallgatherv_launch", 36),
+    ("nb", "iallreduce_launch", 48),
+    ("sched", "bucket_flush", 12),
+    ("trainer", "backward", 12),
+    ("trainer", "forward", 12),
+    ("trainer", "layer_bwd", 36),
+    ("trainer", "layer_fwd", 36),
+    ("trainer", "optimizer_deferred", 8),
+    ("trainer", "optimizer_step", 4),
+];
+const GOLDEN_SCHED_FNV: u64 = 0x0f37_4aa9_5c6e_863d;
+
+/// Golden traces recorded at `fc240c2`, before `mpsim`'s three receive
+/// completions, five notice broadcasts and ten `World::run_*` were
+/// folded into one each: every span and instant of a faulted FT run
+/// (drop + straggle + kill→rejoin, 2×2) and of a scheduled run must keep
+/// its name, count and timestamps to the bit.
+#[test]
+fn golden_traces_survive_the_envelope_refactor() {
+    let net = mlp_tiny();
+    let (x, labels) = synthetic_data(&net, 16, 5);
+
+    let cfg = FtTrainConfig {
+        iters: 8,
+        ..ft_cfg(true, 2)
+    };
+    let clean = train_1p5d_ft_traced(
+        &net,
+        &x,
+        &labels,
+        &cfg,
+        2,
+        2,
+        FaultPlan::default(),
+        TraceConfig::disabled(),
+    )
+    .0;
+    let m = clean.stats.makespan();
+    let plan = FaultPlan::new(11)
+        .drop_nth(0, 1, 3)
+        .straggle(2, 0, 2e-5, 1e-6, Span::All)
+        .kill(3, 0.35 * m)
+        .rejoin(3, 0.55 * m);
+    let (res, trace) =
+        train_1p5d_ft_traced(&net, &x, &labels, &cfg, 2, 2, plan, TraceConfig::enabled());
+    assert_eq!(res.stats.total_rejoins(), 1);
+    let (hist, fnv) = trace_fingerprint(&trace);
+    assert_eq!(hist, GOLDEN_FT_HIST, "FT trace histogram");
+    assert_eq!(fnv, GOLDEN_FT_FNV, "FT trace timestamps");
+
+    let tcfg = TrainConfig {
+        lr: 0.2,
+        iters: 3,
+        seed: 3,
+    };
+    let plan = OverlapPlan {
+        dx_overlap: true,
+        fwd_prefetch: true,
+        interleave: true,
+        ..FIFO_BARRIER
+    };
+    let (_, trace) = train_1p5d_scheduled_traced(
+        &net,
+        &x,
+        &labels,
+        &tcfg,
+        2,
+        2,
+        NetModel::cori_knl(),
+        TraceConfig::enabled(),
+        plan,
+    );
+    let (hist, fnv) = trace_fingerprint(&trace);
+    assert_eq!(hist, GOLDEN_SCHED_HIST, "scheduled trace histogram");
+    assert_eq!(fnv, GOLDEN_SCHED_FNV, "scheduled trace timestamps");
+}
