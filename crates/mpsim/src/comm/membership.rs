@@ -1,0 +1,735 @@
+//! Membership under faults: recovery epochs, failure agreement,
+//! shrink, revive / readmit / park / heal, the adaptive detector's
+//! queries, and the scripted silent-data-corruption flips. Everything
+//! here is bookkeeping on the per-rank tables plus calls into `wire`
+//! for the traffic; no envelope is built or inspected in this module.
+
+use super::wire::Notice;
+use super::{derive_ctx, Communicator, RESERVED_TAG_BASE};
+use crate::error::{Error, FaultCtx, Result};
+use crate::fault::BitFlip;
+use crate::{Rank, Tag};
+
+/// Base tag for [`Communicator::fault_sync`] rounds (offset by a
+/// per-rank round counter, so successive rounds never cross-match).
+const FAULT_SYNC_TAG: Tag = RESERVED_TAG_BASE + 4096;
+
+impl Communicator {
+    /// Broadcasts an abort notice for the current data-plane phase to
+    /// every rank in the *world*, blaming global rank `culprit`. Peers
+    /// blocked on a receive from this rank unblock with
+    /// [`Error::Aborted`]; the notice is honored only while the
+    /// receiver is in the same recovery epoch (stale aborts from before
+    /// a recovery are ignored).
+    pub fn send_abort(&self, culprit: usize) -> Result<()> {
+        let mut i = self.inner.borrow_mut();
+        i.check_failed()?;
+        i.stats.aborts_sent += 1;
+        let now = i.clock.now;
+        i.broadcast_notice(Notice::Abort { culprit }, now);
+        Ok(())
+    }
+
+    /// This rank's current recovery epoch (starts at 0; bumped by
+    /// [`Communicator::advance_fault_epoch`] after each recovery).
+    pub fn fault_epoch(&self) -> u64 {
+        self.inner.borrow().fault_epoch
+    }
+
+    /// Enters the next recovery epoch: abort notices from earlier
+    /// epochs become stale and are pruned. Call on every survivor at
+    /// the same point of the recovery protocol (SPMD).
+    pub fn advance_fault_epoch(&self) {
+        let next = self.fault_epoch() + 1;
+        self.set_fault_epoch(next);
+    }
+
+    /// Fast-forwards the recovery epoch to at least `epoch` (pruning
+    /// stale abort notices), used by a rejoining rank to match the
+    /// survivors it is re-entering with.
+    pub fn set_fault_epoch(&self, epoch: u64) {
+        let mut i = self.inner.borrow_mut();
+        i.fault_epoch = i.fault_epoch.max(epoch);
+        let e = i.fault_epoch;
+        i.aborted_peers.retain(|_, &mut (_, pe)| pe >= e);
+    }
+
+    /// Failure-agreement exchange: every member broadcasts `payload`
+    /// (control plane, free in virtual time) and collects every other
+    /// member's, observing deaths instead of hanging. Returns one entry
+    /// per member rank: `Some(bytes)` for a live member (own slot
+    /// included), `None` for a dead or unreachable one (agreement
+    /// proceeds within the fragment).
+    ///
+    /// The broadcast is atomic with respect to this rank's own scripted
+    /// death — the death check runs once, before any send — so every
+    /// peer observes the same thing: either the full round or a death
+    /// notice, never a partial round. A round message that would cross
+    /// an active cut arrives as a severed marker instead. All members
+    /// must call `fault_sync` the same number of times (SPMD), like
+    /// `split`.
+    pub fn fault_sync(&self, payload: Vec<u8>) -> Result<Vec<Option<Vec<u8>>>> {
+        let mut i = self.inner.borrow_mut();
+        i.check_failed()?;
+        i.fault_sync_seq += 1;
+        let tag = FAULT_SYNC_TAG + i.fault_sync_seq;
+        i.broadcast_control(self.ctx, tag, &self.members, payload.clone());
+        let mut out = Vec::with_capacity(self.size());
+        for &src_global in self.members.iter() {
+            if src_global == i.global_rank {
+                out.push(Some(payload.clone()));
+                continue;
+            }
+            match i.complete_control(self.ctx, src_global, tag) {
+                Ok(bytes) => out.push(Some(bytes)),
+                // The detection is recorded and counted, but the round
+                // keeps collecting: it must produce a full survivor
+                // picture.
+                Err(Error::RankFailed { .. } | Error::Unreachable { .. }) => out.push(None),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(out)
+    }
+
+    /// Deterministically builds the communicator of survivors after the
+    /// global ranks in `dead` failed, with **no communication**: every
+    /// survivor that calls this with the same `dead` set and `epoch`
+    /// derives the same context id and member table (members keep their
+    /// relative order). Returns [`Error::RankFailed`] for a caller that
+    /// is itself in `dead`.
+    pub fn shrink_exclude(&self, dead: &[usize], epoch: u64) -> Result<Communicator> {
+        let members: Vec<usize> = self
+            .members
+            .iter()
+            .copied()
+            .filter(|g| !dead.contains(g))
+            .collect();
+        // "SRINK!" separates the shrink domain from `split`'s.
+        let head = [self.ctx, 0x5352_494e_4b21, epoch];
+        let ctx = derive_ctx(head.into_iter().chain(members.iter().map(|&g| g as u64)));
+        let my_global = self.members[self.rank];
+        self.child(ctx, members)
+            .ok_or(Error::RankFailed { rank: my_global })
+    }
+
+    /// Fast-forwards this rank's split-sequence counter to at least
+    /// `seq`. Child communicator contexts are derived from `(parent
+    /// ctx, split counter, color)`; a fault can interrupt different
+    /// ranks at different points of a collective `split` sequence,
+    /// desynchronizing the counter. Recovery protocols call this on
+    /// every survivor with the same value (e.g. `epoch * 1000`) before
+    /// rebuilding sub-communicators, restoring the invariant that all
+    /// members derive identical child contexts.
+    pub fn align_split_seq(&self, seq: u64) {
+        let mut i = self.inner.borrow_mut();
+        i.split_seq = i.split_seq.max(seq);
+    }
+
+    /// Records checkpoint volume written by a fault-tolerant trainer.
+    pub fn record_checkpoint_words(&self, words: u64) {
+        self.inner.borrow_mut().stats.ckpt_words += words;
+    }
+
+    /// Records virtual time a fault-tolerant trainer spent in recovery.
+    pub fn record_recovery_secs(&self, secs: f64) {
+        self.inner.borrow_mut().stats.recovery_secs += secs;
+    }
+
+    // --- silent data corruption --------------------------------------
+
+    /// Registers the training-phase context (iteration, op counter)
+    /// attached to corruption errors surfaced while it is set; pass
+    /// `None` at phase exit. The context is advisory — it never
+    /// affects matching or timing.
+    pub fn set_fault_ctx(&self, ctx: Option<FaultCtx>) {
+        self.inner.borrow_mut().fault_ctx = ctx;
+    }
+
+    /// The currently registered training-phase context, if any.
+    pub fn fault_ctx(&self) -> Option<FaultCtx> {
+        self.inner.borrow().fault_ctx
+    }
+
+    /// Drains the scripted compute bit flips for this rank's `op`-th
+    /// GEMM of iteration `iter`: each matching plan entry not yet spent
+    /// on this rank is marked spent, counted in
+    /// [`RankStats::bitflips_compute`](crate::RankStats::bitflips_compute),
+    /// announced as a trace instant,
+    /// and returned for the caller (the GEMM wrapper) to apply to the
+    /// product it just computed. Spend-once means a rollback/replay of
+    /// the same iteration re-executes clean — exactly the semantics a
+    /// transient SDC event has on real hardware.
+    pub fn take_compute_flips(&self, iter: u64, op: u64) -> Vec<BitFlip> {
+        let mut i = self.inner.borrow_mut();
+        if !i.plan.has_bitflips() {
+            return Vec::new();
+        }
+        let g = i.global_rank;
+        let flips: Vec<BitFlip> = i
+            .plan
+            .compute_flips_at(g, iter, op)
+            .into_iter()
+            .filter(|f| !i.compute_flips_spent[f.entry])
+            .collect();
+        for f in &flips {
+            i.compute_flips_spent[f.entry] = true;
+            i.stats.bitflips_compute += 1;
+            i.instant_now("fault", "bitflip_compute", || {
+                [
+                    ("iter", iter as f64),
+                    ("op", op as f64),
+                    ("bit", f.bit as f64),
+                ]
+            });
+        }
+        flips
+    }
+
+    /// Drains the scripted memory bit flips for this rank at the start
+    /// of iteration `iter` (same spend-once semantics as
+    /// [`Communicator::take_compute_flips`]); the caller applies them
+    /// to its resident weight words.
+    pub fn take_memory_flips(&self, iter: u64) -> Vec<BitFlip> {
+        let mut i = self.inner.borrow_mut();
+        if !i.plan.has_bitflips() {
+            return Vec::new();
+        }
+        let g = i.global_rank;
+        let flips: Vec<BitFlip> = i
+            .plan
+            .memory_flips_at(g, iter)
+            .into_iter()
+            .filter(|f| !i.memory_flips_spent[f.entry])
+            .collect();
+        for f in &flips {
+            i.memory_flips_spent[f.entry] = true;
+            i.stats.bitflips_memory += 1;
+            i.instant_now("fault", "bitflip_memory", || {
+                [("iter", iter as f64), ("bit", f.bit as f64)]
+            });
+        }
+        flips
+    }
+
+    /// Records an ABFT in-place correction (detected corruption that
+    /// needed **no** rollback) and announces it as a trace instant.
+    pub fn record_corrupt_corrected(&self, iter: u64, op: u64) {
+        let mut i = self.inner.borrow_mut();
+        i.stats.corrupt_corrected += 1;
+        i.instant_now("fault", "abft_correct", || {
+            [("iter", iter as f64), ("op", op as f64)]
+        });
+    }
+
+    /// Records a detected corruption escalated to rollback/replay (an
+    /// uncorrectable ABFT residual or a weight-audit failure).
+    pub fn record_corrupt_recovered(&self, iter: u64, op: u64) {
+        let mut i = self.inner.borrow_mut();
+        i.stats.corrupt_recovered += 1;
+        i.instant_now("fault", "sdc_escalate", || {
+            [("iter", iter as f64), ("op", op as f64)]
+        });
+    }
+
+    // --- elastic membership ------------------------------------------
+
+    /// Revives this rank at its scripted rejoin time — the earliest
+    /// [`FaultPlan::rejoin`](crate::FaultPlan::rejoin) entry strictly
+    /// after the kill that felled it: clears the death
+    /// flag, spends every kill at or before the rejoin time,
+    /// fast-forwards the clock to it, and broadcasts a rejoin
+    /// announcement. Returns the rejoin time, or
+    /// `None` when the rank is not dead or has no scheduled rejoin.
+    pub fn revive(&self) -> Option<f64> {
+        let mut i = self.inner.borrow_mut();
+        if !i.died {
+            return None;
+        }
+        let died_at = i.died_at?;
+        let at = i.plan.rejoin_time_after(i.global_rank, died_at)?;
+        i.died = false;
+        i.died_at = None;
+        i.revive_floor = at;
+        let t0 = i.clock.now;
+        i.clock.sync_to(at);
+        if i.clock.now > t0 {
+            i.span_to_now("fault", "dead_gap", t0, || []);
+        }
+        i.instant_now("fault", "rejoin", || [("at", at)]);
+        i.stats.rejoins += 1;
+        i.broadcast_notice(Notice::Rejoin, at);
+        Some(at)
+    }
+
+    /// Whether the fault plan schedules `global` — a peer this rank has
+    /// observed dead — to have rejoined by this rank's current virtual
+    /// time. A pure function of the plan, the observed death time, and
+    /// the local clock, so every survivor that shares the same death
+    /// observation answers identically at the same protocol point.
+    pub fn rejoin_ready(&self, global: usize) -> bool {
+        let i = self.inner.borrow();
+        match i.dead_peers.get(&global) {
+            Some(&died_at) => i
+                .plan
+                .rejoin_time_after(global, died_at)
+                .is_some_and(|t| t <= i.clock.now),
+            None => false,
+        }
+    }
+
+    /// Clears the death/abort/health records of re-admitted ranks,
+    /// restoring them as live peers. SPMD: every participant of a
+    /// recovery must call this with the same set at the same protocol
+    /// point.
+    pub fn readmit(&self, ranks: &[usize]) {
+        let mut i = self.inner.borrow_mut();
+        for &r in ranks {
+            i.dead_peers.remove(&r);
+            i.dead_surfaced.remove(&r);
+            i.aborted_peers.remove(&r);
+            i.unreachable_peers.remove(&r);
+            i.unreachable_surfaced.remove(&r);
+            i.health.reset(r);
+        }
+    }
+
+    /// Whether a peer this rank resolved as unreachable is ready for
+    /// re-admission: the fault plan shows no remaining cut between the
+    /// pair at this rank's current virtual time, and the peer is
+    /// plan-alive (not killed without a rejoin behind the cut). A pure
+    /// function of the plan, the local unreachability record, and the
+    /// clock — survivors sharing the observation answer identically at
+    /// the same protocol point, like [`Communicator::rejoin_ready`].
+    pub fn heal_ready(&self, global: usize) -> bool {
+        let i = self.inner.borrow();
+        if !i.unreachable_peers.contains_key(&global) || i.dead_peers.contains_key(&global) {
+            return false;
+        }
+        let now = i.clock.now;
+        !i.plan.pair_cut(global, i.global_rank, now) && i.plan.alive_at(global, now)
+    }
+
+    /// Global ranks this rank has resolved unreachable (severed by a
+    /// partition or parked), with the virtual time of the resolving
+    /// observation. Cleared per rank by [`Communicator::readmit`].
+    pub fn known_unreachable(&self) -> Vec<(usize, f64)> {
+        self.inner
+            .borrow()
+            .unreachable_peers
+            .iter()
+            .map(|(&r, &t)| (r, t))
+            .collect()
+    }
+
+    /// Parks this rank after losing quorum in a partition: flushes any
+    /// held transport state, broadcasts a park notice as
+    /// its **last act** before going silent (peers blocked on this rank
+    /// resolve it as unreachable instead of hanging), and — when every
+    /// partition active now has a scripted heal — fast-forwards the
+    /// clock to the heal horizon, where the caller should wait for
+    /// re-admission. Returns the heal horizon: `None` when no partition
+    /// is active at the current time, `Some(∞)` when one never heals
+    /// (the caller cannot return; treat as fatal).
+    pub fn park(&self) -> Result<Option<f64>> {
+        let mut i = self.inner.borrow_mut();
+        i.check_failed()?;
+        i.stats.parks += 1;
+        let now = i.clock.now;
+        i.instant_now("quorum", "park", || []);
+        i.broadcast_notice(Notice::Parked, now);
+        let horizon = i.plan.heal_horizon(now);
+        if let Some(h) = horizon.filter(|h| h.is_finite()) {
+            i.clock.sync_to(h);
+            if i.clock.now > now {
+                i.span_to_now("quorum", "parked", now, || []);
+            }
+            i.instant_now("quorum", "heal", || []);
+        }
+        Ok(horizon)
+    }
+
+    /// The heal horizon of the fault plan at this rank's current virtual
+    /// time: the latest scripted heal among partitions active now, or
+    /// `Some(∞)` when one never heals, or `None` when no partition is
+    /// active. See [`crate::FaultPlan::heal_horizon`].
+    pub fn heal_horizon(&self) -> Option<f64> {
+        let i = self.inner.borrow();
+        i.plan.heal_horizon(i.clock.now)
+    }
+
+    /// Blocks until a control message with `tag` arrives on this
+    /// communicator's context from *any* source, buffering everything
+    /// else. Used by a revived rank to wait for the survivors' welcome.
+    /// Which sender wins is a real-time race, so every sender must send
+    /// byte-identical payloads for the result to be deterministic.
+    pub fn await_control_any(&self, tag: Tag) -> Result<Vec<u8>> {
+        self.inner.borrow_mut().await_control_any(self.ctx, tag)
+    }
+
+    /// This rank's [`Communicator::fault_sync`] round counter (welcome
+    /// messages carry it so a rejoiner can align).
+    pub fn fault_sync_seq(&self) -> u64 {
+        self.inner.borrow().fault_sync_seq
+    }
+
+    /// Fast-forwards the [`Communicator::fault_sync`] round counter to
+    /// at least `seq` (rejoining rank, from the welcome).
+    pub fn align_fault_sync_seq(&self, seq: u64) {
+        let mut i = self.inner.borrow_mut();
+        i.fault_sync_seq = i.fault_sync_seq.max(seq);
+    }
+
+    // --- adaptive failure detection ----------------------------------
+
+    /// The per-peer receive deadline learned by the adaptive detector
+    /// (mean + k·σ of observed receive waits, clamped to the model
+    /// floor), or `None` until enough samples exist.
+    pub fn adaptive_deadline(&self, src: Rank) -> Option<f64> {
+        let src_global = self.global_rank_of(src).ok()?;
+        self.inner.borrow().health.deadline(src_global)
+    }
+
+    /// The current φ-accrual suspicion level of a peer, or `None`
+    /// while the detector lacks samples.
+    pub fn peer_phi(&self, src: Rank) -> Option<f64> {
+        let src_global = self.global_rank_of(src).ok()?;
+        let i = self.inner.borrow();
+        i.health.phi(src_global, i.clock.now)
+    }
+
+    /// Whether the detector currently ranks the peer *suspect but not
+    /// presumed dead* — the regime where a speculative re-request is
+    /// worthwhile (the peer is late beyond its learned rhythm, yet not
+    /// so silent that it is written off). The first flagging of a peer
+    /// since it was last heard is counted in
+    /// [`RankStats::suspects_flagged`](crate::RankStats::suspects_flagged).
+    pub fn peer_suspect_not_dead(&self, src: Rank) -> bool {
+        let Ok(src_global) = self.global_rank_of(src) else {
+            return false;
+        };
+        let mut i = self.inner.borrow_mut();
+        if i.dead_peers.contains_key(&src_global) {
+            return false;
+        }
+        let now = i.clock.now;
+        let Some(phi) = i.health.phi(src_global, now) else {
+            return false;
+        };
+        let cfg = *i.health.config();
+        if phi >= cfg.phi_suspect && phi < cfg.phi_dead {
+            if i.health.mark_suspect(src_global) {
+                i.stats.suspects_flagged += 1;
+            }
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Counts a speculative re-request issued by a fault-aware caller.
+    pub fn record_speculative_retry(&self) {
+        self.inner.borrow_mut().stats.speculative_retries += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::netmodel::NetModel;
+    use crate::world::World;
+
+    #[test]
+    fn scripted_bitflips_are_spend_once_and_counted() {
+        let model = NetModel::free();
+        let plan = crate::FaultPlan::new(7)
+            .bitflip_compute(1, 2, 0, 51)
+            .bitflip_memory(0, 1, 5, 44);
+        let (out, stats) = World::run_with_faults(2, model, plan, |comm| {
+            if comm.rank() == 0 {
+                let m = comm.take_memory_flips(1);
+                assert_eq!(m.len(), 1);
+                assert_eq!(
+                    m[0],
+                    crate::BitFlip {
+                        entry: 0,
+                        index: 5,
+                        bit: 44
+                    }
+                );
+                // Replaying the same iteration finds the flip spent.
+                assert!(comm.take_memory_flips(1).is_empty());
+                assert!(comm.take_compute_flips(2, 0).is_empty(), "wrong rank");
+                0
+            } else {
+                assert!(comm.take_compute_flips(2, 1).is_empty(), "wrong op");
+                let c = comm.take_compute_flips(2, 0);
+                assert_eq!(c.len(), 1);
+                assert_eq!(c[0].bit, 51);
+                assert!(comm.take_compute_flips(2, 0).is_empty(), "spent");
+                c[0].index
+            }
+        });
+        // The element draw is deterministic across runs (same plan).
+        let again = World::run_with_faults(
+            2,
+            model,
+            crate::FaultPlan::new(7)
+                .bitflip_compute(1, 2, 0, 51)
+                .bitflip_memory(0, 1, 5, 44),
+            |comm| {
+                if comm.rank() == 1 {
+                    comm.take_compute_flips(2, 0)[0].index
+                } else {
+                    comm.take_memory_flips(1);
+                    0
+                }
+            },
+        )
+        .0;
+        assert_eq!(out[1], again[1]);
+        assert_eq!(stats.ranks[0].bitflips_memory, 1);
+        assert_eq!(stats.ranks[0].bitflips_compute, 0);
+        assert_eq!(stats.ranks[1].bitflips_compute, 1);
+        assert_eq!(stats.total_bitflips_compute(), 1);
+        assert_eq!(stats.total_bitflips_memory(), 1);
+    }
+
+    #[test]
+    fn fault_ctx_is_attached_to_corruption_errors() {
+        let model = NetModel::free();
+        let plan = crate::FaultPlan::new(5).corrupt_nth(0, 1, 0);
+        let (out, _) = World::run_with_faults(2, model, plan, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 2, &[1.0, 2.0]).unwrap();
+                None
+            } else {
+                comm.set_fault_ctx(Some(crate::FaultCtx { iter: 4, op: 1 }));
+                assert_eq!(comm.fault_ctx(), Some(crate::FaultCtx { iter: 4, op: 1 }));
+                let e = comm.recv(0, 2).unwrap_err();
+                comm.set_fault_ctx(None);
+                Some(e)
+            }
+        });
+        assert_eq!(
+            out[1],
+            Some(Error::Corrupted {
+                rank: 0,
+                tag: 2,
+                ctx: Some(crate::FaultCtx { iter: 4, op: 1 })
+            })
+        );
+    }
+
+    #[test]
+    fn killed_rank_fails_and_peers_detect_it() {
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.0,
+            flops: f64::INFINITY,
+        };
+        let plan = crate::FaultPlan::new(0).kill(0, 5.0);
+        let (out, stats) = World::run_with_faults(2, model, plan, |comm| {
+            if comm.rank() == 0 {
+                comm.advance_compute(6.0); // sail past the kill time
+                let e = comm.send(1, 1, &[1.0]).unwrap_err();
+                assert_eq!(e, Error::RankFailed { rank: 0 });
+                // Every subsequent operation keeps failing.
+                assert_eq!(comm.recv(1, 1).unwrap_err(), Error::RankFailed { rank: 0 });
+                "dead"
+            } else {
+                let e = comm.recv(0, 1).unwrap_err();
+                assert_eq!(e, Error::RankFailed { rank: 0 });
+                // Detection cannot precede the death: clock >= 5.
+                assert!(comm.now() >= 5.0);
+                "survivor"
+            }
+        });
+        assert_eq!(out, vec!["dead", "survivor"]);
+        assert_eq!(stats.ranks[1].failures_detected, 1);
+        assert_eq!(stats.ranks[0].failures_detected, 0);
+    }
+
+    #[test]
+    fn fault_sync_agrees_on_survivors() {
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.0,
+            flops: f64::INFINITY,
+        };
+        let plan = crate::FaultPlan::new(0).kill(2, 1.0);
+        let (out, _) = World::run_with_faults(4, model, plan, |comm| {
+            comm.advance_compute(2.0);
+            if comm.rank() == 2 {
+                // Dies at its first comm op (the fault_sync broadcast).
+                assert!(comm.fault_sync(vec![2]).is_err());
+                return vec![];
+            }
+            let round = comm.fault_sync(vec![comm.rank() as u8]).unwrap();
+            round
+                .iter()
+                .map(|s| s.as_ref().map_or(255, |v| v[0]))
+                .collect::<Vec<u8>>()
+        });
+        for r in [0usize, 1, 3] {
+            assert_eq!(
+                out[r],
+                vec![0, 1, 255, 3],
+                "rank {r} sees the same survivor picture"
+            );
+        }
+    }
+
+    #[test]
+    fn shrink_exclude_is_communication_free_and_consistent() {
+        let model = NetModel::free();
+        let plan = crate::FaultPlan::new(0); // inactive, just exercising the API
+        let (out, stats) = World::run_with_faults(4, model, plan, |comm| {
+            if comm.rank() == 2 {
+                return (0, 0, 0.0);
+            }
+            let sub = comm.shrink_exclude(&[2], 1).unwrap();
+            // The shrunken communicator is fully usable: ring exchange.
+            let peer_up = (sub.rank() + 1) % sub.size();
+            let peer_dn = (sub.rank() + sub.size() - 1) % sub.size();
+            let got = sub
+                .sendrecv(peer_up, &[sub.rank() as f64], peer_dn, 4)
+                .unwrap();
+            (sub.rank(), sub.size(), got[0])
+        });
+        assert_eq!(out[0], (0, 3, 2.0));
+        assert_eq!(out[1], (1, 3, 0.0));
+        assert_eq!(out[3], (2, 3, 1.0));
+        assert_eq!(
+            stats.ranks[0].ctrl_msgs_sent, 0,
+            "no control traffic for shrink"
+        );
+    }
+
+    #[test]
+    fn killed_rank_revives_rejoins_and_talks_again() {
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.0,
+            flops: f64::INFINITY,
+        };
+        let plan = crate::FaultPlan::new(0).kill(0, 5.0).rejoin(0, 9.0);
+        let (out, stats) = World::run_with_faults(2, model, plan, |comm| {
+            if comm.rank() == 0 {
+                comm.advance_compute(6.0);
+                let e = comm.send(1, 1, &[1.0]).unwrap_err();
+                assert_eq!(e, Error::RankFailed { rank: 0 });
+                assert_eq!(comm.revive(), Some(9.0));
+                assert!((comm.now() - 9.0).abs() < 1e-12, "clock jumps to rejoin");
+                // Back to life: sends work again.
+                comm.send(1, 5, &[42.0]).unwrap();
+                vec![]
+            } else {
+                let e = comm.recv(0, 5).unwrap_err();
+                assert_eq!(e, Error::RankFailed { rank: 0 });
+                // Death surfaced at t=5; the scripted rejoin (t=9) is
+                // still in the future of this rank's clock.
+                assert!(!comm.rejoin_ready(0));
+                comm.advance_compute(5.0); // now 10 ≥ 9
+                assert!(comm.rejoin_ready(0));
+                comm.readmit(&[0]);
+                comm.recv(0, 5).unwrap()
+            }
+        });
+        assert_eq!(out[1], vec![42.0]);
+        assert_eq!(stats.ranks[0].rejoins, 1);
+        assert_eq!(stats.ranks[1].failures_detected, 1);
+    }
+
+    #[test]
+    fn revive_spends_the_kill_but_not_a_later_one() {
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.0,
+            flops: f64::INFINITY,
+        };
+        let plan = crate::FaultPlan::new(0)
+            .kill(0, 2.0)
+            .rejoin(0, 4.0)
+            .kill(0, 8.0);
+        let (out, _) = World::run_with_faults(1, model, plan, |comm| {
+            comm.advance_compute(3.0);
+            assert!(comm.send(0, 0, &[]).is_err(), "first kill fires");
+            comm.revive().unwrap();
+            // Alive again: the spent kill does not re-fire...
+            comm.send(0, 0, &[1.0]).unwrap();
+            let _ = comm.recv(0, 0).unwrap();
+            // ...but the second kill still does.
+            comm.advance_compute(10.0);
+            comm.send(0, 0, &[]).unwrap_err()
+        });
+        assert_eq!(out[0], Error::RankFailed { rank: 0 });
+    }
+
+    #[test]
+    fn await_control_any_takes_first_welcome_and_buffers_rest() {
+        let model = NetModel::free();
+        const WELCOME: Tag = RESERVED_TAG_BASE + 9000;
+        let out = World::run(3, model, |comm| {
+            if comm.rank() == 2 {
+                let w = comm.await_control_any(WELCOME).unwrap();
+                // Data sent before the welcome is still receivable.
+                let d = comm.recv(0, 4).unwrap();
+                (w, d)
+            } else {
+                if comm.rank() == 0 {
+                    comm.send(2, 4, &[7.0]).unwrap();
+                }
+                // Both survivors send byte-identical welcomes.
+                comm.send_control(2, WELCOME, vec![9, 9, 9]).unwrap();
+                (vec![], vec![])
+            }
+        });
+        assert_eq!(out[2].0, vec![9, 9, 9]);
+        assert_eq!(out[2].1, vec![7.0]);
+    }
+
+    #[test]
+    fn detector_learns_deadlines_and_flags_suspects() {
+        let model = NetModel {
+            alpha: 0.1,
+            beta: 0.0,
+            flops: f64::INFINITY,
+        };
+        let (out, stats) = World::run_with_stats(2, model, |comm| {
+            if comm.rank() == 0 {
+                for _ in 0..12 {
+                    comm.advance_compute(1.0);
+                    comm.send(1, 2, &[1.0]).unwrap();
+                }
+                (None, None)
+            } else {
+                for _ in 0..12 {
+                    let _ = comm.recv(0, 2).unwrap();
+                }
+                // Learned deadline tracks the ~1 s observed waits (the
+                // 4·α floor is 0.4, well below).
+                let dl = comm.adaptive_deadline(0);
+                // Right after hearing from the peer, φ is low.
+                let quiet = comm.peer_phi(0).unwrap();
+                assert!(quiet < 1.0, "fresh peer is unsuspicious: {quiet}");
+                assert!(!comm.peer_suspect_not_dead(0));
+                // Moderate silence: suspect but not presumed dead.
+                comm.advance_compute(1.35);
+                let suspect = comm.peer_suspect_not_dead(0);
+                let phi_mid = comm.peer_phi(0).unwrap();
+                // Long silence: written off, past speculation.
+                comm.advance_compute(8.0);
+                let phi_late = comm.peer_phi(0).unwrap();
+                assert!(phi_late > phi_mid && phi_mid > quiet);
+                assert!(!comm.peer_suspect_not_dead(0), "φ past dead: {phi_late}");
+                (dl, Some((suspect, phi_mid)))
+            }
+        });
+        let dl = out[1].0.unwrap();
+        assert!((0.5..2.5).contains(&dl), "learned deadline: {dl}");
+        let (suspect, phi_mid) = out[1].1.unwrap();
+        assert!(suspect, "moderate silence flags suspect (φ = {phi_mid})");
+        assert_eq!(stats.ranks[1].suspects_flagged, 1);
+    }
+}
