@@ -22,7 +22,7 @@ use bench::parse_args;
 use distmm::dist::{col_shard, row_shard};
 use distmm::onep5d::{backward, forward, Grid};
 use integrated::report::{fmt_seconds, Table};
-use mpsim::{NetModel, Topology, World};
+use mpsim::{NetModel, RunOpts, Topology, World};
 use tensor::init;
 
 fn run(pr: usize, pc: usize, colmajor: bool, topo: Topology) -> f64 {
@@ -32,7 +32,11 @@ fn run(pr: usize, pc: usize, colmajor: bool, topo: Topology) -> f64 {
     let dy = init::uniform(d_out, b, -1.0, 1.0, 3);
     let mut model = NetModel::cori_knl();
     model.flops = f64::INFINITY; // communication only
-    let out = World::run_topo(pr * pc, model, topo, |comm| {
+    let opts = RunOpts {
+        topo,
+        ..RunOpts::default()
+    };
+    let (out, _, _) = World::run_opts(pr * pc, model, opts, |comm| {
         let grid = if colmajor {
             Grid::new_colmajor(comm, pr, pc).unwrap()
         } else {

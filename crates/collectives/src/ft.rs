@@ -7,7 +7,7 @@
 //! movement and α–β cost in the fault-free case) in three defenses:
 //!
 //! 1. **Timeout-aware receives** — every blocking receive uses
-//!    [`mpsim::Communicator::recv_retry`] with the [`FtConfig`]
+//!    [`mpsim::Communicator::recv_retry_policy`] with the [`FtConfig`]
 //!    deadline, so a dropped or straggling message surfaces as
 //!    [`mpsim::Error::Timeout`] after a bounded, virtual-clock-charged
 //!    wait instead of hanging.
@@ -154,18 +154,6 @@ impl FtConfig {
         }
     }
 
-    /// A single-attempt policy with a fixed bare-seconds deadline.
-    #[deprecated(
-        since = "0.2.0",
-        note = "derive deadlines from the network model instead: use \
-                `FtConfig::for_model` / `FtConfig::adaptive`, or \
-                `FtConfig::fixed` when a bare-seconds deadline is \
-                really wanted"
-    )]
-    pub fn new(timeout: f64) -> Self {
-        FtConfig::fixed(timeout)
-    }
-
     /// Sets the number of attempts per receive.
     pub fn with_attempts(mut self, attempts: usize) -> Self {
         assert!(attempts >= 1, "need at least one attempt");
@@ -177,32 +165,6 @@ impl FtConfig {
     pub fn with_backoff(mut self, backoff: f64) -> Self {
         assert!(backoff >= 0.0, "backoff must be non-negative");
         self.backoff = backoff;
-        self
-    }
-
-    /// Sets the multiplicative backoff growth per retry.
-    pub fn with_backoff_factor(mut self, factor: f64) -> Self {
-        assert!(factor >= 1.0, "backoff factor must be >= 1");
-        self.backoff_factor = factor;
-        self
-    }
-
-    /// Sets the backoff jitter fraction.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        assert!((0.0..=1.0).contains(&jitter), "jitter must be in [0, 1]");
-        self.jitter = jitter;
-        self
-    }
-
-    /// Enables or disables speculative re-requests for suspect peers.
-    pub fn with_speculative(mut self, speculative: bool) -> Self {
-        self.speculative = speculative;
-        self
-    }
-
-    /// Replaces the deadline policy.
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = deadline;
         self
     }
 }
@@ -643,12 +605,6 @@ mod tests {
             out[0]
         );
         assert!(out[1].is_ok(), "rank 1's own halo arrived: {:?}", out[1]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_is_the_fixed_policy() {
-        assert_eq!(FtConfig::new(2.5), FtConfig::fixed(2.5));
     }
 
     #[test]

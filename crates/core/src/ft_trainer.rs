@@ -44,7 +44,8 @@ use collectives::{FtConfig, ReduceOp};
 use dnn::{Network, WeightedLayer};
 use mpsim::fault::checksum;
 use mpsim::{
-    BitFlip, Communicator, Error, FaultCtx, FaultPlan, TraceConfig, World, WorldStats, WorldTrace,
+    BitFlip, Communicator, Error, FaultCtx, FaultPlan, RunOpts, TraceConfig, World, WorldStats,
+    WorldTrace,
 };
 use tensor::ops::axpy;
 use tensor::Matrix;
@@ -1283,7 +1284,12 @@ pub fn train_1p5d_ft_traced(
     let wlayers = net.weighted_layers();
     let model = cfg.machine.net_model();
     let full_weights = init_weights(&layers, cfg.seed);
-    let (per_rank, stats, traces) = World::run_faults_traced(pr * pc, model, plan, trace, |comm| {
+    let opts = RunOpts {
+        faults: plan,
+        trace,
+        ..RunOpts::default()
+    };
+    let (per_rank, stats, traces) = World::run_opts(pr * pc, model, opts, |comm| {
         let my_global = comm.global_rank_of(comm.rank())?;
         let mut entry = Entry::Fresh(&full_weights);
         loop {

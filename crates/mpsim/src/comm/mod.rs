@@ -274,9 +274,9 @@ impl Communicator {
     }
 
     fn recv_deadline(&self, src: Rank, tag: Tag, timeout: Option<f64>) -> Result<Vec<f64>> {
-        let from = (self.global_rank_of(src)?, src);
+        let src_global = self.global_rank_of(src)?;
         let mut i = self.inner.borrow_mut();
-        let got = i.complete(self.ctx, from, tag, timeout, Lane::Blocking)?;
+        let got = i.complete(self.ctx, src_global, src, tag, timeout, Lane::Blocking)?;
         Ok(got.data)
     }
 
@@ -312,15 +312,15 @@ impl Communicator {
     /// surfaces drops, peer death, and aborts like
     /// [`Communicator::recv`].
     pub fn wait(&self, handle: RecvHandle) -> Result<Vec<f64>> {
-        let from = (handle.src_global, handle.src);
+        let RecvHandle {
+            ctx,
+            src_global,
+            src,
+            tag,
+            deadline,
+        } = handle;
         let mut i = self.inner.borrow_mut();
-        let got = i.complete(
-            handle.ctx,
-            from,
-            handle.tag,
-            handle.deadline,
-            Lane::Overlapped,
-        )?;
+        let got = i.complete(ctx, src_global, src, tag, deadline, Lane::Overlapped)?;
         Ok(got.data)
     }
 
@@ -351,9 +351,9 @@ impl Communicator {
         tag: Tag,
         timeout: Option<f64>,
     ) -> Result<ChannelRecv> {
-        let from = (self.global_rank_of(src)?, src);
+        let src_global = self.global_rank_of(src)?;
         let mut i = self.inner.borrow_mut();
-        i.complete(self.ctx, from, tag, timeout, Lane::Channel)
+        i.complete(self.ctx, src_global, src, tag, timeout, Lane::Channel)
     }
 
     /// Completes a non-blocking operation whose channel work finished

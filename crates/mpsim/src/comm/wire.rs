@@ -126,6 +126,19 @@ enum Matched {
     Unreachable(f64),
 }
 
+impl Matched {
+    /// What a tombstone resolves its receive to: the sender is
+    /// unreachable when the message was severed by a partition, the
+    /// message is simply lost when the plan dropped it.
+    fn lost(tombstone: &Envelope) -> Matched {
+        if tombstone.severed {
+            Matched::Unreachable(tombstone.depart)
+        } else {
+            Matched::Dropped
+        }
+    }
+}
+
 /// Which timeline a data-plane receive is charged to. A lane is chosen
 /// by the public method that was called, never by the caller's data,
 /// and is a constant at every call of [`Inner::complete`].
@@ -233,7 +246,8 @@ impl Inner {
         cat: &'static str,
         name: &'static str,
         track: Track,
-        (t0, t1): (f64, f64),
+        t0: f64,
+        t1: f64,
         args: impl FnOnce() -> [(&'static str, f64); N],
     ) {
         if self.tracer.enabled() {
@@ -251,7 +265,7 @@ impl Inner {
         args: impl FnOnce() -> [(&'static str, f64); N],
     ) {
         let t1 = self.clock.now;
-        self.span(cat, name, Track::Main, (t0, t1), args);
+        self.span(cat, name, Track::Main, t0, t1, args);
     }
 
     /// Records an instant at the current virtual time.
@@ -380,10 +394,7 @@ impl Inner {
                 if matches!(env.data, Payload::Tombstone { .. }) {
                     // Leave the tombstone parked: retries must keep
                     // observing the loss instead of blocking forever.
-                    if env.severed {
-                        return Ok(Matched::Unreachable(env.depart));
-                    }
-                    return Ok(Matched::Dropped);
+                    return Ok(Matched::lost(env));
                 }
                 return Ok(Matched::Data(queue.pop_front().expect("non-empty")));
             }
@@ -404,12 +415,9 @@ impl Inner {
             } else if (env.ctx, env.src, env.tag) != key {
                 self.park(env);
             } else if matches!(env.data, Payload::Tombstone { .. }) {
-                let (severed, at) = (env.severed, env.depart);
+                let lost = Matched::lost(&env);
                 self.park(env);
-                if severed {
-                    return Ok(Matched::Unreachable(at));
-                }
-                return Ok(Matched::Dropped);
+                return Ok(lost);
             } else if env.dup {
                 self.stats.dups_absorbed += 1;
             } else {
@@ -523,7 +531,8 @@ impl Inner {
     pub(super) fn complete(
         &mut self,
         ctx: u64,
-        (src_global, src): (usize, Rank),
+        src_global: usize,
+        src: Rank,
         tag: Tag,
         limit: Option<f64>,
         lane: Lane,
@@ -599,8 +608,8 @@ impl Inner {
                 if lane == Lane::Channel {
                     self.stats.channel_secs += transfer;
                     self.observe_peer(src_global, None);
-                    let at = (ready_at - transfer, ready_at);
-                    self.span("channel", "xfer", Track::Channel, at, peer_words);
+                    let t0 = ready_at - transfer;
+                    self.span("channel", "xfer", Track::Channel, t0, ready_at, peer_words);
                 } else {
                     self.stats.transfer_secs += transfer;
                     let waited = self.clock.now - posted_at;

@@ -45,7 +45,7 @@ pub enum Error {
         peer: usize,
     },
     /// A received payload had a different length than the caller
-    /// required (`recv_into` with a fixed-size buffer).
+    /// required (a fixed-size destination buffer).
     LengthMismatch {
         /// Expected element count.
         expected: usize,

@@ -316,8 +316,7 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The legacy constant-backoff schedule (what
-    /// [`crate::Communicator::recv_retry`] always did).
+    /// A constant-backoff schedule: no growth, no jitter.
     pub fn fixed(timeout: f64, attempts: usize, backoff: f64) -> Self {
         RetryPolicy {
             timeout,

@@ -71,7 +71,7 @@ pub use netmodel::NetModel;
 pub use stats::{RankStats, WorldStats};
 pub use topology::Topology;
 pub use trace::{EventKind, RankTrace, TraceConfig, TraceEvent, TraceSink, Track, WorldTrace};
-pub use world::{Backend, World};
+pub use world::{Backend, RunOpts, World};
 
 /// A rank index within a communicator.
 pub type Rank = usize;

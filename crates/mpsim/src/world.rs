@@ -10,24 +10,24 @@
 //!   backend, kept as a differential-testing oracle. P² channel
 //!   senders and one stack per rank cap it at a few hundred ranks.
 //!
-//! Selection: [`Backend::set_override`] (process-global, for tests)
-//! beats the `MPSIM_BACKEND` environment variable (`events` |
-//! `threads`), which beats the default (`events`).
+//! Selection: [`RunOpts::backend`] (one call) beats
+//! [`Backend::set_override`] (process-global, for tests), which beats
+//! the `MPSIM_BACKEND` environment variable (`events` | `threads`),
+//! which beats the default (`events`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crate::clock::Clock;
 use crate::comm::{Communicator, Inner};
 use crate::engine;
 use crate::fault::FaultPlan;
 use crate::netmodel::NetModel;
-use crate::router;
-use crate::stats::{RankStats, WorldStats};
+use crate::router::{self, Endpoint};
+use crate::stats::WorldStats;
 use crate::topology::Topology;
-use crate::trace::{RankTrace, TraceConfig, WorldTrace};
+use crate::trace::{TraceConfig, WorldTrace};
 
 /// Which execution engine runs the ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +44,8 @@ pub enum Backend {
 static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 impl Backend {
-    /// The backend the next `World::run_*` call will use:
+    /// The backend the next `World::run*` call will use (unless it
+    /// names one in [`RunOpts::backend`]):
     /// [`Backend::set_override`] if set, else `MPSIM_BACKEND`
     /// (`events` | `threads`), else [`Backend::Events`].
     pub fn current() -> Backend {
@@ -62,7 +63,7 @@ impl Backend {
     }
 
     /// Process-global backend override, strongest selector. Lets tests
-    /// drive code that calls `World::run_*` internally (the trainers,
+    /// drive code that calls `World::run*` internally (the trainers,
     /// the chaos campaign) onto a chosen backend. `None` restores env /
     /// default selection.
     pub fn set_override(backend: Option<Backend>) {
@@ -73,6 +74,27 @@ impl Backend {
         };
         BACKEND_OVERRIDE.store(v, Ordering::Relaxed);
     }
+}
+
+/// Everything a world can be run under besides its size and network
+/// model. The default is the paper's setting: flat network, no faults,
+/// no tracing, backend chosen by [`Backend::current`].
+#[derive(Debug, Clone, Default)]
+pub struct RunOpts {
+    /// Hierarchical [`Topology`]: intra-node messages get their α/β
+    /// scaled, modelling fat nodes.
+    pub topo: Topology,
+    /// Deterministic [`FaultPlan`]: drops, stragglers, corruption,
+    /// partitions and rank deaths are injected exactly as scripted.
+    pub faults: FaultPlan,
+    /// Per-rank event tracing (disabled by default; with tracing
+    /// disabled an instrumented site costs one boolean test).
+    pub trace: TraceConfig,
+    /// Run on this backend, ignoring override/environment selection
+    /// (`None`: [`Backend::current`]). This is the differential-testing
+    /// switch: run the same world once per backend and compare
+    /// everything bit-for-bit.
+    pub backend: Option<Backend>,
 }
 
 /// Entry point: runs `size` ranks — fibers on the event backend, scoped
@@ -116,7 +138,7 @@ impl World {
         T: Send,
         F: Fn(&Communicator) -> T + Sync,
     {
-        Self::run_with_stats(size, model, f).0
+        Self::run_opts(size, model, RunOpts::default(), f).0
     }
 
     /// Like [`World::run`] but also returns traffic counters and final
@@ -130,51 +152,17 @@ impl World {
         T: Send,
         F: Fn(&Communicator) -> T + Sync,
     {
-        Self::run_topo_with_stats(size, model, Topology::flat(), f)
+        let (out, stats, _) = Self::run_opts(size, model, RunOpts::default(), f);
+        (out, stats)
     }
 
-    /// Runs under a hierarchical [`Topology`]: intra-node messages get
-    /// their α/β scaled per the topology, modelling fat nodes.
+    /// Runs under a deterministic [`FaultPlan`]. Returns per-rank
+    /// results and the world statistics (whose fault counters record
+    /// what was injected and detected).
     ///
     /// # Panics
     ///
-    /// As [`World::run`]: `size == 0`, or a rank panic.
-    pub fn run_topo<T, F>(size: usize, model: NetModel, topo: Topology, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Sync,
-    {
-        Self::run_topo_with_stats(size, model, topo, f).0
-    }
-
-    /// [`World::run_topo`] with statistics.
-    ///
-    /// # Panics
-    ///
-    /// As [`World::run`]: `size == 0`, or a rank panic.
-    pub fn run_topo_with_stats<T, F>(
-        size: usize,
-        model: NetModel,
-        topo: Topology,
-        f: F,
-    ) -> (Vec<T>, WorldStats)
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Sync,
-    {
-        Self::run_topo_faults_with_stats(size, model, topo, FaultPlan::default(), f)
-    }
-
-    /// Runs under a deterministic [`FaultPlan`]: drops, stragglers,
-    /// corruption, and rank deaths are injected exactly as scripted.
-    /// Returns per-rank results and the world statistics (whose fault
-    /// counters record what was injected and detected).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`, if `plan` fails [`FaultPlan::validate`]
-    /// (message `invalid fault plan: …`, raised before any rank runs),
-    /// or if a rank panics.
+    /// As [`World::run_opts`].
     pub fn run_with_faults<T, F>(
         size: usize,
         model: NetModel,
@@ -185,29 +173,11 @@ impl World {
         T: Send,
         F: Fn(&Communicator) -> T + Sync,
     {
-        Self::run_topo_faults_with_stats(size, model, Topology::flat(), plan, f)
-    }
-
-    /// The fully general entry point: topology + fault plan + stats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`, if `plan` fails [`FaultPlan::validate`]
-    /// (message `invalid fault plan: …`, raised before any rank runs),
-    /// or if a rank panics.
-    pub fn run_topo_faults_with_stats<T, F>(
-        size: usize,
-        model: NetModel,
-        topo: Topology,
-        plan: FaultPlan,
-        f: F,
-    ) -> (Vec<T>, WorldStats)
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Sync,
-    {
-        let (out, stats, _) =
-            Self::run_topo_faults_traced(size, model, topo, plan, TraceConfig::disabled(), f);
+        let opts = RunOpts {
+            faults: plan,
+            ..RunOpts::default()
+        };
+        let (out, stats, _) = Self::run_opts(size, model, opts, f);
         (out, stats)
     }
 
@@ -228,80 +198,28 @@ impl World {
         T: Send,
         F: Fn(&Communicator) -> T + Sync,
     {
-        Self::run_topo_faults_traced(
-            size,
-            model,
-            Topology::flat(),
-            FaultPlan::default(),
+        let opts = RunOpts {
             trace,
-            f,
-        )
+            ..RunOpts::default()
+        };
+        Self::run_opts(size, model, opts, f)
     }
 
-    /// [`World::run_with_faults`] with per-rank event tracing.
+    /// The general entry point: topology, fault plan, tracing and
+    /// backend all come from `opts`; the other `run*` are this with
+    /// [`RunOpts::default`] and at most one field set.
     ///
     /// # Panics
     ///
-    /// Panics if `size == 0`, if `plan` fails [`FaultPlan::validate`]
-    /// (message `invalid fault plan: …`, raised before any rank runs),
-    /// or if a rank panics.
-    pub fn run_faults_traced<T, F>(
+    /// Panics if `size == 0`, if `opts.faults` fails
+    /// [`FaultPlan::validate`] (message `invalid fault plan: …`, raised
+    /// before any rank runs), or if a rank panics (the panic is
+    /// re-thrown after all ranks have completed; with several panicking
+    /// ranks the lowest rank's payload wins).
+    pub fn run_opts<T, F>(
         size: usize,
         model: NetModel,
-        plan: FaultPlan,
-        trace: TraceConfig,
-        f: F,
-    ) -> (Vec<T>, WorldStats, WorldTrace)
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Sync,
-    {
-        Self::run_topo_faults_traced(size, model, Topology::flat(), plan, trace, f)
-    }
-
-    /// The fully general entry point with tracing: topology + fault
-    /// plan + stats + trace, on the currently selected [`Backend`].
-    /// All other `run_*` variants delegate here (with tracing disabled
-    /// they add zero work to the virtual clock — one boolean test per
-    /// instrumented site).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`, if `plan` fails [`FaultPlan::validate`]
-    /// (message `invalid fault plan: …`, raised before any rank runs),
-    /// or if a rank panics (the panic is re-thrown after all ranks have
-    /// completed; with several panicking ranks the lowest rank's
-    /// payload wins on the event backend).
-    pub fn run_topo_faults_traced<T, F>(
-        size: usize,
-        model: NetModel,
-        topo: Topology,
-        plan: FaultPlan,
-        trace: TraceConfig,
-        f: F,
-    ) -> (Vec<T>, WorldStats, WorldTrace)
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Sync,
-    {
-        Self::run_topo_faults_traced_on(Backend::current(), size, model, topo, plan, trace, f)
-    }
-
-    /// [`World::run_topo_faults_traced`] on an explicitly chosen
-    /// [`Backend`], ignoring override/environment selection. This is
-    /// the differential-testing entry point: run the same world twice,
-    /// once per backend, and compare everything bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// As [`World::run_topo_faults_traced`].
-    pub fn run_topo_faults_traced_on<T, F>(
-        backend: Backend,
-        size: usize,
-        model: NetModel,
-        topo: Topology,
-        plan: FaultPlan,
-        trace: TraceConfig,
+        opts: RunOpts,
         f: F,
     ) -> (Vec<T>, WorldStats, WorldTrace)
     where
@@ -309,12 +227,34 @@ impl World {
         F: Fn(&Communicator) -> T + Sync,
     {
         assert!(size > 0, "world size must be positive");
-        if let Err(msg) = plan.validate() {
+        let RunOpts {
+            topo,
+            faults,
+            trace,
+            backend,
+        } = opts;
+        if let Err(msg) = faults.validate() {
             panic!("invalid fault plan: {msg}");
         }
-        let joined = match backend {
-            Backend::Threads => Self::run_threads(size, model, topo, plan, trace, &f),
-            Backend::Events => Self::run_events(size, model, topo, plan, trace, &f),
+        let plan = Arc::new(faults);
+        // The per-rank body both backends run, on the rank's own
+        // thread or fiber: build the rank's state around its endpoint,
+        // run `f`, hand back what the world collects.
+        let rank_body = |rank: usize, endpoint: Endpoint| {
+            let plan = Arc::clone(&plan);
+            let inner = Inner::new(rank, size, endpoint, model, topo, plan, trace);
+            let inner = Rc::new(RefCell::new(inner));
+            let comm = Communicator::world(Rc::clone(&inner));
+            let out = f(&comm);
+            drop(comm);
+            let mut i = inner.borrow_mut();
+            let now = i.clock.now;
+            let trace = i.tracer.finish(rank, now);
+            (out, i.stats, i.clock, trace)
+        };
+        let joined = match backend.unwrap_or_else(Backend::current) {
+            Backend::Threads => Self::run_threads(size, &rank_body),
+            Backend::Events => Self::run_events(size, &rank_body),
         };
         let mut results = Vec::with_capacity(size);
         let mut stats = WorldStats::default();
@@ -330,40 +270,20 @@ impl World {
 
     /// Threaded backend: one scoped OS thread per rank, crossbeam
     /// channels, join in rank order.
-    fn run_threads<T, F>(
+    fn run_threads<R: Send>(
         size: usize,
-        model: NetModel,
-        topo: Topology,
-        plan: FaultPlan,
-        trace: TraceConfig,
-        f: &F,
-    ) -> Vec<(T, RankStats, Clock, RankTrace)>
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Sync,
-    {
-        let endpoints = router::build(size);
-        let plan = Arc::new(plan);
-        let mut joined: Vec<(T, RankStats, Clock, RankTrace)> = Vec::with_capacity(size);
+        rank_body: &(impl Fn(usize, Endpoint) -> R + Sync),
+    ) -> Vec<R> {
+        let mut joined = Vec::with_capacity(size);
         // Lowest-rank panic payload, re-thrown intact after every rank
         // has been joined — same contract as the event backend.
         let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(size);
-            for (rank, endpoint) in endpoints.into_iter().enumerate() {
-                let plan = Arc::clone(&plan);
-                handles.push(scope.spawn(move || {
-                    let inner = Rc::new(RefCell::new(Inner::new(
-                        rank, size, endpoint, model, topo, plan, trace,
-                    )));
-                    let comm = Communicator::world(Rc::clone(&inner));
-                    let out = f(&comm);
-                    let mut i = inner.borrow_mut();
-                    let now = i.clock.now;
-                    let trace = i.tracer.finish(rank, now);
-                    (out, i.stats, i.clock, trace)
-                }));
-            }
+            let handles: Vec<_> = router::build(size)
+                .into_iter()
+                .enumerate()
+                .map(|(rank, endpoint)| scope.spawn(move || rank_body(rank, endpoint)))
+                .collect();
             for h in handles {
                 match h.join() {
                     Ok(v) => joined.push(v),
@@ -381,44 +301,22 @@ impl World {
 
     /// Event backend: every rank is a fiber on the discrete-event
     /// engine; the whole world runs on the calling thread.
-    fn run_events<T, F>(
-        size: usize,
-        model: NetModel,
-        topo: Topology,
-        plan: FaultPlan,
-        trace: TraceConfig,
-        f: &F,
-    ) -> Vec<(T, RankStats, Clock, RankTrace)>
-    where
-        T: Send,
-        F: Fn(&Communicator) -> T + Sync,
-    {
-        let plan = Arc::new(plan);
+    fn run_events<R>(size: usize, rank_body: &impl Fn(usize, Endpoint) -> R) -> Vec<R> {
         let (fabric, endpoints) = router::build_event(size);
-        type Slot<T> = Option<(T, RankStats, Clock, RankTrace)>;
-        let slots: Rc<RefCell<Vec<Slot<T>>>> =
+        let slots: Rc<RefCell<Vec<Option<R>>>> =
             Rc::new(RefCell::new((0..size).map(|_| None).collect()));
         let mut closures: Vec<Box<dyn FnOnce()>> = Vec::with_capacity(size);
         for (rank, endpoint) in endpoints.into_iter().enumerate() {
-            let plan = Arc::clone(&plan);
             let slots = Rc::clone(&slots);
             let closure: Box<dyn FnOnce() + '_> = Box::new(move || {
-                let inner = Rc::new(RefCell::new(Inner::new(
-                    rank, size, endpoint, model, topo, plan, trace,
-                )));
-                let comm = Communicator::world(Rc::clone(&inner));
-                let out = f(&comm);
-                drop(comm);
-                let mut i = inner.borrow_mut();
-                let now = i.clock.now;
-                let tr = i.tracer.finish(rank, now);
-                slots.borrow_mut()[rank] = Some((out, i.stats, i.clock, tr));
+                let out = rank_body(rank, endpoint);
+                slots.borrow_mut()[rank] = Some(out);
             });
             // SAFETY: engine::run only returns — or unwinds — after
             // every fiber has completed and dropped its closure, so the
-            // borrows of `f` and `slots` captured here never outlive
-            // this stack frame. (If the engine itself has a bug it
-            // leaks unfinished fibers rather than resume them later.)
+            // borrows of `rank_body` and `slots` captured here never
+            // outlive this stack frame. (If the engine itself has a bug
+            // it leaks unfinished fibers rather than resume them later.)
             let closure: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(closure) };
             closures.push(closure);
         }
@@ -490,7 +388,11 @@ mod tests {
             intra_beta_factor: 0.25,
         };
         // Ranks 0 and 1 share a node; ranks 0 and 2 do not.
-        let out = World::run_topo(4, model, topo, |comm| match comm.rank() {
+        let opts = RunOpts {
+            topo,
+            ..RunOpts::default()
+        };
+        let (out, _, _) = World::run_opts(4, model, opts, |comm| match comm.rank() {
             0 => {
                 comm.send(1, 0, &[0.0; 4]).unwrap();
                 comm.send(2, 0, &[0.0; 4]).unwrap();
@@ -545,15 +447,11 @@ mod tests {
             (got, comm.now())
         };
         let run = |backend| {
-            World::run_topo_faults_traced_on(
-                backend,
-                5,
-                NetModel::cori_knl(),
-                Topology::flat(),
-                FaultPlan::default(),
-                TraceConfig::disabled(),
-                workload,
-            )
+            let opts = RunOpts {
+                backend: Some(backend),
+                ..RunOpts::default()
+            };
+            World::run_opts(5, NetModel::cori_knl(), opts, workload)
         };
         let (ra, sa, _) = run(Backend::Threads);
         let (rb, sb, _) = run(Backend::Events);
@@ -566,27 +464,14 @@ mod tests {
     /// around fiber resume), as the chaos campaign and benches rely on.
     #[test]
     fn nested_worlds_compose_on_event_backend() {
-        let out = World::run_topo_faults_traced_on(
-            Backend::Events,
-            2,
-            NetModel::free(),
-            Topology::flat(),
-            FaultPlan::default(),
-            TraceConfig::disabled(),
-            |comm| {
-                let inner = World::run_topo_faults_traced_on(
-                    Backend::Events,
-                    3,
-                    NetModel::free(),
-                    Topology::flat(),
-                    FaultPlan::default(),
-                    TraceConfig::disabled(),
-                    |c| c.rank() * 2,
-                )
-                .0;
-                (comm.rank(), inner)
-            },
-        )
+        let events = || RunOpts {
+            backend: Some(Backend::Events),
+            ..RunOpts::default()
+        };
+        let out = World::run_opts(2, NetModel::free(), events(), |comm| {
+            let inner = World::run_opts(3, NetModel::free(), events(), |c| c.rank() * 2).0;
+            (comm.rank(), inner)
+        })
         .0;
         assert_eq!(out, vec![(0, vec![0, 2, 4]), (1, vec![0, 2, 4])]);
     }

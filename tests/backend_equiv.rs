@@ -9,7 +9,7 @@
 //! only way they can diverge is a scheduling-sensitive bug in one of
 //! them. These proptests are the differential harness that pins that
 //! down: random ring workloads × random fault scripts, executed on
-//! both backends via [`World::run_topo_faults_traced_on`], compared
+//! both backends via [`RunOpts::backend`], compared
 //! with exact (not approximate) equality.
 
 use proptest::prelude::*;
@@ -20,7 +20,7 @@ use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfi
 use integrated_parallelism::integrated::trainer::synthetic_data;
 use integrated_parallelism::integrated::MachineModel;
 use integrated_parallelism::mpsim::{
-    Backend, FaultPlan, NetModel, Span, Topology, TraceConfig, World,
+    Backend, FaultPlan, NetModel, RunOpts, Span, TraceConfig, World,
 };
 
 /// A ring-exchange workload that tolerates every scripted fault: each
@@ -117,15 +117,13 @@ proptest! {
 
         let trace = TraceConfig::enabled().with_cap(1 << 12);
         let run = |backend| {
-            World::run_topo_faults_traced_on(
-                backend,
-                p,
-                model,
-                Topology::flat(),
-                plan.clone(),
+            let opts = RunOpts {
+                faults: plan.clone(),
                 trace,
-                |comm| ring_workload(comm, iters, words),
-            )
+                backend: Some(backend),
+                ..RunOpts::default()
+            };
+            World::run_opts(p, model, opts, |comm| ring_workload(comm, iters, words))
         };
         let (out_t, stats_t, trace_t) = run(Backend::Threads);
         let (out_e, stats_e, trace_e) = run(Backend::Events);
