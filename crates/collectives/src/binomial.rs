@@ -1,4 +1,4 @@
-//! Binomial-tree broadcast and rooted reduce.
+//! Binomial-tree broadcast.
 //!
 //! Used by the parameter-server-free initialization of the trainer
 //! (every rank must start from identical weights, which MPI programs
@@ -7,10 +7,7 @@
 
 use mpsim::{Communicator, Result, Tag};
 
-use crate::op::ReduceOp;
-
 const BCAST_TAG: Tag = (1 << 48) + 64;
-const REDUCE_TAG: Tag = (1 << 48) + 65;
 
 /// Binomial broadcast from `root`. Non-root ranks may pass an empty
 /// vector; on return every rank holds the root's data.
@@ -55,43 +52,6 @@ pub fn bcast_binomial(comm: &Communicator, data: &mut Vec<f64>, root: usize) -> 
             break;
         }
         m >>= 1;
-    }
-    Ok(())
-}
-
-/// Binomial-tree reduce to `root`: after the call, `root` holds the
-/// element-wise reduction of all ranks' `data`; other ranks' buffers are
-/// partially reduced garbage.
-pub fn reduce_binomial(
-    comm: &Communicator,
-    data: &mut [f64],
-    op: ReduceOp,
-    root: usize,
-) -> Result<()> {
-    let p = comm.size();
-    if p == 1 {
-        return Ok(());
-    }
-    let _span = comm.trace_span(
-        "collective",
-        "reduce_binomial",
-        &[("p", p as f64), ("words", data.len() as f64)],
-    );
-    let vrank = (comm.rank() + p - root) % p;
-    let mut m = 1usize;
-    while m < p {
-        if vrank & m != 0 {
-            // Send to parent and exit.
-            let parent = ((vrank - m) + root) % p;
-            comm.send(parent, REDUCE_TAG + m as u64, data)?;
-            return Ok(());
-        }
-        if vrank + m < p {
-            let child = (vrank + m + root) % p;
-            let incoming = comm.recv(child, REDUCE_TAG + m as u64)?;
-            op.apply(data, &incoming);
-        }
-        m <<= 1;
     }
     Ok(())
 }
@@ -143,36 +103,5 @@ mod tests {
             (max - 4.0).abs() < 1e-12,
             "binomial depth log2(16)=4, got {max}"
         );
-    }
-
-    #[test]
-    fn reduce_accumulates_at_root() {
-        for p in [1, 2, 3, 4, 7, 8] {
-            for root in [0, p - 1] {
-                let out = World::run(p, NetModel::free(), move |comm| {
-                    let mut data = vec![(comm.rank() + 1) as f64; 4];
-                    reduce_binomial(comm, &mut data, ReduceOp::Sum, root).unwrap();
-                    data
-                });
-                let total: f64 = (1..=p).map(|r| r as f64).sum();
-                assert_eq!(out[root], vec![total; 4], "p={p} root={root}");
-            }
-        }
-    }
-
-    #[test]
-    fn bcast_then_reduce_roundtrip() {
-        let p = 6;
-        let out = World::run(p, NetModel::free(), |comm| {
-            let mut data = if comm.rank() == 2 {
-                vec![5.0; 8]
-            } else {
-                Vec::new()
-            };
-            bcast_binomial(comm, &mut data, 2).unwrap();
-            reduce_binomial(comm, &mut data, ReduceOp::Sum, 2).unwrap();
-            data
-        });
-        assert_eq!(out[2], vec![5.0 * p as f64; 8]);
     }
 }

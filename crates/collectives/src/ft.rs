@@ -39,12 +39,10 @@ use std::ops::Range;
 use mpsim::{Communicator, Error, NetModel, Result, RetryPolicy, Tag};
 
 use crate::op::ReduceOp;
-use crate::recursive::is_pow2;
 use crate::ring;
 
 const FT_RS_TAG: Tag = (1 << 48) + 96;
 const FT_AG_TAG: Tag = (1 << 48) + 97;
-const FT_RD_TAG: Tag = (1 << 48) + 98;
 const FT_HALO_UP_TAG: Tag = (1 << 48) + 99;
 const FT_HALO_DOWN_TAG: Tag = (1 << 48) + 100;
 
@@ -254,67 +252,6 @@ pub fn allreduce_ring_ft(
     })
 }
 
-/// Fault-tolerant recursive-doubling all-reduce (power-of-two ranks).
-/// Fault-free cost matches
-/// [`crate::recursive::allreduce_recursive_doubling`].
-pub fn allreduce_recursive_doubling_ft(
-    comm: &Communicator,
-    data: &mut [f64],
-    op: ReduceOp,
-    cfg: &FtConfig,
-) -> Result<()> {
-    comm.record_allreduce();
-    let p = comm.size();
-    assert!(
-        is_pow2(p),
-        "recursive doubling requires power-of-two ranks, got {p}"
-    );
-    let _span = comm.trace_span(
-        "collective",
-        "allreduce_recursive_doubling_ft",
-        &[("p", p as f64), ("words", data.len() as f64)],
-    );
-    guarded(comm, || {
-        let r = comm.rank();
-        let mut d = 1usize;
-        while d < p {
-            let partner = r ^ d;
-            let tag = FT_RD_TAG + (d as u64) * 8;
-            comm.send(partner, tag, data)?;
-            let incoming = recv_ft(comm, partner, tag, cfg)?;
-            op.apply(data, &incoming);
-            d <<= 1;
-        }
-        Ok(())
-    })
-}
-
-/// Fault-tolerant ring all-gather of equal-size blocks; fault-free
-/// behavior matches [`crate::ring::allgather_ring`].
-pub fn allgather_ring_ft(comm: &Communicator, mine: &[f64], cfg: &FtConfig) -> Result<Vec<f64>> {
-    comm.record_allgather();
-    let p = comm.size();
-    let r = comm.rank();
-    let m = mine.len();
-    let mut out = vec![0.0; m * p];
-    out[r * m..(r + 1) * m].copy_from_slice(mine);
-    if p == 1 {
-        return Ok(out);
-    }
-    let _span = comm.trace_span(
-        "collective",
-        "allgather_ring_ft",
-        &[("p", p as f64), ("words", (m * p) as f64)],
-    );
-    guarded(comm, || {
-        let recv = |src, tag| recv_ft(comm, src, tag, cfg);
-        ring::gather_steps(comm, FT_AG_TAG, mine.to_vec(), &recv, |src, block| {
-            ring::place_block(&mut out, src * m..(src + 1) * m, block)
-        })
-    })?;
-    Ok(out)
-}
-
 /// Fault-tolerant ring all-gather of variable-length blocks; fault-free
 /// behavior matches [`crate::ring::allgatherv_ring`].
 pub fn allgatherv_ring_ft(
@@ -451,30 +388,6 @@ mod tests {
         for r in 0..p {
             assert_eq!(plain[r].0, ft[r].0, "rank {r} values");
             assert!((plain[r].1 - ft[r].1).abs() < 1e-15, "rank {r} time");
-        }
-    }
-
-    #[test]
-    fn fault_free_recursive_doubling_ft_matches_plain() {
-        let model = NetModel {
-            alpha: 1e-3,
-            beta: 1e-6,
-            flops: f64::INFINITY,
-        };
-        let p = 8;
-        let plain = World::run(p, model, |comm| {
-            let mut data = vec![comm.rank() as f64; 16];
-            crate::recursive::allreduce_recursive_doubling(comm, &mut data, ReduceOp::Sum).unwrap();
-            (data, comm.now())
-        });
-        let ft = World::run(p, model, |comm| {
-            let mut data = vec![comm.rank() as f64; 16];
-            allreduce_recursive_doubling_ft(comm, &mut data, ReduceOp::Sum, &cfg()).unwrap();
-            (data, comm.now())
-        });
-        for r in 0..p {
-            assert_eq!(plain[r].0, ft[r].0);
-            assert!((plain[r].1 - ft[r].1).abs() < 1e-15);
         }
     }
 

@@ -9,7 +9,7 @@
 //!   dimension — latency `⌈log₂ P⌉·α`, bandwidth `n·(P−1)/P`.
 //!
 //! This crate implements those algorithms (plus recursive doubling,
-//! Rabenseifner all-reduce, binomial broadcast/reduce, and the
+//! Rabenseifner all-reduce, binomial broadcast, and the
 //! non-blocking halo exchange of the paper's Fig. 3) so they can be
 //! *executed* on the `mpsim` virtual machine, and provides the matching
 //! closed-form [`cost::CostTerms`] so tests can assert that execution
@@ -37,10 +37,7 @@ pub mod ring;
 mod ring_equivalence;
 
 pub use ft::{Deadline, FtConfig};
-pub use nonblocking::{
-    iallgather, iallgather_ft, iallreduce, iallreduce_ft, waitall, IallgatherHandle,
-    IallreduceHandle,
-};
+pub use nonblocking::{iallreduce, iallreduce_ft, IallreduceHandle};
 pub use op::ReduceOp;
 
 use mpsim::{Communicator, Result};

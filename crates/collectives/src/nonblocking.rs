@@ -1,9 +1,9 @@
 //! Non-blocking, chunk-pipelined ring collectives (the `MPI_Iallreduce`
-//! / `MPI_Iallgather` analogues the paper's Fig. 8 overlap assumes).
+//! / `MPI_Iallgatherv` analogues the paper's Fig. 8 overlap assumes).
 //!
-//! A handle ([`IallreduceHandle`], [`IallgatherHandle`]) is a paused
+//! A handle ([`IallreduceHandle`], [`IallgathervHandle`]) is a paused
 //! ring collective: the same data movement as
-//! [`crate::ring::allreduce_ring`] / [`crate::ring::allgather_ring`],
+//! [`crate::ring::allreduce_ring`] / [`crate::ring::allgatherv_ring`],
 //! but each ring step charges its α–β transfer to the rank's
 //! **concurrent comm channel** ([`mpsim::Communicator::recv_channel`])
 //! instead of the main timeline. The caller launches the operation,
@@ -278,96 +278,6 @@ impl IallreduceHandle {
     }
 }
 
-/// An in-flight non-blocking ring all-gather of equal-size blocks
-/// (`P−1` chunk steps).
-pub struct IallgatherHandle {
-    pr: Progress,
-    out: Vec<f64>,
-    /// The block in flight: received last step, sent next step.
-    carry: Vec<f64>,
-    m: usize,
-    tag: Tag,
-}
-
-/// Launches a non-blocking ring all-gather of this rank's block `mine`;
-/// [`IallgatherHandle::wait`] returns all ranks' blocks concatenated in
-/// rank order, bit-identical to [`crate::ring::allgather_ring`]. SPMD
-/// launch order required, like [`iallreduce`].
-pub fn iallgather(comm: &Communicator, mine: &[f64]) -> Result<IallgatherHandle> {
-    let p = comm.size();
-    if p > 1 {
-        comm.record_nb_allgather();
-    }
-    let base = comm.alloc_nb_tags();
-    let r = comm.rank();
-    let m = mine.len();
-    let mut out = vec![0.0; m * p];
-    out[r * m..(r + 1) * m].copy_from_slice(mine);
-    let steps = p.saturating_sub(1);
-    comm.trace_instant(
-        "nb",
-        "iallgather_launch",
-        &[("p", p as f64), ("words", (m * p) as f64)],
-    );
-    Ok(IallgatherHandle {
-        pr: Progress::new(comm, steps, None),
-        out,
-        carry: mine.to_vec(),
-        m,
-        tag: base,
-    })
-}
-
-/// [`iallgather`] with deadline-bounded chunk receives and group abort
-/// on faults.
-pub fn iallgather_ft(
-    comm: &Communicator,
-    mine: &[f64],
-    cfg: &FtConfig,
-) -> Result<IallgatherHandle> {
-    let mut h = iallgather(comm, mine)?;
-    h.pr.ft = Some(*cfg);
-    Ok(h)
-}
-
-impl IallgatherHandle {
-    /// Issues one pending chunk step; `true` once all steps are issued.
-    pub fn progress(&mut self) -> Result<bool> {
-        if self.pr.done() {
-            return Ok(true);
-        }
-        let res = self.step_once();
-        self.pr.guard(res)?;
-        Ok(self.pr.done())
-    }
-
-    /// MPI_Test-like poll; see [`IallreduceHandle::test`].
-    pub fn test(&mut self) -> Result<bool> {
-        let issued = self.progress()?;
-        Ok(issued && self.pr.ready_at <= self.pr.comm.now())
-    }
-
-    /// Drives any remaining steps, settles the overlap accounting, and
-    /// returns the gathered vector.
-    pub fn wait(mut self) -> Result<Vec<f64>> {
-        while !self.pr.done() {
-            let res = self.step_once();
-            self.pr.guard(res)?;
-        }
-        self.pr.complete();
-        Ok(self.out)
-    }
-
-    fn step_once(&mut self) -> Result<()> {
-        let p = self.pr.comm.size();
-        let r = self.pr.comm.rank();
-        let src = (r + p - self.pr.step - 1) % p;
-        let carry = std::mem::take(&mut self.carry);
-        self.carry = self.pr.exchange(self.tag, carry)?.data;
-        ring::place_block(&mut self.out, src * self.m..(src + 1) * self.m, &self.carry)
-    }
-}
-
 /// An in-flight non-blocking ring all-gather of *variable-length*
 /// per-rank blocks, the non-blocking twin of
 /// [`crate::ring::allgatherv_ring`] (`P−1` chunk steps).
@@ -496,18 +406,10 @@ impl IallgathervHandle {
     }
 }
 
-/// Waits on a batch of all-reduce handles in order, returning their
-/// reduced vectors. Ordering does not change the virtual makespan:
-/// channel work is already serialized per rank, and each wait only
-/// clamps the main clock forward.
-pub fn waitall(handles: Vec<IallreduceHandle>) -> Result<Vec<Vec<f64>>> {
-    handles.into_iter().map(|h| h.wait()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{allgather_ring, allreduce_ring};
+    use crate::ring::allreduce_ring;
     use mpsim::{Error, FaultPlan, NetModel, World};
     use proptest::prelude::*;
 
@@ -622,30 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_matches_blocking_in_values_and_immediate_time() {
-        let model = NetModel {
-            alpha: 1e-3,
-            beta: 1e-6,
-            flops: f64::INFINITY,
-        };
-        for (p, m) in [(1, 4), (5, 3), (6, 100)] {
-            let out = World::run(p, model, |comm| {
-                let mine: Vec<f64> = (0..m).map(|i| (comm.rank() * 10 + i) as f64).collect();
-                let blocking = allgather_ring(comm, &mine).unwrap();
-                let t_blocking = comm.now();
-                let h = iallgather(comm, &mine).unwrap();
-                let gathered = h.wait().unwrap();
-                let t_nb = comm.now() - t_blocking;
-                (blocking, gathered, t_blocking, t_nb)
-            });
-            for (r, (b, nb, tb, tnb)) in out.iter().enumerate() {
-                assert_eq!(b, nb, "p={p} m={m} rank={r}");
-                assert!((tb - tnb).abs() < 1e-15, "p={p} rank={r}: {tb} vs {tnb}");
-            }
-        }
-    }
-
-    #[test]
     fn iallgatherv_matches_blocking_in_values_and_never_slower() {
         let model = NetModel {
             alpha: 1e-3,
@@ -726,8 +604,6 @@ mod tests {
             assert_eq!(h.wait().unwrap(), vec![2.0; 8]);
             let g = iallgatherv(comm, &[1.0, 2.0]).unwrap();
             assert_eq!(g.wait().unwrap(), vec![vec![1.0, 2.0]]);
-            let g2 = iallgather(comm, &[3.0]).unwrap();
-            assert_eq!(g2.wait().unwrap(), vec![3.0]);
         });
         let (_, _, nb_ar, nb_ag) = stats.total_collective_calls();
         assert_eq!(nb_ar, 0, "p=1 all-reduce is degenerate: no launch recorded");
@@ -766,7 +642,8 @@ mod tests {
         let out = World::run(p, model, |comm| {
             let a = iallreduce(comm, vec![1.0; n], ReduceOp::Sum).unwrap();
             let b = iallreduce(comm, vec![2.0; n], ReduceOp::Sum).unwrap();
-            let _ = waitall(vec![a, b]).unwrap();
+            a.wait().unwrap();
+            b.wait().unwrap();
             comm.now()
         });
         for (r, &t) in out.iter().enumerate() {
@@ -869,23 +746,6 @@ mod tests {
                     "rank {} took {} > serialized {}",
                     r, elapsed, serialized
                 );
-            }
-        }
-
-        #[test]
-        fn iallgather_is_bit_identical_to_blocking_for_arbitrary_shapes(
-            p in 1usize..9,
-            m in 1usize..40,
-        ) {
-            let out = World::run(p, NetModel::free(), |comm| {
-                let mine: Vec<f64> =
-                    (0..m).map(|i| ((comm.rank() + 2) * (i + 1)) as f64 * 0.81).collect();
-                let blocking = allgather_ring(comm, &mine).unwrap();
-                let h = iallgather(comm, &mine).unwrap();
-                (blocking, h.wait().unwrap())
-            });
-            for (r, (b, nb)) in out.iter().enumerate() {
-                prop_assert_eq!(b, nb, "p={} m={} rank={}", p, m, r);
             }
         }
     }

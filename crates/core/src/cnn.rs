@@ -7,12 +7,13 @@
 //! every image in batch shard `j`. Per training step:
 //!
 //! * **conv and pooling layers** run domain-parallel within the
-//!   `Pd`-sized column groups. Stride-1 same-padded convolutions use
-//!   fixed halos; strided convolutions (AlexNet's conv1) and
-//!   overlapping pooling (AlexNet's 3×3/2) use the general
+//!   `Pd`-sized column groups, every one of them — stride-1 same-padded
+//!   convolutions, strided ones (AlexNet's conv1) and overlapping
+//!   pooling (AlexNet's 3×3/2) alike — on the general
 //!   window-redistribution path (`distmm::domain_general`), whose
-//!   traffic stays boundary-proportional. Conv `∆W` is all-reduced
-//!   over the full grid — exactly Eq. 9's `LD` terms;
+//!   traffic stays boundary-proportional (for a same-padded kernel it
+//!   is the fixed halo). LRN is local to a strip. Conv `∆W` is
+//!   all-reduced over the full grid — exactly Eq. 9's `LD` terms;
 //! * the **FC head** gathers the final strips within each column group
 //!   and is evaluated with replicated weights, its `∆W` all-reduced
 //!   across batch shards. (Sharding the FC head over a `Pr × Pc` grid
@@ -90,7 +91,8 @@ impl CnnSpec {
     ///
     /// # Panics
     ///
-    /// Panics on unsupported layers (conv after FC, LRN, tanh trunks).
+    /// Panics on unsupported layers (conv, pooling or LRN after FC; ReLU
+    /// directly after pooling or LRN; tanh trunks).
     pub fn of(net: &Network) -> CnnSpec {
         let mut stages: Vec<Stage> = Vec::new();
         let mut fcs: Vec<FcStage> = Vec::new();
@@ -484,15 +486,11 @@ pub fn train_cnn_domain(
             } else {
                 let blocks = allgatherv_ring(&col_comm, trunk.as_slice()).expect("strip gather");
                 let mut full = Tensor4::zeros(b_local, c0, h0, w0);
-                for (src, block) in blocks.iter().enumerate() {
+                for (src, block) in blocks.into_iter().enumerate() {
+                    // A received block is its sender's NCHW strip.
                     let sr = part_range(h0, pd, src);
-                    if sr.is_empty() {
-                        continue;
-                    }
-                    let t = Tensor4::from_fn(b_local, c0, sr.len(), w0, |n, c, hh, ww| {
-                        block[((n * c0 + c) * sr.len() + hh) * w0 + ww]
-                    });
-                    full.set_row_strip(sr.start, &t);
+                    let strip = Tensor4::from_vec(b_local, c0, sr.len(), w0, block);
+                    full.set_row_strip(sr.start, &strip);
                 }
                 full
             };

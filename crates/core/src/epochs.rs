@@ -204,7 +204,7 @@ pub fn train_epochs_1p5d(
     let full = init_weights(&layers, cfg.seed);
     let (shards, stats) = World::run_with_stats(pr * pc, model, |comm| {
         let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-        let mut w_local = shard_weights(&full, pr, grid.i);
+        let mut w_local = shard_weights(&full, std::slice::from_ref(&grid));
         let mut v_local: Vec<Matrix> = w_local
             .iter()
             .map(|w| Matrix::zeros(w.rows(), w.cols()))
@@ -218,7 +218,7 @@ pub fn train_epochs_1p5d(
             // Every mini-batch step is the trainer's blocking iteration
             // body on this batch's shard.
             let mut pass = Pass {
-                grid: &grid,
+                grids: std::slice::from_ref(&grid),
                 guard: Guard::Off,
                 layers: &layers,
                 x_local: &col_shard(&x, pc, grid.j),

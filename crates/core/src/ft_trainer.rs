@@ -507,7 +507,7 @@ fn run_iteration(
         .overlap
         .then(|| BucketScheduler::new(&st.grid.row_comm, &plan, Some(cfg.ft)));
     let mut pass = Pass {
-        grid: &st.grid,
+        grids: std::slice::from_ref(&st.grid),
         guard: Guard::On(&cfg.ft, &sdc),
         layers,
         x_local: &st.x_local,

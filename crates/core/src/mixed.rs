@@ -13,18 +13,10 @@
 //! layers feeding grid-parallel late layers).
 
 use dnn::Network;
-use mpsim::{NetModel, World, WorldStats};
-use tensor::activation::softmax_xent;
-use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
-use tensor::ops::axpy;
+use mpsim::{NetModel, TraceConfig, WorldStats};
 use tensor::Matrix;
 
-use collectives::ring::allgatherv_ring;
-use collectives::{allreduce, ReduceOp};
-use distmm::cols::redistribute_cols;
-use distmm::dist::{part_range, row_shard};
-
-use crate::trainer::{act_backward, apply_act, extract_fc_layers, init_weights, TrainConfig};
+use crate::trainer::{extract_fc_layers, train_grid, TrainConfig};
 
 /// A per-layer grid assignment for an FC network: `grids[l] = (pr, pc)`
 /// with `pr·pc = P` for every layer.
@@ -71,7 +63,13 @@ pub struct MixedResult {
     pub stats: WorldStats,
 }
 
-/// Distributed full-batch SGD with per-layer grids.
+/// Distributed full-batch SGD with per-layer grids: the trainer's one
+/// iteration body ([`crate::trainer`]) on `mixed.grids`, every
+/// collective blocking.
+///
+/// # Panics
+///
+/// Panics unless `mixed` assigns one grid to each weighted layer.
 pub fn train_mixed(
     net: &Network,
     x: &Matrix,
@@ -80,152 +78,28 @@ pub fn train_mixed(
     mixed: &MixedGrids,
     model: NetModel,
 ) -> MixedResult {
-    let layers = extract_fc_layers(net);
     assert_eq!(
-        layers.len(),
+        extract_fc_layers(net).len(),
         mixed.grids.len(),
         "one grid per weighted layer"
     );
-    let b_global = x.cols();
-    let p = mixed.p;
-    let n_layers = layers.len();
-
-    // Per-rank column range under a layer's batch split.
-    let col_range = |pc: usize, rank: usize| part_range(b_global, pc, rank % pc);
-    let owned_table =
-        |pc: usize| -> Vec<std::ops::Range<usize>> { (0..p).map(|r| col_range(pc, r)).collect() };
-    let sender_table = |pc: usize| -> Vec<bool> { (0..p).map(|r| r / pc == 0).collect() };
-
-    let full = init_weights(&layers, cfg.seed);
-    let (shards, stats) = World::run_with_stats(p, model, |comm| {
-        // Build each layer's row/col communicators once.
-        let mut grids = Vec::with_capacity(n_layers);
-        for &(pr, pc) in &mixed.grids {
-            let (row_comm, col_comm) = comm.grid(pr, pc).expect("grid tiles the world");
-            grids.push((pr, pc, row_comm, col_comm));
-        }
-        let me = comm.rank();
-        let mut w_local: Vec<Matrix> = layers
-            .iter()
-            .enumerate()
-            .map(|(l, _)| {
-                let (pr, pc, _, _) = &grids[l];
-                let i = me / pc;
-                row_shard(&full[l], *pr, i)
-            })
-            .collect();
-
-        for _ in 0..cfg.iters {
-            // Forward with relayouts between layers.
-            let (_, pc0, _, _) = &grids[0];
-            let r0 = col_range(*pc0, me);
-            let mut act = x.col_block(r0.start, r0.end);
-            let mut inputs: Vec<Matrix> = Vec::with_capacity(n_layers);
-            let mut posts: Vec<Matrix> = Vec::with_capacity(n_layers);
-            for l in 0..n_layers {
-                let (pr, pc, _, col_comm) = &grids[l];
-                inputs.push(act.clone());
-                // Local multiply on this layer's weight shard, then
-                // all-gather rows within the Pr group.
-                let y_partial = matmul(&w_local[l], &act);
-                let pre = if *pr == 1 {
-                    y_partial
-                } else {
-                    let blocks =
-                        allgatherv_ring(col_comm, y_partial.as_slice()).expect("row gather");
-                    let bloc = act.cols();
-                    let mats: Vec<Matrix> = blocks
-                        .into_iter()
-                        .map(|v| Matrix::from_vec(v.len() / bloc, bloc, v))
-                        .collect();
-                    Matrix::vcat(&mats)
-                };
-                let mut post = pre;
-                apply_act(layers[l].act, &mut post);
-                // Relayout for the next layer if the batch split
-                // changes (Eq. 6 executable); the backward mask needs
-                // the output in *this* layer's layout either way.
-                act = if l + 1 < n_layers && grids[l + 1].1 != *pc {
-                    let next_pc = grids[l + 1].1;
-                    redistribute_cols(
-                        comm,
-                        &post,
-                        &owned_table(*pc),
-                        &owned_table(next_pc),
-                        &sender_table(*pc),
-                    )
-                    .expect("forward relayout")
-                } else {
-                    post.clone()
-                };
-                posts.push(post);
-            }
-            // Loss on the final layer's layout.
-            let (_, pc_last, _, _) = &grids[n_layers - 1];
-            let lrange = col_range(*pc_last, me);
-            let labels_local = &labels[lrange.clone()];
-            let (_loss, mut grad) = softmax_xent(&act, labels_local);
-            let scale = lrange.len() as f64 / b_global as f64;
-            for g in grad.as_mut_slice() {
-                *g *= scale;
-            }
-            // Backward with reverse relayouts.
-            let mut dy = grad;
-            for l in (0..n_layers).rev() {
-                let (pr, pc, row_comm, col_comm) = &grids[l];
-                act_backward(layers[l].act, &posts[l], &mut dy);
-                let i = me / pc;
-                let rows = part_range(posts[l].rows(), *pr, i);
-                let dy_i = dy.row_block(rows.start, rows.end);
-                let mut dw = matmul_a_bt(&dy_i, &inputs[l]);
-                allreduce(row_comm, dw.as_mut_slice(), ReduceOp::Sum).expect("dW allreduce");
-                let mut dx = matmul_at_b(&w_local[l], &dy_i);
-                allreduce(col_comm, dx.as_mut_slice(), ReduceOp::Sum).expect("dX allreduce");
-                axpy(-cfg.lr, dw.as_slice(), w_local[l].as_mut_slice());
-                // Relayout the gradient into the previous layer's
-                // batch split.
-                dy = if l > 0 && grids[l - 1].1 != *pc {
-                    let prev_pc = grids[l - 1].1;
-                    redistribute_cols(
-                        comm,
-                        &dx,
-                        &owned_table(*pc),
-                        &owned_table(prev_pc),
-                        &sender_table(*pc),
-                    )
-                    .expect("backward relayout")
-                } else {
-                    dx
-                };
-            }
-        }
-        (me, w_local)
-    });
-
-    // Assemble weights: for each layer, take shards from the ranks in
-    // batch group j = 0 of that layer's grid.
-    let mut weights = Vec::with_capacity(n_layers);
-    for (l, layer) in layers.iter().enumerate() {
-        let (pr, pc) = mixed.grids[l];
-        let mut rows_acc: Vec<(usize, Matrix)> = shards
-            .iter()
-            .filter(|(r, _)| r % pc == 0)
-            .map(|(r, w)| (r / pc, w[l].clone()))
-            .collect();
-        rows_acc.sort_by_key(|&(i, _)| i);
-        rows_acc.dedup_by_key(|(i, _)| *i);
-        debug_assert_eq!(rows_acc.len(), pr);
-        let m = Matrix::vcat(&rows_acc.into_iter().map(|(_, m)| m).collect::<Vec<_>>());
-        debug_assert_eq!(m.rows(), layer.d_out);
-        weights.push(m);
+    let off = TraceConfig::disabled();
+    let (run, _) = train_grid(net, x, labels, cfg, &mixed.grids, model, off, None);
+    // Layer `l`'s rows sit on batch group j = 0 of its own grid: the
+    // ranks `i · pc`.
+    let stack = |(l, &(pr, pc)): (usize, &(usize, usize))| {
+        Matrix::vcat((0..pr).map(|i| &run.per_rank[i * pc].weight_shards[l]))
+    };
+    MixedResult {
+        weights: mixed.grids.iter().enumerate().map(stack).collect(),
+        stats: run.stats,
     }
-    MixedResult { weights, stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::{synthetic_data, train_serial};
+    use crate::trainer::{synthetic_data, train_1p5d, train_serial};
     use dnn::zoo::mlp;
 
     fn max_diff(a: &[Matrix], b: &[Matrix]) -> f64 {
@@ -303,6 +177,60 @@ mod tests {
         assert!(a.stats.total_words() > 0);
         assert!(b.stats.total_words() > 0);
         assert_ne!(a.stats.total_words(), b.stats.total_words());
+    }
+
+    #[test]
+    fn a_repeated_shape_is_the_uniform_trainer_to_the_bit() {
+        let net = mlp("m", &[16, 24, 12, 6]);
+        let (x, labels) = synthetic_data(&net, 24, 3);
+        let cfg = TrainConfig {
+            lr: 0.2,
+            iters: 3,
+            seed: 8,
+        };
+        let knl = NetModel::cori_knl();
+        for (pr, pc) in [(2, 3), (4, 2), (1, 8)] {
+            let mixed = MixedGrids::new(pr * pc, vec![(pr, pc); 3]).unwrap();
+            let m = train_mixed(&net, &x, &labels, &cfg, &mixed, knl);
+            let u = train_1p5d(&net, &x, &labels, &cfg, pr, pc, knl);
+            assert!(m.weights == u.weights(), "grid {pr}x{pc}: weights");
+            // Per-rank counters (control-plane splits included) and
+            // final clocks: one grid was built, and every GEMM charged.
+            assert_eq!(m.stats, u.stats, "grid {pr}x{pc}");
+        }
+    }
+
+    #[test]
+    fn fig7_pattern_pays_exactly_the_eq6_relayout() {
+        // Batch head, pure-model tail: the one boundary Eq. 6 prices.
+        // Words are decided by shapes alone, so what the head and the
+        // tail move for themselves is what the uniform runs of the two
+        // sub-networks move; the rest is the relayout.
+        let (p, b, dims) = (4, 24, [16, 24, 12, 6]);
+        let cfg = TrainConfig {
+            lr: 0.1,
+            iters: 1,
+            seed: 2,
+        };
+        let knl = NetModel::cori_knl();
+        let net = mlp("m", &dims);
+        let (x, labels) = synthetic_data(&net, b, 3);
+        let fig7 = MixedGrids::head_batch_tail_grid(p, 3, 1, p, 1).unwrap();
+        let r = train_mixed(&net, &x, &labels, &cfg, &fig7, knl);
+        let uniform_words = |dims: &[usize], pr: usize, pc: usize| {
+            let part = mlp("part", dims);
+            let (x, labels) = synthetic_data(&part, b, 3);
+            let run = train_1p5d(&part, &x, &labels, &cfg, pr, pc, knl);
+            run.stats.total_words()
+        };
+        let own = uniform_words(&dims[..2], 1, p) + uniform_words(&dims[1..], p, 1);
+        // Forward, Eq. 6 itself: every rank gathers the (P−1)/P of the
+        // d₁ × B activation it lacks. Backward: ∆X is replicated, and
+        // its one sender re-seeds the other P − 1 batch shards.
+        let lacking = dims[1] * b * (p - 1) / p;
+        let eq6 = (p * lacking + lacking) as u64;
+        assert_eq!(r.stats.total_words() - own, eq6);
+        assert!(r.stats.max_compute() > 0.0, "the GEMMs are on the clock");
     }
 
     #[test]

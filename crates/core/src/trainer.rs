@@ -96,9 +96,25 @@ pub(crate) fn init_weights(layers: &[FcLayer], seed: u64) -> Vec<Matrix> {
         .collect()
 }
 
-/// Grid row `i`'s shard of every layer's weights.
-pub(crate) fn shard_weights(full: &[Matrix], pr: usize, i: usize) -> Vec<Matrix> {
-    full.iter().map(|w| row_shard(w, pr, i)).collect()
+/// This rank's shard of every layer's weights: its grid row of the
+/// layer's own grid (see [`layer_grid`]).
+pub(crate) fn shard_weights(full: &[Matrix], grids: &[Grid]) -> Vec<Matrix> {
+    let shard = |(l, w)| {
+        let (grid, _) = layer_grid(grids, l);
+        row_shard(w, grid.pr, grid.i)
+    };
+    full.iter().enumerate().map(shard).collect()
+}
+
+/// Layer `l`'s grid — `grids[l]`, the last entry serving every layer
+/// past it, so a one-element slice is the uniform grid — and, when the
+/// batch split `Pc` changes on entering the layer, the grid of layer
+/// `l − 1`: the boundary where activations (forward) and `∆X`
+/// (backward) are re-laid by the asymptotically free Eq. 6 exchange.
+fn layer_grid(grids: &[Grid], l: usize) -> (&Grid, Option<&Grid>) {
+    let at = |l: usize| &grids[l.min(grids.len() - 1)];
+    let relaid_from = (l > 0 && at(l - 1).pc != at(l).pc).then(|| at(l - 1));
+    (at(l), relaid_from)
 }
 
 /// Applies a layer's activation in place: `y` arrives as the
@@ -320,22 +336,24 @@ pub fn train_1p5d_traced(
     model: NetModel,
     trace: TraceConfig,
 ) -> (DistResult, WorldTrace) {
-    train_grid(net, x, labels, cfg, pr, pc, model, trace, None)
+    train_grid(net, x, labels, cfg, &[(pr, pc)], model, trace, None)
 }
 
-/// The one world runner behind the four plain entry points: `plan =
-/// None` trains with blocking collectives, `Some` with the scheduled
-/// overlap engine. Every rank runs the shared
+/// The one world runner behind the plain entry points and
+/// [`crate::mixed::train_mixed`]: `shapes` holds one `(pr, pc)` per
+/// layer (the last serving every layer past it — one entry is the
+/// uniform grid); `plan = None` trains with blocking collectives, `Some`
+/// with the scheduled overlap engine. Every rank runs the shared
 /// [`forward_pass`]/[`backward_pass`] pair unguarded with a plain SGD
-/// `axpy` as the optimizer apply.
+/// `axpy` as the optimizer apply. The result's `pr`/`pc` and every
+/// [`RankOutcome`]'s `(i, j)` are layer 0's.
 #[allow(clippy::too_many_arguments)]
-fn train_grid(
+pub(crate) fn train_grid(
     net: &Network,
     x: &Matrix,
     labels: &[usize],
     cfg: &TrainConfig,
-    pr: usize,
-    pc: usize,
+    shapes: &[(usize, usize)],
     model: NetModel,
     trace: TraceConfig,
     plan: Option<OverlapPlan>,
@@ -343,22 +361,35 @@ fn train_grid(
     let layers = extract_fc_layers(net);
     let b_global = x.cols();
     let full_weights = init_weights(&layers, cfg.seed);
+    // A grid costs two communicator splits (control-plane traffic, and
+    // the split sequence names every later context), and the last grid
+    // serves every layer past it: trailing repeats of one shape get no
+    // grid of their own, so a list that repeats one shape throughout
+    // builds exactly the one grid the uniform run builds.
+    let repeats = shapes.windows(2).rev().take_while(|w| w[0] == w[1]);
+    let shapes = &shapes[..shapes.len() - repeats.count()];
+    let (pr, pc) = shapes[0];
     let (per_rank, stats, traces) = World::run_traced_with_stats(pr * pc, model, trace, |comm| {
-        let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-        let mut w_local = shard_weights(&full_weights, pr, grid.i);
+        let grids: Vec<Grid> = shapes
+            .iter()
+            .map(|&(pr, pc)| Grid::new(comm, pr, pc).expect("grid tiles the world"))
+            .collect();
+        let (first, last) = (&grids[0], &grids[grids.len() - 1]);
+        let mut w_local = shard_weights(&full_weights, &grids);
         // An unsplit batch is the caller's matrix itself.
         let x_local = if pc == 1 {
             Cow::Borrowed(x)
         } else {
-            Cow::Owned(col_shard(x, pc, grid.j))
+            Cow::Owned(col_shard(x, pc, first.j))
         };
-        let labels_local = &labels[part_range(b_global, pc, grid.j)];
+        // The loss is taken where the logits land.
+        let labels_local = &labels[last.x_cols(b_global)];
         let mut apply =
             |w: &mut [Matrix], k: usize, g: &[f64]| axpy(-cfg.lr, g, w[k].as_mut_slice());
         // The scheduler outlives the iteration loop: under `interleave`,
         // buckets launched in iteration t are settled lazily during the
         // forward pass of iteration t+1.
-        let mut sched = plan.map(|p| (BucketScheduler::new(&grid.row_comm, &p, None), p));
+        let mut sched = plan.map(|p| (BucketScheduler::new(&first.row_comm, &p, None), p));
         let mut partial_losses = Vec::with_capacity(cfg.iters);
         for it in 0..cfg.iters {
             // The final iteration always drains so the returned weights
@@ -368,7 +399,7 @@ fn train_grid(
                 (s, OverlapPlan { interleave, ..*p })
             });
             let mut pass = Pass {
-                grid: &grid,
+                grids: &grids,
                 guard: Guard::Off,
                 layers: &layers,
                 x_local: &x_local,
@@ -382,8 +413,8 @@ fn train_grid(
             backward_pass(&mut pass, tape, &mut w_local, &mut apply).expect("backward");
         }
         RankOutcome {
-            i: grid.i,
-            j: grid.j,
+            i: first.i,
+            j: first.j,
             partial_losses,
             weight_shards: w_local,
         }
@@ -401,11 +432,17 @@ fn train_grid(
 /// [`forward_pass`]/[`backward_pass`] pair reads besides the weight
 /// shards it updates.
 pub(crate) struct Pass<'a> {
-    pub(crate) grid: &'a Grid,
+    /// One grid per layer, the last serving every layer past it (see
+    /// [`layer_grid`]): `std::slice::from_ref(&grid)` is the uniform
+    /// run. More than one entry cannot be combined with `sched`.
+    pub(crate) grids: &'a [Grid],
     /// Fault treatment of every collective and local GEMM.
     pub(crate) guard: Guard<'a>,
     pub(crate) layers: &'a [FcLayer],
+    /// The batch shard of layer 0's grid column.
     pub(crate) x_local: &'a Matrix,
+    /// The labels of the *last* layer's grid column — where the logits
+    /// land.
     pub(crate) labels_local: &'a [usize],
     pub(crate) b_global: usize,
     /// Iteration number, carried on every phase span of the trace.
@@ -422,8 +459,13 @@ pub(crate) struct Tape {
     /// `acts[l]` is layer `l`'s output — the input of layer `l + 1`;
     /// the last entry holds the logits. Layer 0's input is the pass's
     /// `x_local`, borrowed. Pre-activations are not kept (see
-    /// [`act_backward`]).
+    /// [`act_backward`]). Each stays in its own layer's column layout —
+    /// the backward mask needs it there.
     acts: Vec<Matrix>,
+    /// The inputs that had to be re-laid because `Pc` changed on
+    /// entering their layer, in layer order (backward pops them); empty
+    /// on a uniform grid, where layer `l + 1` reads `acts[l]` itself.
+    relaid: Vec<Matrix>,
     /// `∂loss/∂logits`, already rescaled to the global `1/B`.
     grad: Matrix,
     /// This rank's share of the global loss
@@ -435,7 +477,9 @@ pub(crate) struct Tape {
 /// The forward half of the one iteration body (Eq. 8: all-gather
 /// `W_i·X_j` over `Pr`, layer by layer), then the loss gradient. Every
 /// layer's output is gathered straight into its tape entry and
-/// activated there.
+/// activated there. Where the batch split changes between two layers
+/// ([`layer_grid`]) the activation is re-laid first, and the tape keeps
+/// the re-laid copy as that layer's input.
 ///
 /// Under a scheduler, buckets left in flight by the previous iteration
 /// are settled through `apply` right before the first layer that reads
@@ -451,28 +495,41 @@ pub(crate) fn forward_pass(
     w: &mut [Matrix],
     apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
 ) -> Result<Tape, Error> {
-    let (grid, guard, layers) = (p.grid, p.guard, p.layers);
-    let comm = &grid.row_comm;
+    let (grids, guard, layers) = (p.grids, p.guard, p.layers);
+    if p.sched.is_some() && grids.len() > 1 {
+        return Err(Error::CollectiveMismatch(
+            "per-layer grids cannot be scheduled: the gradient buckets are bound to one \
+             row group and the forward prefetch to one column group"
+                .into(),
+        ));
+    }
+    let comm = &grids[0].row_comm;
     let b_local = p.x_local.cols();
-    let prefetch = grid.pr > 1 && p.sched.as_ref().is_some_and(|(_, plan)| plan.fwd_prefetch);
+    let prefetch = grids[0].pr > 1 && p.sched.as_ref().is_some_and(|(_, plan)| plan.fwd_prefetch);
     let mut settle = |layer: usize, w: &mut [Matrix]| match &mut p.sched {
         Some((sched, _)) => sched.apply_ready_for(layer, |k, g| apply(w, k, g)),
         None => Ok(()),
     };
     let mut acts: Vec<Matrix> = Vec::with_capacity(layers.len());
+    let mut relaid = Vec::new();
     {
         let _fwd = comm.trace_span("trainer", "forward", &[("iter", p.iter as f64)]);
         let mut pf = None;
         if prefetch {
             settle(0, w)?;
-            pf = Some(forward_start(grid, &w[0], p.x_local, guard)?);
+            pf = Some(forward_start(&grids[0], &w[0], p.x_local, guard)?);
         }
         for (idx, l) in layers.iter().enumerate() {
             let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
+            let (grid, relaid_from) = layer_grid(grids, idx);
             let mut y = Matrix::zeros(0, 0);
             let Some(blocks) = pf.as_mut() else {
                 settle(idx, w)?;
-                let x = acts.last().unwrap_or(p.x_local);
+                let mut x = acts.last().unwrap_or(p.x_local);
+                if let Some(from) = relaid_from {
+                    relaid.push(from.relayout_cols(grid, x, p.b_global)?);
+                    x = relaid.last().expect("just pushed");
+                }
                 forward_into(grid, &w[idx], x, l.d_out, guard, &mut y)?;
                 apply_act(l.act, &mut y);
                 acts.push(y);
@@ -510,12 +567,13 @@ pub(crate) fn forward_pass(
     // softmax_xent normalizes by the *local* batch; rescale to the
     // global 1/B of the paper's Eq. 1 so the ∆W all-reduce sums to the
     // global mean gradient.
-    let scale = b_local as f64 / p.b_global as f64;
+    let scale = logits.cols() as f64 / p.b_global as f64;
     for g in grad.as_mut_slice() {
         *g *= scale;
     }
     Ok(Tape {
         acts,
+        relaid,
         grad,
         loss: loss_local * scale,
     })
@@ -523,7 +581,9 @@ pub(crate) fn forward_pass(
 
 /// The backward half of the one iteration body (Eq. 8: all-reduce `∆W`
 /// over `Pc` and `∆X` over `Pr`), ending in the optimizer step: every
-/// summed `∆W_i` reaches `apply(w, layer, summed)` exactly once.
+/// summed `∆W_i` reaches `apply(w, layer, summed)` exactly once. `∆X`
+/// leaving a layer whose input was re-laid is re-laid back (plain sends
+/// under either guard).
 ///
 /// Blocking (`p.sched` is `None`): each layer's ∆W is summed and
 /// applied on the spot — ∆X was already formed from the pre-update
@@ -538,18 +598,30 @@ pub(crate) fn backward_pass(
     w: &mut [Matrix],
     apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
 ) -> Result<(), Error> {
-    let (grid, guard) = (p.grid, p.guard);
-    let comm = &grid.row_comm;
+    let (grids, guard) = (p.grids, p.guard);
+    let comm = &grids[0].row_comm;
     let iter_arg = [("iter", p.iter as f64)];
     let Tape {
-        acts, grad: mut dy, ..
+        acts,
+        mut relaid,
+        grad: mut dy,
+        ..
     } = tape;
     {
         let _bwd = comm.trace_span("trainer", "backward", &iter_arg);
         for (idx, l) in p.layers.iter().enumerate().rev() {
             let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
+            let (grid, relaid_from) = layer_grid(grids, idx);
             act_backward(l.act, &acts[idx], &mut dy);
-            let xl = if idx == 0 { p.x_local } else { &acts[idx - 1] };
+            let popped;
+            let xl = if relaid_from.is_some() {
+                popped = relaid.pop().expect("forward re-laid this input");
+                &popped
+            } else if idx == 0 {
+                p.x_local
+            } else {
+                &acts[idx - 1]
+            };
             let dx = match &mut p.sched {
                 None => {
                     let (dw, dx) = backward_with(grid, &w[idx], xl, &dy, guard)?;
@@ -567,7 +639,10 @@ pub(crate) fn backward_pass(
                     dx
                 }
             };
-            dy = dx;
+            dy = match relaid_from {
+                Some(to) => grid.relayout_cols(to, &dx, p.b_global)?,
+                None => dx,
+            };
         }
         if let Some((sched, _)) = &mut p.sched {
             sched.flush()?;
@@ -890,7 +965,7 @@ pub fn train_1p5d_scheduled_traced(
     trace: TraceConfig,
     plan: OverlapPlan,
 ) -> (DistResult, WorldTrace) {
-    train_grid(net, x, labels, cfg, pr, pc, model, trace, Some(plan))
+    train_grid(net, x, labels, cfg, &[(pr, pc)], model, trace, Some(plan))
 }
 
 /// Synthetic classification data shaped for a network: inputs in
@@ -1409,6 +1484,19 @@ mod tests {
             .map(|r| r.instant_count("sched", "progress_poll"))
             .sum();
         assert_eq!(fifo_polls, 0, "FIFO never polls");
+    }
+
+    #[test]
+    #[should_panic(expected = "per-layer grids cannot be scheduled")]
+    fn per_layer_grids_with_a_scheduler_are_rejected() {
+        // The buckets sum over one row group and the prefetch couples
+        // two layers on one column group; `forward_pass` returns the
+        // error, which the runner's `expect` turns into this panic.
+        let net = mlp_tiny();
+        let (x, labels) = synthetic_data(&net, 8, 5);
+        let (cfg, off) = (TrainConfig::default(), TraceConfig::disabled());
+        let (free, plan) = (NetModel::free(), Some(OverlapPlan::default()));
+        train_grid(&net, &x, &labels, &cfg, &[(1, 4), (2, 2)], free, off, plan);
     }
 
     #[test]

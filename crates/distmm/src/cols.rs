@@ -17,13 +17,9 @@ use std::ops::Range;
 use mpsim::{Communicator, Result, Tag};
 use tensor::Matrix;
 
-const COLS_TAG: Tag = (1 << 48) + 128;
+use crate::dist::intersect;
 
-fn intersect(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
-    let start = a.start.max(b.start);
-    let end = a.end.min(b.end);
-    start..end.max(start)
-}
+const COLS_TAG: Tag = (1 << 48) + 128;
 
 /// Extracts global columns `global` from `x_local` covering `owned`,
 /// as a column-major buffer (each column contiguous).
@@ -120,7 +116,8 @@ pub fn redistribute_cols(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::part_range;
+    use crate::dist::{col_shard, part_range, row_shard};
+    use crate::onep5d::{self, Grid};
     use mpsim::{NetModel, World};
     use tensor::init;
 
@@ -165,6 +162,44 @@ mod tests {
             let expect = x.col_block(needed[r].start, needed[r].end);
             assert!(got.approx_eq(&expect, 0.0), "rank {r}");
         }
+    }
+
+    #[test]
+    fn batch_to_model_costs_eq6_a_third_of_the_following_model_step() {
+        // Eq. 6: entering a pure-model layer from a pure-batch one,
+        // every rank gathers the whole d × B activation. With α = 0 the
+        // time is the paper's bandwidth term β·B·(P−1)/P·d exactly.
+        let p = 4;
+        let (d, b) = (8usize, 16usize);
+        let x = init::uniform(d, b, -1.0, 1.0, 95);
+        let model = NetModel {
+            alpha: 0.0,
+            beta: 1e-6,
+            flops: f64::INFINITY,
+        };
+        let (times, relayout) = World::run_with_stats(p, model, |comm| {
+            let batch = Grid::new(comm, 1, p).unwrap();
+            let full = Grid::new(comm, p, 1).unwrap();
+            let shard = col_shard(&x, p, comm.rank());
+            assert!(batch.relayout_cols(&full, &shard, b).unwrap() == x);
+            comm.clock().comm
+        });
+        let expect = model.beta * (b * d) as f64 * (p as f64 - 1.0) / p as f64;
+        for &t in &times {
+            assert!((t - expect).abs() < 1e-12, "{t} vs {expect}");
+        }
+        // "Asymptotically free": the model-parallel step it feeds moves
+        // three times as much (forward all-gather of Y plus the
+        // double-volume ∆X all-reduce), for d_out = d_in.
+        let w = init::xavier(d, d, 96);
+        let dy = init::uniform(d, b, -1.0, 1.0, 97);
+        let (_, step) = World::run_with_stats(p, NetModel::free(), |comm| {
+            let grid = Grid::new(comm, p, 1).unwrap();
+            let wl = row_shard(&w, p, grid.i);
+            onep5d::forward(&grid, &wl, &x).unwrap();
+            onep5d::backward(&grid, &wl, &x, &dy).unwrap();
+        });
+        assert_eq!(step.total_words(), 3 * relayout.total_words());
     }
 
     #[test]

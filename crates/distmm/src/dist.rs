@@ -11,16 +11,16 @@ use std::ops::Range;
 use tensor::Matrix;
 
 /// The contiguous block of `0..n` owned by rank `i` of `p` (sizes
-/// differ by at most one; same convention as MPI block distribution).
-pub fn part_range(n: usize, p: usize, i: usize) -> Range<usize> {
-    assert!(i < p, "rank {i} out of {p}");
-    (i * n) / p..((i + 1) * n) / p
-}
+/// differ by at most one; same convention as MPI block distribution) —
+/// the one partition rule of the stack, shared with the ring
+/// collectives' chunking.
+pub use collectives::chunks::block_range as part_range;
 
-/// Length of rank `i`'s block of `0..n`.
-pub fn part_len(n: usize, p: usize, i: usize) -> usize {
-    let r = part_range(n, p, i);
-    r.end - r.start
+/// The overlap of two ranges; empty when they are disjoint.
+pub(crate) fn intersect(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
+    let start = a.start.max(b.start);
+    let end = a.end.min(b.end);
+    start..end.max(start)
 }
 
 /// Rank `i`'s row shard of a matrix (model-dimension split of `W`).
@@ -35,16 +35,6 @@ pub fn col_shard(m: &Matrix, p: usize, j: usize) -> Matrix {
     m.col_block(r.start, r.end)
 }
 
-/// Reassembles row shards produced by [`row_shard`].
-pub fn assemble_rows(shards: &[Matrix]) -> Matrix {
-    Matrix::vcat(shards)
-}
-
-/// Reassembles column shards produced by [`col_shard`].
-pub fn assemble_cols(shards: &[Matrix]) -> Matrix {
-    Matrix::hcat(shards)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,16 +43,16 @@ mod tests {
     fn shards_tile_the_matrix() {
         let m = Matrix::from_fn(7, 9, |i, j| (i * 9 + j) as f64);
         let rows: Vec<Matrix> = (0..3).map(|i| row_shard(&m, 3, i)).collect();
-        assert_eq!(assemble_rows(&rows), m);
+        assert_eq!(Matrix::vcat(&rows), m);
         let cols: Vec<Matrix> = (0..4).map(|j| col_shard(&m, 4, j)).collect();
-        assert_eq!(assemble_cols(&cols), m);
+        assert_eq!(Matrix::hcat(&cols), m);
     }
 
     #[test]
     fn part_lens_sum_to_n() {
         for n in [0, 1, 5, 16, 17] {
             for p in [1, 2, 3, 5, 8] {
-                let total: usize = (0..p).map(|i| part_len(n, p, i)).sum();
+                let total: usize = (0..p).map(|i| part_range(n, p, i).len()).sum();
                 assert_eq!(total, n, "n={n} p={p}");
             }
         }

@@ -9,19 +9,19 @@
 //! convolution. 1×1 convolutions need no communication at all.
 //!
 //! Scope: `stride = 1`, square odd kernels with "same" padding
-//! (`pad = k/2`) — the shape class domain parallelism targets (the
+//! (`pad = k/2`) on strips at least `k/2` rows tall (shorter ones are
+//! rejected; [`crate::domain_general`] takes any height, stride and
+//! kernel) — the shape class domain parallelism targets (the
 //! interior 3×3/5×5/1×1 layers of AlexNet/VGG/ResNet, where activations
 //! are large). Strided layers are still *costed* by the analytic model
 //! (`integrated::cost::domain`); executing them would only change
 //! strip-boundary bookkeeping, not the communication structure.
 
-use collectives::halo::exchange_1d;
+use collectives::halo::{exchange_1d, Halo};
 use collectives::{allreduce, ReduceOp};
-use mpsim::{Communicator, Result};
+use mpsim::{Communicator, Error, Result};
 use tensor::conv::{conv2d, conv2d_backward, Conv2dParams, Tensor4};
 use tensor::Matrix;
-
-use crate::dist::part_range;
 
 const DX_UP_TAG: u64 = (1 << 48) + 96;
 const DX_DOWN_TAG: u64 = (1 << 48) + 97;
@@ -37,54 +37,33 @@ fn validate(p: &Conv2dParams) {
     );
 }
 
-/// The strip of global image rows owned by `rank` of `p` for height `h`.
-pub fn strip_range(h: usize, p: usize, rank: usize) -> std::ops::Range<usize> {
-    part_range(h, p, rank)
-}
-
-/// Builds the zero-padded extended strip: `k/2` halo (or zero) rows
-/// above and below, and `k/2` zero columns left and right, so the
-/// convolution can run with `pad = 0`.
-fn extend_strip(
-    x_strip: &Tensor4,
-    halo_prev: Option<&[f64]>,
-    halo_next: Option<&[f64]>,
-    k2: usize,
-) -> Tensor4 {
+/// Builds the zero-padded extended strip: `k2` halo (or zero) rows
+/// above and below, and `k2` zero columns left and right, so the
+/// convolution can run with `pad = 0`. A strip shorter than the halo
+/// would need rows from beyond its neighbour: the sender checks its own
+/// height and the receiver what arrived, so every rank that touches a
+/// short strip fails the same way.
+fn extend_strip(x_strip: &Tensor4, halo: Halo, k2: usize) -> Result<Tensor4> {
     let (n, c, h, w) = (x_strip.n, x_strip.c, x_strip.h, x_strip.w);
-    let mut ext = Tensor4::zeros(n, c, h + 2 * k2, w + 2 * k2);
-    // Center.
-    for ni in 0..n {
-        for ci in 0..c {
-            for hi in 0..h {
-                for wi in 0..w {
-                    ext.set(ni, ci, hi + k2, wi + k2, x_strip.get(ni, ci, hi, wi));
-                }
-            }
+    let halos = [(halo.from_prev, 0), (halo.from_next, h + k2)];
+    let mut received = halos.iter().flat_map(|(rows, _)| rows);
+    if h < k2 || received.any(|rows| rows.len() != n * c * k2 * w) {
+        return Err(Error::CollectiveMismatch(format!(
+            "a {h}-row strip or its neighbour is shorter than the {k2}-row halo: \
+             use distmm::domain_general, which fetches rows from any number of ranks"
+        )));
+    }
+    let mut ext = x_strip.zero_extend(k2, k2, k2);
+    for (rows, h0) in halos {
+        if let Some(rows) = rows {
+            // Framed in zero columns, a halo is a row strip of `ext`.
+            ext.set_row_strip(
+                h0,
+                &Tensor4::from_vec(n, c, k2, w, rows).zero_extend(0, 0, k2),
+            );
         }
     }
-    // Halos: flattened as Tensor4(n, c, k2, w) buffers.
-    let mut place = |rows: &[f64], h0: usize| {
-        let t = Tensor4::from_fn(n, c, k2, w, |ni, ci, hi, wi| {
-            rows[((ni * c + ci) * k2 + hi) * w + wi]
-        });
-        for ni in 0..n {
-            for ci in 0..c {
-                for hi in 0..k2 {
-                    for wi in 0..w {
-                        ext.set(ni, ci, h0 + hi, wi + k2, t.get(ni, ci, hi, wi));
-                    }
-                }
-            }
-        }
-    };
-    if let Some(rows) = halo_prev {
-        place(rows, 0);
-    }
-    if let Some(rows) = halo_next {
-        place(rows, h + k2);
-    }
-    ext
+    Ok(ext)
 }
 
 /// Domain-parallel forward convolution. `x_strip` is this rank's strip
@@ -120,12 +99,7 @@ pub fn forward(
         comm.advance_flops(per_row_flops * interior_rows as f64);
     })?;
 
-    let ext = extend_strip(
-        x_strip,
-        halo.from_prev.as_deref(),
-        halo.from_next.as_deref(),
-        k2,
-    );
+    let ext = extend_strip(x_strip, halo, k2)?;
     // Boundary rows are charged after the wait.
     comm.advance_flops(per_row_flops * (x_strip.h - interior_rows) as f64);
     let zero_pad = Conv2dParams { pad: 0, ..*p };
@@ -165,12 +139,7 @@ pub fn backward(
     let top_rows = x_strip.row_strip(0, k2.min(x_strip.h));
     let bot_rows = x_strip.row_strip(x_strip.h.saturating_sub(k2), x_strip.h);
     let (halo, ()) = exchange_1d(comm, top_rows.as_slice(), bot_rows.as_slice(), || ())?;
-    let ext = extend_strip(
-        x_strip,
-        halo.from_prev.as_deref(),
-        halo.from_next.as_deref(),
-        k2,
-    );
+    let ext = extend_strip(x_strip, halo, k2)?;
 
     // Backward on the extended strip with pad 0: output shape equals
     // dy_strip exactly.
@@ -184,46 +153,20 @@ pub fn backward(
     // ∆X: peel off the width padding and the halo rows; the halo-row
     // gradients belong to the neighbours, so exchange and add them.
     let (n, c, h, w) = (x_strip.n, x_strip.c, x_strip.h, x_strip.w);
-    let mut dx = Tensor4::from_fn(n, c, h, w, |ni, ci, hi, wi| {
-        dx_ext.get(ni, ci, hi + k2, wi + k2)
-    });
-    let to_prev = Tensor4::from_fn(n, c, k2, w, |ni, ci, hi, wi| {
-        dx_ext.get(ni, ci, hi, wi + k2)
-    });
-    let to_next = Tensor4::from_fn(n, c, k2, w, |ni, ci, hi, wi| {
-        dx_ext.get(ni, ci, h + k2 + hi, wi + k2)
-    });
+    let mut dx = dx_ext.peel(k2, k2, k2);
     if r > 0 {
-        comm.send(r - 1, DX_UP_TAG, to_prev.as_slice())?;
+        comm.send_vec(r - 1, DX_UP_TAG, dx_ext.peel(0, h + k2, k2).into_vec())?;
     }
     if r + 1 < size {
-        comm.send(r + 1, DX_DOWN_TAG, to_next.as_slice())?;
+        comm.send_vec(r + 1, DX_DOWN_TAG, dx_ext.peel(h + k2, 0, k2).into_vec())?;
     }
     if r + 1 < size {
         let from_next = comm.recv(r + 1, DX_UP_TAG)?;
-        for ni in 0..n {
-            for ci in 0..c {
-                for hi in 0..k2 {
-                    for wi in 0..w {
-                        let v = from_next[((ni * c + ci) * k2 + hi) * w + wi];
-                        dx.add_at(ni, ci, h - k2 + hi, wi, v);
-                    }
-                }
-            }
-        }
+        dx.add_row_strip(h - k2, &Tensor4::from_vec(n, c, k2, w, from_next));
     }
     if r > 0 {
         let from_prev = comm.recv(r - 1, DX_DOWN_TAG)?;
-        for ni in 0..n {
-            for ci in 0..c {
-                for hi in 0..k2 {
-                    for wi in 0..w {
-                        let v = from_prev[((ni * c + ci) * k2 + hi) * w + wi];
-                        dx.add_at(ni, ci, hi, wi, v);
-                    }
-                }
-            }
-        }
+        dx.add_row_strip(0, &Tensor4::from_vec(n, c, k2, w, from_prev));
     }
     Ok((dw, dx))
 }
@@ -231,6 +174,7 @@ pub fn backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::part_range;
     use mpsim::{NetModel, World};
     use tensor::conv::conv2d_direct;
     use tensor::init;
@@ -248,12 +192,12 @@ mod tests {
         let w = init::uniform(4, params.patch_len(), -0.5, 0.5, 32);
         let y_ref = conv2d_direct(&x, &w, &params);
         let out = World::run(p_ranks, NetModel::free(), |comm| {
-            let rng = strip_range(h, p_ranks, comm.rank());
+            let rng = part_range(h, p_ranks, comm.rank());
             let strip = x.row_strip(rng.start, rng.end);
             forward(comm, &strip, &w, &params).unwrap()
         });
         for (r, y_strip) in out.iter().enumerate() {
-            let rng = strip_range(h, p_ranks, r);
+            let rng = part_range(h, p_ranks, r);
             let expect = y_ref.row_strip(rng.start, rng.end);
             assert!(
                 y_strip.approx_eq(&expect, 1e-10),
@@ -294,7 +238,7 @@ mod tests {
         let x = init::uniform_tensor(1, 2, 8, 4, -1.0, 1.0, 33);
         let w = init::uniform(2, 2, -0.5, 0.5, 34);
         let (_, stats) = World::run_with_stats(4, NetModel::cori_knl(), |comm| {
-            let rng = strip_range(8, 4, comm.rank());
+            let rng = part_range(8, 4, comm.rank());
             let strip = x.row_strip(rng.start, rng.end);
             forward(comm, &strip, &w, &params).unwrap();
         });
@@ -321,7 +265,7 @@ mod tests {
         let x = init::uniform_tensor(b, 3, h, w, -1.0, 1.0, 35);
         let wts = init::uniform(2, params.patch_len(), -0.5, 0.5, 36);
         let (_, stats) = World::run_with_stats(4, NetModel::cori_knl(), |comm| {
-            let rng = strip_range(h, 4, comm.rank());
+            let rng = part_range(h, 4, comm.rank());
             let strip = x.row_strip(rng.start, rng.end);
             forward(comm, &strip, &wts, &params).unwrap();
         });
@@ -348,7 +292,7 @@ mod tests {
         let (dw_ref, dx_ref) = conv2d_backward(&x, &wts, &dy, &params);
         for p_ranks in [1, 2, 3, 4] {
             let out = World::run(p_ranks, NetModel::free(), |comm| {
-                let rng = strip_range(h, p_ranks, comm.rank());
+                let rng = part_range(h, p_ranks, comm.rank());
                 backward(
                     comm,
                     &x.row_strip(rng.start, rng.end),
@@ -360,13 +304,48 @@ mod tests {
             });
             for (r, (dw, dx)) in out.iter().enumerate() {
                 assert!(dw.approx_eq(&dw_ref, 1e-9), "P={p_ranks} rank {r} dW");
-                let rng = strip_range(h, p_ranks, r);
+                let rng = part_range(h, p_ranks, r);
                 let expect = dx_ref.row_strip(rng.start, rng.end);
                 assert!(
                     dx.approx_eq(&expect, 1e-9),
                     "P={p_ranks} rank {r} dX: {}",
                     dx.max_abs_diff(&expect)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn strip_shorter_than_the_halo_is_an_error_on_every_rank() {
+        // h/P = 1 < k/2 = 2: each neighbour can ship one halo row of the
+        // two a 5x5 kernel needs (this indexed out of bounds before).
+        let params = Conv2dParams {
+            in_c: 1,
+            out_c: 1,
+            kh: 5,
+            kw: 5,
+            stride: 1,
+            pad: 2,
+        };
+        let x = init::uniform_tensor(1, 1, 4, 6, -1.0, 1.0, 46);
+        let w = init::uniform(1, params.patch_len(), -0.5, 0.5, 47);
+        let out = World::run(4, NetModel::free(), |comm| {
+            let rng = part_range(4, 4, comm.rank());
+            let strip = x.row_strip(rng.start, rng.end);
+            let fwd = forward(comm, &strip, &w, &params).map(drop);
+            (fwd, backward(comm, &strip, &w, &strip, &params).map(drop))
+        });
+        for (r, results) in out.into_iter().enumerate() {
+            for res in [results.0, results.1] {
+                match res {
+                    Err(Error::CollectiveMismatch(msg)) => assert!(
+                        msg.contains("1-row strip")
+                            && msg.contains("2-row halo")
+                            && msg.contains("domain_general"),
+                        "rank {r}: {msg}"
+                    ),
+                    other => panic!("rank {r}: {other:?}"),
+                }
             }
         }
     }
@@ -392,7 +371,7 @@ mod tests {
         let x = init::uniform_tensor(1, 2, 16, 4, -1.0, 1.0, 44);
         let w = init::uniform(2, params.patch_len(), -0.5, 0.5, 45);
         let out = World::run(2, model, |comm| {
-            let rng = strip_range(16, 2, comm.rank());
+            let rng = part_range(16, 2, comm.rank());
             let strip = x.row_strip(rng.start, rng.end);
             forward(comm, &strip, &w, &params).unwrap();
             comm.clock()

@@ -21,13 +21,10 @@ use tensor::conv::{conv2d, conv2d_backward, Conv2dParams, Tensor4};
 use tensor::pool::{maxpool2d, maxpool2d_backward, Pool2dParams};
 use tensor::Matrix;
 
-use crate::dist::part_range;
 use crate::rows::{fetch_rows, scatter_add_rows};
 
 /// The per-rank block partition of `h` rows.
-pub fn row_partition(h: usize, p: usize) -> Vec<Range<usize>> {
-    (0..p).map(|r| part_range(h, p, r)).collect()
-}
+pub use collectives::chunks::block_ranges as row_partition;
 
 /// For an output row range and vertical kernel geometry, the
 /// *unclipped* input row window `[o0·s − pad, (o1−1)·s − pad + k)` and
@@ -198,6 +195,7 @@ pub fn pool_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::part_range;
     use mpsim::{NetModel, World};
     use tensor::conv::conv2d_direct;
     use tensor::init;

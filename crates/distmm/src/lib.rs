@@ -2,21 +2,23 @@
 //!
 //! Executable versions of the parallel layer algebras in the paper's
 //! Figures 1, 2, 3, and 5, plus the 2-D SUMMA variants its §4
-//! Discussion compares against:
+//! Discussion compares against — one algebra per layer kind:
 //!
-//! * [`batch1d`] — pure batch parallelism (Fig. 2): `X`, `Y` split
-//!   column-wise (by sample), `W` replicated; the only communication is
-//!   the ∆W all-reduce.
-//! * [`model1d`] — pure model parallelism (Fig. 1): `W` split row-wise,
-//!   activations assembled with an all-gather each layer; ∆X needs an
-//!   all-reduce.
 //! * [`onep5d`] — the paper's contribution (Fig. 5): the 1.5D algorithm
 //!   on a `Pr × Pc` grid; `W` split over `Pr` (replicated `Pc` times),
-//!   `X`/`Y` split over `Pc` (replicated `Pr` times).
+//!   `X`/`Y` split over `Pc` (replicated `Pr` times). `Pr = 1` *is*
+//!   pure batch parallelism (Fig. 2: the only communication is the ∆W
+//!   all-reduce) and `Pc = 1` pure model parallelism (Fig. 1: an
+//!   all-gather per forward layer, an all-reduce for ∆X); its tests pin
+//!   both corners' values and costs.
+//! * [`cols`] — column relayout between layers whose grids differ (the
+//!   executable Eq. 6).
 //! * [`summa`] — 2-D SUMMA (stationary-C and stationary-A) for the
 //!   Discussion-section comparison.
 //! * [`domain`] — domain-parallel convolution with halo exchange
-//!   (Fig. 3).
+//!   (Fig. 3) for stride-1 same-padded kernels; [`domain_general`] and
+//!   [`rows`] — the same for any stride, padding, kernel and pooling.
+//! * [`dist`] — which block of a dimension a rank owns.
 //!
 //! Every algorithm is verified against serial `tensor` kernels, and its
 //! virtual-clock cost against the corresponding closed form.
@@ -25,15 +27,12 @@
 // arithmetic; the clippy suggestions (iterators, is_multiple_of) obscure
 // the correspondence with the paper's formulas.
 #![allow(clippy::needless_range_loop, clippy::manual_is_multiple_of)]
-pub mod batch1d;
 pub mod cols;
 pub mod dist;
 pub mod domain;
 pub mod domain_general;
-pub mod model1d;
 pub mod onep5d;
-pub mod redistribute;
 pub mod rows;
 pub mod summa;
 
-pub use dist::{part_len, part_range};
+pub use dist::part_range;

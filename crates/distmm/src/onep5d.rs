@@ -35,6 +35,7 @@ use tensor::abft::{self, Verdict};
 use tensor::matmul::{matmul_a_bt, matmul_at_b, matmul_flops, matmul_into};
 use tensor::Matrix;
 
+use crate::cols::redistribute_cols;
 use crate::dist::part_range;
 
 /// A rank's view of the `Pr × Pc` process grid.
@@ -47,6 +48,9 @@ pub struct Grid {
     pub i: usize,
     /// This rank's column index `j` (which batch shard it holds).
     pub j: usize,
+    /// The communicator the grid tiles; relayouts between two grids of
+    /// it run here.
+    pub comm: Communicator,
     /// The `Pc`-sized group sharing model shard `i` (used for the ∆W
     /// all-reduce).
     pub row_comm: Communicator,
@@ -67,6 +71,7 @@ impl Grid {
             pc,
             i: comm.rank() / pc,
             j: comm.rank() % pc,
+            comm: comm.clone(),
             row_comm,
             col_comm,
         })
@@ -94,6 +99,7 @@ impl Grid {
             pc,
             i,
             j,
+            comm: comm.clone(),
             row_comm,
             col_comm,
         })
@@ -107,6 +113,19 @@ impl Grid {
     /// The columns of a `B`-column activation matrix owned by this rank.
     pub fn x_cols(&self, b: usize) -> std::ops::Range<usize> {
         part_range(b, self.pc, self.j)
+    }
+
+    /// The Eq. 6 exchange between consecutive layers on different grids
+    /// (the paper's Fig. 7): re-lays `m` — this rank's columns of a
+    /// `b`-column matrix under this grid's batch split — into the split
+    /// of `to`, another row-major ([`Grid::new`]) grid of the same
+    /// communicator. Grid row 0 ships, one sender per replica group
+    /// ([`redistribute_cols`]).
+    pub fn relayout_cols(&self, to: &Grid, m: &Matrix, b: usize) -> Result<Matrix> {
+        let p = self.comm.size();
+        let split = |pc: usize| -> Vec<_> { (0..p).map(|r| part_range(b, pc, r % pc)).collect() };
+        let senders: Vec<bool> = (0..p).map(|r| r < self.pc).collect();
+        redistribute_cols(&self.comm, m, &split(self.pc), &split(to.pc), &senders)
     }
 }
 
@@ -558,6 +577,7 @@ pub fn forward_resume(grid: &Grid, y_partial: Matrix, guard: Guard) -> Result<Pi
 mod tests {
     use super::*;
     use crate::dist::{col_shard, part_range, row_shard};
+    use collectives::cost::{ring_allgather_exact, ring_allreduce_exact, CostTerms};
     use mpsim::{NetModel, World};
     use tensor::init;
     use tensor::matmul::matmul;
@@ -649,6 +669,49 @@ mod tests {
     #[test]
     fn pc_equals_one_is_pure_model() {
         check_grid(4, 1, 8, 5, 6);
+    }
+
+    #[test]
+    fn the_corners_cost_what_fig1_and_fig2_say() {
+        let model = NetModel {
+            alpha: 1e-3,
+            beta: 1e-6,
+            flops: f64::INFINITY,
+        };
+        let p = 4;
+        let (d_out, d_in, b) = (16, 8, 8);
+        let r = reference(d_out, d_in, b);
+        // Per rank: the communication seconds of (forward, backward).
+        let comm_secs = |pr: usize, pc: usize| {
+            World::run(pr * pc, model, |comm| {
+                let grid = Grid::new(comm, pr, pc).unwrap();
+                let wl = row_shard(&r.w, pr, grid.i);
+                let xl = col_shard(&r.x, pc, grid.j);
+                let dyl = col_shard(&r.dy, pc, grid.j);
+                forward(&grid, &wl, &xl).unwrap();
+                let fwd = comm.clock().comm;
+                backward(&grid, &wl, &xl, &dyl).unwrap();
+                (fwd, comm.clock().comm - fwd)
+            })
+        };
+        let secs = |terms: CostTerms| terms.seconds(&model);
+        // Pr = 1, pure batch (Fig. 2, Eq. 4): the forward and ∆X move
+        // nothing; the one collective is the ring all-reduce of |W|.
+        let dw = secs(ring_allreduce_exact(p, (d_out * d_in) as f64));
+        for (fwd, bwd) in comm_secs(1, p) {
+            assert_eq!(fwd, 0.0, "batch-parallel forward is comm-free");
+            assert!((bwd - dw).abs() < 1e-12, "{bwd} vs {dw}");
+        }
+        // Pc = 1, pure model (Fig. 1, Eq. 3): the forward is the
+        // all-gather of Y; ∆W moves nothing — "the input activation is
+        // already communicated via the all-gather collective of forward
+        // pass" — so backward is the ∆X all-reduce alone.
+        let y = secs(ring_allgather_exact(p, (d_out * b) as f64));
+        let dx = secs(ring_allreduce_exact(p, (d_in * b) as f64));
+        for (fwd, bwd) in comm_secs(p, 1) {
+            assert!((fwd - y).abs() < 1e-12, "{fwd} vs {y}");
+            assert!((bwd - dx).abs() < 1e-12, "{bwd} vs {dx}");
+        }
     }
 
     #[test]

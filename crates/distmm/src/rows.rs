@@ -22,14 +22,10 @@ use std::ops::Range;
 use mpsim::{Communicator, Result, Tag};
 use tensor::conv::Tensor4;
 
+use crate::dist::intersect;
+
 const FETCH_TAG: Tag = (1 << 48) + 112;
 const SCATTER_TAG: Tag = (1 << 48) + 113;
-
-fn intersect(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
-    let start = a.start.max(b.start);
-    let end = a.end.min(b.end);
-    start..end.max(start)
-}
 
 /// Extracts the global rows `global` from `strip` (which covers rows
 /// `owned`).

@@ -9,7 +9,8 @@
 //! cargo run --example domain_conv
 //! ```
 
-use integrated_parallelism::distmm::domain::{backward, forward, strip_range};
+use integrated_parallelism::distmm::domain::{backward, forward};
+use integrated_parallelism::distmm::part_range;
 use integrated_parallelism::mpsim::{NetModel, World};
 use integrated_parallelism::tensor::conv::{conv2d_backward, conv2d_direct, Conv2dParams};
 use integrated_parallelism::tensor::init;
@@ -37,7 +38,7 @@ fn main() {
 
         // Domain-parallel run: each rank owns a strip of rows.
         let (results, stats) = World::run_with_stats(p_ranks, NetModel::cori_knl(), |comm| {
-            let rng = strip_range(h, p_ranks, comm.rank());
+            let rng = part_range(h, p_ranks, comm.rank());
             let x_strip = x.row_strip(rng.start, rng.end);
             let dy_strip = dy.row_strip(rng.start, rng.end);
             let y_strip = forward(comm, &x_strip, &weights, &params).unwrap();
@@ -48,7 +49,7 @@ fn main() {
         // Verify strip by strip.
         let mut worst: f64 = 0.0;
         for (r, (y_strip, dw, dx_strip)) in results.iter().enumerate() {
-            let rng = strip_range(h, p_ranks, r);
+            let rng = part_range(h, p_ranks, r);
             worst = worst.max(y_strip.max_abs_diff(&y_ref.row_strip(rng.start, rng.end)));
             worst = worst.max(dw.max_abs_diff(&dw_ref));
             worst = worst.max(dx_strip.max_abs_diff(&dx_ref.row_strip(rng.start, rng.end)));

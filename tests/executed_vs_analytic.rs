@@ -4,7 +4,7 @@
 //! `⌈log P⌉` for ring latency, so latency is zeroed here and checked
 //! separately against the Thakur-exact forms in `collectives`).
 
-use integrated_parallelism::distmm::dist::{col_shard, row_shard};
+use integrated_parallelism::distmm::dist::{col_shard, part_range, row_shard};
 use integrated_parallelism::distmm::domain;
 use integrated_parallelism::distmm::onep5d::{backward, forward, Grid};
 use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape};
@@ -140,7 +140,7 @@ fn executed_halo_forward_matches_eq7_term() {
     let x = init::uniform_tensor(b, 3, h, w, -1.0, 1.0, 5);
     let wts = init::uniform(4, params.patch_len(), -0.5, 0.5, 6);
     let times = World::run(p_ranks, sim, |comm| {
-        let rng = domain::strip_range(h, p_ranks, comm.rank());
+        let rng = part_range(h, p_ranks, comm.rank());
         let strip = x.row_strip(rng.start, rng.end);
         let _ = domain::forward(comm, &strip, &wts, &params).unwrap();
         comm.clock().comm
@@ -183,7 +183,7 @@ fn executed_domain_backward_weight_allreduce_matches_eq7_batch_term() {
     let wts = init::uniform(4, params.patch_len(), -0.5, 0.5, 8);
     let dy = init::uniform_tensor(b, 4, h, w, -1.0, 1.0, 9);
     let times = World::run(p_ranks, sim, |comm| {
-        let rng = domain::strip_range(h, p_ranks, comm.rank());
+        let rng = part_range(h, p_ranks, comm.rank());
         let _ = domain::backward(
             comm,
             &x.row_strip(rng.start, rng.end),
