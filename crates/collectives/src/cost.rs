@@ -143,11 +143,6 @@ pub fn ring_allgather_exact(p: usize, n: f64) -> CostTerms {
     CostTerms::new(p as f64 - 1.0, frac(p) * n)
 }
 
-/// Ring reduce-scatter of `n` words: `(p−1)·α + ((p−1)/p)·n·β`.
-pub fn ring_reduce_scatter_exact(p: usize, n: f64) -> CostTerms {
-    ring_allgather_exact(p, n)
-}
-
 /// Recursive-doubling all-reduce: `⌈log₂ p⌉·(α + n·β)`.
 pub fn recursive_doubling_allreduce(p: usize, n: f64) -> CostTerms {
     if p <= 1 {
@@ -170,15 +165,6 @@ pub fn binomial_bcast(p: usize, n: f64) -> CostTerms {
         return CostTerms::ZERO;
     }
     CostTerms::new(ceil_log2(p), ceil_log2(p) * n)
-}
-
-/// Pairwise all-to-all of `p` blocks of `m` words each:
-/// `(p−1)·(α + m·β)`.
-pub fn alltoall_pairwise(p: usize, block_words: f64) -> CostTerms {
-    if p <= 1 {
-        return CostTerms::ZERO;
-    }
-    CostTerms::new(p as f64 - 1.0, (p as f64 - 1.0) * block_words)
 }
 
 /// One direction of a halo exchange moving `n` words: `α + n·β` (the

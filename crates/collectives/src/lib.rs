@@ -37,7 +37,7 @@ pub mod ring;
 mod ring_equivalence;
 
 pub use ft::{Deadline, FtConfig};
-pub use nonblocking::{iallreduce, iallreduce_ft, IallreduceHandle};
+pub use nonblocking::{iallreduce, IallreduceHandle};
 pub use op::ReduceOp;
 
 use mpsim::{Communicator, Result};

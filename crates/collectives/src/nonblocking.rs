@@ -29,18 +29,17 @@
 //! deep in a matmul — that is what lets the pipeline run ahead of the
 //! compute it hides behind.
 //!
-//! The `_ft` constructors bound every chunk receive by the
-//! [`FtConfig`] deadline and cascade a group abort on any fault, like
-//! the blocking collectives in [`crate::ft`].
+//! Launched on a guarded communicator
+//! ([`mpsim::Communicator::guarded`]), every chunk receive is bound by
+//! the handle's deadline and any fault aborts the group, like the
+//! blocking collectives (see [`crate::ft`]).
 
 use mpsim::{ChannelRecv, Communicator, Result, Tag};
 
-use crate::ft::FtConfig;
 use crate::op::ReduceOp;
 use crate::ring;
 
-/// Shared per-handle progress state: ring position, channel times, and
-/// the optional fault-tolerance policy.
+/// Shared per-handle progress state: ring position and channel times.
 struct Progress {
     comm: Communicator,
     /// Next ring step to issue, in `0..steps`.
@@ -55,11 +54,10 @@ struct Progress {
     ready_at: f64,
     /// Transfer seconds charged to the channel by this operation.
     charged: f64,
-    ft: Option<FtConfig>,
 }
 
 impl Progress {
-    fn new(comm: &Communicator, steps: usize, ft: Option<FtConfig>) -> Self {
+    fn new(comm: &Communicator, steps: usize) -> Self {
         let now = comm.now();
         Progress {
             comm: comm.clone(),
@@ -68,14 +66,12 @@ impl Progress {
             next_depart: now,
             ready_at: now,
             charged: 0.0,
-            ft,
         }
     }
 
     /// One ring step's traffic: forwards `out` to the next rank,
     /// departing when the channel produced it, receives the previous
-    /// rank's chunk on the channel (deadline-bounded when an
-    /// [`FtConfig`] is attached) and folds the receive into the
+    /// rank's chunk on the channel and folds the receive into the
     /// pipeline times.
     fn exchange(&mut self, tag: Tag, out: Vec<f64>) -> Result<ChannelRecv> {
         let p = self.comm.size();
@@ -83,13 +79,7 @@ impl Progress {
         let prev = (r + p - 1) % p;
         self.comm
             .send_vec_at((r + 1) % p, tag, out, self.next_depart)?;
-        let got = match &self.ft {
-            Some(cfg) => {
-                let t = cfg.deadline.resolve(&self.comm, prev);
-                self.comm.recv_channel_deadline(prev, tag, Some(t))?
-            }
-            None => self.comm.recv_channel(prev, tag)?,
-        };
+        let got = self.comm.recv_channel(prev, tag)?;
         self.comm.trace_instant(
             "nb",
             "chunk_step",
@@ -104,18 +94,6 @@ impl Progress {
 
     fn done(&self) -> bool {
         self.step >= self.steps
-    }
-
-    /// On a fault error, cascades a group abort blaming the culprit
-    /// (mirrors the blocking collectives' guard in [`crate::ft`]).
-    fn guard<T>(&self, res: Result<T>) -> Result<T> {
-        res.inspect_err(|e| {
-            if self.ft.is_some() {
-                if let Some(culprit) = crate::ft::blame(&self.comm, e) {
-                    let _ = self.comm.send_abort(culprit);
-                }
-            }
-        })
     }
 
     /// Blocks the main timeline on the channel completing and settles
@@ -182,26 +160,13 @@ pub fn iallreduce(comm: &Communicator, data: Vec<f64>, op: ReduceOp) -> Result<I
         Vec::new()
     };
     Ok(IallreduceHandle {
-        pr: Progress::new(comm, steps, None),
+        pr: Progress::new(comm, steps),
         data,
         carry,
         op,
         rs_tag: base,
         ag_tag: base + 1,
     })
-}
-
-/// [`iallreduce`] with deadline-bounded chunk receives and group abort
-/// on faults, composing with the recovery protocol of [`crate::ft`].
-pub fn iallreduce_ft(
-    comm: &Communicator,
-    data: Vec<f64>,
-    op: ReduceOp,
-    cfg: &FtConfig,
-) -> Result<IallreduceHandle> {
-    let mut h = iallreduce(comm, data, op)?;
-    h.pr.ft = Some(*cfg);
-    Ok(h)
 }
 
 impl IallreduceHandle {
@@ -215,33 +180,17 @@ impl IallreduceHandle {
         if self.pr.done() {
             return Ok(true);
         }
-        let res = self.step_once();
-        self.pr.guard(res)?;
+        self.step_once()?;
         Ok(self.pr.done())
     }
 
     /// Whether every chunk step has been issued —
-    /// [`IallreduceHandle::progress`] has nothing left to drive. The
-    /// channel work may still finish in the rank's future; see
-    /// [`IallreduceHandle::ready_at`]. Unlike [`IallreduceHandle::test`]
-    /// this never drives a step, so schedulers can use it to pick
-    /// *which* handle to progress.
+    /// [`IallreduceHandle::progress`] has nothing left to drive (the
+    /// channel work may still finish in the rank's future). Never
+    /// drives a step, so schedulers can use it to pick *which* handle
+    /// to progress.
     pub fn issued(&self) -> bool {
         self.pr.done()
-    }
-
-    /// MPI_Test-like poll: drives one step and reports whether the
-    /// operation has completed *and* its result is already available to
-    /// the main timeline without blocking.
-    pub fn test(&mut self) -> Result<bool> {
-        let issued = self.progress()?;
-        Ok(issued && self.pr.ready_at <= self.pr.comm.now())
-    }
-
-    /// Absolute virtual time at which the operation's channel work is
-    /// complete (meaningful once all steps are issued).
-    pub fn ready_at(&self) -> f64 {
-        self.pr.ready_at
     }
 
     /// Drives any remaining steps, blocks the main timeline until the
@@ -251,8 +200,7 @@ impl IallreduceHandle {
     /// reduced vector.
     pub fn wait(mut self) -> Result<Vec<f64>> {
         while !self.pr.done() {
-            let res = self.step_once();
-            self.pr.guard(res)?;
+            self.step_once()?;
         }
         self.pr.complete();
         Ok(self.data)
@@ -317,7 +265,7 @@ pub fn iallgatherv(comm: &Communicator, mine: &[f64]) -> Result<IallgathervHandl
         &[("p", p as f64), ("words", mine.len() as f64)],
     );
     Ok(IallgathervHandle {
-        pr: Progress::new(comm, steps, None),
+        pr: Progress::new(comm, steps),
         out,
         carry: if p > 1 { mine.to_vec() } else { Vec::new() },
         tag: base,
@@ -325,30 +273,7 @@ pub fn iallgatherv(comm: &Communicator, mine: &[f64]) -> Result<IallgathervHandl
     })
 }
 
-/// [`iallgatherv`] with deadline-bounded chunk receives and group abort
-/// on faults.
-pub fn iallgatherv_ft(
-    comm: &Communicator,
-    mine: &[f64],
-    cfg: &FtConfig,
-) -> Result<IallgathervHandle> {
-    let mut h = iallgatherv(comm, mine)?;
-    h.pr.ft = Some(*cfg);
-    Ok(h)
-}
-
 impl IallgathervHandle {
-    /// Issues one pending chunk step; `true` once all steps are issued.
-    /// Must not be mixed with [`IallgathervHandle::recv_next`].
-    pub fn progress(&mut self) -> Result<bool> {
-        if self.pr.done() {
-            return Ok(true);
-        }
-        let res = self.step_once();
-        self.pr.guard(res)?;
-        Ok(self.pr.done())
-    }
-
     /// Delivers the next block in ring-arrival order: the rank's own
     /// block first (free), then one ring step per call. Each delivered
     /// chunk's channel accounting is settled *immediately* — the caller
@@ -367,8 +292,7 @@ impl IallgathervHandle {
         }
         let s = self.pr.step;
         let recv_idx = (r + p - s - 1) % p;
-        let res = self.step_once();
-        let transfer = self.pr.guard(res)?;
+        let transfer = self.step_once()?;
         // Per-chunk settle: this chunk leaves `charged` so the final
         // wait (if any) only accounts for chunks not consumed here.
         self.pr.comm.complete_channel(self.pr.ready_at, transfer);
@@ -383,8 +307,7 @@ impl IallgathervHandle {
     /// were moved to the caller and come back empty.
     pub fn wait(mut self) -> Result<Vec<Vec<f64>>> {
         while !self.pr.done() {
-            let res = self.step_once();
-            self.pr.guard(res)?;
+            self.step_once()?;
         }
         self.pr.complete();
         Ok(self.out)
@@ -410,6 +333,7 @@ impl IallgathervHandle {
 mod tests {
     use super::*;
     use crate::ring::allreduce_ring;
+    use crate::FtConfig;
     use mpsim::{Error, FaultPlan, NetModel, World};
     use proptest::prelude::*;
 
@@ -656,7 +580,7 @@ mod tests {
     }
 
     #[test]
-    fn ft_variant_is_identical_when_fault_free() {
+    fn guarded_launch_is_identical_when_fault_free() {
         let model = NetModel {
             alpha: 1e-3,
             beta: 1e-6,
@@ -664,25 +588,23 @@ mod tests {
         };
         let p = 6;
         let n = 30;
-        let plain = World::run(p, model, |comm| {
-            let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
-            comm.advance_compute(1e-3);
-            (h.wait().unwrap(), comm.now())
-        });
-        let ft = World::run(p, model, |comm| {
-            let cfg = FtConfig::fixed(1e6);
-            let h = iallreduce_ft(comm, contribution(comm.rank(), n), ReduceOp::Sum, &cfg).unwrap();
-            comm.advance_compute(1e-3);
-            (h.wait().unwrap(), comm.now())
-        });
-        for r in 0..p {
-            assert_eq!(plain[r].0, ft[r].0, "rank {r} values");
-            assert!((plain[r].1 - ft[r].1).abs() < 1e-15, "rank {r} time");
-        }
+        let run = |guard: bool| {
+            World::run(p, model, |comm| {
+                let comm = if guard {
+                    comm.guarded(&FtConfig::fixed(1e6))
+                } else {
+                    comm.clone()
+                };
+                let h = iallreduce(&comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
+                comm.advance_compute(1e-3);
+                (h.wait().unwrap(), comm.now().to_bits())
+            })
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
-    fn ft_variant_aborts_the_group_on_a_dropped_chunk() {
+    fn guarded_launch_aborts_the_group_on_a_dropped_chunk() {
         let model = NetModel {
             alpha: 1.0,
             beta: 0.001,
@@ -691,9 +613,8 @@ mod tests {
         // Drop the first chunk on the 1 → 2 link.
         let plan = FaultPlan::new(7).drop_nth(1, 2, 0);
         let (out, stats) = World::run_with_faults(4, model, plan, |comm| {
-            let cfg = FtConfig::fixed(10.0);
-            let h = iallreduce_ft(comm, vec![1.0; 16], ReduceOp::Sum, &cfg)?;
-            h.wait()
+            let comm = comm.guarded(&FtConfig::fixed(10.0));
+            iallreduce(&comm, vec![1.0; 16], ReduceOp::Sum)?.wait()
         });
         for (r, res) in out.iter().enumerate() {
             let e = res.as_ref().expect_err("every rank observes the failure");

@@ -15,9 +15,10 @@
 //! A rank allocates one buffer per collective — its first outgoing
 //! block — instead of one per step, and no step both copies the
 //! outgoing block and copies the incoming one. `allreduce_step` and
-//! `gather_steps` are the only step bodies; the fault-tolerant
-//! ([`crate::ft`]) and non-blocking ([`crate::nonblocking`]) variants
-//! supply their own receive and share them.
+//! `gather_steps` are the only step bodies; the non-blocking handles
+//! ([`crate::nonblocking`]) drive `allreduce_step` over the channel.
+//! How a receive treats a fault is the communicator's business
+//! ([`mpsim::Communicator::guarded`]), not the ring's.
 
 use std::ops::Range;
 
@@ -65,24 +66,22 @@ pub(crate) fn allreduce_step(
     Ok(got)
 }
 
-/// Blocking driver for a run of [`allreduce_step`]s under one tag;
-/// `recv(prev, tag)` is the variant's receive (plain or
-/// deadline-bound). Returns the carry for the next phase.
-pub(crate) fn allreduce_steps(
+/// Blocking driver for a run of [`allreduce_step`]s under one tag.
+/// Returns the carry for the next phase.
+fn allreduce_steps(
     comm: &Communicator,
     data: &mut [f64],
     op: ReduceOp,
     steps: Range<usize>,
     tag: Tag,
     mut carry: Vec<f64>,
-    recv: &impl Fn(Rank, Tag) -> Result<Vec<f64>>,
 ) -> Result<Vec<f64>> {
     let (p, r) = (comm.size(), comm.rank());
     let (next, prev) = ((r + 1) % p, (r + p - 1) % p);
     for step in steps {
         carry = allreduce_step(data, op, (p, r), step, carry, |out| {
             comm.send_vec(next, tag, out)?;
-            recv(prev, tag)
+            comm.recv(prev, tag)
         })?;
     }
     Ok(carry)
@@ -115,8 +114,7 @@ fn reduce_scatter_carry(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> 
         &[("p", p as f64), ("words", data.len() as f64)],
     );
     let carry = first_carry(data, p, comm.rank());
-    let recv = |src, tag| comm.recv(src, tag);
-    allreduce_steps(comm, data, op, 0..p - 1, RS_TAG, carry, &recv)
+    allreduce_steps(comm, data, op, 0..p - 1, RS_TAG, carry)
 }
 
 /// Ring all-reduce (reduce-scatter then all-gather). This is the
@@ -140,27 +138,24 @@ pub fn allreduce_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Re
         "allgather_ring",
         &[("p", p as f64), ("words", data.len() as f64)],
     );
-    let recv = |src, tag| comm.recv(src, tag);
-    allreduce_steps(comm, data, op, p - 1..2 * (p - 1), AG_TAG, owned, &recv)?;
+    allreduce_steps(comm, data, op, p - 1..2 * (p - 1), AG_TAG, owned)?;
     Ok(())
 }
 
 /// The `P−1` steps of a ring all-gather: `carry` starts as this rank's
 /// own block and is forwarded by move; each received block is handed
 /// to `place(source_rank, block)` — the one copy of the step — before
-/// it travels on. `recv(prev, tag)` is the variant's receive.
-pub(crate) fn gather_steps(
+/// it travels on.
+fn gather_steps(
     comm: &Communicator,
-    tag: Tag,
     mut carry: Vec<f64>,
-    recv: &impl Fn(Rank, Tag) -> Result<Vec<f64>>,
     mut place: impl FnMut(usize, &[f64]) -> Result<()>,
 ) -> Result<()> {
     let (p, r) = (comm.size(), comm.rank());
     let (next, prev) = ((r + 1) % p, (r + p - 1) % p);
     for step in 0..p - 1 {
-        comm.send_vec(next, tag, carry)?;
-        carry = recv(prev, tag)?;
+        comm.send_vec(next, AG_TAG, carry)?;
+        carry = comm.recv(prev, AG_TAG)?;
         place((r + p - step - 1) % p, &carry)?;
     }
     Ok(())
@@ -168,7 +163,7 @@ pub(crate) fn gather_steps(
 
 /// Copies a gathered `block` into its slot `out[range]`, or reports the
 /// length the sender got wrong.
-pub(crate) fn place_block(out: &mut [f64], range: Range<usize>, block: &[f64]) -> Result<()> {
+fn place_block(out: &mut [f64], range: Range<usize>, block: &[f64]) -> Result<()> {
     if block.len() != range.len() {
         return Err(Error::LengthMismatch {
             expected: range.len(),
@@ -196,8 +191,7 @@ pub fn allgather_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<f64>> {
         "allgather_ring",
         &[("p", p as f64), ("words", (m * p) as f64)],
     );
-    let recv = |src, tag| comm.recv(src, tag);
-    gather_steps(comm, AG_TAG, mine.to_vec(), &recv, |src, block| {
+    gather_steps(comm, mine.to_vec(), |src, block| {
         place_block(&mut out, src * m..(src + 1) * m, block)
     })?;
     Ok(out)
@@ -226,8 +220,7 @@ pub fn allgatherv_ring_into(
         "allgatherv_ring",
         &[("p", p as f64), ("words", mine.len() as f64)],
     );
-    let recv = |src, tag| comm.recv(src, tag);
-    gather_steps(comm, AG_TAG, mine, &recv, |src, block| {
+    gather_steps(comm, mine, |src, block| {
         place_block(out, range_of(src), block)
     })
 }
@@ -249,8 +242,7 @@ pub fn allgatherv_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<Vec<f64>
         "allgatherv_ring",
         &[("p", p as f64), ("words", mine.len() as f64)],
     );
-    let recv = |src, tag| comm.recv(src, tag);
-    gather_steps(comm, AG_TAG, mine.to_vec(), &recv, |src, block| {
+    gather_steps(comm, mine.to_vec(), |src, block| {
         out[src] = block.to_vec();
         Ok(())
     })?;

@@ -3,16 +3,16 @@
 //! [`legacy`] is a frozen, test-only copy of the PR-13 ring bodies
 //! (`to_vec` the outgoing block, receive, reduce or copy in place) for
 //! the blocking and the channel-driven schedules. Every ring in
-//! [`crate::ring`], [`crate::ft`] and [`crate::nonblocking`] must
-//! produce the same bits, the same per-rank virtual clocks and the same
-//! traffic as its legacy twin, for every `P ∈ 1..=9`, lengths that `P`
-//! does not divide, and all three operators.
+//! [`crate::ring`] — on a plain and on a guarded communicator — and in
+//! [`crate::nonblocking`] must produce the same bits, the same per-rank
+//! virtual clocks and the same traffic as its legacy twin, for every
+//! `P ∈ 1..=9`, lengths that `P` does not divide, and all three
+//! operators.
 
 use mpsim::{Clock, Communicator, NetModel, Result, Tag, World, WorldStats};
 use proptest::prelude::*;
 
 use crate::chunks::block_range;
-use crate::ft::{allgatherv_ring_ft, allgatherv_ring_into_ft, allreduce_ring_ft};
 use crate::nonblocking::{iallgatherv, iallreduce};
 use crate::ring::{allgather_ring, allgatherv_ring, allgatherv_ring_into, allreduce_ring};
 use crate::{FtConfig, ReduceOp};
@@ -157,15 +157,11 @@ proptest! {
             legacy::allreduce(comm, &mut d, op, &mut Via::Main);
             d
         });
-        type Ring<'a> = &'a (dyn Fn(&Communicator, &mut [f64]) + Sync);
-        let blocking: [Ring; 2] = [
-            &|comm, d| allreduce_ring(comm, d, op).unwrap(),
-            &|comm, d| allreduce_ring_ft(comm, d, op, &cfg).unwrap(),
-        ];
-        for (which, ring) in blocking.iter().enumerate() {
+        for (which, guard) in [false, true].into_iter().enumerate() {
             let (got, traffic) = observe(p, |comm| {
                 let mut d = contribution(comm.rank(), n);
-                ring(comm, &mut d);
+                let comm = if guard { comm.guarded(&cfg) } else { comm.clone() };
+                allreduce_ring(&comm, &mut d, op).unwrap();
                 d
             });
             prop_assert_eq!(traffic, want_traffic, "variant {}", which);
@@ -209,22 +205,17 @@ proptest! {
         });
         type Gather<'a> = &'a (dyn Fn(&Communicator, &[f64]) -> Vec<Vec<f64>> + Sync);
         let split = |flat: Vec<f64>| (0..p).map(|r| flat[offset(r)..offset(r + 1)].to_vec()).collect();
-        let into = |comm: &Communicator, mine: &[f64], ft: bool| {
+        let into = |comm: &Communicator, mine: &[f64]| {
             let mut flat = vec![f64::NAN; total];
             let range = |r| offset(r)..offset(r + 1);
-            if ft {
-                allgatherv_ring_into_ft(comm, mine.to_vec(), &mut flat, range, &cfg).unwrap();
-            } else {
-                allgatherv_ring_into(comm, mine.to_vec(), &mut flat, range).unwrap();
-            }
+            allgatherv_ring_into(comm, mine.to_vec(), &mut flat, range).unwrap();
             split(flat)
         };
         let plain = |comm: &Communicator, mine: &[f64]| allgatherv_ring(comm, mine).unwrap();
-        let ft = |comm: &Communicator, mine: &[f64]| allgatherv_ring_ft(comm, mine, &cfg).unwrap();
-        let into_plain = |comm: &Communicator, mine: &[f64]| into(comm, mine, false);
-        let into_ft = |comm: &Communicator, mine: &[f64]| into(comm, mine, true);
+        let ft = |comm: &Communicator, mine: &[f64]| plain(&comm.guarded(&cfg), mine);
+        let into_ft = |comm: &Communicator, mine: &[f64]| into(&comm.guarded(&cfg), mine);
         let equal = |comm: &Communicator, mine: &[f64]| split(allgather_ring(comm, mine).unwrap());
-        let mut variants: Vec<Gather> = vec![&plain, &ft, &into_plain, &into_ft];
+        let mut variants: Vec<Gather> = vec![&plain, &ft, &into, &into_ft];
         if ragged == 0 {
             variants.push(&equal);
         }

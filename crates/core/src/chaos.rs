@@ -537,14 +537,17 @@ impl ChaosPlan {
     }
 
     /// Parses a plan previously written by [`ChaosPlan::to_json`] (or
-    /// by hand). Returns a descriptive error on malformed input.
+    /// by hand). Returns a descriptive error on malformed input:
+    /// integer fields are read from their digits — exact for every
+    /// `u64`, so a replayed seed is the seed that failed — and a
+    /// negative, fractional or out-of-range one is refused by key.
     pub fn from_json(text: &str) -> Result<ChaosPlan, String> {
         let v = Json::parse(text)?;
         let obj = v.as_object("top level")?;
-        let seed = get_num(obj, "seed")? as u64;
-        let pr = get_num(obj, "pr")? as usize;
-        let pc = get_num(obj, "pc")? as usize;
-        let iters = get_num(obj, "iters")? as usize;
+        let seed = get_int(obj, "seed")?;
+        let pr = get_int(obj, "pr")?;
+        let pc = get_int(obj, "pc")?;
+        let iters = get_int(obj, "iters")?;
         let events_v = get(obj, "events")?.as_array("events")?;
         let mut events = Vec::with_capacity(events_v.len());
         for (i, ev) in events_v.iter().enumerate() {
@@ -552,11 +555,11 @@ impl ChaosPlan {
             let ty = get(e, "type")?.as_str(&format!("events[{i}].type"))?;
             events.push(match ty {
                 "kill" => ChaosEvent::Kill {
-                    rank: get_num(e, "rank")? as usize,
+                    rank: get_int(e, "rank")?,
                     at: get_finite(e, "at")?,
                 },
                 "rejoin" => ChaosEvent::Rejoin {
-                    rank: get_num(e, "rank")? as usize,
+                    rank: get_int(e, "rank")?,
                     at: get_finite(e, "at")?,
                 },
                 "partition" => ChaosEvent::Partition {
@@ -569,27 +572,27 @@ impl ChaosPlan {
                     at: get_finite(e, "at")?,
                 },
                 "duplicate" => ChaosEvent::Duplicate {
-                    src: get_num(e, "src")? as usize,
-                    dst: get_num(e, "dst")? as usize,
-                    nth: get_num(e, "nth")? as u64,
+                    src: get_int(e, "src")?,
+                    dst: get_int(e, "dst")?,
+                    nth: get_int(e, "nth")?,
                 },
                 "reorder" => ChaosEvent::Reorder {
-                    src: get_num(e, "src")? as usize,
-                    dst: get_num(e, "dst")? as usize,
-                    nth: get_num(e, "nth")? as u64,
-                    depth: get_num(e, "depth")? as u64,
+                    src: get_int(e, "src")?,
+                    dst: get_int(e, "dst")?,
+                    nth: get_int(e, "nth")?,
+                    depth: get_int(e, "depth")?,
                 },
                 "bitflip_compute" => ChaosEvent::BitflipCompute {
-                    rank: get_num(e, "rank")? as usize,
-                    iter: get_num(e, "iter")? as u64,
-                    op: get_num(e, "op")? as u64,
-                    bit: get_num(e, "bit")? as u32,
+                    rank: get_int(e, "rank")?,
+                    iter: get_int(e, "iter")?,
+                    op: get_int(e, "op")?,
+                    bit: get_int(e, "bit")?,
                 },
                 "bitflip_memory" => ChaosEvent::BitflipMemory {
-                    rank: get_num(e, "rank")? as usize,
-                    iter: get_num(e, "iter")? as u64,
-                    param: get_num(e, "param")? as u64,
-                    bit: get_num(e, "bit")? as u32,
+                    rank: get_int(e, "rank")?,
+                    iter: get_int(e, "iter")?,
+                    param: get_int(e, "param")?,
+                    bit: get_int(e, "bit")?,
                 },
                 other => return Err(format!("unknown event type {other:?}")),
             });
@@ -919,7 +922,9 @@ pub fn minimize(plan: &ChaosPlan, oracle: &Oracle) -> ChaosPlan {
 /// A parsed JSON value (just enough for chaos plans).
 enum Json {
     Bool(bool),
-    Num(f64),
+    /// A number, as written: integer fields are parsed from the digits
+    /// (an `f64` cannot hold every `u64`), times as `f64`.
+    Num(String),
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
@@ -929,7 +934,7 @@ impl Json {
     fn parse(text: &str) -> Result<Json, String> {
         let b = text.as_bytes();
         let mut at = 0;
-        let v = parse_value(b, &mut at)?;
+        let v = parse_value(b, &mut at, 0)?;
         skip_ws(b, &mut at);
         if at != b.len() {
             return Err(format!("trailing garbage at byte {at}"));
@@ -960,9 +965,22 @@ impl Json {
 
     fn as_num(&self, what: &str) -> Result<f64, String> {
         match self {
-            Json::Num(x) => Ok(*x),
+            Json::Num(text) => Ok(text.parse().expect("validated by parse_value")),
             _ => Err(format!("{what}: expected a number")),
         }
+    }
+
+    /// The value as an integer of type `T`, parsed from its digits;
+    /// negative, fractional and out-of-range values are errors naming
+    /// `key`.
+    fn as_int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let Json::Num(text) = self else {
+            return Err(format!("{key}: expected a number"));
+        };
+        let int = text.parse::<u64>().ok().and_then(|x| T::try_from(x).ok());
+        int.ok_or_else(|| {
+            format!("key {key:?} must be a non-negative integer in range, got {text}")
+        })
     }
 
     fn as_bool(&self, what: &str) -> Result<bool, String> {
@@ -980,16 +998,15 @@ fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
         .ok_or_else(|| format!("missing key {key:?}"))
 }
 
-fn get_num(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
-    get(obj, key)?.as_num(key)
+fn get_int<T: TryFrom<u64>>(obj: &[(String, Json)], key: &str) -> Result<T, String> {
+    get(obj, key)?.as_int(key)
 }
 
-/// Like [`get_num`] but additionally rejects non-finite values: event
-/// times must stay finite (an overflowing literal such as `1e999`
-/// parses as `inf`, which would poison every virtual-time comparison
-/// downstream).
+/// The number at `key`, rejecting non-finite values: event times must
+/// stay finite (an overflowing literal such as `1e999` parses as `inf`,
+/// which would poison every virtual-time comparison downstream).
 fn get_finite(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
-    let x = get_num(obj, key)?;
+    let x = get(obj, key)?.as_num(key)?;
     if !x.is_finite() {
         return Err(format!("key {key:?} must be finite, got {x}"));
     }
@@ -1000,7 +1017,7 @@ fn get_ranks(obj: &[(String, Json)], key: &str) -> Result<Vec<usize>, String> {
     get(obj, key)?
         .as_array(key)?
         .iter()
-        .map(|v| v.as_num(key).map(|x| x as usize))
+        .map(|v| v.as_int(key))
         .collect()
 }
 
@@ -1020,7 +1037,15 @@ fn expect(b: &[u8], at: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
+/// Deepest nesting [`parse_value`] follows (a plan needs 4: object,
+/// events, event, group). The descent is recursive, so an unbounded
+/// `[[[[…` would overflow the stack instead of returning an error.
+const MAX_DEPTH: usize = 8;
+
+fn parse_value(b: &[u8], at: &mut usize, depth: usize) -> Result<Json, String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
+    }
     skip_ws(b, at);
     match b.get(*at) {
         Some(b'{') => {
@@ -1033,12 +1058,12 @@ fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, at);
-                let key = match parse_value(b, at)? {
+                let key = match parse_value(b, at, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key must be a string at byte {at}")),
                 };
                 expect(b, at, b':')?;
-                let val = parse_value(b, at)?;
+                let val = parse_value(b, at, depth + 1)?;
                 kv.push((key, val));
                 skip_ws(b, at);
                 match b.get(*at) {
@@ -1060,7 +1085,7 @@ fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(xs));
             }
             loop {
-                xs.push(parse_value(b, at)?);
+                xs.push(parse_value(b, at, depth + 1)?);
                 skip_ws(b, at);
                 match b.get(*at) {
                     Some(b',') => *at += 1,
@@ -1123,8 +1148,8 @@ fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
             }
             std::str::from_utf8(&b[start..*at])
                 .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Json::Num)
+                .filter(|s| s.parse::<f64>().is_ok())
+                .map(|s| Json::Num(s.to_string()))
                 .ok_or_else(|| format!("malformed number at byte {start}"))
         }
         _ => Err(format!("unexpected input at byte {at}")),
@@ -1191,6 +1216,21 @@ mod tests {
         };
         let back = ChaosPlan::from_json(&plan.to_json()).expect("round trip parses");
         assert_eq!(plan, back);
+        // Integers are exact over the whole `u64` range (2⁵³ + 1 and
+        // `u64::MAX` both round when read through an `f64`).
+        for seed in [(1 << 53) + 1, u64::MAX] {
+            let events = vec![ChaosEvent::Duplicate {
+                src: 0,
+                dst: 1,
+                nth: seed,
+            }];
+            let plan = ChaosPlan {
+                seed,
+                events,
+                ..plan.clone()
+            };
+            assert_eq!(ChaosPlan::from_json(&plan.to_json()), Ok(plan));
+        }
     }
 
     #[test]
@@ -1204,6 +1244,36 @@ mod tests {
         ] {
             assert!(ChaosPlan::from_json(bad).is_err(), "accepted {bad:?}");
         }
+        // Integer fields: negative, fractional and out-of-range values
+        // are refused by key, not cast.
+        let plan = |seed: &str, pr: &str, event: &str| {
+            format!(r#"{{"seed": {seed}, "pr": {pr}, "pc": 3, "iters": 4, "events": [{event}]}}"#)
+        };
+        let flip = |rank: &str, iter: &str, bit: &str| {
+            let ev = format!(
+                r#"{{"type": "bitflip_compute", "rank": {rank}, "iter": {iter}, "op": 0, "bit": {bit}}}"#
+            );
+            plan("1", "2", &ev)
+        };
+        assert!(ChaosPlan::from_json(&flip("0", "1", "4")).is_ok());
+        for (bad, key) in [
+            (plan("-3", "2", ""), "seed"),
+            (plan("18446744073709551616", "2", ""), "seed"),
+            (plan("1", "2.9", ""), "pr"),
+            (flip("-1", "1", "4"), "rank"),
+            (flip("0", "1.5", "4"), "iter"),
+            (flip("0", "1", "4294967297"), "bit"),
+            (
+                plan("1", "2", r#"{"type": "heal", "group": [0, -1], "at": 0.5}"#),
+                "group",
+            ),
+        ] {
+            let err = ChaosPlan::from_json(&bad).expect_err(&bad);
+            assert!(err.contains(&format!("{key:?}")), "{bad}: {err}");
+        }
+        // Deep nesting is an error, not a stack overflow.
+        let err = ChaosPlan::from_json(&"[".repeat(200_000)).expect_err("nesting accepted");
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

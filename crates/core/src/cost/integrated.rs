@@ -17,32 +17,24 @@ use crate::strategy::LayerParallelism;
 /// + 2·Σ_i (α⌈log Pc⌉ + β·(Pc−1)/Pc·|W_i|/Pr)
 /// ```
 ///
-/// `Pr = 1` reduces to Eq. 4 (pure batch) and `Pc = 1` to Eq. 3 (pure
-/// model) — pinned by tests.
+/// `Pr = 1` is Eq. 4 (pure batch) and `Pc = 1` is Eq. 3 (pure model).
 pub fn integrated_model_batch(
     layers: &[WeightedLayer],
     b: f64,
     pr: usize,
     pc: usize,
 ) -> CostBreakdown {
-    let mut out = CostBreakdown::default();
-    let b_loc = b / pc as f64;
-    for (idx, l) in layers.iter().enumerate() {
-        let mut c = CommCost::ZERO;
-        c.allgather = CostTerms::new(ceil_log2(pr), b_loc * frac(pr) * l.d_out() as f64);
-        if idx > 0 {
-            c.dx_allreduce = CostTerms::new(
-                2.0 * ceil_log2(pr),
-                2.0 * b_loc * frac(pr) * l.d_in() as f64,
-            );
-        }
-        c.dw_allreduce = CostTerms::new(
-            2.0 * ceil_log2(pc),
-            2.0 * frac(pc) * l.weights as f64 / pr as f64,
-        );
-        out.push(&l.name, c);
-    }
-    out
+    integrated_uniform(layers, LayerParallelism::ModelBatch { pr, pc }, b)
+}
+
+/// Eq. 9 with the same assignment on every layer — what Eq. 3, 4, 7 and
+/// 8 are.
+pub(super) fn integrated_uniform(
+    layers: &[WeightedLayer],
+    assignment: LayerParallelism,
+    b: f64,
+) -> CostBreakdown {
+    integrated_full(layers, &vec![assignment; layers.len()], b)
 }
 
 /// Eq. 8 grid choice for `p` ranks: the divisor pair `(pr, pc)`
@@ -164,19 +156,13 @@ mod tests {
     use crate::machine::MachineModel;
     use dnn::zoo::alexnet;
 
-    fn close(a: f64, b: f64) -> bool {
-        (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
-    }
-
     #[test]
     fn pr1_reduces_to_pure_batch() {
         let net = alexnet();
         let layers = net.weighted_layers();
-        let m = MachineModel::cori_knl();
         let p = 64;
         let int = integrated_model_batch(&layers, 2048.0, 1, p);
-        let batch = pure_batch(&layers, p);
-        assert!(close(int.seconds(&m), batch.seconds(&m)));
+        assert_eq!(int, pure_batch(&layers, p));
         assert_eq!(int.total.allgather, CostTerms::ZERO);
     }
 
@@ -184,11 +170,9 @@ mod tests {
     fn pc1_reduces_to_pure_model() {
         let net = alexnet();
         let layers = net.weighted_layers();
-        let m = MachineModel::cori_knl();
         let p = 64;
         let int = integrated_model_batch(&layers, 2048.0, p, 1);
-        let model = pure_model(&layers, 2048.0, p);
-        assert!(close(int.seconds(&m), model.seconds(&m)));
+        assert_eq!(int, pure_model(&layers, 2048.0, p));
         assert_eq!(int.total.dw_allreduce, CostTerms::ZERO);
     }
 
@@ -211,23 +195,19 @@ mod tests {
     fn full_with_all_modelbatch_equals_eq8() {
         let net = alexnet();
         let layers = net.weighted_layers();
-        let m = MachineModel::cori_knl();
         let assigns = vec![LayerParallelism::ModelBatch { pr: 8, pc: 64 }; layers.len()];
         let full = integrated_full(&layers, &assigns, 2048.0);
-        let eq8 = integrated_model_batch(&layers, 2048.0, 8, 64);
-        assert!(close(full.seconds(&m), eq8.seconds(&m)));
+        assert_eq!(full, integrated_model_batch(&layers, 2048.0, 8, 64));
     }
 
     #[test]
     fn full_with_all_domain_pc1_equals_eq7() {
         let net = alexnet();
         let layers = net.weighted_layers();
-        let m = MachineModel::cori_knl();
         let p = 64;
         let assigns = vec![LayerParallelism::Domain { pd: p, pc: 1 }; layers.len()];
         let full = integrated_full(&layers, &assigns, 512.0);
-        let eq7 = pure_domain(&layers, 512.0, p);
-        assert!(close(full.seconds(&m), eq7.seconds(&m)));
+        assert_eq!(full, pure_domain(&layers, 512.0, p));
     }
 
     #[test]

@@ -70,14 +70,6 @@ impl CommCost {
     pub fn batch_seconds(&self, m: &MachineModel) -> f64 {
         m.seconds(self.dw_allreduce)
     }
-
-    /// Seconds of communication that occur during backpropagation and
-    /// are therefore overlappable in the Fig. 8 model: the two
-    /// all-reduces plus the backward halo (here the halo is charged
-    /// half-forward, half-backward).
-    pub fn backprop_seconds(&self, m: &MachineModel) -> f64 {
-        m.seconds(self.dx_allreduce + self.dw_allreduce + self.halo * 0.5)
-    }
 }
 
 impl Add for CommCost {

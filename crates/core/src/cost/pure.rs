@@ -1,10 +1,17 @@
 //! The pure-strategy costs: Eq. 3 (model), Eq. 4 (batch), Eq. 7
 //! (domain), and the Eq. 6 redistribution cost.
+//!
+//! Eq. 3, 4 and 7 are the corners of Eq. 9 and are computed as such —
+//! [`integrated::layer_cost`](super::integrated::layer_cost) is the one
+//! place the per-layer terms are written; the tests below pin each
+//! printed equation against hand-computed volumes.
 
 use collectives::cost::{ceil_log2, frac, CostTerms};
 use dnn::WeightedLayer;
 
-use super::{CommCost, CostBreakdown};
+use super::integrated::integrated_uniform;
+use super::CostBreakdown;
+use crate::strategy::LayerParallelism::{Domain, ModelBatch};
 
 /// Eq. 3 — pure model parallelism over `p` processes with batch `b`:
 ///
@@ -13,17 +20,7 @@ use super::{CommCost, CostBreakdown};
 ///   + 2·Σ_{i=2..L} (α⌈log P⌉ + βB·(P−1)/P·d_{i−1})
 /// ```
 pub fn pure_model(layers: &[WeightedLayer], b: f64, p: usize) -> CostBreakdown {
-    let mut out = CostBreakdown::default();
-    for (idx, l) in layers.iter().enumerate() {
-        let mut c = CommCost::ZERO;
-        c.allgather = CostTerms::new(ceil_log2(p), b * frac(p) * l.d_out() as f64);
-        if idx > 0 {
-            c.dx_allreduce =
-                CostTerms::new(2.0 * ceil_log2(p), 2.0 * b * frac(p) * l.d_in() as f64);
-        }
-        out.push(&l.name, c);
-    }
-    out
+    integrated_uniform(layers, ModelBatch { pr: p, pc: 1 }, b)
 }
 
 /// Eq. 4 — pure batch parallelism over `p` processes:
@@ -31,43 +28,24 @@ pub fn pure_model(layers: &[WeightedLayer], b: f64, p: usize) -> CostBreakdown {
 /// ```text
 /// 2·Σ_i (α⌈log P⌉ + β·(P−1)/P·|W_i|)
 /// ```
+///
+/// (No `B`: with `Pr = 1` every batch-sized term of Eq. 8 carries the
+/// factor `(Pr−1)/Pr = 0`.)
 pub fn pure_batch(layers: &[WeightedLayer], p: usize) -> CostBreakdown {
-    let mut out = CostBreakdown::default();
-    for l in layers {
-        let c = CommCost {
-            dw_allreduce: CostTerms::new(2.0 * ceil_log2(p), 2.0 * frac(p) * l.weights as f64),
-            ..CommCost::ZERO
-        };
-        out.push(&l.name, c);
-    }
-    out
+    integrated_uniform(layers, ModelBatch { pr: 1, pc: p }, 0.0)
 }
 
 /// Eq. 7 — pure domain parallelism over `p` processes with batch `b`:
 /// per-layer halo exchanges (forward on the input activation with
 /// `⌊kh/2⌋` rows, backward on the output activation with `⌊kw/2⌋`
 /// rows) plus the same ∆W all-reduce as pure batch. 1×1 convolutions
-/// exchange nothing at all (the paper's special case). FC layers get
-/// `kh = X_H`, `kw = X_W` — the halo degenerates to (half of) the whole
-/// input, which is why domain parallelism is "not applicable to fully
+/// exchange nothing at all (the paper's special case), and neither does
+/// a single process, which has no neighbour. FC layers get `kh = X_H`,
+/// `kw = X_W` — the halo degenerates to (half of) the whole input,
+/// which is why domain parallelism is "not applicable to fully
 /// connected layers".
 pub fn pure_domain(layers: &[WeightedLayer], b: f64, p: usize) -> CostBreakdown {
-    let mut out = CostBreakdown::default();
-    for l in layers {
-        let mut c = CommCost::ZERO;
-        let (kh, kw) = l.halo_kernel();
-        let fwd_rows = (kh / 2) as f64;
-        let bwd_rows = (kw / 2) as f64;
-        if fwd_rows > 0.0 {
-            c.halo += CostTerms::new(1.0, b * (l.in_shape.w * l.in_shape.c) as f64 * fwd_rows);
-        }
-        if bwd_rows > 0.0 {
-            c.halo += CostTerms::new(1.0, b * (l.out_shape.w * l.out_shape.c) as f64 * bwd_rows);
-        }
-        c.dw_allreduce = CostTerms::new(2.0 * ceil_log2(p), 2.0 * frac(p) * l.weights as f64);
-        out.push(&l.name, c);
-    }
-    out
+    integrated_uniform(layers, Domain { pd: p, pc: 1 }, b)
 }
 
 /// Eq. 6 — cost of redistributing the activations of one layer from a
@@ -131,15 +109,42 @@ mod tests {
     }
 
     #[test]
+    fn model_allgather_is_activation_volume() {
+        // Eq. 3's first sum, by hand for B = 4, P = 2 on 8 → 16 → 4:
+        // one ⌈log 2⌉ = 1 latency and B·(P−1)/P·d_i = 4·½·d_i words per
+        // layer; the second sum moves 2·4·½·d_{i−1} from layer 2 on.
+        let net = mlp("m", &[8, 16, 4]);
+        let c = pure_model(&net.weighted_layers(), 4.0, 2);
+        assert_eq!(c.layers[0].cost.allgather, CostTerms::new(1.0, 32.0));
+        assert_eq!(c.layers[1].cost.allgather, CostTerms::new(1.0, 8.0));
+        assert_eq!(c.layers[1].cost.dx_allreduce, CostTerms::new(2.0, 64.0));
+        assert_eq!(c.total.total(), CostTerms::new(4.0, 104.0));
+    }
+
+    #[test]
     fn single_process_costs_nothing() {
+        // One process has no peer and no neighbour: no all-gather, no
+        // all-reduce, and no halo either.
         let net = alexnet();
         let layers = net.weighted_layers();
         let m = MachineModel::cori_knl();
         assert_eq!(pure_model(&layers, 256.0, 1).seconds(&m), 0.0);
         assert_eq!(pure_batch(&layers, 1).seconds(&m), 0.0);
+        assert_eq!(pure_domain(&layers, 64.0, 1).total.total(), CostTerms::ZERO);
+    }
+
+    #[test]
+    fn domain_halo_is_the_boundary_rows() {
+        // Eq. 7's halo, by hand for AlexNet conv2 (5×5, 27×27×96 →
+        // 27×27×256) at B = 64: ⌊5/2⌋ = 2 input rows forward,
+        // 64·(27·96)·2 words, and 2 output rows backward,
+        // 64·(27·256)·2 words, one message each.
+        let net = alexnet();
+        let c = pure_domain(&net.weighted_layers(), 64.0, 8);
+        assert_eq!(c.layers[1].name, "conv2");
         assert_eq!(
-            pure_domain(&layers, 256.0, 1).total.dw_allreduce,
-            CostTerms::ZERO
+            c.layers[1].cost.halo,
+            CostTerms::new(2.0, 331_776.0 + 884_736.0)
         );
     }
 

@@ -19,7 +19,7 @@ use tensor::Matrix;
 
 use collectives::cost::CostTerms;
 use distmm::dist::{col_shard, part_range};
-use distmm::onep5d::{Grid, Guard};
+use distmm::onep5d::Grid;
 
 use crate::data::{accuracy, epoch_order, Dataset};
 use crate::trainer::{
@@ -219,7 +219,7 @@ pub fn train_epochs_1p5d(
             // body on this batch's shard.
             let mut pass = Pass {
                 grids: std::slice::from_ref(&grid),
-                guard: Guard::Off,
+                guard: None,
                 layers: &layers,
                 x_local: &col_shard(&x, pc, grid.j),
                 labels_local: &labels[part_range(b_global, pc, grid.j)],

@@ -16,15 +16,17 @@
 //!    observable by every survivor in the *same* round (the broadcast
 //!    is all-or-nothing), so the survivor set is common knowledge
 //!    without extra agreement machinery. During an iteration itself,
-//!    faults surface through the fault-tolerant collectives
-//!    (`collectives::ft`): deadline-bound receives, checksummed
-//!    payloads, and a cascading group-wide abort.
+//!    faults surface through the communicator: the training grid is
+//!    built on a handle guarded with [`FtTrainConfig::ft`]
+//!    ([`Communicator::guarded`]), so every receive of every
+//!    collective is deadline-bound and checksummed, and a fault
+//!    cascades a group-wide abort (`collectives::ft`).
 //! 3. **Shrink + re-plan.** Survivors advance the recovery epoch
 //!    (staling in-flight aborts), derive the survivor communicator
-//!    with the communication-free [`Communicator::shrink_exclude`],
-//!    and re-plan the grid: the new `Pr' × Pc'` is the factorization of
-//!    the survivor count minimizing the paper's Eq. 8 communication
-//!    cost on the configured [`MachineModel`].
+//!    with the communication-free [`Communicator::shrink_exclude`]
+//!    (guarded again), and re-plan the grid: the new `Pr' × Pc'` is the
+//!    factorization of the survivor count minimizing the paper's Eq. 8
+//!    communication cost on the configured [`MachineModel`].
 //! 4. **Redistribute + replay.** Each old grid row's checkpoint shard
 //!    is served by its lowest-ranked survivor and all-gathered over
 //!    the data plane (so redistribution is charged on the virtual
@@ -39,8 +41,8 @@
 //! recovery just triggers another attempt with the updated survivor
 //! set.
 
-use collectives::ft::{allgatherv_ring_ft, allreduce_ring_ft};
-use collectives::{FtConfig, ReduceOp};
+use collectives::ring::allgatherv_ring;
+use collectives::{allreduce, FtConfig, ReduceOp};
 use dnn::{Network, WeightedLayer};
 use mpsim::fault::checksum;
 use mpsim::{
@@ -51,7 +53,7 @@ use tensor::ops::axpy;
 use tensor::Matrix;
 
 use distmm::dist::{col_shard, part_range, row_shard};
-use distmm::onep5d::{Grid, Guard, SdcCtx};
+use distmm::onep5d::{Grid, SdcCtx};
 
 use crate::cost::integrated_model_batch;
 use crate::machine::MachineModel;
@@ -77,7 +79,8 @@ pub struct FtTrainConfig {
     /// Checkpoint period in iterations (≥ 1). A checkpoint is also
     /// taken at iteration 0, so rollback is always possible.
     pub ckpt_every: usize,
-    /// Receive policy for the fault-tolerant collectives.
+    /// Fault policy of the communicator the training grid is built on
+    /// ([`Communicator::guarded`]).
     pub ft: FtConfig,
     /// Machine used both to drive the simulation (`net_model()`) and to
     /// re-plan the grid with Eq. 8 after a shrink.
@@ -479,14 +482,15 @@ impl Checkpoint {
     }
 }
 
-/// One synchronous training iteration on the current grid: the shared
-/// [`forward_pass`]/[`backward_pass`] body under [`Guard::On`], with
-/// the global-loss all-reduce in between and a momentum-aware optimizer
-/// apply. Returns the *global* loss (identical on every rank of the
-/// grid). The iteration number names the SDC ops: scripted compute bit
-/// flips target `(rank, iter, op)` triples, and — with
-/// [`FtTrainConfig::abft`] — every local GEMM is checksum-verified
-/// under the same numbering.
+/// One synchronous training iteration on the current grid — built on a
+/// guarded communicator, so every collective below is deadline-bound
+/// and aborts group-wide: the shared [`forward_pass`]/[`backward_pass`]
+/// body under the GEMM guard, with the global-loss all-reduce in
+/// between and a momentum-aware optimizer apply. Returns the *global*
+/// loss (identical on every rank of the grid). The iteration number
+/// names the SDC ops: scripted compute bit flips target `(rank, iter,
+/// op)` triples, and — with [`FtTrainConfig::abft`] — every local GEMM
+/// is checksum-verified under the same numbering.
 fn run_iteration(
     st: &mut GridState,
     layers: &[FcLayer],
@@ -505,10 +509,10 @@ fn run_iteration(
     };
     let mut sched = cfg
         .overlap
-        .then(|| BucketScheduler::new(&st.grid.row_comm, &plan, Some(cfg.ft)));
+        .then(|| BucketScheduler::new(&st.grid.row_comm, &plan));
     let mut pass = Pass {
         grids: std::slice::from_ref(&st.grid),
-        guard: Guard::On(&cfg.ft, &sdc),
+        guard: Some(&sdc),
         layers,
         x_local: &st.x_local,
         labels_local: &st.labels_local,
@@ -533,7 +537,7 @@ fn run_iteration(
     // gives every rank the same number — and doubles as a per-iteration
     // liveness probe of the row group.
     let mut lbuf = [tape.loss];
-    allreduce_ring_ft(&st.grid.row_comm, &mut lbuf, ReduceOp::Sum, &cfg.ft)?;
+    allreduce(&st.grid.row_comm, &mut lbuf, ReduceOp::Sum)?;
     backward_pass(&mut pass, tape, &mut st.w, &mut apply)?;
     Ok(lbuf[0])
 }
@@ -651,7 +655,7 @@ fn attempt_recovery(
     cfg: &FtTrainConfig,
 ) -> Result<GridState, Error> {
     let my_global = comm.global_rank_of(comm.rank())?;
-    let alive = comm.shrink_exclude(dead, epoch)?;
+    let alive = comm.shrink_exclude(dead, epoch)?.guarded(&cfg.ft);
     let b_global = x.cols();
 
     // Representative holder of each old grid row's checkpoint shard
@@ -688,7 +692,7 @@ fn attempt_recovery(
         } else {
             &[]
         };
-        let blocks = allgatherv_ring_ft(&alive, mine, &cfg.ft)?;
+        let blocks = allgatherv_ring(&alive, mine)?;
         let mats: Vec<Matrix> = (0..old_pr)
             .map(|i| {
                 let idx = alive
@@ -771,7 +775,7 @@ fn run_rank(
         Entry::Fresh(full_weights) => {
             // Epoch-0 "shrink" of nothing: gives the training phase its
             // own context namespace, uniform with post-recovery grids.
-            let alive0 = comm.shrink_exclude(&[], 0)?;
+            let alive0 = comm.shrink_exclude(&[], 0)?.guarded(&cfg.ft);
             let st = GridState::shard(&alive0, (pr0, pc0), full_weights, &[], x, labels, 0)?;
             ckpt_cur = Checkpoint {
                 iter: 0,

@@ -16,8 +16,8 @@
 
 use std::borrow::Cow;
 
-use collectives::nonblocking::{iallreduce, iallreduce_ft, IallreduceHandle};
-use collectives::{FtConfig, ReduceOp};
+use collectives::nonblocking::{iallreduce, IallreduceHandle};
+use collectives::ReduceOp;
 use dnn::{LayerSpec, Network};
 use mpsim::{Communicator, Error, NetModel, TraceConfig, World, WorldStats, WorldTrace};
 use tensor::activation::{
@@ -389,7 +389,7 @@ pub(crate) fn train_grid(
         // The scheduler outlives the iteration loop: under `interleave`,
         // buckets launched in iteration t are settled lazily during the
         // forward pass of iteration t+1.
-        let mut sched = plan.map(|p| (BucketScheduler::new(&first.row_comm, &p, None), p));
+        let mut sched = plan.map(|p| (BucketScheduler::new(&first.row_comm, &p), p));
         let mut partial_losses = Vec::with_capacity(cfg.iters);
         for it in 0..cfg.iters {
             // The final iteration always drains so the returned weights
@@ -400,7 +400,7 @@ pub(crate) fn train_grid(
             });
             let mut pass = Pass {
                 grids: &grids,
-                guard: Guard::Off,
+                guard: None,
                 layers: &layers,
                 x_local: &x_local,
                 labels_local,
@@ -436,7 +436,8 @@ pub(crate) struct Pass<'a> {
     /// [`layer_grid`]): `std::slice::from_ref(&grid)` is the uniform
     /// run. More than one entry cannot be combined with `sched`.
     pub(crate) grids: &'a [Grid],
-    /// Fault treatment of every collective and local GEMM.
+    /// The check on every local GEMM. How the collectives treat faults
+    /// is the policy of the communicator `grids` were built on.
     pub(crate) guard: Guard<'a>,
     pub(crate) layers: &'a [FcLayer],
     /// The batch shard of layer 0's grid column.
@@ -487,9 +488,9 @@ pub(crate) struct Tape {
 /// `idx`'s gather blocks are consumed in ring arrival order while layer
 /// `idx+1`'s partial accumulates per block, so the ring hides behind
 /// the activation + partial-GEMM work. Those accumulated partials are
-/// never one monolithic GEMM, so under [`Guard::On`] they carry no SDC
-/// op — which is why the fault-tolerant trainer gates prefetch off
-/// under ABFT.
+/// never one monolithic GEMM, so under a [`Guard`] they carry no SDC op
+/// — which is why the fault-tolerant trainer gates prefetch off under
+/// ABFT.
 pub(crate) fn forward_pass(
     p: &mut Pass<'_>,
     w: &mut [Matrix],
@@ -558,7 +559,7 @@ pub(crate) fn forward_pass(
             }
             acts.push(y);
             if let Some(acc) = acc {
-                *blocks = forward_resume(grid, acc, guard)?;
+                *blocks = forward_resume(grid, acc)?;
             }
         }
     }
@@ -582,8 +583,7 @@ pub(crate) fn forward_pass(
 /// The backward half of the one iteration body (Eq. 8: all-reduce `∆W`
 /// over `Pc` and `∆X` over `Pr`), ending in the optimizer step: every
 /// summed `∆W_i` reaches `apply(w, layer, summed)` exactly once. `∆X`
-/// leaving a layer whose input was re-laid is re-laid back (plain sends
-/// under either guard).
+/// leaving a layer whose input was re-laid is re-laid back.
 ///
 /// Blocking (`p.sched` is `None`): each layer's ∆W is summed and
 /// applied on the spot — ∆X was already formed from the pre-update
@@ -714,7 +714,6 @@ struct PendingBucket {
 pub(crate) struct BucketScheduler {
     comm: Communicator,
     cap: usize,
-    ft: Option<FtConfig>,
     priority: bool,
     pending: Vec<PendingBucket>,
     buf: Vec<f64>,
@@ -724,9 +723,8 @@ pub(crate) struct BucketScheduler {
 impl BucketScheduler {
     /// `comm` is the group to sum over (the grid's row group); the
     /// plan gives the fusion threshold and whether polls are enabled
-    /// (drain order is always need-aware where the caller asks for it);
-    /// `ft` selects deadline-bounded receives.
-    pub(crate) fn new(comm: &Communicator, plan: &OverlapPlan, ft: Option<FtConfig>) -> Self {
+    /// (drain order is always need-aware where the caller asks for it).
+    pub(crate) fn new(comm: &Communicator, plan: &OverlapPlan) -> Self {
         assert!(
             plan.bucket_words >= 1,
             "bucket capacity must be at least one word"
@@ -734,7 +732,6 @@ impl BucketScheduler {
         BucketScheduler {
             comm: comm.clone(),
             cap: plan.bucket_words,
-            ft,
             priority: plan.schedule == FlushSchedule::Priority,
             pending: Vec::new(),
             buf: Vec::new(),
@@ -790,12 +787,8 @@ impl BucketScheduler {
                 min_layer,
             }
         } else {
-            let handle = match &self.ft {
-                Some(cfg) => iallreduce_ft(&self.comm, data, ReduceOp::Sum, cfg)?,
-                None => iallreduce(&self.comm, data, ReduceOp::Sum)?,
-            };
             PendingBucket {
-                handle: Some(handle),
+                handle: Some(iallreduce(&self.comm, data, ReduceOp::Sum)?),
                 data: None,
                 segs,
                 min_layer,

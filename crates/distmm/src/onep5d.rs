@@ -22,14 +22,10 @@
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::ops::Range;
 
-use collectives::ft::{allgatherv_ring_ft, allgatherv_ring_into_ft, allreduce_ring_ft};
-use collectives::nonblocking::{
-    iallgatherv, iallgatherv_ft, iallreduce, iallreduce_ft, IallgathervHandle, IallreduceHandle,
-};
+use collectives::nonblocking::{iallgatherv, iallreduce, IallgathervHandle};
 use collectives::ring::{allgatherv_ring, allgatherv_ring_into};
-use collectives::{allreduce, FtConfig, ReduceOp};
+use collectives::{allreduce, ReduceOp};
 use mpsim::{apply_flips, Communicator, Error, FaultCtx, Result};
 use tensor::abft::{self, Verdict};
 use tensor::matmul::{matmul_a_bt, matmul_at_b, matmul_flops, matmul_into};
@@ -129,10 +125,10 @@ impl Grid {
     }
 }
 
-/// Per-iteration silent-data-corruption context of [`Guard::On`]:
-/// carries the iteration number (so scripted [`mpsim::FaultPlan`] bit
-/// flips target the right GEMM), whether ABFT verification is enabled,
-/// and a running operation counter.
+/// Per-iteration silent-data-corruption context — the [`Guard`] of a
+/// defended run: carries the iteration number (so scripted
+/// [`mpsim::FaultPlan`] bit flips target the right GEMM), whether ABFT
+/// verification is enabled, and a running operation counter.
 ///
 /// Ops are numbered in execution order within the iteration — every
 /// local GEMM increments the counter, so with the trainer's fixed
@@ -186,23 +182,26 @@ enum GemmKind {
     AtB,
 }
 
-/// Injects any scripted compute bit flips into the freshly produced
-/// GEMM output `c`, then — when ABFT is enabled — verifies `c` against
-/// its operand checksums: a single corrupted element is repaired
-/// bit-exactly in place (counted as `corrupt_corrected`); anything
-/// worse escalates with a group-wide abort and
-/// [`Error::SilentCorruption`] so the caller's checkpoint/rollback
-/// machinery takes over (counted as `corrupt_recovered`). The checksum
-/// work is charged to the virtual clock, so measured ABFT overhead is
-/// real under the α–β/FLOP model.
+/// The [`Guard`]'s check on the freshly produced GEMM output `c` (none
+/// under `None`): injects any scripted compute bit flips into `c`, then
+/// — when ABFT is enabled — verifies `c` against its operand
+/// checksums: a single corrupted element is repaired bit-exactly in
+/// place (counted as `corrupt_corrected`); anything worse escalates
+/// with a group-wide abort and [`Error::SilentCorruption`] so the
+/// caller's checkpoint/rollback machinery takes over (counted as
+/// `corrupt_recovered`). The checksum work is charged to the virtual
+/// clock, so measured ABFT overhead is real under the α–β/FLOP model.
 fn sdc_guard(
     comm: &Communicator,
-    sdc: &SdcCtx,
+    guard: Guard,
     a: &Matrix,
     b: &Matrix,
     c: &mut Matrix,
     kind: GemmKind,
 ) -> Result<()> {
+    let Some(sdc) = guard else {
+        return Ok(());
+    };
     let op = sdc.next_op();
     let flips = comm.take_compute_flips(sdc.iter, op);
     if !flips.is_empty() {
@@ -242,77 +241,17 @@ fn sdc_guard(
     }
 }
 
-/// How a 1.5D op treats faults — the one switch between the reliable
-/// machine and the defended one. Every schedule below is written once
-/// and takes the guard, so the two trainers cannot drift apart.
-#[derive(Clone, Copy)]
-pub enum Guard<'a> {
-    /// Reliable machine: plain ring collectives, no GEMM check.
-    Off,
-    /// Deadline-bound, checksummed collectives that abort group-wide on
-    /// a fault (`collectives::ft`), plus `sdc_guard` after every local
-    /// GEMM: scripted compute bit flips land on the fresh product and —
-    /// when `SdcCtx::abft` is set — it is checksum-verified and repaired
-    /// (or escalated) before any corrupted word can reach a collective.
-    On(&'a FtConfig, &'a SdcCtx),
-}
-
-impl Guard<'_> {
-    fn gemm(
-        self,
-        comm: &Communicator,
-        a: &Matrix,
-        b: &Matrix,
-        c: &mut Matrix,
-        kind: GemmKind,
-    ) -> Result<()> {
-        match self {
-            Guard::Off => Ok(()),
-            Guard::On(_, sdc) => sdc_guard(comm, sdc, a, b, c, kind),
-        }
-    }
-
-    fn allreduce(self, comm: &Communicator, data: &mut [f64]) -> Result<()> {
-        match self {
-            Guard::Off => allreduce(comm, data, ReduceOp::Sum),
-            Guard::On(cfg, _) => allreduce_ring_ft(comm, data, ReduceOp::Sum, cfg),
-        }
-    }
-
-    fn iallreduce(self, comm: &Communicator, data: Vec<f64>) -> Result<IallreduceHandle> {
-        match self {
-            Guard::Off => iallreduce(comm, data, ReduceOp::Sum),
-            Guard::On(cfg, _) => iallreduce_ft(comm, data, ReduceOp::Sum, cfg),
-        }
-    }
-
-    fn allgatherv(self, comm: &Communicator, mine: &[f64]) -> Result<Vec<Vec<f64>>> {
-        match self {
-            Guard::Off => allgatherv_ring(comm, mine),
-            Guard::On(cfg, _) => allgatherv_ring_ft(comm, mine, cfg),
-        }
-    }
-
-    fn allgatherv_into(
-        self,
-        comm: &Communicator,
-        mine: Vec<f64>,
-        out: &mut [f64],
-        range_of: impl Fn(usize) -> Range<usize>,
-    ) -> Result<()> {
-        match self {
-            Guard::Off => allgatherv_ring_into(comm, mine, out, range_of),
-            Guard::On(cfg, _) => allgatherv_ring_into_ft(comm, mine, out, range_of, cfg),
-        }
-    }
-
-    fn iallgatherv(self, comm: &Communicator, mine: &[f64]) -> Result<IallgathervHandle> {
-        match self {
-            Guard::Off => iallgatherv(comm, mine),
-            Guard::On(cfg, _) => iallgatherv_ft(comm, mine, cfg),
-        }
-    }
-}
+/// How a 1.5D op treats its local GEMMs. `None`: the reliable machine,
+/// no check. `Some(sdc)`: `sdc_guard` runs after every local GEMM —
+/// scripted compute bit flips land on the fresh product and, when
+/// [`SdcCtx::abft`] is set, it is checksum-verified and repaired (or
+/// escalated) before any corrupted word can reach a collective.
+///
+/// The collectives themselves take no switch: how a receive treats a
+/// late, lost or corrupt message is the policy of the communicator the
+/// [`Grid`] was built on ([`mpsim::Communicator::guarded`]), so every
+/// schedule below is written once and the trainers cannot drift apart.
+pub type Guard<'a> = Option<&'a SdcCtx>;
 
 /// The local forward product `W_i · X_j` into `y` (flops charged,
 /// guarded).
@@ -326,7 +265,7 @@ fn y_partial_into(
     let comm = &grid.col_comm;
     comm.advance_flops(matmul_flops(w_local.rows(), w_local.cols(), x_local.cols()));
     matmul_into(w_local, x_local, y);
-    guard.gemm(comm, w_local, x_local, y, GemmKind::Plain)
+    sdc_guard(comm, guard, w_local, x_local, y, GemmKind::Plain)
 }
 
 /// [`y_partial_into`] a fresh matrix.
@@ -351,7 +290,7 @@ fn dw_partial(grid: &Grid, x_local: &Matrix, dy_i: &Matrix, guard: Guard) -> Res
     let comm = &grid.row_comm;
     comm.advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
     let mut dw = matmul_a_bt(dy_i, x_local);
-    guard.gemm(comm, dy_i, x_local, &mut dw, GemmKind::ABt)?;
+    sdc_guard(comm, guard, dy_i, x_local, &mut dw, GemmKind::ABt)?;
     Ok(dw)
 }
 
@@ -360,7 +299,7 @@ fn dx_partial(grid: &Grid, w_local: &Matrix, dy_i: &Matrix, guard: Guard) -> Res
     let comm = &grid.col_comm;
     comm.advance_flops(matmul_flops(w_local.cols(), w_local.rows(), dy_i.cols()));
     let mut dx = matmul_at_b(w_local, dy_i);
-    guard.gemm(comm, w_local, dy_i, &mut dx, GemmKind::AtB)?;
+    sdc_guard(comm, guard, w_local, dy_i, &mut dx, GemmKind::AtB)?;
     Ok(dx)
 }
 
@@ -368,7 +307,7 @@ fn dx_partial(grid: &Grid, w_local: &Matrix, dy_i: &Matrix, guard: Guard) -> Res
 /// `d_out/Pr × d_in` shard; `x_local` is the full-depth `d_in × B/Pc`
 /// batch shard. Returns the assembled `d_out × B/Pc` output shard.
 pub fn forward(grid: &Grid, w_local: &Matrix, x_local: &Matrix) -> Result<Matrix> {
-    forward_with(grid, w_local, x_local, Guard::Off)
+    forward_with(grid, w_local, x_local, None)
 }
 
 /// [`forward`] under a [`Guard`]: the local product is verified before
@@ -385,7 +324,7 @@ pub fn forward_with(
     if grid.pr == 1 {
         return Ok(y_partial);
     }
-    let blocks = guard.allgatherv(&grid.col_comm, y_partial.as_slice())?;
+    let blocks = allgatherv_ring(&grid.col_comm, y_partial.as_slice())?;
     let mats: Vec<Matrix> = blocks
         .into_iter()
         .map(|v| Matrix::from_vec(v.len() / bloc, bloc, v))
@@ -415,7 +354,7 @@ pub fn forward_into(
     let bloc = x_local.cols();
     let part = y_partial(grid, w_local, x_local, guard)?;
     y.reshape(d_out, bloc);
-    guard.allgatherv_into(&grid.col_comm, part.into_vec(), y.as_mut_slice(), |src| {
+    allgatherv_ring_into(&grid.col_comm, part.into_vec(), y.as_mut_slice(), |src| {
         let rows = part_range(d_out, grid.pr, src);
         rows.start * bloc..rows.end * bloc
     })
@@ -433,7 +372,7 @@ pub fn backward(
     x_local: &Matrix,
     dy_local: &Matrix,
 ) -> Result<(Matrix, Matrix)> {
-    backward_with(grid, w_local, x_local, dy_local, Guard::Off)
+    backward_with(grid, w_local, x_local, dy_local, None)
 }
 
 /// [`backward`] under a [`Guard`]. Verification happens on the *local*
@@ -449,9 +388,9 @@ pub fn backward_with(
 ) -> Result<(Matrix, Matrix)> {
     let dy_i = dy_block(grid, dy_local);
     let mut dw = dw_partial(grid, x_local, &dy_i, guard)?;
-    guard.allreduce(&grid.row_comm, dw.as_mut_slice())?;
+    allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
     let mut dx = dx_partial(grid, w_local, &dy_i, guard)?;
-    guard.allreduce(&grid.col_comm, dx.as_mut_slice())?;
+    allreduce(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum)?;
     Ok((dw, dx))
 }
 
@@ -473,7 +412,7 @@ pub fn backward_dw_deferred(
     let dy_i = dy_block(grid, dy_local);
     let dw = dw_partial(grid, x_local, &dy_i, guard)?;
     let mut dx = dx_partial(grid, w_local, &dy_i, guard)?;
-    guard.allreduce(&grid.col_comm, dx.as_mut_slice())?;
+    allreduce(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum)?;
     Ok((dw, dx))
 }
 
@@ -495,7 +434,7 @@ pub fn backward_dx_overlap(
 ) -> Result<(Matrix, Matrix)> {
     let dy_i = dy_block(grid, dy_local);
     let dx = dx_partial(grid, w_local, &dy_i, guard)?;
-    let h = guard.iallreduce(&grid.col_comm, dx.into_vec())?;
+    let h = iallreduce(&grid.col_comm, dx.into_vec(), ReduceOp::Sum)?;
     let dw = dw_partial(grid, x_local, &dy_i, guard)?;
     let dx = Matrix::from_vec(w_local.cols(), dy_i.cols(), h.wait()?);
     Ok((dw, dx))
@@ -548,16 +487,16 @@ pub fn forward_start(
     x_local: &Matrix,
     guard: Guard,
 ) -> Result<PipelinedForward> {
-    forward_resume(grid, y_partial(grid, w_local, x_local, guard)?, guard)
+    forward_resume(grid, y_partial(grid, w_local, x_local, guard)?)
 }
 
 /// Launches the gather of a partial the caller already holds — the
 /// entry point for fused pipelines where layer `l+1`'s partial was
 /// accumulated block-by-block while layer `l`'s gather drained (so
 /// there is no monolithic GEMM for [`forward_start`] to run, and hence
-/// no SDC op: the guard only bounds the chunk receives). Charges no
-/// flops: the caller paid for the accumulation as it happened.
-pub fn forward_resume(grid: &Grid, y_partial: Matrix, guard: Guard) -> Result<PipelinedForward> {
+/// no SDC op and no [`Guard`]). Charges no flops: the caller paid for
+/// the accumulation as it happened.
+pub fn forward_resume(grid: &Grid, y_partial: Matrix) -> Result<PipelinedForward> {
     let bloc = y_partial.cols();
     if grid.pr == 1 {
         return Ok(PipelinedForward {
@@ -568,7 +507,7 @@ pub fn forward_resume(grid: &Grid, y_partial: Matrix, guard: Guard) -> Result<Pi
     }
     Ok(PipelinedForward {
         local: None,
-        handle: Some(guard.iallgatherv(&grid.col_comm, y_partial.as_slice())?),
+        handle: Some(iallgatherv(&grid.col_comm, y_partial.as_slice())?),
         bloc,
     })
 }
@@ -578,6 +517,7 @@ mod tests {
     use super::*;
     use crate::dist::{col_shard, part_range, row_shard};
     use collectives::cost::{ring_allgather_exact, ring_allreduce_exact, CostTerms};
+    use collectives::FtConfig;
     use mpsim::{NetModel, World};
     use tensor::init;
     use tensor::matmul::matmul;
@@ -768,7 +708,7 @@ mod tests {
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
             let (dw_ref, dx_ref) = backward(&grid, &wl, &xl, &dyl).unwrap();
-            let (mut dw, dx) = backward_dw_deferred(&grid, &wl, &xl, &dyl, Guard::Off).unwrap();
+            let (mut dw, dx) = backward_dw_deferred(&grid, &wl, &xl, &dyl, None).unwrap();
             allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum).unwrap();
             (dw_ref, dx_ref, dw, dx)
         });
@@ -787,9 +727,8 @@ mod tests {
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
                 let dyl = col_shard(&r.dy, pc, grid.j);
-                let (dw_ref, dx_ref) =
-                    backward_dw_deferred(&grid, &wl, &xl, &dyl, Guard::Off).unwrap();
-                let (dw, dx) = backward_dx_overlap(&grid, &wl, &xl, &dyl, Guard::Off).unwrap();
+                let (dw_ref, dx_ref) = backward_dw_deferred(&grid, &wl, &xl, &dyl, None).unwrap();
+                let (dw, dx) = backward_dx_overlap(&grid, &wl, &xl, &dyl, None).unwrap();
                 (dw_ref, dx_ref, dw, dx)
             });
             for (g, (dw_ref, dx_ref, dw, dx)) in out.iter().enumerate() {
@@ -815,7 +754,7 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
-            backward_dx_overlap(&grid, &wl, &xl, &dyl, Guard::Off).unwrap();
+            backward_dx_overlap(&grid, &wl, &xl, &dyl, None).unwrap();
         });
         assert!(
             stats.total_overlapped_secs() > 0.0,
@@ -832,7 +771,7 @@ mod tests {
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
                 let y_ref = forward(&grid, &wl, &xl).unwrap();
-                let mut pf = forward_start(&grid, &wl, &xl, Guard::Off).unwrap();
+                let mut pf = forward_start(&grid, &wl, &xl, None).unwrap();
                 let mut blocks: Vec<Option<Matrix>> = vec![None; pr];
                 let mut arrivals = Vec::new();
                 while let Some((src, block)) = pf.next_block().unwrap() {
@@ -890,11 +829,12 @@ mod tests {
     #[test]
     fn every_schedule_is_guard_invariant_when_fault_free() {
         // One table: {unguarded, guarded abft off, guarded abft on} ×
-        // {forward, backward, dw_deferred, dx_overlap, start/resume}.
-        // The guard only reads, so every output is bit-equal across the
-        // three columns; and with ABFT off the guarded collectives cost
-        // exactly what the plain ones do, so the per-rank virtual clocks
-        // are equal too.
+        // {forward, backward, dw_deferred, dx_overlap, start/resume};
+        // "guarded" is the grid built on a guarded communicator plus the
+        // GEMM guard. The guards only read, so every output is bit-equal
+        // across the three columns; and with ABFT off the collectives
+        // cost on a guarded communicator exactly what they do on a plain
+        // one, so the per-rank virtual clocks are equal too.
         let model = NetModel {
             alpha: 1e-3,
             beta: 1e-6,
@@ -906,22 +846,22 @@ mod tests {
             // `abft`: None = unguarded.
             let run = |abft: Option<bool>| {
                 World::run(pr * pc, model, |comm| {
-                    let grid = Grid::new(comm, pr, pc).unwrap();
+                    let sdc = SdcCtx::new(0, abft.unwrap_or(false));
+                    let (comm, guard) = match abft {
+                        None => (comm.clone(), None),
+                        Some(_) => (comm.guarded(&cfg), Some(&sdc)),
+                    };
+                    let grid = Grid::new(&comm, pr, pc).unwrap();
                     let wl = row_shard(&r.w, pr, grid.i);
                     let xl = col_shard(&r.x, pc, grid.j);
                     let dyl = col_shard(&r.dy, pc, grid.j);
-                    let sdc = SdcCtx::new(0, abft.unwrap_or(false));
-                    let guard = match abft {
-                        None => Guard::Off,
-                        Some(_) => Guard::On(&cfg, &sdc),
-                    };
                     let y = forward_with(&grid, &wl, &xl, guard).unwrap();
                     let (dw, dx) = backward_with(&grid, &wl, &xl, &dyl, guard).unwrap();
                     let deferred = backward_dw_deferred(&grid, &wl, &xl, &dyl, guard).unwrap();
                     let overlapped = backward_dx_overlap(&grid, &wl, &xl, &dyl, guard).unwrap();
                     let started = reassemble(forward_start(&grid, &wl, &xl, guard).unwrap(), pr);
                     let partial = matmul(&wl, &xl);
-                    let resumed = reassemble(forward_resume(&grid, partial, guard).unwrap(), pr);
+                    let resumed = reassemble(forward_resume(&grid, partial).unwrap(), pr);
                     if abft.is_some() {
                         // fwd + (∆W, ∆X) × 3 + start; resume runs no GEMM.
                         assert_eq!(sdc.ops_done(), 8, "SDC op numbering");
@@ -963,12 +903,12 @@ mod tests {
                 .bitflip_compute(2, 0, 0, 51)
                 .bitflip_compute(4, 0, 2, 55);
             let (out, stats) = World::run_with_faults(pr * pc, NetModel::free(), plan, |comm| {
-                let grid = Grid::new(comm, pr, pc).unwrap();
+                let grid = Grid::new(&comm.guarded(&cfg), pr, pc).unwrap();
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
                 let dyl = col_shard(&r.dy, pc, grid.j);
                 let sdc = SdcCtx::new(0, true);
-                let guard = Guard::On(&cfg, &sdc);
+                let guard = Some(&sdc);
                 let y = if pipelined {
                     reassemble(forward_start(&grid, &wl, &xl, guard).unwrap(), pr)
                 } else {
@@ -997,11 +937,11 @@ mod tests {
             .bitflip_compute(1, 0, 0, 50)
             .bitflip_compute(1, 0, 0, 52);
         let (out, stats) = World::run_with_faults(pr * pc, NetModel::free(), plan, |comm| {
-            let grid = Grid::new(comm, pr, pc).unwrap();
+            let grid = Grid::new(&comm.guarded(&cfg), pr, pc).unwrap();
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let sdc = SdcCtx::new(0, true);
-            forward_with(&grid, &wl, &xl, Guard::On(&cfg, &sdc))
+            forward_with(&grid, &wl, &xl, Some(&sdc))
         });
         match &out[1] {
             Err(Error::SilentCorruption {
@@ -1043,11 +983,11 @@ mod tests {
         });
         let plan = FaultPlan::new(3).bitflip_compute(0, 0, 0, 51);
         let (out, stats) = World::run_with_faults(pr * pc, NetModel::free(), plan, |comm| {
-            let grid = Grid::new(comm, pr, pc).unwrap();
+            let grid = Grid::new(&comm.guarded(&cfg), pr, pc).unwrap();
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let sdc = SdcCtx::new(0, false);
-            forward_with(&grid, &wl, &xl, Guard::On(&cfg, &sdc)).unwrap()
+            forward_with(&grid, &wl, &xl, Some(&sdc)).unwrap()
         });
         assert_eq!(stats.total_bitflips_compute(), 1, "flip was injected");
         assert_eq!(stats.total_corrupt_detected(), 0, "nobody noticed");

@@ -87,11 +87,6 @@ impl Network {
         self.layers.iter().map(|(s, i, o)| (s, *i, *o))
     }
 
-    /// Number of layers (of any kind).
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Shape of the network output.
     pub fn output(&self) -> Shape {
         self.layers.last().map(|&(_, _, o)| o).unwrap_or(self.input)

@@ -1,14 +1,15 @@
-//! Membership under faults: recovery epochs, failure agreement,
-//! shrink, revive / readmit / park / heal, the adaptive detector's
-//! queries, and the scripted silent-data-corruption flips. Everything
-//! here is bookkeeping on the per-rank tables plus calls into `wire`
-//! for the traffic; no envelope is built or inspected in this module.
+//! Membership under faults: recovery epochs, the group abort of a
+//! guarded receive, failure agreement, shrink, revive / readmit / park /
+//! heal, the adaptive detector's queries, and the scripted
+//! silent-data-corruption flips. Everything here is bookkeeping on the
+//! per-rank tables plus calls into `wire` for the traffic; no envelope
+//! is built or inspected in this module.
 
-use super::wire::Notice;
+use super::wire::{Inner, Notice};
 use super::{derive_ctx, Communicator, RESERVED_TAG_BASE};
-use crate::error::{Error, FaultCtx, Result};
-use crate::fault::BitFlip;
-use crate::{Rank, Tag};
+use crate::error::{Error, Result};
+use crate::fault::{self, BitFlip};
+use crate::Tag;
 
 /// Base tag for [`Communicator::fault_sync`] rounds (offset by a
 /// per-rank round counter, so successive rounds never cross-match).
@@ -28,6 +29,40 @@ impl Communicator {
         let now = i.clock.now;
         i.broadcast_notice(Notice::Abort { culprit }, now);
         Ok(())
+    }
+
+    /// How every data-plane receive ends. On a
+    /// [guarded](Communicator::guarded) handle a fault error is
+    /// broadcast — or, for a peer's abort, cascaded — as one group abort
+    /// blaming the culprit before it is returned; the retry schedule has
+    /// already run, so this is once per surfaced fault, never per
+    /// attempt. An unguarded handle (and every success) passes through.
+    pub(super) fn abort_on_fault<T>(&self, got: Result<T>) -> Result<T> {
+        got.inspect_err(|e| {
+            if let Some(culprit) = self.ft.and_then(|_| self.blame(e)) {
+                // Best effort: if this rank dies while aborting, its
+                // death notice keeps the group live anyway.
+                let _ = self.send_abort(culprit);
+            }
+        })
+    }
+
+    /// The global rank to blame for a fault error observed on this
+    /// communicator, or `None` when the error is not a fault (or is this
+    /// rank's own death, which its death notice already announces).
+    fn blame(&self, e: &Error) -> Option<usize> {
+        match e {
+            Error::Timeout { rank, .. } | Error::Corrupted { rank, .. } => {
+                self.global_rank_of(*rank).ok()
+            }
+            Error::RankFailed { rank } => (*rank != self.members[self.rank]).then_some(*rank),
+            Error::Aborted { culprit } => Some(*culprit),
+            // A partition cut is blamed on the unreachable peer: the abort
+            // cascades through the reachable fragment exactly like a death,
+            // driving every member into recovery with the same culprit.
+            Error::Unreachable { rank } => Some(*rank),
+            _ => None,
+        }
     }
 
     /// This rank's current recovery epoch (starts at 0; bumped by
@@ -137,19 +172,6 @@ impl Communicator {
     }
 
     // --- silent data corruption --------------------------------------
-
-    /// Registers the training-phase context (iteration, op counter)
-    /// attached to corruption errors surfaced while it is set; pass
-    /// `None` at phase exit. The context is advisory — it never
-    /// affects matching or timing.
-    pub fn set_fault_ctx(&self, ctx: Option<FaultCtx>) {
-        self.inner.borrow_mut().fault_ctx = ctx;
-    }
-
-    /// The currently registered training-phase context, if any.
-    pub fn fault_ctx(&self) -> Option<FaultCtx> {
-        self.inner.borrow().fault_ctx
-    }
 
     /// Drains the scripted compute bit flips for this rank's `op`-th
     /// GEMM of iteration `iter`: each matching plan entry not yet spent
@@ -379,23 +401,26 @@ impl Communicator {
         let mut i = self.inner.borrow_mut();
         i.fault_sync_seq = i.fault_sync_seq.max(seq);
     }
+}
 
-    // --- adaptive failure detection ----------------------------------
+// --- adaptive failure detection: what a guarded receive asks ----------
 
-    /// The per-peer receive deadline learned by the adaptive detector
-    /// (mean + k·σ of observed receive waits, clamped to the model
-    /// floor), or `None` until enough samples exist.
-    pub fn adaptive_deadline(&self, src: Rank) -> Option<f64> {
-        let src_global = self.global_rank_of(src).ok()?;
-        self.inner.borrow().health.deadline(src_global)
-    }
-
-    /// The current φ-accrual suspicion level of a peer, or `None`
-    /// while the detector lacks samples.
-    pub fn peer_phi(&self, src: Rank) -> Option<f64> {
-        let src_global = self.global_rank_of(src).ok()?;
-        let i = self.inner.borrow();
-        i.health.phi(src_global, i.clock.now)
+impl Inner {
+    /// Charges the backoff pause before retry number `attempt` of a
+    /// guarded receive from `src_global`: `pause`, stretched by up to
+    /// `jitter` — a deterministic draw keyed on the plan seed, the link
+    /// and the retry count.
+    pub(super) fn back_off(&mut self, src_global: usize, pause: f64, jitter: f64, attempt: usize) {
+        self.stats.retries += 1;
+        let stretch = if jitter > 0.0 {
+            let me = self.global_rank as u64;
+            jitter * fault::jitter_unit(self.plan.seed(), me, src_global as u64, self.stats.retries)
+        } else {
+            0.0
+        };
+        let t0 = self.clock.now;
+        self.clock.advance_comm(pause * (1.0 + stretch));
+        self.span_to_now("comm", "backoff", t0, || [("attempt", attempt as f64)]);
     }
 
     /// Whether the detector currently ranks the peer *suspect but not
@@ -404,32 +429,22 @@ impl Communicator {
     /// so silent that it is written off). The first flagging of a peer
     /// since it was last heard is counted in
     /// [`RankStats::suspects_flagged`](crate::RankStats::suspects_flagged).
-    pub fn peer_suspect_not_dead(&self, src: Rank) -> bool {
-        let Ok(src_global) = self.global_rank_of(src) else {
-            return false;
-        };
-        let mut i = self.inner.borrow_mut();
-        if i.dead_peers.contains_key(&src_global) {
+    pub(super) fn suspect_not_dead(&mut self, src_global: usize) -> bool {
+        if self.dead_peers.contains_key(&src_global) {
             return false;
         }
-        let now = i.clock.now;
-        let Some(phi) = i.health.phi(src_global, now) else {
+        let Some(phi) = self.health.phi(src_global, self.clock.now) else {
             return false;
         };
-        let cfg = *i.health.config();
+        let cfg = *self.health.config();
         if phi >= cfg.phi_suspect && phi < cfg.phi_dead {
-            if i.health.mark_suspect(src_global) {
-                i.stats.suspects_flagged += 1;
+            if self.health.mark_suspect(src_global) {
+                self.stats.suspects_flagged += 1;
             }
             true
         } else {
             false
         }
-    }
-
-    /// Counts a speculative re-request issued by a fault-aware caller.
-    pub fn record_speculative_retry(&self) {
-        self.inner.borrow_mut().stats.speculative_retries += 1;
     }
 }
 
@@ -493,32 +508,6 @@ mod tests {
         assert_eq!(stats.ranks[1].bitflips_compute, 1);
         assert_eq!(stats.total_bitflips_compute(), 1);
         assert_eq!(stats.total_bitflips_memory(), 1);
-    }
-
-    #[test]
-    fn fault_ctx_is_attached_to_corruption_errors() {
-        let model = NetModel::free();
-        let plan = crate::FaultPlan::new(5).corrupt_nth(0, 1, 0);
-        let (out, _) = World::run_with_faults(2, model, plan, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 2, &[1.0, 2.0]).unwrap();
-                None
-            } else {
-                comm.set_fault_ctx(Some(crate::FaultCtx { iter: 4, op: 1 }));
-                assert_eq!(comm.fault_ctx(), Some(crate::FaultCtx { iter: 4, op: 1 }));
-                let e = comm.recv(0, 2).unwrap_err();
-                comm.set_fault_ctx(None);
-                Some(e)
-            }
-        });
-        assert_eq!(
-            out[1],
-            Some(Error::Corrupted {
-                rank: 0,
-                tag: 2,
-                ctx: Some(crate::FaultCtx { iter: 4, op: 1 })
-            })
-        );
     }
 
     #[test]
@@ -709,20 +698,25 @@ mod tests {
                 }
                 // Learned deadline tracks the ~1 s observed waits (the
                 // 4·α floor is 0.4, well below).
-                let dl = comm.adaptive_deadline(0);
+                let dl = comm.inner.borrow().health.deadline(0);
+                let phi = || {
+                    let i = comm.inner.borrow();
+                    i.health.phi(0, i.clock.now).unwrap()
+                };
+                let suspect_not_dead = || comm.inner.borrow_mut().suspect_not_dead(0);
                 // Right after hearing from the peer, φ is low.
-                let quiet = comm.peer_phi(0).unwrap();
+                let quiet = phi();
                 assert!(quiet < 1.0, "fresh peer is unsuspicious: {quiet}");
-                assert!(!comm.peer_suspect_not_dead(0));
+                assert!(!suspect_not_dead());
                 // Moderate silence: suspect but not presumed dead.
                 comm.advance_compute(1.35);
-                let suspect = comm.peer_suspect_not_dead(0);
-                let phi_mid = comm.peer_phi(0).unwrap();
+                let suspect = suspect_not_dead();
+                let phi_mid = phi();
                 // Long silence: written off, past speculation.
                 comm.advance_compute(8.0);
-                let phi_late = comm.peer_phi(0).unwrap();
+                let phi_late = phi();
                 assert!(phi_late > phi_mid && phi_mid > quiet);
-                assert!(!comm.peer_suspect_not_dead(0), "φ past dead: {phi_late}");
+                assert!(!suspect_not_dead(), "φ past dead: {phi_late}");
                 (dl, Some((suspect, phi_mid)))
             }
         });

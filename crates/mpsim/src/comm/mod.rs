@@ -28,8 +28,7 @@ use std::sync::Arc;
 
 use crate::clock::Clock;
 use crate::error::{Error, Result};
-use crate::fault;
-use crate::health::RetryPolicy;
+use crate::health::FtConfig;
 use crate::netmodel::NetModel;
 use crate::stats::RankStats;
 use crate::{Rank, Tag};
@@ -63,7 +62,7 @@ pub struct RecvHandle {
     src: Rank,
     tag: Tag,
     /// Absolute virtual-time deadline for the arrival, if the receive
-    /// was posted with [`Communicator::irecv_timeout`].
+    /// was posted on a [guarded](Communicator::guarded) handle.
     deadline: Option<f64>,
 }
 
@@ -100,6 +99,9 @@ pub struct Communicator {
     members: Arc<Vec<usize>>,
     /// This thread's rank within `members`.
     rank: Rank,
+    /// The fault policy of a [guarded](Communicator::guarded) handle,
+    /// inline (`FtConfig` is `Copy`: no allocation per handle).
+    ft: Option<FtConfig>,
 }
 
 /// Derives a deterministic child context id: FNV-1a over the parent
@@ -124,6 +126,46 @@ impl Communicator {
             ctx: 0,
             members: Arc::new((0..size).collect()),
             rank,
+            ft: None,
+        }
+    }
+
+    /// A handle on the same group and context whose **data-plane
+    /// receives obey `cfg`**. The fault policy is a property of the
+    /// communicator, as an error handler is of an MPI communicator, so
+    /// every collective and point-to-point pattern runs defended on it,
+    /// unchanged:
+    ///
+    /// * `recv` resolves the peer's deadline (`cfg.deadline`: fixed, or
+    ///   learned per peer by the adaptive detector) and makes
+    ///   `cfg.attempts` windows of it, separated by `backoff ·
+    ///   backoff_factor^(i−1)` pauses each stretched by up to `jitter` (a
+    ///   deterministic draw keyed on the plan seed, the link and the
+    ///   retry count, so contending retriers desynchronize yet replays
+    ///   are bit-identical). Only [`Error::Timeout`] is retried. With
+    ///   `cfg.speculative`, an exhausted schedule earns one re-request
+    ///   with a 4× window if the detector ranks the peer *suspect but
+    ///   not presumed dead*. The plan's default timeout is not consulted.
+    /// * `irecv` stamps the handle with the deadline `now + resolved`;
+    ///   `wait` returns [`Error::Timeout`] at it for a later arrival.
+    /// * `recv_channel` bounds the transfer by the resolved deadline,
+    ///   counted from the channel's horizon `max(now, comm_busy)`.
+    ///
+    /// A receive that still fails — timeout, [`Error::Corrupted`], peer
+    /// death, partition, or a peer's abort — **broadcasts one group
+    /// abort** blaming the culprit ([`Communicator::send_abort`]) before
+    /// returning the error, so a member blocked on this rank unblocks
+    /// with [`Error::Aborted`] and cascades in turn: nobody hangs on a
+    /// failed collective. This rank's own death aborts nothing (its
+    /// death notice announces it).
+    ///
+    /// `split`, `grid` and `shrink_exclude` children inherit the policy.
+    /// The control plane — `recv_control`, `fault_sync`, `barrier`,
+    /// `split` itself, `await_control_any` — never reads it.
+    pub fn guarded(&self, cfg: &FtConfig) -> Communicator {
+        Communicator {
+            ft: Some(*cfg),
+            ..self.clone()
         }
     }
 
@@ -210,15 +252,60 @@ impl Communicator {
     /// virtual clock to `max(now, depart) + α + β·words` (plus any
     /// injected straggler delay).
     ///
-    /// When a fault plan with a default timeout is active, behaves like
-    /// [`Communicator::recv_timeout`] with that timeout; otherwise waits
-    /// indefinitely for late messages, but still returns
+    /// On a [guarded](Communicator::guarded) handle the receive obeys
+    /// the handle's policy. Otherwise, when a fault plan with a default
+    /// timeout is active, it behaves like
+    /// [`Communicator::recv_timeout`] with that timeout; without one it
+    /// waits indefinitely for late messages, but still returns
     /// [`Error::Timeout`] (with `waited = ∞`) for a message the plan
     /// provably dropped, and [`Error::RankFailed`] /
     /// [`Error::Aborted`] when the peer died or abandoned the phase.
     pub fn recv(&self, src: Rank, tag: Tag) -> Result<Vec<f64>> {
+        match &self.ft {
+            Some(cfg) => self.recv_guarded(src, tag, cfg),
+            None => self.recv_unguarded(src, tag),
+        }
+    }
+
+    /// [`Communicator::recv`] as an unguarded handle performs it — also
+    /// what [`Communicator::barrier`] uses on either kind.
+    fn recv_unguarded(&self, src: Rank, tag: Tag) -> Result<Vec<f64>> {
         let timeout = self.inner.borrow().plan.default_timeout();
         self.recv_deadline(src, tag, timeout)
+    }
+
+    /// [`Communicator::recv`] under a policy: the retry schedule, the
+    /// speculative re-request, then the group abort for whatever fault
+    /// is left (see [`Communicator::guarded`]).
+    fn recv_guarded(&self, src: Rank, tag: Tag, cfg: &FtConfig) -> Result<Vec<f64>> {
+        assert!(cfg.attempts > 0, "need at least one attempt");
+        let src_global = self.global_rank_of(src)?;
+        let timeout = cfg
+            .deadline
+            .resolve(&self.inner.borrow().health, src_global);
+        let mut pause = cfg.backoff;
+        let mut got = self.recv_timeout(src, tag, timeout);
+        for attempt in 1..cfg.attempts {
+            if !matches!(got, Err(Error::Timeout { .. })) {
+                break;
+            }
+            self.inner
+                .borrow_mut()
+                .back_off(src_global, pause, cfg.jitter, attempt);
+            pause *= cfg.backoff_factor;
+            got = self.recv_timeout(src, tag, timeout);
+        }
+        // Straggler mitigation: the schedule is exhausted but the
+        // detector says the peer is merely slow, not presumed dead —
+        // grant one speculative re-request with an extended window.
+        if cfg.speculative
+            && matches!(got, Err(Error::Timeout { .. }))
+            && self.inner.borrow_mut().suspect_not_dead(src_global)
+        {
+            self.inner.borrow_mut().stats.speculative_retries += 1;
+            got = self.recv_timeout(src, tag, timeout * 4.0);
+        }
+        self.abort_on_fault(got)
     }
 
     /// Blocking receive that gives up after `timeout` virtual seconds.
@@ -227,50 +314,11 @@ impl Communicator {
     /// is charged the full wait (as communication time) and
     /// [`Error::Timeout`] is returned. A late — not dropped — message
     /// stays buffered, so a retry that waits long enough still gets it:
-    /// see [`Communicator::recv_retry_policy`].
+    /// the guarded [`Communicator::recv`] is a schedule of these.
+    /// Reads no policy, on either kind of handle.
     pub fn recv_timeout(&self, src: Rank, tag: Tag, timeout: f64) -> Result<Vec<f64>> {
         assert!(timeout > 0.0, "timeout must be positive");
         self.recv_deadline(src, tag, Some(timeout))
-    }
-
-    /// Retrying receive under a [`RetryPolicy`]: `attempts`
-    /// windows of `timeout`, separated by `backoff · factor^(i−1)`
-    /// pauses each stretched by up to `jitter` (a deterministic draw
-    /// keyed on the plan seed, the link, and the retry count — so
-    /// contending retriers desynchronize, yet replays are
-    /// bit-identical). Retries only on [`Error::Timeout`]; any other
-    /// error propagates immediately.
-    pub fn recv_retry_policy(&self, src: Rank, tag: Tag, policy: &RetryPolicy) -> Result<Vec<f64>> {
-        assert!(policy.attempts > 0, "need at least one attempt");
-        let mut last = None;
-        let mut pause = policy.backoff;
-        for attempt in 0..policy.attempts {
-            if attempt > 0 {
-                let mut i = self.inner.borrow_mut();
-                i.stats.retries += 1;
-                let stretch = if policy.jitter > 0.0 {
-                    let src_global = self.global_rank_of(src)?;
-                    let u = fault::jitter_unit(
-                        i.plan.seed(),
-                        i.global_rank as u64,
-                        src_global as u64,
-                        i.stats.retries,
-                    );
-                    policy.jitter * u
-                } else {
-                    0.0
-                };
-                let t0 = i.clock.now;
-                i.clock.advance_comm(pause * (1.0 + stretch));
-                i.span_to_now("comm", "backoff", t0, || [("attempt", attempt as f64)]);
-                pause *= policy.factor;
-            }
-            match self.recv_timeout(src, tag, policy.timeout) {
-                Err(e @ Error::Timeout { .. }) => last = Some(e),
-                other => return other,
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
     }
 
     fn recv_deadline(&self, src: Rank, tag: Tag, timeout: Option<f64>) -> Result<Vec<f64>> {
@@ -284,33 +332,29 @@ impl Communicator {
     /// to arrive at `depart + α + β·words` *independently of what this
     /// rank does meanwhile* — i.e. a perfectly overlapped transfer, the
     /// assumption the paper makes for halo exchanges (Fig. 3) and for
-    /// Fig. 8's overlap study. Complete with [`Communicator::wait`].
+    /// Fig. 8's overlap study. Complete with [`Communicator::wait`]. On
+    /// a [guarded](Communicator::guarded) handle the arrival must happen
+    /// within the peer's resolved deadline of posting.
     pub fn irecv(&self, src: Rank, tag: Tag) -> Result<RecvHandle> {
         let src_global = self.global_rank_of(src)?;
+        let deadline = self.ft.as_ref().map(|cfg| {
+            let i = self.inner.borrow();
+            i.clock.now + cfg.deadline.resolve(&i.health, src_global)
+        });
         Ok(RecvHandle {
             ctx: self.ctx,
             src_global,
             src,
             tag,
-            deadline: None,
+            deadline,
         })
-    }
-
-    /// Like [`Communicator::irecv`] but the arrival must happen within
-    /// `timeout` virtual seconds of posting; a later arrival makes
-    /// [`Communicator::wait`] return [`Error::Timeout`] at the deadline.
-    pub fn irecv_timeout(&self, src: Rank, tag: Tag, timeout: f64) -> Result<RecvHandle> {
-        assert!(timeout > 0.0, "timeout must be positive");
-        let mut handle = self.irecv(src, tag)?;
-        handle.deadline = Some(self.now() + timeout);
-        Ok(handle)
     }
 
     /// Completes a non-blocking receive, clamping the clock forward to
     /// the arrival time if the data is not yet there. Honors the
-    /// handle's deadline (see [`Communicator::irecv_timeout`]) and
-    /// surfaces drops, peer death, and aborts like
-    /// [`Communicator::recv`].
+    /// handle's deadline and surfaces drops, peer death, and aborts like
+    /// [`Communicator::recv`] — with the group abort on a guarded
+    /// handle.
     pub fn wait(&self, handle: RecvHandle) -> Result<Vec<f64>> {
         let RecvHandle {
             ctx,
@@ -320,8 +364,9 @@ impl Communicator {
             deadline,
         } = handle;
         let mut i = self.inner.borrow_mut();
-        let got = i.complete(ctx, src_global, src, tag, deadline, Lane::Overlapped)?;
-        Ok(got.data)
+        let got = i.complete(ctx, src_global, src, tag, deadline, Lane::Overlapped);
+        drop(i);
+        self.abort_on_fault(got.map(|got| got.data))
     }
 
     /// Progresses a non-blocking operation by one receive, charging the
@@ -335,25 +380,23 @@ impl Communicator {
     /// The call may block the *OS thread* until the message is in the
     /// mailbox, but the matching is deterministic, so virtual time
     /// never depends on real-time interleaving.
+    ///
+    /// On a [guarded](Communicator::guarded) handle the transfer must
+    /// finish within the peer's resolved deadline of the channel's
+    /// current horizon (`max(now, comm_busy)`): otherwise the main clock
+    /// is charged the wait and [`Error::Timeout`] is returned, and any
+    /// fault aborts the group. Drops, peer death, and aborts surface
+    /// like [`Communicator::recv`] on either kind.
     pub fn recv_channel(&self, src: Rank, tag: Tag) -> Result<ChannelRecv> {
-        self.recv_channel_deadline(src, tag, None)
-    }
-
-    /// [`Communicator::recv_channel`] with an optional deadline for
-    /// fault-tolerant callers: if the transfer cannot finish within
-    /// `timeout` virtual seconds of the channel's current horizon
-    /// (`max(now, comm_busy)`), the main clock is charged the
-    /// wait and [`Error::Timeout`] is returned. Drops, peer death, and
-    /// aborts surface like [`Communicator::recv`].
-    pub fn recv_channel_deadline(
-        &self,
-        src: Rank,
-        tag: Tag,
-        timeout: Option<f64>,
-    ) -> Result<ChannelRecv> {
         let src_global = self.global_rank_of(src)?;
         let mut i = self.inner.borrow_mut();
-        i.complete(self.ctx, src_global, src, tag, timeout, Lane::Channel)
+        let limit = self
+            .ft
+            .as_ref()
+            .map(|cfg| cfg.deadline.resolve(&i.health, src_global));
+        let got = i.complete(self.ctx, src_global, src, tag, limit, Lane::Channel);
+        drop(i);
+        self.abort_on_fault(got)
     }
 
     /// Completes a non-blocking operation whose channel work finished
@@ -458,7 +501,7 @@ impl Communicator {
             let dst = (r + k) % p;
             let src = (r + p - k) % p;
             self.send(dst, BARRIER_TAG, &[])?;
-            let _ = self.recv(src, BARRIER_TAG)?;
+            let _ = self.recv_unguarded(src, BARRIER_TAG)?;
             k <<= 1;
         }
         // Dissemination leaves clocks equal when they started equal; to
@@ -513,8 +556,8 @@ impl Communicator {
     }
 
     /// A communicator over `members` (global ranks, in rank order) that
-    /// shares this one's per-rank state; `None` when this rank is not
-    /// among them.
+    /// shares this one's per-rank state and fault policy; `None` when
+    /// this rank is not among them.
     fn child(&self, ctx: u64, members: Vec<usize>) -> Option<Communicator> {
         let my_global = self.members[self.rank];
         let rank = members.iter().position(|&g| g == my_global)?;
@@ -523,6 +566,7 @@ impl Communicator {
             ctx,
             members: Arc::new(members),
             rank,
+            ft: self.ft,
         })
     }
 
@@ -846,9 +890,8 @@ mod tests {
                 // Window 1 ends at t=6 < availability (t=10): timeout.
                 // Backoff to 6.5, window 2 ends at 12.5: the message
                 // (available at 10, transfer 1) completes at t=11.
-                let v = comm
-                    .recv_retry_policy(0, 3, &RetryPolicy::fixed(6.0, 3, 0.5))
-                    .unwrap();
+                let cfg = FtConfig::fixed(6.0).with_attempts(3).with_backoff(0.5);
+                let v = comm.guarded(&cfg).recv(0, 3).unwrap();
                 (v, comm.now())
             }
         });
@@ -873,6 +916,15 @@ mod tests {
         assert_eq!(stats.total_msgs(), 1);
     }
 
+    /// Three 1 s windows, pauses of 1 s doubling, stretched by `jitter`.
+    fn exponential(jitter: f64) -> FtConfig {
+        FtConfig {
+            backoff_factor: 2.0,
+            jitter,
+            ..FtConfig::fixed(1.0).with_attempts(3).with_backoff(1.0)
+        }
+    }
+
     #[test]
     fn exponential_backoff_doubles_pauses() {
         let model = NetModel {
@@ -886,8 +938,7 @@ mod tests {
             if comm.rank() == 0 {
                 comm.send(1, 3, &[1.0]).unwrap();
             } else {
-                let policy = crate::RetryPolicy::exponential(1.0, 3, 1.0, 2.0, 0.0);
-                let e = comm.recv_retry_policy(0, 3, &policy).unwrap_err();
+                let e = comm.guarded(&exponential(0.0)).recv(0, 3).unwrap_err();
                 assert!(matches!(e, Error::Timeout { .. }));
             }
         });
@@ -910,8 +961,7 @@ mod tests {
                 if comm.rank() == 0 {
                     comm.send(1, 3, &[1.0]).unwrap();
                 } else {
-                    let policy = crate::RetryPolicy::exponential(1.0, 3, 1.0, 2.0, 0.5);
-                    let _ = comm.recv_retry_policy(0, 3, &policy);
+                    let _ = comm.guarded(&exponential(0.5)).recv(0, 3);
                 }
             });
             stats.clocks[1].now
@@ -934,14 +984,17 @@ mod tests {
     const LANES: [Via; 3] = [Via::Recv, Via::Wait, Via::Channel];
 
     /// Receives `(0 → me, tag 7)` through one lane; `timeout` counts
-    /// from the call on every lane.
+    /// from the call on every lane, as the single-attempt policy of a
+    /// guarded handle.
     fn lane_recv(comm: &Communicator, via: Via, timeout: Option<f64>) -> Result<Vec<f64>> {
-        match (via, timeout) {
-            (Via::Recv, Some(t)) => comm.recv_timeout(0, 7, t),
-            (Via::Recv, None) => comm.recv(0, 7),
-            (Via::Wait, Some(t)) => comm.wait(comm.irecv_timeout(0, 7, t)?),
-            (Via::Wait, None) => comm.wait(comm.irecv(0, 7)?),
-            (Via::Channel, t) => comm.recv_channel_deadline(0, 7, t).map(|r| r.data),
+        let comm = match timeout {
+            Some(t) => comm.guarded(&FtConfig::fixed(t)),
+            None => comm.clone(),
+        };
+        match via {
+            Via::Recv => comm.recv(0, 7),
+            Via::Wait => comm.wait(comm.irecv(0, 7)?),
+            Via::Channel => comm.recv_channel(0, 7).map(|r| r.data),
         }
     }
 
@@ -1132,11 +1185,7 @@ mod tests {
             };
             let plan = FaultPlan::new(5).corrupt_nth(0, 1, 0);
             let (seen, stats) = row(via, plan, two, 0.0, &[None, None], nop);
-            let rejected = Err(Error::Corrupted {
-                rank: 0,
-                tag: 7,
-                ctx: None,
-            });
+            let rejected = Err(Error::Corrupted { rank: 0, tag: 7 });
             assert_eq!(seen[0].0, rejected, "{via:?}");
             let want = match via {
                 Via::Recv | Via::Wait => at(2.0, 2.0, 0.0),
@@ -1164,7 +1213,8 @@ mod tests {
                         comm.advance_compute(1.7e-5);
                         comm.send(1, 3, &[1.0; 37]).unwrap();
                     } else if overlapped {
-                        let h = comm.irecv_timeout(0, 3, 1.0).unwrap();
+                        let comm = comm.guarded(&FtConfig::fixed(1.0));
+                        let h = comm.irecv(0, 3).unwrap();
                         comm.wait(h).unwrap();
                     } else {
                         comm.recv_timeout(0, 3, 1.0).unwrap();
@@ -1175,5 +1225,128 @@ mod tests {
             };
             assert_eq!(run(false).to_bits(), run(true).to_bits(), "seed {seed}");
         }
+    }
+
+    /// `split`, `grid` and `shrink_exclude` hand the policy on; the world
+    /// handle never had one. Rank 1's first four messages to rank 0 are
+    /// dropped, one per communicator.
+    #[test]
+    fn children_inherit_the_policy_and_the_world_has_none() {
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.0,
+            flops: f64::INFINITY,
+        };
+        let plan = (0..4).fold(crate::FaultPlan::new(1), |p, n| p.drop_nth(1, 0, n));
+        let (out, stats) = World::run_with_faults(4, model, plan, |comm| {
+            let guarded = comm.guarded(&FtConfig::fixed(2.0));
+            let split = guarded.split(0, comm.rank() as u64).unwrap();
+            let (row, _col) = guarded.grid(2, 2).unwrap();
+            let shrunk = guarded.shrink_exclude(&[3], 1);
+            let mut seen = Vec::new();
+            if comm.rank() < 2 {
+                for c in [&split, &row, &shrunk.unwrap(), comm] {
+                    if c.rank() == 1 {
+                        c.send(0, 5, &[1.0]).unwrap();
+                    } else {
+                        seen.push((c.recv(1, 5).unwrap_err(), comm.now()));
+                    }
+                }
+            }
+            seen
+        });
+        let timeout = |waited| Error::Timeout {
+            rank: 1,
+            tag: 5,
+            waited,
+        };
+        // Each child waits out its 2 s deadline and aborts; the world
+        // handle reports the provable loss without moving the clock.
+        let want = vec![
+            (timeout(2.0), 2.0),
+            (timeout(2.0), 4.0),
+            (timeout(2.0), 6.0),
+            (timeout(f64::INFINITY), 6.0),
+        ];
+        assert_eq!(out[0], want);
+        assert_eq!(stats.ranks[0].aborts_sent, 3);
+        assert_eq!(stats.ranks[0].timeouts, 4);
+    }
+
+    /// The control plane never reads the policy: under a deadline far
+    /// shorter than the ranks' skew, `barrier` and `fault_sync` on a
+    /// guarded handle do exactly what they do on a plain one.
+    #[test]
+    fn barrier_and_fault_sync_ignore_the_policy() {
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.0,
+            flops: f64::INFINITY,
+        };
+        let run = |guard: bool| {
+            World::run_with_faults(4, model, crate::FaultPlan::new(0), |comm| {
+                let comm = if guard {
+                    comm.guarded(&FtConfig::fixed(1e-3))
+                } else {
+                    comm.clone()
+                };
+                comm.advance_compute(comm.rank() as f64);
+                comm.barrier().unwrap();
+                let round = comm.fault_sync(vec![comm.rank() as u8]).unwrap();
+                (round, comm.clock())
+            })
+        };
+        let (plain, guarded) = (run(false), run(true));
+        assert_eq!(plain.0, guarded.0);
+        assert_eq!(plain.1, guarded.1, "RankStats and clocks");
+        assert!(plain.0[0].1.now >= 3.0 + 2.0, "the barrier did run");
+    }
+
+    #[test]
+    fn speculative_rerequest_rescues_a_suspect_straggler() {
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.0,
+            flops: f64::INFINITY,
+        };
+        // Message #9 on the 0→1 link arrives ~6 s late — past the
+        // learned deadline (~mean + 4σ of the warm-up waits) but well
+        // inside the speculative window.
+        let plan = crate::FaultPlan::new(17).straggle(0, 1, 6.0, 0.0, crate::Span::Once(9));
+        let (out, stats) = World::run_with_faults(2, model, plan, |comm| {
+            if comm.rank() == 0 {
+                // Warm-up traffic with varied pacing so the detector
+                // learns a gap/wait distribution with real spread.
+                for k in 0..9u64 {
+                    comm.advance_compute(1.0 + (k % 3) as f64);
+                    comm.send(1, 7, &[k as f64]).unwrap();
+                }
+                comm.advance_compute(1.0);
+                comm.send(1, 7, &[9.0]).unwrap();
+                Ok(vec![])
+            } else {
+                for _ in 0..9 {
+                    comm.recv(0, 7).unwrap();
+                }
+                let learned = comm.inner.borrow().health.deadline(0);
+                let learned = learned.expect("detector is warm");
+                assert!(
+                    (4.0..8.0).contains(&learned),
+                    "learned deadline should be a few seconds, got {learned}"
+                );
+                let cfg = FtConfig::adaptive(&model, 1).with_attempts(1);
+                comm.guarded(&cfg).recv(0, 7)
+            }
+        });
+        assert_eq!(
+            out[1].as_deref(),
+            Ok(&[9.0][..]),
+            "the straggler was recovered speculatively"
+        );
+        assert_eq!(stats.ranks[1].timeouts, 1, "the learned deadline tripped");
+        assert_eq!(stats.ranks[1].speculative_retries, 1);
+        assert_eq!(stats.ranks[1].suspects_flagged, 1);
+        assert_eq!(stats.ranks[1].aborts_sent, 0, "rescued: nothing surfaced");
+        assert!(stats.ranks[1].straggler_wait > 0.0);
     }
 }

@@ -99,9 +99,6 @@ pub(crate) struct Inner {
     /// Per-rank event recorder (disabled by default; see
     /// [`crate::trace`]). Lives on this thread only — no locks.
     pub tracer: Tracer,
-    /// Training-phase context registered by the trainer (iteration and
-    /// op counter); attached to corruption errors surfaced while set.
-    pub fault_ctx: Option<crate::error::FaultCtx>,
     /// Spend-once bookkeeping for scripted compute bit flips, indexed
     /// by plan entry: a flip that has fired on this rank never fires
     /// again, so a rollback/replay of the same iteration runs clean.
@@ -229,7 +226,6 @@ impl Inner {
             reorder_held: vec![Vec::new(); fault_len],
             nb_seq: HashMap::new(),
             tracer: Tracer::new(trace),
-            fault_ctx: None,
             compute_flips_spent: vec![false; plan.compute_flip_entries()],
             memory_flips_spent: vec![false; plan.memory_flip_entries()],
             plan,
@@ -672,11 +668,7 @@ impl Inner {
         };
         if env.csum.is_some_and(|csum| fault::checksum(&v) != csum) {
             self.stats.corrupt_recovered += 1;
-            return Err(Error::Corrupted {
-                rank: src,
-                tag,
-                ctx: self.fault_ctx,
-            });
+            return Err(Error::Corrupted { rank: src, tag });
         }
         Ok(v)
     }

@@ -5,9 +5,8 @@ use std::fmt;
 /// Where in the training computation a detected fault bit: the
 /// iteration and the per-iteration operation index (GEMMs numbered in
 /// execution order; forward layers first, then backward ops). Attached
-/// to [`Error::Corrupted`] and [`Error::SilentCorruption`] so a
-/// minimized chaos-plan report can say *where* a fault struck, not just
-/// which link. `None` outside an instrumented trainer phase.
+/// to [`Error::SilentCorruption`] so a minimized chaos-plan report can
+/// say *where* a fault struck, not just on which rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultCtx {
     /// Training iteration in which the fault was detected.
@@ -87,9 +86,6 @@ pub enum Error {
         rank: usize,
         /// Tag of the corrupt message.
         tag: crate::Tag,
-        /// Where in the training computation the corruption surfaced,
-        /// when the detection site had a context registered.
-        ctx: Option<FaultCtx>,
     },
     /// Silent data corruption detected *inside* a rank — an ABFT
     /// checksum mismatch on a GEMM output that could not be corrected
@@ -152,15 +148,11 @@ impl fmt::Display for Error {
                 )
             }
             Error::RankFailed { rank } => write!(f, "rank {rank} failed (killed by fault plan)"),
-            Error::Corrupted { rank, tag, ctx } => {
+            Error::Corrupted { rank, tag } => {
                 write!(
                     f,
                     "payload from rank {rank} (tag {tag}) failed checksum verification"
-                )?;
-                if let Some(c) = ctx {
-                    write!(f, " at {c}")?;
-                }
-                Ok(())
+                )
             }
             Error::SilentCorruption { rank, what, ctx } => {
                 write!(f, "silent data corruption on rank {rank} ({what})")?;
@@ -203,11 +195,7 @@ mod tests {
                 waited: 2.5,
             },
             Error::RankFailed { rank: 3 },
-            Error::Corrupted {
-                rank: 0,
-                tag: 7,
-                ctx: Some(FaultCtx { iter: 3, op: 2 }),
-            },
+            Error::Corrupted { rank: 0, tag: 7 },
             Error::Aborted { culprit: 6 },
             Error::Unreachable { rank: 4 },
             Error::SilentCorruption {
@@ -230,11 +218,6 @@ mod tests {
         );
         assert!(msgs[5].contains("rank 3") && msgs[5].contains("failed"));
         assert!(msgs[6].contains("rank 0") && msgs[6].contains("checksum"));
-        assert!(
-            msgs[6].contains("iter 3") && msgs[6].contains("op 2"),
-            "context tag rendered: {}",
-            msgs[6]
-        );
         assert!(msgs[7].contains("rank 6") && msgs[7].contains("abort"));
         assert!(msgs[8].contains("rank 4") && msgs[8].contains("unreachable"));
         assert!(
@@ -245,10 +228,10 @@ mod tests {
             "got: {}",
             msgs[9]
         );
-        // Without a registered context the tag is simply absent.
-        let bare = Error::Corrupted {
-            rank: 0,
-            tag: 7,
+        // Without a context the tag is simply absent.
+        let bare = Error::SilentCorruption {
+            rank: 5,
+            what: "gemm",
             ctx: None,
         }
         .to_string();
@@ -292,11 +275,7 @@ mod tests {
         );
         assert_ne!(Error::RankFailed { rank: 1 }, Error::Aborted { culprit: 1 });
         // Clone + Debug round-trip (the traits tests rely on).
-        let e = Error::Corrupted {
-            rank: 2,
-            tag: 9,
-            ctx: None,
-        };
+        let e = Error::Corrupted { rank: 2, tag: 9 };
         assert_eq!(e.clone(), e);
         assert!(format!("{e:?}").contains("Corrupted"));
         // The context participates in equality: same site, different

@@ -296,54 +296,124 @@ impl HealthMonitor {
     }
 }
 
-/// A receive-retry schedule: `attempts` windows of `timeout` virtual
-/// seconds, separated by an exponentially growing, optionally jittered
-/// backoff (`backoff · factor^(i−1) · (1 + jitter·u)` with `u` a
-/// deterministic uniform draw).
+/// How the per-receive deadline of a guarded communicator is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Per-attempt receive deadline (virtual seconds).
-    pub timeout: f64,
-    /// Total attempts (≥ 1).
-    pub attempts: usize,
-    /// Base backoff charged before the second attempt.
-    pub backoff: f64,
-    /// Multiplicative backoff growth per retry (1.0 = constant).
-    pub factor: f64,
-    /// Jitter fraction in `[0, 1]`: each pause is stretched by up to
-    /// this fraction, by a deterministic per-(link, retry) draw.
-    pub jitter: f64,
+pub enum Deadline {
+    /// A fixed deadline in virtual seconds, identical for every peer.
+    Fixed(f64),
+    /// Per-peer deadlines learned by the adaptive failure detector
+    /// (mean + k·σ of observed receive waits, see [`HealthMonitor`]),
+    /// falling back to `fallback` until enough samples exist for a peer.
+    Adaptive {
+        /// Deadline used while the detector lacks samples.
+        fallback: f64,
+    },
 }
 
-impl RetryPolicy {
-    /// A constant-backoff schedule: no growth, no jitter.
-    pub fn fixed(timeout: f64, attempts: usize, backoff: f64) -> Self {
-        RetryPolicy {
-            timeout,
-            attempts,
-            backoff,
-            factor: 1.0,
-            jitter: 0.0,
+impl Deadline {
+    /// The deadline for a receive from global rank `peer`, given what
+    /// `health` has learned about it.
+    pub(crate) fn resolve(&self, health: &HealthMonitor, peer: usize) -> f64 {
+        match *self {
+            Deadline::Fixed(t) => t,
+            Deadline::Adaptive { fallback } => health.deadline(peer).unwrap_or(fallback),
         }
     }
 
-    /// Exponential backoff with jitter.
-    pub fn exponential(
-        timeout: f64,
-        attempts: usize,
-        backoff: f64,
-        factor: f64,
-        jitter: f64,
-    ) -> Self {
-        assert!(factor >= 1.0, "backoff factor must be >= 1");
-        assert!((0.0..=1.0).contains(&jitter), "jitter must be in [0, 1]");
-        RetryPolicy {
-            timeout,
-            attempts,
-            backoff,
-            factor,
-            jitter,
+    /// The deadline used when no peer statistics are available.
+    pub fn fallback(&self) -> f64 {
+        match *self {
+            Deadline::Fixed(t) | Deadline::Adaptive { fallback: t } => t,
         }
+    }
+}
+
+/// The fault policy of a guarded communicator
+/// ([`Communicator::guarded`](crate::Communicator::guarded), which says
+/// how each kind of receive applies it).
+///
+/// Prefer deriving one from the network model
+/// ([`FtConfig::for_model`], [`FtConfig::adaptive`]) over hard-coding
+/// seconds: a deadline that is generous on one α–β point is a hair
+/// trigger on another.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FtConfig {
+    /// Deadline policy for each receive attempt.
+    pub deadline: Deadline,
+    /// Total receive attempts per message (≥ 1).
+    pub attempts: usize,
+    /// Base backoff (virtual seconds) before the second attempt.
+    pub backoff: f64,
+    /// Multiplicative backoff growth per retry (1.0 = constant).
+    pub backoff_factor: f64,
+    /// Jitter fraction in `[0, 1]` stretching each backoff pause by a
+    /// deterministic per-(link, retry) draw.
+    pub jitter: f64,
+    /// After the retry schedule is exhausted by timeouts, issue one
+    /// speculative re-request with an extended window if the detector
+    /// ranks the peer *suspect but not presumed dead* (straggler
+    /// mitigation).
+    pub speculative: bool,
+}
+
+impl FtConfig {
+    /// A single-attempt policy with a fixed per-receive deadline.
+    pub fn fixed(timeout: f64) -> Self {
+        assert!(timeout > 0.0, "timeout must be positive");
+        FtConfig {
+            deadline: Deadline::Fixed(timeout),
+            attempts: 1,
+            backoff: 0.0,
+            backoff_factor: 1.0,
+            jitter: 0.0,
+            speculative: false,
+        }
+    }
+
+    /// A policy derived from the α–β network model: the deadline is a
+    /// generous multiple of the point-to-point time of a
+    /// `words_hint`-word message (so only genuine faults trip it), with
+    /// three attempts under exponential, jittered backoff starting at a
+    /// few α.
+    pub fn for_model(m: &NetModel, words_hint: usize) -> Self {
+        let t = (64.0 * m.ptp(words_hint)).max(1e-9);
+        FtConfig {
+            deadline: Deadline::Fixed(t),
+            attempts: 3,
+            backoff: (4.0 * m.alpha).max(1e-12),
+            backoff_factor: 2.0,
+            jitter: 0.25,
+            speculative: false,
+        }
+    }
+
+    /// Like [`FtConfig::for_model`], but with per-peer deadlines
+    /// learned by the adaptive failure detector (the model-derived
+    /// value is only the cold-start fallback) and speculative
+    /// re-requests for suspect peers enabled.
+    pub fn adaptive(m: &NetModel, words_hint: usize) -> Self {
+        let base = FtConfig::for_model(m, words_hint);
+        FtConfig {
+            deadline: Deadline::Adaptive {
+                fallback: base.deadline.fallback(),
+            },
+            speculative: true,
+            ..base
+        }
+    }
+
+    /// Sets the number of attempts per receive.
+    pub fn with_attempts(mut self, attempts: usize) -> Self {
+        assert!(attempts >= 1, "need at least one attempt");
+        self.attempts = attempts;
+        self
+    }
+
+    /// Sets the base backoff between attempts.
+    pub fn with_backoff(mut self, backoff: f64) -> Self {
+        assert!(backoff >= 0.0, "backoff must be non-negative");
+        self.backoff = backoff;
+        self
     }
 }
 
@@ -503,12 +573,26 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_constructors() {
-        let f = RetryPolicy::fixed(5.0, 3, 0.5);
-        assert_eq!(f.factor, 1.0);
-        assert_eq!(f.jitter, 0.0);
-        let e = RetryPolicy::exponential(5.0, 3, 0.5, 2.0, 0.25);
-        assert_eq!(e.factor, 2.0);
+    fn model_derived_policies_scale_with_the_network() {
+        let m = NetModel {
+            alpha: 1e-3,
+            beta: 1e-6,
+            flops: f64::INFINITY,
+        };
+        let c = FtConfig::for_model(&m, 1000);
+        assert_eq!(c.deadline, Deadline::Fixed(64.0 * (1e-3 + 1e-6 * 1000.0)));
+        assert_eq!(c.attempts, 3);
+        assert!((c.backoff - 4e-3).abs() < 1e-15);
+        assert_eq!(c.backoff_factor, 2.0);
+        assert!(c.jitter > 0.0 && !c.speculative);
+        let a = FtConfig::adaptive(&m, 1000);
+        assert_eq!(
+            a.deadline,
+            Deadline::Adaptive {
+                fallback: c.deadline.fallback()
+            }
+        );
+        assert!(a.speculative);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use clock::Clock;
 pub use comm::{ChannelRecv, Communicator, RecvHandle, TraceSpan};
 pub use error::{Error, FaultCtx, Result};
 pub use fault::{apply_flips, BitFlip, FaultPlan, Span};
-pub use health::{has_quorum, DetectorConfig, Ewma, HealthMonitor, RetryPolicy};
+pub use health::{has_quorum, Deadline, DetectorConfig, Ewma, FtConfig, HealthMonitor};
 pub use netmodel::NetModel;
 pub use stats::{RankStats, WorldStats};
 pub use topology::Topology;

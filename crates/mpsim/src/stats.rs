@@ -246,16 +246,6 @@ impl WorldStats {
         self.ranks.iter().map(|r| r.aborts_sent).sum()
     }
 
-    /// Total suspect flags raised by the adaptive detector.
-    pub fn total_suspects_flagged(&self) -> u64 {
-        self.ranks.iter().map(|r| r.suspects_flagged).sum()
-    }
-
-    /// Total speculative re-requests across ranks.
-    pub fn total_speculative_retries(&self) -> u64 {
-        self.ranks.iter().map(|r| r.speculative_retries).sum()
-    }
-
     /// Total rank revivals (rejoin announcements) across ranks.
     pub fn total_rejoins(&self) -> u64 {
         self.ranks.iter().map(|r| r.rejoins).sum()
@@ -264,21 +254,6 @@ impl WorldStats {
     /// Total data messages severed by partitions across ranks.
     pub fn total_severed(&self) -> u64 {
         self.ranks.iter().map(|r| r.msgs_severed).sum()
-    }
-
-    /// Total duplicate copies injected across ranks.
-    pub fn total_duplicated(&self) -> u64 {
-        self.ranks.iter().map(|r| r.msgs_duplicated).sum()
-    }
-
-    /// Total duplicate copies absorbed by receivers across ranks.
-    pub fn total_dups_absorbed(&self) -> u64 {
-        self.ranks.iter().map(|r| r.dups_absorbed).sum()
-    }
-
-    /// Total messages held back for reordering across ranks.
-    pub fn total_reordered(&self) -> u64 {
-        self.ranks.iter().map(|r| r.msgs_reordered).sum()
     }
 
     /// Total distinct unreachable-peer detections across ranks.
@@ -305,11 +280,6 @@ impl WorldStats {
     /// of the makespan.
     pub fn max_recovery_secs(&self) -> f64 {
         max_or_nan(self.ranks.iter().map(|r| r.recovery_secs))
-    }
-
-    /// Total transfer seconds charged to the concurrent comm channels.
-    pub fn total_channel_secs(&self) -> f64 {
-        self.ranks.iter().map(|r| r.channel_secs).sum()
     }
 
     /// Total seconds spent blocked draining non-blocking operations.
@@ -420,13 +390,8 @@ mod tests {
                     corrupt_corrected: 2,
                     bitflips_compute: 2,
                     bitflips_memory: 1,
-                    suspects_flagged: 2,
-                    speculative_retries: 1,
                     rejoins: 1,
                     msgs_severed: 3,
-                    msgs_duplicated: 2,
-                    dups_absorbed: 2,
-                    msgs_reordered: 1,
                     unreachable_detected: 4,
                     parks: 1,
                     ..RankStats::default()
@@ -435,8 +400,6 @@ mod tests {
             clocks: vec![Clock::default(); 2],
         };
         assert_eq!(stats.total_dropped(), 1);
-        assert_eq!(stats.total_suspects_flagged(), 2);
-        assert_eq!(stats.total_speculative_retries(), 1);
         assert_eq!(stats.total_rejoins(), 1);
         assert_eq!(stats.total_timeouts(), 3);
         assert_eq!(stats.total_retries(), 1);
@@ -455,9 +418,6 @@ mod tests {
         assert_eq!(stats.total_ckpt_words(), 150);
         assert!((stats.max_recovery_secs() - 3.0).abs() < 1e-12);
         assert_eq!(stats.total_severed(), 3);
-        assert_eq!(stats.total_duplicated(), 2);
-        assert_eq!(stats.total_dups_absorbed(), 2);
-        assert_eq!(stats.total_reordered(), 1);
         assert_eq!(stats.total_unreachable_detected(), 4);
         assert_eq!(stats.total_parks(), 1);
     }

@@ -4,11 +4,10 @@
 //! followed by nonlinear transform `X_{i+1} = f(Y_i)`"; these are the
 //! `f`s. All operate on the `d × B` column-per-sample layout.
 
-use crate::conv::Tensor4;
 use crate::matrix::Matrix;
 
-/// ReLU over a slice, in place — the one body behind [`relu`],
-/// [`relu_tensor`] and the trainers' in-place activations.
+/// ReLU over a slice, in place — the one body behind [`relu`] and the
+/// trainers' in-place activations.
 ///
 /// A value *select*, not a conditional store and not `f64::max`: the
 /// select compiles to a compare-and-mask the vectoriser takes (a store
@@ -65,34 +64,11 @@ pub fn relu_backward(pre: &Matrix, dy: &Matrix) -> Matrix {
     dx
 }
 
-/// Element-wise ReLU on an NCHW tensor.
-pub fn relu_tensor(x: &Tensor4) -> Tensor4 {
-    let mut out = x.clone();
-    relu_in_place(out.as_mut_slice());
-    out
-}
-
-/// Backward ReLU on an NCHW tensor: `dx = dy ⊙ [pre > 0]`.
-pub fn relu_backward_tensor(pre: &Tensor4, dy: &Tensor4) -> Tensor4 {
-    let mut dx = dy.clone();
-    relu_backward_in_place(pre.as_slice(), dx.as_mut_slice());
-    dx
-}
-
 /// Element-wise tanh.
 pub fn tanh(x: &Matrix) -> Matrix {
     let mut out = x.clone();
     tanh_in_place(out.as_mut_slice());
     out
-}
-
-/// Backward tanh given the *activated* output `y = tanh(pre)`:
-/// `dx = dy ⊙ (1 − y²)`.
-pub fn tanh_backward(y: &Matrix, dy: &Matrix) -> Matrix {
-    assert_eq!(y.shape(), dy.shape(), "tanh backward shape mismatch");
-    let mut dx = dy.clone();
-    tanh_backward_in_place(y.as_slice(), dx.as_mut_slice());
-    dx
 }
 
 /// Softmax cross-entropy over columns (one sample per column).
@@ -143,22 +119,6 @@ mod tests {
         let pre = Matrix::from_vec(1, 3, vec![-1.0, 1.0, 0.0]);
         let dy = Matrix::from_vec(1, 3, vec![5.0, 5.0, 5.0]);
         assert_eq!(relu_backward(&pre, &dy).as_slice(), &[0.0, 5.0, 0.0]);
-    }
-
-    #[test]
-    fn relu_tensor_matches_matrix_semantics() {
-        let x = Tensor4::from_fn(1, 2, 2, 2, |_, c, h, w| {
-            (c as f64 - 0.5) * (h as f64 + w as f64 - 1.0)
-        });
-        let y = relu_tensor(&x);
-        for (a, &b) in y.as_slice().iter().zip(x.as_slice()) {
-            assert_eq!(*a, b.max(0.0));
-        }
-        let dy = Tensor4::from_fn(1, 2, 2, 2, |_, _, _, _| 1.0);
-        let dx = relu_backward_tensor(&x, &dy);
-        for (g, &b) in dx.as_slice().iter().zip(x.as_slice()) {
-            assert_eq!(*g, if b > 0.0 { 1.0 } else { 0.0 });
-        }
     }
 
     /// The clone-then-conditional-store bodies the slice kernels
@@ -215,15 +175,13 @@ mod tests {
         ) {
             let x = awkward(len, seed);
             let dy = awkward(len, seed + 1.0);
-            // Forward: in place, and through both allocating wrappers.
+            // Forward: in place, and through the allocating wrapper.
             let want = bits(&legacy_relu(&x));
             let mut got = x.clone();
             relu_in_place(&mut got);
             prop_assert_eq!(&bits(&got), &want);
             let m = Matrix::from_vec(1, len, x.clone());
             prop_assert_eq!(&bits(relu(&m).as_slice()), &want);
-            let t = Tensor4::from_vec(1, 1, 1, len, x.clone());
-            prop_assert_eq!(&bits(relu_tensor(&t).as_slice()), &want);
             // Backward, masked by the pre-activation…
             let want = bits(&legacy_relu_backward(&x, &dy));
             let mut g = dy.clone();
@@ -231,8 +189,6 @@ mod tests {
             prop_assert_eq!(&bits(&g), &want);
             let dm = Matrix::from_vec(1, len, dy.clone());
             prop_assert_eq!(&bits(relu_backward(&m, &dm).as_slice()), &want);
-            let dt = Tensor4::from_vec(1, 1, 1, len, dy.clone());
-            prop_assert_eq!(&bits(relu_backward_tensor(&t, &dt).as_slice()), &want);
             // …and by the activated output, which is all the trainers keep.
             let mut g = dy.clone();
             relu_backward_in_place(&got, &mut g);
@@ -241,10 +197,8 @@ mod tests {
             let mut th = x.clone();
             tanh_in_place(&mut th);
             prop_assert_eq!(&bits(&th), &bits(tanh(&m).as_slice()));
-            let ym = Matrix::from_vec(1, len, th.clone());
             let mut g = dy.clone();
             tanh_backward_in_place(&th, &mut g);
-            prop_assert_eq!(&bits(&g), &bits(tanh_backward(&ym, &dm).as_slice()));
             let legacy: Vec<f64> = dy.iter().zip(&th).map(|(&d, &y)| d * (1.0 - y * y)).collect();
             prop_assert_eq!(&bits(&g), &bits(&legacy));
         }
@@ -287,8 +241,8 @@ mod tests {
     fn tanh_backward_matches_finite_difference() {
         let pre = Matrix::from_fn(2, 2, |i, j| (i as f64 - j as f64) * 0.7);
         let y = tanh(&pre);
-        let dy = Matrix::from_fn(2, 2, |_, _| 1.0);
-        let dx = tanh_backward(&y, &dy);
+        let mut dx = Matrix::from_fn(2, 2, |_, _| 1.0);
+        tanh_backward_in_place(y.as_slice(), dx.as_mut_slice());
         let eps = 1e-7;
         for i in 0..2 {
             for j in 0..2 {

@@ -37,11 +37,6 @@ pub fn sub(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Frobenius norm.
-pub fn fro_norm(a: &Matrix) -> f64 {
-    a.as_slice().iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
 /// Element-wise (Hadamard) product.
 pub fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.shape(), b.shape(), "hadamard shape mismatch");
@@ -77,13 +72,6 @@ mod tests {
         let b = Matrix::from_fn(2, 2, |i, j| (i * j) as f64 + 1.0);
         let s = add(&a, &b);
         assert!(sub(&s, &b).approx_eq(&a, 1e-15));
-    }
-
-    #[test]
-    fn fro_norm_of_unit_vectors() {
-        let m = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        assert!((fro_norm(&m) - 2.0).abs() < 1e-15);
-        assert_eq!(fro_norm(&Matrix::zeros(3, 3)), 0.0);
     }
 
     #[test]

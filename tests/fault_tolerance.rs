@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 
-use integrated_parallelism::collectives::ft::{allreduce_ring_ft, FtConfig};
-use integrated_parallelism::collectives::ReduceOp;
+use integrated_parallelism::collectives::ft::FtConfig;
+use integrated_parallelism::collectives::{allreduce, ReduceOp};
 use integrated_parallelism::dnn::zoo::mlp_tiny;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
 use integrated_parallelism::integrated::overlap::{FlushSchedule, OverlapPlan};
@@ -221,7 +221,8 @@ fn corrupted_allreduce_never_returns_wrong_numbers() {
     let plan = FaultPlan::new(5).corrupt_nth(2, 3, 0);
     let (out, stats) = World::run_with_faults(4, NetModel::free(), plan, |comm| {
         let mut data = vec![(comm.rank() + 1) as f64; 8];
-        allreduce_ring_ft(comm, &mut data, ReduceOp::Sum, &FtConfig::fixed(100.0)).map(|_| data)
+        let comm = comm.guarded(&FtConfig::fixed(100.0));
+        allreduce(&comm, &mut data, ReduceOp::Sum).map(|_| data)
     });
     assert!(out.iter().all(Result::is_err), "no rank completed: {out:?}");
     assert_eq!(stats.total_corrupt_detected(), 1);

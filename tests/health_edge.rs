@@ -1,5 +1,5 @@
 //! Edge-case properties of the health/retry layer, exercised through
-//! the public simulator API:
+//! the public simulator API (a guarded communicator's receive):
 //!
 //! 1. A jittered exponential-backoff retry schedule is **bit-identical
 //!    across reruns of the same fault-plan seed** — the jitter draw is
@@ -9,13 +9,13 @@
 //!    total elapsed virtual time is bounded by the no-jitter schedule
 //!    below and the fully-stretched schedule above.
 
-use integrated_parallelism::mpsim::{Error, FaultPlan, NetModel, RetryPolicy, World};
+use integrated_parallelism::mpsim::{Deadline, Error, FaultPlan, FtConfig, NetModel, World};
 use proptest::prelude::*;
 
 /// Runs a 2-rank world where the only message rank 1 awaits is dropped,
 /// so every retry window expires and every backoff pause is charged.
 /// Returns (elapsed virtual seconds on rank 1, retries, timeouts).
-fn run_retry_schedule(seed: u64, policy: RetryPolicy) -> (f64, u64, u64) {
+fn run_retry_schedule(seed: u64, policy: FtConfig) -> (f64, u64, u64) {
     let model = NetModel {
         alpha: 1e-6,
         beta: 0.0,
@@ -26,7 +26,7 @@ fn run_retry_schedule(seed: u64, policy: RetryPolicy) -> (f64, u64, u64) {
         if comm.rank() == 0 {
             comm.send(1, 3, &[1.0]).unwrap();
         } else {
-            let e = comm.recv_retry_policy(0, 3, &policy).unwrap_err();
+            let e = comm.guarded(&policy).recv(0, 3).unwrap_err();
             assert!(matches!(e, Error::Timeout { .. }));
         }
     });
@@ -35,6 +35,19 @@ fn run_retry_schedule(seed: u64, policy: RetryPolicy) -> (f64, u64, u64) {
         stats.ranks[1].retries,
         stats.ranks[1].timeouts,
     )
+}
+
+/// `attempts` windows of `timeout`, pauses of `backoff · factor^(i−1)`
+/// each stretched by up to `jitter`.
+fn exponential(timeout: f64, attempts: usize, backoff: f64, factor: f64, jitter: f64) -> FtConfig {
+    FtConfig {
+        deadline: Deadline::Fixed(timeout),
+        attempts,
+        backoff,
+        backoff_factor: factor,
+        jitter,
+        speculative: false,
+    }
 }
 
 proptest! {
@@ -49,7 +62,7 @@ proptest! {
         factor in 1.0f64..2.5,
     ) {
         // Fixed full jitter: the draw actually matters on every pause.
-        let policy = RetryPolicy::exponential(timeout, attempts, backoff, factor, 1.0);
+        let policy = exponential(timeout, attempts, backoff, factor, 1.0);
         let (t_a, retries_a, timeouts_a) = run_retry_schedule(seed, policy);
         let (t_b, retries_b, timeouts_b) = run_retry_schedule(seed, policy);
         prop_assert_eq!(
@@ -74,7 +87,7 @@ proptest! {
         factor in 1.0f64..2.5,
         jitter in 0.0f64..1.0,
     ) {
-        let policy = RetryPolicy::exponential(timeout, attempts, backoff, factor, jitter);
+        let policy = exponential(timeout, attempts, backoff, factor, jitter);
         let (elapsed, _, _) = run_retry_schedule(seed, policy);
 
         // Deterministic parts: `attempts` expired windows (each also
