@@ -33,7 +33,6 @@ pub mod nonblocking;
 pub mod op;
 pub mod recursive;
 pub mod ring;
-#[cfg(test)]
 mod ring_equivalence;
 
 pub use ft::{Deadline, FtConfig};

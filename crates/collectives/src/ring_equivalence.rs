@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The move-through rings against the step loops they replaced.
 //!
 //! [`legacy`] is a frozen, test-only copy of the PR-13 ring bodies

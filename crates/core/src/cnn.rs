@@ -9,17 +9,20 @@
 //! * **conv and pooling layers** run domain-parallel within the
 //!   `Pd`-sized column groups, every one of them — stride-1 same-padded
 //!   convolutions, strided ones (AlexNet's conv1) and overlapping
-//!   pooling (AlexNet's 3×3/2) alike — on the general
-//!   window-redistribution path (`distmm::domain_general`), whose
-//!   traffic stays boundary-proportional (for a same-padded kernel it
-//!   is the fixed halo). LRN is local to a strip. Conv `∆W` is
-//!   all-reduced over the full grid — exactly Eq. 9's `LD` terms;
+//!   pooling (AlexNet's 3×3/2) alike — on the one window exchange of
+//!   `distmm::domain_general`: non-blocking, boundary-proportional (for
+//!   a same-padded kernel it is the fixed halo), with a convolution's
+//!   interior rows computed while its boundary rows are in flight.
+//!   LRN is local to a strip. Conv `∆W` is all-reduced over the full
+//!   grid — exactly Eq. 9's `LD` terms;
 //! * the **FC head** gathers the final strips within each column group
-//!   and is evaluated with replicated weights, its `∆W` all-reduced
-//!   across batch shards. (Sharding the FC head over a `Pr × Pc` grid
-//!   instead is the 1.5D path already exercised end-to-end by
-//!   [`crate::trainer`]; here the FC head is kept replicated so the
-//!   *domain* communication structure is the one under test.)
+//!   and then runs the iteration body every FC trainer runs
+//!   ([`crate::trainer`]'s `forward_pass` / `backward_pass`) on the
+//!   `1 × Pc` grid of its domain row: replicated weights, `∆W`
+//!   all-reduced across batch shards, GEMM flops charged. (Sharding the
+//!   head over `Pr > 1` is the 1.5D path [`crate::trainer`] exercises
+//!   end-to-end; here it stays replicated so the *domain*
+//!   communication structure is the one under test.)
 //!
 //! The serial reference and every grid shape produce identical weight
 //! trajectories — the synchronous-SGD consistency the paper's
@@ -30,7 +33,7 @@
 //! overlapping pools, 5 convs + 2 FC) this way.
 
 use dnn::{LayerSpec, Network};
-use mpsim::{NetModel, World, WorldStats};
+use mpsim::{Communicator, Error, NetModel, World, WorldStats};
 use tensor::activation::{relu_backward_in_place, relu_in_place, softmax_xent};
 use tensor::conv::{conv2d, conv2d_backward, Conv2dParams, Tensor4};
 use tensor::init;
@@ -46,6 +49,11 @@ use distmm::dist::part_range;
 use distmm::domain_general::{
     conv_backward as dg_conv_backward, conv_forward as dg_conv_forward,
     pool_backward as dg_pool_backward, pool_forward as dg_pool_forward,
+};
+use distmm::onep5d::Grid;
+
+use crate::trainer::{
+    act_backward, apply_act, backward_pass, forward_pass, init_weights, Act, FcLayer, Pass,
 };
 
 /// One trunk stage.
@@ -66,20 +74,12 @@ enum Stage {
     Lrn { params: LrnParams },
 }
 
-/// One FC stage: `d_in → d_out` plus whether a ReLU follows.
-#[derive(Debug, Clone)]
-struct FcStage {
-    d_in: usize,
-    d_out: usize,
-    relu: bool,
-}
-
 /// The CNN decomposition of a [`Network`]: a conv/pool trunk followed
 /// by an FC head.
 #[derive(Debug, Clone)]
 pub struct CnnSpec {
     stages: Vec<Stage>,
-    fcs: Vec<FcStage>,
+    fcs: Vec<FcLayer>,
     /// Input (C, H, W).
     input: (usize, usize, usize),
     /// Shape entering the FC head.
@@ -95,7 +95,7 @@ impl CnnSpec {
     /// directly after pooling or LRN; tanh trunks).
     pub fn of(net: &Network) -> CnnSpec {
         let mut stages: Vec<Stage> = Vec::new();
-        let mut fcs: Vec<FcStage> = Vec::new();
+        let mut fcs: Vec<FcLayer> = Vec::new();
         let mut trunk_out = (net.input.c, net.input.h, net.input.w);
         for (spec, in_shape, out_shape) in net.layers() {
             match *spec {
@@ -131,15 +131,15 @@ impl CnnSpec {
                     trunk_out = (out_shape.c, out_shape.h, out_shape.w);
                 }
                 LayerSpec::FullyConnected { .. } => {
-                    fcs.push(FcStage {
+                    fcs.push(FcLayer {
                         d_in: in_shape.dim(),
                         d_out: out_shape.dim(),
-                        relu: false,
+                        act: Act::None,
                     });
                 }
                 LayerSpec::ReLU => {
                     if let Some(f) = fcs.last_mut() {
-                        f.relu = true;
+                        f.act = Act::Relu;
                     } else {
                         match stages.last_mut().expect("ReLU follows a layer") {
                             Stage::Conv { relu, .. } => *relu = true,
@@ -186,13 +186,7 @@ impl CnnSpec {
                 Stage::Pool { .. } | Stage::Lrn { .. } => None,
             })
             .collect();
-        let fc_w: Vec<Matrix> = self
-            .fcs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| init::xavier(f.d_out, f.d_in, seed + 100 + i as u64))
-            .collect();
-        (conv_w, fc_w)
+        (conv_w, init_weights(&self.fcs, seed + 100))
     }
 }
 
@@ -275,9 +269,7 @@ pub fn train_cnn_serial(
         let mut fc_inputs: Vec<Matrix> = vec![acts.last().expect("trunk out").to_columns()];
         for (f, w) in spec.fcs.iter().zip(&fc_w) {
             let mut y = matmul(w, fc_inputs.last().expect("fc in"));
-            if f.relu {
-                relu_in_place(y.as_mut_slice());
-            }
+            apply_act(f.act, &mut y);
             fc_inputs.push(y);
         }
         let (loss, grad) = softmax_xent(fc_inputs.last().expect("logits"), labels);
@@ -285,9 +277,7 @@ pub fn train_cnn_serial(
         // FC backward.
         let mut dy = grad;
         for (idx, f) in spec.fcs.iter().enumerate().rev() {
-            if f.relu {
-                relu_backward_in_place(fc_inputs[idx + 1].as_slice(), dy.as_mut_slice());
-            }
+            act_backward(f.act, &fc_inputs[idx + 1], &mut dy);
             let dw = matmul_a_bt(&dy, &fc_inputs[idx]);
             let dx = matmul_at_b(&fc_w[idx], &dy);
             axpy(-cfg.lr, dw.as_slice(), fc_w[idx].as_mut_slice());
@@ -400,6 +390,10 @@ enum DistSaved {
 
 /// Distributed integrated batch+domain CNN training on a `pd × pc`
 /// grid over the simulated cluster.
+///
+/// # Panics
+///
+/// Panics, naming the rank, if a collective fails on any rank.
 pub fn train_cnn_domain(
     net: &Network,
     x: &Tensor4,
@@ -413,11 +407,19 @@ pub fn train_cnn_domain(
     let b_global = x.n;
     // Drawn once; every rank starts from its own copy of the replica.
     let initial_weights = spec.init_weights(cfg.seed);
-    let (per_rank, stats) = World::run_with_stats(pd * pc, model, |comm| {
-        // Row-major grid: i = strip index (domain), j = batch shard.
-        let i = comm.rank() / pc;
-        let j = comm.rank() % pc;
-        let (row_comm, col_comm) = comm.grid(pd, pc).expect("grid tiles the world");
+    let rank_body = |comm: &Communicator| -> Result<CnnRankOutcome, Error> {
+        // Row-major `pd × pc`: i = strip index (domain), j = batch
+        // shard; the column group shares a batch shard, the row group a
+        // strip. The FC head's grid is the row group as `1 × pc`; built
+        // once — a grid costs two communicator splits.
+        let Grid {
+            i,
+            j,
+            row_comm,
+            col_comm,
+            ..
+        } = Grid::new(comm, pd, pc)?;
+        let head = Grid::new(&row_comm, 1, pc)?;
 
         let (mut conv_w, mut fc_w) = initial_weights.clone();
         let batch_range = part_range(b_global, pc, j);
@@ -429,11 +431,12 @@ pub fn train_cnn_domain(
             x.w,
             |n, c, hh, ww| x.get(batch_range.start + n, c, in_strip.start + hh, ww),
         );
-        let labels_local = &labels[batch_range.clone()];
         let b_local = batch_range.len();
+        let mut apply =
+            |w: &mut [Matrix], k: usize, g: &[f64]| axpy(-cfg.lr, g, w[k].as_mut_slice());
 
         let mut partial_losses = Vec::with_capacity(cfg.iters);
-        for _ in 0..cfg.iters {
+        for iter in 0..cfg.iters {
             // Trunk forward on strips: `acts[k]` is stage `k`'s output
             // (stage 0 reads `x_shard`).
             let mut acts: Vec<Tensor4> = Vec::with_capacity(spec.stages.len());
@@ -448,8 +451,7 @@ pub fn train_cnn_domain(
                         in_h,
                         ..
                     } => {
-                        let mut y = dg_conv_forward(&col_comm, input, &conv_w[wi], params, *in_h)
-                            .expect("domain conv forward");
+                        let mut y = dg_conv_forward(&col_comm, input, &conv_w[wi], params, *in_h)?;
                         wi += 1;
                         if *has_relu {
                             relu_in_place(y.as_mut_slice());
@@ -462,8 +464,7 @@ pub fn train_cnn_domain(
                         in_h,
                         in_w: _,
                     } => {
-                        let (y, argmax) = dg_pool_forward(&col_comm, input, params, *in_h)
-                            .expect("domain pool forward");
+                        let (y, argmax) = dg_pool_forward(&col_comm, input, params, *in_h)?;
                         saved.push(DistSaved::Pool { argmax });
                         acts.push(y);
                     }
@@ -480,11 +481,11 @@ pub fn train_cnn_domain(
             // Gather strips within the column group to assemble the
             // full trunk output for this batch shard.
             let (c0, h0, w0) = spec.trunk_out;
-            let trunk = acts.last().expect("trunk out");
+            let trunk = &acts[spec.stages.len() - 1];
             let full_trunk = if pd == 1 {
                 trunk.clone()
             } else {
-                let blocks = allgatherv_ring(&col_comm, trunk.as_slice()).expect("strip gather");
+                let blocks = allgatherv_ring(&col_comm, trunk.as_slice())?;
                 let mut full = Tensor4::zeros(b_local, c0, h0, w0);
                 for (src, block) in blocks.into_iter().enumerate() {
                     // A received block is its sender's NCHW strip.
@@ -494,34 +495,22 @@ pub fn train_cnn_domain(
                 }
                 full
             };
-            // FC head forward (replicated weights, full shard batch).
-            let mut fc_inputs: Vec<Matrix> = vec![full_trunk.to_columns()];
-            for (f, w) in spec.fcs.iter().zip(&fc_w) {
-                let mut y = matmul(w, fc_inputs.last().expect("fc in"));
-                if f.relu {
-                    relu_in_place(y.as_mut_slice());
-                }
-                fc_inputs.push(y);
-            }
-            let (loss_local, mut grad) =
-                softmax_xent(fc_inputs.last().expect("logits"), labels_local);
-            let scale = b_local as f64 / b_global as f64;
-            for g in grad.as_mut_slice() {
-                *g *= scale;
-            }
-            partial_losses.push(loss_local * scale);
-            // FC backward with ∆W summed across batch shards.
-            let mut dy = grad;
-            for (idx, f) in spec.fcs.iter().enumerate().rev() {
-                if f.relu {
-                    relu_backward_in_place(fc_inputs[idx + 1].as_slice(), dy.as_mut_slice());
-                }
-                let mut dw = matmul_a_bt(&dy, &fc_inputs[idx]);
-                allreduce(&row_comm, dw.as_mut_slice(), ReduceOp::Sum).expect("fc dW allreduce");
-                let dx = matmul_at_b(&fc_w[idx], &dy);
-                axpy(-cfg.lr, dw.as_slice(), fc_w[idx].as_mut_slice());
-                dy = dx;
-            }
+            // The FC head: the shared iteration body on the `1 × pc`
+            // grid — replicated weights, the shard's full batch, ∆W
+            // summed across batch shards and applied layer by layer.
+            let mut pass = Pass {
+                grids: std::slice::from_ref(&head),
+                guard: None,
+                layers: &spec.fcs,
+                x_local: &full_trunk.to_columns(),
+                labels_local: &labels[batch_range.clone()],
+                b_global,
+                iter,
+                sched: None,
+            };
+            let tape = forward_pass(&mut pass, &mut fc_w, &mut apply)?;
+            partial_losses.push(tape.loss);
+            let dy = backward_pass(&mut pass, tape, &mut fc_w, &mut apply)?;
             // Back to strips: every rank keeps its strip of the trunk
             // gradient (free slice).
             let dt_full = Tensor4::from_columns(&dy, c0, h0, w0);
@@ -546,16 +535,13 @@ pub fn train_cnn_domain(
                             relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                         }
                         let (mut dw, dx) =
-                            dg_conv_backward(&col_comm, input, &conv_w[wi], &dt, params, *in_h)
-                                .expect("domain conv backward");
-                        allreduce(&row_comm, dw.as_mut_slice(), ReduceOp::Sum)
-                            .expect("conv dW allreduce");
-                        axpy(-cfg.lr, dw.as_slice(), conv_w[wi].as_mut_slice());
+                            dg_conv_backward(&col_comm, input, &conv_w[wi], &dt, params, *in_h)?;
+                        allreduce(&row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
+                        apply(&mut conv_w, wi, dw.as_slice());
                         dt = dx;
                     }
                     (Stage::Pool { params, in_h, in_w }, DistSaved::Pool { argmax, .. }) => {
-                        dt = dg_pool_backward(&col_comm, &dt, argmax, params, *in_h, *in_w)
-                            .expect("domain pool backward");
+                        dt = dg_pool_backward(&col_comm, &dt, argmax, params, *in_h, *in_w)?;
                     }
                     (Stage::Lrn { params }, DistSaved::Lrn) => {
                         dt = lrn_backward(input, &dt, params);
@@ -564,14 +550,20 @@ pub fn train_cnn_domain(
                 }
             }
         }
-        CnnRankOutcome {
+        Ok(CnnRankOutcome {
             i,
             j,
             partial_losses,
             conv_weights: conv_w,
             fc_weights: fc_w,
-        }
-    });
+        })
+    };
+    let (outcomes, stats) = World::run_with_stats(pd * pc, model, rank_body);
+    let per_rank = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(rank, r)| r.unwrap_or_else(|e| panic!("rank {rank} of the {pd}x{pc} grid: {e}")))
+        .collect();
     CnnDistResult {
         pd,
         pc,
@@ -659,8 +651,10 @@ mod tests {
 
     #[test]
     fn beyond_batch_limit_grid_works() {
-        // The Fig. 10 situation: more processes than samples. B = 2,
-        // P = 8 = 4 strips x 2 batch shards.
+        // The Fig. 10 situation: more processes than samples. B = 2 on
+        // P = 8 = 4 strips x 2 batch shards, then on 1 x 4 and 2 x 4,
+        // where half the batch shards are empty and contribute loss 0,
+        // not the NaN of a mean over nothing.
         let net = tiny_cnn();
         let (x, labels) = synthetic_images(&net, 2, 7);
         let cfg = TrainConfig {
@@ -669,9 +663,14 @@ mod tests {
             seed: 5,
         };
         let serial = train_cnn_serial(&net, &x, &labels, &cfg);
-        let dist = train_cnn_domain(&net, &x, &labels, &cfg, 4, 2, NetModel::free());
-        assert!(max_diff(&serial.conv_weights, &dist.per_rank[0].conv_weights) < 1e-9);
-        assert!(max_diff(&serial.fc_weights, &dist.per_rank[0].fc_weights) < 1e-9);
+        for (pd, pc) in [(4, 2), (1, 4), (2, 4)] {
+            let dist = train_cnn_domain(&net, &x, &labels, &cfg, pd, pc, NetModel::free());
+            assert!(max_diff(&serial.conv_weights, &dist.per_rank[0].conv_weights) < 1e-9);
+            assert!(max_diff(&serial.fc_weights, &dist.per_rank[0].fc_weights) < 1e-9);
+            for (s, g) in serial.losses.iter().zip(dist.losses()) {
+                assert!((s - g).abs() < 1e-9, "grid {pd}x{pc}: loss {s} vs {g}");
+            }
+        }
     }
 
     #[test]

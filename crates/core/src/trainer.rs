@@ -4,11 +4,10 @@
 //! "obeys the sequential consistency of the original algorithm").
 //!
 //! Supports FC networks (MLPs / unrolled RNNs) — the pure chain of
-//! `Y = W·X` products the paper's algebra describes. Convolutional
-//! layers are validated separately in `distmm::domain` (domain
-//! parallelism) and costed analytically; wiring them through the full
-//! trainer would exercise no communication pattern the FC path and the
-//! domain kernels don't already cover.
+//! `Y = W·X` products the paper's algebra describes. A convolutional
+//! trunk trains in [`crate::cnn`] (domain parallelism,
+//! `distmm::domain_general`), whose FC head runs the same
+//! `forward_pass`/`backward_pass` pair as every trainer here.
 //!
 //! Dropout layers are treated as identity (inference-mode): randomized
 //! masks would make the serial-vs-distributed comparison seed-order
@@ -592,12 +591,16 @@ pub(crate) fn forward_pass(
 /// of the deepest in-flight bucket, and the buckets are then drained
 /// and applied — unless the plan's `interleave` leaves them in flight
 /// for the next [`forward_pass`] to settle.
+///
+/// Returns `∂loss/∂x_local`, which a trunk in front of the FC chain
+/// back-propagates further ([`crate::cnn`]); an FC network's input has
+/// no use for it.
 pub(crate) fn backward_pass(
     p: &mut Pass<'_>,
     tape: Tape,
     w: &mut [Matrix],
     apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
-) -> Result<(), Error> {
+) -> Result<Matrix, Error> {
     let (grids, guard) = (p.grids, p.guard);
     let comm = &grids[0].row_comm;
     let iter_arg = [("iter", p.iter as f64)];
@@ -658,7 +661,7 @@ pub(crate) fn backward_pass(
             sched.drain_all(|k, g| apply(w, k, g))?;
         }
     }
-    Ok(())
+    Ok(dy)
 }
 
 /// Total trainable parameter count of the FC chain. Each rank's ∆W

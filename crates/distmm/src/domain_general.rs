@@ -1,14 +1,21 @@
-//! Domain parallelism for *arbitrary* convolutions and pooling.
+//! Domain-parallel convolution and pooling (the paper's Fig. 3) for
+//! *any* stride, padding and kernel.
 //!
-//! The optimized path in [`crate::domain`] covers the stride-1
-//! same-padded kernels where the halo has fixed width and can overlap
-//! compute. Strided convolutions (AlexNet's conv1, 11×11/4) and
-//! overlapping pooling (AlexNet's 3×3/2) change the activation height
-//! between layers, so each rank's output block needs an arbitrary
-//! window of the input partition. This module computes those windows
-//! and uses [`crate::rows::fetch_rows`] / [`crate::rows::scatter_add_rows`]
-//! for the exchanges — pair-wise, overlap-proportional traffic, the
-//! general form of the paper's Eq. 7 boundary terms.
+//! Every rank replicates the filter weights and owns a horizontal strip
+//! of every image in the batch shard (the paper: "for NCHW format, it
+//! is best to distribute along the height to avoid non-contiguous
+//! memory accesses"). Each rank's block of the output height needs a
+//! window of the input partition: for a stride-1 same-padded kernel
+//! that is its own strip plus a fixed `⌊k/2⌋`-row halo from each
+//! neighbour (nothing at all for 1×1); strided convolutions (AlexNet's
+//! conv1, 11×11/4) and overlapping pooling (AlexNet's 3×3/2) change
+//! the activation height between layers, so the window is arbitrary.
+//! This module computes the windows and moves them with
+//! [`crate::rows::fetch_rows`] / [`crate::rows::scatter_add_rows`] —
+//! pair-wise, non-blocking, overlap-proportional traffic: Eq. 7's
+//! boundary terms. The forward convolution charges the output rows it
+//! can compute from its own strip while the boundary rows are in
+//! flight, so a large enough interior hides the exchange entirely.
 //!
 //! Row partitions are always `block_ranges` of the *output* height, so
 //! consecutive layers chain without global knowledge beyond shapes.
@@ -49,10 +56,55 @@ fn input_window(
     (lo..hi.max(lo), zeros_above, zeros_below)
 }
 
-/// General domain-parallel convolution forward. `x_strip` covers this
-/// rank's block of the input height (`row_partition(in_h, P)`); the
-/// result covers its block of the output height. Any stride, padding,
-/// and (possibly non-square) kernel.
+/// One layer's row bookkeeping on one rank, derived from shapes alone
+/// (identical tables on every rank).
+struct Windows {
+    /// Every rank's block of the input height.
+    in_part: Vec<Range<usize>>,
+    /// This rank's block of the output height.
+    my_out: Range<usize>,
+    /// Every rank's clipped input window.
+    needed: Vec<Range<usize>>,
+    /// Synthetic zero rows the global padding puts above and below
+    /// this rank's window.
+    zeros: (usize, usize),
+    /// How many of `my_out`'s rows read input rows of this rank's own
+    /// strip only — computable while the rest of the window is in
+    /// flight. All of them for a 1×1 kernel or a single rank.
+    interior: usize,
+}
+
+fn windows(
+    comm: &Communicator,
+    (k, stride, pad): (usize, usize, usize),
+    in_h: usize,
+    out_h: usize,
+) -> Windows {
+    let (size, me) = (comm.size(), comm.rank());
+    let in_part = row_partition(in_h, size);
+    let out_part = row_partition(out_h, size);
+    let window = |out: &Range<usize>| input_window(out, k, stride, pad, in_h);
+    let (my_out, mine) = (out_part[me].clone(), &in_part[me]);
+    let (_, above, below) = window(&my_out);
+    let interior = my_out
+        .clone()
+        .map(|o| window(&(o..o + 1)).0)
+        .filter(|rows| rows.is_empty() || (mine.start <= rows.start && rows.end <= mine.end))
+        .count();
+    Windows {
+        my_out,
+        needed: out_part.iter().map(|out| window(out).0).collect(),
+        zeros: (above, below),
+        interior,
+        in_part,
+    }
+}
+
+/// Domain-parallel convolution forward. `x_strip` covers this rank's
+/// block of the input height (`row_partition(in_h, P)`); the result
+/// covers its block of the output height. Any stride, padding, and
+/// (possibly non-square) kernel. The interior output rows are charged
+/// while the window is in flight, the boundary rows after it landed.
 pub fn conv_forward(
     comm: &Communicator,
     x_strip: &Tensor4,
@@ -60,41 +112,36 @@ pub fn conv_forward(
     p: &Conv2dParams,
     in_h: usize,
 ) -> Result<Tensor4> {
-    let size = comm.size();
-    let me = comm.rank();
     let (out_h, out_w) = p.out_hw(in_h, x_strip.w);
-    let in_part = row_partition(in_h, size);
-    let out_part = row_partition(out_h, size);
-    let windows: Vec<(Range<usize>, usize, usize)> = out_part
-        .iter()
-        .map(|r| input_window(r, p.kh, p.stride, p.pad, in_h))
-        .collect();
-    let needed: Vec<Range<usize>> = windows.iter().map(|(r, _, _)| r.clone()).collect();
-    let window = fetch_rows(comm, x_strip, &in_part, &needed)?;
-    let my_out = &out_part[me];
-    if my_out.is_empty() {
+    let win = windows(comm, (p.kh, p.stride, p.pad), in_h, out_h);
+    let row_flops = 2.0 * weights.len() as f64 * (out_w * x_strip.n) as f64;
+    let window = fetch_rows(comm, x_strip, &win.in_part, &win.needed, || {
+        comm.advance_flops(row_flops * win.interior as f64)
+    })?;
+    if win.my_out.is_empty() {
         return Ok(Tensor4::zeros(x_strip.n, p.out_c, 0, out_w));
     }
-    let (_, za, zb) = windows[me];
+    comm.advance_flops(row_flops * (win.my_out.len() - win.interior) as f64);
     // The fetched window framed in the zeros the global padding
-    // implies: `za`/`zb` synthetic rows, `pad` columns on each side.
-    let ext = window.zero_extend(za, zb, p.pad);
-    let flops = 2.0 * weights.len() as f64 * (my_out.len() * out_w * x_strip.n) as f64;
-    comm.advance_flops(flops);
+    // implies: synthetic rows above and below, `pad` columns on each
+    // side.
+    let ext = window.zero_extend(win.zeros.0, win.zeros.1, p.pad);
     let local = Conv2dParams { pad: 0, ..*p };
     let y = conv2d(&ext, weights, &local);
     debug_assert_eq!(
         y.h,
-        my_out.len(),
+        win.my_out.len(),
         "local conv yields exactly my output rows"
     );
     debug_assert_eq!(y.w, out_w);
     Ok(y)
 }
 
-/// General domain-parallel convolution backward: returns
+/// Domain-parallel convolution backward: returns
 /// `(∆W all-reduced over the communicator, ∆X strip over this rank's
-/// input block)`.
+/// input block)`. The input window is fetched again rather than kept
+/// from the forward pass — the same volume either way, which is what
+/// the cost model charges.
 pub fn conv_backward(
     comm: &Communicator,
     x_strip: &Tensor4,
@@ -103,41 +150,35 @@ pub fn conv_backward(
     p: &Conv2dParams,
     in_h: usize,
 ) -> Result<(Matrix, Tensor4)> {
-    let size = comm.size();
-    let me = comm.rank();
     let (out_h, _) = p.out_hw(in_h, x_strip.w);
-    let in_part = row_partition(in_h, size);
-    let out_part = row_partition(out_h, size);
-    let windows: Vec<(Range<usize>, usize, usize)> = out_part
-        .iter()
-        .map(|r| input_window(r, p.kh, p.stride, p.pad, in_h))
-        .collect();
-    let needed: Vec<Range<usize>> = windows.iter().map(|(r, _, _)| r.clone()).collect();
-    let window = fetch_rows(comm, x_strip, &in_part, &needed)?;
+    let win = windows(comm, (p.kh, p.stride, p.pad), in_h, out_h);
+    let window = fetch_rows(comm, x_strip, &win.in_part, &win.needed, || ())?;
 
     let flops = 4.0 * weights.len() as f64 * (dy_strip.h * dy_strip.w * dy_strip.n) as f64;
     comm.advance_flops(flops);
 
-    let (mut dw, dx_window) = if out_part[me].is_empty() {
+    let (mut dw, dx_window) = if win.my_out.is_empty() {
         (
             Matrix::zeros(weights.rows(), weights.cols()),
             Tensor4::zeros(x_strip.n, p.in_c, 0, x_strip.w),
         )
     } else {
-        let (_, za, zb) = windows[me];
+        let (za, zb) = win.zeros;
         let ext = window.zero_extend(za, zb, p.pad);
         let local = Conv2dParams { pad: 0, ..*p };
         let (dw, dx_ext) = conv2d_backward(&ext, weights, dy_strip, &local);
         // Peel the synthetic zero rows and the horizontal padding.
         (dw, dx_ext.peel(za, zb, p.pad))
     };
+    // ∆W: sum over all strips — the same all-reduce pure batch
+    // parallelism needs (Eq. 7's third term).
     allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum)?;
-    let dx = scatter_add_rows(comm, &dx_window, &needed, &in_part)?;
+    let dx = scatter_add_rows(comm, &dx_window, &win.needed, &win.in_part)?;
     Ok((dw, dx))
 }
 
-/// General domain-parallel max-pool forward. Returns the output strip
-/// and the argmax table (relative to the fetched window) needed by
+/// Domain-parallel max-pool forward. Returns the output strip and the
+/// argmax table (relative to the fetched window) needed by
 /// [`pool_backward`].
 pub fn pool_forward(
     comm: &Communicator,
@@ -145,27 +186,20 @@ pub fn pool_forward(
     p: &Pool2dParams,
     in_h: usize,
 ) -> Result<(Tensor4, Vec<usize>)> {
-    let size = comm.size();
-    let me = comm.rank();
     let (out_h, out_w) = p.out_hw(in_h, x_strip.w);
-    let in_part = row_partition(in_h, size);
-    let out_part = row_partition(out_h, size);
-    let needed: Vec<Range<usize>> = out_part
-        .iter()
-        .map(|r| input_window(r, p.k, p.stride, 0, in_h).0)
-        .collect();
-    let window = fetch_rows(comm, x_strip, &in_part, &needed)?;
-    if out_part[me].is_empty() {
+    let win = windows(comm, (p.k, p.stride, 0), in_h, out_h);
+    let window = fetch_rows(comm, x_strip, &win.in_part, &win.needed, || ())?;
+    if win.my_out.is_empty() {
         return Ok((Tensor4::zeros(x_strip.n, x_strip.c, 0, out_w), Vec::new()));
     }
-    comm.advance_flops((x_strip.n * x_strip.c * out_part[me].len() * out_w * p.k * p.k) as f64);
+    comm.advance_flops((x_strip.n * x_strip.c * win.my_out.len() * out_w * p.k * p.k) as f64);
     let (y, argmax) = maxpool2d(&window, p);
-    debug_assert_eq!(y.h, out_part[me].len());
+    debug_assert_eq!(y.h, win.my_out.len());
     Ok((y, argmax))
 }
 
-/// General domain-parallel max-pool backward: routes output gradients
-/// to the argmax positions (which may live in neighbours' rows) and
+/// Domain-parallel max-pool backward: routes output gradients to the
+/// argmax positions (which may live in neighbours' rows) and
 /// scatter-adds them home.
 pub fn pool_backward(
     comm: &Communicator,
@@ -175,21 +209,14 @@ pub fn pool_backward(
     in_h: usize,
     in_w: usize,
 ) -> Result<Tensor4> {
-    let size = comm.size();
-    let me = comm.rank();
     let (out_h, _) = p.out_hw(in_h, in_w);
-    let in_part = row_partition(in_h, size);
-    let out_part = row_partition(out_h, size);
-    let needed: Vec<Range<usize>> = out_part
-        .iter()
-        .map(|r| input_window(r, p.k, p.stride, 0, in_h).0)
-        .collect();
-    let dx_window = if out_part[me].is_empty() {
+    let win = windows(comm, (p.k, p.stride, 0), in_h, out_h);
+    let dx_window = if win.my_out.is_empty() {
         Tensor4::zeros(dy_strip.n, dy_strip.c, 0, in_w)
     } else {
-        maxpool2d_backward(dy_strip, argmax, needed[me].len(), in_w)
+        maxpool2d_backward(dy_strip, argmax, win.needed[comm.rank()].len(), in_w)
     };
-    scatter_add_rows(comm, &dx_window, &needed, &in_part)
+    scatter_add_rows(comm, &dx_window, &win.needed, &win.in_part)
 }
 
 #[cfg(test)]
@@ -269,17 +296,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn same_pad_conv_agrees_with_optimized_path() {
-        let params = Conv2dParams {
-            in_c: 3,
-            out_c: 4,
-            kh: 3,
-            kw: 3,
+    /// A stride-1 "same"-padded `k × k` kernel: the fixed-halo shape
+    /// class of Fig. 3.
+    fn same_pad(in_c: usize, out_c: usize, k: usize) -> Conv2dParams {
+        Conv2dParams {
+            in_c,
+            out_c,
+            kh: k,
+            kw: k,
             stride: 1,
-            pad: 1,
-        };
-        check_conv(3, params, 12, 6);
+            pad: k / 2,
+        }
+    }
+
+    #[test]
+    fn same_pad_conv_matches_serial() {
+        // (ranks, kernel, height). The last row's 1-row strips are
+        // shorter than the 2-row halo: the window spans three owners.
+        for (p, k, h) in [
+            (1, 3, 12),
+            (2, 3, 12),
+            (3, 3, 12),
+            (4, 3, 12),
+            (2, 5, 13),
+            (3, 5, 13),
+            (4, 1, 8),
+            (4, 5, 4),
+        ] {
+            check_conv(p, same_pad(3, 4, k), h, 6);
+        }
     }
 
     #[test]
@@ -342,42 +387,71 @@ mod tests {
         }
     }
 
+    /// The traffic of one forward convolution over `p_ranks` strips.
+    fn forward_traffic(params: Conv2dParams, x: &Tensor4, p_ranks: usize) -> mpsim::WorldStats {
+        let wt = init::uniform(params.out_c, params.patch_len(), -0.4, 0.4, 72);
+        let (_, stats) = World::run_with_stats(p_ranks, NetModel::cori_knl(), |comm| {
+            let ip = part_range(x.h, p_ranks, comm.rank());
+            let strip = x.row_strip(ip.start, ip.end);
+            conv_forward(comm, &strip, &wt, &params, x.h).unwrap();
+        });
+        stats
+    }
+
     #[test]
-    fn strided_traffic_exceeds_same_pad_halo() {
-        // A stride-2 conv misaligns strips, so the windows move more
-        // than the fixed 1-row halo of the same-pad case — but still
-        // far less than gathering whole activations.
-        let h = 16;
+    fn same_pad_traffic_is_eq7s_halo() {
+        let (b, c, h, w) = (2usize, 3usize, 12usize, 5usize);
+        let x = init::uniform_tensor(b, c, h, w, -1.0, 1.0, 35);
+        // 1x1: no halo, no message at all (the paper's special case).
+        let none = forward_traffic(same_pad(c, 2, 1), &x, 4);
+        assert_eq!((none.total_msgs(), none.total_words()), (0, 0));
+        // 3x3: 3 interior boundaries, 2 directions each: 6 messages of
+        // B · X_W · X_C · ⌊kh/2⌋ = 2·5·3·1 = 30 words.
+        let halo = forward_traffic(same_pad(c, 2, 3), &x, 4);
+        assert_eq!(halo.total_msgs(), 6);
+        assert_eq!(halo.total_words(), 6 * (b * w * c) as u64);
+    }
+
+    #[test]
+    fn strided_traffic_stays_boundary_proportional() {
+        // A stride-2 conv misaligns strips, so the windows are no
+        // longer the fixed halo of the same-pad case — but they still
+        // move far less than gathering whole activations.
         let p_ranks = 4;
-        let x = init::uniform_tensor(1, 2, h, 4, -1.0, 1.0, 71);
-        let same = Conv2dParams {
-            in_c: 2,
-            out_c: 2,
-            kh: 3,
-            kw: 3,
-            stride: 1,
-            pad: 1,
-        };
+        let x = init::uniform_tensor(1, 2, 16, 4, -1.0, 1.0, 71);
         let strided = Conv2dParams {
-            in_c: 2,
-            out_c: 2,
-            kh: 3,
-            kw: 3,
             stride: 2,
-            pad: 1,
+            ..same_pad(2, 2, 3)
         };
-        let wt = init::uniform(2, same.patch_len(), -0.4, 0.4, 72);
-        let words = |params: Conv2dParams| {
-            let (_, stats) = World::run_with_stats(p_ranks, NetModel::free(), |comm| {
-                let ip = part_range(h, p_ranks, comm.rank());
-                let strip = x.row_strip(ip.start, ip.end);
-                conv_forward(comm, &strip, &wt, &params, h).unwrap();
-            });
-            stats.total_words()
+        let words = forward_traffic(strided, &x, p_ranks).total_words();
+        assert!(words > 0);
+        assert!(words < x.len() as u64 * p_ranks as u64);
+    }
+
+    #[test]
+    fn halo_hides_behind_interior_compute() {
+        // Slow compute, fast network: the interior rows outlast the
+        // halo transfer, so the exchange costs no communication time.
+        let model = NetModel {
+            alpha: 1e-6,
+            beta: 1e-9,
+            flops: 1e6,
         };
-        let full_activation = (x.len()) as u64;
-        assert!(words(strided) > 0);
-        assert!(words(strided) < full_activation * p_ranks as u64);
-        let _ = words(same);
+        let params = same_pad(2, 2, 3);
+        let x = init::uniform_tensor(1, 2, 16, 4, -1.0, 1.0, 44);
+        let w = init::uniform(2, params.patch_len(), -0.5, 0.5, 45);
+        let clocks = World::run(2, model, |comm| {
+            let rng = part_range(16, 2, comm.rank());
+            let strip = x.row_strip(rng.start, rng.end);
+            conv_forward(comm, &strip, &w, &params, 16).unwrap();
+            comm.clock()
+        });
+        // 8 output rows each, 7 of them interior; the lump and the
+        // split charge the same compute.
+        let all_rows = 2.0 * w.len() as f64 * (8 * 4) as f64 / model.flops;
+        for c in &clocks {
+            assert!(c.comm < 1e-9, "halo exposed: comm = {}", c.comm);
+            assert!((c.compute - all_rows).abs() < 1e-12, "{}", c.compute);
+        }
     }
 }

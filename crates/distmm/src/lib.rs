@@ -15,9 +15,11 @@
 //!   executable Eq. 6).
 //! * [`summa`] — 2-D SUMMA (stationary-C and stationary-A) for the
 //!   Discussion-section comparison.
-//! * [`domain`] — domain-parallel convolution with halo exchange
-//!   (Fig. 3) for stride-1 same-padded kernels; [`domain_general`] and
-//!   [`rows`] — the same for any stride, padding, kernel and pooling.
+//! * [`domain_general`] — domain-parallel convolution and pooling
+//!   (Fig. 3) for any stride, padding and kernel, over [`rows`]: the
+//!   one non-blocking window exchange, whose traffic for a stride-1
+//!   same-padded kernel is Eq. 7's fixed halo and which the interior of
+//!   the strip is convolved behind.
 //! * [`dist`] — which block of a dimension a rank owns.
 //!
 //! Every algorithm is verified against serial `tensor` kernels, and its
@@ -29,7 +31,6 @@
 #![allow(clippy::needless_range_loop, clippy::manual_is_multiple_of)]
 pub mod cols;
 pub mod dist;
-pub mod domain;
 pub mod domain_general;
 pub mod onep5d;
 pub mod rows;

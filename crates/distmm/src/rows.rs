@@ -1,10 +1,11 @@
-//! Row-range redistribution for height-partitioned NCHW tensors.
+//! Row-range redistribution for height-partitioned NCHW tensors — the
+//! one exchange of domain parallelism (the paper's Fig. 3).
 //!
-//! Domain parallelism with *stride-preserving* layers (same-pad convs)
-//! only ever needs fixed-width halos, but strided convolutions and
-//! overlapping pooling change the height and misalign the strips: the
-//! rows a rank needs for its output block are an arbitrary window of
-//! the input partition. These two primitives implement that generally:
+//! A stride-1 same-padded convolution needs a fixed `⌊k/2⌋`-row halo
+//! from each neighbour; strided convolutions and overlapping pooling
+//! change the height and misalign the strips, so the rows a rank needs
+//! for its output block are an arbitrary window of the input
+//! partition. The halo is the special case, not a second path:
 //!
 //! * [`fetch_rows`] — every rank obtains an arbitrary global row range
 //!   assembled from the owners (the forward-pass gather), and
@@ -14,8 +15,11 @@
 //! Both are deterministic SPMD exchanges: each rank computes, from the
 //! shared partition table, exactly which row slices it must send to
 //! whom, so no request round-trip is needed. Communication is
-//! pair-wise and proportional to the overlap volume — for halo-sized
-//! overlaps this degenerates to the paper's Eq. 7 boundary exchange.
+//! pair-wise, **non-blocking** and proportional to the overlap volume:
+//! sends are eager, every receive is posted before any is waited on,
+//! and transfers from several owners into one rank overlap with each
+//! other and with whatever the caller computes meanwhile — for
+//! halo-sized overlaps this is the paper's Eq. 7 boundary exchange.
 
 use std::ops::Range;
 
@@ -24,8 +28,11 @@ use tensor::conv::Tensor4;
 
 use crate::dist::intersect;
 
-const FETCH_TAG: Tag = (1 << 48) + 112;
-const SCATTER_TAG: Tag = (1 << 48) + 113;
+/// A direction of the exchange: its tag, and how an arriving overlap
+/// lands in the result at a row offset.
+type Direction = (Tag, fn(&mut Tensor4, usize, &Tensor4));
+const FETCH: Direction = ((1 << 48) + 112, Tensor4::set_row_strip);
+const SCATTER_ADD: Direction = ((1 << 48) + 113, Tensor4::add_row_strip);
 
 /// Extracts the global rows `global` from `strip` (which covers rows
 /// `owned`).
@@ -34,97 +41,93 @@ fn rows_of(strip: &Tensor4, owned: &Range<usize>, global: &Range<usize>) -> Tens
     strip.row_strip(global.start - owned.start, global.end - owned.start)
 }
 
+/// The exchange both directions share: `strip` covers the global rows
+/// `have[rank]`; the result covers `want[rank]`, every overlap
+/// `have[q] ∩ want[rank]` laid into it by `place` in rank order of `q`
+/// (so a sum keeps its order). One message per peer with a non-empty
+/// overlap, and all of them are waited on before returning — which is
+/// what lets consecutive layers reuse one tag under FIFO matching.
+fn exchange(
+    comm: &Communicator,
+    strip: &Tensor4,
+    have: &[Range<usize>],
+    want: &[Range<usize>],
+    (tag, place): Direction,
+    in_flight: impl FnOnce(),
+) -> Result<Tensor4> {
+    let p = comm.size();
+    let me = comm.rank();
+    debug_assert_eq!(have.len(), p);
+    debug_assert_eq!(want.len(), p);
+    let (mine, wanted) = (&have[me], &want[me]);
+    let (n, c, w) = (strip.n, strip.c, strip.w);
+
+    // Sends are eager and go first: my rows that peers want.
+    for q in 0..p {
+        let overlap = intersect(mine, &want[q]);
+        if q != me && !overlap.is_empty() {
+            comm.send_vec(q, tag, rows_of(strip, mine, &overlap).into_vec())?;
+        }
+    }
+    // Every receive is posted before anything is waited on, so the
+    // transfers overlap each other and `in_flight`.
+    let posted = (0..p)
+        .map(|q| (q, intersect(&have[q], wanted)))
+        .filter(|(_, overlap)| !overlap.is_empty())
+        .map(|(q, overlap)| {
+            let handle = (q != me).then(|| comm.irecv(q, tag)).transpose()?;
+            Ok((overlap, handle))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    in_flight();
+    let mut out = Tensor4::zeros(n, c, wanted.len(), w);
+    for (overlap, handle) in posted {
+        let rows = match handle {
+            None => rows_of(strip, mine, &overlap),
+            Some(h) => Tensor4::from_vec(n, c, overlap.len(), w, comm.wait(h)?),
+        };
+        place(&mut out, overlap.start - wanted.start, &rows);
+    }
+    Ok(out)
+}
+
 /// Gathers the global row range `needed[me]` of a height-partitioned
 /// tensor. `strip` holds this rank's rows `owned[rank]`; `owned` and
 /// `needed` are the full per-rank tables (identical on every rank —
 /// derive them from the layer shapes). Returns a tensor covering
 /// exactly `needed[rank]`.
+///
+/// `in_flight` runs after every receive is posted and before the first
+/// is waited on: compute it charges to the virtual clock (e.g. via
+/// [`Communicator::advance_flops`]) hides the transfers, and once it
+/// outlasts them the exchange is free — Fig. 3's interior convolution.
+///
+/// On a [guarded](Communicator::guarded) communicator each receive must
+/// arrive within its peer's resolved deadline of being posted, and a
+/// fault aborts the group — but a late message gets no retry schedule,
+/// unlike a guarded blocking `recv`: the contract of
+/// `collectives::halo::exchange_1d`.
 pub fn fetch_rows(
     comm: &Communicator,
     strip: &Tensor4,
     owned: &[Range<usize>],
     needed: &[Range<usize>],
+    in_flight: impl FnOnce(),
 ) -> Result<Tensor4> {
-    let p = comm.size();
-    let me = comm.rank();
-    debug_assert_eq!(owned.len(), p);
-    debug_assert_eq!(needed.len(), p);
-    let my_owned = &owned[me];
-    let my_needed = &needed[me];
-    let (n, c, w) = (strip.n, strip.c, strip.w);
-
-    // Send phase: my rows that peers need.
-    for q in 0..p {
-        if q == me {
-            continue;
-        }
-        let overlap = intersect(my_owned, &needed[q]);
-        if !overlap.is_empty() {
-            comm.send_vec(q, FETCH_TAG, rows_of(strip, my_owned, &overlap).into_vec())?;
-        }
-    }
-    // Assemble: local part plus received parts, in owner order.
-    let mut out = Tensor4::zeros(n, c, my_needed.len(), w);
-    for q in 0..p {
-        let overlap = intersect(&owned[q], my_needed);
-        if overlap.is_empty() {
-            continue;
-        }
-        let rows = if q == me {
-            rows_of(strip, my_owned, &overlap)
-        } else {
-            Tensor4::from_vec(n, c, overlap.len(), w, comm.recv(q, FETCH_TAG)?)
-        };
-        out.set_row_strip(overlap.start - my_needed.start, &rows);
-    }
-    Ok(out)
+    exchange(comm, strip, owned, needed, FETCH, in_flight)
 }
 
-/// Scatter-adds produced rows back to their owners: `produced_strip`
-/// covers global rows `produced[rank]`; the result covers `owned[rank]`
-/// and sums every rank's contribution to those rows (the adjoint of
-/// [`fetch_rows`]).
+/// Scatter-adds produced rows back to their owners: `strip` covers
+/// global rows `produced[rank]`; the result covers `owned[rank]` and
+/// sums every rank's contribution to those rows in producer order (the
+/// adjoint of [`fetch_rows`], with the same fault contract).
 pub fn scatter_add_rows(
     comm: &Communicator,
-    produced_strip: &Tensor4,
+    strip: &Tensor4,
     produced: &[Range<usize>],
     owned: &[Range<usize>],
 ) -> Result<Tensor4> {
-    let p = comm.size();
-    let me = comm.rank();
-    let my_owned = &owned[me];
-    let my_produced = &produced[me];
-    let (n, c, w) = (produced_strip.n, produced_strip.c, produced_strip.w);
-
-    // Send phase: my produced rows that belong to peers.
-    for q in 0..p {
-        if q == me {
-            continue;
-        }
-        let overlap = intersect(my_produced, &owned[q]);
-        if !overlap.is_empty() {
-            comm.send_vec(
-                q,
-                SCATTER_TAG,
-                rows_of(produced_strip, my_produced, &overlap).into_vec(),
-            )?;
-        }
-    }
-    // Accumulate: local part plus received parts, in producer order.
-    let mut out = Tensor4::zeros(n, c, my_owned.len(), w);
-    for q in 0..p {
-        let overlap = intersect(&produced[q], my_owned);
-        if overlap.is_empty() {
-            continue;
-        }
-        let rows = if q == me {
-            rows_of(produced_strip, my_produced, &overlap)
-        } else {
-            Tensor4::from_vec(n, c, overlap.len(), w, comm.recv(q, SCATTER_TAG)?)
-        };
-        out.add_row_strip(overlap.start - my_owned.start, &rows);
-    }
-    Ok(out)
+    exchange(comm, strip, produced, owned, SCATTER_ADD, || ())
 }
 
 #[cfg(test)]
@@ -149,7 +152,7 @@ mod tests {
         let out = World::run(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            fetch_rows(comm, &strip, &owned, &needed).unwrap()
+            fetch_rows(comm, &strip, &owned, &needed, || ()).unwrap()
         });
         for (r, got) in out.iter().enumerate() {
             let expect = x.row_strip(needed[r].start, needed[r].end);
@@ -167,7 +170,7 @@ mod tests {
         let out = World::run(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            fetch_rows(comm, &strip, &owned, &needed).unwrap()
+            fetch_rows(comm, &strip, &owned, &needed, || ()).unwrap()
         });
         assert_eq!(out[1].h, 0);
         assert!(out[0].approx_eq(&x, 0.0));
@@ -216,7 +219,7 @@ mod tests {
         let out = World::run(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            let window = fetch_rows(comm, &strip, &owned, &needed).unwrap();
+            let window = fetch_rows(comm, &strip, &owned, &needed, || ()).unwrap();
             scatter_add_rows(comm, &window, &needed, &owned).unwrap()
         });
         for (r, got) in out.iter().enumerate() {
@@ -251,9 +254,42 @@ mod tests {
         let (_, stats) = World::run_with_stats(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            fetch_rows(comm, &strip, &owned, &needed).unwrap();
+            fetch_rows(comm, &strip, &owned, &needed, || ()).unwrap();
         });
         // 3 interior boundaries × 2 directions × 1 row × (2*3*5) words.
         assert_eq!(stats.total_words(), 6 * 2 * 3 * 5);
+    }
+
+    #[test]
+    fn transfers_overlap_each_other_and_in_flight_compute() {
+        // Rank 1 needs a row from each of two owners. The transfers are
+        // concurrent, so the exchange costs one of them, not two — and
+        // nothing once `in_flight` compute outlasts it (Fig. 3).
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.5,
+            flops: f64::INFINITY,
+        };
+        let owned = partitions(3, 3);
+        let needed = vec![0..1, 0..3, 2..3];
+        let x = init::uniform_tensor(1, 1, 3, 4, -1.0, 1.0, 7);
+        let transfer = model.alpha + 4.0 * model.beta;
+        for (busy, expect_now, expect_comm) in [(0.0, transfer, transfer), (5.0, 5.0, 0.0)] {
+            let out = World::run(3, model, |comm| {
+                let me = comm.rank();
+                let strip = x.row_strip(owned[me].start, owned[me].end);
+                let in_flight = || comm.advance_compute(busy);
+                let got = fetch_rows(comm, &strip, &owned, &needed, in_flight).unwrap();
+                (got, comm.clock())
+            });
+            assert!(out[1].0.approx_eq(&x, 0.0));
+            let clock = out[1].1;
+            assert!((clock.now - expect_now).abs() < 1e-12, "now {}", clock.now);
+            assert!(
+                (clock.comm - expect_comm).abs() < 1e-12,
+                "comm {}",
+                clock.comm
+            );
+        }
     }
 }

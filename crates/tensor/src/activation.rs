@@ -75,7 +75,9 @@ pub fn tanh(x: &Matrix) -> Matrix {
 /// `labels[b]` is the true class of sample `b`. Returns
 /// `(mean loss, gradient w.r.t. logits)` where the gradient is
 /// `(softmax − onehot)/B` — the `1/B` matching the paper's Eq. 1
-/// mini-batch averaging.
+/// mini-batch averaging. An empty batch (a rank past the
+/// batch-parallel limit holds no sample) contributes loss 0, not the
+/// `0/0` of a mean over nothing.
 pub fn softmax_xent(logits: &Matrix, labels: &[usize]) -> (f64, Matrix) {
     let (classes, b) = logits.shape();
     assert_eq!(labels.len(), b, "one label per column");
@@ -100,7 +102,7 @@ pub fn softmax_xent(logits: &Matrix, labels: &[usize]) -> (f64, Matrix) {
             grad.set(row, col, (p - onehot) / b as f64);
         }
     }
-    (loss / b as f64, grad)
+    (if b == 0 { 0.0 } else { loss / b as f64 }, grad)
 }
 
 #[cfg(test)]
@@ -112,6 +114,13 @@ mod tests {
     fn relu_clamps_negatives() {
         let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]);
         assert_eq!(relu(&x).as_slice(), &[0.0, 0.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    fn softmax_xent_of_an_empty_batch_is_zero_not_nan() {
+        let (loss, grad) = softmax_xent(&Matrix::zeros(5, 0), &[]);
+        assert_eq!(loss, 0.0);
+        assert_eq!(grad.shape(), (5, 0));
     }
 
     #[test]

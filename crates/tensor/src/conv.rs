@@ -17,8 +17,7 @@
 //! column-blocked `Wᵀ·∆Y` GEMM fused with col2im scatter-accumulation.
 //!
 //! [`conv2d_direct`] remains the independent reference the GEMM paths
-//! cross-check against (and the kernel `distmm::domain` historically
-//! ran on sub-strips); [`conv2d_im2col`] keeps the materialized
+//! cross-check against; [`conv2d_im2col`] keeps the materialized
 //! lowering for verification, and [`conv2d_im2col_ref`] freezes the
 //! pre-packing executed path (materialized im2col + the frozen blocked
 //! matmul) as the benchmark baseline.

@@ -1,15 +1,16 @@
 //! Domain-parallel convolution (the paper's Fig. 3): split every image
 //! of the batch into horizontal strips across ranks, exchange only the
-//! `⌊k/2⌋`-row halos, and verify the stitched result matches the
-//! serial convolution — including the backward pass with its
-//! cross-boundary gradient contributions. Also demonstrates the
-//! paper's 1×1 special case (zero communication).
+//! `⌊k/2⌋`-row halos (the window exchange of `distmm::domain_general`,
+//! which is all a stride-1 same-padded kernel asks of it), and verify
+//! the stitched result matches the serial convolution — including the
+//! backward pass with its cross-boundary gradient contributions. Also
+//! demonstrates the paper's 1×1 special case (zero communication).
 //!
 //! ```text
 //! cargo run --example domain_conv
 //! ```
 
-use integrated_parallelism::distmm::domain::{backward, forward};
+use integrated_parallelism::distmm::domain_general::{conv_backward, conv_forward};
 use integrated_parallelism::distmm::part_range;
 use integrated_parallelism::mpsim::{NetModel, World};
 use integrated_parallelism::tensor::conv::{conv2d_backward, conv2d_direct, Conv2dParams};
@@ -41,8 +42,9 @@ fn main() {
             let rng = part_range(h, p_ranks, comm.rank());
             let x_strip = x.row_strip(rng.start, rng.end);
             let dy_strip = dy.row_strip(rng.start, rng.end);
-            let y_strip = forward(comm, &x_strip, &weights, &params).unwrap();
-            let (dw, dx_strip) = backward(comm, &x_strip, &weights, &dy_strip, &params).unwrap();
+            let y_strip = conv_forward(comm, &x_strip, &weights, &params, h).unwrap();
+            let (dw, dx_strip) =
+                conv_backward(comm, &x_strip, &weights, &dy_strip, &params, h).unwrap();
             (y_strip, dw, dx_strip)
         });
 

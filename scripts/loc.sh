@@ -1,13 +1,14 @@
 #!/bin/sh
 # Code lines by the ROADMAP convention: lines of each file up to its
-# first `#[cfg(test)]` that are neither blank nor comment-only.
+# first `#[cfg(test)]` (or `#![cfg(test)]`, which as a test-only file's
+# first line leaves it none) that are neither blank nor comment-only.
 # Run from the repo root: with no arguments prints one row per crate
 # (crates/*/src), their total, and the raw line count of every
 # non-vendor, non-benchmark *.rs; with file arguments counts those
 # files; `--max FILE` checks the rows against the ceilings in FILE.
 count() {
     awk 'FNR == 1 { test = 0 }
-         /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+         /^[[:space:]]*#!?\[cfg\(test\)\]/ { test = 1 }
          !test && !/^[[:space:]]*($|\/\/)/ { n++ }
          END { print n + 0 }' "$@"
 }

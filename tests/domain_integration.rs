@@ -1,89 +1,15 @@
-//! Cross-crate integration for domain parallelism: the optimized
-//! halo path vs the general window-redistribution path, traffic
-//! accounting against Eq. 7, and property-based geometry sweeps.
+//! Cross-crate integration for domain parallelism: a chain of
+//! mini-AlexNet stages on strips, and property-based geometry sweeps of
+//! the window-exchange kernels against the serial ones.
 
 use proptest::prelude::*;
 
 use integrated_parallelism::distmm::dist::part_range;
-use integrated_parallelism::distmm::{domain, domain_general};
+use integrated_parallelism::distmm::domain_general;
 use integrated_parallelism::mpsim::{NetModel, World};
 use integrated_parallelism::tensor::conv::{conv2d_backward, conv2d_direct, Conv2dParams};
 use integrated_parallelism::tensor::init;
 use integrated_parallelism::tensor::pool::{maxpool2d, Pool2dParams};
-
-#[test]
-fn general_path_agrees_with_optimized_halo_path() {
-    // Same-pad 3x3 conv: both implementations must produce identical
-    // strips and identical ∆W.
-    let params = Conv2dParams {
-        in_c: 3,
-        out_c: 4,
-        kh: 3,
-        kw: 3,
-        stride: 1,
-        pad: 1,
-    };
-    let (b, h, w) = (2usize, 12usize, 6usize);
-    let x = init::uniform_tensor(b, 3, h, w, -1.0, 1.0, 81);
-    let wt = init::uniform(4, params.patch_len(), -0.4, 0.4, 82);
-    let dy = init::uniform_tensor(b, 4, h, w, -1.0, 1.0, 83);
-    let p_ranks = 3;
-    let out = World::run(p_ranks, NetModel::free(), |comm| {
-        let rng = part_range(h, p_ranks, comm.rank());
-        let strip = x.row_strip(rng.start, rng.end);
-        let dy_strip = dy.row_strip(rng.start, rng.end);
-        let y_opt = domain::forward(comm, &strip, &wt, &params).unwrap();
-        let y_gen = domain_general::conv_forward(comm, &strip, &wt, &params, h).unwrap();
-        let (dw_opt, dx_opt) = domain::backward(comm, &strip, &wt, &dy_strip, &params).unwrap();
-        let (dw_gen, dx_gen) =
-            domain_general::conv_backward(comm, &strip, &wt, &dy_strip, &params, h).unwrap();
-        (
-            y_opt.max_abs_diff(&y_gen),
-            dw_opt.max_abs_diff(&dw_gen),
-            dx_opt.max_abs_diff(&dx_gen),
-        )
-    });
-    for (r, &(dy_, dw_, dx_)) in out.iter().enumerate() {
-        assert!(
-            dy_ < 1e-12 && dw_ < 1e-12 && dx_ < 1e-12,
-            "rank {r}: {dy_} {dw_} {dx_}"
-        );
-    }
-}
-
-#[test]
-fn optimized_halo_moves_less_than_general_fetch_for_same_pad() {
-    // The optimized path sends each boundary once; the general path
-    // re-fetches in the backward pass too but must stay within a small
-    // constant factor (both are boundary-proportional).
-    let params = Conv2dParams {
-        in_c: 2,
-        out_c: 2,
-        kh: 3,
-        kw: 3,
-        stride: 1,
-        pad: 1,
-    };
-    let (b, h, w) = (2usize, 16usize, 4usize);
-    let x = init::uniform_tensor(b, 2, h, w, -1.0, 1.0, 84);
-    let wt = init::uniform(2, params.patch_len(), -0.4, 0.4, 85);
-    let p_ranks = 4;
-    let words = |general: bool| {
-        let (_, stats) = World::run_with_stats(p_ranks, NetModel::free(), |comm| {
-            let rng = part_range(h, p_ranks, comm.rank());
-            let strip = x.row_strip(rng.start, rng.end);
-            if general {
-                domain_general::conv_forward(comm, &strip, &wt, &params, h).unwrap();
-            } else {
-                domain::forward(comm, &strip, &wt, &params).unwrap();
-            }
-        });
-        stats.total_words()
-    };
-    let opt = words(false);
-    let gen = words(true);
-    assert_eq!(opt, gen, "same-pad forward windows are exactly the halos");
-}
 
 #[test]
 fn mini_alexnet_stage_chain_runs_under_domain_split() {

@@ -5,7 +5,7 @@
 //! separately against the Thakur-exact forms in `collectives`).
 
 use integrated_parallelism::distmm::dist::{col_shard, part_range, row_shard};
-use integrated_parallelism::distmm::domain;
+use integrated_parallelism::distmm::domain_general;
 use integrated_parallelism::distmm::onep5d::{backward, forward, Grid};
 use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape};
 use integrated_parallelism::integrated::cost::integrated::layer_cost;
@@ -142,7 +142,7 @@ fn executed_halo_forward_matches_eq7_term() {
     let times = World::run(p_ranks, sim, |comm| {
         let rng = part_range(h, p_ranks, comm.rank());
         let strip = x.row_strip(rng.start, rng.end);
-        let _ = domain::forward(comm, &strip, &wts, &params).unwrap();
+        let _ = domain_general::conv_forward(comm, &strip, &wts, &params, h).unwrap();
         comm.clock().comm
     });
 
@@ -184,12 +184,13 @@ fn executed_domain_backward_weight_allreduce_matches_eq7_batch_term() {
     let dy = init::uniform_tensor(b, 4, h, w, -1.0, 1.0, 9);
     let times = World::run(p_ranks, sim, |comm| {
         let rng = part_range(h, p_ranks, comm.rank());
-        let _ = domain::backward(
+        let _ = domain_general::conv_backward(
             comm,
             &x.row_strip(rng.start, rng.end),
             &wts,
             &dy.row_strip(rng.start, rng.end),
             &params,
+            h,
         )
         .unwrap();
         comm.clock().comm

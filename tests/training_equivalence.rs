@@ -41,17 +41,29 @@ fn every_grid_of_12_ranks_reproduces_serial() {
 #[test]
 fn uneven_batch_and_width_shards_still_match() {
     // 35 samples over 4 column groups, widths 30/22/7 over 3 row
-    // groups: nothing divides evenly anywhere.
+    // groups: nothing divides evenly anywhere. Then past the
+    // batch-parallel limit: 2 samples over 4 column groups, so half the
+    // batch shards are empty and contribute loss 0, not the NaN of a
+    // mean over nothing.
     let net = mlp("uneven", &[13, 30, 22, 7]);
-    let (x, labels) = synthetic_data(&net, 35, 23);
     let cfg = TrainConfig {
         lr: 0.15,
         iters: 5,
         seed: 9,
     };
-    let serial = train_serial(&net, &x, &labels, &cfg);
-    let dist = train_1p5d(&net, &x, &labels, &cfg, 3, 4, NetModel::free());
-    assert!(max_diff(&serial.weights, &dist.weights()) < 1e-9);
+    for (b, pr, pc) in [(35, 3, 4), (2, 1, 4), (2, 2, 4)] {
+        let (x, labels) = synthetic_data(&net, b, 23);
+        let serial = train_serial(&net, &x, &labels, &cfg);
+        let dist = train_1p5d(&net, &x, &labels, &cfg, pr, pc, NetModel::free());
+        let d = max_diff(&serial.weights, &dist.weights());
+        assert!(d < 1e-9, "B={b} grid {pr}x{pc}: {d}");
+        for (s, g) in serial.losses.iter().zip(dist.losses()) {
+            assert!(
+                (s - g).abs() < 1e-9,
+                "B={b} grid {pr}x{pc}: loss {s} vs {g}"
+            );
+        }
+    }
 }
 
 #[test]
