@@ -18,9 +18,9 @@
 //! deduped) — batch-only through model-only. Shards smaller than one
 //! word clamp to 1 word, so degenerate grids stay executable.
 //!
-//! Host-parallel: grid points of one P run concurrently over the
-//! host's cores via `rayon::par_chunks_mut` — independent simulated
-//! worlds layered on the single-threaded event engine.
+//! One grid at a time: `wall_secs` and `envelopes_per_sec` are per-grid
+//! host numbers, so no other world may be running while a grid is
+//! timed, and the sweep's peak memory is one grid's.
 //!
 //! Alongside the table it writes `BENCH_scale.json` with virtual
 //! makespan, wall-clock seconds, envelope counts, and throughput per
@@ -38,7 +38,6 @@ use bench::parse_args;
 use dnn::zoo::mlp;
 use integrated::report::{fmt_seconds, Table};
 use mpsim::{Communicator, NetModel, Result as MpResult, World};
-use rayon::prelude::*;
 
 /// Fingerprint of a reduced vector: FNV-1a over the little-endian bytes
 /// of its words. It is the artifact's own definition — `BENCH_scale.json`
@@ -192,20 +191,10 @@ fn main() {
 
     let mut all: Vec<Point> = Vec::new();
     for &p in &ps {
-        let grids = grid_points(p);
-        let mut slots: Vec<Option<Point>> = (0..grids.len()).map(|_| None).collect();
         let sweep_start = Instant::now();
-        slots.par_chunks_mut(1).enumerate().for_each(|(gi, slot)| {
-            slot[0] = Some(run_point(
-                p,
-                grids[gi],
-                &layer_words,
-                &act_words,
-                flops / p as f64,
-                iters,
-                model,
-            ));
-        });
+        let rank_flops = flops / p as f64;
+        let run = |grid| run_point(p, grid, &layer_words, &act_words, rank_flops, iters, model);
+        let points: Vec<Point> = grid_points(p).into_iter().map(run).collect();
         let sweep_wall = sweep_start.elapsed().as_secs_f64();
 
         let mut t = Table::new(
@@ -223,7 +212,7 @@ fn main() {
                 "words moved",
             ],
         );
-        for s in slots.into_iter().flatten() {
+        for s in points {
             t.row(vec![
                 format!("{}x{}", s.pr, s.pc),
                 fmt_seconds(s.makespan),

@@ -116,15 +116,18 @@ fn derive_ctx(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 impl Communicator {
-    pub(crate) fn world(inner: Rc<RefCell<Inner>>) -> Self {
-        let (rank, size) = {
-            let i = inner.borrow();
-            (i.global_rank, i.world_size)
-        };
+    /// The world communicator of `inner`'s rank over `members`, the
+    /// identity table `0..size` that `World::run_opts` builds once and
+    /// every rank of the world shares: a table per rank is P² words per
+    /// world (128 MiB at P = 4096, 32 GiB at P = 65 536). `split`, `grid`
+    /// and `shrink_exclude` children keep a table per group.
+    pub(crate) fn world(inner: Rc<RefCell<Inner>>, members: Arc<Vec<usize>>) -> Self {
+        let rank = inner.borrow().global_rank;
+        debug_assert_eq!(members.len(), inner.borrow().world_size);
         Communicator {
             inner,
             ctx: 0,
-            members: Arc::new((0..size).collect()),
+            members,
             rank,
             ft: None,
         }

@@ -386,13 +386,23 @@ impl Inner {
                 queue.pop_front();
                 self.stats.dups_absorbed += 1;
             }
-            if let Some(env) = queue.front() {
-                if matches!(env.data, Payload::Tombstone { .. }) {
-                    // Leave the tombstone parked: retries must keep
-                    // observing the loss instead of blocking forever.
+            let head = match queue.front() {
+                // Leave the tombstone parked: retries must keep
+                // observing the loss instead of blocking forever.
+                Some(env) if matches!(env.data, Payload::Tombstone { .. }) => {
                     return Ok(Matched::lost(env));
                 }
-                return Ok(Matched::Data(queue.pop_front().expect("non-empty")));
+                _ => queue.pop_front(),
+            };
+            // A queue leaves the table with its last envelope: most keys
+            // are parked under once (a tag per collective step), and an
+            // empty queue kept for each would only grow the table for
+            // the life of the rank.
+            if queue.is_empty() {
+                self.pending.remove(&key);
+            }
+            if let Some(env) = head {
+                return Ok(Matched::Data(env));
             }
         }
         if let Some(verdict) = self.peer_verdict(src_global, honor_aborts) {
@@ -435,8 +445,14 @@ impl Inner {
         });
         let env = match from {
             Some(src) => {
-                let queue = self.pending.get_mut(&(ctx, src, tag));
-                queue.and_then(VecDeque::pop_front).expect("head seen")
+                let key = (ctx, src, tag);
+                let queue = self.pending.get_mut(&key).expect("head seen");
+                let env = queue.pop_front().expect("head seen");
+                // Emptied queues leave the table, as in `match_recv`.
+                if queue.is_empty() {
+                    self.pending.remove(&key);
+                }
+                env
             }
             None => loop {
                 let env = self.next_envelope(self.global_rank)?;
@@ -936,5 +952,62 @@ impl Inner {
             return Err(Error::Disconnected { peer: dst_global });
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::world::World;
+
+    /// Recursive doubling parks the envelopes of partners that run
+    /// ahead, each under a tag used once; every one of those queues
+    /// must have left the table with its envelope.
+    #[test]
+    fn pending_is_empty_after_a_recursive_doubling_exchange() {
+        let parked = World::run(64, NetModel::free(), |comm| {
+            let r = comm.rank();
+            let mut x = vec![r as f64];
+            for step in 0..6 {
+                let peer = r ^ (1 << step);
+                let got = comm.sendrecv(peer, &x, peer, 100 + step).unwrap();
+                x[0] += got[0];
+            }
+            assert_eq!(x[0], 2016.0);
+            comm.inner.borrow().pending.len()
+        });
+        assert_eq!(parked, vec![0; 64]);
+    }
+
+    /// A dropped message's tombstone stays parked so that every retry
+    /// observes the loss; what was parked around it leaves when read.
+    #[test]
+    fn pending_keeps_only_the_tombstone_of_a_dropped_message() {
+        let plan = FaultPlan::new(1).drop_nth(0, 1, 1);
+        World::run_with_faults(2, NetModel::free(), plan, |comm| {
+            if comm.rank() == 0 {
+                for tag in 7..10 {
+                    comm.send(1, tag, &[tag as f64]).unwrap();
+                }
+                return;
+            }
+            // Reading tag 9 first parks tag 7 and the tombstone of tag 8.
+            assert_eq!(comm.recv(0, 9).unwrap(), vec![9.0]);
+            assert_eq!(comm.inner.borrow().pending.len(), 2);
+            assert_eq!(comm.recv(0, 7).unwrap(), vec![7.0]);
+            for _ in 0..2 {
+                let lost = comm.recv_timeout(0, 8, 1.0);
+                assert!(matches!(lost, Err(Error::Timeout { .. })), "{lost:?}");
+            }
+            let i = comm.inner.borrow();
+            let left: Vec<_> = i.pending.iter().collect();
+            assert_eq!(left.len(), 1, "{left:?}");
+            assert_eq!(*left[0].0, (0, 0, 8));
+            assert!(matches!(
+                left[0].1.front().map(|e| &e.data),
+                Some(Payload::Tombstone { words: 1 })
+            ));
+            assert_eq!(left[0].1.len(), 1);
+        });
     }
 }

@@ -237,6 +237,9 @@ impl World {
             panic!("invalid fault plan: {msg}");
         }
         let plan = Arc::new(faults);
+        // What every rank reads and none writes is built once per world
+        // and shared: the fault plan and the world's member table.
+        let members: Arc<Vec<usize>> = Arc::new((0..size).collect());
         // The per-rank body both backends run, on the rank's own
         // thread or fiber: build the rank's state around its endpoint,
         // run `f`, hand back what the world collects.
@@ -244,7 +247,7 @@ impl World {
             let plan = Arc::clone(&plan);
             let inner = Inner::new(rank, size, endpoint, model, topo, plan, trace);
             let inner = Rc::new(RefCell::new(inner));
-            let comm = Communicator::world(Rc::clone(&inner));
+            let comm = Communicator::world(Rc::clone(&inner), Arc::clone(&members));
             let out = f(&comm);
             drop(comm);
             let mut i = inner.borrow_mut();
@@ -336,6 +339,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::stack::slab_counters;
 
     #[test]
     fn results_arrive_in_rank_order() {
@@ -460,19 +464,70 @@ mod tests {
         assert_eq!(sa.clocks, sb.clocks);
     }
 
-    /// A world inside a world: the event engine nests (TLS save/restore
-    /// around fiber resume), as the chaos campaign and benches rely on.
-    #[test]
-    fn nested_worlds_compose_on_event_backend() {
-        let events = || RunOpts {
+    fn events() -> RunOpts {
+        RunOpts {
             backend: Some(Backend::Events),
             ..RunOpts::default()
-        };
+        }
+    }
+
+    /// A world inside a world: the event engine nests (TLS save/restore
+    /// around fiber resume), as the chaos campaign and benches rely on.
+    /// The inner worlds run on stacks of their own: the outer world's
+    /// slab is checked out, so rank 0's inner world maps a second one
+    /// and rank 1's reuses that.
+    #[test]
+    fn nested_worlds_compose_on_event_backend() {
         let out = World::run_opts(2, NetModel::free(), events(), |comm| {
             let inner = World::run_opts(3, NetModel::free(), events(), |c| c.rank() * 2).0;
-            (comm.rank(), inner)
+            (comm.rank(), inner, slab_counters())
         })
         .0;
-        assert_eq!(out, vec![(0, vec![0, 2, 4]), (1, vec![0, 2, 4])]);
+        let inner = vec![0, 2, 4];
+        assert_eq!(
+            out,
+            vec![(0, inner.clone(), (2, 1)), (1, inner, (2, 1))],
+            "(rank, inner results, (slabs mapped, slabs cached))"
+        );
+        assert_eq!(slab_counters(), (2, 2));
+    }
+
+    /// Slabs go back to the thread's cache when a rank panicked, and
+    /// the next world runs on them: it maps nothing, and every switch
+    /// of every rank checks a canary that `alloc` re-armed (a clobbered
+    /// one aborts the process).
+    #[test]
+    fn a_world_after_a_panicking_world_reuses_its_stacks() {
+        let boom = std::panic::catch_unwind(|| {
+            World::run_opts(100, NetModel::free(), events(), |comm| {
+                assert_ne!(comm.rank(), 70, "rank 70 exploded");
+                comm.rank()
+            })
+        })
+        .expect_err("the rank's panic propagates");
+        let msg = boom.downcast_ref::<String>().expect("assert message");
+        assert!(msg.contains("rank 70 exploded"), "{msg}");
+        assert_eq!(slab_counters(), (2, 2), "100 ranks: two slabs, both kept");
+
+        let model = NetModel::cori_knl();
+        let (out, _, _) = World::run_opts(100, model, events(), |comm| {
+            let next = (comm.rank() + 1) % comm.size();
+            let prev = (comm.rank() + comm.size() - 1) % comm.size();
+            let got = comm.sendrecv(next, &[comm.rank() as f64], prev, 1);
+            comm.barrier().unwrap();
+            got.unwrap()[0]
+        });
+        let want: Vec<f64> = (0..100).map(|r| ((r + 99) % 100) as f64).collect();
+        assert_eq!(out, want);
+        assert_eq!(slab_counters(), (2, 2), "the second world mapped nothing");
+    }
+
+    /// A world larger than the cache keeps the cache at its constant:
+    /// 4 160 ranks are 65 slabs, 64 stay mapped.
+    #[test]
+    fn slab_cache_stays_bounded_after_a_world_larger_than_it() {
+        let (out, _, _) = World::run_opts(4160, NetModel::free(), events(), |comm| comm.rank());
+        assert_eq!(out.len(), 4160);
+        assert_eq!(slab_counters(), (65, 64));
     }
 }

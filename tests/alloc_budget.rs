@@ -23,42 +23,15 @@
 //! the `∆Y` row block: inside a busy world the free list is empty by
 //! design (`tensor::recycle`), so these still reach the allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::{allocated, Counting};
 use integrated_parallelism::dnn::zoo::mlp;
 use integrated_parallelism::integrated::overlap::OverlapPlan;
 use integrated_parallelism::integrated::trainer::{
     synthetic_data, train_1p5d_scheduled, TrainConfig,
 };
 use integrated_parallelism::integrated::MachineModel;
-
-struct Counting;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter is
-// a relaxed statistic that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(
-            new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed,
-        );
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -75,9 +48,9 @@ fn allocated_by(iters: usize) -> u64 {
         seed: 5,
     };
     let model = MachineModel::cori_knl().net_model();
-    let before = BYTES.load(Ordering::Relaxed);
+    let before = allocated();
     let r = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, OverlapPlan::default());
-    let after = BYTES.load(Ordering::Relaxed);
+    let after = allocated();
     assert_eq!(r.losses().len(), iters);
     after - before
 }
