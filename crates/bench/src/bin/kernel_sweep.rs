@@ -17,10 +17,12 @@
 //! windows) fails to beat `conv2d_backward_ref` — a silent kernel
 //! regression fails the build. It also reports, in GB/s, the kernels
 //! that move words instead of multiplying them — in-place ReLU forward
-//! and backward on an `fc_1p5d` activation and the envelope checksum on
-//! a 4 096-word payload — and on an AVX2 host fails if ReLU or the
+//! and backward on an `fc_1p5d` activation, the envelope checksum on a
+//! 4 096-word payload, LRN forward and backward on `mini_alexnet`'s two
+//! normalisation inputs — and on an AVX2 host fails if ReLU or the
 //! checksum falls under 4 GB/s (the byte-serial checksum ran at ≈ 0.7,
-//! the clone-then-branch ReLU at ≈ 2.4).
+//! the clone-then-branch ReLU at ≈ 2.4) or `lrn_forward` under 0.7
+//! (three `powf` per element and a 4-D index per access ran at ≈ 0.3).
 //!
 //! ```text
 //! cargo run --release -p bench --bin kernel_sweep            # full sweep
@@ -32,7 +34,7 @@ use std::time::Instant;
 
 use bench::kernels::{
     conv_backward_shapes, conv_shapes, gemm_shapes, measure_gbps, measure_gflops, CHECKSUM_WORDS,
-    ELEMENTWISE_SHAPE,
+    ELEMENTWISE_SHAPE, LRN_SHAPES,
 };
 use bench::parse_args;
 use integrated::report::Table;
@@ -41,6 +43,7 @@ use tensor::activation::{relu_backward_in_place, relu_in_place};
 use tensor::conv::{conv2d, conv2d_backward, conv2d_backward_ref, conv2d_im2col_ref};
 use tensor::gemm::fma_kernel_available;
 use tensor::init;
+use tensor::lrn::{lrn_backward, lrn_forward, LrnParams};
 use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_ref};
 
 /// One measured comparison row.
@@ -72,6 +75,19 @@ struct StreamRow {
 /// Floor, in GB/s, under which `relu` and `checksum` fail the run on an
 /// AVX2 host.
 const STREAM_GATE_GBPS: f64 = 4.0;
+/// The same for `lrn_forward`, whose words each cost two square roots
+/// and a division: about half of what the plane-wise body measures.
+const LRN_GATE_GBPS: f64 = 0.7;
+
+/// The floor a word-moving row is held to on an AVX2 host; the other
+/// rows are reported, not gated.
+fn stream_floor(shape: &str) -> f64 {
+    match shape {
+        "relu" | "envelope_checksum" => STREAM_GATE_GBPS,
+        "lrn_forward" => LRN_GATE_GBPS,
+        _ => 0.0,
+    }
+}
 
 fn main() {
     let args = parse_args();
@@ -193,6 +209,28 @@ fn main() {
             gbps: measure_gbps(bytes, warmup, reps, || checksum(payload.as_slice())),
         });
     }
+    // LRN with AlexNet's constants; GB/s of activation payload.
+    for (n, c, h, w) in LRN_SHAPES {
+        let p = LrnParams::alexnet();
+        let x = init::uniform_tensor(n, c, h, w, -1.0, 1.0, 26);
+        let dy = init::uniform_tensor(n, c, h, w, -1.0, 1.0, 27);
+        let bytes = (x.len() * 8) as f64;
+        let dims = format!("{n}x{c}x{h}x{w}");
+        streams.push(StreamRow {
+            kind: "lrn",
+            shape: "lrn_forward",
+            dims: dims.clone(),
+            bytes,
+            gbps: measure_gbps(bytes, warmup, reps, || lrn_forward(&x, &p)),
+        });
+        streams.push(StreamRow {
+            kind: "lrn",
+            shape: "lrn_backward",
+            dims,
+            bytes,
+            gbps: measure_gbps(bytes, warmup, reps, || lrn_backward(&x, &dy, &p)),
+        });
+    }
 
     let wall = start.elapsed().as_secs_f64();
     let mut t = Table::new(
@@ -308,18 +346,20 @@ fn main() {
     // The SIMD-width floor only means something where the select
     // vectorises to 256 bits; elsewhere the rows are reported, not gated.
     if fma_kernel_available() {
-        for r in streams.iter().filter(|r| r.shape != "relu_backward") {
+        for r in &streams {
+            let floor = stream_floor(r.shape);
             assert!(
-                r.gbps >= STREAM_GATE_GBPS,
-                "{} regression: {:.2} GB/s < {STREAM_GATE_GBPS} GB/s",
+                r.gbps >= floor,
+                "{} {} regression: {:.2} GB/s < {floor} GB/s",
                 r.shape,
+                r.dims,
                 r.gbps
             );
         }
     }
     eprintln!(
         "gates passed: gemm {:.2}x on {}, conv {:.2}x on alexnet_conv2, conv_bwd >= {bwd_min:.2}x, \
-         relu/checksum >= {STREAM_GATE_GBPS} GB/s",
+         relu/checksum >= {STREAM_GATE_GBPS} GB/s, lrn_forward >= {LRN_GATE_GBPS} GB/s",
         largest.speedup(),
         largest.shape,
         conv2.speedup(),

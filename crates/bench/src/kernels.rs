@@ -232,6 +232,10 @@ pub fn measure_gflops<T>(flops: f64, warmup: usize, reps: usize, mut f: impl FnM
 pub const ELEMENTWISE_SHAPE: (usize, usize) = (256, 512);
 /// Payload length of the checksum row: a mid-sized ring block.
 pub const CHECKSUM_WORDS: usize = 4096;
+/// `(n, c, h, w)` of the LRN rows: `mini_alexnet`'s two normalisation
+/// inputs as `cnn_domain`'s 1×4 grid holds them (`B / Pc = 16`, the
+/// whole height); the other grids' strips are row blocks of these.
+pub const LRN_SHAPES: [(usize, usize, usize, usize); 2] = [(16, 8, 15, 15), (16, 12, 7, 7)];
 
 /// Times `f` and returns GB/s for `bytes` of payload per call — the
 /// rate of the kernels that move words rather than multiply them

@@ -32,6 +32,8 @@
 //! `mini_alexnet` test below trains a scaled AlexNet (strided conv1,
 //! overlapping pools, 5 convs + 2 FC) this way.
 
+use std::borrow::Cow;
+
 use dnn::{LayerSpec, Network};
 use mpsim::{Communicator, Error, NetModel, World, WorldStats};
 use tensor::activation::{relu_backward_in_place, relu_in_place, softmax_xent};
@@ -424,13 +426,7 @@ pub fn train_cnn_domain(
         let (mut conv_w, mut fc_w) = initial_weights.clone();
         let batch_range = part_range(b_global, pc, j);
         let in_strip = part_range(x.h, pd, i);
-        let x_shard = Tensor4::from_fn(
-            batch_range.len(),
-            x.c,
-            in_strip.len(),
-            x.w,
-            |n, c, hh, ww| x.get(batch_range.start + n, c, in_strip.start + hh, ww),
-        );
+        let x_shard = x.block(batch_range.clone(), in_strip, 0..x.w);
         let b_local = batch_range.len();
         let mut apply =
             |w: &mut [Matrix], k: usize, g: &[f64]| axpy(-cfg.lr, g, w[k].as_mut_slice());
@@ -483,7 +479,7 @@ pub fn train_cnn_domain(
             let (c0, h0, w0) = spec.trunk_out;
             let trunk = &acts[spec.stages.len() - 1];
             let full_trunk = if pd == 1 {
-                trunk.clone()
+                Cow::Borrowed(trunk)
             } else {
                 let blocks = allgatherv_ring(&col_comm, trunk.as_slice())?;
                 let mut full = Tensor4::zeros(b_local, c0, h0, w0);
@@ -493,7 +489,7 @@ pub fn train_cnn_domain(
                     let strip = Tensor4::from_vec(b_local, c0, sr.len(), w0, block);
                     full.set_row_strip(sr.start, &strip);
                 }
-                full
+                Cow::Owned(full)
             };
             // The FC head: the shared iteration body on the `1 × pc`
             // grid — replicated weights, the shard's full batch, ∆W

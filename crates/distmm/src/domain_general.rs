@@ -17,6 +17,13 @@
 //! can compute from its own strip while the boundary rows are in
 //! flight, so a large enough interior hides the exchange entirely.
 //!
+//! A padded convolution runs pad-free on its window framed in the
+//! zeros the global padding implies, and the exchange works in that
+//! frame: the fetch lands in the tensor `conv2d` reads and the scatter
+//! reads out of the `∆X` `conv2d_backward` wrote, so a window is copied
+//! once each way — no `zero_extend` after the fetch, no `peel` before
+//! the scatter (the tests pin both to exactly that spelling).
+//!
 //! Row partitions are always `block_ranges` of the *output* height, so
 //! consecutive layers chain without global knowledge beyond shapes.
 
@@ -28,7 +35,7 @@ use tensor::conv::{conv2d, conv2d_backward, Conv2dParams, Tensor4};
 use tensor::pool::{maxpool2d, maxpool2d_backward, Pool2dParams};
 use tensor::Matrix;
 
-use crate::rows::{fetch_rows, scatter_add_rows};
+use crate::rows::{fetch_rows, scatter_add_rows, Frame, NO_FRAME};
 
 /// The per-rank block partition of `h` rows.
 pub use collectives::chunks::block_ranges as row_partition;
@@ -65,9 +72,10 @@ struct Windows {
     my_out: Range<usize>,
     /// Every rank's clipped input window.
     needed: Vec<Range<usize>>,
-    /// Synthetic zero rows the global padding puts above and below
-    /// this rank's window.
-    zeros: (usize, usize),
+    /// The zeros the global padding puts around this rank's window:
+    /// synthetic rows above and below, `pad` columns on each side. The
+    /// window inside this frame is what the pad-free local kernel reads.
+    frame: Frame,
     /// How many of `my_out`'s rows read input rows of this rank's own
     /// strip only — computable while the rest of the window is in
     /// flight. All of them for a 1×1 kernel or a single rank.
@@ -94,7 +102,7 @@ fn windows(
     Windows {
         my_out,
         needed: out_part.iter().map(|out| window(out).0).collect(),
-        zeros: (above, below),
+        frame: (above, below, pad),
         interior,
         in_part,
     }
@@ -115,17 +123,13 @@ pub fn conv_forward(
     let (out_h, out_w) = p.out_hw(in_h, x_strip.w);
     let win = windows(comm, (p.kh, p.stride, p.pad), in_h, out_h);
     let row_flops = 2.0 * weights.len() as f64 * (out_w * x_strip.n) as f64;
-    let window = fetch_rows(comm, x_strip, &win.in_part, &win.needed, || {
+    let ext = fetch_rows(comm, x_strip, &win.in_part, &win.needed, win.frame, || {
         comm.advance_flops(row_flops * win.interior as f64)
     })?;
     if win.my_out.is_empty() {
         return Ok(Tensor4::zeros(x_strip.n, p.out_c, 0, out_w));
     }
     comm.advance_flops(row_flops * (win.my_out.len() - win.interior) as f64);
-    // The fetched window framed in the zeros the global padding
-    // implies: synthetic rows above and below, `pad` columns on each
-    // side.
-    let ext = window.zero_extend(win.zeros.0, win.zeros.1, p.pad);
     let local = Conv2dParams { pad: 0, ..*p };
     let y = conv2d(&ext, weights, &local);
     debug_assert_eq!(
@@ -152,28 +156,22 @@ pub fn conv_backward(
 ) -> Result<(Matrix, Tensor4)> {
     let (out_h, _) = p.out_hw(in_h, x_strip.w);
     let win = windows(comm, (p.kh, p.stride, p.pad), in_h, out_h);
-    let window = fetch_rows(comm, x_strip, &win.in_part, &win.needed, || ())?;
+    let ext = fetch_rows(comm, x_strip, &win.in_part, &win.needed, win.frame, || ())?;
 
     let flops = 4.0 * weights.len() as f64 * (dy_strip.h * dy_strip.w * dy_strip.n) as f64;
     comm.advance_flops(flops);
 
-    let (mut dw, dx_window) = if win.my_out.is_empty() {
-        (
-            Matrix::zeros(weights.rows(), weights.cols()),
-            Tensor4::zeros(x_strip.n, p.in_c, 0, x_strip.w),
-        )
+    // `∆X` comes back in the window's frame; the scatter reads the rows
+    // out of it. An empty window is its own (empty) gradient.
+    let (mut dw, dx_ext) = if win.my_out.is_empty() {
+        (Matrix::zeros(weights.rows(), weights.cols()), ext)
     } else {
-        let (za, zb) = win.zeros;
-        let ext = window.zero_extend(za, zb, p.pad);
-        let local = Conv2dParams { pad: 0, ..*p };
-        let (dw, dx_ext) = conv2d_backward(&ext, weights, dy_strip, &local);
-        // Peel the synthetic zero rows and the horizontal padding.
-        (dw, dx_ext.peel(za, zb, p.pad))
+        conv2d_backward(&ext, weights, dy_strip, &Conv2dParams { pad: 0, ..*p })
     };
     // ∆W: sum over all strips — the same all-reduce pure batch
     // parallelism needs (Eq. 7's third term).
     allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum)?;
-    let dx = scatter_add_rows(comm, &dx_window, &win.needed, &win.in_part)?;
+    let dx = scatter_add_rows(comm, &dx_ext, &win.needed, &win.in_part, win.frame)?;
     Ok((dw, dx))
 }
 
@@ -188,7 +186,7 @@ pub fn pool_forward(
 ) -> Result<(Tensor4, Vec<usize>)> {
     let (out_h, out_w) = p.out_hw(in_h, x_strip.w);
     let win = windows(comm, (p.k, p.stride, 0), in_h, out_h);
-    let window = fetch_rows(comm, x_strip, &win.in_part, &win.needed, || ())?;
+    let window = fetch_rows(comm, x_strip, &win.in_part, &win.needed, NO_FRAME, || ())?;
     if win.my_out.is_empty() {
         return Ok((Tensor4::zeros(x_strip.n, x_strip.c, 0, out_w), Vec::new()));
     }
@@ -216,7 +214,7 @@ pub fn pool_backward(
     } else {
         maxpool2d_backward(dy_strip, argmax, win.needed[comm.rank()].len(), in_w)
     };
-    scatter_add_rows(comm, &dx_window, &win.needed, &win.in_part)
+    scatter_add_rows(comm, &dx_window, &win.needed, &win.in_part, NO_FRAME)
 }
 
 #[cfg(test)]
@@ -238,6 +236,7 @@ mod tests {
             let ip = part_range(h, p_ranks, comm.rank());
             let op = part_range(oh, p_ranks, comm.rank());
             let x_strip = x.row_strip(ip.start, ip.end);
+            framed_exchange_is_extend_and_peel(comm, &x_strip, &params, h);
             let y = conv_forward(comm, &x_strip, &wt, &params, h).unwrap();
             let dy_strip = dy.row_strip(op.start, op.end);
             let (dw, dx) = conv_backward(comm, &x_strip, &wt, &dy_strip, &params, h).unwrap();
@@ -263,6 +262,39 @@ mod tests {
                 dx.max_abs_diff(&expect_dx)
             );
         }
+    }
+
+    /// The frame is a copy saved, not a different result: to the bit,
+    /// the framed fetch is the plain fetch zero-extended, and the
+    /// scatter out of a framed `∆X` (its frame full of the taps the
+    /// padding collects) is the scatter of that `∆X` peeled. Runs on
+    /// every rank of every `check_conv` shape, the 1-row strips shorter
+    /// than the halo and the ranks with no output included.
+    fn framed_exchange_is_extend_and_peel(
+        comm: &Communicator,
+        x_strip: &Tensor4,
+        p: &Conv2dParams,
+        in_h: usize,
+    ) {
+        let (out_h, _) = p.out_hw(in_h, x_strip.w);
+        let win = windows(comm, (p.kh, p.stride, p.pad), in_h, out_h);
+        let (above, below, side) = win.frame;
+        let fetch = |frame| fetch_rows(comm, x_strip, &win.in_part, &win.needed, frame, || ());
+        let ext = fetch(win.frame).unwrap();
+        assert_eq!(
+            ext,
+            fetch(NO_FRAME).unwrap().zero_extend(above, below, side)
+        );
+
+        let seed = 54 + comm.rank() as u64;
+        let dx_ext = init::uniform_tensor(ext.n, ext.c, ext.h, ext.w, -1.0, 1.0, seed);
+        let scatter = |dx: &Tensor4, frame| {
+            scatter_add_rows(comm, dx, &win.needed, &win.in_part, frame).unwrap()
+        };
+        assert_eq!(
+            scatter(&dx_ext, win.frame),
+            scatter(&dx_ext.peel(above, below, side), NO_FRAME)
+        );
     }
 
     #[test]

@@ -20,39 +20,52 @@
 //! and transfers from several owners into one rank overlap with each
 //! other and with whatever the caller computes meanwhile — for
 //! halo-sized overlaps this is the paper's Eq. 7 boundary exchange.
+//!
+//! **A window is copied once each way.** A padded convolution runs
+//! pad-free on its window framed in the zeros the global padding
+//! implies, so both functions take a [`Frame`]: `fetch_rows` lays own
+//! and received rows straight into the framed tensor the local kernel
+//! reads, and `scatter_add_rows` reads rows (and packs its sends)
+//! straight out of the framed `∆X` the kernel wrote. Only the rows
+//! travel — a frame never adds a word to a message. Pooling, which has
+//! no padding, passes [`NO_FRAME`].
 
 use std::ops::Range;
 
 use mpsim::{Communicator, Result, Tag};
-use tensor::conv::Tensor4;
+use tensor::conv::{Nhw, Tensor4};
 
 use crate::dist::intersect;
 
-/// A direction of the exchange: its tag, and how an arriving overlap
-/// lands in the result at a row offset.
-type Direction = (Tag, fn(&mut Tensor4, usize, &Tensor4));
-const FETCH: Direction = ((1 << 48) + 112, Tensor4::set_row_strip);
-const SCATTER_ADD: Direction = ((1 << 48) + 113, Tensor4::add_row_strip);
+/// The zeros around the rows a tensor covers, as
+/// [`Tensor4::zero_extend`] takes them: `(above, below, side)` — extra
+/// rows above and below, extra columns on the left and on the right.
+pub type Frame = (usize, usize, usize);
+/// The empty frame: the tensor is exactly its rows.
+pub const NO_FRAME: Frame = (0, 0, 0);
 
-/// Extracts the global rows `global` from `strip` (which covers rows
-/// `owned`).
-fn rows_of(strip: &Tensor4, owned: &Range<usize>, global: &Range<usize>) -> Tensor4 {
-    debug_assert!(global.start >= owned.start && global.end <= owned.end);
-    strip.row_strip(global.start - owned.start, global.end - owned.start)
-}
+/// A direction of the exchange: its tag, how a block of rows lands in
+/// the result, and the frames around the rows of `strip` and of the
+/// result.
+type Place = fn(&mut Tensor4, Nhw, &Tensor4, Nhw, Nhw);
+type Direction = (Tag, Place, Frame, Frame);
+const FETCH_TAG: Tag = (1 << 48) + 112;
+const SCATTER_ADD_TAG: Tag = (1 << 48) + 113;
 
-/// The exchange both directions share: `strip` covers the global rows
-/// `have[rank]`; the result covers `want[rank]`, every overlap
-/// `have[q] ∩ want[rank]` laid into it by `place` in rank order of `q`
-/// (so a sum keeps its order). One message per peer with a non-empty
-/// overlap, and all of them are waited on before returning — which is
-/// what lets consecutive layers reuse one tag under FIFO matching.
+/// The exchange both directions share: `strip`, inside the frame
+/// `from`, covers the global rows `have[rank]`; the result, inside the
+/// frame `into`, covers `want[rank]`, every overlap `have[q] ∩
+/// want[rank]` laid into it by `place` in rank order of `q` (so a sum
+/// keeps its order) and its frame left zero. One message per peer with
+/// a non-empty overlap, and all of them are waited on before returning
+/// — which is what lets consecutive layers reuse one tag under FIFO
+/// matching.
 fn exchange(
     comm: &Communicator,
     strip: &Tensor4,
     have: &[Range<usize>],
     want: &[Range<usize>],
-    (tag, place): Direction,
+    (tag, place, from, into): Direction,
     in_flight: impl FnOnce(),
 ) -> Result<Tensor4> {
     let p = comm.size();
@@ -60,13 +73,18 @@ fn exchange(
     debug_assert_eq!(have.len(), p);
     debug_assert_eq!(want.len(), p);
     let (mine, wanted) = (&have[me], &want[me]);
-    let (n, c, w) = (strip.n, strip.c, strip.w);
+    let (n, c, w) = (strip.n, strip.c, strip.w - 2 * from.2);
+    debug_assert_eq!(strip.h, from.0 + mine.len() + from.1);
+    // Where the global rows `rows` start in `strip`.
+    let held = |rows: &Range<usize>| [0, from.0 + rows.start - mine.start, from.2];
 
     // Sends are eager and go first: my rows that peers want.
     for q in 0..p {
         let overlap = intersect(mine, &want[q]);
         if q != me && !overlap.is_empty() {
-            comm.send_vec(q, tag, rows_of(strip, mine, &overlap).into_vec())?;
+            let [_, h0, w0] = held(&overlap);
+            let rows = strip.block(0..n, h0..h0 + overlap.len(), w0..w0 + w);
+            comm.send_vec(q, tag, rows.into_vec())?;
         }
     }
     // Every receive is posted before anything is waited on, so the
@@ -80,13 +98,17 @@ fn exchange(
         })
         .collect::<Result<Vec<_>>>()?;
     in_flight();
-    let mut out = Tensor4::zeros(n, c, wanted.len(), w);
+    let mut out = Tensor4::zeros(n, c, into.0 + wanted.len() + into.1, w + 2 * into.2);
     for (overlap, handle) in posted {
-        let rows = match handle {
-            None => rows_of(strip, mine, &overlap),
-            Some(h) => Tensor4::from_vec(n, c, overlap.len(), w, comm.wait(h)?),
-        };
-        place(&mut out, overlap.start - wanted.start, &rows);
+        let at = [0, into.0 + overlap.start - wanted.start, into.2];
+        let size = [n, overlap.len(), w];
+        match handle {
+            None => place(&mut out, at, strip, held(&overlap), size),
+            Some(h) => {
+                let rows = Tensor4::from_vec(n, c, overlap.len(), w, comm.wait(h)?);
+                place(&mut out, at, &rows, [0; 3], size);
+            }
+        }
     }
     Ok(out)
 }
@@ -95,7 +117,9 @@ fn exchange(
 /// tensor. `strip` holds this rank's rows `owned[rank]`; `owned` and
 /// `needed` are the full per-rank tables (identical on every rank —
 /// derive them from the layer shapes). Returns a tensor covering
-/// exactly `needed[rank]`.
+/// exactly `needed[rank]`, framed in `frame`'s zeros — bit for bit
+/// `fetch_rows(.., NO_FRAME, ..)?.zero_extend(above, below, side)`,
+/// without the second copy.
 ///
 /// `in_flight` runs after every receive is posted and before the first
 /// is waited on: compute it charges to the virtual clock (e.g. via
@@ -112,22 +136,28 @@ pub fn fetch_rows(
     strip: &Tensor4,
     owned: &[Range<usize>],
     needed: &[Range<usize>],
+    frame: Frame,
     in_flight: impl FnOnce(),
 ) -> Result<Tensor4> {
-    exchange(comm, strip, owned, needed, FETCH, in_flight)
+    let fetch: Direction = (FETCH_TAG, Tensor4::copy_block, NO_FRAME, frame);
+    exchange(comm, strip, owned, needed, fetch, in_flight)
 }
 
 /// Scatter-adds produced rows back to their owners: `strip` covers
-/// global rows `produced[rank]`; the result covers `owned[rank]` and
-/// sums every rank's contribution to those rows in producer order (the
-/// adjoint of [`fetch_rows`], with the same fault contract).
+/// global rows `produced[rank]` inside `frame` (whose rows and columns
+/// are skipped, not sent: bit for bit the scatter of
+/// `strip.peel(above, below, side)`); the result covers `owned[rank]`
+/// and sums every rank's contribution to those rows in producer order
+/// (the adjoint of [`fetch_rows`], with the same fault contract).
 pub fn scatter_add_rows(
     comm: &Communicator,
     strip: &Tensor4,
     produced: &[Range<usize>],
     owned: &[Range<usize>],
+    frame: Frame,
 ) -> Result<Tensor4> {
-    exchange(comm, strip, produced, owned, SCATTER_ADD, || ())
+    let scatter_add: Direction = (SCATTER_ADD_TAG, Tensor4::add_block, frame, NO_FRAME);
+    exchange(comm, strip, produced, owned, scatter_add, || ())
 }
 
 #[cfg(test)]
@@ -152,7 +182,7 @@ mod tests {
         let out = World::run(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            fetch_rows(comm, &strip, &owned, &needed, || ()).unwrap()
+            fetch_rows(comm, &strip, &owned, &needed, NO_FRAME, || ()).unwrap()
         });
         for (r, got) in out.iter().enumerate() {
             let expect = x.row_strip(needed[r].start, needed[r].end);
@@ -170,7 +200,7 @@ mod tests {
         let out = World::run(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            fetch_rows(comm, &strip, &owned, &needed, || ()).unwrap()
+            fetch_rows(comm, &strip, &owned, &needed, NO_FRAME, || ()).unwrap()
         });
         assert_eq!(out[1].h, 0);
         assert!(out[0].approx_eq(&x, 0.0));
@@ -190,7 +220,7 @@ mod tests {
         let out = World::run(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let mine = ones(&produced[me]);
-            scatter_add_rows(comm, &mine, &produced, &owned).unwrap()
+            scatter_add_rows(comm, &mine, &produced, &owned, NO_FRAME).unwrap()
         });
         // Coverage counts per global row: rows 3..5 and 6..8 are
         // covered twice.
@@ -219,8 +249,8 @@ mod tests {
         let out = World::run(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            let window = fetch_rows(comm, &strip, &owned, &needed, || ()).unwrap();
-            scatter_add_rows(comm, &window, &needed, &owned).unwrap()
+            let window = fetch_rows(comm, &strip, &owned, &needed, NO_FRAME, || ()).unwrap();
+            scatter_add_rows(comm, &window, &needed, &owned, NO_FRAME).unwrap()
         });
         for (r, got) in out.iter().enumerate() {
             for hi in 0..owned[r].len() {
@@ -254,7 +284,7 @@ mod tests {
         let (_, stats) = World::run_with_stats(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            fetch_rows(comm, &strip, &owned, &needed, || ()).unwrap();
+            fetch_rows(comm, &strip, &owned, &needed, NO_FRAME, || ()).unwrap();
         });
         // 3 interior boundaries × 2 directions × 1 row × (2*3*5) words.
         assert_eq!(stats.total_words(), 6 * 2 * 3 * 5);
@@ -279,7 +309,7 @@ mod tests {
                 let me = comm.rank();
                 let strip = x.row_strip(owned[me].start, owned[me].end);
                 let in_flight = || comm.advance_compute(busy);
-                let got = fetch_rows(comm, &strip, &owned, &needed, in_flight).unwrap();
+                let got = fetch_rows(comm, &strip, &owned, &needed, NO_FRAME, in_flight).unwrap();
                 (got, comm.clock())
             });
             assert!(out[1].0.approx_eq(&x, 0.0));

@@ -23,6 +23,7 @@
 //! matmul) as the benchmark baseline.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::gemm;
 use crate::matmul::{matmul, matmul_at_b, matmul_ref};
@@ -43,6 +44,12 @@ pub struct Tensor4 {
     pub w: usize,
     data: Vec<f64>,
 }
+
+/// `(n, c, h, w)`.
+type Shape = (usize, usize, usize, usize);
+/// `[samples, rows, columns]`: the extent of a block of a [`Tensor4`]
+/// (all channels of it), or the `[sample, row, column]` it starts at.
+pub type Nhw = [usize; 3];
 
 impl Tensor4 {
     /// An all-zeros tensor.
@@ -133,6 +140,80 @@ impl Tensor4 {
         self.data.is_empty()
     }
 
+    /// `(n, c, h, w)`.
+    pub fn shape(&self) -> Shape {
+        (self.n, self.c, self.h, self.w)
+    }
+
+    /// The one body under every strip, frame and shard copier: calls
+    /// `run(d, s, len)` with the buffer offsets of every contiguous run
+    /// that the `size` block at `at` of a `dst`-shaped tensor shares
+    /// with the one at `from` of a `src`-shaped tensor, in ascending
+    /// order — a whole `rows·columns` run per plane where the block
+    /// spans both widths, else a row.
+    fn block_runs(
+        (dst, at): (Shape, Nhw),
+        (src, from): (Shape, Nhw),
+        size: Nhw,
+        mut run: impl FnMut(usize, usize, usize),
+    ) {
+        let fits = |(n, _, h, w): Shape, o: Nhw| {
+            o[0] + size[0] <= n && o[1] + size[1] <= h && o[2] + size[2] <= w
+        };
+        assert!(
+            src.1 == dst.1 && fits(src, from) && fits(dst, at),
+            "block {size:?} from {from:?} of {src:?} to {at:?} of {dst:?}"
+        );
+        let ((_, c, dh, dw), (_, _, sh, sw), [samples, rows, cols]) = (dst, src, size);
+        let flat = cols == dw && cols == sw;
+        let (runs, len) = if flat { (1, rows * cols) } else { (rows, cols) };
+        if len == 0 {
+            return;
+        }
+        for plane in 0..samples * c {
+            let d0 = ((at[0] * c + plane) * dh + at[1]) * dw + at[2];
+            let s0 = ((from[0] * c + plane) * sh + from[1]) * sw + from[2];
+            for r in 0..runs {
+                run(d0 + r * dw, s0 + r * sw, len);
+            }
+        }
+    }
+
+    /// Copies the `size` block at `from` in `src` onto the block at
+    /// `at` here.
+    pub fn copy_block(&mut self, at: Nhw, src: &Tensor4, from: Nhw, size: Nhw) {
+        let (dst, src_shape) = (self.shape(), src.shape());
+        Self::block_runs((dst, at), (src_shape, from), size, |d, s, len| {
+            self.data[d..d + len].copy_from_slice(&src.data[s..s + len]);
+        });
+    }
+
+    /// Adds the `size` block at `from` in `src` element-wise onto the
+    /// block at `at` here.
+    pub fn add_block(&mut self, at: Nhw, src: &Tensor4, from: Nhw, size: Nhw) {
+        let (dst, src_shape) = (self.shape(), src.shape());
+        Self::block_runs((dst, at), (src_shape, from), size, |d, s, len| {
+            for (a, b) in self.data[d..d + len].iter_mut().zip(&src.data[s..s + len]) {
+                *a += b;
+            }
+        });
+    }
+
+    /// Copies samples `n`, rows `rows` and columns `cols` of every
+    /// channel into a new tensor.
+    pub fn block(&self, n: Range<usize>, rows: Range<usize>, cols: Range<usize>) -> Tensor4 {
+        let from = [n.start, rows.start, cols.start];
+        let (n, h, w) = (n.len(), rows.len(), cols.len());
+        let mut data = Vec::with_capacity(n * self.c * h * w);
+        // The new tensor is exactly the block: its runs arrive back to
+        // back.
+        let dst = ((n, self.c, h, w), [0; 3]);
+        Self::block_runs(dst, (self.shape(), from), [n, h, w], |_, s, len| {
+            data.extend_from_slice(&self.data[s..s + len]);
+        });
+        Tensor4::from_vec(n, self.c, h, w, data)
+    }
+
     /// Copies rows `h0..h1` (all samples, channels, widths) into a new
     /// tensor — the strip a domain-parallel rank owns.
     pub fn row_strip(&self, h0: usize, h1: usize) -> Tensor4 {
@@ -141,57 +222,31 @@ impl Tensor4 {
             "row strip {h0}..{h1} out of {}",
             self.h
         );
-        self.peel(h0, self.h - h1, 0)
+        self.block(0..self.n, h0..h1, 0..self.w)
     }
 
     /// Writes `strip` back into rows `h0..`.
     pub fn set_row_strip(&mut self, h0: usize, strip: &Tensor4) {
-        for (dst, src) in self.strip_planes_mut(h0, strip) {
-            dst.copy_from_slice(src);
-        }
+        self.copy_block([0, h0, 0], strip, [0; 3], self.strip_size(strip));
     }
 
     /// Adds `strip` element-wise onto rows `h0..`.
     pub fn add_row_strip(&mut self, h0: usize, strip: &Tensor4) {
-        for (dst, src) in self.strip_planes_mut(h0, strip) {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
+        self.add_block([0, h0, 0], strip, [0; 3], self.strip_size(strip));
     }
 
-    /// Pairs each `(n, c)` plane of `strip` with the rows `h0..` of the
-    /// same plane here; within a plane those rows are one contiguous run.
-    fn strip_planes_mut<'a>(
-        &'a mut self,
-        h0: usize,
-        strip: &'a Tensor4,
-    ) -> impl Iterator<Item = (&'a mut [f64], &'a [f64])> {
+    /// `strip` as a block, checked to span this tensor's samples,
+    /// channels and width.
+    fn strip_size(&self, strip: &Tensor4) -> [usize; 3] {
         assert_eq!((strip.n, strip.c, strip.w), (self.n, self.c, self.w));
-        assert!(h0 + strip.h <= self.h, "strip overflows tensor height");
-        let (plane, run) = (self.h * self.w, strip.h * self.w);
-        // `max(1)`: chunk sizes must be nonzero; an empty side then
-        // yields no planes at all.
-        self.data
-            .chunks_exact_mut(plane.max(1))
-            .zip(strip.data.chunks_exact(run.max(1)))
-            .map(move |(dst, src)| (&mut dst[h0 * strip.w..][..run], src))
+        [strip.n, strip.h, strip.w]
     }
 
     /// A copy framed in zeros: `above` / `below` extra rows and `side`
     /// extra columns on the left and on the right of every plane.
     pub fn zero_extend(&self, above: usize, below: usize, side: usize) -> Tensor4 {
         let mut ext = Tensor4::zeros(self.n, self.c, self.h + above + below, self.w + 2 * side);
-        let (w, ew) = (self.w, ext.w);
-        if !self.data.is_empty() {
-            let rows = ext
-                .data
-                .chunks_exact_mut(ext.h * ew)
-                .flat_map(|plane| plane[above * ew..][..self.h * ew].chunks_exact_mut(ew));
-            for (dst, src) in rows.zip(self.data.chunks_exact(w)) {
-                dst[side..side + w].copy_from_slice(src);
-            }
-        }
+        ext.copy_block([0, above, side], self, [0; 3], [self.n, self.h, self.w]);
         ext
     }
 
@@ -205,16 +260,7 @@ impl Tensor4 {
             self.h,
             self.w
         );
-        let (h, w) = (self.h - above - below, self.w - 2 * side);
-        let mut data = Vec::with_capacity(self.n * self.c * h * w);
-        if h * w > 0 {
-            for plane in self.data.chunks_exact(self.h * self.w) {
-                for row in plane[above * self.w..][..h * self.w].chunks_exact(self.w) {
-                    data.extend_from_slice(&row[side..side + w]);
-                }
-            }
-        }
-        Tensor4::from_vec(self.n, self.c, h, w, data)
+        self.block(0..self.n, above..self.h - below, side..self.w - side)
     }
 
     /// Flattens into a matrix with one *column* per sample (the `d × B`
@@ -240,11 +286,7 @@ impl Tensor4 {
 
     /// Largest absolute element-wise difference.
     pub fn max_abs_diff(&self, other: &Tensor4) -> f64 {
-        assert_eq!(
-            (self.n, self.c, self.h, self.w),
-            (other.n, other.c, other.h, other.w),
-            "tensor shape mismatch"
-        );
+        assert_eq!(self.shape(), other.shape(), "tensor shape mismatch");
         self.data
             .iter()
             .zip(&other.data)

@@ -36,7 +36,7 @@ use integrated_parallelism::collectives::ring::{
 };
 use integrated_parallelism::collectives::{FtConfig, ReduceOp};
 use integrated_parallelism::distmm::cols::redistribute_cols;
-use integrated_parallelism::distmm::rows::{fetch_rows, scatter_add_rows};
+use integrated_parallelism::distmm::rows::{fetch_rows, scatter_add_rows, NO_FRAME};
 use integrated_parallelism::mpsim::{
     Communicator, Error, FaultPlan, NetModel, Result, World, WorldStats,
 };
@@ -107,7 +107,7 @@ const TABLE: [(&str, Pattern); 11] = [
         let owned: Vec<_> = (0..P).map(|r| r..r + 1).collect();
         let needed = vec![0..P; P];
         let strip = Tensor4::from_vec(1, 1, 1, N, words(c.rank()));
-        let rows = fetch_rows(c, &strip, &owned, &needed, || ())?;
+        let rows = fetch_rows(c, &strip, &owned, &needed, NO_FRAME, || ())?;
         let x = Matrix::from_vec(N, 1, words(c.rank()));
         let cols = redistribute_cols(c, &x, &owned, &needed, &[true; P])?;
         Ok([rows.as_slice(), cols.as_slice()].concat())
@@ -116,7 +116,7 @@ const TABLE: [(&str, Pattern); 11] = [
         // Each rank produced a term of every row and owns one.
         let owned: Vec<_> = (0..P).map(|r| r..r + 1).collect();
         let produced = Tensor4::from_vec(1, 1, P, N / P, words(c.rank()));
-        Ok(scatter_add_rows(c, &produced, &vec![0..P; P], &owned)?.into_vec())
+        Ok(scatter_add_rows(c, &produced, &vec![0..P; P], &owned, NO_FRAME)?.into_vec())
     }),
 ];
 
