@@ -3,17 +3,21 @@
 //! shapes — the single-node compute term the paper's Eq. 5–9 divide all
 //! communication against.
 //!
-//! For every shape in [`bench::kernels`] this measures GFLOP/s of the
-//! new kernel and its frozen baseline (`matmul_ref`,
-//! `conv2d_im2col_ref`, `conv2d_backward_ref`), prints a table, and
-//! writes `BENCH_kernels.json` with per-shape rates and speedups like
-//! the other `BENCH_*.json` producers.
+//! For every shape in [`bench::kernels`] — the zoo layers, and the
+//! layer shards `chaos_ft` and `fc_1p5d` actually multiply, in all
+//! three orientations — this measures GFLOP/s of the new kernel and its
+//! frozen baseline (`matmul_ref`, `conv2d_im2col_ref`,
+//! `conv2d_backward_ref`), prints a table, and writes
+//! `BENCH_kernels.json` with per-shape rates and speedups like the
+//! other `BENCH_*.json` producers.
 //!
 //! It is also the CI perf gate (`kernel-smoke` job): the run **panics**
 //! if the packed GEMM fails to beat the frozen kernel on the largest
-//! GEMM shape, if the implicit convolution fails to beat the
-//! materialized reference on the AlexNet conv2 acceptance shape, or if
-//! any backward row (AlexNet conv2 and the `mini_alexnet` strip
+//! GEMM shape, if any orientation of `chaos_ft`'s 24×64×8 shard runs
+//! under ¼ of the same run's `square_512` rate (a tile-scale product
+//! that has fallen off the packed kernel reads ≈ 0.1), if the implicit
+//! convolution fails to beat the materialized reference on the AlexNet
+//! conv2 acceptance shape, or if any backward row (AlexNet conv2 and the `mini_alexnet` strip
 //! windows) fails to beat `conv2d_backward_ref` — a silent kernel
 //! regression fails the build. It also reports, in GB/s, the kernels
 //! that move words instead of multiplying them — in-place ReLU forward
@@ -34,7 +38,7 @@ use std::time::Instant;
 
 use bench::kernels::{
     conv_backward_shapes, conv_shapes, gemm_shapes, measure_gbps, measure_gflops, CHECKSUM_WORDS,
-    ELEMENTWISE_SHAPE, LRN_SHAPES,
+    ELEMENTWISE_SHAPE, LRN_SHAPES, SHARD_SHAPES,
 };
 use bench::parse_args;
 use integrated::report::Table;
@@ -44,7 +48,11 @@ use tensor::conv::{conv2d, conv2d_backward, conv2d_backward_ref, conv2d_im2col_r
 use tensor::gemm::fma_kernel_available;
 use tensor::init;
 use tensor::lrn::{lrn_backward, lrn_forward, LrnParams};
-use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_ref};
+use tensor::matmul::{
+    matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into, matmul_flops,
+    matmul_into, matmul_ref,
+};
+use tensor::Matrix;
 
 /// One measured comparison row.
 struct Row {
@@ -78,6 +86,10 @@ const STREAM_GATE_GBPS: f64 = 4.0;
 /// The same for `lrn_forward`, whose words each cost two square roots
 /// and a division: about half of what the plane-wise body measures.
 const LRN_GATE_GBPS: f64 = 0.7;
+
+/// Share of the same run's `square_512` GFLOP/s under which a
+/// `chaos_ft` 24×64×8 row fails the run.
+const SHARD_GATE_RATIO: f64 = 0.25;
 
 /// The floor a word-moving row is held to on an AVX2 host; the other
 /// rows are reported, not gated.
@@ -135,6 +147,37 @@ fn main() {
             new_gflops: measure_gflops(flops, warmup, reps, || matmul_a_bt(&a, &b)),
             ref_gflops: ref_gf,
         });
+    }
+
+    // The layer-shard products the trainers issue, each orientation into
+    // one reused output; the reference is the frozen AB kernel on the
+    // same m×k×n.
+    for (workload, w_rows, d_in, b) in SHARD_SHAPES {
+        let w = init::uniform(w_rows, d_in, -1.0, 1.0, 31);
+        let x = init::uniform(d_in, b, -1.0, 1.0, 32);
+        let dy = init::uniform(w_rows, b, -1.0, 1.0, 33);
+        let mut c = Matrix::zeros(0, 0);
+        type Into = fn(&Matrix, &Matrix, &mut Matrix);
+        let products: [(&str, Into, &Matrix, &Matrix, [usize; 3]); 3] = [
+            ("w_x", matmul_into, &w, &x, [w_rows, d_in, b]),
+            ("dy_xt", matmul_a_bt_into, &dy, &x, [w_rows, b, d_in]),
+            ("wt_dy", matmul_at_b_into, &w, &dy, [d_in, w_rows, b]),
+        ];
+        for (tag, product, l, r, [m, k, n]) in products {
+            let flops = matmul_flops(m, k, n);
+            let (ra, rb) = (
+                init::uniform(m, k, -1.0, 1.0, 34),
+                init::uniform(k, n, -1.0, 1.0, 35),
+            );
+            rows.push(Row {
+                kind: "gemm_shard",
+                shape: format!("{workload}_{w_rows}x{d_in}x{b}_{tag}"),
+                dims: format!("{m}x{k}x{n}"),
+                flops,
+                new_gflops: measure_gflops(flops, warmup, reps, || product(l, r, &mut c)),
+                ref_gflops: measure_gflops(flops, warmup, reps, || matmul_ref(&ra, &rb)),
+            });
+        }
     }
 
     for s in conv_shapes() {
@@ -322,6 +365,25 @@ fn main() {
         largest.ref_gflops,
         largest.shape
     );
+    // A ratio within one run, so the shared host's mood cancels: the
+    // largest `chaos_ft` shard ran at 0.11-0.16 of `square_512` on the
+    // unpacked loops it used to take and runs at 0.42-0.57 packed.
+    let square = rows
+        .iter()
+        .find(|r| r.shape == "square_512")
+        .expect("square_512 row present")
+        .new_gflops;
+    for r in rows
+        .iter()
+        .filter(|r| r.shape.starts_with("chaos_ft_24x64x8"))
+    {
+        assert!(
+            r.new_gflops >= SHARD_GATE_RATIO * square,
+            "tile-scale GEMM regression: {} at {:.2} GF/s < {SHARD_GATE_RATIO} x square_512's {square:.2}",
+            r.shape,
+            r.new_gflops
+        );
+    }
     let conv2 = rows
         .iter()
         .find(|r| r.shape == "alexnet_conv2")

@@ -163,6 +163,20 @@ pub fn gemm_shapes() -> Vec<GemmShape> {
     shapes
 }
 
+/// The layer shards the benchmark's trainers multiply, as `(workload,
+/// rows of W, d_in, batch columns)`: `chaos_ft`'s three (`mlp_tiny` on
+/// 2×3, B = 24), then `fc_1p5d`'s 384→256 layer at `Pr` = 16, its
+/// 256→256 layer at `Pr` = 8 on P = 16, and one row of its 10-row head.
+/// Each is measured as `W·X`, `∆Y·Xᵀ` and `Wᵀ·∆Y`.
+pub const SHARD_SHAPES: [(&str, usize, usize, usize); 6] = [
+    ("chaos_ft", 24, 64, 8),
+    ("chaos_ft", 16, 48, 8),
+    ("chaos_ft", 5, 32, 8),
+    ("fc_1p5d", 16, 384, 512),
+    ("fc_1p5d", 32, 256, 256),
+    ("fc_1p5d", 1, 256, 512),
+];
+
 /// Turns a zoo conv layer into the local convolution
 /// `distmm::domain_general` issues for one strip of it: `rows` input
 /// rows (the fetched window plus any synthetic zero rows) and the

@@ -14,8 +14,8 @@
 //! the located element is re-derived in the owning kernel's exact
 //! accumulation order — the [`crate::gemm`] determinism contract, an
 //! ascending-`k` `f64::mul_add` fold from `0.0`, identical for all
-//! three product shapes and for every dispatch path (small/packed,
-//! scalar/AVX2) — so a corrected product is indistinguishable, to the
+//! three product shapes, at every size, on the scalar and the AVX2
+//! microkernel — so a corrected product is indistinguishable, to the
 //! last bit, from one that was never corrupted. That is what lets the
 //! fault-tolerant trainer keep its bit-parity guarantees with ABFT
 //! enabled: verification only reads, and correction restores the exact
@@ -459,6 +459,38 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(cb, clean_b);
+    }
+
+    #[test]
+    fn repair_is_bit_exact_on_tile_scale_shard_products() {
+        // The smallest and largest `mlp_tiny` shards `chaos_ft` verifies
+        // (rows of W, d_in, batch columns): a flip in the ragged last
+        // row and column of each of the three products is re-derived to
+        // the packed kernel's bits.
+        for (rows, d_in, bc) in [(5, 32, 8), (24, 64, 8)] {
+            let w = test_matrix(rows, d_in, 0.3);
+            let x = test_matrix(d_in, bc, 0.6);
+            let dy = test_matrix(rows, bc, 0.8);
+            for (name, product, verify, a, b) in [
+                ("W·X", matmul as Product, verify_matmul as Verifier, &w, &x),
+                ("∆Y·Xᵀ", matmul_a_bt, verify_a_bt, &dy, &x),
+                ("Wᵀ·∆Y", matmul_at_b, verify_at_b, &w, &dy),
+            ] {
+                let clean = product(a, b);
+                let (i, j) = (clean.rows() - 1, clean.cols() - 1);
+                let mut c = clean.clone();
+                flip_bit(&mut c, i, j, 53);
+                assert_eq!(
+                    verify(a, b, &mut c),
+                    Verdict::Corrected { row: i, col: j },
+                    "{name} on {rows}×{d_in}×{bc}"
+                );
+                assert_eq!(
+                    c, clean,
+                    "{name} on {rows}×{d_in}×{bc}: repair is bit-exact"
+                );
+            }
+        }
     }
 
     #[test]

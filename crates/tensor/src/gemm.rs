@@ -35,14 +35,20 @@
 //! needs no clearing pass — and every later panel loads the C tile at
 //! its start and stores it after, so panel boundaries do not break the
 //! chain, and IEEE-754 `fusedMultiplyAdd` is exactly rounded, so the
-//! hardware-FMA fast path, the scalar `f64::mul_add` fallback, and the
-//! small-matrix path all produce **bit-identical** results — on any
-//! machine, any thread count, every run. ABFT recomputation
+//! hardware-FMA fast path and the scalar `f64::mul_add` fallback
+//! produce **bit-identical** results — on any machine, any thread
+//! count, every run. ABFT recomputation
 //! ([`crate::abft`]) relies on this: re-deriving one element as a plain
 //! ascending-k `mul_add` dot reproduces the kernel's bits exactly.
 //! Deliberately absent: split accumulators (k-unrolled partial sums)
 //! and non-fused mul+add paths, both of which would tie the numerical
-//! result to the dispatch decision.
+//! result to the dispatch decision — and a size under which a product
+//! skips packing. The contract has one executor from 1×1×1 up: unpacked
+//! loops only win under one register tile (`W·X` at 6×8×8: 66 ns
+//! packed, 111 not; 3×8×8: 58 against 55; 1×1×1: 40 against 18), where
+//! no trainer issues products in volume, and lose 2–4.6× on the layer
+//! shards that strong scaling produces (EXPERIMENTS.md, "Every product
+//! on the packed kernel").
 //!
 //! The AVX2+FMA microkernel is selected by runtime feature detection
 //! (`is_x86_feature_detected!`); everything else goes through the same
@@ -66,13 +72,6 @@ pub const MC: usize = 48;
 /// Column-panel width (multiple of NR): B̃ is KC×NC ≈ 1 MB, sized to
 /// L2/L3.
 pub const NC: usize = 512;
-
-/// Below this many multiply-adds (`m·n·k`), skip packing *and* the
-/// parallel runtime entirely: a tiny layer-shard GEMM at large P costs
-/// more in rayon dispatch and panel setup than the arithmetic itself.
-/// Tuned on the criterion suite; a 32³ product sits right at the
-/// crossover.
-pub const SMALL_GEMM_MNK: usize = 32 * 32 * 32;
 
 /// Minimum multiply-adds (`m·n·k`) before row blocks are fanned out to
 /// worker threads; below this a single core finishes before the spawn
@@ -98,14 +97,6 @@ pub fn fma_kernel_available() -> bool {
     }
 }
 
-/// Whether a `m×k · k×n` product takes the small-matrix path (serial,
-/// unpacked). Exposed so the fast-path threshold is pinnable by tests.
-#[inline]
-pub fn is_small_gemm(m: usize, n: usize, k: usize) -> bool {
-    // Saturating: enormous dims must not wrap into "small".
-    m.saturating_mul(n).saturating_mul(k) <= SMALL_GEMM_MNK
-}
-
 /// Words of packing scratch a `m×k · k×n` product needs: one B̃ panel
 /// on the calling thread plus one Ã block per worker thread, both held
 /// in thread-local buffers that only ever grow to the largest such
@@ -114,7 +105,7 @@ pub fn is_small_gemm(m: usize, n: usize, k: usize) -> bool {
 /// the implicit-GEMM convolution run without a materialized im2col
 /// matrix.
 pub fn packing_scratch_words(m: usize, n: usize, k: usize) -> usize {
-    if is_small_gemm(m, n, k) || m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 || k == 0 {
         return 0;
     }
     let kc = KC.min(k);
@@ -149,14 +140,16 @@ fn with_scratch<R>(
     })
 }
 
-/// Portable full-tile microkernel: loads the `MR × NR` C tile — or,
-/// on the product's `first` K panel, starts from the `+0.0` a cleared
-/// tile would have held — folds the packed slivers over ascending k
-/// with `mul_add`, stores it back.
-fn micro_6x8(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize, first: bool) {
+/// Portable microkernel over the top `rows` rows of an `MR × NR` tile:
+/// loads them from `c` — or, on the product's `first` K panel, starts
+/// from the `+0.0` a cleared tile would have held — folds the packed
+/// slivers over ascending k with `mul_add`, stores them back. All `MR`
+/// rows are folded (a ragged sliver's tail lanes are zero); the rows
+/// past `rows` are neither read from `c` nor written to it.
+fn micro_6x8(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize, rows: usize, first: bool) {
     let mut acc = [[0.0f64; NR]; MR];
     if !first {
-        for (r, row) in acc.iter_mut().enumerate() {
+        for (r, row) in acc.iter_mut().enumerate().take(rows) {
             row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
         }
     }
@@ -170,33 +163,43 @@ fn micro_6x8(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize, first: 
             }
         }
     }
-    for (r, row) in acc.iter().enumerate() {
+    for (r, row) in acc.iter().enumerate().take(rows) {
         c[r * ldc..r * ldc + NR].copy_from_slice(row);
     }
 }
 
-/// Full-tile AVX2+FMA microkernel: 6×8 register tile (12 accumulator
-/// ymm, 2 B vectors, 1 broadcast — 15 of 16 registers), `vfmadd` per
-/// lane, which per element is exactly the ascending-k `mul_add` fold of
-/// the determinism contract.
+/// AVX2+FMA microkernel: 6×8 register tile (12 accumulator ymm, 2 B
+/// vectors, 1 broadcast — 15 of 16 registers), `vfmadd` per lane, which
+/// per element is exactly the ascending-k `mul_add` fold of the
+/// determinism contract. Touches the top `rows` rows of `c`, like
+/// [`micro_6x8`].
 ///
 /// # Safety
 ///
 /// Caller must have verified AVX2+FMA support via
-/// [`fma_kernel_available`], and `c` must have `MR` rows of `ldc`
-/// with at least `NR` valid columns at the tile origin.
+/// [`fma_kernel_available`], `rows` must be in `1..=MR`, and `c` must
+/// have `rows` rows of `ldc` with at least `NR` valid columns at the
+/// tile origin.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn micro_6x8_fma(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize, first: bool) {
+unsafe fn micro_6x8_fma(
+    kc: usize,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    rows: usize,
+    first: bool,
+) {
     use std::arch::x86_64::*;
     debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    debug_assert!(c.len() >= (MR - 1) * ldc + NR);
+    debug_assert!((1..=MR).contains(&rows) && c.len() >= (rows - 1) * ldc + NR);
     let ap = a.as_ptr();
     let bp = b.as_ptr();
     let cp = c.as_mut_ptr();
     let mut acc = [[_mm256_setzero_pd(); 2]; MR];
     if !first {
-        for (r, row) in acc.iter_mut().enumerate() {
+        for (r, row) in acc.iter_mut().enumerate().take(rows) {
             row[0] = _mm256_loadu_pd(cp.add(r * ldc));
             row[1] = _mm256_loadu_pd(cp.add(r * ldc + 4));
         }
@@ -210,36 +213,48 @@ unsafe fn micro_6x8_fma(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usi
             row[1] = _mm256_fmadd_pd(ar, b1, row[1]);
         }
     }
-    for (r, row) in acc.iter().enumerate() {
+    for (r, row) in acc.iter().enumerate().take(rows) {
         _mm256_storeu_pd(cp.add(r * ldc), row[0]);
         _mm256_storeu_pd(cp.add(r * ldc + 4), row[1]);
     }
 }
 
-/// Runs one full `MR × NR` tile on the best available microkernel.
+/// Runs one full-width tile of `rows` rows on the best available
+/// microkernel.
+// The argument list mirrors the microkernel ABI; bundling it into a
+// struct would just move the field list.
+#[allow(clippy::too_many_arguments)]
 #[inline]
-fn micro_full(fma: bool, kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize, first: bool) {
-    assert!(a.len() >= kc * MR && b.len() >= kc * NR && c.len() >= (MR - 1) * ldc + NR);
+fn micro_rows(
+    fma: bool,
+    kc: usize,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    rows: usize,
+    first: bool,
+) {
+    assert!(a.len() >= kc * MR && b.len() >= kc * NR);
+    assert!((1..=MR).contains(&rows) && c.len() >= (rows - 1) * ldc + NR);
     #[cfg(target_arch = "x86_64")]
     if fma {
         // SAFETY: `fma` is only true after runtime AVX2+FMA detection,
-        // and the assert above is the kernel's extent precondition.
-        unsafe { micro_6x8_fma(kc, a, b, c, ldc, first) };
+        // and the asserts above are the kernel's extent preconditions.
+        unsafe { micro_6x8_fma(kc, a, b, c, ldc, rows, first) };
         return;
     }
     let _ = fma;
-    micro_6x8(kc, a, b, c, ldc, first);
+    micro_6x8(kc, a, b, c, ldc, rows, first);
 }
 
 /// Dispatches one `mr_eff × nr_eff` tile; `first` marks the product's
-/// first K panel, whose fold starts from zero instead of from `c`.
-/// Edge tiles run the same full-tile kernel into a stack tile —
-/// preloaded with the valid part of `c` unless `first` — and copy the
-/// valid part back: the zero-filled sliver lanes only ever reach
-/// discarded entries, and every kept element is still the ascending-k
-/// fold.
-// The argument list mirrors the microkernel ABI; bundling it into a
-// struct would just move the field list.
+/// first K panel, whose fold starts from zero instead of from `c`. A
+/// tile short of rows only (`m % MR`, the layer-shard case) runs in
+/// place. A tile short of columns runs into a stack tile — preloaded
+/// with the valid part of `c` unless `first` — and copies the valid
+/// part back: the zero-filled sliver lanes only ever reach discarded
+/// entries, and every kept element is still the ascending-k fold.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_dispatch(
@@ -253,8 +268,8 @@ fn micro_dispatch(
     nr_eff: usize,
     first: bool,
 ) {
-    if mr_eff == MR && nr_eff == NR {
-        micro_full(fma, kc, a, b, c, ldc, first);
+    if nr_eff == NR {
+        micro_rows(fma, kc, a, b, c, ldc, mr_eff, first);
         return;
     }
     let mut tile = [0.0f64; MR * NR];
@@ -263,121 +278,10 @@ fn micro_dispatch(
             tile[r * NR..r * NR + nr_eff].copy_from_slice(&c[r * ldc..r * ldc + nr_eff]);
         }
     }
-    micro_full(fma, kc, a, b, &mut tile, NR, first);
+    micro_rows(fma, kc, a, b, &mut tile, NR, mr_eff, first);
     for r in 0..mr_eff {
         c[r * ldc..r * ldc + nr_eff].copy_from_slice(&tile[r * NR..r * NR + nr_eff]);
     }
-}
-
-/// The shape of a small-path product over dense row-major buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SmallShape {
-    /// `C = A·B` with `A` m×k, `B` k×n.
-    Nn,
-    /// `C = Aᵀ·B` with `A` k×m (untransposed), `B` k×n.
-    Tn,
-    /// `C = A·Bᵀ` with `A` m×k, `B` n×k (untransposed).
-    Nt,
-}
-
-/// Small-matrix body: unpacked loops, one `mul_add` chain per element
-/// over ascending k — the same contract as the packed path, so the two
-/// paths are bit-identical and the threshold is purely a speed knob.
-#[inline(always)]
-fn small_body(
-    shape: SmallShape,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-) {
-    match shape {
-        SmallShape::Nn => {
-            // i-k-j: the inner loop streams contiguous B and C rows.
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    for (cj, &bkj) in c_row.iter_mut().zip(b_row) {
-                        *cj = aik.mul_add(bkj, *cj);
-                    }
-                }
-            }
-        }
-        SmallShape::Tn => {
-            // Rank-1 updates over ascending k; contiguous A and B rows.
-            for kk in 0..k {
-                let a_row = &a[kk * m..(kk + 1) * m];
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (i, &aki) in a_row.iter().enumerate() {
-                    let c_row = &mut c[i * n..(i + 1) * n];
-                    for (cj, &bkj) in c_row.iter_mut().zip(b_row) {
-                        *cj = aki.mul_add(bkj, *cj);
-                    }
-                }
-            }
-        }
-        SmallShape::Nt => {
-            // Plain dot products; both operand rows contiguous.
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for (j, cij) in c_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = *cij;
-                    for (&ak, &bk) in a_row.iter().zip(b_row) {
-                        acc = ak.mul_add(bk, acc);
-                    }
-                    *cij = acc;
-                }
-            }
-        }
-    }
-}
-
-/// `small_body` compiled with FMA enabled (hardware `vfmadd`,
-/// bit-identical to the fallback).
-///
-/// # Safety
-///
-/// Caller must have verified FMA support via [`fma_kernel_available`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-unsafe fn small_fma(
-    shape: SmallShape,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-) {
-    small_body(shape, m, n, k, a, b, c);
-}
-
-/// Serial, unpacked product for sub-threshold shapes. Overwrites `c`,
-/// like [`gemm_packed`].
-pub fn gemm_small(
-    shape: SmallShape,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-) {
-    debug_assert_eq!(c.len(), m * n);
-    c.fill(0.0);
-    #[cfg(target_arch = "x86_64")]
-    if fma_kernel_available() {
-        // SAFETY: runtime-detected.
-        unsafe { small_fma(shape, m, n, k, a, b, c) };
-        return;
-    }
-    small_body(shape, m, n, k, a, b, c);
 }
 
 /// Sliver-row fill for an operand whose lanes are contiguous in `src`
@@ -431,17 +335,24 @@ where
     FA: Fn(usize, usize, &mut [f64]) + Sync,
     FB: Fn(usize, usize, &mut [f64]) + Sync,
 {
-    debug_assert_eq!(c.len(), m * n);
+    assert_eq!(
+        c.len(),
+        m * n,
+        "gemm_packed: c holds {} words, m×n = {m}×{n}",
+        c.len()
+    );
     if m == 0 || n == 0 || k == 0 {
         c.fill(0.0);
         return;
     }
     let fma = fma_kernel_available();
-    let parallel = rayon::current_num_threads() > 1
-        && m > MC
-        && m.saturating_mul(n).saturating_mul(k) >= PAR_MIN_MNK;
+    let parallel = m > MC
+        && m.saturating_mul(n).saturating_mul(k) >= PAR_MIN_MNK
+        && rayon::current_num_threads() > 1;
 
+    // The two terms of `packing_scratch_words`.
     let b_words = KC.min(k) * NC.min(n.next_multiple_of(NR));
+    let a_words = MC.min(m.next_multiple_of(MR)) * KC.min(k);
     with_scratch(&B_PANEL, b_words, |b_panel| {
         let mut j0 = 0;
         while j0 < n {
@@ -462,48 +373,53 @@ where
                 }
                 let b_ref = &*b_panel;
                 let fill_a = &fill_a;
-                let process = |blk: usize, c_chunk: &mut [f64]| {
+                let process = |blk: usize, c_chunk: &mut [f64], ap: &mut [f64]| {
                     let i0 = blk * MC;
                     let ieff = MC.min(m - i0);
                     let isl = ieff.div_ceil(MR);
-                    with_scratch(&A_PANEL, isl * MR * keff, |ap| {
-                        // Pack Ã: MR-row slivers, k-major.
-                        for (s, sliver) in ap.chunks_exact_mut(keff * MR).enumerate() {
-                            let is = i0 + s * MR;
-                            pack_sliver::<MR>(sliver, MR.min(i0 + ieff - is), |kk, dst| {
-                                fill_a(is, k0 + kk, dst)
-                            });
+                    let ap = &mut ap[..isl * MR * keff];
+                    // Pack Ã: MR-row slivers, k-major.
+                    for (s, sliver) in ap.chunks_exact_mut(keff * MR).enumerate() {
+                        let is = i0 + s * MR;
+                        pack_sliver::<MR>(sliver, MR.min(i0 + ieff - is), |kk, dst| {
+                            fill_a(is, k0 + kk, dst)
+                        });
+                    }
+                    for t in 0..jsl {
+                        let nr_eff = NR.min(jeff - t * NR);
+                        let b_sliver = &b_ref[t * keff * NR..(t + 1) * keff * NR];
+                        for s in 0..isl {
+                            let mr_eff = MR.min(ieff - s * MR);
+                            let a_sliver = &ap[s * keff * MR..(s + 1) * keff * MR];
+                            let c_off = (s * MR) * n + j0 + t * NR;
+                            micro_dispatch(
+                                fma,
+                                keff,
+                                a_sliver,
+                                b_sliver,
+                                &mut c_chunk[c_off..],
+                                n,
+                                mr_eff,
+                                nr_eff,
+                                k0 == 0,
+                            );
                         }
-                        for t in 0..jsl {
-                            let nr_eff = NR.min(jeff - t * NR);
-                            let b_sliver = &b_ref[t * keff * NR..(t + 1) * keff * NR];
-                            for s in 0..isl {
-                                let mr_eff = MR.min(ieff - s * MR);
-                                let a_sliver = &ap[s * keff * MR..(s + 1) * keff * MR];
-                                let c_off = (s * MR) * n + j0 + t * NR;
-                                micro_dispatch(
-                                    fma,
-                                    keff,
-                                    a_sliver,
-                                    b_sliver,
-                                    &mut c_chunk[c_off..],
-                                    n,
-                                    mr_eff,
-                                    nr_eff,
-                                    k0 == 0,
-                                );
-                            }
-                        }
-                    });
+                    }
                 };
+                // One Ã borrow per worker: per row block on the pool's
+                // threads, once for the whole panel on this one.
                 if parallel {
                     c.par_chunks_mut(MC * n)
                         .enumerate()
-                        .for_each(|(blk, chunk)| process(blk, chunk));
+                        .for_each(|(blk, chunk)| {
+                            with_scratch(&A_PANEL, a_words, |ap| process(blk, chunk, ap))
+                        });
                 } else {
-                    for (blk, chunk) in c.chunks_mut(MC * n).enumerate() {
-                        process(blk, chunk);
-                    }
+                    with_scratch(&A_PANEL, a_words, |ap| {
+                        for (blk, chunk) in c.chunks_mut(MC * n).enumerate() {
+                            process(blk, chunk, ap);
+                        }
+                    });
                 }
                 k0 += keff;
             }
@@ -547,6 +463,17 @@ mod tests {
             |kk, j0, dst| copy_lanes(b, kk * n + j0, dst),
             c,
         );
+    }
+
+    /// Row-major `rows×cols` `x`, stored `cols×rows`.
+    fn transposed(rows: usize, cols: usize, x: &[f64]) -> Vec<f64> {
+        let mut t = vec![0.0; x.len()];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = x[r * cols + c];
+            }
+        }
+        t
     }
 
     #[test]
@@ -600,18 +527,7 @@ mod tests {
         ] {
             let a = dense(m, k, 0.2);
             let b = dense(k, n, 0.8);
-            let mut at = vec![0.0; k * m];
-            for i in 0..m {
-                for kk in 0..k {
-                    at[kk * m + i] = a[i * k + kk];
-                }
-            }
-            let mut bt = vec![0.0; n * k];
-            for kk in 0..k {
-                for j in 0..n {
-                    bt[j * k + kk] = b[kk * n + j];
-                }
-            }
+            let (at, bt) = (transposed(m, k, &a), transposed(k, n, &b));
             let mut c = vec![f64::NAN; m * n];
             gemm_packed(
                 m,
@@ -676,45 +592,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn small_path_is_bit_identical_to_packed() {
-        let (m, n, k) = (7, 9, 11);
-        let a = dense(m, k, 0.1);
-        let b = dense(k, n, 0.9);
-        let mut small = vec![f64::NAN; m * n];
-        gemm_small(SmallShape::Nn, m, n, k, &a, &b, &mut small);
-        let mut packed = vec![f64::NAN; m * n];
-        packed_nn(m, n, k, &a, &b, &mut packed);
-        assert_eq!(small, packed);
-    }
+    /// Shapes at or under one register tile — one element, `k = 1`,
+    /// fewer rows than a sliver, fewer columns than one, one row past a
+    /// sliver — and the `W·X` / `∆Y·Xᵀ` / `Wᵀ·∆Y` products of the three
+    /// `mlp_tiny` shards `chaos_ft` trains (2×3 grid, B = 24): the
+    /// kernel's floor, as `(m, n, k)`.
+    const TILE_SCALE: [(usize, usize, usize); 15] = [
+        (1, 1, 1),
+        (7, 9, 1),
+        (MR - 3, 2 * NR, 11),
+        (2 * MR, NR - 3, 5),
+        (MR + 1, NR, NR),
+        (4, 4, 4),
+        (24, 8, 64),
+        (24, 64, 8),
+        (64, 8, 24),
+        (16, 8, 48),
+        (16, 48, 8),
+        (48, 8, 16),
+        (5, 8, 32),
+        (5, 32, 8),
+        (32, 8, 5),
+    ];
 
     #[test]
-    fn small_transposed_shapes_match_contract() {
-        let (m, n, k) = (6, 5, 8);
-        // Tn: a is k×m.
-        let at = dense(k, m, 0.2);
-        let b = dense(k, n, 0.4);
-        let mut c = vec![0.0; m * n];
-        gemm_small(SmallShape::Tn, m, n, k, &at, &b, &mut c);
-        let mut a_mat = vec![0.0; m * k];
-        for i in 0..m {
-            for kk in 0..k {
-                a_mat[i * k + kk] = at[kk * m + i];
-            }
+    fn tile_scale_products_match_contract_bitwise_in_every_layout() {
+        // No product is too small for the packed path: through each of
+        // the three operand layouts (row-major A and B; A stored k×m,
+        // `AᵀB`; B stored n×k, `ABᵀ`) it lands in a NaN-filled output
+        // and equals the contract fold to the bit.
+        for (m, n, k) in TILE_SCALE {
+            let a = dense(m, k, 0.2);
+            let b = dense(k, n, 0.4);
+            let (at, bt) = (transposed(m, k, &a), transposed(k, n, &b));
+            let expect = fma_dot(m, n, k, &a, &b);
+            let mut c = vec![f64::NAN; m * n];
+            packed_nn(m, n, k, &a, &b, &mut c);
+            assert_eq!(c, expect, "AB m={m} n={n} k={k}");
+            c.fill(f64::NAN);
+            gemm_packed(
+                m,
+                n,
+                k,
+                |i0, kk, dst| copy_lanes(&at, kk * m + i0, dst),
+                |kk, j0, dst| copy_lanes(&b, kk * n + j0, dst),
+                &mut c,
+            );
+            assert_eq!(c, expect, "AᵀB m={m} n={n} k={k}");
+            c.fill(f64::NAN);
+            gemm_packed(
+                m,
+                n,
+                k,
+                |i0, kk, dst| gather_lanes(&a, i0 * k + kk, k, dst),
+                |kk, j0, dst| gather_lanes(&bt, j0 * k + kk, k, dst),
+                &mut c,
+            );
+            assert_eq!(c, expect, "ABᵀ m={m} n={n} k={k}");
         }
-        assert_eq!(c, fma_dot(m, n, k, &a_mat, &b));
-        // Nt: b is n×k.
-        let a = dense(m, k, 0.5);
-        let bt = dense(n, k, 0.6);
-        let mut c2 = vec![0.0; m * n];
-        gemm_small(SmallShape::Nt, m, n, k, &a, &bt, &mut c2);
-        let mut b_mat = vec![0.0; k * n];
-        for kk in 0..k {
-            for j in 0..n {
-                b_mat[kk * n + j] = bt[j * k + kk];
-            }
-        }
-        assert_eq!(c2, fma_dot(m, n, k, &a, &b_mat));
     }
 
     #[test]
@@ -726,14 +661,40 @@ mod tests {
             packing_scratch_words(256, 10_000, 512),
             packing_scratch_words(256, 1_000_000, 512)
         );
-        assert_eq!(packing_scratch_words(4, 4, 4), 0);
     }
 
     #[test]
-    fn small_threshold_pins_tiny_products() {
-        assert!(is_small_gemm(4, 4, 4));
-        assert!(is_small_gemm(32, 32, 32));
-        assert!(!is_small_gemm(64, 64, 64));
-        assert!(!is_small_gemm(usize::MAX, usize::MAX, 2));
+    fn scratch_estimate_is_what_a_fresh_thread_grows() {
+        // There is no size under which a product skips packing, so the
+        // estimate is never 0 for a non-empty product, and it is exactly
+        // the thread-local growth the product causes — tile-scale,
+        // ragged, and past every blocking constant.
+        for (m, n, k) in TILE_SCALE
+            .into_iter()
+            .chain([(MC + 5, NR * 3 + 2, KC + 3), (2 * MC, NC + 9, 40)])
+        {
+            let grown = std::thread::spawn(move || {
+                let mut c = vec![0.0; m * n];
+                packed_nn(m, n, k, &dense(m, k, 0.3), &dense(k, n, 0.7), &mut c);
+                A_PANEL.with(|p| p.borrow().len()) + B_PANEL.with(|p| p.borrow().len())
+            })
+            .join()
+            .expect("product thread");
+            assert!(grown > 0);
+            assert_eq!(grown, packing_scratch_words(m, n, k), "m={m} n={n} k={k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_packed: c holds 12 words, m×n = 3×5")]
+    fn wrong_length_output_panics_with_the_shape() {
+        packed_nn(
+            3,
+            5,
+            2,
+            &dense(3, 2, 0.1),
+            &dense(2, 5, 0.2),
+            &mut [0.0; 12],
+        );
     }
 }

@@ -4,14 +4,13 @@
 //! operand is handed to the packer one sliver row at a time — a
 //! `copy_from_slice` where that row is contiguous in the source
 //! (row-major `B`, `A` stored transposed), a strided gather otherwise —
-//! so `Aᵀ`/`Bᵀ` are never materialized. Products below
-//! [`gemm::SMALL_GEMM_MNK`] multiply-adds take a serial unpacked path
-//! that skips rayon dispatch and panel setup entirely — tiny
-//! layer-shard GEMMs at large P are latency-bound, not bandwidth-bound.
+//! so `Aᵀ`/`Bᵀ` are never materialized. Each entry point is one
+//! [`gemm::gemm_packed`] call whatever the shape: the tile-scale shards
+//! of a large-`P` grid run on the same kernel as a 512³ square.
 //!
 //! Every element of every variant is an ascending-k `mul_add` fold (the
 //! [`crate::gemm`] determinism contract), so results are bit-identical
-//! across the small/packed/AVX2 paths and run-to-run, and
+//! across the scalar and AVX2 microkernels and run-to-run, and
 //! [`crate::abft`] can recompute single elements bit-exactly.
 //!
 //! The previous executed kernel (i-k-j blocked loops) is frozen as
@@ -20,7 +19,7 @@
 
 use rayon::prelude::*;
 
-use crate::gemm::{self, SmallShape};
+use crate::gemm;
 use crate::matrix::Matrix;
 
 /// Row-block size for the frozen reference kernel's parallel loop.
@@ -96,18 +95,14 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     c.reshape(m, n);
     let (av, bv) = (a.as_slice(), b.as_slice());
-    if gemm::is_small_gemm(m, n, k) {
-        gemm::gemm_small(SmallShape::Nn, m, n, k, av, bv, c.as_mut_slice());
-    } else {
-        gemm::gemm_packed(
-            m,
-            n,
-            k,
-            |i0, kk, dst| gemm::gather_lanes(av, i0 * k + kk, k, dst),
-            |kk, j0, dst| gemm::copy_lanes(bv, kk * n + j0, dst),
-            c.as_mut_slice(),
-        );
-    }
+    gemm::gemm_packed(
+        m,
+        n,
+        k,
+        |i0, kk, dst| gemm::gather_lanes(av, i0 * k + kk, k, dst),
+        |kk, j0, dst| gemm::copy_lanes(bv, kk * n + j0, dst),
+        c.as_mut_slice(),
+    );
 }
 
 /// `C = Aᵀ·B` without materializing `Aᵀ` (used for `∆X = Wᵀ·∆Y`).
@@ -123,20 +118,16 @@ pub fn matmul_at_b_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, k, n) = (a.cols(), a.rows(), b.cols());
     c.reshape(m, n);
     let (av, bv) = (a.as_slice(), b.as_slice());
-    if gemm::is_small_gemm(m, n, k) {
-        gemm::gemm_small(SmallShape::Tn, m, n, k, av, bv, c.as_mut_slice());
-    } else {
-        // A is stored k×m, so a sliver row (consecutive i at one k) is
-        // contiguous in the source.
-        gemm::gemm_packed(
-            m,
-            n,
-            k,
-            |i0, kk, dst| gemm::copy_lanes(av, kk * m + i0, dst),
-            |kk, j0, dst| gemm::copy_lanes(bv, kk * n + j0, dst),
-            c.as_mut_slice(),
-        );
-    }
+    // A is stored k×m, so a sliver row (consecutive i at one k) is
+    // contiguous in the source.
+    gemm::gemm_packed(
+        m,
+        n,
+        k,
+        |i0, kk, dst| gemm::copy_lanes(av, kk * m + i0, dst),
+        |kk, j0, dst| gemm::copy_lanes(bv, kk * n + j0, dst),
+        c.as_mut_slice(),
+    );
 }
 
 /// `C = A·Bᵀ` without materializing `Bᵀ` (used for `∆W = ∆Y·Xᵀ`).
@@ -152,19 +143,15 @@ pub fn matmul_a_bt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     c.reshape(m, n);
     let (av, bv) = (a.as_slice(), b.as_slice());
-    if gemm::is_small_gemm(m, n, k) {
-        gemm::gemm_small(SmallShape::Nt, m, n, k, av, bv, c.as_mut_slice());
-    } else {
-        // B is stored n×k: both operands are strided gathers.
-        gemm::gemm_packed(
-            m,
-            n,
-            k,
-            |i0, kk, dst| gemm::gather_lanes(av, i0 * k + kk, k, dst),
-            |kk, j0, dst| gemm::gather_lanes(bv, j0 * k + kk, k, dst),
-            c.as_mut_slice(),
-        );
-    }
+    // B is stored n×k: both operands are strided gathers.
+    gemm::gemm_packed(
+        m,
+        n,
+        k,
+        |i0, kk, dst| gemm::gather_lanes(av, i0 * k + kk, k, dst),
+        |kk, j0, dst| gemm::gather_lanes(bv, j0 * k + kk, k, dst),
+        c.as_mut_slice(),
+    );
 }
 
 #[cfg(test)]
@@ -222,14 +209,54 @@ mod tests {
         assert!(matmul(&a, &b).approx_eq(&matmul_ref(&a, &b), 1e-10));
     }
 
+    /// The determinism contract, written out: every element an
+    /// ascending-k `mul_add` fold from `0.0` over the logical `m×k` and
+    /// `k×n` operands.
+    fn fma_dot(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            (0..a.cols()).fold(0.0, |acc, kk| a.get(i, kk).mul_add(b.get(kk, j), acc))
+        })
+    }
+
+    /// All three orientations of a `m×k · k×n` product, each into a
+    /// NaN-filled reused output, against [`fma_dot`] to the bit.
+    fn assert_contract(m: usize, k: usize, n: usize, seed: f64) {
+        let (a, b) = (test_matrix(m, k, seed), test_matrix(k, n, seed + 1.0));
+        let expect = fma_dot(&a, &b);
+        let mut c = Matrix::from_fn(n + 1, m + 2, |_, _| f64::NAN);
+        matmul_into(&a, &b, &mut c);
+        assert_eq!(c.as_slice(), expect.as_slice(), "A·B {m}×{k}·{k}×{n}");
+        c.as_mut_slice().fill(f64::NAN);
+        matmul_at_b_into(&a.transpose(), &b, &mut c);
+        assert_eq!(c.as_slice(), expect.as_slice(), "AᵀB {m}×{k}·{k}×{n}");
+        c.as_mut_slice().fill(f64::NAN);
+        matmul_a_bt_into(&a, &b.transpose(), &mut c);
+        assert_eq!(c.as_slice(), expect.as_slice(), "ABᵀ {m}×{k}·{k}×{n}");
+    }
+
     #[test]
-    fn small_path_taken_and_exact_on_4x4() {
-        // Satellite pin: a 4×4·4×4 product stays below the small-GEMM
-        // threshold (no rayon dispatch, no packing) and is still exact.
-        assert!(crate::gemm::is_small_gemm(4, 4, 4));
-        let a = test_matrix(4, 4, 0.4);
-        let b = test_matrix(4, 4, 0.8);
-        assert!(matmul(&a, &b).approx_eq(&naive(&a, &b), 1e-13));
+    fn tile_scale_products_are_the_contract_fold_in_every_orientation() {
+        // No product is too small for the packed kernel. One element,
+        // `k = 1`, `m < MR`, `n < NR`, `m = MR + 1`, 4×4·4×4 …
+        let (mr, nr) = (gemm::MR, gemm::NR);
+        for (m, k, n) in [
+            (1, 1, 1),
+            (7, 1, 9),
+            (mr - 3, 11, 2 * nr),
+            (2 * mr, 5, nr - 3),
+            (mr + 1, nr, nr),
+            (4, 4, 4),
+        ] {
+            assert_contract(m, k, n, 0.4);
+        }
+        // … and the shards `chaos_ft` trains (`mlp_tiny` on a 2×3 grid,
+        // B = 24), as (rows of W, d_in, batch columns): `W·X`, `∆Y·Xᵀ`
+        // and `Wᵀ·∆Y` each in all three orientations.
+        for (rows, d_in, b) in [(24, 64, 8), (16, 48, 8), (5, 32, 8)] {
+            assert_contract(rows, d_in, b, 0.8);
+            assert_contract(rows, b, d_in, 0.8);
+            assert_contract(d_in, rows, b, 0.8);
+        }
     }
 
     #[test]
@@ -250,8 +277,8 @@ mod tests {
     #[test]
     fn transposed_variants_are_bit_identical_to_plain_matmul() {
         // All orientations share one accumulation order, so AᵀB and ABᵀ
-        // agree with materialized-transpose matmul to the bit — both on
-        // the small path and the packed path.
+        // agree with materialized-transpose matmul to the bit — under
+        // one register tile and across panel boundaries.
         for (m, k, n) in [(9, 6, 4), (80, 300, 64)] {
             let a = test_matrix(k, m, 0.5);
             let b = test_matrix(k, n, 0.7);
@@ -330,8 +357,7 @@ mod tests {
         fn into_forms_equal_their_wrappers_even_on_a_dirty_reused_output(
             m in 1usize..70, k in 1usize..70, n in 1usize..70, seed in 0.0f64..10.0
         ) {
-            // Shapes straddle the small/packed threshold; `c` arrives
-            // holding another product (stale values, wrong shape, and —
+            // `c` arrives holding another product (stale values, wrong shape, and —
             // after the first call — more capacity than it needs).
             let mut c = matmul(&test_matrix(n + 3, 5, seed), &test_matrix(5, m + 2, seed));
             let (a, b) = (test_matrix(m, k, seed), test_matrix(k, n, seed + 1.0));
@@ -350,11 +376,13 @@ mod tests {
         }
 
         #[test]
-        fn packed_and_ref_agree_across_threshold(
+        fn every_orientation_is_the_contract_fold_and_near_the_frozen_baseline(
             m in 1usize..48, k in 1usize..48, n in 1usize..48, seed in 0.0f64..10.0
         ) {
-            // Shapes straddle the small-GEMM threshold; both sides of
-            // the dispatch agree with the frozen baseline to rounding.
+            // One executor from 1×1×1 up: bit-equal to the ascending-k
+            // fold in all three orientations, and within rounding of the
+            // frozen (non-fused) baseline.
+            assert_contract(m, k, n, seed);
             let a = test_matrix(m, k, seed);
             let b = test_matrix(k, n, seed + 1.0);
             prop_assert!(matmul(&a, &b).approx_eq(&matmul_ref(&a, &b), 1e-11));
