@@ -1,5 +1,5 @@
 //! Shared shape catalogue and measurement plumbing for the kernel
-//! benchmarks (`benches/matmul.rs` and the `kernel_sweep` binary).
+//! benchmarks (the `kernel_sweep` binary).
 //!
 //! GEMM and convolution shapes are pulled from the `dnn::zoo` networks
 //! — the layers whose products the paper's per-layer cost sums actually

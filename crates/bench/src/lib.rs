@@ -1,9 +1,9 @@
 //! # bench — experiment harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md's
-//! per-experiment index) plus Criterion micro-benchmarks. This library
-//! holds the shared experiment plumbing: the fixed Table-1 setup and
-//! the bar-chart-as-table renderer used by the figure binaries.
+//! per-experiment index). This library holds the shared experiment
+//! plumbing: the fixed Table-1 setup and the bar-chart-as-table
+//! renderer used by the figure binaries.
 
 pub mod figures;
 pub mod kernels;

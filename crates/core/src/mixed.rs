@@ -16,44 +16,8 @@ use dnn::Network;
 use mpsim::{NetModel, TraceConfig, WorldStats};
 use tensor::Matrix;
 
+use crate::strategy::{LayerParallelism, Strategy};
 use crate::trainer::{extract_fc_layers, train_grid, TrainConfig};
-
-/// A per-layer grid assignment for an FC network: `grids[l] = (pr, pc)`
-/// with `pr·pc = P` for every layer.
-#[derive(Debug, Clone)]
-pub struct MixedGrids {
-    /// Total process count.
-    pub p: usize,
-    /// One `(pr, pc)` per weighted layer.
-    pub grids: Vec<(usize, usize)>,
-}
-
-impl MixedGrids {
-    /// Validates that every layer's grid tiles `p`.
-    pub fn new(p: usize, grids: Vec<(usize, usize)>) -> Result<MixedGrids, String> {
-        for (l, &(pr, pc)) in grids.iter().enumerate() {
-            if pr * pc != p {
-                return Err(format!("layer {l}: {pr}x{pc} does not tile P = {p}"));
-            }
-        }
-        Ok(MixedGrids { p, grids })
-    }
-
-    /// The Fig. 7 pattern for an `n_layers` FC stack: the first
-    /// `batch_layers` layers pure batch (`1 × P`), the rest on
-    /// `pr × pc`.
-    pub fn head_batch_tail_grid(
-        p: usize,
-        n_layers: usize,
-        batch_layers: usize,
-        pr: usize,
-        pc: usize,
-    ) -> Result<MixedGrids, String> {
-        let mut grids = vec![(1, p); batch_layers.min(n_layers)];
-        grids.resize(n_layers, (pr, pc));
-        MixedGrids::new(p, grids)
-    }
-}
 
 /// Outcome of a mixed-grid run.
 pub struct MixedResult {
@@ -64,36 +28,42 @@ pub struct MixedResult {
 }
 
 /// Distributed full-batch SGD with per-layer grids: the trainer's one
-/// iteration body ([`crate::trainer`]) on `mixed.grids`, every
-/// collective blocking.
-///
-/// # Panics
-///
-/// Panics unless `mixed` assigns one grid to each weighted layer.
+/// iteration body ([`crate::trainer`]) on the grids of `strategy`, every
+/// collective blocking. `strategy` must assign one
+/// [`LayerParallelism::ModelBatch`] grid to each weighted layer
+/// ([`Strategy::new`] has already checked that each tiles `P`); a
+/// `Domain` row or a wrong layer count is an `Err`.
 pub fn train_mixed(
     net: &Network,
     x: &Matrix,
     labels: &[usize],
     cfg: &TrainConfig,
-    mixed: &MixedGrids,
+    strategy: &Strategy,
     model: NetModel,
-) -> MixedResult {
-    assert_eq!(
-        extract_fc_layers(net).len(),
-        mixed.grids.len(),
-        "one grid per weighted layer"
-    );
+) -> Result<MixedResult, String> {
+    let n_layers = extract_fc_layers(net).len();
+    if strategy.layers.len() != n_layers {
+        let rows = strategy.layers.len();
+        return Err(format!("{rows} grids for {n_layers} weighted layers"));
+    }
+    let grid_of = |(l, row): (usize, &LayerParallelism)| match *row {
+        LayerParallelism::ModelBatch { pr, pc } => Ok((pr, pc)),
+        LayerParallelism::Domain { .. } => Err(format!("layer {l}: {row:?} is not a grid")),
+    };
+    let grids = (strategy.layers.iter().enumerate())
+        .map(grid_of)
+        .collect::<Result<Vec<_>, _>>()?;
     let off = TraceConfig::disabled();
-    let (run, _) = train_grid(net, x, labels, cfg, &mixed.grids, model, off, None);
+    let (run, _) = train_grid(net, x, labels, cfg, &grids, model, off, None);
     // Layer `l`'s rows sit on batch group j = 0 of its own grid: the
     // ranks `i · pc`.
     let stack = |(l, &(pr, pc)): (usize, &(usize, usize))| {
         Matrix::vcat((0..pr).map(|i| &run.per_rank[i * pc].weight_shards[l]))
     };
-    MixedResult {
-        weights: mixed.grids.iter().enumerate().map(stack).collect(),
+    Ok(MixedResult {
+        weights: grids.iter().enumerate().map(stack).collect(),
         stats: run.stats,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -101,6 +71,14 @@ mod tests {
     use super::*;
     use crate::trainer::{synthetic_data, train_1p5d, train_serial};
     use dnn::zoo::mlp;
+
+    /// One `ModelBatch` row per `(pr, pc)`.
+    fn grids(p: usize, shapes: &[(usize, usize)]) -> Strategy {
+        let rows = shapes
+            .iter()
+            .map(|&(pr, pc)| LayerParallelism::ModelBatch { pr, pc });
+        Strategy::new("test", p, rows.collect()).expect("every grid tiles P")
+    }
 
     fn max_diff(a: &[Matrix], b: &[Matrix]) -> f64 {
         a.iter()
@@ -120,8 +98,8 @@ mod tests {
             seed: 8,
         };
         let serial = train_serial(&net, &x, &labels, &cfg);
-        let mixed = MixedGrids::new(4, vec![(2, 2); 3]).unwrap();
-        let r = train_mixed(&net, &x, &labels, &cfg, &mixed, NetModel::free());
+        let mixed = grids(4, &[(2, 2); 3]);
+        let r = train_mixed(&net, &x, &labels, &cfg, &mixed, NetModel::free()).unwrap();
         assert!(max_diff(&serial.weights, &r.weights) < 1e-9);
     }
 
@@ -137,8 +115,8 @@ mod tests {
             seed: 8,
         };
         let serial = train_serial(&net, &x, &labels, &cfg);
-        let mixed = MixedGrids::head_batch_tail_grid(4, 3, 1, 2, 2).unwrap();
-        let r = train_mixed(&net, &x, &labels, &cfg, &mixed, NetModel::free());
+        let mixed = grids(4, &[(1, 4), (2, 2), (2, 2)]);
+        let r = train_mixed(&net, &x, &labels, &cfg, &mixed, NetModel::free()).unwrap();
         assert!(max_diff(&serial.weights, &r.weights) < 1e-9);
     }
 
@@ -152,8 +130,8 @@ mod tests {
             seed: 6,
         };
         let serial = train_serial(&net, &x, &labels, &cfg);
-        let mixed = MixedGrids::new(8, vec![(1, 8), (4, 2), (8, 1)]).unwrap();
-        let r = train_mixed(&net, &x, &labels, &cfg, &mixed, NetModel::free());
+        let mixed = grids(8, &[(1, 8), (4, 2), (8, 1)]);
+        let r = train_mixed(&net, &x, &labels, &cfg, &mixed, NetModel::free()).unwrap();
         assert!(max_diff(&serial.weights, &r.weights) < 1e-9);
     }
 
@@ -166,10 +144,10 @@ mod tests {
             iters: 1,
             seed: 2,
         };
-        let same = MixedGrids::new(4, vec![(2, 2); 2]).unwrap();
-        let switching = MixedGrids::new(4, vec![(1, 4), (4, 1)]).unwrap();
-        let a = train_mixed(&net, &x, &labels, &cfg, &same, NetModel::cori_knl());
-        let b = train_mixed(&net, &x, &labels, &cfg, &switching, NetModel::cori_knl());
+        let same = grids(4, &[(2, 2); 2]);
+        let switching = grids(4, &[(1, 4), (4, 1)]);
+        let a = train_mixed(&net, &x, &labels, &cfg, &same, NetModel::cori_knl()).unwrap();
+        let b = train_mixed(&net, &x, &labels, &cfg, &switching, NetModel::cori_knl()).unwrap();
         // The switching schedule must pay redistribution words the
         // uniform one doesn't (its ∆W/∆X collectives differ too, so
         // only assert presence of the relayout: distinct totals and
@@ -190,8 +168,8 @@ mod tests {
         };
         let knl = NetModel::cori_knl();
         for (pr, pc) in [(2, 3), (4, 2), (1, 8)] {
-            let mixed = MixedGrids::new(pr * pc, vec![(pr, pc); 3]).unwrap();
-            let m = train_mixed(&net, &x, &labels, &cfg, &mixed, knl);
+            let mixed = grids(pr * pc, &[(pr, pc); 3]);
+            let m = train_mixed(&net, &x, &labels, &cfg, &mixed, knl).unwrap();
             let u = train_1p5d(&net, &x, &labels, &cfg, pr, pc, knl);
             assert!(m.weights == u.weights(), "grid {pr}x{pc}: weights");
             // Per-rank counters (control-plane splits included) and
@@ -215,8 +193,8 @@ mod tests {
         let knl = NetModel::cori_knl();
         let net = mlp("m", &dims);
         let (x, labels) = synthetic_data(&net, b, 3);
-        let fig7 = MixedGrids::head_batch_tail_grid(p, 3, 1, p, 1).unwrap();
-        let r = train_mixed(&net, &x, &labels, &cfg, &fig7, knl);
+        let fig7 = grids(p, &[(1, p), (p, 1), (p, 1)]);
+        let r = train_mixed(&net, &x, &labels, &cfg, &fig7, knl).unwrap();
         let uniform_words = |dims: &[usize], pr: usize, pc: usize| {
             let part = mlp("part", dims);
             let (x, labels) = synthetic_data(&part, b, 3);
@@ -234,8 +212,21 @@ mod tests {
     }
 
     #[test]
-    fn invalid_grid_is_rejected() {
-        assert!(MixedGrids::new(4, vec![(2, 3)]).is_err());
-        assert!(MixedGrids::head_batch_tail_grid(4, 3, 1, 2, 2).is_ok());
+    fn a_strategy_that_is_not_one_grid_per_layer_is_rejected() {
+        let net = mlp("m", &[16, 24, 6]);
+        let (x, labels) = synthetic_data(&net, 16, 3);
+        let cfg = TrainConfig {
+            lr: 0.1,
+            iters: 1,
+            seed: 2,
+        };
+        let run = |s: &Strategy| train_mixed(&net, &x, &labels, &cfg, s, NetModel::free());
+        let row = LayerParallelism::ModelBatch { pr: 2, pc: 3 };
+        assert!(Strategy::new("wrong P", 4, vec![row; 2]).is_err());
+        assert!(run(&grids(4, &[(2, 2)])).is_err(), "one grid, two layers");
+        let domain = Strategy::pure_domain(4, 2);
+        let err = run(&domain).err().expect("a Domain row is no grid");
+        assert!(err.contains("layer 0"), "{err}");
+        assert!(run(&grids(4, &[(2, 2); 2])).is_ok());
     }
 }

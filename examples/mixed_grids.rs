@@ -12,8 +12,9 @@
 //! ```
 
 use integrated_parallelism::dnn::zoo::mlp;
-use integrated_parallelism::integrated::mixed::{train_mixed, MixedGrids};
+use integrated_parallelism::integrated::mixed::train_mixed;
 use integrated_parallelism::integrated::report::fmt_seconds;
+use integrated_parallelism::integrated::strategy::{LayerParallelism, Strategy};
 use integrated_parallelism::integrated::trainer::{synthetic_data, train_serial, TrainConfig};
 use integrated_parallelism::mpsim::NetModel;
 
@@ -31,31 +32,25 @@ fn main() {
     let serial = train_serial(&net, &x, &labels, &cfg);
     let p = 8;
 
+    let grids = |name: &'static str, shapes: [(usize, usize); 3]| {
+        let rows = shapes.map(|(pr, pc)| LayerParallelism::ModelBatch { pr, pc });
+        Strategy::new(name, p, rows.to_vec()).expect("every grid tiles P")
+    };
     let schedules = [
-        (
-            "pure batch everywhere",
-            MixedGrids::new(p, vec![(1, 8); 3]).unwrap(),
-        ),
-        (
-            "uniform 4x2 grid",
-            MixedGrids::new(p, vec![(4, 2); 3]).unwrap(),
-        ),
-        (
-            "batch head, grid tail (Fig. 7)",
-            MixedGrids::head_batch_tail_grid(p, 3, 1, 4, 2).unwrap(),
-        ),
-        (
-            "per-layer shapes",
-            MixedGrids::new(p, vec![(1, 8), (4, 2), (8, 1)]).unwrap(),
-        ),
+        grids("pure batch everywhere", [(1, 8); 3]),
+        grids("uniform 4x2 grid", [(4, 2); 3]),
+        grids("batch head, grid tail (Fig. 7)", [(1, 8), (4, 2), (4, 2)]),
+        grids("per-layer shapes", [(1, 8), (4, 2), (8, 1)]),
     ];
 
     println!(
         "{:<32} {:>14} {:>12} {:>12}",
         "schedule", "weight diff", "words moved", "virt comm"
     );
-    for (name, mixed) in &schedules {
-        let r = train_mixed(&net, &x, &labels, &cfg, mixed, NetModel::cori_knl());
+    for mixed in &schedules {
+        let name = &mixed.name;
+        let r = train_mixed(&net, &x, &labels, &cfg, mixed, NetModel::cori_knl())
+            .expect("one grid per weighted layer");
         let diff = serial
             .weights
             .iter()
