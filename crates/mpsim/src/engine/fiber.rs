@@ -90,6 +90,9 @@ pub struct FiberState {
     panic: Cell<Option<Box<dyn Any + Send>>>,
     /// True iff `panic` was ever set (survives `take_panic`).
     panicked: Cell<bool>,
+    /// What the scheduler passed to the resume in progress; handed to
+    /// the fiber as [`suspend_current`]'s return value.
+    note: Cell<bool>,
 }
 
 /// Entry point called by the asm trampoline on first resume.
@@ -129,6 +132,7 @@ impl Fiber {
             entry: Cell::new(Some(f)),
             panic: Cell::new(None),
             panicked: Cell::new(false),
+            note: Cell::new(false),
         });
         let mut fiber = Fiber {
             state,
@@ -170,10 +174,13 @@ impl Fiber {
     }
 
     /// Switch from the scheduler into the fiber until it yields or
-    /// finishes. Must only be called from the scheduler's own stack.
-    pub fn resume(&mut self) -> Resume {
+    /// finishes; the [`suspend_current`] this wakes it from returns
+    /// `note`. Must only be called from the scheduler's own stack, on
+    /// the thread every earlier resume of this fiber was made from.
+    pub fn resume(&mut self, note: bool) -> Resume {
         debug_assert!(!self.is_done(), "resumed a finished fiber");
         self.started = true;
+        self.state.note.set(note);
         unsafe {
             mpsim_fiber_switch(self.state.sched_sp.as_ptr(), self.state.fiber_sp.get());
         }
@@ -202,23 +209,18 @@ impl Fiber {
     pub fn take_panic(&mut self) -> Option<Box<dyn Any + Send>> {
         self.state.panic.take()
     }
-
-    /// Drop the un-run closure of a fiber that never started.
-    pub fn cancel_unstarted(&mut self) {
-        debug_assert!(!self.started);
-        self.state.entry.set(None);
-        self.state.done.set(true);
-    }
 }
 
 /// Called from *inside* a fiber (via the engine TLS) to switch back to
-/// the scheduler. Returns when the scheduler resumes the fiber.
+/// the scheduler. Returns, with the resume's `note`, when the scheduler
+/// resumes the fiber.
 ///
 /// # Safety
 /// `state` must be the `FiberState` of the currently running fiber.
-pub unsafe fn suspend_current(state: *const FiberState) {
+pub unsafe fn suspend_current(state: *const FiberState) -> bool {
     let st = &*state;
     mpsim_fiber_switch(st.fiber_sp.as_ptr(), st.sched_sp.get());
+    st.note.get()
 }
 
 impl Drop for Fiber {
@@ -250,7 +252,7 @@ mod tests {
         let hit = Rc::new(Cell::new(false));
         let h = hit.clone();
         let mut f = spawn(&mut pool, move || h.set(true));
-        assert_eq!(f.resume(), Resume::Finished);
+        assert_eq!(f.resume(false), Resume::Finished);
         assert!(hit.get());
     }
 
@@ -268,11 +270,11 @@ mod tests {
             s.set(3);
         });
         ptr_cell.set(f.state_ptr() as usize);
-        assert_eq!(f.resume(), Resume::Suspended);
+        assert_eq!(f.resume(false), Resume::Suspended);
         assert_eq!(steps.get(), 1);
-        assert_eq!(f.resume(), Resume::Suspended);
+        assert_eq!(f.resume(false), Resume::Suspended);
         assert_eq!(steps.get(), 2);
-        assert_eq!(f.resume(), Resume::Finished);
+        assert_eq!(f.resume(false), Resume::Finished);
         assert_eq!(steps.get(), 3);
     }
 
@@ -280,7 +282,7 @@ mod tests {
     fn panic_is_parked_not_propagated() {
         let mut pool = StackPool::new();
         let mut f = spawn(&mut pool, || panic!("boom-42"));
-        assert_eq!(f.resume(), Resume::Panicked);
+        assert_eq!(f.resume(false), Resume::Panicked);
         let payload = f.take_panic().expect("payload parked");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert_eq!(msg, "boom-42");
@@ -295,7 +297,7 @@ mod tests {
             let data: Vec<u64> = (0..10_000).collect();
             s.set(data.iter().sum());
         });
-        assert_eq!(f.resume(), Resume::Finished);
+        assert_eq!(f.resume(false), Resume::Finished);
         assert_eq!(sum.get(), 49_995_000);
     }
 }

@@ -6,8 +6,14 @@
 //! carved out of large slabs — one `mmap` per slab, `MAP_NORESERVE` so
 //! untouched pages cost nothing — with a single `PROT_NONE` guard page
 //! at the *low* end of the slab (stacks grow down, so the first stack
-//! in the slab is hard-guarded) and a software canary word at the base
-//! of every stack that the scheduler checks on each suspend/finish.
+//! in the slab is hard-guarded) and a software canary just below the
+//! base of every stack that the scheduler checks on each
+//! suspend/finish. "Just below" is the top 64 bytes of the stack
+//! underneath, which that stack never uses: the page they lie in holds
+//! its neighbour's oldest frames and is resident anyway, so a rank
+//! costs one touched page at spawn, not two, and the check reads a warm
+//! line. (The first stack of a slab has the guard page underneath and
+//! keeps its canary in its own lowest bytes.)
 //!
 //! This trades per-stack hardware guards for: (a) a canary that catches
 //! overflow at the next fiber switch, and (b) generous default stack
@@ -93,9 +99,10 @@ fn stack_bytes() -> usize {
 
 const PAGE: usize = 4096;
 
-/// Canary pattern written at the low end of each stack.
+/// Canary pattern a stack overflowing its base runs into.
 const CANARY: u64 = 0x5ee7_ab1e_dead_57ac;
 const CANARY_WORDS: usize = 8;
+const CANARY_BYTES: usize = CANARY_WORDS * 8;
 
 #[cfg(target_os = "linux")]
 mod sys {
@@ -167,36 +174,39 @@ mod sys {
     }
 }
 
-/// One carved-out stack. `base` is the lowest address (canary lives
-/// here); the usable top is `base + len`, 16-byte aligned.
+/// One carved-out stack. `base` is the lowest address; the usable top
+/// is `base + len` less the `CANARY_BYTES` kept for the canary of the
+/// stack above, 16-byte aligned.
 #[derive(Clone, Copy)]
 pub struct StackSlot {
     base: *mut u8,
     len: usize,
+    /// This stack's canary: the `CANARY_BYTES` below `base`, or for
+    /// the first stack of a slab the ones from `base` up.
+    canary: *mut u64,
 }
 
 impl StackSlot {
     /// Highest usable address (stacks grow down from here).
     pub fn top(&self) -> usize {
-        (self.base as usize + self.len) & !15
+        (self.base as usize + self.len - CANARY_BYTES) & !15
     }
 
-    /// Write the canary pattern at the low end.
+    /// Write the canary pattern.
     pub fn arm_canary(&self) {
+        // SAFETY: `canary` points at CANARY_BYTES of the slab this slot
+        // was carved from, which no stack's usable range covers.
         unsafe {
-            let words = self.base as *mut u64;
             for i in 0..CANARY_WORDS {
-                words.add(i).write(CANARY);
+                self.canary.add(i).write(CANARY);
             }
         }
     }
 
     /// True iff the canary is intact.
     pub fn canary_ok(&self) -> bool {
-        unsafe {
-            let words = self.base as *const u64;
-            (0..CANARY_WORDS).all(|i| words.add(i).read() == CANARY)
-        }
+        // SAFETY: as in `arm_canary`.
+        unsafe { (0..CANARY_WORDS).all(|i| self.canary.add(i).read() == CANARY) }
     }
 }
 
@@ -294,10 +304,13 @@ impl StackPool {
         let i = self.cursor.get();
         self.cursor.set(i + 1);
         let slab = self.slabs.last().expect("slab just grown");
+        // SAFETY: both offsets lie inside the slab's mapping.
         let base = unsafe { slab.addr.add(PAGE + i * self.stack_bytes) };
+        let canary = unsafe { base.sub(if i == 0 { 0 } else { CANARY_BYTES }) };
         let slot = StackSlot {
             base,
             len: self.stack_bytes,
+            canary: canary.cast(),
         };
         slot.arm_canary();
         slot
@@ -364,6 +377,12 @@ mod tests {
             assert!(s.canary_ok());
             unsafe { (s.base as *mut u64).write(0) };
             assert!(!s.canary_ok());
+            // A later stack of the slab: the first word under its base
+            // is its canary, above the usable top of the stack below.
+            let t = pool.alloc();
+            assert!(s.top() <= t.base as usize - CANARY_BYTES && t.canary_ok());
+            unsafe { (t.base as *mut u64).sub(1).write(0) };
+            assert!(!t.canary_ok());
             bases.push(s.base);
         }
         assert_eq!(bases[0], bases[1], "the second pool reused the slab");

@@ -212,16 +212,6 @@ pub fn build(size: usize) -> Vec<Endpoint> {
         .collect()
 }
 
-/// Builds event-engine endpoints over a fresh fabric for `size` ranks.
-/// Returns the fabric (to run the engine on) and one endpoint per rank.
-pub fn build_event(size: usize) -> (std::sync::Arc<crate::engine::Fabric>, Vec<Endpoint>) {
-    let fabric = crate::engine::Fabric::new(size);
-    let eps = (0..size)
-        .map(|r| Endpoint::Event(fabric.endpoint(r)))
-        .collect();
-    (fabric, eps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,21 +4,24 @@
 //! [`crate::engine`] for the determinism argument):
 //!
 //! * [`Backend::Events`] (default) — every rank is a fiber on a
-//!   discrete-event scheduler in the calling thread. O(P) engine
-//!   state; practical up to P = 65536 and beyond.
+//!   discrete-event scheduler: the world's ranks are sharded over as
+//!   many workers (the calling thread plus pooled helpers) as
+//!   [`engine::workers_for`] finds safe and useful, one for small,
+//!   faulted and nested worlds. O(P) engine state; practical up to
+//!   P = 65536 and beyond. [`Backend::EventsOn`] pins the count.
 //! * [`Backend::Threads`] — the original one-OS-thread-per-rank
 //!   backend, kept as a differential-testing oracle. P² channel
 //!   senders and one stack per rank cap it at a few hundred ranks.
 //!
 //! Selection: [`RunOpts::backend`] (one call) beats
 //! [`Backend::set_override`] (process-global, for tests), which beats
-//! the `MPSIM_BACKEND` environment variable (`events` | `threads`),
-//! which beats the default (`events`).
+//! the `MPSIM_BACKEND` environment variable (`events` | `events:<workers>`
+//! | `threads`), which beats the default (`events`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::comm::{Communicator, Inner};
 use crate::engine;
@@ -35,30 +38,51 @@ pub enum Backend {
     /// One OS thread per rank: the original backend. Kept as the
     /// differential-testing oracle; use for small worlds only.
     Threads,
-    /// Discrete-event fiber engine: all ranks run cooperatively on the
-    /// calling thread, scheduled by virtual time. The default.
+    /// Discrete-event fiber engine: ranks run cooperatively, scheduled
+    /// by virtual time, on the worker count [`engine::workers_for`]
+    /// picks for the world and the host. The default.
     Events,
+    /// [`Backend::Events`] on this many workers (at least one, at most
+    /// one per rank), whatever the host: `EventsOn(1)` is the
+    /// single-threaded engine, which host-time attribution wants, and
+    /// the tests sweep the count to show no result depends on it. A
+    /// faulted or nested world still runs on one.
+    EventsOn(usize),
 }
 
-/// 0 = no override, 1 = Threads, 2 = Events.
-static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// 0 = no override, 1 = Threads, 2 = Events, 2 + w = EventsOn(w).
+static BACKEND_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 impl Backend {
     /// The backend the next `World::run*` call will use (unless it
     /// names one in [`RunOpts::backend`]):
     /// [`Backend::set_override`] if set, else `MPSIM_BACKEND`
-    /// (`events` | `threads`), else [`Backend::Events`].
+    /// (`events` | `events:<workers>` | `threads`), else
+    /// [`Backend::Events`].
     pub fn current() -> Backend {
         match BACKEND_OVERRIDE.load(Ordering::Relaxed) {
+            0 => {}
             1 => return Backend::Threads,
             2 => return Backend::Events,
-            _ => {}
+            w => return Backend::EventsOn(w - 2),
         }
         match std::env::var("MPSIM_BACKEND") {
-            Ok(v) if v == "threads" => Backend::Threads,
-            Ok(v) if v == "events" => Backend::Events,
-            Ok(v) => panic!("MPSIM_BACKEND={v:?}: expected \"events\" or \"threads\""),
+            Ok(v) => Self::parse(&v).unwrap_or_else(|| {
+                panic!(
+                    "MPSIM_BACKEND={v:?}: expected \"events\", \"events:<workers>\" or \"threads\""
+                )
+            }),
             Err(_) => Backend::Events,
+        }
+    }
+
+    /// What a value of `MPSIM_BACKEND` names, if anything.
+    fn parse(v: &str) -> Option<Backend> {
+        match v.split_once(':') {
+            None if v == "threads" => Some(Backend::Threads),
+            None if v == "events" => Some(Backend::Events),
+            Some(("events", w)) => w.parse().ok().filter(|&w| w > 0).map(Backend::EventsOn),
+            _ => None,
         }
     }
 
@@ -71,6 +95,7 @@ impl Backend {
             None => 0,
             Some(Backend::Threads) => 1,
             Some(Backend::Events) => 2,
+            Some(Backend::EventsOn(w)) => 2 + w.max(1),
         };
         BACKEND_OVERRIDE.store(v, Ordering::Relaxed);
     }
@@ -255,9 +280,11 @@ impl World {
             let trace = i.tracer.finish(rank, now);
             (out, i.stats, i.clock, trace)
         };
+        let faulted = plan.active();
         let joined = match backend.unwrap_or_else(Backend::current) {
             Backend::Threads => Self::run_threads(size, &rank_body),
-            Backend::Events => Self::run_events(size, &rank_body),
+            Backend::Events => Self::run_events(size, None, faulted, &rank_body),
+            Backend::EventsOn(w) => Self::run_events(size, Some(w), faulted, &rank_body),
         };
         let mut results = Vec::with_capacity(size);
         let mut stats = WorldStats::default();
@@ -303,35 +330,39 @@ impl World {
     }
 
     /// Event backend: every rank is a fiber on the discrete-event
-    /// engine; the whole world runs on the calling thread.
-    fn run_events<R>(size: usize, rank_body: &impl Fn(usize, Endpoint) -> R) -> Vec<R> {
-        let (fabric, endpoints) = router::build_event(size);
-        let slots: Rc<RefCell<Vec<Option<R>>>> =
-            Rc::new(RefCell::new((0..size).map(|_| None).collect()));
-        let mut closures: Vec<Box<dyn FnOnce()>> = Vec::with_capacity(size);
-        for (rank, endpoint) in endpoints.into_iter().enumerate() {
-            let slots = Rc::clone(&slots);
+    /// engine, the world's ranks sharded over the workers (this thread
+    /// and pooled helpers) that [`engine::workers_for`] grants it.
+    fn run_events<R: Send>(
+        size: usize,
+        pinned: Option<usize>,
+        faulted: bool,
+        rank_body: &(impl Fn(usize, Endpoint) -> R + Sync),
+    ) -> Vec<R> {
+        let fabric = engine::Fabric::new(size, engine::workers_for(size, pinned, faulted));
+        let slots: Vec<Mutex<Option<R>>> = (0..size).map(|_| Mutex::new(None)).collect();
+        let spawn = |rank: usize| {
+            let endpoint = Endpoint::Event(fabric.endpoint(rank));
+            let slot = &slots[rank];
             let closure: Box<dyn FnOnce() + '_> = Box::new(move || {
                 let out = rank_body(rank, endpoint);
-                slots.borrow_mut()[rank] = Some(out);
+                *slot.lock().expect("one writer per slot") = Some(out);
             });
             // SAFETY: engine::run only returns — or unwinds — after
-            // every fiber has completed and dropped its closure, so the
-            // borrows of `rank_body` and `slots` captured here never
-            // outlive this stack frame. (If the engine itself has a bug
-            // it leaks unfinished fibers rather than resume them later.)
-            let closure: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(closure) };
-            closures.push(closure);
-        }
-        engine::run(&fabric, closures);
-        let slots = Rc::try_unwrap(slots)
-            .ok()
-            .expect("all fiber closures dropped")
-            .into_inner();
+            // every worker has run its fibers to completion and dropped
+            // their closures, so the borrows of `rank_body` and `slots`
+            // captured here never outlive this stack frame. (If the
+            // engine itself has a bug it waits or leaks unfinished
+            // fibers rather than resume them later.)
+            unsafe { std::mem::transmute::<_, Box<dyn FnOnce() + 'static>>(closure) }
+        };
+        engine::run(&fabric, &spawn);
         slots
             .into_iter()
             .enumerate()
-            .map(|(rank, s)| s.unwrap_or_else(|| panic!("rank {rank} produced no result")))
+            .map(|(rank, slot)| {
+                let out = slot.into_inner().expect("one writer per slot");
+                out.unwrap_or_else(|| panic!("rank {rank} produced no result"))
+            })
             .collect()
     }
 }
@@ -464,10 +495,33 @@ mod tests {
         assert_eq!(sa.clocks, sb.clocks);
     }
 
-    fn events() -> RunOpts {
+    /// The event engine on `workers` workers, whatever the host has.
+    fn events_on(workers: usize) -> RunOpts {
         RunOpts {
-            backend: Some(Backend::Events),
+            backend: Some(Backend::EventsOn(workers)),
             ..RunOpts::default()
+        }
+    }
+
+    fn here() -> std::thread::ThreadId {
+        std::thread::current().id()
+    }
+
+    #[test]
+    fn backend_values_parse() {
+        assert_eq!(Backend::parse("threads"), Some(Backend::Threads));
+        assert_eq!(Backend::parse("events"), Some(Backend::Events));
+        assert_eq!(Backend::parse("events:3"), Some(Backend::EventsOn(3)));
+        for bad in [
+            "",
+            "event",
+            "events:",
+            "events:0",
+            "events:-1",
+            "threads:2",
+            "events:2:2",
+        ] {
+            assert_eq!(Backend::parse(bad), None, "{bad:?}");
         }
     }
 
@@ -478,8 +532,8 @@ mod tests {
     /// and rank 1's reuses that.
     #[test]
     fn nested_worlds_compose_on_event_backend() {
-        let out = World::run_opts(2, NetModel::free(), events(), |comm| {
-            let inner = World::run_opts(3, NetModel::free(), events(), |c| c.rank() * 2).0;
+        let out = World::run_opts(2, NetModel::free(), events_on(1), |comm| {
+            let inner = World::run_opts(3, NetModel::free(), events_on(1), |c| c.rank() * 2).0;
             (comm.rank(), inner, slab_counters())
         })
         .0;
@@ -492,6 +546,94 @@ mod tests {
         assert_eq!(slab_counters(), (2, 2));
     }
 
+    /// A world started from inside a rank of a sharded world runs on
+    /// that rank's worker alone, whatever count it asks for: the outer
+    /// world owns the cores.
+    #[test]
+    fn a_world_inside_a_sharded_rank_runs_on_one_worker() {
+        let (out, _, _) = World::run_opts(8, NetModel::free(), events_on(2), |_| {
+            let (inner, _, _) = World::run_opts(8, NetModel::free(), events_on(2), |c| {
+                c.barrier().unwrap();
+                here()
+            });
+            assert_eq!(
+                inner,
+                [here(); 8],
+                "inner ranks left the outer rank's thread"
+            );
+            here()
+        });
+        assert_eq!(out[..4], [here(); 4], "shard 0 runs on the caller");
+        assert!(
+            out[4..].iter().all(|&id| id == out[4] && id != here()),
+            "shard 1 on one helper"
+        );
+    }
+
+    /// An active fault plan keeps a world on one worker — the caller —
+    /// whatever count the backend value asks for.
+    #[test]
+    fn a_faulted_world_runs_on_one_worker() {
+        let opts = RunOpts {
+            faults: FaultPlan::new(1).with_default_timeout(5.0),
+            ..events_on(4)
+        };
+        assert!(opts.faults.active());
+        let (out, _, _) = World::run_opts(16, NetModel::free(), opts, |comm| {
+            comm.barrier().unwrap();
+            here()
+        });
+        assert_eq!(out, [here(); 16]);
+    }
+
+    /// Two OS threads run a world each, at once. The first has helpers
+    /// out, so the second — left to the rule — stays on its own thread;
+    /// neither waits for the other, and both get a lone run's bits.
+    #[test]
+    fn a_second_concurrent_world_runs_single_worker() {
+        let work = |comm: &Communicator| {
+            let next = (comm.rank() + 1) % comm.size();
+            let prev = (comm.rank() + comm.size() - 1) % comm.size();
+            let got = comm.sendrecv(next, &[comm.rank() as f64; 3], prev, 1);
+            comm.barrier().unwrap();
+            (got.unwrap(), comm.now().to_bits(), here())
+        };
+        let bits = |out: &[(Vec<f64>, u64, _)]| -> Vec<_> {
+            out.iter()
+                .map(|(got, now, _)| (got.clone(), *now))
+                .collect()
+        };
+        let model = NetModel::cori_knl();
+        let (alone, alone_stats, _) = World::run_opts(8, model, events_on(1), work);
+        let (inside, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                World::run_opts(8, model, events_on(2), |comm| {
+                    if comm.rank() == 0 {
+                        // Keep this world's helper out until the second
+                        // world has come and gone.
+                        inside.wait();
+                        done.wait();
+                    }
+                    work(comm)
+                })
+            });
+            inside.wait();
+            let (second, second_stats) = World::run_with_stats(8, model, work);
+            done.wait();
+            let (first, first_stats, _) = first.join().unwrap();
+            assert!(second.iter().all(|(_, _, id)| *id == here()));
+            assert_ne!(first[0].2, first[7].2, "the first world was sharded");
+            for (out, stats) in [(&first, &first_stats), (&second, &second_stats)] {
+                assert_eq!(bits(out), bits(&alone));
+                assert_eq!(
+                    (&stats.ranks, &stats.clocks),
+                    (&alone_stats.ranks, &alone_stats.clocks)
+                );
+            }
+        });
+    }
+
     /// Slabs go back to the thread's cache when a rank panicked, and
     /// the next world runs on them: it maps nothing, and every switch
     /// of every rank checks a canary that `alloc` re-armed (a clobbered
@@ -499,7 +641,7 @@ mod tests {
     #[test]
     fn a_world_after_a_panicking_world_reuses_its_stacks() {
         let boom = std::panic::catch_unwind(|| {
-            World::run_opts(100, NetModel::free(), events(), |comm| {
+            World::run_opts(100, NetModel::free(), events_on(1), |comm| {
                 assert_ne!(comm.rank(), 70, "rank 70 exploded");
                 comm.rank()
             })
@@ -510,7 +652,7 @@ mod tests {
         assert_eq!(slab_counters(), (2, 2), "100 ranks: two slabs, both kept");
 
         let model = NetModel::cori_knl();
-        let (out, _, _) = World::run_opts(100, model, events(), |comm| {
+        let (out, _, _) = World::run_opts(100, model, events_on(1), |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
             let got = comm.sendrecv(next, &[comm.rank() as f64], prev, 1);
@@ -522,11 +664,42 @@ mod tests {
         assert_eq!(slab_counters(), (2, 2), "the second world mapped nothing");
     }
 
+    /// The slab cache is per worker thread: of a 256-rank world on two
+    /// workers each maps (or finds cached) the two slabs of its own 128
+    /// ranks, and a second such world maps nothing on a thread that
+    /// served the first. The caller's count is exact; a helper is
+    /// shared with the tests running beside this one, so only its
+    /// change is checked.
+    #[test]
+    fn each_worker_keeps_its_own_slab_cache() {
+        let maps_by_thread = || {
+            let (out, _, _) = World::run_opts(256, NetModel::free(), events_on(2), |comm| {
+                comm.barrier().unwrap();
+                (here(), slab_counters())
+            });
+            assert_eq!(
+                out[..128],
+                [(here(), (2, 0)); 128],
+                "the caller's shard: 2 slabs, both out"
+            );
+            assert!(out[128..]
+                .iter()
+                .all(|&(id, _)| id == out[128].0 && id != here()));
+            assert_eq!(slab_counters(), (2, 2));
+            out[128]
+        };
+        let (helper, first) = maps_by_thread();
+        let (again, second) = maps_by_thread();
+        if again == helper {
+            assert_eq!(second, first, "the helper mapped nothing new either");
+        }
+    }
+
     /// A world larger than the cache keeps the cache at its constant:
     /// 4 160 ranks are 65 slabs, 64 stay mapped.
     #[test]
     fn slab_cache_stays_bounded_after_a_world_larger_than_it() {
-        let (out, _, _) = World::run_opts(4160, NetModel::free(), events(), |comm| comm.rank());
+        let (out, _, _) = World::run_opts(4160, NetModel::free(), events_on(1), |comm| comm.rank());
         assert_eq!(out.len(), 4160);
         assert_eq!(slab_counters(), (65, 64));
     }

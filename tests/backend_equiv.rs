@@ -133,6 +133,77 @@ proptest! {
     }
 }
 
+/// A shifting-partner exchange: in every round a rank sends to the rank
+/// `shift` places on and receives from the one `shift` places back —
+/// `shift`, the payload length and the compute charged all drawn from
+/// `seed` and the round — and every third round ends in a barrier. On a
+/// sharded world most rounds cross the shard boundary both ways. The
+/// journal holds every payload and clock bit by bit.
+fn shuffle_workload(
+    comm: &integrated_parallelism::mpsim::Communicator,
+    seed: u64,
+    rounds: u64,
+) -> Vec<u64> {
+    let (p, r) = (comm.size() as u64, comm.rank() as u64);
+    let mut journal = Vec::new();
+    for round in 0..rounds {
+        let h =
+            (seed ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let shift = 1 + (h >> 32) % (p - 1);
+        let words = 1 + (h >> 8) % 40 + (r + round) % 3;
+        let payload: Vec<f64> = (0..words).map(|w| (r * 131 + w) as f64 * 0.37).collect();
+        let (to, from) = ((r + shift) % p, (r + p - shift) % p);
+        let got = comm
+            .sendrecv(to as usize, &payload, from as usize, 500 + round)
+            .expect("no faults are injected");
+        comm.advance_flops(got.iter().sum::<f64>().abs() * 1e3 + (r % 4) as f64 * 1e5);
+        journal.extend(got.iter().map(|x| x.to_bits()));
+        if round % 3 == 2 {
+            comm.barrier().expect("no faults are injected");
+        }
+        journal.push(comm.now().to_bits());
+    }
+    journal
+}
+
+/// No result depends on how many workers the event engine runs a world
+/// on: the same worlds at 1, 2, 3 and 4 workers (pinned through the
+/// backend value, so a 2-core runner oversubscribes) and on the
+/// threaded oracle, with `P` a multiple of the count and not. Faults
+/// are left out — a faulted world runs on one worker by rule.
+#[test]
+fn sharded_worlds_are_bit_identical_for_every_worker_count() {
+    let model = NetModel {
+        alpha: 0.5,
+        beta: 0.01,
+        flops: 1e9,
+    };
+    for (p, seed) in [(8usize, 1u64), (9, 2), (17, 3), (64, 4)] {
+        let run = |backend| {
+            let opts = RunOpts {
+                trace: TraceConfig::enabled().with_cap(1 << 12),
+                backend: Some(backend),
+                ..RunOpts::default()
+            };
+            World::run_opts(p, model, opts, |comm| {
+                let ring = ring_workload(comm, 3, 1 + p % 7);
+                (ring, shuffle_workload(comm, seed, 12))
+            })
+        };
+        let single = run(Backend::EventsOn(1));
+        for backend in [2, 3, 4]
+            .map(Backend::EventsOn)
+            .into_iter()
+            .chain([Backend::Threads])
+        {
+            let other = run(backend);
+            assert_eq!(single.0, other.0, "P = {p}, {backend:?}: results diverge");
+            assert_eq!(single.1, other.1, "P = {p}, {backend:?}: stats diverge");
+            assert_eq!(single.2, other.2, "P = {p}, {backend:?}: traces diverge");
+        }
+    }
+}
+
 /// The full fault-tolerant trainer — checkpointing, kill detection,
 /// shrink, replay — produces bit-identical loss curves on both
 /// backends. This exercises the control plane (death notices, φ-accrual
