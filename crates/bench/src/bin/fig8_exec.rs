@@ -44,7 +44,9 @@
 use std::fmt::Write as _;
 
 use bench::parse_args;
+use distmm::dist::part_range;
 use dnn::zoo::mlp;
+use dnn::Network;
 use integrated::overlap::{
     autotune, overlapped_total, FlushSchedule, OverlapPlan, PAPER_BACKPROP_FRACTION,
 };
@@ -63,9 +65,57 @@ struct Row {
     fig8_pred: f64,
     legacy_fraction: f64,
     scheduled_fraction: f64,
+    /// Channel seconds hidden, summed over ranks: (legacy, scheduled).
+    hidden: (f64, f64),
+    /// [`saving_floor`] over the run's iterations.
+    saving_floor: f64,
     nb_allreduces: u64,
     degenerate: bool,
     tuned: Option<(OverlapPlan, f64, f64)>,
+}
+
+/// The least `plan` must save over the serialized run per iteration, from
+/// the terms that remain once backprop stops at the first layer (the
+/// last grid row's shard shapes, the smallest where rows split
+/// raggedly). Fusing the `L` per-layer ∆W rings into the
+/// plan's buckets removes `2(Pc − 1)` α-steps per ring saved. Once the
+/// iteration's first bucket is on the channel, the backward work still
+/// ahead of the main timeline — every lower layer's ∆W GEMM and, above
+/// layer 0, its ∆X GEMM and blocking ∆X ring — runs under that bucket's
+/// transfer, hiding up to the ring's length. Under the FIFO barrier that
+/// is all there is to hide; the priority schedule and the interleave can
+/// only add to it.
+fn saving_floor(
+    net: &Network,
+    b: usize,
+    (pr, pc): (usize, usize),
+    plan: &OverlapPlan,
+    m: &NetModel,
+) -> f64 {
+    let bloc = (b / pc) as f64;
+    let ring = |p: usize, words: f64| 2.0 * (p - 1) as f64 * (m.alpha + m.beta * words / p as f64);
+    let layers = net.weighted_layers();
+    let (mut staged, mut rings, mut first, mut under) = (0.0, 0, None, 0.0);
+    for (l, layer) in layers.iter().enumerate().rev() {
+        let d_in = layer.d_in() as f64;
+        let rows = part_range(layer.d_out(), pr, pr - 1).len() as f64;
+        if first.is_some() {
+            let gemm = 2.0 * rows * d_in * bloc / m.flops;
+            under += if l > 0 {
+                2.0 * gemm + ring(pr, d_in * bloc)
+            } else {
+                gemm
+            };
+        }
+        staged += rows * d_in;
+        if staged >= plan.bucket_words as f64 {
+            first = first.or(Some(ring(pc, staged)));
+            (staged, rings) = (0.0, rings + 1);
+        }
+    }
+    let rings = rings + usize::from(staged > 0.0);
+    let fused = (layers.len() - rings) as f64 * ring(pc, 0.0);
+    fused + under.min(first.unwrap_or(0.0))
 }
 
 fn main() {
@@ -203,6 +253,11 @@ fn main() {
                 fig8_pred,
                 legacy_fraction: leg.measured_overlap_fraction(),
                 scheduled_fraction: sch.measured_overlap_fraction(),
+                hidden: (
+                    leg.stats.total_overlapped_secs(),
+                    sch.stats.total_overlapped_secs(),
+                ),
+                saving_floor: iters as f64 * saving_floor(&net, b, (pr, pc), &plan, &model),
                 nb_allreduces: nb_ar,
                 degenerate,
                 tuned,
@@ -236,31 +291,25 @@ fn main() {
         println!();
     }
 
-    // Acceptance gates. Smoke (CI): at least one overlap-enabled grid
-    // hides ≥ 30% of its non-blocking traffic. Full: every swept P has
-    // a grid at ≥ 40%, and scheduling strictly beats the serialized
-    // run somewhere at the largest P.
-    let gate = if smoke { 0.30 } else { 0.40 };
+    // Acceptance gate, per swept P, on some overlap-enabled grid. What
+    // executed overlap must buy, derived from the terms left once the
+    // gradient stops at the input (`saving_floor`): the α-steps bucket
+    // fusion removes plus the backward work that runs under the first
+    // bucket's ring — a positive saving, met exactly where every shard
+    // divides evenly. A FIFO barrier saves that much too; only the
+    // priority drain and the cross-iteration interleave hide more
+    // channel time than it does, so a FIFO-barrier plan fails the gate.
     for &p in ps {
-        let best = rows
-            .iter()
-            .filter(|r| r.p == p && !r.degenerate)
-            .map(|r| r.scheduled_fraction)
-            .fold(0.0, f64::max);
+        let met = rows.iter().filter(|r| r.p == p && !r.degenerate).any(|r| {
+            let saved = r.serialized - r.scheduled;
+            let floor = r.saving_floor;
+            floor > 0.0 && saved >= floor * (1.0 - 1e-9) && r.hidden.1 > r.hidden.0
+        });
         assert!(
-            best >= gate,
-            "P={p}: best scheduled overlap fraction {best:.3} below the {gate} gate"
+            met,
+            "P={p}: no grid saves its derived floor and hides more than the FIFO barrier"
         );
     }
-    let p_max = *ps.last().expect("non-empty sweep");
-    let strict = rows
-        .iter()
-        .filter(|r| r.p == p_max && !r.degenerate)
-        .any(|r| r.scheduled < r.serialized);
-    assert!(
-        strict,
-        "no grid at P={p_max} improved strictly under executed overlap"
-    );
 
     // The serde stub has no serializer, so the JSON is written by hand
     // (same convention as recovery_sweep).

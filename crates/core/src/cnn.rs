@@ -36,11 +36,10 @@ use std::borrow::Cow;
 
 use dnn::{LayerSpec, Network};
 use mpsim::{Communicator, Error, NetModel, World, WorldStats};
-use tensor::activation::{relu_backward_in_place, relu_in_place, softmax_xent};
-use tensor::conv::{conv2d, conv2d_backward, Conv2dParams, Tensor4};
+use tensor::activation::{relu_backward_in_place, relu_in_place};
+use tensor::conv::{conv2d, conv2d_backward, conv2d_backward_weights, Conv2dParams, Tensor4};
 use tensor::init;
 use tensor::lrn::{lrn_backward, lrn_forward, LrnParams};
-use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use tensor::ops::axpy;
 use tensor::pool::{maxpool2d, maxpool2d_backward, Pool2dParams};
 use tensor::Matrix;
@@ -48,15 +47,10 @@ use tensor::Matrix;
 use collectives::ring::allgatherv_ring;
 use collectives::{allreduce, ReduceOp};
 use distmm::dist::part_range;
-use distmm::domain_general::{
-    conv_backward as dg_conv_backward, conv_forward as dg_conv_forward,
-    pool_backward as dg_pool_backward, pool_forward as dg_pool_forward,
-};
+use distmm::domain_general as dg;
 use distmm::onep5d::Grid;
 
-use crate::trainer::{
-    act_backward, apply_act, backward_pass, forward_pass, init_weights, Act, FcLayer, Pass,
-};
+use crate::trainer::{backward_pass, forward_pass, init_weights, serial_step, Act, FcLayer, Pass};
 
 /// One trunk stage.
 #[derive(Debug, Clone)]
@@ -86,6 +80,10 @@ pub struct CnnSpec {
     input: (usize, usize, usize),
     /// Shape entering the FC head.
     trunk_out: (usize, usize, usize),
+    /// The first weighted trunk stage: backprop stops there, since
+    /// nothing reads the input image's gradient. `None` (a pooling-only
+    /// trunk): nothing reads the FC head's input gradient either.
+    first_conv: Option<usize>,
 }
 
 impl CnnSpec {
@@ -167,6 +165,7 @@ impl CnnSpec {
         );
         assert!(!fcs.is_empty(), "cnn trainer expects an FC head");
         CnnSpec {
+            first_conv: stages.iter().position(|s| matches!(s, Stage::Conv { .. })),
             stages,
             fcs,
             input: (net.input.c, net.input.h, net.input.w),
@@ -228,6 +227,7 @@ pub fn train_cnn_serial(
     let spec = CnnSpec::of(net);
     assert_eq!((x.c, x.h, x.w), spec.input, "input tensor shape mismatch");
     let (mut conv_w, mut fc_w) = spec.init_weights(cfg.seed);
+    let first = spec.first_conv;
     let mut losses = Vec::with_capacity(cfg.iters);
     for _ in 0..cfg.iters {
         // Trunk forward: `acts[k]` is stage `k`'s output (stage 0
@@ -267,29 +267,19 @@ pub fn train_cnn_serial(
                 }
             }
         }
-        // FC head forward.
-        let mut fc_inputs: Vec<Matrix> = vec![acts.last().expect("trunk out").to_columns()];
-        for (f, w) in spec.fcs.iter().zip(&fc_w) {
-            let mut y = matmul(w, fc_inputs.last().expect("fc in"));
-            apply_act(f.act, &mut y);
-            fc_inputs.push(y);
-        }
-        let (loss, grad) = softmax_xent(fc_inputs.last().expect("logits"), labels);
+        // The FC head, whose input gradient feeds a weighted trunk; then
+        // the trunk backward, down to its first weighted stage.
+        let head_in = acts.last().expect("trunk out").to_columns();
+        let sgd = |w: &mut [Matrix], k: usize, g: &[f64]| axpy(-cfg.lr, g, w[k].as_mut_slice());
+        let (loss, dy) = serial_step(&spec.fcs, &mut fc_w, head_in, labels, first.is_some(), sgd);
         losses.push(loss);
-        // FC backward.
-        let mut dy = grad;
-        for (idx, f) in spec.fcs.iter().enumerate().rev() {
-            act_backward(f.act, &fc_inputs[idx + 1], &mut dy);
-            let dw = matmul_a_bt(&dy, &fc_inputs[idx]);
-            let dx = matmul_at_b(&fc_w[idx], &dy);
-            axpy(-cfg.lr, dw.as_slice(), fc_w[idx].as_mut_slice());
-            dy = dx;
-        }
-        // Trunk backward.
+        let (Some(dy), Some(first)) = (dy, first) else {
+            continue;
+        };
         let (c0, h0, w0) = spec.trunk_out;
         let mut dt = Tensor4::from_columns(&dy, c0, h0, w0);
         let mut wi = conv_w.len();
-        for (idx, s) in spec.stages.iter().enumerate().rev() {
+        for (idx, s) in spec.stages.iter().enumerate().skip(first).rev() {
             let input = if idx == 0 { x } else { &acts[idx - 1] };
             match (s, &saved[idx]) {
                 (
@@ -304,9 +294,14 @@ pub fn train_cnn_serial(
                     if *has_relu {
                         relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                     }
-                    let (dw, dx) = conv2d_backward(input, &conv_w[wi], &dt, params);
+                    let dw = if idx == first {
+                        conv2d_backward_weights(input, &conv_w[wi], &dt, params)
+                    } else {
+                        let (dw, dx) = conv2d_backward(input, &conv_w[wi], &dt, params);
+                        dt = dx;
+                        dw
+                    };
                     axpy(-cfg.lr, dw.as_slice(), conv_w[wi].as_mut_slice());
-                    dt = dx;
                 }
                 (Stage::Pool { .. }, SerialSaved::Pool { argmax, in_h, in_w }) => {
                     dt = maxpool2d_backward(&dt, argmax, *in_h, *in_w);
@@ -406,6 +401,7 @@ pub fn train_cnn_domain(
     model: NetModel,
 ) -> CnnDistResult {
     let spec = CnnSpec::of(net);
+    let first_conv = spec.first_conv;
     let b_global = x.n;
     // Drawn once; every rank starts from its own copy of the replica.
     let initial_weights = spec.init_weights(cfg.seed);
@@ -447,7 +443,7 @@ pub fn train_cnn_domain(
                         in_h,
                         ..
                     } => {
-                        let mut y = dg_conv_forward(&col_comm, input, &conv_w[wi], params, *in_h)?;
+                        let mut y = dg::conv_forward(&col_comm, input, &conv_w[wi], params, *in_h)?;
                         wi += 1;
                         if *has_relu {
                             relu_in_place(y.as_mut_slice());
@@ -460,7 +456,7 @@ pub fn train_cnn_domain(
                         in_h,
                         in_w: _,
                     } => {
-                        let (y, argmax) = dg_pool_forward(&col_comm, input, params, *in_h)?;
+                        let (y, argmax) = dg::pool_forward(&col_comm, input, params, *in_h)?;
                         saved.push(DistSaved::Pool { argmax });
                         acts.push(y);
                     }
@@ -506,15 +502,19 @@ pub fn train_cnn_domain(
             };
             let tape = forward_pass(&mut pass, &mut fc_w, &mut apply)?;
             partial_losses.push(tape.loss);
-            let dy = backward_pass(&mut pass, tape, &mut fc_w, &mut apply)?;
+            // The head's input gradient is read: it feeds the trunk.
+            let dy = backward_pass(&mut pass, tape, &mut fc_w, &mut apply, first_conv.is_some())?;
+            let (Some(dy), Some(first)) = (dy, first_conv) else {
+                continue;
+            };
             // Back to strips: every rank keeps its strip of the trunk
             // gradient (free slice).
             let dt_full = Tensor4::from_columns(&dy, c0, h0, w0);
             let out_strip = part_range(h0, pd, i);
             let mut dt = dt_full.row_strip(out_strip.start, out_strip.end);
-            // Trunk backward on strips.
+            // Trunk backward on strips, down to its first weighted stage.
             let mut wi = conv_w.len();
-            for (idx, s) in spec.stages.iter().enumerate().rev() {
+            for (idx, s) in spec.stages.iter().enumerate().skip(first).rev() {
                 let input = if idx == 0 { &x_shard } else { &acts[idx - 1] };
                 match (s, &saved[idx]) {
                     (
@@ -530,14 +530,19 @@ pub fn train_cnn_domain(
                         if *has_relu {
                             relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                         }
-                        let (mut dw, dx) =
-                            dg_conv_backward(&col_comm, input, &conv_w[wi], &dt, params, *in_h)?;
+                        let (w, h) = (&conv_w[wi], *in_h);
+                        let mut dw = if idx == first {
+                            dg::conv_backward_weights(&col_comm, input, w, &dt, params, h)?
+                        } else {
+                            let (dw, dx) = dg::conv_backward(&col_comm, input, w, &dt, params, h)?;
+                            dt = dx;
+                            dw
+                        };
                         allreduce(&row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
                         apply(&mut conv_w, wi, dw.as_slice());
-                        dt = dx;
                     }
                     (Stage::Pool { params, in_h, in_w }, DistSaved::Pool { argmax, .. }) => {
-                        dt = dg_pool_backward(&col_comm, &dt, argmax, params, *in_h, *in_w)?;
+                        dt = dg::pool_backward(&col_comm, &dt, argmax, params, *in_h, *in_w)?;
                     }
                     (Stage::Lrn { params }, DistSaved::Lrn) => {
                         dt = lrn_backward(input, &dt, params);

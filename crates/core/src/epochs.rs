@@ -13,8 +13,7 @@
 
 use dnn::Network;
 use mpsim::{NetModel, World, WorldStats};
-use tensor::activation::softmax_xent;
-use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
+use tensor::matmul::matmul;
 use tensor::Matrix;
 
 use collectives::cost::CostTerms;
@@ -23,8 +22,8 @@ use distmm::onep5d::Grid;
 
 use crate::data::{accuracy, epoch_order, Dataset};
 use crate::trainer::{
-    act_backward, apply_act, assemble_weights, backward_pass, extract_fc_layers, forward_pass,
-    init_weights, shard_weights, FcLayer, Pass,
+    apply_act, assemble_weights, backward_pass, extract_fc_layers, forward_pass, init_weights,
+    serial_step, shard_weights, FcLayer, Pass,
 };
 
 /// SGD variant parameters.
@@ -148,24 +147,9 @@ pub fn train_epochs_serial(net: &Network, data: &Dataset, cfg: &EpochConfig) -> 
     let mut epoch_losses = vec![0.0; cfg.epochs];
     for (step, idx) in batches.iter().enumerate() {
         let (x, labels) = data.batch(idx);
-        // Forward.
-        let mut inputs = vec![x];
-        for (l, w) in layers.iter().zip(&weights) {
-            let mut y = matmul(w, inputs.last().expect("input"));
-            apply_act(l.act, &mut y);
-            inputs.push(y);
-        }
-        let (loss, grad) = softmax_xent(inputs.last().expect("logits"), &labels);
+        let sgd = |w: &mut [_], l, g: &_| sgd_step(&mut w[l], &mut velocity[l], g, &cfg.sgd);
+        let (loss, _) = serial_step(&layers, &mut weights, x, &labels, false, sgd);
         epoch_losses[step / per_epoch] += loss / per_epoch as f64;
-        // Backward + update.
-        let mut dy = grad;
-        for (li, l) in layers.iter().enumerate().rev() {
-            act_backward(l.act, &inputs[li + 1], &mut dy);
-            let dw = matmul_a_bt(&dy, &inputs[li]);
-            let dx = matmul_at_b(&weights[li], &dy);
-            sgd_step(&mut weights[li], &mut velocity[li], dw.as_slice(), &cfg.sgd);
-            dy = dx;
-        }
     }
     let preds = predict(net, &weights, &data.x);
     let train_accuracy = accuracy(&preds, &data.labels);
@@ -228,7 +212,7 @@ pub fn train_epochs_1p5d(
                 sched: None,
             };
             let tape = forward_pass(&mut pass, &mut w_local, &mut apply).expect("forward");
-            backward_pass(&mut pass, tape, &mut w_local, &mut apply).expect("backward");
+            backward_pass(&mut pass, tape, &mut w_local, &mut apply, false).expect("backward");
         }
         (grid.i, grid.j, w_local)
     });

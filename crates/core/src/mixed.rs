@@ -201,7 +201,12 @@ mod tests {
             let run = train_1p5d(&part, &x, &labels, &cfg, pr, pc, knl);
             run.stats.total_words()
         };
-        let own = uniform_words(&dims[..2], 1, p) + uniform_words(&dims[1..], p, 1);
+        // The tail's own run stops at its input, but here its first
+        // layer's ∆X is read — it goes back through the relayout — so
+        // the tail also moves that gradient's ring all-reduce over the
+        // P-rank column group: 2·(P−1)/P of the d₁ × B words per rank.
+        let tail_dx = (p * 2 * dims[1] * b * (p - 1) / p) as u64;
+        let own = uniform_words(&dims[..2], 1, p) + uniform_words(&dims[1..], p, 1) + tail_dx;
         // Forward, Eq. 6 itself: every rank gathers the (P−1)/P of the
         // d₁ × B activation it lacks. Backward: ∆X is replicated, and
         // its one sender re-seeds the other P − 1 batch shards.

@@ -16,7 +16,7 @@
 use std::borrow::Cow;
 
 use collectives::nonblocking::{iallreduce, IallreduceHandle};
-use collectives::ReduceOp;
+use collectives::{allreduce, ReduceOp};
 use dnn::{LayerSpec, Network};
 use mpsim::{Communicator, Error, NetModel, TraceConfig, World, WorldStats, WorldTrace};
 use tensor::activation::{
@@ -29,8 +29,8 @@ use tensor::Matrix;
 
 use distmm::dist::{col_shard, part_range, row_shard};
 use distmm::onep5d::{
-    backward_dw_deferred, backward_dx_overlap, backward_with, forward_into, forward_resume,
-    forward_start, Grid, Guard,
+    backward_dw_deferred, backward_dx_overlap, backward_with, dw_partial, dy_block, forward_into,
+    forward_resume, forward_start, Grid, Guard,
 };
 
 use crate::overlap::{FlushSchedule, OverlapPlan};
@@ -185,29 +185,43 @@ pub fn train_serial(
 ) -> SerialResult {
     let layers = extract_fc_layers(net);
     let mut weights = init_weights(&layers, cfg.seed);
-    let mut losses = Vec::with_capacity(cfg.iters);
-    for _ in 0..cfg.iters {
-        // Forward, keeping every layer's output.
-        let mut inputs = vec![x.clone()];
-        for (l, w) in layers.iter().zip(&weights) {
-            let mut y = matmul(w, inputs.last().expect("input"));
-            apply_act(l.act, &mut y);
-            inputs.push(y);
-        }
-        let logits = inputs.last().expect("logits");
-        let (loss, grad) = softmax_xent(logits, labels);
-        losses.push(loss);
-        // Backward.
-        let mut dy = grad;
-        for (idx, l) in layers.iter().enumerate().rev() {
-            act_backward(l.act, &inputs[idx + 1], &mut dy);
-            let dw = matmul_a_bt(&dy, &inputs[idx]);
-            let dx = matmul_at_b(&weights[idx], &dy);
-            axpy(-cfg.lr, dw.as_slice(), weights[idx].as_mut_slice());
-            dy = dx;
-        }
-    }
+    let sgd = |w: &mut [Matrix], l: usize, g: &[f64]| axpy(-cfg.lr, g, w[l].as_mut_slice());
+    let losses = (0..cfg.iters)
+        .map(|_| serial_step(&layers, &mut weights, x.clone(), labels, false, sgd).0)
+        .collect();
     SerialResult { losses, weights }
+}
+
+/// One serial SGD step of an FC chain on the batch `x`: forward, loss,
+/// backward, every layer's `∆W` reaching `apply(w, layer, ∆W)` once its
+/// `∆X` is formed from the pre-update weights. The step stops at the
+/// first layer unless `input_grad` — a trunk in front of the chain
+/// reads the input's gradient ([`crate::cnn`]). Returns the loss and
+/// that gradient.
+pub(crate) fn serial_step(
+    layers: &[FcLayer],
+    w: &mut [Matrix],
+    x: Matrix,
+    labels: &[usize],
+    input_grad: bool,
+    mut apply: impl FnMut(&mut [Matrix], usize, &[f64]),
+) -> (f64, Option<Matrix>) {
+    let mut inputs = vec![x];
+    for (l, wl) in layers.iter().zip(&*w) {
+        let mut y = matmul(wl, inputs.last().expect("input"));
+        apply_act(l.act, &mut y);
+        inputs.push(y);
+    }
+    let (loss, mut dy) = softmax_xent(inputs.last().expect("logits"), labels);
+    for (idx, l) in layers.iter().enumerate().rev() {
+        act_backward(l.act, &inputs[idx + 1], &mut dy);
+        let dw = matmul_a_bt(&dy, &inputs[idx]);
+        let dx = (idx > 0 || input_grad).then(|| matmul_at_b(&w[idx], &dy));
+        apply(w, idx, dw.as_slice());
+        let Some(dx) = dx else { return (loss, None) };
+        dy = dx;
+    }
+    (loss, Some(dy))
 }
 
 /// Per-rank outcome of a distributed run.
@@ -409,7 +423,7 @@ pub(crate) fn train_grid(
             };
             let tape = forward_pass(&mut pass, &mut w_local, &mut apply).expect("forward");
             partial_losses.push(tape.loss);
-            backward_pass(&mut pass, tape, &mut w_local, &mut apply).expect("backward");
+            backward_pass(&mut pass, tape, &mut w_local, &mut apply, false).expect("backward");
         }
         RankOutcome {
             i: first.i,
@@ -592,15 +606,20 @@ pub(crate) fn forward_pass(
 /// and applied — unless the plan's `interleave` leaves them in flight
 /// for the next [`forward_pass`] to settle.
 ///
-/// Returns `∂loss/∂x_local`, which a trunk in front of the FC chain
-/// back-propagates further ([`crate::cnn`]); an FC network's input has
-/// no use for it.
+/// `input_grad` says whether the caller reads `∂loss/∂x_local`, which
+/// is then returned: a trunk in front of the FC chain back-propagates
+/// it further ([`crate::cnn`]). An FC network's input has no use for it
+/// — the paper does "not need to backpropagate the gradient beyond the
+/// first layer", and Eq. 8 prices no ∆X term there — so without it
+/// layer 0 runs its ∆W partial alone ([`dw_partial`]): no ∆X GEMM and
+/// no column-group all-reduce, every weight bit unchanged.
 pub(crate) fn backward_pass(
     p: &mut Pass<'_>,
     tape: Tape,
     w: &mut [Matrix],
     apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
-) -> Result<Matrix, Error> {
+    input_grad: bool,
+) -> Result<Option<Matrix>, Error> {
     let (grids, guard) = (p.grids, p.guard);
     let comm = &grids[0].row_comm;
     let iter_arg = [("iter", p.iter as f64)];
@@ -625,6 +644,17 @@ pub(crate) fn backward_pass(
             } else {
                 &acts[idx - 1]
             };
+            if idx == 0 && !input_grad {
+                let mut dw = dw_partial(grid, xl, &dy_block(grid, &dy), guard)?;
+                if let Some((sched, _)) = &mut p.sched {
+                    sched.push(idx, dw)?;
+                    sched.poll()?;
+                } else {
+                    allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
+                    apply(w, idx, dw.as_slice());
+                }
+                break;
+            }
             let dx = match &mut p.sched {
                 None => {
                     let (dw, dx) = backward_with(grid, &w[idx], xl, &dy, guard)?;
@@ -661,7 +691,7 @@ pub(crate) fn backward_pass(
             sched.drain_all(|k, g| apply(w, k, g))?;
         }
     }
-    Ok(dy)
+    Ok(input_grad.then_some(dy))
 }
 
 /// Total trainable parameter count of the FC chain. Each rank's ∆W
@@ -927,8 +957,9 @@ impl BucketScheduler {
 /// [`train_serial`] up to the reduction-order noise of fusing layer
 /// shards into shared ring buckets (~1 ulp; replicas within a row
 /// group remain bitwise identical). The FIFO/barrier plan (`Fifo`, every
-/// flag off) is the retired PR-3 engine to the bit, pinned by golden
-/// constants in this module's tests.
+/// flag off) reproduces the retired overlap engine's weights to the bit
+/// and its clock less layer 0's ∆X, which that engine still formed,
+/// pinned by golden constants in this module's tests.
 #[allow(clippy::too_many_arguments)]
 pub fn train_1p5d_scheduled(
     net: &Network,
@@ -993,9 +1024,13 @@ mod tests {
     };
 
     /// Asserts `r` reproduces `[makespan bits, total overlapped seconds
-    /// bits, FNV-1a over every rank's final weight bits]` as recorded
-    /// from the PR-3 engine at the last commit that shipped it
-    /// (d11a3ce; see DESIGN.md §10).
+    /// bits, FNV-1a over every rank's final weight bits]`. The FNV word
+    /// is the retired overlap engine's, recorded at the last commit that
+    /// shipped it (d11a3ce; see DESIGN.md §10): the equivalence with it
+    /// holds for the weights only, since that engine formed layer 0's
+    /// ∆X and the trainers no longer do. The clock words are re-recorded
+    /// and derived from the retired engine's by
+    /// [`assert_retired_clock_less_layer0_dx`].
     fn assert_pr3_golden(r: &DistResult, golden: [u64; 3]) {
         let mut fnv = 0xcbf2_9ce4_8422_2325u64;
         for v in r.per_rank.iter().flat_map(|rank| &rank.weight_shards) {
@@ -1012,6 +1047,42 @@ mod tests {
             got, golden,
             "grid {}x{}: [makespan, overlapped, weight fnv] {got:#018x?} vs golden {golden:#018x?}",
             r.pr, r.pc
+        );
+    }
+
+    /// Asserts `r`'s clock is the retired engine's, `retired` =
+    /// `[makespan bits, overlapped bits]`, less what layer 0's ∆X cost
+    /// it on a `[d0, d1, …]` MLP with batch `b`: per iteration, one
+    /// `W₀ᵀ·∆Y` GEMM and, over `Pr > 1`, a ring all-reduce of the
+    /// `d0 × B/Pc` gradient — `2(Pr − 1)` steps of `α + β·d0·B/(Pc·Pr)`.
+    /// Over `Pr > 1` both sat on the critical path, so the makespan
+    /// falls by exactly their sum. Over `Pr = 1` the GEMM ran while the
+    /// ∆W ring was in flight: the makespan holds, and the overlapped
+    /// time falls by that GEMM on every rank.
+    fn assert_retired_clock_less_layer0_dx(
+        r: &DistResult,
+        model: &NetModel,
+        (d0, d1, b, iters): (usize, usize, usize, usize),
+        retired: [u64; 2],
+    ) {
+        let (pr, pc, bloc) = (r.pr, r.pc, b / r.pc);
+        let gemm = 2.0 * (d0 * (d1 / pr) * bloc) as f64 / model.flops;
+        let ring = (2 * (pr - 1)) as f64 * (model.alpha + model.beta * (d0 * bloc / pr) as f64);
+        let [makespan, overlapped] = retired.map(f64::from_bits);
+        let (dm, dov) = if pr > 1 {
+            (iters as f64 * (gemm + ring), 0.0)
+        } else {
+            (0.0, (pc * iters) as f64 * gemm)
+        };
+        let grid = format!("grid {pr}x{pc}");
+        assert!(
+            (makespan - dm - r.stats.makespan()).abs() < 1e-15,
+            "{grid}: makespan"
+        );
+        let hidden = r.stats.total_overlapped_secs();
+        assert!(
+            (overlapped - dov - hidden).abs() < 1e-15,
+            "{grid}: overlapped"
         );
     }
 
@@ -1116,25 +1187,30 @@ mod tests {
             iters: 2,
             seed: 1,
         };
+        // (grid, golden, the retired engine's clock words).
         let goldens = [
             (
                 (1, 4),
-                [0x3f5f2e325c377d39, 0x3f59c511dc3a41db, 0xb98e8d42db1ee7ad],
+                [0x3f5f2e325c377d39, 0x3f49c511dc3a41d6, 0xb98e8d42db1ee7ad],
+                [0x3f5f2e325c377d39, 0x3f59c511dc3a41db],
             ),
             (
                 (2, 4),
-                [0x3f56b24912ee6f36, 0x3c34000000000000, 0x0519d16b7edc4d15],
+                [0x3f54433f2b1f4eb8, 0x3c34000000000000, 0x0519d16b7edc4d15],
+                [0x3f56b24912ee6f36, 0x3c34000000000000],
             ),
             (
                 (4, 2),
-                [0x3f5aa6b094990feb, 0x3c28000000000000, 0xec79957119e7b479],
+                [0x3f56923518b2f6ad, 0x3c28000000000000, 0xec79957119e7b479],
+                [0x3f5aa6b094990feb, 0x3c28000000000000],
             ),
         ];
-        for ((pr, pc), golden) in goldens {
+        for ((pr, pc), golden, retired) in goldens {
             let serialized = train_1p5d(&net, &x, &labels, &cfg, pr, pc, model);
             let overlapped =
                 train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, FIFO_BARRIER);
             assert_pr3_golden(&overlapped, golden);
+            assert_retired_clock_less_layer0_dx(&overlapped, &model, (64, 96, 32, 2), retired);
             let t_ser = serialized.stats.makespan();
             let t_ovl = overlapped.stats.makespan();
             assert!(
@@ -1392,8 +1468,10 @@ mod tests {
         let sch = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, FIFO_BARRIER);
         assert_pr3_golden(
             &sch,
-            [0x3f4063830fc7fcb6, 0x3bf8000000000000, 0xe7e19beecc6cc70d],
+            [0x3f3891b60f34eb06, 0x3c08000000000000, 0xe7e19beecc6cc70d],
         );
+        let retired = [0x3f4063830fc7fcb6, 0x3bf8000000000000];
+        assert_retired_clock_less_layer0_dx(&sch, &model, (48, 64, 24, 2), retired);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::ops::Range;
 
 use collectives::{allreduce, ReduceOp};
 use mpsim::{Communicator, Result};
-use tensor::conv::{conv2d, conv2d_backward, Conv2dParams, Tensor4};
+use tensor::conv::{conv2d, conv2d_backward, conv2d_backward_weights, Conv2dParams, Tensor4};
 use tensor::pool::{maxpool2d, maxpool2d_backward, Pool2dParams};
 use tensor::Matrix;
 
@@ -141,11 +141,25 @@ pub fn conv_forward(
     Ok(y)
 }
 
+/// The domain-parallel weight gradient alone: [`conv_backward`]'s `∆W`,
+/// to the bit — window fetch, the `∆W` GEMM, the all-reduce over the
+/// communicator — with no `∆X` GEMM and no scatter of `∆X` rows home:
+/// the backward of a network's first convolution, whose input
+/// gradient nobody reads.
+pub fn conv_backward_weights(
+    comm: &Communicator,
+    x_strip: &Tensor4,
+    weights: &Matrix,
+    dy_strip: &Tensor4,
+    p: &Conv2dParams,
+    in_h: usize,
+) -> Result<Matrix> {
+    Ok(backward(comm, x_strip, weights, dy_strip, p, in_h, false)?.0)
+}
+
 /// Domain-parallel convolution backward: returns
 /// `(∆W all-reduced over the communicator, ∆X strip over this rank's
-/// input block)`. The input window is fetched again rather than kept
-/// from the forward pass — the same volume either way, which is what
-/// the cost model charges.
+/// input block)`.
 pub fn conv_backward(
     comm: &Communicator,
     x_strip: &Tensor4,
@@ -154,25 +168,48 @@ pub fn conv_backward(
     p: &Conv2dParams,
     in_h: usize,
 ) -> Result<(Matrix, Tensor4)> {
+    let (dw, dx) = backward(comm, x_strip, weights, dy_strip, p, in_h, true)?;
+    Ok((dw, dx.expect("∆X was formed")))
+}
+
+/// The one backward body, its `∆X` formed only when `input_grad`. The
+/// input window is fetched again rather than kept from the forward
+/// pass — the same volume either way, which is what the cost model
+/// charges.
+fn backward(
+    comm: &Communicator,
+    x_strip: &Tensor4,
+    weights: &Matrix,
+    dy_strip: &Tensor4,
+    p: &Conv2dParams,
+    in_h: usize,
+    input_grad: bool,
+) -> Result<(Matrix, Option<Tensor4>)> {
     let (out_h, _) = p.out_hw(in_h, x_strip.w);
     let win = windows(comm, (p.kh, p.stride, p.pad), in_h, out_h);
     let ext = fetch_rows(comm, x_strip, &win.in_part, &win.needed, win.frame, || ())?;
-
-    let flops = 4.0 * weights.len() as f64 * (dy_strip.h * dy_strip.w * dy_strip.n) as f64;
-    comm.advance_flops(flops);
+    // Two flops per multiply-add, per GEMM formed.
+    let flops = if input_grad { 4.0 } else { 2.0 } * weights.len() as f64;
+    comm.advance_flops(flops * (dy_strip.h * dy_strip.w * dy_strip.n) as f64);
 
     // `∆X` comes back in the window's frame; the scatter reads the rows
     // out of it. An empty window is its own (empty) gradient.
+    let local = Conv2dParams { pad: 0, ..*p };
     let (mut dw, dx_ext) = if win.my_out.is_empty() {
-        (Matrix::zeros(weights.rows(), weights.cols()), ext)
+        let dw = Matrix::zeros(weights.rows(), weights.cols());
+        (dw, input_grad.then_some(ext))
+    } else if input_grad {
+        let (dw, dx) = conv2d_backward(&ext, weights, dy_strip, &local);
+        (dw, Some(dx))
     } else {
-        conv2d_backward(&ext, weights, dy_strip, &Conv2dParams { pad: 0, ..*p })
+        let dw = conv2d_backward_weights(&ext, weights, dy_strip, &local);
+        (dw, None)
     };
     // ∆W: sum over all strips — the same all-reduce pure batch
     // parallelism needs (Eq. 7's third term).
     allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum)?;
-    let dx = scatter_add_rows(comm, &dx_ext, &win.needed, &win.in_part, win.frame)?;
-    Ok((dw, dx))
+    let scatter = |dx| scatter_add_rows(comm, &dx, &win.needed, &win.in_part, win.frame);
+    Ok((dw, dx_ext.map(scatter).transpose()?))
 }
 
 /// Domain-parallel max-pool forward. Returns the output strip and the
@@ -310,6 +347,60 @@ mod tests {
         };
         for p in [1, 2, 3, 4] {
             check_conv(p, params, 17, 9);
+        }
+    }
+
+    #[test]
+    fn the_weight_half_is_the_backward_dw_without_the_scatter() {
+        // Strided and padded: the windows are wider than a halo and
+        // misaligned with the strips, so the scatter moves real rows.
+        let p = Conv2dParams {
+            in_c: 3,
+            out_c: 4,
+            kh: 5,
+            kw: 5,
+            stride: 2,
+            pad: 1,
+        };
+        let (h, w) = (17, 9);
+        let (oh, ow) = p.out_hw(h, w);
+        let x = init::uniform_tensor(2, p.in_c, h, w, -1.0, 1.0, 81);
+        let wt = init::uniform(p.out_c, p.patch_len(), -0.4, 0.4, 82);
+        let dy = init::uniform_tensor(2, p.out_c, oh, ow, -1.0, 1.0, 83);
+        for pd in [1, 2, 4] {
+            // 0: the full backward's ∆W; 1: the weight half; 2: only the
+            // scatter the full backward ends with.
+            let run = |which| {
+                World::run_with_stats(pd, NetModel::cori_knl(), |comm| {
+                    let (ip, op) = (
+                        part_range(h, pd, comm.rank()),
+                        part_range(oh, pd, comm.rank()),
+                    );
+                    let xs = x.row_strip(ip.start, ip.end);
+                    let dys = dy.row_strip(op.start, op.end);
+                    match which {
+                        0 => conv_backward(comm, &xs, &wt, &dys, &p, h).unwrap().0,
+                        1 => conv_backward_weights(comm, &xs, &wt, &dys, &p, h).unwrap(),
+                        _ => {
+                            let win = windows(comm, (p.kh, p.stride, p.pad), h, oh);
+                            let rows = win.needed[comm.rank()].len();
+                            let dx = Tensor4::zeros(xs.n, xs.c, rows, w);
+                            scatter_add_rows(comm, &dx, &win.needed, &win.in_part, NO_FRAME)
+                                .unwrap();
+                            Matrix::zeros(0, 0)
+                        }
+                    }
+                })
+            };
+            let ((full, fs), (half, hs), (_, ss)) = (run(0), run(1), run(2));
+            assert_eq!(full, half, "pd={pd}: ∆W to the bit");
+            assert_eq!(
+                fs.total_msgs(),
+                hs.total_msgs() + ss.total_msgs(),
+                "pd={pd}"
+            );
+            assert_eq!(fs.total_words(), hs.total_words() + ss.total_words());
+            assert_eq!(pd > 1, ss.total_msgs() > 0, "pd={pd}: a scatter to save");
         }
     }
 

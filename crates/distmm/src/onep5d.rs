@@ -277,7 +277,7 @@ fn y_partial(grid: &Grid, w_local: &Matrix, x_local: &Matrix, guard: Guard) -> R
 
 /// This rank's row block `∆Y_{i,j}` of the full-depth `∆Y_j`: a copy
 /// of its rows, or `∆Y_j` itself when the model dimension is not split.
-fn dy_block<'a>(grid: &Grid, dy_local: &'a Matrix) -> Cow<'a, Matrix> {
+pub fn dy_block<'a>(grid: &Grid, dy_local: &'a Matrix) -> Cow<'a, Matrix> {
     if grid.pr == 1 {
         return Cow::Borrowed(dy_local);
     }
@@ -285,8 +285,13 @@ fn dy_block<'a>(grid: &Grid, dy_local: &'a Matrix) -> Cow<'a, Matrix> {
     Cow::Owned(dy_local.row_block(rows.start, rows.end))
 }
 
-/// The local `∆W` partial `∆Y_{i,j}·X_jᵀ` (flops charged, guarded).
-fn dw_partial(grid: &Grid, x_local: &Matrix, dy_i: &Matrix, guard: Guard) -> Result<Matrix> {
+/// The local `∆W` partial `∆Y_{i,j}·X_jᵀ` (flops charged, guarded),
+/// `dy_i` being [`dy_block`]'s rows — *not* yet summed over the row
+/// group. Alone, it is the backward of a layer whose input gradient
+/// nobody reads (the paper does "not need to backpropagate the gradient
+/// beyond the first layer"): the caller sums it, blocking or bucketed,
+/// and no `∆X` GEMM or column-group all-reduce runs. One SDC op.
+pub fn dw_partial(grid: &Grid, x_local: &Matrix, dy_i: &Matrix, guard: Guard) -> Result<Matrix> {
     let comm = &grid.row_comm;
     comm.advance_flops(matmul_flops(dy_i.rows(), dy_i.cols(), x_local.rows()));
     let mut dw = matmul_a_bt(dy_i, x_local);

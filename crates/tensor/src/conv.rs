@@ -652,20 +652,17 @@ fn dy_rows(dy: &Tensor4, oc: usize, hw: usize) -> Vec<f64> {
     dy_m
 }
 
-/// Backward pass of a convolution given the output gradient `dy`
-/// (shaped like the forward output). Returns `(dW, dX)`:
-/// `dW = ∆Y · im2col(X)ᵀ` and `dX = col2im(Wᵀ · ∆Y)` — the conv
-/// instantiation of the paper's §7.2 derivation — both computed
-/// implicitly: `dW` packs im2col panels through [`Im2colMap`], and
-/// `dX` fuses the col2im scatter with a column-blocked GEMM so neither
-/// direction materializes a `patch_len × (n·oh·ow)` matrix. Bit-for-bit
-/// equal to [`conv2d_backward_ref`].
-pub fn conv2d_backward(
+/// The weight gradient of a convolution alone,
+/// `dW = ∆Y · im2col(X)ᵀ` with the im2col panels packed through
+/// [`Im2colMap`]: [`conv2d_backward`]'s `dW`, to the bit, without its
+/// `∆X` GEMM and col2im scatter — the backward of a layer whose input
+/// gradient nobody reads (a network's first convolution).
+pub fn conv2d_backward_weights(
     input: &Tensor4,
     weights: &Matrix,
     dy: &Tensor4,
     p: &Conv2dParams,
-) -> (Matrix, Tensor4) {
+) -> Matrix {
     assert_conv_shapes(input, weights, p);
     let (oh, ow) = p.out_hw(input.h, input.w);
     assert_eq!(
@@ -673,12 +670,10 @@ pub fn conv2d_backward(
         (input.n, p.out_c, oh, ow),
         "dy shape mismatch"
     );
-    let m = input.n * oh * ow;
-    let k = p.patch_len();
-    let oc = p.out_c;
+    let (m, k, oc) = (input.n * oh * ow, p.patch_len(), p.out_c);
     let mut dw = Matrix::zeros(oc, k);
     if m == 0 || k == 0 || oc == 0 {
-        return (dw, Tensor4::zeros(input.n, p.in_c, input.h, input.w));
+        return dw;
     }
     let x = padded(input, p);
     let map = Im2colMap::new(p, x.n, x.h, x.w);
@@ -699,6 +694,33 @@ pub fn conv2d_backward(
         },
         dw.as_mut_slice(),
     );
+    dw
+}
+
+/// Backward pass of a convolution given the output gradient `dy`
+/// (shaped like the forward output). Returns `(dW, dX)`:
+/// `dW = ∆Y · im2col(X)ᵀ` ([`conv2d_backward_weights`]) and
+/// `dX = col2im(Wᵀ · ∆Y)` — the conv instantiation of the paper's §7.2
+/// derivation — both computed implicitly: `dW` packs im2col panels
+/// through [`Im2colMap`], and `dX` fuses the col2im scatter with a
+/// column-blocked GEMM so neither direction materializes a
+/// `patch_len × (n·oh·ow)` matrix. Bit-for-bit equal to
+/// [`conv2d_backward_ref`].
+pub fn conv2d_backward(
+    input: &Tensor4,
+    weights: &Matrix,
+    dy: &Tensor4,
+    p: &Conv2dParams,
+) -> (Matrix, Tensor4) {
+    let dw = conv2d_backward_weights(input, weights, dy, p);
+    let (m, k, oc) = (dy.n * dy.h * dy.w, p.patch_len(), p.out_c);
+    if m == 0 || k == 0 || oc == 0 {
+        return (dw, Tensor4::zeros(input.n, p.in_c, input.h, input.w));
+    }
+    // The ∆X half reads ∆Y in the same row layout, scattering through
+    // the tables of the zero-extended input.
+    let map = Im2colMap::new(p, input.n, input.h + 2 * p.pad, input.w + 2 * p.pad);
+    let dy_m = dy_rows(dy, oc, dy.h * dy.w);
     // dX: per column block, dcolsᵀ = ∆Yᵀ·W (cb × patch_len) via the
     // packed GEMM — each element the same ascending-out_c fold as
     // Wᵀ·∆Y, products commuted — then a serial fused col2im scatter
@@ -707,7 +729,7 @@ pub fn conv2d_backward(
     // materialized col2im exactly; the padding frame collects the taps
     // col2im would skip and is peeled off at the end.
     let wv = weights.as_slice();
-    let mut dx = Tensor4::zeros(x.n, x.c, x.h, x.w);
+    let mut dx = Tensor4::zeros(input.n, p.in_c, input.h + 2 * p.pad, input.w + 2 * p.pad);
     let dxs = dx.as_mut_slice();
     let mut dcols = vec![0.0; COL_BLOCK.min(m) * k];
     let mut c0 = 0;
@@ -1178,6 +1200,27 @@ mod tests {
             let (dw_r, dx_r) = conv2d_backward_ref(&x, &wt, &dy, &p);
             prop_assert_eq!(dw_i.as_slice(), dw_r.as_slice());
             prop_assert_eq!(dx_i.as_slice(), dx_r.as_slice());
+        }
+
+        #[test]
+        fn the_weight_half_is_the_backward_dw_to_the_bit(
+            n in 0usize..3, in_c in 1usize..4, out_c in 0usize..4,
+            kh in 1usize..5, kw in 1usize..5,
+            stride in 1usize..4, pad in 0usize..3,
+            extra_h in 0usize..4, extra_w in 0usize..4,
+        ) {
+            // Strided, padded, 1×1, and empty (no sample or no output
+            // channel) shapes alike.
+            let (h, w) = (kh + extra_h, kw + extra_w);
+            let p = Conv2dParams { in_c, out_c, kh, kw, stride, pad };
+            let x = test_input(n, in_c, h, w);
+            let wt = test_weights(&p);
+            let (oh, ow) = p.out_hw(h, w);
+            let dy = Tensor4::from_fn(n, out_c, oh, ow, |a, b, y, xx| {
+                ((a * 3 + b * 5 + y + xx * 2) as f64 * 0.06).cos()
+            });
+            let half = conv2d_backward_weights(&x, &wt, &dy, &p);
+            prop_assert_eq!(half, conv2d_backward(&x, &wt, &dy, &p).0);
         }
     }
 }

@@ -7,9 +7,11 @@
 use integrated_parallelism::distmm::dist::{col_shard, part_range, row_shard};
 use integrated_parallelism::distmm::domain_general;
 use integrated_parallelism::distmm::onep5d::{backward, forward, Grid};
+use integrated_parallelism::dnn::zoo::mlp;
 use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape};
-use integrated_parallelism::integrated::cost::integrated::layer_cost;
+use integrated_parallelism::integrated::cost::integrated::{integrated_model_batch, layer_cost};
 use integrated_parallelism::integrated::cost::pure_domain;
+use integrated_parallelism::integrated::trainer::{synthetic_data, train_1p5d, TrainConfig};
 use integrated_parallelism::integrated::{LayerParallelism, MachineModel};
 use integrated_parallelism::mpsim::{NetModel, World};
 use integrated_parallelism::tensor::conv::Conv2dParams;
@@ -71,6 +73,62 @@ fn executed_1p5d_layer_matches_eq8_bandwidth() {
             (t - expect_secs).abs() < 1e-12,
             "rank {r}: executed {t} vs Eq. 8 {expect_secs}"
         );
+    }
+}
+
+/// One `train_1p5d` iteration of the benchmark's `alexnet-fc-exec`
+/// (`[384, 256, 256, 10]`, B = 512) moves exactly Eq. 8's words on its
+/// busiest rank — the ∆X all-reduce only for layers 2..L, since nothing
+/// reads the gradient of the network input ("we do not need to
+/// backpropagate the gradient beyond the first layer"). A trainer that
+/// still summed layer 1's ∆X would be over by `2·(B/Pc)·(Pr−1)/Pr·384`
+/// on every grid with `Pr > 1`.
+///
+/// Every shard divides evenly on the grids of P ∈ {8, 16} with
+/// `Pr ≤ 2` — 1×8, 2×4, 1×16, 2×8 — and there the match is exact. With
+/// `Pr ≥ 4` the 10-row logits layer splits raggedly, and its busiest
+/// rank sends at most a fraction of one more block each way: under
+/// `B/Pc` words more on the all-gather (a ring sends all but one peer's
+/// block) and under `2·(Pc−1)/Pc·256` on the ∆W all-reduce (one weight
+/// row more than the mean).
+#[test]
+fn executed_fc_iteration_matches_eq8_words_on_the_busiest_rank() {
+    let net = mlp("alexnet-fc-exec", &[384, 256, 256, 10]);
+    let b = 512;
+    let (x, labels) = synthetic_data(&net, b, 3);
+    let cfg = TrainConfig {
+        lr: 0.1,
+        iters: 1,
+        seed: 5,
+    };
+    let layers = net.weighted_layers();
+    for (pr, pc) in [
+        (1, 8),
+        (2, 4),
+        (4, 2),
+        (8, 1),
+        (1, 16),
+        (2, 8),
+        (4, 4),
+        (8, 2),
+        (16, 1),
+    ] {
+        let run = train_1p5d(&net, &x, &labels, &cfg, pr, pc, NetModel::free());
+        let busiest = run.stats.ranks.iter().map(|r| r.words_sent).max().unwrap() as f64;
+        let eq8 = integrated_model_batch(&layers, b as f64, pr, pc)
+            .total
+            .total()
+            .words;
+        if pr <= 2 {
+            assert_eq!(busiest, eq8, "grid {pr}x{pc}");
+        } else {
+            let ragged = (b / pc) as f64 + 2.0 * 256.0 * (pc - 1) as f64 / pc as f64;
+            let over = busiest - eq8;
+            assert!(
+                (0.0..ragged).contains(&over),
+                "grid {pr}x{pc}: {over} over Eq. 8"
+            );
+        }
     }
 }
 

@@ -4,9 +4,20 @@
 //! learning rates, and batch sizes.
 
 use integrated_parallelism::dnn::zoo::{mlp, rnn_unrolled};
-use integrated_parallelism::integrated::trainer::{
-    synthetic_data, train_1p5d, train_serial, TrainConfig,
+use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape};
+use integrated_parallelism::integrated::cnn::{
+    synthetic_images, train_cnn_domain, train_cnn_serial,
 };
+use integrated_parallelism::integrated::data::gaussian_blobs;
+use integrated_parallelism::integrated::epochs::{
+    train_epochs_1p5d, train_epochs_serial, EpochConfig, SgdConfig,
+};
+use integrated_parallelism::integrated::mixed::train_mixed;
+use integrated_parallelism::integrated::overlap::OverlapPlan;
+use integrated_parallelism::integrated::trainer::{
+    synthetic_data, train_1p5d, train_1p5d_scheduled, train_serial, TrainConfig,
+};
+use integrated_parallelism::integrated::{LayerParallelism, Strategy};
 use integrated_parallelism::mpsim::NetModel;
 use integrated_parallelism::tensor::Matrix;
 
@@ -119,4 +130,151 @@ fn deeper_and_wider_grids_agree_with_each_other() {
     let a = train_1p5d(&net, &x, &labels, &cfg, 2, 8, NetModel::free());
     let b = train_1p5d(&net, &x, &labels, &cfg, 8, 2, NetModel::free());
     assert!(max_diff(&a.weights(), &b.weights()) < 1e-9);
+}
+
+/// FNV-1a over the bits of every number handed to it, in order.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+    fn put(&mut self, vals: &[f64]) {
+        for b in vals.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn mats<'a>(&mut self, ms: impl IntoIterator<Item = &'a Matrix>) {
+        for m in ms {
+            self.put(m.as_slice());
+        }
+    }
+}
+
+/// Every trainer's final weights and losses, to the bit, against
+/// digests recorded while each trainer still formed (and, distributed,
+/// all-reduced) the gradient of its network input. Nothing reads that
+/// gradient, so no weight and no loss may move when it stops being
+/// formed: the serial trainers and each distributed one on two grids,
+/// the 1.5D runs with and without the bucket scheduler (both of its
+/// backward variants), per-layer grids with the first layer on either
+/// side of the relayout, the momentum epoch loop, and a CNN whose first
+/// convolution is strided.
+#[test]
+fn every_trainer_keeps_its_weights_and_losses_to_the_bit() {
+    let free = NetModel::free();
+    let net = mlp("digest", &[24, 20, 12, 5]);
+    let (x, labels) = synthetic_data(&net, 18, 41);
+    let cfg = TrainConfig {
+        lr: 0.2,
+        iters: 3,
+        seed: 6,
+    };
+    let mut got: Vec<(&str, u64)> = Vec::new();
+
+    let mut d = Digest::new();
+    let serial = train_serial(&net, &x, &labels, &cfg);
+    d.put(&serial.losses);
+    d.mats(&serial.weights);
+    got.push(("train_serial", d.0));
+
+    let mut d = Digest::new();
+    for (pr, pc) in [(2, 3), (4, 1)] {
+        let r = train_1p5d(&net, &x, &labels, &cfg, pr, pc, free);
+        for rank in &r.per_rank {
+            d.put(&rank.partial_losses);
+            d.mats(&rank.weight_shards);
+        }
+    }
+    got.push(("train_1p5d", d.0));
+
+    let mut d = Digest::new();
+    let everything = OverlapPlan {
+        bucket_words: 64,
+        dx_overlap: true,
+        fwd_prefetch: true,
+        ..OverlapPlan::default()
+    };
+    for (pr, pc, plan) in [(2, 2, OverlapPlan::default()), (2, 3, everything)] {
+        let r = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, free, plan);
+        for rank in &r.per_rank {
+            d.put(&rank.partial_losses);
+            d.mats(&rank.weight_shards);
+        }
+    }
+    got.push(("train_1p5d_scheduled", d.0));
+
+    let mut d = Digest::new();
+    for shapes in [[(1, 4), (2, 2), (4, 1)], [(4, 1), (2, 2), (1, 4)]] {
+        let rows = shapes.map(|(pr, pc)| LayerParallelism::ModelBatch { pr, pc });
+        let strategy = Strategy::new("digest", 4, rows.to_vec()).expect("grids tile P");
+        let r = train_mixed(&net, &x, &labels, &cfg, &strategy, free).expect("one grid per layer");
+        d.mats(&r.weights);
+    }
+    got.push(("train_mixed", d.0));
+
+    let data = gaussian_blobs(8, 3, 30, 0.4, 9);
+    let blobs = mlp("digest-blobs", &[8, 12, 3]);
+    let ecfg = EpochConfig {
+        sgd: SgdConfig {
+            lr: 0.2,
+            momentum: 0.9,
+            weight_decay: 1e-3,
+        },
+        epochs: 2,
+        batch_size: 12,
+        seed: 4,
+    };
+    let mut d = Digest::new();
+    let serial = train_epochs_serial(&blobs, &data, &ecfg);
+    d.put(&serial.epoch_losses);
+    d.mats(&serial.weights);
+    got.push(("train_epochs_serial", d.0));
+    let mut d = Digest::new();
+    for (pr, pc) in [(2, 2), (3, 1)] {
+        d.mats(&train_epochs_1p5d(&blobs, &data, &ecfg, pr, pc, free).weights);
+    }
+    got.push(("train_epochs_1p5d", d.0));
+
+    let cnn = NetworkBuilder::new("digest-cnn", Shape::new(2, 13, 7))
+        .conv_relu(4, 3, 2, 1)
+        .layer(LayerSpec::MaxPool { k: 2, stride: 1 })
+        .conv_relu(3, 3, 1, 1)
+        .layer(LayerSpec::FullyConnected { out: 10 })
+        .layer(LayerSpec::ReLU)
+        .layer(LayerSpec::FullyConnected { out: 4 })
+        .build()
+        .unwrap();
+    let (images, img_labels) = synthetic_images(&cnn, 6, 13);
+    let ccfg = TrainConfig {
+        lr: 0.05,
+        iters: 2,
+        seed: 3,
+    };
+    let mut d = Digest::new();
+    let serial = train_cnn_serial(&cnn, &images, &img_labels, &ccfg);
+    d.put(&serial.losses);
+    d.mats(serial.conv_weights.iter().chain(&serial.fc_weights));
+    got.push(("train_cnn_serial", d.0));
+    let mut d = Digest::new();
+    for (pd, pc) in [(2, 2), (3, 1)] {
+        let r = train_cnn_domain(&cnn, &images, &img_labels, &ccfg, pd, pc, free);
+        for rank in &r.per_rank {
+            d.put(&rank.partial_losses);
+            d.mats(rank.conv_weights.iter().chain(&rank.fc_weights));
+        }
+    }
+    got.push(("train_cnn_domain", d.0));
+
+    let want: &[(&str, u64)] = &[
+        ("train_serial", 0xa396_1dad_f000_2059),
+        ("train_1p5d", 0x848c_8de2_863b_3dce),
+        ("train_1p5d_scheduled", 0x8cba_75b3_f6d2_aa35),
+        ("train_mixed", 0x5995_8233_3ee7_862f),
+        ("train_epochs_serial", 0x3078_65db_970d_34c2),
+        ("train_epochs_1p5d", 0x6f05_3af1_f57a_2027),
+        ("train_cnn_serial", 0x5222_6a43_cba4_fcc9),
+        ("train_cnn_domain", 0xd1b8_6a00_f021_7dd7),
+    ];
+    assert_eq!(got, want);
 }
