@@ -14,9 +14,7 @@ use bench::figures::pure_batch_baseline;
 use bench::{parse_args, Setup};
 use dnn::zoo::mlp;
 use integrated::optimizer::sweep_conv_batch_fc_grids;
-use integrated::overlap::{
-    autotune, overlapped_total, FlushSchedule, OverlapPlan, PAPER_BACKPROP_FRACTION,
-};
+use integrated::overlap::{autotune, overlapped_total, OverlapPlan, PAPER_BACKPROP_FRACTION};
 use integrated::report::{fmt_seconds, fmt_speedup, Table};
 use integrated::trainer::{synthetic_data, train_1p5d_scheduled, TrainConfig};
 use mpsim::NetModel;
@@ -76,15 +74,9 @@ fn main() {
         iters: 2,
         seed: 11,
     };
-    // Launch-and-drain only (FIFO flush, barrier before the optimizer):
-    // the overlap the paper's Fig. 8 describes, before any scheduling.
-    let fifo_barrier = OverlapPlan {
-        schedule: FlushSchedule::Fifo,
-        interleave: false,
-        ..OverlapPlan::default()
-    };
     let model = NetModel::cori_knl();
-    let ovl = train_1p5d_scheduled(&net, &x, &labels, &cfg, 4, 4, model, fifo_barrier);
+    let plan = OverlapPlan::default();
+    let ovl = train_1p5d_scheduled(&net, &x, &labels, &cfg, 4, 4, model, plan);
     let frac = ovl.measured_overlap_fraction();
     let divergence = (frac - PAPER_BACKPROP_FRACTION).abs() / PAPER_BACKPROP_FRACTION;
     println!(
@@ -105,9 +97,9 @@ fn main() {
     // Second ablation axis: the bucket fusion size of the *scheduled*
     // engine. Small buckets flush early (more chances to hide, more α
     // per ring); one giant bucket degenerates to a single end-of-
-    // backward launch that only the cross-iteration interleave can
-    // hide. The autotuner's chosen point for the same network × grid
-    // closes the table.
+    // backward launch with nothing left to hide behind, the drain
+    // point's wait. The autotuner's chosen point for the same
+    // network × grid closes the table.
     let net = mlp("alexnet-fc-exec", &[384, 256, 256, 10]);
     let (x, labels) = synthetic_data(&net, 384, 42);
     let cfg = TrainConfig {

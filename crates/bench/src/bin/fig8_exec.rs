@@ -1,12 +1,11 @@
 //! An *executed* Fig. 8 — overlap measured, not assumed. Where
 //! `fig8` applies the paper's closed-form "2/3 of communication hides
 //! behind backprop" to the analytic Fig. 7 times, this binary runs the
-//! same SGD iterations on the simulated cluster three ways — blocking
-//! per-layer ∆W all-reduces (`train_1p5d`), and `train_1p5d_scheduled`
-//! under the legacy FIFO-flush/drain-barrier plan and under the
-//! default priority schedule with cross-iteration optimizer
-//! interleave — and reports the makespans actually achieved next to
-//! the analytic `overlapped_total` bounds.
+//! same SGD iterations on the simulated cluster two ways — blocking
+//! per-layer ∆W all-reduces (`train_1p5d`) and bucketed non-blocking
+//! ones under the default plan (`train_1p5d_scheduled`) — and reports
+//! the makespans actually achieved next to the analytic
+//! `overlapped_total` bounds.
 //!
 //! The network is an FC stack in the spirit of the Table 1 AlexNet
 //! tail at reduced scale (the trainer executes fully-connected layers;
@@ -17,13 +16,12 @@
 //! rings: overlap fractions are a property of the compute/comm ratio,
 //! not of the engine alone.
 //!
-//! The `frac` columns are executed overlap fractions,
+//! The `frac` column is the executed overlap fraction,
 //! hidden/(hidden + exposed) channel transfer time: the share of
-//! non-blocking traffic that compute actually covered, before
-//! (legacy) and after (scheduled). Grids with pc = 1 are annotated
-//! `degenerate`: every row group is a single rank, the collectives
-//! layer records no launches for them, and both fractions are 0/0 → 0
-//! by convention.
+//! non-blocking traffic that compute actually covered. Grids with
+//! pc = 1 are annotated `degenerate`: every row group is a single rank,
+//! the collectives layer records no launches for them, and the fraction
+//! is 0/0 → 0 by convention.
 //!
 //! With `--autotune`, the trace-driven autotuner
 //! ([`integrated::overlap::autotune`]) picks a plan per grid from a
@@ -47,9 +45,7 @@ use bench::parse_args;
 use distmm::dist::part_range;
 use dnn::zoo::mlp;
 use dnn::Network;
-use integrated::overlap::{
-    autotune, overlapped_total, FlushSchedule, OverlapPlan, PAPER_BACKPROP_FRACTION,
-};
+use integrated::overlap::{autotune, overlapped_total, OverlapPlan, PAPER_BACKPROP_FRACTION};
 use integrated::report::{fmt_seconds, Table};
 use integrated::trainer::{synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig};
 use mpsim::NetModel;
@@ -59,14 +55,10 @@ struct Row {
     pr: usize,
     pc: usize,
     serialized: f64,
-    legacy: f64,
     scheduled: f64,
     analytic_floor: f64,
     fig8_pred: f64,
-    legacy_fraction: f64,
     scheduled_fraction: f64,
-    /// Channel seconds hidden, summed over ranks: (legacy, scheduled).
-    hidden: (f64, f64),
     /// [`saving_floor`] over the run's iterations.
     saving_floor: f64,
     nb_allreduces: u64,
@@ -82,9 +74,9 @@ struct Row {
 /// iteration's first bucket is on the channel, the backward work still
 /// ahead of the main timeline — every lower layer's ∆W GEMM and, above
 /// layer 0, its ∆X GEMM and blocking ∆X ring — runs under that bucket's
-/// transfer, hiding up to the ring's length. Under the FIFO barrier that
-/// is all there is to hide; the priority schedule and the interleave can
-/// only add to it.
+/// transfer, hiding up to the ring's length. The later buckets may hide
+/// more behind the same work, but nothing runs beside the drain point
+/// after backward, so the floor counts only the first.
 fn saving_floor(
     net: &Network,
     b: usize,
@@ -146,24 +138,16 @@ fn main() {
     let (x, labels) = synthetic_data(&net, b, 42);
     let model = NetModel::cori_knl();
     let plan = OverlapPlan::default();
-    // What the PR-3 engine did: launch-order waits at one drain barrier.
-    let fifo_barrier = OverlapPlan {
-        schedule: FlushSchedule::Fifo,
-        interleave: false,
-        ..plan
-    };
 
     let mut rows: Vec<Row> = Vec::new();
     for &p in ps {
         let mut cols = vec![
             "grid",
             "serialized",
-            "legacy ovl",
             "scheduled",
             "saved",
             "Fig.8 (2/3) pred",
-            "frac before",
-            "frac after",
+            "frac",
             "nb ARs",
         ];
         if tune {
@@ -184,20 +168,14 @@ fn main() {
             }
             let pc = p / pr;
             let ser = train_1p5d(&net, &x, &labels, &cfg, pr, pc, model);
-            let leg = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, fifo_barrier);
             let sch = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, plan);
             let t_ser = ser.stats.makespan();
-            let t_leg = leg.stats.makespan();
             let t_sch = sch.stats.makespan();
             // Sanity: identical synchronous-SGD trajectories (up to
             // bucket reduction-order noise).
             for (a, o) in ser.losses().iter().zip(sch.losses()) {
                 assert!((a - o).abs() < 1e-9, "trajectory diverged: {a} vs {o}");
             }
-            assert!(
-                t_sch <= t_leg + 1e-12,
-                "{pr}x{pc}: scheduling made it slower ({t_sch} vs {t_leg})"
-            );
             // No execution can beat perfect overlap of its own
             // two-timeline split: on every rank the makespan covers
             // both the concurrent channel's transfers and the main
@@ -247,16 +225,10 @@ fn main() {
                 pr,
                 pc,
                 serialized: t_ser,
-                legacy: t_leg,
                 scheduled: t_sch,
                 analytic_floor: floor,
                 fig8_pred,
-                legacy_fraction: leg.measured_overlap_fraction(),
                 scheduled_fraction: sch.measured_overlap_fraction(),
-                hidden: (
-                    leg.stats.total_overlapped_secs(),
-                    sch.stats.total_overlapped_secs(),
-                ),
                 saving_floor: iters as f64 * saving_floor(&net, b, (pr, pc), &plan, &model),
                 nb_allreduces: nb_ar,
                 degenerate,
@@ -266,11 +238,9 @@ fn main() {
             let mut cells = vec![
                 format!("{pr}x{pc}"),
                 fmt_seconds(t_ser),
-                fmt_seconds(t_leg),
                 fmt_seconds(t_sch),
                 format!("{:.2}%", 100.0 * (t_ser - t_sch) / t_ser),
                 fmt_seconds(r.fig8_pred),
-                format!("{:.3}", r.legacy_fraction),
                 format!("{:.3}", r.scheduled_fraction),
                 r.nb_allreduces.to_string(),
             ];
@@ -296,19 +266,14 @@ fn main() {
     // gradient stops at the input (`saving_floor`): the α-steps bucket
     // fusion removes plus the backward work that runs under the first
     // bucket's ring — a positive saving, met exactly where every shard
-    // divides evenly. A FIFO barrier saves that much too; only the
-    // priority drain and the cross-iteration interleave hide more
-    // channel time than it does, so a FIFO-barrier plan fails the gate.
+    // divides evenly.
     for &p in ps {
         let met = rows.iter().filter(|r| r.p == p && !r.degenerate).any(|r| {
             let saved = r.serialized - r.scheduled;
             let floor = r.saving_floor;
-            floor > 0.0 && saved >= floor * (1.0 - 1e-9) && r.hidden.1 > r.hidden.0
+            floor > 0.0 && saved >= floor * (1.0 - 1e-9)
         });
-        assert!(
-            met,
-            "P={p}: no grid saves its derived floor and hides more than the FIFO barrier"
-        );
+        assert!(met, "P={p}: no grid saves its derived floor");
     }
 
     // The serde stub has no serializer, so the JSON is written by hand
@@ -332,20 +297,17 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"p\": {}, \"pr\": {}, \"pc\": {}, \"degenerate\": {}, \
-             \"serialized_secs\": {:.9}, \"legacy_overlap_secs\": {:.9}, \
-             \"scheduled_secs\": {:.9}, \"analytic_floor_secs\": {:.9}, \
-             \"fig8_pred_secs\": {:.9}, \"legacy_overlap_fraction\": {:.6}, \
+             \"serialized_secs\": {:.9}, \"scheduled_secs\": {:.9}, \
+             \"analytic_floor_secs\": {:.9}, \"fig8_pred_secs\": {:.9}, \
              \"measured_overlap_fraction\": {:.6}, \"nb_allreduces\": {}{}}}{}",
             r.p,
             r.pr,
             r.pc,
             r.degenerate,
             r.serialized,
-            r.legacy,
             r.scheduled,
             r.analytic_floor,
             r.fig8_pred,
-            r.legacy_fraction,
             r.scheduled_fraction,
             r.nb_allreduces,
             tuned,

@@ -13,7 +13,7 @@
 //! mismatch means an instrumentation hole (a clock-advancing site that
 //! forgot to emit a span) and the binary exits nonzero.
 //!
-//! Alongside the checks it writes the overlapped run's timeline as
+//! Alongside the checks it writes the scheduled run's timeline as
 //! Chrome Trace Event JSON (`trace_analyze.trace.json`) — open it at
 //! <https://ui.perfetto.dev> or `chrome://tracing`.
 //!
@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use bench::parse_args;
 use dnn::zoo::mlp;
-use integrated::overlap::{FlushSchedule, OverlapPlan};
+use integrated::overlap::OverlapPlan;
 use integrated::report::Table;
 use integrated::trainer::{
     synthetic_data, train_1p5d_scheduled_traced, train_1p5d_traced, TrainConfig,
@@ -201,32 +201,11 @@ fn main() {
     bad += cross_check("blocking", &ser_trace, &ser.stats);
     breakdown_table("blocking", &ser_trace, args.csv);
 
-    // Bucketed non-blocking ∆W path, FIFO flush and a drain barrier:
-    // drains split into exposed + hidden.
-    let fifo_barrier = OverlapPlan {
-        schedule: FlushSchedule::Fifo,
-        interleave: false,
-        ..OverlapPlan::default()
-    };
-    let (ovl, ovl_trace) = train_1p5d_scheduled_traced(
-        &net,
-        &x,
-        &labels,
-        &cfg,
-        pr,
-        pc,
-        model,
-        trace_cfg,
-        fifo_barrier,
-    );
-    bad += cross_check("overlap", &ovl_trace, &ovl.stats);
-    breakdown_table("overlap", &ovl_trace, args.csv);
-    critical_path("overlap", &ovl_trace, args.csv);
-
-    // Priority-scheduled engine: the new `sched` instants
-    // (bucket_flush / progress_poll) are zero-duration markers outside
-    // the leaf partition, so the same 1e-9 reconstruction must hold
-    // with them present in the stream.
+    // Bucketed non-blocking ∆W path: drains split into exposed +
+    // hidden, and the scheduler's `sched` instants (bucket_flush /
+    // progress_poll) are zero-duration markers outside the leaf
+    // partition, so the same 1e-9 reconstruction must hold with them
+    // present in the stream.
     let (sch, sch_trace) = train_1p5d_scheduled_traced(
         &net,
         &x,
@@ -240,6 +219,7 @@ fn main() {
     );
     bad += cross_check("scheduled", &sch_trace, &sch.stats);
     breakdown_table("scheduled", &sch_trace, args.csv);
+    critical_path("scheduled", &sch_trace, args.csv);
     let (flushes, polls) = sch_trace.ranks.iter().fold((0, 0), |(f, p), rt| {
         (
             f + rt.instant_count("sched", "bucket_flush"),
@@ -247,19 +227,19 @@ fn main() {
         )
     });
     assert!(flushes > 0, "scheduled trace recorded no bucket flushes");
-    assert!(polls > 0, "priority schedule recorded no progress polls");
+    assert!(polls > 0, "scheduled trace recorded no progress polls");
     println!("[scheduled] sched instants: {flushes} bucket_flush, {polls} progress_poll\n");
 
-    println!("{}", TraceSink::new(&ovl_trace).summary());
+    println!("{}", TraceSink::new(&sch_trace).summary());
 
     let out = std::path::Path::new("trace_analyze.trace.json");
-    TraceSink::new(&ovl_trace)
+    TraceSink::new(&sch_trace)
         .write_chrome_json(out)
         .expect("write trace JSON");
     eprintln!(
         "wrote {} ({} events; open at https://ui.perfetto.dev)",
         out.display(),
-        ovl_trace.total_events()
+        sch_trace.total_events()
     );
 
     // Same trajectory sanity as fig8_exec: tracing must not perturb

@@ -490,7 +490,7 @@ pub fn train_cnn_domain(
             // The FC head: the shared iteration body on the `1 × pc`
             // grid — replicated weights, the shard's full batch, ∆W
             // summed across batch shards and applied layer by layer.
-            let mut pass = Pass {
+            let pass = Pass {
                 grids: std::slice::from_ref(&head),
                 guard: None,
                 layers: &spec.fcs,
@@ -498,12 +498,12 @@ pub fn train_cnn_domain(
                 labels_local: &labels[batch_range.clone()],
                 b_global,
                 iter,
-                sched: None,
+                plan: None,
             };
-            let tape = forward_pass(&mut pass, &mut fc_w, &mut apply)?;
+            let tape = forward_pass(&pass, &fc_w)?;
             partial_losses.push(tape.loss);
             // The head's input gradient is read: it feeds the trunk.
-            let dy = backward_pass(&mut pass, tape, &mut fc_w, &mut apply, first_conv.is_some())?;
+            let dy = backward_pass(&pass, tape, &mut fc_w, &mut apply, first_conv.is_some())?;
             let (Some(dy), Some(first)) = (dy, first_conv) else {
                 continue;
             };

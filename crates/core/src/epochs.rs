@@ -201,7 +201,7 @@ pub fn train_epochs_1p5d(
             let b_global = x.cols();
             // Every mini-batch step is the trainer's blocking iteration
             // body on this batch's shard.
-            let mut pass = Pass {
+            let pass = Pass {
                 grids: std::slice::from_ref(&grid),
                 guard: None,
                 layers: &layers,
@@ -209,10 +209,10 @@ pub fn train_epochs_1p5d(
                 labels_local: &labels[part_range(b_global, pc, grid.j)],
                 b_global,
                 iter: step,
-                sched: None,
+                plan: None,
             };
-            let tape = forward_pass(&mut pass, &mut w_local, &mut apply).expect("forward");
-            backward_pass(&mut pass, tape, &mut w_local, &mut apply, false).expect("backward");
+            let tape = forward_pass(&pass, &w_local).expect("forward");
+            backward_pass(&pass, tape, &mut w_local, &mut apply, false).expect("backward");
         }
         (grid.i, grid.j, w_local)
     });

@@ -92,25 +92,18 @@ pub struct FtTrainConfig {
     /// Machine used both to drive the simulation (`net_model()`) and to
     /// re-plan the grid with Eq. 8 after a shrink.
     pub machine: MachineModel,
-    /// Overlap the ∆W all-reduces with the remaining backward compute
-    /// using the non-blocking collectives (the executed Fig. 8 path,
-    /// bucketed and scheduled like
-    /// [`crate::trainer::train_1p5d_scheduled`]); chunk receives stay
-    /// deadline-bound and faults still abort group-wide, so recovery
-    /// semantics are unchanged. `false` reproduces the fully blocking
-    /// iteration of [`crate::trainer::train_1p5d`].
-    pub overlap: bool,
-    /// Scheduling plan for the overlapped path (ignored when `overlap`
-    /// is off): bucket fusion size, flush priority/polls, ∆X overlap,
-    /// and forward prefetch. Two knobs are constrained here relative
-    /// to [`crate::trainer::train_1p5d_scheduled`], which runs the same
-    /// iteration body: [`OverlapPlan::interleave`] is ignored — the
-    /// checkpoint/rollback protocol needs iteration-complete weights,
-    /// so every bucket is applied (per bucket, no barrier) before the
-    /// iteration commits — and [`OverlapPlan::fwd_prefetch`] is
-    /// disabled under `abft`, whose checksums verify whole products,
-    /// not block-accumulated ones.
-    pub plan: OverlapPlan,
+    /// `Some`: overlap the ∆W all-reduces with the remaining backward
+    /// compute using the non-blocking collectives, under this plan (the
+    /// executed Fig. 8 path, bucketed and drained like
+    /// [`crate::trainer::train_1p5d_scheduled`], which runs the same
+    /// iteration body, so every bucket is applied before the iteration
+    /// commits); chunk receives stay deadline-bound and faults still
+    /// abort group-wide, so recovery semantics are unchanged.
+    /// [`OverlapPlan::fwd_prefetch`] is disabled under `abft`, whose
+    /// checksums verify whole products, not block-accumulated ones.
+    /// `None` reproduces the fully blocking iteration of
+    /// [`crate::trainer::train_1p5d`].
+    pub plan: Option<OverlapPlan>,
     /// Defend against *silent* data corruption: every local GEMM output
     /// is ABFT checksum-verified (single-element errors repaired in
     /// place, multi-element errors escalated to rollback), and resident
@@ -140,8 +133,7 @@ impl Default for FtTrainConfig {
             ckpt_every: 2,
             ft,
             machine,
-            overlap: false,
-            plan: OverlapPlan::default(),
+            plan: None,
             abft: false,
         }
     }
@@ -169,7 +161,7 @@ pub struct RecoveryReport {
     /// Cumulative exposed wait on non-blocking collective drains
     /// ([`mpsim::RankStats::comm_wait_secs`]) at the time of this
     /// recovery — a diagnostic for how overlap and fault recovery
-    /// interact (0 unless [`FtTrainConfig::overlap`] is on).
+    /// interact (0 unless [`FtTrainConfig::plan`] is set).
     pub comm_wait_secs: f64,
     /// Eq. 8 per-iteration communication seconds on the shrunk grid —
     /// the analytic degraded-mode cost to compare with
@@ -634,7 +626,10 @@ mod tests {
         for momentum in [0.0, 0.9] {
             let c = FtTrainConfig { momentum, ..cfg(6) };
             let blocking = run(&c, FaultPlan::default());
-            let oc = FtTrainConfig { overlap: true, ..c };
+            let oc = FtTrainConfig {
+                plan: Some(OverlapPlan::default()),
+                ..c
+            };
             let over = run(&oc, FaultPlan::default());
             assert_eq!(over.survivors().len(), 6);
             // Bucketed fused all-reduces change the reduction order by
@@ -651,7 +646,7 @@ mod tests {
     #[test]
     fn overlap_corruption_rolls_back_and_replays_to_the_same_result() {
         let c = FtTrainConfig {
-            overlap: true,
+            plan: Some(OverlapPlan::default()),
             ..cfg(6)
         };
         let clean = run(&c, FaultPlan::default());
@@ -834,14 +829,14 @@ mod tests {
         // old hardcoded bucket size. A tiny cap must fuse fewer grads
         // per bucket and hence launch more non-blocking all-reduces.
         let base = FtTrainConfig {
-            overlap: true,
+            plan: Some(OverlapPlan::default()),
             ..cfg(4)
         };
         let tiny = FtTrainConfig {
-            plan: OverlapPlan {
+            plan: Some(OverlapPlan {
                 bucket_words: 16,
-                ..base.plan
-            },
+                ..OverlapPlan::default()
+            }),
             ..base
         };
         let big = run(&base, FaultPlan::default());
@@ -861,15 +856,15 @@ mod tests {
         // Pipelined forward all-gathers re-associate the row-sum by
         // ring-arrival order: same trajectory up to a few ulps.
         let base = FtTrainConfig {
-            overlap: true,
+            plan: Some(OverlapPlan::default()),
             ..cfg(6)
         };
         let pf = FtTrainConfig {
-            plan: OverlapPlan {
+            plan: Some(OverlapPlan {
                 fwd_prefetch: true,
                 dx_overlap: true,
-                ..base.plan
-            },
+                ..OverlapPlan::default()
+            }),
             ..base
         };
         let blocking = run(&base, FaultPlan::default());
@@ -889,15 +884,15 @@ mod tests {
         // before the GEMM, so prefetch is gated off: an abft run with
         // fwd_prefetch requested is bit-identical to one without.
         let plain = FtTrainConfig {
-            overlap: true,
+            plan: Some(OverlapPlan::default()),
             abft: true,
             ..cfg(4)
         };
         let pf = FtTrainConfig {
-            plan: OverlapPlan {
+            plan: Some(OverlapPlan {
                 fwd_prefetch: true,
-                ..plain.plan
-            },
+                ..OverlapPlan::default()
+            }),
             ..plain
         };
         let a = run(&plain, FaultPlan::default());
@@ -915,14 +910,14 @@ mod tests {
     fn dx_overlap_ft_is_bit_identical_and_survives_corruption() {
         // ∆X overlap reorders only the launch, not the arithmetic.
         let base = FtTrainConfig {
-            overlap: true,
+            plan: Some(OverlapPlan::default()),
             ..cfg(6)
         };
         let dx = FtTrainConfig {
-            plan: OverlapPlan {
+            plan: Some(OverlapPlan {
                 dx_overlap: true,
-                ..base.plan
-            },
+                ..OverlapPlan::default()
+            }),
             ..base
         };
         let a = run(&base, FaultPlan::default());

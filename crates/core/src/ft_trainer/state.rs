@@ -18,7 +18,7 @@ use super::membership::Membership;
 use super::wire::View;
 use super::{plan_grid, Job};
 use crate::overlap::OverlapPlan;
-use crate::trainer::{backward_pass, forward_pass, BucketScheduler, Pass};
+use crate::trainer::{backward_pass, forward_pass, Pass};
 
 /// A consistent snapshot a rank can roll back to: shards are laid out
 /// for the grid that was current when the checkpoint was taken.
@@ -180,19 +180,13 @@ impl GridState {
     pub fn step(&mut self, job: &Job) -> Result<f64, Error> {
         let cfg = job.cfg;
         let sdc = SdcCtx::new(self.iter as u64, cfg.abft);
-        // The checkpoint/rollback protocol needs iteration-complete
-        // weights, so buckets never stay in flight across the boundary
-        // (no interleave); and ABFT checksums whole products, not the
-        // block-accumulated partials of a pipelined forward (no prefetch).
-        let plan = OverlapPlan {
-            interleave: false,
-            fwd_prefetch: cfg.plan.fwd_prefetch && !cfg.abft,
-            ..cfg.plan
-        };
-        let mut sched = cfg
-            .overlap
-            .then(|| BucketScheduler::new(&self.grid.row_comm, &plan));
-        let mut pass = Pass {
+        // ABFT checksums whole products, not the block-accumulated
+        // partials of a pipelined forward (no prefetch).
+        let plan = cfg.plan.map(|plan| OverlapPlan {
+            fwd_prefetch: plan.fwd_prefetch && !cfg.abft,
+            ..plan
+        });
+        let pass = Pass {
             grids: std::slice::from_ref(&self.grid),
             guard: Some(&sdc),
             layers: job.layers,
@@ -200,7 +194,7 @@ impl GridState {
             labels_local: &self.labels_local,
             b_global: job.x.cols(),
             iter: self.iter,
-            sched: sched.as_mut().map(|s| (s, plan)),
+            plan,
         };
         let v = &mut self.v;
         let mut apply = |w: &mut [Matrix], idx: usize, summed: &[f64]| {
@@ -213,7 +207,7 @@ impl GridState {
                 axpy(-cfg.lr, summed, w[idx].as_mut_slice());
             }
         };
-        let tape = forward_pass(&mut pass, &mut self.w, &mut apply)?;
+        let tape = forward_pass(&pass, &self.w)?;
         // Global loss: the partials of one grid row sum to the global loss
         // (rows hold replicas), so a one-word all-reduce over the row group
         // gives every rank the same number — and doubles as a per-iteration
@@ -225,7 +219,7 @@ impl GridState {
         // op re-maps every plan onto ROADMAP item 4's open
         // no-silent-divergence defect (`chaos_campaign --sdc --smoke`,
         // seed 131). It takes the rule once that defect is fixed.
-        backward_pass(&mut pass, tape, &mut self.w, &mut apply, true)?;
+        backward_pass(&pass, tape, &mut self.w, &mut apply, true)?;
         self.iter += 1;
         self.wsum = weights_checksum(&self.w);
         Ok(lbuf[0])

@@ -10,11 +10,9 @@
 //! sweep it from 0 (Fig. 7) through 2/3 (Fig. 8) to 1.
 //!
 //! The executed engine goes beyond the paper's analytic 2/3: an
-//! [`OverlapPlan`] selects bucket fusion size, flush scheduling
-//! (FIFO vs priority), ∆X all-reduce overlap, pipelined forward
-//! all-gathers, and cross-iteration interleaving of the optimizer
-//! step. [`autotune`] picks a plan per network × grid from a traced
-//! probe iteration.
+//! [`OverlapPlan`] selects bucket fusion size, ∆X all-reduce overlap
+//! and pipelined forward all-gathers. [`autotune`] picks a plan per
+//! network × grid from a traced probe iteration.
 
 use dnn::Network;
 use mpsim::{NetModel, TraceConfig};
@@ -51,37 +49,21 @@ pub fn fig8_total(comm: f64, compute: f64) -> f64 {
 /// small because the simulated layers are.
 pub const DEFAULT_BUCKET_WORDS: usize = 1 << 13;
 
-/// Order in which filled gradient buckets are progressed and drained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushSchedule {
-    /// Launch order: buckets are waited strictly in launch order at a
-    /// single drain point after backward, with no progress polls in
-    /// between.
-    Fifo,
-    /// Priority order keyed by layer depth: backward's polls drive
-    /// chunk steps between GEMMs, and lazy drains *block* on buckets in
-    /// the ascending-layer order the next forward needs them. Chunk
-    /// steps always issue in launch order — one global SPMD order the
-    /// whole row group agrees on — so the channel packing never
-    /// regresses below the FIFO schedule; priority only chooses which
-    /// bucket the main timeline waits for first.
-    Priority,
-}
-
 /// Scheduling plan for the executed overlap engine
 /// ([`crate::trainer::train_1p5d_scheduled`] and the fault-tolerant
 /// trainer). Every knob preserves synchronous-SGD numerics; they only
-/// move *when* transfers are driven and *where* the optimizer applies
-/// each bucket. The one exception is [`OverlapPlan::fwd_prefetch`],
-/// which re-associates the next layer's partial product over gather
-/// blocks (~1 ulp, still within the serial-parity tolerance).
+/// move *when* transfers are driven. The one exception is
+/// [`OverlapPlan::fwd_prefetch`], which re-associates the next layer's
+/// partial product over gather blocks (~1 ulp, still within the
+/// serial-parity tolerance).
+///
+/// The drain is not a knob: backward polls the in-flight buckets
+/// between layers and waits them all, in launch order, at its end.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapPlan {
     /// Gradient-bucket fusion threshold in f64 words (see
     /// [`DEFAULT_BUCKET_WORDS`]).
     pub bucket_words: usize,
-    /// Bucket progress/drain order.
-    pub schedule: FlushSchedule,
     /// Launch the ∆X all-reduce non-blocking and hide it behind the
     /// same layer's ∆W product (bit-identical values; only pays off
     /// when the ∆W GEMM is large enough to hide the column ring).
@@ -93,26 +75,14 @@ pub struct OverlapPlan {
     /// the fault-tolerant trainer refuses to combine it with ABFT,
     /// which checksums whole products.
     pub fwd_prefetch: bool,
-    /// Interleave the optimizer with communication across the
-    /// iteration boundary: instead of a drain barrier after backward,
-    /// each bucket is waited and applied lazily right before the first
-    /// forward layer of the *next* iteration that reads it. Final
-    /// weights are bit-identical to the barrier (buckets touch
-    /// disjoint layers, so the applies commute). The fault-tolerant
-    /// trainer ignores this knob — its checkpoint/rollback protocol
-    /// needs iteration-complete weights — and drains per bucket within
-    /// the iteration.
-    pub interleave: bool,
 }
 
 impl Default for OverlapPlan {
     fn default() -> Self {
         OverlapPlan {
             bucket_words: DEFAULT_BUCKET_WORDS,
-            schedule: FlushSchedule::Priority,
             dx_overlap: false,
             fwd_prefetch: false,
-            interleave: true,
         }
     }
 }
@@ -342,15 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn default_plan_interleaves_with_priority_flush() {
-        let p = OverlapPlan::default();
-        assert_eq!(p.schedule, FlushSchedule::Priority);
-        assert!(p.interleave);
-        assert!(!p.fwd_prefetch, "prefetch is opt-in (reassociates sums)");
-        assert_eq!(p.bucket_words, DEFAULT_BUCKET_WORDS);
-    }
-
-    #[test]
     fn autotuner_never_picks_a_slower_plan_than_default() {
         let net = mlp("tune", &[48, 64, 64, 10]);
         let (x, labels) = synthetic_data(&net, 24, 11);
@@ -375,15 +336,11 @@ mod tests {
         assert!(report.candidates.len() >= 2, "ladder was evaluated");
         assert!(report.probe.makespan > 0.0);
         assert!(report.probe.bucket_flushes > 0, "probe recorded flushes");
-        // The winner's numerics still match the FIFO/barrier plan.
-        let fifo = OverlapPlan {
-            schedule: FlushSchedule::Fifo,
-            interleave: false,
-            ..OverlapPlan::default()
-        };
-        let fifo = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, fifo);
+        // The winner's numerics still match the default plan's.
+        let base =
+            train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, OverlapPlan::default());
         let tuned = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, report.chosen);
-        for (a, b) in fifo.losses().iter().zip(tuned.losses()) {
+        for (a, b) in base.losses().iter().zip(tuned.losses()) {
             assert!((a - b).abs() < 1e-9, "loss drift {a} vs {b}");
         }
     }

@@ -33,7 +33,7 @@ use distmm::onep5d::{
     forward_resume, forward_start, Grid, Guard,
 };
 
-use crate::overlap::{FlushSchedule, OverlapPlan};
+use crate::overlap::OverlapPlan;
 
 /// Activation following an FC layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,19 +399,9 @@ pub(crate) fn train_grid(
         let labels_local = &labels[last.x_cols(b_global)];
         let mut apply =
             |w: &mut [Matrix], k: usize, g: &[f64]| axpy(-cfg.lr, g, w[k].as_mut_slice());
-        // The scheduler outlives the iteration loop: under `interleave`,
-        // buckets launched in iteration t are settled lazily during the
-        // forward pass of iteration t+1.
-        let mut sched = plan.map(|p| (BucketScheduler::new(&first.row_comm, &p), p));
         let mut partial_losses = Vec::with_capacity(cfg.iters);
         for it in 0..cfg.iters {
-            // The final iteration always drains so the returned weights
-            // are complete.
-            let sched = sched.as_mut().map(|(s, p)| {
-                let interleave = p.interleave && it + 1 < cfg.iters;
-                (s, OverlapPlan { interleave, ..*p })
-            });
-            let mut pass = Pass {
+            let pass = Pass {
                 grids: &grids,
                 guard: None,
                 layers: &layers,
@@ -419,11 +409,11 @@ pub(crate) fn train_grid(
                 labels_local,
                 b_global,
                 iter: it,
-                sched,
+                plan,
             };
-            let tape = forward_pass(&mut pass, &mut w_local, &mut apply).expect("forward");
+            let tape = forward_pass(&pass, &w_local).expect("forward");
             partial_losses.push(tape.loss);
-            backward_pass(&mut pass, tape, &mut w_local, &mut apply, false).expect("backward");
+            backward_pass(&pass, tape, &mut w_local, &mut apply, false).expect("backward");
         }
         RankOutcome {
             i: first.i,
@@ -447,7 +437,7 @@ pub(crate) fn train_grid(
 pub(crate) struct Pass<'a> {
     /// One grid per layer, the last serving every layer past it (see
     /// [`layer_grid`]): `std::slice::from_ref(&grid)` is the uniform
-    /// run. More than one entry cannot be combined with `sched`.
+    /// run. More than one entry cannot be combined with `plan`.
     pub(crate) grids: &'a [Grid],
     /// The check on every local GEMM. How the collectives treat faults
     /// is the policy of the communicator `grids` were built on.
@@ -462,10 +452,10 @@ pub(crate) struct Pass<'a> {
     /// Iteration number, carried on every phase span of the trace.
     pub(crate) iter: usize,
     /// `None`: blocking ∆W sums, applied layer by layer. `Some`: ∆W
-    /// partials are bucketed through the scheduler, and the plan's
-    /// `fwd_prefetch`, `dx_overlap` and `interleave` (= leave this
-    /// iteration's buckets in flight for the next forward) are honored.
-    pub(crate) sched: Option<(&'a mut BucketScheduler, OverlapPlan)>,
+    /// partials are bucketed through a [`BucketScheduler`] that
+    /// [`backward_pass`] drains before it returns, and the plan's
+    /// `fwd_prefetch` and `dx_overlap` are honored.
+    pub(crate) plan: Option<OverlapPlan>,
 }
 
 /// What [`forward_pass`] leaves for [`backward_pass`].
@@ -495,22 +485,16 @@ pub(crate) struct Tape {
 /// ([`layer_grid`]) the activation is re-laid first, and the tape keeps
 /// the re-laid copy as that layer's input.
 ///
-/// Under a scheduler, buckets left in flight by the previous iteration
-/// are settled through `apply` right before the first layer that reads
-/// each one. With `fwd_prefetch` (and a column ring to hide), layer
+/// With `fwd_prefetch` (and a column ring to hide), layer
 /// `idx`'s gather blocks are consumed in ring arrival order while layer
 /// `idx+1`'s partial accumulates per block, so the ring hides behind
 /// the activation + partial-GEMM work. Those accumulated partials are
 /// never one monolithic GEMM, so under a [`Guard`] they carry no SDC op
 /// — which is why the fault-tolerant trainer gates prefetch off under
 /// ABFT.
-pub(crate) fn forward_pass(
-    p: &mut Pass<'_>,
-    w: &mut [Matrix],
-    apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
-) -> Result<Tape, Error> {
+pub(crate) fn forward_pass(p: &Pass<'_>, w: &[Matrix]) -> Result<Tape, Error> {
     let (grids, guard, layers) = (p.grids, p.guard, p.layers);
-    if p.sched.is_some() && grids.len() > 1 {
+    if p.plan.is_some() && grids.len() > 1 {
         return Err(Error::CollectiveMismatch(
             "per-layer grids cannot be scheduled: the gradient buckets are bound to one \
              row group and the forward prefetch to one column group"
@@ -519,18 +503,13 @@ pub(crate) fn forward_pass(
     }
     let comm = &grids[0].row_comm;
     let b_local = p.x_local.cols();
-    let prefetch = grids[0].pr > 1 && p.sched.as_ref().is_some_and(|(_, plan)| plan.fwd_prefetch);
-    let mut settle = |layer: usize, w: &mut [Matrix]| match &mut p.sched {
-        Some((sched, _)) => sched.apply_ready_for(layer, |k, g| apply(w, k, g)),
-        None => Ok(()),
-    };
+    let prefetch = grids[0].pr > 1 && p.plan.is_some_and(|plan| plan.fwd_prefetch);
     let mut acts: Vec<Matrix> = Vec::with_capacity(layers.len());
     let mut relaid = Vec::new();
     {
         let _fwd = comm.trace_span("trainer", "forward", &[("iter", p.iter as f64)]);
         let mut pf = None;
         if prefetch {
-            settle(0, w)?;
             pf = Some(forward_start(&grids[0], &w[0], p.x_local, guard)?);
         }
         for (idx, l) in layers.iter().enumerate() {
@@ -538,7 +517,6 @@ pub(crate) fn forward_pass(
             let (grid, relaid_from) = layer_grid(grids, idx);
             let mut y = Matrix::zeros(0, 0);
             let Some(blocks) = pf.as_mut() else {
-                settle(idx, w)?;
                 let mut x = acts.last().unwrap_or(p.x_local);
                 if let Some(from) = relaid_from {
                     relaid.push(from.relayout_cols(grid, x, p.b_global)?);
@@ -552,9 +530,6 @@ pub(crate) fn forward_pass(
             let next = idx + 1;
             let mut acc = None;
             if next < layers.len() {
-                // The consume loop below reads W[next]; any bucket
-                // updating it must land first.
-                settle(next, w)?;
                 acc = Some(Matrix::zeros(w[next].rows(), b_local));
             }
             y.reshape(l.d_out, b_local);
@@ -598,13 +573,12 @@ pub(crate) fn forward_pass(
 /// summed `∆W_i` reaches `apply(w, layer, summed)` exactly once. `∆X`
 /// leaving a layer whose input was re-laid is re-laid back.
 ///
-/// Blocking (`p.sched` is `None`): each layer's ∆W is summed and
+/// Blocking (`p.plan` is `None`): each layer's ∆W is summed and
 /// applied on the spot — ∆X was already formed from the pre-update
-/// weights. Scheduled: ∆W partials flush through the bucket scheduler
-/// while backprop continues (Fig. 8), each layer's poll drives a chunk
-/// of the deepest in-flight bucket, and the buckets are then drained
-/// and applied — unless the plan's `interleave` leaves them in flight
-/// for the next [`forward_pass`] to settle.
+/// weights. Scheduled: ∆W partials flush through a [`BucketScheduler`]
+/// while backprop continues (Fig. 8), each layer's push drives a chunk
+/// of the oldest bucket still being issued, and every bucket is then
+/// waited, in launch order, and applied. No bucket outlives the call.
 ///
 /// `input_grad` says whether the caller reads `∂loss/∂x_local`, which
 /// is then returned: a trunk in front of the FC chain back-propagates
@@ -614,7 +588,7 @@ pub(crate) fn forward_pass(
 /// layer 0 runs its ∆W partial alone ([`dw_partial`]): no ∆X GEMM and
 /// no column-group all-reduce, every weight bit unchanged.
 pub(crate) fn backward_pass(
-    p: &mut Pass<'_>,
+    p: &Pass<'_>,
     tape: Tape,
     w: &mut [Matrix],
     apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
@@ -623,6 +597,10 @@ pub(crate) fn backward_pass(
     let (grids, guard) = (p.grids, p.guard);
     let comm = &grids[0].row_comm;
     let iter_arg = [("iter", p.iter as f64)];
+    let mut sched = p
+        .plan
+        .map(|plan| BucketScheduler::new(comm, plan.bucket_words));
+    let dx_overlap = p.plan.is_some_and(|plan| plan.dx_overlap);
     let Tape {
         acts,
         mut relaid,
@@ -646,29 +624,27 @@ pub(crate) fn backward_pass(
             };
             if idx == 0 && !input_grad {
                 let mut dw = dw_partial(grid, xl, &dy_block(grid, &dy), guard)?;
-                if let Some((sched, _)) = &mut p.sched {
+                if let Some(sched) = &mut sched {
                     sched.push(idx, dw)?;
-                    sched.poll()?;
                 } else {
                     allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
                     apply(w, idx, dw.as_slice());
                 }
                 break;
             }
-            let dx = match &mut p.sched {
+            let dx = match &mut sched {
                 None => {
                     let (dw, dx) = backward_with(grid, &w[idx], xl, &dy, guard)?;
                     apply(w, idx, dw.as_slice());
                     dx
                 }
-                Some((sched, plan)) => {
-                    let (dw, dx) = if plan.dx_overlap {
+                Some(sched) => {
+                    let (dw, dx) = if dx_overlap {
                         backward_dx_overlap(grid, &w[idx], xl, &dy, guard)?
                     } else {
                         backward_dw_deferred(grid, &w[idx], xl, &dy, guard)?
                     };
                     sched.push(idx, dw)?;
-                    sched.poll()?;
                     dx
                 }
             };
@@ -677,18 +653,15 @@ pub(crate) fn backward_pass(
                 None => dx,
             };
         }
-        if let Some((sched, _)) = &mut p.sched {
+        if let Some(sched) = &mut sched {
             sched.flush()?;
         }
     }
-    match &mut p.sched {
+    match sched {
         None => comm.trace_instant("trainer", "optimizer_step", &iter_arg),
-        Some((_, plan)) if plan.interleave => {
-            comm.trace_instant("trainer", "optimizer_deferred", &iter_arg)
-        }
-        Some((sched, _)) => {
+        Some(sched) => {
             let _step = comm.trace_span("trainer", "optimizer_step", &iter_arg);
-            sched.drain_all(|k, g| apply(w, k, g))?;
+            sched.drain(|k, g| apply(w, k, g))?;
         }
     }
     Ok(input_grad.then_some(dy))
@@ -715,68 +688,57 @@ struct PendingBucket {
     /// order (descending layer — backward fills buckets from the last
     /// layer down).
     segs: Vec<(usize, usize)>,
-    /// Earliest layer with a segment in this bucket: the priority key.
-    /// The *next* iteration's forward cannot pass this layer until the
-    /// bucket is applied, so lazy drains settle ascending `min_layer`.
-    min_layer: usize,
 }
 
-/// Priority-scheduled DDP-style gradient buckets: deferred per-layer ∆W
-/// partials are fused (in push order) into flat buffers whose row-group
-/// sums launch as non-blocking all-reduces the moment a bucket fills.
-/// Beyond launching, it schedules:
+/// DDP-style gradient buckets for one backward pass: deferred per-layer
+/// ∆W partials are fused (in push order) into flat buffers whose
+/// row-group sums launch as non-blocking all-reduces the moment a
+/// bucket fills. Besides launching, it
 ///
-/// * **Flush instants**: every launch records a zero-duration
-///   `sched`/`bucket_flush` trace event, so `trace_analyze` can see
-///   the schedule without perturbing the leaf-time partition.
-/// * **Progress polls** ([`BucketScheduler::poll`]): under
-///   [`FlushSchedule::Priority`], each backward layer drives one chunk
-///   step of the deepest in-flight bucket, keeping per-handle memory
-///   bounded and making pipelining visible mid-backward.
-/// * **Priority drain** ([`BucketScheduler::apply_ready_for`]):
-///   instead of a barrier, buckets are waited in the ascending-layer
-///   order the next forward needs them; each wait drives that bucket's
-///   remaining chunks before any deeper bucket's, so the first-needed
-///   bucket claims the channel first.
+/// * records every launch as a zero-duration `sched`/`bucket_flush`
+///   trace event, so `trace_analyze` can see the schedule without
+///   perturbing the leaf-time partition;
+/// * drives one chunk step of the oldest bucket still being issued
+///   after every push (a `sched`/`progress_poll` instant), keeping
+///   per-handle memory bounded and making pipelining visible
+///   mid-backward;
+/// * waits every bucket in launch order at one drain point
+///   ([`BucketScheduler::drain`]).
 ///
-/// All drain orders are the same deterministic function of the layer
-/// structure on every member of the communicator, which keeps the
-/// mixed-outstanding-handle schedule deadlock-free (sends are eager;
-/// the minimal blocked program position always has its matching send
-/// already issued on the peer).
-pub(crate) struct BucketScheduler {
+/// Chunk steps issue in launch order — one SPMD order every row-group
+/// member agrees on, which keeps the mixed-outstanding-handle schedule
+/// deadlock-free (sends are eager; the minimal blocked program position
+/// always has its matching send already issued on the peer). On that
+/// channel no bucket can overtake an earlier one, and layer 0's — the
+/// first the next forward reads — is launched last, so waiting any
+/// other order would only move the same barrier.
+struct BucketScheduler {
     comm: Communicator,
     cap: usize,
-    priority: bool,
     pending: Vec<PendingBucket>,
     buf: Vec<f64>,
     buf_layers: Vec<(usize, usize)>,
 }
 
 impl BucketScheduler {
-    /// `comm` is the group to sum over (the grid's row group); the
-    /// plan gives the fusion threshold and whether polls are enabled
-    /// (drain order is always need-aware where the caller asks for it).
-    pub(crate) fn new(comm: &Communicator, plan: &OverlapPlan) -> Self {
-        assert!(
-            plan.bucket_words >= 1,
-            "bucket capacity must be at least one word"
-        );
+    /// `comm` is the group to sum over (the grid's row group); `cap` is
+    /// the fusion threshold in words.
+    fn new(comm: &Communicator, cap: usize) -> Self {
+        assert!(cap >= 1, "bucket capacity must be at least one word");
         BucketScheduler {
             comm: comm.clone(),
-            cap: plan.bucket_words,
-            priority: plan.schedule == FlushSchedule::Priority,
+            cap,
             pending: Vec::new(),
             buf: Vec::new(),
             buf_layers: Vec::new(),
         }
     }
 
-    /// Stages layer `idx`'s local ∆W partial; flushes once the fusion
-    /// threshold is reached. The first partial of a bucket *becomes*
-    /// the bucket (a bucket that is one layer alone is never copied);
-    /// later ones are appended to it.
-    pub(crate) fn push(&mut self, idx: usize, dw: Matrix) -> Result<(), Error> {
+    /// Stages layer `idx`'s local ∆W partial, flushes once the fusion
+    /// threshold is reached, then polls. The first partial of a bucket
+    /// *becomes* the bucket (a bucket that is one layer alone is never
+    /// copied); later ones are appended to it.
+    fn push(&mut self, idx: usize, dw: Matrix) -> Result<(), Error> {
         self.buf_layers.push((idx, dw.len()));
         if self.buf.is_empty() {
             self.buf = dw.into_vec();
@@ -786,7 +748,7 @@ impl BucketScheduler {
         if self.buf.len() >= self.cap {
             self.flush()?;
         }
-        Ok(())
+        self.poll()
     }
 
     /// Launches the staged bucket (no-op when nothing is staged),
@@ -794,7 +756,7 @@ impl BucketScheduler {
     /// skips the launch entirely: the partial already is the sum, and
     /// a zero-step "collective" would only pollute the launch counts
     /// that normalize the measured overlap fraction.
-    pub(crate) fn flush(&mut self) -> Result<(), Error> {
+    fn flush(&mut self) -> Result<(), Error> {
         if self.buf.is_empty() {
             return Ok(());
         }
@@ -812,119 +774,41 @@ impl BucketScheduler {
                 ("pending", (self.pending.len() + 1) as f64),
             ],
         );
-        let bucket = if self.comm.size() == 1 {
-            PendingBucket {
-                handle: None,
-                data: Some(data),
-                segs,
-                min_layer,
-            }
+        let (handle, data) = if self.comm.size() == 1 {
+            (None, Some(data))
         } else {
-            PendingBucket {
-                handle: Some(iallreduce(&self.comm, data, ReduceOp::Sum)?),
-                data: None,
-                segs,
-                min_layer,
-            }
+            (Some(iallreduce(&self.comm, data, ReduceOp::Sum)?), None)
         };
-        self.pending.push(bucket);
+        self.pending.push(PendingBucket { handle, data, segs });
         Ok(())
     }
 
-    /// Drives one chunk step of the highest-priority bucket still
-    /// being issued — deepest layers first, which is launch order,
-    /// since backward fills buckets from the last layer down. Records
-    /// a `progress_poll` instant when a step was actually driven.
-    /// No-op under [`FlushSchedule::Fifo`].
-    pub(crate) fn poll(&mut self) -> Result<(), Error> {
-        if !self.priority {
-            return Ok(());
-        }
+    /// Drives one chunk step of the oldest bucket still being issued,
+    /// recording a `progress_poll` instant when a step was driven.
+    fn poll(&mut self) -> Result<(), Error> {
         let in_flight = self.pending.iter().filter(|b| b.handle.is_some()).count();
-        for b in &mut self.pending {
-            if let Some(h) = &mut b.handle {
-                if !h.issued() {
-                    h.progress()?;
-                    self.comm.trace_instant(
-                        "sched",
-                        "progress_poll",
-                        &[("pending", in_flight as f64)],
-                    );
-                    return Ok(());
-                }
-            }
+        let mut handles = self.pending.iter_mut().filter_map(|b| b.handle.as_mut());
+        if let Some(h) = handles.find(|h| !h.issued()) {
+            h.progress()?;
+            self.comm
+                .trace_instant("sched", "progress_poll", &[("pending", in_flight as f64)]);
         }
         Ok(())
     }
 
-    /// Settles (waits + applies) every pending bucket whose earliest
-    /// layer is ≤ `layer`, ascending — the lazy priority drain: the
-    /// next iteration's forward calls this right before reading layer
-    /// `layer`, so each bucket is waited exactly at its first reader
-    /// and its remaining chunks get the channel before deeper buckets'.
-    pub(crate) fn apply_ready_for(
-        &mut self,
-        layer: usize,
-        mut apply: impl FnMut(usize, &[f64]),
-    ) -> Result<(), Error> {
-        loop {
-            let next = self
-                .pending
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.min_layer <= layer)
-                .min_by_key(|(_, b)| b.min_layer)
-                .map(|(k, _)| k);
-            let Some(k) = next else { return Ok(()) };
-            self.drive_for(k)?;
-            let bucket = self.pending.remove(k);
-            Self::settle(bucket, &mut apply)?;
-        }
-    }
-
-    /// Issues chunk steps — always in launch order across every
-    /// pending bucket — until bucket `k`'s are all issued. Keeping one
-    /// global issue order regardless of which bucket the caller needs
-    /// first matters twice: it is the SPMD order every row-group
-    /// member agrees on (deadlock freedom), and it preserves the
-    /// legacy channel packing — completing a late-launched bucket
-    /// first must not convoy earlier buckets' chunks behind its
-    /// pipeline stalls. Only the *blocking* is need-ordered.
-    fn drive_for(&mut self, k: usize) -> Result<(), Error> {
-        loop {
-            if self.pending[k].handle.as_ref().is_none_or(|h| h.issued()) {
-                return Ok(());
+    /// Waits every bucket in launch order, applying each one's segments
+    /// as its wait completes. The caller flushes the staged bucket first.
+    fn drain(self, mut apply: impl FnMut(usize, &[f64])) -> Result<(), Error> {
+        for bucket in self.pending {
+            let summed = match bucket.handle {
+                Some(h) => h.wait()?,
+                None => bucket.data.expect("degenerate bucket holds its data"),
+            };
+            let mut at = 0;
+            for (idx, len) in bucket.segs {
+                apply(idx, &summed[at..at + len]);
+                at += len;
             }
-            for b in &mut self.pending {
-                if let Some(h) = &mut b.handle {
-                    if !h.issued() {
-                        h.progress()?;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Flushes the partial bucket and settles everything outstanding
-    /// in launch order, applying per bucket as each wait completes.
-    pub(crate) fn drain_all(&mut self, mut apply: impl FnMut(usize, &[f64])) -> Result<(), Error> {
-        self.flush()?;
-        for bucket in self.pending.drain(..) {
-            Self::settle(bucket, &mut apply)?;
-        }
-        Ok(())
-    }
-
-    fn settle(bucket: PendingBucket, apply: &mut impl FnMut(usize, &[f64])) -> Result<(), Error> {
-        let summed = match bucket.handle {
-            Some(h) => h.wait()?,
-            None => bucket.data.expect("degenerate bucket holds its data"),
-        };
-        let mut at = 0;
-        for (idx, len) in bucket.segs {
-            apply(idx, &summed[at..at + len]);
-            at += len;
         }
         Ok(())
     }
@@ -938,28 +822,22 @@ impl BucketScheduler {
 /// comm channel while backprop keeps computing ∆X and earlier layers'
 /// products. The communication is *scheduled*, not merely launched:
 ///
-/// * Buckets flush under a priority queue keyed by layer depth, with
-///   progress polls inside the backward loop
-///   ([`FlushSchedule::Priority`]).
+/// * Each backward layer polls the oldest bucket still being issued,
+///   and every bucket is waited, in launch order, at one drain point
+///   before the optimizer step.
 /// * `plan.dx_overlap` hides each layer's ∆X all-reduce behind the
 ///   same layer's ∆W product (bit-identical values).
 /// * `plan.fwd_prefetch` pipelines the forward all-gathers, hiding
 ///   each gather behind per-block activation and the next layer's
 ///   partial-product accumulation (~1 ulp re-association).
-/// * `plan.interleave` replaces the post-backward drain barrier with
-///   per-bucket optimizer applies carried across the iteration
-///   boundary: a bucket is settled right before the first forward
-///   layer of the next iteration that reads it. Final weights are
-///   bit-identical to the barrier version — buckets touch disjoint
-///   layers, so the applies commute.
 ///
 /// Synchronous SGD semantics are preserved: the trajectory matches
 /// [`train_serial`] up to the reduction-order noise of fusing layer
 /// shards into shared ring buckets (~1 ulp; replicas within a row
-/// group remain bitwise identical). The FIFO/barrier plan (`Fifo`, every
-/// flag off) reproduces the retired overlap engine's weights to the bit
-/// and its clock less layer 0's ∆X, which that engine still formed,
-/// pinned by golden constants in this module's tests.
+/// group remain bitwise identical). The default plan reproduces the
+/// retired overlap engine's weights to the bit and its clock less layer
+/// 0's ∆X, which that engine still formed, pinned by golden constants in
+/// this module's tests.
 #[allow(clippy::too_many_arguments)]
 pub fn train_1p5d_scheduled(
     net: &Network,
@@ -1010,18 +888,7 @@ pub fn synthetic_data(net: &Network, b: usize, seed: u64) -> (Matrix, Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overlap::DEFAULT_BUCKET_WORDS;
     use dnn::zoo::{mlp, mlp_tiny, rnn_unrolled};
-
-    /// The retired PR-3 overlap engine expressed as a plan: FIFO flush,
-    /// drain barrier, blocking forward and ∆X.
-    const FIFO_BARRIER: OverlapPlan = OverlapPlan {
-        bucket_words: DEFAULT_BUCKET_WORDS,
-        schedule: FlushSchedule::Fifo,
-        dx_overlap: false,
-        fwd_prefetch: false,
-        interleave: false,
-    };
 
     /// Asserts `r` reproduces `[makespan bits, total overlapped seconds
     /// bits, FNV-1a over every rank's final weight bits]`. The FNV word
@@ -1150,7 +1017,7 @@ mod tests {
             for bucket in [1, 64, usize::MAX] {
                 let plan = OverlapPlan {
                     bucket_words: bucket,
-                    ..FIFO_BARRIER
+                    ..OverlapPlan::default()
                 };
                 let dist =
                     train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, NetModel::free(), plan);
@@ -1207,8 +1074,16 @@ mod tests {
         ];
         for ((pr, pc), golden, retired) in goldens {
             let serialized = train_1p5d(&net, &x, &labels, &cfg, pr, pc, model);
-            let overlapped =
-                train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, FIFO_BARRIER);
+            let overlapped = train_1p5d_scheduled(
+                &net,
+                &x,
+                &labels,
+                &cfg,
+                pr,
+                pc,
+                model,
+                OverlapPlan::default(),
+            );
             assert_pr3_golden(&overlapped, golden);
             assert_retired_clock_less_layer0_dx(&overlapped, &model, (64, 96, 32, 2), retired);
             let t_ser = serialized.stats.makespan();
@@ -1295,7 +1170,6 @@ mod tests {
     fn all_plans() -> Vec<OverlapPlan> {
         vec![
             OverlapPlan::default(),
-            FIFO_BARRIER,
             OverlapPlan {
                 dx_overlap: true,
                 ..OverlapPlan::default()
@@ -1308,8 +1182,6 @@ mod tests {
                 bucket_words: 64,
                 dx_overlap: true,
                 fwd_prefetch: true,
-                schedule: FlushSchedule::Fifo,
-                interleave: true,
             },
         ]
     }
@@ -1348,110 +1220,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_without_prefetch_is_bit_identical_to_fifo_barrier() {
-        // Priority flush + per-bucket interleave only move *when*
-        // transfers are driven and where applies happen; the bucket
-        // partition and ring sums are unchanged, so the weights must
-        // match the FIFO/barrier engine bit for bit.
-        let net = mlp("m", &[40, 56, 56, 10]);
-        let (x, labels) = synthetic_data(&net, 24, 3);
-        let cfg = TrainConfig {
-            lr: 0.2,
-            iters: 4,
-            seed: 9,
-        };
-        for (pr, pc) in [(1, 4), (4, 1), (2, 3), (4, 2)] {
-            for bucket in [1, 512, usize::MAX] {
-                let fifo = OverlapPlan {
-                    bucket_words: bucket,
-                    ..FIFO_BARRIER
-                };
-                let legacy =
-                    train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, NetModel::free(), fifo);
-                for plan in [
-                    OverlapPlan {
-                        bucket_words: bucket,
-                        ..OverlapPlan::default()
-                    },
-                    OverlapPlan {
-                        bucket_words: bucket,
-                        dx_overlap: true,
-                        ..OverlapPlan::default()
-                    },
-                ] {
-                    let sch = train_1p5d_scheduled(
-                        &net,
-                        &x,
-                        &labels,
-                        &cfg,
-                        pr,
-                        pc,
-                        NetModel::free(),
-                        plan,
-                    );
-                    for (a, b) in legacy.per_rank.iter().zip(&sch.per_rank) {
-                        assert_eq!(a.i, b.i);
-                        assert_eq!(a.j, b.j);
-                        assert!(
-                            a.weight_shards == b.weight_shards,
-                            "grid {pr}x{pc} bucket {bucket} plan {plan:?}: \
-                             weights not bit-identical on rank ({},{})",
-                            a.i,
-                            a.j
-                        );
-                        assert!(
-                            a.partial_losses == b.partial_losses,
-                            "grid {pr}x{pc} bucket {bucket} plan {plan:?}: losses differ"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scheduled_never_slower_than_legacy_and_hides_at_least_as_much() {
-        let model = NetModel {
-            alpha: 1e-5,
-            beta: 1e-8,
-            flops: 1e9,
-        };
-        let net = mlp("m", &[64, 96, 96, 10]);
-        let (x, labels) = synthetic_data(&net, 32, 3);
-        let cfg = TrainConfig {
-            lr: 0.1,
-            iters: 3,
-            seed: 1,
-        };
-        for (pr, pc) in [(1, 4), (2, 4), (4, 2), (2, 2)] {
-            let legacy = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, FIFO_BARRIER);
-            let sch = train_1p5d_scheduled(
-                &net,
-                &x,
-                &labels,
-                &cfg,
-                pr,
-                pc,
-                model,
-                OverlapPlan::default(),
-            );
-            let t_old = legacy.stats.makespan();
-            let t_new = sch.stats.makespan();
-            assert!(
-                t_new <= t_old + 1e-12,
-                "grid {pr}x{pc}: scheduled slower ({t_new} vs {t_old})"
-            );
-            assert!(
-                sch.measured_overlap_fraction() >= legacy.measured_overlap_fraction() - 1e-12,
-                "grid {pr}x{pc}: fraction regressed ({} vs {})",
-                sch.measured_overlap_fraction(),
-                legacy.measured_overlap_fraction()
-            );
-            assert!(sch.stats.total_overlapped_secs() > 0.0);
-        }
-    }
-
-    #[test]
     fn fifo_barrier_plan_reproduces_the_retired_engine_to_the_bit() {
         let model = NetModel {
             alpha: 1e-5,
@@ -1465,13 +1233,43 @@ mod tests {
             iters: 2,
             seed: 2,
         };
-        let sch = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, FIFO_BARRIER);
+        let plan = OverlapPlan::default();
+        let sch = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, plan);
         assert_pr3_golden(
             &sch,
             [0x3f3891b60f34eb06, 0x3c08000000000000, 0xe7e19beecc6cc70d],
         );
         let retired = [0x3f4063830fc7fcb6, 0x3bf8000000000000];
         assert_retired_clock_less_layer0_dx(&sch, &model, (48, 64, 24, 2), retired);
+    }
+
+    #[test]
+    fn default_plan_credits_only_what_the_launch_order_drain_hides() {
+        // `[makespan, total overlapped seconds, weight FNV]` bits of the
+        // FIFO-flush, drain-barrier plan, recorded while the default
+        // still waited each bucket lazily in the next iteration's
+        // forward. That drain ran on the same clock to the bit, but it
+        // credited 0x3f612824140f0948 s (≈ 2.1e-3) as hidden: the
+        // transfers that finished while the main timeline sat blocked on
+        // layer 0's bucket, launched last, counted as overlap.
+        let model = NetModel {
+            alpha: 1e-5,
+            beta: 1e-8,
+            flops: 1e9,
+        };
+        let net = mlp("m", &[64, 96, 96, 10]);
+        let (x, labels) = synthetic_data(&net, 32, 3);
+        let cfg = TrainConfig {
+            lr: 0.1,
+            iters: 3,
+            seed: 1,
+        };
+        let plan = OverlapPlan::default();
+        let r = train_1p5d_scheduled(&net, &x, &labels, &cfg, 1, 4, model, plan);
+        assert_pr3_golden(
+            &r,
+            [0x3f6762a5c5299de3, 0x3f5353cd652bb17f, 0x3b0179bb55d9aebd],
+        );
     }
 
     #[test]
@@ -1537,27 +1335,7 @@ mod tests {
             .map(|r| r.instant_count("sched", "progress_poll"))
             .sum();
         assert!(flushes > 0, "bucket flushes recorded");
-        assert!(polls > 0, "priority polls recorded");
-        let (_, fifo_trace) = train_1p5d_scheduled_traced(
-            &net,
-            &x,
-            &labels,
-            &cfg,
-            2,
-            2,
-            NetModel::free(),
-            TraceConfig::enabled(),
-            OverlapPlan {
-                bucket_words: 64,
-                ..FIFO_BARRIER
-            },
-        );
-        let fifo_polls: usize = fifo_trace
-            .ranks
-            .iter()
-            .map(|r| r.instant_count("sched", "progress_poll"))
-            .sum();
-        assert_eq!(fifo_polls, 0, "FIFO never polls");
+        assert!(polls > 0, "progress polls recorded");
     }
 
     #[test]

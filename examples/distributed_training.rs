@@ -12,9 +12,7 @@ use integrated_parallelism::collectives::FtConfig;
 use integrated_parallelism::dnn::zoo::mlp;
 use integrated_parallelism::integrated::cost::best_grid;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
-use integrated_parallelism::integrated::overlap::{
-    FlushSchedule, OverlapPlan, PAPER_BACKPROP_FRACTION,
-};
+use integrated_parallelism::integrated::overlap::{OverlapPlan, PAPER_BACKPROP_FRACTION};
 use integrated_parallelism::integrated::report::fmt_seconds;
 use integrated_parallelism::integrated::trainer::{
     synthetic_data, train_1p5d, train_1p5d_scheduled, train_1p5d_scheduled_traced, train_serial,
@@ -86,15 +84,11 @@ fn main() {
     // ------------------------------------------------------------------
     println!("\nexecuted comm/compute overlap on the 2x4 grid:");
     let ser = train_1p5d(&net, &x, &labels, &cfg, 2, 4, NetModel::cori_knl());
-    // Launch-and-drain only: FIFO flush, one barrier before the
-    // optimizer. `OverlapPlan::default()` schedules on top of this.
-    let fifo_barrier = OverlapPlan {
-        schedule: FlushSchedule::Fifo,
-        interleave: false,
-        ..OverlapPlan::default()
-    };
+    // Buckets launched as they fill, drained in launch order at one
+    // point before the optimizer.
+    let plan = OverlapPlan::default();
     let model = NetModel::cori_knl();
-    let ovl = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 4, model, fifo_barrier);
+    let ovl = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 4, model, plan);
     println!(
         "  serialized {}  overlapped {}  ({:.1}% saved; trajectories identical)",
         fmt_seconds(ser.stats.makespan()),
@@ -135,7 +129,7 @@ fn main() {
         4,
         model,
         TraceConfig::enabled(),
-        fifo_barrier,
+        plan,
     );
     assert_eq!(
         traced.stats.makespan(),

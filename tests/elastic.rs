@@ -18,6 +18,7 @@ use integrated_parallelism::collectives::FtConfig;
 use integrated_parallelism::dnn::zoo::mlp_tiny;
 use integrated_parallelism::integrated::cost::best_grid;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
+use integrated_parallelism::integrated::overlap::OverlapPlan;
 use integrated_parallelism::integrated::trainer::synthetic_data;
 use integrated_parallelism::integrated::MachineModel;
 use integrated_parallelism::mpsim::{DetectorConfig, FaultPlan, HealthMonitor, NetModel};
@@ -133,7 +134,7 @@ fn kill_rejoin_regrow_works_with_overlap_enabled() {
     let net = mlp_tiny();
     let (x, labels) = synthetic_data(&net, 24, 5);
     let cfg = FtTrainConfig {
-        overlap: true,
+        plan: Some(OverlapPlan::default()),
         ..ecfg(10)
     };
     let wl = net.weighted_layers();

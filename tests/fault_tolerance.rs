@@ -9,18 +9,14 @@
 //! 3. An injected bit-flip is caught by the collective checksum and
 //!    rolled back — it never propagates into ∆W or the weights.
 
-use proptest::prelude::*;
-
 use integrated_parallelism::collectives::ft::FtConfig;
 use integrated_parallelism::collectives::{allreduce, ReduceOp};
 use integrated_parallelism::dnn::zoo::mlp_tiny;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
-use integrated_parallelism::integrated::overlap::{FlushSchedule, OverlapPlan};
-use integrated_parallelism::integrated::trainer::{
-    synthetic_data, train_1p5d_scheduled, TrainConfig,
-};
+use integrated_parallelism::integrated::overlap::OverlapPlan;
+use integrated_parallelism::integrated::trainer::synthetic_data;
 use integrated_parallelism::integrated::MachineModel;
-use integrated_parallelism::mpsim::{Error, FaultPlan, NetModel, Span, World};
+use integrated_parallelism::mpsim::{Error, FaultPlan, NetModel, World};
 
 fn ft_cfg(iters: usize) -> FtTrainConfig {
     FtTrainConfig {
@@ -149,7 +145,7 @@ fn killing_one_rank_recovers_with_overlap_enabled() {
     let net = mlp_tiny();
     let (x, labels) = synthetic_data(&net, 32, 5);
     let cfg = FtTrainConfig {
-        overlap: true,
+        plan: Some(OverlapPlan::default()),
         ..ft_cfg(8)
     };
 
@@ -226,102 +222,4 @@ fn corrupted_allreduce_never_returns_wrong_numbers() {
     });
     assert!(out.iter().all(Result::is_err), "no rank completed: {out:?}");
     assert_eq!(stats.total_corrupt_detected(), 1);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The priority-flush + per-bucket-interleave engine is a pure
-    /// *scheduling* change: across random seeds, grids, and bucket
-    /// sizes, its final weight shards and per-rank partial losses are
-    /// bit-identical to the legacy FIFO launch / barrier drain. (The
-    /// one knob excluded is `fwd_prefetch`, which re-associates the
-    /// forward row-sum and is covered by a tolerance test instead.)
-    #[test]
-    fn priority_interleave_is_bit_identical_to_fifo_barrier(
-        seed in 0u64..500,
-        grid_pick in 0usize..4,
-        bucket_pick in 0usize..4,
-    ) {
-        let (pr, pc) = [(1, 4), (2, 2), (2, 4), (4, 2)][grid_pick];
-        let bucket = [64, 1024, 8192, usize::MAX][bucket_pick];
-        let net = mlp_tiny();
-        let (x, labels) = synthetic_data(&net, 16, seed);
-        let cfg = TrainConfig { lr: 0.2, iters: 3, seed };
-        let model = NetModel::cori_knl();
-
-        let fifo_barrier = OverlapPlan {
-            bucket_words: bucket,
-            schedule: FlushSchedule::Fifo,
-            dx_overlap: false,
-            fwd_prefetch: false,
-            interleave: false,
-        };
-        let legacy = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, fifo_barrier);
-        let plan = OverlapPlan {
-            schedule: FlushSchedule::Priority,
-            interleave: true,
-            ..fifo_barrier
-        };
-        let sched = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, plan);
-
-        for (a, b) in legacy.per_rank.iter().zip(&sched.per_rank) {
-            prop_assert_eq!(&a.partial_losses, &b.partial_losses);
-            for (wa, wb) in a.weight_shards.iter().zip(&b.weight_shards) {
-                prop_assert_eq!(
-                    wa.max_abs_diff(wb), 0.0,
-                    "weight shard diverged on {}x{} bucket {}", pr, pc, bucket
-                );
-            }
-        }
-    }
-
-    /// The same bit-identity holds on the fault-tolerant path while a
-    /// random fault plan straggles a link and possibly kills a rank:
-    /// checkpoint/shrink/replay under the priority schedule lands on
-    /// exactly the weights the FIFO schedule produces, with the same
-    /// survivor set.
-    #[test]
-    fn ft_priority_schedule_matches_fifo_under_kills_and_straggles(
-        seed in 0u64..500,
-        straggle_link in 0usize..8,
-        extra_us in 0u64..40,
-        kill_pick in 0usize..12,
-    ) {
-        let net = mlp_tiny();
-        let (x, labels) = synthetic_data(&net, 16, 5);
-        let mut fault = FaultPlan::new(seed).straggle(
-            straggle_link,
-            (straggle_link + 1) % 8,
-            extra_us as f64 * 1e-6,
-            1e-6,
-            Span::All,
-        );
-        if (1..8).contains(&kill_pick) {
-            fault = fault.kill(kill_pick, 2e-5);
-        }
-
-        let base = FtTrainConfig { overlap: true, ..ft_cfg(4) };
-        let fifo_cfg = FtTrainConfig {
-            plan: OverlapPlan { schedule: FlushSchedule::Fifo, ..base.plan },
-            ..base
-        };
-        let prio_cfg = FtTrainConfig {
-            plan: OverlapPlan { schedule: FlushSchedule::Priority, ..base.plan },
-            ..base
-        };
-        let fifo = train_1p5d_ft(&net, &x, &labels, &fifo_cfg, 2, 4, fault.clone());
-        let prio = train_1p5d_ft(&net, &x, &labels, &prio_cfg, 2, 4, fault);
-
-        let fs: Vec<usize> = (0..8).filter(|&r| fifo.per_rank[r].is_ok()).collect();
-        let ps: Vec<usize> = (0..8).filter(|&r| prio.per_rank[r].is_ok()).collect();
-        prop_assert_eq!(&fs, &ps, "survivor sets differ");
-        if fs.is_empty() {
-            return Ok(());
-        }
-        prop_assert_eq!(fifo.losses(), prio.losses());
-        for (a, b) in fifo.weights().iter().zip(&prio.weights()) {
-            prop_assert_eq!(a.max_abs_diff(b), 0.0, "weights diverged under faults");
-        }
-    }
 }

@@ -11,9 +11,7 @@ use proptest::prelude::*;
 use integrated_parallelism::collectives::ft::FtConfig;
 use integrated_parallelism::dnn::zoo::mlp_tiny;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft_traced, FtTrainConfig};
-use integrated_parallelism::integrated::overlap::{
-    FlushSchedule, OverlapPlan, DEFAULT_BUCKET_WORDS,
-};
+use integrated_parallelism::integrated::overlap::OverlapPlan;
 use integrated_parallelism::integrated::trainer::{
     synthetic_data, train_1p5d, train_1p5d_scheduled, train_1p5d_scheduled_traced,
     train_1p5d_traced, TrainConfig,
@@ -22,18 +20,6 @@ use integrated_parallelism::integrated::MachineModel;
 use integrated_parallelism::mpsim::{
     EventKind, FaultPlan, NetModel, RankTrace, Span, TraceConfig, TraceEvent, Track, WorldStats,
     WorldTrace,
-};
-
-/// Bucketed non-blocking ∆W sums with a FIFO flush and a drain barrier
-/// — overlap without scheduling, and the only plan whose iteration
-/// shape the fault-tolerant trainer shares exactly (it never defers a
-/// drain across the iteration boundary).
-const FIFO_BARRIER: OverlapPlan = OverlapPlan {
-    bucket_words: DEFAULT_BUCKET_WORDS,
-    schedule: FlushSchedule::Fifo,
-    dx_overlap: false,
-    fwd_prefetch: false,
-    interleave: false,
 };
 
 /// Slack for interval comparisons. Main-track leaf timestamps are
@@ -186,7 +172,7 @@ fn ft_cfg(overlap: bool, ckpt_every: usize) -> FtTrainConfig {
         ckpt_every,
         ft: FtConfig::fixed(10.0).with_attempts(2).with_backoff(0.5),
         machine: MachineModel::cori_knl(),
-        overlap,
+        plan: overlap.then(OverlapPlan::default),
         ..FtTrainConfig::default()
     }
 }
@@ -263,7 +249,8 @@ proptest! {
         check_against_stats(&st, &ser.stats)?;
 
         let (ovl, ot) = train_1p5d_scheduled_traced(
-            &net, &x, &labels, &cfg, pr, pc, model, TraceConfig::enabled(), FIFO_BARRIER,
+            &net, &x, &labels, &cfg, pr, pc, model, TraceConfig::enabled(),
+            OverlapPlan::default(),
         );
         for rt in &ot.ranks {
             check_rank(rt)?;
@@ -326,7 +313,8 @@ fn tracing_adds_zero_overhead_to_the_virtual_clock() {
         }
         assert_eq!(plain.losses(), on.losses());
 
-        let ovl = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, FIFO_BARRIER);
+        let plan = OverlapPlan::default();
+        let ovl = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, plan);
         let (ovl_on, _) = train_1p5d_scheduled_traced(
             &net,
             &x,
@@ -336,7 +324,7 @@ fn tracing_adds_zero_overhead_to_the_virtual_clock() {
             pc,
             model,
             TraceConfig::enabled(),
-            FIFO_BARRIER,
+            plan,
         );
         assert_eq!(
             ovl.stats.makespan().to_bits(),
@@ -372,7 +360,6 @@ fn ft_and_scheduled_traces_share_one_trainer_layout() {
     for overlap in [false, true] {
         let ft = FtTrainConfig {
             iters,
-            plan: FIFO_BARRIER,
             ..ft_cfg(overlap, 2)
         };
         let (res, ft_trace) = train_1p5d_ft_traced(
@@ -402,7 +389,7 @@ fn ft_and_scheduled_traces_share_one_trainer_layout() {
                 2,
                 model,
                 TraceConfig::enabled(),
-                FIFO_BARRIER,
+                OverlapPlan::default(),
             )
         } else {
             train_1p5d_traced(&net, &x, &labels, &cfg, 2, 2, model, TraceConfig::enabled())
@@ -501,10 +488,18 @@ const GOLDEN_SCHED_HIST: &[(&str, &str, usize)] = &[
     ("trainer", "forward", 12),
     ("trainer", "layer_bwd", 36),
     ("trainer", "layer_fwd", 36),
-    ("trainer", "optimizer_deferred", 8),
-    ("trainer", "optimizer_step", 4),
+    ("trainer", "optimizer_step", 12),
 ];
-const GOLDEN_SCHED_FNV: u64 = 0xa244_e08e_564b_2fc5;
+/// Re-recorded when the drain stopped waiting buckets in the next
+/// iteration's forward: each iteration's wait now sits inside its own
+/// `optimizer_step` span, where 8 `optimizer_deferred` instants stood
+/// before, which re-orders the trainer's phase events. Everything below
+/// them kept its timestamps, as the next constant pins.
+const GOLDEN_SCHED_FNV: u64 = 0xebff_6b41_e88a_d3d5;
+/// The same FNV over every event but the `trainer` phases, recorded
+/// while the drain still ran in the next forward (`0xa244_e08e_564b_2fc5`
+/// was then the whole trace's).
+const GOLDEN_SCHED_BELOW_TRAINER_FNV: u64 = 0x1ebf_603c_6f9e_19ad;
 
 /// Golden traces recorded at `fc240c2`, before `mpsim`'s three receive
 /// completions, five notice broadcasts and ten `World::run_*` were
@@ -557,8 +552,7 @@ fn golden_traces_survive_the_envelope_refactor() {
     let plan = OverlapPlan {
         dx_overlap: true,
         fwd_prefetch: true,
-        interleave: true,
-        ..FIFO_BARRIER
+        ..OverlapPlan::default()
     };
     let (_, trace) = train_1p5d_scheduled_traced(
         &net,
@@ -574,4 +568,9 @@ fn golden_traces_survive_the_envelope_refactor() {
     let (hist, fnv) = trace_fingerprint(&trace, |_| true);
     assert_eq!(hist, GOLDEN_SCHED_HIST, "scheduled trace histogram");
     assert_eq!(fnv, GOLDEN_SCHED_FNV, "scheduled trace timestamps");
+    let (_, fnv) = trace_fingerprint(&trace, |e| e.cat != "trainer");
+    assert_eq!(
+        fnv, GOLDEN_SCHED_BELOW_TRAINER_FNV,
+        "scheduled trace timestamps below the trainer's phases"
+    );
 }

@@ -193,7 +193,6 @@ fn every_trainer_keeps_its_weights_and_losses_to_the_bit() {
         bucket_words: 64,
         dx_overlap: true,
         fwd_prefetch: true,
-        ..OverlapPlan::default()
     };
     for (pr, pc, plan) in [(2, 2, OverlapPlan::default()), (2, 3, everything)] {
         let r = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, free, plan);
