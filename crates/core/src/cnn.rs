@@ -408,8 +408,7 @@ pub fn train_cnn_domain(
     let rank_body = |comm: &Communicator| -> Result<CnnRankOutcome, Error> {
         // Row-major `pd × pc`: i = strip index (domain), j = batch
         // shard; the column group shares a batch shard, the row group a
-        // strip. The FC head's grid is the row group as `1 × pc`; built
-        // once — a grid costs two communicator splits.
+        // strip. The FC head's grid is the row group as `1 × pc`.
         let Grid {
             i,
             j,

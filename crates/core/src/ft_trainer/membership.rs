@@ -59,11 +59,10 @@ pub(super) struct Membership {
 }
 
 /// Sets the counters every member of a recovery epoch must share: the
-/// epoch itself (staling older aborts), the split sequence child
-/// contexts derive from, and the agreement-round counter.
+/// epoch itself (staling older aborts; the epoch's communicators hash it
+/// into their contexts) and the agreement-round counter.
 fn enter_epoch(comm: &Communicator, epoch: u64, seq: u64) {
     comm.set_fault_epoch(epoch);
-    comm.align_split_seq(epoch * 1000);
     comm.align_fault_sync_seq(seq);
 }
 

@@ -172,8 +172,8 @@ mod tests {
             let m = train_mixed(&net, &x, &labels, &cfg, &mixed, knl).unwrap();
             let u = train_1p5d(&net, &x, &labels, &cfg, pr, pc, knl);
             assert!(m.weights == u.weights(), "grid {pr}x{pc}: weights");
-            // Per-rank counters (control-plane splits included) and
-            // final clocks: one grid was built, and every GEMM charged.
+            // Per-rank counters and final clocks: building a grid per
+            // layer moves neither, and every GEMM is charged.
             assert_eq!(m.stats, u.stats, "grid {pr}x{pc}");
         }
     }

@@ -374,13 +374,6 @@ pub(crate) fn train_grid(
     let layers = extract_fc_layers(net);
     let b_global = x.cols();
     let full_weights = init_weights(&layers, cfg.seed);
-    // A grid costs two communicator splits (control-plane traffic, and
-    // the split sequence names every later context), and the last grid
-    // serves every layer past it: trailing repeats of one shape get no
-    // grid of their own, so a list that repeats one shape throughout
-    // builds exactly the one grid the uniform run builds.
-    let repeats = shapes.windows(2).rev().take_while(|w| w[0] == w[1]);
-    let shapes = &shapes[..shapes.len() - repeats.count()];
     let (pr, pc) = shapes[0];
     let (per_rank, stats, traces) = World::run_traced_with_stats(pr * pc, model, trace, |comm| {
         let grids: Vec<Grid> = shapes

@@ -80,21 +80,14 @@ impl Grid {
     /// that keeps the activation collectives inside fat nodes; see the
     /// `ablation_topology` binary.
     pub fn new_colmajor(comm: &Communicator, pr: usize, pc: usize) -> Result<Grid> {
-        if pr * pc != comm.size() {
-            return Err(mpsim::Error::CollectiveMismatch(format!(
-                "grid {pr}x{pc} does not tile a communicator of size {}",
-                comm.size()
-            )));
-        }
-        let i = comm.rank() % pr; // model shard
-        let j = comm.rank() / pr; // batch shard
-        let row_comm = comm.split(i as u64, j as u64)?; // fixed model shard, size pc
-        let col_comm = comm.split(j as u64, i as u64)?; // fixed batch shard, size pr
+        // The transpose: the row-major `pc × pr` grid's rows are this
+        // grid's columns.
+        let (col_comm, row_comm) = comm.grid(pc, pr)?;
         Ok(Grid {
             pr,
             pc,
-            i,
-            j,
+            i: comm.rank() % pr,
+            j: comm.rank() / pr,
             comm: comm.clone(),
             row_comm,
             col_comm,
@@ -819,6 +812,47 @@ mod tests {
             assert!(y.approx_eq(&r.y.col_block(cols.start, cols.end), 1e-10));
             assert!(dw.approx_eq(&r.dw.row_block(rows.start, rows.end), 1e-10));
             assert!(dx.approx_eq(&r.dx.col_block(cols.start, cols.end), 1e-10));
+        }
+    }
+
+    /// Fig. 5's layout is computed, not negotiated: for every `pr × pc`
+    /// tiling of P ∈ {1..16, 64} both placements send nothing and move no
+    /// clock, the row-major grid's row `i` is ranks `i·pc..(i+1)·pc` and
+    /// its column `j` is ranks `k·pc + j`, the column-major grid is the
+    /// transpose, and a whole-world group shares the world's table.
+    #[test]
+    fn grids_are_communication_free_and_match_fig5() {
+        for p in (1..=16).chain([64]) {
+            for pr in (1..=p).filter(|pr| p % pr == 0) {
+                let pc = p / pr;
+                let (out, stats) = World::run_with_stats(p, NetModel::cori_knl(), |comm| {
+                    let grids = [Grid::new(comm, pr, pc), Grid::new_colmajor(comm, pr, pc)];
+                    let shares = |c: &Communicator| c.members().as_ptr() == comm.members().as_ptr();
+                    grids.map(|g| {
+                        let (row, col) = g.map(|g| (g.row_comm, g.col_comm)).unwrap();
+                        let groups = (row.members().to_vec(), col.members().to_vec());
+                        (groups, [shares(&row), shares(&col)])
+                    })
+                });
+                assert_eq!(stats.makespan(), 0.0, "{pr}x{pc}: no clock moved");
+                assert_eq!(
+                    stats.ranks,
+                    vec![mpsim::RankStats::default(); p],
+                    "{pr}x{pc}"
+                );
+                let run = |from: usize, n: usize, stride: usize| -> Vec<usize> {
+                    (0..n).map(|k| from + k * stride).collect()
+                };
+                let whole = [pr == 1, pc == 1];
+                for (g, [row_major, col_major]) in out.into_iter().enumerate() {
+                    let (i, j) = (g / pc, g % pc);
+                    let want = ((run(i * pc, pc, 1), run(j, pr, pc)), whole);
+                    assert_eq!(row_major, want, "{pr}x{pc} rank {g}: row-major");
+                    let (i, j) = (g % pr, g / pr);
+                    let want = ((run(i, pc, pr), run(j * pr, pr, 1)), whole);
+                    assert_eq!(col_major, want, "{pr}x{pc} rank {g}: column-major");
+                }
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! is built or inspected in this module.
 
 use super::wire::{Inner, Notice};
-use super::{derive_ctx, Communicator, RESERVED_TAG_BASE};
+use super::{Communicator, RESERVED_TAG_BASE};
 use crate::error::{Error, Result};
 use crate::fault::{self, BitFlip};
 use crate::Tag;
@@ -101,8 +101,7 @@ impl Communicator {
     /// peer observes the same thing: either the full round or a death
     /// notice, never a partial round. A round message that would cross
     /// an active cut arrives as a severed marker instead. All members
-    /// must call `fault_sync` the same number of times (SPMD), like
-    /// `split`.
+    /// must call `fault_sync` the same number of times (SPMD).
     pub fn fault_sync(&self, payload: Vec<u8>) -> Result<Vec<Option<Vec<u8>>>> {
         let mut i = self.inner.borrow_mut();
         i.check_failed()?;
@@ -134,31 +133,10 @@ impl Communicator {
     /// relative order). Returns [`Error::RankFailed`] for a caller that
     /// is itself in `dead`.
     pub fn shrink_exclude(&self, dead: &[usize], epoch: u64) -> Result<Communicator> {
-        let members: Vec<usize> = self
-            .members
-            .iter()
-            .copied()
-            .filter(|g| !dead.contains(g))
-            .collect();
-        // "SRINK!" separates the shrink domain from `split`'s.
-        let head = [self.ctx, 0x5352_494e_4b21, epoch];
-        let ctx = derive_ctx(head.into_iter().chain(members.iter().map(|&g| g as u64)));
-        let my_global = self.members[self.rank];
-        self.child(ctx, members)
-            .ok_or(Error::RankFailed { rank: my_global })
-    }
-
-    /// Fast-forwards this rank's split-sequence counter to at least
-    /// `seq`. Child communicator contexts are derived from `(parent
-    /// ctx, split counter, color)`; a fault can interrupt different
-    /// ranks at different points of a collective `split` sequence,
-    /// desynchronizing the counter. Recovery protocols call this on
-    /// every survivor with the same value (e.g. `epoch * 1000`) before
-    /// rebuilding sub-communicators, restoring the invariant that all
-    /// members derive identical child contexts.
-    pub fn align_split_seq(&self, seq: u64) {
-        let mut i = self.inner.borrow_mut();
-        i.split_seq = i.split_seq.max(seq);
+        let survivors = self.members.iter().copied().filter(|g| !dead.contains(g));
+        self.child(survivors, Some(epoch)).ok_or(Error::RankFailed {
+            rank: self.members[self.rank],
+        })
     }
 
     /// Records checkpoint volume written by a fault-tolerant trainer.

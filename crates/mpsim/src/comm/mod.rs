@@ -2,10 +2,11 @@
 //!
 //! A [`Communicator`] names a group of global ranks and gives the local
 //! rank send/recv/collective-building primitives within that group.
-//! Sub-communicators created with [`Communicator::split`] or
-//! [`Communicator::grid`] share the owning thread's virtual clock,
-//! mailbox, and traffic counters, exactly like MPI communicators share a
-//! process.
+//! Sub-communicators created with [`Communicator::grid`] or
+//! [`Communicator::shrink_exclude`] share the owning thread's virtual
+//! clock, mailbox, and traffic counters, exactly like MPI communicators
+//! share a process. Both are computed from the member table alone, with
+//! no message.
 //!
 //! Three modules, one direction of knowledge:
 //!
@@ -14,8 +15,7 @@
 //!   of a completed receive). The only module that names the
 //!   transport's `Endpoint`, `Envelope` fields or `Payload` variants.
 //! * this module — point-to-point and control-plane operations,
-//!   `split`/`grid`, tracing, stats: coordinates and timeouts in,
-//!   payloads out.
+//!   `grid`, tracing, stats: coordinates and timeouts in, payloads out.
 //! * `membership` — fault epochs, failure agreement, shrink,
 //!   revive/readmit/park/heal, detector queries and scripted bit flips.
 
@@ -41,7 +41,6 @@ use wire::Lane;
 /// plane and library collectives). Application code should stay below.
 pub const RESERVED_TAG_BASE: Tag = 1 << 48;
 
-const SPLIT_TAG: Tag = RESERVED_TAG_BASE + 1;
 const SYNC_TAG: Tag = RESERVED_TAG_BASE + 2;
 const BARRIER_TAG: Tag = RESERVED_TAG_BASE + 3;
 /// Base tag for non-blocking collective launches
@@ -119,8 +118,9 @@ impl Communicator {
     /// The world communicator of `inner`'s rank over `members`, the
     /// identity table `0..size` that `World::run_opts` builds once and
     /// every rank of the world shares: a table per rank is P² words per
-    /// world (128 MiB at P = 4096, 32 GiB at P = 65 536). `split`, `grid`
-    /// and `shrink_exclude` children keep a table per group.
+    /// world (128 MiB at P = 4096, 32 GiB at P = 65 536). `grid` and
+    /// `shrink_exclude` children keep a table per group, except a group
+    /// equal to its parent, which shares the parent's.
     pub(crate) fn world(inner: Rc<RefCell<Inner>>, members: Arc<Vec<usize>>) -> Self {
         let rank = inner.borrow().global_rank;
         debug_assert_eq!(members.len(), inner.borrow().world_size);
@@ -162,9 +162,9 @@ impl Communicator {
     /// failed collective. This rank's own death aborts nothing (its
     /// death notice announces it).
     ///
-    /// `split`, `grid` and `shrink_exclude` children inherit the policy.
-    /// The control plane — `recv_control`, `fault_sync`, `barrier`,
-    /// `split` itself, `await_control_any` — never reads it.
+    /// `grid` and `shrink_exclude` children inherit the policy. The
+    /// control plane — `recv_control`, `fault_sync`, `barrier`,
+    /// `await_control_any` — never reads it.
     pub fn guarded(&self, cfg: &FtConfig) -> Communicator {
         Communicator {
             ft: Some(*cfg),
@@ -435,7 +435,7 @@ impl Communicator {
     /// non-blocking collective on this communicator, so multiple
     /// outstanding handles never cross-match each other's chunks. Every
     /// member of the communicator must launch its non-blocking
-    /// operations in the same order (SPMD), like `split`.
+    /// operations in the same order (SPMD).
     pub fn alloc_nb_tags(&self) -> Tag {
         let mut i = self.inner.borrow_mut();
         let seq = i.nb_seq.entry(self.ctx).or_insert(0);
@@ -515,26 +515,20 @@ impl Communicator {
 
     /// Synchronizes virtual clocks across the communicator to their
     /// maximum without charging any message cost. Control-plane helper
-    /// for delimiting timed experiment phases.
+    /// for delimiting timed experiment phases: ⌈log₂ P⌉ dissemination
+    /// rounds, in round `k` each rank passing the largest clock it has
+    /// seen to the rank `2^k` ahead, so after the last round every rank
+    /// has seen all `P` (P·⌈log₂ P⌉ control envelopes in all).
     pub fn sync_clocks(&self) -> Result<()> {
         let p = self.size();
-        if p <= 1 {
-            return Ok(());
-        }
-        let mine = self.now();
-        // Everyone sends its clock to everyone else (control traffic).
-        for dst in 0..p {
-            if dst != self.rank {
-                self.send_control(dst, SYNC_TAG, mine.to_le_bytes().to_vec())?;
-            }
-        }
-        let mut max = mine;
-        for src in 0..p {
-            if src != self.rank {
-                let bytes = self.recv_control(src, SYNC_TAG)?;
-                let t = f64::from_le_bytes(bytes[..8].try_into().expect("8-byte clock"));
-                max = max.max(t);
-            }
+        let mut max = self.now();
+        let mut d = 1;
+        while d < p {
+            self.send_control((self.rank + d) % p, SYNC_TAG, max.to_le_bytes().to_vec())?;
+            let bytes = self.recv_control((self.rank + p - d) % p, SYNC_TAG)?;
+            let seen = f64::from_le_bytes(bytes[..8].try_into().expect("8-byte clock"));
+            max = max.max(seen);
+            d <<= 1;
         }
         let mut i = self.inner.borrow_mut();
         let t0 = i.clock.now;
@@ -558,87 +552,63 @@ impl Communicator {
         i.tracer.clear();
     }
 
-    /// A communicator over `members` (global ranks, in rank order) that
-    /// shares this one's per-rank state and fault policy; `None` when
-    /// this rank is not among them.
-    fn child(&self, ctx: u64, members: Vec<usize>) -> Option<Communicator> {
-        let my_global = self.members[self.rank];
-        let rank = members.iter().position(|&g| g == my_global)?;
+    /// The communicator over `members` (global ranks, in rank order)
+    /// sharing this one's per-rank state and fault policy; `None` when
+    /// this rank is not among them. Its context hashes this one's, the
+    /// member list and `epoch` (a shrink's recovery epoch), so every
+    /// member derives the same id alone; two grids' equal groups are one
+    /// context, ordered by SPMD program order like any two collectives
+    /// on one communicator. A group equal to this one shares its table.
+    fn child<I>(&self, members: I, epoch: Option<u64>) -> Option<Communicator>
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        let rank = members.clone().position(|g| g == self.members[self.rank])?;
+        let head = [self.ctx, members.clone().count() as u64];
+        let ids = members.clone().map(|g| g as u64);
+        let ctx = derive_ctx(head.into_iter().chain(ids).chain(epoch));
+        let members = if members.clone().eq(self.members.iter().copied()) {
+            Arc::clone(&self.members)
+        } else {
+            Arc::new(members.collect())
+        };
         Some(Communicator {
             inner: Rc::clone(&self.inner),
             ctx,
-            members: Arc::new(members),
+            members,
             rank,
             ft: self.ft,
         })
     }
 
-    /// Splits the communicator into disjoint sub-communicators by
-    /// `color`; members of each new communicator are ordered by
-    /// `(key, old rank)`. All members must call `split` in the same
-    /// order (SPMD), like `MPI_Comm_split`. Control-plane: free in
-    /// virtual time.
-    pub fn split(&self, color: u64, key: u64) -> Result<Communicator> {
-        let p = self.size();
-        let seq = {
-            let mut i = self.inner.borrow_mut();
-            i.split_seq += 1;
-            i.split_seq
-        };
-        // Exchange (color, key) with every member.
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&color.to_le_bytes());
-        payload.extend_from_slice(&key.to_le_bytes());
-        for dst in 0..p {
-            if dst != self.rank {
-                self.send_control(dst, SPLIT_TAG + seq, payload.clone())?;
-            }
-        }
-        let mut triples: Vec<(u64, u64, usize)> = vec![(color, key, self.rank)];
-        for src in 0..p {
-            if src != self.rank {
-                let bytes = self.recv_control(src, SPLIT_TAG + seq)?;
-                let c = u64::from_le_bytes(bytes[0..8].try_into().expect("color"));
-                let k = u64::from_le_bytes(bytes[8..16].try_into().expect("key"));
-                triples.push((c, k, src));
-            }
-        }
-        let mut same: Vec<(u64, usize)> = triples
-            .into_iter()
-            .filter(|&(c, _, _)| c == color)
-            .map(|(_, k, r)| (k, r))
-            .collect();
-        same.sort_unstable();
-        let members: Vec<usize> = same.iter().map(|&(_, r)| self.members[r]).collect();
-        let ctx = derive_ctx([self.ctx, seq, color]);
-        Ok(self
-            .child(ctx, members)
-            .expect("splitting rank must belong to its own color group"))
-    }
-
-    /// Views the communicator as a row-major `pr × pc` grid and returns
-    /// `(row_comm, col_comm)` for this rank:
+    /// Views the communicator as the paper's row-major `pr × pc` grid
+    /// (Fig. 5) and returns `(row_comm, col_comm)` for this rank `i·pc + j`:
     ///
-    /// * `row_comm` has size `pc` — in the paper's layout these are the
-    ///   ranks holding the *same model shard* across batch shards, i.e.
-    ///   the "Pc-sized groups" used for the ∆W all-reduce.
-    /// * `col_comm` has size `pr` — the ranks holding the *same batch
-    ///   shard* across model shards, i.e. the "Pr-sized groups" used for
-    ///   the forward all-gather and the ∆X all-reduce.
+    /// * `row_comm` = members `i·pc .. (i+1)·pc`, size `pc` — the ranks
+    ///   holding the *same model shard* across batch shards, i.e. the
+    ///   "Pc-sized groups" used for the ∆W all-reduce.
+    /// * `col_comm` = members `k·pc + j` for `k < pr`, size `pr` — the
+    ///   ranks holding the *same batch shard* across model shards, i.e.
+    ///   the "Pr-sized groups" used for the forward all-gather and the ∆X
+    ///   all-reduce.
     ///
+    /// Computed from the member table: no message, no virtual time.
     /// Requires `pr * pc == self.size()`.
     pub fn grid(&self, pr: usize, pc: usize) -> Result<(Communicator, Communicator)> {
-        if pr * pc != self.size() {
+        if pr.checked_mul(pc) != Some(self.size()) {
             return Err(Error::CollectiveMismatch(format!(
                 "grid {pr}x{pc} does not tile a communicator of size {}",
                 self.size()
             )));
         }
-        let i = self.rank / pc; // row index (model shard)
-        let j = self.rank % pc; // column index (batch shard)
-        let row = self.split(i as u64, j as u64)?;
-        let col = self.split(j as u64, i as u64)?;
-        Ok((row, col))
+        let (i, j) = (self.rank / pc, self.rank % pc);
+        let row = self.members[i * pc..(i + 1) * pc].iter().copied();
+        let col = (0..pr).map(|k| self.members[k * pc + j]);
+        let member = "a rank belongs to its own row and column";
+        Ok((
+            self.child(row, None).expect(member),
+            self.child(col, None).expect(member),
+        ))
     }
 
     /// This rank's traffic counters so far.
@@ -804,30 +774,17 @@ mod tests {
     }
 
     #[test]
-    fn split_forms_expected_groups() {
-        let model = NetModel::free();
-        let out = World::run(6, model, |comm| {
-            // Rows of a 2x3 grid: color = rank / 3.
-            let sub = comm
-                .split((comm.rank() / 3) as u64, comm.rank() as u64)
-                .unwrap();
-            (sub.rank(), sub.size())
-        });
-        assert_eq!(out, vec![(0, 3), (1, 3), (2, 3), (0, 3), (1, 3), (2, 3)]);
-    }
-
-    #[test]
-    fn grid_row_and_col_sizes() {
+    fn grid_forms_expected_groups() {
         let model = NetModel::free();
         let out = World::run(6, model, |comm| {
             let (row, col) = comm.grid(2, 3).unwrap();
-            (row.size(), col.size(), row.rank(), col.rank())
+            let groups = (row.members().to_vec(), col.members().to_vec());
+            (groups, (row.rank(), col.rank()))
         });
-        for (g, &(rs, cs, rr, cr)) in out.iter().enumerate() {
-            assert_eq!(rs, 3, "row comm size");
-            assert_eq!(cs, 2, "col comm size");
-            assert_eq!(rr, g % 3, "row rank = column index");
-            assert_eq!(cr, g / 3, "col rank = row index");
+        let (rows, cols) = ([[0, 1, 2], [3, 4, 5]], [[0, 3], [1, 4], [2, 5]]);
+        for (g, ((row, col), ranks)) in out.iter().enumerate() {
+            assert_eq!((&row[..], &col[..]), (&rows[g / 3][..], &cols[g % 3][..]));
+            assert_eq!(*ranks, (g % 3, g / 3), "row rank = column index, and back");
         }
     }
 
@@ -866,6 +823,30 @@ mod tests {
         }
         // At least the straggler's compute (3.0) plus 2 rounds of alpha.
         assert!(out[0] >= 3.0);
+    }
+
+    /// A barrier is ⌈log₂ P⌉ rounds on both planes: one data envelope
+    /// and one clock-sync control envelope per rank and round.
+    #[test]
+    fn barrier_sends_log_p_control_envelopes_per_rank() {
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.0,
+            flops: f64::INFINITY,
+        };
+        for p in [1, 2, 3, 5, 8, 13, 64] {
+            let (out, stats) = World::run_with_stats(p, model, |comm| {
+                comm.advance_compute((comm.rank() * 7 % p) as f64);
+                comm.barrier().unwrap();
+                comm.now()
+            });
+            let rounds = p.next_power_of_two().trailing_zeros() as u64;
+            for s in &stats.ranks {
+                assert_eq!((s.msgs_sent, s.ctrl_msgs_sent), (rounds, rounds), "P = {p}");
+            }
+            assert!(out.iter().all(|&t| t == out[0]), "P = {p}: {out:?}");
+            assert!(out[0] >= (p - 1) as f64, "P = {p}: the slowest rank");
+        }
     }
 
     #[test]
@@ -1230,9 +1211,10 @@ mod tests {
         }
     }
 
-    /// `split`, `grid` and `shrink_exclude` hand the policy on; the world
-    /// handle never had one. Rank 1's first four messages to rank 0 are
-    /// dropped, one per communicator.
+    /// `grid` (a whole-world row and a half-world one) and
+    /// `shrink_exclude` hand the policy on; the world handle never had
+    /// one. Rank 1's first four messages to rank 0 are dropped, one per
+    /// communicator.
     #[test]
     fn children_inherit_the_policy_and_the_world_has_none() {
         let model = NetModel {
@@ -1243,12 +1225,12 @@ mod tests {
         let plan = (0..4).fold(crate::FaultPlan::new(1), |p, n| p.drop_nth(1, 0, n));
         let (out, stats) = World::run_with_faults(4, model, plan, |comm| {
             let guarded = comm.guarded(&FtConfig::fixed(2.0));
-            let split = guarded.split(0, comm.rank() as u64).unwrap();
+            let (whole, _) = guarded.grid(1, 4).unwrap();
             let (row, _col) = guarded.grid(2, 2).unwrap();
             let shrunk = guarded.shrink_exclude(&[3], 1);
             let mut seen = Vec::new();
             if comm.rank() < 2 {
-                for c in [&split, &row, &shrunk.unwrap(), comm] {
+                for c in [&whole, &row, &shrunk.unwrap(), comm] {
                     if c.rank() == 1 {
                         c.send(0, 5, &[1.0]).unwrap();
                     } else {

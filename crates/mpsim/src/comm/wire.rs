@@ -43,9 +43,6 @@ pub(crate) struct Inner {
     pub model: NetModel,
     pub topo: Topology,
     pub stats: RankStats,
-    /// Monotonic counter so repeated `split` calls derive distinct
-    /// deterministic context ids (requires SPMD call order, like MPI).
-    pub split_seq: u64,
     /// Shared fault-injection script (empty/inactive by default).
     pub plan: Arc<FaultPlan>,
     /// Per-destination count of data messages sent (indexes the fault
@@ -94,7 +91,7 @@ pub(crate) struct Inner {
     reorder_held: Vec<Vec<(u64, Envelope)>>,
     /// Per-context launch counter for non-blocking collectives, so
     /// concurrent handles on one communicator get disjoint tag ranges
-    /// (requires SPMD launch order within the group, like `split`).
+    /// (requires SPMD launch order within the group).
     pub nb_seq: HashMap<u64, u64>,
     /// Per-rank event recorder (disabled by default; see
     /// [`crate::trace`]). Lives on this thread only — no locks.
@@ -210,7 +207,6 @@ impl Inner {
             model,
             topo,
             stats: RankStats::default(),
-            split_seq: 0,
             link_seq: vec![0; fault_len],
             dead_peers: BTreeMap::new(),
             dead_surfaced: BTreeMap::new(),

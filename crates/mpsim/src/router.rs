@@ -13,7 +13,7 @@ use crate::Tag;
 ///
 /// `Words` carries simulation data and is charged to the virtual clock
 /// at `α + β·len` on receive. `Control` carries metadata for
-/// control-plane operations (communicator splits, clock synchronization)
+/// control-plane operations (failure agreement, clock synchronization)
 /// and is *free* in virtual time — mirroring how published cost analyses
 /// ignore communicator-management traffic.
 #[derive(Debug, Clone)]
