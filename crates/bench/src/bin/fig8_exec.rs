@@ -42,6 +42,7 @@
 use std::fmt::Write as _;
 
 use bench::parse_args;
+use collectives::cost::allreduce_exact;
 use distmm::dist::part_range;
 use dnn::zoo::mlp;
 use dnn::Network;
@@ -69,14 +70,17 @@ struct Row {
 /// The least `plan` must save over the serialized run per iteration, from
 /// the terms that remain once backprop stops at the first layer (the
 /// last grid row's shard shapes, the smallest where rows split
-/// raggedly). Fusing the `L` per-layer ∆W rings into the
-/// plan's buckets removes `2(Pc − 1)` α-steps per ring saved. Once the
-/// iteration's first bucket is on the channel, the backward work still
-/// ahead of the main timeline — every lower layer's ∆W GEMM and, above
-/// layer 0, its ∆X GEMM and blocking ∆X ring — runs under that bucket's
-/// transfer, hiding up to the ring's length. The later buckets may hide
-/// more behind the same work, but nothing runs beside the drain point
-/// after backward, so the floor counts only the first.
+/// raggedly). Every all-reduce is priced by the closed form of the
+/// schedule it runs ([`allreduce_exact`]). Fusing the `L` per-layer ∆W
+/// sums into the plan's buckets saves what the per-layer sums cost
+/// beyond the buckets' — the latency of each sum fused away, since a
+/// minimum of affine costs is subadditive. Once the iteration's first
+/// bucket is on the channel, the backward work still ahead of the main
+/// timeline — every lower layer's ∆W GEMM and, above layer 0, its ∆X
+/// GEMM and blocking ∆X all-reduce — runs under that bucket's transfer,
+/// hiding up to its length. The later buckets may hide more behind the
+/// same work, but nothing runs beside the drain point after backward, so
+/// the floor counts only the first.
 fn saving_floor(
     net: &Network,
     b: usize,
@@ -85,28 +89,29 @@ fn saving_floor(
     m: &NetModel,
 ) -> f64 {
     let bloc = (b / pc) as f64;
-    let ring = |p: usize, words: f64| 2.0 * (p - 1) as f64 * (m.alpha + m.beta * words / p as f64);
-    let layers = net.weighted_layers();
-    let (mut staged, mut rings, mut first, mut under) = (0.0, 0, None, 0.0);
-    for (l, layer) in layers.iter().enumerate().rev() {
+    let allreduce = |p: usize, words: f64| allreduce_exact(p, words, m).seconds(m);
+    let (mut staged, mut fused, mut first, mut under) = (0.0, 0.0, None, 0.0);
+    for (l, layer) in net.weighted_layers().iter().enumerate().rev() {
         let d_in = layer.d_in() as f64;
         let rows = part_range(layer.d_out(), pr, pr - 1).len() as f64;
         if first.is_some() {
             let gemm = 2.0 * rows * d_in * bloc / m.flops;
             under += if l > 0 {
-                2.0 * gemm + ring(pr, d_in * bloc)
+                2.0 * gemm + allreduce(pr, d_in * bloc)
             } else {
                 gemm
             };
         }
+        fused += allreduce(pc, rows * d_in);
         staged += rows * d_in;
-        if staged >= plan.bucket_words as f64 {
-            first = first.or(Some(ring(pc, staged)));
-            (staged, rings) = (0.0, rings + 1);
+        // A full bucket launches; layer 0 flushes the remainder (after
+        // it nothing runs that `first` could hide).
+        if staged >= plan.bucket_words as f64 || l == 0 {
+            first = first.or(Some(allreduce(pc, staged)));
+            fused -= allreduce(pc, staged);
+            staged = 0.0;
         }
     }
-    let rings = rings + usize::from(staged > 0.0);
-    let fused = (layers.len() - rings) as f64 * ring(pc, 0.0);
     fused + under.min(first.unwrap_or(0.0))
 }
 
@@ -263,10 +268,10 @@ fn main() {
 
     // Acceptance gate, per swept P, on some overlap-enabled grid. What
     // executed overlap must buy, derived from the terms left once the
-    // gradient stops at the input (`saving_floor`): the α-steps bucket
+    // gradient stops at the input (`saving_floor`): the latency bucket
     // fusion removes plus the backward work that runs under the first
-    // bucket's ring — a positive saving, met exactly where every shard
-    // divides evenly.
+    // bucket's all-reduce — a positive saving, met exactly where every
+    // shard divides evenly.
     for &p in ps {
         let met = rows.iter().filter(|r| r.p == p && !r.degenerate).any(|r| {
             let saved = r.serialized - r.scheduled;

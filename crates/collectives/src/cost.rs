@@ -2,17 +2,19 @@
 //!
 //! Two families live here:
 //!
-//! * `*_exact` forms follow Thakur, Rabenseifner & Gropp (IJHPCA 2005)
-//!   — the costs our executed algorithms provably incur on `mpsim`
-//!   (asserted by tests in the algorithm modules), and
-//! * `paper_*` forms follow the exact expressions printed in the
-//!   paper's Eqs. 3–9, which substitute `⌈log₂ P⌉` for the ring
-//!   all-reduce's `(P−1)` latency factor (a common simplification: the
-//!   latency term is negligible at the message sizes involved, and MPI
-//!   implementations switch to logarithmic-latency algorithms for small
-//!   messages anyway). The figure-reproduction binaries use the
-//!   `paper_*` forms so the reproduced numbers follow the paper's
-//!   arithmetic; the difference is quantified in an ablation bench.
+//! * `*_exact` forms and the per-algorithm forms follow Thakur,
+//!   Rabenseifner & Gropp (IJHPCA 2005) — the costs our executed
+//!   algorithms provably incur on `mpsim` (asserted by tests in the
+//!   algorithm modules). [`allreduce_exact`] is the one
+//!   [`crate::allreduce`] runs: the cheapest of them for the group, the
+//!   message and the model, by the same rule that picks the schedule.
+//! * `paper_*` forms follow the expressions printed in the paper's
+//!   Eqs. 3–9: `2⌈log₂P⌉·α + 2·((P−1)/P)·n·β` for every all-reduce. On
+//!   a power-of-two group that is Rabenseifner's exact cost, and
+//!   [`allreduce_exact`] never exceeds it; on other groups the executed
+//!   ring pays `2(P−1)` α-steps. The figure-reproduction binaries use
+//!   the `paper_*` forms so the reproduced numbers follow the paper's
+//!   arithmetic.
 //!
 //! Costs are expressed as [`CostTerms`] — a latency count and a word
 //! count — so they can be composed symbolically and only converted to
@@ -114,6 +116,14 @@ pub fn ring_allreduce_exact(p: usize, n: f64) -> CostTerms {
         return CostTerms::ZERO;
     }
     CostTerms::new(2.0 * (p as f64 - 1.0), 2.0 * frac(p) * n)
+}
+
+/// The all-reduce [`crate::allreduce`] runs on `p` ranks for `n` words
+/// under `model`: the cheapest of [`ring_allreduce_exact`] and, on a
+/// power-of-two group, [`rabenseifner_allreduce`] and
+/// [`recursive_doubling_allreduce`] — the schedule it runs.
+pub fn allreduce_exact(p: usize, n: f64, model: &NetModel) -> CostTerms {
+    crate::schedule::Schedule::select(p, n, model).cost(p, n)
 }
 
 /// All-reduce as written in the paper's equations:

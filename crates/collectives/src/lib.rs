@@ -1,22 +1,31 @@
 //! # collectives — collective communication over `mpsim`
 //!
-//! The paper's cost analysis (its §2.2) assumes specific collective
-//! algorithms, citing Thakur, Rabenseifner & Gropp (IJHPCA 2005):
+//! The paper's cost analysis (its §2.2) prices every collective with the
+//! Thakur, Rabenseifner & Gropp (IJHPCA 2005) forms:
 //!
-//! * **ring all-reduce** for gradient sums (`∆W`, `∆X`) — bandwidth
-//!   `2·n·(P−1)/P`, and
-//! * **Bruck all-gather** for activation assembly in the model-parallel
-//!   dimension — latency `⌈log₂ P⌉·α`, bandwidth `n·(P−1)/P`.
+//! * **all-reduce** for gradient sums (`∆W`, `∆X`) —
+//!   `2⌈log₂P⌉·α + 2·(P−1)/P·n·β` (Eqs. 4, 7, 8, 9), and
+//! * **all-gather** for activation assembly in the model-parallel
+//!   dimension — `⌈log₂P⌉·α + (P−1)/P·n·β` (Eqs. 3, 8, 9).
 //!
-//! This crate implements those algorithms (plus recursive doubling,
-//! Rabenseifner all-reduce, binomial broadcast, and the
-//! non-blocking halo exchange of the paper's Fig. 3) so they can be
-//! *executed* on the `mpsim` virtual machine, and provides the matching
-//! closed-form [`cost::CostTerms`] so tests can assert that execution
-//! time equals the formula.
+//! This crate *executes* those algorithms on the `mpsim` virtual
+//! machine and provides the matching closed-form [`cost::CostTerms`],
+//! so tests can assert that execution time equals the formula.
 //!
-//! The default entry points [`allreduce`] and [`allgather`] use the
-//! algorithms the paper assumes (ring and Bruck respectively).
+//! The default entry points run what the paper prices wherever the
+//! group allows it:
+//!
+//! * [`allreduce`] and [`iallreduce`] run the cheapest of the ring,
+//!   Rabenseifner's recursive halving and recursive doubling for the
+//!   group size, the message length and the network model, priced by
+//!   [`cost::allreduce_exact`]; non-power-of-two groups keep the ring;
+//! * [`allgatherv_into`] gathers by recursive doubling on power-of-two
+//!   groups and by the ring otherwise;
+//! * [`allgather`] is Bruck's, for any group size.
+//!
+//! The algorithms stay callable by name (`ring::allreduce_ring`,
+//! `recursive::allreduce_rabenseifner`, …), as do binomial broadcast and
+//! the non-blocking halo exchange of the paper's Fig. 3.
 
 // Index-based loops are the clearest way to write rank/block index
 // arithmetic; the clippy suggestions (iterators, is_multiple_of) obscure
@@ -34,14 +43,19 @@ pub mod op;
 pub mod recursive;
 pub mod ring;
 mod ring_equivalence;
+mod schedule;
 
 pub use ft::{Deadline, FtConfig};
 pub use nonblocking::{iallreduce, IallreduceHandle};
 pub use op::ReduceOp;
+pub use recursive::allgatherv_into;
+
+use schedule::Schedule;
 
 use mpsim::{Communicator, Result};
 
-/// All-reduce with the paper's assumed algorithm (ring).
+/// All-reduce under the cheapest schedule for this group, message and
+/// network model (priced by [`cost::allreduce_exact`]).
 ///
 /// # Examples
 ///
@@ -57,7 +71,7 @@ use mpsim::{Communicator, Result};
 /// assert_eq!(out, vec![10.0; 4]); // 1+2+3+4 on every rank
 /// ```
 pub fn allreduce(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
-    ring::allreduce_ring(comm, data, op)
+    Schedule::select(comm.size(), data.len() as f64, &comm.model()).allreduce(comm, data, op)
 }
 
 /// All-gather with the paper's assumed algorithm (Bruck). `mine` is this

@@ -1,26 +1,26 @@
-//! Non-blocking, chunk-pipelined ring collectives (the `MPI_Iallreduce`
-//! / `MPI_Iallgatherv` analogues the paper's Fig. 8 overlap assumes).
+//! Non-blocking, chunk-pipelined collectives (the `MPI_Iallreduce` /
+//! `MPI_Iallgatherv` analogues the paper's Fig. 8 overlap assumes).
 //!
 //! A handle ([`IallreduceHandle`], [`IallgathervHandle`]) is a paused
-//! ring collective: the same data movement as
-//! [`crate::ring::allreduce_ring`] / [`crate::ring::allgatherv_ring`],
-//! but each ring step charges its α–β transfer to the rank's
-//! **concurrent comm channel** ([`mpsim::Communicator::recv_channel`])
-//! instead of the main timeline. The caller launches the operation,
-//! keeps computing (optionally poking [`IallreduceHandle::progress`]
-//! between kernels to drive chunk steps), and pays only the *exposed*
-//! remainder when it finally [`IallreduceHandle::wait`]s.
+//! collective: the same data movement as [`crate::allreduce`] (under the
+//! schedule it picks) or [`crate::ring::allgatherv_ring`], but each step
+//! charges its α–β transfer to the rank's **concurrent comm channel**
+//! ([`mpsim::Communicator::recv_channel`]) instead of the main timeline.
+//! The caller launches the operation, keeps computing (optionally poking
+//! [`IallreduceHandle::progress`] between kernels to drive steps), and
+//! pays only the *exposed* remainder when it finally
+//! [`IallreduceHandle::wait`]s.
 //!
-//! Two invariants tie the handles to their blocking twins:
+//! Two invariants tie the handles to their blocking twins, for every
+//! schedule:
 //!
-//! * **bit-identical values** — the chunk partition
-//!   ([`crate::chunks::block_range`]), ring schedule, and reduction
-//!   order are exactly those of the blocking ring, so the result is the
-//!   same to the last bit; and
+//! * **bit-identical values** — a handle drives the blocking schedule's
+//!   own step body, so the partition, partners and reduction order are
+//!   exactly those of the blocking collective, to the last bit; and
 //! * **no slower than blocking** — launched-then-immediately-waited,
 //!   the channel recursion `ready(k) = max(ready(k−1), peer_depart(k)) +
-//!   t_k` is the blocking ring's clock recursion with `ready` in place
-//!   of `now`, so the makespan is identical; any compute between launch
+//!   t_k` is the blocking clock recursion with `ready` in place of
+//!   `now`, so the makespan is identical; any compute between launch
 //!   and wait can only hide, never add, time.
 //!
 //! Chunks are forwarded with their channel-completion time as the
@@ -31,20 +31,21 @@
 //!
 //! Launched on a guarded communicator
 //! ([`mpsim::Communicator::guarded`]), every chunk receive is bound by
-//! the handle's deadline and any fault aborts the group, like the
-//! blocking collectives (see [`crate::ft`]).
+//! the handle's deadline and a fault fails every rank still waiting on
+//! it, like the blocking collectives (see [`crate::ft`]).
 
 use mpsim::{ChannelRecv, Communicator, Result, Tag};
 
 use crate::op::ReduceOp;
 use crate::ring;
+use crate::schedule::{Peers, Schedule};
 
-/// Shared per-handle progress state: ring position and channel times.
+/// Shared per-handle progress state: step position and channel times.
 struct Progress {
     comm: Communicator,
-    /// Next ring step to issue, in `0..steps`.
+    /// Next step to issue, in `0..steps`.
     step: usize,
-    /// Total ring steps (`2(P−1)` for all-reduce, `P−1` for all-gather).
+    /// Total steps (the schedule's for all-reduce, `P−1` for all-gather).
     steps: usize,
     /// Departure time for the next forwarded chunk: launch time for the
     /// first step, then the channel-completion time of the last receive.
@@ -69,17 +70,12 @@ impl Progress {
         }
     }
 
-    /// One ring step's traffic: forwards `out` to the next rank,
-    /// departing when the channel produced it, receives the previous
-    /// rank's chunk on the channel and folds the receive into the
-    /// pipeline times.
-    fn exchange(&mut self, tag: Tag, out: Vec<f64>) -> Result<ChannelRecv> {
-        let p = self.comm.size();
-        let r = self.comm.rank();
-        let prev = (r + p - 1) % p;
-        self.comm
-            .send_vec_at((r + 1) % p, tag, out, self.next_depart)?;
-        let got = self.comm.recv_channel(prev, tag)?;
+    /// One step's traffic: sends `out` to `to`, departing when the
+    /// channel produced it, receives `from`'s chunk on the channel and
+    /// folds the receive into the pipeline times.
+    fn exchange(&mut self, tag: Tag, (to, from): Peers, out: Vec<f64>) -> Result<ChannelRecv> {
+        self.comm.send_vec_at(to, tag, out, self.next_depart)?;
+        let got = self.comm.recv_channel(from, tag)?;
         self.comm.trace_instant(
             "nb",
             "chunk_step",
@@ -103,21 +99,22 @@ impl Progress {
     }
 }
 
-/// An in-flight non-blocking ring all-reduce (reduce-scatter followed
-/// by all-gather, `2(P−1)` chunk steps).
+/// An in-flight non-blocking all-reduce: the steps of one schedule
+/// (ring, recursive halving or recursive doubling), issued on the
+/// channel.
 pub struct IallreduceHandle {
     pr: Progress,
     data: Vec<f64>,
-    /// The block in flight: received last step, sent next step.
+    /// The buffer in flight: received last step, sent or refilled next.
     carry: Vec<f64>,
     op: ReduceOp,
-    rs_tag: Tag,
-    ag_tag: Tag,
+    schedule: Schedule,
+    tag: Tag,
 }
 
-/// Launches a non-blocking ring all-reduce of `data`. Every member of
-/// the communicator must launch its non-blocking operations in the same
-/// order (SPMD), like [`mpsim::Communicator::split`].
+/// Launches a non-blocking all-reduce of `data` under the schedule
+/// [`crate::allreduce`] would run. Every member of the communicator must
+/// launch its non-blocking operations in the same order (SPMD).
 ///
 /// The launch itself charges no time; drive the pipeline with
 /// [`IallreduceHandle::progress`] between compute calls (optional) and
@@ -139,6 +136,17 @@ pub struct IallreduceHandle {
 /// assert_eq!(out, vec![10.0; 4]);
 /// ```
 pub fn iallreduce(comm: &Communicator, data: Vec<f64>, op: ReduceOp) -> Result<IallreduceHandle> {
+    let schedule = Schedule::select(comm.size(), data.len() as f64, &comm.model());
+    launch(comm, data, op, schedule)
+}
+
+/// [`iallreduce`] under a given schedule.
+pub(crate) fn launch(
+    comm: &Communicator,
+    data: Vec<f64>,
+    op: ReduceOp,
+    schedule: Schedule,
+) -> Result<IallreduceHandle> {
     let p = comm.size();
     if p > 1 {
         // A single-member communicator moves no bytes: recording a
@@ -147,30 +155,24 @@ pub fn iallreduce(comm: &Communicator, data: Vec<f64>, op: ReduceOp) -> Result<I
         // "16 launches, 0.0 fraction" anomaly).
         comm.record_nb_allreduce();
     }
-    let base = comm.alloc_nb_tags();
-    let steps = if p > 1 { 2 * (p - 1) } else { 0 };
+    let tag = comm.alloc_nb_tags();
     comm.trace_instant(
         "nb",
         "iallreduce_launch",
         &[("p", p as f64), ("words", data.len() as f64)],
     );
-    let carry = if p > 1 {
-        ring::first_carry(&data, p, comm.rank())
-    } else {
-        Vec::new()
-    };
     Ok(IallreduceHandle {
-        pr: Progress::new(comm, steps),
+        pr: Progress::new(comm, schedule.steps(p)),
         data,
-        carry,
+        carry: Vec::new(),
         op,
-        rs_tag: base,
-        ag_tag: base + 1,
+        schedule,
+        tag,
     })
 }
 
 impl IallreduceHandle {
-    /// Issues one pending chunk step (send + channel receive). Returns
+    /// Issues one pending step (send + channel receive). Returns
     /// `true` once every step has been issued. Calling this between
     /// compute kernels keeps per-handle memory bounded; skipping it is
     /// also fine — [`IallreduceHandle::wait`] drives the remainder with
@@ -184,7 +186,7 @@ impl IallreduceHandle {
         Ok(self.pr.done())
     }
 
-    /// Whether every chunk step has been issued —
+    /// Whether every step has been issued —
     /// [`IallreduceHandle::progress`] has nothing left to drive (the
     /// channel work may still finish in the rank's future). Never
     /// drives a step, so schedulers can use it to pick *which* handle
@@ -206,22 +208,18 @@ impl IallreduceHandle {
         Ok(self.data)
     }
 
-    /// One step of the blocking ring's schedule ([`ring::allreduce_step`])
-    /// with the channel as transport.
+    /// One step of the blocking schedule's body with the channel as
+    /// transport.
     fn step_once(&mut self) -> Result<()> {
-        let p = self.pr.comm.size();
-        let r = self.pr.comm.rank();
-        let step = self.pr.step;
-        let tag = if step < p - 1 {
-            self.rs_tag
-        } else {
-            self.ag_tag
-        };
+        let at = (self.pr.comm.size(), self.pr.comm.rank());
+        let (step, tag) = (self.pr.step, self.tag);
         let carry = std::mem::take(&mut self.carry);
         let pr = &mut self.pr;
-        self.carry = ring::allreduce_step(&mut self.data, self.op, (p, r), step, carry, |out| {
-            Ok(pr.exchange(tag, out)?.data)
-        })?;
+        self.carry =
+            self.schedule
+                .step(&mut self.data, self.op, at, step, carry, |peers, out| {
+                    Ok(pr.exchange(tag, peers, out)?.data)
+                })?;
         Ok(())
     }
 }
@@ -320,7 +318,7 @@ impl IallgathervHandle {
         let r = self.pr.comm.rank();
         let src = (r + p - self.pr.step - 1) % p;
         let carry = std::mem::take(&mut self.carry);
-        let got = self.pr.exchange(self.tag, carry)?;
+        let got = self.pr.exchange(self.tag, ring::neighbours(p, r), carry)?;
         if !self.pr.done() {
             self.carry = got.data.clone();
         }
@@ -332,8 +330,8 @@ impl IallgathervHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::allreduce_ring;
-    use crate::FtConfig;
+    use crate::cost::allreduce_exact;
+    use crate::{allreduce, FtConfig};
     use mpsim::{Error, FaultPlan, NetModel, World};
     use proptest::prelude::*;
 
@@ -344,12 +342,12 @@ mod tests {
     }
 
     #[test]
-    fn values_match_blocking_ring_bit_for_bit() {
+    fn values_match_blocking_bit_for_bit() {
         for p in [1, 2, 3, 4, 5, 8] {
             for n in [1, 7, 24, 40] {
                 let out = World::run(p, NetModel::free(), |comm| {
                     let mut blocking = contribution(comm.rank(), n);
-                    allreduce_ring(comm, &mut blocking, ReduceOp::Sum).unwrap();
+                    allreduce(comm, &mut blocking, ReduceOp::Sum).unwrap();
                     let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
                     (blocking, h.wait().unwrap())
                 });
@@ -361,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn immediate_wait_costs_exactly_the_blocking_ring_time() {
+    fn immediate_wait_costs_exactly_the_blocking_time() {
         let model = NetModel {
             alpha: 1e-3,
             beta: 1e-6,
@@ -370,7 +368,7 @@ mod tests {
         for (p, n) in [(4, 32), (8, 1000), (5, 13)] {
             let blocking = World::run(p, model, |comm| {
                 let mut data = contribution(comm.rank(), n);
-                allreduce_ring(comm, &mut data, ReduceOp::Sum).unwrap();
+                allreduce(comm, &mut data, ReduceOp::Sum).unwrap();
                 comm.now()
             });
             let nonblocking = World::run(p, model, |comm| {
@@ -398,9 +396,7 @@ mod tests {
         };
         let p = 4;
         let n = 4000;
-        let ring_time = 2.0 * (p as f64 - 1.0) * model.alpha
-            + 2.0 * ((p as f64 - 1.0) / p as f64) * n as f64 * model.beta;
-        let compute = 10.0 * ring_time;
+        let compute = 10.0 * allreduce_exact(p, n as f64, &model).seconds(&model);
         let (out, stats) = World::run_with_stats(p, model, |comm| {
             let h = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
             comm.advance_compute(compute);
@@ -561,8 +557,7 @@ mod tests {
         };
         let p = 4;
         let n = 4 * 50;
-        let one = 2.0 * (p as f64 - 1.0) * model.alpha
-            + 2.0 * ((p as f64 - 1.0) / p as f64) * n as f64 * model.beta;
+        let one = allreduce_exact(p, n as f64, &model).seconds(&model);
         let out = World::run(p, model, |comm| {
             let a = iallreduce(comm, vec![1.0; n], ReduceOp::Sum).unwrap();
             let b = iallreduce(comm, vec![2.0; n], ReduceOp::Sum).unwrap();
@@ -603,6 +598,17 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    fn assert_fault_error(r: usize, res: &Result<Vec<f64>>) {
+        let e = res.as_ref().expect_err("the rank observes the failure");
+        assert!(
+            matches!(
+                e,
+                Error::Timeout { .. } | Error::Aborted { .. } | Error::RankFailed { .. }
+            ),
+            "rank {r}: unexpected error {e:?}"
+        );
+    }
+
     #[test]
     fn guarded_launch_aborts_the_group_on_a_dropped_chunk() {
         let model = NetModel {
@@ -610,21 +616,43 @@ mod tests {
             beta: 0.001,
             flops: f64::INFINITY,
         };
-        // Drop the first chunk on the 1 → 2 link.
+        // Drop the first chunk on the 1 → 2 link of a ring: every later
+        // ring step depends on it, so every rank fails.
         let plan = FaultPlan::new(7).drop_nth(1, 2, 0);
+        let (out, stats) = World::run_with_faults(4, model, plan, |comm| {
+            let comm = comm.guarded(&FtConfig::fixed(10.0));
+            launch(&comm, vec![1.0; 16], ReduceOp::Sum, Schedule::Ring)?.wait()
+        });
+        for (r, res) in out.iter().enumerate() {
+            assert_fault_error(r, res);
+        }
+        assert_eq!(stats.total_dropped(), 1);
+        assert!(stats.total_aborts() >= 1, "abort was cascaded");
+    }
+
+    #[test]
+    fn guarded_doubling_fails_only_the_dropped_chunks_dependants() {
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.001,
+            flops: f64::INFINITY,
+        };
+        // Drop rank 1's first chunk to rank 0. At α/β = 1000 words a
+        // 16-word sum runs recursive doubling: rank 0 times out, and rank
+        // 2, whose second partner is rank 0, is aborted. Ranks 1 and 3
+        // never needed the lost chunk and finish with the sum.
+        assert_eq!(Schedule::select(4, 16.0, &model), Schedule::Doubling);
+        let plan = FaultPlan::new(7).drop_nth(1, 0, 0);
         let (out, stats) = World::run_with_faults(4, model, plan, |comm| {
             let comm = comm.guarded(&FtConfig::fixed(10.0));
             iallreduce(&comm, vec![1.0; 16], ReduceOp::Sum)?.wait()
         });
         for (r, res) in out.iter().enumerate() {
-            let e = res.as_ref().expect_err("every rank observes the failure");
-            assert!(
-                matches!(
-                    e,
-                    Error::Timeout { .. } | Error::Aborted { .. } | Error::RankFailed { .. }
-                ),
-                "rank {r}: unexpected error {e:?}"
-            );
+            if r % 2 == 1 {
+                assert_eq!(res.as_ref().ok(), Some(&vec![4.0; 16]), "rank {r}");
+            } else {
+                assert_fault_error(r, res);
+            }
         }
         assert_eq!(stats.total_dropped(), 1);
         assert!(stats.total_aborts() >= 1, "abort was cascaded");
@@ -642,26 +670,23 @@ mod tests {
         ) {
             let op = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min][op_idx];
             let model = NetModel { alpha: 1e-4, beta: 1e-7, flops: f64::INFINITY };
-            let out = World::run(p, model, |comm| {
-                let mut blocking = contribution(comm.rank(), n);
-                allreduce_ring(comm, &mut blocking, op).unwrap();
-                let t0 = comm.now();
+            // Separate worlds, both starting at t = 0: a ragged `n`
+            // leaves the ranks' blocking clocks apart.
+            let blocking = World::run(p, model, |comm| {
+                let mut data = contribution(comm.rank(), n);
+                allreduce(comm, &mut data, op).unwrap();
+                (data, comm.now())
+            });
+            let nonblocking = World::run(p, model, |comm| {
                 let h = iallreduce(comm, contribution(comm.rank(), n), op).unwrap();
                 comm.advance_compute(compute_ns as f64 * 1e-9);
-                let nb = h.wait().unwrap();
-                (blocking, nb, comm.now() - t0)
+                (h.wait().unwrap(), comm.now())
             });
-            for (r, (b, nb, elapsed)) in out.iter().enumerate() {
+            for (r, ((b, t), (nb, elapsed))) in blocking.iter().zip(&nonblocking).enumerate() {
                 prop_assert_eq!(b, nb, "p={} n={} rank={}", p, n, r);
                 // Overlap never increases the per-rank makespan beyond
                 // serialized compute + blocking-collective time.
-                let serialized = compute_ns as f64 * 1e-9
-                    + if p > 1 {
-                        2.0 * (p as f64 - 1.0) * model.alpha
-                            + 2.0 * ((p as f64 - 1.0) / p as f64) * n as f64 * model.beta
-                    } else {
-                        0.0
-                    };
+                let serialized = compute_ns as f64 * 1e-9 + t;
                 prop_assert!(
                     *elapsed <= serialized + 1e-12,
                     "rank {} took {} > serialized {}",

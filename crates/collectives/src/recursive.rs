@@ -1,126 +1,186 @@
-//! Recursive-doubling and Rabenseifner all-reduce variants.
+//! The power-of-two schedules: Rabenseifner's recursive-halving
+//! all-reduce, recursive doubling, and the recursive-doubling
+//! all-gather — the `⌈log₂P⌉`-latency collectives the paper's Eqs. 3,
+//! 4, 8 and 9 price. [`crate::allreduce`] picks between them and the
+//! ring by cost ([`crate::cost::allreduce_exact`]); [`allgatherv_into`]
+//! runs the all-gather on every power-of-two group.
 //!
-//! These are not the algorithms the paper assumes (it uses the ring),
-//! but they are the standard alternatives in Thakur et al., and the
-//! ablation benches use them to show where the paper's choice matters:
-//! recursive doubling trades `⌈log P⌉` latency for `n·⌈log P⌉`
-//! bandwidth — a win only for small messages; Rabenseifner
-//! (recursive-halving reduce-scatter + recursive-doubling all-gather)
-//! achieves ring bandwidth with logarithmic latency but requires a
-//! power-of-two rank count in this implementation.
+//! Rank `r`'s partner at distance `d` is `r ^ d`, and the blocks the
+//! `d` ranks of its aligned subcube hold are the block indices
+//! `window(r, d)`. Every pairwise reduction puts the lower rank's
+//! operand on the left, so both partners form the same bits.
 
-use mpsim::{Communicator, Result, Tag};
+use std::ops::Range;
+
+use mpsim::{Communicator, Error, Rank, Result, Tag};
 
 use crate::op::ReduceOp;
+use crate::ring;
+use crate::schedule::{Peers, Schedule};
 
-const RD_TAG: Tag = (1 << 48) + 48;
-const RH_TAG: Tag = (1 << 48) + 49;
-const RG_TAG: Tag = (1 << 48) + 50;
+const AG_TAG: Tag = (1 << 48) + 50;
 
 /// Whether `p` is a power of two (and nonzero).
 pub fn is_pow2(p: usize) -> bool {
     p != 0 && p & (p - 1) == 0
 }
 
-/// Recursive-doubling all-reduce. Cost: `⌈log₂ P⌉·(α + n·β)`.
-/// Requires a power-of-two communicator size.
+/// The `d` block indices (`d` a power of two) of rank `r`'s aligned
+/// subcube of `d` ranks.
+fn window(r: Rank, d: usize) -> Range<usize> {
+    let lo = r & !(d - 1);
+    lo..lo + d
+}
+
+/// `buf`'s allocation holding a copy of `from`.
+fn refill(mut buf: Vec<f64>, from: &[f64]) -> Vec<f64> {
+    buf.clear();
+    buf.extend_from_slice(from);
+    buf
+}
+
+/// `mine ← op(lower, higher)` over this rank's and its partner's copies.
+fn fold(op: ReduceOp, i_am_lower: bool, mine: &mut [f64], theirs: &[f64]) {
+    if i_am_lower {
+        op.apply(mine, theirs);
+    } else {
+        op.apply_onto(theirs, mine);
+    }
+}
+
+/// One step of Rabenseifner's all-reduce. Steps `0..log₂P` halve: rank
+/// `r` keeps the half of its window that holds block `r`, sends the
+/// other half to `r ^ d` and folds in the partner's copy of the half it
+/// keeps, so after them it owns block `r` reduced. Steps
+/// `log₂P..2·log₂P` double: the partners swap their reduced windows.
+/// `carry` is a spare buffer (the last one received) for the outgoing
+/// half.
+pub(crate) fn halving_step(
+    data: &mut [f64],
+    op: ReduceOp,
+    (p, r): (usize, Rank),
+    step: usize,
+    carry: Vec<f64>,
+    exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
+) -> Result<Vec<f64>> {
+    let (n, log) = (data.len(), p.trailing_zeros() as usize);
+    // The elements of consecutive blocks (`chunks::block_range`'s cut).
+    let span = |blocks: Range<usize>| blocks.start * n / p..blocks.end * n / p;
+    if step < log {
+        let d = p >> (step + 1);
+        let partner = r ^ d;
+        let out = refill(carry, &data[span(window(partner, d))]);
+        let got = exchange((partner, partner), out)?;
+        fold(op, r < partner, &mut data[span(window(r, d))], &got);
+        Ok(got)
+    } else {
+        let d = 1 << (step - log);
+        let partner = r ^ d;
+        let out = refill(carry, &data[span(window(r, d))]);
+        let got = exchange((partner, partner), out)?;
+        data[span(window(partner, d))].copy_from_slice(&got);
+        Ok(got)
+    }
+}
+
+/// One step of the recursive-doubling all-reduce: swap the whole vector
+/// with `r ^ 2^step` and fold. `carry` is a spare buffer.
+pub(crate) fn doubling_step(
+    data: &mut [f64],
+    op: ReduceOp,
+    (_, r): (usize, Rank),
+    step: usize,
+    carry: Vec<f64>,
+    exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
+) -> Result<Vec<f64>> {
+    let partner = r ^ (1 << step);
+    let got = exchange((partner, partner), refill(carry, data))?;
+    fold(op, r < partner, data, &got);
+    Ok(got)
+}
+
+/// Recursive-doubling all-reduce. Cost: `log₂P·(α + n·β)`.
+///
+/// # Panics
+///
+/// Panics unless the communicator size is a power of two.
 pub fn allreduce_recursive_doubling(
     comm: &Communicator,
     data: &mut [f64],
     op: ReduceOp,
 ) -> Result<()> {
-    comm.record_allreduce();
-    let p = comm.size();
-    assert!(
-        is_pow2(p),
-        "recursive doubling requires power-of-two ranks, got {p}"
-    );
-    let r = comm.rank();
-    let _span = comm.trace_span(
-        "collective",
-        "allreduce_recursive_doubling",
-        &[("p", p as f64), ("words", data.len() as f64)],
-    );
-    let mut d = 1usize;
-    while d < p {
-        let partner = r ^ d;
-        let incoming = comm.sendrecv(partner, data, partner, RD_TAG + d as u64)?;
-        op.apply(data, &incoming);
-        d <<= 1;
-    }
-    Ok(())
+    Schedule::Doubling.allreduce(comm, data, op)
 }
 
 /// Rabenseifner all-reduce: recursive-halving reduce-scatter followed by
 /// recursive-doubling all-gather. Cost:
-/// `2·log₂(P)·α + 2·((P−1)/P)·n·β` — same bandwidth as the ring with
-/// logarithmic latency. Requires power-of-two `P` and `n` divisible by
-/// `P`.
+/// `2·log₂(P)·α + 2·((P−1)/P)·n·β` — the ring's bandwidth with
+/// logarithmic latency, for any `n`.
+///
+/// # Panics
+///
+/// Panics unless the communicator size is a power of two.
 pub fn allreduce_rabenseifner(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
-    comm.record_allreduce();
-    let p = comm.size();
-    assert!(
-        is_pow2(p),
-        "Rabenseifner requires power-of-two ranks, got {p}"
-    );
-    let n = data.len();
-    assert!(
-        n % p == 0,
-        "Rabenseifner requires n divisible by P ({n} % {p})"
-    );
+    Schedule::Halving.allreduce(comm, data, op)
+}
+
+/// All-gather of variable-length blocks **into place**: rank `i`'s block
+/// lands in `out[range_of(i)]`, one copy each, with no intermediate
+/// vectors. `mine` is this rank's block, taken by value because it is
+/// the first buffer sent. On a power-of-two group, recursive doubling:
+/// at distance `d = 1, 2, 4, …` rank `r` swaps with `r ^ d` every block
+/// its subcube holds, so `log₂P` α-steps (the paper's Eq. 3 latency)
+/// move what the ring's `P−1` do. Otherwise the ring
+/// ([`ring::allgatherv_ring_into`]).
+pub fn allgatherv_into(
+    comm: &Communicator,
+    mine: Vec<f64>,
+    out: &mut [f64],
+    range_of: impl Fn(usize) -> Range<usize>,
+) -> Result<()> {
+    let (p, r) = (comm.size(), comm.rank());
+    if !is_pow2(p) {
+        return ring::allgatherv_ring_into(comm, mine, out, range_of);
+    }
+    comm.record_allgather();
+    ring::place_block(out, range_of(r), &mine)?;
     if p == 1 {
         return Ok(());
     }
-    let r = comm.rank();
     let _span = comm.trace_span(
         "collective",
-        "allreduce_rabenseifner",
-        &[("p", p as f64), ("words", n as f64)],
+        "allgatherv_doubling",
+        &[("p", p as f64), ("words", mine.len() as f64)],
     );
-
-    // Recursive halving reduce-scatter. At each step the active window
-    // halves; we keep (lo, len) as the element window this rank is still
-    // responsible for.
-    let mut lo = 0usize;
-    let mut len = n;
-    let mut d = p / 2;
-    let mut step = 0u64;
-    while d >= 1 {
-        let partner = r ^ d;
-        let half = len / 2;
-        // Ranks whose bit is 0 keep the low half, send the high half.
-        let keep_low = r & d == 0;
-        let (send_lo, keep_lo) = if keep_low {
-            (lo + half, lo)
-        } else {
-            (lo, lo + half)
-        };
-        let outgoing = data[send_lo..send_lo + half].to_vec();
-        comm.send_vec(partner, RH_TAG + step, outgoing)?;
-        let incoming = comm.recv(partner, RH_TAG + step)?;
-        op.apply(&mut data[keep_lo..keep_lo + half], &incoming);
-        lo = keep_lo;
-        len = half;
-        d /= 2;
-        step += 1;
-    }
-
-    // Recursive-doubling all-gather of the reduced windows, reversing
-    // the halving order.
-    let mut d = 1usize;
+    let mut carry = mine;
+    let mut d = 1;
     while d < p {
         let partner = r ^ d;
-        let outgoing = data[lo..lo + len].to_vec();
-        comm.send_vec(partner, RG_TAG + d as u64, outgoing)?;
-        let incoming = comm.recv(partner, RG_TAG + d as u64)?;
-        // Partner's window is the sibling half; merge the two.
-        let partner_lo = if r & d == 0 { lo + len } else { lo - len };
-        data[partner_lo..partner_lo + len].copy_from_slice(&incoming);
-        lo = lo.min(partner_lo);
-        len *= 2;
+        comm.send_vec(partner, AG_TAG, carry)?;
+        let got = comm.recv(partner, AG_TAG)?;
+        let expected = window(partner, d).map(|i| range_of(i).len()).sum();
+        if got.len() != expected {
+            return Err(Error::LengthMismatch {
+                expected,
+                got: got.len(),
+            });
+        }
+        let mut at = 0;
+        for i in window(partner, d) {
+            let range = range_of(i);
+            let len = range.len();
+            out[range].copy_from_slice(&got[at..at + len]);
+            at += len;
+        }
         d <<= 1;
+        carry = got;
+        if d < p {
+            carry.clear();
+            for i in window(r, d) {
+                carry.extend_from_slice(&out[range_of(i)]);
+            }
+        }
     }
-    debug_assert_eq!((lo, len), (0, n));
     Ok(())
 }
 
@@ -208,6 +268,53 @@ mod tests {
             2.0 * log * model.alpha + 2.0 * ((p as f64 - 1.0) / p as f64) * n as f64 * model.beta;
         for &t in &out {
             assert!((t - expect).abs() < 1e-12, "{t} vs {expect}");
+        }
+    }
+
+    #[test]
+    fn rabenseifner_splits_any_length() {
+        for (p, n) in [(4, 0), (4, 3), (8, 13), (16, 1000)] {
+            let out = World::run(p, NetModel::free(), |comm| {
+                let mut data = contribution(comm.rank(), n);
+                allreduce_rabenseifner(comm, &mut data, ReduceOp::Sum).unwrap();
+                data
+            });
+            for r in 0..p {
+                assert_eq!(out[r], expected_sum(p, n), "p={p} n={n} rank={r}");
+            }
+        }
+    }
+
+    /// Blocks of `3 + r` words (or 3 each) land in rank order on every
+    /// group; on a power-of-two group with equal blocks the gather costs
+    /// Eq. 3's `log₂P·α + (P−1)/P·n·β`.
+    #[test]
+    fn allgatherv_into_doubles_in_place() {
+        let model = NetModel {
+            alpha: 1e-3,
+            beta: 1e-6,
+            flops: f64::INFINITY,
+        };
+        for p in [1, 2, 3, 4, 5, 8, 16] {
+            for ragged in [0, 1] {
+                let len = |r: usize| 3 + ragged * r;
+                let offset = |r: usize| (0..r).map(len).sum::<usize>();
+                let block = |r: usize| (0..len(r)).map(move |i| (r * 100 + i) as f64);
+                let out = World::run(p, model, |comm| {
+                    let mut flat = vec![f64::NAN; offset(p)];
+                    let mine = block(comm.rank()).collect();
+                    allgatherv_into(comm, mine, &mut flat, |i| offset(i)..offset(i + 1)).unwrap();
+                    (flat, comm.now())
+                });
+                let want: Vec<f64> = (0..p).flat_map(block).collect();
+                let eq3 = crate::cost::bruck_allgather(p, offset(p) as f64).seconds(&model);
+                for (flat, t) in &out {
+                    assert_eq!(flat, &want, "p={p} ragged={ragged}");
+                    if ragged == 0 && is_pow2(p) {
+                        assert!((t - eq3).abs() < 1e-12, "p={p}: {t} vs {eq3}");
+                    }
+                }
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Ring collectives: all-gather, reduce-scatter, and the ring all-reduce
-//! (reduce-scatter + all-gather) the paper's Eq. 4 assumes.
+//! (reduce-scatter + all-gather) that [`crate::allreduce`] runs on
+//! groups whose size is not a power of two.
 //!
 //! Cost with `P` ranks and `n` words (n divisible by `P`):
 //!
@@ -15,8 +16,9 @@
 //! A rank allocates one buffer per collective — its first outgoing
 //! block — instead of one per step, and no step both copies the
 //! outgoing block and copies the incoming one. `allreduce_step` and
-//! `gather_steps` are the only step bodies; the non-blocking handles
-//! ([`crate::nonblocking`]) drive `allreduce_step` over the channel.
+//! `gather_steps` are the only step bodies; the blocking schedule loop
+//! and the non-blocking handles ([`crate::nonblocking`]) run
+//! `allreduce_step`.
 //! How a receive treats a fault is the communicator's business
 //! ([`mpsim::Communicator::guarded`]), not the ring's.
 
@@ -26,16 +28,22 @@ use mpsim::{Communicator, Error, Rank, Result, Tag};
 
 use crate::chunks::block_range;
 use crate::op::ReduceOp;
+use crate::schedule::{Peers, Schedule};
 
-const RS_TAG: Tag = (1 << 48) + 16;
 const AG_TAG: Tag = (1 << 48) + 17;
+
+/// Rank `r`'s ring neighbours `(next, previous)`: where every ring step
+/// sends and where it receives from.
+pub(crate) fn neighbours(p: usize, r: Rank) -> Peers {
+    ((r + 1) % p, (r + p - 1) % p)
+}
 
 /// One step of the ring all-reduce schedule on `data` as seen by rank
 /// `r` of `p`: steps `0..P−1` are the reduce-scatter, `P−1..2(P−1)` the
-/// all-gather. `carry` is the block in flight — at step 0 a copy of
-/// this rank's block `r`, afterwards whatever the previous step
-/// returned — and `exchange` must send it to the next rank and return
-/// the block received from the previous one.
+/// all-gather. `carry` is the block in flight — whatever the previous
+/// step returned; step 0 sends a copy of this rank's block `r` — and
+/// `exchange` must send it to the next rank and return the block
+/// received from the previous one.
 ///
 /// Reduce-scatter steps fold `data ⊕ incoming` **into the received
 /// buffer** (operand order as [`ReduceOp::apply`] on `data` would have
@@ -49,10 +57,14 @@ pub(crate) fn allreduce_step(
     (p, r): (usize, Rank),
     step: usize,
     carry: Vec<f64>,
-    exchange: impl FnOnce(Vec<f64>) -> Result<Vec<f64>>,
+    exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
 ) -> Result<Vec<f64>> {
     let n = data.len();
-    let mut got = exchange(carry)?;
+    let out = match step {
+        0 => data[block_range(n, p, r)].to_vec(),
+        _ => carry,
+    };
+    let mut got = exchange(neighbours(p, r), out)?;
     if step < p - 1 {
         let mine = &mut data[block_range(n, p, (r + p - step - 1) % p)];
         op.apply_onto(mine, &mut got);
@@ -66,80 +78,29 @@ pub(crate) fn allreduce_step(
     Ok(got)
 }
 
-/// Blocking driver for a run of [`allreduce_step`]s under one tag.
-/// Returns the carry for the next phase.
-fn allreduce_steps(
-    comm: &Communicator,
-    data: &mut [f64],
-    op: ReduceOp,
-    steps: Range<usize>,
-    tag: Tag,
-    mut carry: Vec<f64>,
-) -> Result<Vec<f64>> {
-    let (p, r) = (comm.size(), comm.rank());
-    let (next, prev) = ((r + 1) % p, (r + p - 1) % p);
-    for step in steps {
-        carry = allreduce_step(data, op, (p, r), step, carry, |out| {
-            comm.send_vec(next, tag, out)?;
-            comm.recv(prev, tag)
-        })?;
-    }
-    Ok(carry)
-}
-
-/// The first block a rank sends in a ring all-reduce of `data`.
-pub(crate) fn first_carry(data: &[f64], p: usize, r: Rank) -> Vec<f64> {
-    data[block_range(data.len(), p, r)].to_vec()
-}
-
 /// Ring reduce-scatter: after the call, this rank's block
 /// `block_range(n, P, (rank+1) % P)` holds the fully reduced values;
 /// other positions of `data` are unspecified (they keep this rank's
 /// own contribution). Returns the index of the block this rank owns.
 pub fn reduce_scatter_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<usize> {
-    reduce_scatter_carry(comm, data, op)?;
-    Ok((comm.rank() + 1) % comm.size())
-}
-
-/// [`reduce_scatter_ring`], handing back the owned block's buffer —
-/// the first thing the all-gather phase sends.
-fn reduce_scatter_carry(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<Vec<f64>> {
-    let p = comm.size();
-    if p == 1 {
-        return Ok(Vec::new());
+    let (p, r) = (comm.size(), comm.rank());
+    if p > 1 {
+        let _span = comm.trace_span(
+            "collective",
+            "reduce_scatter_ring",
+            &[("p", p as f64), ("words", data.len() as f64)],
+        );
+        Schedule::Ring.run(comm, data, op, 0..p - 1)?;
     }
-    let _span = comm.trace_span(
-        "collective",
-        "reduce_scatter_ring",
-        &[("p", p as f64), ("words", data.len() as f64)],
-    );
-    let carry = first_carry(data, p, comm.rank());
-    allreduce_steps(comm, data, op, 0..p - 1, RS_TAG, carry)
+    Ok((r + 1) % p)
 }
 
-/// Ring all-reduce (reduce-scatter then all-gather). This is the
-/// algorithm behind the `2(α⌈log P⌉ + β·(P−1)/P·|W|)` gradient-sum terms
-/// of the paper's Eqs. 4, 7, 8 and 9 (the paper substitutes `⌈log P⌉`
-/// for the ring's `P−1` latency factor; see `cost::paper_allreduce`).
+/// Ring all-reduce (reduce-scatter then all-gather) on any group: the
+/// ring [`crate::allreduce`] runs when the group size is not a power of
+/// two. Its `2(P−1)` α-steps are what the paper's Eqs. 4, 7, 8 and 9
+/// write as `2⌈log₂P⌉` (see `cost::paper_allreduce`).
 pub fn allreduce_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
-    comm.record_allreduce();
-    let p = comm.size();
-    if p == 1 {
-        return Ok(());
-    }
-    let _span = comm.trace_span(
-        "collective",
-        "allreduce_ring",
-        &[("p", p as f64), ("words", data.len() as f64)],
-    );
-    let owned = reduce_scatter_carry(comm, data, op)?;
-    let _span = comm.trace_span(
-        "collective",
-        "allgather_ring",
-        &[("p", p as f64), ("words", data.len() as f64)],
-    );
-    allreduce_steps(comm, data, op, p - 1..2 * (p - 1), AG_TAG, owned)?;
-    Ok(())
+    Schedule::Ring.allreduce(comm, data, op)
 }
 
 /// The `P−1` steps of a ring all-gather: `carry` starts as this rank's
@@ -152,7 +113,7 @@ fn gather_steps(
     mut place: impl FnMut(usize, &[f64]) -> Result<()>,
 ) -> Result<()> {
     let (p, r) = (comm.size(), comm.rank());
-    let (next, prev) = ((r + 1) % p, (r + p - 1) % p);
+    let (next, prev) = neighbours(p, r);
     for step in 0..p - 1 {
         comm.send_vec(next, AG_TAG, carry)?;
         carry = comm.recv(prev, AG_TAG)?;
@@ -163,7 +124,7 @@ fn gather_steps(
 
 /// Copies a gathered `block` into its slot `out[range]`, or reports the
 /// length the sender got wrong.
-fn place_block(out: &mut [f64], range: Range<usize>, block: &[f64]) -> Result<()> {
+pub(crate) fn place_block(out: &mut [f64], range: Range<usize>, block: &[f64]) -> Result<()> {
     if block.len() != range.len() {
         return Err(Error::LengthMismatch {
             expected: range.len(),

@@ -14,9 +14,9 @@ use mpsim::{Clock, Communicator, NetModel, Result, Tag, World, WorldStats};
 use proptest::prelude::*;
 
 use crate::chunks::block_range;
-use crate::nonblocking::{iallgatherv, iallreduce};
+use crate::nonblocking::{iallgatherv, launch};
 use crate::ring::{allgather_ring, allgatherv_ring, allgatherv_ring_into, allreduce_ring};
-use crate::{FtConfig, ReduceOp};
+use crate::{FtConfig, ReduceOp, Schedule};
 
 mod legacy {
     use super::*;
@@ -171,8 +171,9 @@ proptest! {
                 prop_assert!(same_clock(gc, wc), "variant {} rank {}: {:?} vs {:?}", which, r, gc, wc);
             }
         }
-        // Non-blocking: against the legacy loop driven over the channel,
-        // with compute between launch and wait.
+        // Non-blocking, under the ring whatever the selector would pick:
+        // against the legacy loop driven over the channel, with compute
+        // between launch and wait.
         let (want, want_traffic) = observe(p, |comm| {
             let mut d = contribution(comm.rank(), n);
             let mut via = Via::channel(comm);
@@ -182,7 +183,7 @@ proptest! {
             d
         });
         let (got, traffic) = observe(p, |comm| {
-            let mut h = iallreduce(comm, contribution(comm.rank(), n), op).unwrap();
+            let mut h = launch(comm, contribution(comm.rank(), n), op, Schedule::Ring).unwrap();
             comm.advance_compute(2e-3);
             h.progress().unwrap();
             h.wait().unwrap()

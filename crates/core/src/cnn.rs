@@ -44,8 +44,7 @@ use tensor::ops::axpy;
 use tensor::pool::{maxpool2d, maxpool2d_backward, Pool2dParams};
 use tensor::Matrix;
 
-use collectives::ring::allgatherv_ring;
-use collectives::{allreduce, ReduceOp};
+use collectives::{allgatherv_into, allreduce, ReduceOp};
 use distmm::dist::part_range;
 use distmm::domain_general as dg;
 use distmm::onep5d::Grid;
@@ -476,13 +475,17 @@ pub fn train_cnn_domain(
             let full_trunk = if pd == 1 {
                 Cow::Borrowed(trunk)
             } else {
-                let blocks = allgatherv_ring(&col_comm, trunk.as_slice())?;
+                // The strips, each its sender's NCHW buffer, side by side
+                // in rank order.
+                let (row, rows) = (b_local * c0 * w0, |src| part_range(h0, pd, src));
+                let mut flat = vec![0.0; row * h0];
+                let mine = trunk.as_slice().to_vec();
+                allgatherv_into(&col_comm, mine, &mut flat, |s| {
+                    rows(s).start * row..rows(s).end * row
+                })?;
                 let mut full = Tensor4::zeros(b_local, c0, h0, w0);
-                for (src, block) in blocks.into_iter().enumerate() {
-                    // A received block is its sender's NCHW strip.
-                    let sr = part_range(h0, pd, src);
-                    let strip = Tensor4::from_vec(b_local, c0, sr.len(), w0, block);
-                    full.set_row_strip(sr.start, &strip);
+                for sr in (0..pd).map(rows) {
+                    full.set_rows(sr.start, sr.len(), &flat[sr.start * row..sr.end * row]);
                 }
                 Cow::Owned(full)
             };

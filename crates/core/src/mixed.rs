@@ -70,6 +70,7 @@ pub fn train_mixed(
 mod tests {
     use super::*;
     use crate::trainer::{synthetic_data, train_1p5d, train_serial};
+    use collectives::cost::allreduce_exact;
     use dnn::zoo::mlp;
 
     /// One `ModelBatch` row per `(pr, pc)`.
@@ -203,9 +204,11 @@ mod tests {
         };
         // The tail's own run stops at its input, but here its first
         // layer's ∆X is read — it goes back through the relayout — so
-        // the tail also moves that gradient's ring all-reduce over the
-        // P-rank column group: 2·(P−1)/P of the d₁ × B words per rank.
-        let tail_dx = (p * 2 * dims[1] * b * (p - 1) / p) as u64;
+        // the tail also moves that gradient's all-reduce over the P-rank
+        // column group: the selected schedule's words per rank (576
+        // words at α/β = 3000 run recursive doubling, 2·576 per rank).
+        let dx = allreduce_exact(p, (dims[1] * b) as f64, &knl);
+        let tail_dx = (p as f64 * dx.words) as u64;
         let own = uniform_words(&dims[..2], 1, p) + uniform_words(&dims[1..], p, 1) + tail_dx;
         // Forward, Eq. 6 itself: every rank gathers the (P−1)/P of the
         // d₁ × B activation it lacks. Backward: ∆X is replicated, and

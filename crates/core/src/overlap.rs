@@ -43,8 +43,8 @@ pub fn fig8_total(comm: f64, compute: f64) -> f64 {
 /// Default gradient-bucket fusion threshold (in f64 words): per-layer
 /// ∆W shards are concatenated in reverse layer order until a bucket
 /// reaches this size, then the bucket's row-group sum is launched as
-/// one non-blocking all-reduce. Bigger buckets amortize the ring's
-/// `2(P−1)·α` latency over more words; smaller buckets start transfers
+/// one non-blocking all-reduce. Bigger buckets amortize the
+/// all-reduce's latency over more words; smaller buckets start transfers
 /// earlier. This is the DDP-style trade-off; the value is deliberately
 /// small because the simulated layers are.
 pub const DEFAULT_BUCKET_WORDS: usize = 1 << 13;

@@ -24,8 +24,8 @@ use std::borrow::Cow;
 use std::cell::Cell;
 
 use collectives::nonblocking::{iallgatherv, iallreduce, IallgathervHandle};
-use collectives::ring::{allgatherv_ring, allgatherv_ring_into};
-use collectives::{allreduce, ReduceOp};
+use collectives::ring::allgatherv_ring;
+use collectives::{allgatherv_into, allreduce, ReduceOp};
 use mpsim::{apply_flips, Communicator, Error, FaultCtx, Result};
 use tensor::abft::{self, Verdict};
 use tensor::matmul::{matmul_a_bt, matmul_at_b, matmul_flops, matmul_into};
@@ -334,10 +334,12 @@ pub fn forward_with(
 /// depth `d_out` (the trainers do; only the column group as a whole
 /// does otherwise) and owns the output: `y` is reshaped to
 /// `d_out × B/Pc` and every row block is gathered straight into its
-/// rows — the partial's buffer leaves on the ring, each arriving block
-/// is copied once into place and forwarded, and nothing is stacked
-/// afterwards. With `Pr = 1` the product is written into `y` directly.
-/// Same values, envelopes, SDC op and virtual time as [`forward_with`].
+/// rows ([`collectives::allgatherv_into`]) — each arriving block is
+/// copied once into place and nothing is stacked afterwards. With
+/// `Pr = 1` the product is written into `y` directly. Same values and
+/// SDC op as [`forward_with`]; on a power-of-two `Pr` the gather is
+/// recursive doubling, Eq. 3's `log₂Pr` α-steps where
+/// [`forward_with`]'s ring takes `Pr − 1`.
 pub fn forward_into(
     grid: &Grid,
     w_local: &Matrix,
@@ -352,7 +354,7 @@ pub fn forward_into(
     let bloc = x_local.cols();
     let part = y_partial(grid, w_local, x_local, guard)?;
     y.reshape(d_out, bloc);
-    allgatherv_ring_into(&grid.col_comm, part.into_vec(), y.as_mut_slice(), |src| {
+    allgatherv_into(&grid.col_comm, part.into_vec(), y.as_mut_slice(), |src| {
         let rows = part_range(d_out, grid.pr, src);
         rows.start * bloc..rows.end * bloc
     })
@@ -419,7 +421,8 @@ pub fn backward_dw_deferred(
 /// non-blocking, and the `∆Y_{i,j}·X_jᵀ` GEMM then hides part of the ∆X
 /// transfer before the wait. Values are bit-identical to
 /// [`backward_dw_deferred`] — the two local GEMMs are independent and
-/// the non-blocking ring reduces in the blocking ring's exact order —
+/// the non-blocking all-reduce reduces in its blocking twin's exact
+/// order —
 /// but the GEMMs *execute* in the opposite order, so the per-iteration
 /// SDC op order is (∆X, ∆W): op-indexed fault scripts written against
 /// one schedule do not transfer to the other.
@@ -514,7 +517,7 @@ pub fn forward_resume(grid: &Grid, y_partial: Matrix) -> Result<PipelinedForward
 mod tests {
     use super::*;
     use crate::dist::{col_shard, part_range, row_shard};
-    use collectives::cost::{ring_allgather_exact, ring_allreduce_exact, CostTerms};
+    use collectives::cost::{allreduce_exact, bruck_allgather, CostTerms};
     use collectives::FtConfig;
     use mpsim::{NetModel, World};
     use tensor::init;
@@ -626,7 +629,8 @@ mod tests {
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
                 let dyl = col_shard(&r.dy, pc, grid.j);
-                forward(&grid, &wl, &xl).unwrap();
+                let mut y = Matrix::zeros(0, 0);
+                forward_into(&grid, &wl, &xl, d_out, None, &mut y).unwrap();
                 let fwd = comm.clock().comm;
                 backward(&grid, &wl, &xl, &dyl).unwrap();
                 (fwd, comm.clock().comm - fwd)
@@ -634,21 +638,46 @@ mod tests {
         };
         let secs = |terms: CostTerms| terms.seconds(&model);
         // Pr = 1, pure batch (Fig. 2, Eq. 4): the forward and ∆X move
-        // nothing; the one collective is the ring all-reduce of |W|.
-        let dw = secs(ring_allreduce_exact(p, (d_out * d_in) as f64));
+        // nothing; the one collective is the all-reduce of |W|.
+        let dw = secs(allreduce_exact(p, (d_out * d_in) as f64, &model));
         for (fwd, bwd) in comm_secs(1, p) {
             assert_eq!(fwd, 0.0, "batch-parallel forward is comm-free");
             assert!((bwd - dw).abs() < 1e-12, "{bwd} vs {dw}");
         }
         // Pc = 1, pure model (Fig. 1, Eq. 3): the forward is the
-        // all-gather of Y; ∆W moves nothing — "the input activation is
-        // already communicated via the all-gather collective of forward
-        // pass" — so backward is the ∆X all-reduce alone.
-        let y = secs(ring_allgather_exact(p, (d_out * b) as f64));
-        let dx = secs(ring_allreduce_exact(p, (d_in * b) as f64));
+        // all-gather of Y, at Eq. 3's `log₂P·α`; ∆W moves nothing — "the
+        // input activation is already communicated via the all-gather
+        // collective of forward pass" — so backward is the ∆X all-reduce
+        // alone.
+        let y = secs(bruck_allgather(p, (d_out * b) as f64));
+        let dx = secs(allreduce_exact(p, (d_in * b) as f64, &model));
         for (fwd, bwd) in comm_secs(p, 1) {
             assert!((fwd - y).abs() < 1e-12, "{fwd} vs {y}");
             assert!((bwd - dx).abs() < 1e-12, "{bwd} vs {dx}");
+        }
+    }
+
+    /// All-gathers do no arithmetic: the doubling gather of
+    /// [`forward_into`] leaves the ring's bits in every row, ragged or
+    /// not, on power-of-two and other `Pr`.
+    #[test]
+    fn forward_into_keeps_the_rings_bits() {
+        for (pr, pc) in [(2, 3), (3, 2), (4, 1), (8, 1)] {
+            let (d_out, d_in, b) = (10, 5, 9);
+            let r = reference(d_out, d_in, b);
+            let out = World::run(pr * pc, NetModel::cori_knl(), |comm| {
+                let grid = Grid::new(comm, pr, pc).unwrap();
+                let wl = row_shard(&r.w, pr, grid.i);
+                let xl = col_shard(&r.x, pc, grid.j);
+                let mut y = Matrix::zeros(0, 0);
+                forward_into(&grid, &wl, &xl, d_out, None, &mut y).unwrap();
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                (bits(&y), bits(&forward(&grid, &wl, &xl).unwrap()))
+            });
+            for (g, (into, ring)) in out.iter().enumerate() {
+                assert_eq!(into, ring, "grid {pr}x{pc} rank {g}");
+            }
         }
     }
 
@@ -690,7 +719,8 @@ mod tests {
         let w_total = (d_out * d_in) as f64;
         let words_batch = comm_time(1, 4);
         let words_1p5d = comm_time(4, 4);
-        // Ring all-reduce sends 2n(p-1)/p words per rank.
+        // Recursive halving (what α = 0 selects) sends the ring's
+        // 2n(p-1)/p words per rank.
         assert!((words_batch - 2.0 * w_total * 3.0 / 4.0).abs() < 1.0);
         assert!((words_1p5d - 2.0 * (w_total / 4.0) * 3.0 / 4.0).abs() < 1.0);
         assert!(words_1p5d < words_batch / 3.0);

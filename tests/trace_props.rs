@@ -434,53 +434,61 @@ fn trace_fingerprint(
     (hist.into_iter().map(|((c, n), k)| (c, n, k)).collect(), h)
 }
 
+/// Re-recorded when all-reduces began running the selected schedule.
+/// Every group of this 2×2 run has two ranks, so each all-reduce is one
+/// recursive-doubling exchange (`allreduce_recursive_doubling` spans,
+/// one `chunk_step` per non-blocking launch instead of the ring's two)
+/// and each forward gather doubles (`allgatherv_doubling`; the FT state
+/// sync keeps its ring). The plan's fourth 0 → 1 message is then a
+/// different collective's, so recovery takes another path: 6 quorum
+/// verdicts instead of 3, 5 timeouts instead of 4, and 2 fewer replayed
+/// optimizer steps. The rejoin still lands.
 const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
-    ("channel", "xfer", 71),
-    ("collective", "allgather_ring", 144),
-    ("collective", "allgatherv_ring", 129),
-    ("collective", "allreduce_ring", 144),
-    ("collective", "reduce_scatter_ring", 144),
-    ("comm", "backoff", 3),
-    ("comm", "recv", 450),
-    ("comm", "timeout", 4),
+    ("channel", "xfer", 32),
+    ("collective", "allgatherv_doubling", 108),
+    ("collective", "allgatherv_ring", 17),
+    ("collective", "allreduce_recursive_doubling", 144),
+    ("comm", "backoff", 4),
+    ("comm", "recv", 292),
+    ("comm", "timeout", 5),
     ("compute", "compute", 324),
-    ("drain", "drain", 35),
+    ("drain", "drain", 32),
     ("fault", "dead_gap", 1),
     ("fault", "died", 1),
     ("fault", "drop", 1),
-    ("fault", "peer_dead", 21),
+    ("fault", "peer_dead", 23),
     ("fault", "rejoin", 1),
-    ("nb", "chunk_step", 71),
-    ("nb", "iallreduce_launch", 36),
-    ("quorum", "verdict", 3),
-    ("sched", "bucket_flush", 36),
+    ("nb", "chunk_step", 32),
+    ("nb", "iallreduce_launch", 34),
+    ("quorum", "verdict", 6),
+    ("sched", "bucket_flush", 34),
     ("trainer", "backward", 36),
     ("trainer", "checkpoint", 16),
     ("trainer", "forward", 36),
     ("trainer", "layer_bwd", 108),
     ("trainer", "layer_fwd", 108),
-    ("trainer", "optimizer_step", 36),
+    ("trainer", "optimizer_step", 34),
     ("trainer", "recovery", 7),
     ("trainer", "rollback", 7),
 ];
-const GOLDEN_FT_FNV: u64 = 0x2d54_e621_01c8_7358;
-/// The same FNV over every event but the `collective` scope spans,
-/// recorded at `60c3dc7` while the FT trainer's rings still carried
-/// `_ft` names and no phase sub-spans: what moving the fault policy onto
-/// the communicator had to leave untouched. (That move re-blessed the
-/// four `collective` rows above and `GOLDEN_FT_FNV`, nothing else.)
-const GOLDEN_FT_LEAF_FNV: u64 = 0xb980_3c5d_74cd_7b8c;
-/// The scheduled run's histogram less layer 0's ∆X, which its trainer
-/// no longer forms: under `dx_overlap` that was, per rank and
-/// iteration (4 × 3 = 12), one GEMM (`compute`), one non-blocking
-/// all-reduce over the 2-rank column group (a launch, two ring chunk
-/// steps each on the channel) and one `drain` at its wait — 132, 132,
-/// 84, 132 and 48 before, and the FNV re-recorded with it.
+const GOLDEN_FT_FNV: u64 = 0x50ca_1a2b_b536_1b27;
+/// The same FNV over every event but the `collective` scope spans:
+/// first recorded while the FT trainer's rings still carried `_ft` names
+/// and no phase sub-spans, to pin what moving the fault policy onto the
+/// communicator had to leave untouched; re-recorded with the histogram.
+const GOLDEN_FT_LEAF_FNV: u64 = 0xce87_c703_2e00_e116;
+/// The scheduled run's histogram. Layer 0's ∆X is not formed (per rank
+/// and iteration, 4 × 3 = 12 GEMMs, launches, drains and 24 ring steps
+/// fewer than the retired engine's 132, 48, 84 and 132). Each of the 36
+/// all-reduce launches over a 2-rank group is one recursive-doubling
+/// step, where the ring took two: 36 `chunk_step`s and channel
+/// transfers fewer again. The 36 prefetched gathers keep their one ring
+/// step each.
 const GOLDEN_SCHED_HIST: &[(&str, &str, usize)] = &[
-    ("channel", "xfer", 132 - 24),
+    ("channel", "xfer", 132 - 24 - 36),
     ("compute", "compute", 132 - 12),
     ("drain", "drain", 84 - 12),
-    ("nb", "chunk_step", 132 - 24),
+    ("nb", "chunk_step", 132 - 24 - 36),
     ("nb", "iallgatherv_launch", 36),
     ("nb", "iallreduce_launch", 48 - 12),
     ("sched", "bucket_flush", 12),
@@ -490,16 +498,12 @@ const GOLDEN_SCHED_HIST: &[(&str, &str, usize)] = &[
     ("trainer", "layer_fwd", 36),
     ("trainer", "optimizer_step", 12),
 ];
-/// Re-recorded when the drain stopped waiting buckets in the next
-/// iteration's forward: each iteration's wait now sits inside its own
-/// `optimizer_step` span, where 8 `optimizer_deferred` instants stood
-/// before, which re-orders the trainer's phase events. Everything below
-/// them kept its timestamps, as the next constant pins.
-const GOLDEN_SCHED_FNV: u64 = 0xebff_6b41_e88a_d3d5;
-/// The same FNV over every event but the `trainer` phases, recorded
-/// while the drain still ran in the next forward (`0xa244_e08e_564b_2fc5`
-/// was then the whole trace's).
-const GOLDEN_SCHED_BELOW_TRAINER_FNV: u64 = 0x1ebf_603c_6f9e_19ad;
+/// Re-recorded with the histogram (the all-reduces are α shorter).
+const GOLDEN_SCHED_FNV: u64 = 0x798a_da2e_86b3_f21d;
+/// The same FNV over every event but the `trainer` phases, first
+/// recorded to pin that moving the drain left everything below the
+/// phases alone; re-recorded with the histogram.
+const GOLDEN_SCHED_BELOW_TRAINER_FNV: u64 = 0x7287_7116_5c30_172d;
 
 /// Golden traces recorded at `fc240c2`, before `mpsim`'s three receive
 /// completions, five notice broadcasts and ten `World::run_*` were
