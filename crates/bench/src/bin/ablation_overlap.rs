@@ -129,24 +129,12 @@ fn main() {
         let bucket_words = 1usize << exp;
         sweep_row(
             format!("2^{exp} = {bucket_words}"),
-            OverlapPlan {
-                bucket_words,
-                ..OverlapPlan::default()
-            },
+            OverlapPlan { bucket_words },
         );
     }
     let report = autotune(&net, &x, &labels, &cfg, pr, pc, model);
     sweep_row(
-        format!(
-            "autotuned: {}{}{}",
-            report.chosen.bucket_words,
-            if report.chosen.dx_overlap { " +dx" } else { "" },
-            if report.chosen.fwd_prefetch {
-                " +prefetch"
-            } else {
-                ""
-            },
-        ),
+        format!("autotuned: {}", report.chosen.bucket_words),
         report.chosen,
     );
     println!();

@@ -2,8 +2,9 @@
 //! `fig8` applies the paper's closed-form "2/3 of communication hides
 //! behind backprop" to the analytic Fig. 7 times, this binary runs the
 //! same SGD iterations on the simulated cluster two ways — blocking
-//! per-layer ∆W all-reduces (`train_1p5d`) and bucketed non-blocking
-//! ones under the default plan (`train_1p5d_scheduled`) — and reports
+//! per-layer ∆W and ∆X all-reduces (`train_1p5d`), and non-blocking
+//! ones under the default plan (`train_1p5d_scheduled`: each ∆X sum
+//! behind its layer's ∆W GEMM, the ∆W sums bucketed) — and reports
 //! the makespans actually achieved next to the analytic
 //! `overlapped_total` bounds.
 //!
@@ -20,12 +21,11 @@
 //! hidden/(hidden + exposed) channel transfer time: the share of
 //! non-blocking traffic that compute actually covered. Grids with
 //! pc = 1 are annotated `degenerate`: every row group is a single rank,
-//! the collectives layer records no launches for them, and the fraction
-//! is 0/0 → 0 by convention.
+//! so no ∆W sum is launched and only the ∆X sums are counted.
 //!
-//! With `--autotune`, the trace-driven autotuner
-//! ([`integrated::overlap::autotune`]) picks a plan per grid from a
-//! probe iteration and the tuned outcome joins the table and the JSON.
+//! With `--autotune`, the autotuner ([`integrated::overlap::autotune`])
+//! picks a bucket size per grid from a measured ladder and the tuned
+//! outcome joins the table and the JSON.
 //! The tuned plan is asserted never slower than the scheduled default
 //! (the autotuner evaluates the default as candidate zero, so this
 //! holds by construction).
@@ -69,18 +69,22 @@ struct Row {
 
 /// The least `plan` must save over the serialized run per iteration, from
 /// the terms that remain once backprop stops at the first layer (the
-/// last grid row's shard shapes, the smallest where rows split
-/// raggedly). Every all-reduce is priced by the closed form of the
+/// last grid row's shard shapes, the largest where rows split raggedly:
+/// the floor is exact where every shard divides evenly). Every all-reduce is priced by the closed form of the
 /// schedule it runs ([`allreduce_exact`]). Fusing the `L` per-layer ∆W
 /// sums into the plan's buckets saves what the per-layer sums cost
 /// beyond the buckets' — the latency of each sum fused away, since a
-/// minimum of affine costs is subadditive. Once the iteration's first
-/// bucket is on the channel, the backward work still ahead of the main
-/// timeline — every lower layer's ∆W GEMM and, above layer 0, its ∆X
-/// GEMM and blocking ∆X all-reduce — runs under that bucket's transfer,
-/// hiding up to its length. The later buckets may hide more behind the
-/// same work, but nothing runs beside the drain point after backward, so
-/// the floor counts only the first.
+/// minimum of affine costs is subadditive. Every ∆X sum rides the
+/// channel the buckets use. Until the iteration's first bucket is on
+/// it, each layer's ∆X sum has the channel to itself and hides behind
+/// the layer's ∆W GEMM, up to the shorter of the two. Once the first
+/// bucket is on the channel, the backward GEMMs still ahead of the main
+/// timeline (every lower layer's ∆W GEMM and, above layer 0, its ∆X
+/// GEMM) run under that bucket's transfer, hiding up to its length. A
+/// lower layer's ∆X sum queues on the bucket's channel: it earns nothing
+/// and takes its own length out of that window. The later buckets may
+/// hide more behind the same work, but nothing runs beside the drain
+/// point after backward, so the floor counts only the first.
 fn saving_floor(
     net: &Network,
     b: usize,
@@ -90,17 +94,20 @@ fn saving_floor(
 ) -> f64 {
     let bloc = (b / pc) as f64;
     let allreduce = |p: usize, words: f64| allreduce_exact(p, words, m).seconds(m);
-    let (mut staged, mut fused, mut first, mut under) = (0.0, 0.0, None, 0.0);
+    let (mut staged, mut fused, mut first, mut under, mut dx_hidden) = (0.0, 0.0, None, 0.0, 0.0);
     for (l, layer) in net.weighted_layers().iter().enumerate().rev() {
         let d_in = layer.d_in() as f64;
         let rows = part_range(layer.d_out(), pr, pr - 1).len() as f64;
+        let gemm = 2.0 * rows * d_in * bloc / m.flops;
+        let dx_sum = if l > 0 {
+            allreduce(pr, d_in * bloc)
+        } else {
+            0.0
+        };
         if first.is_some() {
-            let gemm = 2.0 * rows * d_in * bloc / m.flops;
-            under += if l > 0 {
-                2.0 * gemm + allreduce(pr, d_in * bloc)
-            } else {
-                gemm
-            };
+            under += if l > 0 { 2.0 * gemm - dx_sum } else { gemm };
+        } else {
+            dx_hidden += gemm.min(dx_sum);
         }
         fused += allreduce(pc, rows * d_in);
         staged += rows * d_in;
@@ -112,7 +119,7 @@ fn saving_floor(
             staged = 0.0;
         }
     }
-    fused + under.min(first.unwrap_or(0.0))
+    fused + dx_hidden + under.max(0.0).min(first.unwrap_or(0.0))
 }
 
 fn main() {
@@ -208,9 +215,10 @@ fn main() {
             let (_, _, nb_ar, _) = sch.stats.total_collective_calls();
             let degenerate = pc == 1;
             if degenerate {
+                let dx_sums = (iters * (net.weighted_layers().len() - 1) * p) as u64;
                 assert_eq!(
-                    nb_ar, 0,
-                    "{pr}x1: single-member row groups must record no launches"
+                    nb_ar, dx_sums,
+                    "{pr}x1: single-member row groups must launch no ∆W sums"
                 );
             }
             let tuned = if tune {
@@ -269,9 +277,9 @@ fn main() {
     // Acceptance gate, per swept P, on some overlap-enabled grid. What
     // executed overlap must buy, derived from the terms left once the
     // gradient stops at the input (`saving_floor`): the latency bucket
-    // fusion removes plus the backward work that runs under the first
-    // bucket's all-reduce — a positive saving, met exactly where every
-    // shard divides evenly.
+    // fusion removes, the ∆X sums hidden behind their ∆W GEMMs, plus the
+    // backward work that runs under the first bucket's all-reduce — a
+    // positive saving, met exactly where every shard divides evenly.
     for &p in ps {
         let met = rows.iter().filter(|r| r.p == p && !r.degenerate).any(|r| {
             let saved = r.serialized - r.scheduled;
@@ -292,10 +300,9 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let tuned = match &r.tuned {
             Some((tp, mk, frac)) => format!(
-                ", \"autotune\": {{\"bucket_words\": {}, \"dx_overlap\": {}, \
-                 \"fwd_prefetch\": {}, \"makespan_secs\": {:.9}, \
+                ", \"autotune\": {{\"bucket_words\": {}, \"makespan_secs\": {:.9}, \
                  \"overlap_fraction\": {:.6}}}",
-                tp.bucket_words, tp.dx_overlap, tp.fwd_prefetch, mk, frac
+                tp.bucket_words, mk, frac
             ),
             None => String::new(),
         };

@@ -16,17 +16,6 @@ pub fn block_ranges(n: usize, p: usize) -> Vec<Range<usize>> {
     (0..p).map(|i| block_range(n, p, i)).collect()
 }
 
-/// The order in which a ring all-gather delivers block indices to rank
-/// `r`: its own block first (step 0 is free), then the predecessor's,
-/// wrapping downward — `[r, r−1, r−2, …]`. Consumers that process
-/// blocks as they arrive (pipelined forward all-gathers) see exactly
-/// this sequence, and schedulers that want ascending-index accumulation
-/// must know it differs from `0..p` for every rank but the "wrap point".
-pub fn ring_arrival_order(p: usize, r: usize) -> Vec<usize> {
-    debug_assert!(r < p, "rank {r} out of {p}");
-    (0..p).map(|s| (r + p - s) % p).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,23 +38,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn arrival_order_starts_at_self_and_wraps_downward() {
-        assert_eq!(ring_arrival_order(4, 0), vec![0, 3, 2, 1]);
-        assert_eq!(ring_arrival_order(4, 2), vec![2, 1, 0, 3]);
-        assert_eq!(ring_arrival_order(1, 0), vec![0]);
-    }
-
     proptest! {
-        #[test]
-        fn arrival_order_is_a_permutation(p in 1usize..64, seed in 0usize..64) {
-            let r = seed % p;
-            let mut order = ring_arrival_order(p, r);
-            prop_assert_eq!(order[0], r, "own block arrives first");
-            order.sort_unstable();
-            prop_assert_eq!(order, (0..p).collect::<Vec<_>>());
-        }
-
         #[test]
         fn partition_is_contiguous_and_balanced(n in 0usize..1000, p in 1usize..64) {
             let ranges = block_ranges(n, p);

@@ -1,17 +1,16 @@
-//! Non-blocking, chunk-pipelined collectives (the `MPI_Iallreduce` /
-//! `MPI_Iallgatherv` analogues the paper's Fig. 8 overlap assumes).
+//! Non-blocking, chunk-pipelined all-reduce (the `MPI_Iallreduce`
+//! analogue the paper's Fig. 8 overlap assumes).
 //!
-//! A handle ([`IallreduceHandle`], [`IallgathervHandle`]) is a paused
-//! collective: the same data movement as [`crate::allreduce`] (under the
-//! schedule it picks) or [`crate::ring::allgatherv_ring`], but each step
-//! charges its α–β transfer to the rank's **concurrent comm channel**
-//! ([`mpsim::Communicator::recv_channel`]) instead of the main timeline.
-//! The caller launches the operation, keeps computing (optionally poking
-//! [`IallreduceHandle::progress`] between kernels to drive steps), and
-//! pays only the *exposed* remainder when it finally
+//! A handle ([`IallreduceHandle`]) is a paused collective: the same data
+//! movement as [`crate::allreduce`] (under the schedule it picks), but
+//! each step charges its α–β transfer to the rank's **concurrent comm
+//! channel** ([`mpsim::Communicator::recv_channel`]) instead of the main
+//! timeline. The caller launches the operation, keeps computing
+//! (optionally poking [`IallreduceHandle::progress`] between kernels to
+//! drive steps), and pays only the *exposed* remainder when it finally
 //! [`IallreduceHandle::wait`]s.
 //!
-//! Two invariants tie the handles to their blocking twins, for every
+//! Two invariants tie the handle to its blocking twin, for every
 //! schedule:
 //!
 //! * **bit-identical values** — a handle drives the blocking schedule's
@@ -34,82 +33,31 @@
 //! the handle's deadline and a fault fails every rank still waiting on
 //! it, like the blocking collectives (see [`crate::ft`]).
 
-use mpsim::{ChannelRecv, Communicator, Result, Tag};
+use mpsim::{Communicator, Result, Tag};
 
 use crate::op::ReduceOp;
-use crate::ring;
-use crate::schedule::{Peers, Schedule};
-
-/// Shared per-handle progress state: step position and channel times.
-struct Progress {
-    comm: Communicator,
-    /// Next step to issue, in `0..steps`.
-    step: usize,
-    /// Total steps (the schedule's for all-reduce, `P−1` for all-gather).
-    steps: usize,
-    /// Departure time for the next forwarded chunk: launch time for the
-    /// first step, then the channel-completion time of the last receive.
-    next_depart: f64,
-    /// Absolute virtual time at which the operation's channel work is
-    /// (so far) complete.
-    ready_at: f64,
-    /// Transfer seconds charged to the channel by this operation.
-    charged: f64,
-}
-
-impl Progress {
-    fn new(comm: &Communicator, steps: usize) -> Self {
-        let now = comm.now();
-        Progress {
-            comm: comm.clone(),
-            step: 0,
-            steps,
-            next_depart: now,
-            ready_at: now,
-            charged: 0.0,
-        }
-    }
-
-    /// One step's traffic: sends `out` to `to`, departing when the
-    /// channel produced it, receives `from`'s chunk on the channel and
-    /// folds the receive into the pipeline times.
-    fn exchange(&mut self, tag: Tag, (to, from): Peers, out: Vec<f64>) -> Result<ChannelRecv> {
-        self.comm.send_vec_at(to, tag, out, self.next_depart)?;
-        let got = self.comm.recv_channel(from, tag)?;
-        self.comm.trace_instant(
-            "nb",
-            "chunk_step",
-            &[("step", self.step as f64), ("ready_at", got.ready_at)],
-        );
-        self.next_depart = got.ready_at;
-        self.ready_at = got.ready_at;
-        self.charged += got.transfer;
-        self.step += 1;
-        Ok(got)
-    }
-
-    fn done(&self) -> bool {
-        self.step >= self.steps
-    }
-
-    /// Blocks the main timeline on the channel completing and settles
-    /// the overlap accounting.
-    fn complete(&self) {
-        self.comm.complete_channel(self.ready_at, self.charged);
-    }
-}
+use crate::schedule::Schedule;
 
 /// An in-flight non-blocking all-reduce: the steps of one schedule
 /// (ring, recursive halving or recursive doubling), issued on the
 /// channel.
 pub struct IallreduceHandle {
-    pr: Progress,
+    comm: Communicator,
     data: Vec<f64>,
     /// The buffer in flight: received last step, sent or refilled next.
     carry: Vec<f64>,
     op: ReduceOp,
     schedule: Schedule,
     tag: Tag,
+    /// Next step to issue, in `0..steps`.
+    step: usize,
+    steps: usize,
+    /// When the channel work issued so far completes: the launch time
+    /// before the first step, then the last receive's. It is also the
+    /// departure time of the next forwarded chunk.
+    ready_at: f64,
+    /// Transfer seconds charged to the channel by this operation.
+    charged: f64,
 }
 
 /// Launches a non-blocking all-reduce of `data` under the schedule
@@ -162,12 +110,16 @@ pub(crate) fn launch(
         &[("p", p as f64), ("words", data.len() as f64)],
     );
     Ok(IallreduceHandle {
-        pr: Progress::new(comm, schedule.steps(p)),
+        comm: comm.clone(),
         data,
         carry: Vec::new(),
         op,
         schedule,
         tag,
+        step: 0,
+        steps: schedule.steps(p),
+        ready_at: comm.now(),
+        charged: 0.0,
     })
 }
 
@@ -179,11 +131,10 @@ impl IallreduceHandle {
     /// identical virtual timing, because channel steps never advance
     /// the main clock.
     pub fn progress(&mut self) -> Result<bool> {
-        if self.pr.done() {
-            return Ok(true);
+        if !self.issued() {
+            self.step_once()?;
         }
-        self.step_once()?;
-        Ok(self.pr.done())
+        Ok(self.issued())
     }
 
     /// Whether every step has been issued —
@@ -192,7 +143,7 @@ impl IallreduceHandle {
     /// drives a step, so schedulers can use it to pick *which* handle
     /// to progress.
     pub fn issued(&self) -> bool {
-        self.pr.done()
+        self.step >= self.steps
     }
 
     /// Drives any remaining steps, blocks the main timeline until the
@@ -201,129 +152,44 @@ impl IallreduceHandle {
     /// [`mpsim::RankStats::overlapped_secs`]), and returns the fully
     /// reduced vector.
     pub fn wait(mut self) -> Result<Vec<f64>> {
-        while !self.pr.done() {
+        while !self.issued() {
             self.step_once()?;
         }
-        self.pr.complete();
+        self.comm.complete_channel(self.ready_at, self.charged);
         Ok(self.data)
     }
 
     /// One step of the blocking schedule's body with the channel as
-    /// transport.
+    /// transport: the outgoing chunk departs when the channel produced
+    /// it, and the receive folds into the channel times.
     fn step_once(&mut self) -> Result<()> {
-        let at = (self.pr.comm.size(), self.pr.comm.rank());
-        let (step, tag) = (self.pr.step, self.tag);
+        let IallreduceHandle {
+            comm,
+            tag,
+            step,
+            ready_at,
+            charged,
+            ..
+        } = self;
+        let at = (comm.size(), comm.rank());
         let carry = std::mem::take(&mut self.carry);
-        let pr = &mut self.pr;
-        self.carry =
-            self.schedule
-                .step(&mut self.data, self.op, at, step, carry, |peers, out| {
-                    Ok(pr.exchange(tag, peers, out)?.data)
-                })?;
+        self.carry = self.schedule.step(
+            &mut self.data,
+            self.op,
+            at,
+            *step,
+            carry,
+            |(to, from), out| {
+                comm.send_vec_at(to, *tag, out, *ready_at)?;
+                let got = comm.recv_channel(from, *tag)?;
+                let args = [("step", *step as f64), ("ready_at", got.ready_at)];
+                comm.trace_instant("nb", "chunk_step", &args);
+                (*ready_at, *charged) = (got.ready_at, *charged + got.transfer);
+                Ok(got.data)
+            },
+        )?;
+        *step += 1;
         Ok(())
-    }
-}
-
-/// An in-flight non-blocking ring all-gather of *variable-length*
-/// per-rank blocks, the non-blocking twin of
-/// [`crate::ring::allgatherv_ring`] (`P−1` chunk steps).
-///
-/// Beyond the usual launch/wait pair it supports *pipelined
-/// consumption* via [`IallgathervHandle::recv_next`]: each call
-/// delivers the next block in ring-arrival order
-/// ([`crate::chunks::ring_arrival_order`]) and settles that chunk's
-/// overlap accounting immediately, so compute done on a block between
-/// calls hides the transfer of the blocks still in flight.
-pub struct IallgathervHandle {
-    pr: Progress,
-    out: Vec<Vec<f64>>,
-    /// The block in flight: received last step, sent next step.
-    carry: Vec<f64>,
-    tag: Tag,
-    /// Blocks handed out via `recv_next` (the rank's own block counts).
-    delivered: usize,
-}
-
-/// Launches a non-blocking ring all-gather of this rank's
-/// variable-length block `mine`. SPMD launch order required, like
-/// [`iallreduce`].
-pub fn iallgatherv(comm: &Communicator, mine: &[f64]) -> Result<IallgathervHandle> {
-    let p = comm.size();
-    if p > 1 {
-        comm.record_nb_allgather();
-    }
-    let base = comm.alloc_nb_tags();
-    let r = comm.rank();
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-    out[r] = mine.to_vec();
-    let steps = p.saturating_sub(1);
-    comm.trace_instant(
-        "nb",
-        "iallgatherv_launch",
-        &[("p", p as f64), ("words", mine.len() as f64)],
-    );
-    Ok(IallgathervHandle {
-        pr: Progress::new(comm, steps),
-        out,
-        carry: if p > 1 { mine.to_vec() } else { Vec::new() },
-        tag: base,
-        delivered: 0,
-    })
-}
-
-impl IallgathervHandle {
-    /// Delivers the next block in ring-arrival order: the rank's own
-    /// block first (free), then one ring step per call. Each delivered
-    /// chunk's channel accounting is settled *immediately* — the caller
-    /// pays the exposed remainder of that chunk now and any compute it
-    /// does on the block hides the chunks still in flight. Returns
-    /// `None` once all `P` blocks have been delivered.
-    pub fn recv_next(&mut self) -> Result<Option<(usize, Vec<f64>)>> {
-        let p = self.pr.comm.size();
-        let r = self.pr.comm.rank();
-        if self.delivered >= p {
-            return Ok(None);
-        }
-        if self.delivered == 0 {
-            self.delivered = 1;
-            return Ok(Some((r, std::mem::take(&mut self.out[r]))));
-        }
-        let s = self.pr.step;
-        let recv_idx = (r + p - s - 1) % p;
-        let transfer = self.step_once()?;
-        // Per-chunk settle: this chunk leaves `charged` so the final
-        // wait (if any) only accounts for chunks not consumed here.
-        self.pr.comm.complete_channel(self.pr.ready_at, transfer);
-        self.pr.charged -= transfer;
-        self.delivered += 1;
-        Ok(Some((recv_idx, std::mem::take(&mut self.out[recv_idx]))))
-    }
-
-    /// Drives any remaining steps, settles the (not yet settled) overlap
-    /// accounting, and returns the per-rank blocks indexed by rank.
-    /// Blocks already handed out by [`IallgathervHandle::recv_next`]
-    /// were moved to the caller and come back empty.
-    pub fn wait(mut self) -> Result<Vec<Vec<f64>>> {
-        while !self.pr.done() {
-            self.step_once()?;
-        }
-        self.pr.complete();
-        Ok(self.out)
-    }
-
-    /// One ring step (send + channel receive); returns the chunk's
-    /// transfer seconds so `recv_next` can settle it individually.
-    fn step_once(&mut self) -> Result<f64> {
-        let p = self.pr.comm.size();
-        let r = self.pr.comm.rank();
-        let src = (r + p - self.pr.step - 1) % p;
-        let carry = std::mem::take(&mut self.carry);
-        let got = self.pr.exchange(self.tag, ring::neighbours(p, r), carry)?;
-        if !self.pr.done() {
-            self.carry = got.data.clone();
-        }
-        self.out[src] = got.data;
-        Ok(got.transfer)
     }
 }
 
@@ -444,90 +310,13 @@ mod tests {
     }
 
     #[test]
-    fn iallgatherv_matches_blocking_in_values_and_never_slower() {
-        let model = NetModel {
-            alpha: 1e-3,
-            beta: 1e-6,
-            flops: f64::INFINITY,
-        };
-        for p in [1, 3, 4, 6] {
-            // Uneven blocks: rank r contributes r+2 elements. Separate
-            // worlds, because uneven blocks make ranks finish the
-            // blocking gather at different times, which would skew a
-            // back-to-back launch.
-            let blocking = World::run(p, model, |comm| {
-                let mine = vec![comm.rank() as f64 + 0.5; comm.rank() + 2];
-                (
-                    crate::ring::allgatherv_ring(comm, &mine).unwrap(),
-                    comm.now(),
-                )
-            });
-            let nonblocking = World::run(p, model, |comm| {
-                let mine = vec![comm.rank() as f64 + 0.5; comm.rank() + 2];
-                let h = iallgatherv(comm, &mine).unwrap();
-                (h.wait().unwrap(), comm.now())
-            });
-            for r in 0..p {
-                assert_eq!(blocking[r].0, nonblocking[r].0, "p={p} rank={r}");
-                assert!(
-                    (blocking[r].1 - nonblocking[r].1).abs() < 1e-15,
-                    "p={p} rank={r}: {} vs blocking {}",
-                    nonblocking[r].1,
-                    blocking[r].1
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn recv_next_delivers_ring_arrival_order_and_hides_behind_compute() {
-        let model = NetModel {
-            alpha: 1e-4,
-            beta: 1e-6,
-            flops: 1e9,
-        };
-        let p = 5;
-        let m = 2000;
-        let (out, stats) = World::run_with_stats(p, model, |comm| {
-            let mine = vec![comm.rank() as f64 + 1.0; m];
-            let reference = crate::ring::allgatherv_ring(comm, &mine).unwrap();
-            let mut h = iallgatherv(comm, &mine).unwrap();
-            let mut order = Vec::new();
-            let mut blocks: Vec<Vec<f64>> = vec![Vec::new(); p];
-            while let Some((idx, block)) = h.recv_next().unwrap() {
-                order.push(idx);
-                blocks[idx] = block;
-                // Enough compute per consumed block to hide the next
-                // chunk's transfer.
-                comm.advance_compute(10.0 * m as f64 * model.beta);
-            }
-            (reference, blocks, order)
-        });
-        for (r, (reference, blocks, order)) in out.iter().enumerate() {
-            assert_eq!(order, &crate::chunks::ring_arrival_order(p, r), "rank {r}");
-            assert_eq!(reference, blocks, "rank {r} values");
-        }
-        assert!(
-            stats.total_overlapped_secs() > 0.0,
-            "chunks hid behind compute"
-        );
-        assert!(
-            stats.total_comm_wait_secs() < 2.0 * p as f64 * model.alpha * p as f64,
-            "only pipeline-fill latency stays exposed, not bandwidth"
-        );
-    }
-
-    #[test]
     fn single_member_comms_record_no_nb_launches() {
         let (_, stats) = World::run_with_stats(1, NetModel::free(), |comm| {
             let h = iallreduce(comm, vec![2.0; 8], ReduceOp::Sum).unwrap();
             assert_eq!(h.wait().unwrap(), vec![2.0; 8]);
-            let g = iallgatherv(comm, &[1.0, 2.0]).unwrap();
-            assert_eq!(g.wait().unwrap(), vec![vec![1.0, 2.0]]);
         });
-        let (_, _, nb_ar, nb_ag) = stats.total_collective_calls();
+        let (_, _, nb_ar, _) = stats.total_collective_calls();
         assert_eq!(nb_ar, 0, "p=1 all-reduce is degenerate: no launch recorded");
-        assert_eq!(nb_ag, 0, "p=1 all-gathers are degenerate too");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use mpsim::{Clock, Communicator, NetModel, Result, Tag, World, WorldStats};
 use proptest::prelude::*;
 
 use crate::chunks::block_range;
-use crate::nonblocking::{iallgatherv, launch};
+use crate::nonblocking::launch;
 use crate::ring::{allgather_ring, allgatherv_ring, allgatherv_ring_into, allreduce_ring};
 use crate::{FtConfig, ReduceOp, Schedule};
 
@@ -230,35 +230,6 @@ proptest! {
                 prop_assert_eq!(g, w, "variant {} rank {}", which, r);
                 prop_assert!(same_clock(gc, wc), "variant {} rank {}: {:?} vs {:?}", which, r, gc, wc);
             }
-        }
-        // Non-blocking, whole and block by block.
-        let (want, want_traffic) = observe(p, |comm| {
-            let mut via = Via::channel(comm);
-            comm.advance_compute(2e-3);
-            let out = legacy::allgatherv(comm, &contribution(comm.rank(), len(comm.rank())), &mut via);
-            via.complete(comm);
-            out
-        });
-        let (got, traffic) = observe(p, |comm| {
-            let h = iallgatherv(comm, &contribution(comm.rank(), len(comm.rank()))).unwrap();
-            comm.advance_compute(2e-3);
-            h.wait().unwrap()
-        });
-        prop_assert_eq!(traffic, want_traffic);
-        for (r, ((g, gc), (w, wc))) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g, w, "nb rank {}", r);
-            prop_assert!(same_clock(gc, wc), "nb rank {}: {:?} vs {:?}", r, gc, wc);
-        }
-        let (got, _) = observe(p, |comm| {
-            let mut h = iallgatherv(comm, &contribution(comm.rank(), len(comm.rank()))).unwrap();
-            let mut out = vec![Vec::new(); p];
-            while let Some((src, block)) = h.recv_next().unwrap() {
-                out[src] = block;
-            }
-            out
-        });
-        for (r, ((g, _), (w, _))) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g, w, "recv_next rank {}", r);
         }
     }
 }

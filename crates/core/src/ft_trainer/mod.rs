@@ -92,17 +92,17 @@ pub struct FtTrainConfig {
     /// Machine used both to drive the simulation (`net_model()`) and to
     /// re-plan the grid with Eq. 8 after a shrink.
     pub machine: MachineModel,
-    /// `Some`: overlap the ∆W all-reduces with the remaining backward
-    /// compute using the non-blocking collectives, under this plan (the
-    /// executed Fig. 8 path, bucketed and drained like
+    /// `Some`: overlap each ∆X all-reduce with its layer's ∆W product
+    /// and the ∆W all-reduces with the remaining backward compute using
+    /// the non-blocking collectives, under this plan (the executed
+    /// Fig. 8 path, bucketed and drained like
     /// [`crate::trainer::train_1p5d_scheduled`], which runs the same
     /// iteration body, so every bucket is applied before the iteration
     /// commits); chunk receives stay deadline-bound and faults still
-    /// abort group-wide, so recovery semantics are unchanged.
-    /// [`OverlapPlan::fwd_prefetch`] is disabled under `abft`, whose
-    /// checksums verify whole products, not block-accumulated ones.
-    /// `None` reproduces the fully blocking iteration of
-    /// [`crate::trainer::train_1p5d`].
+    /// abort group-wide, so recovery semantics are unchanged. The
+    /// backward's SDC op order is then (∆X, ∆W) per layer, where the
+    /// blocking iteration's is (∆W, ∆X). `None` reproduces the fully
+    /// blocking iteration of [`crate::trainer::train_1p5d`].
     pub plan: Option<OverlapPlan>,
     /// Defend against *silent* data corruption: every local GEMM output
     /// is ABFT checksum-verified (single-element errors repaired in
@@ -508,7 +508,7 @@ pub fn train_1p5d_ft_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::{synthetic_data, train_1p5d, TrainConfig};
+    use crate::trainer::{synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig};
     use dnn::zoo::mlp_tiny;
 
     fn cfg(iters: usize) -> FtTrainConfig {
@@ -673,19 +673,25 @@ mod tests {
         // Verification only reads: with no faults, the whole training
         // trajectory is bit-identical with ABFT on or off. Only the
         // virtual clock differs (checksum FLOPs are charged).
-        let off = run(&cfg(6), FaultPlan::default());
-        let c_on = FtTrainConfig {
-            abft: true,
-            ..cfg(6)
-        };
-        let on = run(&c_on, FaultPlan::default());
-        assert_eq!(max_weight_diff(&off.weights(), &on.weights()), 0.0);
-        assert_eq!(off.losses(), on.losses());
-        assert_eq!(on.stats.total_corrupt_detected(), 0);
-        assert!(
-            on.stats.makespan() > off.stats.makespan(),
-            "ABFT overhead lands on the virtual clock"
-        );
+        // Blocking and scheduled alike.
+        for plan in [None, Some(OverlapPlan::default())] {
+            let c_off = FtTrainConfig { plan, ..cfg(6) };
+            let off = run(&c_off, FaultPlan::default());
+            let on = run(
+                &FtTrainConfig {
+                    abft: true,
+                    ..c_off
+                },
+                FaultPlan::default(),
+            );
+            assert_eq!(max_weight_diff(&off.weights(), &on.weights()), 0.0);
+            assert_eq!(off.losses(), on.losses());
+            assert_eq!(on.stats.total_corrupt_detected(), 0);
+            assert!(
+                on.stats.makespan() > off.stats.makespan(),
+                "ABFT overhead lands on the virtual clock"
+            );
+        }
     }
 
     #[test]
@@ -833,10 +839,7 @@ mod tests {
             ..cfg(4)
         };
         let tiny = FtTrainConfig {
-            plan: Some(OverlapPlan {
-                bucket_words: 16,
-                ..OverlapPlan::default()
-            }),
+            plan: Some(OverlapPlan { bucket_words: 16 }),
             ..base
         };
         let big = run(&base, FaultPlan::default());
@@ -852,85 +855,31 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_ft_run_matches_blocking_forward() {
-        // Pipelined forward all-gathers re-associate the row-sum by
-        // ring-arrival order: same trajectory up to a few ulps.
-        let base = FtTrainConfig {
+    fn scheduled_ft_matches_the_scheduled_trainer_and_survives_corruption() {
+        // The guarded communicator, the loss all-reduce and the dropped
+        // layer-0 ∆X only add work: the weights are the scheduled
+        // trainer's to the bit.
+        let c = FtTrainConfig {
             plan: Some(OverlapPlan::default()),
             ..cfg(6)
         };
-        let pf = FtTrainConfig {
-            plan: Some(OverlapPlan {
-                fwd_prefetch: true,
-                dx_overlap: true,
-                ..OverlapPlan::default()
-            }),
-            ..base
+        let net = mlp_tiny();
+        let (x, labels) = synthetic_data(&net, 24, 5);
+        let tc = TrainConfig {
+            lr: c.lr,
+            iters: c.iters,
+            seed: c.seed,
         };
-        let blocking = run(&base, FaultPlan::default());
-        let over = run(&pf, FaultPlan::default());
-        assert_eq!(over.survivors().len(), 6);
-        assert!(max_weight_diff(&blocking.weights(), &over.weights()) < 1e-9);
-        for (a, b) in blocking.losses().iter().zip(over.losses()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        let (_, _, _, nb_ag) = over.stats.total_collective_calls();
-        assert!(nb_ag > 0, "prefetch path launched non-blocking all-gathers");
-    }
-
-    #[test]
-    fn abft_silently_disables_forward_prefetch() {
-        // ABFT checksum verification needs the whole gathered operand
-        // before the GEMM, so prefetch is gated off: an abft run with
-        // fwd_prefetch requested is bit-identical to one without.
-        let plain = FtTrainConfig {
-            plan: Some(OverlapPlan::default()),
-            abft: true,
-            ..cfg(4)
-        };
-        let pf = FtTrainConfig {
-            plan: Some(OverlapPlan {
-                fwd_prefetch: true,
-                ..OverlapPlan::default()
-            }),
-            ..plain
-        };
-        let a = run(&plain, FaultPlan::default());
-        let b = run(&pf, FaultPlan::default());
-        assert_eq!(max_weight_diff(&a.weights(), &b.weights()), 0.0);
-        assert_eq!(a.losses(), b.losses());
-        assert_eq!(
-            a.stats.makespan(),
-            b.stats.makespan(),
-            "gated prefetch leaves the virtual clock untouched"
-        );
-    }
-
-    #[test]
-    fn dx_overlap_ft_is_bit_identical_and_survives_corruption() {
-        // ∆X overlap reorders only the launch, not the arithmetic.
-        let base = FtTrainConfig {
-            plan: Some(OverlapPlan::default()),
-            ..cfg(6)
-        };
-        let dx = FtTrainConfig {
-            plan: Some(OverlapPlan {
-                dx_overlap: true,
-                ..OverlapPlan::default()
-            }),
-            ..base
-        };
-        let a = run(&base, FaultPlan::default());
-        let b = run(&dx, FaultPlan::default());
-        assert_eq!(max_weight_diff(&a.weights(), &b.weights()), 0.0);
-        assert_eq!(a.losses(), b.losses());
+        let model = c.machine.net_model();
+        let plain = train_1p5d_scheduled(&net, &x, &labels, &tc, 2, 3, model, c.plan.unwrap());
+        let clean = run(&c, FaultPlan::default());
+        assert_eq!(max_weight_diff(&plain.weights(), &clean.weights()), 0.0);
         // And the rollback machinery still recovers a corrupted payload
-        // with the reordered message sequence.
-        let plan = FaultPlan::new(9).corrupt_nth(1, 2, 20);
-        let faulty = run(&dx, plan);
+        // with the ∆X sums on the channel.
+        let faulty = run(&c, FaultPlan::new(9).corrupt_nth(1, 2, 20));
         assert_eq!(faulty.survivors().len(), 6);
         assert_eq!(faulty.stats.total_corrupt_detected(), 1);
-        assert!(max_weight_diff(&b.weights(), &faulty.weights()) < 1e-12);
+        assert!(max_weight_diff(&clean.weights(), &faulty.weights()) < 1e-12);
     }
 
     #[test]

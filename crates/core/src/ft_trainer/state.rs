@@ -17,7 +17,6 @@ use distmm::onep5d::{Grid, SdcCtx};
 use super::membership::Membership;
 use super::wire::View;
 use super::{plan_grid, Job};
-use crate::overlap::OverlapPlan;
 use crate::trainer::{backward_pass, forward_pass, Pass};
 
 /// A consistent snapshot a rank can roll back to: shards are laid out
@@ -180,12 +179,6 @@ impl GridState {
     pub fn step(&mut self, job: &Job) -> Result<f64, Error> {
         let cfg = job.cfg;
         let sdc = SdcCtx::new(self.iter as u64, cfg.abft);
-        // ABFT checksums whole products, not the block-accumulated
-        // partials of a pipelined forward (no prefetch).
-        let plan = cfg.plan.map(|plan| OverlapPlan {
-            fwd_prefetch: plan.fwd_prefetch && !cfg.abft,
-            ..plan
-        });
         let pass = Pass {
             grids: std::slice::from_ref(&self.grid),
             guard: Some(&sdc),
@@ -194,7 +187,7 @@ impl GridState {
             labels_local: &self.labels_local,
             b_global: job.x.cols(),
             iter: self.iter,
-            plan,
+            plan: cfg.plan,
         };
         let v = &mut self.v;
         let mut apply = |w: &mut [Matrix], idx: usize, summed: &[f64]| {
@@ -216,7 +209,7 @@ impl GridState {
         allreduce(&self.grid.row_comm, &mut lbuf, ReduceOp::Sum)?;
         // The one trainer that still forms (and drops) layer 0's ∆X: the
         // scripted bit flips are indexed by GEMM op, and removing that
-        // op re-maps every plan onto ROADMAP item 4's open
+        // op re-maps every plan onto ROADMAP item 1's open
         // no-silent-divergence defect (`chaos_campaign --sdc --smoke`,
         // seed 131). It takes the rule once that defect is fixed.
         backward_pass(&pass, tape, &mut self.w, &mut apply, true)?;

@@ -9,16 +9,17 @@
 //! overlappable fraction is a parameter here so the ablation bench can
 //! sweep it from 0 (Fig. 7) through 2/3 (Fig. 8) to 1.
 //!
-//! The executed engine goes beyond the paper's analytic 2/3: an
-//! [`OverlapPlan`] selects bucket fusion size, ∆X all-reduce overlap
-//! and pipelined forward all-gathers. [`autotune`] picks a plan per
-//! network × grid from a traced probe iteration.
+//! The executed engine overlaps exactly those backprop all-reduces:
+//! each layer's ∆X sum hides behind its ∆W product, and the ∆W sums,
+//! fused into buckets, behind the rest of backward. An [`OverlapPlan`]
+//! is the bucket size; [`autotune`] picks one per network × grid from a
+//! ladder of measured runs.
 
 use dnn::Network;
-use mpsim::{NetModel, TraceConfig};
+use mpsim::NetModel;
 use tensor::Matrix;
 
-use crate::trainer::{train_1p5d_scheduled, train_1p5d_scheduled_traced, TrainConfig};
+use crate::trainer::{train_1p5d_scheduled, TrainConfig};
 
 /// The fraction of communication the paper treats as overlappable
 /// (backprop all-reduces; two of the three per-layer products).
@@ -51,61 +52,26 @@ pub const DEFAULT_BUCKET_WORDS: usize = 1 << 13;
 
 /// Scheduling plan for the executed overlap engine
 /// ([`crate::trainer::train_1p5d_scheduled`] and the fault-tolerant
-/// trainer). Every knob preserves synchronous-SGD numerics; they only
-/// move *when* transfers are driven. The one exception is
-/// [`OverlapPlan::fwd_prefetch`], which re-associates the next layer's
-/// partial product over gather blocks (~1 ulp, still within the
-/// serial-parity tolerance).
+/// trainer): the gradient-bucket size. It preserves synchronous-SGD
+/// numerics; it only moves *when* transfers are driven.
 ///
-/// The drain is not a knob: backward polls the in-flight buckets
-/// between layers and waits them all, in launch order, at its end.
+/// Neither the schedule nor the drain is a knob: every layer's ∆X sum
+/// is launched before its ∆W product and waited after it, and backward
+/// polls the in-flight buckets between layers and waits them all, in
+/// launch order, at its end.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapPlan {
     /// Gradient-bucket fusion threshold in f64 words (see
     /// [`DEFAULT_BUCKET_WORDS`]).
     pub bucket_words: usize,
-    /// Launch the ∆X all-reduce non-blocking and hide it behind the
-    /// same layer's ∆W product (bit-identical values; only pays off
-    /// when the ∆W GEMM is large enough to hide the column ring).
-    pub dx_overlap: bool,
-    /// Pipeline forward all-gathers: consume gather blocks in ring
-    /// arrival order and accumulate the next layer's partial product
-    /// per block, so the gather hides behind the next GEMM. Changes
-    /// floating-point association (~1 ulp vs the monolithic product);
-    /// the fault-tolerant trainer refuses to combine it with ABFT,
-    /// which checksums whole products.
-    pub fwd_prefetch: bool,
 }
 
 impl Default for OverlapPlan {
     fn default() -> Self {
         OverlapPlan {
             bucket_words: DEFAULT_BUCKET_WORDS,
-            dx_overlap: false,
-            fwd_prefetch: false,
         }
     }
-}
-
-/// Leaf-time summary of the autotuner's probe iteration, aggregated
-/// over ranks from the trace's exact partition (see
-/// [`mpsim::trace::RankTrace::breakdown`]) and the world stats.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProbeBreakdown {
-    /// Latest final virtual time across ranks.
-    pub makespan: f64,
-    /// Σ per-rank compute leaf time.
-    pub compute: f64,
-    /// Σ per-rank blocking-communication leaf time.
-    pub blocking_comm: f64,
-    /// Σ per-rank exposed non-blocking wait (`drain` leaf time).
-    pub exposed_wait: f64,
-    /// Σ per-rank transfer time hidden behind the main timeline.
-    pub hidden: f64,
-    /// `bucket_flush` instants recorded across ranks.
-    pub bucket_flushes: usize,
-    /// `progress_poll` instants recorded across ranks.
-    pub progress_polls: usize,
 }
 
 /// One evaluated candidate: the plan and the virtual-time outcome of
@@ -120,13 +86,10 @@ pub struct CandidateOutcome {
     pub overlap_fraction: f64,
 }
 
-/// Everything [`autotune`] did: the probe breakdown, every candidate
-/// with its measured outcome, and the winner.
+/// Everything [`autotune`] did: every candidate with its measured
+/// outcome, and the winner.
 #[derive(Debug, Clone)]
 pub struct AutotuneReport {
-    /// Leaf-time breakdown of the one-iteration probe under the
-    /// default plan.
-    pub probe: ProbeBreakdown,
     /// All evaluated candidates in evaluation order; the first entry
     /// is always the default plan (the baseline).
     pub candidates: Vec<CandidateOutcome>,
@@ -154,20 +117,11 @@ impl AutotuneReport {
 }
 
 /// Picks an [`OverlapPlan`] for `net` on a `pr × pc` grid of `model`
-/// from measurements, not heuristics alone:
-///
-/// 1. **Probe**: one traced iteration under the default plan; its
-///    leaf-time breakdown (compute vs blocking comm vs exposed wait vs
-///    hidden transfer) is the evidence.
-/// 2. **Candidates**: a bucket-size ladder spanning per-layer granular
-///    to one-bucket-per-iteration, scaled to this rank's total ∆W
-///    words; if the probe exposed meaningful wait or blocking comm,
-///    variants with ∆X overlap and forward prefetch join (gated on the
-///    grid having the corresponding ring at all).
-/// 3. **Evaluate**: each candidate runs the full `cfg` and is scored
-///    by virtual makespan, ties broken by overlap fraction. The
-///    default plan is always candidate zero, so autotuning can only
-///    help.
+/// by measurement: the default plan and a ladder of bucket sizes — this
+/// rank's whole ∆W, a quarter and a sixteenth of it (at least 64
+/// words) — each run on the full `cfg` and scored by virtual makespan,
+/// ties broken by overlap fraction. The default plan is
+/// always candidate zero, so autotuning can only help.
 #[allow(clippy::too_many_arguments)]
 pub fn autotune(
     net: &Network,
@@ -178,67 +132,17 @@ pub fn autotune(
     pc: usize,
     model: NetModel,
 ) -> AutotuneReport {
-    let default_plan = OverlapPlan::default();
-
-    // 1. Probe: one iteration, traced.
-    let probe_cfg = TrainConfig { iters: 1, ..*cfg };
-    let (probe_res, trace) = train_1p5d_scheduled_traced(
-        net,
-        x,
-        labels,
-        &probe_cfg,
-        pr,
-        pc,
-        model,
-        TraceConfig::enabled(),
-        default_plan,
-    );
-    let mut probe = ProbeBreakdown {
-        makespan: probe_res.stats.makespan(),
-        hidden: probe_res.stats.total_overlapped_secs(),
-        ..ProbeBreakdown::default()
-    };
-    for rank in &trace.ranks {
-        for (cat, secs) in rank.breakdown() {
-            match cat {
-                "compute" => probe.compute += secs,
-                "comm" => probe.blocking_comm += secs,
-                "drain" => probe.exposed_wait += secs,
-                _ => {}
-            }
-        }
-        probe.bucket_flushes += rank.instant_count("sched", "bucket_flush");
-        probe.progress_polls += rank.instant_count("sched", "progress_poll");
-    }
-
-    // 2. Candidates, seeded by what the probe exposed.
     let dw_words = (crate::trainer::trainable_words(net) / pr.max(1)).max(1);
-    let mut plans = vec![default_plan];
+    let mut plans = vec![OverlapPlan::default()];
     for bucket in [dw_words, dw_words / 4, dw_words / 16] {
         let plan = OverlapPlan {
             bucket_words: bucket.max(64),
-            ..default_plan
         };
         if !plans.contains(&plan) {
             plans.push(plan);
         }
     }
-    // ∆X overlap and forward prefetch only matter when a column ring
-    // exists and the probe shows time they could claw back.
-    let worth_hiding = probe.exposed_wait + probe.blocking_comm > 0.01 * probe.makespan;
-    if pr > 1 && worth_hiding {
-        plans.push(OverlapPlan {
-            dx_overlap: true,
-            ..default_plan
-        });
-        plans.push(OverlapPlan {
-            dx_overlap: true,
-            fwd_prefetch: true,
-            ..default_plan
-        });
-    }
 
-    // 3. Evaluate every candidate on the full configuration.
     let candidates: Vec<CandidateOutcome> = plans
         .into_iter()
         .map(|plan| {
@@ -262,11 +166,7 @@ pub fn autotune(
             }
         })
         .plan;
-    AutotuneReport {
-        probe,
-        candidates,
-        chosen,
-    }
+    AutotuneReport { candidates, chosen }
 }
 
 #[cfg(test)]
@@ -334,8 +234,6 @@ mod tests {
             base.makespan
         );
         assert!(report.candidates.len() >= 2, "ladder was evaluated");
-        assert!(report.probe.makespan > 0.0);
-        assert!(report.probe.bucket_flushes > 0, "probe recorded flushes");
         // The winner's numerics still match the default plan's.
         let base =
             train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, OverlapPlan::default());

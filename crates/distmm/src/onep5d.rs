@@ -23,7 +23,7 @@
 use std::borrow::Cow;
 use std::cell::Cell;
 
-use collectives::nonblocking::{iallgatherv, iallreduce, IallgathervHandle};
+use collectives::nonblocking::iallreduce;
 use collectives::ring::allgatherv_ring;
 use collectives::{allgatherv_into, allreduce, ReduceOp};
 use mpsim::{apply_flips, Communicator, Error, FaultCtx, Result};
@@ -125,10 +125,11 @@ impl Grid {
 ///
 /// Ops are numbered in execution order within the iteration — every
 /// local GEMM increments the counter, so with the trainer's fixed
-/// schedule (forward per layer, then per backward layer: ∆W, ∆X) an
-/// `(iter, op)` pair deterministically names one local product on one
-/// rank. The same pair appears in trace instants, fault counters, and
-/// [`Error::SilentCorruption`] contexts.
+/// schedule (forward per layer, then per backward layer (∆W, ∆X) when
+/// blocking, [`backward_with`], or (∆X, ∆W) when scheduled,
+/// [`backward_dw_deferred`]) an `(iter, op)` pair deterministically
+/// names one local product on one rank. The same pair appears in trace
+/// instants, fault counters, and [`Error::SilentCorruption`] contexts.
 pub struct SdcCtx {
     /// Training iteration these GEMMs belong to.
     pub iter: u64,
@@ -394,39 +395,25 @@ pub fn backward_with(
     Ok((dw, dx))
 }
 
-/// [`backward_with`] with the ∆W all-reduce **deferred**: returns the
-/// local partial `∆Y_{i,j}·X_jᵀ` — *not* yet summed over the `Pc`-sized
-/// row group, but already verified under the guard — and the fully
-/// reduced `∆X_j`. The caller owns the row-group sum, typically
-/// launching it as a bucketed non-blocking all-reduce
-/// ([`collectives::nonblocking::iallreduce`]) so the transfer overlaps
-/// the remaining backward compute (the paper's Fig. 8 executed); see
+/// [`backward_with`] as the scheduled trainers run it: the ∆W
+/// all-reduce is **deferred** and the ∆X all-reduce **overlapped**.
+/// The `W_iᵀ·∆Y_{i,j}` GEMM runs first, its column-group sum is launched
+/// non-blocking ([`collectives::nonblocking::iallreduce`]), and the
+/// `∆Y_{i,j}·X_jᵀ` GEMM then runs while that sum is on the channel,
+/// hiding up to its length before the wait. Returns the local ∆W
+/// partial — *not* yet summed over the `Pc`-sized row group, but already
+/// verified under the guard — and the fully reduced `∆X_j`. The caller
+/// owns the row-group sum, typically launching it as a bucketed
+/// non-blocking all-reduce so the transfer overlaps the remaining
+/// backward compute (the paper's Fig. 8 executed); see
 /// `integrated::trainer::train_1p5d_scheduled`.
+///
+/// Values are bit-identical to [`backward_with`]'s: the two local GEMMs
+/// are independent and the non-blocking all-reduce reduces in its
+/// blocking twin's exact order. The GEMMs *execute* in the opposite
+/// order, so the SDC op order is (∆X, ∆W): op-indexed fault scripts
+/// written against one schedule do not transfer to the other.
 pub fn backward_dw_deferred(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    dy_local: &Matrix,
-    guard: Guard,
-) -> Result<(Matrix, Matrix)> {
-    let dy_i = dy_block(grid, dy_local);
-    let dw = dw_partial(grid, x_local, &dy_i, guard)?;
-    let mut dx = dx_partial(grid, w_local, &dy_i, guard)?;
-    allreduce(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum)?;
-    Ok((dw, dx))
-}
-
-/// [`backward_dw_deferred`] with the ∆X all-reduce overlapped too: the
-/// `W_iᵀ·∆Y_{i,j}` GEMM runs *first*, its column-group sum is launched
-/// non-blocking, and the `∆Y_{i,j}·X_jᵀ` GEMM then hides part of the ∆X
-/// transfer before the wait. Values are bit-identical to
-/// [`backward_dw_deferred`] — the two local GEMMs are independent and
-/// the non-blocking all-reduce reduces in its blocking twin's exact
-/// order —
-/// but the GEMMs *execute* in the opposite order, so the per-iteration
-/// SDC op order is (∆X, ∆W): op-indexed fault scripts written against
-/// one schedule do not transfer to the other.
-pub fn backward_dx_overlap(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
@@ -439,78 +426,6 @@ pub fn backward_dx_overlap(
     let dw = dw_partial(grid, x_local, &dy_i, guard)?;
     let dx = Matrix::from_vec(w_local.cols(), dy_i.cols(), h.wait()?);
     Ok((dw, dx))
-}
-
-/// A forward layer in flight: the local `W_i·X_j` partial has been
-/// computed and its column-group all-gather launched non-blocking.
-/// [`PipelinedForward::next_block`] delivers the `Pr` row blocks of
-/// `Y_j` one at a time in ring-arrival order
-/// ([`collectives::chunks::ring_arrival_order`]), settling each chunk's
-/// overlap accounting as it lands — so per-block compute done by the
-/// caller (activation, the *next* layer's partial-GEMM accumulation)
-/// hides the chunks still in flight.
-pub struct PipelinedForward {
-    /// `Some` only when `Pr == 1` (no gather: the partial is `Y_j`).
-    local: Option<Matrix>,
-    handle: Option<IallgathervHandle>,
-    bloc: usize,
-}
-
-impl PipelinedForward {
-    /// The next row block of `Y_j` as `(col_rank, rows_matrix)`, or
-    /// `None` when all `Pr` blocks have been delivered. The row range
-    /// the block occupies is `part_range(d_out, pr, col_rank)`.
-    pub fn next_block(&mut self) -> Result<Option<(usize, Matrix)>> {
-        if let Some(own) = self.local.take() {
-            return Ok(Some((0, own)));
-        }
-        match &mut self.handle {
-            None => Ok(None),
-            Some(h) => match h.recv_next()? {
-                None => Ok(None),
-                Some((idx, v)) => {
-                    let rows = v.len() / self.bloc;
-                    Ok(Some((idx, Matrix::from_vec(rows, self.bloc, v))))
-                }
-            },
-        }
-    }
-}
-
-/// Starts a pipelined [`forward_with`]: computes (and, under the guard,
-/// verifies) the local partial and launches the non-blocking
-/// all-gather. Consuming every block from the returned handle and
-/// stacking them by `part_range` rebuilds exactly [`forward_with`]'s
-/// output (the blocks are copied verbatim).
-pub fn forward_start(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    guard: Guard,
-) -> Result<PipelinedForward> {
-    forward_resume(grid, y_partial(grid, w_local, x_local, guard)?)
-}
-
-/// Launches the gather of a partial the caller already holds — the
-/// entry point for fused pipelines where layer `l+1`'s partial was
-/// accumulated block-by-block while layer `l`'s gather drained (so
-/// there is no monolithic GEMM for [`forward_start`] to run, and hence
-/// no SDC op and no [`Guard`]). Charges no flops: the caller paid for
-/// the accumulation as it happened.
-pub fn forward_resume(grid: &Grid, y_partial: Matrix) -> Result<PipelinedForward> {
-    let bloc = y_partial.cols();
-    if grid.pr == 1 {
-        return Ok(PipelinedForward {
-            local: Some(y_partial),
-            handle: None,
-            bloc,
-        });
-    }
-    Ok(PipelinedForward {
-        local: None,
-        handle: Some(iallgatherv(&grid.col_comm, y_partial.as_slice())?),
-        bloc,
-    })
 }
 
 #[cfg(test)]
@@ -728,26 +643,6 @@ mod tests {
 
     #[test]
     fn deferred_dw_plus_explicit_sum_matches_backward_bitwise() {
-        let (pr, pc) = (2usize, 3usize);
-        let r = reference(8, 5, 9);
-        let out = World::run(pr * pc, NetModel::free(), |comm| {
-            let grid = Grid::new(comm, pr, pc).unwrap();
-            let wl = row_shard(&r.w, pr, grid.i);
-            let xl = col_shard(&r.x, pc, grid.j);
-            let dyl = col_shard(&r.dy, pc, grid.j);
-            let (dw_ref, dx_ref) = backward(&grid, &wl, &xl, &dyl).unwrap();
-            let (mut dw, dx) = backward_dw_deferred(&grid, &wl, &xl, &dyl, None).unwrap();
-            allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum).unwrap();
-            (dw_ref, dx_ref, dw, dx)
-        });
-        for (g, (dw_ref, dx_ref, dw, dx)) in out.iter().enumerate() {
-            assert!(dw == dw_ref, "rank {g}: deferred ∆W sum differs");
-            assert!(dx == dx_ref, "rank {g}: ∆X differs");
-        }
-    }
-
-    #[test]
-    fn dx_overlap_backward_matches_backward_bitwise() {
         for (pr, pc) in [(1, 4), (2, 3), (4, 1), (3, 2)] {
             let r = reference(8, 5, 9);
             let out = World::run(pr * pc, NetModel::free(), |comm| {
@@ -755,21 +650,25 @@ mod tests {
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
                 let dyl = col_shard(&r.dy, pc, grid.j);
-                let (dw_ref, dx_ref) = backward_dw_deferred(&grid, &wl, &xl, &dyl, None).unwrap();
-                let (dw, dx) = backward_dx_overlap(&grid, &wl, &xl, &dyl, None).unwrap();
+                let (dw_ref, dx_ref) = backward(&grid, &wl, &xl, &dyl).unwrap();
+                let (mut dw, dx) = backward_dw_deferred(&grid, &wl, &xl, &dyl, None).unwrap();
+                allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum).unwrap();
                 (dw_ref, dx_ref, dw, dx)
             });
             for (g, (dw_ref, dx_ref, dw, dx)) in out.iter().enumerate() {
-                assert!(dw == dw_ref, "grid {pr}x{pc} rank {g}: ∆W partial differs");
+                assert!(
+                    dw == dw_ref,
+                    "grid {pr}x{pc} rank {g}: deferred ∆W sum differs"
+                );
                 assert!(dx == dx_ref, "grid {pr}x{pc} rank {g}: ∆X differs");
             }
         }
     }
 
     #[test]
-    fn dx_overlap_hides_the_dx_transfer_behind_the_dw_gemm() {
+    fn deferred_dw_hides_the_dx_transfer_behind_the_dw_gemm() {
         // Arithmetic-heavy regime: the ∆W GEMM takes far longer than the
-        // ∆X ring, so the overlapped variant's exposed wait is ~zero.
+        // ∆X sum, so the overlapped transfer's exposed wait is ~zero.
         let model = NetModel {
             alpha: 1e-6,
             beta: 1e-9,
@@ -782,43 +681,12 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
-            backward_dx_overlap(&grid, &wl, &xl, &dyl, None).unwrap();
+            backward_dw_deferred(&grid, &wl, &xl, &dyl, None).unwrap();
         });
         assert!(
             stats.total_overlapped_secs() > 0.0,
             "∆X transfer partly hidden behind the ∆W GEMM"
         );
-    }
-
-    #[test]
-    fn pipelined_forward_blocks_reassemble_forward_exactly() {
-        for (pr, pc) in [(1, 2), (2, 3), (3, 2), (4, 1)] {
-            let r = reference(10, 5, 8);
-            let out = World::run(pr * pc, NetModel::free(), |comm| {
-                let grid = Grid::new(comm, pr, pc).unwrap();
-                let wl = row_shard(&r.w, pr, grid.i);
-                let xl = col_shard(&r.x, pc, grid.j);
-                let y_ref = forward(&grid, &wl, &xl).unwrap();
-                let mut pf = forward_start(&grid, &wl, &xl, None).unwrap();
-                let mut blocks: Vec<Option<Matrix>> = vec![None; pr];
-                let mut arrivals = Vec::new();
-                while let Some((src, block)) = pf.next_block().unwrap() {
-                    arrivals.push(src);
-                    blocks[src] = Some(block);
-                }
-                let stacked: Vec<Matrix> = blocks.into_iter().map(|b| b.unwrap()).collect();
-                (y_ref, Matrix::vcat(&stacked), arrivals)
-            });
-            for (g, (y_ref, y, arrivals)) in out.iter().enumerate() {
-                assert!(y == y_ref, "grid {pr}x{pc} rank {g}: reassembled Y differs");
-                let i = g / pc;
-                assert_eq!(
-                    arrivals,
-                    &collectives::chunks::ring_arrival_order(pr, i),
-                    "grid {pr}x{pc} rank {g}: arrival order"
-                );
-            }
-        }
     }
 
     #[test]
@@ -886,19 +754,10 @@ mod tests {
         }
     }
 
-    /// Drains a pipelined forward and restacks its blocks by source.
-    fn reassemble(mut pf: PipelinedForward, pr: usize) -> Matrix {
-        let mut blocks: Vec<Option<Matrix>> = vec![None; pr];
-        while let Some((src, block)) = pf.next_block().unwrap() {
-            blocks[src] = Some(block);
-        }
-        Matrix::vcat(&blocks.into_iter().map(|b| b.unwrap()).collect::<Vec<_>>())
-    }
-
     #[test]
     fn every_schedule_is_guard_invariant_when_fault_free() {
         // One table: {unguarded, guarded abft off, guarded abft on} ×
-        // {forward, backward, dw_deferred, dx_overlap, start/resume};
+        // {forward, backward, dw_deferred};
         // "guarded" is the grid built on a guarded communicator plus the
         // GEMM guard. The guards only read, so every output is bit-equal
         // across the three columns; and with ABFT off the collectives
@@ -927,16 +786,11 @@ mod tests {
                     let y = forward_with(&grid, &wl, &xl, guard).unwrap();
                     let (dw, dx) = backward_with(&grid, &wl, &xl, &dyl, guard).unwrap();
                     let deferred = backward_dw_deferred(&grid, &wl, &xl, &dyl, guard).unwrap();
-                    let overlapped = backward_dx_overlap(&grid, &wl, &xl, &dyl, guard).unwrap();
-                    let started = reassemble(forward_start(&grid, &wl, &xl, guard).unwrap(), pr);
-                    let partial = matmul(&wl, &xl);
-                    let resumed = reassemble(forward_resume(&grid, partial).unwrap(), pr);
                     if abft.is_some() {
-                        // fwd + (∆W, ∆X) × 3 + start; resume runs no GEMM.
-                        assert_eq!(sdc.ops_done(), 8, "SDC op numbering");
+                        // fwd + (∆W, ∆X) + (∆X, ∆W).
+                        assert_eq!(sdc.ops_done(), 5, "SDC op numbering");
                     }
-                    assert!(started == y && resumed == y, "pipelined == blocking");
-                    assert!(deferred.1 == dx && overlapped == deferred, "∆X / partials");
+                    assert!(deferred.1 == dx, "∆X");
                     (vec![y, dw, dx, deferred.0], comm.now())
                 })
             };
@@ -964,34 +818,26 @@ mod tests {
         let cfg = FtConfig::fixed(1e6);
         let clean = run_grid(pr, pc, &r);
         // One high bit flipped in rank 2's forward GEMM output (op 0),
-        // and one in rank 4's ∆X GEMM (op 2). The pipelined forward
-        // verifies the same partial, so a flip is repaired before any
-        // chunk of it is gathered.
-        for pipelined in [false, true] {
-            let plan = FaultPlan::new(7)
-                .bitflip_compute(2, 0, 0, 51)
-                .bitflip_compute(4, 0, 2, 55);
-            let (out, stats) = World::run_with_faults(pr * pc, NetModel::free(), plan, |comm| {
-                let grid = Grid::new(&comm.guarded(&cfg), pr, pc).unwrap();
-                let wl = row_shard(&r.w, pr, grid.i);
-                let xl = col_shard(&r.x, pc, grid.j);
-                let dyl = col_shard(&r.dy, pc, grid.j);
-                let sdc = SdcCtx::new(0, true);
-                let guard = Some(&sdc);
-                let y = if pipelined {
-                    reassemble(forward_start(&grid, &wl, &xl, guard).unwrap(), pr)
-                } else {
-                    forward_with(&grid, &wl, &xl, guard).unwrap()
-                };
-                let (dw, dx) = backward_with(&grid, &wl, &xl, &dyl, guard).unwrap();
-                (y, dw, dx)
-            });
-            assert_eq!(out, clean, "both flips repaired bit-exactly");
-            assert_eq!(stats.total_bitflips_compute(), 2, "both flips injected");
-            assert_eq!(stats.total_corrupt_corrected(), 2);
-            assert_eq!(stats.total_corrupt_recovered(), 0);
-            assert_eq!(stats.total_aborts(), 0, "no escalation");
-        }
+        // and one in rank 4's ∆X GEMM (op 2).
+        let plan = FaultPlan::new(7)
+            .bitflip_compute(2, 0, 0, 51)
+            .bitflip_compute(4, 0, 2, 55);
+        let (out, stats) = World::run_with_faults(pr * pc, NetModel::free(), plan, |comm| {
+            let grid = Grid::new(&comm.guarded(&cfg), pr, pc).unwrap();
+            let wl = row_shard(&r.w, pr, grid.i);
+            let xl = col_shard(&r.x, pc, grid.j);
+            let dyl = col_shard(&r.dy, pc, grid.j);
+            let sdc = SdcCtx::new(0, true);
+            let guard = Some(&sdc);
+            let y = forward_with(&grid, &wl, &xl, guard).unwrap();
+            let (dw, dx) = backward_with(&grid, &wl, &xl, &dyl, guard).unwrap();
+            (y, dw, dx)
+        });
+        assert_eq!(out, clean, "both flips repaired bit-exactly");
+        assert_eq!(stats.total_bitflips_compute(), 2, "both flips injected");
+        assert_eq!(stats.total_corrupt_corrected(), 2);
+        assert_eq!(stats.total_corrupt_recovered(), 0);
+        assert_eq!(stats.total_aborts(), 0, "no escalation");
     }
 
     #[test]

@@ -459,11 +459,6 @@ impl Communicator {
         self.inner.borrow_mut().stats.nb_allreduce_calls += 1;
     }
 
-    /// Counts a non-blocking all-gather launch in [`RankStats`].
-    pub fn record_nb_allgather(&self) {
-        self.inner.borrow_mut().stats.nb_allgather_calls += 1;
-    }
-
     /// Simultaneous exchange with two (possibly equal) partners: sends
     /// to `dst`, then receives from `src`. The eager-send model makes
     /// this deadlock-free.

@@ -82,7 +82,9 @@ pub struct RankStats {
     pub allgather_calls: u64,
     /// Non-blocking all-reduce launches by this rank.
     pub nb_allreduce_calls: u64,
-    /// Non-blocking all-gather launches by this rank.
+    /// Non-blocking all-gather launches by this rank. No collective in
+    /// this workspace launches one (every all-gather blocks), so a run
+    /// reads 0; the field keeps the four-way call count's shape.
     pub nb_allgather_calls: u64,
     /// Virtual seconds of pure α–β data transfer charged to this rank's
     /// blocking receives (excludes idle waiting for a sender to reach

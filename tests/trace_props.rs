@@ -443,23 +443,33 @@ fn trace_fingerprint(
 /// different collective's, so recovery takes another path: 6 quorum
 /// verdicts instead of 3, 5 timeouts instead of 4, and 2 fewer replayed
 /// optimizer steps. The rejoin still lands.
+///
+/// Re-recorded again when the scheduled backward became the only one:
+/// this run's plan is the default, and every layer's ∆X sum (3 per
+/// backward pass, the FT trainer forming layer 0's too, so 108) is now
+/// launched on the channel before the layer's ∆W GEMM instead of run
+/// blocking after it. Those 108 sums leave `allreduce_recursive_doubling`
+/// for `iallreduce_launch`; 106 of their exchanges finish (the plan's
+/// faults cut two short) and move from `recv` to `chunk_step`, channel `xfer`
+/// and `drain`. The recovery path is the same: the same 5 timeouts, 6
+/// verdicts, 7 rollbacks and one rejoin.
 const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
-    ("channel", "xfer", 32),
+    ("channel", "xfer", 32 + 106),
     ("collective", "allgatherv_doubling", 108),
     ("collective", "allgatherv_ring", 17),
-    ("collective", "allreduce_recursive_doubling", 144),
+    ("collective", "allreduce_recursive_doubling", 144 - 108),
     ("comm", "backoff", 4),
-    ("comm", "recv", 292),
+    ("comm", "recv", 292 - 106),
     ("comm", "timeout", 5),
     ("compute", "compute", 324),
-    ("drain", "drain", 32),
+    ("drain", "drain", 32 + 106),
     ("fault", "dead_gap", 1),
     ("fault", "died", 1),
     ("fault", "drop", 1),
     ("fault", "peer_dead", 23),
     ("fault", "rejoin", 1),
-    ("nb", "chunk_step", 32),
-    ("nb", "iallreduce_launch", 34),
+    ("nb", "chunk_step", 32 + 106),
+    ("nb", "iallreduce_launch", 34 + 108),
     ("quorum", "verdict", 6),
     ("sched", "bucket_flush", 34),
     ("trainer", "backward", 36),
@@ -471,25 +481,30 @@ const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
     ("trainer", "recovery", 7),
     ("trainer", "rollback", 7),
 ];
-const GOLDEN_FT_FNV: u64 = 0x50ca_1a2b_b536_1b27;
+const GOLDEN_FT_FNV: u64 = 0x502e_2282_dac8_1737;
 /// The same FNV over every event but the `collective` scope spans:
 /// first recorded while the FT trainer's rings still carried `_ft` names
 /// and no phase sub-spans, to pin what moving the fault policy onto the
 /// communicator had to leave untouched; re-recorded with the histogram.
-const GOLDEN_FT_LEAF_FNV: u64 = 0xce87_c703_2e00_e116;
+const GOLDEN_FT_LEAF_FNV: u64 = 0x9dbc_3453_523c_ca0e;
 /// The scheduled run's histogram. Layer 0's ∆X is not formed (per rank
 /// and iteration, 4 × 3 = 12 GEMMs, launches, drains and 24 ring steps
 /// fewer than the retired engine's 132, 48, 84 and 132). Each of the 36
 /// all-reduce launches over a 2-rank group is one recursive-doubling
 /// step, where the ring took two: 36 `chunk_step`s and channel
-/// transfers fewer again. The 36 prefetched gathers keep their one ring
-/// step each.
+/// transfers fewer again. The forward gathers block: each of the 36 is
+/// one doubling exchange (`allgatherv_doubling`, `recv`) where the
+/// retired prefetch launched an `iallgatherv` and took its one ring step
+/// on the channel, and each layer past the first runs its partial
+/// product as one GEMM, where the prefetch accumulated it block by block
+/// (2 compute spans fewer per rank and iteration).
 const GOLDEN_SCHED_HIST: &[(&str, &str, usize)] = &[
-    ("channel", "xfer", 132 - 24 - 36),
-    ("compute", "compute", 132 - 12),
-    ("drain", "drain", 84 - 12),
-    ("nb", "chunk_step", 132 - 24 - 36),
-    ("nb", "iallgatherv_launch", 36),
+    ("channel", "xfer", 132 - 24 - 36 - 36),
+    ("collective", "allgatherv_doubling", 36),
+    ("comm", "recv", 36),
+    ("compute", "compute", 132 - 12 - 24),
+    ("drain", "drain", 84 - 12 - 36),
+    ("nb", "chunk_step", 132 - 24 - 36 - 36),
     ("nb", "iallreduce_launch", 48 - 12),
     ("sched", "bucket_flush", 12),
     ("trainer", "backward", 12),
@@ -498,12 +513,12 @@ const GOLDEN_SCHED_HIST: &[(&str, &str, usize)] = &[
     ("trainer", "layer_fwd", 36),
     ("trainer", "optimizer_step", 12),
 ];
-/// Re-recorded with the histogram (the all-reduces are α shorter).
-const GOLDEN_SCHED_FNV: u64 = 0x798a_da2e_86b3_f21d;
+/// Re-recorded with the histogram (the forward no longer prefetches).
+const GOLDEN_SCHED_FNV: u64 = 0xc120_d174_6fe0_cf95;
 /// The same FNV over every event but the `trainer` phases, first
 /// recorded to pin that moving the drain left everything below the
 /// phases alone; re-recorded with the histogram.
-const GOLDEN_SCHED_BELOW_TRAINER_FNV: u64 = 0x7287_7116_5c30_172d;
+const GOLDEN_SCHED_BELOW_TRAINER_FNV: u64 = 0x3ee7_e6df_e409_1725;
 
 /// Golden traces recorded at `fc240c2`, before `mpsim`'s three receive
 /// completions, five notice broadcasts and ten `World::run_*` were
@@ -553,11 +568,7 @@ fn golden_traces_survive_the_envelope_refactor() {
         iters: 3,
         seed: 3,
     };
-    let plan = OverlapPlan {
-        dx_overlap: true,
-        fwd_prefetch: true,
-        ..OverlapPlan::default()
-    };
+    let plan = OverlapPlan::default();
     let (_, trace) = train_1p5d_scheduled_traced(
         &net,
         &x,

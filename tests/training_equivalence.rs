@@ -156,10 +156,9 @@ impl Digest {
 /// all-reduced) the gradient of its network input. Nothing reads that
 /// gradient, so no weight and no loss may move when it stops being
 /// formed: the serial trainers and each distributed one on two grids,
-/// the 1.5D runs with and without the bucket scheduler (both of its
-/// backward variants), per-layer grids with the first layer on either
-/// side of the relayout, the momentum epoch loop, and a CNN whose first
-/// convolution is strided.
+/// the 1.5D runs with and without the bucket scheduler, per-layer grids
+/// with the first layer on either side of the relayout, the momentum
+/// epoch loop, and a CNN whose first convolution is strided.
 ///
 /// Re-recorded once, when all-reduces began running the selected
 /// schedule: on the free model every power-of-two group sums by
@@ -168,6 +167,13 @@ impl Digest {
 /// 4-rank group moved — `train_1p5d` (its 4 × 1 grid's ∆X) and
 /// `train_mixed` (its 1 × 4 and 4 × 1 layers); the serial trainers, the
 /// 2 × 2 / 2 × 3 / 3 × 1 grids and the CNN kept theirs.
+///
+/// Re-recorded a second time, for `train_1p5d_scheduled` alone, when the
+/// forward prefetch was deleted: its 2 × 3 run had used it, and the
+/// prefetch summed each layer's partial product block by block over the
+/// gathered rows (a re-association of the one GEMM the forward now runs),
+/// so that run's weights and losses moved by rounding. The other seven
+/// digests hold to the bit.
 #[test]
 fn every_trainer_keeps_its_weights_and_losses_to_the_bit() {
     let free = NetModel::free();
@@ -197,12 +203,8 @@ fn every_trainer_keeps_its_weights_and_losses_to_the_bit() {
     got.push(("train_1p5d", d.0));
 
     let mut d = Digest::new();
-    let everything = OverlapPlan {
-        bucket_words: 64,
-        dx_overlap: true,
-        fwd_prefetch: true,
-    };
-    for (pr, pc, plan) in [(2, 2, OverlapPlan::default()), (2, 3, everything)] {
+    let small = OverlapPlan { bucket_words: 64 };
+    for (pr, pc, plan) in [(2, 2, OverlapPlan::default()), (2, 3, small)] {
         let r = train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, free, plan);
         for rank in &r.per_rank {
             d.put(&rank.partial_losses);
@@ -276,7 +278,7 @@ fn every_trainer_keeps_its_weights_and_losses_to_the_bit() {
     let want: &[(&str, u64)] = &[
         ("train_serial", 0xa396_1dad_f000_2059),
         ("train_1p5d", 0x98f9_4b30_e2cb_8113),
-        ("train_1p5d_scheduled", 0x8cba_75b3_f6d2_aa35),
+        ("train_1p5d_scheduled", 0x6765_04e7_9997_b6db),
         ("train_mixed", 0x8ada_a9d5_5fb5_9336),
         ("train_epochs_serial", 0x3078_65db_970d_34c2),
         ("train_epochs_1p5d", 0x6f05_3af1_f57a_2027),
