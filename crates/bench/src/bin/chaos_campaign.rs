@@ -29,8 +29,9 @@
 //!   single high-bit compute flip checked with ABFT *off*. Expects a
 //!   `no-silent-divergence` violation that shrinks to the one flip,
 //!   and that the same plan goes green under a defended oracle.
-//! - `--replay FILE`: parse FILE and run it through the oracle once,
-//!   reporting the verdict (exit 1 if it violates).
+//! - `--replay FILE`: parse FILE and run it through an oracle built for
+//!   the plan's own grid and iteration count, reporting the verdict
+//!   (exit 1 if it violates, or if FILE does not parse or validate).
 
 use std::process::ExitCode;
 
@@ -47,7 +48,7 @@ enum Mode {
     Campaign,
     FixtureBad,
     FixtureSdc,
-    Replay(String),
+    Replay(ChaosPlan),
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -70,7 +71,11 @@ fn parse_args() -> Result<Args, String> {
             "--fixture-sdc" => args.mode = Mode::FixtureSdc,
             "--replay" => {
                 let f = it.next().ok_or("--replay needs a file")?;
-                args.mode = Mode::Replay(f);
+                let text =
+                    std::fs::read_to_string(&f).map_err(|e| format!("cannot read {f}: {e}"))?;
+                let plan =
+                    ChaosPlan::from_json(&text).map_err(|e| format!("cannot parse {f}: {e}"))?;
+                args.mode = Mode::Replay(plan);
             }
             "--out" => args.out = it.next().ok_or("--out needs a file")?,
             other => return Err(format!("unknown argument {other:?}")),
@@ -88,18 +93,22 @@ fn main() -> ExitCode {
         }
     };
 
+    let (pr, pc, iters) = match &args.mode {
+        Mode::Replay(plan) => (plan.pr, plan.pc, plan.iters),
+        _ => (2, 3, 8),
+    };
     println!(
-        "building fault-free reference (2x3 grid, 8 iters, abft {})...",
+        "building fault-free reference ({pr}x{pc} grid, {iters} iters, abft {})...",
         if args.sdc { "on" } else { "off" }
     );
-    let oracle = Oracle::with_abft(2, 3, 8, args.sdc);
+    let oracle = Oracle::with_abft(pr, pc, iters, args.sdc);
     println!("fault-free makespan: {:.3e} s", oracle.clean_makespan());
 
     match args.mode {
         Mode::Campaign => campaign(&oracle, args.seeds, args.sdc, &args.out),
         Mode::FixtureBad => fixture_bad(&oracle, &args.out),
         Mode::FixtureSdc => fixture_sdc(&oracle, &args.out),
-        Mode::Replay(file) => replay(&oracle, &file),
+        Mode::Replay(plan) => replay(&oracle, &plan),
     }
 }
 
@@ -251,23 +260,9 @@ fn fixture_sdc(undefended: &Oracle, out: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn replay(oracle: &Oracle, file: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let plan = match ChaosPlan::from_json(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cannot parse {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("replaying {} events from {file}", plan.events.len());
-    match oracle.check(&plan) {
+fn replay(oracle: &Oracle, plan: &ChaosPlan) -> ExitCode {
+    println!("replaying {} events", plan.events.len());
+    match oracle.check(plan) {
         Ok(()) => {
             println!("plan satisfies every invariant");
             ExitCode::SUCCESS

@@ -3,8 +3,10 @@
 //! plans.
 //!
 //! A **campaign** draws [`ChaosPlan`]s from a seed — each a list of
-//! [`ChaosEvent`]s (kills, rejoins, partitions, heals, duplications,
-//! reorderings) with times expressed as *fractions of the fault-free
+//! [`Fault`]s, the fault vocabulary of [`FaultPlan`] itself (kills,
+//! rejoins, partitions, heals, duplications, reorderings, bit flips;
+//! hand-written plans may also straggle, drop and corrupt), with every
+//! virtual-time quantity expressed as a *fraction of the fault-free
 //! makespan*, so a plan is scale-free and replays identically on any
 //! machine model. The [`Oracle`] runs each plan through the
 //! fault-tolerant trainer and checks the safety invariants the
@@ -32,7 +34,7 @@
 //!    times are finite and ordered, and nothing is stamped past the
 //!    end of the run;
 //! 6. **no silent divergence** — every scripted bit flip
-//!    ([`ChaosEvent::BitflipCompute`] / [`ChaosEvent::BitflipMemory`])
+//!    ([`Fault::BitflipCompute`] / [`Fault::BitflipMemory`])
 //!    that actually fires is either corrected in place by ABFT or
 //!    escalated into a checkpoint recovery, and the final weights
 //!    match the fault-free run to 1e-6. An undefended oracle
@@ -57,7 +59,7 @@ use crate::MachineModel;
 use collectives::FtConfig;
 use dnn::zoo::mlp_tiny;
 use dnn::Network;
-use mpsim::{EventKind, FaultPlan, TraceConfig};
+use mpsim::{EventKind, Fault, FaultPlan, Span, TraceConfig};
 use tensor::Matrix;
 
 /// SplitMix64: the same tiny deterministic generator the fault plan
@@ -95,55 +97,6 @@ impl ChaosRng {
     }
 }
 
-/// One scheduled fault. Times (`at`) are fractions of the fault-free
-/// makespan in `[0, 1]`; link message indices (`nth`) are 0-based.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChaosEvent {
-    /// Kill `rank` (fail-stop) at `at`.
-    Kill { rank: usize, at: f64 },
-    /// Revive a previously killed `rank` at `at`.
-    Rejoin { rank: usize, at: f64 },
-    /// Cut every link between `group` and its complement at `at`
-    /// (both directions, or only messages *from* the group when
-    /// `oneway`).
-    Partition {
-        group: Vec<usize>,
-        at: f64,
-        oneway: bool,
-    },
-    /// Restore the links of the partition over `group` at `at`.
-    Heal { group: Vec<usize>, at: f64 },
-    /// Deliver the `nth` data message from `src` to `dst` twice.
-    Duplicate { src: usize, dst: usize, nth: u64 },
-    /// Hold the `nth` data message from `src` to `dst` back until up
-    /// to `depth` later messages on the link have been posted.
-    Reorder {
-        src: usize,
-        dst: usize,
-        nth: u64,
-        depth: u64,
-    },
-    /// Flip `bit` of one element of the GEMM output produced by op
-    /// `op` of iteration `iter` on `rank` — a silent compute fault.
-    /// Unlike the time-fraction events, flips are iteration-indexed:
-    /// they replay identically across machine models by construction.
-    BitflipCompute {
-        rank: usize,
-        iter: u64,
-        op: u64,
-        bit: u32,
-    },
-    /// Flip `bit` of resident weight word `param mod |W|` on `rank`
-    /// between iterations `iter-1` and `iter` — a silent memory fault
-    /// that no GEMM checksum can see.
-    BitflipMemory {
-        rank: usize,
-        iter: u64,
-        param: u64,
-        bit: u32,
-    },
-}
-
 /// A replayable chaos scenario: grid shape, iteration count, and the
 /// scheduled events. Everything the oracle needs to re-run it.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,8 +110,10 @@ pub struct ChaosPlan {
     pub pc: usize,
     /// Training iterations.
     pub iters: usize,
-    /// Scheduled faults.
-    pub events: Vec<ChaosEvent>,
+    /// Scheduled faults. Every virtual-time quantity — an `at`, a
+    /// straggler's `extra` and `jitter` — is a fraction of the
+    /// fault-free makespan.
+    pub events: Vec<Fault>,
 }
 
 impl ChaosPlan {
@@ -185,8 +140,8 @@ impl ChaosPlan {
                 let victim = rng.below(size);
                 let at = 0.25 + 0.2 * rng.unit();
                 let back = at + 0.1 + 0.15 * rng.unit();
-                events.push(ChaosEvent::Kill { rank: victim, at });
-                events.push(ChaosEvent::Rejoin {
+                events.push(Fault::Kill { rank: victim, at });
+                events.push(Fault::Rejoin {
                     rank: victim,
                     at: back,
                 });
@@ -209,12 +164,12 @@ impl ChaosPlan {
                 group.sort_unstable();
                 let at = 0.25 + 0.2 * rng.unit();
                 let heal = at + 0.15 + 0.15 * rng.unit();
-                events.push(ChaosEvent::Partition {
+                events.push(Fault::Partition {
                     group: group.clone(),
                     at,
                     oneway,
                 });
-                events.push(ChaosEvent::Heal { group, at: heal });
+                events.push(Fault::Heal { group, at: heal });
             }
         }
 
@@ -222,7 +177,7 @@ impl ChaosPlan {
             let src = rng.below(size);
             let dst = rng.below(size);
             if src != dst {
-                events.push(ChaosEvent::Duplicate {
+                events.push(Fault::Duplicate {
                     src,
                     dst,
                     nth: rng.below(40) as u64,
@@ -233,7 +188,7 @@ impl ChaosPlan {
             let src = rng.below(size);
             let dst = rng.below(size);
             if src != dst {
-                events.push(ChaosEvent::Reorder {
+                events.push(Fault::Reorder {
                     src,
                     dst,
                     nth: rng.below(40) as u64,
@@ -267,7 +222,7 @@ impl ChaosPlan {
         // Decorrelate from the base plan's draws.
         let mut rng = ChaosRng::new(seed ^ 0x5DC0_F11B_5DC0_F11B);
         for _ in 0..1 + rng.below(2) {
-            plan.events.push(ChaosEvent::BitflipCompute {
+            plan.events.push(Fault::BitflipCompute {
                 rank: rng.below(size),
                 iter: rng.below(plan.iters) as u64,
                 op: rng.below(9) as u64,
@@ -275,7 +230,7 @@ impl ChaosPlan {
             });
         }
         if rng.below(2) == 0 {
-            plan.events.push(ChaosEvent::BitflipMemory {
+            plan.events.push(Fault::BitflipMemory {
                 rank: rng.below(size),
                 iter: rng.below(plan.iters) as u64,
                 param: rng.next_u64() % 4096,
@@ -298,25 +253,25 @@ impl ChaosPlan {
             pc: 3,
             iters: 8,
             events: vec![
-                ChaosEvent::Duplicate {
+                Fault::Duplicate {
                     src: 0,
                     dst: 1,
                     nth: 3,
                 },
-                ChaosEvent::Kill { rank: 3, at: 0.35 },
-                ChaosEvent::Reorder {
+                Fault::Kill { rank: 3, at: 0.35 },
+                Fault::Reorder {
                     src: 1,
                     dst: 2,
                     nth: 4,
                     depth: 2,
                 },
-                ChaosEvent::Kill { rank: 4, at: 0.35 },
-                ChaosEvent::Duplicate {
+                Fault::Kill { rank: 4, at: 0.35 },
+                Fault::Duplicate {
                     src: 2,
                     dst: 0,
                     nth: 7,
                 },
-                ChaosEvent::Kill { rank: 5, at: 0.35 },
+                Fault::Kill { rank: 5, at: 0.35 },
             ],
         }
     }
@@ -333,24 +288,24 @@ impl ChaosPlan {
             pc: 3,
             iters: 8,
             events: vec![
-                ChaosEvent::Duplicate {
+                Fault::Duplicate {
                     src: 0,
                     dst: 1,
                     nth: 3,
                 },
-                ChaosEvent::BitflipCompute {
+                Fault::BitflipCompute {
                     rank: 3,
                     iter: 2,
                     op: 1,
                     bit: 51,
                 },
-                ChaosEvent::Reorder {
+                Fault::Reorder {
                     src: 1,
                     dst: 2,
                     nth: 4,
                     depth: 2,
                 },
-                ChaosEvent::Duplicate {
+                Fault::Duplicate {
                     src: 2,
                     dst: 0,
                     nth: 7,
@@ -359,22 +314,32 @@ impl ChaosPlan {
         }
     }
 
+    /// Checks the plan: a non-empty grid and iteration count, every
+    /// rank it names inside the grid, and its faults through
+    /// [`FaultPlan::validate`]. [`ChaosPlan::from_json`] ends here and
+    /// [`Oracle::check`] starts here.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.pr == 0 || self.pc == 0 || self.iters == 0 {
+            return Err("pr, pc and iters must be positive".to_string());
+        }
+        let size = self.pr.saturating_mul(self.pc);
+        let mut ranks = self.events.iter().flat_map(Fault::ranks);
+        if let Some(r) = ranks.find(|&r| r >= size) {
+            return Err(format!(
+                "rank {r} is outside the {}x{} grid",
+                self.pr, self.pc
+            ));
+        }
+        self.to_fault_plan(1.0).validate()
+    }
+
     /// Ranks the plan kills and never revives afterwards: their
     /// `RankFailed` outcome is scripted, not a trainer bug.
     pub fn permanently_killed(&self) -> Vec<usize> {
-        let mut dead = Vec::new();
-        for ev in &self.events {
-            if let ChaosEvent::Kill { rank, at } = ev {
-                let revived = self.events.iter().any(|e| {
-                    matches!(e, ChaosEvent::Rejoin { rank: r, at: back }
-                        if r == rank && back > at)
-                });
-                if !revived && !dead.contains(rank) {
-                    dead.push(*rank);
-                }
-            }
-        }
-        dead
+        let plan = self.to_fault_plan(1.0);
+        (0..self.size())
+            .filter(|&r| !plan.alive_at(r, f64::INFINITY))
+            .collect()
     }
 
     /// Whether any partition is never healed. The quorum-less side of
@@ -383,55 +348,21 @@ impl ChaosPlan {
     /// possibly the cut group's *complement* — so this is a plan-level
     /// flag, not a per-rank set.)
     pub fn has_unhealed_partition(&self) -> bool {
-        self.events.iter().any(|ev| {
-            matches!(ev, ChaosEvent::Partition { group, at, .. }
-            if !self.events.iter().any(|e| {
-                matches!(e, ChaosEvent::Heal { group: g, at: h }
-                    if g == group && h > at)
-            }))
-        })
+        let plan = self.to_fault_plan(1.0);
+        let never_heals = |f: &Fault| match f {
+            Fault::Partition { at, .. } => plan.heal_horizon(*at) == Some(f64::INFINITY),
+            _ => false,
+        };
+        self.events.iter().any(never_heals)
     }
 
     /// Realizes the scale-free plan against a concrete fault-free
     /// makespan: fractions become absolute virtual times.
     pub fn to_fault_plan(&self, makespan: f64) -> FaultPlan {
-        let mut plan = FaultPlan::new(self.seed).with_default_timeout(10.0);
-        for ev in &self.events {
-            plan = match ev {
-                ChaosEvent::Kill { rank, at } => plan.kill(*rank, at * makespan),
-                ChaosEvent::Rejoin { rank, at } => plan.rejoin(*rank, at * makespan),
-                ChaosEvent::Partition { group, at, oneway } => {
-                    if *oneway {
-                        plan.partition_oneway(group, at * makespan)
-                    } else {
-                        plan.partition(group, at * makespan)
-                    }
-                }
-                ChaosEvent::Heal { group, at } => plan.heal(group, at * makespan),
-                ChaosEvent::Duplicate { src, dst, nth } => plan.duplicate_nth(*src, *dst, *nth),
-                ChaosEvent::Reorder {
-                    src,
-                    dst,
-                    nth,
-                    depth,
-                } => plan.reorder_nth(*src, *dst, *nth, *depth),
-                // Flips are iteration-indexed, not time-fraction
-                // scaled: they pass through untouched.
-                ChaosEvent::BitflipCompute {
-                    rank,
-                    iter,
-                    op,
-                    bit,
-                } => plan.bitflip_compute(*rank, *iter, *op, *bit),
-                ChaosEvent::BitflipMemory {
-                    rank,
-                    iter,
-                    param,
-                    bit,
-                } => plan.bitflip_memory(*rank, *iter, *param, *bit),
-            };
-        }
-        plan
+        let plan = FaultPlan::new(self.seed).with_default_timeout(10.0);
+        self.events
+            .iter()
+            .fold(plan, |plan, f| plan.with(f.clone().scale_times(makespan)))
     }
 
     /// Serializes the plan as JSON (the vendored serde stub has no
@@ -439,98 +370,90 @@ impl ChaosPlan {
     /// round-trips exactly — Rust's `{}` formatting prints the shortest
     /// decimal that re-parses to the same bits, including subnormals —
     /// but `NaN`/`inf` are not JSON tokens and would serialize as
-    /// garbage the parser rejects, so they are refused up front.
+    /// garbage the parser rejects, so they are refused.
     ///
     /// # Panics
     ///
-    /// Panics if any event time in the plan is non-finite.
+    /// Panics if any time or delay in the plan is non-finite.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        for ev in &self.events {
-            if let ChaosEvent::Kill { at, .. }
-            | ChaosEvent::Rejoin { at, .. }
-            | ChaosEvent::Partition { at, .. }
-            | ChaosEvent::Heal { at, .. } = ev
-            {
-                assert!(
-                    at.is_finite(),
-                    "chaos event time {at} is not finite and cannot be serialized as JSON"
-                );
-            }
-        }
-        let mut s = String::new();
-        let _ = write!(
-            s,
+        let mut s = format!(
             "{{\n  \"seed\": {},\n  \"pr\": {},\n  \"pc\": {},\n  \"iters\": {},\n  \"events\": [",
             self.seed, self.pr, self.pc, self.iters
         );
         for (i, ev) in self.events.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\n    ");
-            match ev {
-                ChaosEvent::Kill { rank, at } => {
-                    let _ = write!(s, "{{\"type\": \"kill\", \"rank\": {rank}, \"at\": {at}}}");
+            let _ = write!(s, "{sep}\n    {{\"type\": ");
+            let _ = match ev {
+                Fault::Kill { rank, at } => {
+                    write!(s, "\"kill\", \"rank\": {rank}, \"at\": {}}}", num(*at))
                 }
-                ChaosEvent::Rejoin { rank, at } => {
-                    let _ = write!(
-                        s,
-                        "{{\"type\": \"rejoin\", \"rank\": {rank}, \"at\": {at}}}"
-                    );
+                Fault::Rejoin { rank, at } => {
+                    write!(s, "\"rejoin\", \"rank\": {rank}, \"at\": {}}}", num(*at))
                 }
-                ChaosEvent::Partition { group, at, oneway } => {
-                    let _ = write!(
-                        s,
-                        "{{\"type\": \"partition\", \"group\": {}, \"at\": {at}, \"oneway\": {oneway}}}",
-                        json_list(group)
-                    );
+                Fault::Partition { group, at, oneway } => write!(
+                    s,
+                    "\"partition\", \"group\": {group:?}, \"at\": {}, \"oneway\": {oneway}}}",
+                    num(*at)
+                ),
+                Fault::Heal { group, at } => {
+                    write!(s, "\"heal\", \"group\": {group:?}, \"at\": {}}}", num(*at))
                 }
-                ChaosEvent::Heal { group, at } => {
-                    let _ = write!(
-                        s,
-                        "{{\"type\": \"heal\", \"group\": {}, \"at\": {at}}}",
-                        json_list(group)
-                    );
+                Fault::Duplicate { src, dst, nth } => write!(
+                    s,
+                    "\"duplicate\", \"src\": {src}, \"dst\": {dst}, \"nth\": {nth}}}"
+                ),
+                Fault::Drop { src, dst, nth } => {
+                    write!(s, "\"drop\", \"src\": {src}, \"dst\": {dst}, \"nth\": {nth}}}")
                 }
-                ChaosEvent::Duplicate { src, dst, nth } => {
-                    let _ = write!(
-                        s,
-                        "{{\"type\": \"duplicate\", \"src\": {src}, \"dst\": {dst}, \"nth\": {nth}}}"
-                    );
-                }
-                ChaosEvent::Reorder {
+                Fault::Corrupt { src, dst, nth } => write!(
+                    s,
+                    "\"corrupt\", \"src\": {src}, \"dst\": {dst}, \"nth\": {nth}}}"
+                ),
+                Fault::Reorder {
                     src,
                     dst,
                     nth,
                     depth,
-                } => {
-                    let _ = write!(
-                        s,
-                        "{{\"type\": \"reorder\", \"src\": {src}, \"dst\": {dst}, \"nth\": {nth}, \"depth\": {depth}}}"
-                    );
-                }
-                ChaosEvent::BitflipCompute {
+                } => write!(
+                    s,
+                    "\"reorder\", \"src\": {src}, \"dst\": {dst}, \"nth\": {nth}, \"depth\": {depth}}}"
+                ),
+                Fault::Straggle {
+                    src,
+                    dst,
+                    extra,
+                    jitter,
+                    span,
+                } => write!(
+                    s,
+                    "\"straggle\", \"src\": {src}, \"dst\": {dst}, \"extra\": {}, \"jitter\": {}, \"span\": {}}}",
+                    num(*extra),
+                    num(*jitter),
+                    match span {
+                        Span::All => "\"all\"".to_string(),
+                        Span::Once(n) => n.to_string(),
+                    }
+                ),
+                Fault::BitflipCompute {
                     rank,
                     iter,
                     op,
                     bit,
-                } => {
-                    let _ = write!(
-                        s,
-                        "{{\"type\": \"bitflip_compute\", \"rank\": {rank}, \"iter\": {iter}, \"op\": {op}, \"bit\": {bit}}}"
-                    );
-                }
-                ChaosEvent::BitflipMemory {
+                } => write!(
+                    s,
+                    "\"bitflip_compute\", \"rank\": {rank}, \"iter\": {iter}, \"op\": {op}, \"bit\": {bit}}}"
+                ),
+                Fault::BitflipMemory {
                     rank,
                     iter,
                     param,
                     bit,
-                } => {
-                    let _ = write!(
-                        s,
-                        "{{\"type\": \"bitflip_memory\", \"rank\": {rank}, \"iter\": {iter}, \"param\": {param}, \"bit\": {bit}}}"
-                    );
-                }
-            }
+                } => write!(
+                    s,
+                    "\"bitflip_memory\", \"rank\": {rank}, \"iter\": {iter}, \"param\": {param}, \"bit\": {bit}}}"
+                ),
+            };
         }
         s.push_str("\n  ]\n}\n");
         s
@@ -540,76 +463,102 @@ impl ChaosPlan {
     /// by hand). Returns a descriptive error on malformed input:
     /// integer fields are read from their digits — exact for every
     /// `u64`, so a replayed seed is the seed that failed — and a
-    /// negative, fractional or out-of-range one is refused by key.
+    /// negative, fractional or out-of-range one is refused by key. A
+    /// plan that parses is then [`ChaosPlan::validate`]d, so a bad time
+    /// (`1e999` parses as `inf`) or a rank off the grid is an error
+    /// here, not a panic in the run.
     pub fn from_json(text: &str) -> Result<ChaosPlan, String> {
         let v = Json::parse(text)?;
         let obj = v.as_object("top level")?;
-        let seed = get_int(obj, "seed")?;
-        let pr = get_int(obj, "pr")?;
-        let pc = get_int(obj, "pc")?;
-        let iters = get_int(obj, "iters")?;
-        let events_v = get(obj, "events")?.as_array("events")?;
-        let mut events = Vec::with_capacity(events_v.len());
-        for (i, ev) in events_v.iter().enumerate() {
-            let e = ev.as_object(&format!("events[{i}]"))?;
-            let ty = get(e, "type")?.as_str(&format!("events[{i}].type"))?;
-            events.push(match ty {
-                "kill" => ChaosEvent::Kill {
-                    rank: get_int(e, "rank")?,
-                    at: get_finite(e, "at")?,
-                },
-                "rejoin" => ChaosEvent::Rejoin {
-                    rank: get_int(e, "rank")?,
-                    at: get_finite(e, "at")?,
-                },
-                "partition" => ChaosEvent::Partition {
-                    group: get_ranks(e, "group")?,
-                    at: get_finite(e, "at")?,
-                    oneway: get(e, "oneway")?.as_bool("oneway")?,
-                },
-                "heal" => ChaosEvent::Heal {
-                    group: get_ranks(e, "group")?,
-                    at: get_finite(e, "at")?,
-                },
-                "duplicate" => ChaosEvent::Duplicate {
-                    src: get_int(e, "src")?,
-                    dst: get_int(e, "dst")?,
-                    nth: get_int(e, "nth")?,
-                },
-                "reorder" => ChaosEvent::Reorder {
-                    src: get_int(e, "src")?,
-                    dst: get_int(e, "dst")?,
-                    nth: get_int(e, "nth")?,
-                    depth: get_int(e, "depth")?,
-                },
-                "bitflip_compute" => ChaosEvent::BitflipCompute {
-                    rank: get_int(e, "rank")?,
-                    iter: get_int(e, "iter")?,
-                    op: get_int(e, "op")?,
-                    bit: get_int(e, "bit")?,
-                },
-                "bitflip_memory" => ChaosEvent::BitflipMemory {
-                    rank: get_int(e, "rank")?,
-                    iter: get_int(e, "iter")?,
-                    param: get_int(e, "param")?,
-                    bit: get_int(e, "bit")?,
-                },
-                other => return Err(format!("unknown event type {other:?}")),
-            });
-        }
-        Ok(ChaosPlan {
-            seed,
-            pr,
-            pc,
-            iters,
-            events,
-        })
+        let events = get(obj, "events")?.as_array("events")?.iter().enumerate();
+        let plan = ChaosPlan {
+            seed: get_int(obj, "seed")?,
+            pr: get_int(obj, "pr")?,
+            pc: get_int(obj, "pc")?,
+            iters: get_int(obj, "iters")?,
+            events: events.map(fault_from_json).collect::<Result<_, _>>()?,
+        };
+        plan.validate()?;
+        Ok(plan)
     }
 }
 
-fn json_list(xs: &[usize]) -> String {
-    let inner: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", inner.join(", "))
+/// The `i`-th entry of a plan's `"events"`.
+fn fault_from_json((i, ev): (usize, &Json)) -> Result<Fault, String> {
+    let e = ev.as_object(&format!("events[{i}]"))?;
+    let ty = get(e, "type")?.as_str(&format!("events[{i}].type"))?;
+    Ok(match ty {
+        "kill" => Fault::Kill {
+            rank: get_int(e, "rank")?,
+            at: get_num(e, "at")?,
+        },
+        "rejoin" => Fault::Rejoin {
+            rank: get_int(e, "rank")?,
+            at: get_num(e, "at")?,
+        },
+        "partition" => Fault::Partition {
+            group: get_ranks(e, "group")?,
+            at: get_num(e, "at")?,
+            oneway: get(e, "oneway")?.as_bool("oneway")?,
+        },
+        "heal" => Fault::Heal {
+            group: get_ranks(e, "group")?,
+            at: get_num(e, "at")?,
+        },
+        "duplicate" => Fault::Duplicate {
+            src: get_int(e, "src")?,
+            dst: get_int(e, "dst")?,
+            nth: get_int(e, "nth")?,
+        },
+        "drop" => Fault::Drop {
+            src: get_int(e, "src")?,
+            dst: get_int(e, "dst")?,
+            nth: get_int(e, "nth")?,
+        },
+        "corrupt" => Fault::Corrupt {
+            src: get_int(e, "src")?,
+            dst: get_int(e, "dst")?,
+            nth: get_int(e, "nth")?,
+        },
+        "reorder" => Fault::Reorder {
+            src: get_int(e, "src")?,
+            dst: get_int(e, "dst")?,
+            nth: get_int(e, "nth")?,
+            depth: get_int(e, "depth")?,
+        },
+        "straggle" => Fault::Straggle {
+            src: get_int(e, "src")?,
+            dst: get_int(e, "dst")?,
+            extra: get_num(e, "extra")?,
+            jitter: get_num(e, "jitter")?,
+            span: match get(e, "span")? {
+                Json::Str(all) if all == "all" => Span::All,
+                n => Span::Once(n.as_int("span")?),
+            },
+        },
+        "bitflip_compute" => Fault::BitflipCompute {
+            rank: get_int(e, "rank")?,
+            iter: get_int(e, "iter")?,
+            op: get_int(e, "op")?,
+            bit: get_int(e, "bit")?,
+        },
+        "bitflip_memory" => Fault::BitflipMemory {
+            rank: get_int(e, "rank")?,
+            iter: get_int(e, "iter")?,
+            param: get_int(e, "param")?,
+            bit: get_int(e, "bit")?,
+        },
+        other => return Err(format!("unknown event type {other:?}")),
+    })
+}
+
+/// `x`, refused when JSON cannot encode it.
+fn num(x: f64) -> f64 {
+    assert!(
+        x.is_finite(),
+        "chaos plan time or delay {x} is not finite and cannot be serialized as JSON"
+    );
+    x
 }
 
 /// A broken invariant: which one, and what the oracle saw.
@@ -704,17 +653,17 @@ impl Oracle {
     /// trainer survived the chaos with a clean bill.
     pub fn check(&self, plan: &ChaosPlan) -> Result<(), Violation> {
         assert_eq!(
-            (plan.pr, plan.pc),
-            (self.pr, self.pc),
-            "plan grid must match the oracle's workload"
+            (plan.pr, plan.pc, plan.iters),
+            (self.pr, self.pc, self.cfg.iters),
+            "plan grid and length must match the oracle's workload"
         );
-        let realized = plan.to_fault_plan(self.clean_makespan);
-        if let Err(msg) = realized.validate() {
+        if let Err(msg) = plan.validate() {
             return Err(Violation {
                 invariant: "valid-plan",
                 detail: msg,
             });
         }
+        let realized = plan.to_fault_plan(self.clean_makespan);
 
         // A rank panic unwinds through World's thread join; catch it so
         // one poisoned plan doesn't kill the whole campaign.
@@ -1002,15 +951,8 @@ fn get_int<T: TryFrom<u64>>(obj: &[(String, Json)], key: &str) -> Result<T, Stri
     get(obj, key)?.as_int(key)
 }
 
-/// The number at `key`, rejecting non-finite values: event times must
-/// stay finite (an overflowing literal such as `1e999` parses as `inf`,
-/// which would poison every virtual-time comparison downstream).
-fn get_finite(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
-    let x = get(obj, key)?.as_num(key)?;
-    if !x.is_finite() {
-        return Err(format!("key {key:?} must be finite, got {x}"));
-    }
-    Ok(x)
+fn get_num(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
+    get(obj, key)?.as_num(key)
 }
 
 fn get_ranks(obj: &[(String, Json)], key: &str) -> Result<Vec<usize>, String> {
@@ -1178,39 +1120,63 @@ mod tests {
             pc: 3,
             iters: 8,
             events: vec![
-                ChaosEvent::Kill { rank: 5, at: 0.35 },
-                ChaosEvent::Rejoin { rank: 5, at: 0.6 },
-                ChaosEvent::Partition {
+                Fault::Kill { rank: 5, at: 0.35 },
+                Fault::Rejoin { rank: 5, at: 0.6 },
+                Fault::Partition {
                     group: vec![1, 3],
                     at: 0.3,
                     oneway: true,
                 },
-                ChaosEvent::Heal {
+                Fault::Heal {
                     group: vec![1, 3],
                     at: 0.62,
                 },
-                ChaosEvent::Duplicate {
+                Fault::Duplicate {
                     src: 0,
                     dst: 1,
                     nth: 3,
                 },
-                ChaosEvent::Reorder {
+                Fault::Reorder {
                     src: 2,
                     dst: 4,
                     nth: 9,
                     depth: 2,
                 },
-                ChaosEvent::BitflipCompute {
+                Fault::BitflipCompute {
                     rank: 3,
                     iter: 2,
                     op: 7,
                     bit: 51,
                 },
-                ChaosEvent::BitflipMemory {
+                Fault::BitflipMemory {
                     rank: 1,
                     iter: 5,
                     param: 1234,
                     bit: 48,
+                },
+                Fault::Straggle {
+                    src: 0,
+                    dst: 1,
+                    extra: 0.01,
+                    jitter: 0.002,
+                    span: Span::All,
+                },
+                Fault::Straggle {
+                    src: 1,
+                    dst: 0,
+                    extra: 0.05,
+                    jitter: 0.0,
+                    span: Span::Once(4),
+                },
+                Fault::Drop {
+                    src: 2,
+                    dst: 3,
+                    nth: 1,
+                },
+                Fault::Corrupt {
+                    src: 3,
+                    dst: 2,
+                    nth: 0,
                 },
             ],
         };
@@ -1219,7 +1185,7 @@ mod tests {
         // Integers are exact over the whole `u64` range (2⁵³ + 1 and
         // `u64::MAX` both round when read through an `f64`).
         for seed in [(1 << 53) + 1, u64::MAX] {
-            let events = vec![ChaosEvent::Duplicate {
+            let events = vec![Fault::Duplicate {
                 src: 0,
                 dst: 1,
                 nth: seed,
@@ -1312,7 +1278,7 @@ mod tests {
             assert!(
                 plan.events.iter().any(|e| matches!(
                     e,
-                    ChaosEvent::BitflipCompute { .. } | ChaosEvent::BitflipMemory { .. }
+                    Fault::BitflipCompute { .. } | Fault::BitflipMemory { .. }
                 )),
                 "seed {seed} drew no flip"
             );
@@ -1346,7 +1312,7 @@ mod tests {
         assert_eq!(min.events.len(), 1, "minimized to {:?}", min.events);
         assert!(matches!(
             min.events[0],
-            ChaosEvent::BitflipCompute {
+            Fault::BitflipCompute {
                 rank: 3,
                 iter: 2,
                 op: 1,
@@ -1374,10 +1340,7 @@ mod tests {
         // replica of weight row 1 and the plan goes green, while every
         // noise event is droppable.
         assert_eq!(min.events.len(), 3, "minimized to {:?}", min.events);
-        assert!(min
-            .events
-            .iter()
-            .all(|e| matches!(e, ChaosEvent::Kill { .. })));
+        assert!(min.events.iter().all(|e| matches!(e, Fault::Kill { .. })));
         assert!(oracle.violates(&min), "minimized plan still fails");
 
         // The minimized plan replays deterministically from its JSON.
@@ -1399,6 +1362,99 @@ mod tests {
         assert!(err.contains("must be finite"), "got {err:?}");
     }
 
+    /// `tests/fixtures/chaos/<name>.json`.
+    fn fixture(name: &str) -> String {
+        let path = format!(
+            "{}/../../tests/fixtures/chaos/{name}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        std::fs::read_to_string(&path).expect(&path)
+    }
+
+    #[test]
+    fn from_json_ends_with_validate() {
+        let err = ChaosPlan::from_json(&fixture("negative_time")).expect_err("negative time");
+        assert!(
+            err.contains("Kill { rank: 4, at: -0.5 } has a negative time"),
+            "{err}"
+        );
+        let plan = |pr: usize, event: &str| {
+            format!(r#"{{"seed": 1, "pr": {pr}, "pc": 3, "iters": 4, "events": [{event}]}}"#)
+        };
+        for (bad, want) in [
+            (
+                plan(2, r#"{"type": "kill", "rank": 6, "at": 0.5}"#),
+                "rank 6 is outside the 2x3 grid",
+            ),
+            (
+                plan(2, r#"{"type": "drop", "src": 0, "dst": 9, "nth": 0}"#),
+                "rank 9",
+            ),
+            (
+                plan(2, r#"{"type": "heal", "group": [1], "at": 0.5}"#),
+                "heal of [1]",
+            ),
+            (plan(0, ""), "must be positive"),
+            (
+                plan(
+                    2,
+                    r#"{"type": "straggle", "src": 0, "dst": 1, "extra": -1, "jitter": 0, "span": 3}"#,
+                ),
+                "Straggle { src: 0, dst: 1, extra: -1.0, jitter: 0.0, span: Once(3) } has a negative",
+            ),
+        ] {
+            let err = ChaosPlan::from_json(&bad).expect_err(&bad);
+            assert!(err.contains(want), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn fixtures_replay_green_on_their_own_grid_and_length() {
+        for name in ["grid_2x2", "four_iters"] {
+            let plan = ChaosPlan::from_json(&fixture(name)).expect(name);
+            let oracle = Oracle::new(plan.pr, plan.pc, plan.iters);
+            assert_eq!(oracle.check(&plan), Ok(()), "{name}");
+        }
+    }
+
+    #[test]
+    fn json_bytes_and_generated_plans_are_pinned() {
+        let ev = |body: &str| {
+            let events: Vec<String> = body.lines().map(|l| format!("    {l}")).collect();
+            format!("\n  \"events\": [\n{}\n  ]\n}}\n", events.join(",\n"))
+        };
+        let head = |seed: u64| {
+            format!("{{\n  \"seed\": {seed},\n  \"pr\": 2,\n  \"pc\": 3,\n  \"iters\": 8,")
+        };
+        let known_bad = r#"{"type": "duplicate", "src": 0, "dst": 1, "nth": 3}
+{"type": "kill", "rank": 3, "at": 0.35}
+{"type": "reorder", "src": 1, "dst": 2, "nth": 4, "depth": 2}
+{"type": "kill", "rank": 4, "at": 0.35}
+{"type": "duplicate", "src": 2, "dst": 0, "nth": 7}
+{"type": "kill", "rank": 5, "at": 0.35}"#;
+        let known_bad_sdc = r#"{"type": "duplicate", "src": 0, "dst": 1, "nth": 3}
+{"type": "bitflip_compute", "rank": 3, "iter": 2, "op": 1, "bit": 51}
+{"type": "reorder", "src": 1, "dst": 2, "nth": 4, "depth": 2}
+{"type": "duplicate", "src": 2, "dst": 0, "nth": 7}"#;
+        let gen7 = r#"{"type": "kill", "rank": 0, "at": 0.4301521361213767}
+{"type": "rejoin", "rank": 0, "at": 0.6175916800755884}
+{"type": "duplicate", "src": 3, "dst": 4, "nth": 22}
+{"type": "reorder", "src": 4, "dst": 0, "nth": 24, "depth": 1}"#;
+        let sdc131 = r#"{"type": "partition", "group": [2], "at": 0.34261939493225985, "oneway": false}
+{"type": "heal", "group": [2], "at": 0.5504540957263783}
+{"type": "reorder", "src": 4, "dst": 2, "nth": 7, "depth": 3}
+{"type": "bitflip_compute", "rank": 5, "iter": 3, "op": 8, "bit": 58}
+{"type": "bitflip_compute", "rank": 0, "iter": 2, "op": 5, "bit": 45}"#;
+        for (plan, seed, body) in [
+            (ChaosPlan::known_bad(), 0xBAD, known_bad),
+            (ChaosPlan::known_bad_sdc(), 0x5DC_BAD, known_bad_sdc),
+            (ChaosPlan::generate(7), 7, gen7),
+            (ChaosPlan::generate_sdc(131), 131, sdc131),
+        ] {
+            assert_eq!(plan.to_json(), head(seed) + &ev(body), "seed {seed}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "not finite")]
     fn to_json_refuses_non_finite_times() {
@@ -1407,7 +1463,7 @@ mod tests {
             pr: 2,
             pc: 2,
             iters: 4,
-            events: vec![ChaosEvent::Kill {
+            events: vec![Fault::Kill {
                 rank: 0,
                 at: f64::NAN,
             }],
@@ -1447,17 +1503,34 @@ mod tests {
                 if !at.is_finite() || at.is_sign_negative() {
                     continue;
                 }
+                let mut events = vec![
+                    Fault::Kill { rank: 0, at },
+                    Fault::Partition { group: vec![2], at, oneway: true },
+                    Fault::Straggle { src: 0, dst: 1, extra: at, jitter: at, span: Span::All },
+                    Fault::Straggle { src: 1, dst: 0, extra: at, jitter: 0.0, span: Span::Once(bits) },
+                    Fault::Drop { src: 2, dst: 3, nth: bits },
+                    Fault::Corrupt { src: 3, dst: 2, nth: jitter },
+                    Fault::Duplicate { src: 1, dst: 2, nth: bits },
+                    Fault::Reorder { src: 2, dst: 1, nth: jitter, depth: 1 + jitter },
+                    Fault::BitflipCompute { rank: 3, iter: bits, op: jitter, bit: 62 },
+                    Fault::BitflipMemory { rank: 2, iter: jitter, param: bits, bit: 0 },
+                ];
+                // A rejoin and a heal must come strictly after their kill
+                // and partition.
+                if at > 0.0 {
+                    events.extend([
+                        Fault::Kill { rank: 1, at: 0.0 },
+                        Fault::Rejoin { rank: 1, at },
+                        Fault::Partition { group: vec![0, 1], at: 0.0, oneway: false },
+                        Fault::Heal { group: vec![0, 1], at },
+                    ]);
+                }
                 let plan = ChaosPlan {
                     seed: 9,
                     pr: 2,
                     pc: 2,
                     iters: 4,
-                    events: vec![
-                        ChaosEvent::Kill { rank: 1, at },
-                        ChaosEvent::Rejoin { rank: 1, at },
-                        ChaosEvent::Partition { group: vec![0, 1], at, oneway: false },
-                        ChaosEvent::Heal { group: vec![0, 1], at },
-                    ],
+                    events,
                 };
                 let back = ChaosPlan::from_json(&plan.to_json()).map_err(TestCaseError)?;
                 prop_assert_eq!(&plan, &back, "time {} did not round-trip", at);

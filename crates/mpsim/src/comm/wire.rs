@@ -97,10 +97,12 @@ pub(crate) struct Inner {
     /// [`crate::trace`]). Lives on this thread only — no locks.
     pub tracer: Tracer,
     /// Spend-once bookkeeping for scripted compute bit flips, indexed
-    /// by plan entry: a flip that has fired on this rank never fires
+    /// by [`crate::BitFlip::entry`] (a flip's ordinal among the plan's
+    /// compute flips): a flip that has fired on this rank never fires
     /// again, so a rollback/replay of the same iteration runs clean.
     pub compute_flips_spent: Vec<bool>,
-    /// Spend-once bookkeeping for scripted memory bit flips.
+    /// Spend-once bookkeeping for scripted memory bit flips, indexed
+    /// by their ordinal among the plan's memory flips.
     pub memory_flips_spent: Vec<bool>,
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic fault injection.
 //!
-//! A [`FaultPlan`] is a seedable, fully deterministic script of network
-//! and rank failures that the simulator consults at well-defined points:
+//! A [`FaultPlan`] is a seedable, fully deterministic script of
+//! [`Fault`]s that the simulator consults at well-defined points:
 //! per-link message counters index drops / corruptions / straggler
 //! delays, and each rank's own virtual clock triggers its death. Because
 //! every decision is a pure function of `(seed, src, dst, per-link
@@ -10,67 +10,80 @@
 //! without: same plan, same program ⇒ bit-identical virtual times,
 //! losses, and recovery decisions.
 //!
+//! [`Fault`] is the one fault vocabulary. Each builder below is one
+//! push through [`FaultPlan::with`]; the chaos campaign's plans list the
+//! same variants with times written as fractions of the fault-free
+//! makespan and realise them through the same call. No builder checks
+//! its arguments: [`FaultPlan::validate`] is the one place a fault is
+//! checked, and [`crate::World`] runs it before any rank starts.
+//!
 //! Fault classes:
 //!
-//! * **Stragglers** — extra latency (plus optional deterministic jitter)
-//!   added to the transfer time of messages on one `src → dst` link,
-//!   either for a single message ([`Span::Once`]) or all of them
-//!   ([`Span::All`]). Charged at the receiver like any α–β cost and
-//!   recorded in [`crate::RankStats::straggler_wait`].
-//! * **Drops** — the n-th data message on a link is silently lost. The
-//!   simulator delivers a *tombstone* in its place so the receiver's
-//!   timeout machinery can observe the loss deterministically instead of
-//!   hanging (see [`crate::Communicator::recv_timeout`]).
-//! * **Corruption** — a single bit of one payload word is flipped after
-//!   the envelope checksum is stamped, so the receiver's checksum
-//!   verification detects it ([`crate::Error::Corrupted`]). The flip
-//!   targets mantissa bits only, keeping the word finite.
-//! * **Rank death** — a rank dies at the first communication operation
-//!   at or after a virtual time `T`: it broadcasts a death notice to
-//!   every rank (so no peer can hang waiting on it) and every subsequent
-//!   operation on it returns [`crate::Error::RankFailed`].
-//! * **Rank rejoin** — a killed rank is scripted to come back at a
-//!   virtual time `T`: [`crate::Communicator::revive`] clears its death
-//!   flag (spending the kill that felled it), fast-forwards its clock
-//!   to `T`, and broadcasts a rejoin announcement. Survivors consult
-//!   the same script ([`FaultPlan::rejoin_time_after`]) to decide
-//!   re-admission, so the decision is a pure function of the plan and
-//!   virtual time — deterministic, like every other fault decision.
-//! * **Partitions** — from virtual time `T` until a scripted heal, a
-//!   set of ranks is cut off from the rest of the world: data messages
-//!   crossing the cut become tombstones (so timeouts observe the loss),
-//!   control messages surface as unreachable, and death/abort/park
-//!   notices crossing the cut are demoted to bare unreachability
-//!   markers — neither side learns anything about the other beyond
-//!   "cannot reach". The asymmetric variant severs only the
-//!   `group → outside` direction, modeling one-way reachability. The
-//!   cut decision is keyed on the *sender's* virtual clock at post
-//!   time, so it is exactly as replayable as every other fault.
-//! * **Duplication** — the n-th data message on a link is delivered
-//!   twice. The second copy is flagged in flight and deterministically
-//!   absorbed by the receiver's matching layer, so results never
-//!   change; the fault exercises the queueing paths.
-//! * **Bounded reordering** — the n-th data message on a link is held
-//!   back by the sender's transport and released after up to `depth`
-//!   later messages on the same link. Per-`(ctx, tag)` flow order is
-//!   preserved (a same-flow send flushes the held message first), so
-//!   the receiver's `(ctx, src, tag)` matching absorbs the shuffle
-//!   bit-identically — which is precisely the property the chaos
+//! * **Stragglers** ([`Fault::Straggle`]) — extra latency (plus
+//!   optional deterministic jitter) added to the transfer time of
+//!   messages on one `src → dst` link, either for a single message
+//!   ([`Span::Once`]) or all of them ([`Span::All`]). Charged at the
+//!   receiver like any α–β cost and recorded in
+//!   [`crate::RankStats::straggler_wait`].
+//! * **Drops** ([`Fault::Drop`]) — the n-th data message on a link is
+//!   silently lost. The simulator delivers a *tombstone* in its place so
+//!   the receiver's timeout machinery can observe the loss
+//!   deterministically instead of hanging (see
+//!   [`crate::Communicator::recv_timeout`]).
+//! * **Corruption** ([`Fault::Corrupt`]) — a single bit of one payload
+//!   word is flipped after the envelope checksum is stamped, so the
+//!   receiver's checksum verification detects it
+//!   ([`crate::Error::Corrupted`]). The flip targets mantissa bits only,
+//!   keeping the word finite.
+//! * **Rank death** ([`Fault::Kill`]) — a rank dies at the first
+//!   communication operation at or after a virtual time `T`: it
+//!   broadcasts a death notice to every rank (so no peer can hang
+//!   waiting on it) and every subsequent operation on it returns
+//!   [`crate::Error::RankFailed`].
+//! * **Rank rejoin** ([`Fault::Rejoin`]) — a killed rank is scripted to
+//!   come back at a virtual time `T`: [`crate::Communicator::revive`]
+//!   clears its death flag (spending the kill that felled it),
+//!   fast-forwards its clock to `T`, and broadcasts a rejoin
+//!   announcement. Survivors consult the same script
+//!   ([`FaultPlan::rejoin_time_after`]) to decide re-admission, so the
+//!   decision is a pure function of the plan and virtual time —
+//!   deterministic, like every other fault decision.
+//! * **Partitions** ([`Fault::Partition`], [`Fault::Heal`]) — from
+//!   virtual time `T` until a scripted heal, a set of ranks is cut off
+//!   from the rest of the world: data messages crossing the cut become
+//!   tombstones (so timeouts observe the loss), control messages surface
+//!   as unreachable, and death/abort/park notices crossing the cut are
+//!   demoted to bare unreachability markers — neither side learns
+//!   anything about the other beyond "cannot reach". The asymmetric
+//!   variant severs only the `group → outside` direction, modeling
+//!   one-way reachability. The cut decision is keyed on the *sender's*
+//!   virtual clock at post time, so it is exactly as replayable as every
+//!   other fault.
+//! * **Duplication** ([`Fault::Duplicate`]) — the n-th data message on a
+//!   link is delivered twice. The second copy is flagged in flight and
+//!   deterministically absorbed by the receiver's matching layer, so
+//!   results never change; the fault exercises the queueing paths.
+//! * **Bounded reordering** ([`Fault::Reorder`]) — the n-th data message
+//!   on a link is held back by the sender's transport and released after
+//!   up to `depth` later messages on the same link. Per-`(ctx, tag)` flow
+//!   order is preserved (a same-flow send flushes the held message
+//!   first), so the receiver's `(ctx, src, tag)` matching absorbs the
+//!   shuffle bit-identically — which is precisely the property the chaos
 //!   proptests pin.
-//! * **Compute bit flips** — silent data corruption inside a rank: one
-//!   mantissa/exponent bit of one element of a GEMM *output* is flipped
-//!   at a scripted `(rank, iter, op)` site. Unlike wire corruption this
-//!   never crosses a link, so no envelope checksum can see it — only
-//!   algorithm-based fault tolerance (checksummed GEMM in `distmm`)
-//!   or end-state divergence detects it. Each scripted flip fires at
-//!   most once per rank (spend-once), so a rollback/replay of the same
-//!   iteration re-executes clean.
-//! * **Memory bit flips** — silent corruption of *resident weights*: a
-//!   scripted bit of a scripted parameter word is flipped between
-//!   iterations. ABFT on the GEMMs cannot catch this (the products are
-//!   self-consistent with the corrupted operand); the trainer's
-//!   weight-checksum audit escalates it straight to rollback. Also
-//!   spend-once.
+//! * **Compute bit flips** ([`Fault::BitflipCompute`]) — silent data
+//!   corruption inside a rank: one mantissa/exponent bit of one element
+//!   of a GEMM *output* is flipped at a scripted `(rank, iter, op)` site.
+//!   Unlike wire corruption this never crosses a link, so no envelope
+//!   checksum can see it — only algorithm-based fault tolerance
+//!   (checksummed GEMM in `distmm`) or end-state divergence detects it.
+//!   Each scripted flip fires at most once per rank (spend-once), so a
+//!   rollback/replay of the same iteration re-executes clean.
+//! * **Memory bit flips** ([`Fault::BitflipMemory`]) — silent corruption
+//!   of *resident weights*: a scripted bit of a scripted parameter word
+//!   is flipped between iterations. ABFT on the GEMMs cannot catch this
+//!   (the products are self-consistent with the corrupted operand); the
+//!   trainer's weight-checksum audit escalates it straight to rollback.
+//!   Also spend-once.
 
 /// Which messages on a link a straggler entry applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,59 +103,100 @@ impl Span {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Straggler {
-    src: usize,
-    dst: usize,
-    extra: f64,
-    jitter: f64,
-    span: Span,
+/// One scripted fault (see the module docs for each class). Ranks are
+/// global; link indices (`nth`, [`Span::Once`]) count the data messages
+/// on the `src → dst` link from 0; times (`at`) and delays (`extra`,
+/// `jitter`) are virtual seconds in a [`FaultPlan`] and fractions of the
+/// fault-free makespan in a chaos plan. Flips are iteration-indexed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Fault {
+    /// [`FaultPlan::straggle`].
+    Straggle {
+        src: usize,
+        dst: usize,
+        extra: f64,
+        jitter: f64,
+        span: Span,
+    },
+    /// [`FaultPlan::drop_nth`].
+    Drop { src: usize, dst: usize, nth: u64 },
+    /// [`FaultPlan::corrupt_nth`].
+    Corrupt { src: usize, dst: usize, nth: u64 },
+    /// [`FaultPlan::duplicate_nth`].
+    Duplicate { src: usize, dst: usize, nth: u64 },
+    /// [`FaultPlan::reorder_nth`].
+    Reorder {
+        src: usize,
+        dst: usize,
+        nth: u64,
+        depth: u64,
+    },
+    /// [`FaultPlan::kill`].
+    Kill { rank: usize, at: f64 },
+    /// [`FaultPlan::rejoin`].
+    Rejoin { rank: usize, at: f64 },
+    /// [`FaultPlan::partition`], or [`FaultPlan::partition_oneway`]
+    /// when `oneway`.
+    Partition {
+        group: Vec<usize>,
+        at: f64,
+        oneway: bool,
+    },
+    /// [`FaultPlan::heal`].
+    Heal { group: Vec<usize>, at: f64 },
+    /// [`FaultPlan::bitflip_compute`].
+    BitflipCompute {
+        rank: usize,
+        iter: u64,
+        op: u64,
+        bit: u32,
+    },
+    /// [`FaultPlan::bitflip_memory`].
+    BitflipMemory {
+        rank: usize,
+        iter: u64,
+        param: u64,
+        bit: u32,
+    },
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LinkEvent {
-    src: usize,
-    dst: usize,
-    nth: u64,
-}
+impl Fault {
+    /// Every rank the fault names.
+    pub fn ranks(&self) -> Vec<usize> {
+        match self {
+            Fault::Straggle { src, dst, .. } | Fault::Drop { src, dst, .. } => vec![*src, *dst],
+            Fault::Corrupt { src, dst, .. } | Fault::Duplicate { src, dst, .. } => vec![*src, *dst],
+            Fault::Reorder { src, dst, .. } => vec![*src, *dst],
+            Fault::Kill { rank, .. } | Fault::Rejoin { rank, .. } => vec![*rank],
+            Fault::BitflipCompute { rank, .. } | Fault::BitflipMemory { rank, .. } => vec![*rank],
+            Fault::Partition { group, .. } | Fault::Heal { group, .. } => group.clone(),
+        }
+    }
 
-#[derive(Debug, Clone, Copy)]
-struct Reorder {
-    src: usize,
-    dst: usize,
-    nth: u64,
-    depth: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Partition {
-    group: Vec<usize>,
-    at: f64,
-    oneway: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ComputeFlip {
-    rank: usize,
-    iter: u64,
-    op: u64,
-    bit: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct MemoryFlip {
-    rank: usize,
-    iter: u64,
-    param: u64,
-    bit: u32,
+    /// The fault with every virtual-time quantity multiplied by `k`: an
+    /// `at`, and a straggler's `extra` and `jitter`. Link indices and
+    /// flips are not times and pass through.
+    pub fn scale_times(mut self, k: f64) -> Fault {
+        match &mut self {
+            Fault::Kill { at, .. } | Fault::Rejoin { at, .. } => *at *= k,
+            Fault::Partition { at, .. } | Fault::Heal { at, .. } => *at *= k,
+            Fault::Straggle { extra, jitter, .. } => {
+                *extra *= k;
+                *jitter *= k;
+            }
+            _ => {}
+        }
+        self
+    }
 }
 
 /// A scripted single-bit flip resolved for one call site, handed to the
 /// layer that owns the buffer (GEMM wrapper or trainer) to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitFlip {
-    /// Index of the plan entry that produced this flip — the key for
-    /// the communicator's spend-once bookkeeping.
+    /// The flip's ordinal among the plan's flips of its kind (compute
+    /// or memory) — the key for the communicator's spend-once
+    /// bookkeeping.
     pub entry: usize,
     /// Element selector: a deterministic hash for compute flips (the
     /// applier reduces it modulo the output length) or the scripted
@@ -180,17 +234,7 @@ pub fn apply_flips(data: &mut [f64], flips: &[BitFlip]) -> Vec<usize> {
 pub struct FaultPlan {
     seed: u64,
     default_timeout: Option<f64>,
-    stragglers: Vec<Straggler>,
-    drops: Vec<LinkEvent>,
-    corruptions: Vec<LinkEvent>,
-    duplicates: Vec<LinkEvent>,
-    reorders: Vec<Reorder>,
-    kills: Vec<(usize, f64)>,
-    rejoins: Vec<(usize, f64)>,
-    partitions: Vec<Partition>,
-    heals: Vec<(Vec<usize>, f64)>,
-    compute_flips: Vec<ComputeFlip>,
-    memory_flips: Vec<MemoryFlip>,
+    faults: Vec<Fault>,
 }
 
 impl FaultPlan {
@@ -202,127 +246,106 @@ impl FaultPlan {
         }
     }
 
+    /// Adds `fault`. Partition and heal groups are sorted and
+    /// deduplicated here ([`FaultPlan::link_cut`] binary-searches them);
+    /// everything else is [`FaultPlan::validate`]'s to check.
+    pub fn with(mut self, mut fault: Fault) -> Self {
+        if let Fault::Partition { group, .. } | Fault::Heal { group, .. } = &mut fault {
+            group.sort_unstable();
+            group.dedup();
+        }
+        self.faults.push(fault);
+        self
+    }
+
     /// Adds `extra + jitter·u` seconds of latency (with `u` a
     /// deterministic uniform draw in `[0, 1)` keyed on the seed and the
     /// message's link sequence number) to messages from global rank
     /// `src` to `dst` covered by `span`.
-    pub fn straggle(mut self, src: usize, dst: usize, extra: f64, jitter: f64, span: Span) -> Self {
-        assert!(
-            extra.is_finite() && jitter.is_finite() && extra >= 0.0 && jitter >= 0.0,
-            "straggler delay must be finite and non-negative (extra={extra}, jitter={jitter})"
-        );
-        self.stragglers.push(Straggler {
+    pub fn straggle(self, src: usize, dst: usize, extra: f64, jitter: f64, span: Span) -> Self {
+        self.with(Fault::Straggle {
             src,
             dst,
             extra,
             jitter,
             span,
-        });
-        self
+        })
     }
 
     /// Drops the `nth` (0-based) data message sent from `src` to `dst`.
-    pub fn drop_nth(mut self, src: usize, dst: usize, nth: u64) -> Self {
-        self.drops.push(LinkEvent { src, dst, nth });
-        self
+    pub fn drop_nth(self, src: usize, dst: usize, nth: u64) -> Self {
+        self.with(Fault::Drop { src, dst, nth })
     }
 
     /// Flips one payload bit of the `nth` data message from `src` to
     /// `dst` (after its checksum is stamped, so the receiver detects it).
-    pub fn corrupt_nth(mut self, src: usize, dst: usize, nth: u64) -> Self {
-        self.corruptions.push(LinkEvent { src, dst, nth });
-        self
+    pub fn corrupt_nth(self, src: usize, dst: usize, nth: u64) -> Self {
+        self.with(Fault::Corrupt { src, dst, nth })
     }
 
     /// Kills global rank `rank` at its first communication operation at
     /// or after virtual time `at`.
-    pub fn kill(mut self, rank: usize, at: f64) -> Self {
-        assert!(
-            at.is_finite() && at >= 0.0,
-            "kill time must be finite and non-negative, got {at}"
-        );
-        self.kills.push((rank, at));
-        self
+    pub fn kill(self, rank: usize, at: f64) -> Self {
+        self.with(Fault::Kill { rank, at })
     }
 
     /// Schedules global rank `rank` to rejoin (revive) at virtual time
     /// `at`. Only meaningful after a [`FaultPlan::kill`] of the same
     /// rank that fires strictly before `at`; survivors use the same
     /// entry to decide deterministic re-admission.
-    pub fn rejoin(mut self, rank: usize, at: f64) -> Self {
-        assert!(
-            at.is_finite() && at >= 0.0,
-            "rejoin time must be finite and non-negative, got {at}"
-        );
-        self.rejoins.push((rank, at));
-        self
+    pub fn rejoin(self, rank: usize, at: f64) -> Self {
+        self.with(Fault::Rejoin { rank, at })
     }
 
     /// Delivers the `nth` (0-based) data message from `src` to `dst`
     /// twice; the duplicate copy is absorbed by the receiver's matching
     /// layer, so results are unchanged.
-    pub fn duplicate_nth(mut self, src: usize, dst: usize, nth: u64) -> Self {
-        self.duplicates.push(LinkEvent { src, dst, nth });
-        self
+    pub fn duplicate_nth(self, src: usize, dst: usize, nth: u64) -> Self {
+        self.with(Fault::Duplicate { src, dst, nth })
     }
 
     /// Holds the `nth` (0-based) data message from `src` to `dst` back
     /// in the sender's transport until up to `depth` later messages on
     /// the same link have been posted (bounded reordering). Per-flow
     /// `(ctx, tag)` order is preserved, so results are unchanged.
-    pub fn reorder_nth(mut self, src: usize, dst: usize, nth: u64, depth: u64) -> Self {
-        self.reorders.push(Reorder {
+    pub fn reorder_nth(self, src: usize, dst: usize, nth: u64, depth: u64) -> Self {
+        self.with(Fault::Reorder {
             src,
             dst,
             nth,
             depth,
-        });
-        self
+        })
     }
 
     /// Cuts the links between `group` and the rest of the world (both
     /// directions) from virtual time `at` until a matching
     /// [`FaultPlan::heal`], or forever if none is scripted.
-    pub fn partition(mut self, group: &[usize], at: f64) -> Self {
-        assert!(
-            at.is_finite() && at >= 0.0,
-            "partition time must be finite and non-negative, got {at}"
-        );
-        self.partitions.push(Partition {
-            group: sorted_group(group),
+    pub fn partition(self, group: &[usize], at: f64) -> Self {
+        self.with(Fault::Partition {
+            group: group.to_vec(),
             at,
             oneway: false,
-        });
-        self
+        })
     }
 
     /// Asymmetric (one-way) partition: from virtual time `at`, messages
     /// *from* `group` *to* the rest of the world are severed, while the
     /// reverse direction still flows — the group can hear but not be
     /// heard.
-    pub fn partition_oneway(mut self, group: &[usize], at: f64) -> Self {
-        assert!(
-            at.is_finite() && at >= 0.0,
-            "partition time must be finite and non-negative, got {at}"
-        );
-        self.partitions.push(Partition {
-            group: sorted_group(group),
+    pub fn partition_oneway(self, group: &[usize], at: f64) -> Self {
+        self.with(Fault::Partition {
+            group: group.to_vec(),
             at,
             oneway: true,
-        });
-        self
+        })
     }
 
     /// Heals the earliest still-open partition of exactly this `group`
     /// at virtual time `at`. Healing a never-partitioned set is
     /// rejected by [`FaultPlan::validate`].
-    pub fn heal(mut self, group: &[usize], at: f64) -> Self {
-        assert!(
-            at.is_finite() && at >= 0.0,
-            "heal time must be finite and non-negative, got {at}"
-        );
-        self.heals.push((sorted_group(group), at));
-        self
+    pub fn heal(self, group: &[usize], at: f64) -> Self {
+        let group = group.to_vec();
+        self.with(Fault::Heal { group, at })
     }
 
     /// Flips bit `bit` of one element of the output of the `op_idx`-th
@@ -330,14 +353,13 @@ impl FaultPlan {
     /// `iter` (silent *compute* corruption). The element is a
     /// deterministic hash draw over the output buffer; the flip fires
     /// at most once per rank even across rollback/replay.
-    pub fn bitflip_compute(mut self, rank: usize, iter: u64, op_idx: u64, bit: u32) -> Self {
-        self.compute_flips.push(ComputeFlip {
+    pub fn bitflip_compute(self, rank: usize, iter: u64, op_idx: u64, bit: u32) -> Self {
+        self.with(Fault::BitflipCompute {
             rank,
             iter,
             op: op_idx,
             bit,
-        });
-        self
+        })
     }
 
     /// Flips bit `bit` of the `param_idx`-th resident weight word
@@ -345,14 +367,13 @@ impl FaultPlan {
     /// length) on global rank `rank` at the start of training iteration
     /// `iter` (silent *memory* corruption). Spend-once, like
     /// [`FaultPlan::bitflip_compute`].
-    pub fn bitflip_memory(mut self, rank: usize, iter: u64, param_idx: u64, bit: u32) -> Self {
-        self.memory_flips.push(MemoryFlip {
+    pub fn bitflip_memory(self, rank: usize, iter: u64, param_idx: u64, bit: u32) -> Self {
+        self.with(Fault::BitflipMemory {
             rank,
             iter,
             param: param_idx,
             bit,
-        });
-        self
+        })
     }
 
     /// Sets the deadline (in virtual seconds) that plain
@@ -360,194 +381,138 @@ impl FaultPlan {
     /// so applications that never call `recv_timeout` still fail fast
     /// instead of hanging on a dropped message.
     pub fn with_default_timeout(mut self, timeout: f64) -> Self {
-        assert!(
-            timeout.is_finite() && timeout > 0.0,
-            "timeout must be finite and positive, got {timeout}"
-        );
         self.default_timeout = Some(timeout);
         self
     }
 
-    /// Checks the plan for contradictory schedules and returns a
-    /// descriptive error for the first one found. Enforced by
-    /// [`crate::World`] before any rank starts, so an undefined
-    /// interleaving is rejected up front instead of silently producing
-    /// arbitrary behavior.
+    /// Checks the plan and returns a descriptive error for the first bad
+    /// fault found: a time or delay that is negative or not finite (NaN
+    /// poisons the total order the event engine sorts by, ±inf
+    /// degenerates into "never" / "always"), an empty partition, a
+    /// zero-depth reorder, a flip outside bits 0..=62, a rejoin that
+    /// does not follow a kill, a heal that closes no partition, two
+    /// straggler entries for one message; or a default timeout that is
+    /// not finite and positive. Enforced by [`crate::World`] before any
+    /// rank starts, so an undefined interleaving is rejected up front
+    /// instead of silently producing arbitrary behavior.
     pub fn validate(&self) -> std::result::Result<(), String> {
-        // Every scheduled time and delay must be a finite float: NaN
-        // poisons the total order the event engine sorts by, and ±inf
-        // times silently degenerate into "never" / "always". (They also
-        // do not survive the chaos-plan JSON round trip — `NaN`/`inf`
-        // are not JSON tokens.)
-        for &(r, t) in &self.kills {
-            if !t.is_finite() {
-                return Err(format!("kill of rank {r} at non-finite time {t}"));
-            }
+        let timeout = self.default_timeout.unwrap_or(1.0);
+        if !(timeout.is_finite() && timeout > 0.0) {
+            return Err(format!(
+                "default timeout {timeout} must be finite and positive"
+            ));
         }
-        for &(r, t) in &self.rejoins {
-            if !t.is_finite() {
-                return Err(format!("rejoin of rank {r} at non-finite time {t}"));
-            }
-        }
-        for p in &self.partitions {
-            if !p.at.is_finite() {
-                return Err(format!(
-                    "partition of {:?} at non-finite time {}",
-                    p.group, p.at
-                ));
-            }
-        }
-        for (group, at) in &self.heals {
-            if !at.is_finite() {
-                return Err(format!("heal of {group:?} at non-finite time {at}"));
-            }
-        }
-        for s in &self.stragglers {
-            if !s.extra.is_finite() || !s.jitter.is_finite() {
-                return Err(format!(
-                    "straggler on link {} -> {} has non-finite delay (extra={}, jitter={})",
-                    s.src, s.dst, s.extra, s.jitter
-                ));
-            }
-        }
-        if let Some(t) = self.default_timeout {
-            if !t.is_finite() {
-                return Err(format!("default timeout {t} is not finite"));
-            }
-        }
-        // A rejoin must revive a rank that died strictly before it:
-        // walk each rank's alternating kill/rejoin lifetimes.
-        let mut ranks: Vec<usize> = self.rejoins.iter().map(|&(r, _)| r).collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        for r in ranks {
-            let mut after = f64::NEG_INFINITY;
-            loop {
-                let k = self.kill_time_after(r, after);
-                let j = earliest_after(&self.rejoins, r, after);
-                match (k, j) {
-                    (None, Some(t)) => {
-                        return Err(format!(
-                            "rejoin of rank {r} at t={t} without a kill strictly before it \
-                             (kill and rejoin must alternate, kill first)"
-                        ));
-                    }
-                    (Some(kt), Some(jt)) if jt <= kt => {
-                        return Err(format!(
-                            "rejoin of rank {r} at t={jt} does not follow its kill at t={kt} \
-                             (same-epoch kill+rejoin is contradictory)"
-                        ));
-                    }
-                    (Some(kt), Some(_)) => match self.rejoin_time_after(r, kt) {
-                        Some(jt) => after = jt,
-                        None => break,
-                    },
-                    _ => break,
+        for (i, f) in self.faults.iter().enumerate() {
+            let why = match *f {
+                Fault::Partition { ref group, .. } if group.is_empty() => {
+                    Some("partition group must be non-empty".to_string())
                 }
-            }
-        }
-        // Straggler spans on one link must not overlap: summing two
-        // entries for the same message is almost always a typo.
-        for (i, a) in self.stragglers.iter().enumerate() {
-            for b in &self.stragglers[i + 1..] {
-                if a.src != b.src || a.dst != b.dst {
-                    continue;
+                Fault::Kill { at, .. } | Fault::Partition { at, .. } => bad_time(f, at),
+                Fault::Rejoin { rank, at } => {
+                    bad_time(f, at).or_else(|| self.unpaired_rejoin(rank))
                 }
-                let overlap = match (a.span, b.span) {
-                    (Span::All, _) | (_, Span::All) => true,
-                    (Span::Once(n), Span::Once(m)) => n == m,
-                };
-                if overlap {
-                    return Err(format!(
-                        "overlapping straggler spans on link {} -> {} ({:?} and {:?})",
-                        a.src, a.dst, a.span, b.span
-                    ));
+                Fault::Heal { ref group, at } => {
+                    bad_time(f, at).or_else(|| self.unpaired_heal(group, at))
                 }
-            }
-        }
-        // Every heal must close a partition of exactly that group that
-        // started strictly before it.
-        for (group, at) in &self.heals {
-            let opened = self
-                .partitions
-                .iter()
-                .any(|p| &p.group == group && p.at < *at);
-            if !opened {
-                return Err(format!(
-                    "heal of {group:?} at t={at} does not match any partition of that group \
-                     starting strictly before it"
-                ));
-            }
-        }
-        for p in &self.partitions {
-            if p.group.is_empty() {
-                return Err("partition group must be non-empty".into());
-            }
-        }
-        for r in &self.reorders {
-            if r.depth == 0 {
-                return Err(format!(
-                    "reorder of message {} on link {} -> {} has depth 0 (a no-op; \
-                     use depth >= 1)",
-                    r.nth, r.src, r.dst
-                ));
-            }
-        }
-        // Bit flips must stay inside the mantissa/exponent field: a
-        // sign flip (bit 63) is a different fault model and out-of-range
-        // bits would panic in the shift.
-        for f in &self.compute_flips {
-            if f.bit > 62 {
-                return Err(format!(
-                    "compute bitflip on rank {} (iter {}, op {}) targets bit {} \
-                     (only bits 0..=62 are valid)",
-                    f.rank, f.iter, f.op, f.bit
-                ));
-            }
-        }
-        for f in &self.memory_flips {
-            if f.bit > 62 {
-                return Err(format!(
-                    "memory bitflip on rank {} (iter {}, param {}) targets bit {} \
-                     (only bits 0..=62 are valid)",
-                    f.rank, f.iter, f.param, f.bit
-                ));
+                Fault::Straggle { extra, jitter, .. } => bad_time(f, extra)
+                    .or(bad_time(f, jitter))
+                    .or_else(|| self.overlapping_straggler(i)),
+                Fault::Reorder { depth: 0, .. } => {
+                    Some(format!("{f:?} has depth 0 (a no-op; use depth >= 1)"))
+                }
+                // A sign flip is a different fault model and an
+                // out-of-range bit would panic in the shift.
+                Fault::BitflipCompute { bit, .. } | Fault::BitflipMemory { bit, .. } => {
+                    (bit > 62).then(|| format!("{f:?} targets bit {bit} (bits 0..=62 are valid)"))
+                }
+                _ => None,
+            };
+            if let Some(why) = why {
+                return Err(why);
             }
         }
         Ok(())
     }
 
+    /// Why `rank`'s rejoins do not each follow a kill, if they do not:
+    /// kill and rejoin must alternate, kill first.
+    fn unpaired_rejoin(&self, rank: usize) -> Option<String> {
+        let mut after = f64::NEG_INFINITY;
+        while let Some(jt) = self.rejoin_time_after(rank, after) {
+            let Some(kt) = self.kill_time_after(rank, after) else {
+                return Some(format!(
+                    "rejoin of rank {rank} at t={jt} without a kill strictly before it \
+                     (kill and rejoin must alternate, kill first)"
+                ));
+            };
+            if jt <= kt {
+                return Some(format!(
+                    "rejoin of rank {rank} at t={jt} does not follow its kill at t={kt} \
+                     (same-epoch kill+rejoin is contradictory)"
+                ));
+            }
+            after = jt;
+        }
+        None
+    }
+
+    /// Why a heal of `group` at `at` is refused, if it is: it must close
+    /// a partition of exactly that group that started strictly before.
+    fn unpaired_heal(&self, healed: &[usize], at: f64) -> Option<String> {
+        let opened = |f: &Fault| match f {
+            Fault::Partition { group, at: t, .. } => group == healed && *t < at,
+            _ => false,
+        };
+        (!self.faults.iter().any(opened)).then(|| {
+            format!(
+                "heal of {healed:?} at t={at} does not match any partition of that group \
+                 starting strictly before it"
+            )
+        })
+    }
+
+    /// Why the straggler at `i` is refused, if it is: a later one on
+    /// its link covers one of its messages (summing two entries for one
+    /// message is almost always a typo).
+    fn overlapping_straggler(&self, i: usize) -> Option<String> {
+        let link = |f: &Fault| match *f {
+            Fault::Straggle { src, dst, span, .. } => Some((src, dst, span)),
+            _ => None,
+        };
+        let (src, dst, a) = link(&self.faults[i])?;
+        let overlaps = |&(s, d, b): &(usize, usize, Span)| {
+            (s, d) == (src, dst) && (a == b || a == Span::All || b == Span::All)
+        };
+        let (_, _, b) = self.faults[i + 1..]
+            .iter()
+            .filter_map(link)
+            .find(overlaps)?;
+        Some(format!(
+            "overlapping straggler spans on link {src} -> {dst} ({a:?} and {b:?})"
+        ))
+    }
+
     /// Whether the plan injects anything at all. An inactive plan is
     /// skipped entirely on the send/recv fast paths.
     pub fn active(&self) -> bool {
-        !(self.stragglers.is_empty()
-            && self.drops.is_empty()
-            && self.corruptions.is_empty()
-            && self.duplicates.is_empty()
-            && self.reorders.is_empty()
-            && self.kills.is_empty()
-            && self.rejoins.is_empty()
-            && self.partitions.is_empty()
-            && self.compute_flips.is_empty()
-            && self.memory_flips.is_empty())
-            || self.default_timeout.is_some()
+        !self.faults.is_empty() || self.default_timeout.is_some()
     }
 
     /// Whether the plan scripts any compute or memory bit flips at all
     /// (a cheap gate for the per-GEMM / per-iteration query sites).
     pub fn has_bitflips(&self) -> bool {
-        !(self.compute_flips.is_empty() && self.memory_flips.is_empty())
+        self.compute_flip_entries() + self.memory_flip_entries() > 0
     }
 
     /// Total number of scripted compute-flip entries (each fires at
     /// most once).
     pub fn compute_flip_entries(&self) -> usize {
-        self.compute_flips.len()
+        self.flips(true).count()
     }
 
     /// Total number of scripted memory-flip entries.
     pub fn memory_flip_entries(&self) -> usize {
-        self.memory_flips.len()
+        self.flips(false).count()
     }
 
     /// The compute flips scripted for the `op`-th GEMM of iteration
@@ -556,14 +521,13 @@ impl FaultPlan {
     /// the same GEMM pick independent elements (the applier resolves
     /// residual collisions by advancing).
     pub fn compute_flips_at(&self, rank: usize, iter: u64, op: u64) -> Vec<BitFlip> {
-        self.compute_flips
-            .iter()
+        self.flips(true)
             .enumerate()
-            .filter(|(_, f)| f.rank == rank && f.iter == iter && f.op == op)
-            .map(|(entry, f)| BitFlip {
+            .filter(|&(_, (site, _))| site == (rank, iter, op))
+            .map(|(entry, (_, bit))| BitFlip {
                 entry,
                 index: splitmix(self.seed ^ mix3(rank as u64, iter ^ (op << 32), entry as u64)),
-                bit: f.bit,
+                bit,
             })
             .collect()
     }
@@ -572,16 +536,32 @@ impl FaultPlan {
     /// global rank `rank`; `index` is the scripted flat parameter
     /// index verbatim.
     pub fn memory_flips_at(&self, rank: usize, iter: u64) -> Vec<BitFlip> {
-        self.memory_flips
-            .iter()
+        self.flips(false)
             .enumerate()
-            .filter(|(_, f)| f.rank == rank && f.iter == iter)
-            .map(|(entry, f)| BitFlip {
-                entry,
-                index: f.param,
-                bit: f.bit,
-            })
+            .filter(|&(_, ((r, i, _), _))| (r, i) == (rank, iter))
+            .map(|(entry, ((_, _, index), bit))| BitFlip { entry, index, bit })
             .collect()
+    }
+
+    /// `((rank, iter, op), bit)` of every compute flip, or `((rank,
+    /// iter, param), bit)` of every memory flip, in plan order: a flip's
+    /// position here is its spend-once `entry`.
+    fn flips(&self, compute: bool) -> impl Iterator<Item = ((usize, u64, u64), u32)> + '_ {
+        self.faults.iter().filter_map(move |f| match *f {
+            Fault::BitflipCompute {
+                rank,
+                iter,
+                op,
+                bit,
+            } if compute => Some(((rank, iter, op), bit)),
+            Fault::BitflipMemory {
+                rank,
+                iter,
+                param,
+                bit,
+            } if !compute => Some(((rank, iter, param), bit)),
+            _ => None,
+        })
     }
 
     /// The default deadline plain `recv` applies under this plan.
@@ -592,54 +572,64 @@ impl FaultPlan {
     /// Total extra latency injected into the `seq`-th data message on
     /// the `src → dst` link.
     pub fn extra_delay(&self, src: usize, dst: usize, seq: u64) -> f64 {
-        let mut extra = 0.0;
-        for s in &self.stragglers {
-            if s.src == src && s.dst == dst && s.span.matches(seq) {
-                extra += s.extra + s.jitter * self.unit(src, dst, seq);
+        self.faults.iter().fold(0.0, |extra, f| match *f {
+            Fault::Straggle {
+                src: s,
+                dst: d,
+                extra: e,
+                jitter,
+                span,
+            } if (s, d) == (src, dst) && span.matches(seq) => {
+                extra + (e + jitter * self.unit(src, dst, seq))
             }
-        }
-        extra
+            _ => extra,
+        })
     }
 
     /// Whether the `seq`-th data message on `src → dst` is dropped.
     pub fn dropped(&self, src: usize, dst: usize, seq: u64) -> bool {
-        self.drops
-            .iter()
-            .any(|e| e.src == src && e.dst == dst && e.nth == seq)
+        self.faults.contains(&Fault::Drop { src, dst, nth: seq })
     }
 
     /// Whether the `seq`-th data message on `src → dst` is corrupted.
     pub fn corrupted(&self, src: usize, dst: usize, seq: u64) -> bool {
-        self.corruptions
-            .iter()
-            .any(|e| e.src == src && e.dst == dst && e.nth == seq)
+        self.faults.contains(&Fault::Corrupt { src, dst, nth: seq })
     }
 
     /// Whether the `seq`-th data message on `src → dst` is duplicated.
     pub fn duplicated(&self, src: usize, dst: usize, seq: u64) -> bool {
-        self.duplicates
-            .iter()
-            .any(|e| e.src == src && e.dst == dst && e.nth == seq)
+        self.faults
+            .contains(&Fault::Duplicate { src, dst, nth: seq })
     }
 
     /// The reorder depth for the `seq`-th data message on `src → dst`,
     /// if the plan holds it back.
     pub fn reorder_depth(&self, src: usize, dst: usize, seq: u64) -> Option<u64> {
-        self.reorders
-            .iter()
-            .find(|r| r.src == src && r.dst == dst && r.nth == seq)
-            .map(|r| r.depth)
+        self.faults.iter().find_map(|f| match *f {
+            Fault::Reorder {
+                src: s,
+                dst: d,
+                nth,
+                depth,
+            } if (s, d, nth) == (src, dst, seq) => Some(depth),
+            _ => None,
+        })
     }
 
-    /// The virtual time at which partition `p` heals: the earliest heal
-    /// entry of exactly the same group strictly after the partition
-    /// starts, or `f64::INFINITY` if it never heals.
-    fn heal_time(&self, p: &Partition) -> f64 {
-        self.heals
-            .iter()
-            .filter(|(g, t)| g == &p.group && *t > p.at)
-            .map(|&(_, t)| t)
-            .fold(f64::INFINITY, f64::min)
+    /// The partitions as `(group, start, oneway, heal time)`. A
+    /// partition heals at the earliest heal entry of exactly its group
+    /// strictly after it starts, or at `f64::INFINITY` if none.
+    fn partitions(&self) -> impl Iterator<Item = (&[usize], f64, bool, f64)> + '_ {
+        self.faults.iter().filter_map(|f| match f {
+            Fault::Partition { group, at, oneway } => {
+                let heal = self.earliest(*at, |h| match h {
+                    Fault::Heal { group: g, at: t } if g == group => Some(*t),
+                    _ => None,
+                });
+                Some((&group[..], *at, *oneway, heal.unwrap_or(f64::INFINITY)))
+            }
+            _ => None,
+        })
     }
 
     /// Whether a message posted from `src` to `dst` at (sender) virtual
@@ -647,13 +637,13 @@ impl FaultPlan {
     /// partition any link crossing the cut is severed; for a one-way
     /// partition only `group → outside` is.
     pub fn link_cut(&self, src: usize, dst: usize, t: f64) -> bool {
-        self.partitions.iter().any(|p| {
-            if t < p.at || t >= self.heal_time(p) {
+        self.partitions().any(|(group, at, oneway, heal)| {
+            if t < at || t >= heal {
                 return false;
             }
-            let sin = p.group.binary_search(&src).is_ok();
-            let din = p.group.binary_search(&dst).is_ok();
-            sin != din && (!p.oneway || sin)
+            let sin = group.binary_search(&src).is_ok();
+            let din = group.binary_search(&dst).is_ok();
+            sin != din && (!oneway || sin)
         })
     }
 
@@ -669,9 +659,8 @@ impl FaultPlan {
     /// its clock here before announcing itself for re-admission.
     pub fn heal_horizon(&self, t: f64) -> Option<f64> {
         let mut horizon: Option<f64> = None;
-        for p in &self.partitions {
-            let end = self.heal_time(p);
-            if t >= p.at && t < end {
+        for (_, at, _, end) in self.partitions() {
+            if t >= at && t < end {
                 horizon = Some(horizon.map_or(end, |h: f64| h.max(end)));
             }
         }
@@ -704,14 +693,30 @@ impl FaultPlan {
     /// `after` (a revival spends every kill at or before the rejoin
     /// time; a later second kill can still fire).
     pub fn kill_time_after(&self, rank: usize, after: f64) -> Option<f64> {
-        earliest_after(&self.kills, rank, after)
+        self.earliest(after, |f| match *f {
+            Fault::Kill { rank: r, at } if r == rank => Some(at),
+            _ => None,
+        })
     }
 
     /// The earliest scripted rejoin of `rank` strictly after virtual
     /// time `after` (its death time, so a pre-death rejoin entry is
     /// never matched).
     pub fn rejoin_time_after(&self, rank: usize, after: f64) -> Option<f64> {
-        earliest_after(&self.rejoins, rank, after)
+        self.earliest(after, |f| match *f {
+            Fault::Rejoin { rank: r, at } if r == rank => Some(at),
+            _ => None,
+        })
+    }
+
+    /// The earliest time `time` picks out of the plan strictly after
+    /// `after`.
+    fn earliest(&self, after: f64, time: impl Fn(&Fault) -> Option<f64>) -> Option<f64> {
+        self.faults
+            .iter()
+            .filter_map(time)
+            .filter(|&t| t > after)
+            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
     }
 
     /// Flips a deterministic mantissa bit of one word of `data` (the
@@ -740,19 +745,16 @@ impl FaultPlan {
     }
 }
 
-fn sorted_group(group: &[usize]) -> Vec<usize> {
-    let mut g = group.to_vec();
-    g.sort_unstable();
-    g.dedup();
-    g
-}
-
-fn earliest_after(events: &[(usize, f64)], rank: usize, after: f64) -> Option<f64> {
-    events
-        .iter()
-        .filter(|&&(r, t)| r == rank && t > after)
-        .map(|&(_, t)| t)
-        .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
+/// Why the time or delay `t` of `f` is refused, if it is: it must be
+/// finite and non-negative.
+fn bad_time(f: &Fault, t: f64) -> Option<String> {
+    let kind = if t.is_finite() {
+        "negative"
+    } else {
+        "non-finite"
+    };
+    let ok = t.is_finite() && t >= 0.0;
+    (!ok).then(|| format!("{f:?} has a {kind} time or delay {t} (must be finite and non-negative)"))
 }
 
 /// Deterministic uniform draw in `[0, 1)` keyed on `(seed, a, b, c)` —
@@ -826,37 +828,62 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn builders_and_validate_reject_non_finite_times() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        // NaN and ±inf are refused at construction with a message
-        // naming finiteness.
-        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for build in [
-                Box::new(move || drop(FaultPlan::new(1).kill(0, t))) as Box<dyn Fn()>,
-                Box::new(move || drop(FaultPlan::new(1).rejoin(0, t))),
-                Box::new(move || drop(FaultPlan::new(1).partition(&[0, 1], t))),
-                Box::new(move || drop(FaultPlan::new(1).partition_oneway(&[0], t))),
-                Box::new(move || drop(FaultPlan::new(1).heal(&[0, 1], t))),
-                Box::new(move || drop(FaultPlan::new(1).straggle(0, 1, t, 0.0, Span::All))),
-                Box::new(move || drop(FaultPlan::new(1).straggle(0, 1, 0.0, t, Span::All))),
-                Box::new(move || drop(FaultPlan::new(1).with_default_timeout(t))),
+    fn validate_rejects_non_finite_and_negative_times() {
+        // The builders take anything; `validate` refuses NaN, ±inf and
+        // negative times and delays with a message naming finiteness.
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            for plan in [
+                FaultPlan::new(1).kill(0, t),
+                FaultPlan::new(1).kill(0, 0.0).rejoin(0, t),
+                FaultPlan::new(1).partition(&[0, 1], t),
+                FaultPlan::new(1).partition_oneway(&[0], t),
+                FaultPlan::new(1).partition(&[0, 1], 0.0).heal(&[0, 1], t),
+                FaultPlan::new(1).straggle(0, 1, t, 0.0, Span::All),
+                FaultPlan::new(1).straggle(0, 1, 0.0, t, Span::All),
             ] {
-                let caught = catch_unwind(AssertUnwindSafe(&build)).expect_err("accepted {t}");
-                let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-                assert!(msg.contains("finite"), "bad panic message: {msg:?}");
+                let err = plan.validate().expect_err(&format!("accepted {t}"));
+                assert!(err.contains("must be finite"), "{err}");
+                let kind = if t.is_finite() {
+                    "negative"
+                } else {
+                    "non-finite"
+                };
+                assert!(err.contains(kind), "{err}");
             }
         }
-        // `validate` backstops plans assembled without the builders
-        // (the chaos JSON path constructs literals).
-        let mut p = FaultPlan::new(1).kill(0, 0.5);
-        p.kills[0].1 = f64::INFINITY;
-        let err = p.validate().unwrap_err();
-        assert!(err.contains("non-finite"), "{err}");
+        for t in [f64::NAN, f64::INFINITY, -0.5, 0.0] {
+            let err = FaultPlan::new(1).with_default_timeout(t).validate();
+            assert!(err.unwrap_err().contains("must be finite and positive"));
+        }
         // Extreme *finite* times remain valid.
         assert_eq!(
             FaultPlan::new(1).kill(0, 5e-324).kill(1, 1e300).validate(),
             Ok(())
         );
+    }
+
+    #[test]
+    fn flips_are_keyed_on_their_ordinal_among_flips_of_their_kind() {
+        // Spend-once entries and the compute element hash count only
+        // flips of the same kind, so faults listed before them move
+        // nothing.
+        let two = |p: FaultPlan| p.bitflip_compute(2, 3, 1, 50).bitflip_compute(2, 3, 1, 47);
+        let alone = two(FaultPlan::new(5));
+        let behind = two(FaultPlan::new(5).kill(0, 1.0).bitflip_memory(2, 3, 9, 40));
+        assert_eq!(alone.compute_flips_at(2, 3, 1).len(), 2);
+        assert_eq!(
+            behind.compute_flips_at(2, 3, 1),
+            alone.compute_flips_at(2, 3, 1)
+        );
+        assert_eq!(behind.compute_flip_entries(), 2);
+        let mem = behind.bitflip_memory(2, 4, 11, 41);
+        assert_eq!(mem.memory_flip_entries(), 2);
+        let want = BitFlip {
+            entry: 1,
+            index: 11,
+            bit: 41,
+        };
+        assert_eq!(mem.memory_flips_at(2, 4), vec![want]);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod world;
 pub use clock::Clock;
 pub use comm::{ChannelRecv, Communicator, RecvHandle, TraceSpan};
 pub use error::{Error, FaultCtx, Result};
-pub use fault::{apply_flips, BitFlip, FaultPlan, Span};
+pub use fault::{apply_flips, BitFlip, Fault, FaultPlan, Span};
 pub use health::{has_quorum, Deadline, DetectorConfig, Ewma, FtConfig, HealthMonitor};
 pub use netmodel::NetModel;
 pub use stats::{RankStats, WorldStats};
