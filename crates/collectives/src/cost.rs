@@ -12,8 +12,10 @@
 //!   Eqs. 3–9: `2⌈log₂P⌉·α + 2·((P−1)/P)·n·β` for every all-reduce. On
 //!   a power-of-two group that is Rabenseifner's exact cost, and
 //!   [`allreduce_exact`] never exceeds it; on other groups the executed
-//!   ring pays `2(P−1)` α-steps. The figure-reproduction binaries use
-//!   the `paper_*` forms so the reproduced numbers follow the paper's
+//!   fold pays two α-steps and `2n` words more than its power-of-two
+//!   core (`2⌊log₂P⌋ + 2` α-steps under halving), or the ring runs
+//!   where that is cheaper. The figure-reproduction binaries use the
+//!   `paper_*` forms so the reproduced numbers follow the paper's
 //!   arithmetic.
 //!
 //! Costs are expressed as [`CostTerms`] — a latency count and a word
@@ -121,7 +123,9 @@ pub fn ring_allreduce_exact(p: usize, n: f64) -> CostTerms {
 /// The all-reduce [`crate::allreduce`] runs on `p` ranks for `n` words
 /// under `model`: the cheapest of [`ring_allreduce_exact`] and, on a
 /// power-of-two group, [`rabenseifner_allreduce`] and
-/// [`recursive_doubling_allreduce`] — the schedule it runs.
+/// [`recursive_doubling_allreduce`], on any other group either of those
+/// on `2^⌊log₂p⌋` ranks plus `2·`[`ptp`]`(n)` for the fold — the
+/// schedule it runs.
 pub fn allreduce_exact(p: usize, n: f64, model: &NetModel) -> CostTerms {
     crate::schedule::Schedule::select(p, n, model).cost(p, n)
 }

@@ -12,26 +12,28 @@
 //! machine and provides the matching closed-form [`cost::CostTerms`],
 //! so tests can assert that execution time equals the formula.
 //!
-//! The default entry points run what the paper prices wherever the
-//! group allows it:
+//! The default entry points run what the paper prices on every group
+//! size:
 //!
 //! * [`allreduce`] and [`iallreduce`] run the cheapest of the ring,
 //!   Rabenseifner's recursive halving and recursive doubling for the
 //!   group size, the message length and the network model, priced by
-//!   [`cost::allreduce_exact`]; non-power-of-two groups keep the ring;
+//!   [`cost::allreduce_exact`]; a group whose size is not a power of two
+//!   folds its extra ranks onto a power-of-two core that runs halving or
+//!   doubling, for two more α-steps, unless the ring is cheaper;
 //! * [`allgatherv_into`] gathers by recursive doubling on power-of-two
-//!   groups and by the ring otherwise;
-//! * [`allgather`] is Bruck's, for any group size.
+//!   groups and by Bruck's algorithm otherwise, in `⌈log₂P⌉` steps on
+//!   both.
 //!
 //! The algorithms stay callable by name (`ring::allreduce_ring`,
-//! `recursive::allreduce_rabenseifner`, …), as do binomial broadcast and
-//! the non-blocking halo exchange of the paper's Fig. 3.
+//! `recursive::allreduce_rabenseifner`, `bruck::allgather_bruck`, …), as
+//! do binomial broadcast and the non-blocking halo exchange of the
+//! paper's Fig. 3.
 
 // Index-based loops are the clearest way to write rank/block index
 // arithmetic; the clippy suggestions (iterators, is_multiple_of) obscure
 // the correspondence with the paper's formulas.
 #![allow(clippy::needless_range_loop, clippy::manual_is_multiple_of)]
-pub mod alltoall;
 pub mod binomial;
 pub mod bruck;
 pub mod chunks;
@@ -45,10 +47,10 @@ pub mod ring;
 mod ring_equivalence;
 mod schedule;
 
+pub use bruck::allgatherv_into;
 pub use ft::{Deadline, FtConfig};
 pub use nonblocking::{iallreduce, IallreduceHandle};
 pub use op::ReduceOp;
-pub use recursive::allgatherv_into;
 
 use schedule::Schedule;
 
@@ -72,13 +74,6 @@ use mpsim::{Communicator, Result};
 /// ```
 pub fn allreduce(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
     Schedule::select(comm.size(), data.len() as f64, &comm.model()).allreduce(comm, data, op)
-}
-
-/// All-gather with the paper's assumed algorithm (Bruck). `mine` is this
-/// rank's block; the returned vector concatenates all ranks' blocks in
-/// rank order. All ranks must pass equal-length blocks.
-pub fn allgather(comm: &Communicator, mine: &[f64]) -> Result<Vec<f64>> {
-    bruck::allgather_bruck(comm, mine)
 }
 
 /// Broadcast from `root` (binomial tree).

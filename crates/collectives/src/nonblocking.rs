@@ -2,7 +2,9 @@
 //! analogue the paper's Fig. 8 overlap assumes).
 //!
 //! A handle ([`IallreduceHandle`]) is a paused collective: the same data
-//! movement as [`crate::allreduce`] (under the schedule it picks), but
+//! movement as [`crate::allreduce`] (under the schedule it picks: the
+//! ring, recursive halving or doubling, or a fold of any other group
+//! onto its power-of-two core), but
 //! each step charges its α–β transfer to the rank's **concurrent comm
 //! channel** ([`mpsim::Communicator::recv_channel`]) instead of the main
 //! timeline. The caller launches the operation, keeps computing
@@ -39,8 +41,8 @@ use crate::op::ReduceOp;
 use crate::schedule::Schedule;
 
 /// An in-flight non-blocking all-reduce: the steps of one schedule
-/// (ring, recursive halving or recursive doubling), issued on the
-/// channel.
+/// (ring, recursive halving, recursive doubling, or either of the
+/// latter two folded onto a power-of-two core), issued on the channel.
 pub struct IallreduceHandle {
     comm: Communicator,
     data: Vec<f64>,
@@ -161,7 +163,9 @@ impl IallreduceHandle {
 
     /// One step of the blocking schedule's body with the channel as
     /// transport: the outgoing chunk departs when the channel produced
-    /// it, and the receive folds into the channel times.
+    /// it, and the receive folds into the channel times. A one-sided
+    /// step (the fold's first and last) leaves the channel times alone
+    /// on the side that only sends.
     fn step_once(&mut self) -> Result<()> {
         let IallreduceHandle {
             comm,
@@ -180,7 +184,12 @@ impl IallreduceHandle {
             *step,
             carry,
             |(to, from), out| {
-                comm.send_vec_at(to, *tag, out, *ready_at)?;
+                if let Some(to) = to {
+                    comm.send_vec_at(to, *tag, out, *ready_at)?;
+                }
+                let Some(from) = from else {
+                    return Ok(Vec::new());
+                };
                 let got = comm.recv_channel(from, *tag)?;
                 let args = [("step", *step as f64), ("ready_at", got.ready_at)];
                 comm.trace_instant("nb", "chunk_step", &args);

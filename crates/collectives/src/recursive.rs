@@ -1,9 +1,8 @@
-//! The power-of-two schedules: Rabenseifner's recursive-halving
-//! all-reduce, recursive doubling, and the recursive-doubling
-//! all-gather — the `⌈log₂P⌉`-latency collectives the paper's Eqs. 3,
-//! 4, 8 and 9 price. [`crate::allreduce`] picks between them and the
-//! ring by cost ([`crate::cost::allreduce_exact`]); [`allgatherv_into`]
-//! runs the all-gather on every power-of-two group.
+//! The power-of-two all-reduces: Rabenseifner's recursive halving and
+//! recursive doubling — the `⌈log₂P⌉`-latency schedules the paper's
+//! Eqs. 4, 8 and 9 price. [`crate::allreduce`] picks between them, the
+//! fold that runs them on the power-of-two core of any other group, and
+//! the ring, by cost ([`crate::cost::allreduce_exact`]).
 //!
 //! Rank `r`'s partner at distance `d` is `r ^ d`, and the blocks the
 //! `d` ranks of its aligned subcube hold are the block indices
@@ -12,13 +11,10 @@
 
 use std::ops::Range;
 
-use mpsim::{Communicator, Error, Rank, Result, Tag};
+use mpsim::{Communicator, Rank, Result};
 
 use crate::op::ReduceOp;
-use crate::ring;
 use crate::schedule::{Peers, Schedule};
-
-const AG_TAG: Tag = (1 << 48) + 50;
 
 /// Whether `p` is a power of two (and nonzero).
 pub fn is_pow2(p: usize) -> bool {
@@ -27,13 +23,13 @@ pub fn is_pow2(p: usize) -> bool {
 
 /// The `d` block indices (`d` a power of two) of rank `r`'s aligned
 /// subcube of `d` ranks.
-fn window(r: Rank, d: usize) -> Range<usize> {
+pub(crate) fn window(r: Rank, d: usize) -> Range<usize> {
     let lo = r & !(d - 1);
     lo..lo + d
 }
 
 /// `buf`'s allocation holding a copy of `from`.
-fn refill(mut buf: Vec<f64>, from: &[f64]) -> Vec<f64> {
+pub(crate) fn refill(mut buf: Vec<f64>, from: &[f64]) -> Vec<f64> {
     buf.clear();
     buf.extend_from_slice(from);
     buf
@@ -70,14 +66,14 @@ pub(crate) fn halving_step(
         let d = p >> (step + 1);
         let partner = r ^ d;
         let out = refill(carry, &data[span(window(partner, d))]);
-        let got = exchange((partner, partner), out)?;
+        let got = exchange((Some(partner), Some(partner)), out)?;
         fold(op, r < partner, &mut data[span(window(r, d))], &got);
         Ok(got)
     } else {
         let d = 1 << (step - log);
         let partner = r ^ d;
         let out = refill(carry, &data[span(window(r, d))]);
-        let got = exchange((partner, partner), out)?;
+        let got = exchange((Some(partner), Some(partner)), out)?;
         data[span(window(partner, d))].copy_from_slice(&got);
         Ok(got)
     }
@@ -94,7 +90,7 @@ pub(crate) fn doubling_step(
     exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
 ) -> Result<Vec<f64>> {
     let partner = r ^ (1 << step);
-    let got = exchange((partner, partner), refill(carry, data))?;
+    let got = exchange((Some(partner), Some(partner)), refill(carry, data))?;
     fold(op, r < partner, data, &got);
     Ok(got)
 }
@@ -122,66 +118,6 @@ pub fn allreduce_recursive_doubling(
 /// Panics unless the communicator size is a power of two.
 pub fn allreduce_rabenseifner(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
     Schedule::Halving.allreduce(comm, data, op)
-}
-
-/// All-gather of variable-length blocks **into place**: rank `i`'s block
-/// lands in `out[range_of(i)]`, one copy each, with no intermediate
-/// vectors. `mine` is this rank's block, taken by value because it is
-/// the first buffer sent. On a power-of-two group, recursive doubling:
-/// at distance `d = 1, 2, 4, …` rank `r` swaps with `r ^ d` every block
-/// its subcube holds, so `log₂P` α-steps (the paper's Eq. 3 latency)
-/// move what the ring's `P−1` do. Otherwise the ring
-/// ([`ring::allgatherv_ring_into`]).
-pub fn allgatherv_into(
-    comm: &Communicator,
-    mine: Vec<f64>,
-    out: &mut [f64],
-    range_of: impl Fn(usize) -> Range<usize>,
-) -> Result<()> {
-    let (p, r) = (comm.size(), comm.rank());
-    if !is_pow2(p) {
-        return ring::allgatherv_ring_into(comm, mine, out, range_of);
-    }
-    comm.record_allgather();
-    ring::place_block(out, range_of(r), &mine)?;
-    if p == 1 {
-        return Ok(());
-    }
-    let _span = comm.trace_span(
-        "collective",
-        "allgatherv_doubling",
-        &[("p", p as f64), ("words", mine.len() as f64)],
-    );
-    let mut carry = mine;
-    let mut d = 1;
-    while d < p {
-        let partner = r ^ d;
-        comm.send_vec(partner, AG_TAG, carry)?;
-        let got = comm.recv(partner, AG_TAG)?;
-        let expected = window(partner, d).map(|i| range_of(i).len()).sum();
-        if got.len() != expected {
-            return Err(Error::LengthMismatch {
-                expected,
-                got: got.len(),
-            });
-        }
-        let mut at = 0;
-        for i in window(partner, d) {
-            let range = range_of(i);
-            let len = range.len();
-            out[range].copy_from_slice(&got[at..at + len]);
-            at += len;
-        }
-        d <<= 1;
-        carry = got;
-        if d < p {
-            carry.clear();
-            for i in window(r, d) {
-                carry.extend_from_slice(&out[range_of(i)]);
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -281,39 +217,6 @@ mod tests {
             });
             for r in 0..p {
                 assert_eq!(out[r], expected_sum(p, n), "p={p} n={n} rank={r}");
-            }
-        }
-    }
-
-    /// Blocks of `3 + r` words (or 3 each) land in rank order on every
-    /// group; on a power-of-two group with equal blocks the gather costs
-    /// Eq. 3's `log₂P·α + (P−1)/P·n·β`.
-    #[test]
-    fn allgatherv_into_doubles_in_place() {
-        let model = NetModel {
-            alpha: 1e-3,
-            beta: 1e-6,
-            flops: f64::INFINITY,
-        };
-        for p in [1, 2, 3, 4, 5, 8, 16] {
-            for ragged in [0, 1] {
-                let len = |r: usize| 3 + ragged * r;
-                let offset = |r: usize| (0..r).map(len).sum::<usize>();
-                let block = |r: usize| (0..len(r)).map(move |i| (r * 100 + i) as f64);
-                let out = World::run(p, model, |comm| {
-                    let mut flat = vec![f64::NAN; offset(p)];
-                    let mine = block(comm.rank()).collect();
-                    allgatherv_into(comm, mine, &mut flat, |i| offset(i)..offset(i + 1)).unwrap();
-                    (flat, comm.now())
-                });
-                let want: Vec<f64> = (0..p).flat_map(block).collect();
-                let eq3 = crate::cost::bruck_allgather(p, offset(p) as f64).seconds(&model);
-                for (flat, t) in &out {
-                    assert_eq!(flat, &want, "p={p} ragged={ragged}");
-                    if ragged == 0 && is_pow2(p) {
-                        assert!((t - eq3).abs() < 1e-12, "p={p}: {t} vs {eq3}");
-                    }
-                }
             }
         }
     }

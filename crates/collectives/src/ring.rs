@@ -1,6 +1,7 @@
 //! Ring collectives: all-gather, reduce-scatter, and the ring all-reduce
-//! (reduce-scatter + all-gather) that [`crate::allreduce`] runs on
-//! groups whose size is not a power of two.
+//! (reduce-scatter + all-gather) that [`crate::allreduce`] runs where
+//! its bandwidth beats the latency of the `⌈log₂P⌉` schedules: large
+//! messages on groups whose size is not a power of two.
 //!
 //! Cost with `P` ranks and `n` words (n divisible by `P`):
 //!
@@ -34,7 +35,7 @@ const AG_TAG: Tag = (1 << 48) + 17;
 
 /// Rank `r`'s ring neighbours `(next, previous)`: where every ring step
 /// sends and where it receives from.
-pub(crate) fn neighbours(p: usize, r: Rank) -> Peers {
+fn neighbours(p: usize, r: Rank) -> (Rank, Rank) {
     ((r + 1) % p, (r + p - 1) % p)
 }
 
@@ -64,7 +65,8 @@ pub(crate) fn allreduce_step(
         0 => data[block_range(n, p, r)].to_vec(),
         _ => carry,
     };
-    let mut got = exchange(neighbours(p, r), out)?;
+    let (next, prev) = neighbours(p, r);
+    let mut got = exchange((Some(next), Some(prev)), out)?;
     if step < p - 1 {
         let mine = &mut data[block_range(n, p, (r + p - step - 1) % p)];
         op.apply_onto(mine, &mut got);
@@ -95,10 +97,10 @@ pub fn reduce_scatter_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) 
     Ok((r + 1) % p)
 }
 
-/// Ring all-reduce (reduce-scatter then all-gather) on any group: the
-/// ring [`crate::allreduce`] runs when the group size is not a power of
-/// two. Its `2(P−1)` α-steps are what the paper's Eqs. 4, 7, 8 and 9
-/// write as `2⌈log₂P⌉` (see `cost::paper_allreduce`).
+/// Ring all-reduce (reduce-scatter then all-gather) on any group: what
+/// [`crate::allreduce`] runs on a large message when the group size is
+/// not a power of two. Its `2(P−1)` α-steps are what the paper's Eqs.
+/// 4, 7, 8 and 9 write as `2⌈log₂P⌉` (see `cost::paper_allreduce`).
 pub fn allreduce_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
     Schedule::Ring.allreduce(comm, data, op)
 }
@@ -156,34 +158,6 @@ pub fn allgather_ring(comm: &Communicator, mine: &[f64]) -> Result<Vec<f64>> {
         place_block(&mut out, src * m..(src + 1) * m, block)
     })?;
     Ok(out)
-}
-
-/// [`allgatherv_ring`] **into place**: rank `i`'s block lands in
-/// `out[range_of(i)]`, so a caller that wants the blocks stacked (the
-/// 1.5D forward's `Y_j`) gets them there with one copy each and no
-/// intermediate vectors. `mine` is this rank's block, taken by value
-/// because it becomes the first buffer on the ring. Same envelopes,
-/// trace span and call count as [`allgatherv_ring`].
-pub fn allgatherv_ring_into(
-    comm: &Communicator,
-    mine: Vec<f64>,
-    out: &mut [f64],
-    range_of: impl Fn(usize) -> Range<usize>,
-) -> Result<()> {
-    comm.record_allgather();
-    let p = comm.size();
-    place_block(out, range_of(comm.rank()), &mine)?;
-    if p == 1 {
-        return Ok(());
-    }
-    let _span = comm.trace_span(
-        "collective",
-        "allgatherv_ring",
-        &[("p", p as f64), ("words", mine.len() as f64)],
-    );
-    gather_steps(comm, mine, |src, block| {
-        place_block(out, range_of(src), block)
-    })
 }
 
 /// Ring all-gather of *variable-length* per-rank blocks: returns one

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use crate::chunks::block_range;
 use crate::nonblocking::launch;
-use crate::ring::{allgather_ring, allgatherv_ring, allgatherv_ring_into, allreduce_ring};
+use crate::ring::{allgather_ring, allgatherv_ring, allreduce_ring};
 use crate::{FtConfig, ReduceOp, Schedule};
 
 mod legacy {
@@ -201,23 +201,15 @@ proptest! {
         // `ragged`: rank r contributes m + r words instead of m.
         let len = |r: usize| m + ragged * r;
         let offset = |r: usize| (0..r).map(len).sum::<usize>();
-        let total = offset(p);
         let (want, want_traffic) = observe(p, |comm| {
             legacy::allgatherv(comm, &contribution(comm.rank(), len(comm.rank())), &mut Via::Main)
         });
         type Gather<'a> = &'a (dyn Fn(&Communicator, &[f64]) -> Vec<Vec<f64>> + Sync);
         let split = |flat: Vec<f64>| (0..p).map(|r| flat[offset(r)..offset(r + 1)].to_vec()).collect();
-        let into = |comm: &Communicator, mine: &[f64]| {
-            let mut flat = vec![f64::NAN; total];
-            let range = |r| offset(r)..offset(r + 1);
-            allgatherv_ring_into(comm, mine.to_vec(), &mut flat, range).unwrap();
-            split(flat)
-        };
         let plain = |comm: &Communicator, mine: &[f64]| allgatherv_ring(comm, mine).unwrap();
         let ft = |comm: &Communicator, mine: &[f64]| plain(&comm.guarded(&cfg), mine);
-        let into_ft = |comm: &Communicator, mine: &[f64]| into(&comm.guarded(&cfg), mine);
         let equal = |comm: &Communicator, mine: &[f64]| split(allgather_ring(comm, mine).unwrap());
-        let mut variants: Vec<Gather> = vec![&plain, &ft, &into, &into_ft];
+        let mut variants: Vec<Gather> = vec![&plain, &ft];
         if ragged == 0 {
             variants.push(&equal);
         }

@@ -1,49 +1,55 @@
-//! Which all-reduce runs: three schedules and the α–β selector.
+//! Which all-reduce runs: four schedules and the α–β selector.
 //!
 //! [`crate::allreduce`] and [`crate::iallreduce`] run the cheapest of
-//! three Thakur, Rabenseifner & Gropp schedules for the group size `P`,
-//! the message length `n` and the network model, priced by their exact
-//! closed forms ([`Schedule::cost`]):
+//! the Thakur, Rabenseifner & Gropp schedules that run on the group size
+//! `P`, for the message length `n` and the network model, priced by
+//! their exact closed forms ([`Schedule::cost`]). With `q = 2^⌊log₂P⌋`:
 //!
 //! | schedule | `P` | α-steps | words per rank |
 //! |---|---|---|---|
 //! | [`Schedule::Ring`] | any | `2(P−1)` | `2·(P−1)/P·n` |
 //! | [`Schedule::Halving`] | power of two | `2·log₂P` | `2·(P−1)/P·n` |
 //! | [`Schedule::Doubling`] | power of two | `log₂P` | `log₂P·n` |
+//! | [`Schedule::Fold`] | not a power of two | `2 +` the core's on `q` | `2n +` the core's on `q` |
 //!
 //! Halving (Rabenseifner) has the ring's bandwidth with the paper's
 //! `2⌈log₂P⌉` latency (Eqs. 4, 8, 9), so it wins every large message on
 //! a power-of-two group. Doubling pays `n` words per step for half
 //! Halving's latency and wins small ones: every `P = 2` group, and
-//! messages under `4α/β` words at `P = 4`. Other group sizes keep the
-//! ring. The choice reads nothing but `(P, n, model)`, which every
-//! member shares, so a group agrees on it without a message. Ties go to
-//! Halving, the schedule the paper prices: the free model (every cost
-//! 0) and bandwidth-only models (`α = 0`, where the ring costs the same)
-//! run it.
+//! messages under `4α/β` words at `P = 4`. Any other group folds onto
+//! its power-of-two core of `q` ranks, which runs Halving or Doubling:
+//! two more α-steps and `2n` more words than the core, so the ring keeps
+//! the large messages there. The choice reads nothing but
+//! `(P, n, model)`, which every member shares, so a group agrees on it
+//! without a message. Ties go to Halving on a power-of-two group, the
+//! schedule the paper prices, and to the ring on any other: the free
+//! model (every cost 0) runs them, and a bandwidth-only model (`α = 0`)
+//! never prefers the fold.
 //!
 //! Each schedule is one step body — `ring::allreduce_step`,
-//! `recursive::halving_step`, `recursive::doubling_step` — handed the
-//! buffer in flight and an `exchange((to, from), out)` transport. The
-//! blocking loop here and the non-blocking handles
-//! ([`crate::nonblocking`]) run the same body, which is what keeps the
-//! two bit-identical and equally timed.
+//! `recursive::halving_step`, `recursive::doubling_step`, and
+//! `fold_step` around the latter two — handed the buffer in flight and
+//! an `exchange((to, from), out)` transport whose either side may be
+//! absent (the fold's steps are one-sided). The blocking loop here and
+//! the non-blocking handles ([`crate::nonblocking`]) run the same body,
+//! which is what keeps the two bit-identical and equally timed.
 
 use std::ops::Range;
 
 use mpsim::{Communicator, NetModel, Rank, Result, Tag};
 
 use crate::cost::{
-    rabenseifner_allreduce, recursive_doubling_allreduce, ring_allreduce_exact, CostTerms,
+    ptp, rabenseifner_allreduce, recursive_doubling_allreduce, ring_allreduce_exact, CostTerms,
 };
 use crate::op::ReduceOp;
-use crate::recursive::{doubling_step, halving_step, is_pow2};
+use crate::recursive::{doubling_step, halving_step, is_pow2, refill};
 use crate::ring;
 
 const TAG: Tag = (1 << 48) + 16;
 
-/// Where one step's block goes and where its incoming block comes from.
-pub(crate) type Peers = (Rank, Rank);
+/// Where one step's block goes and where its incoming block comes from;
+/// `None` on a side the step does not use.
+pub(crate) type Peers = (Option<Rank>, Option<Rank>);
 
 /// An all-reduce schedule. See the [module docs](self) for the costs
 /// and for which one [`Schedule::select`] picks.
@@ -58,20 +64,29 @@ pub(crate) enum Schedule {
     Halving,
     /// Recursive doubling: `log₂P` exchanges of the whole vector.
     Doubling,
+    /// The extra ranks `q..P` (`q = 2^⌊log₂P⌋`) fold their vector into
+    /// ranks `0..P−q`, the core schedule (Halving or Doubling) runs on
+    /// ranks `0..q`, and the result goes back out: `fold_step`.
+    Fold(&'static Schedule),
 }
 
-use Schedule::{Doubling, Halving, Ring};
+use Schedule::{Doubling, Fold, Halving, Ring};
 
-/// Every schedule in tie-break order, the ring last.
-const ALL: [Schedule; 3] = [Halving, Doubling, Ring];
+/// Every schedule in tie-break order: the first three run on a
+/// power-of-two group, the last three on any other.
+const ALL: [Schedule; 5] = [Halving, Doubling, Ring, Fold(&Halving), Fold(&Doubling)];
+
+/// `2^⌊log₂p⌋`: the ranks of a fold's core.
+fn core_size(p: usize) -> usize {
+    1 << p.ilog2()
+}
 
 impl Schedule {
     /// The cheapest schedule that runs on `p` ranks for `n` words under
-    /// `model`: the argmin of [`Schedule::cost`] over the ring and, when
-    /// `p` is a power of two, Halving and Doubling (Halving, then
-    /// Doubling, on ties).
+    /// `model`: the argmin of [`Schedule::cost`], first in [`ALL`]'s
+    /// order on ties.
     pub(crate) fn select(p: usize, n: f64, model: &NetModel) -> Schedule {
-        let candidates = if is_pow2(p) { &ALL[..] } else { &ALL[2..] };
+        let candidates = if is_pow2(p) { &ALL[..3] } else { &ALL[2..] };
         let secs = |s: &Schedule| s.cost(p, n).seconds(model);
         *candidates
             .iter()
@@ -80,13 +95,16 @@ impl Schedule {
     }
 
     /// The Thakur-exact closed form: what the schedule costs on `p`
-    /// ranks for `n` words (exactly what it executes when `p` divides
-    /// `n` and the ranks start together).
+    /// ranks for `n` words (exactly the latest clock it leaves when the
+    /// ranks start together and the blocks it cuts `n` into are equal:
+    /// `P | n` for the ring and Halving, `2^⌊log₂P⌋ | n` for a fold
+    /// over Halving).
     pub(crate) fn cost(self, p: usize, n: f64) -> CostTerms {
         match self {
             Ring => ring_allreduce_exact(p, n),
             Halving => rabenseifner_allreduce(p, n),
             Doubling => recursive_doubling_allreduce(p, n),
+            Fold(core) => core.cost(core_size(p), n) + ptp(n) * 2.0,
         }
     }
 
@@ -97,13 +115,14 @@ impl Schedule {
             Ring => 2 * (p - 1),
             Halving => 2 * log,
             Doubling => log,
+            Fold(core) => core.steps(core_size(p)) + 2,
         }
     }
 
     /// Step `step` of this schedule on `data` as rank `r` of `p` sees it.
     /// `carry` is what the previous step returned (empty at step 0);
-    /// `exchange` must send its buffer to `to` and return the one
-    /// received from `from`.
+    /// `exchange` must send its buffer to `to`, if any, and return the
+    /// one received from `from` (empty if none).
     pub(crate) fn step(
         self,
         data: &mut [f64],
@@ -117,6 +136,7 @@ impl Schedule {
             Ring => ring::allreduce_step(data, op, at, step, carry, exchange),
             Halving => halving_step(data, op, at, step, carry, exchange),
             Doubling => doubling_step(data, op, at, step, carry, exchange),
+            Fold(core) => fold_step(*core, data, op, at, step, carry, exchange),
         }
     }
 
@@ -131,8 +151,10 @@ impl Schedule {
         let (at, mut carry) = ((comm.size(), comm.rank()), Vec::new());
         for step in steps {
             carry = self.step(data, op, at, step, carry, |(to, from), out| {
-                comm.send_vec(to, TAG, out)?;
-                comm.recv(from, TAG)
+                if let Some(to) = to {
+                    comm.send_vec(to, TAG, out)?;
+                }
+                from.map_or(Ok(Vec::new()), |from| comm.recv(from, TAG))
             })?;
         }
         Ok(())
@@ -142,7 +164,7 @@ impl Schedule {
     ///
     /// # Panics
     ///
-    /// Panics if a recursive schedule is asked to run on a group whose
+    /// Panics if Halving or Doubling is asked to run on a group whose
     /// size is not a power of two.
     pub(crate) fn allreduce(
         self,
@@ -153,7 +175,7 @@ impl Schedule {
         comm.record_allreduce();
         let p = comm.size();
         assert!(
-            self == Ring || is_pow2(p),
+            matches!(self, Ring | Fold(_)) || is_pow2(p),
             "{self:?} requires power-of-two ranks, got {p}"
         );
         if p == 1 {
@@ -163,11 +185,54 @@ impl Schedule {
             Ring => "allreduce_ring",
             Halving => "allreduce_rabenseifner",
             Doubling => "allreduce_recursive_doubling",
+            Fold(_) => "allreduce_fold",
         };
         let words = data.len() as f64;
         let _span = comm.trace_span("collective", name, &[("p", p as f64), ("words", words)]);
         self.run(comm, data, op, 0..self.steps(p))
     }
+}
+
+/// One step of [`Schedule::Fold`] over `core` as rank `r` of `p` sees
+/// it, `q = 2^⌊log₂P⌋`. Step 0 folds: each extra rank `r ≥ q` sends its
+/// vector to its twin `r − q`, which reduces it in as the right operand
+/// (the lower rank's on the left, as everywhere). Steps
+/// `1..=core.steps(q)` are the core's at `(q, r)` on ranks `0..q` while
+/// the extra ranks idle. The last step sends each extra rank its twin's
+/// result. A core rank without a twin idles at both ends.
+fn fold_step(
+    core: Schedule,
+    data: &mut [f64],
+    op: ReduceOp,
+    (p, r): (usize, Rank),
+    step: usize,
+    carry: Vec<f64>,
+    exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
+) -> Result<Vec<f64>> {
+    let q = core_size(p);
+    let last = core.steps(q) + 1;
+    if step != 0 && step != last {
+        if r >= q {
+            return Ok(carry);
+        }
+        return core.step(data, op, (q, r), step - 1, carry, exchange);
+    }
+    let twin = r ^ q;
+    if twin >= p {
+        return Ok(carry);
+    }
+    // Step 0 moves vectors down to the core, the last step back up.
+    let folding = step == 0;
+    if (r >= q) == folding {
+        return exchange((Some(twin), None), refill(carry, data));
+    }
+    let got = exchange((None, Some(twin)), carry)?;
+    if folding {
+        op.apply(data, &got);
+    } else {
+        data.copy_from_slice(&got);
+    }
+    Ok(got)
 }
 
 #[cfg(test)]
@@ -205,21 +270,22 @@ mod tests {
         })
     }
 
-    /// Every schedule × group size (3, 5 and 6 run the ring only) ×
-    /// length × operator: blocking and non-blocking agree to the bit in
-    /// values and clocks, every rank holds the same bits, the values are
-    /// the reduction, the clock is the closed form when `P | n`, and the
-    /// selector returns the argmin of the closed forms.
+    /// Every schedule × group size × length × operator: blocking and
+    /// non-blocking agree to the bit in values and clocks, every rank
+    /// holds the same bits, the values are the reduction, the latest
+    /// clock is the closed form when the blocks are equal (`P` and
+    /// `2^⌊log₂P⌋` divide `n`), and the selector returns the argmin of
+    /// the closed forms.
     #[test]
     fn every_schedule_matches_its_twin_its_closed_form_and_the_selector() {
         let models = [MODEL, NetModel::cori_knl(), NetModel::free()];
-        for p in [1, 2, 4, 8, 16, 3, 5, 6] {
-            let runnable: &[Schedule] = if is_pow2(p) {
-                &[Ring, Halving, Doubling]
+        for p in [1, 2, 4, 8, 16, 3, 5, 6, 7, 12, 15, 63] {
+            let (q, runnable): (_, &[Schedule]) = if is_pow2(p) {
+                (p, &ALL[..3])
             } else {
-                &[Ring]
+                (core_size(p), &ALL[2..])
             };
-            for n in [0, 1, p - 1, p, p + 1, 33, 1000] {
+            for n in [0, 1, p - 1, p, p + 1, 33, p * q] {
                 for model in &models {
                     let chosen = Schedule::select(p, n as f64, model);
                     let secs = |s: Schedule| s.cost(p, n as f64).seconds(model);
@@ -227,9 +293,14 @@ mod tests {
                     assert!(runnable.iter().all(|&s| secs(chosen) <= secs(s)));
                 }
                 for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
-                    let mut want = contribution(0, n);
-                    for r in 1..p {
-                        op.apply(&mut want, &contribution(r, n));
+                    let (mut want, mut scale) = (contribution(0, n), vec![0.0; n]);
+                    for r in 0..p {
+                        if r > 0 {
+                            op.apply(&mut want, &contribution(r, n));
+                        }
+                        for (s, c) in scale.iter_mut().zip(contribution(r, n)) {
+                            *s += c.abs();
+                        }
                     }
                     for &s in runnable {
                         let at = format!("{s:?} p={p} n={n} {op:?}");
@@ -237,15 +308,16 @@ mod tests {
                         assert_eq!(blocking, run(p, n, op, s, false), "{at}");
                         let (bits, _) = &blocking[0];
                         assert!(blocking.iter().all(|(b, _)| b == bits), "{at}");
-                        for (&b, &w) in bits.iter().zip(&want) {
+                        // Any summation order is within (P−1)·ε·Σ|x|.
+                        for ((&b, &w), &scale) in bits.iter().zip(&want).zip(&scale) {
                             let got = f64::from_bits(b);
-                            assert!((got - w).abs() <= 1e-12 * w.abs().max(1.0), "{at}");
+                            assert!((got - w).abs() <= 1e-13 * scale, "{at}");
                         }
-                        if n % p == 0 {
+                        if n % p == 0 && n % q == 0 {
                             let t = s.cost(p, n as f64).seconds(&MODEL);
-                            for &(_, clock) in &blocking {
-                                assert!((f64::from_bits(clock) - t).abs() < 1e-12, "{at}");
-                            }
+                            let latest = blocking.iter().map(|&(_, c)| f64::from_bits(c));
+                            let latest = latest.fold(0.0, f64::max);
+                            assert!((latest - t).abs() < 1e-12, "{at}: {latest} vs {t}");
                         }
                     }
                 }
@@ -260,8 +332,26 @@ mod tests {
         assert_eq!(Schedule::select(2, 1e7, &knl), Doubling);
         assert_eq!(Schedule::select(4, crossover - 1.0, &knl), Doubling);
         assert_eq!(Schedule::select(4, crossover + 1.0, &knl), Halving);
-        assert_eq!(Schedule::select(6, 1.0, &knl), Ring);
         assert_eq!(Schedule::select(16, 1e6, &NetModel::free()), Halving);
+        // Off a power of two the fold takes the latency-bound messages,
+        // Halving's core the middle ones, and the ring the large ones
+        // and the ties.
+        assert_eq!(Schedule::select(6, 1.0, &knl), Fold(&Doubling));
+        assert_eq!(Schedule::select(12, crossover, &knl), Fold(&Halving));
+        assert_eq!(Schedule::select(6, 1e8, &knl), Ring);
         assert_eq!(Schedule::select(6, 1e6, &NetModel::free()), Ring);
+    }
+
+    /// A lost fold-in message fails the whole group: every core rank
+    /// needs the extra rank's vector, and the extra rank the result.
+    #[test]
+    fn a_dropped_fold_in_fails_every_rank() {
+        let plan = mpsim::FaultPlan::new(7).drop_nth(2, 0, 0);
+        let (out, stats) = World::run_with_faults(3, MODEL, plan, |comm| {
+            let comm = comm.guarded(&crate::FtConfig::fixed(10.0));
+            Fold(&Doubling).allreduce(&comm, &mut [1.0; 4], ReduceOp::Sum)
+        });
+        assert!(out.iter().all(Result::is_err), "{out:?}");
+        assert_eq!(stats.total_dropped(), 1);
     }
 }

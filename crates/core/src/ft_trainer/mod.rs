@@ -569,9 +569,9 @@ mod tests {
     fn corruption_rolls_back_and_replays_to_the_same_result() {
         let c = cfg(6);
         let clean = run(&c, FaultPlan::default());
-        // Flip a bit in a data message between two grid neighbours a
-        // few iterations in.
-        let plan = FaultPlan::new(9).corrupt_nth(1, 2, 40);
+        // Flip a bit in a data message a few iterations in: the 10th
+        // fold-in (extra rank 2 → its twin 0) of row 0's all-reduces.
+        let plan = FaultPlan::new(9).corrupt_nth(2, 0, 10);
         let faulty = run(&c, plan);
         assert_eq!(faulty.survivors().len(), 6, "nobody died");
         assert_eq!(faulty.stats.total_corrupt_detected(), 1);
@@ -806,13 +806,13 @@ mod tests {
         // must still match the clean run.
         let c = cfg(6);
         let clean = run(&c, FaultPlan::default());
-        // nth=40 lands in iteration ~3 (see
+        // nth=10 lands in iteration ~3 (see
         // corruption_rolls_back_and_replays_to_the_same_result);
-        // nth=100 hits the link again one committed iteration after the
+        // nth=25 hits the link again one committed iteration after the
         // first replay, forcing a second, distinct rollback.
         let plan = FaultPlan::new(9)
-            .corrupt_nth(1, 2, 40)
-            .corrupt_nth(1, 2, 100);
+            .corrupt_nth(2, 0, 10)
+            .corrupt_nth(2, 0, 25);
         let faulty = run(&c, plan);
         assert_eq!(faulty.survivors().len(), 6, "nobody died");
         assert_eq!(faulty.stats.total_corrupt_detected(), 2);

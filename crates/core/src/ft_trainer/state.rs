@@ -4,8 +4,7 @@
 //! [`recover`] — shrink (or regrow), re-plan with Eq. 8, redistribute
 //! the agreed checkpoint, re-shard.
 
-use collectives::ring::allgatherv_ring;
-use collectives::{allreduce, ReduceOp};
+use collectives::{allgatherv_into, allreduce, ReduceOp};
 use mpsim::fault::checksum;
 use mpsim::{Communicator, Error, FaultCtx};
 use tensor::ops::axpy;
@@ -263,21 +262,19 @@ pub(super) fn recover(
     let serves = reps.contains(&my_global);
 
     // Redistribute: each row's representative serves its checkpoint
-    // shard; everyone assembles the full matrices (data plane, so the
-    // cost lands on the virtual clock).
+    // shard, gathered straight into its rows of the full matrix on every
+    // rank (data plane, so the cost lands on the virtual clock).
     let gather_full = |shards: &[Matrix], d_out: usize, d_in: usize, l: usize| {
         let mine: &[f64] = if serves { shards[l].as_slice() } else { &[] };
-        let blocks = allgatherv_ring(&alive, mine)?;
-        let mats: Vec<Matrix> = (0..old.pr)
-            .map(|i| {
-                let idx = (alive.members().iter())
-                    .position(|&g| g == reps[i])
-                    .expect("representative survives");
-                let rows = part_range(d_out, old.pr, i).len();
-                Matrix::from_vec(rows, d_in, blocks[idx].clone())
+        let mut full = Matrix::zeros(d_out, d_in);
+        allgatherv_into(&alive, mine.to_vec(), full.as_mut_slice(), |k| {
+            let served = reps.iter().position(|&g| g == alive.members()[k]);
+            served.map_or(0..0, |i| {
+                let rows = part_range(d_out, old.pr, i);
+                rows.start * d_in..rows.end * d_in
             })
-            .collect();
-        Ok::<Matrix, Error>(Matrix::vcat(&mats))
+        })?;
+        Ok::<Matrix, Error>(full)
     };
     let mut full_w = Vec::with_capacity(job.layers.len());
     let mut full_v = Vec::with_capacity(job.layers.len());

@@ -44,8 +44,8 @@ mod tests {
         let m = Matrix::from_fn(7, 9, |i, j| (i * 9 + j) as f64);
         let rows: Vec<Matrix> = (0..3).map(|i| row_shard(&m, 3, i)).collect();
         assert_eq!(Matrix::vcat(&rows), m);
-        let cols: Vec<Matrix> = (0..4).map(|j| col_shard(&m, 4, j)).collect();
-        assert_eq!(Matrix::hcat(&cols), m);
+        let cols: Vec<Matrix> = (0..4).map(|j| col_shard(&m, 4, j).transpose()).collect();
+        assert_eq!(Matrix::vcat(&cols), m.transpose());
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   communication steps" and the `2Bd/Pr + Bd/Pc` total the Discussion
 //!   quotes, which tests here confirm against the executed traffic.
 
-use collectives::ring::allgatherv_ring;
-use collectives::{allreduce, bcast, ReduceOp};
+use collectives::{allgatherv_into, allreduce, bcast, ReduceOp};
 use mpsim::Result;
 use tensor::matmul::{matmul, matmul_flops};
 use tensor::Matrix;
@@ -124,24 +123,18 @@ pub fn summa_stationary_a(
     n: usize,
 ) -> Result<Matrix> {
     // Step 1+2: assemble B's row panel k_j across the column group —
-    // every member holds a different column slice of B[k_j, :].
-    let b_full = if grid.pr == 1 {
-        b_local.clone()
-    } else {
-        // Ship column-major so each rank's slice stays contiguous.
-        let mine = b_local.transpose();
-        let blocks = allgatherv_ring(&grid.col_comm, mine.as_slice())?;
-        let k_rows = b_local.rows();
-        let mats: Vec<Matrix> = blocks
-            .into_iter()
-            .map(|v| {
-                let cols_t = v.len() / k_rows;
-                Matrix::from_vec(cols_t, k_rows, v).transpose()
-            })
-            .collect();
-        Matrix::hcat(&mats)
+    // every member holds a different column slice of B[k_j, :]. Ship
+    // them column-major so each slice is contiguous, gathered straight
+    // into the panel's transpose.
+    let k_rows = b_local.rows();
+    let mut b_t = Matrix::zeros(n, k_rows);
+    let cols = |i| {
+        let c = part_range(n, grid.pr, i);
+        c.start * k_rows..c.end * k_rows
     };
-    debug_assert_eq!(b_full.cols(), n, "assembled B panel spans all n columns");
+    let mine = b_local.transpose().into_vec();
+    allgatherv_into(&grid.col_comm, mine, b_t.as_mut_slice(), cols)?;
+    let b_full = b_t.transpose();
     // Step 3: local multiply — this rank's k-panel contribution to C_i.
     grid.row_comm
         .advance_flops(matmul_flops(a_local.rows(), a_local.cols(), n));

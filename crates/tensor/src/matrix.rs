@@ -219,16 +219,6 @@ impl Matrix {
         self.data[r0 * self.cols..(r0 + block.rows) * self.cols].copy_from_slice(&block.data);
     }
 
-    /// Writes `block` into columns `c0..` of `self`.
-    pub fn set_col_block(&mut self, c0: usize, block: &Matrix) {
-        assert_eq!(block.rows, self.rows, "row count mismatch");
-        assert!(c0 + block.cols <= self.cols, "col block overflows target");
-        for i in 0..self.rows {
-            let dst = &mut self.data[i * self.cols + c0..i * self.cols + c0 + block.cols];
-            dst.copy_from_slice(block.row(i));
-        }
-    }
-
     /// Concatenates matrices vertically (equal column counts). Takes
     /// any iterator of borrows, so shards held in other structures
     /// stack without being cloned first.
@@ -242,22 +232,6 @@ impl Matrix {
         for b in blocks {
             out.set_row_block(r, b);
             r += b.rows;
-        }
-        out
-    }
-
-    /// Concatenates matrices horizontally (equal row counts); borrows
-    /// like [`Matrix::vcat`].
-    pub fn hcat<'a>(blocks: impl IntoIterator<Item = &'a Matrix>) -> Matrix {
-        let blocks: Vec<&Matrix> = blocks.into_iter().collect();
-        assert!(!blocks.is_empty(), "hcat of zero blocks");
-        let rows = blocks[0].rows;
-        let cols = blocks.iter().map(|b| b.cols).sum();
-        let mut out = Matrix::stale(rows, cols);
-        let mut c = 0;
-        for b in blocks {
-            out.set_col_block(c, b);
-            c += b.cols;
         }
         out
     }
@@ -340,17 +314,13 @@ mod tests {
         let m = Matrix::from_fn(4, 6, |i, j| (i * 6 + j) as f64);
         let v = Matrix::vcat(&[m.row_block(0, 2), m.row_block(2, 4)]);
         assert_eq!(v, m);
-        let h = Matrix::hcat(&[m.col_block(0, 1), m.col_block(1, 4), m.col_block(4, 6)]);
-        assert_eq!(h, m);
     }
 
     #[test]
-    fn set_blocks_write_back() {
+    fn set_row_block_writes_back() {
         let mut m = Matrix::zeros(3, 3);
         m.set_row_block(1, &Matrix::from_fn(1, 3, |_, j| j as f64 + 1.0));
         assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
-        m.set_col_block(2, &Matrix::from_fn(3, 1, |i, _| i as f64));
-        assert_eq!(m.get(2, 2), 2.0);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 
 use proptest::prelude::*;
 
-use integrated_parallelism::collectives::alltoall::alltoall;
+use integrated_parallelism::collectives::bruck::allgather_bruck;
 use integrated_parallelism::collectives::cost;
 use integrated_parallelism::collectives::ring::{allgather_ring, allreduce_ring};
-use integrated_parallelism::collectives::{allgather, bcast, ReduceOp};
+use integrated_parallelism::collectives::{allgatherv_into, bcast, ReduceOp};
 use integrated_parallelism::mpsim::{NetModel, World};
 
 fn contribution(rank: usize, n: usize, seed: u64) -> Vec<f64> {
@@ -63,10 +63,14 @@ proptest! {
         let expect: Vec<f64> =
             (0..p).flat_map(|r| contribution(r, m, seed)).collect();
         let out = World::run(p, NetModel::free(), |comm| {
-            allgather(comm, &contribution(comm.rank(), m, seed)).unwrap()
+            let mine = contribution(comm.rank(), m, seed);
+            let mut into = vec![0.0; p * m];
+            allgatherv_into(comm, mine.clone(), &mut into, |r| r * m..(r + 1) * m).unwrap();
+            (allgather_bruck(comm, &mine).unwrap(), into)
         });
         for r in 0..p {
-            prop_assert_eq!(&out[r], &expect);
+            prop_assert_eq!(&out[r].0, &expect);
+            prop_assert_eq!(&out[r].1, &expect);
         }
     }
 
@@ -88,21 +92,6 @@ proptest! {
         });
         for r in 0..p {
             prop_assert_eq!(&out[r], &expect);
-        }
-    }
-
-    #[test]
-    fn alltoall_is_a_transpose(p in 1usize..8, m in 1usize..10, seed in 0u64..50) {
-        let out = World::run(p, NetModel::free(), |comm| {
-            let r = comm.rank();
-            let send: Vec<Vec<f64>> =
-                (0..p).map(|q| contribution(r * p + q, m, seed)).collect();
-            alltoall(comm, send).unwrap()
-        });
-        for r in 0..p {
-            for q in 0..p {
-                prop_assert_eq!(&out[r][q], &contribution(q * p + r, m, seed));
-            }
         }
     }
 

@@ -24,17 +24,14 @@
 //! The fault-plan seed is taken from `FT_SEED` (default 3) so CI can
 //! sweep it, on both backends.
 
-use integrated_parallelism::collectives::alltoall::alltoall;
 use integrated_parallelism::collectives::binomial::bcast_binomial;
 use integrated_parallelism::collectives::bruck::allgather_bruck;
 use integrated_parallelism::collectives::halo::exchange_1d;
 use integrated_parallelism::collectives::recursive::{
     allreduce_rabenseifner, allreduce_recursive_doubling,
 };
-use integrated_parallelism::collectives::ring::{
-    allgatherv_ring, allgatherv_ring_into, allreduce_ring,
-};
-use integrated_parallelism::collectives::{FtConfig, ReduceOp};
+use integrated_parallelism::collectives::ring::{allgatherv_ring, allreduce_ring};
+use integrated_parallelism::collectives::{allgatherv_into, FtConfig, ReduceOp};
 use integrated_parallelism::distmm::cols::redistribute_cols;
 use integrated_parallelism::distmm::rows::{fetch_rows, scatter_add_rows, NO_FRAME};
 use integrated_parallelism::mpsim::{
@@ -73,7 +70,7 @@ fn sum(
 
 /// Every pattern delivers rank 0's words to every member but the halo
 /// exchange, which has neighbours only.
-const TABLE: [(&str, Pattern); 11] = [
+const TABLE: [(&str, Pattern); 10] = [
     ("allreduce_ring", |c| sum(c, allreduce_ring)),
     ("allreduce_recursive_doubling", |c| {
         sum(c, allreduce_recursive_doubling)
@@ -82,9 +79,9 @@ const TABLE: [(&str, Pattern); 11] = [
     ("allgatherv_ring", |c| {
         Ok(allgatherv_ring(c, &words(c.rank()))?.concat())
     }),
-    ("allgatherv_ring_into", |c| {
+    ("allgatherv_into", |c| {
         let mut out = vec![0.0; P * N];
-        allgatherv_ring_into(c, words(c.rank()), &mut out, |r| r * N..(r + 1) * N)?;
+        allgatherv_into(c, words(c.rank()), &mut out, |r| r * N..(r + 1) * N)?;
         Ok(out)
     }),
     ("allgather_bruck", |c| allgather_bruck(c, &words(c.rank()))),
@@ -92,9 +89,6 @@ const TABLE: [(&str, Pattern); 11] = [
         let mut data = if c.rank() == 0 { words(0) } else { Vec::new() };
         bcast_binomial(c, &mut data, 0)?;
         Ok(data)
-    }),
-    ("alltoall", |c| {
-        Ok(alltoall(c, (0..P).map(|q| words(c.rank() + q)).collect())?.concat())
     }),
     ("halo::exchange_1d", |c| {
         let mine = words(c.rank());

@@ -453,13 +453,24 @@ fn trace_fingerprint(
 /// faults cut two short) and move from `recv` to `chunk_step`, channel `xfer`
 /// and `drain`. The recovery path is the same: the same 5 timeouts, 6
 /// verdicts, 7 rollbacks and one rejoin.
+///
+/// Re-recorded when the FT state sync began gathering in `⌈log₂P⌉`
+/// rounds (`allgatherv_into`). The regrow's sync over 4 ranks doubles:
+/// its 12 gathers (3 layers on each rank) take 2 receives each where
+/// the ring took 3 (12 `allgatherv_ring` spans become
+/// `allgatherv_doubling`, 12 `recv` fewer). The shrink's sync over the 3
+/// survivors runs Bruck's 2 rounds, as many as the ring's steps, but each
+/// block arrives straight from its holder instead of through rank 1, so
+/// ranks 0, 1 and 2 each finish one more gather before the rejoin cuts
+/// that recovery short (5 ring spans become 8 `allgatherv_bruck`, 6
+/// `recv` more). Everything else is unchanged.
 const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
     ("channel", "xfer", 32 + 106),
-    ("collective", "allgatherv_doubling", 108),
-    ("collective", "allgatherv_ring", 17),
+    ("collective", "allgatherv_bruck", 5 + 3),
+    ("collective", "allgatherv_doubling", 108 + 12),
     ("collective", "allreduce_recursive_doubling", 144 - 108),
     ("comm", "backoff", 4),
-    ("comm", "recv", 292 - 106),
+    ("comm", "recv", 292 - 106 - 12 + 6),
     ("comm", "timeout", 5),
     ("compute", "compute", 324),
     ("drain", "drain", 32 + 106),
@@ -481,12 +492,13 @@ const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
     ("trainer", "recovery", 7),
     ("trainer", "rollback", 7),
 ];
-const GOLDEN_FT_FNV: u64 = 0x502e_2282_dac8_1737;
+const GOLDEN_FT_FNV: u64 = 0x436a_4135_e6d6_5f45;
 /// The same FNV over every event but the `collective` scope spans:
 /// first recorded while the FT trainer's rings still carried `_ft` names
 /// and no phase sub-spans, to pin what moving the fault policy onto the
-/// communicator had to leave untouched; re-recorded with the histogram.
-const GOLDEN_FT_LEAF_FNV: u64 = 0x9dbc_3453_523c_ca0e;
+/// communicator had to leave untouched; re-recorded with the histogram
+/// (both times).
+const GOLDEN_FT_LEAF_FNV: u64 = 0xf5d9_3eb3_f2ca_4971;
 /// The scheduled run's histogram. Layer 0's ∆X is not formed (per rank
 /// and iteration, 4 × 3 = 12 GEMMs, launches, drains and 24 ring steps
 /// fewer than the retired engine's 132, 48, 84 and 132). Each of the 36
