@@ -197,7 +197,7 @@ fn main() -> ExitCode {
     }
     print!("{}", t.render());
 
-    // The serde stub has no serializer, so the JSON is written by hand.
+    // The workspace links no JSON library, so the JSON is written by hand.
     let mut json = String::from(
         "{\n  \"bench\": \"abft_sweep\",\n  \"network\": \"mlp-tiny\",\n  \"grids\": [\n",
     );

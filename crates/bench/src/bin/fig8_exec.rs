@@ -289,8 +289,8 @@ fn main() {
         assert!(met, "P={p}: no grid saves its derived floor");
     }
 
-    // The serde stub has no serializer, so the JSON is written by hand
-    // (same convention as recovery_sweep).
+    // The workspace links no JSON library, so the JSON is written by
+    // hand (same convention as recovery_sweep).
     let mut json = format!(
         "{{\n  \"bench\": \"fig8_exec\",\n  \"network\": \"{}\",\n  \"batch\": {b},\n  \
          \"iters\": {iters},\n  \"paper_backprop_fraction\": {PAPER_BACKPROP_FRACTION},\n  \

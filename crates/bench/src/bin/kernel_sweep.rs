@@ -310,7 +310,7 @@ fn main() {
     }
     print!("{}", if args.csv { st.to_csv() } else { st.render() });
 
-    // The serde stub has no serializer, so the JSON is written by hand.
+    // The workspace links no JSON library, so the JSON is written by hand.
     let mut json = String::from("{\n  \"bench\": \"kernel_sweep\",\n  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(

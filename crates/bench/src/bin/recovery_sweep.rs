@@ -160,7 +160,7 @@ fn main() {
         assert!(ratio <= 1.5, "P={}: degraded/base {ratio:.2}", r.p);
     }
 
-    // The serde stub has no serializer, so the JSON is written by hand.
+    // The workspace links no JSON library, so the JSON is written by hand.
     let mut json = String::from(
         "{\n  \"bench\": \"recovery_sweep\",\n  \"network\": \"mlp-tiny\",\n  \"scenarios\": [\n",
     );

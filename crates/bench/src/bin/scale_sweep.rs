@@ -227,7 +227,7 @@ fn main() {
         println!();
     }
 
-    // The serde stub has no serializer, so the JSON is written by hand.
+    // The workspace links no JSON library, so the JSON is written by hand.
     let mut json = String::from(
         "{\n  \"bench\": \"scale_sweep\",\n  \"network\": \"mlp-scale\",\n  \"points\": [\n",
     );

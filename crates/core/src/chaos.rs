@@ -365,8 +365,8 @@ impl ChaosPlan {
             .fold(plan, |plan, f| plan.with(f.clone().scale_times(makespan)))
     }
 
-    /// Serializes the plan as JSON (the vendored serde stub has no
-    /// serializer, so this is written by hand). Every *finite* f64
+    /// Serializes the plan as JSON (the workspace links no JSON
+    /// library, so this is written by hand). Every *finite* f64
     /// round-trips exactly — Rust's `{}` formatting prints the shortest
     /// decimal that re-parses to the same bits, including subnormals —
     /// but `NaN`/`inf` are not JSON tokens and would serialize as

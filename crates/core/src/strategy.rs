@@ -11,13 +11,12 @@
 //! Eq. 6, which is why mixed grids are admissible).
 
 use dnn::{Network, WeightedLayer};
-use serde::{Deserialize, Serialize};
 
 use crate::compute::ComputeModel;
 use crate::cost::{integrated_full, CostBreakdown};
 
 /// How one layer's work is spread over the `P` processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerParallelism {
     /// The 1.5D integrated scheme (Fig. 5): weights split over `pr`,
     /// batch split over `pc`. `pr = 1` is pure batch, `pc = 1` pure
@@ -69,7 +68,7 @@ impl LayerParallelism {
 }
 
 /// A full strategy: one assignment per weighted layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Strategy {
     /// Descriptive name (used in reports).
     pub name: String,

@@ -76,9 +76,7 @@ impl Grid {
     /// Column-major layout: consecutive global ranks share a *batch*
     /// shard, so the `Pr`-sized groups (forward all-gather + ∆X
     /// all-reduce — the heavy activation traffic) are contiguous in
-    /// rank space. On a hierarchical topology this is the placement
-    /// that keeps the activation collectives inside fat nodes; see the
-    /// `ablation_topology` binary.
+    /// rank space.
     pub fn new_colmajor(comm: &Communicator, pr: usize, pc: usize) -> Result<Grid> {
         // The transpose: the row-major `pc × pr` grid's rows are this
         // grid's columns.

@@ -1,13 +1,11 @@
 //! Layer specifications.
 
-use serde::{Deserialize, Serialize};
-
 use crate::shape::Shape;
 
 /// One layer of a network, as named in the paper's §2.1: convolutional,
 /// fully connected, activation, dropout (plus pooling and LRN, which
 /// AlexNet uses between stages).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LayerSpec {
     /// 2-D convolution with `out_c` filters of size `kh × kw`.
     Conv {
@@ -51,7 +49,7 @@ pub enum LayerSpec {
 }
 
 /// The coarse classification the cost model cares about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerKind {
     /// Convolutional weighted layer with kernel `kh × kw`.
     Conv {

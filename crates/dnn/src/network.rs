@@ -1,13 +1,11 @@
 //! Networks and the weighted-layer view the cost model consumes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layer::{LayerKind, LayerSpec};
 use crate::shape::Shape;
 
 /// A full network: an input shape plus an ordered list of layers with
 /// all shapes inferred.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     /// Human-readable name ("alexnet", …).
     pub name: String,
@@ -17,7 +15,7 @@ pub struct Network {
 }
 
 /// One weighted layer in the form the paper's Eqs. 3–9 consume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedLayer {
     /// Position among weighted layers (1-based, matching the paper's
     /// `i = 1..L`).

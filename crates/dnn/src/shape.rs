@@ -1,13 +1,11 @@
 //! Activation shapes.
 
-use serde::{Deserialize, Serialize};
-
 /// The shape of one sample's activation: channels × height × width.
 /// Fully-connected activations are represented as `d × 1 × 1`, so every
 /// layer has well-defined spatial extents (the paper's domain-parallel
 /// formulas use `X_H`, `X_W`, `X_C` even for FC layers, where the halo
 /// degenerates to the whole input).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     /// Channel count `X_C`.
     pub c: usize,

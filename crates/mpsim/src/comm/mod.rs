@@ -3,7 +3,7 @@
 //! A [`Communicator`] names a group of global ranks and gives the local
 //! rank send/recv/collective-building primitives within that group.
 //! Sub-communicators created with [`Communicator::grid`] or
-//! [`Communicator::shrink_exclude`] share the owning thread's virtual
+//! [`Communicator::shrink_exclude`] share the owning rank's virtual
 //! clock, mailbox, and traffic counters, exactly like MPI communicators
 //! share a process. Both are computed from the member table alone, with
 //! no message.
@@ -88,7 +88,7 @@ impl Drop for TraceSpan {
 /// An MPI-like communicator over a group of simulated ranks.
 ///
 /// Cloning is cheap (the member table is shared); clones alias the same
-/// thread-local clock and mailbox.
+/// rank's clock and mailbox.
 #[derive(Clone)]
 pub struct Communicator {
     pub(crate) inner: Rc<RefCell<Inner>>,
@@ -96,7 +96,7 @@ pub struct Communicator {
     ctx: u64,
     /// Global ranks of the members, in rank order.
     members: Arc<Vec<usize>>,
-    /// This thread's rank within `members`.
+    /// The local rank within `members`.
     rank: Rank,
     /// The fault policy of a [guarded](Communicator::guarded) handle,
     /// inline (`FtConfig` is `Copy`: no allocation per handle).
@@ -380,7 +380,7 @@ impl Communicator {
     /// payload, the absolute time the channel finished (the departure
     /// time for a forwarded chunk), and the seconds charged.
     ///
-    /// The call may block the *OS thread* until the message is in the
+    /// The call may suspend the rank until the message is in the
     /// mailbox, but the matching is deterministic, so virtual time
     /// never depends on real-time interleaving.
     ///

@@ -19,19 +19,19 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::clock::Clock;
+use crate::engine::Endpoint;
 use crate::error::{Error, Result};
 use crate::fault::{self, FaultPlan};
 use crate::health::{DetectorConfig, HealthMonitor};
 use crate::netmodel::NetModel;
-use crate::router::{Endpoint, Envelope, Payload};
+use crate::router::{Envelope, Payload};
 use crate::stats::RankStats;
-use crate::topology::Topology;
 use crate::trace::{TraceConfig, Tracer, Track};
 use crate::{Rank, Tag};
 
-/// Per-thread shared state: transport endpoint, pending-message buffer,
-/// virtual clock, and counters. One `Inner` exists per OS thread (global
-/// rank); all communicators on that thread share it.
+/// Per-rank shared state: transport endpoint, pending-message buffer,
+/// virtual clock, and counters. One `Inner` exists per global rank, on
+/// that rank's fiber; all its communicators share it.
 pub(crate) struct Inner {
     pub global_rank: usize,
     pub world_size: usize,
@@ -41,7 +41,6 @@ pub(crate) struct Inner {
     pending: HashMap<(u64, usize, Tag), VecDeque<Envelope>>,
     pub clock: Clock,
     pub model: NetModel,
-    pub topo: Topology,
     pub stats: RankStats,
     /// Shared fault-injection script (empty/inactive by default).
     pub plan: Arc<FaultPlan>,
@@ -146,7 +145,7 @@ impl Matched {
 /// | `Channel` (`recv_channel*`) | timeout from `max(now, comm_busy)` | `max(comm_busy, avail)` | `channel_transfer` | `channel_secs` | `channel/xfer` |
 ///
 /// On every lane `avail = depart + straggle delay`, the transfer is
-/// `α·fa + β·fb·words`, and the receive expires iff `start + transfer`
+/// `α + β·words`, and the receive expires iff `start + transfer`
 /// exceeds the deadline.
 #[derive(Clone, Copy, PartialEq)]
 pub(super) enum Lane {
@@ -183,7 +182,7 @@ pub(super) enum Notice {
 }
 
 impl Inner {
-    /// Builds the per-rank state shared by both execution backends.
+    /// Builds the state of rank `rank` of a `size`-rank world.
     ///
     /// The fault-plan-indexed vectors (`link_seq`, `reorder_held`) are
     /// zero-length when the plan is inactive: [`Inner::post`] only
@@ -195,7 +194,6 @@ impl Inner {
         size: usize,
         endpoint: Endpoint,
         model: NetModel,
-        topo: Topology,
         plan: Arc<FaultPlan>,
         trace: TraceConfig,
     ) -> Inner {
@@ -207,7 +205,6 @@ impl Inner {
             pending: HashMap::new(),
             clock: Clock::new(),
             model,
-            topo,
             stats: RankStats::default(),
             link_seq: vec![0; fault_len],
             dead_peers: BTreeMap::new(),
@@ -581,13 +578,12 @@ impl Inner {
             Matched::Data(env) => {
                 let words = env.data.words();
                 let me = self.global_rank;
-                let (fa, fb) = self.topo.factors(env.src, me);
                 let extra = if self.plan.active() {
                     self.plan.extra_delay(env.src, me, env.seq)
                 } else {
                     0.0
                 };
-                let transfer = fa * self.model.alpha + fb * self.model.beta * words as f64;
+                let transfer = self.model.alpha + self.model.beta * words as f64;
                 // A straggler delay holds the message in flight: it
                 // postpones availability (like a later departure) rather
                 // than lengthening the receiver-side transfer, so a

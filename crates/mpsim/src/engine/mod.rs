@@ -1,22 +1,28 @@
 //! Discrete-event execution engine: ranks as fibers on virtual-time
-//! schedulers, one per host core, replacing one-OS-thread-per-rank.
+//! schedulers, one per host core.
 //!
-//! ## Why this is bit-identical to the threaded backend
+//! ## Two switches, one schedule
 //!
-//! The threaded simulator blocks in exactly one way: a rank waiting on
-//! its (empty) mailbox. Message *matching* is by `(context, src, tag)`
-//! with per-sender FIFO, every timestamp is computed from envelope
-//! `depart` fields and the receiver's own virtual clock, and no
-//! real-time timeouts exist anywhere. Consequently **any** schedule
-//! that (a) only suspends a rank when its mailbox is empty and it asked
-//! to receive, and (b) delivers each sender's envelopes in send order,
-//! produces the same numbers, stats, and traces as free-running OS
-//! threads. The event engine is one such schedule: fibers run until
-//! they block on `recv`, a send to a blocked rank makes it runnable,
-//! and a scheduler always resumes its runnable rank with the smallest
-//! `(blocked-at virtual time, rank)` key — an order that keeps
+//! A rank blocks in exactly one way: waiting on its (empty) mailbox.
+//! Message *matching* is by `(context, src, tag)` with per-sender FIFO,
+//! every timestamp is computed from envelope `depart` fields and the
+//! receiver's own virtual clock, and no real-time timeouts exist
+//! anywhere. Consequently **any** schedule that (a) only suspends a
+//! rank when its mailbox is empty and it asked to receive, and (b)
+//! delivers each sender's envelopes in send order, produces the same
+//! numbers, stats, and traces. The engine is one such schedule: fibers
+//! run until they block on `recv`, a send to a blocked rank makes it
+//! runnable, and a scheduler always resumes its runnable rank with the
+//! smallest `(blocked-at virtual time, rank)` key — an order that keeps
 //! co-temporal ranks in lockstep so per-rank progress (and memory held
 //! in mailboxes) stays balanced.
+//!
+//! How a fiber gets the turn is its [`fiber::Switch`]: the asm context
+//! switch onto a slab stack, or a parked OS thread per rank — the
+//! differential-testing oracle, which runs this same schedule through
+//! the same fabric, mailboxes and quiescence verdict without the asm,
+//! the slab stacks or their canaries. Nothing here learns which one is
+//! running.
 //!
 //! ## Shards and workers
 //!
@@ -28,9 +34,10 @@
 //! threads, started on first need and blocked on a channel between
 //! worlds. A fiber never changes threads, so every thread-local a rank
 //! leans on (this module's current-fiber pointer, the stack-slab cache,
-//! `tensor`'s buffer free list and packing panels) stays sound, and
-//! warm from one world to the next. By (a) and (b) above the numbers
-//! are the same for every `W`; `W = 1` is the single-threaded engine.
+//! `tensor`'s buffer free list and packing panels) stays sound, and on
+//! the asm switch warm from one world to the next. By (a) and (b) above
+//! the numbers are the same for every `W`; `W = 1` is the
+//! single-threaded engine.
 //!
 //! Three rules make the shards one engine:
 //!
@@ -50,26 +57,24 @@
 //!
 //! ## Termination and the disconnect rule
 //!
-//! A threaded rank's `recv` fails once every peer endpoint has been
-//! dropped. The event engine generalises this: at quiescence with some
-//! fiber still blocked the system can provably never make progress
-//! (sends only happen from running fibers), so the engine wakes exactly
-//! the fibers blocked at that point, each with the verdict. A woken
-//! `recv` first looks in its mailbox (another woken rank may have run,
-//! and sent, before it); only an empty one surfaces `Err` →
-//! [`crate::Error::Disconnected`], once: the rank's next `recv` blocks
-//! like any other, and errs only if the world goes quiescent again.
-//! Programs that never deadlock never observe the verdict; programs
-//! that *would* hang the threaded backend get a clean error instead.
+//! At quiescence with some fiber still blocked the system can provably
+//! never make progress (sends only happen from running fibers), so the
+//! engine wakes exactly the fibers blocked at that point, each with the
+//! verdict. A woken `recv` first looks in its mailbox (another woken
+//! rank may have run, and sent, before it); only an empty one surfaces
+//! `Err` → [`crate::Error::Disconnected`], once: the rank's next
+//! `recv` blocks like any other, and errs only if the world goes
+//! quiescent again. Programs that never deadlock never observe the
+//! verdict; programs that would hang on free-running threads get a
+//! clean error instead.
 //!
 //! ## Panics
 //!
 //! A panicking rank closure is caught at the fiber boundary and
 //! re-thrown by [`run`] **after** all other fibers, on every worker,
-//! have run to completion (they observe the dead rank exactly as the
-//! threaded backend would: via fault notices or, at exhaustion, the
-//! disconnect rule). The lowest panicking rank's payload wins, matching
-//! the threaded backend's join-in-rank-order propagation.
+//! have run to completion (they observe the dead rank via fault notices
+//! or, at exhaustion, the disconnect rule). The lowest panicking rank's
+//! payload wins, as a join in rank order would have it.
 
 pub mod fiber;
 pub mod stack;
@@ -83,13 +88,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::router::Envelope;
-use fiber::{Fiber, FiberState, Resume};
+use fiber::{Fiber, FiberState, Resume, Switch};
 use stack::StackPool;
 
 thread_local! {
     /// The fiber currently running on this thread (null outside the
     /// engine). Saved/restored around every resume so nested engines
-    /// (a `World` run from inside a rank closure) compose.
+    /// (a `World` run from inside a rank closure) compose; a
+    /// [`Switch::Thread`] fiber's own thread sets it once, for good.
     static CURRENT: Cell<*const FiberState> = const { Cell::new(ptr::null()) };
 }
 
@@ -198,8 +204,7 @@ struct Quiet {
 }
 
 /// The shared message fabric: one mailbox per rank plus the shards'
-/// scheduler state. O(P) memory — unlike the threaded router's P²
-/// cloned senders.
+/// scheduler state. O(P) memory.
 pub struct Fabric {
     boxes: Vec<Mutex<VecDeque<Envelope>>>,
     alive: Vec<AtomicBool>,
@@ -237,8 +242,8 @@ impl Fabric {
     }
 
     /// The endpoint for `rank`. Take each rank's endpoint exactly once.
-    pub fn endpoint(self: &Arc<Fabric>, rank: usize) -> EventEndpoint {
-        EventEndpoint {
+    pub fn endpoint(self: &Arc<Fabric>, rank: usize) -> Endpoint {
+        Endpoint {
             fabric: Arc::clone(self),
             rank,
         }
@@ -250,19 +255,17 @@ impl Fabric {
     }
 }
 
-/// A rank's handle on the fabric — the event-engine counterpart of the
-/// threaded `(Receiver, Vec<Sender>)` endpoint, with matching failure
-/// semantics: `send` fails iff the destination endpoint was dropped,
-/// `recv` fails iff no envelope is buffered and none can ever arrive.
-pub struct EventEndpoint {
+/// A rank's handle on the fabric: `send` fails iff the destination
+/// endpoint was dropped, `recv` fails iff no envelope is buffered and
+/// none can ever arrive.
+pub struct Endpoint {
     fabric: Arc<Fabric>,
     rank: usize,
 }
 
-impl EventEndpoint {
-    // The `()` errors mirror `std::sync::mpsc`'s send/recv failures,
-    // which the threaded endpoint exposes verbatim; both carry exactly
-    // one bit ("peer gone") and are mapped to `Error` one layer up.
+impl Endpoint {
+    // The `()` errors carry exactly one bit ("peer gone") and are
+    // mapped to `Error` one layer up.
     #[allow(clippy::result_unit_err)]
     pub fn send(&self, dst: usize, env: Envelope) -> Result<(), ()> {
         let fabric = &*self.fabric;
@@ -291,10 +294,7 @@ impl EventEndpoint {
             }
             let (shard, i) = self.fabric.home(self.rank);
             let st = CURRENT.get();
-            assert!(
-                !st.is_null(),
-                "mpsim event endpoint used outside the engine"
-            );
+            assert!(!st.is_null(), "mpsim endpoint used outside the engine");
             {
                 // Rule 2: a send that pushed before this lock is seen
                 // here; one that pushes after it finds `Blocked`.
@@ -305,7 +305,7 @@ impl EventEndpoint {
                 s.state[i] = RankState::Blocked(now);
             }
             // SAFETY: `st` is this thread's running fiber, which is the
-            // caller: a fiber stays on the worker that created it.
+            // caller: a fiber stays on its worker, or on its own thread.
             if unsafe { fiber::suspend_current(st) } {
                 // The verdict, for this one receive: a rank woken with
                 // us may have run, and sent, first.
@@ -315,7 +315,7 @@ impl EventEndpoint {
     }
 }
 
-impl Drop for EventEndpoint {
+impl Drop for Endpoint {
     fn drop(&mut self) {
         self.fabric.alive[self.rank].store(false, Ordering::Relaxed);
     }
@@ -331,17 +331,17 @@ pub type Spawn<'a> = dyn Fn(usize) -> Box<dyn FnOnce()> + Sync + 'a;
 const SPINS: u32 = 200;
 
 impl Fabric {
-    /// The worker loop of shard `w`: creates the shard's fibers, resumes
-    /// them in `(blocked-at, rank)` order until all are done, and drops
-    /// them — all on the calling thread.
-    fn work(&self, w: usize, spawn: &Spawn<'_>) {
+    /// The worker loop of shard `w`: creates the shard's fibers on
+    /// `switch`, resumes them in `(blocked-at, rank)` order until all
+    /// are done, and drops them — all on the calling thread.
+    fn work(&self, w: usize, switch: Switch, spawn: &Spawn<'_>) {
         let shard = &self.shards[w];
         let lo = w * self.block;
         let mut left = lock(&shard.sched).state.len();
         assert_eq!(lock(&shard.sched).ready.len(), left, "fabric reused");
         let mut pool = StackPool::new();
         let mut fibers: Vec<Fiber> = (lo..lo + left)
-            .map(|rank| Fiber::new(pool.alloc(), spawn(rank)))
+            .map(|rank| Fiber::new(pool.alloc(), spawn(rank), switch))
             .collect();
         let mut spins = 0;
         while left > 0 {
@@ -480,14 +480,14 @@ pub fn workers_for(size: usize, pinned: Option<usize>, faulted: bool) -> usize {
     pinned.unwrap_or_else(by_rule).clamp(1, size)
 }
 
-/// Run every rank of `fabric` to completion: shard 0 on the calling
-/// thread, every other shard on a helper thread.
+/// Run every rank of `fabric` to completion on fibers that `switch`
+/// hands the turn: shard 0 on the calling thread, every other shard on
+/// a helper thread.
 ///
 /// `spawn(rank)` builds rank `rank`'s closure, on the thread that will
 /// run it. Each closure must eventually return (or panic); blocking
-/// happens only inside [`EventEndpoint::recv`]. The lowest panicking
-/// rank's payload is re-thrown here after all fibers have completed,
-/// mirroring the threaded backend's join order.
+/// happens only inside [`Endpoint::recv`]. The lowest panicking
+/// rank's payload is re-thrown here after all fibers have completed.
 ///
 /// The closures may borrow data from the caller's stack frame (they are
 /// transmuted to `'static` by the caller): this function returns — or
@@ -495,7 +495,7 @@ pub fn workers_for(size: usize, pinned: Option<usize>, faulted: bool) -> usize {
 /// and dropped them, closures included. If the engine itself has a bug
 /// it waits for ever, or leaks started-but-unfinished fibers (never
 /// resumed, never dropped), rather than let one dangle.
-pub fn run(fabric: &Arc<Fabric>, spawn: &Spawn<'_>) {
+pub fn run(fabric: &Arc<Fabric>, switch: Switch, spawn: &Spawn<'_>) {
     let helpers: Vec<_> = {
         let mut h = lock(&HELPERS);
         h.leased += fabric.shards.len() - 1;
@@ -505,7 +505,8 @@ pub fn run(fabric: &Arc<Fabric>, spawn: &Spawn<'_>) {
     };
     for (i, helper) in helpers.iter().enumerate() {
         let fabric = Arc::clone(fabric);
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || fabric.work(i + 1, spawn));
+        let job: Box<dyn FnOnce() + Send + '_> =
+            Box::new(move || fabric.work(i + 1, switch, spawn));
         // SAFETY: `job` borrows `spawn` and what it captures. This
         // frame stays until the job's `work` has counted itself out
         // (the wait below), which is its last use of that borrow.
@@ -514,7 +515,7 @@ pub fn run(fabric: &Arc<Fabric>, spawn: &Spawn<'_>) {
     }
     // Shard 0 here. Should its loop unwind (an engine assertion), the
     // helpers are waited for all the same before the frame goes.
-    let own = panic::catch_unwind(panic::AssertUnwindSafe(|| fabric.work(0, spawn)));
+    let own = panic::catch_unwind(panic::AssertUnwindSafe(|| fabric.work(0, switch, spawn)));
     let mut q = lock(&fabric.quiet);
     while q.out < helpers.len() + usize::from(own.is_ok()) {
         q = wait(&fabric.all_out, q);
@@ -534,16 +535,19 @@ pub fn run(fabric: &Arc<Fabric>, spawn: &Spawn<'_>) {
 mod tests {
     use super::*;
     use crate::router::Payload;
+    use fiber::tests::SWITCHES;
     use std::sync::atomic::AtomicUsize;
 
-    type Body<'a> = Box<dyn Fn(EventEndpoint) + Sync + 'a>;
+    type Body<'a> = Box<dyn Fn(Endpoint) + Sync + 'a>;
 
     fn msg(src: usize, tag: u64, depart: f64) -> Envelope {
         Envelope::new(0, src, tag, depart, Payload::Control(vec![src as u8]))
     }
 
-    /// Runs `bodies[rank]` as rank `rank` of a fabric cut for `workers`.
-    fn run_ranks(workers: usize, bodies: Vec<Body<'_>>) {
+    /// Runs `bodies[rank]` as rank `rank` of a fabric cut for `workers`,
+    /// on fibers that `switch` hands the turn. Every test below runs
+    /// each of its cases on both switches.
+    fn run_ranks(switch: Switch, workers: usize, bodies: Vec<Body<'_>>) {
         let fabric = Fabric::new(bodies.len(), workers);
         assert_eq!(fabric.shards.len(), workers.min(bodies.len()));
         let spawn = |rank: usize| {
@@ -552,32 +556,34 @@ mod tests {
             // SAFETY: `run` returns after every closure was dropped.
             unsafe { std::mem::transmute::<_, Box<dyn FnOnce() + 'static>>(closure) }
         };
-        run(&fabric, &spawn);
+        run(&fabric, switch, &spawn);
     }
 
     #[test]
     fn ping_pong_two_ranks() {
-        let log = Mutex::new(Vec::new());
-        let body = |rank: usize| -> Body<'_> {
-            let log = &log;
-            Box::new(move |ep| {
-                for round in 0..3u64 {
-                    if rank == 0 {
-                        ep.send(1, msg(rank, round, 0.0)).unwrap();
+        for switch in SWITCHES {
+            let log = Mutex::new(Vec::new());
+            let body = |rank: usize| -> Body<'_> {
+                let log = &log;
+                Box::new(move |ep| {
+                    for round in 0..3u64 {
+                        if rank == 0 {
+                            ep.send(1, msg(rank, round, 0.0)).unwrap();
+                        }
+                        let env = ep.recv(0.0).unwrap();
+                        log.lock().unwrap().push((env.src, env.tag));
+                        if rank == 1 {
+                            ep.send(0, msg(rank, round + 100, 0.0)).unwrap();
+                        }
                     }
-                    let env = ep.recv(0.0).unwrap();
-                    log.lock().unwrap().push((env.src, env.tag));
-                    if rank == 1 {
-                        ep.send(0, msg(rank, round + 100, 0.0)).unwrap();
-                    }
-                }
-            })
-        };
-        run_ranks(1, vec![body(0), body(1)]);
-        assert_eq!(
-            *log.lock().unwrap(),
-            vec![(0, 0), (1, 100), (0, 1), (1, 101), (0, 2), (1, 102)]
-        );
+                })
+            };
+            run_ranks(switch, 1, vec![body(0), body(1)]);
+            assert_eq!(
+                *log.lock().unwrap(),
+                vec![(0, 0), (1, 100), (0, 1), (1, 101), (0, 2), (1, 102)]
+            );
+        }
     }
 
     /// The lost-wake-up window of rules 1 and 2, crossed 2·10⁵ times:
@@ -599,22 +605,24 @@ mod tests {
                 }
             })
         };
-        run_ranks(2, vec![body(0), body(1)]);
+        for switch in SWITCHES {
+            run_ranks(switch, 2, vec![body(0), body(1)]);
+        }
     }
 
     #[test]
     fn deadlock_becomes_disconnect_error() {
-        for workers in 1..=2 {
+        for (switch, workers) in SWITCHES.into_iter().flat_map(|s| [(s, 1), (s, 2)]) {
             let errs = AtomicUsize::new(0);
-            // Both ranks recv with nobody sending: a hang on the
-            // threaded backend, a clean error here.
+            // Both ranks recv with nobody sending: a hang on free-running
+            // threads, a clean error here.
             let body = || -> Body<'_> {
                 Box::new(|ep| {
                     errs.fetch_add(usize::from(ep.recv(0.0).is_err()), Ordering::Relaxed);
                 })
             };
-            run_ranks(workers, vec![body(), body()]);
-            assert_eq!(errs.into_inner(), 2, "{workers} workers");
+            run_ranks(switch, workers, vec![body(), body()]);
+            assert_eq!(errs.into_inner(), 2, "{switch:?}, {workers} workers");
         }
     }
 
@@ -622,22 +630,24 @@ mod tests {
     /// already out: the last worker to go idle decides for all three.
     #[test]
     fn quiescence_spans_shards_one_of_them_finished() {
-        let errs = AtomicUsize::new(0);
-        let waits = || -> Body<'_> {
-            Box::new(|ep| {
-                errs.fetch_add(usize::from(ep.recv(1.0).is_err()), Ordering::Relaxed);
-            })
-        };
-        let bodies: Vec<Body<'_>> = vec![
-            waits(),
-            waits(),
-            waits(),
-            waits(),
-            Box::new(drop),
-            Box::new(drop),
-        ];
-        run_ranks(3, bodies);
-        assert_eq!(errs.into_inner(), 4);
+        for switch in SWITCHES {
+            let errs = AtomicUsize::new(0);
+            let waits = || -> Body<'_> {
+                Box::new(|ep| {
+                    errs.fetch_add(usize::from(ep.recv(1.0).is_err()), Ordering::Relaxed);
+                })
+            };
+            let bodies: Vec<Body<'_>> = vec![
+                waits(),
+                waits(),
+                waits(),
+                waits(),
+                Box::new(drop),
+                Box::new(drop),
+            ];
+            run_ranks(switch, 3, bodies);
+            assert_eq!(errs.into_inner(), 4, "{switch:?}");
+        }
     }
 
     /// The verdict goes to exactly the fibers blocked at the quiescent
@@ -651,7 +661,7 @@ mod tests {
     /// `recv` is the second quiescence.
     #[test]
     fn a_verdict_is_per_wake_and_a_later_send_does_not_cancel_it() {
-        for workers in [1, 3] {
+        for (switch, workers) in SWITCHES.into_iter().flat_map(|s| [(s, 1), (s, 3)]) {
             let body = |rank: usize| -> Body<'_> {
                 Box::new(move |ep| {
                     if rank != 1 {
@@ -669,13 +679,13 @@ mod tests {
                     assert!(ep.recv(0.0).is_err(), "second quiescence");
                 })
             };
-            run_ranks(workers, vec![body(0), body(1), body(2)]);
+            run_ranks(switch, workers, vec![body(0), body(1), body(2)]);
         }
     }
 
     #[test]
     fn buffered_envelopes_survive_disconnect() {
-        for workers in 1..=2 {
+        for (switch, workers) in SWITCHES.into_iter().flat_map(|s| [(s, 1), (s, 2)]) {
             let got = AtomicUsize::new(0);
             let bodies: Vec<Body<'_>> = vec![
                 // Exit immediately; rank 1 must still get the envelope.
@@ -686,14 +696,14 @@ mod tests {
                     assert!(ep.recv(0.0).is_err());
                 }),
             ];
-            run_ranks(workers, bodies);
+            run_ranks(switch, workers, bodies);
             assert_eq!(got.into_inner(), 7);
         }
     }
 
     #[test]
     fn send_to_dropped_endpoint_fails() {
-        for workers in 1..=2 {
+        for (switch, workers) in SWITCHES.into_iter().flat_map(|s| [(s, 1), (s, 2)]) {
             let bodies: Vec<Body<'_>> = vec![
                 Box::new(|ep| {
                     // Wait for rank 1 to finish (it never sends, so we
@@ -703,37 +713,39 @@ mod tests {
                 }),
                 Box::new(drop),
             ];
-            run_ranks(workers, bodies);
+            run_ranks(switch, workers, bodies);
         }
     }
 
     #[test]
     fn scheduler_prefers_smallest_virtual_time() {
-        // Rank 0 blocks at t=5, rank 1 at t=2; rank 2 sends to both and
-        // finishes. Rank 1 (earlier blocked time) must run first.
-        let order = Mutex::new(Vec::new());
-        let waiter = |rank: usize, t: f64| -> Body<'_> {
-            let order = &order;
-            Box::new(move |ep| {
-                let _ = ep.recv(t).unwrap();
-                order.lock().unwrap().push(rank);
-            })
-        };
-        let sender: Body<'_> = Box::new(|ep| {
-            // Block once so ranks 0 and 1 are both parked first.
-            let _ = ep.recv(0.0); // disconnect-woken: Err — fine.
-            let _ = ep.send(0, msg(2, 0, 0.0));
-            let _ = ep.send(1, msg(2, 1, 0.0));
-        });
-        run_ranks(1, vec![waiter(0, 5.0), waiter(1, 2.0), sender]);
-        assert_eq!(*order.lock().unwrap(), vec![1, 0]);
+        for switch in SWITCHES {
+            // Rank 0 blocks at t=5, rank 1 at t=2; rank 2 sends to both
+            // and finishes. Rank 1 (earlier blocked time) must run first.
+            let order = Mutex::new(Vec::new());
+            let waiter = |rank: usize, t: f64| -> Body<'_> {
+                let order = &order;
+                Box::new(move |ep| {
+                    let _ = ep.recv(t).unwrap();
+                    order.lock().unwrap().push(rank);
+                })
+            };
+            let sender: Body<'_> = Box::new(|ep| {
+                // Block once so ranks 0 and 1 are both parked first.
+                let _ = ep.recv(0.0); // disconnect-woken: Err — fine.
+                let _ = ep.send(0, msg(2, 0, 0.0));
+                let _ = ep.send(1, msg(2, 1, 0.0));
+            });
+            run_ranks(switch, 1, vec![waiter(0, 5.0), waiter(1, 2.0), sender]);
+            assert_eq!(*order.lock().unwrap(), vec![1, 0], "{switch:?}");
+        }
     }
 
     /// A panic on a helper's shard comes back through `run`, the lowest
     /// rank's payload of several, after every worker has drained.
     #[test]
     fn rank_panic_propagates_after_others_finish() {
-        for workers in [1, 2, 4] {
+        for (switch, workers) in SWITCHES.into_iter().flat_map(|s| [1, 2, 4].map(|w| (s, w))) {
             let finished = AtomicUsize::new(0);
             let body = |rank: usize| -> Body<'_> {
                 let finished = &finished;
@@ -744,8 +756,10 @@ mod tests {
                 })
             };
             let bodies = (0..8).map(body).collect();
-            let err = panic::catch_unwind(panic::AssertUnwindSafe(|| run_ranks(workers, bodies)))
-                .expect_err("panic must propagate");
+            let err = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+                run_ranks(switch, workers, bodies)
+            }))
+            .expect_err("panic must propagate");
             assert_eq!(err.downcast_ref::<String>().unwrap(), "rank 5 exploded");
             assert_eq!(
                 finished.into_inner(),

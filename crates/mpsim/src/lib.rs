@@ -4,9 +4,10 @@
 //! (*Integrated Model, Batch, and Domain Parallelism in Training Neural
 //! Networks*, SPAA 2018) evaluates its algorithms with an α–β network
 //! model on NERSC Cori; this crate lets us *execute* those algorithms —
-//! every rank is an OS thread, messages flow over channels, and every
-//! rank carries a **virtual clock** that is advanced by the same α–β
-//! model the paper assumes, plus a FLOP/s model for local compute.
+//! every rank is a fiber on a discrete-event engine, messages land in
+//! per-rank mailboxes, and every rank carries a **virtual clock** that
+//! is advanced by the same flat α–β model the paper assumes, plus a
+//! FLOP/s model for local compute.
 //!
 //! Because real data moves through real collective algorithms, we can
 //! check two things at once:
@@ -47,7 +48,8 @@
 //!
 //! Message matching is by `(context, source, tag)` with per-pair FIFO
 //! order, so a fixed program produces bit-identical results and virtual
-//! times on every run, independent of OS scheduling.
+//! times on every run, independent of OS scheduling and of the engine's
+//! worker count.
 
 pub mod clock;
 pub mod comm;
@@ -58,7 +60,6 @@ pub mod health;
 pub mod netmodel;
 pub mod router;
 pub mod stats;
-pub mod topology;
 pub mod trace;
 pub mod world;
 
@@ -69,7 +70,6 @@ pub use fault::{apply_flips, BitFlip, Fault, FaultPlan, Span};
 pub use health::{has_quorum, Deadline, DetectorConfig, Ewma, FtConfig, HealthMonitor};
 pub use netmodel::NetModel;
 pub use stats::{RankStats, WorldStats};
-pub use topology::Topology;
 pub use trace::{EventKind, RankTrace, TraceConfig, TraceEvent, TraceSink, Track, WorldTrace};
 pub use world::{Backend, RunOpts, World};
 

@@ -1,11 +1,9 @@
-//! Message transport between ranks.
+//! What moves between ranks: [`Envelope`]s carrying a [`Payload`].
 //!
-//! Each rank owns one unbounded receiving channel and a sender handle to
-//! every other rank. Matching by `(context, source, tag)` happens at the
-//! receiver ([`crate::comm::Communicator`]); the router only moves
-//! envelopes.
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+//! The transport is the engine's fabric ([`crate::engine::Endpoint`]):
+//! one mailbox per rank. Matching by `(context, source, tag)` happens
+//! at the receiver ([`crate::comm::Communicator`]); the transport only
+//! moves envelopes.
 
 use crate::Tag;
 
@@ -143,98 +141,9 @@ impl Envelope {
     }
 }
 
-/// Per-rank transport endpoint, backend-polymorphic.
-///
-/// The communicator only ever does two things with its endpoint: send
-/// an envelope to a global rank, and block until the next envelope
-/// arrives. Both backends expose exactly that, with identical failure
-/// semantics — `send` fails iff the destination's endpoint has been
-/// dropped, `recv` fails iff nothing is buffered and nothing can ever
-/// arrive (all peers gone on the threaded backend; provable global
-/// quiescence on the event backend).
-pub enum Endpoint {
-    /// One OS thread per rank, crossbeam channels, P² cloned senders.
-    /// The original backend, kept as a differential-testing oracle for
-    /// small P.
-    Threaded {
-        /// This rank's inbox.
-        rx: Receiver<Envelope>,
-        /// Senders to every rank in the world (index = global rank;
-        /// includes self, which is occasionally useful for uniform
-        /// code).
-        txs: Vec<Sender<Envelope>>,
-    },
-    /// Fiber mailbox on the discrete-event engine; O(P) total state.
-    Event(crate::engine::EventEndpoint),
-}
-
-impl Endpoint {
-    // The `()` errors are `std::sync::mpsc`-style: one bit ("peer
-    // gone"), translated into `Error` by the communicator layer.
-    /// Deliver `env` to global rank `dst`. Fails iff `dst`'s endpoint
-    /// has been dropped (its rank closure already returned).
-    #[allow(clippy::result_unit_err)]
-    pub fn send(&self, dst: usize, env: Envelope) -> Result<(), ()> {
-        match self {
-            Endpoint::Threaded { txs, .. } => txs[dst].send(env).map_err(|_| ()),
-            Endpoint::Event(ep) => ep.send(dst, env),
-        }
-    }
-
-    /// Block until the next envelope arrives. `now` is the caller's
-    /// virtual clock, used as the scheduling key by the event backend
-    /// (ignored by the threaded one). Fails iff no envelope can ever
-    /// arrive again.
-    #[allow(clippy::result_unit_err)]
-    pub fn recv(&self, now: f64) -> Result<Envelope, ()> {
-        match self {
-            Endpoint::Threaded { rx, .. } => rx.recv().map_err(|_| ()),
-            Endpoint::Event(ep) => ep.recv(now),
-        }
-    }
-}
-
-/// Builds a fully-connected set of threaded-backend endpoints for
-/// `size` ranks.
-pub fn build(size: usize) -> Vec<Endpoint> {
-    let mut rxs = Vec::with_capacity(size);
-    let mut txs = Vec::with_capacity(size);
-    for _ in 0..size {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    rxs.into_iter()
-        .map(|rx| Endpoint::Threaded {
-            rx,
-            txs: txs.clone(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn build_wires_every_pair() {
-        let eps = build(3);
-        assert_eq!(eps.len(), 3);
-        for ep in &eps {
-            match ep {
-                Endpoint::Threaded { txs, .. } => assert_eq!(txs.len(), 3),
-                Endpoint::Event(_) => panic!("build() returns threaded endpoints"),
-            }
-        }
-        // Send from "rank 0" to "rank 2" and observe it.
-        eps[0]
-            .send(2, Envelope::data(0, 0, 7, 1.25, vec![1.0, 2.0]))
-            .unwrap();
-        let e = eps[2].recv(0.0).unwrap();
-        assert_eq!(e.src, 0);
-        assert_eq!(e.tag, 7);
-        assert_eq!(e.data.words(), 2);
-    }
 
     #[test]
     fn control_payload_counts_zero_words() {

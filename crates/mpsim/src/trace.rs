@@ -495,8 +495,8 @@ impl<'a> TraceSink<'a> {
     /// channel; virtual seconds × 1e6 → the format's microsecond `ts`.
     /// Spans use phase `"X"` (complete events), instants phase `"i"`
     /// with thread scope. Metadata events name each process/thread.
-    /// The vendored serde stub has no serializer, so the JSON is
-    /// written by hand (same convention as the bench bins).
+    /// The workspace links no JSON library, so the JSON is written by
+    /// hand (same convention as the bench bins).
     pub fn chrome_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\"traceEvents\":[\n");

@@ -1,17 +1,18 @@
 //! Spawning a simulated world of ranks.
 //!
-//! Two execution backends produce bit-identical results (see
+//! Every rank is a fiber on the discrete-event engine: the world's
+//! ranks are sharded over as many workers (the calling thread plus
+//! pooled helpers) as [`engine::workers_for`] finds safe and useful,
+//! one for small, faulted and nested worlds. The backends differ only
+//! in how a fiber gets the turn, and produce bit-identical results (see
 //! [`crate::engine`] for the determinism argument):
 //!
-//! * [`Backend::Events`] (default) — every rank is a fiber on a
-//!   discrete-event scheduler: the world's ranks are sharded over as
-//!   many workers (the calling thread plus pooled helpers) as
-//!   [`engine::workers_for`] finds safe and useful, one for small,
-//!   faulted and nested worlds. O(P) engine state; practical up to
-//!   P = 65536 and beyond. [`Backend::EventsOn`] pins the count.
-//! * [`Backend::Threads`] — the original one-OS-thread-per-rank
-//!   backend, kept as a differential-testing oracle. P² channel
-//!   senders and one stack per rank cap it at a few hundred ranks.
+//! * [`Backend::Events`] (default) — the asm context switch onto slab
+//!   stacks. O(P) engine state; practical up to P = 65536 and beyond.
+//!   [`Backend::EventsOn`] pins the worker count.
+//! * [`Backend::Threads`] — a parked OS thread per rank, under the same
+//!   scheduler: the differential-testing oracle for the switch's
+//!   `unsafe` code. One thread per rank caps it at a few hundred ranks.
 //!
 //! Selection: [`RunOpts::backend`] (one call) beats
 //! [`Backend::set_override`] (process-global, for tests), which beats
@@ -24,23 +25,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::comm::{Communicator, Inner};
-use crate::engine;
+use crate::engine::{self, fiber::Switch};
 use crate::fault::FaultPlan;
 use crate::netmodel::NetModel;
-use crate::router::{self, Endpoint};
 use crate::stats::WorldStats;
-use crate::topology::Topology;
 use crate::trace::{TraceConfig, WorldTrace};
 
 /// Which execution engine runs the ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// One OS thread per rank: the original backend. Kept as the
-    /// differential-testing oracle; use for small worlds only.
+    /// [`Backend::Events`] with every rank on a parked OS thread of its
+    /// own, handed the turn by the same scheduler instead of the asm
+    /// switch: the differential-testing oracle. Small worlds only.
     Threads,
-    /// Discrete-event fiber engine: ranks run cooperatively, scheduled
-    /// by virtual time, on the worker count [`engine::workers_for`]
-    /// picks for the world and the host. The default.
+    /// Discrete-event fiber engine: ranks run cooperatively on slab
+    /// stacks, scheduled by virtual time, on the worker count
+    /// [`engine::workers_for`] picks for the world and the host. The
+    /// default.
     Events,
     /// [`Backend::Events`] on this many workers (at least one, at most
     /// one per rank), whatever the host: `EventsOn(1)` is the
@@ -102,13 +103,10 @@ impl Backend {
 }
 
 /// Everything a world can be run under besides its size and network
-/// model. The default is the paper's setting: flat network, no faults,
-/// no tracing, backend chosen by [`Backend::current`].
+/// model. The default is the paper's setting: no faults, no tracing,
+/// backend chosen by [`Backend::current`].
 #[derive(Debug, Clone, Default)]
 pub struct RunOpts {
-    /// Hierarchical [`Topology`]: intra-node messages get their α/β
-    /// scaled, modelling fat nodes.
-    pub topo: Topology,
     /// Deterministic [`FaultPlan`]: drops, stragglers, corruption,
     /// partitions and rank deaths are injected exactly as scripted.
     pub faults: FaultPlan,
@@ -122,8 +120,7 @@ pub struct RunOpts {
     pub backend: Option<Backend>,
 }
 
-/// Entry point: runs `size` ranks — fibers on the event backend, scoped
-/// OS threads on the threaded backend — hands each a world
+/// Entry point: runs `size` ranks as fibers, hands each a world
 /// [`Communicator`], and collects their return values in rank order.
 pub struct World;
 
@@ -230,8 +227,8 @@ impl World {
         Self::run_opts(size, model, opts, f)
     }
 
-    /// The general entry point: topology, fault plan, tracing and
-    /// backend all come from `opts`; the other `run*` are this with
+    /// The general entry point: fault plan, tracing and backend all
+    /// come from `opts`; the other `run*` are this with
     /// [`RunOpts::default`] and at most one field set.
     ///
     /// # Panics
@@ -253,7 +250,6 @@ impl World {
     {
         assert!(size > 0, "world size must be positive");
         let RunOpts {
-            topo,
             faults,
             trace,
             backend,
@@ -261,16 +257,27 @@ impl World {
         if let Err(msg) = faults.validate() {
             panic!("invalid fault plan: {msg}");
         }
-        let plan = Arc::new(faults);
+        let (pinned, switch) = match backend.unwrap_or_else(Backend::current) {
+            Backend::Threads => (None, Switch::Thread),
+            Backend::Events => (None, Switch::Asm),
+            Backend::EventsOn(w) => (Some(w), Switch::Asm),
+        };
+        let workers = engine::workers_for(size, pinned, faults.active());
+        let fabric = engine::Fabric::new(size, workers);
         // What every rank reads and none writes is built once per world
         // and shared: the fault plan and the world's member table.
+        let plan = Arc::new(faults);
         let members: Arc<Vec<usize>> = Arc::new((0..size).collect());
-        // The per-rank body both backends run, on the rank's own
-        // thread or fiber: build the rank's state around its endpoint,
-        // run `f`, hand back what the world collects.
-        let rank_body = |rank: usize, endpoint: Endpoint| {
+        let slots: Vec<Mutex<Option<_>>> = (0..size).map(|_| Mutex::new(None)).collect();
+        // Rank `rank`'s body, run on its fiber: build the rank's state
+        // around its endpoint, run `f`, hand back what the world
+        // collects. It stays a closure of its own, called by reference
+        // from the boxed one below: a boxed closure that captures
+        // `plan`, `members` and `model` itself makes every fibre stack
+        // a page deeper (+16 MB at P = 4096).
+        let rank_body = |rank: usize, endpoint: engine::Endpoint| {
             let plan = Arc::clone(&plan);
-            let inner = Inner::new(rank, size, endpoint, model, topo, plan, trace);
+            let inner = Inner::new(rank, size, endpoint, model, plan, trace);
             let inner = Rc::new(RefCell::new(inner));
             let comm = Communicator::world(Rc::clone(&inner), Arc::clone(&members));
             let out = f(&comm);
@@ -280,69 +287,9 @@ impl World {
             let trace = i.tracer.finish(rank, now);
             (out, i.stats, i.clock, trace)
         };
-        let faulted = plan.active();
-        let joined = match backend.unwrap_or_else(Backend::current) {
-            Backend::Threads => Self::run_threads(size, &rank_body),
-            Backend::Events => Self::run_events(size, None, faulted, &rank_body),
-            Backend::EventsOn(w) => Self::run_events(size, Some(w), faulted, &rank_body),
-        };
-        let mut results = Vec::with_capacity(size);
-        let mut stats = WorldStats::default();
-        let mut traces = WorldTrace::default();
-        for (out, rank_stats, clock, trace) in joined {
-            results.push(out);
-            stats.ranks.push(rank_stats);
-            stats.clocks.push(clock);
-            traces.ranks.push(trace);
-        }
-        (results, stats, traces)
-    }
-
-    /// Threaded backend: one scoped OS thread per rank, crossbeam
-    /// channels, join in rank order.
-    fn run_threads<R: Send>(
-        size: usize,
-        rank_body: &(impl Fn(usize, Endpoint) -> R + Sync),
-    ) -> Vec<R> {
-        let mut joined = Vec::with_capacity(size);
-        // Lowest-rank panic payload, re-thrown intact after every rank
-        // has been joined — same contract as the event backend.
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = router::build(size)
-                .into_iter()
-                .enumerate()
-                .map(|(rank, endpoint)| scope.spawn(move || rank_body(rank, endpoint)))
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(v) => joined.push(v),
-                    Err(payload) => {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-            }
-        });
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        joined
-    }
-
-    /// Event backend: every rank is a fiber on the discrete-event
-    /// engine, the world's ranks sharded over the workers (this thread
-    /// and pooled helpers) that [`engine::workers_for`] grants it.
-    fn run_events<R: Send>(
-        size: usize,
-        pinned: Option<usize>,
-        faulted: bool,
-        rank_body: &(impl Fn(usize, Endpoint) -> R + Sync),
-    ) -> Vec<R> {
-        let fabric = engine::Fabric::new(size, engine::workers_for(size, pinned, faulted));
-        let slots: Vec<Mutex<Option<R>>> = (0..size).map(|_| Mutex::new(None)).collect();
+        let rank_body = &rank_body;
         let spawn = |rank: usize| {
-            let endpoint = Endpoint::Event(fabric.endpoint(rank));
-            let slot = &slots[rank];
+            let (endpoint, slot) = (fabric.endpoint(rank), &slots[rank]);
             let closure: Box<dyn FnOnce() + '_> = Box::new(move || {
                 let out = rank_body(rank, endpoint);
                 *slot.lock().expect("one writer per slot") = Some(out);
@@ -355,15 +302,20 @@ impl World {
             // fibers rather than resume them later.)
             unsafe { std::mem::transmute::<_, Box<dyn FnOnce() + 'static>>(closure) }
         };
-        engine::run(&fabric, &spawn);
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(rank, slot)| {
-                let out = slot.into_inner().expect("one writer per slot");
-                out.unwrap_or_else(|| panic!("rank {rank} produced no result"))
-            })
-            .collect()
+        engine::run(&fabric, switch, &spawn);
+        let mut results = Vec::with_capacity(size);
+        let mut stats = WorldStats::default();
+        let mut traces = WorldTrace::default();
+        for (rank, slot) in slots.into_iter().enumerate() {
+            let slot = slot.into_inner().expect("one writer per slot");
+            let (out, rank_stats, clock, trace) =
+                slot.unwrap_or_else(|| panic!("rank {rank} produced no result"));
+            results.push(out);
+            stats.ranks.push(rank_stats);
+            stats.clocks.push(clock);
+            traces.ranks.push(trace);
+        }
+        (results, stats, traces)
     }
 }
 
@@ -407,45 +359,6 @@ mod tests {
     #[should_panic(expected = "world size must be positive")]
     fn zero_size_world_panics() {
         let _ = World::run(0, NetModel::free(), |_| ());
-    }
-
-    #[test]
-    fn topology_scales_intra_node_messages() {
-        use crate::topology::Topology;
-        let model = NetModel {
-            alpha: 1.0,
-            beta: 1.0,
-            flops: f64::INFINITY,
-        };
-        let topo = Topology {
-            node_size: 2,
-            intra_alpha_factor: 0.5,
-            intra_beta_factor: 0.25,
-        };
-        // Ranks 0 and 1 share a node; ranks 0 and 2 do not.
-        let opts = RunOpts {
-            topo,
-            ..RunOpts::default()
-        };
-        let (out, _, _) = World::run_opts(4, model, opts, |comm| match comm.rank() {
-            0 => {
-                comm.send(1, 0, &[0.0; 4]).unwrap();
-                comm.send(2, 0, &[0.0; 4]).unwrap();
-                0.0
-            }
-            1 => {
-                comm.recv(0, 0).unwrap();
-                comm.now()
-            }
-            2 => {
-                comm.recv(0, 0).unwrap();
-                comm.now()
-            }
-            _ => 0.0,
-        });
-        // Intra-node: 0.5*alpha + 0.25*4*beta = 1.5; inter: 1 + 4 = 5.
-        assert!((out[1] - 1.5).abs() < 1e-12, "intra-node: {}", out[1]);
-        assert!((out[2] - 5.0).abs() < 1e-12, "inter-node: {}", out[2]);
     }
 
     #[test]
@@ -587,8 +500,9 @@ mod tests {
     }
 
     /// Two OS threads run a world each, at once. The first has helpers
-    /// out, so the second — left to the rule — stays on its own thread;
-    /// neither waits for the other, and both get a lone run's bits.
+    /// out, so the second — its worker count left to the rule, its
+    /// ranks on the asm switch — stays on its own thread; neither waits
+    /// for the other, and both get a lone run's bits.
     #[test]
     fn a_second_concurrent_world_runs_single_worker() {
         let work = |comm: &Communicator| {
@@ -619,7 +533,11 @@ mod tests {
                 })
             });
             inside.wait();
-            let (second, second_stats) = World::run_with_stats(8, model, work);
+            let events = RunOpts {
+                backend: Some(Backend::Events),
+                ..RunOpts::default()
+            };
+            let (second, second_stats, _) = World::run_opts(8, model, events, work);
             done.wait();
             let (first, first_stats, _) = first.join().unwrap();
             assert!(second.iter().all(|(_, _, id)| *id == here()));

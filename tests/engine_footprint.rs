@@ -10,7 +10,8 @@
 //!
 //! Fibre stacks are `mmap`ed slabs, not allocator memory, and are not
 //! counted here (`mpsim`'s unit tests count slab mappings). The
-//! threaded oracle keeps P² channel senders by construction and is not
+//! threaded oracle runs this same fabric with one parked OS thread per
+//! rank, whose stacks the allocator does not see either; it is not
 //! measured.
 //!
 //! A world sharded over several workers asks for the same bytes per
