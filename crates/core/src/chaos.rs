@@ -35,9 +35,10 @@
 //!    end of the run;
 //! 6. **no silent divergence** — every scripted bit flip
 //!    ([`Fault::BitflipCompute`] / [`Fault::BitflipMemory`])
-//!    that actually fires is either corrected in place by ABFT or
-//!    escalated into a checkpoint recovery, and the final weights
-//!    match the fault-free run to 1e-6. An undefended oracle
+//!    that actually fires — lands on a live rank and leaves the
+//!    checksums' rounding envelope — is either corrected in place by
+//!    ABFT or escalated into a checkpoint recovery, and the final
+//!    weights match the fault-free run to 1e-6. An undefended oracle
 //!    (`abft: false`) flags *any* fired flip — that is the
 //!    [`ChaosPlan::known_bad_sdc`] fixture's job.
 //!
@@ -47,9 +48,10 @@
 //! JSON ([`ChaosPlan::to_json`]) that [`ChaosPlan::from_json`] replays
 //! bit-deterministically.
 //!
-//! The `chaos_campaign` bench binary drives all of this; CI runs its
-//! `--smoke` mode (200 seeded plans) and uploads the minimized failing
-//! plan as an artifact when an invariant breaks.
+//! The `chaos_campaign` bench binary drives all of this; CI runs 2000
+//! seeded plans of each kind (`--seeds 2000`, with and without `--sdc`)
+//! and uploads the minimized failing plan as an artifact when an
+//! invariant breaks.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -209,11 +211,14 @@ impl ChaosPlan {
     /// Draws a plan for an **SDC campaign**: a base [`generate`] plan
     /// plus one or two high-bit compute flips and (half the time) a
     /// weight-memory flip. Bits are drawn from `44..=62` — far above
-    /// the ABFT checksum tolerance, so a fired flip is always
-    /// detectable. Ops are drawn from the tiny MLP's nine GEMMs per
-    /// iteration (3 forward + 6 backward). A flip aimed at a rank that
-    /// is dead or parked at the scripted iteration simply never fires;
-    /// the oracle's sixth invariant only judges flips that did.
+    /// the ABFT checksum tolerance on any nonzero word; on an exact
+    /// `0.0` they make a value inside the rounding envelope, which
+    /// fires nothing. Ops are drawn from `0..9`: the tiny MLP runs eight
+    /// GEMMs per iteration (3 forward, (∆X, ∆W) for each upper layer,
+    /// layer 0's ∆W), so op 8 lands nowhere — kept so every seed still
+    /// draws the plan it always drew. A flip aimed at a rank that is
+    /// dead or parked at the scripted iteration never lands either; the
+    /// oracle's sixth invariant only judges flips that fired.
     ///
     /// [`generate`]: ChaosPlan::generate
     pub fn generate_sdc(seed: u64) -> ChaosPlan {
@@ -795,20 +800,21 @@ impl Oracle {
         }
 
         // 6. no silent divergence. Flips aimed at a dead/parked rank
-        // never fire, so the gate is the *injected* counter, not the
-        // plan's event list. A fired flip must leave a detection mark
-        // (ABFT correction or recovery); with ABFT off nothing can,
-        // so an undefended oracle flags any fired flip. Either way the
-        // final weights must match the fault-free run — with an
-        // explicit NaN arm so a NaN-poisoned model counts as
-        // divergence.
-        let injected = result.stats.total_bitflips_compute() + result.stats.total_bitflips_memory();
+        // never land, and a flip inside the rounding envelope (a high
+        // bit of an exact 0.0) lands but fires nothing, so the gate is
+        // the *fired* counter, not the plan's event list. A fired flip
+        // must leave a detection mark (ABFT correction or recovery);
+        // with ABFT off nothing can, so an undefended oracle flags any
+        // fired flip. Either way the final weights must match the
+        // fault-free run — with an explicit NaN arm so a NaN-poisoned
+        // model counts as divergence.
+        let fired = result.stats.total_bitflips_compute() + result.stats.total_bitflips_memory();
         let detected =
             result.stats.total_corrupt_corrected() + result.stats.total_corrupt_recovered();
-        if injected > 0 && detected == 0 {
+        if fired > 0 && detected == 0 {
             return Err(Violation {
                 invariant: "no-silent-divergence",
-                detail: format!("{injected} bit flip(s) fired, none corrected or recovered"),
+                detail: format!("{fired} bit flip(s) fired, none corrected or recovered"),
             });
         }
         let faulty_weights = result.weights();

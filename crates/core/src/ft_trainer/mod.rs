@@ -92,17 +92,19 @@ pub struct FtTrainConfig {
     /// Machine used both to drive the simulation (`net_model()`) and to
     /// re-plan the grid with Eq. 8 after a shrink.
     pub machine: MachineModel,
-    /// `Some`: overlap each ∆X all-reduce with its layer's ∆W product
-    /// and the ∆W all-reduces with the remaining backward compute using
-    /// the non-blocking collectives, under this plan (the executed
-    /// Fig. 8 path, bucketed and drained like
-    /// [`crate::trainer::train_1p5d_scheduled`], which runs the same
-    /// iteration body, so every bucket is applied before the iteration
-    /// commits); chunk receives stay deadline-bound and faults still
-    /// abort group-wide, so recovery semantics are unchanged. The
-    /// backward's SDC op order is then (∆X, ∆W) per layer, where the
-    /// blocking iteration's is (∆W, ∆X). `None` reproduces the fully
-    /// blocking iteration of [`crate::trainer::train_1p5d`].
+    /// The iteration body, scheduled by default
+    /// (`Some(OverlapPlan::default())`): each ∆X all-reduce overlaps
+    /// its layer's ∆W product and the ∆W all-reduces the remaining
+    /// backward compute on the non-blocking collectives, bucketed and
+    /// drained like [`crate::trainer::train_1p5d_scheduled`], which runs
+    /// the same body, so every bucket is applied before the iteration
+    /// commits. Chunk receives stay deadline-bound and a fault inside a
+    /// bucket aborts the group, so recovery semantics are those of the
+    /// blocking body. The backward's SDC op order is (∆X, ∆W) per layer
+    /// above the first, where the blocking body's is (∆W, ∆X). `None`
+    /// runs the fully blocking iteration of
+    /// [`crate::trainer::train_1p5d`]; tests keep it as the blocking
+    /// reference.
     pub plan: Option<OverlapPlan>,
     /// Defend against *silent* data corruption: every local GEMM output
     /// is ABFT checksum-verified (single-element errors repaired in
@@ -133,7 +135,7 @@ impl Default for FtTrainConfig {
             ckpt_every: 2,
             ft,
             machine,
-            plan: None,
+            plan: Some(OverlapPlan::default()),
             abft: false,
         }
     }
@@ -161,7 +163,7 @@ pub struct RecoveryReport {
     /// Cumulative exposed wait on non-blocking collective drains
     /// ([`mpsim::RankStats::comm_wait_secs`]) at the time of this
     /// recovery — a diagnostic for how overlap and fault recovery
-    /// interact (0 unless [`FtTrainConfig::plan`] is set).
+    /// interact (0 when [`FtTrainConfig::plan`] is `None`).
     pub comm_wait_secs: f64,
     /// Eq. 8 per-iteration communication seconds on the shrunk grid —
     /// the analytic degraded-mode cost to compare with
@@ -624,12 +626,8 @@ mod tests {
     #[test]
     fn overlap_fault_free_matches_blocking_ft_trainer() {
         for momentum in [0.0, 0.9] {
-            let c = FtTrainConfig { momentum, ..cfg(6) };
-            let blocking = run(&c, FaultPlan::default());
-            let oc = FtTrainConfig {
-                plan: Some(OverlapPlan::default()),
-                ..c
-            };
+            let oc = FtTrainConfig { momentum, ..cfg(6) };
+            let blocking = run(&FtTrainConfig { plan: None, ..oc }, FaultPlan::default());
             let over = run(&oc, FaultPlan::default());
             assert_eq!(over.survivors().len(), 6);
             // Bucketed fused all-reduces change the reduction order by
@@ -645,10 +643,7 @@ mod tests {
 
     #[test]
     fn overlap_corruption_rolls_back_and_replays_to_the_same_result() {
-        let c = FtTrainConfig {
-            plan: Some(OverlapPlan::default()),
-            ..cfg(6)
-        };
+        let c = cfg(6);
         let clean = run(&c, FaultPlan::default());
         // Bucketing fuses the per-layer ∆W all-reduces, so this link
         // carries fewer (larger) messages than in the blocking run —
@@ -834,10 +829,7 @@ mod tests {
         // Satellite (b): FtTrainConfig.plan.bucket_words replaces the
         // old hardcoded bucket size. A tiny cap must fuse fewer grads
         // per bucket and hence launch more non-blocking all-reduces.
-        let base = FtTrainConfig {
-            plan: Some(OverlapPlan::default()),
-            ..cfg(4)
-        };
+        let base = cfg(4);
         let tiny = FtTrainConfig {
             plan: Some(OverlapPlan { bucket_words: 16 }),
             ..base
@@ -856,13 +848,9 @@ mod tests {
 
     #[test]
     fn scheduled_ft_matches_the_scheduled_trainer_and_survives_corruption() {
-        // The guarded communicator, the loss all-reduce and the dropped
-        // layer-0 ∆X only add work: the weights are the scheduled
-        // trainer's to the bit.
-        let c = FtTrainConfig {
-            plan: Some(OverlapPlan::default()),
-            ..cfg(6)
-        };
+        // The guarded communicator and the loss all-reduce only add
+        // work: the weights are the scheduled trainer's to the bit.
+        let c = cfg(6);
         let net = mlp_tiny();
         let (x, labels) = synthetic_data(&net, 24, 5);
         let tc = TrainConfig {
@@ -880,6 +868,39 @@ mod tests {
         assert_eq!(faulty.survivors().len(), 6);
         assert_eq!(faulty.stats.total_corrupt_detected(), 1);
         assert!(max_weight_diff(&clean.weights(), &faulty.weights()) < 1e-12);
+    }
+
+    #[test]
+    fn fault_free_words_are_the_scheduled_trainers_plus_the_loss_sums() {
+        // The FT iteration sends exactly what the scheduled trainer
+        // sends — no layer-0 ∆X sum — plus its own terms, each named:
+        // * the global-loss all-reduce, one word per iteration over each
+        //   row group of Pc = 3, which the fold runs as fold-in (1 word),
+        //   a 2-rank exchange (2) and unfold (1): 4 words per row;
+        // * the control plane (agreement rounds, the barrier's clock
+        //   sync): control envelopes, no data word;
+        // * checkpoints: local copies, counted in `ckpt_words` only.
+        let c = cfg(6);
+        let net = mlp_tiny();
+        let (x, labels) = synthetic_data(&net, 24, 5);
+        let tc = TrainConfig {
+            lr: c.lr,
+            iters: c.iters,
+            seed: c.seed,
+        };
+        let model = c.machine.net_model();
+        let plan = OverlapPlan::default();
+        let sched = train_1p5d_scheduled(&net, &x, &labels, &tc, 2, 3, model, plan);
+        let ft = run(&c, FaultPlan::default());
+        let loss_sums = 4 * 2 * c.iters as u64;
+        let control_plane = 0;
+        let checkpoints = 0;
+        assert_eq!(
+            ft.stats.total_words(),
+            sched.stats.total_words() + loss_sums + control_plane + checkpoints
+        );
+        assert!(ft.stats.ranks.iter().all(|r| r.ctrl_msgs_sent > 0));
+        assert!(ft.stats.total_ckpt_words() > 0);
     }
 
     #[test]

@@ -206,12 +206,7 @@ impl GridState {
         // liveness probe of the row group.
         let mut lbuf = [tape.loss];
         allreduce(&self.grid.row_comm, &mut lbuf, ReduceOp::Sum)?;
-        // The one trainer that still forms (and drops) layer 0's ∆X: the
-        // scripted bit flips are indexed by GEMM op, and removing that
-        // op re-maps every plan onto ROADMAP item 1's open
-        // no-silent-divergence defect (`chaos_campaign --sdc --smoke`,
-        // seed 131). It takes the rule once that defect is fixed.
-        backward_pass(&pass, tape, &mut self.w, &mut apply, true)?;
+        backward_pass(&pass, tape, &mut self.w, &mut apply, false)?;
         self.iter += 1;
         self.wsum = weights_checksum(&self.w);
         Ok(lbuf[0])

@@ -183,6 +183,13 @@ enum GemmKind {
 /// caller's checkpoint/rollback machinery takes over (counted as
 /// `corrupt_recovered`). The checksum work is charged to the virtual
 /// clock, so measured ABFT overhead is real under the α–β/FLOP model.
+///
+/// The landed flips *fire* when the checksums reject the flipped
+/// product — with or without ABFT, which only decides whether anyone
+/// acts on it (undefended, the check runs on a copy and is not
+/// charged). A flip that stays inside the rounding envelope — a high
+/// bit of an exact `0.0` makes a subnormal — is below numerical noise
+/// for every check, fires nothing and is not counted.
 fn sdc_guard(
     comm: &Communicator,
     guard: Guard,
@@ -199,7 +206,15 @@ fn sdc_guard(
     if !flips.is_empty() {
         apply_flips(c.as_mut_slice(), &flips);
     }
+    let verify = |c: &mut Matrix| match kind {
+        GemmKind::Plain => abft::verify_matmul(a, b, c),
+        GemmKind::ABt => abft::verify_a_bt(a, b, c),
+        GemmKind::AtB => abft::verify_at_b(a, b, c),
+    };
     if !sdc.abft {
+        if !flips.is_empty() && verify(&mut c.clone()) != Verdict::Clean {
+            comm.record_flips_fired(sdc.iter, op, &flips);
+        }
         return Ok(());
     }
     let k = match kind {
@@ -207,11 +222,10 @@ fn sdc_guard(
         _ => a.cols(),
     };
     comm.advance_flops(abft::abft_flops(c.rows(), k, c.cols()));
-    let verdict = match kind {
-        GemmKind::Plain => abft::verify_matmul(a, b, c),
-        GemmKind::ABt => abft::verify_a_bt(a, b, c),
-        GemmKind::AtB => abft::verify_at_b(a, b, c),
-    };
+    let verdict = verify(c);
+    if !flips.is_empty() && verdict != Verdict::Clean {
+        comm.record_flips_fired(sdc.iter, op, &flips);
+    }
     match verdict {
         Verdict::Clean => Ok(()),
         Verdict::Corrected { .. } => {

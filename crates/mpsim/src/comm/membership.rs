@@ -153,13 +153,12 @@ impl Communicator {
 
     /// Drains the scripted compute bit flips for this rank's `op`-th
     /// GEMM of iteration `iter`: each matching plan entry not yet spent
-    /// on this rank is marked spent, counted in
-    /// [`RankStats::bitflips_compute`](crate::RankStats::bitflips_compute),
-    /// announced as a trace instant,
-    /// and returned for the caller (the GEMM wrapper) to apply to the
-    /// product it just computed. Spend-once means a rollback/replay of
-    /// the same iteration re-executes clean — exactly the semantics a
-    /// transient SDC event has on real hardware.
+    /// on this rank is marked spent and returned for the caller (the
+    /// GEMM wrapper) to apply to the product it just computed.
+    /// Spend-once means a rollback/replay of the same iteration
+    /// re-executes clean — exactly the semantics a transient SDC event
+    /// has on real hardware. Landing is not firing: the caller reports
+    /// the flips that fired through [`Communicator::record_flips_fired`].
     pub fn take_compute_flips(&self, iter: u64, op: u64) -> Vec<BitFlip> {
         let mut i = self.inner.borrow_mut();
         if !i.plan.has_bitflips() {
@@ -174,7 +173,21 @@ impl Communicator {
             .collect();
         for f in &flips {
             i.compute_flips_spent[f.entry] = true;
-            i.stats.bitflips_compute += 1;
+        }
+        flips
+    }
+
+    /// Counts `flips` — landed on this rank's `op`-th GEMM of iteration
+    /// `iter` — as fired, in
+    /// [`RankStats::bitflips_compute`](crate::RankStats::bitflips_compute),
+    /// and announces each as a trace instant. A flip *fires* when it
+    /// moves the product outside the rounding envelope its checksums
+    /// allow (the GEMM wrapper judges that); one that stays inside is
+    /// rounding noise to every check and is not a fault.
+    pub fn record_flips_fired(&self, iter: u64, op: u64, flips: &[BitFlip]) {
+        let mut i = self.inner.borrow_mut();
+        i.stats.bitflips_compute += flips.len() as u64;
+        for f in flips {
             i.instant_now("fault", "bitflip_compute", || {
                 [
                     ("iter", iter as f64),
@@ -183,7 +196,6 @@ impl Communicator {
                 ]
             });
         }
-        flips
     }
 
     /// Drains the scripted memory bit flips for this rank at the start
@@ -460,6 +472,7 @@ mod tests {
                 assert_eq!(c.len(), 1);
                 assert_eq!(c[0].bit, 51);
                 assert!(comm.take_compute_flips(2, 0).is_empty(), "spent");
+                comm.record_flips_fired(2, 0, &c);
                 c[0].index
             }
         });

@@ -34,11 +34,12 @@ pub struct RankStats {
     /// envelope-checksum rejections plus uncorrectable ABFT verdicts
     /// and weight-memory audit failures.
     pub corrupt_recovered: u64,
-    /// Compute bit flips (GEMM-output SDC) the fault plan injected on
-    /// this rank.
+    /// Compute bit flips (GEMM-output SDC) that *fired* on this rank:
+    /// landed and moved the product outside its checksums' rounding
+    /// envelope ([`crate::Communicator::record_flips_fired`]).
     pub bitflips_compute: u64,
     /// Memory bit flips (resident-weight SDC) the fault plan injected
-    /// on this rank.
+    /// on this rank. Every one fires: the weight audit compares bits.
     pub bitflips_memory: u64,
     /// Distinct dead peers this rank detected (each counted once).
     pub failures_detected: u64,

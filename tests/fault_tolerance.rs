@@ -3,20 +3,22 @@
 //!
 //! 1. A dropped message surfaces as [`Error::Timeout`] after a bounded
 //!    virtual wait instead of hanging the receiver.
-//! 2. Killing one rank mid-epoch on a 2×4 grid triggers checkpoint
-//!    recovery onto a surviving grid (re-planned with Eq. 8) and
-//!    training converges to within 1e-6 of the fault-free loss.
+//! 2. Killing one rank inside its ∆W bucket on a 2×4 grid aborts its
+//!    row group, triggers checkpoint recovery onto a surviving grid
+//!    (re-planned with Eq. 8), and training converges to within 1e-6
+//!    of the fault-free loss.
 //! 3. An injected bit-flip is caught by the collective checksum and
 //!    rolled back — it never propagates into ∆W or the weights.
 
 use integrated_parallelism::collectives::ft::FtConfig;
 use integrated_parallelism::collectives::{allreduce, ReduceOp};
 use integrated_parallelism::dnn::zoo::mlp_tiny;
-use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
-use integrated_parallelism::integrated::overlap::OverlapPlan;
+use integrated_parallelism::integrated::ft_trainer::{
+    train_1p5d_ft, train_1p5d_ft_traced, FtTrainConfig,
+};
 use integrated_parallelism::integrated::trainer::synthetic_data;
 use integrated_parallelism::integrated::MachineModel;
-use integrated_parallelism::mpsim::{Error, FaultPlan, NetModel, World};
+use integrated_parallelism::mpsim::{Error, FaultPlan, NetModel, TraceConfig, World};
 
 fn ft_cfg(iters: usize) -> FtTrainConfig {
     FtTrainConfig {
@@ -69,13 +71,33 @@ fn killing_one_rank_on_2x4_grid_recovers_and_converges() {
     let net = mlp_tiny();
     let (x, labels) = synthetic_data(&net, 32, 5);
     let cfg = ft_cfg(8);
+    assert!(cfg.plan.is_some(), "the scheduled body is the default");
 
-    let clean = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 4, FaultPlan::default());
+    let (clean, trace) = train_1p5d_ft_traced(
+        &net,
+        &x,
+        &labels,
+        &cfg,
+        2,
+        4,
+        FaultPlan::default(),
+        TraceConfig::enabled(),
+    );
     assert_eq!(clean.survivors().len(), 8);
 
-    // Kill global rank 5 halfway through the fault-free makespan —
-    // mid-epoch, well inside the training loop.
-    let t_kill = clean.stats.makespan() * 0.5;
+    // Kill global rank 5 the moment it launches its ∆W bucket in the
+    // middle iteration: it dies at its first chunk step, before sending
+    // anything, so its row group (ranks 4-7) is mid-all-reduce. Under
+    // recursive doubling rank 6 never receives from rank 5 — it learns
+    // of the death only through the abort its partners cascade.
+    let flushes: Vec<f64> = trace.ranks[5]
+        .events
+        .iter()
+        .filter(|e| (e.cat, e.name) == ("sched", "bucket_flush"))
+        .map(|e| e.t0)
+        .collect();
+    assert_eq!(flushes.len(), cfg.iters, "one bucket per iteration");
+    let t_kill = flushes[cfg.iters / 2];
     let plan = FaultPlan::new(11).kill(5, t_kill);
     let faulty = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 4, plan);
 
@@ -100,6 +122,7 @@ fn killing_one_rank_on_2x4_grid_recovers_and_converges() {
             "recovery cost is on the virtual clock"
         );
         assert!(r.analytic_comm_per_iter > 0.0);
+        assert!(r.comm_wait_secs.is_finite() && r.comm_wait_secs >= 0.0);
     }
 
     // Training completed, and the replayed trajectory converges to the
@@ -122,55 +145,25 @@ fn killing_one_rank_on_2x4_grid_recovers_and_converges() {
         faulty.stats.total_aborts() > 0,
         "the fault was propagated group-wide"
     );
+    // Inside the bucket: every survivor of rank 5's row group failed
+    // its chunk receive and aborted (rank 6 by cascading), while the
+    // other row learned of the death at the next agreement round.
+    let aborts: Vec<u64> = faulty.stats.ranks.iter().map(|r| r.aborts_sent).collect();
+    assert_eq!(aborts, [0, 0, 0, 0, 1, 0, 1, 1]);
+    let (_, _, nb_ar, _) = faulty.stats.total_collective_calls();
+    assert!(nb_ar > 0, "overlap stayed on through the recovery");
 
     // Degraded-mode cost: the measured per-iteration communication on
     // the shrunk grid is reported alongside the Eq. 8 analytic value.
     let s = survivors[0];
     assert!(s.comm_secs_per_iter > 0.0);
-    // Executed ring collectives vs the paper's ⌈log P⌉ closed form:
-    // same bandwidth scaling, so they agree within a small factor.
+    // Executed collectives vs the paper's ⌈log P⌉ closed form: same
+    // bandwidth scaling, so they agree within a small factor.
     let ratio = s.comm_secs_per_iter / s.recoveries[0].analytic_comm_per_iter;
     assert!(
         (0.2..5.0).contains(&ratio),
         "measured/analytic degraded cost ratio {ratio} out of range"
     );
-}
-
-#[test]
-fn killing_one_rank_recovers_with_overlap_enabled() {
-    // The same kill-recovery scenario with the bucketed non-blocking
-    // ∆W path on: the deadline-bound chunk receives detect the dead
-    // peer, the abort cascades, and checkpoint/shrink/replay converges
-    // exactly as in the blocking run.
-    let net = mlp_tiny();
-    let (x, labels) = synthetic_data(&net, 32, 5);
-    let cfg = FtTrainConfig {
-        plan: Some(OverlapPlan::default()),
-        ..ft_cfg(8)
-    };
-
-    let clean = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 4, FaultPlan::default());
-    assert_eq!(clean.survivors().len(), 8);
-
-    let t_kill = clean.stats.makespan() * 0.5;
-    let plan = FaultPlan::new(11).kill(5, t_kill);
-    let faulty = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 4, plan);
-
-    let survivors = faulty.survivors();
-    assert_eq!(survivors.len(), 7);
-    let faulty_losses = faulty.losses();
-    assert_eq!(faulty_losses.len(), cfg.iters);
-    for (a, b) in clean.losses().iter().zip(&faulty_losses) {
-        assert!((a - b).abs() < 1e-6, "loss diverged: {a} vs {b}");
-    }
-    let (_, _, nb_ar, _) = faulty.stats.total_collective_calls();
-    assert!(nb_ar > 0, "overlap stayed on through the recovery");
-    for s in &survivors {
-        assert_eq!(s.recoveries.len(), 1);
-        let r = &s.recoveries[0];
-        assert_eq!(r.dead, vec![5]);
-        assert!(r.comm_wait_secs.is_finite() && r.comm_wait_secs >= 0.0);
-    }
 }
 
 #[test]

@@ -11,6 +11,10 @@
 //! 3. With the defense off, the same compute flip spreads through the
 //!    collectives and the final weights silently diverge — the
 //!    control that shows detection is doing the work.
+//! 4. A flip that stays inside the checksums' rounding envelope — a
+//!    high bit of an exact `0.0` — fires nothing: no check can see it
+//!    and no weight moves. The same word's bit 62 (`0.0 → 2.0`) fires
+//!    and must be caught.
 //!
 //! The fault-plan seed is taken from `FT_SEED` (default 3) so CI can
 //! sweep a seed matrix over the same scenarios.
@@ -21,7 +25,7 @@ use integrated_parallelism::integrated::chaos::{ChaosPlan, Oracle};
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
 use integrated_parallelism::integrated::trainer::synthetic_data;
 use integrated_parallelism::integrated::MachineModel;
-use integrated_parallelism::mpsim::FaultPlan;
+use integrated_parallelism::mpsim::{Fault, FaultPlan};
 use integrated_parallelism::tensor::Matrix;
 
 fn ft_seed() -> u64 {
@@ -151,5 +155,56 @@ fn undefended_flip_silently_diverges() {
     assert!(
         max_weight_diff(&clean.weights(), &faulty.weights()) > 1e-6,
         "the corruption spread into the weights unchecked"
+    );
+}
+
+#[test]
+fn a_flip_inside_the_rounding_envelope_fires_nothing() {
+    // The minimised escape plan: rank 0's layer-1 ∆W partial at
+    // iteration 4 (op 6: three forward GEMMs, then (∆X, ∆W) per layer)
+    // holds an exact 0.0 at the drawn word — a ReLU-masked row — and
+    // bit 46 turns it into 3.5e-310, far below ABFT's envelope. Under
+    // the old "landed = fired" count the oracle called this silent.
+    let text = include_str!("fixtures/chaos/zero_word_flip.json");
+    let plan = ChaosPlan::from_json(text).expect("fixture parses");
+    for abft in [true, false] {
+        let oracle = Oracle::with_abft(plan.pr, plan.pc, plan.iters, abft);
+        assert_eq!(oracle.check(&plan), Ok(()), "abft {abft}");
+    }
+
+    let net = mlp_tiny();
+    let (x, labels) = synthetic_data(&net, 24, 5);
+    let cfg = scfg(plan.iters, true);
+    let clean = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 3, FaultPlan::default());
+    let faulty = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 3, plan.to_fault_plan(1.0));
+    assert_eq!(faulty.stats.total_bitflips_compute(), 0, "nothing fired");
+    assert_eq!(faulty.stats.total_corrupt_detected(), 0);
+    assert_eq!(faulty.losses(), clean.losses());
+    assert_eq!(max_weight_diff(&clean.weights(), &faulty.weights()), 0.0);
+
+    // Bit 62 of the same word: 0.0 → 2.0, far outside the envelope.
+    let mut high = plan.clone();
+    if let Fault::BitflipCompute { bit, .. } = &mut high.events[0] {
+        *bit = 62;
+    }
+    let defended = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 3, high.to_fault_plan(1.0));
+    assert_eq!(defended.stats.total_bitflips_compute(), 1, "fired");
+    assert_eq!(defended.stats.total_corrupt_corrected(), 1, "repaired");
+    assert_eq!(max_weight_diff(&clean.weights(), &defended.weights()), 0.0);
+    let undefended = train_1p5d_ft(
+        &net,
+        &x,
+        &labels,
+        &scfg(plan.iters, false),
+        2,
+        3,
+        high.to_fault_plan(1.0),
+    );
+    assert_eq!(undefended.stats.total_bitflips_compute(), 1, "fired");
+    assert_eq!(undefended.stats.total_corrupt_detected(), 0, "unseen");
+    let oracle = Oracle::with_abft(high.pr, high.pc, high.iters, false);
+    assert!(
+        oracle.check(&high).is_err(),
+        "an undefended fired flip violates"
     );
 }
