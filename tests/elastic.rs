@@ -18,6 +18,7 @@ use integrated_parallelism::collectives::FtConfig;
 use integrated_parallelism::dnn::zoo::mlp_tiny;
 use integrated_parallelism::integrated::cost::best_grid;
 use integrated_parallelism::integrated::ft_trainer::{train_1p5d_ft, FtTrainConfig};
+use integrated_parallelism::integrated::overlap::OverlapPlan;
 use integrated_parallelism::integrated::trainer::synthetic_data;
 use integrated_parallelism::integrated::MachineModel;
 use integrated_parallelism::mpsim::{DetectorConfig, FaultPlan, HealthMonitor, NetModel};
@@ -125,6 +126,48 @@ fn kill_rejoin_regrows_to_original_grid_and_matches_fault_free() {
         (post_step - clean_step).abs() / clean_step < 0.05,
         "post-rejoin step {post_step} vs fault-free {clean_step}"
     );
+}
+
+#[test]
+fn kill_rejoin_regrow_works_with_overlap_enabled() {
+    // Elasticity composes with the executed-overlap backward path:
+    // shrink, rejoin, and regrow all happen while ∆W all-reduces run
+    // non-blocking, and the trajectory still matches fault-free.
+    let net = mlp_tiny();
+    let (x, labels) = synthetic_data(&net, 24, 5);
+    let cfg = FtTrainConfig {
+        plan: Some(OverlapPlan::default()),
+        ..ecfg(10)
+    };
+    let wl = net.weighted_layers();
+    let (pr0, pc0) = best_grid(&wl, 24.0, 6, &cfg.machine);
+
+    let clean = train_1p5d_ft(&net, &x, &labels, &cfg, pr0, pc0, FaultPlan::default());
+    let m = clean.stats.makespan();
+    let victim = 5;
+    let plan = FaultPlan::new(ft_seed())
+        .kill(victim, 0.35 * m)
+        .rejoin(victim, 0.55 * m);
+    let elastic = train_1p5d_ft(&net, &x, &labels, &cfg, pr0, pc0, plan);
+
+    for (r, out) in elastic.per_rank.iter().enumerate() {
+        assert!(out.is_ok(), "rank {r} did not finish: {out:?}");
+    }
+    assert_eq!(elastic.stats.total_rejoins(), 1);
+    let s0 = elastic.per_rank[0].as_ref().unwrap();
+    let regrow = s0.recoveries.last().unwrap();
+    assert_eq!(
+        (regrow.pr, regrow.pc),
+        (pr0, pc0),
+        "regrown to the original Eq. 8 grid"
+    );
+    let el = elastic.losses();
+    assert_eq!(el.len(), cfg.iters);
+    for (a, b) in clean.losses().iter().zip(&el) {
+        assert!((a - b).abs() < 1e-6, "loss diverged: {a} vs {b}");
+    }
+    let (_, _, nb_ar, _) = elastic.stats.total_collective_calls();
+    assert!(nb_ar > 0, "overlap stayed on through shrink and regrow");
 }
 
 #[test]

@@ -17,6 +17,7 @@ use integrated_parallelism::integrated::ft_trainer::{
     train_1p5d_ft, train_1p5d_ft_traced, FtTrainConfig,
 };
 use integrated_parallelism::integrated::trainer::synthetic_data;
+use integrated_parallelism::integrated::overlap::OverlapPlan;
 use integrated_parallelism::integrated::MachineModel;
 use integrated_parallelism::mpsim::{Error, FaultPlan, NetModel, TraceConfig, World};
 
@@ -164,6 +165,43 @@ fn killing_one_rank_on_2x4_grid_recovers_and_converges() {
         (0.2..5.0).contains(&ratio),
         "measured/analytic degraded cost ratio {ratio} out of range"
     );
+}
+
+#[test]
+fn killing_one_rank_recovers_with_overlap_enabled() {
+    // The same kill-recovery scenario with the bucketed non-blocking
+    // ∆W path on: the deadline-bound chunk receives detect the dead
+    // peer, the abort cascades, and checkpoint/shrink/replay converges
+    // exactly as in the blocking run.
+    let net = mlp_tiny();
+    let (x, labels) = synthetic_data(&net, 32, 5);
+    let cfg = FtTrainConfig {
+        plan: Some(OverlapPlan::default()),
+        ..ft_cfg(8)
+    };
+
+    let clean = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 4, FaultPlan::default());
+    assert_eq!(clean.survivors().len(), 8);
+
+    let t_kill = clean.stats.makespan() * 0.5;
+    let plan = FaultPlan::new(11).kill(5, t_kill);
+    let faulty = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 4, plan);
+
+    let survivors = faulty.survivors();
+    assert_eq!(survivors.len(), 7);
+    let faulty_losses = faulty.losses();
+    assert_eq!(faulty_losses.len(), cfg.iters);
+    for (a, b) in clean.losses().iter().zip(&faulty_losses) {
+        assert!((a - b).abs() < 1e-6, "loss diverged: {a} vs {b}");
+    }
+    let (_, _, nb_ar, _) = faulty.stats.total_collective_calls();
+    assert!(nb_ar > 0, "overlap stayed on through the recovery");
+    for s in &survivors {
+        assert_eq!(s.recoveries.len(), 1);
+        let r = &s.recoveries[0];
+        assert_eq!(r.dead, vec![5]);
+        assert!(r.comm_wait_secs.is_finite() && r.comm_wait_secs >= 0.0);
+    }
 }
 
 #[test]
