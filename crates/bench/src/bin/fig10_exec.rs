@@ -2,8 +2,11 @@
 //! the batch-parallel limit. With B = 4 images, pure batch parallelism
 //! stops at P = 4; splitting each image into strips lets P grow to 8
 //! and 16 while the weights keep following the exact serial SGD
-//! trajectory. Reports executed virtual times, halo words, and the
-//! compute/comm split per configuration.
+//! trajectory (the 2 × 8 row shows the other way past the limit: more
+//! batch shards than images, half of them empty). Reports executed
+//! virtual times, words, and the compute/comm split per configuration,
+//! and exits non-zero when any grid's weights or losses stray more than
+//! 1e-9 from the serial run's or its replicas differ in a bit.
 //!
 //! ```text
 //! cargo run -p bench --bin fig10_exec
@@ -45,7 +48,8 @@ fn main() {
             "max |w - serial|",
         ],
     );
-    for (pd, pc) in [(1usize, 2usize), (1, 4), (2, 4), (4, 4)] {
+    let mut strayed = Vec::new();
+    for (pd, pc) in [(1usize, 2usize), (1, 4), (2, 4), (4, 4), (2, 8)] {
         let dist = train_cnn_domain(&net, &x, &labels, &cfg, pd, pc, NetModel::cori_knl());
         let diff = serial
             .conv_weights
@@ -59,6 +63,11 @@ fn main() {
             )
             .map(|(a, b)| a.max_abs_diff(b))
             .fold(0.0, f64::max);
+        let losses = serial.losses.iter().zip(dist.losses());
+        let loss_diff = losses.map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+        if diff > 1e-9 || loss_diff > 1e-9 || dist.replica_divergence() != 0.0 {
+            strayed.push(format!("{pd}x{pc}"));
+        }
         t.row(vec![
             format!("{pd}x{pc}"),
             (pd * pc).to_string(),
@@ -75,4 +84,8 @@ fn main() {
          keeps reducing per-rank compute while every configuration reproduces the\n\
          serial weights — the executable counterpart of the paper's Fig. 10."
     );
+    if !strayed.is_empty() {
+        eprintln!("grids off the serial trajectory or with diverged replicas: {strayed:?}");
+        std::process::exit(1);
+    }
 }

@@ -13,13 +13,17 @@
 //!   `distmm::domain_general`: non-blocking, boundary-proportional (for
 //!   a same-padded kernel it is the fixed halo), with a convolution's
 //!   interior rows computed while its boundary rows are in flight.
-//!   LRN is local to a strip. Conv `∆W` is all-reduced over the full
-//!   grid — exactly Eq. 9's `LD` terms;
+//!   LRN is local to a strip. Every conv layer's strip-partial `∆W`
+//!   goes into one gradient bucket summed over the full grid by one
+//!   non-blocking all-reduce — exactly Eq. 9's `LD` terms, one
+//!   reduction over `P` at full `|W|` — drained once the trunk backward
+//!   is done;
 //! * the **FC head** gathers the final strips within each column group
-//!   and then runs the iteration body every FC trainer runs
-//!   ([`crate::trainer`]'s `forward_pass` / `backward_pass`) on the
-//!   `1 × Pc` grid of its domain row: replicated weights, `∆W`
-//!   all-reduced across batch shards, GEMM flops charged. (Sharding the
+//!   and then runs the scheduled iteration body every FC trainer runs
+//!   ([`crate::trainer`]'s `forward_pass` / `backward_pass` under the
+//!   default [`OverlapPlan`]) on the `1 × Pc` grid of its domain row:
+//!   replicated weights, `∆W` bucketed and summed across batch shards
+//!   behind the backward (Fig. 8), GEMM flops charged. (Sharding the
 //!   head over `Pr > 1` is the 1.5D path [`crate::trainer`] exercises
 //!   end-to-end; here it stays replicated so the *domain*
 //!   communication structure is the one under test.)
@@ -35,7 +39,7 @@
 use std::borrow::Cow;
 
 use dnn::{LayerSpec, Network};
-use mpsim::{Communicator, Error, NetModel, World, WorldStats};
+use mpsim::{Communicator, Error, NetModel, TraceConfig, World, WorldStats, WorldTrace};
 use tensor::activation::{relu_backward_in_place, relu_in_place};
 use tensor::conv::{conv2d, conv2d_backward, conv2d_backward_weights, Conv2dParams, Tensor4};
 use tensor::init;
@@ -44,12 +48,15 @@ use tensor::ops::axpy;
 use tensor::pool::{maxpool2d, maxpool2d_backward, Pool2dParams};
 use tensor::Matrix;
 
-use collectives::{allgatherv_into, allreduce, ReduceOp};
+use collectives::allgatherv_into;
 use distmm::dist::part_range;
 use distmm::domain_general as dg;
 use distmm::onep5d::Grid;
 
-use crate::trainer::{backward_pass, forward_pass, init_weights, serial_step, Act, FcLayer, Pass};
+use crate::overlap::OverlapPlan;
+use crate::trainer::{
+    backward_pass, forward_pass, init_weights, serial_step, Act, BucketScheduler, FcLayer, Pass,
+};
 
 /// One trunk stage.
 #[derive(Debug, Clone)]
@@ -237,14 +244,10 @@ pub fn train_cnn_serial(
         for s in &spec.stages {
             let input = acts.last().unwrap_or(x);
             match s {
-                Stage::Conv {
-                    params,
-                    relu: has_relu,
-                    ..
-                } => {
+                Stage::Conv { params, relu, .. } => {
                     let mut y = conv2d(input, &conv_w[wi], params);
                     wi += 1;
-                    if *has_relu {
+                    if *relu {
                         relu_in_place(y.as_mut_slice());
                     }
                     saved.push(SerialSaved::Conv);
@@ -281,16 +284,9 @@ pub fn train_cnn_serial(
         for (idx, s) in spec.stages.iter().enumerate().skip(first).rev() {
             let input = if idx == 0 { x } else { &acts[idx - 1] };
             match (s, &saved[idx]) {
-                (
-                    Stage::Conv {
-                        params,
-                        relu: has_relu,
-                        ..
-                    },
-                    SerialSaved::Conv,
-                ) => {
+                (Stage::Conv { params, relu, .. }, SerialSaved::Conv) => {
                     wi -= 1;
-                    if *has_relu {
+                    if *relu {
                         relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                     }
                     let dw = if idx == first {
@@ -399,11 +395,36 @@ pub fn train_cnn_domain(
     pc: usize,
     model: NetModel,
 ) -> CnnDistResult {
+    let off = TraceConfig::disabled();
+    train_cnn_domain_traced(net, x, labels, cfg, pd, pc, model, off).0
+}
+
+/// [`train_cnn_domain`] with per-rank event tracing: the head's
+/// `trainer` phase spans, the `sched` instants of both gradient
+/// schedulers (the head's over its batch shards, the trunk's over the
+/// whole grid), the non-blocking sums' `nb` instants and `channel`
+/// transfers, and one `optimizer_step` span per trunk drain.
+///
+/// # Panics
+///
+/// As [`train_cnn_domain`].
+#[allow(clippy::too_many_arguments)]
+pub fn train_cnn_domain_traced(
+    net: &Network,
+    x: &Tensor4,
+    labels: &[usize],
+    cfg: &TrainConfig,
+    pd: usize,
+    pc: usize,
+    model: NetModel,
+    trace: TraceConfig,
+) -> (CnnDistResult, WorldTrace) {
     let spec = CnnSpec::of(net);
     let first_conv = spec.first_conv;
     let b_global = x.n;
     // Drawn once; every rank starts from its own copy of the replica.
     let initial_weights = spec.init_weights(cfg.seed);
+    let conv_words = initial_weights.0.iter().map(Matrix::len).sum();
     let rank_body = |comm: &Communicator| -> Result<CnnRankOutcome, Error> {
         // Row-major `pd × pc`: i = strip index (domain), j = batch
         // shard; the column group shares a batch shard, the row group a
@@ -435,25 +456,16 @@ pub fn train_cnn_domain(
             for s in &spec.stages {
                 let input = acts.last().unwrap_or(&x_shard);
                 match s {
-                    Stage::Conv {
-                        params,
-                        relu: has_relu,
-                        in_h,
-                        ..
-                    } => {
+                    Stage::Conv { params, relu, in_h } => {
                         let mut y = dg::conv_forward(&col_comm, input, &conv_w[wi], params, *in_h)?;
                         wi += 1;
-                        if *has_relu {
+                        if *relu {
                             relu_in_place(y.as_mut_slice());
                         }
                         saved.push(DistSaved::Conv);
                         acts.push(y);
                     }
-                    Stage::Pool {
-                        params,
-                        in_h,
-                        in_w: _,
-                    } => {
+                    Stage::Pool { params, in_h, .. } => {
                         let (y, argmax) = dg::pool_forward(&col_comm, input, params, *in_h)?;
                         saved.push(DistSaved::Pool { argmax });
                         acts.push(y);
@@ -500,7 +512,7 @@ pub fn train_cnn_domain(
                 labels_local: &labels[batch_range.clone()],
                 b_global,
                 iter,
-                plan: None,
+                plan: Some(OverlapPlan::default()),
             };
             let tape = forward_pass(&pass, &fc_w)?;
             partial_losses.push(tape.loss);
@@ -515,33 +527,27 @@ pub fn train_cnn_domain(
             let out_strip = part_range(h0, pd, i);
             let mut dt = dt_full.row_strip(out_strip.start, out_strip.end);
             // Trunk backward on strips, down to its first weighted stage.
+            // Each conv's strip-partial ∆W is bucketed for one sum over
+            // the whole grid — Eq. 9's reduction over P, not one over the
+            // strips and one over the batch shards — and applied after the
+            // loop: every ∆X was formed from the weights before the update.
+            let mut sched = BucketScheduler::new(comm, OverlapPlan::default().bucket_words);
+            sched.reserve(conv_words);
             let mut wi = conv_w.len();
             for (idx, s) in spec.stages.iter().enumerate().skip(first).rev() {
                 let input = if idx == 0 { &x_shard } else { &acts[idx - 1] };
                 match (s, &saved[idx]) {
-                    (
-                        Stage::Conv {
-                            params,
-                            relu: has_relu,
-                            in_h,
-                            ..
-                        },
-                        DistSaved::Conv,
-                    ) => {
+                    (Stage::Conv { params, relu, in_h }, DistSaved::Conv) => {
                         wi -= 1;
-                        if *has_relu {
+                        if *relu {
                             relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                         }
-                        let (w, h) = (&conv_w[wi], *in_h);
-                        let mut dw = if idx == first {
-                            dg::conv_backward_weights(&col_comm, input, w, &dt, params, h)?
-                        } else {
-                            let (dw, dx) = dg::conv_backward(&col_comm, input, w, &dt, params, h)?;
-                            dt = dx;
-                            dw
-                        };
-                        allreduce(&row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
-                        apply(&mut conv_w, wi, dw.as_slice());
+                        let (w, h, input_grad) = (&conv_w[wi], *in_h, idx != first);
+                        let (dw, dx) = dg::conv_backward_partial(
+                            &col_comm, input, w, &dt, params, h, input_grad,
+                        )?;
+                        dt = dx.unwrap_or(dt);
+                        sched.push(wi, dw)?;
                     }
                     (Stage::Pool { params, in_h, in_w }, DistSaved::Pool { argmax, .. }) => {
                         dt = dg::pool_backward(&col_comm, &dt, argmax, params, *in_h, *in_w)?;
@@ -551,7 +557,13 @@ pub fn train_cnn_domain(
                     }
                     _ => unreachable!("saved state matches stage kind"),
                 }
+                // Stage `idx`'s output was read for the last time: let it
+                // go before the gradient sum is drained.
+                acts.truncate(idx);
             }
+            let _step = comm.trace_span("trainer", "optimizer_step", &[("iter", iter as f64)]);
+            sched.flush()?;
+            sched.drain(|k, g| apply(&mut conv_w, k, g))?;
         }
         Ok(CnnRankOutcome {
             i,
@@ -561,18 +573,19 @@ pub fn train_cnn_domain(
             fc_weights: fc_w,
         })
     };
-    let (outcomes, stats) = World::run_with_stats(pd * pc, model, rank_body);
+    let (outcomes, stats, traces) = World::run_traced_with_stats(pd * pc, model, trace, rank_body);
     let per_rank = outcomes
         .into_iter()
         .enumerate()
         .map(|(rank, r)| r.unwrap_or_else(|e| panic!("rank {rank} of the {pd}x{pc} grid: {e}")))
         .collect();
-    CnnDistResult {
+    let result = CnnDistResult {
         pd,
         pc,
         per_rank,
         stats,
-    }
+    };
+    (result, traces)
 }
 
 /// Synthetic NCHW classification data for a CNN.

@@ -662,7 +662,7 @@ struct PendingBucket {
 /// channel no bucket can overtake an earlier one, and layer 0's — the
 /// first the next forward reads — is launched last, so waiting any
 /// other order would only move the same barrier.
-struct BucketScheduler {
+pub(crate) struct BucketScheduler {
     comm: Communicator,
     cap: usize,
     pending: Vec<PendingBucket>,
@@ -671,9 +671,10 @@ struct BucketScheduler {
 }
 
 impl BucketScheduler {
-    /// `comm` is the group to sum over (the grid's row group); `cap` is
-    /// the fusion threshold in words.
-    fn new(comm: &Communicator, cap: usize) -> Self {
+    /// `comm` is the group to sum over (the grid's row group; the whole
+    /// grid for the CNN trunk's conv `∆W`); `cap` is the fusion
+    /// threshold in words.
+    pub(crate) fn new(comm: &Communicator, cap: usize) -> Self {
         assert!(cap >= 1, "bucket capacity must be at least one word");
         BucketScheduler {
             comm: comm.clone(),
@@ -684,13 +685,20 @@ impl BucketScheduler {
         }
     }
 
+    /// Allocates the next bucket for `words` up front, so that a bucket
+    /// fused from many partials is allocated once, not grown by doubling.
+    pub(crate) fn reserve(&mut self, words: usize) {
+        self.buf.reserve_exact(words);
+    }
+
     /// Stages layer `idx`'s local ∆W partial, flushes once the fusion
     /// threshold is reached, then polls. The first partial of a bucket
-    /// *becomes* the bucket (a bucket that is one layer alone is never
-    /// copied); later ones are appended to it.
-    fn push(&mut self, idx: usize, dw: Matrix) -> Result<(), Error> {
+    /// nothing [`BucketScheduler::reserve`]d *becomes* the bucket (a
+    /// bucket that is one layer alone is never copied); later ones are
+    /// appended to it.
+    pub(crate) fn push(&mut self, idx: usize, dw: Matrix) -> Result<(), Error> {
         self.buf_layers.push((idx, dw.len()));
-        if self.buf.is_empty() {
+        if self.buf.capacity() == 0 {
             self.buf = dw.into_vec();
         } else {
             self.buf.extend_from_slice(dw.as_slice());
@@ -706,7 +714,7 @@ impl BucketScheduler {
     /// skips the launch entirely: the partial already is the sum, and
     /// a zero-step "collective" would only pollute the launch counts
     /// that normalize the measured overlap fraction.
-    fn flush(&mut self) -> Result<(), Error> {
+    pub(crate) fn flush(&mut self) -> Result<(), Error> {
         if self.buf.is_empty() {
             return Ok(());
         }
@@ -748,7 +756,7 @@ impl BucketScheduler {
 
     /// Waits every bucket in launch order, applying each one's segments
     /// as its wait completes. The caller flushes the staged bucket first.
-    fn drain(self, mut apply: impl FnMut(usize, &[f64])) -> Result<(), Error> {
+    pub(crate) fn drain(self, mut apply: impl FnMut(usize, &[f64])) -> Result<(), Error> {
         for bucket in self.pending {
             let summed = match bucket.handle {
                 Some(h) => h.wait()?,

@@ -141,25 +141,9 @@ pub fn conv_forward(
     Ok(y)
 }
 
-/// The domain-parallel weight gradient alone: [`conv_backward`]'s `∆W`,
-/// to the bit — window fetch, the `∆W` GEMM, the all-reduce over the
-/// communicator — with no `∆X` GEMM and no scatter of `∆X` rows home:
-/// the backward of a network's first convolution, whose input
-/// gradient nobody reads.
-pub fn conv_backward_weights(
-    comm: &Communicator,
-    x_strip: &Tensor4,
-    weights: &Matrix,
-    dy_strip: &Tensor4,
-    p: &Conv2dParams,
-    in_h: usize,
-) -> Result<Matrix> {
-    Ok(backward(comm, x_strip, weights, dy_strip, p, in_h, false)?.0)
-}
-
 /// Domain-parallel convolution backward: returns
 /// `(∆W all-reduced over the communicator, ∆X strip over this rank's
-/// input block)`.
+/// input block)` — [`conv_backward_partial`] and one all-reduce.
 pub fn conv_backward(
     comm: &Communicator,
     x_strip: &Tensor4,
@@ -168,15 +152,22 @@ pub fn conv_backward(
     p: &Conv2dParams,
     in_h: usize,
 ) -> Result<(Matrix, Tensor4)> {
-    let (dw, dx) = backward(comm, x_strip, weights, dy_strip, p, in_h, true)?;
+    let (mut dw, dx) = conv_backward_partial(comm, x_strip, weights, dy_strip, p, in_h, true)?;
+    // ∆W: sum over all strips — the same all-reduce pure batch
+    // parallelism needs (Eq. 7's third term).
+    allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum)?;
     Ok((dw, dx.expect("∆X was formed")))
 }
 
-/// The one backward body, its `∆X` formed only when `input_grad`. The
-/// input window is fetched again rather than kept from the forward
-/// pass — the same volume either way, which is what the cost model
-/// charges.
-fn backward(
+/// The one backward body: this rank's strip-partial `∆W`, *not* summed
+/// over the communicator (a trainer sums it with the other layers' and
+/// the other batch shards' in one reduction), and the `∆X` strip over
+/// this rank's input block when `input_grad` — without it, no `∆X` GEMM
+/// and no scatter of `∆X` rows home: the backward of a network's first
+/// convolution, whose input gradient nobody reads. The input window is
+/// fetched again rather than kept from the forward pass — the same
+/// volume either way, which is what the cost model charges.
+pub fn conv_backward_partial(
     comm: &Communicator,
     x_strip: &Tensor4,
     weights: &Matrix,
@@ -195,7 +186,7 @@ fn backward(
     // `∆X` comes back in the window's frame; the scatter reads the rows
     // out of it. An empty window is its own (empty) gradient.
     let local = Conv2dParams { pad: 0, ..*p };
-    let (mut dw, dx_ext) = if win.my_out.is_empty() {
+    let (dw, dx_ext) = if win.my_out.is_empty() {
         let dw = Matrix::zeros(weights.rows(), weights.cols());
         (dw, input_grad.then_some(ext))
     } else if input_grad {
@@ -205,9 +196,6 @@ fn backward(
         let dw = conv2d_backward_weights(&ext, weights, dy_strip, &local);
         (dw, None)
     };
-    // ∆W: sum over all strips — the same all-reduce pure batch
-    // parallelism needs (Eq. 7's third term).
-    allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum)?;
     let scatter = |dx| scatter_add_rows(comm, &dx, &win.needed, &win.in_part, win.frame);
     Ok((dw, dx_ext.map(scatter).transpose()?))
 }
@@ -380,7 +368,12 @@ mod tests {
                     let dys = dy.row_strip(op.start, op.end);
                     match which {
                         0 => conv_backward(comm, &xs, &wt, &dys, &p, h).unwrap().0,
-                        1 => conv_backward_weights(comm, &xs, &wt, &dys, &p, h).unwrap(),
+                        1 => {
+                            let part = conv_backward_partial(comm, &xs, &wt, &dys, &p, h, false);
+                            let mut dw = part.unwrap().0;
+                            allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum).unwrap();
+                            dw
+                        }
                         _ => {
                             let win = windows(comm, (p.kh, p.stride, p.pad), h, oh);
                             let rows = win.needed[comm.rank()].len();

@@ -73,25 +73,6 @@ impl Grid {
         })
     }
 
-    /// Column-major layout: consecutive global ranks share a *batch*
-    /// shard, so the `Pr`-sized groups (forward all-gather + ∆X
-    /// all-reduce — the heavy activation traffic) are contiguous in
-    /// rank space.
-    pub fn new_colmajor(comm: &Communicator, pr: usize, pc: usize) -> Result<Grid> {
-        // The transpose: the row-major `pc × pr` grid's rows are this
-        // grid's columns.
-        let (col_comm, row_comm) = comm.grid(pc, pr)?;
-        Ok(Grid {
-            pr,
-            pc,
-            i: comm.rank() % pr,
-            j: comm.rank() / pr,
-            comm: comm.clone(),
-            row_comm,
-            col_comm,
-        })
-    }
-
     /// The rows of a `d_out`-row weight matrix owned by this rank.
     pub fn w_rows(&self, d_out: usize) -> std::ops::Range<usize> {
         part_range(d_out, self.pr, self.i)
@@ -701,48 +682,22 @@ mod tests {
         );
     }
 
-    #[test]
-    fn colmajor_grid_matches_serial_too() {
-        let (pr, pc) = (2usize, 3usize);
-        let r = reference(8, 5, 9);
-        let out = World::run(pr * pc, NetModel::free(), |comm| {
-            let grid = Grid::new_colmajor(comm, pr, pc).unwrap();
-            let wl = row_shard(&r.w, pr, grid.i);
-            let xl = col_shard(&r.x, pc, grid.j);
-            let dyl = col_shard(&r.dy, pc, grid.j);
-            let y = forward(&grid, &wl, &xl).unwrap();
-            let (dw, dx) = backward(&grid, &wl, &xl, &dyl).unwrap();
-            (grid.i, grid.j, y, dw, dx)
-        });
-        for (g, (i, j, y, dw, dx)) in out.iter().enumerate() {
-            assert_eq!(*i, g % pr, "column-major i");
-            assert_eq!(*j, g / pr, "column-major j");
-            let cols = part_range(9, pc, *j);
-            let rows = part_range(8, pr, *i);
-            assert!(y.approx_eq(&r.y.col_block(cols.start, cols.end), 1e-10));
-            assert!(dw.approx_eq(&r.dw.row_block(rows.start, rows.end), 1e-10));
-            assert!(dx.approx_eq(&r.dx.col_block(cols.start, cols.end), 1e-10));
-        }
-    }
-
     /// Fig. 5's layout is computed, not negotiated: for every `pr × pc`
-    /// tiling of P ∈ {1..16, 64} both placements send nothing and move no
-    /// clock, the row-major grid's row `i` is ranks `i·pc..(i+1)·pc` and
-    /// its column `j` is ranks `k·pc + j`, the column-major grid is the
-    /// transpose, and a whole-world group shares the world's table.
+    /// tiling of P ∈ {1..16, 64} the grid sends nothing and moves no
+    /// clock, its row `i` is ranks `i·pc..(i+1)·pc` and its column `j` is
+    /// ranks `k·pc + j`, and a whole-world group shares the world's table.
     #[test]
     fn grids_are_communication_free_and_match_fig5() {
         for p in (1..=16).chain([64]) {
             for pr in (1..=p).filter(|pr| p % pr == 0) {
                 let pc = p / pr;
                 let (out, stats) = World::run_with_stats(p, NetModel::cori_knl(), |comm| {
-                    let grids = [Grid::new(comm, pr, pc), Grid::new_colmajor(comm, pr, pc)];
                     let shares = |c: &Communicator| c.members().as_ptr() == comm.members().as_ptr();
-                    grids.map(|g| {
-                        let (row, col) = g.map(|g| (g.row_comm, g.col_comm)).unwrap();
-                        let groups = (row.members().to_vec(), col.members().to_vec());
-                        (groups, [shares(&row), shares(&col)])
-                    })
+                    let Grid {
+                        row_comm, col_comm, ..
+                    } = Grid::new(comm, pr, pc).unwrap();
+                    let groups = (row_comm.members().to_vec(), col_comm.members().to_vec());
+                    (groups, [shares(&row_comm), shares(&col_comm)])
                 });
                 assert_eq!(stats.makespan(), 0.0, "{pr}x{pc}: no clock moved");
                 assert_eq!(
@@ -754,13 +709,10 @@ mod tests {
                     (0..n).map(|k| from + k * stride).collect()
                 };
                 let whole = [pr == 1, pc == 1];
-                for (g, [row_major, col_major]) in out.into_iter().enumerate() {
+                for (g, row_major) in out.into_iter().enumerate() {
                     let (i, j) = (g / pc, g % pc);
                     let want = ((run(i * pc, pc, 1), run(j, pr, pc)), whole);
                     assert_eq!(row_major, want, "{pr}x{pc} rank {g}: row-major");
-                    let (i, j) = (g % pr, g / pr);
-                    let want = ((run(i, pc, pr), run(j * pr, pr, 1)), whole);
-                    assert_eq!(col_major, want, "{pr}x{pc} rank {g}: column-major");
                 }
             }
         }

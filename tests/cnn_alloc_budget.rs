@@ -13,15 +13,20 @@
 //!
 //! | commit | bytes per two steady-state iterations |
 //! |---|---|
-//! | parent (d299425) | 31 031 232 |
-//! | this change | 22 175 424 |
+//! | d299425 | 31 031 232 |
+//! | 51fda08: one copy per strip window | 22 175 424 |
+//! | 1ae2799 | 18 616 256 |
+//! | the conv `∆W` in one bucket over the grid | 18 853 312 |
 //!
-//! The budget is 0.8 × the parent's figure. What is left is what a
-//! layer hands on: every stage's output and gradient, one framed window
-//! per convolution and direction, one message buffer per strip boundary,
-//! LRN's scale and power planes, and the GEMM staging buffers —
-//! `Tensor4` stays off `tensor::recycle`'s free list (EXPERIMENTS.md,
-//! *`cnn_domain` without `powf`*, has the measurement that says why).
+//! The budget is 0.8 × d299425's figure. The conv `∆W` bucket is
+//! allocated once, at `Σ |W_conv|` (9 336 words, 74 688 B a rank and
+//! iteration); grown partial by partial it would be reallocated three
+//! times. What is left is what a layer hands on: every stage's output
+//! and gradient, one framed window per convolution and direction, one
+//! message buffer per strip boundary, LRN's scale and power planes, the
+//! gradient buckets and the GEMM staging buffers — `Tensor4` stays off
+//! `tensor::recycle`'s free list (EXPERIMENTS.md, *`cnn_domain` without
+//! `powf`*, has the measurement that says why).
 
 mod common;
 

@@ -7,8 +7,9 @@
 use integrated_parallelism::distmm::dist::{col_shard, part_range, row_shard};
 use integrated_parallelism::distmm::domain_general;
 use integrated_parallelism::distmm::onep5d::{backward, forward, Grid};
-use integrated_parallelism::dnn::zoo::mlp;
+use integrated_parallelism::dnn::zoo::{mini_alexnet, mlp};
 use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape};
+use integrated_parallelism::integrated::cnn::{synthetic_images, train_cnn_domain_traced};
 use integrated_parallelism::integrated::cost::integrated::{integrated_model_batch, layer_cost};
 use integrated_parallelism::integrated::cost::pure_domain;
 use integrated_parallelism::integrated::overlap::OverlapPlan;
@@ -16,7 +17,7 @@ use integrated_parallelism::integrated::trainer::{
     synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig,
 };
 use integrated_parallelism::integrated::{LayerParallelism, MachineModel};
-use integrated_parallelism::mpsim::{NetModel, World};
+use integrated_parallelism::mpsim::{EventKind, NetModel, TraceConfig, World};
 use integrated_parallelism::tensor::conv::Conv2dParams;
 use integrated_parallelism::tensor::init;
 
@@ -311,6 +312,90 @@ fn executed_domain_backward_weight_allreduce_matches_eq7_batch_term() {
     let expect = analytic.total.dw_allreduce.words * machine.beta();
     for &t in &times {
         assert!((t - expect).abs() < 1e-12, "{t} vs {expect}");
+    }
+}
+
+/// Eq. 9 prices a domain-parallel layer's `∆W` as one all-reduce over
+/// all `P = Pd·Pc` ranks at full `|W|`: `2|W|(P−1)/P` words a rank. The
+/// CNN trainer sums every conv layer's strip-partial `∆W` in one bucket
+/// over the whole grid, so on `mini_alexnet` (9 336 conv weights, one
+/// bucket) each rank sends, per iteration, exactly the sum of that term
+/// over the conv layers: recursive halving's words on the fused bucket.
+/// Summing per layer in two stages (one all-reduce over the `Pd` strips,
+/// one over the `Pc` batch shards) sends `2|W|((Pd−1)/Pd + (Pc−1)/Pc)`
+/// or, by recursive doubling, more: at 4 × 4 that is 37 344 words
+/// against Eq. 9's 17 505.
+///
+/// The words are counted where they travel: every channel transfer a
+/// rank receives while the last non-blocking sum it launched spans the
+/// whole grid is a word its peer sent in the conv `∆W` reduction (the
+/// head's sums span `Pc` ranks, and all of them are waited before the
+/// trunk's backward starts).
+#[test]
+fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
+    let net = mini_alexnet();
+    let b = 8;
+    let (x, labels) = synthetic_images(&net, b, 5);
+    let iters = 2;
+    let cfg = TrainConfig {
+        lr: 0.02,
+        iters,
+        seed: 9,
+    };
+    let convs: Vec<_> = (net.weighted_layers().into_iter())
+        .filter(|l| l.is_conv())
+        .collect();
+    let conv_words: usize = convs.iter().map(|l| l.weights).sum();
+    for (pd, pc) in [(2, 4), (4, 2), (4, 4)] {
+        let p = pd * pc;
+        let domain = LayerParallelism::Domain { pd, pc };
+        let eq9: f64 = (convs.iter())
+            .map(|l| layer_cost(l, domain, b as f64, false).dw_allreduce.words)
+            .sum();
+        let (run, trace) = train_cnn_domain_traced(
+            &net,
+            &x,
+            &labels,
+            &cfg,
+            pd,
+            pc,
+            NetModel::cori_knl(),
+            TraceConfig::enabled(),
+        );
+        assert!(run.replica_divergence() == 0.0, "grid {pd}x{pc}");
+        let (mut sent, mut launched) = (vec![0.0; p], vec![0.0; p]);
+        for rank in &trace.ranks {
+            assert_eq!(rank.dropped, 0, "grid {pd}x{pc}: the whole trace kept");
+            let mut world_sum = false;
+            for ev in &rank.events {
+                let arg = |k| ev.arg(k).expect("annotated");
+                match (ev.cat, ev.name, ev.kind) {
+                    ("nb", "iallreduce_launch", EventKind::Instant) => {
+                        world_sum = arg("p") == p as f64;
+                        if world_sum {
+                            launched[rank.rank] += arg("words");
+                        }
+                    }
+                    ("channel", "xfer", EventKind::Span) if world_sum => {
+                        sent[arg("peer") as usize] += arg("words");
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let per_iter = |v: f64| v / iters as f64;
+        for r in 0..p {
+            assert_eq!(
+                per_iter(launched[r]),
+                conv_words as f64,
+                "grid {pd}x{pc} rank {r}: every conv ∆W word in the world sum"
+            );
+            assert_eq!(
+                per_iter(sent[r]),
+                eq9,
+                "grid {pd}x{pc} rank {r}: conv ∆W words sent against Eq. 9"
+            );
+        }
     }
 }
 

@@ -16,8 +16,8 @@ use integrated_parallelism::dnn::zoo::mlp_tiny;
 use integrated_parallelism::integrated::ft_trainer::{
     train_1p5d_ft, train_1p5d_ft_traced, FtTrainConfig,
 };
-use integrated_parallelism::integrated::trainer::synthetic_data;
 use integrated_parallelism::integrated::overlap::OverlapPlan;
+use integrated_parallelism::integrated::trainer::synthetic_data;
 use integrated_parallelism::integrated::MachineModel;
 use integrated_parallelism::mpsim::{Error, FaultPlan, NetModel, TraceConfig, World};
 

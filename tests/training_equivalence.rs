@@ -174,6 +174,14 @@ impl Digest {
 /// gathered rows (a re-association of the one GEMM the forward now runs),
 /// so that run's weights and losses moved by rounding. The other seven
 /// digests hold to the bit.
+///
+/// Re-recorded a third time, for `train_cnn_domain` alone, when its conv
+/// `∆W` came to be summed the way Eq. 9 prices it: every conv layer's
+/// strip partial in one bucket summed over the whole grid, instead of
+/// over the strips and then over the batch shards, and the head's `∆W`
+/// bucketed as the scheduled FC trainers bucket theirs. The sums
+/// associate differently, so that run's weights and losses moved by
+/// rounding. The other seven digests hold to the bit.
 #[test]
 fn every_trainer_keeps_its_weights_and_losses_to_the_bit() {
     let free = NetModel::free();
@@ -283,7 +291,7 @@ fn every_trainer_keeps_its_weights_and_losses_to_the_bit() {
         ("train_epochs_serial", 0x3078_65db_970d_34c2),
         ("train_epochs_1p5d", 0x6f05_3af1_f57a_2027),
         ("train_cnn_serial", 0x5222_6a43_cba4_fcc9),
-        ("train_cnn_domain", 0xd1b8_6a00_f021_7dd7),
+        ("train_cnn_domain", 0x20ad_cbbd_63eb_6a37),
     ];
     assert_eq!(got, want);
 }
