@@ -12,8 +12,11 @@
 //!   pooling (AlexNet's 3×3/2) alike — on the one window exchange of
 //!   `distmm::domain_general`: non-blocking, boundary-proportional (for
 //!   a same-padded kernel it is the fixed halo), with a convolution's
-//!   interior rows computed while its boundary rows are in flight.
-//!   LRN is local to a strip. Every conv layer's strip-partial `∆W`
+//!   interior rows computed while its boundary rows are in flight. A
+//!   convolution's backward is its `∆W` half, and above the first
+//!   convolution its `∆X` half, which fetches the `∆Y` rows its strip's
+//!   `∆X` reads and gathers them (Eq. 7's second halo; nothing is sent
+//!   back). LRN is local to a strip. Every conv layer's strip-partial `∆W`
 //!   goes into one gradient bucket summed over the full grid by one
 //!   non-blocking all-reduce — exactly Eq. 9's `LD` terms, one
 //!   reduction over `P` at full `|W|` — drained once the trunk backward
@@ -32,7 +35,7 @@
 //! trajectories — the synchronous-SGD consistency the paper's
 //! framework guarantees, now including halo exchanges, window
 //! redistributions, argmax gradient routing across strip boundaries,
-//! and the cross-boundary gradient flows of the backward pass. The
+//! and the `∆Y` halos of the backward pass. The
 //! `mini_alexnet` test below trains a scaled AlexNet (strided conv1,
 //! overlapping pools, 5 convs + 2 FC) this way.
 
@@ -41,7 +44,7 @@ use std::borrow::Cow;
 use dnn::{LayerSpec, Network};
 use mpsim::{Communicator, Error, NetModel, TraceConfig, World, WorldStats, WorldTrace};
 use tensor::activation::{relu_backward_in_place, relu_in_place};
-use tensor::conv::{conv2d, conv2d_backward, conv2d_backward_weights, Conv2dParams, Tensor4};
+use tensor::conv::{conv2d, conv2d_backward_data, conv2d_backward_weights, Conv2dParams, Tensor4};
 use tensor::init;
 use tensor::lrn::{lrn_backward, lrn_forward, LrnParams};
 use tensor::ops::axpy;
@@ -289,13 +292,11 @@ pub fn train_cnn_serial(
                     if *relu {
                         relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                     }
-                    let dw = if idx == first {
-                        conv2d_backward_weights(input, &conv_w[wi], &dt, params)
-                    } else {
-                        let (dw, dx) = conv2d_backward(input, &conv_w[wi], &dt, params);
-                        dt = dx;
-                        dw
-                    };
+                    let dw = conv2d_backward_weights(input, &conv_w[wi], &dt, params);
+                    if idx > first {
+                        let rows = 0..input.h;
+                        dt = conv2d_backward_data(&dt, 0, &conv_w[wi], params, rows, input.w);
+                    }
                     axpy(-cfg.lr, dw.as_slice(), conv_w[wi].as_mut_slice());
                 }
                 (Stage::Pool { .. }, SerialSaved::Pool { argmax, in_h, in_w }) => {
@@ -542,11 +543,11 @@ pub fn train_cnn_domain_traced(
                         if *relu {
                             relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                         }
-                        let (w, h, input_grad) = (&conv_w[wi], *in_h, idx != first);
-                        let (dw, dx) = dg::conv_backward_partial(
-                            &col_comm, input, w, &dt, params, h, input_grad,
-                        )?;
-                        dt = dx.unwrap_or(dt);
+                        let (w, h) = (&conv_w[wi], *in_h);
+                        let dw = dg::conv_backward_partial(&col_comm, input, w, &dt, params, h)?;
+                        if idx > first {
+                            dt = dg::conv_backward_data(&col_comm, w, &dt, params, h, input.w)?;
+                        }
                         sched.push(wi, dw)?;
                     }
                     (Stage::Pool { params, in_h, in_w }, DistSaved::Pool { argmax, .. }) => {

@@ -11,18 +11,21 @@
 //! conv1, 11×11/4) and overlapping pooling (AlexNet's 3×3/2) change
 //! the activation height between layers, so the window is arbitrary.
 //! This module computes the windows and moves them with
-//! [`crate::rows::fetch_rows`] / [`crate::rows::scatter_add_rows`] —
-//! pair-wise, non-blocking, overlap-proportional traffic: Eq. 7's
-//! boundary terms. The forward convolution charges the output rows it
-//! can compute from its own strip while the boundary rows are in
-//! flight, so a large enough interior hides the exchange entirely.
+//! [`crate::rows::fetch_rows`] — pair-wise, non-blocking,
+//! overlap-proportional traffic: Eq. 7's boundary terms.
 //!
-//! A padded convolution runs pad-free on its window framed in the
-//! zeros the global padding implies, and the exchange works in that
-//! frame: the fetch lands in the tensor `conv2d` reads and the scatter
-//! reads out of the `∆X` `conv2d_backward` wrote, so a window is copied
-//! once each way — no `zero_extend` after the fetch, no `peel` before
-//! the scatter (the tests pin both to exactly that spelling).
+//! A convolution moves two windows, the two halos Eq. 7 prices: its
+//! input window forward (fetched again for `∆W` rather than kept) and,
+//! for `∆X`, the window of `∆Y` rows its own `∆X` rows read — `∆X` is
+//! a gather, `tensor::conv::conv2d_backward_data`, so a rank computes
+//! exactly its own rows and sends none back. Either way a rank charges
+//! the rows it can compute from its own strip while the boundary rows
+//! are in flight, so a large enough interior hides the exchange. A
+//! padded convolution runs pad-free on its input window framed in the
+//! zeros the global padding implies, laid into that frame by the fetch
+//! itself. Max-pooling's `∆X` is routed by an argmax only the producing
+//! rank holds, so it is scattered home with
+//! [`crate::rows::scatter_add_rows`].
 //!
 //! Row partitions are always `block_ranges` of the *output* height, so
 //! consecutive layers chain without global knowledge beyond shapes.
@@ -31,7 +34,7 @@ use std::ops::Range;
 
 use collectives::{allreduce, ReduceOp};
 use mpsim::{Communicator, Result};
-use tensor::conv::{conv2d, conv2d_backward, conv2d_backward_weights, Conv2dParams, Tensor4};
+use tensor::conv::{conv2d, conv2d_backward_data, conv2d_backward_weights, Conv2dParams, Tensor4};
 use tensor::pool::{maxpool2d, maxpool2d_backward, Pool2dParams};
 use tensor::Matrix;
 
@@ -63,56 +66,82 @@ fn input_window(
     (lo..hi.max(lo), zeros_above, zeros_below)
 }
 
-/// One layer's row bookkeeping on one rank, derived from shapes alone
-/// (identical tables on every rank).
+/// One exchange's row bookkeeping on one rank, derived from shapes
+/// alone (identical tables on every rank): a product whose rows are
+/// split over the ranks reads a window of an operand split the same
+/// way.
 struct Windows {
-    /// Every rank's block of the input height.
-    in_part: Vec<Range<usize>>,
-    /// This rank's block of the output height.
-    my_out: Range<usize>,
-    /// Every rank's clipped input window.
+    /// Every rank's block of the operand's rows.
+    read_part: Vec<Range<usize>>,
+    /// This rank's block of the product's rows.
+    made: Range<usize>,
+    /// Every rank's (clipped) window of the operand.
     needed: Vec<Range<usize>>,
-    /// The zeros the global padding puts around this rank's window:
-    /// synthetic rows above and below, `pad` columns on each side. The
-    /// window inside this frame is what the pad-free local kernel reads.
-    frame: Frame,
-    /// How many of `my_out`'s rows read input rows of this rank's own
-    /// strip only — computable while the rest of the window is in
-    /// flight. All of them for a 1×1 kernel or a single rank.
+    /// How many of `made`'s rows read this rank's own block only —
+    /// computable while the rest of the window is in flight. All of
+    /// them for a 1×1 kernel or a single rank.
     interior: usize,
 }
 
 fn windows(
     comm: &Communicator,
-    (k, stride, pad): (usize, usize, usize),
-    in_h: usize,
-    out_h: usize,
+    (made_h, read_h): (usize, usize),
+    window: impl Fn(&Range<usize>) -> Range<usize>,
 ) -> Windows {
     let (size, me) = (comm.size(), comm.rank());
-    let in_part = row_partition(in_h, size);
-    let out_part = row_partition(out_h, size);
-    let window = |out: &Range<usize>| input_window(out, k, stride, pad, in_h);
-    let (my_out, mine) = (out_part[me].clone(), &in_part[me]);
-    let (_, above, below) = window(&my_out);
-    let interior = my_out
+    let (read_part, made_part) = (row_partition(read_h, size), row_partition(made_h, size));
+    let mine = &read_part[me];
+    let interior = made_part[me]
         .clone()
-        .map(|o| window(&(o..o + 1)).0)
+        .map(|o| window(&(o..o + 1)))
         .filter(|rows| rows.is_empty() || (mine.start <= rows.start && rows.end <= mine.end))
         .count();
+    // A rank with no rows reads none.
+    let read = |rows: &Range<usize>| if rows.is_empty() { 0..0 } else { window(rows) };
     Windows {
-        my_out,
-        needed: out_part.iter().map(|out| window(out).0).collect(),
-        frame: (above, below, pad),
+        made: made_part[me].clone(),
+        needed: made_part.iter().map(read).collect(),
         interior,
-        in_part,
+        read_part,
     }
+}
+
+impl Windows {
+    /// Fetches this rank's window of `x`, framed in `frame`'s zeros,
+    /// charging `flops` per row made as the forward charges its rows:
+    /// the interior ones while the window is in flight, the boundary
+    /// ones after it landed — Fig. 3.
+    fn fetch(&self, c: &Communicator, x: &Tensor4, frame: Frame, flops: f64) -> Result<Tensor4> {
+        let interior = || c.advance_flops(flops * self.interior as f64);
+        let ext = fetch_rows(c, x, &self.read_part, &self.needed, frame, interior)?;
+        c.advance_flops(flops * (self.made.len() - self.interior) as f64);
+        Ok(ext)
+    }
+}
+
+/// This rank's input window of a convolution, framed in the zeros the
+/// global padding puts around it, and its block of the output rows,
+/// whose `2·|W|` flops per pixel (the forward's or `∆W`'s) it charges.
+fn input_rows(
+    comm: &Communicator,
+    x_strip: &Tensor4,
+    weights: &Matrix,
+    p: &Conv2dParams,
+    in_h: usize,
+) -> Result<(Tensor4, Range<usize>)> {
+    let (out_h, out_w) = p.out_hw(in_h, x_strip.w);
+    let window = |out: &Range<usize>| input_window(out, p.kh, p.stride, p.pad, in_h);
+    let win = windows(comm, (out_h, in_h), |out| window(out).0);
+    let (_, above, below) = window(&win.made);
+    let row_flops = 2.0 * weights.len() as f64 * (out_w * x_strip.n) as f64;
+    let ext = win.fetch(comm, x_strip, (above, below, p.pad), row_flops)?;
+    Ok((ext, win.made))
 }
 
 /// Domain-parallel convolution forward. `x_strip` covers this rank's
 /// block of the input height (`row_partition(in_h, P)`); the result
 /// covers its block of the output height. Any stride, padding, and
-/// (possibly non-square) kernel. The interior output rows are charged
-/// while the window is in flight, the boundary rows after it landed.
+/// (possibly non-square) kernel.
 pub fn conv_forward(
     comm: &Communicator,
     x_strip: &Tensor4,
@@ -120,30 +149,20 @@ pub fn conv_forward(
     p: &Conv2dParams,
     in_h: usize,
 ) -> Result<Tensor4> {
-    let (out_h, out_w) = p.out_hw(in_h, x_strip.w);
-    let win = windows(comm, (p.kh, p.stride, p.pad), in_h, out_h);
-    let row_flops = 2.0 * weights.len() as f64 * (out_w * x_strip.n) as f64;
-    let ext = fetch_rows(comm, x_strip, &win.in_part, &win.needed, win.frame, || {
-        comm.advance_flops(row_flops * win.interior as f64)
-    })?;
-    if win.my_out.is_empty() {
+    let (ext, made) = input_rows(comm, x_strip, weights, p, in_h)?;
+    let out_w = p.out_hw(in_h, x_strip.w).1;
+    if made.is_empty() {
         return Ok(Tensor4::zeros(x_strip.n, p.out_c, 0, out_w));
     }
-    comm.advance_flops(row_flops * (win.my_out.len() - win.interior) as f64);
-    let local = Conv2dParams { pad: 0, ..*p };
-    let y = conv2d(&ext, weights, &local);
-    debug_assert_eq!(
-        y.h,
-        win.my_out.len(),
-        "local conv yields exactly my output rows"
-    );
-    debug_assert_eq!(y.w, out_w);
+    let y = conv2d(&ext, weights, &Conv2dParams { pad: 0, ..*p });
+    debug_assert_eq!(y.h, made.len(), "local conv yields exactly my output rows");
     Ok(y)
 }
 
 /// Domain-parallel convolution backward: returns
 /// `(∆W all-reduced over the communicator, ∆X strip over this rank's
-/// input block)` — [`conv_backward_partial`] and one all-reduce.
+/// input block)` — [`conv_backward_partial`], [`conv_backward_data`]
+/// and one all-reduce.
 pub fn conv_backward(
     comm: &Communicator,
     x_strip: &Tensor4,
@@ -152,21 +171,19 @@ pub fn conv_backward(
     p: &Conv2dParams,
     in_h: usize,
 ) -> Result<(Matrix, Tensor4)> {
-    let (mut dw, dx) = conv_backward_partial(comm, x_strip, weights, dy_strip, p, in_h, true)?;
+    let mut dw = conv_backward_partial(comm, x_strip, weights, dy_strip, p, in_h)?;
+    let dx = conv_backward_data(comm, weights, dy_strip, p, in_h, x_strip.w)?;
     // ∆W: sum over all strips — the same all-reduce pure batch
     // parallelism needs (Eq. 7's third term).
     allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum)?;
-    Ok((dw, dx.expect("∆X was formed")))
+    Ok((dw, dx))
 }
 
-/// The one backward body: this rank's strip-partial `∆W`, *not* summed
-/// over the communicator (a trainer sums it with the other layers' and
-/// the other batch shards' in one reduction), and the `∆X` strip over
-/// this rank's input block when `input_grad` — without it, no `∆X` GEMM
-/// and no scatter of `∆X` rows home: the backward of a network's first
-/// convolution, whose input gradient nobody reads. The input window is
-/// fetched again rather than kept from the forward pass — the same
-/// volume either way, which is what the cost model charges.
+/// The `∆W` half of the backward: this rank's strip-partial `∆W`,
+/// *not* summed over the communicator (a trainer sums it with the other
+/// layers' and the other batch shards' in one reduction). The input
+/// window is fetched again rather than kept from the forward pass — the
+/// same volume either way, which is what the cost model charges.
 pub fn conv_backward_partial(
     comm: &Communicator,
     x_strip: &Tensor4,
@@ -174,30 +191,41 @@ pub fn conv_backward_partial(
     dy_strip: &Tensor4,
     p: &Conv2dParams,
     in_h: usize,
-    input_grad: bool,
-) -> Result<(Matrix, Option<Tensor4>)> {
-    let (out_h, _) = p.out_hw(in_h, x_strip.w);
-    let win = windows(comm, (p.kh, p.stride, p.pad), in_h, out_h);
-    let ext = fetch_rows(comm, x_strip, &win.in_part, &win.needed, win.frame, || ())?;
-    // Two flops per multiply-add, per GEMM formed.
-    let flops = if input_grad { 4.0 } else { 2.0 } * weights.len() as f64;
-    comm.advance_flops(flops * (dy_strip.h * dy_strip.w * dy_strip.n) as f64);
-
-    // `∆X` comes back in the window's frame; the scatter reads the rows
-    // out of it. An empty window is its own (empty) gradient.
+) -> Result<Matrix> {
+    let (ext, made) = input_rows(comm, x_strip, weights, p, in_h)?;
+    if made.is_empty() {
+        return Ok(Matrix::zeros(weights.rows(), weights.cols()));
+    }
     let local = Conv2dParams { pad: 0, ..*p };
-    let (dw, dx_ext) = if win.my_out.is_empty() {
-        let dw = Matrix::zeros(weights.rows(), weights.cols());
-        (dw, input_grad.then_some(ext))
-    } else if input_grad {
-        let (dw, dx) = conv2d_backward(&ext, weights, dy_strip, &local);
-        (dw, Some(dx))
-    } else {
-        let dw = conv2d_backward_weights(&ext, weights, dy_strip, &local);
-        (dw, None)
-    };
-    let scatter = |dx| scatter_add_rows(comm, &dx, &win.needed, &win.in_part, win.frame);
-    Ok((dw, dx_ext.map(scatter).transpose()?))
+    Ok(conv2d_backward_weights(&ext, weights, dy_strip, &local))
+}
+
+/// The `∆X` half of the backward: the `∆X` strip over this rank's block
+/// of the `in_h × in_w` input. The rank fetches the `∆Y` rows its own
+/// `∆X` rows read — Eq. 7's backward halo, `⌊k/2⌋` rows from each
+/// neighbour for a stride-1 same-padded kernel — and gathers its rows
+/// from them, charging `2·|W|` flops per `∆X` pixel as the forward
+/// charges its rows. Nothing is sent back.
+pub fn conv_backward_data(
+    comm: &Communicator,
+    weights: &Matrix,
+    dy_strip: &Tensor4,
+    p: &Conv2dParams,
+    in_h: usize,
+    in_w: usize,
+) -> Result<Tensor4> {
+    let (out_h, _) = p.out_hw(in_h, in_w);
+    // The ∆Y rows a block of ∆X rows reads: the output rows whose input
+    // windows touch it.
+    let win = windows(comm, (in_h, out_h), |rows| {
+        let hi = ((rows.end - 1 + p.pad) / p.stride + 1).min(out_h);
+        let lo = (rows.start + p.pad + 1).saturating_sub(p.kh);
+        lo.div_ceil(p.stride).min(hi)..hi
+    });
+    let row_flops = 2.0 * weights.len() as f64 * (in_w * dy_strip.n) as f64;
+    let dy = win.fetch(comm, dy_strip, NO_FRAME, row_flops)?;
+    let oy0 = win.needed[comm.rank()].start;
+    Ok(conv2d_backward_data(&dy, oy0, weights, p, win.made, in_w))
 }
 
 /// Domain-parallel max-pool forward. Returns the output strip and the
@@ -210,14 +238,16 @@ pub fn pool_forward(
     in_h: usize,
 ) -> Result<(Tensor4, Vec<usize>)> {
     let (out_h, out_w) = p.out_hw(in_h, x_strip.w);
-    let win = windows(comm, (p.k, p.stride, 0), in_h, out_h);
-    let window = fetch_rows(comm, x_strip, &win.in_part, &win.needed, NO_FRAME, || ())?;
-    if win.my_out.is_empty() {
+    let win = windows(comm, (out_h, in_h), |o| {
+        input_window(o, p.k, p.stride, 0, in_h).0
+    });
+    let window = fetch_rows(comm, x_strip, &win.read_part, &win.needed, NO_FRAME, || ())?;
+    if win.made.is_empty() {
         return Ok((Tensor4::zeros(x_strip.n, x_strip.c, 0, out_w), Vec::new()));
     }
-    comm.advance_flops((x_strip.n * x_strip.c * win.my_out.len() * out_w * p.k * p.k) as f64);
+    comm.advance_flops((x_strip.n * x_strip.c * win.made.len() * out_w * p.k * p.k) as f64);
     let (y, argmax) = maxpool2d(&window, p);
-    debug_assert_eq!(y.h, win.my_out.len());
+    debug_assert_eq!(y.h, win.made.len());
     Ok((y, argmax))
 }
 
@@ -233,13 +263,15 @@ pub fn pool_backward(
     in_w: usize,
 ) -> Result<Tensor4> {
     let (out_h, _) = p.out_hw(in_h, in_w);
-    let win = windows(comm, (p.k, p.stride, 0), in_h, out_h);
-    let dx_window = if win.my_out.is_empty() {
+    let win = windows(comm, (out_h, in_h), |o| {
+        input_window(o, p.k, p.stride, 0, in_h).0
+    });
+    let dx_window = if win.made.is_empty() {
         Tensor4::zeros(dy_strip.n, dy_strip.c, 0, in_w)
     } else {
         maxpool2d_backward(dy_strip, argmax, win.needed[comm.rank()].len(), in_w)
     };
-    scatter_add_rows(comm, &dx_window, &win.needed, &win.in_part, NO_FRAME)
+    scatter_add_rows(comm, &dx_window, &win.needed, &win.read_part)
 }
 
 #[cfg(test)]
@@ -247,7 +279,7 @@ mod tests {
     use super::*;
     use crate::dist::part_range;
     use mpsim::{NetModel, World};
-    use tensor::conv::conv2d_direct;
+    use tensor::conv::{conv2d_backward, conv2d_direct};
     use tensor::init;
 
     fn check_conv(p_ranks: usize, params: Conv2dParams, h: usize, w: usize) {
@@ -261,7 +293,7 @@ mod tests {
             let ip = part_range(h, p_ranks, comm.rank());
             let op = part_range(oh, p_ranks, comm.rank());
             let x_strip = x.row_strip(ip.start, ip.end);
-            framed_exchange_is_extend_and_peel(comm, &x_strip, &params, h);
+            framed_fetch_is_zero_extend(comm, &x_strip, &params, h);
             let y = conv_forward(comm, &x_strip, &wt, &params, h).unwrap();
             let dy_strip = dy.row_strip(op.start, op.end);
             let (dw, dx) = conv_backward(comm, &x_strip, &wt, &dy_strip, &params, h).unwrap();
@@ -279,46 +311,34 @@ mod tests {
                 y.max_abs_diff(&expect_y)
             );
             assert!(dw.approx_eq(&dw_ref, 1e-8), "rank {r} dW");
+            // Every ∆X element is summed on one rank in one order.
             let ip = part_range(h, p_ranks, r);
-            let expect_dx = dx_ref.row_strip(ip.start, ip.end);
-            assert!(
-                dx.approx_eq(&expect_dx, 1e-9),
-                "P={p_ranks} rank {r} dX: {}",
-                dx.max_abs_diff(&expect_dx)
+            assert_eq!(
+                *dx,
+                dx_ref.row_strip(ip.start, ip.end),
+                "P={p_ranks} rank {r} dX"
             );
         }
     }
 
     /// The frame is a copy saved, not a different result: to the bit,
-    /// the framed fetch is the plain fetch zero-extended, and the
-    /// scatter out of a framed `∆X` (its frame full of the taps the
-    /// padding collects) is the scatter of that `∆X` peeled. Runs on
-    /// every rank of every `check_conv` shape, the 1-row strips shorter
-    /// than the halo and the ranks with no output included.
-    fn framed_exchange_is_extend_and_peel(
+    /// the framed fetch is the plain fetch zero-extended. Runs on every
+    /// rank of every `check_conv` shape, the 1-row strips shorter than
+    /// the halo and the ranks with no rows included.
+    fn framed_fetch_is_zero_extend(
         comm: &Communicator,
         x_strip: &Tensor4,
         p: &Conv2dParams,
         in_h: usize,
     ) {
         let (out_h, _) = p.out_hw(in_h, x_strip.w);
-        let win = windows(comm, (p.kh, p.stride, p.pad), in_h, out_h);
-        let (above, below, side) = win.frame;
-        let fetch = |frame| fetch_rows(comm, x_strip, &win.in_part, &win.needed, frame, || ());
-        let ext = fetch(win.frame).unwrap();
+        let window = |out: &Range<usize>| input_window(out, p.kh, p.stride, p.pad, in_h);
+        let win = windows(comm, (out_h, in_h), |out| window(out).0);
+        let (_, above, below) = window(&win.made);
+        let fetch = |frame| fetch_rows(comm, x_strip, &win.read_part, &win.needed, frame, || ());
         assert_eq!(
-            ext,
-            fetch(NO_FRAME).unwrap().zero_extend(above, below, side)
-        );
-
-        let seed = 54 + comm.rank() as u64;
-        let dx_ext = init::uniform_tensor(ext.n, ext.c, ext.h, ext.w, -1.0, 1.0, seed);
-        let scatter = |dx: &Tensor4, frame| {
-            scatter_add_rows(comm, dx, &win.needed, &win.in_part, frame).unwrap()
-        };
-        assert_eq!(
-            scatter(&dx_ext, win.frame),
-            scatter(&dx_ext.peel(above, below, side), NO_FRAME)
+            fetch((above, below, p.pad)).unwrap(),
+            fetch(NO_FRAME).unwrap().zero_extend(above, below, p.pad)
         );
     }
 
@@ -339,9 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn the_weight_half_is_the_backward_dw_without_the_scatter() {
+    fn the_backward_is_its_two_halves_and_one_all_reduce() {
         // Strided and padded: the windows are wider than a halo and
-        // misaligned with the strips, so the scatter moves real rows.
+        // misaligned with the strips.
         let p = Conv2dParams {
             in_c: 3,
             out_c: 4,
@@ -356,8 +376,8 @@ mod tests {
         let wt = init::uniform(p.out_c, p.patch_len(), -0.4, 0.4, 82);
         let dy = init::uniform_tensor(2, p.out_c, oh, ow, -1.0, 1.0, 83);
         for pd in [1, 2, 4] {
-            // 0: the full backward's ∆W; 1: the weight half; 2: only the
-            // scatter the full backward ends with.
+            // 0: the full backward; 1: the ∆W half and its sum; 2: the
+            // ∆X half alone.
             let run = |which| {
                 World::run_with_stats(pd, NetModel::cori_knl(), |comm| {
                     let (ip, op) = (
@@ -366,34 +386,34 @@ mod tests {
                     );
                     let xs = x.row_strip(ip.start, ip.end);
                     let dys = dy.row_strip(op.start, op.end);
+                    let none = || Tensor4::zeros(0, 0, 0, 0);
                     match which {
-                        0 => conv_backward(comm, &xs, &wt, &dys, &p, h).unwrap().0,
+                        0 => conv_backward(comm, &xs, &wt, &dys, &p, h).unwrap(),
                         1 => {
-                            let part = conv_backward_partial(comm, &xs, &wt, &dys, &p, h, false);
-                            let mut dw = part.unwrap().0;
+                            let mut dw =
+                                conv_backward_partial(comm, &xs, &wt, &dys, &p, h).unwrap();
                             allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum).unwrap();
-                            dw
+                            (dw, none())
                         }
                         _ => {
-                            let win = windows(comm, (p.kh, p.stride, p.pad), h, oh);
-                            let rows = win.needed[comm.rank()].len();
-                            let dx = Tensor4::zeros(xs.n, xs.c, rows, w);
-                            scatter_add_rows(comm, &dx, &win.needed, &win.in_part, NO_FRAME)
-                                .unwrap();
-                            Matrix::zeros(0, 0)
+                            let dx = conv_backward_data(comm, &wt, &dys, &p, h, w).unwrap();
+                            (Matrix::zeros(0, 0), dx)
                         }
                     }
                 })
             };
-            let ((full, fs), (half, hs), (_, ss)) = (run(0), run(1), run(2));
-            assert_eq!(full, half, "pd={pd}: ∆W to the bit");
+            let ((full, fs), (half, hs), (data, ds)) = (run(0), run(1), run(2));
+            for ((f, h), d) in full.iter().zip(&half).zip(&data) {
+                assert_eq!(f.0, h.0, "pd={pd}: ∆W to the bit");
+                assert_eq!(f.1, d.1, "pd={pd}: ∆X to the bit");
+            }
             assert_eq!(
                 fs.total_msgs(),
-                hs.total_msgs() + ss.total_msgs(),
+                hs.total_msgs() + ds.total_msgs(),
                 "pd={pd}"
             );
-            assert_eq!(fs.total_words(), hs.total_words() + ss.total_words());
-            assert_eq!(pd > 1, ss.total_msgs() > 0, "pd={pd}: a scatter to save");
+            assert_eq!(fs.total_words(), hs.total_words() + ds.total_words());
+            assert_eq!(pd > 1, ds.total_msgs() > 0, "pd={pd}: a ∆Y window to fetch");
         }
     }
 
@@ -427,8 +447,9 @@ mod tests {
 
     #[test]
     fn same_pad_conv_matches_serial() {
-        // (ranks, kernel, height). The last row's 1-row strips are
+        // (ranks, kernel, height). The 1-row strips of (4, 5, 4) are
         // shorter than the 2-row halo: the window spans three owners.
+        // The last two leave ranks with no rows (`pd > h`).
         for (p, k, h) in [
             (1, 3, 12),
             (2, 3, 12),
@@ -438,6 +459,8 @@ mod tests {
             (3, 5, 13),
             (4, 1, 8),
             (4, 5, 4),
+            (4, 3, 3),
+            (4, 3, 2),
         ] {
             check_conv(p, same_pad(3, 4, k), h, 6);
         }

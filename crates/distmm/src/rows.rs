@@ -8,9 +8,11 @@
 //! partition. The halo is the special case, not a second path:
 //!
 //! * [`fetch_rows`] — every rank obtains an arbitrary global row range
-//!   assembled from the owners (the forward-pass gather), and
+//!   assembled from the owners: a convolution's input window forward
+//!   and for `∆W`, and its `∆Y` window for `∆X` (Eq. 7's two halos);
 //! * [`scatter_add_rows`] — every rank scatter-adds a produced row
-//!   range back onto the owners (the backward-pass adjoint).
+//!   range back onto the owners: max-pooling's `∆X`, routed by an
+//!   argmax only the producing rank holds.
 //!
 //! Both are deterministic SPMD exchanges: each rank computes, from the
 //! shared partition table, exactly which row slices it must send to
@@ -21,14 +23,11 @@
 //! other and with whatever the caller computes meanwhile — for
 //! halo-sized overlaps this is the paper's Eq. 7 boundary exchange.
 //!
-//! **A window is copied once each way.** A padded convolution runs
-//! pad-free on its window framed in the zeros the global padding
-//! implies, so both functions take a [`Frame`]: `fetch_rows` lays own
-//! and received rows straight into the framed tensor the local kernel
-//! reads, and `scatter_add_rows` reads rows (and packs its sends)
-//! straight out of the framed `∆X` the kernel wrote. Only the rows
-//! travel — a frame never adds a word to a message. Pooling, which has
-//! no padding, passes [`NO_FRAME`].
+//! **A window is copied once.** A padded convolution runs pad-free on
+//! its window framed in the zeros the global padding implies, so
+//! `fetch_rows` takes a [`Frame`] and lays own and received rows
+//! straight into the framed tensor the local kernel reads. Only the
+//! rows travel — a frame never adds a word to a message.
 
 use std::ops::Range;
 
@@ -45,27 +44,25 @@ pub type Frame = (usize, usize, usize);
 pub const NO_FRAME: Frame = (0, 0, 0);
 
 /// A direction of the exchange: its tag, how a block of rows lands in
-/// the result, and the frames around the rows of `strip` and of the
-/// result.
+/// the result, and the frame around the rows of the result.
 type Place = fn(&mut Tensor4, Nhw, &Tensor4, Nhw, Nhw);
-type Direction = (Tag, Place, Frame, Frame);
+type Direction = (Tag, Place, Frame);
 const FETCH_TAG: Tag = (1 << 48) + 112;
 const SCATTER_ADD_TAG: Tag = (1 << 48) + 113;
 
-/// The exchange both directions share: `strip`, inside the frame
-/// `from`, covers the global rows `have[rank]`; the result, inside the
-/// frame `into`, covers `want[rank]`, every overlap `have[q] ∩
-/// want[rank]` laid into it by `place` in rank order of `q` (so a sum
-/// keeps its order) and its frame left zero. One message per peer with
-/// a non-empty overlap, and all of them are waited on before returning
-/// — which is what lets consecutive layers reuse one tag under FIFO
-/// matching.
+/// The exchange both directions share: `strip` covers the global rows
+/// `have[rank]`; the result, inside the frame `into`, covers
+/// `want[rank]`, every overlap `have[q] ∩ want[rank]` laid into it by
+/// `place` in rank order of `q` (so a sum keeps its order) and its
+/// frame left zero. One message per peer with a non-empty overlap, and
+/// all of them are waited on before returning — which is what lets
+/// consecutive layers reuse one tag under FIFO matching.
 fn exchange(
     comm: &Communicator,
     strip: &Tensor4,
     have: &[Range<usize>],
     want: &[Range<usize>],
-    (tag, place, from, into): Direction,
+    (tag, place, into): Direction,
     in_flight: impl FnOnce(),
 ) -> Result<Tensor4> {
     let p = comm.size();
@@ -73,17 +70,17 @@ fn exchange(
     debug_assert_eq!(have.len(), p);
     debug_assert_eq!(want.len(), p);
     let (mine, wanted) = (&have[me], &want[me]);
-    let (n, c, w) = (strip.n, strip.c, strip.w - 2 * from.2);
-    debug_assert_eq!(strip.h, from.0 + mine.len() + from.1);
+    let (n, c, w) = (strip.n, strip.c, strip.w);
+    debug_assert_eq!(strip.h, mine.len());
     // Where the global rows `rows` start in `strip`.
-    let held = |rows: &Range<usize>| [0, from.0 + rows.start - mine.start, from.2];
+    let held = |rows: &Range<usize>| [0, rows.start - mine.start, 0];
 
     // Sends are eager and go first: my rows that peers want.
     for q in 0..p {
         let overlap = intersect(mine, &want[q]);
         if q != me && !overlap.is_empty() {
-            let [_, h0, w0] = held(&overlap);
-            let rows = strip.block(0..n, h0..h0 + overlap.len(), w0..w0 + w);
+            let h0 = held(&overlap)[1];
+            let rows = strip.block(0..n, h0..h0 + overlap.len(), 0..w);
             comm.send_vec(q, tag, rows.into_vec())?;
         }
     }
@@ -139,24 +136,21 @@ pub fn fetch_rows(
     frame: Frame,
     in_flight: impl FnOnce(),
 ) -> Result<Tensor4> {
-    let fetch: Direction = (FETCH_TAG, Tensor4::copy_block, NO_FRAME, frame);
+    let fetch: Direction = (FETCH_TAG, Tensor4::copy_block, frame);
     exchange(comm, strip, owned, needed, fetch, in_flight)
 }
 
 /// Scatter-adds produced rows back to their owners: `strip` covers
-/// global rows `produced[rank]` inside `frame` (whose rows and columns
-/// are skipped, not sent: bit for bit the scatter of
-/// `strip.peel(above, below, side)`); the result covers `owned[rank]`
-/// and sums every rank's contribution to those rows in producer order
-/// (the adjoint of [`fetch_rows`], with the same fault contract).
+/// global rows `produced[rank]`; the result covers `owned[rank]` and
+/// sums every rank's contribution to those rows in producer order (the
+/// adjoint of [`fetch_rows`], with the same fault contract).
 pub fn scatter_add_rows(
     comm: &Communicator,
     strip: &Tensor4,
     produced: &[Range<usize>],
     owned: &[Range<usize>],
-    frame: Frame,
 ) -> Result<Tensor4> {
-    let scatter_add: Direction = (SCATTER_ADD_TAG, Tensor4::add_block, frame, NO_FRAME);
+    let scatter_add: Direction = (SCATTER_ADD_TAG, Tensor4::add_block, NO_FRAME);
     exchange(comm, strip, produced, owned, scatter_add, || ())
 }
 
@@ -220,7 +214,7 @@ mod tests {
         let out = World::run(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let mine = ones(&produced[me]);
-            scatter_add_rows(comm, &mine, &produced, &owned, NO_FRAME).unwrap()
+            scatter_add_rows(comm, &mine, &produced, &owned).unwrap()
         });
         // Coverage counts per global row: rows 3..5 and 6..8 are
         // covered twice.
@@ -250,7 +244,7 @@ mod tests {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
             let window = fetch_rows(comm, &strip, &owned, &needed, NO_FRAME, || ()).unwrap();
-            scatter_add_rows(comm, &window, &needed, &owned, NO_FRAME).unwrap()
+            scatter_add_rows(comm, &window, &needed, &owned).unwrap()
         });
         for (r, got) in out.iter().enumerate() {
             for hi in 0..owned[r].len() {

@@ -12,15 +12,19 @@
 //! the NCHW input and **no `(in_c·kh·kw) × (n·oh·ow)` column matrix is
 //! ever materialized** (see [`conv_scratch_words`]). Padding is not the
 //! map's business: a padded convolution zero-extends its input once.
-//! The backward pass gets the adjoint treatment: `∆W` contracts the
-//! output gradient against implicit im2col panels, and `∆X` runs a
-//! column-blocked `Wᵀ·∆Y` GEMM fused with col2im scatter-accumulation.
+//! The backward pass is two gathers through the same map: `∆W`
+//! contracts the output gradient against implicit im2col panels
+//! ([`conv2d_backward_weights`]), and `∆X` is the forward kernel itself
+//! run on the output gradient framed in zeros, with the kernel rotated
+//! and its channel roles swapped ([`conv2d_backward_data`]) — each `∆X`
+//! element summed in one order, whichever rows of it are asked for.
 //!
 //! [`conv2d_direct`] remains the independent reference the GEMM paths
 //! cross-check against; [`conv2d_im2col`] keeps the materialized
-//! lowering for verification, and [`conv2d_im2col_ref`] freezes the
-//! pre-packing executed path (materialized im2col + the frozen blocked
-//! matmul) as the benchmark baseline.
+//! lowering for verification, and [`conv2d_im2col_ref`] and
+//! [`conv2d_backward_ref`] freeze the pre-packing executed paths
+//! (materialized im2col + the frozen blocked matmul, col2im for `∆X`)
+//! as the benchmark baselines.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -241,11 +245,6 @@ impl Tensor4 {
         });
     }
 
-    /// Adds `strip` element-wise onto rows `h0..`.
-    pub fn add_row_strip(&mut self, h0: usize, strip: &Tensor4) {
-        self.add_block([0, h0, 0], strip, [0; 3], self.strip_size(strip));
-    }
-
     /// `strip` as a block, checked to span this tensor's samples,
     /// channels and width.
     fn strip_size(&self, strip: &Tensor4) -> [usize; 3] {
@@ -259,19 +258,6 @@ impl Tensor4 {
         let mut ext = Tensor4::zeros(self.n, self.c, self.h + above + below, self.w + 2 * side);
         ext.copy_block([0, above, side], self, [0; 3], [self.n, self.h, self.w]);
         ext
-    }
-
-    /// The inverse of [`Tensor4::zero_extend`]: a copy without the
-    /// first `above` and last `below` rows and `side` columns on the
-    /// left and on the right of every plane.
-    pub fn peel(&self, above: usize, below: usize, side: usize) -> Tensor4 {
-        assert!(
-            above + below <= self.h && 2 * side <= self.w,
-            "peel {above}+{below} rows, 2x{side} columns off {}x{}",
-            self.h,
-            self.w
-        );
-        self.block(0..self.n, above..self.h - below, side..self.w - side)
     }
 
     /// Flattens into a matrix with one *column* per sample (the `d × B`
@@ -521,8 +507,8 @@ pub fn conv2d_im2col_ref(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) ->
 /// Two `u32` tables of `m + k` entries, built by nested loops with no
 /// division, replace any per-element index arithmetic; without padding
 /// every tap is in bounds, so there is no validity test either. The
-/// forward gather, the `∆W` transposed gather and the `∆X` scatter all
-/// walk the same two tables.
+/// forward gather — which is also `∆X`'s, run on the framed output
+/// gradient — and the `∆W` transposed gather walk the same two tables.
 pub struct Im2colMap {
     /// Per output column `(n, oy, ox)`: flat index of its patch origin.
     pub col_base: Vec<u32>,
@@ -626,9 +612,15 @@ pub fn conv2d(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
         k,
         |i0, kk, dst| gemm::gather_lanes(wv, i0 * k + kk, k, dst),
         |kk, j0, dst| {
-            let off = map.k_off[kk];
-            for (d, &base) in dst.iter_mut().zip(&map.col_base[j0..]) {
-                *d = xv[(base + off) as usize];
+            // Columns of one output row at stride 1 are one run.
+            let (off, bases) = (map.k_off[kk], &map.col_base[j0..j0 + dst.len()]);
+            let b0 = (bases[0] + off) as usize;
+            if bases[dst.len() - 1] - bases[0] == dst.len() as u32 - 1 {
+                dst.copy_from_slice(&xv[b0..b0 + dst.len()]);
+            } else {
+                for (d, &b) in dst.iter_mut().zip(bases) {
+                    *d = xv[(b + off) as usize];
+                }
             }
         },
         &mut y,
@@ -642,12 +634,6 @@ pub fn conv2d(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
     }
     out
 }
-
-/// Column block height for the backward `∆X` pass: the `∆Yᵀ·W` product
-/// is computed `COL_BLOCK` columns at a time and immediately
-/// scatter-added into `∆X`, so the transient is `COL_BLOCK × patch_len`
-/// words instead of the full column-gradient matrix.
-const COL_BLOCK: usize = 256;
 
 /// Gathers `dy` into the `out_c × (n·oh·ow)` row-major layout the GEMM
 /// contracts over (contiguous `oh·ow` runs per `(oc, n)`).
@@ -666,8 +652,8 @@ fn dy_rows(dy: &Tensor4, oc: usize, hw: usize) -> Vec<f64> {
 /// The weight gradient of a convolution alone,
 /// `dW = ∆Y · im2col(X)ᵀ` with the im2col panels packed through
 /// [`Im2colMap`]: [`conv2d_backward`]'s `dW`, to the bit, without its
-/// `∆X` GEMM and col2im scatter — the backward of a layer whose input
-/// gradient nobody reads (a network's first convolution).
+/// `∆X` half — all the backward of a layer whose input gradient nobody
+/// reads (a network's first convolution).
 pub fn conv2d_backward_weights(
     input: &Tensor4,
     weights: &Matrix,
@@ -708,15 +694,130 @@ pub fn conv2d_backward_weights(
     dw
 }
 
+/// The input gradient of a convolution: rows `x_rows` of its
+/// `w`-column `∆X`, from the output-gradient rows `oy0..oy0 + dy.h`,
+/// which must hold every `∆Y` row those `∆X` rows read.
+///
+/// It is the forward kernel, a gather: `∆X = conv2d(∆Y′, W′)` at
+/// stride 1 and no padding, where `∆Y′` is `∆Y` framed in zeros and
+/// `W′` is `W` with its kernel rotated and its `in_c` / `out_c` roles
+/// swapped. A stride `s > 1` splits the kernel into its `s²` phases —
+/// the taps that reach rows and columns of one residue mod `s` — and
+/// stacks them as `W′`'s output channels, so `∆Y′` is not spread and no
+/// tap multiplies a zero the stride put there; `∆X` is those channels
+/// interleaved. Rows whose taps overhang `∆Y` run in bands with the
+/// overhanging taps cropped. A cropped tap only ever adds an exact
+/// zero, so every element is the same ascending-k fold whichever rows
+/// are asked for: a strip of `∆X` is the same rows of the whole to the
+/// bit.
+pub fn conv2d_backward_data(
+    dy: &Tensor4,
+    oy0: usize,
+    weights: &Matrix,
+    p: &Conv2dParams,
+    x_rows: Range<usize>,
+    w: usize,
+) -> Tensor4 {
+    assert_eq!(dy.c, p.out_c, "dy channel mismatch");
+    assert_eq!(weights.shape(), (p.out_c, p.patch_len()), "weight shape");
+    let (s, pad, n) = (p.stride, p.pad, dy.n);
+    let mut dx = Tensor4::zeros(n, p.in_c, x_rows.len(), w);
+    if x_rows.is_empty() || w == 0 {
+        return dx;
+    }
+    // W′ as `(ic, φy, φx) × out_c × th × tw`: tap `(ty, tx)` of phase
+    // `(φy, φx)` is `W`'s tap `(s·(th − 1 − ty) + φy, s·(tw − 1 − tx) +
+    // φx)`, or zero past the kernel.
+    let (th, tw, m) = (p.kh.div_ceil(s), p.kw.div_ceil(s), p.in_c * s * s);
+    let split = |k: usize, t: usize| (0..k).map(|i| (i % s, t - 1 - i / s)).collect::<Vec<_>>();
+    let (by_ky, by_kx) = (split(p.kh, th), split(p.kw, tw));
+    let mut flipped = Tensor4::zeros(m, p.out_c, th, tw);
+    for (oc, w_oc) in weights.as_slice().chunks_exact(p.patch_len()).enumerate() {
+        for (ic, w_ic) in w_oc.chunks_exact(p.kh * p.kw).enumerate() {
+            for (&(py, ty), w_row) in by_ky.iter().zip(w_ic.chunks_exact(p.kw)) {
+                for (&(px, tx), &v) in by_kx.iter().zip(w_row) {
+                    flipped.set((ic * s + py) * s + px, oc, ty, tx, v);
+                }
+            }
+        }
+    }
+    let run = Conv2dParams {
+        in_c: p.out_c,
+        out_c: m,
+        kw: tw,
+        stride: 1,
+        pad: 0,
+        ..*p
+    };
+    // ∆X row `iy` is phase `(iy + pad) % s` of coarse row `Y = (iy +
+    // pad) / s`, whose tap `(t, u)` reads ∆Y row `Y + 1 + t − th` and
+    // column `X + 1 + u − tw` (zero outside `dy`). A band of coarse rows
+    // runs the tap rows that land on rows of `dy`, or all of them when
+    // the products the rest would skip (each `n·xs.len()` a tap row) do
+    // not outnumber the `m` kernel rows the band's own copy of `W′`
+    // costs a tap row — so `ext`, ∆Y framed in zeros, needs `th − 1`
+    // rows above and below and `side` columns each side.
+    let coarse = |lo: usize, hi: usize| (lo + pad) / s..(hi - 1 + pad) / s + 1;
+    let (ys, xs) = (coarse(x_rows.start, x_rows.end), coarse(0, w));
+    let side = (tw - 1)
+        .saturating_sub(xs.start)
+        .max(xs.end.saturating_sub(dy.w));
+    let ext = dy.zero_extend(th - 1, th - 1, side);
+    // Rows counted from `th` above ∆Y's first: `dy` holds `held`, and
+    // `ext`'s first row is `top`.
+    let held = oy0 + th..oy0 + th + dy.h;
+    let top = oy0 + 1;
+    let taps = |y: usize| {
+        let reach = |row: usize| row.saturating_sub(y + 1).min(th);
+        let worth = |t: &Range<usize>| (th - t.len()) * n * xs.len() >= m * t.len();
+        Some(reach(held.start)..reach(held.end)).filter(worth)
+    };
+    let col = |ix: usize| ((ix + pad) % s, (ix + pad) / s - xs.start);
+    let cols: Vec<_> = (0..w).map(col).collect();
+    let mut y = ys.start;
+    while y < ys.end {
+        let t = taps(y).unwrap_or(0..th);
+        let end = (y..ys.end)
+            .find(|&z| taps(z).unwrap_or(0..th) != t)
+            .unwrap_or(ys.end);
+        if !t.is_empty() {
+            let rows = y + 1 + t.start - top..end + t.end - top;
+            let framed = ext.block(0..n, rows, xs.start + 1 + side - tw..xs.end + side);
+            let w_t = flipped.block(0..m, t.clone(), 0..tw).into_vec();
+            let w_t = Matrix::from_vec(m, w_t.len() / m, w_t);
+            let g = conv2d(&framed, &w_t, &Conv2dParams { kh: t.len(), ..run });
+            if s == 1 {
+                dx.copy_block([0, y - ys.start, 0], &g, [0; 3], [n, end - y, w]);
+            } else {
+                // Interleave: `∆X[ic, iy, ix]` is `g[(ic, φy, φx), Y − y, X −
+                // xs.start]`.
+                let (gv, gh, gw) = (g.as_slice(), end - y, xs.len());
+                let planes = dx.as_mut_slice().chunks_exact_mut(x_rows.len() * w);
+                for (plane, out) in planes.enumerate() {
+                    for (iy, row) in x_rows.clone().zip(out.chunks_exact_mut(w)) {
+                        let (py, cy) = ((iy + pad) % s, (iy + pad) / s);
+                        if (y..end).contains(&cy) {
+                            let base = ((plane * s + py) * s * gh + cy - y) * gw;
+                            for (v, &(px, cx)) in row.iter_mut().zip(&cols) {
+                                *v = gv[base + px * gh * gw + cx];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        y = end;
+    }
+    dx
+}
+
 /// Backward pass of a convolution given the output gradient `dy`
 /// (shaped like the forward output). Returns `(dW, dX)`:
-/// `dW = ∆Y · im2col(X)ᵀ` ([`conv2d_backward_weights`]) and
-/// `dX = col2im(Wᵀ · ∆Y)` — the conv instantiation of the paper's §7.2
-/// derivation — both computed implicitly: `dW` packs im2col panels
-/// through [`Im2colMap`], and `dX` fuses the col2im scatter with a
-/// column-blocked GEMM so neither direction materializes a
-/// `patch_len × (n·oh·ow)` matrix. Bit-for-bit equal to
-/// [`conv2d_backward_ref`].
+/// `dW = ∆Y · im2col(X)ᵀ` ([`conv2d_backward_weights`]) and `dX` by
+/// [`conv2d_backward_data`] over every row — the conv instantiation of
+/// the paper's §7.2 derivation, neither half materializing a
+/// `patch_len × (n·oh·ow)` matrix. Equal to [`conv2d_backward_ref`]'s
+/// `dW` to the bit and its `dX` to rounding.
 pub fn conv2d_backward(
     input: &Tensor4,
     weights: &Matrix,
@@ -724,47 +825,7 @@ pub fn conv2d_backward(
     p: &Conv2dParams,
 ) -> (Matrix, Tensor4) {
     let dw = conv2d_backward_weights(input, weights, dy, p);
-    let (m, k, oc) = (dy.n * dy.h * dy.w, p.patch_len(), p.out_c);
-    if m == 0 || k == 0 || oc == 0 {
-        return (dw, Tensor4::zeros(input.n, p.in_c, input.h, input.w));
-    }
-    // The ∆X half reads ∆Y in the same row layout, scattering through
-    // the tables of the zero-extended input.
-    let map = Im2colMap::new(p, input.n, input.h + 2 * p.pad, input.w + 2 * p.pad);
-    let dy_m = dy_rows(dy, oc, dy.h * dy.w);
-    // dX: per column block, dcolsᵀ = ∆Yᵀ·W (cb × patch_len) via the
-    // packed GEMM — each element the same ascending-out_c fold as
-    // Wᵀ·∆Y, products commuted — then a serial fused col2im scatter
-    // onto the (padded) input grid. Blocks ascend and the scatter runs
-    // column-outer / k-inner, reproducing the accumulation order of
-    // materialized col2im exactly; the padding frame collects the taps
-    // col2im would skip and is peeled off at the end.
-    let wv = weights.as_slice();
-    let mut dx = Tensor4::zeros(input.n, p.in_c, input.h + 2 * p.pad, input.w + 2 * p.pad);
-    let dxs = dx.as_mut_slice();
-    let mut dcols = vec![0.0; COL_BLOCK.min(m) * k];
-    let mut c0 = 0;
-    while c0 < m {
-        let cb = COL_BLOCK.min(m - c0);
-        let blk = &mut dcols[..cb * k];
-        gemm::gemm_packed(
-            cb,
-            k,
-            oc,
-            |i0, kk, dst| gemm::copy_lanes(&dy_m, kk * m + c0 + i0, dst),
-            |kk, j0, dst| gemm::copy_lanes(wv, kk * k + j0, dst),
-            blk,
-        );
-        for (row, &base) in blk.chunks_exact(k).zip(&map.col_base[c0..]) {
-            for (&v, &off) in row.iter().zip(&map.k_off) {
-                dxs[(base + off) as usize] += v;
-            }
-        }
-        c0 += cb;
-    }
-    if p.pad > 0 {
-        dx = dx.peel(p.pad, p.pad, p.pad);
-    }
+    let dx = conv2d_backward_data(dy, 0, weights, p, 0..input.h, input.w);
     (dw, dx)
 }
 
@@ -969,7 +1030,12 @@ mod tests {
         let (dw_i, dx_i) = conv2d_backward(&x, &w, &dy, &p);
         let (dw_r, dx_r) = conv2d_backward_ref(&x, &w, &dy, &p);
         assert_eq!(dw_i.as_slice(), dw_r.as_slice());
-        assert_eq!(dx_i.as_slice(), dx_r.as_slice());
+        // ∆X is a gather, col2im a scatter: the same sums, other orders.
+        assert!(
+            dx_i.max_abs_diff(&dx_r) <= 1e-12,
+            "{}",
+            dx_i.max_abs_diff(&dx_r)
+        );
     }
 
     #[test]
@@ -1097,7 +1163,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_extend_and_peel_are_inverse_and_frame_in_zeros() {
+    fn zero_extend_frames_in_zeros() {
         let x = test_input(2, 3, 4, 5);
         let ext = x.zero_extend(2, 1, 3);
         assert_eq!((ext.n, ext.c, ext.h, ext.w), (2, 3, 7, 11));
@@ -1106,21 +1172,7 @@ mod tests {
         let framed: f64 = ext.as_slice().iter().map(|v| v.abs()).sum();
         let inner: f64 = x.as_slice().iter().map(|v| v.abs()).sum();
         assert_eq!(framed, inner);
-        assert_eq!(ext.peel(2, 1, 3), x);
         assert_eq!(Tensor4::zeros(1, 2, 0, 3).zero_extend(1, 1, 0).h, 2);
-    }
-
-    #[test]
-    fn add_row_strip_accumulates_onto_the_addressed_rows() {
-        let x = test_input(2, 2, 6, 3);
-        let strip = x.row_strip(1, 4);
-        let mut y = x.clone();
-        y.add_row_strip(2, &strip);
-        for (n, c, h, w) in [(0, 0, 2, 0), (1, 1, 4, 2)] {
-            assert_eq!(y.get(n, c, h, w), x.get(n, c, h, w) + x.get(n, c, h - 1, w));
-        }
-        assert_eq!(y.get(1, 0, 1, 1), x.get(1, 0, 1, 1));
-        assert_eq!(y.get(1, 0, 5, 1), x.get(1, 0, 5, 1));
     }
 
     #[test]
@@ -1213,7 +1265,7 @@ mod tests {
             let (dw_i, dx_i) = conv2d_backward(&x, &wt, &dy, &p);
             let (dw_r, dx_r) = conv2d_backward_ref(&x, &wt, &dy, &p);
             prop_assert_eq!(dw_i.as_slice(), dw_r.as_slice());
-            prop_assert_eq!(dx_i.as_slice(), dx_r.as_slice());
+            prop_assert!(dx_i.max_abs_diff(&dx_r) <= 1e-12, "dX {}", dx_i.max_abs_diff(&dx_r));
         }
 
         #[test]

@@ -17,14 +17,17 @@
 //! | 51fda08: one copy per strip window | 22 175 424 |
 //! | 1ae2799 | 18 616 256 |
 //! | the conv `∆W` in one bucket over the grid | 18 853 312 |
+//! | `∆X` gathered from a fetched `∆Y` window, no scatter | 18 395 200 |
 //!
 //! The budget is 0.8 × d299425's figure. The conv `∆W` bucket is
 //! allocated once, at `Σ |W_conv|` (9 336 words, 74 688 B a rank and
 //! iteration); grown partial by partial it would be reallocated three
 //! times. What is left is what a layer hands on: every stage's output
-//! and gradient, one framed window per convolution and direction, one
-//! message buffer per strip boundary, LRN's scale and power planes, the
-//! gradient buckets and the GEMM staging buffers — `Tensor4` stays off
+//! and gradient, per convolution the framed input window (fetched for
+//! the forward and again for `∆W`) and the `∆Y` window with its zero
+//! frame and the rotated kernel `∆X` is gathered with, one message
+//! buffer per strip boundary, LRN's scale and power planes, the gradient
+//! buckets and the GEMM staging buffers — `Tensor4` stays off
 //! `tensor::recycle`'s free list (EXPERIMENTS.md, *`cnn_domain` without
 //! `powf`*, has the measurement that says why).
 

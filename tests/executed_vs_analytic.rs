@@ -265,6 +265,85 @@ fn executed_halo_forward_matches_eq7_term() {
 }
 
 #[test]
+fn executed_halo_backward_matches_eq7_term() {
+    // Eq. 7 prices two one-way halos per convolution, `X` forward and
+    // `∆Y` backward. On mini_alexnet's conv2–5 (stride 1, same padding)
+    // split over three strips, the backward as the trainer runs it — the
+    // ∆W half, then the ∆X half — runs exactly two row exchanges on the
+    // interior rank, the `X` window fetched again and the `∆Y` window,
+    // and scatters nothing back: the `∆Y` fetch receives Eq. 7's
+    // backward term, `B·Y_W·Y_C·⌊k/2⌋` words, from each neighbour.
+    let net = mini_alexnet();
+    let (b, pd) = (2usize, 3usize);
+    for l in net.weighted_layers().iter().filter(|l| l.is_conv()).skip(1) {
+        let (kh, kw) = l.halo_kernel();
+        let (x_shape, y_shape) = (l.in_shape, l.out_shape);
+        let p = Conv2dParams {
+            in_c: x_shape.c,
+            out_c: y_shape.c,
+            kh,
+            kw,
+            stride: 1,
+            pad: kh / 2,
+        };
+        assert_eq!(p.out_hw(x_shape.h, x_shape.w), (y_shape.h, y_shape.w));
+        let x = init::uniform_tensor(b, p.in_c, x_shape.h, x_shape.w, -1.0, 1.0, 3);
+        let dy = init::uniform_tensor(b, p.out_c, y_shape.h, y_shape.w, -1.0, 1.0, 4);
+        let wts = init::uniform(p.out_c, p.patch_len(), -0.5, 0.5, 5);
+        // Which halves run: the ∆W half, the ∆X half, or both.
+        let run = |dw: bool, dx: bool| {
+            let (_, stats) = World::run_with_stats(pd, NetModel::free(), |comm| {
+                let ip = part_range(x_shape.h, pd, comm.rank());
+                let op = part_range(y_shape.h, pd, comm.rank());
+                let (xs, dys) = (
+                    x.row_strip(ip.start, ip.end),
+                    dy.row_strip(op.start, op.end),
+                );
+                if dw {
+                    domain_general::conv_backward_partial(comm, &xs, &wts, &dys, &p, x_shape.h)
+                        .unwrap();
+                }
+                if dx {
+                    domain_general::conv_backward_data(comm, &wts, &dys, &p, x_shape.h, x_shape.w)
+                        .unwrap();
+                }
+            });
+            let sent = |r: usize| (stats.ranks[r].msgs_sent, stats.ranks[r].words_sent);
+            (0..pd).map(sent).collect::<Vec<_>>()
+        };
+        let (weights_half, data_half, both) = (run(true, false), run(false, true), run(true, true));
+        let fwd = (b * x_shape.w * x_shape.c * (kh / 2)) as u64;
+        let bwd = (b * y_shape.w * y_shape.c * (kw / 2)) as u64;
+        let eq7 = layer_cost(l, LayerParallelism::Domain { pd, pc: 1 }, b as f64, false).halo;
+        assert_eq!(
+            (eq7.alpha, eq7.words),
+            (2.0, (fwd + bwd) as f64),
+            "{}",
+            l.name
+        );
+        // The ∆Y fetch: each neighbour sends the interior rank one
+        // message of Eq. 7's backward term, and nothing to anyone else.
+        for r in [0, 2] {
+            assert_eq!(data_half[r], (1, bwd), "{}: ∆Y rows from rank {r}", l.name);
+        }
+        // Two exchanges, one halo each way per neighbour, and no third.
+        assert_eq!(weights_half[1], (2, 2 * fwd), "{}: the X window", l.name);
+        assert_eq!(data_half[1], (2, 2 * bwd), "{}: the ∆Y window", l.name);
+        for r in 0..pd {
+            let sum = (
+                weights_half[r].0 + data_half[r].0,
+                weights_half[r].1 + data_half[r].1,
+            );
+            assert_eq!(
+                both[r], sum,
+                "{} rank {r}: nothing beyond the two fetches",
+                l.name
+            );
+        }
+    }
+}
+
+#[test]
 fn executed_domain_backward_weight_allreduce_matches_eq7_batch_term() {
     // With a 1x1 kernel the halo vanishes and domain backward's only
     // collective is the ∆W ring all-reduce — Eq. 7's third sum.

@@ -110,7 +110,7 @@ const TABLE: [(&str, Pattern); 10] = [
         // Each rank produced a term of every row and owns one.
         let owned: Vec<_> = (0..P).map(|r| r..r + 1).collect();
         let produced = Tensor4::from_vec(1, 1, P, N / P, words(c.rank()));
-        Ok(scatter_add_rows(c, &produced, &vec![0..P; P], &owned, NO_FRAME)?.into_vec())
+        Ok(scatter_add_rows(c, &produced, &vec![0..P; P], &owned)?.into_vec())
     }),
 ];
 
