@@ -11,16 +11,19 @@
 //!   convolutions, strided ones (AlexNet's conv1) and overlapping
 //!   pooling (AlexNet's 3×3/2) alike — on the one window exchange of
 //!   `distmm::domain_general`: non-blocking, boundary-proportional (for
-//!   a same-padded kernel it is the fixed halo), with a convolution's
+//!   a same-padded kernel it is the fixed halo), with a layer's
 //!   interior rows computed while its boundary rows are in flight. A
 //!   convolution's backward is its `∆W` half, and above the first
 //!   convolution its `∆X` half, which fetches the `∆Y` rows its strip's
 //!   `∆X` reads and gathers them (Eq. 7's second halo; nothing is sent
-//!   back). LRN is local to a strip. Every conv layer's strip-partial `∆W`
-//!   goes into one gradient bucket summed over the full grid by one
-//!   non-blocking all-reduce — exactly Eq. 9's `LD` terms, one
-//!   reduction over `P` at full `|W|` — drained once the trunk backward
-//!   is done;
+//!   back). A pool's backward is the same gather: the `∆Y` rows whose
+//!   windows touch the strip, with the argmax the forward saved as
+//!   global input positions riding in the same message, so both
+//!   trainers keep one saved state, a per-stage argmax list. LRN is
+//!   local to a strip. Every conv layer's strip-partial `∆W` goes into
+//!   one gradient bucket summed over the full grid by one non-blocking
+//!   all-reduce — exactly Eq. 9's `LD` terms, one reduction over `P` at
+//!   full `|W|` — drained once the trunk backward is done;
 //! * the **FC head** gathers the final strips within each column group
 //!   and then runs the scheduled iteration body every FC trainer runs
 //!   ([`crate::trainer`]'s `forward_pass` / `backward_pass` under the
@@ -34,8 +37,8 @@
 //! The serial reference and every grid shape produce identical weight
 //! trajectories — the synchronous-SGD consistency the paper's
 //! framework guarantees, now including halo exchanges, window
-//! redistributions, argmax gradient routing across strip boundaries,
-//! and the `∆Y` halos of the backward pass. The
+//! redistributions, and the `∆Y` windows of the backward pass, which
+//! carry pooling's argmax across strip boundaries. The
 //! `mini_alexnet` test below trains a scaled AlexNet (strided conv1,
 //! overlapping pools, 5 convs + 2 FC) this way.
 
@@ -213,19 +216,6 @@ pub struct CnnSerialResult {
     pub fc_weights: Vec<Matrix>,
 }
 
-/// What a trunk stage's backward needs besides its input and output
-/// activations (a conv stage needs nothing more: ReLU's mask is read
-/// off the stage's output).
-enum SerialSaved {
-    Conv,
-    Pool {
-        argmax: Vec<usize>,
-        in_h: usize,
-        in_w: usize,
-    },
-    Lrn,
-}
-
 /// Serial full-batch SGD for the CNN.
 pub fn train_cnn_serial(
     net: &Network,
@@ -240,37 +230,27 @@ pub fn train_cnn_serial(
     let mut losses = Vec::with_capacity(cfg.iters);
     for _ in 0..cfg.iters {
         // Trunk forward: `acts[k]` is stage `k`'s output (stage 0
-        // reads `x`).
+        // reads `x`), `argmax[k]` its pool argmax (empty for conv and
+        // LRN: ReLU's mask is read off the stage's output).
         let mut acts: Vec<Tensor4> = Vec::with_capacity(spec.stages.len());
-        let mut saved: Vec<SerialSaved> = Vec::new();
+        let mut argmax: Vec<Vec<usize>> = Vec::with_capacity(spec.stages.len());
         let mut wi = 0usize;
         for s in &spec.stages {
             let input = acts.last().unwrap_or(x);
-            match s {
+            let (y, at) = match s {
                 Stage::Conv { params, relu, .. } => {
                     let mut y = conv2d(input, &conv_w[wi], params);
                     wi += 1;
                     if *relu {
                         relu_in_place(y.as_mut_slice());
                     }
-                    saved.push(SerialSaved::Conv);
-                    acts.push(y);
+                    (y, Vec::new())
                 }
-                Stage::Pool { params, in_h, in_w } => {
-                    let (y, argmax) = maxpool2d(input, params);
-                    saved.push(SerialSaved::Pool {
-                        argmax,
-                        in_h: *in_h,
-                        in_w: *in_w,
-                    });
-                    acts.push(y);
-                }
-                Stage::Lrn { params } => {
-                    let y = lrn_forward(input, params);
-                    saved.push(SerialSaved::Lrn);
-                    acts.push(y);
-                }
-            }
+                Stage::Pool { params, .. } => maxpool2d(input, params),
+                Stage::Lrn { params } => (lrn_forward(input, params), Vec::new()),
+            };
+            acts.push(y);
+            argmax.push(at);
         }
         // The FC head, whose input gradient feeds a weighted trunk; then
         // the trunk backward, down to its first weighted stage.
@@ -286,8 +266,8 @@ pub fn train_cnn_serial(
         let mut wi = conv_w.len();
         for (idx, s) in spec.stages.iter().enumerate().skip(first).rev() {
             let input = if idx == 0 { x } else { &acts[idx - 1] };
-            match (s, &saved[idx]) {
-                (Stage::Conv { params, relu, .. }, SerialSaved::Conv) => {
+            match s {
+                Stage::Conv { params, relu, .. } => {
                     wi -= 1;
                     if *relu {
                         relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
@@ -299,13 +279,10 @@ pub fn train_cnn_serial(
                     }
                     axpy(-cfg.lr, dw.as_slice(), conv_w[wi].as_mut_slice());
                 }
-                (Stage::Pool { .. }, SerialSaved::Pool { argmax, in_h, in_w }) => {
-                    dt = maxpool2d_backward(&dt, argmax, *in_h, *in_w);
+                Stage::Pool { in_h, in_w, .. } => {
+                    dt = maxpool2d_backward(&dt, &argmax[idx], *in_h, *in_w);
                 }
-                (Stage::Lrn { params }, SerialSaved::Lrn) => {
-                    dt = lrn_backward(input, &dt, params);
-                }
-                _ => unreachable!("saved state matches stage kind"),
+                Stage::Lrn { params } => dt = lrn_backward(input, &dt, params),
             }
         }
     }
@@ -373,12 +350,6 @@ impl CnnDistResult {
         }
         worst
     }
-}
-
-enum DistSaved {
-    Conv,
-    Pool { argmax: Vec<usize> },
-    Lrn,
 }
 
 /// Distributed integrated batch+domain CNN training on a `pd × pc`
@@ -452,34 +423,29 @@ pub fn train_cnn_domain_traced(
             // Trunk forward on strips: `acts[k]` is stage `k`'s output
             // (stage 0 reads `x_shard`).
             let mut acts: Vec<Tensor4> = Vec::with_capacity(spec.stages.len());
-            let mut saved: Vec<DistSaved> = Vec::new();
+            let mut argmax: Vec<Vec<usize>> = Vec::with_capacity(spec.stages.len());
             let mut wi = 0usize;
             for s in &spec.stages {
                 let input = acts.last().unwrap_or(&x_shard);
-                match s {
+                let (y, at) = match s {
                     Stage::Conv { params, relu, in_h } => {
                         let mut y = dg::conv_forward(&col_comm, input, &conv_w[wi], params, *in_h)?;
                         wi += 1;
                         if *relu {
                             relu_in_place(y.as_mut_slice());
                         }
-                        saved.push(DistSaved::Conv);
-                        acts.push(y);
+                        (y, Vec::new())
                     }
                     Stage::Pool { params, in_h, .. } => {
-                        let (y, argmax) = dg::pool_forward(&col_comm, input, params, *in_h)?;
-                        saved.push(DistSaved::Pool { argmax });
-                        acts.push(y);
+                        dg::pool_forward(&col_comm, input, params, *in_h)?
                     }
-                    Stage::Lrn { params } => {
-                        // Per-pixel across channels: strictly local on
-                        // strips — zero communication, as the cost
-                        // model assumes for normalization layers.
-                        let y = lrn_forward(input, params);
-                        saved.push(DistSaved::Lrn);
-                        acts.push(y);
-                    }
-                }
+                    // Per-pixel across channels: strictly local on strips
+                    // — zero communication, as the cost model assumes for
+                    // normalization layers.
+                    Stage::Lrn { params } => (lrn_forward(input, params), Vec::new()),
+                };
+                acts.push(y);
+                argmax.push(at);
             }
             // Gather strips within the column group to assemble the
             // full trunk output for this batch shard.
@@ -537,8 +503,8 @@ pub fn train_cnn_domain_traced(
             let mut wi = conv_w.len();
             for (idx, s) in spec.stages.iter().enumerate().skip(first).rev() {
                 let input = if idx == 0 { &x_shard } else { &acts[idx - 1] };
-                match (s, &saved[idx]) {
-                    (Stage::Conv { params, relu, in_h }, DistSaved::Conv) => {
+                match s {
+                    Stage::Conv { params, relu, in_h } => {
                         wi -= 1;
                         if *relu {
                             relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
@@ -550,13 +516,11 @@ pub fn train_cnn_domain_traced(
                         }
                         sched.push(wi, dw)?;
                     }
-                    (Stage::Pool { params, in_h, in_w }, DistSaved::Pool { argmax, .. }) => {
-                        dt = dg::pool_backward(&col_comm, &dt, argmax, params, *in_h, *in_w)?;
+                    Stage::Pool { params, in_h, in_w } => {
+                        let at = &argmax[idx];
+                        dt = dg::pool_backward(&col_comm, &dt, at, params, *in_h, *in_w)?;
                     }
-                    (Stage::Lrn { params }, DistSaved::Lrn) => {
-                        dt = lrn_backward(input, &dt, params);
-                    }
-                    _ => unreachable!("saved state matches stage kind"),
+                    Stage::Lrn { params } => dt = lrn_backward(input, &dt, params),
                 }
                 // Stage `idx`'s output was read for the last time: let it
                 // go before the gradient sum is drained.

@@ -18,14 +18,16 @@
 //! input window forward (fetched again for `∆W` rather than kept) and,
 //! for `∆X`, the window of `∆Y` rows its own `∆X` rows read — `∆X` is
 //! a gather, `tensor::conv::conv2d_backward_data`, so a rank computes
-//! exactly its own rows and sends none back. Either way a rank charges
-//! the rows it can compute from its own strip while the boundary rows
-//! are in flight, so a large enough interior hides the exchange. A
-//! padded convolution runs pad-free on its input window framed in the
-//! zeros the global padding implies, laid into that frame by the fetch
-//! itself. Max-pooling's `∆X` is routed by an argmax only the producing
-//! rank holds, so it is scattered home with
-//! [`crate::rows::scatter_add_rows`].
+//! exactly its own rows and sends none back. Max-pooling moves the same
+//! two windows: its input window forward, and backward the `∆Y` rows
+//! whose windows touch its own `∆X` rows, each with its argmax (a
+//! global input position) in the same message; the rank keeps the
+//! gradients that land in its rows. Either way a rank charges the rows
+//! it can compute from its own strip while the boundary rows are in
+//! flight, so a large enough interior hides the exchange. A padded
+//! convolution runs pad-free on its input window framed in the zeros
+//! the global padding implies, laid into that frame by the fetch
+//! itself.
 //!
 //! Row partitions are always `block_ranges` of the *output* height, so
 //! consecutive layers chain without global knowledge beyond shapes.
@@ -35,10 +37,10 @@ use std::ops::Range;
 use collectives::{allreduce, ReduceOp};
 use mpsim::{Communicator, Result};
 use tensor::conv::{conv2d, conv2d_backward_data, conv2d_backward_weights, Conv2dParams, Tensor4};
-use tensor::pool::{maxpool2d, maxpool2d_backward, Pool2dParams};
+use tensor::pool::{maxpool2d, maxpool2d_backward_rows, Pool2dParams};
 use tensor::Matrix;
 
-use crate::rows::{fetch_rows, scatter_add_rows, Frame, NO_FRAME};
+use crate::rows::{fetch_rows, Frame, NO_FRAME};
 
 /// The per-rank block partition of `h` rows.
 pub use collectives::chunks::block_ranges as row_partition;
@@ -64,6 +66,21 @@ fn input_window(
     let zeros_above = (lo as isize - lo_raw).max(0) as usize;
     let zeros_below = (hi_raw - hi as isize).max(0) as usize;
     (lo..hi.max(lo), zeros_above, zeros_below)
+}
+
+/// The inverse of [`input_window`]: the output rows whose (unclipped)
+/// input windows touch the non-empty input row range `rows` — the `∆Y`
+/// rows a block of `∆X` rows reads.
+fn output_window(
+    rows: &Range<usize>,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    out_h: usize,
+) -> Range<usize> {
+    let hi = ((rows.end - 1 + pad) / stride + 1).min(out_h);
+    let lo = (rows.start + pad + 1).saturating_sub(k);
+    lo.div_ceil(stride).min(hi)..hi
 }
 
 /// One exchange's row bookkeeping on one rank, derived from shapes
@@ -215,12 +232,8 @@ pub fn conv_backward_data(
     in_w: usize,
 ) -> Result<Tensor4> {
     let (out_h, _) = p.out_hw(in_h, in_w);
-    // The ∆Y rows a block of ∆X rows reads: the output rows whose input
-    // windows touch it.
     let win = windows(comm, (in_h, out_h), |rows| {
-        let hi = ((rows.end - 1 + p.pad) / p.stride + 1).min(out_h);
-        let lo = (rows.start + p.pad + 1).saturating_sub(p.kh);
-        lo.div_ceil(p.stride).min(hi)..hi
+        output_window(rows, p.kh, p.stride, p.pad, out_h)
     });
     let row_flops = 2.0 * weights.len() as f64 * (in_w * dy_strip.n) as f64;
     let dy = win.fetch(comm, dy_strip, NO_FRAME, row_flops)?;
@@ -228,9 +241,10 @@ pub fn conv_backward_data(
     Ok(conv2d_backward_data(&dy, oy0, weights, p, win.made, in_w))
 }
 
-/// Domain-parallel max-pool forward. Returns the output strip and the
-/// argmax table (relative to the fetched window) needed by
-/// [`pool_backward`].
+/// Domain-parallel max-pool forward. Returns the output strip and its
+/// argmax, as global flat input positions (`h·in_w + w`), for
+/// [`pool_backward`]. Charges `k²` compares per output pixel, the
+/// interior rows' while the boundary rows are in flight.
 pub fn pool_forward(
     comm: &Communicator,
     x_strip: &Tensor4,
@@ -241,19 +255,24 @@ pub fn pool_forward(
     let win = windows(comm, (out_h, in_h), |o| {
         input_window(o, p.k, p.stride, 0, in_h).0
     });
-    let window = fetch_rows(comm, x_strip, &win.read_part, &win.needed, NO_FRAME, || ())?;
+    let row_flops = (x_strip.n * x_strip.c * out_w * p.k * p.k) as f64;
+    let window = win.fetch(comm, x_strip, NO_FRAME, row_flops)?;
     if win.made.is_empty() {
         return Ok((Tensor4::zeros(x_strip.n, x_strip.c, 0, out_w), Vec::new()));
     }
-    comm.advance_flops((x_strip.n * x_strip.c * win.made.len() * out_w * p.k * p.k) as f64);
-    let (y, argmax) = maxpool2d(&window, p);
+    let (y, mut argmax) = maxpool2d(&window, p);
     debug_assert_eq!(y.h, win.made.len());
+    let shift = win.needed[comm.rank()].start * x_strip.w;
+    argmax.iter_mut().for_each(|at| *at += shift);
     Ok((y, argmax))
 }
 
-/// Domain-parallel max-pool backward: routes output gradients to the
-/// argmax positions (which may live in neighbours' rows) and
-/// scatter-adds them home.
+/// Domain-parallel max-pool backward: the `∆X` strip over this rank's
+/// block of the `in_h × in_w` input. The rank fetches the `∆Y` rows
+/// whose windows touch its own `∆X` rows, their argmax (as
+/// [`pool_forward`] returns it, exact in `f64`) riding along as `C`
+/// more channels — one message per neighbour — and adds the gradients
+/// that land in its rows in serial order. Nothing is sent back.
 pub fn pool_backward(
     comm: &Communicator,
     dy_strip: &Tensor4,
@@ -263,15 +282,23 @@ pub fn pool_backward(
     in_w: usize,
 ) -> Result<Tensor4> {
     let (out_h, _) = p.out_hw(in_h, in_w);
-    let win = windows(comm, (out_h, in_h), |o| {
-        input_window(o, p.k, p.stride, 0, in_h).0
+    let win = windows(comm, (in_h, out_h), |rows| {
+        output_window(rows, p.k, p.stride, 0, out_h)
     });
-    let dx_window = if win.made.is_empty() {
-        Tensor4::zeros(dy_strip.n, dy_strip.c, 0, in_w)
-    } else {
-        maxpool2d_backward(dy_strip, argmax, win.needed[comm.rank()].len(), in_w)
-    };
-    scatter_add_rows(comm, &dx_window, &win.needed, &win.read_part)
+    let (n, c, h, w) = dy_strip.shape();
+    let with_argmax = Tensor4::from_fn(n, 2 * c, h, w, |s, ci, y, x| match ci.checked_sub(c) {
+        None => dy_strip.get(s, ci, y, x),
+        Some(ci) => argmax[((s * c + ci) * h + y) * w + x] as f64,
+    });
+    let got = win.fetch(comm, &with_argmax, NO_FRAME, 0.0)?;
+    // Sample `s` is `half` gradients, then their `half` argmax.
+    let (half, d) = (c * got.h * w, got.as_slice());
+    let grads = (0..n * half).map(|i| {
+        let at = i / half * 2 * half + i % half;
+        (d[at], d[at + half] as usize)
+    });
+    let dy_shape = (n, c, got.h, w);
+    Ok(maxpool2d_backward_rows(grads, dy_shape, win.made, in_w))
 }
 
 #[cfg(test)]
@@ -281,6 +308,7 @@ mod tests {
     use mpsim::{NetModel, World};
     use tensor::conv::{conv2d_backward, conv2d_direct};
     use tensor::init;
+    use tensor::pool::maxpool2d_backward;
 
     fn check_conv(p_ranks: usize, params: Conv2dParams, h: usize, w: usize) {
         let x = init::uniform_tensor(2, params.in_c, h, w, -1.0, 1.0, 51);
@@ -502,20 +530,33 @@ mod tests {
                 "pool P={p_ranks} rank {r} Y"
             );
             let ip = part_range(h, p_ranks, r);
-            assert!(
-                dx.approx_eq(&dx_ref.row_strip(ip.start, ip.end), 1e-12),
-                "pool P={p_ranks} rank {r} dX"
+            // Every ∆X element is summed on one rank in serial order.
+            assert_eq!(
+                *dx,
+                dx_ref.row_strip(ip.start, ip.end),
+                "pool {pool:?} h={h} P={p_ranks} rank {r} dX"
             );
         }
     }
 
     #[test]
     fn overlapping_pool_matches_serial() {
-        // AlexNet-style 3x3 stride-2 overlapping pooling.
+        // AlexNet-style 3x3 stride-2 overlapping pooling. On h = 7 over
+        // 4 ranks the strips (2, 2, 2, 1 rows) are shorter than the
+        // window and rank 3 holds no ∆Y row.
         let pool = Pool2dParams { k: 3, stride: 2 };
         for p in [1, 2, 3, 4] {
             check_pool(p, pool, 13, 7);
         }
+        check_pool(4, pool, 7, 7);
+        // Stride 1: an input maximal in several windows of two strips
+        // gets gradients from both (12 x 9 on 2 ranks has such cells),
+        // and on h = 6 over 4 ranks every window straddles a boundary.
+        let dense = Pool2dParams { k: 3, stride: 1 };
+        for p in [2, 3, 4] {
+            check_pool(p, dense, 12, 9);
+        }
+        check_pool(4, dense, 6, 5);
     }
 
     #[test]
@@ -523,6 +564,11 @@ mod tests {
         let pool = Pool2dParams { k: 2, stride: 2 };
         for p in [1, 2, 4] {
             check_pool(p, pool, 16, 6);
+        }
+        // Stride past the window: rows no window reads get ∆X zero, and
+        // a strip of them fetches no ∆Y row.
+        for p in [2, 3, 4] {
+            check_pool(p, Pool2dParams { k: 2, stride: 3 }, 11, 5);
         }
     }
 

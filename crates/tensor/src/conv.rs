@@ -192,17 +192,6 @@ impl Tensor4 {
         });
     }
 
-    /// Adds the `size` block at `from` in `src` element-wise onto the
-    /// block at `at` here.
-    pub fn add_block(&mut self, at: Nhw, src: &Tensor4, from: Nhw, size: Nhw) {
-        let (dst, src_shape) = (self.shape(), src.shape());
-        Self::block_runs((dst, at), (src_shape, from), size, |d, s, len| {
-            for (a, b) in self.data[d..d + len].iter_mut().zip(&src.data[s..s + len]) {
-                *a += b;
-            }
-        });
-    }
-
     /// Copies samples `n`, rows `rows` and columns `cols` of every
     /// channel into a new tensor.
     pub fn block(&self, n: Range<usize>, rows: Range<usize>, cols: Range<usize>) -> Tensor4 {

@@ -1,5 +1,7 @@
 //! Max pooling (forward + backward), as used between AlexNet stages.
 
+use std::ops::Range;
+
 use crate::conv::Tensor4;
 
 /// Max-pool hyper-parameters.
@@ -67,17 +69,27 @@ pub fn maxpool2d(input: &Tensor4, p: &Pool2dParams) -> (Tensor4, Vec<usize>) {
 /// Backward max pooling: routes each output gradient to its argmax
 /// input position.
 pub fn maxpool2d_backward(dy: &Tensor4, argmax: &[usize], in_h: usize, in_w: usize) -> Tensor4 {
-    let mut dx = Tensor4::zeros(dy.n, dy.c, in_h, in_w);
-    let mut ai = 0;
-    for n in 0..dy.n {
-        for c in 0..dy.c {
-            for oy in 0..dy.h {
-                for ox in 0..dy.w {
-                    let flat = argmax[ai];
-                    ai += 1;
-                    dx.add_at(n, c, flat / in_w, flat % in_w, dy.get(n, c, oy, ox));
-                }
-            }
+    let grads = dy.as_slice().iter().copied().zip(argmax.iter().copied());
+    maxpool2d_backward_rows(grads, dy.shape(), 0..in_h, in_w)
+}
+
+/// Rows `rows` of max pooling's `∆X` (`in_w` wide): `grads` is every
+/// output gradient of an `(n, c, oh, ow)`-shaped `∆Y` with its argmax
+/// (a flat `h·in_w + w` input position), in `(n, c, oy, ox)` order;
+/// those that land in `rows` are added there in that order, the others
+/// dropped. Every `∆X` element is summed in the same order whichever
+/// rows are asked for.
+pub fn maxpool2d_backward_rows(
+    grads: impl IntoIterator<Item = (f64, usize)>,
+    (n, c, oh, ow): (usize, usize, usize, usize),
+    rows: Range<usize>,
+    in_w: usize,
+) -> Tensor4 {
+    let mut dx = Tensor4::zeros(n, c, rows.len(), in_w);
+    let span = rows.start * in_w..rows.end * in_w;
+    for (i, (g, at)) in grads.into_iter().enumerate() {
+        if span.contains(&at) {
+            dx.as_mut_slice()[i / (oh * ow) * span.len() + at - span.start] += g;
         }
     }
     dx

@@ -18,6 +18,7 @@
 //! | 1ae2799 | 18 616 256 |
 //! | the conv `∆W` in one bucket over the grid | 18 853 312 |
 //! | `∆X` gathered from a fetched `∆Y` window, no scatter | 18 395 200 |
+//! | max-pool `∆X` gathered too (its parent: 19 478 336 on the same host) | 19 367 424 |
 //!
 //! The budget is 0.8 × d299425's figure. The conv `∆W` bucket is
 //! allocated once, at `Σ |W_conv|` (9 336 words, 74 688 B a rank and

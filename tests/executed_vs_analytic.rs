@@ -20,6 +20,7 @@ use integrated_parallelism::integrated::{LayerParallelism, MachineModel};
 use integrated_parallelism::mpsim::{EventKind, NetModel, TraceConfig, World};
 use integrated_parallelism::tensor::conv::Conv2dParams;
 use integrated_parallelism::tensor::init;
+use integrated_parallelism::tensor::pool::Pool2dParams;
 
 /// A bandwidth-only machine: α = 0 so the executed ring latency and
 /// the paper's `⌈log P⌉` latency both vanish.
@@ -339,6 +340,63 @@ fn executed_halo_backward_matches_eq7_term() {
                 "{} rank {r}: nothing beyond the two fetches",
                 l.name
             );
+        }
+    }
+}
+
+/// Max-pooling's `∆X` is a gather too. On `mini_alexnet`'s two 3×3/2
+/// pools over 2, 3 and 4 strips, a rank's pool backward sends each
+/// neighbour the `∆Y` rows whose windows touch that neighbour's `∆X`
+/// rows, each with its argmax in the same message — `2·B·Y_W·Y_C` words
+/// a row, 1 792 for pool1 and 1 152 for pool2 at `B = 16` — and no `∆X`
+/// row (1 920 and 1 344 words).
+#[test]
+fn executed_pool_backward_is_one_fetch() {
+    let net = mini_alexnet();
+    let b = 16usize;
+    let pools = net.layers().filter_map(|(spec, x, y)| match *spec {
+        LayerSpec::MaxPool { k, stride } => Some((Pool2dParams { k, stride }, x, y)),
+        _ => None,
+    });
+    for (p, x_shape, y_shape) in pools {
+        let (in_h, c) = (x_shape.h, x_shape.c);
+        let x = init::uniform_tensor(b, c, in_h, x_shape.w, -1.0, 1.0, 11);
+        let dy = init::uniform_tensor(b, c, y_shape.h, y_shape.w, -1.0, 1.0, 12);
+        // The ∆Y rows whose windows touch a block of ∆X rows.
+        let reads = |rows: &std::ops::Range<usize>| {
+            (0..y_shape.h)
+                .filter(|oy| oy * p.stride < rows.end && oy * p.stride + p.k > rows.start)
+                .collect::<Vec<_>>()
+        };
+        let row_words = (2 * b * y_shape.w * c) as u64;
+        for pd in [2, 3, 4] {
+            let sent = World::run(pd, NetModel::free(), |comm| {
+                let (ip, op) = (
+                    part_range(in_h, pd, comm.rank()),
+                    part_range(y_shape.h, pd, comm.rank()),
+                );
+                let xs = x.row_strip(ip.start, ip.end);
+                let (_, argmax) = domain_general::pool_forward(comm, &xs, &p, in_h).unwrap();
+                let dys = dy.row_strip(op.start, op.end);
+                let before = comm.stats();
+                domain_general::pool_backward(comm, &dys, &argmax, &p, in_h, x_shape.w).unwrap();
+                let after = comm.stats();
+                (
+                    after.msgs_sent - before.msgs_sent,
+                    after.words_sent - before.words_sent,
+                )
+            });
+            for (r, &got) in sent.iter().enumerate() {
+                let mine = part_range(y_shape.h, pd, r);
+                let rows_to = |q| match part_range(in_h, pd, q) {
+                    rows if rows.is_empty() => 0,
+                    rows => reads(&rows).iter().filter(|oy| mine.contains(oy)).count(),
+                };
+                let rows: Vec<_> = (0..pd).filter(|&q| q != r).map(rows_to).collect();
+                let msgs = rows.iter().filter(|&&n| n > 0).count() as u64;
+                let words = rows.iter().sum::<usize>() as u64 * row_words;
+                assert_eq!(got, (msgs, words), "{p:?} over {pd} strips, rank {r}");
+            }
         }
     }
 }

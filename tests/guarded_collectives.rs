@@ -33,7 +33,7 @@ use integrated_parallelism::collectives::recursive::{
 use integrated_parallelism::collectives::ring::{allgatherv_ring, allreduce_ring};
 use integrated_parallelism::collectives::{allgatherv_into, FtConfig, ReduceOp};
 use integrated_parallelism::distmm::cols::redistribute_cols;
-use integrated_parallelism::distmm::rows::{fetch_rows, scatter_add_rows, NO_FRAME};
+use integrated_parallelism::distmm::rows::{fetch_rows, NO_FRAME};
 use integrated_parallelism::mpsim::{
     Communicator, Error, FaultPlan, NetModel, Result, World, WorldStats,
 };
@@ -70,7 +70,7 @@ fn sum(
 
 /// Every pattern delivers rank 0's words to every member but the halo
 /// exchange, which has neighbours only.
-const TABLE: [(&str, Pattern); 10] = [
+const TABLE: [(&str, Pattern); 9] = [
     ("allreduce_ring", |c| sum(c, allreduce_ring)),
     ("allreduce_recursive_doubling", |c| {
         sum(c, allreduce_recursive_doubling)
@@ -105,12 +105,6 @@ const TABLE: [(&str, Pattern); 10] = [
         let x = Matrix::from_vec(N, 1, words(c.rank()));
         let cols = redistribute_cols(c, &x, &owned, &needed, &[true; P])?;
         Ok([rows.as_slice(), cols.as_slice()].concat())
-    }),
-    ("rows::scatter_add_rows", |c| {
-        // Each rank produced a term of every row and owns one.
-        let owned: Vec<_> = (0..P).map(|r| r..r + 1).collect();
-        let produced = Tensor4::from_vec(1, 1, P, N / P, words(c.rank()));
-        Ok(scatter_add_rows(c, &produced, &vec![0..P; P], &owned)?.into_vec())
     }),
 ];
 
