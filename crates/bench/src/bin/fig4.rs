@@ -26,24 +26,19 @@ fn main() {
             "iter (calibrated)",
         ],
     );
-    let mut best = (0usize, f64::INFINITY);
     for k in 0..=11 {
         let b = 1usize << k;
-        let epoch = setup.compute.epoch_seconds(b as f64);
-        if epoch < best.1 {
-            best = (b, epoch);
-        }
         t.row(vec![
             b.to_string(),
-            fmt_seconds(epoch),
+            fmt_seconds(setup.compute.epoch_seconds(b as f64)),
             fmt_seconds(roofline.epoch_time(&setup.net, b as f64, setup.n_samples)),
             fmt_seconds(setup.compute.iteration_time(&setup.net, b as f64)),
         ]);
     }
     print!("{}", if args.csv { t.to_csv() } else { t.render() });
+    let best = setup.compute.best_batch();
     println!(
-        "best workload: B = {} ({}) — the paper reports the fastest epoch at B = 256",
-        best.0,
-        fmt_seconds(best.1)
+        "best workload: B = {best} ({}) — the paper reports the fastest epoch at B = 256",
+        fmt_seconds(setup.compute.epoch_seconds(best))
     );
 }

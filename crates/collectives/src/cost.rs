@@ -130,15 +130,6 @@ pub fn allreduce_exact(p: usize, n: f64, model: &NetModel) -> CostTerms {
     crate::schedule::Schedule::select(p, n, model).cost(p, n)
 }
 
-/// All-reduce as written in the paper's equations:
-/// `2·(α·⌈log₂ p⌉ + β·((p−1)/p)·n)`.
-pub fn paper_allreduce(p: usize, n: f64) -> CostTerms {
-    if p <= 1 {
-        return CostTerms::ZERO;
-    }
-    CostTerms::new(2.0 * ceil_log2(p), 2.0 * frac(p) * n)
-}
-
 /// Bruck all-gather of `n` total words over `p` ranks (also the form
 /// used in the paper's Eqs. 3, 8, 9):
 /// `⌈log₂ p⌉·α + ((p−1)/p)·n·β`.
@@ -173,14 +164,6 @@ pub fn rabenseifner_allreduce(p: usize, n: f64) -> CostTerms {
     CostTerms::new(2.0 * ceil_log2(p), 2.0 * frac(p) * n)
 }
 
-/// Binomial broadcast of `n` words: `⌈log₂ p⌉·(α + n·β)`.
-pub fn binomial_bcast(p: usize, n: f64) -> CostTerms {
-    if p <= 1 {
-        return CostTerms::ZERO;
-    }
-    CostTerms::new(ceil_log2(p), ceil_log2(p) * n)
-}
-
 /// One direction of a halo exchange moving `n` words: `α + n·β` (the
 /// paper charges each boundary transfer as a single message; overlap is
 /// handled separately by the overlap model).
@@ -206,12 +189,10 @@ mod tests {
     fn single_rank_costs_are_zero() {
         for f in [
             ring_allreduce_exact,
-            paper_allreduce,
             bruck_allgather,
             ring_allgather_exact,
             recursive_doubling_allreduce,
             rabenseifner_allreduce,
-            binomial_bcast,
         ] {
             assert_eq!(f(1, 1e6), CostTerms::ZERO);
         }
@@ -239,12 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn paper_allreduce_bandwidth_matches_ring() {
-        // The paper's substitution only changes the latency factor.
+    fn rabenseifner_allreduce_bandwidth_matches_ring() {
+        // The paper's all-reduce (Rabenseifner's `2⌈log₂p⌉` α-steps)
+        // only changes the ring's latency factor.
         let p = 64;
         let n = 1e6;
         let ring = ring_allreduce_exact(p, n);
-        let paper = paper_allreduce(p, n);
+        let paper = rabenseifner_allreduce(p, n);
         assert_eq!(ring.words, paper.words);
         assert!(ring.alpha > paper.alpha);
     }

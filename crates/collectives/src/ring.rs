@@ -80,27 +80,10 @@ pub(crate) fn allreduce_step(
     Ok(got)
 }
 
-/// Ring reduce-scatter: after the call, this rank's block
-/// `block_range(n, P, (rank+1) % P)` holds the fully reduced values;
-/// other positions of `data` are unspecified (they keep this rank's
-/// own contribution). Returns the index of the block this rank owns.
-pub fn reduce_scatter_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<usize> {
-    let (p, r) = (comm.size(), comm.rank());
-    if p > 1 {
-        let _span = comm.trace_span(
-            "collective",
-            "reduce_scatter_ring",
-            &[("p", p as f64), ("words", data.len() as f64)],
-        );
-        Schedule::Ring.run(comm, data, op, 0..p - 1)?;
-    }
-    Ok((r + 1) % p)
-}
-
 /// Ring all-reduce (reduce-scatter then all-gather) on any group: what
 /// [`crate::allreduce`] runs on a large message when the group size is
 /// not a power of two. Its `2(P−1)` α-steps are what the paper's Eqs.
-/// 4, 7, 8 and 9 write as `2⌈log₂P⌉` (see `cost::paper_allreduce`).
+/// 4, 7, 8 and 9 write as `2⌈log₂P⌉` (see [`crate::cost::rabenseifner_allreduce`]).
 pub fn allreduce_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
     Schedule::Ring.allreduce(comm, data, op)
 }
@@ -296,25 +279,6 @@ mod tests {
             (p as f64 - 1.0) * model.alpha + ((p as f64 - 1.0) / p as f64) * n_total * model.beta;
         for &t in &out {
             assert!((t - expect).abs() < 1e-12, "{t} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_owned_block_is_correct() {
-        let p = 4;
-        let n = 16;
-        let out = World::run(p, NetModel::free(), |comm| {
-            let mut data = contribution(comm.rank(), n);
-            let owned = reduce_scatter_ring(comm, &mut data, ReduceOp::Sum).unwrap();
-            let range = crate::chunks::block_range(n, p, owned);
-            (owned, data[range].to_vec())
-        });
-        let full = expected_sum(p, n);
-        for r in 0..p {
-            let (owned, ref block) = out[r];
-            assert_eq!(owned, (r + 1) % p);
-            let range = crate::chunks::block_range(n, p, owned);
-            assert_eq!(block.as_slice(), &full[range]);
         }
     }
 

@@ -37,7 +37,7 @@ pub fn matmul_words_lower_bound(m: f64, k: f64, n: f64, p: f64, mem_words: f64) 
 /// products of equal volume (forward, `∆W`, `∆X`).
 pub fn layer_lower_bound(l: &WeightedLayer, b: f64, p: f64, mem_words: f64) -> f64 {
     let volume = l.forward_flops_per_sample() * b / 2.0; // multiplies, not FLOPs
-    3.0 * (volume / (2.0 * 2.0f64.sqrt() * p * mem_words.sqrt()) - mem_words).max(0.0)
+    3.0 * matmul_words_lower_bound(volume, 1.0, 1.0, p, mem_words)
 }
 
 /// The continuous minimizer of the Eq. 8 bandwidth terms over `Pr`

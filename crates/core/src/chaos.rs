@@ -1543,4 +1543,64 @@ mod tests {
             }
         }
     }
+
+    /// `from_json` on `bytes`, decoded lossily as a file read would be,
+    /// returns instead of panicking, and a plan it accepts comes back
+    /// from its own `to_json` unchanged.
+    fn parses_or_refuses(bytes: &[u8]) -> TestCaseResult {
+        let text = String::from_utf8_lossy(bytes);
+        let parsed = catch_unwind(|| {
+            ChaosPlan::from_json(&text).map(|plan| (ChaosPlan::from_json(&plan.to_json()), plan))
+        });
+        let parsed = parsed.map_err(|_| TestCaseError(format!("panicked on {text:?}")))?;
+        if let Ok((back, plan)) = parsed {
+            prop_assert_eq!(back, Ok(plan), "accepted {:?}", text);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_single_byte_mutation_of_a_fixture_parses_or_refuses() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/chaos");
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let fixture = std::fs::read(entry.unwrap().path()).unwrap();
+            for at in 0..fixture.len() {
+                let mut deleted = fixture.clone();
+                deleted.remove(at);
+                let replaced = (0..=u8::MAX).map(|byte| {
+                    let mut bytes = fixture.clone();
+                    bytes[at] = byte;
+                    bytes
+                });
+                for bytes in replaced.chain([deleted]) {
+                    parses_or_refuses(&bytes).unwrap_or_else(|e| panic!("{}", e.0));
+                }
+            }
+        }
+    }
+
+    /// Words and punctuation of the plan grammar, so that a random
+    /// string gets past its first byte more often than raw bytes do.
+    const TOKENS: &str = concat!(
+        r#"{ } [ ] , : " \ "seed" "pr" "pc" "iters" "events" "type" "kill" "rejoin" "rank" "#,
+        r#""at" "straggle" "span" "all" 0 1 -1 0.5 1e999 18446744073709551616 true"#,
+    );
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn arbitrary_bytes_parse_or_refuse(raw in prop::collection::vec(0u16..256, 0..96)) {
+            parses_or_refuses(&raw.iter().map(|&b| b as u8).collect::<Vec<_>>())?;
+        }
+
+        #[test]
+        fn arbitrary_token_strings_parse_or_refuse(
+            picks in prop::collection::vec(0..TOKENS.split(' ').count(), 0..64)
+        ) {
+            let tokens: Vec<&str> = TOKENS.split(' ').collect();
+            let text: String = picks.iter().map(|&i| tokens[i]).collect();
+            parses_or_refuses(text.as_bytes())?;
+        }
+    }
 }

@@ -64,24 +64,6 @@ impl KnlComputeModel {
         }
     }
 
-    /// Builds a model from explicit `(batch, epoch_seconds)` points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two points are given or batches are not
-    /// strictly ascending and positive.
-    pub fn from_points(points: Vec<(f64, f64)>, n_samples: f64) -> Self {
-        assert!(points.len() >= 2, "need at least two calibration points");
-        assert!(
-            points.windows(2).all(|w| w[0].0 < w[1].0) && points[0].0 > 0.0,
-            "batches must be positive and strictly ascending"
-        );
-        KnlComputeModel {
-            points,
-            n: n_samples,
-        }
-    }
-
     /// Epoch time at batch size `b` (log-log interpolation, clamped at
     /// the calibration range ends).
     pub fn epoch_seconds(&self, b: f64) -> f64 {
@@ -243,11 +225,5 @@ mod tests {
         // Same decade as Fig. 4 at the optimum (10^3..10^4 seconds).
         let best = m.epoch_time(&net, 256.0, n);
         assert!(best > 1e3 && best < 2e4, "epoch at B=256: {best}");
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn from_points_validates_order() {
-        let _ = KnlComputeModel::from_points(vec![(4.0, 1.0), (2.0, 1.0)], 100.0);
     }
 }

@@ -16,7 +16,7 @@
 //! * `halo` — domain-parallel boundary exchanges.
 //!
 //! The paper writes its all-reduce terms with `⌈log₂ P⌉` latency and
-//! ring bandwidth (see `collectives::cost::paper_allreduce`); these
+//! ring bandwidth (see [`collectives::cost::rabenseifner_allreduce`]); these
 //! functions follow the paper's arithmetic so the figure binaries
 //! reproduce its numbers.
 

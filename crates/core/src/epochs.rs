@@ -16,7 +16,6 @@ use mpsim::{NetModel, World, WorldStats};
 use tensor::matmul::matmul;
 use tensor::Matrix;
 
-use collectives::cost::CostTerms;
 use distmm::dist::{col_shard, part_range};
 use distmm::onep5d::Grid;
 
@@ -224,17 +223,6 @@ pub fn train_epochs_1p5d(
     }
 }
 
-/// Analytic per-epoch communication for an FC network under Eq. 8 — a
-/// helper the scaling reports use to convert per-iteration costs to
-/// the paper's per-epoch numbers (`× N/B`).
-pub fn epoch_comm_terms(net: &Network, b: f64, n_samples: f64, pr: usize, pc: usize) -> CostTerms {
-    let layers = net.weighted_layers();
-    let per_iter = crate::cost::integrated_model_batch(&layers, b, pr, pc)
-        .total
-        .total();
-    per_iter * (n_samples / b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,16 +336,5 @@ mod tests {
         let preds = predict(&net, &weights, &data.x);
         assert_eq!(preds.len(), 5);
         assert!(preds.iter().all(|&p| p < 3));
-    }
-
-    #[test]
-    fn epoch_comm_scales_with_iterations() {
-        let net = mlp("m", &[64, 64, 10]);
-        let per_epoch_256 = epoch_comm_terms(&net, 256.0, 1024.0, 2, 4);
-        let per_epoch_128 = epoch_comm_terms(&net, 128.0, 1024.0, 2, 4);
-        // Halving B doubles the iteration count but also halves the
-        // all-gather volume per iteration; the ∆W volume per iteration
-        // is unchanged, so total words must grow.
-        assert!(per_epoch_128.words > per_epoch_256.words);
     }
 }

@@ -1,8 +1,7 @@
 //! # distmm — distributed matrix multiply and convolution over `mpsim`
 //!
 //! Executable versions of the parallel layer algebras in the paper's
-//! Figures 1, 2, 3, and 5, plus the 2-D SUMMA variants its §4
-//! Discussion compares against — one algebra per layer kind:
+//! Figures 1, 2, 3, and 5 — one algebra per layer kind:
 //!
 //! * [`onep5d`] — the paper's contribution (Fig. 5): the 1.5D algorithm
 //!   on a `Pr × Pc` grid; `W` split over `Pr` (replicated `Pc` times),
@@ -13,8 +12,6 @@
 //!   both corners' values and costs.
 //! * [`cols`] — column relayout between layers whose grids differ (the
 //!   executable Eq. 6).
-//! * [`summa`] — 2-D SUMMA (stationary-C and stationary-A) for the
-//!   Discussion-section comparison.
 //! * [`domain_general`] — domain-parallel convolution and pooling
 //!   (Fig. 3) for any stride, padding and kernel, over [`rows`]: the
 //!   one non-blocking window exchange, whose traffic for a stride-1
@@ -34,6 +31,5 @@ pub mod dist;
 pub mod domain_general;
 pub mod onep5d;
 pub mod rows;
-pub mod summa;
 
 pub use dist::part_range;

@@ -63,15 +63,6 @@ pub enum LayerKind {
 }
 
 impl LayerSpec {
-    /// Whether this layer carries weights (enters the paper's sums over
-    /// `i = 1..L`).
-    pub fn is_weighted(&self) -> bool {
-        matches!(
-            self,
-            LayerSpec::Conv { .. } | LayerSpec::FullyConnected { .. }
-        )
-    }
-
     /// Output shape for a given input shape, or an error message if the
     /// layer cannot be applied.
     pub fn out_shape(&self, input: Shape) -> Result<Shape, String> {
@@ -199,7 +190,6 @@ mod tests {
             LayerSpec::LocalResponseNorm,
         ] {
             assert_eq!(l.out_shape(s).unwrap(), s);
-            assert!(!l.is_weighted());
         }
     }
 

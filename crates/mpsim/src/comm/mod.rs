@@ -534,19 +534,6 @@ impl Communicator {
         Ok(())
     }
 
-    /// Resets this rank's virtual clock to zero (e.g. after a warm-up
-    /// phase). Call under a [`Communicator::barrier`] or
-    /// [`Communicator::sync_clocks`] to keep ranks consistent.
-    ///
-    /// Also discards any trace events recorded so far: the trace's
-    /// timestamps are virtual times, and keeping pre-reset events would
-    /// make the timeline run backwards.
-    pub fn reset_clock(&self) {
-        let mut i = self.inner.borrow_mut();
-        i.clock = Clock::new();
-        i.tracer.clear();
-    }
-
     /// The communicator over `members` (global ranks, in rank order)
     /// sharing this one's per-rank state and fault policy; `None` when
     /// this rank is not among them. Its context hashes this one's, the

@@ -317,15 +317,6 @@ impl Tracer {
         });
     }
 
-    /// Discards all recorded events and open spans (used by
-    /// `Communicator::reset_clock`: timestamps from before the reset
-    /// would run backwards relative to the zeroed clock).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.open.clear();
-        self.dropped = 0;
-    }
-
     /// Consumes the tracer into a [`RankTrace`], force-closing any
     /// still-open guard spans at `now` (counted in
     /// [`RankTrace::unclosed`]; with the RAII guard API this stays 0
@@ -783,19 +774,5 @@ mod tests {
         };
         let s = TraceSink::new(&world).summary();
         assert_eq!(s.lines().count(), 3, "header + two ranks");
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut t = traced(2);
-        t.span("compute", "compute", Track::Main, 0.0, 1.0, &[]);
-        t.span("compute", "compute", Track::Main, 1.0, 2.0, &[]);
-        t.span("compute", "compute", Track::Main, 2.0, 3.0, &[]);
-        t.begin("trainer", "forward", 3.0, &[]);
-        t.clear();
-        let rt = t.finish(0, 3.0);
-        assert!(rt.events.is_empty());
-        assert_eq!(rt.dropped, 0);
-        assert_eq!(rt.unclosed, 0);
     }
 }

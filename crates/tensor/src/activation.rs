@@ -56,14 +56,6 @@ pub fn relu(x: &Matrix) -> Matrix {
     out
 }
 
-/// Backward ReLU: `dx = dy ⊙ [x > 0]` where `x` is the pre-activation.
-pub fn relu_backward(pre: &Matrix, dy: &Matrix) -> Matrix {
-    assert_eq!(pre.shape(), dy.shape(), "relu backward shape mismatch");
-    let mut dx = dy.clone();
-    relu_backward_in_place(pre.as_slice(), dx.as_mut_slice());
-    dx
-}
-
 /// Element-wise tanh.
 pub fn tanh(x: &Matrix) -> Matrix {
     let mut out = x.clone();
@@ -124,10 +116,10 @@ mod tests {
     }
 
     #[test]
-    fn relu_backward_masks() {
-        let pre = Matrix::from_vec(1, 3, vec![-1.0, 1.0, 0.0]);
-        let dy = Matrix::from_vec(1, 3, vec![5.0, 5.0, 5.0]);
-        assert_eq!(relu_backward(&pre, &dy).as_slice(), &[0.0, 5.0, 0.0]);
+    fn relu_backward_in_place_masks() {
+        let mut dx = [5.0, 5.0, 5.0];
+        relu_backward_in_place(&[-1.0, 1.0, 0.0], &mut dx);
+        assert_eq!(dx, [0.0, 5.0, 0.0]);
     }
 
     /// The clone-then-conditional-store bodies the slice kernels
@@ -196,8 +188,6 @@ mod tests {
             let mut g = dy.clone();
             relu_backward_in_place(&x, &mut g);
             prop_assert_eq!(&bits(&g), &want);
-            let dm = Matrix::from_vec(1, len, dy.clone());
-            prop_assert_eq!(&bits(relu_backward(&m, &dm).as_slice()), &want);
             // …and by the activated output, which is all the trainers keep.
             let mut g = dy.clone();
             relu_backward_in_place(&got, &mut g);

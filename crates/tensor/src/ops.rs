@@ -37,16 +37,6 @@ pub fn sub(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Element-wise (Hadamard) product.
-pub fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.shape(), b.shape(), "hadamard shape mismatch");
-    let mut out = a.clone();
-    for (o, &bv) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *o *= bv;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,12 +62,5 @@ mod tests {
         let b = Matrix::from_fn(2, 2, |i, j| (i * j) as f64 + 1.0);
         let s = add(&a, &b);
         assert!(sub(&s, &b).approx_eq(&a, 1e-15));
-    }
-
-    #[test]
-    fn hadamard_is_elementwise() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
-        assert_eq!(hadamard(&a, &b).as_slice(), &[4.0, 10.0, 18.0]);
     }
 }

@@ -10,7 +10,7 @@
 //! * [`collectives`] — ring/Bruck/recursive collectives + closed forms,
 //! * [`tensor`] — dense matmul/conv kernels,
 //! * [`dnn`] — layer shape algebra (Eq. 2) and the model zoo,
-//! * [`distmm`] — executable 1D/1.5D/2D/domain distributed algorithms,
+//! * [`distmm`] — executable 1D/1.5D/domain distributed algorithms,
 //! * [`integrated`] — the paper's cost models (Eqs. 3–9), optimizer,
 //!   overlap/memory/SUMMA analyses, and the verified trainer.
 //!
