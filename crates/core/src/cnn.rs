@@ -18,8 +18,13 @@
 //!   `∆X` reads and gathers them (Eq. 7's second halo; nothing is sent
 //!   back). A pool's backward is the same gather: the `∆Y` rows whose
 //!   windows touch the strip, with the argmax the forward saved as
-//!   global input positions riding in the same message, so both
-//!   trainers keep one saved state, a per-stage argmax list. LRN is
+//!   global input positions riding in the same message. A
+//!   convolution's `∆W` half re-frames its input window from the strip
+//!   and the rows its neighbours sent in the forward, which it kept:
+//!   one `X` halo per convolution and iteration, as Eq. 7 charges, and
+//!   no message. Each trainer keeps one saved state, per stage: the
+//!   serial one a pool's argmax, the domain one that or a
+//!   convolution's halo, dropped once its `∆W` is formed. LRN is
 //!   local to a strip. Every conv layer's strip-partial `∆W` goes into
 //!   one gradient bucket summed over the full grid by one non-blocking
 //!   all-reduce — exactly Eq. 9's `LD` terms, one reduction over `P` at
@@ -80,6 +85,14 @@ enum Stage {
     /// Local response normalization: per-pixel across channels, so it
     /// runs locally on strips with zero communication.
     Lrn { params: LrnParams },
+}
+
+/// What a trunk stage's forward keeps on a strip for its backward,
+/// besides its input and output: a convolution the input rows its
+/// neighbours sent, a pool its argmax (LRN keeps nothing: an empty one).
+enum Saved {
+    Halo(distmm::rows::Halo),
+    Argmax(Vec<usize>),
 }
 
 /// The CNN decomposition of a [`Network`]: a conv/pool trunk followed
@@ -421,31 +434,34 @@ pub fn train_cnn_domain_traced(
         let mut partial_losses = Vec::with_capacity(cfg.iters);
         for iter in 0..cfg.iters {
             // Trunk forward on strips: `acts[k]` is stage `k`'s output
-            // (stage 0 reads `x_shard`).
+            // (stage 0 reads `x_shard`), `saved[k]` what its backward
+            // reads besides.
             let mut acts: Vec<Tensor4> = Vec::with_capacity(spec.stages.len());
-            let mut argmax: Vec<Vec<usize>> = Vec::with_capacity(spec.stages.len());
+            let mut saved: Vec<Saved> = Vec::with_capacity(spec.stages.len());
             let mut wi = 0usize;
             for s in &spec.stages {
                 let input = acts.last().unwrap_or(&x_shard);
-                let (y, at) = match s {
+                let (y, kept) = match s {
                     Stage::Conv { params, relu, in_h } => {
-                        let mut y = dg::conv_forward(&col_comm, input, &conv_w[wi], params, *in_h)?;
+                        let (mut y, halo) =
+                            dg::conv_forward_halo(&col_comm, input, &conv_w[wi], params, *in_h)?;
                         wi += 1;
                         if *relu {
                             relu_in_place(y.as_mut_slice());
                         }
-                        (y, Vec::new())
+                        (y, Saved::Halo(halo))
                     }
                     Stage::Pool { params, in_h, .. } => {
-                        dg::pool_forward(&col_comm, input, params, *in_h)?
+                        let (y, at) = dg::pool_forward(&col_comm, input, params, *in_h)?;
+                        (y, Saved::Argmax(at))
                     }
                     // Per-pixel across channels: strictly local on strips
                     // — zero communication, as the cost model assumes for
                     // normalization layers.
-                    Stage::Lrn { params } => (lrn_forward(input, params), Vec::new()),
+                    Stage::Lrn { params } => (lrn_forward(input, params), Saved::Argmax(vec![])),
                 };
                 acts.push(y);
-                argmax.push(at);
+                saved.push(kept);
             }
             // Gather strips within the column group to assemble the
             // full trunk output for this batch shard.
@@ -503,24 +519,25 @@ pub fn train_cnn_domain_traced(
             let mut wi = conv_w.len();
             for (idx, s) in spec.stages.iter().enumerate().skip(first).rev() {
                 let input = if idx == 0 { &x_shard } else { &acts[idx - 1] };
-                match s {
-                    Stage::Conv { params, relu, in_h } => {
+                match (s, saved.pop().expect("one saved state per stage")) {
+                    (Stage::Conv { params, relu, in_h }, Saved::Halo(halo)) => {
                         wi -= 1;
                         if *relu {
                             relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                         }
                         let (w, h) = (&conv_w[wi], *in_h);
-                        let dw = dg::conv_backward_partial(&col_comm, input, w, &dt, params, h)?;
+                        let dw =
+                            dg::conv_backward_partial(&col_comm, input, halo, w, &dt, params, h);
                         if idx > first {
                             dt = dg::conv_backward_data(&col_comm, w, &dt, params, h, input.w)?;
                         }
                         sched.push(wi, dw)?;
                     }
-                    Stage::Pool { params, in_h, in_w } => {
-                        let at = &argmax[idx];
-                        dt = dg::pool_backward(&col_comm, &dt, at, params, *in_h, *in_w)?;
+                    (Stage::Pool { params, in_h, in_w }, Saved::Argmax(at)) => {
+                        dt = dg::pool_backward(&col_comm, &dt, &at, params, *in_h, *in_w)?;
                     }
-                    Stage::Lrn { params } => dt = lrn_backward(input, &dt, params),
+                    (Stage::Lrn { params }, _) => dt = lrn_backward(input, &dt, params),
+                    _ => unreachable!("a stage's saved state is the one its forward kept"),
                 }
                 // Stage `idx`'s output was read for the last time: let it
                 // go before the gradient sum is drained.

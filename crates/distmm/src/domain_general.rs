@@ -15,10 +15,10 @@
 //! overlap-proportional traffic: Eq. 7's boundary terms.
 //!
 //! A convolution moves two windows, the two halos Eq. 7 prices: its
-//! input window forward (fetched again for `∆W` rather than kept) and,
-//! for `∆X`, the window of `∆Y` rows its own `∆X` rows read — `∆X` is
-//! a gather, `tensor::conv::conv2d_backward_data`, so a rank computes
-//! exactly its own rows and sends none back. Max-pooling moves the same
+//! input window forward and, for `∆X`, the window of `∆Y` rows its own
+//! `∆X` rows read — `∆X` is a gather,
+//! `tensor::conv::conv2d_backward_data`, so a rank computes exactly its
+//! own rows and sends none back. Max-pooling moves the same
 //! two windows: its input window forward, and backward the `∆Y` rows
 //! whose windows touch its own `∆X` rows, each with its argmax (a
 //! global input position) in the same message; the rank keeps the
@@ -26,8 +26,11 @@
 //! it can compute from its own strip while the boundary rows are in
 //! flight, so a large enough interior hides the exchange. A padded
 //! convolution runs pad-free on its input window framed in the zeros
-//! the global padding implies, laid into that frame by the fetch
-//! itself.
+//! the global padding implies, laid into that frame straight from the
+//! strip and the received rows. The forward keeps those received rows,
+//! the [`Halo`], and `∆W` re-frames the same window from the strip and
+//! the halo: one `X` halo per convolution and iteration, as Eq. 7
+//! charges, and no second message.
 //!
 //! Row partitions are always `block_ranges` of the *output* height, so
 //! consecutive layers chain without global knowledge beyond shapes.
@@ -40,7 +43,7 @@ use tensor::conv::{conv2d, conv2d_backward_data, conv2d_backward_weights, Conv2d
 use tensor::pool::{maxpool2d, maxpool2d_backward_rows, Pool2dParams};
 use tensor::Matrix;
 
-use crate::rows::{fetch_rows, Frame, NO_FRAME};
+use crate::rows::{fetch_rows, Frame, Halo, NO_FRAME};
 
 /// The per-rank block partition of `h` rows.
 pub use collectives::chunks::block_ranges as row_partition;
@@ -124,41 +127,60 @@ fn windows(
 }
 
 impl Windows {
-    /// Fetches this rank's window of `x`, framed in `frame`'s zeros,
-    /// charging `flops` per row made as the forward charges its rows:
-    /// the interior ones while the window is in flight, the boundary
-    /// ones after it landed — Fig. 3.
-    fn fetch(&self, c: &Communicator, x: &Tensor4, frame: Frame, flops: f64) -> Result<Tensor4> {
+    /// Fetches this rank's window of `x`, charging `flops` per row made
+    /// as the forward charges its rows: the interior ones while the
+    /// window is in flight, the boundary ones after it landed — Fig. 3.
+    fn fetch(&self, c: &Communicator, x: &Tensor4, flops: f64) -> Result<Halo> {
         let interior = || c.advance_flops(flops * self.interior as f64);
-        let ext = fetch_rows(c, x, &self.read_part, &self.needed, frame, interior)?;
+        let halo = fetch_rows(c, x, &self.read_part, &self.needed, interior)?;
         c.advance_flops(flops * (self.made.len() - self.interior) as f64);
-        Ok(ext)
+        Ok(halo)
     }
 }
 
-/// This rank's input window of a convolution, framed in the zeros the
-/// global padding puts around it, and its block of the output rows,
-/// whose `2·|W|` flops per pixel (the forward's or `∆W`'s) it charges.
+/// One convolution's input window on this rank: the row table, the
+/// zeros the global padding puts around the window, and the `2·|W|`
+/// flops per row of the rank's output block (the forward's or `∆W`'s).
 fn input_rows(
     comm: &Communicator,
     x_strip: &Tensor4,
     weights: &Matrix,
     p: &Conv2dParams,
     in_h: usize,
-) -> Result<(Tensor4, Range<usize>)> {
+) -> (Windows, Frame, f64) {
     let (out_h, out_w) = p.out_hw(in_h, x_strip.w);
     let window = |out: &Range<usize>| input_window(out, p.kh, p.stride, p.pad, in_h);
     let win = windows(comm, (out_h, in_h), |out| window(out).0);
     let (_, above, below) = window(&win.made);
     let row_flops = 2.0 * weights.len() as f64 * (out_w * x_strip.n) as f64;
-    let ext = win.fetch(comm, x_strip, (above, below, p.pad), row_flops)?;
-    Ok((ext, win.made))
+    (win, (above, below, p.pad), row_flops)
 }
 
 /// Domain-parallel convolution forward. `x_strip` covers this rank's
 /// block of the input height (`row_partition(in_h, P)`); the result
 /// covers its block of the output height. Any stride, padding, and
-/// (possibly non-square) kernel.
+/// (possibly non-square) kernel. Also returns the input rows the
+/// neighbours sent, which [`conv_backward_partial`] forms `∆W` from.
+pub fn conv_forward_halo(
+    comm: &Communicator,
+    x_strip: &Tensor4,
+    weights: &Matrix,
+    p: &Conv2dParams,
+    in_h: usize,
+) -> Result<(Tensor4, Halo)> {
+    let (win, frame, row_flops) = input_rows(comm, x_strip, weights, p, in_h);
+    let halo = win.fetch(comm, x_strip, row_flops)?;
+    let (made, local) = (win.made.len(), Conv2dParams { pad: 0, ..*p });
+    if made == 0 {
+        let out_w = p.out_hw(in_h, x_strip.w).1;
+        return Ok((Tensor4::zeros(x_strip.n, p.out_c, 0, out_w), halo));
+    }
+    let y = conv2d(&halo.frame(x_strip, frame), weights, &local);
+    debug_assert_eq!(y.h, made, "local conv yields exactly my output rows");
+    Ok((y, halo))
+}
+
+/// [`conv_forward_halo`] without the halo.
 pub fn conv_forward(
     comm: &Communicator,
     x_strip: &Tensor4,
@@ -166,20 +188,14 @@ pub fn conv_forward(
     p: &Conv2dParams,
     in_h: usize,
 ) -> Result<Tensor4> {
-    let (ext, made) = input_rows(comm, x_strip, weights, p, in_h)?;
-    let out_w = p.out_hw(in_h, x_strip.w).1;
-    if made.is_empty() {
-        return Ok(Tensor4::zeros(x_strip.n, p.out_c, 0, out_w));
-    }
-    let y = conv2d(&ext, weights, &Conv2dParams { pad: 0, ..*p });
-    debug_assert_eq!(y.h, made.len(), "local conv yields exactly my output rows");
-    Ok(y)
+    Ok(conv_forward_halo(comm, x_strip, weights, p, in_h)?.0)
 }
 
 /// Domain-parallel convolution backward: returns
 /// `(∆W all-reduced over the communicator, ∆X strip over this rank's
-/// input block)` — [`conv_backward_partial`], [`conv_backward_data`]
-/// and one all-reduce.
+/// input block)`. With no forward to keep a halo from, it fetches the
+/// input window itself, then runs [`conv_backward_partial`],
+/// [`conv_backward_data`] and one all-reduce.
 pub fn conv_backward(
     comm: &Communicator,
     x_strip: &Tensor4,
@@ -188,7 +204,9 @@ pub fn conv_backward(
     p: &Conv2dParams,
     in_h: usize,
 ) -> Result<(Matrix, Tensor4)> {
-    let mut dw = conv_backward_partial(comm, x_strip, weights, dy_strip, p, in_h)?;
+    let (win, ..) = input_rows(comm, x_strip, weights, p, in_h);
+    let halo = win.fetch(comm, x_strip, 0.0)?;
+    let mut dw = conv_backward_partial(comm, x_strip, halo, weights, dy_strip, p, in_h);
     let dx = conv_backward_data(comm, weights, dy_strip, p, in_h, x_strip.w)?;
     // ∆W: sum over all strips — the same all-reduce pure batch
     // parallelism needs (Eq. 7's third term).
@@ -198,23 +216,28 @@ pub fn conv_backward(
 
 /// The `∆W` half of the backward: this rank's strip-partial `∆W`,
 /// *not* summed over the communicator (a trainer sums it with the other
-/// layers' and the other batch shards' in one reduction). The input
-/// window is fetched again rather than kept from the forward pass — the
-/// same volume either way, which is what the cost model charges.
+/// layers' and the other batch shards' in one reduction). It re-frames
+/// the input window from `x_strip` and the `halo` the forward kept
+/// ([`conv_forward_halo`]) and sends no message: the one `X` halo
+/// Eq. 7 charges a convolution is the forward's. Its `2·|W|` flops per
+/// output pixel are charged in one step, and the halo is dropped once
+/// `∆W` is formed.
 pub fn conv_backward_partial(
     comm: &Communicator,
     x_strip: &Tensor4,
+    halo: Halo,
     weights: &Matrix,
     dy_strip: &Tensor4,
     p: &Conv2dParams,
     in_h: usize,
-) -> Result<Matrix> {
-    let (ext, made) = input_rows(comm, x_strip, weights, p, in_h)?;
-    if made.is_empty() {
-        return Ok(Matrix::zeros(weights.rows(), weights.cols()));
+) -> Matrix {
+    let (win, frame, row_flops) = input_rows(comm, x_strip, weights, p, in_h);
+    comm.advance_flops(row_flops * win.made.len() as f64);
+    if win.made.is_empty() {
+        return Matrix::zeros(weights.rows(), weights.cols());
     }
     let local = Conv2dParams { pad: 0, ..*p };
-    Ok(conv2d_backward_weights(&ext, weights, dy_strip, &local))
+    conv2d_backward_weights(&halo.frame(x_strip, frame), weights, dy_strip, &local)
 }
 
 /// The `∆X` half of the backward: the `∆X` strip over this rank's block
@@ -235,8 +258,8 @@ pub fn conv_backward_data(
     let win = windows(comm, (in_h, out_h), |rows| {
         output_window(rows, p.kh, p.stride, p.pad, out_h)
     });
-    let row_flops = 2.0 * weights.len() as f64 * (in_w * dy_strip.n) as f64;
-    let dy = win.fetch(comm, dy_strip, NO_FRAME, row_flops)?;
+    let flops = 2.0 * weights.len() as f64 * (in_w * dy_strip.n) as f64;
+    let dy = win.fetch(comm, dy_strip, flops)?.frame(dy_strip, NO_FRAME);
     let oy0 = win.needed[comm.rank()].start;
     Ok(conv2d_backward_data(&dy, oy0, weights, p, win.made, in_w))
 }
@@ -255,8 +278,8 @@ pub fn pool_forward(
     let win = windows(comm, (out_h, in_h), |o| {
         input_window(o, p.k, p.stride, 0, in_h).0
     });
-    let row_flops = (x_strip.n * x_strip.c * out_w * p.k * p.k) as f64;
-    let window = win.fetch(comm, x_strip, NO_FRAME, row_flops)?;
+    let flops = (x_strip.n * x_strip.c * out_w * p.k * p.k) as f64;
+    let window = win.fetch(comm, x_strip, flops)?.frame(x_strip, NO_FRAME);
     if win.made.is_empty() {
         return Ok((Tensor4::zeros(x_strip.n, x_strip.c, 0, out_w), Vec::new()));
     }
@@ -286,11 +309,11 @@ pub fn pool_backward(
         output_window(rows, p.k, p.stride, 0, out_h)
     });
     let (n, c, h, w) = dy_strip.shape();
-    let with_argmax = Tensor4::from_fn(n, 2 * c, h, w, |s, ci, y, x| match ci.checked_sub(c) {
+    let dy_at = Tensor4::from_fn(n, 2 * c, h, w, |s, ci, y, x| match ci.checked_sub(c) {
         None => dy_strip.get(s, ci, y, x),
         Some(ci) => argmax[((s * c + ci) * h + y) * w + x] as f64,
     });
-    let got = win.fetch(comm, &with_argmax, NO_FRAME, 0.0)?;
+    let got = win.fetch(comm, &dy_at, 0.0)?.frame(&dy_at, NO_FRAME);
     // Sample `s` is `half` gradients, then their `half` argmax.
     let (half, d) = (c * got.h * w, got.as_slice());
     let grads = (0..n * half).map(|i| {
@@ -321,7 +344,7 @@ mod tests {
             let ip = part_range(h, p_ranks, comm.rank());
             let op = part_range(oh, p_ranks, comm.rank());
             let x_strip = x.row_strip(ip.start, ip.end);
-            framed_fetch_is_zero_extend(comm, &x_strip, &params, h);
+            kept_halo_reframes_the_window(comm, &x, &x_strip, &wt, &params);
             let y = conv_forward(comm, &x_strip, &wt, &params, h).unwrap();
             let dy_strip = dy.row_strip(op.start, op.end);
             let (dw, dx) = conv_backward(comm, &x_strip, &wt, &dy_strip, &params, h).unwrap();
@@ -349,25 +372,32 @@ mod tests {
         }
     }
 
-    /// The frame is a copy saved, not a different result: to the bit,
-    /// the framed fetch is the plain fetch zero-extended. Runs on every
-    /// rank of every `check_conv` shape, the 1-row strips shorter than
-    /// the halo and the ranks with no rows included.
-    fn framed_fetch_is_zero_extend(
+    /// The frame and the kept halo are copies saved, not different
+    /// results. To the bit, the halo the forward keeps re-frames to the
+    /// window a fresh fetch frames (what `∆W` fetched before the forward
+    /// kept it), to that fetch's plain window zero-extended, and to the
+    /// whole input's rows zero-extended. Runs on every rank of every
+    /// `check_conv` shape: the ranks with no rows, the 1-row strips
+    /// shorter than the halo, and the strided or padded windows holding
+    /// part of the own strip or none of it included.
+    fn kept_halo_reframes_the_window(
         comm: &Communicator,
+        x: &Tensor4,
         x_strip: &Tensor4,
+        wt: &Matrix,
         p: &Conv2dParams,
-        in_h: usize,
     ) {
-        let (out_h, _) = p.out_hw(in_h, x_strip.w);
-        let window = |out: &Range<usize>| input_window(out, p.kh, p.stride, p.pad, in_h);
-        let win = windows(comm, (out_h, in_h), |out| window(out).0);
-        let (_, above, below) = window(&win.made);
-        let fetch = |frame| fetch_rows(comm, x_strip, &win.read_part, &win.needed, frame, || ());
-        assert_eq!(
-            fetch((above, below, p.pad)).unwrap(),
-            fetch(NO_FRAME).unwrap().zero_extend(above, below, p.pad)
-        );
+        let (win, frame, _) = input_rows(comm, x_strip, wt, p, x.h);
+        let (above, below, side) = frame;
+        let wanted = &win.needed[comm.rank()];
+        let (_, kept) = conv_forward_halo(comm, x_strip, wt, p, x.h).unwrap();
+        let fetched = win.fetch(comm, x_strip, 0.0).unwrap();
+        let window = kept.frame(x_strip, frame);
+        assert_eq!(window, fetched.frame(x_strip, frame));
+        let plain = fetched.frame(x_strip, NO_FRAME);
+        assert_eq!(window, plain.zero_extend(above, below, side));
+        let whole = x.row_strip(wanted.start, wanted.end);
+        assert_eq!(window, whole.zero_extend(above, below, side));
     }
 
     #[test]
@@ -404,8 +434,8 @@ mod tests {
         let wt = init::uniform(p.out_c, p.patch_len(), -0.4, 0.4, 82);
         let dy = init::uniform_tensor(2, p.out_c, oh, ow, -1.0, 1.0, 83);
         for pd in [1, 2, 4] {
-            // 0: the full backward; 1: the ∆W half and its sum; 2: the
-            // ∆X half alone.
+            // 0: the full backward; 1: the forward, the ∆W half from its
+            // halo and the sum; 2: the ∆X half alone.
             let run = |which| {
                 World::run_with_stats(pd, NetModel::cori_knl(), |comm| {
                     let (ip, op) = (
@@ -418,8 +448,8 @@ mod tests {
                     match which {
                         0 => conv_backward(comm, &xs, &wt, &dys, &p, h).unwrap(),
                         1 => {
-                            let mut dw =
-                                conv_backward_partial(comm, &xs, &wt, &dys, &p, h).unwrap();
+                            let (_, halo) = conv_forward_halo(comm, &xs, &wt, &p, h).unwrap();
+                            let mut dw = conv_backward_partial(comm, &xs, halo, &wt, &dys, &p, h);
                             allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum).unwrap();
                             (dw, none())
                         }
@@ -455,8 +485,20 @@ mod tests {
             stride: 2,
             pad: 1,
         };
+        // Over 4 ranks the windows of ranks 0 and 2 hold part of their
+        // own strips.
         for p in [1, 2, 4] {
             check_conv(p, params, 12, 7);
+        }
+        // Stride past the kernel: over 4 ranks the windows of ranks 1
+        // and 2 hold none of their own strips (3..6 reads 0..2, 6..9
+        // reads 3..6).
+        let sparse = Conv2dParams {
+            stride: 4,
+            ..params
+        };
+        for p in [2, 4] {
+            check_conv(p, sparse, 12, 7);
         }
     }
 

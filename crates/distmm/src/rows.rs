@@ -7,10 +7,10 @@
 //! for its block of a product are an arbitrary window of an operand's
 //! partition. The halo is the special case, not a second path:
 //! [`fetch_rows`] has every rank obtain an arbitrary global row range
-//! assembled from the owners — a layer's input window forward and for
-//! `∆W`, and the window of `∆Y` rows its own `∆X` rows read backward
-//! (Eq. 7's two halos). Rows travel one way per pass; no rank sends a
-//! produced row home.
+//! assembled from the owners — a layer's input window forward (kept
+//! for `∆W`), and the window of `∆Y` rows its own `∆X` rows read
+//! backward (Eq. 7's two halos). Rows travel one way per pass; no rank
+//! sends a produced row home.
 //!
 //! The exchange is deterministic SPMD: each rank computes, from the
 //! shared partition table, exactly which row slices it must send to
@@ -21,11 +21,14 @@
 //! other and with whatever the caller computes meanwhile — for
 //! halo-sized overlaps this is the paper's Eq. 7 boundary exchange.
 //!
-//! **A window is copied once.** A padded convolution runs pad-free on
-//! its window framed in the zeros the global padding implies, so
-//! `fetch_rows` takes a [`Frame`] and lays own and received rows
-//! straight into the framed tensor the local kernel reads. Only the
-//! rows travel — a frame never adds a word to a message.
+//! **A window is copied once, and the rows that travelled are kept.**
+//! `fetch_rows` returns a [`Halo`]: the rows the peers sent, as they
+//! arrived. A padded convolution runs pad-free on its window framed in
+//! the zeros the global padding implies, so [`Halo::frame`] lays own and
+//! received rows straight into the framed tensor the local kernel reads
+//! — and lays them again, with no message, for a later product that
+//! reads the same window (a convolution's `∆W`). Only the rows travel —
+//! a frame never adds a word to a message.
 
 use std::ops::Range;
 
@@ -43,16 +46,51 @@ pub const NO_FRAME: Frame = (0, 0, 0);
 
 const FETCH_TAG: Tag = (1 << 48) + 112;
 
+/// The rows of one rank's window that its peers sent, kept apart from
+/// its own strip: what [`fetch_rows`] received, and all a later product
+/// reading the same window needs besides the strip.
+pub struct Halo {
+    /// The global rows of the strip the window was fetched around.
+    mine: Range<usize>,
+    /// The global rows of the window.
+    wanted: Range<usize>,
+    /// Every non-empty overlap `owned[q] ∩ wanted` in rank order of `q`,
+    /// with the rows `q` sent (`None`: the own strip's).
+    pieces: Vec<(Range<usize>, Option<Tensor4>)>,
+}
+
+impl Halo {
+    /// The window: `strip`'s rows and the received ones, laid in rank
+    /// order into a tensor covering exactly the window and framed in
+    /// `frame`'s zeros — bit for bit the unframed window
+    /// `.zero_extend(above, below, side)`, without the second copy.
+    /// `strip` must be the one the halo was fetched around.
+    pub fn frame(&self, strip: &Tensor4, (above, below, side): Frame) -> Tensor4 {
+        let (n, c, w) = (strip.n, strip.c, strip.w);
+        debug_assert_eq!(strip.h, self.mine.len());
+        let wanted = &self.wanted;
+        let mut out = Tensor4::zeros(n, c, above + wanted.len() + below, w + 2 * side);
+        for (overlap, rows) in &self.pieces {
+            let at = [0, above + overlap.start - wanted.start, side];
+            let size = [n, overlap.len(), w];
+            match rows {
+                None => out.copy_block(at, strip, [0, overlap.start - self.mine.start, 0], size),
+                Some(rows) => out.copy_block(at, rows, [0; 3], size),
+            }
+        }
+        out
+    }
+}
+
 /// Gathers the global row range `needed[me]` of a height-partitioned
 /// tensor. `strip` holds this rank's rows `owned[rank]`; `owned` and
 /// `needed` are the full per-rank tables (identical on every rank —
-/// derive them from the layer shapes). Returns a tensor covering
-/// exactly `needed[rank]`, every overlap `owned[q] ∩ needed[rank]` laid
-/// into it in rank order of `q`, framed in `frame`'s zeros — bit for
-/// bit `fetch_rows(.., NO_FRAME, ..)?.zero_extend(above, below, side)`,
-/// without the second copy. One message per peer with a non-empty
-/// overlap, and all of them are waited on before returning — which is
-/// what lets consecutive layers reuse one tag under FIFO matching.
+/// derive them from the layer shapes). Returns the [`Halo`]: every
+/// overlap `owned[q] ∩ needed[rank]` of a peer `q`, which
+/// [`Halo::frame`] lays around `strip`'s own rows. One message per peer
+/// with a non-empty overlap, and all of them are waited on before
+/// returning — which is what lets consecutive layers reuse one tag
+/// under FIFO matching.
 ///
 /// `in_flight` runs after every receive is posted and before the first
 /// is waited on: compute it charges to the virtual clock (e.g. via
@@ -69,9 +107,8 @@ pub fn fetch_rows(
     strip: &Tensor4,
     owned: &[Range<usize>],
     needed: &[Range<usize>],
-    frame: Frame,
     in_flight: impl FnOnce(),
-) -> Result<Tensor4> {
+) -> Result<Halo> {
     let p = comm.size();
     let me = comm.rank();
     debug_assert_eq!(owned.len(), p);
@@ -79,14 +116,13 @@ pub fn fetch_rows(
     let (mine, wanted) = (&owned[me], &needed[me]);
     let (n, c, w) = (strip.n, strip.c, strip.w);
     debug_assert_eq!(strip.h, mine.len());
-    // Where the global rows `rows` start in `strip`.
-    let held = |rows: &Range<usize>| [0, rows.start - mine.start, 0];
+    let _span = comm.trace_span("distmm", "fetch_rows", &[("c", c as f64)]);
 
     // Sends are eager and go first: my rows that peers want.
     for q in 0..p {
         let overlap = intersect(mine, &needed[q]);
         if q != me && !overlap.is_empty() {
-            let h0 = held(&overlap)[1];
+            let h0 = overlap.start - mine.start;
             let rows = strip.block(0..n, h0..h0 + overlap.len(), 0..w);
             comm.send_vec(q, FETCH_TAG, rows.into_vec())?;
         }
@@ -102,20 +138,17 @@ pub fn fetch_rows(
         })
         .collect::<Result<Vec<_>>>()?;
     in_flight();
-    let (above, below, side) = frame;
-    let mut out = Tensor4::zeros(n, c, above + wanted.len() + below, w + 2 * side);
+    let mut pieces = Vec::with_capacity(posted.len());
     for (overlap, handle) in posted {
-        let at = [0, above + overlap.start - wanted.start, side];
-        let size = [n, overlap.len(), w];
-        match handle {
-            None => out.copy_block(at, strip, held(&overlap), size),
-            Some(h) => {
-                let rows = Tensor4::from_vec(n, c, overlap.len(), w, comm.wait(h)?);
-                out.copy_block(at, &rows, [0; 3], size);
-            }
-        }
+        let got = handle.map(|h| comm.wait(h)).transpose()?;
+        let rows = got.map(|data| Tensor4::from_vec(n, c, overlap.len(), w, data));
+        pieces.push((overlap, rows));
     }
-    Ok(out)
+    Ok(Halo {
+        mine: mine.clone(),
+        wanted: wanted.clone(),
+        pieces,
+    })
 }
 
 #[cfg(test)]
@@ -140,7 +173,9 @@ mod tests {
         let out = World::run(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            fetch_rows(comm, &strip, &owned, &needed, NO_FRAME, || ()).unwrap()
+            fetch_rows(comm, &strip, &owned, &needed, || ())
+                .unwrap()
+                .frame(&strip, NO_FRAME)
         });
         for (r, got) in out.iter().enumerate() {
             let expect = x.row_strip(needed[r].start, needed[r].end);
@@ -158,7 +193,9 @@ mod tests {
         let out = World::run(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            fetch_rows(comm, &strip, &owned, &needed, NO_FRAME, || ()).unwrap()
+            fetch_rows(comm, &strip, &owned, &needed, || ())
+                .unwrap()
+                .frame(&strip, NO_FRAME)
         });
         assert_eq!(out[1].h, 0);
         assert!(out[0].approx_eq(&x, 0.0));
@@ -179,7 +216,7 @@ mod tests {
         let (_, stats) = World::run_with_stats(p, NetModel::free(), |comm| {
             let me = comm.rank();
             let strip = x.row_strip(owned[me].start, owned[me].end);
-            fetch_rows(comm, &strip, &owned, &needed, NO_FRAME, || ()).unwrap();
+            fetch_rows(comm, &strip, &owned, &needed, || ()).unwrap();
         });
         // 3 interior boundaries × 2 directions × 1 row × (2*3*5) words.
         assert_eq!(stats.total_words(), 6 * 2 * 3 * 5);
@@ -204,8 +241,8 @@ mod tests {
                 let me = comm.rank();
                 let strip = x.row_strip(owned[me].start, owned[me].end);
                 let in_flight = || comm.advance_compute(busy);
-                let got = fetch_rows(comm, &strip, &owned, &needed, NO_FRAME, in_flight).unwrap();
-                (got, comm.clock())
+                let halo = fetch_rows(comm, &strip, &owned, &needed, in_flight).unwrap();
+                (halo.frame(&strip, NO_FRAME), comm.clock())
             });
             assert!(out[1].0.approx_eq(&x, 0.0));
             let clock = out[1].1;

@@ -19,15 +19,18 @@
 //! | the conv `∆W` in one bucket over the grid | 18 853 312 |
 //! | `∆X` gathered from a fetched `∆Y` window, no scatter | 18 395 200 |
 //! | max-pool `∆X` gathered too (its parent: 19 478 336 on the same host) | 19 367 424 |
+//! | the forward's halo kept for `∆W`, no second fetch (its parent: 19 367 424 on the same host) | 19 130 112 |
 //!
 //! The budget is 0.8 × d299425's figure. The conv `∆W` bucket is
 //! allocated once, at `Σ |W_conv|` (9 336 words, 74 688 B a rank and
 //! iteration); grown partial by partial it would be reallocated three
 //! times. What is left is what a layer hands on: every stage's output
-//! and gradient, per convolution the framed input window (fetched for
-//! the forward and again for `∆W`) and the `∆Y` window with its zero
-//! frame and the rotated kernel `∆X` is gathered with, one message
-//! buffer per strip boundary, LRN's scale and power planes, the gradient
+//! and gradient, per convolution the input rows its neighbours sent
+//! (fetched once, in the forward, and kept until `∆W` is formed), the
+//! framed input window laid from them and the strip for the forward and
+//! again for `∆W`, and the `∆Y` window with its zero frame and the
+//! rotated kernel `∆X` is gathered with, one message buffer per strip
+//! boundary, LRN's scale and power planes, the gradient
 //! buckets and the GEMM staging buffers — `Tensor4` stays off
 //! `tensor::recycle`'s free list (EXPERIMENTS.md, *`cnn_domain` without
 //! `powf`*, has the measurement that says why).

@@ -270,10 +270,11 @@ fn executed_halo_backward_matches_eq7_term() {
     // Eq. 7 prices two one-way halos per convolution, `X` forward and
     // `∆Y` backward. On mini_alexnet's conv2–5 (stride 1, same padding)
     // split over three strips, the backward as the trainer runs it — the
-    // ∆W half, then the ∆X half — runs exactly two row exchanges on the
-    // interior rank, the `X` window fetched again and the `∆Y` window,
-    // and scatters nothing back: the `∆Y` fetch receives Eq. 7's
-    // backward term, `B·Y_W·Y_C·⌊k/2⌋` words, from each neighbour.
+    // ∆W half from the input rows the forward kept, then the ∆X half —
+    // sends nothing for ∆W and runs one row exchange, the `∆Y` window,
+    // and scatters nothing back: the whole backward is the `∆Y` fetch,
+    // which receives Eq. 7's backward term, `B·Y_W·Y_C·⌊k/2⌋` words, from
+    // each neighbour.
     let net = mini_alexnet();
     let (b, pd) = (2usize, 3usize);
     for l in net.weighted_layers().iter().filter(|l| l.is_conv()).skip(1) {
@@ -291,26 +292,36 @@ fn executed_halo_backward_matches_eq7_term() {
         let x = init::uniform_tensor(b, p.in_c, x_shape.h, x_shape.w, -1.0, 1.0, 3);
         let dy = init::uniform_tensor(b, p.out_c, y_shape.h, y_shape.w, -1.0, 1.0, 4);
         let wts = init::uniform(p.out_c, p.patch_len(), -0.5, 0.5, 5);
-        // Which halves run: the ∆W half, the ∆X half, or both.
+        // What each rank sends in the forward and in the backward, by
+        // which halves of the backward run: the ∆W half, the ∆X half, or
+        // both.
         let run = |dw: bool, dx: bool| {
-            let (_, stats) = World::run_with_stats(pd, NetModel::free(), |comm| {
+            World::run(pd, NetModel::free(), |comm| {
                 let ip = part_range(x_shape.h, pd, comm.rank());
                 let op = part_range(y_shape.h, pd, comm.rank());
                 let (xs, dys) = (
                     x.row_strip(ip.start, ip.end),
                     dy.row_strip(op.start, op.end),
                 );
+                let sent = || {
+                    let s = comm.stats();
+                    (s.msgs_sent, s.words_sent)
+                };
+                let (_, halo) =
+                    domain_general::conv_forward_halo(comm, &xs, &wts, &p, x_shape.h).unwrap();
+                let forward = sent();
                 if dw {
-                    domain_general::conv_backward_partial(comm, &xs, &wts, &dys, &p, x_shape.h)
-                        .unwrap();
+                    let _ = domain_general::conv_backward_partial(
+                        comm, &xs, halo, &wts, &dys, &p, x_shape.h,
+                    );
                 }
                 if dx {
                     domain_general::conv_backward_data(comm, &wts, &dys, &p, x_shape.h, x_shape.w)
                         .unwrap();
                 }
-            });
-            let sent = |r: usize| (stats.ranks[r].msgs_sent, stats.ranks[r].words_sent);
-            (0..pd).map(sent).collect::<Vec<_>>()
+                let all = sent();
+                (forward, (all.0 - forward.0, all.1 - forward.1))
+            })
         };
         let (weights_half, data_half, both) = (run(true, false), run(false, true), run(true, true));
         let fwd = (b * x_shape.w * x_shape.c * (kh / 2)) as u64;
@@ -322,24 +333,100 @@ fn executed_halo_backward_matches_eq7_term() {
             "{}",
             l.name
         );
+        // The X window, fetched once: in the forward.
+        assert_eq!(both[1].0, (2, 2 * fwd), "{}: the X window", l.name);
         // The ∆Y fetch: each neighbour sends the interior rank one
         // message of Eq. 7's backward term, and nothing to anyone else.
         for r in [0, 2] {
-            assert_eq!(data_half[r], (1, bwd), "{}: ∆Y rows from rank {r}", l.name);
-        }
-        // Two exchanges, one halo each way per neighbour, and no third.
-        assert_eq!(weights_half[1], (2, 2 * fwd), "{}: the X window", l.name);
-        assert_eq!(data_half[1], (2, 2 * bwd), "{}: the ∆Y window", l.name);
-        for r in 0..pd {
-            let sum = (
-                weights_half[r].0 + data_half[r].0,
-                weights_half[r].1 + data_half[r].1,
-            );
             assert_eq!(
-                both[r], sum,
-                "{} rank {r}: nothing beyond the two fetches",
+                data_half[r].1,
+                (1, bwd),
+                "{}: ∆Y rows from rank {r}",
                 l.name
             );
+        }
+        assert_eq!(data_half[1].1, (2, 2 * bwd), "{}: the ∆Y window", l.name);
+        for r in 0..pd {
+            assert_eq!(
+                weights_half[r].1,
+                (0, 0),
+                "{} rank {r}: ∆W sends nothing",
+                l.name
+            );
+            assert_eq!(
+                both[r].1, data_half[r].1,
+                "{} rank {r}: the backward is the ∆Y fetch alone",
+                l.name
+            );
+        }
+    }
+}
+
+/// A convolution moves the two windows Eq. 7 prices and no third, in
+/// the trainer as in the layer test above. Per iteration every rank of
+/// `train_cnn_domain` runs one fetch per convolution and pool forward
+/// (its input window) and one per pool and convolution above conv1
+/// backward (the `∆Y` window; a pool's carries its argmax as `C` more
+/// channels), and no other: the `∆W` half re-frames the forward's
+/// halo. Read off each rank's `distmm/fetch_rows` spans, in order, by
+/// the channels each fetched (the span's `c`), on 2×4, 4×4 and 4×2.
+#[test]
+fn executed_cnn_iteration_fetches_each_window_once() {
+    let net = mini_alexnet();
+    let (x, labels) = synthetic_images(&net, 8, 5);
+    let iters = 2;
+    let cfg = TrainConfig {
+        lr: 0.02,
+        iters,
+        seed: 9,
+    };
+    // One iteration's fetches, by channels: the forward in layer order,
+    // then the backward down to the first convolution.
+    let (mut forward, mut backward, mut above_conv1) = (Vec::new(), Vec::new(), false);
+    for (spec, i, o) in net.layers() {
+        match spec {
+            LayerSpec::Conv { .. } => {
+                forward.push(i.c);
+                if above_conv1 {
+                    backward.push(o.c);
+                }
+                above_conv1 = true;
+            }
+            LayerSpec::MaxPool { .. } => {
+                forward.push(i.c);
+                if above_conv1 {
+                    backward.push(2 * o.c);
+                }
+            }
+            _ => {}
+        }
+    }
+    let iteration: Vec<f64> = (forward.into_iter())
+        .chain(backward.into_iter().rev())
+        .map(|c| c as f64)
+        .collect();
+    let expect = iteration.repeat(iters);
+    for (pd, pc) in [(2, 4), (4, 4), (4, 2)] {
+        let (run, trace) = train_cnn_domain_traced(
+            &net,
+            &x,
+            &labels,
+            &cfg,
+            pd,
+            pc,
+            NetModel::cori_knl(),
+            TraceConfig::enabled(),
+        );
+        assert!(run.replica_divergence() == 0.0, "grid {pd}x{pc}");
+        for rank in &trace.ranks {
+            assert_eq!(rank.dropped, 0, "grid {pd}x{pc}: the whole trace kept");
+            let fetched: Vec<f64> = (rank.events.iter())
+                .filter(|ev| {
+                    (ev.cat, ev.name, ev.kind) == ("distmm", "fetch_rows", EventKind::Span)
+                })
+                .map(|ev| ev.arg("c").expect("annotated"))
+                .collect();
+            assert_eq!(fetched, expect, "grid {pd}x{pc} rank {}", rank.rank);
         }
     }
 }

@@ -101,7 +101,7 @@ const TABLE: [(&str, Pattern); 9] = [
         let owned: Vec<_> = (0..P).map(|r| r..r + 1).collect();
         let needed = vec![0..P; P];
         let strip = Tensor4::from_vec(1, 1, 1, N, words(c.rank()));
-        let rows = fetch_rows(c, &strip, &owned, &needed, NO_FRAME, || ())?;
+        let rows = fetch_rows(c, &strip, &owned, &needed, || ())?.frame(&strip, NO_FRAME);
         let x = Matrix::from_vec(N, 1, words(c.rank()));
         let cols = redistribute_cols(c, &x, &owned, &needed, &[true; P])?;
         Ok([rows.as_slice(), cols.as_slice()].concat())
