@@ -1,7 +1,7 @@
-//! Trace cross-checker and analyzer: runs the 1.5D trainers with
-//! per-rank tracing on, verifies that the trace alone reconstructs the
-//! simulator's own accounting, and reports a critical-path and
-//! exposed-wait breakdown.
+//! Trace cross-checker and analyzer: runs the 1.5D trainers and one
+//! small domain-parallel CNN run with per-rank tracing on, verifies
+//! that the trace alone reconstructs the simulator's own accounting,
+//! and reports a critical-path and exposed-wait breakdown.
 //!
 //! The cross-checks are the point: for every rank, to 1e-9,
 //!
@@ -25,7 +25,8 @@
 use std::collections::BTreeMap;
 
 use bench::parse_args;
-use dnn::zoo::mlp;
+use dnn::zoo::{mini_alexnet, mlp};
+use integrated::cnn::{synthetic_images, train_cnn_domain_traced};
 use integrated::overlap::OverlapPlan;
 use integrated::report::Table;
 use integrated::trainer::{
@@ -229,6 +230,16 @@ fn main() {
     assert!(flushes > 0, "scheduled trace recorded no bucket flushes");
     assert!(polls > 0, "scheduled trace recorded no progress polls");
     println!("[scheduled] sched instants: {flushes} bucket_flush, {polls} progress_poll\n");
+
+    // The CNN trainer's two schedulers on one channel — the head's sum
+    // over the batch shards, issued before the trunk backward and
+    // waited after it, and the trunk's over the whole grid — under the
+    // same invariants.
+    let alex = mini_alexnet();
+    let (xs, ys) = synthetic_images(&alex, 8, 42);
+    let cnn_cfg = TrainConfig { lr: 0.02, ..cfg };
+    let (cnn, trace) = train_cnn_domain_traced(&alex, &xs, &ys, &cnn_cfg, 2, 2, model, trace_cfg);
+    bad += cross_check("cnn 2x2", &trace, &cnn.stats);
 
     println!("{}", TraceSink::new(&sch_trace).summary());
 

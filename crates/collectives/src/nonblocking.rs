@@ -128,10 +128,14 @@ pub(crate) fn launch(
 impl IallreduceHandle {
     /// Issues one pending step (send + channel receive). Returns
     /// `true` once every step has been issued. Calling this between
-    /// compute kernels keeps per-handle memory bounded; skipping it is
-    /// also fine — [`IallreduceHandle::wait`] drives the remainder with
-    /// identical virtual timing, because channel steps never advance
-    /// the main clock.
+    /// compute kernels keeps per-handle memory bounded. For a handle
+    /// alone on its rank's channel, skipping it is also fine —
+    /// [`IallreduceHandle::wait`] drives the remainder with identical
+    /// virtual timing, because channel steps never advance the main
+    /// clock. With several handles outstanding it is not: the channel
+    /// serves steps in the order they are *issued*, not launched, so a
+    /// step left to its `wait` queues behind every step another handle
+    /// issued first. The values are the same either way.
     pub fn progress(&mut self) -> Result<bool> {
         if !self.issued() {
             self.step_once()?;
@@ -368,6 +372,52 @@ mod tests {
                 (t - 2.0 * one).abs() < 1e-12,
                 "rank {r}: {t} vs {}",
                 2.0 * one
+            );
+        }
+    }
+
+    #[test]
+    fn issue_order_not_launch_order_decides_which_handle_finishes_first() {
+        // A is launched before B. Waiting on B before A is driven puts
+        // all of B's steps on the channel first, and A finishes a whole
+        // transfer later than when A's steps are issued first.
+        let model = NetModel {
+            alpha: 1e-3,
+            beta: 1e-6,
+            flops: f64::INFINITY,
+        };
+        let (p, n) = (4, 4 * 50);
+        let one = allreduce_exact(p, n as f64, &model).seconds(&model);
+        let run = |drive_a_first: bool| {
+            World::run(p, model, |comm| {
+                let mut a = iallreduce(comm, contribution(comm.rank(), n), ReduceOp::Sum).unwrap();
+                let b = iallreduce(comm, contribution(comm.rank() + 7, n), ReduceOp::Sum).unwrap();
+                if drive_a_first {
+                    while !a.progress().unwrap() {}
+                    let va = a.wait().unwrap();
+                    let a_done = comm.now();
+                    (va, b.wait().unwrap(), a_done)
+                } else {
+                    let vb = b.wait().unwrap();
+                    (a.wait().unwrap(), vb, comm.now())
+                }
+            })
+        };
+        let (late, early) = (run(false), run(true));
+        for (r, (late, early)) in late.iter().zip(&early).enumerate() {
+            assert_eq!(
+                (&late.0, &late.1),
+                (&early.0, &early.1),
+                "rank {r}: the same sums"
+            );
+            let (t_late, t_early) = (late.2, early.2);
+            assert!(
+                (t_early - one).abs() < 1e-12,
+                "rank {r}: A first, {t_early}"
+            );
+            assert!(
+                (t_late - 2.0 * one).abs() < 1e-12,
+                "rank {r}: A behind B, {t_late}"
             );
         }
     }

@@ -28,16 +28,21 @@
 //!   local to a strip. Every conv layer's strip-partial `∆W` goes into
 //!   one gradient bucket summed over the full grid by one non-blocking
 //!   all-reduce — exactly Eq. 9's `LD` terms, one reduction over `P` at
-//!   full `|W|` — drained once the trunk backward is done;
+//!   full `|W|` — drained once the trunk backward is done. Above the
+//!   first convolution, a layer's `∆W` GEMM runs while its `∆Y` window
+//!   is in flight, as the forward's interior rows hide its `X` window;
 //! * the **FC head** gathers the final strips within each column group
 //!   and then runs the scheduled iteration body every FC trainer runs
 //!   ([`crate::trainer`]'s `forward_pass` / `backward_pass` under the
 //!   default [`OverlapPlan`]) on the `1 × Pc` grid of its domain row:
 //!   replicated weights, `∆W` bucketed and summed across batch shards
-//!   behind the backward (Fig. 8), GEMM flops charged. (Sharding the
-//!   head over `Pr > 1` is the 1.5D path [`crate::trainer`] exercises
-//!   end-to-end; here it stays replicated so the *domain*
-//!   communication structure is the one under test.)
+//!   behind the *trunk* backward (Fig. 8): every step of that sum is
+//!   issued on the channel as soon as the head's backward ends, ahead
+//!   of the trunk bucket's, and it is waited, then applied, after the
+//!   trunk backward, just before the trunk's sum. GEMM flops charged.
+//!   (Sharding the head over `Pr > 1` is the 1.5D path
+//!   [`crate::trainer`] exercises end-to-end; here it stays replicated
+//!   so the *domain* communication structure is the one under test.)
 //!
 //! The serial reference and every grid shape produce identical weight
 //! trajectories — the synchronous-SGD consistency the paper's
@@ -66,7 +71,8 @@ use distmm::onep5d::Grid;
 
 use crate::overlap::OverlapPlan;
 use crate::trainer::{
-    backward_pass, forward_pass, init_weights, serial_step, Act, BucketScheduler, FcLayer, Pass,
+    backward_pass, forward_pass, init_weights, optimizer_step, serial_step, Act, BucketScheduler,
+    FcLayer, Pass,
 };
 
 /// One trunk stage.
@@ -388,7 +394,8 @@ pub fn train_cnn_domain(
 /// `trainer` phase spans, the `sched` instants of both gradient
 /// schedulers (the head's over its batch shards, the trunk's over the
 /// whole grid), the non-blocking sums' `nb` instants and `channel`
-/// transfers, and one `optimizer_step` span per trunk drain.
+/// transfers, and two `optimizer_step` spans per iteration after the
+/// trunk backward, the head's drain and then the trunk's.
 ///
 /// # Panics
 ///
@@ -486,7 +493,7 @@ pub fn train_cnn_domain_traced(
             };
             // The FC head: the shared iteration body on the `1 × pc`
             // grid — replicated weights, the shard's full batch, ∆W
-            // summed across batch shards and applied layer by layer.
+            // bucketed for one sum across batch shards.
             let pass = Pass {
                 grids: std::slice::from_ref(&head),
                 guard: None,
@@ -500,20 +507,31 @@ pub fn train_cnn_domain_traced(
             let tape = forward_pass(&pass, &fc_w)?;
             partial_losses.push(tape.loss);
             // The head's input gradient is read: it feeds the trunk.
-            let dy = backward_pass(&pass, tape, &mut fc_w, &mut apply, first_conv.is_some())?;
+            let (head_sched, dy) =
+                backward_pass(&pass, tape, &mut fc_w, &mut apply, first_conv.is_some())?;
             let (Some(dy), Some(first)) = (dy, first_conv) else {
+                optimizer_step(&row_comm, iter, head_sched, &mut fc_w, &mut apply)?;
                 continue;
             };
+            // The head's ∆W sum runs under the trunk backward and is
+            // waited after it. A channel serves steps in the order they
+            // are issued, so every step of it is issued now, ahead of the
+            // trunk bucket's; left to its wait, it would queue behind
+            // that bucket.
+            let mut head_sched = head_sched.expect("the head is scheduled");
+            head_sched.issue()?;
             // Back to strips: every rank keeps its strip of the trunk
             // gradient (free slice).
             let dt_full = Tensor4::from_columns(&dy, c0, h0, w0);
             let out_strip = part_range(h0, pd, i);
             let mut dt = dt_full.row_strip(out_strip.start, out_strip.end);
             // Trunk backward on strips, down to its first weighted stage.
-            // Each conv's strip-partial ∆W is bucketed for one sum over
-            // the whole grid — Eq. 9's reduction over P, not one over the
-            // strips and one over the batch shards — and applied after the
-            // loop: every ∆X was formed from the weights before the update.
+            // Each conv's strip-partial ∆W is formed while the layer's ∆Y
+            // window is in flight (conv1, with no ∆X half, on its own) and
+            // bucketed for one sum over the whole grid — Eq. 9's reduction
+            // over P, not one over the strips and one over the batch
+            // shards — and applied after the loop: every ∆X was formed
+            // from the weights before the update.
             let mut sched = BucketScheduler::new(comm, OverlapPlan::default().bucket_words);
             sched.reserve(conv_words);
             let mut wi = conv_w.len();
@@ -526,12 +544,16 @@ pub fn train_cnn_domain_traced(
                             relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
                         }
                         let (w, h) = (&conv_w[wi], *in_h);
-                        let dw =
-                            dg::conv_backward_partial(&col_comm, input, halo, w, &dt, params, h);
+                        let (c, mut dw) = (&col_comm, None);
+                        let form_dw = || {
+                            dw = Some(dg::conv_backward_partial(c, input, halo, w, &dt, params, h))
+                        };
                         if idx > first {
-                            dt = dg::conv_backward_data(&col_comm, w, &dt, params, h, input.w)?;
+                            dt = dg::conv_backward_data(c, w, &dt, params, h, input.w, form_dw)?;
+                        } else {
+                            form_dw();
                         }
-                        sched.push(wi, dw)?;
+                        sched.push(wi, dw.expect("∆W formed"))?;
                     }
                     (Stage::Pool { params, in_h, in_w }, Saved::Argmax(at)) => {
                         dt = dg::pool_backward(&col_comm, &dt, &at, params, *in_h, *in_w)?;
@@ -540,12 +562,13 @@ pub fn train_cnn_domain_traced(
                     _ => unreachable!("a stage's saved state is the one its forward kept"),
                 }
                 // Stage `idx`'s output was read for the last time: let it
-                // go before the gradient sum is drained.
+                // go before the gradient sums are drained.
                 acts.truncate(idx);
             }
-            let _step = comm.trace_span("trainer", "optimizer_step", &[("iter", iter as f64)]);
             sched.flush()?;
-            sched.drain(|k, g| apply(&mut conv_w, k, g))?;
+            // Both sums waited in launch order: the head's, then the trunk's.
+            optimizer_step(&row_comm, iter, Some(head_sched), &mut fc_w, &mut apply)?;
+            optimizer_step(comm, iter, Some(sched), &mut conv_w, &mut apply)?;
         }
         Ok(CnnRankOutcome {
             i,

@@ -22,7 +22,7 @@ use distmm::onep5d::Grid;
 use crate::data::{accuracy, epoch_order, Dataset};
 use crate::trainer::{
     apply_act, assemble_weights, backward_pass, extract_fc_layers, forward_pass, init_weights,
-    serial_step, shard_weights, FcLayer, Pass,
+    optimizer_step, serial_step, shard_weights, FcLayer, Pass,
 };
 
 /// SGD variant parameters.
@@ -211,7 +211,9 @@ pub fn train_epochs_1p5d(
                 plan: None,
             };
             let tape = forward_pass(&pass, &w_local).expect("forward");
-            backward_pass(&pass, tape, &mut w_local, &mut apply, false).expect("backward");
+            let (sched, _) =
+                backward_pass(&pass, tape, &mut w_local, &mut apply, false).expect("backward");
+            optimizer_step(&grid.row_comm, step, sched, &mut w_local, &mut apply).expect("step");
         }
         (grid.i, grid.j, w_local)
     });

@@ -16,7 +16,7 @@ use distmm::onep5d::{Grid, SdcCtx};
 use super::membership::Membership;
 use super::wire::View;
 use super::{plan_grid, Job};
-use crate::trainer::{backward_pass, forward_pass, Pass};
+use crate::trainer::{backward_pass, forward_pass, optimizer_step, Pass};
 
 /// A consistent snapshot a rank can roll back to: shards are laid out
 /// for the grid that was current when the checkpoint was taken.
@@ -206,7 +206,9 @@ impl GridState {
         // liveness probe of the row group.
         let mut lbuf = [tape.loss];
         allreduce(&self.grid.row_comm, &mut lbuf, ReduceOp::Sum)?;
-        backward_pass(&pass, tape, &mut self.w, &mut apply, false)?;
+        let (sched, _) = backward_pass(&pass, tape, &mut self.w, &mut apply, false)?;
+        let comm = &self.grid.row_comm;
+        optimizer_step(comm, self.iter, sched, &mut self.w, &mut apply)?;
         self.iter += 1;
         self.wsum = weights_checksum(&self.w);
         Ok(lbuf[0])

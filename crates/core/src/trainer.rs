@@ -405,7 +405,9 @@ pub(crate) fn train_grid(
             };
             let tape = forward_pass(&pass, &w_local).expect("forward");
             partial_losses.push(tape.loss);
-            backward_pass(&pass, tape, &mut w_local, &mut apply, false).expect("backward");
+            let (sched, _) =
+                backward_pass(&pass, tape, &mut w_local, &mut apply, false).expect("backward");
+            optimizer_step(&first.row_comm, it, sched, &mut w_local, &mut apply).expect("step");
         }
         RankOutcome {
             i: first.i,
@@ -446,7 +448,7 @@ pub(crate) struct Pass<'a> {
     /// `None`: blocking ∆W and ∆X sums, ∆W applied layer by layer.
     /// `Some`: each ∆X sum hides behind its layer's ∆W product, and the
     /// ∆W partials are bucketed through a [`BucketScheduler`] that
-    /// [`backward_pass`] drains before it returns.
+    /// [`backward_pass`] returns for [`optimizer_step`] to drain.
     pub(crate) plan: Option<OverlapPlan>,
 }
 
@@ -522,18 +524,22 @@ pub(crate) fn forward_pass(p: &Pass<'_>, w: &[Matrix]) -> Result<Tape, Error> {
 }
 
 /// The backward half of the one iteration body (Eq. 8: all-reduce `∆W`
-/// over `Pc` and `∆X` over `Pr`), ending in the optimizer step: every
-/// summed `∆W_i` reaches `apply(w, layer, summed)` exactly once. `∆X`
-/// leaving a layer whose input was re-laid is re-laid back.
+/// over `Pc` and `∆X` over `Pr`), up to the optimizer step: every
+/// summed `∆W_i` reaches `apply(w, layer, summed)` exactly once, here
+/// or in [`optimizer_step`]. `∆X` leaving a layer whose input was
+/// re-laid is re-laid back.
 ///
 /// Blocking (`p.plan` is `None`): each layer's ∆W is summed and
 /// applied on the spot — ∆X was already formed from the pre-update
-/// weights. Scheduled ([`backward_dw_deferred`]): each layer's ∆X sum
-/// is on the channel while its ∆W product runs, ∆W partials flush
-/// through a [`BucketScheduler`] while backprop continues (Fig. 8), each
-/// layer's push drives a chunk of the oldest bucket still being issued,
-/// and every bucket is then waited, in launch order, and applied. No
-/// bucket outlives the call.
+/// weights — and no scheduler is returned. Scheduled
+/// ([`backward_dw_deferred`]): each layer's ∆X sum is on the channel
+/// while its ∆W product runs, ∆W partials flush through a
+/// [`BucketScheduler`] while backprop continues (Fig. 8), and each
+/// layer's push drives a chunk of the oldest bucket still being issued.
+/// The pass stops at its last flush and returns the scheduler with its
+/// buckets in flight: the caller waits them with [`optimizer_step`],
+/// at once (the FC trainers) or after more backward work (the CNN
+/// trunk, [`crate::cnn`]).
 ///
 /// `input_grad` says whether the caller reads `∂loss/∂x_local`, which
 /// is then returned: a trunk in front of the FC chain back-propagates
@@ -548,7 +554,7 @@ pub(crate) fn backward_pass(
     w: &mut [Matrix],
     apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
     input_grad: bool,
-) -> Result<Option<Matrix>, Error> {
+) -> Result<(Option<BucketScheduler>, Option<Matrix>), Error> {
     let (grids, guard) = (p.grids, p.guard);
     let comm = &grids[0].row_comm;
     let iter_arg = [("iter", p.iter as f64)];
@@ -607,6 +613,22 @@ pub(crate) fn backward_pass(
             sched.flush()?;
         }
     }
+    Ok((sched, input_grad.then_some(dy)))
+}
+
+/// The optimizer step that ends an iteration: waits every bucket
+/// `sched` launched, in launch order, applying each summed segment as
+/// `apply(w, layer, summed)` once its wait completes — one
+/// `optimizer_step` span on `comm`'s trace, or an instant when the
+/// backward was blocking and applied as it went (`sched` is `None`).
+pub(crate) fn optimizer_step(
+    comm: &Communicator,
+    iter: usize,
+    sched: Option<BucketScheduler>,
+    w: &mut [Matrix],
+    apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
+) -> Result<(), Error> {
+    let iter_arg = [("iter", iter as f64)];
     match sched {
         None => comm.trace_instant("trainer", "optimizer_step", &iter_arg),
         Some(sched) => {
@@ -614,7 +636,7 @@ pub(crate) fn backward_pass(
             sched.drain(|k, g| apply(w, k, g))?;
         }
     }
-    Ok(input_grad.then_some(dy))
+    Ok(())
 }
 
 /// Total trainable parameter count of the FC chain. Each rank's ∆W
@@ -658,10 +680,14 @@ struct PendingBucket {
 /// Chunk steps issue in launch order — one SPMD order every row-group
 /// member agrees on, which keeps the mixed-outstanding-handle schedule
 /// deadlock-free (sends are eager; the minimal blocked program position
-/// always has its matching send already issued on the peer). On that
-/// channel no bucket can overtake an earlier one, and layer 0's — the
-/// first the next forward reads — is launched last, so waiting any
-/// other order would only move the same barrier.
+/// always has its matching send already issued on the peer). A rank's
+/// channel serves steps in the order they are *issued*, so within one
+/// scheduler no bucket can overtake an earlier one, and layer 0's — the
+/// first the next forward reads — is launched last: waiting any other
+/// order would only move the same barrier. Across two schedulers on one
+/// rank the order is the issue order, not the launch order: a step one
+/// leaves to its `wait` queues behind every step the other issued
+/// first, which is what [`BucketScheduler::issue`] is for.
 pub(crate) struct BucketScheduler {
     comm: Communicator,
     cap: usize,
@@ -750,6 +776,20 @@ impl BucketScheduler {
             h.progress()?;
             self.comm
                 .trace_instant("sched", "progress_poll", &[("pending", in_flight as f64)]);
+        }
+        Ok(())
+    }
+
+    /// Issues every remaining chunk step of every launched bucket, in
+    /// launch order, and waits on none: the sums then hold their place
+    /// on the rank's channel ahead of any step issued later, by this
+    /// scheduler or another — the CNN head's ahead of the trunk's, so
+    /// the head's sum runs under the trunk backward. Every member of the
+    /// group must reach this call at the same point of its program
+    /// (SPMD), as it does [`BucketScheduler::drain`].
+    pub(crate) fn issue(&mut self) -> Result<(), Error> {
+        for h in self.pending.iter_mut().filter_map(|b| b.handle.as_mut()) {
+            while !h.progress()? {}
         }
         Ok(())
     }

@@ -130,9 +130,13 @@ impl Windows {
     /// Fetches this rank's window of `x`, charging `flops` per row made
     /// as the forward charges its rows: the interior ones while the
     /// window is in flight, the boundary ones after it landed — Fig. 3.
-    fn fetch(&self, c: &Communicator, x: &Tensor4, flops: f64) -> Result<Halo> {
-        let interior = || c.advance_flops(flops * self.interior as f64);
-        let halo = fetch_rows(c, x, &self.read_part, &self.needed, interior)?;
+    /// `go` runs while the window is in flight too, before the interior
+    /// rows.
+    fn fetch(&self, c: &Communicator, x: &Tensor4, flops: f64, go: impl FnOnce()) -> Result<Halo> {
+        let halo = fetch_rows(c, x, &self.read_part, &self.needed, || {
+            go();
+            c.advance_flops(flops * self.interior as f64)
+        })?;
         c.advance_flops(flops * (self.made.len() - self.interior) as f64);
         Ok(halo)
     }
@@ -169,7 +173,7 @@ pub fn conv_forward_halo(
     in_h: usize,
 ) -> Result<(Tensor4, Halo)> {
     let (win, frame, row_flops) = input_rows(comm, x_strip, weights, p, in_h);
-    let halo = win.fetch(comm, x_strip, row_flops)?;
+    let halo = win.fetch(comm, x_strip, row_flops, || ())?;
     let (made, local) = (win.made.len(), Conv2dParams { pad: 0, ..*p });
     if made == 0 {
         let out_w = p.out_hw(in_h, x_strip.w).1;
@@ -205,9 +209,9 @@ pub fn conv_backward(
     in_h: usize,
 ) -> Result<(Matrix, Tensor4)> {
     let (win, ..) = input_rows(comm, x_strip, weights, p, in_h);
-    let halo = win.fetch(comm, x_strip, 0.0)?;
+    let halo = win.fetch(comm, x_strip, 0.0, || ())?;
     let mut dw = conv_backward_partial(comm, x_strip, halo, weights, dy_strip, p, in_h);
-    let dx = conv_backward_data(comm, weights, dy_strip, p, in_h, x_strip.w)?;
+    let dx = conv_backward_data(comm, weights, dy_strip, p, in_h, x_strip.w, || ())?;
     // ∆W: sum over all strips — the same all-reduce pure batch
     // parallelism needs (Eq. 7's third term).
     allreduce(comm, dw.as_mut_slice(), ReduceOp::Sum)?;
@@ -220,7 +224,9 @@ pub fn conv_backward(
 /// the input window from `x_strip` and the `halo` the forward kept
 /// ([`conv_forward_halo`]) and sends no message: the one `X` halo
 /// Eq. 7 charges a convolution is the forward's. Its `2·|W|` flops per
-/// output pixel are charged in one step, and the halo is dropped once
+/// output pixel are charged where it runs — in flight under the `∆Y`
+/// window of [`conv_backward_data`] when the layer has a `∆X` half, on
+/// their own for the first convolution — and the halo is dropped once
 /// `∆W` is formed.
 pub fn conv_backward_partial(
     comm: &Communicator,
@@ -246,6 +252,10 @@ pub fn conv_backward_partial(
 /// neighbour for a stride-1 same-padded kernel — and gathers its rows
 /// from them, charging `2·|W|` flops per `∆X` pixel as the forward
 /// charges its rows. Nothing is sent back.
+///
+/// `in_flight` runs while the `∆Y` rows are in flight, as
+/// [`fetch_rows`]'s does: a trainer forms the layer's `∆W`
+/// ([`conv_backward_partial`]) there, so its GEMM hides the fetch.
 pub fn conv_backward_data(
     comm: &Communicator,
     weights: &Matrix,
@@ -253,13 +263,15 @@ pub fn conv_backward_data(
     p: &Conv2dParams,
     in_h: usize,
     in_w: usize,
+    in_flight: impl FnOnce(),
 ) -> Result<Tensor4> {
     let (out_h, _) = p.out_hw(in_h, in_w);
     let win = windows(comm, (in_h, out_h), |rows| {
         output_window(rows, p.kh, p.stride, p.pad, out_h)
     });
     let flops = 2.0 * weights.len() as f64 * (in_w * dy_strip.n) as f64;
-    let dy = win.fetch(comm, dy_strip, flops)?.frame(dy_strip, NO_FRAME);
+    let dy = win.fetch(comm, dy_strip, flops, in_flight)?;
+    let dy = dy.frame(dy_strip, NO_FRAME);
     let oy0 = win.needed[comm.rank()].start;
     Ok(conv2d_backward_data(&dy, oy0, weights, p, win.made, in_w))
 }
@@ -279,7 +291,8 @@ pub fn pool_forward(
         input_window(o, p.k, p.stride, 0, in_h).0
     });
     let flops = (x_strip.n * x_strip.c * out_w * p.k * p.k) as f64;
-    let window = win.fetch(comm, x_strip, flops)?.frame(x_strip, NO_FRAME);
+    let window = win.fetch(comm, x_strip, flops, || ())?;
+    let window = window.frame(x_strip, NO_FRAME);
     if win.made.is_empty() {
         return Ok((Tensor4::zeros(x_strip.n, x_strip.c, 0, out_w), Vec::new()));
     }
@@ -313,7 +326,7 @@ pub fn pool_backward(
         None => dy_strip.get(s, ci, y, x),
         Some(ci) => argmax[((s * c + ci) * h + y) * w + x] as f64,
     });
-    let got = win.fetch(comm, &dy_at, 0.0)?.frame(&dy_at, NO_FRAME);
+    let got = win.fetch(comm, &dy_at, 0.0, || ())?.frame(&dy_at, NO_FRAME);
     // Sample `s` is `half` gradients, then their `half` argmax.
     let (half, d) = (c * got.h * w, got.as_slice());
     let grads = (0..n * half).map(|i| {
@@ -391,7 +404,7 @@ mod tests {
         let (above, below, side) = frame;
         let wanted = &win.needed[comm.rank()];
         let (_, kept) = conv_forward_halo(comm, x_strip, wt, p, x.h).unwrap();
-        let fetched = win.fetch(comm, x_strip, 0.0).unwrap();
+        let fetched = win.fetch(comm, x_strip, 0.0, || ()).unwrap();
         let window = kept.frame(x_strip, frame);
         assert_eq!(window, fetched.frame(x_strip, frame));
         let plain = fetched.frame(x_strip, NO_FRAME);
@@ -454,7 +467,7 @@ mod tests {
                             (dw, none())
                         }
                         _ => {
-                            let dx = conv_backward_data(comm, &wt, &dys, &p, h, w).unwrap();
+                            let dx = conv_backward_data(comm, &wt, &dys, &p, h, w, || ()).unwrap();
                             (Matrix::zeros(0, 0), dx)
                         }
                     }

@@ -20,6 +20,7 @@
 //! | `∆X` gathered from a fetched `∆Y` window, no scatter | 18 395 200 |
 //! | max-pool `∆X` gathered too (its parent: 19 478 336 on the same host) | 19 367 424 |
 //! | the forward's halo kept for `∆W`, no second fetch (its parent: 19 367 424 on the same host) | 19 130 112 |
+//! | the head's `∆W` sum under the trunk backward, each `∆W` under its `∆Y` window (its parent: 19 113 984 on the same host) | 19 113 984 |
 //!
 //! The budget is 0.8 × d299425's figure. The conv `∆W` bucket is
 //! allocated once, at `Σ |W_conv|` (9 336 words, 74 688 B a rank and

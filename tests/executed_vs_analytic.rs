@@ -270,8 +270,8 @@ fn executed_halo_backward_matches_eq7_term() {
     // Eq. 7 prices two one-way halos per convolution, `X` forward and
     // `∆Y` backward. On mini_alexnet's conv2–5 (stride 1, same padding)
     // split over three strips, the backward as the trainer runs it — the
-    // ∆W half from the input rows the forward kept, then the ∆X half —
-    // sends nothing for ∆W and runs one row exchange, the `∆Y` window,
+    // ∆X half, with the ∆W half formed from the input rows the forward
+    // kept while its ∆Y window is in flight — sends nothing for ∆W and runs one row exchange, the `∆Y` window,
     // and scatters nothing back: the whole backward is the `∆Y` fetch,
     // which receives Eq. 7's backward term, `B·Y_W·Y_C·⌊k/2⌋` words, from
     // each neighbour.
@@ -310,14 +310,19 @@ fn executed_halo_backward_matches_eq7_term() {
                 let (_, halo) =
                     domain_general::conv_forward_halo(comm, &xs, &wts, &p, x_shape.h).unwrap();
                 let forward = sent();
-                if dw {
-                    let _ = domain_general::conv_backward_partial(
-                        comm, &xs, halo, &wts, &dys, &p, x_shape.h,
-                    );
-                }
+                let weights_half = || {
+                    if dw {
+                        let _ = domain_general::conv_backward_partial(
+                            comm, &xs, halo, &wts, &dys, &p, x_shape.h,
+                        );
+                    }
+                };
                 if dx {
-                    domain_general::conv_backward_data(comm, &wts, &dys, &p, x_shape.h, x_shape.w)
+                    let (h, w) = (x_shape.h, x_shape.w);
+                    domain_general::conv_backward_data(comm, &wts, &dys, &p, h, w, weights_half)
                         .unwrap();
+                } else {
+                    weights_half();
                 }
                 let all = sent();
                 (forward, (all.0 - forward.0, all.1 - forward.1))
@@ -553,8 +558,8 @@ fn executed_domain_backward_weight_allreduce_matches_eq7_batch_term() {
 /// The words are counted where they travel: every channel transfer a
 /// rank receives while the last non-blocking sum it launched spans the
 /// whole grid is a word its peer sent in the conv `∆W` reduction (the
-/// head's sums span `Pc` ranks, and all of them are waited before the
-/// trunk's backward starts).
+/// head's sums span `Pc` ranks, and every step of them is issued before
+/// the trunk's bucket is launched).
 #[test]
 fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
     let net = mini_alexnet();
@@ -619,6 +624,138 @@ fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
                 eq9,
                 "grid {pd}x{pc} rank {r}: conv ∆W words sent against Eq. 9"
             );
+        }
+    }
+}
+
+/// The CNN backward hides its sums (Fig. 8, run). At `cnn_domain`'s
+/// shapes (`mini_alexnet`, `B = 64`, two iterations) on 2×4, 4×4 and
+/// 4×2, on every rank and in every iteration:
+///
+/// * the FC head's `∆W` sum runs under the trunk backward: its drain,
+///   the one in the first `optimizer_step` of the iteration, waits
+///   nothing, and all it charged the channel is hidden;
+/// * conv2–5's `∆W` GEMMs run while their `∆Y` windows are in flight: a
+///   compute span of exactly the layer's `∆W` flops nests in that
+///   layer's backward `fetch_rows` span;
+/// * each grid's makespan is below the one it had when the head's sum
+///   was waited before the trunk backward began and each `∆W` was formed
+///   before its `∆Y` fetch (`BEFORE`).
+#[test]
+fn executed_cnn_backward_hides_the_head_sum_and_each_dw_gemm() {
+    const BEFORE: [((usize, usize), f64); 3] = [
+        ((2, 4), 1.5277523199999995e-4),
+        ((4, 4), 1.6845838933333333e-4),
+        ((4, 2), 1.8491411199999988e-4),
+    ];
+    let net = mini_alexnet();
+    let b = 64;
+    let (x, labels) = synthetic_images(&net, b, 7);
+    let iters = 2;
+    let cfg = TrainConfig {
+        lr: 0.05,
+        iters,
+        seed: 18,
+    };
+    // One iteration's fetches: the forward's, one per conv and pool,
+    // then the backward's above conv1, last layer first — a conv's as
+    // `Some((|W|, Y_H, Y_W))`, a pool's as `None`.
+    let (mut forward, mut backward, mut above_conv1) = (0, Vec::new(), false);
+    for (spec, i, o) in net.layers() {
+        let conv = match spec {
+            LayerSpec::Conv { .. } => Some(spec.weight_count(i)),
+            LayerSpec::MaxPool { .. } => None,
+            _ => continue,
+        };
+        forward += 1;
+        if above_conv1 {
+            backward.push(conv.map(|w| (w, o.h, o.w)));
+        }
+        above_conv1 |= conv.is_some();
+    }
+    backward.reverse();
+    let per_iter = forward + backward.len();
+    for ((pd, pc), before) in BEFORE {
+        let (run, trace) = train_cnn_domain_traced(
+            &net,
+            &x,
+            &labels,
+            &cfg,
+            pd,
+            pc,
+            MachineModel::cori_knl().net_model(),
+            TraceConfig::enabled(),
+        );
+        let grid = format!("grid {pd}x{pc}");
+        assert!(run.replica_divergence() == 0.0, "{grid}");
+        let makespan = run.stats.makespan();
+        assert!(
+            makespan < before,
+            "{grid}: makespan {makespan:e} vs {before:e}"
+        );
+        for rank in &trace.ranks {
+            let r = rank.rank;
+            assert_eq!(rank.dropped, 0, "{grid}: the whole trace kept");
+            let ev = &rank.events;
+            // Guard spans are recorded when they close: a span's
+            // children are the deeper events right before it.
+            let children = |at: usize| {
+                let depth = ev[at].depth;
+                ev[..at].iter().rev().take_while(move |e| e.depth > depth)
+            };
+            let spans = |cat, name| {
+                (0..ev.len()).filter(move |&k| {
+                    (ev[k].cat, ev[k].name, ev[k].kind) == (cat, name, EventKind::Span)
+                })
+            };
+            let steps: Vec<usize> = spans("trainer", "optimizer_step").collect();
+            assert_eq!(
+                steps.len(),
+                2 * iters,
+                "{grid} rank {r}: the head's step, then the trunk's"
+            );
+            for &head in steps.iter().step_by(2) {
+                let drains: Vec<_> = children(head).filter(|e| e.cat == "drain").collect();
+                assert_eq!(drains.len(), 1, "{grid} rank {r}: one head bucket");
+                let (charged, hidden) = (drains[0].arg("charged"), drains[0].arg("hidden"));
+                assert_eq!(
+                    drains[0].dur(),
+                    0.0,
+                    "{grid} rank {r}: the head's sum waits nothing"
+                );
+                assert_eq!(
+                    hidden, charged,
+                    "{grid} rank {r}: all of the head's sum hidden"
+                );
+                assert!(
+                    charged > Some(0.0),
+                    "{grid} rank {r}: a head sum on the channel"
+                );
+            }
+            let fetches: Vec<usize> = spans("distmm", "fetch_rows").collect();
+            assert_eq!(fetches.len(), per_iter * iters, "{grid} rank {r}");
+            let (i, j) = (r / pc, r % pc);
+            let b_local = part_range(b, pc, j).len();
+            for (k, &at) in fetches.iter().enumerate() {
+                let Some(&Some((w, y_h, y_w))) =
+                    (k % per_iter).checked_sub(forward).map(|n| &backward[n])
+                else {
+                    continue;
+                };
+                let made = part_range(y_h, pd, i).len();
+                let dw_flops = (2 * w * y_w * b_local * made) as f64;
+                let fetch = &ev[at];
+                let in_flight = children(at).any(|e| {
+                    e.cat == "compute"
+                        && e.arg("flops") == Some(dw_flops)
+                        && fetch.t0 <= e.t0
+                        && e.t1 <= fetch.t1
+                });
+                assert!(
+                    in_flight,
+                    "{grid} rank {r} fetch {k}: ∆W ({dw_flops} flops) in flight"
+                );
+            }
         }
     }
 }
