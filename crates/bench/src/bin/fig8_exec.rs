@@ -2,7 +2,7 @@
 //! `fig8` applies the paper's closed-form "2/3 of communication hides
 //! behind backprop" to the analytic Fig. 7 times, this binary runs the
 //! same SGD iterations on the simulated cluster two ways — blocking
-//! per-layer ∆W and ∆X all-reduces (`train_1p5d`), and non-blocking
+//! per-layer ∆W all-reduces and ∆X reduce-scatters (`train_1p5d`), and non-blocking
 //! ones under the default plan (`train_1p5d_scheduled`: each ∆X sum
 //! behind its layer's ∆W GEMM, the ∆W sums bucketed) — and reports
 //! the makespans actually achieved next to the analytic
@@ -42,7 +42,7 @@
 use std::fmt::Write as _;
 
 use bench::parse_args;
-use collectives::cost::allreduce_exact;
+use collectives::cost::{allreduce_exact, reduce_scatter_exact};
 use distmm::dist::part_range;
 use dnn::zoo::mlp;
 use dnn::Network;
@@ -70,8 +70,9 @@ struct Row {
 /// The least `plan` must save over the serialized run per iteration, from
 /// the terms that remain once backprop stops at the first layer (the
 /// last grid row's shard shapes, the largest where rows split raggedly:
-/// the floor is exact where every shard divides evenly). Every all-reduce is priced by the closed form of the
-/// schedule it runs ([`allreduce_exact`]). Fusing the `L` per-layer ∆W
+/// the floor is exact where every shard divides evenly). Every collective is priced by the closed form of the
+/// schedule it runs: each ∆W sum by [`allreduce_exact`], each ∆X sum by
+/// [`reduce_scatter_exact`] (the layer below reads only its rows). Fusing the `L` per-layer ∆W
 /// sums into the plan's buckets saves what the per-layer sums cost
 /// beyond the buckets' — the latency of each sum fused away, since a
 /// minimum of affine costs is subadditive. Every ∆X sum rides the
@@ -100,7 +101,7 @@ fn saving_floor(
         let rows = part_range(layer.d_out(), pr, pr - 1).len() as f64;
         let gemm = 2.0 * rows * d_in * bloc / m.flops;
         let dx_sum = if l > 0 {
-            allreduce(pr, d_in * bloc)
+            reduce_scatter_exact(pr, d_in * bloc, m).seconds(m)
         } else {
             0.0
         };
@@ -215,6 +216,8 @@ fn main() {
             let (_, _, nb_ar, _) = sch.stats.total_collective_calls();
             let degenerate = pc == 1;
             if degenerate {
+                // Each ∆X reduce-scatter launches as a non-blocking
+                // all-reduce and is counted as one.
                 let dx_sums = (iters * (net.weighted_layers().len() - 1) * p) as u64;
                 assert_eq!(
                     nb_ar, dx_sums,

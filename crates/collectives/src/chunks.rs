@@ -11,6 +11,27 @@ pub fn block_range(n: usize, p: usize, i: usize) -> Range<usize> {
     (i * n) / p..((i + 1) * n) / p
 }
 
+/// The elements of block `i` when `n` words of rows of `row` words each
+/// are split over `p` ranks on whole rows: rows
+/// `block_range(n / row, p, i)`.
+///
+/// # Panics
+///
+/// Panics unless the `n` words are whole rows.
+pub(crate) fn row_block_range(n: usize, row: usize, p: usize, i: usize) -> Range<usize> {
+    let whole = n == 0 || (row > 0 && n % row == 0);
+    assert!(whole, "{n} words in rows of {row}");
+    let rows = block_range(n.checked_div(row).unwrap_or(0), p, i);
+    rows.start * row..rows.end * row
+}
+
+/// `data` cut down to its elements `keep`, in place.
+pub(crate) fn keep(mut data: Vec<f64>, keep: Range<usize>) -> Vec<f64> {
+    data.truncate(keep.end);
+    data.drain(..keep.start);
+    data
+}
+
 /// All `p` block ranges for a buffer of length `n`.
 pub fn block_ranges(n: usize, p: usize) -> Vec<Range<usize>> {
     (0..p).map(|i| block_range(n, p, i)).collect()

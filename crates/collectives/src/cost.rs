@@ -130,6 +130,18 @@ pub fn allreduce_exact(p: usize, n: f64, model: &NetModel) -> CostTerms {
     crate::schedule::Schedule::select(p, n, model).cost(p, n)
 }
 
+/// The reduce-scatter [`crate::reduce_scatter`] runs on `p` ranks for
+/// `n` words under `model`: half of [`rabenseifner_allreduce`],
+/// `log₂p·α + ((p−1)/p)·n·β`, on a power-of-two group, and
+/// [`allreduce_exact`] on any other.
+pub fn reduce_scatter_exact(p: usize, n: f64, model: &NetModel) -> CostTerms {
+    if crate::recursive::is_pow2(p) {
+        rabenseifner_allreduce(p, n) * 0.5
+    } else {
+        allreduce_exact(p, n, model)
+    }
+}
+
 /// Bruck all-gather of `n` total words over `p` ranks (also the form
 /// used in the paper's Eqs. 3, 8, 9):
 /// `⌈log₂ p⌉·α + ((p−1)/p)·n·β`.

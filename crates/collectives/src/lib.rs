@@ -21,6 +21,10 @@
 //!   [`cost::allreduce_exact`]; a group whose size is not a power of two
 //!   folds its extra ranks onto a power-of-two core that runs halving or
 //!   doubling, for two more α-steps, unless the ring is cheaper;
+//! * [`reduce_scatter`] and [`ireduce_scatter`] run the reduce-scatter
+//!   half of Rabenseifner's all-reduce on power-of-two groups —
+//!   `log₂P·α + (P−1)/P·n·β`, [`cost::reduce_scatter_exact`] — and the
+//!   selected all-reduce on any other;
 //! * [`allgatherv_into`] gathers by recursive doubling on power-of-two
 //!   groups and by Bruck's algorithm otherwise, in `⌈log₂P⌉` steps on
 //!   both.
@@ -49,7 +53,7 @@ mod schedule;
 
 pub use bruck::allgatherv_into;
 pub use ft::{Deadline, FtConfig};
-pub use nonblocking::{iallreduce, IallreduceHandle};
+pub use nonblocking::{iallreduce, ireduce_scatter, IallreduceHandle};
 pub use op::ReduceOp;
 
 use schedule::Schedule;
@@ -74,6 +78,45 @@ use mpsim::{Communicator, Result};
 /// ```
 pub fn allreduce(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
     Schedule::select(comm.size(), data.len() as f64, &comm.model()).allreduce(comm, data, op)
+}
+
+/// Reduce-scatter of `data`, rows of `row` words each: returns this
+/// rank's rows `chunks::block_range(data.len() / row, P, rank)` reduced
+/// over the group. On a power-of-two group it is the first half of the
+/// Rabenseifner all-reduce [`allreduce`] runs on large messages — its
+/// `log₂P` recursive-halving steps, the butterfly's bits in every row —
+/// and on any other the all-reduce [`allreduce`] picks, of which each
+/// rank keeps its rows. Priced by [`cost::reduce_scatter_exact`];
+/// counted as an all-reduce.
+///
+/// # Panics
+///
+/// Panics unless `data` is whole rows of `row` words.
+///
+/// # Examples
+///
+/// ```
+/// use collectives::{reduce_scatter, ReduceOp};
+/// use mpsim::{NetModel, World};
+///
+/// let out = World::run(2, NetModel::free(), |comm| {
+///     // Three rows of two words: rank 0 keeps row 0, rank 1 rows 1-2.
+///     let data = vec![comm.rank() as f64 + 1.0; 6];
+///     reduce_scatter(comm, data, 2, ReduceOp::Sum).unwrap()
+/// });
+/// assert_eq!(out, vec![vec![3.0; 2], vec![3.0; 4]]);
+/// ```
+pub fn reduce_scatter(
+    comm: &Communicator,
+    mut data: Vec<f64>,
+    row: usize,
+    op: ReduceOp,
+) -> Result<Vec<f64>> {
+    let (p, n) = (comm.size(), data.len());
+    let mine = chunks::row_block_range(n, row, p, comm.rank());
+    let (schedule, steps) = Schedule::scatter(p, n as f64, &comm.model());
+    schedule.reduce(comm, &mut data, op, row, steps)?;
+    Ok(chunks::keep(data, mine))
 }
 
 /// Broadcast from `root` (binomial tree).

@@ -4,7 +4,8 @@
 //! A handle ([`IallreduceHandle`]) is a paused collective: the same data
 //! movement as [`crate::allreduce`] (under the schedule it picks: the
 //! ring, recursive halving or doubling, or a fold of any other group
-//! onto its power-of-two core), but
+//! onto its power-of-two core) or, launched by [`ireduce_scatter`], as
+//! [`crate::reduce_scatter`], but
 //! each step charges its α–β transfer to the rank's **concurrent comm
 //! channel** ([`mpsim::Communicator::recv_channel`]) instead of the main
 //! timeline. The caller launches the operation, keeps computing
@@ -35,14 +36,18 @@
 //! the handle's deadline and a fault fails every rank still waiting on
 //! it, like the blocking collectives (see [`crate::ft`]).
 
+use std::ops::Range;
+
 use mpsim::{Communicator, Result, Tag};
 
+use crate::chunks::{keep, row_block_range};
 use crate::op::ReduceOp;
 use crate::schedule::Schedule;
 
-/// An in-flight non-blocking all-reduce: the steps of one schedule
-/// (ring, recursive halving, recursive doubling, or either of the
-/// latter two folded onto a power-of-two core), issued on the channel.
+/// An in-flight non-blocking all-reduce or reduce-scatter: the steps of
+/// one schedule (ring, recursive halving, recursive doubling, or either
+/// of the latter two folded onto a power-of-two core), issued on the
+/// channel.
 pub struct IallreduceHandle {
     comm: Communicator,
     data: Vec<f64>,
@@ -53,7 +58,14 @@ pub struct IallreduceHandle {
     tag: Tag,
     /// Next step to issue, in `0..steps`.
     step: usize,
+    /// Every step of the schedule, or Halving's first `log₂P` for a
+    /// reduce-scatter.
     steps: usize,
+    /// Words per row, on which Halving cuts its blocks.
+    row: usize,
+    /// The elements of `data` that [`IallreduceHandle::wait`] returns:
+    /// all of them, or this rank's rows.
+    keep: Range<usize>,
     /// When the channel work issued so far completes: the launch time
     /// before the first step, then the last receive's. It is also the
     /// departure time of the next forwarded chunk.
@@ -90,6 +102,28 @@ pub fn iallreduce(comm: &Communicator, data: Vec<f64>, op: ReduceOp) -> Result<I
     launch(comm, data, op, schedule)
 }
 
+/// Launches a non-blocking reduce-scatter of `data`, rows of `row` words
+/// each: the steps of [`crate::reduce_scatter`] on the channel, whose
+/// [`IallreduceHandle::wait`] returns this rank's rows only. Launched,
+/// counted and traced as a non-blocking all-reduce.
+///
+/// # Panics
+///
+/// Panics unless `data` is whole rows of `row` words.
+pub fn ireduce_scatter(
+    comm: &Communicator,
+    data: Vec<f64>,
+    row: usize,
+    op: ReduceOp,
+) -> Result<IallreduceHandle> {
+    let (p, n) = (comm.size(), data.len());
+    let mine = row_block_range(n, row, p, comm.rank());
+    let (schedule, steps) = Schedule::scatter(p, n as f64, &comm.model());
+    let mut h = launch(comm, data, op, schedule)?;
+    (h.steps, h.row, h.keep) = (steps, row, mine);
+    Ok(h)
+}
+
 /// [`iallreduce`] under a given schedule.
 pub(crate) fn launch(
     comm: &Communicator,
@@ -113,6 +147,7 @@ pub(crate) fn launch(
     );
     Ok(IallreduceHandle {
         comm: comm.clone(),
+        keep: 0..data.len(),
         data,
         carry: Vec::new(),
         op,
@@ -120,6 +155,7 @@ pub(crate) fn launch(
         tag,
         step: 0,
         steps: schedule.steps(p),
+        row: 1,
         ready_at: comm.now(),
         charged: 0.0,
     })
@@ -156,13 +192,13 @@ impl IallreduceHandle {
     /// channel work is complete (exposed wait is communication time;
     /// the hidden part is credited to
     /// [`mpsim::RankStats::overlapped_secs`]), and returns the fully
-    /// reduced vector.
+    /// reduced vector (a reduce-scatter's: this rank's rows of it).
     pub fn wait(mut self) -> Result<Vec<f64>> {
         while !self.issued() {
             self.step_once()?;
         }
         self.comm.complete_channel(self.ready_at, self.charged);
-        Ok(self.data)
+        Ok(keep(self.data, self.keep))
     }
 
     /// One step of the blocking schedule's body with the channel as
@@ -179,7 +215,7 @@ impl IallreduceHandle {
             charged,
             ..
         } = self;
-        let at = (comm.size(), comm.rank());
+        let at = (comm.size(), comm.rank(), self.row);
         let carry = std::mem::take(&mut self.carry);
         self.carry = self.schedule.step(
             &mut self.data,

@@ -14,7 +14,7 @@ use std::ops::Range;
 use mpsim::{Communicator, Rank, Result};
 
 use crate::op::ReduceOp;
-use crate::schedule::{Peers, Schedule};
+use crate::schedule::{At, Peers, Schedule};
 
 /// Whether `p` is a power of two (and nonzero).
 pub fn is_pow2(p: usize) -> bool {
@@ -47,21 +47,27 @@ fn fold(op: ReduceOp, i_am_lower: bool, mine: &mut [f64], theirs: &[f64]) {
 /// One step of Rabenseifner's all-reduce. Steps `0..log₂P` halve: rank
 /// `r` keeps the half of its window that holds block `r`, sends the
 /// other half to `r ^ d` and folds in the partner's copy of the half it
-/// keeps, so after them it owns block `r` reduced. Steps
+/// keeps, so after them it owns block `r` reduced — they are the
+/// reduce-scatter [`crate::reduce_scatter`] stops after. Steps
 /// `log₂P..2·log₂P` double: the partners swap their reduced windows.
+/// Blocks are cut on whole rows of `row` words, so block `r` is rows
+/// `chunks::block_range(n / row, P, r)`; an all-reduce passes `row = 1`.
+/// Each element's reduction tree is the butterfly's whatever the cut.
 /// `carry` is a spare buffer (the last one received) for the outgoing
 /// half.
 pub(crate) fn halving_step(
     data: &mut [f64],
     op: ReduceOp,
-    (p, r): (usize, Rank),
+    (p, r, row): At,
     step: usize,
     carry: Vec<f64>,
     exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
 ) -> Result<Vec<f64>> {
-    let (n, log) = (data.len(), p.trailing_zeros() as usize);
-    // The elements of consecutive blocks (`chunks::block_range`'s cut).
-    let span = |blocks: Range<usize>| blocks.start * n / p..blocks.end * n / p;
+    let log = p.trailing_zeros() as usize;
+    // The elements of consecutive blocks (`chunks::block_range`'s cut of
+    // the rows).
+    let rows = data.len().checked_div(row).unwrap_or(0);
+    let span = |blocks: Range<usize>| blocks.start * rows / p * row..blocks.end * rows / p * row;
     if step < log {
         let d = p >> (step + 1);
         let partner = r ^ d;
@@ -84,7 +90,7 @@ pub(crate) fn halving_step(
 pub(crate) fn doubling_step(
     data: &mut [f64],
     op: ReduceOp,
-    (_, r): (usize, Rank),
+    (_, r, _): At,
     step: usize,
     carry: Vec<f64>,
     exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,

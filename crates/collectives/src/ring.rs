@@ -29,7 +29,7 @@ use mpsim::{Communicator, Error, Rank, Result, Tag};
 
 use crate::chunks::block_range;
 use crate::op::ReduceOp;
-use crate::schedule::{Peers, Schedule};
+use crate::schedule::{At, Peers, Schedule};
 
 const AG_TAG: Tag = (1 << 48) + 17;
 
@@ -55,7 +55,7 @@ fn neighbours(p: usize, r: Rank) -> (Rank, Rank) {
 pub(crate) fn allreduce_step(
     data: &mut [f64],
     op: ReduceOp,
-    (p, r): (usize, Rank),
+    (p, r, _): At,
     step: usize,
     carry: Vec<f64>,
     exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,

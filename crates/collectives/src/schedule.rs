@@ -11,6 +11,12 @@
 //! | [`Schedule::Halving`] | power of two | `2·log₂P` | `2·(P−1)/P·n` |
 //! | [`Schedule::Doubling`] | power of two | `log₂P` | `log₂P·n` |
 //! | [`Schedule::Fold`] | not a power of two | `2 +` the core's on `q` | `2n +` the core's on `q` |
+//! | reduce-scatter ([`crate::reduce_scatter`]) | power of two | `log₂P` | `(P−1)/P·n` |
+//!
+//! The reduce-scatter is no fifth schedule: it is Halving stopped after
+//! its `log₂P` halving steps, blocks cut on whole rows, and on any other
+//! group the all-reduce the selector picks, each rank keeping its rows
+//! ([`Schedule::scatter`], priced by [`crate::cost::reduce_scatter_exact`]).
 //!
 //! Halving (Rabenseifner) has the ring's bandwidth with the paper's
 //! `2⌈log₂P⌉` latency (Eqs. 4, 8, 9), so it wins every large message on
@@ -50,6 +56,10 @@ const TAG: Tag = (1 << 48) + 16;
 /// Where one step's block goes and where its incoming block comes from;
 /// `None` on a side the step does not use.
 pub(crate) type Peers = (Option<Rank>, Option<Rank>);
+
+/// Who runs a step: the group size `p`, the rank `r` and the words per
+/// row `row` Halving cuts its blocks on (1 for an all-reduce).
+pub(crate) type At = (usize, Rank, usize);
 
 /// An all-reduce schedule. See the [module docs](self) for the costs
 /// and for which one [`Schedule::select`] picks.
@@ -108,6 +118,19 @@ impl Schedule {
         }
     }
 
+    /// The schedule and the number of its steps that
+    /// [`crate::reduce_scatter`] runs on `p` ranks for `n` words: Halving's
+    /// `log₂P` halving steps on a power-of-two group, and on any other
+    /// every step of the all-reduce [`Schedule::select`] picks, after
+    /// which each rank holds its own rows among all the others.
+    pub(crate) fn scatter(p: usize, n: f64, model: &NetModel) -> (Schedule, usize) {
+        if is_pow2(p) {
+            return (Halving, p.trailing_zeros() as usize);
+        }
+        let s = Schedule::select(p, n, model);
+        (s, s.steps(p))
+    }
+
     /// Exchange steps on `p` ranks.
     pub(crate) fn steps(self, p: usize) -> usize {
         let log = p.trailing_zeros() as usize;
@@ -119,15 +142,15 @@ impl Schedule {
         }
     }
 
-    /// Step `step` of this schedule on `data` as rank `r` of `p` sees it.
-    /// `carry` is what the previous step returned (empty at step 0);
-    /// `exchange` must send its buffer to `to`, if any, and return the
+    /// Step `step` of this schedule on `data` as rank `r` of `p` sees it
+    /// (`at`). `carry` is what the previous step returned (empty at step
+    /// 0); `exchange` must send its buffer to `to`, if any, and return the
     /// one received from `from` (empty if none).
     pub(crate) fn step(
         self,
         data: &mut [f64],
         op: ReduceOp,
-        at: (usize, Rank),
+        at: At,
         step: usize,
         carry: Vec<f64>,
         exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
@@ -140,15 +163,17 @@ impl Schedule {
         }
     }
 
-    /// Runs `steps` of this schedule on the main timeline, blocking.
+    /// Runs `steps` of this schedule on the main timeline, blocking,
+    /// Halving's blocks cut on rows of `row` words.
     pub(crate) fn run(
         self,
         comm: &Communicator,
         data: &mut [f64],
         op: ReduceOp,
+        row: usize,
         steps: Range<usize>,
     ) -> Result<()> {
-        let (at, mut carry) = ((comm.size(), comm.rank()), Vec::new());
+        let (at, mut carry) = ((comm.size(), comm.rank(), row), Vec::new());
         for step in steps {
             carry = self.step(data, op, at, step, carry, |(to, from), out| {
                 if let Some(to) = to {
@@ -172,6 +197,20 @@ impl Schedule {
         data: &mut [f64],
         op: ReduceOp,
     ) -> Result<()> {
+        self.reduce(comm, data, op, 1, self.steps(comm.size()))
+    }
+
+    /// The first `steps` of [`Schedule::allreduce`], blocks cut on rows
+    /// of `row` words: the whole all-reduce, or Halving's reduce-scatter
+    /// half ([`Schedule::scatter`]). Counted as an all-reduce.
+    pub(crate) fn reduce(
+        self,
+        comm: &Communicator,
+        data: &mut [f64],
+        op: ReduceOp,
+        row: usize,
+        steps: usize,
+    ) -> Result<()> {
         comm.record_allreduce();
         let p = comm.size();
         assert!(
@@ -182,6 +221,7 @@ impl Schedule {
             return Ok(());
         }
         let name = match self {
+            Halving if steps < self.steps(p) => "reduce_scatter_halving",
             Ring => "allreduce_ring",
             Halving => "allreduce_rabenseifner",
             Doubling => "allreduce_recursive_doubling",
@@ -189,7 +229,7 @@ impl Schedule {
         };
         let words = data.len() as f64;
         let _span = comm.trace_span("collective", name, &[("p", p as f64), ("words", words)]);
-        self.run(comm, data, op, 0..self.steps(p))
+        self.run(comm, data, op, row, 0..steps)
     }
 }
 
@@ -204,7 +244,7 @@ fn fold_step(
     core: Schedule,
     data: &mut [f64],
     op: ReduceOp,
-    (p, r): (usize, Rank),
+    (p, r, row): At,
     step: usize,
     carry: Vec<f64>,
     exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
@@ -215,7 +255,7 @@ fn fold_step(
         if r >= q {
             return Ok(carry);
         }
-        return core.step(data, op, (q, r), step - 1, carry, exchange);
+        return core.step(data, op, (q, r, row), step - 1, carry, exchange);
     }
     let twin = r ^ q;
     if twin >= p {
@@ -319,6 +359,74 @@ mod tests {
                             let latest = latest.fold(0.0, f64::max);
                             assert!((latest - t).abs() < 1e-12, "{at}: {latest} vs {t}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The reduce-scatter, blocking and launched-then-waited, on `P`
+    /// ranks of rows of `row` words: every rank's rows are its block of
+    /// the all-reduce `whole` runs, to the bit, and the latest clock is
+    /// [`crate::cost::reduce_scatter_exact`] whenever `P` divides the rows
+    /// (so every block is equal), the row length and the row count
+    /// otherwise arbitrary.
+    #[test]
+    fn the_reduce_scatter_keeps_each_ranks_rows_of_the_all_reduce() {
+        use crate::chunks::block_range;
+        use crate::cost::reduce_scatter_exact;
+        use crate::{ireduce_scatter, reduce_scatter};
+        let knl = NetModel::cori_knl();
+        // Halving wherever P is a power of two; P = 2 also against the
+        // Doubling exchange the selector picks there; off a power of
+        // two, the selected all-reduce.
+        let cases: [(usize, Option<Schedule>); 7] = [
+            (2, Some(Doubling)),
+            (2, Some(Halving)),
+            (4, Some(Halving)),
+            (8, Some(Halving)),
+            (16, Some(Halving)),
+            (3, None),
+            (6, None),
+        ];
+        for (p, whole) in cases {
+            for (rows, row) in [
+                (3 * p, 1),
+                (3 * p, 5),
+                (5 * p, 2),
+                (p + 1, 3),
+                (2 * p - 1, 4),
+            ] {
+                for model in [MODEL, knl] {
+                    let n = rows * row;
+                    let at = format!("p={p} rows={rows}x{row} {whole:?}");
+                    let whole = whole.unwrap_or_else(|| Schedule::select(p, n as f64, &model));
+                    let out = World::run(p, model, |comm| {
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let mut all = contribution(comm.rank(), n);
+                        whole.allreduce(comm, &mut all, ReduceOp::Sum).unwrap();
+                        let t0 = comm.now();
+                        let mine = contribution(comm.rank(), n);
+                        let blocking = reduce_scatter(comm, mine.clone(), row, ReduceOp::Sum);
+                        let t1 = comm.now();
+                        let h = ireduce_scatter(comm, mine, row, ReduceOp::Sum).unwrap();
+                        let launched = h.wait().unwrap();
+                        let rows = block_range(rows, p, comm.rank());
+                        let want = bits(&all[rows.start * row..rows.end * row]);
+                        let got = (bits(&blocking.unwrap()), bits(&launched));
+                        (want, got, (t1 - t0, comm.now() - t1))
+                    });
+                    let t = reduce_scatter_exact(p, n as f64, &model).seconds(&model);
+                    let (mut latest_b, mut latest_nb) = (0.0f64, 0.0f64);
+                    for (r, (want, (blocking, launched), (tb, tnb))) in out.into_iter().enumerate()
+                    {
+                        assert_eq!(blocking, want, "{at} rank {r}: blocking");
+                        assert_eq!(launched, want, "{at} rank {r}: launched");
+                        (latest_b, latest_nb) = (latest_b.max(tb), latest_nb.max(tnb));
+                    }
+                    if rows % p == 0 {
+                        assert!((latest_b - t).abs() < 1e-12, "{at}: {latest_b} vs {t}");
+                        assert!((latest_nb - t).abs() < 1e-12, "{at}: {latest_nb} vs {t}");
                     }
                 }
             }

@@ -70,7 +70,7 @@ pub fn train_mixed(
 mod tests {
     use super::*;
     use crate::trainer::{synthetic_data, train_1p5d, train_serial};
-    use collectives::cost::allreduce_exact;
+    use collectives::cost::{bruck_allgather, reduce_scatter_exact};
     use dnn::zoo::mlp;
 
     /// One `ModelBatch` row per `(pr, pc)`.
@@ -204,10 +204,11 @@ mod tests {
         };
         // The tail's own run stops at its input, but here its first
         // layer's ∆X is read — it goes back through the relayout — so
-        // the tail also moves that gradient's all-reduce over the P-rank
-        // column group: the selected schedule's words per rank (576
-        // words at α/β = 3000 run recursive doubling, 2·576 per rank).
-        let dx = allreduce_exact(p, (dims[1] * b) as f64, &knl);
+        // the tail also moves that gradient's reduce-scatter over the
+        // P-rank column group and, the relayout reading full depth, the
+        // gather of its blocks back: (P−1)/P of the 576 words each.
+        let n = (dims[1] * b) as f64;
+        let dx = reduce_scatter_exact(p, n, &knl) + bruck_allgather(p, n);
         let tail_dx = (p as f64 * dx.words) as u64;
         let own = uniform_words(&dims[..2], 1, p) + uniform_words(&dims[1..], p, 1) + tail_dx;
         // Forward, Eq. 6 itself: every rank gathers the (P−1)/P of the

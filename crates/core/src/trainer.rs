@@ -128,18 +128,15 @@ pub(crate) fn apply_act(act: Act, y: &mut Matrix) {
 }
 
 /// Back-propagates `dy` through a layer's activation in place, given
-/// the layer's *output* `post`: tanh's derivative is a function of its
-/// output, and ReLU's mask `[pre > 0]` equals `[post > 0]`.
-pub(crate) fn act_backward(act: Act, post: &Matrix, dy: &mut Matrix) {
-    assert_eq!(
-        post.shape(),
-        dy.shape(),
-        "activation backward shape mismatch"
-    );
+/// the matching elements `post` of the layer's *output*: tanh's
+/// derivative is a function of its output, and ReLU's mask `[pre > 0]`
+/// equals `[post > 0]`.
+pub(crate) fn act_backward(act: Act, post: &[f64], dy: &mut Matrix) {
+    assert_eq!(post.len(), dy.len(), "activation backward shape mismatch");
     match act {
         Act::None => {}
-        Act::Relu => relu_backward_in_place(post.as_slice(), dy.as_mut_slice()),
-        Act::Tanh => tanh_backward_in_place(post.as_slice(), dy.as_mut_slice()),
+        Act::Relu => relu_backward_in_place(post, dy.as_mut_slice()),
+        Act::Tanh => tanh_backward_in_place(post, dy.as_mut_slice()),
     }
 }
 
@@ -213,7 +210,7 @@ pub(crate) fn serial_step(
     }
     let (loss, mut dy) = softmax_xent(inputs.last().expect("logits"), labels);
     for (idx, l) in layers.iter().enumerate().rev() {
-        act_backward(l.act, &inputs[idx + 1], &mut dy);
+        act_backward(l.act, inputs[idx + 1].as_slice(), &mut dy);
         let dw = matmul_a_bt(&dy, &inputs[idx]);
         let dx = (idx > 0 || input_grad).then(|| matmul_at_b(&w[idx], &dy));
         apply(w, idx, dw.as_slice());
@@ -524,10 +521,20 @@ pub(crate) fn forward_pass(p: &Pass<'_>, w: &[Matrix]) -> Result<Tape, Error> {
 }
 
 /// The backward half of the one iteration body (Eq. 8: all-reduce `∆W`
-/// over `Pc` and `∆X` over `Pr`), up to the optimizer step: every
-/// summed `∆W_i` reaches `apply(w, layer, summed)` exactly once, here
-/// or in [`optimizer_step`]. `∆X` leaving a layer whose input was
-/// re-laid is re-laid back.
+/// over `Pc`; `∆X` over `Pr`, run as the reduce-scatter of the rows the
+/// layer below reads), up to the optimizer step: every summed `∆W_i`
+/// reaches `apply(w, layer, summed)` exactly once, here or in
+/// [`optimizer_step`].
+///
+/// The gradient carried from layer to layer is this rank's row block
+/// `∆Y_{i,j}` ([`Grid::w_rows`]), never the full-depth `∆Y_j`: the loss
+/// gradient is cut to its rows once, each activation backward reads the
+/// same rows of the saved output in place, and each layer's `∆X`
+/// reduce-scatter leaves exactly the next block. Where a layer's input
+/// was re-laid (the batch split changes, [`crate::mixed::train_mixed`]),
+/// the blocks are gathered back to full depth over the column group —
+/// the all-reduce's other half, so those words are an all-reduce's —
+/// re-laid, and cut to the lower grid's rows.
 ///
 /// Blocking (`p.plan` is `None`): each layer's ∆W is summed and
 /// applied on the spot — ∆X was already formed from the pre-update
@@ -542,12 +549,12 @@ pub(crate) fn forward_pass(p: &Pass<'_>, w: &[Matrix]) -> Result<Tape, Error> {
 /// trunk, [`crate::cnn`]).
 ///
 /// `input_grad` says whether the caller reads `∂loss/∂x_local`, which
-/// is then returned: a trunk in front of the FC chain back-propagates
-/// it further ([`crate::cnn`]). An FC network's input has no use for it
-/// — the paper does "not need to backpropagate the gradient beyond the
-/// first layer", and Eq. 8 prices no ∆X term there — so without it
-/// layer 0 runs its ∆W partial alone ([`dw_partial`]): no ∆X GEMM and
-/// no column-group all-reduce, every weight bit unchanged.
+/// is then returned at full depth: a trunk in front of the FC chain
+/// back-propagates it further ([`crate::cnn`]). An FC network's input
+/// has no use for it — the paper does "not need to backpropagate the
+/// gradient beyond the first layer", and Eq. 8 prices no ∆X term there —
+/// so without it layer 0 runs its ∆W partial alone ([`dw_partial`]): no
+/// ∆X GEMM and no column-group sum, every weight bit unchanged.
 pub(crate) fn backward_pass(
     p: &Pass<'_>,
     tape: Tape,
@@ -564,15 +571,19 @@ pub(crate) fn backward_pass(
     let Tape {
         acts,
         mut relaid,
-        grad: mut dy,
+        grad,
         ..
     } = tape;
+    let top = layer_grid(grids, p.layers.len() - 1).0;
+    let mut dy = dy_block(top, Cow::Owned(grad)).into_owned();
     {
         let _bwd = comm.trace_span("trainer", "backward", &iter_arg);
         for (idx, l) in p.layers.iter().enumerate().rev() {
             let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
             let (grid, relaid_from) = layer_grid(grids, idx);
-            act_backward(l.act, &acts[idx], &mut dy);
+            let (rows, bloc) = (grid.w_rows(l.d_out), dy.cols());
+            let post = &acts[idx].as_slice()[rows.start * bloc..rows.end * bloc];
+            act_backward(l.act, post, &mut dy);
             let popped;
             let xl = if relaid_from.is_some() {
                 popped = relaid.pop().expect("forward re-laid this input");
@@ -583,7 +594,7 @@ pub(crate) fn backward_pass(
                 &acts[idx - 1]
             };
             if idx == 0 && !input_grad {
-                let mut dw = dw_partial(grid, xl, &dy_block(grid, &dy), guard)?;
+                let mut dw = dw_partial(grid, xl, &dy, guard)?;
                 if let Some(sched) = &mut sched {
                     sched.push(idx, dw)?;
                 } else {
@@ -605,7 +616,11 @@ pub(crate) fn backward_pass(
                 }
             };
             dy = match relaid_from {
-                Some(to) => grid.relayout_cols(to, &dx, p.b_global)?,
+                Some(to) => {
+                    let full = full_depth(grid, dx, l.d_in)?;
+                    let relaid = grid.relayout_cols(to, &full, p.b_global)?;
+                    dy_block(to, Cow::Owned(relaid)).into_owned()
+                }
                 None => dx,
             };
         }
@@ -613,7 +628,21 @@ pub(crate) fn backward_pass(
             sched.flush()?;
         }
     }
-    Ok((sched, input_grad.then_some(dy)))
+    let dx = input_grad.then(|| full_depth(&grids[0], dy, p.layers[0].d_in));
+    Ok((sched, dx.transpose()?))
+}
+
+/// The full-depth `d`-row matrix whose row block ([`Grid::w_rows`]) this
+/// rank holds: the column group's blocks gathered into place
+/// ([`Grid::gather_rows`]), or `block` itself when the model dimension
+/// is not split.
+fn full_depth(grid: &Grid, block: Matrix, d: usize) -> Result<Matrix, Error> {
+    if grid.pr == 1 {
+        return Ok(block);
+    }
+    let mut full = Matrix::zeros(0, 0);
+    grid.gather_rows(block, d, &mut full)?;
+    Ok(full)
 }
 
 /// The optimizer step that ends an iteration: waits every bucket
@@ -932,8 +961,9 @@ mod tests {
     /// Over `Pr > 1` each layer `l ≥ 1` now also hides its ∆X sum, which
     /// the engine ran blocking, behind its own ∆W GEMM: on every rank,
     /// per iteration, the shorter of the GEMM (`2·d_l/Pr·d_{l−1}·B/Pc`
-    /// flops) and the sum ([`collectives::cost::allreduce_exact`] of
-    /// `d_{l−1}·B/Pc` words over `Pr`). The makespan falls by that much
+    /// flops) and the sum, a reduce-scatter
+    /// ([`collectives::cost::reduce_scatter_exact`] of `d_{l−1}·B/Pc`
+    /// words over `Pr`). The makespan falls by that much
     /// and the overlapped time rises by it on every rank. Only evenly
     /// divided layers have this closed form: on a ragged one the
     /// short-shard ranks launch their sum early and the group leaves the
@@ -957,7 +987,7 @@ mod tests {
                 let (d_in, d_out) = (w[0], w[1]);
                 assert_eq!(d_out % pr, 0, "layer of {d_out} rows is ragged over {pr}");
                 let gemm = 2.0 * (d_out / pr * d_in * bloc) as f64 / model.flops;
-                let sum = collectives::cost::allreduce_exact(pr, (d_in * bloc) as f64, model);
+                let sum = collectives::cost::reduce_scatter_exact(pr, (d_in * bloc) as f64, model);
                 gemm.min(sum.seconds(model))
             })
             .sum();
@@ -1052,10 +1082,10 @@ mod tests {
         // and gathers double, one step each.
         // * 1×4: two ∆W buckets (10 176 and 6 144 words) halve, 4 steps
         //   against the ring's 6: (4, 0).
-        // * 2×4: two ∆X sums over 2 ranks, one step each against the
-        //   ring's 2, and one ∆W bucket of 8 160 words halves: (4, 0).
-        //   Each ∆X sum (17.68 µs) then hides behind its ∆W GEMM: 7.68 µs
-        //   of layer 2's, all of layer 1's.
+        // * 2×4: two ∆X reduce-scatters over 2 ranks, one step of 384
+        //   words each against the ring's 2, and one ∆W bucket of 8 160
+        //   words halves: (4, 768). Each ∆X sum (13.84 µs) then hides
+        //   behind its ∆W GEMM: 7.68 µs of layer 2's, all of layer 1's.
         // * 4×2 has no retired-clock form, because its 10-row layer splits
         //   2, 3, 2, 3. Before the ∆X sums went on the channel it read
         //   [0x3f532314cf675343, 0x3c28000000000000], which is the retired
@@ -1070,6 +1100,10 @@ mod tests {
         //   moves to the 2-row ranks: 60.896 µs per iteration faster (2
         //   α-steps, 3 168 words, 9 216 flops), and 467.2 µs per iteration
         //   hidden (4 × 63.008 + 4 × 53.792), which is no per-layer min.
+        //   Re-recorded, weights included, when the ∆X sums became
+        //   reduce-scatters: the two 1 536-word sums over 4 ranks ran
+        //   recursive doubling, and the reduce-scatter runs recursive
+        //   halving's two steps, which sum in another order.
         let goldens = [
             (
                 (1, 4),
@@ -1078,12 +1112,12 @@ mod tests {
             ),
             (
                 (2, 4),
-                [0x3f521ef7a320673b, 0x3f3a9785ee161db0, 0xbe4545396a41047d],
-                Some(([0x3f56b24912ee6f36, 0x3c34000000000000], (4.0, 0.0))),
+                [0x3f51fec14ccd1e69, 0x3f3690bb23ad0362, 0xbe4545396a41047d],
+                Some(([0x3f56b24912ee6f36, 0x3c34000000000000], (4.0, 768.0))),
             ),
             (
                 (4, 2),
-                [0x3f51243fa55c706e, 0x3f4e9e50b87f37f8, 0x2f1d37134f707acd],
+                [0x3f508b3d8b50d687, 0x3f43c9e9f707bc72, 0x520266c1a6384c1d],
                 None,
             ),
         ];
@@ -1247,13 +1281,14 @@ mod tests {
         let sch = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, plan);
         assert_pr3_golden(
             &sch,
-            [0x3f34f0ecab7e3758, 0x3f101b2b29a46930, 0xe7e19beecc6cc70d],
+            [0x3f3470135231140f, 0x3f101b2b29a46927, 0xe7e19beecc6cc70d],
         );
         let retired = [0x3f4063830fc7fcb6, 0x3bf8000000000000];
         // Every group has 2 ranks: layer 1's ∆X sum and the ∆W bucket
-        // each take one doubling step where the ring took two. That sum
-        // (17.68 µs) then hides 7.68 µs, its ∆W GEMM, on every rank.
-        let saved = (2.0, 0.0);
+        // each take one step where the ring took two, the sum a
+        // reduce-scatter of 384 of its 768 words. That sum (13.84 µs) then
+        // hides 7.68 µs, its ∆W GEMM, on every rank.
+        let saved = (2.0, 384.0);
         let dims = (&[48, 64, 10][..], 24, 2);
         assert_retired_clock_less_layer0_dx(&sch, &model, dims, retired, saved);
     }

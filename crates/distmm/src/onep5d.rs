@@ -14,8 +14,14 @@
 //! * **`∆W`**: local `∆Y_{i,j}·X_jᵀ`, then all-reduce over the
 //!   `Pc`-sized row groups (sum over batch shards) — the volume is
 //!   `|W|/Pr` per process, the paper's key saving over Eq. 4;
-//! * **`∆X`**: local `W_iᵀ·∆Y_{i,j}`, then all-reduce over the
-//!   `Pr`-sized column groups.
+//! * **`∆X`**: local `W_iᵀ·∆Y_{i,j}`, then a reduce-scatter over the
+//!   `Pr`-sized column groups: the rows the layer below reads. Eq. 8
+//!   prices an all-reduce there, but the layer below reads only its row
+//!   block `∆Y_{i,j}` of the sum, so only the all-reduce's
+//!   reduce-scatter half runs ([`collectives::reduce_scatter`]): half the
+//!   words and, on a power-of-two `Pr`, half the α-steps, with the
+//!   all-reduce's bits in every row Halving or `Pr = 2` would have summed.
+//!   The trainers carry `∆Y_{i,j}` from layer to layer, never `∆Y_j`.
 //!
 //! `Pr = 1` degenerates to pure batch parallelism (Fig. 2) and
 //! `Pc = 1` to pure model parallelism (Fig. 1); tests pin both.
@@ -23,9 +29,8 @@
 use std::borrow::Cow;
 use std::cell::Cell;
 
-use collectives::nonblocking::iallreduce;
 use collectives::ring::allgatherv_ring;
-use collectives::{allgatherv_into, allreduce, ReduceOp};
+use collectives::{allgatherv_into, allreduce, ireduce_scatter, reduce_scatter, ReduceOp};
 use mpsim::{apply_flips, Communicator, Error, FaultCtx, Result};
 use tensor::abft::{self, Verdict};
 use tensor::matmul::{matmul_a_bt, matmul_at_b, matmul_flops, matmul_into};
@@ -51,7 +56,7 @@ pub struct Grid {
     /// all-reduce).
     pub row_comm: Communicator,
     /// The `Pr`-sized group sharing batch shard `j` (used for the
-    /// forward all-gather and the ∆X all-reduce).
+    /// forward all-gather and the ∆X reduce-scatter).
     pub col_comm: Communicator,
 }
 
@@ -76,6 +81,19 @@ impl Grid {
     /// The rows of a `d_out`-row weight matrix owned by this rank.
     pub fn w_rows(&self, d_out: usize) -> std::ops::Range<usize> {
         part_range(d_out, self.pr, self.i)
+    }
+
+    /// Gathers the column group's row blocks ([`Grid::w_rows`]) of a
+    /// `d`-row matrix into `out`, reshaped to `d × bloc`: `part` is this
+    /// rank's `bloc`-column block, and every arriving block is copied
+    /// once into place ([`collectives::allgatherv_into`]).
+    pub fn gather_rows(&self, part: Matrix, d: usize, out: &mut Matrix) -> Result<()> {
+        let bloc = part.cols();
+        out.reshape(d, bloc);
+        allgatherv_into(&self.col_comm, part.into_vec(), out.as_mut_slice(), |src| {
+            let rows = part_range(d, self.pr, src);
+            rows.start * bloc..rows.end * bloc
+        })
     }
 
     /// The columns of a `B`-column activation matrix owned by this rank.
@@ -262,18 +280,19 @@ fn y_partial(grid: &Grid, w_local: &Matrix, x_local: &Matrix, guard: Guard) -> R
     Ok(y)
 }
 
-/// This rank's row block `∆Y_{i,j}` of the full-depth `∆Y_j`: a copy
-/// of its rows, or `∆Y_j` itself when the model dimension is not split.
-pub fn dy_block<'a>(grid: &Grid, dy_local: &'a Matrix) -> Cow<'a, Matrix> {
+/// This rank's row block `∆Y_{i,j}` ([`Grid::w_rows`]) of a full-depth
+/// `∆Y_j`: a copy of its rows, or `∆Y_j` itself when the model dimension
+/// is not split.
+pub fn dy_block<'a>(grid: &Grid, dy: Cow<'a, Matrix>) -> Cow<'a, Matrix> {
     if grid.pr == 1 {
-        return Cow::Borrowed(dy_local);
+        return dy;
     }
-    let rows = grid.w_rows(dy_local.rows());
-    Cow::Owned(dy_local.row_block(rows.start, rows.end))
+    let rows = grid.w_rows(dy.rows());
+    Cow::Owned(dy.row_block(rows.start, rows.end))
 }
 
 /// The local `∆W` partial `∆Y_{i,j}·X_jᵀ` (flops charged, guarded),
-/// `dy_i` being [`dy_block`]'s rows — *not* yet summed over the row
+/// `dy_i` being this rank's row block ([`dy_block`]) — *not* yet summed over the row
 /// group. Alone, it is the backward of a layer whose input gradient
 /// nobody reads (the paper does "not need to backpropagate the gradient
 /// beyond the first layer"): the caller sums it, blocking or bucketed,
@@ -345,64 +364,71 @@ pub fn forward_into(
     if grid.pr == 1 {
         return y_partial_into(grid, w_local, x_local, guard, y);
     }
-    let bloc = x_local.cols();
     let part = y_partial(grid, w_local, x_local, guard)?;
-    y.reshape(d_out, bloc);
-    allgatherv_into(&grid.col_comm, part.into_vec(), y.as_mut_slice(), |src| {
-        let rows = part_range(d_out, grid.pr, src);
-        rows.start * bloc..rows.end * bloc
-    })
+    grid.gather_rows(part, d_out, y)
 }
 
 /// Backward: given the full-depth output-gradient shard `∆Y_j`
-/// (`d_out × B/Pc`), returns `(∆W_i, ∆X_j)`:
+/// (`d_out × B/Pc`), returns `(∆W_i, ∆X_{i,j})`:
 /// `∆W_i = allreduce_{Pc}(∆Y_{i,j}·X_jᵀ)` (this rank's `d_out/Pr × d_in`
 /// shard of the summed weight gradient) and
-/// `∆X_j = allreduce_{Pr}(W_iᵀ·∆Y_{i,j})` (the full `d_in × B/Pc` input
-/// gradient).
+/// `∆X_{i,j} = reduce_scatter_{Pr}(W_iᵀ·∆Y_{i,j})`: the rows
+/// [`Grid::w_rows`]`(d_in)` of the `d_in × B/Pc` input gradient, the
+/// block the layer below reads. `∆Y_{i,j}` is cut from `∆Y_j` here
+/// ([`dy_block`]); the trainers, which carry row blocks from layer to
+/// layer, call [`backward_with`].
 pub fn backward(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
     dy_local: &Matrix,
 ) -> Result<(Matrix, Matrix)> {
-    backward_with(grid, w_local, x_local, dy_local, None)
+    let dy_i = dy_block(grid, Cow::Borrowed(dy_local));
+    backward_with(grid, w_local, x_local, &dy_i, None)
 }
 
-/// [`backward`] under a [`Guard`]. Verification happens on the *local*
-/// partials, before either all-reduce — a corrected flip never enters
-/// the sum, and an escalation aborts the group before the reduction
-/// commits. SDC op order: (∆W, ∆X).
+/// The rows of the `d_in × bloc` input gradient that the `∆X`
+/// reduce-scatter left this rank, as a matrix.
+fn dx_rows(grid: &Grid, d_in: usize, bloc: usize, rows: Vec<f64>) -> Matrix {
+    Matrix::from_vec(grid.w_rows(d_in).len(), bloc, rows)
+}
+
+/// [`backward`] on this rank's row block `dy_i` = `∆Y_{i,j}`, under a
+/// [`Guard`]: returns the summed `∆W_i` and `∆X_{i,j}`, the local
+/// `W_iᵀ·∆Y_{i,j}` reduce-scattered over `Pr` — the rows the layer below
+/// reads. Verification happens on the *local* partials, before either
+/// sum — a corrected flip never enters the sum, and an escalation aborts
+/// the group before the reduction commits. SDC op order: (∆W, ∆X).
 pub fn backward_with(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
-    dy_local: &Matrix,
+    dy_i: &Matrix,
     guard: Guard,
 ) -> Result<(Matrix, Matrix)> {
-    let dy_i = dy_block(grid, dy_local);
-    let mut dw = dw_partial(grid, x_local, &dy_i, guard)?;
+    let mut dw = dw_partial(grid, x_local, dy_i, guard)?;
     allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
-    let mut dx = dx_partial(grid, w_local, &dy_i, guard)?;
-    allreduce(&grid.col_comm, dx.as_mut_slice(), ReduceOp::Sum)?;
-    Ok((dw, dx))
+    let dx = dx_partial(grid, w_local, dy_i, guard)?;
+    let bloc = dx.cols();
+    let dx = reduce_scatter(&grid.col_comm, dx.into_vec(), bloc, ReduceOp::Sum)?;
+    Ok((dw, dx_rows(grid, w_local.cols(), bloc, dx)))
 }
 
 /// [`backward_with`] as the scheduled trainers run it: the ∆W
-/// all-reduce is **deferred** and the ∆X all-reduce **overlapped**.
-/// The `W_iᵀ·∆Y_{i,j}` GEMM runs first, its column-group sum is launched
-/// non-blocking ([`collectives::nonblocking::iallreduce`]), and the
+/// all-reduce is **deferred** and the ∆X reduce-scatter **overlapped**.
+/// The `W_iᵀ·∆Y_{i,j}` GEMM runs first, its column-group reduce-scatter
+/// is launched non-blocking ([`collectives::ireduce_scatter`]), and the
 /// `∆Y_{i,j}·X_jᵀ` GEMM then runs while that sum is on the channel,
 /// hiding up to its length before the wait. Returns the local ∆W
 /// partial — *not* yet summed over the `Pc`-sized row group, but already
-/// verified under the guard — and the fully reduced `∆X_j`. The caller
-/// owns the row-group sum, typically launching it as a bucketed
-/// non-blocking all-reduce so the transfer overlaps the remaining
-/// backward compute (the paper's Fig. 8 executed); see
+/// verified under the guard — and `∆X_{i,j}`, the rows the layer below
+/// reads. The caller owns the row-group sum, typically launching it as a
+/// bucketed non-blocking all-reduce so the transfer overlaps the
+/// remaining backward compute (the paper's Fig. 8 executed); see
 /// `integrated::trainer::train_1p5d_scheduled`.
 ///
 /// Values are bit-identical to [`backward_with`]'s: the two local GEMMs
-/// are independent and the non-blocking all-reduce reduces in its
+/// are independent and the non-blocking reduce-scatter reduces in its
 /// blocking twin's exact order. The GEMMs *execute* in the opposite
 /// order, so the SDC op order is (∆X, ∆W): op-indexed fault scripts
 /// written against one schedule do not transfer to the other.
@@ -410,22 +436,21 @@ pub fn backward_dw_deferred(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
-    dy_local: &Matrix,
+    dy_i: &Matrix,
     guard: Guard,
 ) -> Result<(Matrix, Matrix)> {
-    let dy_i = dy_block(grid, dy_local);
-    let dx = dx_partial(grid, w_local, &dy_i, guard)?;
-    let h = iallreduce(&grid.col_comm, dx.into_vec(), ReduceOp::Sum)?;
-    let dw = dw_partial(grid, x_local, &dy_i, guard)?;
-    let dx = Matrix::from_vec(w_local.cols(), dy_i.cols(), h.wait()?);
-    Ok((dw, dx))
+    let dx = dx_partial(grid, w_local, dy_i, guard)?;
+    let bloc = dx.cols();
+    let h = ireduce_scatter(&grid.col_comm, dx.into_vec(), bloc, ReduceOp::Sum)?;
+    let dw = dw_partial(grid, x_local, dy_i, guard)?;
+    Ok((dw, dx_rows(grid, w_local.cols(), bloc, h.wait()?)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::{col_shard, part_range, row_shard};
-    use collectives::cost::{allreduce_exact, bruck_allgather, CostTerms};
+    use collectives::cost::{allreduce_exact, bruck_allgather, reduce_scatter_exact, CostTerms};
     use collectives::FtConfig;
     use mpsim::{NetModel, World};
     use tensor::init;
@@ -487,7 +512,10 @@ mod tests {
                 dw.approx_eq(&dw_expect, 1e-10),
                 "grid {pr}x{pc} rank ({i},{j}) dW"
             );
+            // ∆X: the rows of the layer below's row block, no others.
+            let rows = part_range(d_in, pr, i);
             let dx_expect = r.dx.col_block(cols.start, cols.end);
+            let dx_expect = dx_expect.row_block(rows.start, rows.end);
             assert!(
                 dx.approx_eq(&dx_expect, 1e-10),
                 "grid {pr}x{pc} rank ({i},{j}) dX"
@@ -556,9 +584,10 @@ mod tests {
         // all-gather of Y, at Eq. 3's `log₂P·α`; ∆W moves nothing — "the
         // input activation is already communicated via the all-gather
         // collective of forward pass" — so backward is the ∆X all-reduce
-        // alone.
+        // alone — run as the reduce-scatter of the rows each rank's layer
+        // below reads.
         let y = secs(bruck_allgather(p, (d_out * b) as f64));
-        let dx = secs(allreduce_exact(p, (d_in * b) as f64, &model));
+        let dx = secs(reduce_scatter_exact(p, (d_in * b) as f64, &model));
         for (fwd, bwd) in comm_secs(p, 1) {
             assert!((fwd - y).abs() < 1e-12, "{fwd} vs {y}");
             assert!((bwd - dx).abs() < 1e-12, "{bwd} vs {dx}");
@@ -644,7 +673,8 @@ mod tests {
                 let xl = col_shard(&r.x, pc, grid.j);
                 let dyl = col_shard(&r.dy, pc, grid.j);
                 let (dw_ref, dx_ref) = backward(&grid, &wl, &xl, &dyl).unwrap();
-                let (mut dw, dx) = backward_dw_deferred(&grid, &wl, &xl, &dyl, None).unwrap();
+                let dy_i = dy_block(&grid, Cow::Owned(dyl));
+                let (mut dw, dx) = backward_dw_deferred(&grid, &wl, &xl, &dy_i, None).unwrap();
                 allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum).unwrap();
                 (dw_ref, dx_ref, dw, dx)
             });
@@ -674,7 +704,7 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
-            backward_dw_deferred(&grid, &wl, &xl, &dyl, None).unwrap();
+            backward_dw_deferred(&grid, &wl, &xl, &dy_block(&grid, Cow::Owned(dyl)), None).unwrap();
         });
         assert!(
             stats.total_overlapped_secs() > 0.0,
@@ -747,9 +777,10 @@ mod tests {
                     let wl = row_shard(&r.w, pr, grid.i);
                     let xl = col_shard(&r.x, pc, grid.j);
                     let dyl = col_shard(&r.dy, pc, grid.j);
+                    let dy_i = dy_block(&grid, Cow::Owned(dyl));
                     let y = forward_with(&grid, &wl, &xl, guard).unwrap();
-                    let (dw, dx) = backward_with(&grid, &wl, &xl, &dyl, guard).unwrap();
-                    let deferred = backward_dw_deferred(&grid, &wl, &xl, &dyl, guard).unwrap();
+                    let (dw, dx) = backward_with(&grid, &wl, &xl, &dy_i, guard).unwrap();
+                    let deferred = backward_dw_deferred(&grid, &wl, &xl, &dy_i, guard).unwrap();
                     if abft.is_some() {
                         // fwd + (∆W, ∆X) + (∆X, ∆W).
                         assert_eq!(sdc.ops_done(), 5, "SDC op numbering");
@@ -794,7 +825,8 @@ mod tests {
             let sdc = SdcCtx::new(0, true);
             let guard = Some(&sdc);
             let y = forward_with(&grid, &wl, &xl, guard).unwrap();
-            let (dw, dx) = backward_with(&grid, &wl, &xl, &dyl, guard).unwrap();
+            let dy_i = dy_block(&grid, Cow::Owned(dyl));
+            let (dw, dx) = backward_with(&grid, &wl, &xl, &dy_i, guard).unwrap();
             (y, dw, dx)
         });
         assert_eq!(out, clean, "both flips repaired bit-exactly");

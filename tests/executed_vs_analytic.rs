@@ -6,12 +6,16 @@
 
 use integrated_parallelism::distmm::dist::{col_shard, part_range, row_shard};
 use integrated_parallelism::distmm::domain_general;
-use integrated_parallelism::distmm::onep5d::{backward, forward, Grid};
+use std::borrow::Cow;
+
+use integrated_parallelism::distmm::onep5d::{
+    backward, backward_dw_deferred, dy_block, forward, Grid,
+};
 use integrated_parallelism::dnn::zoo::{mini_alexnet, mlp};
 use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape};
 use integrated_parallelism::integrated::cnn::{synthetic_images, train_cnn_domain_traced};
 use integrated_parallelism::integrated::cost::integrated::{integrated_model_batch, layer_cost};
-use integrated_parallelism::integrated::cost::pure_domain;
+use integrated_parallelism::integrated::cost::{pure_domain, CommCost};
 use integrated_parallelism::integrated::overlap::OverlapPlan;
 use integrated_parallelism::integrated::trainer::{
     synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig,
@@ -20,7 +24,9 @@ use integrated_parallelism::integrated::{LayerParallelism, MachineModel};
 use integrated_parallelism::mpsim::{EventKind, NetModel, TraceConfig, World};
 use integrated_parallelism::tensor::conv::Conv2dParams;
 use integrated_parallelism::tensor::init;
+use integrated_parallelism::tensor::matmul::matmul_at_b;
 use integrated_parallelism::tensor::pool::Pool2dParams;
+use integrated_parallelism::tensor::Matrix;
 
 /// A bandwidth-only machine: α = 0 so the executed ring latency and
 /// the paper's `⌈log P⌉` latency both vanish.
@@ -34,6 +40,15 @@ fn bandwidth_only() -> (NetModel, MachineModel) {
     let mut net = machine.net_model();
     net.flops = f64::INFINITY; // isolate communication
     (net, machine)
+}
+
+/// Eq. 8's cost as the 1.5D path runs it. Eq. 8 prices each `∆X` sum as
+/// an all-reduce over `Pr`, but the layer below reads only its row block,
+/// so the executed sum is that all-reduce's reduce-scatter half: half the
+/// words, in `log₂Pr` of its `2·log₂Pr` α-steps.
+fn as_executed(mut eq8: CommCost) -> CommCost {
+    eq8.dx_allreduce = eq8.dx_allreduce * 0.5;
+    eq8
 }
 
 #[test]
@@ -60,18 +75,18 @@ fn executed_1p5d_layer_matches_eq8_bandwidth() {
     });
 
     // The matching Eq. 8 per-layer cost (not the first layer, so the
-    // ∆X all-reduce is included).
+    // ∆X sum is included), its ∆X sum run as the reduce-scatter.
     let net = NetworkBuilder::new("one-layer", Shape::flat(d_in))
         .layer(LayerSpec::FullyConnected { out: d_out })
         .build()
         .unwrap();
     let layer = &net.weighted_layers()[0];
-    let expect = layer_cost(
+    let expect = as_executed(layer_cost(
         layer,
         LayerParallelism::ModelBatch { pr, pc },
         b as f64,
         false,
-    );
+    ));
     let expect_secs = expect.total().words * machine.beta();
     for (r, &t) in times.iter().enumerate() {
         assert!(
@@ -83,11 +98,13 @@ fn executed_1p5d_layer_matches_eq8_bandwidth() {
 
 /// One `train_1p5d` iteration of the benchmark's `alexnet-fc-exec`
 /// (`[384, 256, 256, 10]`, B = 512) moves exactly Eq. 8's words on its
-/// busiest rank — the ∆X all-reduce only for layers 2..L, since nothing
-/// reads the gradient of the network input ("we do not need to
-/// backpropagate the gradient beyond the first layer"). A trainer that
-/// still summed layer 1's ∆X would be over by `2·(B/Pc)·(Pr−1)/Pr·384`
-/// on every grid with `Pr > 1`.
+/// busiest rank, each ∆X sum run as its reduce-scatter half
+/// ([`as_executed`]) — and only for layers 2..L, since nothing reads the
+/// gradient of the network input ("we do not need to backpropagate the
+/// gradient beyond the first layer"). A trainer that still summed layer
+/// 1's ∆X would be over by `(B/Pc)·(Pr−1)/Pr·384` on every grid with
+/// `Pr > 1`, and one whose ∆X sums were all-reduces by
+/// `(B/Pc)·(Pr−1)/Pr·256` a layer.
 ///
 /// On the free model every all-reduce runs recursive halving, whose
 /// words are the ring's and Eq. 8's, and every gather over a
@@ -123,8 +140,7 @@ fn executed_fc_iteration_matches_eq8_words_on_the_busiest_rank() {
     ] {
         let run = train_1p5d(&net, &x, &labels, &cfg, pr, pc, NetModel::free());
         let busiest = run.stats.ranks.iter().map(|r| r.words_sent).max().unwrap() as f64;
-        let eq8 = integrated_model_batch(&layers, b as f64, pr, pc)
-            .total
+        let eq8 = as_executed(integrated_model_batch(&layers, b as f64, pr, pc).total)
             .total()
             .words;
         if pr <= 2 {
@@ -176,6 +192,93 @@ fn executed_fc_transfer_time_is_eq8s_within_five_percent() {
     }
 }
 
+/// The 1.5D `∆X` sum is a reduce-scatter: each rank receives only the
+/// rows of `∆Y` the layer below reads. On every grid of the benchmark's
+/// `fc_1p5d` (`alexnet-fc-exec`, B = 512, two iterations of the scheduled
+/// trainer on Cori KNL, every power-of-two grid of P ∈ {8, 16}):
+///
+/// * each rank's `∆X` of layers 2 and 3 — the ones summed — is exactly
+///   its row block of the serial `∆X` (on integer-valued operands, where
+///   every summation order is exact);
+/// * the busiest rank sends exactly half the `∆X` all-reduces' words
+///   fewer than when the sums were all-reduces (`BEFORE`, its words
+///   then): `(Pr−1)/Pr·d_in·B/Pc` per sum;
+/// * the makespan is below the one the all-reduces left (`BEFORE`),
+///   and equal to it on `Pr = 1`, which sums no `∆X`.
+#[test]
+fn executed_fc_dx_sum_is_a_reduce_scatter() {
+    // ((Pr, Pc), makespan, busiest rank's words) with all-reduced ∆X.
+    const BEFORE: [((usize, usize), f64, u64); 9] = [
+        ((1, 8), 4.620878506666667e-4, 582_400),
+        ((2, 4), 3.7033565866666674e-4, 447_488),
+        ((4, 2), 5.355943253333332e-4, 677_376),
+        ((8, 1), 1.0368169813333337e-3, 1_386_496),
+        ((1, 16), 4.929105919999999e-4, 624_000),
+        ((2, 8), 3.3810116266666653e-4, 390_144),
+        ((4, 4), 3.7943449599999986e-4, 422_144),
+        ((8, 2), 5.9220352e-4, 735_232),
+        ((16, 1), 1.1168798720000003e-3, 1_485_824),
+    ];
+    let dims = [384, 256, 256, 10];
+    let net = mlp("alexnet-fc-exec", &dims);
+    let (b, iters) = (512, 2);
+    let (x, labels) = synthetic_data(&net, b, 7);
+    let cfg = TrainConfig {
+        lr: 0.1,
+        iters,
+        seed: 18,
+    };
+    let model = MachineModel::cori_knl().net_model();
+    // Small integers: every product and partial sum is exact.
+    let ints = |rows: usize, cols: usize, seed: usize| {
+        Matrix::from_fn(rows, cols, |i, j| ((i * 7 + j * 3 + seed) % 5) as f64 - 2.0)
+    };
+    for ((pr, pc), makespan, words) in BEFORE {
+        let grid = format!("grid {pr}x{pc}");
+        for (l, d) in dims.windows(2).enumerate().skip(1) {
+            let (d_in, d_out) = (d[0], d[1]);
+            let (w, dy) = (ints(d_out, d_in, l), ints(d_out, b, l + 1));
+            let x = init::uniform(d_in, b, -1.0, 1.0, 2);
+            let serial = matmul_at_b(&w, &dy);
+            let blocks = World::run(pr * pc, model, |comm| {
+                let g = Grid::new(comm, pr, pc).unwrap();
+                let (wl, xl) = (row_shard(&w, pr, g.i), col_shard(&x, pc, g.j));
+                let dy_i = dy_block(&g, Cow::Owned(col_shard(&dy, pc, g.j)));
+                backward_dw_deferred(&g, &wl, &xl, &dy_i, None).unwrap().1
+            });
+            for (r, dx) in blocks.iter().enumerate() {
+                let (rows, cols) = (part_range(d_in, pr, r / pc), part_range(b, pc, r % pc));
+                let want = serial.col_block(cols.start, cols.end);
+                let want = want.row_block(rows.start, rows.end);
+                assert!(*dx == want, "{grid} layer {l} rank {r}: ∆X rows");
+            }
+        }
+        let run = train_1p5d_scheduled(
+            &net,
+            &x,
+            &labels,
+            &cfg,
+            pr,
+            pc,
+            model,
+            OverlapPlan::default(),
+        );
+        let busiest = run.stats.ranks.iter().map(|r| r.words_sent).max().unwrap();
+        let half_dx: usize = (dims[1..3].iter())
+            .map(|d_in| (pr - 1) * d_in * (b / pc) / pr)
+            .sum();
+        assert_eq!(words - busiest, (iters * half_dx) as u64, "{grid}: words");
+        // Pr = 1 has no ∆X sum: its clock is the all-reduce's to the bit.
+        let now = run.stats.makespan();
+        let faster = if pr == 1 {
+            now == makespan
+        } else {
+            now < makespan
+        };
+        assert!(faster, "{grid}: makespan {now:e} vs {makespan:e}");
+    }
+}
+
 #[test]
 fn executed_pure_batch_and_model_match_eq8_degenerations() {
     let (d_out, d_in, b) = (16usize, 8usize, 16usize);
@@ -200,12 +303,12 @@ fn executed_pure_batch_and_model_match_eq8_degenerations() {
             let (_dw, _dx) = backward(&grid, &wl, &xl, &dyl).unwrap();
             comm.clock().comm
         });
-        let expect = layer_cost(
+        let expect = as_executed(layer_cost(
             layer,
             LayerParallelism::ModelBatch { pr, pc },
             b as f64,
             false,
-        );
+        ));
         let expect_secs = expect.total().words * machine.beta();
         for &t in &times {
             assert!(

@@ -50,7 +50,10 @@ proptest! {
             let rows = part_range(d_out, pr, i);
             prop_assert!(y.approx_eq(&y_ref.col_block(cols.start, cols.end), 1e-9));
             prop_assert!(dw.approx_eq(&dw_ref.row_block(rows.start, rows.end), 1e-9));
-            prop_assert!(dx.approx_eq(&dx_ref.col_block(cols.start, cols.end), 1e-9));
+            // ∆X is reduce-scattered: the rows of the layer below's block.
+            let rows = part_range(d_in, pr, i);
+            let dx_ref = dx_ref.col_block(cols.start, cols.end);
+            prop_assert!(dx.approx_eq(&dx_ref.row_block(rows.start, rows.end), 1e-9));
         }
     }
 

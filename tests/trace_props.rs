@@ -474,6 +474,14 @@ fn trace_fingerprint(
 /// altogether: 2 `layer_bwd` spans and their 2 layer-0 ∆W GEMMs fewer
 /// (36 + 2 = 38 `compute`). The recovery path is the same: 5 timeouts,
 /// 6 verdicts, 7 rollbacks and one rejoin.
+///
+/// The timestamps were re-recorded, the histogram kept, when the ∆X sums
+/// became reduce-scatters: each 2-rank ∆X sum is still one exchange on
+/// the channel (`iallreduce_launch`, one `chunk_step`, `xfer` and
+/// `drain`), but it now sends half its words, the half of `∆X` whose rows
+/// its partner's layer below reads. No span or instant was renamed or
+/// moved between names, and the recovery path is the same: 5 timeouts,
+/// 6 verdicts, 7 rollbacks and one rejoin.
 const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
     ("channel", "xfer", 32 + 106 - 36),
     ("collective", "allgatherv_bruck", 5 + 3),
@@ -502,13 +510,14 @@ const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
     ("trainer", "recovery", 7),
     ("trainer", "rollback", 7),
 ];
-const GOLDEN_FT_FNV: u64 = 0x01ae_e6ac_ec1a_b8c1;
+const GOLDEN_FT_FNV: u64 = 0x6233_4dfc_6fb5_9d78;
 /// The same FNV over every event but the `collective` scope spans:
 /// first recorded while the FT trainer's rings still carried `_ft` names
 /// and no phase sub-spans, to pin what moving the fault policy onto the
 /// communicator had to leave untouched; re-recorded with the histogram
-/// (every time).
-const GOLDEN_FT_LEAF_FNV: u64 = 0xb3f1_003b_b5d3_f24a;
+/// (every time), and with the timestamps when each 2-rank ∆X sum began
+/// sending half its words.
+const GOLDEN_FT_LEAF_FNV: u64 = 0xd34b_b3fe_07c9_e2fa;
 /// The scheduled run's histogram. Layer 0's ∆X is not formed (per rank
 /// and iteration, 4 × 3 = 12 GEMMs, launches, drains and 24 ring steps
 /// fewer than the retired engine's 132, 48, 84 and 132). Each of the 36
@@ -536,11 +545,15 @@ const GOLDEN_SCHED_HIST: &[(&str, &str, usize)] = &[
     ("trainer", "optimizer_step", 12),
 ];
 /// Re-recorded with the histogram (the forward no longer prefetches).
-const GOLDEN_SCHED_FNV: u64 = 0xc120_d174_6fe0_cf95;
+/// Re-recorded again, the histogram kept, when each 2-rank ∆X sum became
+/// a reduce-scatter: the same one channel step, sending half its words.
+const GOLDEN_SCHED_FNV: u64 = 0xa4d5_cffd_e0a6_61a5;
 /// The same FNV over every event but the `trainer` phases, first
 /// recorded to pin that moving the drain left everything below the
-/// phases alone; re-recorded with the histogram.
-const GOLDEN_SCHED_BELOW_TRAINER_FNV: u64 = 0x3ee7_e6df_e409_1725;
+/// phases alone; re-recorded with the histogram, and with
+/// [`GOLDEN_SCHED_FNV`] when each 2-rank ∆X sum began sending half its
+/// words.
+const GOLDEN_SCHED_BELOW_TRAINER_FNV: u64 = 0x0b53_4984_c132_2485;
 
 /// Golden traces recorded at `fc240c2`, before `mpsim`'s three receive
 /// completions, five notice broadcasts and ten `World::run_*` were
