@@ -1,4 +1,4 @@
-//! Shared rendering for the strong/weak-scaling figure binaries: turns
+//! Shared rendering for the strong/weak-scaling figure rows: turns
 //! a sweep of [`Evaluation`]s into the paper's bar charts as tables —
 //! one row per `Pr × Pc` configuration with the compute / model-comm /
 //! batch-comm (the paper's cross-hatched portion) / halo split, plus
@@ -59,7 +59,7 @@ pub fn subfigure_table(
             fmt_seconds(e.epoch_seconds(setup.n_samples, b)),
         ]);
     }
-    let mut out = if args.csv { t.to_csv() } else { t.render() };
+    let mut out = args.render(&t);
     if let Some(baseline) = pure_batch_baseline(evals) {
         let b_ev = best(evals);
         let total_speedup = baseline.total_seconds / b_ev.total_seconds;

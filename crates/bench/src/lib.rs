@@ -1,9 +1,10 @@
 //! # bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md's
-//! per-experiment index). This library holds the shared experiment
-//! plumbing: the fixed Table-1 setup and the bar-chart-as-table
-//! renderer used by the figure binaries.
+//! The `figures` binary holds one row per analytic table/figure of the
+//! paper (see DESIGN.md's per-experiment index); the other binaries run
+//! the executed experiments and sweeps. This library holds the shared
+//! experiment plumbing: the fixed Table-1 setup and the
+//! bar-chart-as-table renderer used by the figure rows.
 
 pub mod figures;
 pub mod kernels;

@@ -1,9 +1,10 @@
 //! Shared experiment setup: the paper's Table 1 fixed options and
-//! lightweight CLI-flag handling for the figure binaries.
+//! lightweight CLI-flag handling for the bench binaries.
 
 use dnn::zoo::{alexnet, IMAGENET_TRAIN_IMAGES};
 use dnn::Network;
 use integrated::compute::KnlComputeModel;
+use integrated::report::Table;
 use integrated::MachineModel;
 
 /// The fixed experimental context of the paper's Table 1.
@@ -30,11 +31,22 @@ impl Setup {
     }
 }
 
-/// Parsed common flags for figure binaries.
+/// Parsed common flags for the bench binaries.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// Emit CSV instead of aligned tables.
     pub csv: bool,
+}
+
+impl Args {
+    /// A table as aligned text, or as CSV under `--csv`.
+    pub fn render(&self, t: &Table) -> String {
+        if self.csv {
+            t.to_csv()
+        } else {
+            t.render()
+        }
+    }
 }
 
 /// Parses `--csv` from argv (ignoring anything else so binaries can add

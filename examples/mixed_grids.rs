@@ -72,6 +72,6 @@ fn main() {
          Here all layers are weight-dominated, so the uniform grid wins and mixing\n\
          only adds relayout traffic; in a conv+FC network the early layers invert\n\
          (activations dominate) and the Fig. 7 mixed schedule takes the lead — run\n\
-         `cargo run -p bench --bin fig7` to see that regime."
+         `cargo run -p bench --bin figures -- fig7` to see that regime."
     );
 }
