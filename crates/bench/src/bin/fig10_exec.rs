@@ -3,7 +3,11 @@
 //! stops at P = 4; splitting each image into strips lets P grow to 8
 //! and 16 while the weights keep following the exact serial SGD
 //! trajectory (the 2 × 8 row shows the other way past the limit: more
-//! batch shards than images, half of them empty). Reports executed
+//! batch shards than images, half of them empty). Only conv1/LRN/pool1
+//! run on strips, the stages whose strips hold a kernel; one relayout
+//! then hands whole images to conv2–5 and the head, which run
+//! batch-parallel over all P ranks, most of them holding no image at
+//! B = 4. Reports executed
 //! virtual times, words, and the compute/comm split per configuration,
 //! and exits non-zero when any grid's weights or losses stray more than
 //! 1e-9 from the serial run's or its replicas differ in a bit.

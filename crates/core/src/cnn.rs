@@ -1,58 +1,69 @@
 //! Executable **integrated batch + domain parallel** CNN training —
 //! the end-to-end analog of the paper's Fig. 10 regime, where the
-//! batch-parallel limit `P = B` is passed by also splitting every
-//! image into horizontal strips.
+//! batch-parallel limit `P = B` is passed by also splitting images into
+//! horizontal strips.
 //!
 //! Processes form a `Pd × Pc` grid: rank `(i, j)` holds strip `i` of
-//! every image in batch shard `j`. Per training step:
+//! every image in batch shard `j`. Eq. 9 assigns parallelism per layer,
+//! and the shapes assign it here: a conv or pool stage stays
+//! domain-parallel only while every strip of its input is at least one
+//! kernel tall (`⌊in_h / Pd⌋ ≥ kh`, or `≥ k` for a pool; an LRN stage
+//! follows the stage before it). The first stage that fails, and every
+//! stage after it, runs batch-parallel over all `P` ranks, as does the FC
+//! head. On `mini_alexnet` the domain prefix is conv1/LRN/pool1 for every
+//! `Pd ≥ 2` and the whole trunk at `Pd = 1`: conv2's 5-row kernel would
+//! read 7-row images cut into 1–2-row strips, with no interior row to
+//! hide an exchange behind (Fig. 3). Per training step:
 //!
-//! * **conv and pooling layers** run domain-parallel within the
-//!   `Pd`-sized column groups, every one of them — stride-1 same-padded
-//!   convolutions, strided ones (AlexNet's conv1) and overlapping
-//!   pooling (AlexNet's 3×3/2) alike — on the one window exchange of
-//!   `distmm::domain_general`: non-blocking, boundary-proportional (for
-//!   a same-padded kernel it is the fixed halo), with a layer's
-//!   interior rows computed while its boundary rows are in flight. A
-//!   convolution's backward is its `∆W` half, and above the first
-//!   convolution its `∆X` half, which fetches the `∆Y` rows its strip's
-//!   `∆X` reads and gathers them (Eq. 7's second halo; nothing is sent
-//!   back). A pool's backward is the same gather: the `∆Y` rows whose
-//!   windows touch the strip, with the argmax the forward saved as
-//!   global input positions riding in the same message. A
-//!   convolution's `∆W` half re-frames its input window from the strip
-//!   and the rows its neighbours sent in the forward, which it kept:
-//!   one `X` halo per convolution and iteration, as Eq. 7 charges, and
-//!   no message. Each trainer keeps one saved state, per stage: the
-//!   serial one a pool's argmax, the domain one that or a
-//!   convolution's halo, dropped once its `∆W` is formed. LRN is
-//!   local to a strip. Every conv layer's strip-partial `∆W` goes into
-//!   one gradient bucket summed over the full grid by one non-blocking
-//!   all-reduce — exactly Eq. 9's `LD` terms, one reduction over `P` at
-//!   full `|W|` — drained once the trunk backward is done. Above the
-//!   first convolution, a layer's `∆W` GEMM runs while its `∆Y` window
-//!   is in flight, as the forward's interior rows hide its `X` window;
-//! * the **FC head** gathers the final strips within each column group
-//!   and then runs the scheduled iteration body every FC trainer runs
-//!   ([`crate::trainer`]'s `forward_pass` / `backward_pass` under the
-//!   default [`OverlapPlan`]) on the `1 × Pc` grid of its domain row:
-//!   replicated weights, `∆W` bucketed and summed across batch shards
-//!   behind the *trunk* backward (Fig. 8): every step of that sum is
-//!   issued on the channel as soon as the head's backward ends, ahead
-//!   of the trunk bucket's, and it is waited, then applied, after the
-//!   trunk backward, just before the trunk's sum. GEMM flops charged.
-//!   (Sharding the head over `Pr > 1` is the 1.5D path
-//!   [`crate::trainer`] exercises end-to-end; here it stays replicated
-//!   so the *domain* communication structure is the one under test.)
+//! * the **domain prefix** runs within the `Pd`-sized column groups —
+//!   stride-1 same-padded convolutions, strided ones (AlexNet's conv1)
+//!   and overlapping pooling (AlexNet's 3×3/2) alike — on the one window
+//!   exchange of `distmm::domain_general`: non-blocking,
+//!   boundary-proportional (for a same-padded kernel it is the fixed
+//!   halo), with a layer's interior rows computed while its boundary rows
+//!   are in flight. A convolution's backward is its `∆W` half, and above
+//!   the first convolution its `∆X` half, which fetches the `∆Y` rows its
+//!   strip's `∆X` reads and gathers them (Eq. 7's second halo; nothing is
+//!   sent back). A pool's backward is the same gather: the `∆Y` rows
+//!   whose windows touch the strip, with the argmax the forward saved as
+//!   global input positions riding in the same message. A convolution's
+//!   `∆W` half re-frames its input window from the strip and the rows its
+//!   neighbours sent in the forward, which it kept: one `X` halo per
+//!   convolution and iteration, as Eq. 7 charges, and no message. LRN is
+//!   local to a strip;
+//! * **at the boundary** one Eq. 6 relayout within the column group
+//!   ([`distmm::rows::relayout`]) gives rank `(i, j)` whole images:
+//!   `part_range(b_local, Pd, i)` of batch shard `j`. Each image then
+//!   lives on exactly one rank, so no activation is computed twice, and
+//!   the backward carries `∆X` back to strips by the same function;
+//! * **past the boundary** the remaining stages call the same
+//!   `domain_general` ops on the one-rank column group of a `1 × P` grid
+//!   — no message, the same flops — and the **FC head** runs the
+//!   scheduled iteration body every FC trainer runs ([`crate::trainer`]'s
+//!   `forward_pass` / `backward_pass` under the default [`OverlapPlan`])
+//!   on that grid: replicated weights, this rank's images, `∆W` bucketed
+//!   and summed over the world behind the *trunk* backward (Fig. 8):
+//!   every step of that sum is issued on the channel as soon as the
+//!   head's backward ends, ahead of the trunk bucket's, and it is waited,
+//!   then applied, after the trunk backward, just before the trunk's sum.
+//!
+//! Each trainer keeps one saved state per stage: the serial one a pool's
+//! argmax, the domain one that or a convolution's halo, dropped once its
+//! `∆W` is formed. Every conv layer's partial `∆W` (over a strip in the
+//! prefix, over the rank's images past it) goes into one gradient bucket
+//! summed over the full grid by one non-blocking all-reduce — Eq. 9's
+//! terms, one reduction over `P` at full `|W|` — drained once the trunk
+//! backward is done. Above the first convolution, a layer's `∆W` GEMM
+//! runs while its `∆Y` window is in flight, as the forward's interior
+//! rows hide its `X` window. GEMM flops are charged throughout.
 //!
 //! The serial reference and every grid shape produce identical weight
 //! trajectories — the synchronous-SGD consistency the paper's
 //! framework guarantees, now including halo exchanges, window
-//! redistributions, and the `∆Y` windows of the backward pass, which
-//! carry pooling's argmax across strip boundaries. The
-//! `mini_alexnet` test below trains a scaled AlexNet (strided conv1,
+//! redistributions, the relayout, and the `∆Y` windows of the backward
+//! pass, which carry pooling's argmax across strip boundaries. The
+//! `mini_alexnet` tests below train a scaled AlexNet (strided conv1,
 //! overlapping pools, 5 convs + 2 FC) this way.
-
-use std::borrow::Cow;
 
 use dnn::{LayerSpec, Network};
 use mpsim::{Communicator, Error, NetModel, TraceConfig, World, WorldStats, WorldTrace};
@@ -64,10 +75,10 @@ use tensor::ops::axpy;
 use tensor::pool::{maxpool2d, maxpool2d_backward, Pool2dParams};
 use tensor::Matrix;
 
-use collectives::allgatherv_into;
 use distmm::dist::part_range;
 use distmm::domain_general as dg;
 use distmm::onep5d::Grid;
+use distmm::rows::{relayout, Split};
 
 use crate::overlap::OverlapPlan;
 use crate::trainer::{
@@ -101,6 +112,36 @@ enum Saved {
     Argmax(Vec<usize>),
 }
 
+/// Why [`CnnSpec::of`] refuses a network.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CnnSpecError {
+    /// A conv, pooling or LRN layer after the FC head began.
+    TrunkAfterHead(LayerSpec),
+    /// A ReLU that follows no convolution or FC layer: it is the first
+    /// layer, or it directly follows pooling or LRN.
+    MisplacedRelu,
+    /// A layer the CNN trainers do not run (tanh, …).
+    Unsupported(LayerSpec),
+    /// No conv, pooling or LRN stage.
+    NoTrunk,
+    /// No FC layer.
+    NoHead,
+}
+
+impl std::fmt::Display for CnnSpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::TrunkAfterHead(l) => write!(f, "{l:?} after FC is unsupported"),
+            Self::MisplacedRelu => f.write_str("ReLU first or after pooling/LRN is unsupported"),
+            Self::Unsupported(l) => write!(f, "cnn trainer does not support {l:?}"),
+            Self::NoTrunk => f.write_str("cnn trainer expects at least one trunk stage"),
+            Self::NoHead => f.write_str("cnn trainer expects an FC head"),
+        }
+    }
+}
+
+impl std::error::Error for CnnSpecError {}
+
 /// The CNN decomposition of a [`Network`]: a conv/pool trunk followed
 /// by an FC head.
 #[derive(Debug, Clone)]
@@ -118,90 +159,97 @@ pub struct CnnSpec {
 }
 
 impl CnnSpec {
-    /// Extracts the trunk + FC-head structure.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unsupported layers (conv, pooling or LRN after FC; ReLU
-    /// directly after pooling or LRN; tanh trunks).
-    pub fn of(net: &Network) -> CnnSpec {
+    /// Extracts the trunk + FC-head structure, or says which layer the
+    /// CNN trainers cannot run.
+    pub fn of(net: &Network) -> Result<CnnSpec, CnnSpecError> {
         let mut stages: Vec<Stage> = Vec::new();
         let mut fcs: Vec<FcLayer> = Vec::new();
         let mut trunk_out = (net.input.c, net.input.h, net.input.w);
         for (spec, in_shape, out_shape) in net.layers() {
-            match *spec {
+            let stage = match *spec {
                 LayerSpec::Conv {
                     out_c,
                     kh,
                     kw,
                     stride,
                     pad,
-                } => {
-                    assert!(fcs.is_empty(), "conv after FC is unsupported");
-                    stages.push(Stage::Conv {
-                        params: Conv2dParams {
-                            in_c: in_shape.c,
-                            out_c,
-                            kh,
-                            kw,
-                            stride,
-                            pad,
-                        },
-                        relu: false,
-                        in_h: in_shape.h,
-                    });
-                    trunk_out = (out_shape.c, out_shape.h, out_shape.w);
-                }
-                LayerSpec::MaxPool { k, stride } => {
-                    assert!(fcs.is_empty(), "pooling after FC is unsupported");
-                    stages.push(Stage::Pool {
-                        params: Pool2dParams { k, stride },
-                        in_h: in_shape.h,
-                        in_w: in_shape.w,
-                    });
-                    trunk_out = (out_shape.c, out_shape.h, out_shape.w);
-                }
+                } => Stage::Conv {
+                    params: Conv2dParams {
+                        in_c: in_shape.c,
+                        out_c,
+                        kh,
+                        kw,
+                        stride,
+                        pad,
+                    },
+                    relu: false,
+                    in_h: in_shape.h,
+                },
+                LayerSpec::MaxPool { k, stride } => Stage::Pool {
+                    params: Pool2dParams { k, stride },
+                    in_h: in_shape.h,
+                    in_w: in_shape.w,
+                },
+                LayerSpec::LocalResponseNorm => Stage::Lrn {
+                    params: LrnParams::alexnet(),
+                },
                 LayerSpec::FullyConnected { .. } => {
                     fcs.push(FcLayer {
                         d_in: in_shape.dim(),
                         d_out: out_shape.dim(),
                         act: Act::None,
                     });
+                    continue;
                 }
                 LayerSpec::ReLU => {
-                    if let Some(f) = fcs.last_mut() {
-                        f.act = Act::Relu;
-                    } else {
-                        match stages.last_mut().expect("ReLU follows a layer") {
-                            Stage::Conv { relu, .. } => *relu = true,
-                            Stage::Pool { .. } | Stage::Lrn { .. } => {
-                                panic!("ReLU directly after pooling/LRN is unsupported")
-                            }
-                        }
+                    match (fcs.last_mut(), stages.last_mut()) {
+                        (Some(f), _) => f.act = Act::Relu,
+                        (None, Some(Stage::Conv { relu, .. })) => *relu = true,
+                        _ => return Err(CnnSpecError::MisplacedRelu),
                     }
+                    continue;
                 }
-                LayerSpec::LocalResponseNorm => {
-                    assert!(fcs.is_empty(), "LRN after FC is unsupported");
-                    stages.push(Stage::Lrn {
-                        params: LrnParams::alexnet(),
-                    });
-                }
-                LayerSpec::Dropout { .. } => {} // identity here, as in trainer.rs
-                ref other => panic!("cnn trainer does not support {other:?}"),
+                LayerSpec::Dropout { .. } => continue, // identity here, as in trainer.rs
+                ref other => return Err(CnnSpecError::Unsupported(other.clone())),
+            };
+            if !fcs.is_empty() {
+                return Err(CnnSpecError::TrunkAfterHead(spec.clone()));
+            }
+            stages.push(stage);
+            trunk_out = (out_shape.c, out_shape.h, out_shape.w);
+        }
+        match (stages.is_empty(), fcs.is_empty()) {
+            (true, _) => Err(CnnSpecError::NoTrunk),
+            (_, true) => Err(CnnSpecError::NoHead),
+            _ => Ok(CnnSpec {
+                first_conv: stages.iter().position(|s| matches!(s, Stage::Conv { .. })),
+                stages,
+                fcs,
+                input: (net.input.c, net.input.h, net.input.w),
+                trunk_out,
+            }),
+        }
+    }
+
+    /// How many leading trunk stages run domain-parallel over `pd`
+    /// strips, and the height of the activation leaving them. A conv or
+    /// pool stage stays domain-parallel only while every strip of its
+    /// input is at least one kernel tall — `⌊in_h / pd⌋ ≥ kh`, `≥ k`
+    /// for a pool — and an LRN stage follows the stage before it. The
+    /// first stage that fails, and every stage after it, runs
+    /// batch-parallel.
+    fn domain_prefix(&self, pd: usize) -> (usize, usize) {
+        for (k, s) in self.stages.iter().enumerate() {
+            let (kernel, in_h) = match s {
+                Stage::Conv { params, in_h, .. } => (params.kh, *in_h),
+                Stage::Pool { params, in_h, .. } => (params.k, *in_h),
+                Stage::Lrn { .. } => continue,
+            };
+            if in_h / pd < kernel {
+                return (k, in_h);
             }
         }
-        assert!(
-            !stages.is_empty(),
-            "cnn trainer expects at least one trunk stage"
-        );
-        assert!(!fcs.is_empty(), "cnn trainer expects an FC head");
-        CnnSpec {
-            first_conv: stages.iter().position(|s| matches!(s, Stage::Conv { .. })),
-            stages,
-            fcs,
-            input: (net.input.c, net.input.h, net.input.w),
-            trunk_out,
-        }
+        (self.stages.len(), self.trunk_out.1)
     }
 
     fn init_weights(&self, seed: u64) -> (Vec<Matrix>, Vec<Matrix>) {
@@ -236,13 +284,18 @@ pub struct CnnSerialResult {
 }
 
 /// Serial full-batch SGD for the CNN.
+///
+/// # Panics
+///
+/// Panics with the [`CnnSpecError`]'s text if [`CnnSpec::of`] refuses
+/// `net`, or if `x` does not have the network's input shape.
 pub fn train_cnn_serial(
     net: &Network,
     x: &Tensor4,
     labels: &[usize],
     cfg: &TrainConfig,
 ) -> CnnSerialResult {
-    let spec = CnnSpec::of(net);
+    let spec = CnnSpec::of(net).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!((x.c, x.h, x.w), spec.input, "input tensor shape mismatch");
     let (mut conv_w, mut fc_w) = spec.init_weights(cfg.seed);
     let first = spec.first_conv;
@@ -314,12 +367,8 @@ pub fn train_cnn_serial(
 
 /// Per-rank outcome of the distributed CNN run.
 pub struct CnnRankOutcome {
-    /// Strip index `i` (domain dimension).
-    pub i: usize,
-    /// Batch shard index `j`.
-    pub j: usize,
-    /// Scaled per-iteration loss share (sums to the global loss over
-    /// one domain row, i.e. over `j` at fixed `i`).
+    /// Scaled per-iteration loss share of the images this rank holds
+    /// past the domain prefix (sums to the global loss over all ranks).
     pub partial_losses: Vec<f64>,
     /// Final conv weights (replicated — identical on every rank).
     pub conv_weights: Vec<Matrix>,
@@ -340,17 +389,12 @@ pub struct CnnDistResult {
 }
 
 impl CnnDistResult {
-    /// Global loss per iteration (summed over batch shards of strip 0).
+    /// Global loss per iteration: every rank's share summed, since each
+    /// image lives on exactly one rank past the domain prefix.
     pub fn losses(&self) -> Vec<f64> {
         let iters = self.per_rank[0].partial_losses.len();
         (0..iters)
-            .map(|t| {
-                self.per_rank
-                    .iter()
-                    .filter(|r| r.i == 0)
-                    .map(|r| r.partial_losses[t])
-                    .sum()
-            })
+            .map(|t| self.per_rank.iter().map(|r| r.partial_losses[t]).sum())
             .collect()
     }
 
@@ -376,7 +420,8 @@ impl CnnDistResult {
 ///
 /// # Panics
 ///
-/// Panics, naming the rank, if a collective fails on any rank.
+/// Panics with the [`CnnSpecError`]'s text if [`CnnSpec::of`] refuses
+/// `net`, and, naming the rank, if a collective fails on any rank.
 pub fn train_cnn_domain(
     net: &Network,
     x: &Tensor4,
@@ -392,10 +437,10 @@ pub fn train_cnn_domain(
 
 /// [`train_cnn_domain`] with per-rank event tracing: the head's
 /// `trainer` phase spans, the `sched` instants of both gradient
-/// schedulers (the head's over its batch shards, the trunk's over the
-/// whole grid), the non-blocking sums' `nb` instants and `channel`
-/// transfers, and two `optimizer_step` spans per iteration after the
-/// trunk backward, the head's drain and then the trunk's.
+/// schedulers (both over the whole grid), the non-blocking sums' `nb`
+/// instants and `channel` transfers, a `distmm` span per window fetch
+/// and per relayout, and two `optimizer_step` spans per iteration after
+/// the trunk backward, the head's drain and then the trunk's.
 ///
 /// # Panics
 ///
@@ -411,47 +456,56 @@ pub fn train_cnn_domain_traced(
     model: NetModel,
     trace: TraceConfig,
 ) -> (CnnDistResult, WorldTrace) {
-    let spec = CnnSpec::of(net);
-    let first_conv = spec.first_conv;
+    let spec = CnnSpec::of(net).unwrap_or_else(|e| panic!("{e}"));
+    let (first_conv, len) = (spec.first_conv, spec.stages.len());
+    let (split, split_h) = spec.domain_prefix(pd);
     let b_global = x.n;
     // Drawn once; every rank starts from its own copy of the replica.
     let initial_weights = spec.init_weights(cfg.seed);
     let conv_words = initial_weights.0.iter().map(Matrix::len).sum();
     let rank_body = |comm: &Communicator| -> Result<CnnRankOutcome, Error> {
         // Row-major `pd × pc`: i = strip index (domain), j = batch
-        // shard; the column group shares a batch shard, the row group a
-        // strip. The FC head's grid is the row group as `1 × pc`.
-        let Grid {
-            i,
-            j,
-            row_comm,
-            col_comm,
-            ..
-        } = Grid::new(comm, pd, pc)?;
-        let head = Grid::new(&row_comm, 1, pc)?;
+        // shard; the column group shares a batch shard. Past the domain
+        // prefix every rank holds whole images of its own: the `1 × P`
+        // grid, whose one-rank column groups send nothing and whose row
+        // is the world, runs the rest of the trunk and the FC head.
+        let Grid { i, j, col_comm, .. } = Grid::new(comm, pd, pc)?;
+        let batch = Grid::new(comm, 1, pd * pc)?;
+        // Stage `idx`'s group: its strips' column, or past the prefix its
+        // own rank; and where its output sits in `acts`: past the prefix
+        // one slot up, behind the prefix's output as whole images.
+        let group = |idx| [&col_comm, &batch.col_comm][usize::from(idx >= split)];
+        let at = |idx| idx + usize::from(idx >= split);
 
         let (mut conv_w, mut fc_w) = initial_weights.clone();
         let batch_range = part_range(b_global, pc, j);
-        let in_strip = part_range(x.h, pd, i);
-        let x_shard = x.block(batch_range.clone(), in_strip, 0..x.w);
         let b_local = batch_range.len();
+        let x_shard = x.block(batch_range.clone(), part_range(x.h, pd, i), 0..x.w);
         let mut apply =
             |w: &mut [Matrix], k: usize, g: &[f64]| axpy(-cfg.lr, g, w[k].as_mut_slice());
 
         let mut partial_losses = Vec::with_capacity(cfg.iters);
         for iter in 0..cfg.iters {
-            // Trunk forward on strips: `acts[k]` is stage `k`'s output
-            // (stage 0 reads `x_shard`), `saved[k]` what its backward
-            // reads besides.
-            let mut acts: Vec<Tensor4> = Vec::with_capacity(spec.stages.len());
-            let mut saved: Vec<Saved> = Vec::with_capacity(spec.stages.len());
+            // Trunk forward: `acts[at(k)]` is stage `k`'s output (stage 0
+            // reads `x_shard`), `saved[k]` what its backward reads besides.
+            let mut acts: Vec<Tensor4> = Vec::with_capacity(len + 1);
+            let mut saved: Vec<Saved> = Vec::with_capacity(len);
             let mut wi = 0usize;
-            for s in &spec.stages {
-                let input = acts.last().unwrap_or(&x_shard);
+            for idx in 0..=len {
+                if idx == split {
+                    // Eq. 6 within the column group: whole images from here.
+                    let strips = acts.last().unwrap_or(&x_shard);
+                    let whole = relayout(&col_comm, strips, (b_local, split_h), Split::Samples)?;
+                    acts.push(whole);
+                }
+                let Some(s) = spec.stages.get(idx) else {
+                    break;
+                };
+                let (c, input) = (group(idx), acts.last().unwrap_or(&x_shard));
                 let (y, kept) = match s {
                     Stage::Conv { params, relu, in_h } => {
                         let (mut y, halo) =
-                            dg::conv_forward_halo(&col_comm, input, &conv_w[wi], params, *in_h)?;
+                            dg::conv_forward_halo(c, input, &conv_w[wi], params, *in_h)?;
                         wi += 1;
                         if *relu {
                             relu_in_place(y.as_mut_slice());
@@ -459,8 +513,8 @@ pub fn train_cnn_domain_traced(
                         (y, Saved::Halo(halo))
                     }
                     Stage::Pool { params, in_h, .. } => {
-                        let (y, at) = dg::pool_forward(&col_comm, input, params, *in_h)?;
-                        (y, Saved::Argmax(at))
+                        let (y, argmax) = dg::pool_forward(c, input, params, *in_h)?;
+                        (y, Saved::Argmax(argmax))
                     }
                     // Per-pixel across channels: strictly local on strips
                     // — zero communication, as the cost model assumes for
@@ -470,36 +524,17 @@ pub fn train_cnn_domain_traced(
                 acts.push(y);
                 saved.push(kept);
             }
-            // Gather strips within the column group to assemble the
-            // full trunk output for this batch shard.
+            // The FC head: the shared iteration body on the `1 × P` grid —
+            // replicated weights, this rank's images, ∆W bucketed for one
+            // sum over the world.
             let (c0, h0, w0) = spec.trunk_out;
-            let trunk = &acts[spec.stages.len() - 1];
-            let full_trunk = if pd == 1 {
-                Cow::Borrowed(trunk)
-            } else {
-                // The strips, each its sender's NCHW buffer, side by side
-                // in rank order.
-                let (row, rows) = (b_local * c0 * w0, |src| part_range(h0, pd, src));
-                let mut flat = vec![0.0; row * h0];
-                let mine = trunk.as_slice().to_vec();
-                allgatherv_into(&col_comm, mine, &mut flat, |s| {
-                    rows(s).start * row..rows(s).end * row
-                })?;
-                let mut full = Tensor4::zeros(b_local, c0, h0, w0);
-                for sr in (0..pd).map(rows) {
-                    full.set_rows(sr.start, sr.len(), &flat[sr.start * row..sr.end * row]);
-                }
-                Cow::Owned(full)
-            };
-            // The FC head: the shared iteration body on the `1 × pc`
-            // grid — replicated weights, the shard's full batch, ∆W
-            // bucketed for one sum across batch shards.
             let pass = Pass {
-                grids: std::slice::from_ref(&head),
+                grids: std::slice::from_ref(&batch),
                 guard: None,
                 layers: &spec.fcs,
-                x_local: &full_trunk.to_columns(),
-                labels_local: &labels[batch_range.clone()],
+                x_local: &acts[acts.len() - 1].to_columns(),
+                // The images of the shard this rank holds past the prefix.
+                labels_local: &labels[batch_range.clone()][part_range(b_local, pd, i)],
                 b_global,
                 iter,
                 plan: Some(OverlapPlan::default()),
@@ -510,7 +545,7 @@ pub fn train_cnn_domain_traced(
             let (head_sched, dy) =
                 backward_pass(&pass, tape, &mut fc_w, &mut apply, first_conv.is_some())?;
             let (Some(dy), Some(first)) = (dy, first_conv) else {
-                optimizer_step(&row_comm, iter, head_sched, &mut fc_w, &mut apply)?;
+                optimizer_step(&batch.row_comm, iter, head_sched, &mut fc_w, &mut apply)?;
                 continue;
             };
             // The head's ∆W sum runs under the trunk backward and is
@@ -520,31 +555,31 @@ pub fn train_cnn_domain_traced(
             // that bucket.
             let mut head_sched = head_sched.expect("the head is scheduled");
             head_sched.issue()?;
-            // Back to strips: every rank keeps its strip of the trunk
-            // gradient (free slice).
-            let dt_full = Tensor4::from_columns(&dy, c0, h0, w0);
-            let out_strip = part_range(h0, pd, i);
-            let mut dt = dt_full.row_strip(out_strip.start, out_strip.end);
-            // Trunk backward on strips, down to its first weighted stage.
-            // Each conv's strip-partial ∆W is formed while the layer's ∆Y
-            // window is in flight (conv1, with no ∆X half, on its own) and
-            // bucketed for one sum over the whole grid — Eq. 9's reduction
-            // over P, not one over the strips and one over the batch
-            // shards — and applied after the loop: every ∆X was formed
-            // from the weights before the update.
+            let mut dt = Tensor4::from_columns(&dy, c0, h0, w0);
+            // Trunk backward, down to its first weighted stage. Each
+            // conv's partial ∆W is formed while the layer's ∆Y window is
+            // in flight (conv1, with no ∆X half, on its own) and bucketed
+            // for one sum over the whole grid — Eq. 9's reduction over P,
+            // not one over the strips and one over the batch shards — and
+            // applied after the loop: every ∆X was formed from the
+            // weights before the update.
             let mut sched = BucketScheduler::new(comm, OverlapPlan::default().bucket_words);
             sched.reserve(conv_words);
             let mut wi = conv_w.len();
             for (idx, s) in spec.stages.iter().enumerate().skip(first).rev() {
-                let input = if idx == 0 { &x_shard } else { &acts[idx - 1] };
+                if idx + 1 == split {
+                    // Back to strips, by the same relayout.
+                    dt = relayout(&col_comm, &dt, (b_local, split_h), Split::Rows)?;
+                }
+                let (c, out) = (group(idx), at(idx));
+                let input = if out == 0 { &x_shard } else { &acts[out - 1] };
                 match (s, saved.pop().expect("one saved state per stage")) {
                     (Stage::Conv { params, relu, in_h }, Saved::Halo(halo)) => {
                         wi -= 1;
                         if *relu {
-                            relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
+                            relu_backward_in_place(acts[out].as_slice(), dt.as_mut_slice());
                         }
-                        let (w, h) = (&conv_w[wi], *in_h);
-                        let (c, mut dw) = (&col_comm, None);
+                        let (w, h, mut dw) = (&conv_w[wi], *in_h, None);
                         let form_dw = || {
                             dw = Some(dg::conv_backward_partial(c, input, halo, w, &dt, params, h))
                         };
@@ -555,24 +590,28 @@ pub fn train_cnn_domain_traced(
                         }
                         sched.push(wi, dw.expect("∆W formed"))?;
                     }
-                    (Stage::Pool { params, in_h, in_w }, Saved::Argmax(at)) => {
-                        dt = dg::pool_backward(&col_comm, &dt, &at, params, *in_h, *in_w)?;
+                    (Stage::Pool { params, in_h, in_w }, Saved::Argmax(argmax)) => {
+                        dt = dg::pool_backward(c, &dt, &argmax, params, *in_h, *in_w)?;
                     }
                     (Stage::Lrn { params }, _) => dt = lrn_backward(input, &dt, params),
                     _ => unreachable!("a stage's saved state is the one its forward kept"),
                 }
                 // Stage `idx`'s output was read for the last time: let it
                 // go before the gradient sums are drained.
-                acts.truncate(idx);
+                acts.truncate(out);
             }
             sched.flush()?;
             // Both sums waited in launch order: the head's, then the trunk's.
-            optimizer_step(&row_comm, iter, Some(head_sched), &mut fc_w, &mut apply)?;
+            optimizer_step(
+                &batch.row_comm,
+                iter,
+                Some(head_sched),
+                &mut fc_w,
+                &mut apply,
+            )?;
             optimizer_step(comm, iter, Some(sched), &mut conv_w, &mut apply)?;
         }
         Ok(CnnRankOutcome {
-            i,
-            j,
             partial_losses,
             conv_weights: conv_w,
             fc_weights: fc_w,
@@ -711,24 +750,58 @@ mod tests {
         assert!(d4.stats.makespan() > 0.0);
     }
 
+    /// The domain prefix is read off shapes and `pd` alone: a stage stays
+    /// on strips while each strip holds one kernel.
+    #[test]
+    fn the_domain_prefix_keeps_the_stages_whose_strips_hold_a_kernel() {
+        let alex = CnnSpec::of(&mini_alexnet()).unwrap();
+        // conv1 (7 rows of 35), LRN, pool1 (3 of 15); conv2's 5-row
+        // kernel does not fit a strip of 7 rows for any pd ≥ 2.
+        for pd in [2, 3, 4, 5] {
+            assert_eq!(alex.domain_prefix(pd), (3, 7), "pd = {pd}");
+        }
+        assert_eq!(alex.domain_prefix(1), (alex.stages.len(), 3));
+        assert_eq!(alex.domain_prefix(6).0, 0, "5-row strips of 35");
+        // tiny_cnn's 12 rows hold its 3-row kernels up to pd = 4, so the
+        // 1×1 zero-halo stage runs on strips there.
+        let tiny = CnnSpec::of(&tiny_cnn()).unwrap();
+        for pd in 1..=4 {
+            assert_eq!(tiny.domain_prefix(pd), (3, 12), "pd = {pd}");
+        }
+        assert_eq!(tiny.domain_prefix(5), (0, 12));
+    }
+
+    /// The flagship: a scaled AlexNet — strided conv1, overlapping 3x3/2
+    /// pools, five convs, two FC layers — trained end-to-end with
+    /// integrated batch+domain parallelism, matching serial with
+    /// bit-identical replicas. The splits include the awkward ones:
+    /// uneven strips and sub-batches (B = 10 on 3×2 and 4×3), and ranks
+    /// that hold no image past the domain prefix (B = 4 on 4×4 and 2×8).
     #[test]
     fn mini_alexnet_trains_with_domain_parallelism() {
-        // The flagship: a scaled AlexNet — strided conv1, overlapping
-        // 3x3/2 pools, five convs, two FC layers — trained end-to-end
-        // with integrated batch+domain parallelism, matching serial.
         let net = mini_alexnet();
-        let (x, labels) = synthetic_images(&net, 4, 17);
         let cfg = TrainConfig {
             lr: 0.02,
             iters: 2,
             seed: 23,
         };
-        let serial = train_cnn_serial(&net, &x, &labels, &cfg);
-        for (pd, pc) in [(2, 1), (2, 2), (3, 1)] {
-            let dist = train_cnn_domain(&net, &x, &labels, &cfg, pd, pc, NetModel::free());
-            let dc = max_diff(&serial.conv_weights, &dist.per_rank[0].conv_weights);
-            let df = max_diff(&serial.fc_weights, &dist.per_rank[0].fc_weights);
-            assert!(dc < 1e-8 && df < 1e-8, "grid {pd}x{pc}: conv {dc} fc {df}");
+        let grids: [(usize, &[(usize, usize)]); 2] = [
+            (4, &[(2, 1), (2, 2), (3, 1), (4, 4), (2, 8)]),
+            (10, &[(3, 2), (4, 3)]),
+        ];
+        for (b, grids) in grids {
+            let (x, labels) = synthetic_images(&net, b, 17);
+            let serial = train_cnn_serial(&net, &x, &labels, &cfg);
+            for &(pd, pc) in grids {
+                let dist = train_cnn_domain(&net, &x, &labels, &cfg, pd, pc, NetModel::free());
+                let dc = max_diff(&serial.conv_weights, &dist.per_rank[0].conv_weights);
+                let df = max_diff(&serial.fc_weights, &dist.per_rank[0].fc_weights);
+                assert!(dc < 1e-9 && df < 1e-9, "B={b} {pd}x{pc}: conv {dc} fc {df}");
+                for (s, g) in serial.losses.iter().zip(dist.losses()) {
+                    assert!((s - g).abs() < 1e-9, "B={b} {pd}x{pc}: loss {s} vs {g}");
+                }
+                assert_eq!(dist.replica_divergence(), 0.0, "B={b} {pd}x{pc}");
+            }
         }
     }
 
@@ -751,13 +824,63 @@ mod tests {
         assert!(max_diff(&serial.conv_weights, &dist.per_rank[0].conv_weights) < 1e-9);
     }
 
+    fn spec_of(input: Shape, layers: &[LayerSpec]) -> Result<CnnSpec, CnnSpecError> {
+        let net = (layers.iter().cloned())
+            .fold(NetworkBuilder::new("probe", input), NetworkBuilder::layer)
+            .build()
+            .unwrap();
+        CnnSpec::of(&net)
+    }
+
+    const FC: LayerSpec = LayerSpec::FullyConnected { out: 3 };
+    const POOL: LayerSpec = LayerSpec::MaxPool { k: 2, stride: 2 };
+    const CONV: LayerSpec = LayerSpec::Conv {
+        out_c: 2,
+        kh: 3,
+        kw: 3,
+        stride: 1,
+        pad: 1,
+    };
+
     #[test]
-    #[should_panic(expected = "expects an FC head")]
+    fn a_trunk_stage_after_the_head_is_rejected() {
+        // The head's output is 3×1×1: a 1×1 window fits it.
+        let pool = LayerSpec::MaxPool { k: 1, stride: 1 };
+        for stage in [CONV, pool, LayerSpec::LocalResponseNorm] {
+            let got = spec_of(Shape::new(2, 8, 8), &[CONV, FC, stage.clone()]);
+            assert_eq!(got.unwrap_err(), CnnSpecError::TrunkAfterHead(stage));
+        }
+    }
+
+    #[test]
+    fn relu_after_pooling_or_lrn_is_rejected() {
+        let relu = LayerSpec::ReLU;
+        for stage in [POOL, LayerSpec::LocalResponseNorm] {
+            let got = spec_of(Shape::new(2, 8, 8), &[CONV, stage, relu.clone(), FC]);
+            assert_eq!(got.unwrap_err(), CnnSpecError::MisplacedRelu);
+        }
+        let first = spec_of(Shape::new(2, 8, 8), &[relu, CONV, FC]);
+        assert_eq!(first.unwrap_err(), CnnSpecError::MisplacedRelu);
+    }
+
+    #[test]
+    fn an_unsupported_layer_is_rejected() {
+        let got = spec_of(Shape::new(2, 8, 8), &[CONV, LayerSpec::Tanh, FC]);
+        assert_eq!(got.unwrap_err(), CnnSpecError::Unsupported(LayerSpec::Tanh));
+    }
+
+    #[test]
+    fn a_cnn_without_a_trunk_is_rejected() {
+        let got = spec_of(Shape::new(2, 8, 8), &[FC, LayerSpec::ReLU, FC]);
+        assert_eq!(got.unwrap_err(), CnnSpecError::NoTrunk);
+    }
+
+    #[test]
     fn headless_cnn_is_rejected() {
         let net = NetworkBuilder::new("headless", Shape::new(1, 4, 4))
             .conv_relu(2, 3, 1, 1)
             .build()
             .unwrap();
-        let _ = CnnSpec::of(&net);
+        assert_eq!(CnnSpec::of(&net).unwrap_err(), CnnSpecError::NoHead);
     }
 }

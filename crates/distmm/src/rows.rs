@@ -29,13 +29,18 @@
 //! — and lays them again, with no message, for a later product that
 //! reads the same window (a convolution's `∆W`). Only the rows travel —
 //! a frame never adds a word to a message.
+//!
+//! [`relayout`] is the other move a domain split needs: Eq. 6 between
+//! a group's row split and its sample split of one batch, where a
+//! trunk's strips grow too thin for a kernel and its later layers run
+//! on whole images.
 
 use std::ops::Range;
 
 use mpsim::{Communicator, Result, Tag};
 use tensor::conv::Tensor4;
 
-use crate::dist::intersect;
+use crate::dist::{intersect, part_range};
 
 /// The zeros around the rows a tensor covers, as
 /// [`Tensor4::zero_extend`] takes them: `(above, below, side)` — extra
@@ -44,7 +49,9 @@ pub type Frame = (usize, usize, usize);
 /// The empty frame: the tensor is exactly its rows.
 pub const NO_FRAME: Frame = (0, 0, 0);
 
-const FETCH_TAG: Tag = (1 << 48) + 112;
+// One tag for both exchanges: each waits on every receive it posted
+// before it returns, so FIFO matching keeps consecutive ones apart.
+const ROWS_TAG: Tag = (1 << 48) + 112;
 
 /// The rows of one rank's window that its peers sent, kept apart from
 /// its own strip: what [`fetch_rows`] received, and all a later product
@@ -124,7 +131,7 @@ pub fn fetch_rows(
         if q != me && !overlap.is_empty() {
             let h0 = overlap.start - mine.start;
             let rows = strip.block(0..n, h0..h0 + overlap.len(), 0..w);
-            comm.send_vec(q, FETCH_TAG, rows.into_vec())?;
+            comm.send_vec(q, ROWS_TAG, rows.into_vec())?;
         }
     }
     // Every receive is posted before anything is waited on, so the
@@ -133,7 +140,7 @@ pub fn fetch_rows(
         .map(|q| (q, intersect(&owned[q], wanted)))
         .filter(|(_, overlap)| !overlap.is_empty())
         .map(|(q, overlap)| {
-            let handle = (q != me).then(|| comm.irecv(q, FETCH_TAG)).transpose()?;
+            let handle = (q != me).then(|| comm.irecv(q, ROWS_TAG)).transpose()?;
             Ok((overlap, handle))
         })
         .collect::<Result<Vec<_>>>()?;
@@ -149,6 +156,63 @@ pub fn fetch_rows(
         wanted: wanted.clone(),
         pieces,
     })
+}
+
+/// How a group of `p` ranks splits a batch of `n` images of `h` rows:
+/// rank `q` holds rows `part_range(h, p, q)` of every image, or images
+/// `part_range(n, p, q)` whole.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Split {
+    /// Each rank holds a strip of rows of every image.
+    Rows,
+    /// Each rank holds whole images.
+    Samples,
+}
+
+/// Eq. 6 between the two [`Split`]s of an `n`-image, `h`-row batch:
+/// re-lays `t`, this rank's block under the other split, into its block
+/// under `to`. Each rank sends each peer the part of its block the
+/// peer's new block holds, one message per non-empty part, and posts
+/// every receive before it waits on any, as [`fetch_rows`] does: every
+/// element moves at most once, and nothing is replicated.
+pub fn relayout(
+    comm: &Communicator,
+    t: &Tensor4,
+    (n, h): (usize, usize),
+    to: Split,
+) -> Result<Tensor4> {
+    let (p, me, c, w) = (comm.size(), comm.rank(), t.c, t.w);
+    let _span = comm.trace_span("distmm", "relayout", &[("c", c as f64)]);
+    let (s, r) = (|q| part_range(n, p, q), |q| part_range(h, p, q));
+    let (ns, nr) = (s(me).len(), r(me).len());
+    // Rank `q`'s images of my rows, or my images of `q`'s rows: the part's
+    // offset in a block holding it, and its size.
+    let cut = |q, images_of_q| match images_of_q {
+        true => ([s(q).start, 0, 0], [s(q).len(), nr, w]),
+        false => ([0, r(q).start, 0], [ns, r(q).len(), w]),
+    };
+    let to_samples = to == Split::Samples;
+    // What this rank sends peer `q`, and what `q` sends it.
+    let (sent, got) = (|q| cut(q, to_samples), |q| cut(q, !to_samples));
+    let any = |(_, [dn, dh, _]): ([usize; 3], [usize; 3])| dn * dh > 0;
+    for q in (0..p).filter(|&q| q != me && any(sent(q))) {
+        let ([n0, h0, _], [dn, dh, _]) = sent(q);
+        let piece = t.block(n0..n0 + dn, h0..h0 + dh, 0..w);
+        comm.send_vec(q, ROWS_TAG, piece.into_vec())?;
+    }
+    let mut posted = Vec::with_capacity(p);
+    for q in (0..p).filter(|&q| q != me && any(got(q))) {
+        posted.push((q, comm.irecv(q, ROWS_TAG)?));
+    }
+    let (on, oh) = if to_samples { (ns, h) } else { (n, nr) };
+    let mut out = Tensor4::zeros(on, c, oh, w);
+    out.copy_block(got(me).0, t, sent(me).0, got(me).1);
+    for (q, handle) in posted {
+        let (at, size) = got(q);
+        let piece = Tensor4::from_vec(size[0], c, size[1], w, comm.wait(handle)?);
+        out.copy_block(at, &piece, [0; 3], size);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -180,6 +244,36 @@ mod tests {
         for (r, got) in out.iter().enumerate() {
             let expect = x.row_strip(needed[r].start, needed[r].end);
             assert!(got.approx_eq(&expect, 0.0), "rank {r}");
+        }
+    }
+
+    /// Strips to whole images and back, on uneven splits and with more
+    /// ranks than images: every element moves once each way, except the
+    /// part a rank keeps.
+    #[test]
+    fn relayout_moves_between_strips_and_whole_images() {
+        let (n, c, h, w) = (3, 2, 5, 4);
+        let x = init::uniform_tensor(n, c, h, w, -1.0, 1.0, 8);
+        for p in [1, 2, 3, 4] {
+            let (out, stats) = World::run_with_stats(p, NetModel::free(), |comm| {
+                let rows = part_range(h, p, comm.rank());
+                let strip = x.row_strip(rows.start, rows.end);
+                let whole = relayout(comm, &strip, (n, h), Split::Samples).unwrap();
+                let back = relayout(comm, &whole, (n, h), Split::Rows).unwrap();
+                (whole, back == strip)
+            });
+            for (r, (whole, round_trip)) in out.iter().enumerate() {
+                assert_eq!(
+                    *whole,
+                    x.block(part_range(n, p, r), 0..h, 0..w),
+                    "P={p} {r}"
+                );
+                assert!(round_trip, "P={p} rank {r}");
+            }
+            let kept: usize = (0..p)
+                .map(|r| part_range(n, p, r).len() * part_range(h, p, r).len())
+                .sum();
+            assert_eq!(stats.total_words(), (2 * (n * h - kept) * c * w) as u64);
         }
     }
 

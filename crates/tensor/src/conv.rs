@@ -223,17 +223,6 @@ impl Tensor4 {
         self.copy_block([0, h0, 0], strip, [0; 3], self.strip_size(strip));
     }
 
-    /// [`Tensor4::set_row_strip`] from a bare NCHW buffer of `rows` rows
-    /// spanning this tensor's samples, channels and width.
-    pub fn set_rows(&mut self, h0: usize, rows: usize, src: &[f64]) {
-        let (n, c, _, w) = self.shape();
-        assert_eq!(src.len(), n * c * rows * w, "{rows}-row strip");
-        let (dst, from) = ((self.shape(), [0, h0, 0]), ((n, c, rows, w), [0; 3]));
-        Self::block_runs(dst, from, [n, rows, w], |d, s, len| {
-            self.data[d..d + len].copy_from_slice(&src[s..s + len]);
-        });
-    }
-
     /// `strip` as a block, checked to span this tensor's samples,
     /// channels and width.
     fn strip_size(&self, strip: &Tensor4) -> [usize; 3] {
@@ -1173,9 +1162,6 @@ mod tests {
         y.set_row_strip(2, &strip);
         assert_eq!(y.get(0, 1, 3, 2), x.get(0, 1, 3, 2));
         assert_eq!(y.get(0, 1, 0, 2), 0.0);
-        let mut z = Tensor4::zeros(2, 3, 8, 5);
-        z.set_rows(2, 4, strip.as_slice());
-        assert_eq!(z.as_slice(), y.as_slice());
     }
 
     #[test]
