@@ -25,6 +25,17 @@ pub(crate) fn row_block_range(n: usize, row: usize, p: usize, i: usize) -> Range
     rows.start * row..rows.end * row
 }
 
+/// Where each of `p` blocks starts in a buffer of `n` words whose first
+/// `n − riders` are cut on whole rows of `row` words ([`block_range`]'s
+/// cut of the rows) and whose last `riders` words ride in block `p − 1`:
+/// the closure maps block `b` to its first word, and `p` to `n`. Riders
+/// move no cut, so every other word keeps the block, and the reduction
+/// tree, it has in the buffer without them.
+pub(crate) fn starts(n: usize, riders: usize, row: usize, p: usize) -> impl Fn(usize) -> usize {
+    let rows = (n - riders).checked_div(row).unwrap_or(0);
+    move |b| if b == p { n } else { b * rows / p * row }
+}
+
 /// `data` cut down to its elements `keep`, in place.
 pub(crate) fn keep(mut data: Vec<f64>, keep: Range<usize>) -> Vec<f64> {
     data.truncate(keep.end);

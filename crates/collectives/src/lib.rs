@@ -53,7 +53,7 @@ mod schedule;
 
 pub use bruck::allgatherv_into;
 pub use ft::{Deadline, FtConfig};
-pub use nonblocking::{iallreduce, ireduce_scatter, IallreduceHandle};
+pub use nonblocking::{iallreduce, iallreduce_riding, ireduce_scatter, IallreduceHandle};
 pub use op::ReduceOp;
 
 use schedule::Schedule;
@@ -77,7 +77,44 @@ use mpsim::{Communicator, Result};
 /// assert_eq!(out, vec![10.0; 4]); // 1+2+3+4 on every rank
 /// ```
 pub fn allreduce(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
-    Schedule::select(comm.size(), data.len() as f64, &comm.model()).allreduce(comm, data, op)
+    allreduce_riding(comm, data, 0, op)
+}
+
+/// [`allreduce`] of `data` whose last `riders` words ride along: the
+/// schedule is the one [`allreduce`] picks for the words before them,
+/// and every block it cuts is cut from those words alone, the riders
+/// travelling in the last block. Every other word keeps the reduction
+/// tree, and so the bits, of an [`allreduce`] of the shorter vector.
+///
+/// # Panics
+///
+/// Panics if `riders` exceeds `data.len()`.
+///
+/// # Examples
+///
+/// ```
+/// use collectives::{allreduce, allreduce_riding, ReduceOp};
+/// use mpsim::{NetModel, World};
+///
+/// let out = World::run(3, NetModel::cori_knl(), |comm| {
+///     let grad: Vec<f64> = (0..7).map(|i| (i + comm.rank()) as f64 / 3.0).collect();
+///     let (mut alone, mut riding) = (grad.clone(), grad);
+///     riding.push(comm.rank() as f64); // one word rides the sum
+///     allreduce(comm, &mut alone, ReduceOp::Sum).unwrap();
+///     allreduce_riding(comm, &mut riding, 1, ReduceOp::Sum).unwrap();
+///     (riding.pop() == Some(3.0), alone == riding)
+/// });
+/// assert_eq!(out, vec![(true, true); 3]);
+/// ```
+pub fn allreduce_riding(
+    comm: &Communicator,
+    data: &mut [f64],
+    riders: usize,
+    op: ReduceOp,
+) -> Result<()> {
+    let n = data.len().checked_sub(riders).expect("riders fit");
+    let schedule = Schedule::select(comm.size(), n as f64, &comm.model());
+    schedule.reduce(comm, data, op, (1, riders), schedule.steps(comm.size()))
 }
 
 /// Reduce-scatter of `data`, rows of `row` words each: returns this
@@ -115,7 +152,7 @@ pub fn reduce_scatter(
     let (p, n) = (comm.size(), data.len());
     let mine = chunks::row_block_range(n, row, p, comm.rank());
     let (schedule, steps) = Schedule::scatter(p, n as f64, &comm.model());
-    schedule.reduce(comm, &mut data, op, row, steps)?;
+    schedule.reduce(comm, &mut data, op, (row, 0), steps)?;
     Ok(chunks::keep(data, mine))
 }
 

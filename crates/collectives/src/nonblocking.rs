@@ -42,7 +42,7 @@ use mpsim::{Communicator, Result, Tag};
 
 use crate::chunks::{keep, row_block_range};
 use crate::op::ReduceOp;
-use crate::schedule::Schedule;
+use crate::schedule::{Cut, Schedule};
 
 /// An in-flight non-blocking all-reduce or reduce-scatter: the steps of
 /// one schedule (ring, recursive halving, recursive doubling, or either
@@ -61,8 +61,9 @@ pub struct IallreduceHandle {
     /// Every step of the schedule, or Halving's first `log₂P` for a
     /// reduce-scatter.
     steps: usize,
-    /// Words per row, on which Halving cuts its blocks.
-    row: usize,
+    /// How the blocks are cut: Halving's words per row, and the
+    /// trailing words that ride in the last block.
+    cut: Cut,
     /// The elements of `data` that [`IallreduceHandle::wait`] returns:
     /// all of them, or this rank's rows.
     keep: Range<usize>,
@@ -98,8 +99,27 @@ pub struct IallreduceHandle {
 /// assert_eq!(out, vec![10.0; 4]);
 /// ```
 pub fn iallreduce(comm: &Communicator, data: Vec<f64>, op: ReduceOp) -> Result<IallreduceHandle> {
-    let schedule = Schedule::select(comm.size(), data.len() as f64, &comm.model());
-    launch(comm, data, op, schedule)
+    iallreduce_riding(comm, data, 0, op)
+}
+
+/// [`iallreduce`] of `data` whose last `riders` words ride along, as
+/// [`crate::allreduce_riding`] runs them: the schedule and every block
+/// cut are those of the words before them, so those keep their bits.
+///
+/// # Panics
+///
+/// Panics if `riders` exceeds `data.len()`.
+pub fn iallreduce_riding(
+    comm: &Communicator,
+    data: Vec<f64>,
+    riders: usize,
+    op: ReduceOp,
+) -> Result<IallreduceHandle> {
+    let n = data.len().checked_sub(riders).expect("riders fit");
+    let schedule = Schedule::select(comm.size(), n as f64, &comm.model());
+    let mut h = launch(comm, data, op, schedule)?;
+    h.cut.1 = riders;
+    Ok(h)
 }
 
 /// Launches a non-blocking reduce-scatter of `data`, rows of `row` words
@@ -120,7 +140,7 @@ pub fn ireduce_scatter(
     let mine = row_block_range(n, row, p, comm.rank());
     let (schedule, steps) = Schedule::scatter(p, n as f64, &comm.model());
     let mut h = launch(comm, data, op, schedule)?;
-    (h.steps, h.row, h.keep) = (steps, row, mine);
+    (h.steps, h.cut, h.keep) = (steps, (row, 0), mine);
     Ok(h)
 }
 
@@ -155,7 +175,7 @@ pub(crate) fn launch(
         tag,
         step: 0,
         steps: schedule.steps(p),
-        row: 1,
+        cut: (1, 0),
         ready_at: comm.now(),
         charged: 0.0,
     })
@@ -215,7 +235,7 @@ impl IallreduceHandle {
             charged,
             ..
         } = self;
-        let at = (comm.size(), comm.rank(), self.row);
+        let at = (comm.size(), comm.rank(), self.cut);
         let carry = std::mem::take(&mut self.carry);
         self.carry = self.schedule.step(
             &mut self.data,

@@ -13,6 +13,7 @@ use std::ops::Range;
 
 use mpsim::{Communicator, Rank, Result};
 
+use crate::chunks::starts;
 use crate::op::ReduceOp;
 use crate::schedule::{At, Peers, Schedule};
 
@@ -52,22 +53,22 @@ fn fold(op: ReduceOp, i_am_lower: bool, mine: &mut [f64], theirs: &[f64]) {
 /// `log₂P..2·log₂P` double: the partners swap their reduced windows.
 /// Blocks are cut on whole rows of `row` words, so block `r` is rows
 /// `chunks::block_range(n / row, P, r)`; an all-reduce passes `row = 1`.
+/// The last `riders` words ride in block `P − 1` ([`starts`]).
 /// Each element's reduction tree is the butterfly's whatever the cut.
 /// `carry` is a spare buffer (the last one received) for the outgoing
 /// half.
 pub(crate) fn halving_step(
     data: &mut [f64],
     op: ReduceOp,
-    (p, r, row): At,
+    (p, r, (row, riders)): At,
     step: usize,
     carry: Vec<f64>,
     exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
 ) -> Result<Vec<f64>> {
     let log = p.trailing_zeros() as usize;
-    // The elements of consecutive blocks (`chunks::block_range`'s cut of
-    // the rows).
-    let rows = data.len().checked_div(row).unwrap_or(0);
-    let span = |blocks: Range<usize>| blocks.start * rows / p * row..blocks.end * rows / p * row;
+    // The elements of consecutive blocks.
+    let at = starts(data.len(), riders, row, p);
+    let span = |blocks: Range<usize>| at(blocks.start)..at(blocks.end);
     if step < log {
         let d = p >> (step + 1);
         let partner = r ^ d;

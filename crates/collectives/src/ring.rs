@@ -27,7 +27,7 @@ use std::ops::Range;
 
 use mpsim::{Communicator, Error, Rank, Result, Tag};
 
-use crate::chunks::block_range;
+use crate::chunks::starts;
 use crate::op::ReduceOp;
 use crate::schedule::{At, Peers, Schedule};
 
@@ -55,27 +55,29 @@ fn neighbours(p: usize, r: Rank) -> (Rank, Rank) {
 pub(crate) fn allreduce_step(
     data: &mut [f64],
     op: ReduceOp,
-    (p, r, _): At,
+    (p, r, (_, riders)): At,
     step: usize,
     carry: Vec<f64>,
     exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
 ) -> Result<Vec<f64>> {
     let n = data.len();
+    let start = starts(n, riders, 1, p);
+    let block = |i| start(i)..start(i + 1);
     let out = match step {
-        0 => data[block_range(n, p, r)].to_vec(),
+        0 => data[block(r)].to_vec(),
         _ => carry,
     };
     let (next, prev) = neighbours(p, r);
     let mut got = exchange((Some(next), Some(prev)), out)?;
     if step < p - 1 {
-        let mine = &mut data[block_range(n, p, (r + p - step - 1) % p)];
+        let mine = &mut data[block((r + p - step - 1) % p)];
         op.apply_onto(mine, &mut got);
         if step == p - 2 {
             mine.copy_from_slice(&got);
         }
     } else {
         let s = step - (p - 1);
-        data[block_range(n, p, (r + p - s) % p)].copy_from_slice(&got);
+        data[block((r + p - s) % p)].copy_from_slice(&got);
     }
     Ok(got)
 }

@@ -40,8 +40,6 @@
 //! the non-blocking handles ([`crate::nonblocking`]) run the same body,
 //! which is what keeps the two bit-identical and equally timed.
 
-use std::ops::Range;
-
 use mpsim::{Communicator, NetModel, Rank, Result, Tag};
 
 use crate::cost::{
@@ -57,9 +55,14 @@ const TAG: Tag = (1 << 48) + 16;
 /// `None` on a side the step does not use.
 pub(crate) type Peers = (Option<Rank>, Option<Rank>);
 
-/// Who runs a step: the group size `p`, the rank `r` and the words per
-/// row `row` Halving cuts its blocks on (1 for an all-reduce).
-pub(crate) type At = (usize, Rank, usize);
+/// How a step cuts its blocks, `(row, riders)`: Halving on rows of
+/// `row` words (1 for an all-reduce), every schedule on all but the
+/// trailing `riders` words, which ride in the last block
+/// ([`crate::chunks::starts`]).
+pub(crate) type Cut = (usize, usize);
+
+/// Who runs a step: the group size `p`, the rank `r`, and the [`Cut`].
+pub(crate) type At = (usize, Rank, Cut);
 
 /// An all-reduce schedule. See the [module docs](self) for the costs
 /// and for which one [`Schedule::select`] picks.
@@ -163,28 +166,6 @@ impl Schedule {
         }
     }
 
-    /// Runs `steps` of this schedule on the main timeline, blocking,
-    /// Halving's blocks cut on rows of `row` words.
-    pub(crate) fn run(
-        self,
-        comm: &Communicator,
-        data: &mut [f64],
-        op: ReduceOp,
-        row: usize,
-        steps: Range<usize>,
-    ) -> Result<()> {
-        let (at, mut carry) = ((comm.size(), comm.rank(), row), Vec::new());
-        for step in steps {
-            carry = self.step(data, op, at, step, carry, |(to, from), out| {
-                if let Some(to) = to {
-                    comm.send_vec(to, TAG, out)?;
-                }
-                from.map_or(Ok(Vec::new()), |from| comm.recv(from, TAG))
-            })?;
-        }
-        Ok(())
-    }
-
     /// Blocking all-reduce of `data` under this schedule.
     ///
     /// # Panics
@@ -197,18 +178,20 @@ impl Schedule {
         data: &mut [f64],
         op: ReduceOp,
     ) -> Result<()> {
-        self.reduce(comm, data, op, 1, self.steps(comm.size()))
+        self.reduce(comm, data, op, (1, 0), self.steps(comm.size()))
     }
 
-    /// The first `steps` of [`Schedule::allreduce`], blocks cut on rows
-    /// of `row` words: the whole all-reduce, or Halving's reduce-scatter
-    /// half ([`Schedule::scatter`]). Counted as an all-reduce.
+    /// The first `steps` of [`Schedule::allreduce`] on the main timeline,
+    /// blocks cut on rows of `row` words with the last `riders` words
+    /// riding in the last block (`cut = (row, riders)`): the whole
+    /// all-reduce, or Halving's reduce-scatter half
+    /// ([`Schedule::scatter`]). Counted as an all-reduce.
     pub(crate) fn reduce(
         self,
         comm: &Communicator,
         data: &mut [f64],
         op: ReduceOp,
-        row: usize,
+        cut: Cut,
         steps: usize,
     ) -> Result<()> {
         comm.record_allreduce();
@@ -229,7 +212,16 @@ impl Schedule {
         };
         let words = data.len() as f64;
         let _span = comm.trace_span("collective", name, &[("p", p as f64), ("words", words)]);
-        self.run(comm, data, op, row, 0..steps)
+        let (at, mut carry) = ((p, comm.rank(), cut), Vec::new());
+        for step in 0..steps {
+            carry = self.step(data, op, at, step, carry, |(to, from), out| {
+                if let Some(to) = to {
+                    comm.send_vec(to, TAG, out)?;
+                }
+                from.map_or(Ok(Vec::new()), |from| comm.recv(from, TAG))
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -244,7 +236,7 @@ fn fold_step(
     core: Schedule,
     data: &mut [f64],
     op: ReduceOp,
-    (p, r, row): At,
+    (p, r, cut): At,
     step: usize,
     carry: Vec<f64>,
     exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
@@ -255,7 +247,7 @@ fn fold_step(
         if r >= q {
             return Ok(carry);
         }
-        return core.step(data, op, (q, r, row), step - 1, carry, exchange);
+        return core.step(data, op, (q, r, cut), step - 1, carry, exchange);
     }
     let twin = r ^ q;
     if twin >= p {
@@ -427,6 +419,69 @@ mod tests {
                     if rows % p == 0 {
                         assert!((latest_b - t).abs() < 1e-12, "{at}: {latest_b} vs {t}");
                         assert!((latest_nb - t).abs() < 1e-12, "{at}: {latest_nb} vs {t}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Riders move no cut: under every schedule on groups of every size,
+    /// the words before the riders keep the bits of the same schedule's
+    /// all-reduce without them and the riders hold their sum; the public
+    /// pair picks the shorter vector's schedule under every model, and
+    /// the launched twin agrees with the blocking one to the bit.
+    #[test]
+    fn riders_leave_every_other_word_its_bits() {
+        use crate::{allreduce, allreduce_riding, iallreduce_riding};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let models = [MODEL, NetModel::cori_knl(), NetModel::free()];
+        for p in [2, 3, 4, 5, 6, 7, 8, 12] {
+            let runnable = if is_pow2(p) { &ALL[..3] } else { &ALL[2..] };
+            for n in [1, p - 1, p + 1, 33, 40 * p + 3] {
+                for riders in [1, 2] {
+                    let with_riders = |rank: usize| {
+                        let mut v = contribution(rank, n);
+                        v.extend((0..riders).map(|k| (rank + k) as f64));
+                        v
+                    };
+                    let sums: Vec<f64> = (0..riders)
+                        .map(|k| (p * (p - 1) / 2 + p * k) as f64)
+                        .collect();
+                    for &s in runnable {
+                        let out = World::run(p, MODEL, |comm| {
+                            let mut alone = contribution(comm.rank(), n);
+                            s.allreduce(comm, &mut alone, ReduceOp::Sum).unwrap();
+                            let mut riding = with_riders(comm.rank());
+                            let cut = (1, riders);
+                            s.reduce(comm, &mut riding, ReduceOp::Sum, cut, s.steps(p))
+                                .unwrap();
+                            (alone, riding)
+                        });
+                        for (alone, riding) in out {
+                            let at = format!("{s:?} p={p} n={n} riders={riders}");
+                            assert_eq!(bits(&alone), bits(&riding[..n]), "{at}");
+                            assert_eq!(riding[n..], sums[..], "{at}");
+                        }
+                    }
+                    for model in models {
+                        let out = World::run(p, model, |comm| {
+                            let mut alone = contribution(comm.rank(), n);
+                            allreduce(comm, &mut alone, ReduceOp::Sum).unwrap();
+                            let mut riding = with_riders(comm.rank());
+                            allreduce_riding(comm, &mut riding, riders, ReduceOp::Sum).unwrap();
+                            let h = iallreduce_riding(
+                                comm,
+                                with_riders(comm.rank()),
+                                riders,
+                                ReduceOp::Sum,
+                            );
+                            (alone, riding, h.unwrap().wait().unwrap())
+                        });
+                        for (alone, riding, launched) in out {
+                            let at = format!("{model:?} p={p} n={n} riders={riders}");
+                            assert_eq!(bits(&alone), bits(&riding[..n]), "{at}");
+                            assert_eq!(bits(&riding), bits(&launched), "{at}");
+                        }
                     }
                 }
             }

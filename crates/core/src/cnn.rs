@@ -542,7 +542,7 @@ pub fn train_cnn_domain_traced(
             let tape = forward_pass(&pass, &fc_w)?;
             partial_losses.push(tape.loss);
             // The head's input gradient is read: it feeds the trunk.
-            let (head_sched, dy) =
+            let (head_sched, dy, _) =
                 backward_pass(&pass, tape, &mut fc_w, &mut apply, first_conv.is_some())?;
             let (Some(dy), Some(first)) = (dy, first_conv) else {
                 optimizer_step(&batch.row_comm, iter, head_sched, &mut fc_w, &mut apply)?;

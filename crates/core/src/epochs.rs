@@ -211,7 +211,7 @@ pub fn train_epochs_1p5d(
                 plan: None,
             };
             let tape = forward_pass(&pass, &w_local).expect("forward");
-            let (sched, _) =
+            let (sched, ..) =
                 backward_pass(&pass, tape, &mut w_local, &mut apply, false).expect("backward");
             optimizer_step(&grid.row_comm, step, sched, &mut w_local, &mut apply).expect("step");
         }

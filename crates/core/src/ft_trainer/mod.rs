@@ -39,13 +39,15 @@
 //!    (guarded again), and re-plan the grid: the new `Pr' × Pc'` is the
 //!    factorization of the survivor count minimizing the paper's Eq. 8
 //!    communication cost on the configured [`MachineModel`].
-//! 4. **Redistribute + replay.** Each old grid row's checkpoint shard
-//!    is served by its lowest-ranked survivor and all-gathered over
-//!    the data plane (so redistribution is charged on the virtual
-//!    clock, recorded in [`mpsim::RankStats::recovery_secs`]); every
-//!    survivor re-shards for its new grid position and training
-//!    replays from the checkpoint iteration. A weight-shard row with
-//!    no surviving replica makes the run unrecoverable.
+//! 4. **Redistribute + replay.** Each old grid row's checkpoint rows
+//!    (every layer's weights, then its velocity) are served by its
+//!    lowest-ranked survivor as one block of one all-gather over the
+//!    data plane (so redistribution is charged on the virtual clock,
+//!    recorded in [`mpsim::RankStats::recovery_secs`]); every survivor
+//!    cuts its shards for its new grid position out of the gathered
+//!    rows and training replays from the checkpoint iteration. A
+//!    weight-shard row with no surviving replica makes the run
+//!    unrecoverable.
 //!
 //! A recovery attempt is *transactional*: survivors build the new
 //! grid/weights in temporaries and commit only after a confirmation
@@ -183,8 +185,9 @@ pub struct FtRankOutcome {
     /// Final grid extents (post-shrink if any recovery happened).
     pub pc: usize,
     /// *Global* loss before each committed iteration (identical on
-    /// every survivor — each iteration ends with a one-word all-reduce
-    /// of the loss partials).
+    /// every survivor — the loss partials ride the row group's last ∆W
+    /// sum of the iteration, one exact slot per column rank, and every
+    /// rank adds them in one order).
     pub losses: Vec<f64>,
     /// Final local weight shards for the final grid.
     pub weight_shards: Vec<Matrix>,
@@ -321,7 +324,8 @@ fn run_rank(
             // Epoch-0 "shrink" of nothing: gives the training phase its
             // own context namespace, uniform with post-recovery grids.
             let alive0 = comm.shrink_exclude(&[], 0)?.guarded(&cfg.ft);
-            let st = GridState::shard(&alive0, job.grid0, job.weights0, &[], job, 0)?;
+            let full = |k: usize, a, b| Some(job.weights0.get(k)?.row_block(a, b));
+            let st = GridState::shard(&alive0, job.grid0, full, job, 0)?;
             let ck = take_checkpoint(comm, &st);
             (Membership::fresh(st.view.clone(), nudge), Some(st), ck)
         }
@@ -510,7 +514,8 @@ pub fn train_1p5d_ft_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::{synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig};
+    use crate::trainer::{self, synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig};
+    use collectives::cost::allreduce_exact;
     use dnn::zoo::mlp_tiny;
 
     fn cfg(iters: usize) -> FtTrainConfig {
@@ -621,6 +626,42 @@ mod tests {
         }
         assert!(faulty.stats.total_failures_detected() > 0);
         assert!(faulty.stats.max_recovery_secs() > 0.0);
+    }
+
+    /// Every recovery redistributes in one gather: inside each
+    /// `trainer/recovery` span of every survivor, after a kill that
+    /// shrinks 2 × 3 to five ranks and after a corruption rollback, with
+    /// and without momentum, exactly one data-plane all-gather runs.
+    #[test]
+    fn every_recovery_runs_one_gather() {
+        let net = mlp_tiny();
+        let (x, labels) = synthetic_data(&net, 24, 5);
+        for momentum in [0.0, 0.9] {
+            let c = FtTrainConfig { momentum, ..cfg(6) };
+            let clean = run(&c, FaultPlan::default());
+            let kill = FaultPlan::new(3).kill(4, clean.stats.makespan() * 0.5);
+            for plan in [kill, FaultPlan::new(9).corrupt_nth(2, 0, 10)] {
+                let on = TraceConfig::enabled();
+                let (res, trace) = train_1p5d_ft_traced(&net, &x, &labels, &c, 2, 3, plan, on);
+                let mut recoveries = 0;
+                for (outcome, rt) in res.per_rank.iter().zip(&trace.ranks) {
+                    recoveries += outcome.as_ref().map_or(0, |s| s.recoveries.len());
+                    let spans = rt.events.iter().filter(|e| e.name == "recovery");
+                    for rec in spans.filter(|e| e.cat == "trainer") {
+                        // The span's own children: the aborted iteration's
+                        // last forward gather may close at its start.
+                        let gathers = rt.events.iter().filter(|e| {
+                            e.cat == "collective"
+                                && e.name.starts_with("allgatherv")
+                                && e.depth == rec.depth + 1
+                                && (rec.t0..=rec.t1).contains(&e.t0)
+                        });
+                        assert_eq!(gathers.count(), 1, "momentum {momentum}");
+                    }
+                }
+                assert!(recoveries > 0, "momentum {momentum}: a recovery ran");
+            }
+        }
     }
 
     #[test]
@@ -848,8 +889,9 @@ mod tests {
 
     #[test]
     fn scheduled_ft_matches_the_scheduled_trainer_and_survives_corruption() {
-        // The guarded communicator and the loss all-reduce only add
-        // work: the weights are the scheduled trainer's to the bit.
+        // The guarded communicator and the loss word riding the last
+        // bucket only add work: the weights are the scheduled trainer's
+        // to the bit.
         let c = cfg(6);
         let net = mlp_tiny();
         let (x, labels) = synthetic_data(&net, 24, 5);
@@ -870,17 +912,93 @@ mod tests {
         assert!(max_weight_diff(&clean.weights(), &faulty.weights()) < 1e-12);
     }
 
+    /// The loss word rides the last ∆W bucket without moving a block
+    /// cut, so on every row group — the ring's and the fold's
+    /// non-power-of-two ones included — each weight is the scheduled
+    /// trainer's to the bit.
+    #[test]
+    fn fault_free_ft_is_the_scheduled_trainer_to_the_bit_on_every_grid() {
+        let grids = [(1, 3), (2, 3), (3, 2), (1, 5), (2, 5), (1, 6), (1, 7)];
+        let bits = |w: Vec<Matrix>| -> Vec<u64> {
+            w.iter()
+                .flat_map(|m| m.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        for net in [mlp_tiny(), dnn::zoo::mlp("odd", &[37, 29, 23, 7])] {
+            for seed in 5..=8 {
+                let (x, labels) = synthetic_data(&net, 30, seed);
+                let c = FtTrainConfig { seed, ..cfg(8) };
+                let tc = TrainConfig {
+                    lr: c.lr,
+                    iters: c.iters,
+                    seed,
+                };
+                let (model, plan) = (c.machine.net_model(), c.plan.unwrap());
+                for (pr, pc) in grids {
+                    let sched = train_1p5d_scheduled(&net, &x, &labels, &tc, pr, pc, model, plan);
+                    let ft = train_1p5d_ft(&net, &x, &labels, &c, pr, pc, FaultPlan::default());
+                    let at = format!("{} seed {seed} {pr}x{pc}", net.name);
+                    assert_eq!(ft.survivors().len(), pr * pc, "{at}");
+                    assert_eq!(bits(sched.weights()), bits(ft.weights()), "{at}");
+                }
+            }
+        }
+    }
+
+    /// Rows whose last ∆W sums fall on opposite sides of a schedule
+    /// crossover still read one loss. On 2 × 5, `[101, 99, 340]`'s rows
+    /// hold 49 and 50 of layer 0's rows: 4 949 and 5 050 words, recursive
+    /// doubling under a fold in one row and the ring in the other, in the
+    /// blocking body's layer-0 sum and in the scheduled body's last
+    /// bucket alike (layer 1's 16 830-word shard fills a bucket of its
+    /// own). The partials ride one slot per column rank, each slot's sum
+    /// exact, so the order the schedule adds them in cannot reach the
+    /// loss.
+    #[test]
+    fn every_survivor_reads_one_loss_when_the_rows_run_different_schedules() {
+        let net = dnn::zoo::mlp("straddle", &[101, 99, 340]);
+        let model = cfg(1).machine.net_model();
+        let (upper, lower) = (
+            allreduce_exact(5, 4949.0, &model),
+            allreduce_exact(5, 5050.0, &model),
+        );
+        assert_ne!(
+            upper.alpha, lower.alpha,
+            "the rows' layer-0 sums run different schedules"
+        );
+        for plan in [cfg(1).plan, None] {
+            for seed in 5..=8 {
+                let (x, labels) = synthetic_data(&net, 30, seed);
+                let c = FtTrainConfig {
+                    seed,
+                    plan,
+                    ..cfg(8)
+                };
+                let ft = train_1p5d_ft(&net, &x, &labels, &c, 2, 5, FaultPlan::default());
+                let bits =
+                    |r: &FtRankOutcome| r.losses.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let survivors = ft.survivors();
+                let at = format!("plan {plan:?} seed {seed}");
+                assert_eq!(survivors.len(), 10, "{at}");
+                assert!(
+                    survivors.iter().all(|r| bits(r) == bits(survivors[0])),
+                    "{at}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fault_free_words_are_the_scheduled_trainers_plus_the_loss_sums() {
-        // The FT iteration sends exactly what the scheduled trainer
-        // sends — no layer-0 ∆X sum — plus its own terms, each named:
-        // * the global-loss all-reduce, one word per iteration over each
-        //   row group of Pc = 3, which the fold runs as fold-in (1 word),
-        //   a 2-rank exchange (2) and unfold (1): 4 words per row;
-        // * the control plane (agreement rounds, the barrier's clock
-        //   sync): control envelopes, no data word;
-        // * checkpoints: local copies, counted in `ckpt_words` only.
-        let c = cfg(6);
+        // The FT iteration sends exactly the scheduled trainer's
+        // envelopes: the loss rides the last ∆W bucket of each row group
+        // as Pc more words (one slot per column rank), so it adds words
+        // and β, never a message or an α. The control plane (agreement rounds, the barrier's clock
+        // sync) sends control envelopes and no data word; checkpoints
+        // are local copies, counted in `ckpt_words` only.
+        use collectives::cost::{recursive_doubling_allreduce, ring_allreduce_exact};
+        let c = cfg(8);
+        let (iters, model) = (c.iters as u64, c.machine.net_model());
         let net = mlp_tiny();
         let (x, labels) = synthetic_data(&net, 24, 5);
         let tc = TrainConfig {
@@ -888,19 +1006,50 @@ mod tests {
             iters: c.iters,
             seed: c.seed,
         };
-        let model = c.machine.net_model();
         let plan = OverlapPlan::default();
-        let sched = train_1p5d_scheduled(&net, &x, &labels, &tc, 2, 3, model, plan);
-        let ft = run(&c, FaultPlan::default());
-        let loss_sums = 4 * 2 * c.iters as u64;
-        let control_plane = 0;
-        let checkpoints = 0;
-        assert_eq!(
-            ft.stats.total_words(),
-            sched.stats.total_words() + loss_sums + control_plane + checkpoints
-        );
-        assert!(ft.stats.ranks.iter().all(|r| r.ctrl_msgs_sent > 0));
-        assert!(ft.stats.total_ckpt_words() > 0);
+        let bucket = |pr: usize| (trainer::trainable_words(&net) / pr) as f64;
+        // Each case's bucket schedule, the words one rider word adds per
+        // row group and iteration, and its β steps over the run; the Pc
+        // rider words cost Pc times that.
+        // * 2 × 3: the 2 464-word bucket runs the ring on Pc = 3, which
+        //   carries the riders in its last block across all 2(P−1) = 4
+        //   links, one after another. Rank P−1 sends them first and gets
+        //   them back at hop P = 3, so each iteration starts that rank 3β
+        //   per word later than the last, and the final one ends 4β per
+        //   word after that.
+        // * 1 × 4: the 4 928-word bucket runs recursive doubling on
+        //   Pc = 4: every rank sends the whole vector at each of its 2
+        //   steps, so each rider word costs each rank 2β per iteration.
+        let cases = [
+            (
+                (2, 3),
+                ring_allreduce_exact(3, bucket(2)),
+                4,
+                3 * (iters - 1) + 4,
+            ),
+            (
+                (1, 4),
+                recursive_doubling_allreduce(4, bucket(1)),
+                8,
+                2 * iters,
+            ),
+        ];
+        for ((pr, pc), ran, words, steps) in cases {
+            assert_eq!(allreduce_exact(pc, bucket(pr), &model), ran, "{pr}x{pc}");
+            let sched = train_1p5d_scheduled(&net, &x, &labels, &tc, pr, pc, model, plan);
+            let ft = train_1p5d_ft(&net, &x, &labels, &c, pr, pc, FaultPlan::default());
+            assert_eq!(ft.stats.total_msgs(), sched.stats.total_msgs());
+            let rider_words = pr as u64 * words * pc as u64 * iters;
+            assert_eq!(
+                ft.stats.total_words(),
+                sched.stats.total_words() + rider_words
+            );
+            let rider_beta = (steps * pc as u64) as f64 * model.beta;
+            let gap = ft.stats.makespan() - sched.stats.makespan();
+            assert!((gap - rider_beta).abs() < 1e-15, "{pr}x{pc}: {gap:e}");
+            assert!(ft.stats.ranks.iter().all(|r| r.ctrl_msgs_sent > 0));
+            assert!(ft.stats.total_ckpt_words() > 0);
+        }
     }
 
     #[test]

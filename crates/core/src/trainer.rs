@@ -15,8 +15,7 @@
 
 use std::borrow::Cow;
 
-use collectives::nonblocking::{iallreduce, IallreduceHandle};
-use collectives::{allreduce, ReduceOp};
+use collectives::{allreduce_riding, iallreduce_riding, IallreduceHandle, ReduceOp};
 use dnn::{LayerSpec, Network};
 use mpsim::{Communicator, Error, NetModel, TraceConfig, World, WorldStats, WorldTrace};
 use tensor::activation::{
@@ -402,7 +401,7 @@ pub(crate) fn train_grid(
             };
             let tape = forward_pass(&pass, &w_local).expect("forward");
             partial_losses.push(tape.loss);
-            let (sched, _) =
+            let (sched, ..) =
                 backward_pass(&pass, tape, &mut w_local, &mut apply, false).expect("backward");
             optimizer_step(&first.row_comm, it, sched, &mut w_local, &mut apply).expect("step");
         }
@@ -467,6 +466,9 @@ pub(crate) struct Tape {
     /// (`local_loss · b_local / B`; sums to the global loss over one
     /// grid row).
     pub(crate) loss: f64,
+    /// Words that ride layer 0's ∆W sum over the row group, after its
+    /// gradient (none unless the caller sets them; see [`backward_pass`]).
+    pub(crate) riders: Vec<f64>,
 }
 
 /// The forward half of the one iteration body (Eq. 8: all-gather
@@ -517,8 +519,14 @@ pub(crate) fn forward_pass(p: &Pass<'_>, w: &[Matrix]) -> Result<Tape, Error> {
         relaid,
         grad,
         loss: loss_local * scale,
+        riders: Vec::new(),
     })
 }
+
+/// What [`backward_pass`] hands on: the scheduler with its buckets in
+/// flight (scheduled), `∂loss/∂x_local` (when asked for), and the sums
+/// of the tape's riders (when they rode a blocking layer-0 sum).
+pub(crate) type Backward = (Option<BucketScheduler>, Option<Matrix>, Vec<f64>);
 
 /// The backward half of the one iteration body (Eq. 8: all-reduce `∆W`
 /// over `Pc`; `∆X` over `Pr`, run as the reduce-scatter of the rows the
@@ -555,13 +563,20 @@ pub(crate) fn forward_pass(p: &Pass<'_>, w: &[Matrix]) -> Result<Tape, Error> {
 /// gradient beyond the first layer", and Eq. 8 prices no ∆X term there —
 /// so without it layer 0 runs its ∆W partial alone ([`dw_partial`]): no
 /// ∆X GEMM and no column-group sum, every weight bit unchanged.
+///
+/// Without `input_grad`, the tape's [`Tape::riders`] ride layer 0's ∆W
+/// sum after its gradient, no block of the sum cut for them
+/// ([`allreduce_riding`]), so every ∆W bit is what it is without them.
+/// Blocking, their sums are the third value returned (empty when none
+/// rode); scheduled, they ride layer 0's bucket and [`optimizer_step`]
+/// returns their sums.
 pub(crate) fn backward_pass(
     p: &Pass<'_>,
     tape: Tape,
     w: &mut [Matrix],
     apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
     input_grad: bool,
-) -> Result<(Option<BucketScheduler>, Option<Matrix>), Error> {
+) -> Result<Backward, Error> {
     let (grids, guard) = (p.grids, p.guard);
     let comm = &grids[0].row_comm;
     let iter_arg = [("iter", p.iter as f64)];
@@ -572,6 +587,7 @@ pub(crate) fn backward_pass(
         acts,
         mut relaid,
         grad,
+        mut riders,
         ..
     } = tape;
     let top = layer_grid(grids, p.layers.len() - 1).0;
@@ -594,12 +610,16 @@ pub(crate) fn backward_pass(
                 &acts[idx - 1]
             };
             if idx == 0 && !input_grad {
-                let mut dw = dw_partial(grid, xl, &dy, guard)?;
+                let dw = dw_partial(grid, xl, &dy, guard)?;
                 if let Some(sched) = &mut sched {
+                    sched.riders = std::mem::take(&mut riders);
                     sched.push(idx, dw)?;
                 } else {
-                    allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
-                    apply(w, idx, dw.as_slice());
+                    let (k, mut buf) = (riders.len(), dw.into_vec());
+                    buf.append(&mut riders);
+                    allreduce_riding(&grid.row_comm, &mut buf, k, ReduceOp::Sum)?;
+                    riders = buf.split_off(buf.len() - k);
+                    apply(w, idx, &buf);
                 }
                 break;
             }
@@ -629,7 +649,7 @@ pub(crate) fn backward_pass(
         }
     }
     let dx = input_grad.then(|| full_depth(&grids[0], dy, p.layers[0].d_in));
-    Ok((sched, dx.transpose()?))
+    Ok((sched, dx.transpose()?, riders))
 }
 
 /// The full-depth `d`-row matrix whose row block ([`Grid::w_rows`]) this
@@ -650,22 +670,22 @@ fn full_depth(grid: &Grid, block: Matrix, d: usize) -> Result<Matrix, Error> {
 /// `apply(w, layer, summed)` once its wait completes — one
 /// `optimizer_step` span on `comm`'s trace, or an instant when the
 /// backward was blocking and applied as it went (`sched` is `None`).
+/// Returns the sums of the words that rode the buckets, if any did
+/// ([`Tape::riders`]).
 pub(crate) fn optimizer_step(
     comm: &Communicator,
     iter: usize,
     sched: Option<BucketScheduler>,
     w: &mut [Matrix],
     apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
-) -> Result<(), Error> {
+) -> Result<Vec<f64>, Error> {
     let iter_arg = [("iter", iter as f64)];
-    match sched {
-        None => comm.trace_instant("trainer", "optimizer_step", &iter_arg),
-        Some(sched) => {
-            let _step = comm.trace_span("trainer", "optimizer_step", &iter_arg);
-            sched.drain(|k, g| apply(w, k, g))?;
-        }
-    }
-    Ok(())
+    let Some(sched) = sched else {
+        comm.trace_instant("trainer", "optimizer_step", &iter_arg);
+        return Ok(Vec::new());
+    };
+    let _step = comm.trace_span("trainer", "optimizer_step", &iter_arg);
+    sched.drain(|k, g| apply(w, k, g))
 }
 
 /// Total trainable parameter count of the FC chain. Each rank's ∆W
@@ -723,6 +743,12 @@ pub(crate) struct BucketScheduler {
     pending: Vec<PendingBucket>,
     buf: Vec<f64>,
     buf_layers: Vec<(usize, usize)>,
+    /// Words that ride the next bucket launched, after its segments
+    /// (staged before the bucket's last push, which sizes the bucket for
+    /// them): no block of the sum is cut for them
+    /// ([`iallreduce_riding`]), and [`BucketScheduler::drain`] returns
+    /// their sums.
+    pub(crate) riders: Vec<f64>,
 }
 
 impl BucketScheduler {
@@ -737,6 +763,7 @@ impl BucketScheduler {
             pending: Vec::new(),
             buf: Vec::new(),
             buf_layers: Vec::new(),
+            riders: Vec::new(),
         }
     }
 
@@ -748,14 +775,16 @@ impl BucketScheduler {
 
     /// Stages layer `idx`'s local ∆W partial, flushes once the fusion
     /// threshold is reached, then polls. The first partial of a bucket
-    /// nothing [`BucketScheduler::reserve`]d *becomes* the bucket (a
-    /// bucket that is one layer alone is never copied); later ones are
-    /// appended to it.
+    /// nothing [`BucketScheduler::reserve`]d and no rider follows
+    /// *becomes* the bucket (a bucket that is one layer alone is never
+    /// copied); later ones are appended to it, the bucket grown to hold
+    /// exactly them and the staged riders.
     pub(crate) fn push(&mut self, idx: usize, dw: Matrix) -> Result<(), Error> {
         self.buf_layers.push((idx, dw.len()));
-        if self.buf.capacity() == 0 {
+        if self.buf.capacity() == 0 && self.riders.is_empty() {
             self.buf = dw.into_vec();
         } else {
+            self.buf.reserve_exact(dw.len() + self.riders.len());
             self.buf.extend_from_slice(dw.as_slice());
         }
         if self.buf.len() >= self.cap {
@@ -773,7 +802,9 @@ impl BucketScheduler {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let data = std::mem::take(&mut self.buf);
+        let mut data = std::mem::take(&mut self.buf);
+        let riders = self.riders.len();
+        data.append(&mut self.riders);
         let segs = std::mem::take(&mut self.buf_layers);
         let min_layer = segs.iter().map(|&(i, _)| i).min().expect("non-empty");
         let max_layer = segs.iter().map(|&(i, _)| i).max().expect("non-empty");
@@ -790,7 +821,8 @@ impl BucketScheduler {
         let (handle, data) = if self.comm.size() == 1 {
             (None, Some(data))
         } else {
-            (Some(iallreduce(&self.comm, data, ReduceOp::Sum)?), None)
+            let h = iallreduce_riding(&self.comm, data, riders, ReduceOp::Sum)?;
+            (Some(h), None)
         };
         self.pending.push(PendingBucket { handle, data, segs });
         Ok(())
@@ -824,8 +856,10 @@ impl BucketScheduler {
     }
 
     /// Waits every bucket in launch order, applying each one's segments
-    /// as its wait completes. The caller flushes the staged bucket first.
-    pub(crate) fn drain(self, mut apply: impl FnMut(usize, &[f64])) -> Result<(), Error> {
+    /// as its wait completes, and returns the riders' sums, if words
+    /// rode. The caller flushes the staged bucket first.
+    pub(crate) fn drain(self, mut apply: impl FnMut(usize, &[f64])) -> Result<Vec<f64>, Error> {
+        let mut riders = Vec::new();
         for bucket in self.pending {
             let summed = match bucket.handle {
                 Some(h) => h.wait()?,
@@ -836,8 +870,9 @@ impl BucketScheduler {
                 apply(idx, &summed[at..at + len]);
                 at += len;
             }
+            riders.extend_from_slice(&summed[at..]);
         }
-        Ok(())
+        Ok(riders)
     }
 }
 

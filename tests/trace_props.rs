@@ -482,42 +482,60 @@ fn trace_fingerprint(
 /// its partner's layer below reads. No span or instant was renamed or
 /// moved between names, and the recovery path is the same: 5 timeouts,
 /// 6 verdicts, 7 rollbacks and one rejoin.
+///
+/// Re-recorded, with both FNVs, when the loss began riding the last ∆W
+/// bucket and a recovery began gathering its checkpoint in one
+/// collective. The 36 one-word loss sums (`allreduce_recursive_doubling`)
+/// are gone, so the clean run is shorter (129.0 → 113.0 µs), the kill and
+/// the rejoin land earlier, and the plan's fourth 0 → 1 message is
+/// another one. Rank 3 now dies inside iteration 0 (39.5 µs): the three
+/// survivors shrink to 1 × 3 and commit (epoch 1); rank 3 rejoins at
+/// 62.1 µs and the four regrow to 2 × 2 (epoch 2); the dropped message is
+/// then the first 2 466-word bucket of the regrown grid (2 464 ∆W words
+/// and the two columns' loss slots), rank 1 times out on it once, and
+/// all four roll back to iteration 0 (epoch 3). The parent lost a
+/// message of the shrink's state sync instead, so that recovery failed
+/// and every rank timed out and backed off before one regrow. Hence 11 recoveries and rollbacks
+/// (3 on each survivor, 2 on rank 3) where there were 7, 1 timeout, no
+/// backoff and 3 verdicts where there were 5, 4 and 6, 3 Bruck and 128
+/// doubling gathers (one per recovery, the 1 × 3 sync's Bruck's, and
+/// one per forward layer), and 10 forward and backward passes per rank
+/// where there were 9: the 8 committed, and iteration 0 cut short twice,
+/// by the kill and by the drop.
 const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
-    ("channel", "xfer", 32 + 106 - 36),
-    ("collective", "allgatherv_bruck", 5 + 3),
-    ("collective", "allgatherv_doubling", 108 + 12),
-    ("collective", "allreduce_recursive_doubling", 144 - 108),
-    ("comm", "backoff", 4),
-    ("comm", "recv", 292 - 106 - 12 + 6),
-    ("comm", "timeout", 5),
-    ("compute", "compute", 324 - 36 - 2),
-    ("drain", "drain", 32 + 106 - 36),
+    ("channel", "xfer", 119),
+    ("collective", "allgatherv_bruck", 3),
+    ("collective", "allgatherv_doubling", 128),
+    ("comm", "recv", 142),
+    ("comm", "timeout", 1),
+    ("compute", "compute", 320),
+    ("drain", "drain", 119),
     ("fault", "dead_gap", 1),
     ("fault", "died", 1),
     ("fault", "drop", 1),
-    ("fault", "peer_dead", 23),
+    ("fault", "peer_dead", 21),
     ("fault", "rejoin", 1),
-    ("nb", "chunk_step", 32 + 106 - 36),
-    ("nb", "iallreduce_launch", 34 + 108 - 36),
-    ("quorum", "verdict", 6),
-    ("sched", "bucket_flush", 34),
-    ("trainer", "backward", 36),
+    ("nb", "chunk_step", 119),
+    ("nb", "iallreduce_launch", 120),
+    ("quorum", "verdict", 3),
+    ("sched", "bucket_flush", 40),
+    ("trainer", "backward", 40),
     ("trainer", "checkpoint", 16),
-    ("trainer", "forward", 36),
-    ("trainer", "layer_bwd", 108 - 2),
-    ("trainer", "layer_fwd", 108),
-    ("trainer", "optimizer_step", 34),
-    ("trainer", "recovery", 7),
-    ("trainer", "rollback", 7),
+    ("trainer", "forward", 40),
+    ("trainer", "layer_bwd", 120),
+    ("trainer", "layer_fwd", 120),
+    ("trainer", "optimizer_step", 40),
+    ("trainer", "recovery", 11),
+    ("trainer", "rollback", 11),
 ];
-const GOLDEN_FT_FNV: u64 = 0x6233_4dfc_6fb5_9d78;
+const GOLDEN_FT_FNV: u64 = 0x8e5d_93a8_862c_8407;
 /// The same FNV over every event but the `collective` scope spans:
 /// first recorded while the FT trainer's rings still carried `_ft` names
 /// and no phase sub-spans, to pin what moving the fault policy onto the
 /// communicator had to leave untouched; re-recorded with the histogram
 /// (every time), and with the timestamps when each 2-rank ∆X sum began
-/// sending half its words.
-const GOLDEN_FT_LEAF_FNV: u64 = 0xd34b_b3fe_07c9_e2fa;
+/// sending half its words and when the loss began riding the ∆W bucket.
+const GOLDEN_FT_LEAF_FNV: u64 = 0x756c_94da_113f_5a37;
 /// The scheduled run's histogram. Layer 0's ∆X is not formed (per rank
 /// and iteration, 4 × 3 = 12 GEMMs, launches, drains and 24 ring steps
 /// fewer than the retired engine's 132, 48, 84 and 132). Each of the 36
