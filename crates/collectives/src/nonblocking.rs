@@ -267,7 +267,7 @@ mod tests {
     use super::*;
     use crate::cost::allreduce_exact;
     use crate::{allreduce, FtConfig};
-    use mpsim::{Error, FaultPlan, NetModel, World};
+    use mpsim::{Error, FaultPlan, NetModel, Span, World};
     use proptest::prelude::*;
 
     fn contribution(rank: usize, n: usize) -> Vec<f64> {
@@ -560,6 +560,34 @@ mod tests {
         }
         assert_eq!(stats.total_dropped(), 1);
         assert!(stats.total_aborts() >= 1, "abort was cascaded");
+    }
+
+    /// A chunk held past one deadline window and inside a second: the
+    /// channel receive runs the guarded schedule, so the retry catches it
+    /// and no rank aborts; with one window the same chunk fails the sum.
+    #[test]
+    fn guarded_launch_retries_a_chunk_late_by_one_window() {
+        let model = NetModel {
+            alpha: 1.0,
+            beta: 0.001,
+            flops: f64::INFINITY,
+        };
+        let plan = FaultPlan::new(7).straggle(1, 0, 15.0, 0.0, Span::Once(0));
+        let run = |attempts| {
+            World::run_with_faults(4, model, plan.clone(), |comm| {
+                let comm = comm.guarded(&FtConfig::fixed(10.0).with_attempts(attempts));
+                iallreduce(&comm, vec![1.0; 16], ReduceOp::Sum)?.wait()
+            })
+        };
+        let (out, stats) = run(2);
+        assert_eq!(out, vec![Ok(vec![4.0; 16]); 4]);
+        // Rank 0 times out once on the held chunk, rank 2 once on rank
+        // 0's then late second step; each retry catches its chunk.
+        assert_eq!((stats.total_timeouts(), stats.total_retries()), (2, 2));
+        assert_eq!(stats.total_aborts(), 0);
+        let (out, stats) = run(1);
+        assert!(out.iter().any(Result::is_err));
+        assert!(stats.total_aborts() >= 1);
     }
 
     proptest! {

@@ -314,18 +314,36 @@ impl Membership {
         Ok(self.recover_step())
     }
 
-    /// Confirmation round of a recovery attempt: `true` iff every
-    /// participant reports `ok` and nobody outside `excluded` went
-    /// missing meanwhile. Anything else leaves this rank `aborted`, so
-    /// the next `agree` opens another epoch.
+    /// Confirmation of a recovery attempt: `true` iff every participant
+    /// reports `ok` and nobody outside `excluded` went missing meanwhile.
+    /// Anything else leaves this rank `aborted`, so the next `agree` opens
+    /// another epoch. A vote is severed on its sender's clock, so a rank
+    /// still short of a heal can hear every vote while the healed ranks
+    /// miss its own; each rank therefore echoes its verdict, and no clock
+    /// moves between the two rounds, so the severing repeats: whoever
+    /// commits heard every echo, and every echo was true. Each ballot
+    /// carries its sender's clock, and a commit moves every clock to the
+    /// latest: the recovery ends when its last participant votes, and a
+    /// rank left behind would read the fault plan at a time the others
+    /// have passed (a cut that has begun for them, not yet for it).
     pub fn confirm(&mut self, comm: &Communicator, ok: bool) -> Result<bool, Error> {
-        let votes = comm.fault_sync(vec![ok as u8])?;
-        let all_ok = (comm.members().iter().zip(&votes)).all(|(g, vote)| match vote {
-            Some(b) => b == &[1],
-            None => self.known.excluded.contains(g),
-        });
-        self.aborted = !all_ok;
-        Ok(all_ok)
+        // The latest clock of a round in which every member not excluded
+        // voted yes.
+        let tally = |slots: Vec<Option<Vec<u8>>>| {
+            let vote = |(g, slot): (&usize, &Option<Vec<u8>>)| match slot.as_deref() {
+                Some([1, clock @ ..]) => Some(f64::from_le_bytes(clock.try_into().ok()?)),
+                Some(_) => None,
+                None => self.known.excluded.contains(g).then_some(0.0),
+            };
+            let mut votes = comm.members().iter().zip(&slots).map(vote);
+            votes.try_fold(0.0, |t: f64, v| Some(t.max(v?)))
+        };
+        let ballot = |yes: bool| [&[yes as u8][..], &comm.now().to_le_bytes()].concat();
+        let verdict = tally(comm.fault_sync(ballot(ok))?);
+        let commit = verdict.and(tally(comm.fault_sync(ballot(verdict.is_some()))?));
+        commit.inspect(|&t| comm.sync_to(t));
+        self.aborted = commit.is_none();
+        Ok(commit.is_some())
     }
 
     /// Commits a confirmed recovery that rolled back to iteration `iter`
@@ -567,6 +585,34 @@ mod tests {
         // and the rejoiner's first act was the recovery they were in.
         assert_eq!(done[2].returns.len(), 1);
         assert_eq!(done[2].commits, vec![c[1].clone()]);
+    }
+
+    /// A confirmation that straddles a heal: ranks 0 and 1 vote while
+    /// their clocks are short of the heal of {2, 3}, whose clocks are past
+    /// it. A vote is severed on its sender's clock, so 0 and 1 hear every
+    /// vote while 2 and 3 miss theirs: one round alone commits on the
+    /// near side and aborts on the far one. The echo round repeats the
+    /// severing, so every member returns the same verdict.
+    #[test]
+    fn a_confirmation_straddling_a_heal_cannot_split() {
+        let plan = FaultPlan::new(6)
+            .partition(&[2, 3], TICK)
+            .heal(&[2, 3], 3.0 * TICK);
+        let opts = RunOpts {
+            faults: plan,
+            ..RunOpts::default()
+        };
+        let (verdicts, _, _) = World::run_opts(4, NetModel::free(), opts, |comm| {
+            let near = comm.global_rank_of(comm.rank())? < 2;
+            comm.advance_compute(if near { 2.0 * TICK } else { 4.0 * TICK });
+            let view = View {
+                pr: 1,
+                pc: 4,
+                members: vec![0, 1, 2, 3],
+            };
+            Membership::fresh(view, TICK).confirm(comm, true)
+        });
+        assert_eq!(verdicts, vec![Ok(false); 4]);
     }
 
     #[test]

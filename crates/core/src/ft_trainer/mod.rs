@@ -16,7 +16,7 @@
 //!   little-endian writer/reader whose every read is bounds-checked.
 //! * `state` — what is protected: the shards a rank holds on the
 //!   current grid, the iteration body, the weight audit, checkpoints,
-//!   and the redistribution a recovery performs.
+//!   and the relayout a recovery performs.
 //! * this file — configuration, reports, and `run_rank`: the loop that
 //!   matches on `agree`'s answer.
 //!
@@ -39,20 +39,25 @@
 //!    (guarded again), and re-plan the grid: the new `Pr' × Pc'` is the
 //!    factorization of the survivor count minimizing the paper's Eq. 8
 //!    communication cost on the configured [`MachineModel`].
-//! 4. **Redistribute + replay.** Each old grid row's checkpoint rows
-//!    (every layer's weights, then its velocity) are served by its
-//!    lowest-ranked survivor as one block of one all-gather over the
-//!    data plane (so redistribution is charged on the virtual clock,
-//!    recorded in [`mpsim::RankStats::recovery_secs`]); every survivor
-//!    cuts its shards for its new grid position out of the gathered
-//!    rows and training replays from the checkpoint iteration. A
+//! 4. **Relayout + replay.** The checkpoint moves to the new grid as
+//!    the paper's Eq. 6 prices a change of layout: each survivor needs
+//!    the rows of its new grid row, takes those its old row held from
+//!    its own checkpoint, and fetches each other old row's part (every
+//!    layer's weights, then its velocity) in one point-to-point message
+//!    from that row's lowest-ranked survivor. The messages ride the
+//!    data plane, so the relayout is charged on the virtual clock and
+//!    recorded in [`mpsim::RankStats::recovery_secs`]; a rollback in
+//!    place moves no word. `RecoveryReport::model_secs` is its closed
+//!    form. Training then replays from the checkpoint iteration. A
 //!    weight-shard row with no surviving replica makes the run
 //!    unrecoverable.
 //!
 //! A recovery attempt is *transactional*: survivors build the new
 //! grid/weights in temporaries and commit only after a confirmation
-//! round shows every survivor succeeded — a fault during recovery just
-//! triggers another attempt with the updated survivor set.
+//! (a vote and an echo of every verdict) shows every survivor succeeded
+//! — a fault during recovery just triggers another attempt with the
+//! updated survivor set. A commit moves every survivor's clock to the
+//! latest voter's.
 
 mod membership;
 mod state;
@@ -69,7 +74,7 @@ use crate::overlap::OverlapPlan;
 use crate::trainer::{assemble_weights, extract_fc_layers, init_weights, FcLayer};
 
 use membership::{lives, Membership, Step};
-use state::{recover, take_checkpoint, Checkpoint, GridState};
+use state::{cost, recover, take_checkpoint, Checkpoint, GridState};
 use wire::Welcome;
 
 /// Configuration for a fault-tolerant training run.
@@ -160,8 +165,13 @@ pub struct RecoveryReport {
     /// New grid extents after the shrink (or regrow).
     pub pc: usize,
     /// Virtual seconds this rank spent in the committed attempt
-    /// (epoch bump through commit: re-plan, redistribution, re-shard).
+    /// (epoch bump through commit: re-plan, relayout, re-shard, and the
+    /// wait for the last participant's vote).
     pub measured_secs: f64,
+    /// The relayout's closed form on this recovery's grids: what
+    /// `measured_secs` is when every clock entered the recovery together
+    /// (the commit aligns clocks that did not).
+    pub model_secs: f64,
     /// Cumulative exposed wait on non-blocking collective drains
     /// ([`mpsim::RankStats::comm_wait_secs`]) at the time of this
     /// recovery — a diagnostic for how overlap and fault recovery
@@ -378,6 +388,7 @@ fn run_rank(
                 if all_ok {
                     let st = attempt.expect("ok implies state");
                     let (pr, pc) = (st.grid.pr, st.grid.pc);
+                    let model_secs = cost(&m.known, &st.view, job);
                     ckpt_cur = Checkpoint::of(&st);
                     ckpt_prev = ckpt_cur.clone();
                     recoveries.push(RecoveryReport {
@@ -388,6 +399,7 @@ fn run_rank(
                         pr,
                         pc,
                         measured_secs: comm.now() - t0,
+                        model_secs,
                         comm_wait_secs: comm.stats().comm_wait_secs,
                         analytic_comm_per_iter: integrated_model_batch(
                             job.wlayers,
@@ -517,6 +529,7 @@ mod tests {
     use crate::trainer::{self, synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig};
     use collectives::cost::allreduce_exact;
     use dnn::zoo::mlp_tiny;
+    use mpsim::TraceEvent;
 
     fn cfg(iters: usize) -> FtTrainConfig {
         FtTrainConfig {
@@ -583,10 +596,12 @@ mod tests {
         assert_eq!(faulty.survivors().len(), 6, "nobody died");
         assert_eq!(faulty.stats.total_corrupt_detected(), 1);
         assert!(faulty.stats.total_aborts() >= 1);
-        assert!(
-            faulty.stats.max_recovery_secs() > 0.0,
-            "rollback was charged"
-        );
+        let moved = faulty
+            .per_rank
+            .iter()
+            .flatten()
+            .map(|s| s.recoveries[0].model_secs);
+        assert_eq!(moved.sum::<f64>(), 0.0, "a rollback in place moves no word");
         // The corrupt payload was discarded, training replayed, and the
         // trajectory is unchanged.
         assert!(max_weight_diff(&clean.weights(), &faulty.weights()) < 1e-12);
@@ -628,38 +643,68 @@ mod tests {
         assert!(faulty.stats.max_recovery_secs() > 0.0);
     }
 
-    /// Every recovery redistributes in one gather: inside each
+    /// Every recovery is the relayout and nothing else: inside each
     /// `trainer/recovery` span of every survivor, after a kill that
-    /// shrinks 2 × 3 to five ranks and after a corruption rollback, with
-    /// and without momentum, exactly one data-plane all-gather runs.
+    /// shrinks 2 × 3 to 1 × 5 and after a corruption rollback in place,
+    /// with and without momentum, no collective runs. The rollback moves
+    /// no word. After the kill every survivor fetches
+    /// the row its old one did not hold, `|W| / 2` words (twice that with
+    /// momentum) in one message, which every survivor's report prices at
+    /// the closed form's `α + β·words`.
     #[test]
-    fn every_recovery_runs_one_gather() {
+    fn every_recovery_is_one_relayout_priced_by_its_closed_form() {
         let net = mlp_tiny();
         let (x, labels) = synthetic_data(&net, 24, 5);
+        let half = (64 * 48 + 48 * 32 + 32 * 10) / 2;
         for momentum in [0.0, 0.9] {
             let c = FtTrainConfig { momentum, ..cfg(6) };
             let clean = run(&c, FaultPlan::default());
             let kill = FaultPlan::new(3).kill(4, clean.stats.makespan() * 0.5);
-            for plan in [kill, FaultPlan::new(9).corrupt_nth(2, 0, 10)] {
+            for (plan, words) in [(kill, half), (FaultPlan::new(9).corrupt_nth(2, 0, 10), 0)] {
+                let words = if momentum == 0.0 { words } else { 2 * words };
+                let at = format!("momentum {momentum}, {words} words");
                 let on = TraceConfig::enabled();
                 let (res, trace) = train_1p5d_ft_traced(&net, &x, &labels, &c, 2, 3, plan, on);
-                let mut recoveries = 0;
+                let model = if words > 0 {
+                    c.machine.net_model().ptp(words)
+                } else {
+                    0.0
+                };
+                let mut busiest = 0.0_f64;
                 for (outcome, rt) in res.per_rank.iter().zip(&trace.ranks) {
-                    recoveries += outcome.as_ref().map_or(0, |s| s.recoveries.len());
+                    let Ok(s) = outcome else { continue };
+                    let [r] = &s.recoveries[..] else {
+                        panic!("{at}: one recovery")
+                    };
+                    assert_eq!(r.model_secs, model, "{at}");
+                    busiest = busiest.max(r.measured_secs);
                     let spans = rt.events.iter().filter(|e| e.name == "recovery");
                     for rec in spans.filter(|e| e.cat == "trainer") {
                         // The span's own children: the aborted iteration's
                         // last forward gather may close at its start.
-                        let gathers = rt.events.iter().filter(|e| {
-                            e.cat == "collective"
-                                && e.name.starts_with("allgatherv")
-                                && e.depth == rec.depth + 1
-                                && (rec.t0..=rec.t1).contains(&e.t0)
-                        });
-                        assert_eq!(gathers.count(), 1, "momentum {momentum}");
+                        let inside = |e: &&TraceEvent| {
+                            e.depth == rec.depth + 1 && (rec.t0..=rec.t1).contains(&e.t0)
+                        };
+                        assert!(!rt
+                            .events
+                            .iter()
+                            .filter(inside)
+                            .any(|e| e.cat == "collective"));
+                        let waits = rt.events.iter().filter(inside).filter(|e| e.name == "wait");
+                        let got: Vec<_> = waits
+                            .flat_map(|e| e.args.iter().find(|a| a.0 == "words"))
+                            .collect();
+                        assert_eq!(
+                            got,
+                            [&("words", words as f64)][..(words > 0) as usize],
+                            "{at}"
+                        );
                     }
                 }
-                assert!(recoveries > 0, "momentum {momentum}: a recovery ran");
+                // Every survivor fetches one equal piece, so the earliest
+                // clock waits at least its transfer; skewed clocks, which
+                // the commit aligns, make a rank wait longer.
+                assert!(busiest >= model, "{at}: {busiest}");
             }
         }
     }
@@ -780,7 +825,12 @@ mod tests {
         assert_eq!(faulty.stats.total_corrupt_corrected(), 0);
         assert_eq!(faulty.stats.total_corrupt_recovered(), 1, "escalated once");
         assert!(faulty.stats.total_aborts() >= 1);
-        assert!(faulty.stats.max_recovery_secs() > 0.0, "rollback charged");
+        let moved = faulty
+            .per_rank
+            .iter()
+            .flatten()
+            .map(|s| s.recoveries[0].model_secs);
+        assert_eq!(moved.sum::<f64>(), 0.0, "a rollback in place moves no word");
         let r = &faulty.survivors()[0].recoveries;
         assert_eq!(r.len(), 1);
         assert_eq!((r[0].pr, r[0].pc), (2, 3), "transient fault: no shrink");
@@ -807,7 +857,12 @@ mod tests {
             "weight audit escalated"
         );
         assert_eq!(faulty.stats.total_corrupt_corrected(), 0);
-        assert!(faulty.stats.max_recovery_secs() > 0.0, "rollback charged");
+        let moved = faulty
+            .per_rank
+            .iter()
+            .flatten()
+            .map(|s| s.recoveries[0].model_secs);
+        assert_eq!(moved.sum::<f64>(), 0.0, "a rollback in place moves no word");
         assert_eq!(faulty.survivors()[0].recoveries.len(), 1);
         // The corrupted shard was discarded for checkpoint state and
         // the replay (spend-once flips) is clean.

@@ -1,20 +1,22 @@
 //! What the membership protocol protects: the training state a rank
 //! holds on the current grid ([`GridState`]: shards, the iteration body,
 //! the weight audit), the [`Checkpoint`]s it can roll back to, and
-//! [`recover`] — shrink (or regrow), re-plan with Eq. 8, redistribute
-//! the agreed checkpoint in one gather, re-shard.
+//! [`recover`] — shrink (or regrow), re-plan with Eq. 8, relayout the
+//! agreed checkpoint's rows to the new grid (Eq. 6), re-shard — and
+//! [`cost`], that relayout's closed form.
 
-use collectives::allgatherv_into;
+use std::ops::Range;
+
 use mpsim::fault::checksum;
-use mpsim::{Communicator, Error, FaultCtx};
+use mpsim::{Communicator, Error, FaultCtx, Tag};
 use tensor::ops::axpy;
 use tensor::Matrix;
 
-use distmm::dist::{col_shard, part_range};
+use distmm::dist::{col_shard, intersect, part_range};
 use distmm::onep5d::{Grid, SdcCtx};
 
 use super::membership::Membership;
-use super::wire::View;
+use super::wire::{View, Welcome};
 use super::{plan_grid, Job};
 use crate::trainer::{backward_pass, forward_pass, optimizer_step, Pass};
 
@@ -87,9 +89,9 @@ impl GridState {
     /// layer `k`'s weights for `k < L`, layer `k − L`'s velocity past
     /// them, zeros where it yields `None`. A velocity is held only with
     /// momentum: without it the velocity is zero and not state, so it is
-    /// neither held, checkpointed nor gathered. The one way a rank comes
+    /// neither held, checkpointed nor moved. The one way a rank comes
     /// to hold training state: from the full initial weights at
-    /// start-up, from the gathered checkpoint rows after every recovery.
+    /// start-up, from the relayout's checkpoint rows after every recovery.
     pub fn shard(
         alive: &Communicator,
         (pr, pc): (usize, usize),
@@ -230,76 +232,156 @@ fn weights_checksum(w: &[Matrix]) -> u64 {
     })
 }
 
+/// A recovery's Eq. 6 row relayout, from the last committed grid
+/// (`known.view`) to the `pr × pc` grid over `alive` (row-major): new
+/// rank `r` holds rows `part_range(d_out, pr, r / pc)` of every
+/// checkpoint matrix. It cuts the rows its old grid row held out of its
+/// own checkpoint and fetches each other old row's part in one message
+/// from that row's representative, so every word moves at most once.
+struct Relayout<'a> {
+    known: &'a Welcome,
+    alive: &'a [usize],
+    dims: (usize, usize),
+    /// `(d_out, d_in)` of each checkpoint matrix: the weights, then the
+    /// velocity with momentum (without it the velocity is zero and not
+    /// state).
+    mats: Vec<(usize, usize)>,
+}
+
+impl<'a> Relayout<'a> {
+    fn new(known: &'a Welcome, alive: &'a [usize], dims: (usize, usize), job: &Job) -> Self {
+        let l = job.layers.len();
+        let n = if job.cfg.momentum != 0.0 { 2 * l } else { l };
+        let shape = |k: usize| (job.layers[k % l].d_out, job.layers[k % l].d_in);
+        let mats = (0..n).map(shape).collect();
+        Relayout {
+            known,
+            alive,
+            dims,
+            mats,
+        }
+    }
+
+    /// Old row `i`'s rows of matrix `k`, and the part of them new rank
+    /// `r`'s shard holds.
+    fn rows(&self, i: usize, r: usize, k: usize) -> (Range<usize>, Range<usize>) {
+        let d = self.mats[k].0;
+        let old = part_range(d, self.known.view.pr, i);
+        let new = part_range(d, self.dims.0, r / self.dims.1);
+        (old.clone(), intersect(&old, &new))
+    }
+
+    /// Where matrix `k`'s rows start in the piece old row `i` hands new
+    /// rank `r`, every matrix's part in order; at `k = mats.len()`, its
+    /// words.
+    fn at(&self, i: usize, r: usize, k: usize) -> usize {
+        let words = |k| self.rows(i, r, k).1.len() * self.mats[k].1;
+        (0..k).map(words).sum()
+    }
+
+    /// The part of `m`, old row `i`'s shard of matrix `k`, that new rank
+    /// `r`'s shard holds.
+    fn cut<'m>(&self, m: &'m Matrix, i: usize, r: usize, k: usize) -> &'m [f64] {
+        let (old, part) = self.rows(i, r, k);
+        let d_in = m.cols();
+        &m.as_slice()[(part.start - old.start) * d_in..(part.end - old.start) * d_in]
+    }
+
+    /// The old rows new rank `r` fetches — those its shard needs rows of
+    /// and it does not hold — and the words of each piece.
+    fn fetched(&self, r: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let fetches = move |&i: &usize| !holds(self.known, i, self.alive[r]);
+        let piece = move |i| (i, self.at(i, r, self.mats.len()));
+        let pieces = (0..self.known.view.pr).filter(fetches).map(piece);
+        pieces.filter(|p| p.1 > 0)
+    }
+}
+
+/// Whether global rank `g` holds old row `i`'s checkpoint rows: a
+/// member of it that survives with state. A rank that died and was
+/// re-admitted within the same recovery window is alive but stateless.
+fn holds(known: &Welcome, i: usize, g: usize) -> bool {
+    let pc = known.view.pc;
+    let row = &known.view.members[i * pc..(i + 1) * pc];
+    row.contains(&g) && !known.excluded.contains(&g) && !known.stateless.contains(&g)
+}
+
+/// Tag of the relayout's messages: one per representative and receiver,
+/// on a survivor communicator of the recovery's own epoch.
+const RELAYOUT_TAG: Tag = (1 << 48) + 114;
+
 /// One recovery attempt (fallible part) in the epoch `m` just entered:
 /// shrink (or regrow, when the excluded set no longer contains
-/// re-admitted ranks), re-plan, redistribute the agreed checkpoint `ck`
+/// re-admitted ranks), re-plan, relayout the agreed checkpoint `ck`
 /// from the last *committed* grid (`m.known.view`), re-shard. Committed
-/// by the caller only after a confirmation round. The stateless are live participants without
-/// state (re-admitted rejoiners), who contribute nothing to
-/// redistribution and must not be picked as checkpoint representatives.
+/// by the caller only after a confirmation round. The stateless are live
+/// participants without state (re-admitted rejoiners): they serve
+/// nothing and fetch every row of their new shards.
 pub(super) fn recover(
     comm: &Communicator,
     m: &Membership,
     ck: &Checkpoint,
     job: &Job,
 ) -> Result<GridState, Error> {
-    let my_global = comm.global_rank_of(comm.rank())?;
     let alive = comm.shrink_exclude(&m.known.excluded, m.known.epoch)?;
     let alive = alive.guarded(&job.cfg.ft);
-    let old = &m.known.view;
-
-    // Representative holder of each old grid row's checkpoint shard
-    // (rows are contiguous in the old member list: Grid::new is
-    // row-major). A rank that died and was re-admitted within the same
-    // recovery window is alive but stateless — never a representative.
-    let holds = |g: &usize| !m.known.excluded.contains(g) && !m.known.stateless.contains(g);
-    let rep_of = |(i, row): (usize, &[usize])| {
-        row.iter().copied().find(holds).ok_or_else(|| {
-            let why = format!("unrecoverable: no surviving replica of weight-shard row {i}");
-            Error::CollectiveMismatch(why)
-        })
-    };
-    let reps: Vec<usize> = (old.members.chunks(old.pc).enumerate())
-        .map(rep_of)
-        .collect::<Result<_, _>>()?;
-
-    // Redistribute in one gather (data plane, so the cost lands on the
-    // virtual clock): old row i's representative serves one block, its
-    // rows of every checkpoint matrix k (the weights, then the velocity
-    // when there is momentum), which start at `at[i * mats + k]` (the
-    // prefix sums of the blocks' sizes).
-    let l = job.layers.len();
-    let mats = if job.cfg.momentum != 0.0 { 2 * l } else { l };
-    let layer = |k: usize| &job.layers[k % l];
-    let size = |j: usize| part_range(layer(j).d_out, old.pr, j / mats).len() * layer(j).d_in;
-    let mut at = vec![0];
-    for j in 0..old.pr * mats {
-        at.push(at[j] + size(j));
-    }
-    // A joiner is in no old row, and only representatives serve.
-    let serves = if reps.contains(&my_global) { mats } else { 0 };
-    let served = ck.w.iter().chain(&ck.v).take(serves);
-    let mine: Vec<&[f64]> = served.map(Matrix::as_slice).collect();
-    let mut buf = vec![0.0; at[old.pr * mats]];
-    allgatherv_into(&alive, mine.concat(), &mut buf, |r| {
-        let served = reps.iter().position(|&g| g == alive.members()[r]);
-        served.map_or(0..0, |i| at[i * mats]..at[(i + 1) * mats])
-    })?;
-    // A new shard, rows a..b of matrix k, is cut straight from the
-    // buffer, whose old row blocks hold matrix k's rows in order. No full
-    // matrix is formed.
-    let rows = |k: usize, a: usize, b: usize| {
-        let d_in = layer(k).d_in;
-        let block = |i: usize| &buf[at[i * mats + k]..at[i * mats + k + 1]];
-        let all = (0..old.pr).flat_map(|i| block(i).chunks(d_in));
-        let parts: Vec<&[f64]> = all.skip(a).take(b - a).collect();
-        Some(Matrix::from_vec(b - a, d_in, parts.concat()))
-    };
-
-    // Re-plan with Eq. 8 and rebuild the grid over the survivors.
+    // Re-plan with Eq. 8 first: the new grid decides which rows move.
     let b = job.x.cols() as f64;
     let dims = plan_grid(job.wlayers, b, alive.size(), &job.cfg.machine);
+    let plan = Relayout::new(&m.known, alive.members(), dims, job);
+    // Old row i's representative: its lowest-ranked holder.
+    let rep = |i| {
+        let why = format!("unrecoverable: no surviving replica of weight-shard row {i}");
+        let held_by = |&g: &usize| holds(&m.known, i, g);
+        let rep = alive.members().iter().position(held_by);
+        rep.ok_or(Error::CollectiveMismatch(why))
+    };
+    let reps = ((0..m.known.view.pr).map(rep)).collect::<Result<Vec<_>, _>>()?;
+
+    // Data plane, so the cost lands on the virtual clock. Every send goes
+    // before any receive is posted, and every receive is posted before
+    // any is waited on, as `distmm::rows::relayout` does: a rank waits for
+    // its slowest piece, not for the sum of them.
+    let (me, held): (_, Vec<&Matrix>) = (alive.rank(), ck.w.iter().chain(&ck.v).collect());
+    if let Some(i) = reps.iter().position(|&r| r == me) {
+        for r in (0..alive.size()).filter(|&r| plan.fetched(r).any(|(f, _)| f == i)) {
+            let piece = (0..plan.mats.len()).flat_map(|k| plan.cut(held[k], i, r, k));
+            alive.send_vec(r, RELAYOUT_TAG, piece.copied().collect())?;
+        }
+    }
+    let mut posted = Vec::new();
+    for (i, _) in plan.fetched(me) {
+        posted.push((i, alive.irecv(reps[i], RELAYOUT_TAG)?));
+    }
+    let mut got = vec![Vec::new(); reps.len()];
+    for (i, handle) in posted {
+        got[i] = alive.wait(handle)?;
+    }
+    // A new shard, rows a..b of matrix k, is its parts in old row order,
+    // each cut from this rank's checkpoint or from the piece it fetched.
+    let rows = |k: usize, a: usize, b: usize| {
+        let d_in = plan.mats[k].1;
+        let mut out = Vec::with_capacity((b - a) * d_in);
+        for (i, piece) in got.iter().enumerate() {
+            out.extend_from_slice(match holds(&m.known, i, alive.members()[me]) {
+                true => plan.cut(held[k], i, me, k),
+                false => &piece[plan.at(i, me, k)..plan.at(i, me, k + 1)],
+            });
+        }
+        Some(Matrix::from_vec(b - a, d_in, out))
+    };
     GridState::shard(&alive, dims, rows, job, ck.iter)
+}
+
+/// The closed form of [`recover`]'s relayout from `known.view` to `new`
+/// on the job's machine. A rank posts every receive before it waits on
+/// one, so it waits for its slowest piece, `α + β·words`, and the
+/// relayout for its busiest rank; 0 when no rank fetches a word.
+pub(super) fn cost(known: &Welcome, new: &View, job: &Job) -> f64 {
+    let net = job.cfg.machine.net_model();
+    let plan = &Relayout::new(known, &new.members, (new.pr, new.pc), job);
+    let pieces = (0..new.members.len()).flat_map(|r| plan.fetched(r));
+    pieces.map(|(_, words)| net.ptp(words)).fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -308,83 +390,158 @@ mod tests {
     use crate::ft_trainer::FtTrainConfig;
     use crate::trainer::{extract_fc_layers, init_weights, synthetic_data};
     use distmm::dist::row_shard;
-    use mpsim::{TraceConfig, World};
+    use mpsim::World;
 
     fn bits(m: &Matrix) -> Vec<u64> {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// A recovery gathers the agreed checkpoint in one collective, and
-    /// every survivor's new shards are the checkpoint's full matrices'
-    /// `row_shard`s to the bit: after a kill that shrinks 2 × 3 to five
-    /// ranks and after a rollback in place, with and without momentum
-    /// (no momentum: no velocity is held, gathered or cut). The net is
-    /// weight-heavy and the batch small, so Eq. 8 re-plans both to one
-    /// column, `Pr = 5` and `6`, whose row shards straddle the old two.
+    /// A survivor's new grid `Pr` and row, its shards and its recovery's
+    /// time.
+    type Recovered = (usize, usize, Vec<Matrix>, f64);
+
+    /// One recovery at iteration 4 on a `world`-rank world whose clocks
+    /// all enter it at 0, as `known` describes it: the last committed
+    /// grid, the ranks excluded and the joiners, who hold no state. Per
+    /// rank, the new grid's `Pr` and row, the shards and the recovery's
+    /// time; and the words that moved. `full` holds the checkpoint's full
+    /// matrices.
+    fn one_recovery(
+        job: &Job,
+        full: &[&Matrix],
+        known: &Welcome,
+        world: usize,
+    ) -> (Vec<Option<Recovered>>, u64) {
+        let net = job.cfg.machine.net_model();
+        let (out, stats) = World::run_with_stats(world, net, |comm| {
+            let g = comm.rank();
+            if known.excluded.contains(&g) {
+                return None;
+            }
+            let ck = if known.stateless.contains(&g) {
+                Checkpoint::empty(4)
+            } else {
+                let alive = comm.shrink_exclude(&known.stateless, 0).unwrap();
+                let rows = |k: usize, a, b| Some(full[k].row_block(a, b));
+                let dims = (known.view.pr, known.view.pc);
+                Checkpoint::of(&GridState::shard(&alive, dims, rows, job, 4).unwrap())
+            };
+            let mut m = Membership::fresh(View::default(), 0.0);
+            m.known = known.clone();
+            let new = recover(comm, &m, &ck, job).unwrap();
+            assert_eq!(new.iter, 4);
+            let shards = new.w.into_iter().chain(new.v).collect();
+            Some((new.grid.pr, new.grid.i, shards, comm.now()))
+        });
+        (out, stats.ranks.iter().map(|r| r.words_sent).sum())
+    }
+
+    /// A recovery relayouts the agreed checkpoint: every survivor's new
+    /// shards are the checkpoint's full matrices' `row_shard`s to the
+    /// bit, each rank fetches exactly the rows of its new shards that its
+    /// old row did not hold (so each word moves at most once), and the
+    /// busiest rank's time is [`cost`]'s closed form. With and without
+    /// momentum (no momentum: no velocity is held, moved or cut), after
+    /// a kill that shrinks 2 × 3 to five ranks, a regrow to six from
+    /// those five with a stateless joiner, and a rollback. On `mlp_tiny`
+    /// Eq. 8 plans 1 × 5 and 2 × 3: the regrow moves only the joiner's
+    /// rows, and the rollback is in place and moves no word. The wide net
+    /// is weight-heavy and its batch small, so Eq. 8 re-plans it to one
+    /// column, `Pr = 5` and `6`, whose row shards straddle the old ones.
     #[test]
-    fn a_recovery_gathers_once_and_cuts_the_checkpoint_rows() {
-        let net = dnn::zoo::mlp("wide", &[37, 301, 203, 7]);
-        let (layers, wlayers) = (extract_fc_layers(&net), net.weighted_layers());
-        let (x, labels) = synthetic_data(&net, 6, 5);
-        let full_w = init_weights(&layers, 11);
-        for momentum in [0.0, 0.9] {
-            let full_v = match momentum {
-                0.0 => Vec::new(),
-                _ => init_weights(&layers, 12),
-            };
-            let cfg = FtTrainConfig {
-                momentum,
-                ..FtTrainConfig::default()
-            };
-            let job = Job {
-                layers: &layers,
-                wlayers: &wlayers,
-                x: &x,
-                labels: &labels,
-                cfg: &cfg,
-                grid0: (2, 3),
-                weights0: &full_w,
-            };
-            let l = layers.len();
-            for dead in [vec![], vec![4]] {
-                let (out, _, trace) = World::run_traced_with_stats(
-                    6,
-                    cfg.machine.net_model(),
-                    TraceConfig::enabled(),
-                    |comm| {
-                        if dead.contains(&comm.rank()) {
-                            return None;
-                        }
-                        let alive = comm.shrink_exclude(&[], 0).unwrap();
-                        let rows = |k: usize, a, b| {
-                            let m = if k < l { &full_w[k] } else { &full_v[k - l] };
-                            Some(m.row_block(a, b))
-                        };
-                        let st = GridState::shard(&alive, (2, 3), rows, &job, 4).unwrap();
-                        let ck = Checkpoint::of(&st);
-                        let mut m = Membership::fresh(st.view.clone(), 0.0);
-                        (m.known.excluded, m.known.epoch) = (dead.clone(), 1);
-                        let new = recover(comm, &m, &ck, &job).unwrap();
-                        Some((new.grid.pr, new.grid.i, new.w, new.v, new.iter))
-                    },
-                );
-                let at = format!("momentum {momentum}, dead {dead:?}");
-                for (rank, got) in out.into_iter().enumerate() {
-                    let Some((pr, i, w, v, iter)) = got else {
-                        continue;
+    fn a_recovery_fetches_only_the_missing_rows_in_the_closed_forms_time() {
+        for net in [
+            dnn::zoo::mlp("wide", &[37, 301, 203, 7]),
+            dnn::zoo::mlp_tiny(),
+        ] {
+            let (layers, wlayers) = (extract_fc_layers(&net), net.weighted_layers());
+            let (x, labels) = synthetic_data(&net, if layers[0].d_out > 100 { 6 } else { 24 }, 5);
+            let full_w = init_weights(&layers, 11);
+            let five = plan_grid(
+                &wlayers,
+                x.cols() as f64,
+                5,
+                &FtTrainConfig::default().machine,
+            );
+            for momentum in [0.0, 0.9] {
+                let full_v = match momentum {
+                    0.0 => Vec::new(),
+                    _ => init_weights(&layers, 12),
+                };
+                let full: Vec<&Matrix> = full_w.iter().chain(&full_v).collect();
+                let cfg = FtTrainConfig {
+                    momentum,
+                    ..FtTrainConfig::default()
+                };
+                let job = Job {
+                    layers: &layers,
+                    wlayers: &wlayers,
+                    x: &x,
+                    labels: &labels,
+                    cfg: &cfg,
+                    grid0: (2, 3),
+                    weights0: &full_w,
+                };
+                let view = |(pr, pc), members: &[usize]| View {
+                    pr,
+                    pc,
+                    members: members.to_vec(),
+                };
+                let grid = view((2, 3), &[0, 1, 2, 3, 4, 5]);
+                let cases = [
+                    ("kill", grid.clone(), vec![4], None),
+                    ("regrow", view(five, &[0, 1, 2, 3, 5]), vec![], Some(4)),
+                    ("rollback", grid, vec![], None),
+                ];
+                for (case, old, dead, joiner) in cases {
+                    let at = format!("{}, momentum {momentum}, {case}", net.name);
+                    let known = Welcome {
+                        view: old.clone(),
+                        excluded: dead.clone(),
+                        stateless: joiner.into_iter().collect(),
+                        epoch: 1,
+                        ..Welcome::default()
                     };
-                    assert_eq!((pr, iter), (6 - dead.len(), 4), "{at}");
-                    assert_eq!(v.len(), full_v.len(), "{at}: a velocity only with momentum");
-                    for (k, full) in full_w.iter().chain(&full_v).enumerate() {
-                        let shard = if k < l { &w[k] } else { &v[k - l] };
-                        let want = row_shard(full, pr, i);
-                        assert_eq!(bits(shard), bits(&want), "{at}: rank {rank}, matrix {k}");
+                    let (out, words) = one_recovery(&job, &full, &known, 6);
+                    let pr = out.iter().flatten().next().unwrap().0;
+                    let alive: Vec<usize> = (0..6).filter(|g| !dead.contains(g)).collect();
+                    let new = view((pr, alive.len() / pr), &alive);
+                    let (mut lacking, mut busiest) = (0, 0.0_f64);
+                    for (g, got) in out.into_iter().enumerate() {
+                        let Some((_, i, shards, secs)) = got else {
+                            continue;
+                        };
+                        assert_eq!(
+                            shards.len(),
+                            full.len(),
+                            "{at}: a velocity only with momentum"
+                        );
+                        let own = old
+                            .members
+                            .iter()
+                            .position(|&o| o == g && joiner != Some(g));
+                        for (k, (shard, m)) in shards.iter().zip(&full).enumerate() {
+                            assert_eq!(
+                                bits(shard),
+                                bits(&row_shard(m, new.pr, i)),
+                                "{at}: rank {g}, matrix {k}"
+                            );
+                            let rows = part_range(m.rows(), new.pr, i);
+                            let kept =
+                                own.map_or(0..0, |o| part_range(m.rows(), old.pr, o / old.pc));
+                            lacking += (rows.len() - intersect(&rows, &kept).len()) * m.cols();
+                        }
+                        busiest = busiest.max(secs);
                     }
-                    let gathers = trace.ranks[rank]
-                        .events
-                        .iter()
-                        .filter(|e| e.cat == "collective" && e.name.starts_with("allgatherv"));
-                    assert_eq!(gathers.count(), 1, "{at}: rank {rank}");
+                    assert_eq!(words, lacking as u64, "{at}");
+                    let model = cost(&known, &new, &job);
+                    assert!(
+                        (busiest - model).abs() < 1e-12,
+                        "{at}: {busiest} vs {model}"
+                    );
+                    if (new.pr, new.pc) == (old.pr, old.pc) {
+                        assert_eq!((words, busiest), (0, 0.0), "{at}: in place");
+                    }
                 }
             }
         }

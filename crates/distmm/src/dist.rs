@@ -17,7 +17,7 @@ use tensor::Matrix;
 pub use collectives::chunks::block_range as part_range;
 
 /// The overlap of two ranges; empty when they are disjoint.
-pub(crate) fn intersect(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
+pub fn intersect(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
     let start = a.start.max(b.start);
     let end = a.end.min(b.end);
     start..end.max(start)

@@ -151,8 +151,8 @@ impl Communicator {
     ///   not presumed dead*. The plan's default timeout is not consulted.
     /// * `irecv` stamps the handle with the deadline `now + resolved`;
     ///   `wait` returns [`Error::Timeout`] at it for a later arrival.
-    /// * `recv_channel` bounds the transfer by the resolved deadline,
-    ///   counted from the channel's horizon `max(now, comm_busy)`.
+    /// * `recv_channel` runs `recv`'s schedule, each window counted from
+    ///   the channel's horizon `max(now, comm_busy)`.
     ///
     /// A receive that still fails — timeout, [`Error::Corrupted`], peer
     /// death, partition, or a peer's abort — **broadcasts one group
@@ -265,7 +265,7 @@ impl Communicator {
     /// [`Error::Aborted`] when the peer died or abandoned the phase.
     pub fn recv(&self, src: Rank, tag: Tag) -> Result<Vec<f64>> {
         match &self.ft {
-            Some(cfg) => self.recv_guarded(src, tag, cfg),
+            Some(cfg) => self.on_schedule(src, cfg, |t| self.recv_timeout(src, tag, t)),
             None => self.recv_unguarded(src, tag),
         }
     }
@@ -277,26 +277,28 @@ impl Communicator {
         self.recv_deadline(src, tag, timeout)
     }
 
-    /// [`Communicator::recv`] under a policy: the retry schedule, the
-    /// speculative re-request, then the group abort for whatever fault
-    /// is left (see [`Communicator::guarded`]).
-    fn recv_guarded(&self, src: Rank, tag: Tag, cfg: &FtConfig) -> Result<Vec<f64>> {
+    /// A guarded receive's schedule around `f`, one receive window of the
+    /// length it is given: the retries, the speculative re-request, then
+    /// the group abort for whatever fault is left (see
+    /// [`Communicator::guarded`]). Blocking and channel receives run this
+    /// one schedule.
+    fn on_schedule<T>(&self, src: Rank, cfg: &FtConfig, f: impl Fn(f64) -> Result<T>) -> Result<T> {
         assert!(cfg.attempts > 0, "need at least one attempt");
         let src_global = self.global_rank_of(src)?;
         let timeout = cfg
             .deadline
             .resolve(&self.inner.borrow().health, src_global);
         let mut pause = cfg.backoff;
-        let mut got = self.recv_timeout(src, tag, timeout);
-        for attempt in 1..cfg.attempts {
+        let mut got = f(timeout);
+        for retry in 1..cfg.attempts {
             if !matches!(got, Err(Error::Timeout { .. })) {
                 break;
             }
             self.inner
                 .borrow_mut()
-                .back_off(src_global, pause, cfg.jitter, attempt);
+                .back_off(src_global, pause, cfg.jitter, retry);
             pause *= cfg.backoff_factor;
-            got = self.recv_timeout(src, tag, timeout);
+            got = f(timeout);
         }
         // Straggler mitigation: the schedule is exhausted but the
         // detector says the peer is merely slow, not presumed dead —
@@ -306,7 +308,7 @@ impl Communicator {
             && self.inner.borrow_mut().suspect_not_dead(src_global)
         {
             self.inner.borrow_mut().stats.speculative_retries += 1;
-            got = self.recv_timeout(src, tag, timeout * 4.0);
+            got = f(timeout * 4.0);
         }
         self.abort_on_fault(got)
     }
@@ -385,21 +387,22 @@ impl Communicator {
     /// never depends on real-time interleaving.
     ///
     /// On a [guarded](Communicator::guarded) handle the transfer must
-    /// finish within the peer's resolved deadline of the channel's
-    /// current horizon (`max(now, comm_busy)`): otherwise the main clock
-    /// is charged the wait and [`Error::Timeout`] is returned, and any
-    /// fault aborts the group. Drops, peer death, and aborts surface
-    /// like [`Communicator::recv`] on either kind.
+    /// finish within a window of the peer's resolved deadline from the
+    /// channel's current horizon (`max(now, comm_busy)`), on the retry
+    /// schedule of a guarded [`Communicator::recv`]: an expired window
+    /// charges the main clock the wait, and any fault left aborts the
+    /// group. Drops, peer death, and aborts surface like
+    /// [`Communicator::recv`] on either kind.
     pub fn recv_channel(&self, src: Rank, tag: Tag) -> Result<ChannelRecv> {
         let src_global = self.global_rank_of(src)?;
-        let mut i = self.inner.borrow_mut();
-        let limit = self
-            .ft
-            .as_ref()
-            .map(|cfg| cfg.deadline.resolve(&i.health, src_global));
-        let got = i.complete(self.ctx, src_global, src, tag, limit, Lane::Channel);
-        drop(i);
-        self.abort_on_fault(got)
+        let attempt = |limit| {
+            let mut i = self.inner.borrow_mut();
+            i.complete(self.ctx, src_global, src, tag, limit, Lane::Channel)
+        };
+        match &self.ft {
+            Some(cfg) => self.on_schedule(src, cfg, |window| attempt(Some(window))),
+            None => self.abort_on_fault(attempt(None)),
+        }
     }
 
     /// Completes a non-blocking operation whose channel work finished
@@ -525,13 +528,19 @@ impl Communicator {
             max = max.max(seen);
             d <<= 1;
         }
+        self.sync_to(max);
+        Ok(())
+    }
+
+    /// Moves this rank's clock forward to `t`, charged as communication
+    /// (a `comm/sync` span); a clock already there stays put.
+    pub fn sync_to(&self, t: f64) {
         let mut i = self.inner.borrow_mut();
         let t0 = i.clock.now;
-        i.clock.sync_to(max);
+        i.clock.sync_to(t);
         if i.clock.now > t0 {
             i.span_to_now("comm", "sync", t0, || []);
         }
-        Ok(())
     }
 
     /// The communicator over `members` (global ranks, in rank order)

@@ -254,7 +254,7 @@ fn main() {
             if r.rejoined.is_empty() {
                 ""
             } else {
-                " (regrow: rank re-admitted, state re-broadcast)"
+                " (regrow: rank re-admitted, its rows relayout to it)"
             },
         );
     }
@@ -270,13 +270,16 @@ fn main() {
     );
     let e_diff = (clean.losses().last().unwrap() - elastic.losses().last().unwrap()).abs();
     assert!(e_diff < 1e-6);
+    // A residue shows against a fault-free run on the grid it regrew to.
+    let (pr, pc) = planned;
+    let fresh = train_1p5d_ft(&net, &x, &labels, &ft_cfg, pr, pc, FaultPlan::default());
     println!(
         "  {} rejoin(s); final loss matches fault-free to {e_diff:.1e};\n\
-         post-rejoin step time {} vs fault-free {} — elasticity leaves no residue.\n\
+         post-rejoin step time {} vs fault-free {} on {pr}x{pc} — elasticity leaves no residue.\n\
          (Use FtConfig::adaptive(&machine.net_model(), words) for φ-accrual deadlines\n\
          and speculative straggler re-requests instead of the fixed timeout above.)",
         elastic.stats.total_rejoins(),
         fmt_seconds(e.step_secs_per_iter),
-        fmt_seconds(clean.per_rank[0].as_ref().unwrap().step_secs_per_iter),
+        fmt_seconds(fresh.per_rank[0].as_ref().unwrap().step_secs_per_iter),
     );
 }

@@ -110,21 +110,28 @@ fn killing_one_rank_on_2x4_grid_recovers_and_converges() {
     let survivors = faulty.survivors();
     assert_eq!(survivors.len(), 7);
 
-    // Every survivor committed the same single recovery onto a 7-rank
-    // grid, re-planned with Eq. 8.
+    // Every survivor committed the same single recovery onto the 1 × 7
+    // grid Eq. 8 re-plans. Each held one old row, half the weights, and
+    // fetches the other half in one message: the report prices it at
+    // α + β·|W|/2, and the survivor whose clock entered the recovery
+    // first waits at least that long on the virtual clock.
+    let half = (64 * 48 + 48 * 32 + 32 * 10) / 2;
+    let model = cfg.machine.net_model().ptp(half);
     for s in &survivors {
         assert_eq!(s.recoveries.len(), 1);
         let r = &s.recoveries[0];
         assert_eq!(r.dead, vec![5]);
         assert_eq!((r.pr, r.pc), (s.pr, s.pc));
-        assert_eq!(s.pr * s.pc, 7);
-        assert!(
-            r.measured_secs > 0.0,
-            "recovery cost is on the virtual clock"
-        );
+        assert_eq!((s.pr, s.pc), (1, 7));
+        assert_eq!(r.model_secs, model);
         assert!(r.analytic_comm_per_iter > 0.0);
         assert!(r.comm_wait_secs.is_finite() && r.comm_wait_secs >= 0.0);
     }
+    let busiest = survivors.iter().map(|s| s.recoveries[0].measured_secs);
+    assert!(
+        busiest.fold(0.0, f64::max) >= model,
+        "recovery cost is on the virtual clock"
+    );
 
     // Training completed, and the replayed trajectory converges to the
     // fault-free loss within 1e-6 (synchronous SGD replayed from a

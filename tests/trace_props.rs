@@ -502,18 +502,38 @@ fn trace_fingerprint(
 /// one per forward layer), and 10 forward and backward passes per rank
 /// where there were 9: the 8 committed, and iteration 0 cut short twice,
 /// by the kill and by the drop.
+///
+/// Re-recorded, with both FNVs, when a recovery began relayouting only
+/// the checkpoint rows each new grid position lacks, a commit began
+/// aligning the survivors' clocks, and a channel receive began running
+/// the guarded retry schedule. The 11 recovery gathers are gone (3 Bruck
+/// and 8 doubling, with their 22 `recv`s). The shrink to 1 × 3 (epoch 1)
+/// is three `comm/wait`s of 2 464 words, ranks 0, 1 and 2 each fetching
+/// the row they lacked; the regrow to 2 × 2 (epoch 2) is one, the
+/// joiner's, since every survivor already holds its new row. Eight
+/// `comm/sync` spans are the commits' clock alignment (epoch 1 on ranks
+/// 1 and 2, epoch 2 on ranks 0, 1 and 2, epoch 3 on ranks 0, 2 and 3).
+/// The kill and the regrow end sooner, so the plan's fourth 0 → 1
+/// message is now a bucket of iteration 2: rank 1 waits a window on it,
+/// backs off and waits a second before it aborts, and the four roll back
+/// to iteration 2 in place (epoch 3), the other three waiting at the
+/// commit for rank 1's clock. Hence 2 timeouts and 1 backoff where there
+/// were 1 and none, and 24 `peer_dead` notices where there were 21; the
+/// recoveries and rollbacks stay at 11.
 const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
     ("channel", "xfer", 119),
-    ("collective", "allgatherv_bruck", 3),
-    ("collective", "allgatherv_doubling", 128),
-    ("comm", "recv", 142),
-    ("comm", "timeout", 1),
+    ("collective", "allgatherv_doubling", 120),
+    ("comm", "backoff", 1),
+    ("comm", "recv", 120),
+    ("comm", "sync", 8),
+    ("comm", "timeout", 2),
+    ("comm", "wait", 4),
     ("compute", "compute", 320),
     ("drain", "drain", 119),
     ("fault", "dead_gap", 1),
     ("fault", "died", 1),
     ("fault", "drop", 1),
-    ("fault", "peer_dead", 21),
+    ("fault", "peer_dead", 24),
     ("fault", "rejoin", 1),
     ("nb", "chunk_step", 119),
     ("nb", "iallreduce_launch", 120),
@@ -528,14 +548,15 @@ const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
     ("trainer", "recovery", 11),
     ("trainer", "rollback", 11),
 ];
-const GOLDEN_FT_FNV: u64 = 0x8e5d_93a8_862c_8407;
+const GOLDEN_FT_FNV: u64 = 0xa640_c99a_01b4_68e5;
 /// The same FNV over every event but the `collective` scope spans:
 /// first recorded while the FT trainer's rings still carried `_ft` names
 /// and no phase sub-spans, to pin what moving the fault policy onto the
 /// communicator had to leave untouched; re-recorded with the histogram
 /// (every time), and with the timestamps when each 2-rank ∆X sum began
-/// sending half its words and when the loss began riding the ∆W bucket.
-const GOLDEN_FT_LEAF_FNV: u64 = 0x756c_94da_113f_5a37;
+/// sending half its words, when the loss began riding the ∆W bucket, and
+/// when a recovery became a relayout.
+const GOLDEN_FT_LEAF_FNV: u64 = 0x541f_68dc_3c37_f638;
 /// The scheduled run's histogram. Layer 0's ∆X is not formed (per rank
 /// and iteration, 4 × 3 = 12 GEMMs, launches, drains and 24 ring steps
 /// fewer than the retired engine's 132, 48, 84 and 132). Each of the 36
