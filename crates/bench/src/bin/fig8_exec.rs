@@ -70,7 +70,10 @@ struct Row {
 /// The least `plan` must save over the serialized run per iteration, from
 /// the terms that remain once backprop stops at the first layer (the
 /// last grid row's shard shapes, the largest where rows split raggedly:
-/// the floor is exact where every shard divides evenly). Every collective is priced by the closed form of the
+/// the floor is exact where every shard divides evenly). The top of the
+/// chain is input-split, as the trainer takes it when `d_out < 2·d_in`:
+/// its shard is a block of its input columns, and it has no ∆X sum, so
+/// nothing of it hides. Every collective is priced by the closed form of the
 /// schedule it runs: each ∆W sum by [`allreduce_exact`], each ∆X sum by
 /// [`reduce_scatter_exact`] (the layer below reads only its rows). Fusing the `L` per-layer ∆W
 /// sums into the plan's buckets saves what the per-layer sums cost
@@ -96,12 +99,15 @@ fn saving_floor(
     let bloc = (b / pc) as f64;
     let allreduce = |p: usize, words: f64| allreduce_exact(p, words, m).seconds(m);
     let (mut staged, mut fused, mut first, mut under, mut dx_hidden) = (0.0, 0.0, None, 0.0, 0.0);
-    for (l, layer) in net.weighted_layers().iter().enumerate().rev() {
-        let d_in = layer.d_in() as f64;
-        let rows = part_range(layer.d_out(), pr, pr - 1).len() as f64;
-        let gemm = 2.0 * rows * d_in * bloc / m.flops;
-        let dx_sum = if l > 0 {
-            reduce_scatter_exact(pr, d_in * bloc, m).seconds(m)
+    let layers = net.weighted_layers();
+    for (l, layer) in layers.iter().enumerate().rev() {
+        let split_in = l > 0 && l + 1 == layers.len() && layer.d_out() < 2 * layer.d_in();
+        let (d_in, d_out) = (layer.d_in(), layer.d_out());
+        let (d, w) = [(d_out, d_in), (d_in, d_out)][split_in as usize];
+        let words = (part_range(d, pr, pr - 1).len() * w) as f64;
+        let gemm = 2.0 * words * bloc / m.flops;
+        let dx_sum = if l > 0 && !split_in {
+            reduce_scatter_exact(pr, d_in as f64 * bloc, m).seconds(m)
         } else {
             0.0
         };
@@ -110,8 +116,8 @@ fn saving_floor(
         } else {
             dx_hidden += gemm.min(dx_sum);
         }
-        fused += allreduce(pc, rows * d_in);
-        staged += rows * d_in;
+        fused += allreduce(pc, words);
+        staged += words;
         // A full bucket launches; layer 0 flushes the remainder (after
         // it nothing runs that `first` could hide).
         if staged >= plan.bucket_words as f64 || l == 0 {
@@ -217,8 +223,9 @@ fn main() {
             let degenerate = pc == 1;
             if degenerate {
                 // Each ∆X reduce-scatter launches as a non-blocking
-                // all-reduce and is counted as one.
-                let dx_sums = (iters * (net.weighted_layers().len() - 1) * p) as u64;
+                // all-reduce and is counted as one: every layer's but
+                // the first's and the input-split top's.
+                let dx_sums = (iters * (net.weighted_layers().len() - 2) * p) as u64;
                 assert_eq!(
                     nb_ar, dx_sums,
                     "{pr}x1: single-member row groups must launch no ∆W sums"

@@ -582,6 +582,35 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// The termination invariant on every rank's outcome: each finishes
+/// `Ok`, except outcomes `plan` itself scripts — a killed-and-never-
+/// revived rank rightfully ends `RankFailed`, and with a never-healed
+/// partition the quorum-less side rightfully parks forever and ends
+/// `Unreachable`. Anything else (a survivor erroring, a healed rank
+/// stuck, a wrong error kind) is a violation, which names the first such
+/// rank and lists every rank's outcome: a rank left waiting at
+/// quiescence reads beside the peer whose return left it there.
+fn termination<T>(per_rank: &[Result<T, mpsim::Error>], plan: &ChaosPlan) -> Result<(), Violation> {
+    let (killed, cut_forever) = (plan.permanently_killed(), plan.has_unhealed_partition());
+    for (r, out) in per_rank.iter().enumerate() {
+        match out {
+            Ok(_) => {}
+            Err(mpsim::Error::RankFailed { rank }) if *rank == r && killed.contains(&r) => {}
+            Err(mpsim::Error::Unreachable { rank }) if *rank == r && cut_forever => {}
+            Err(e) => {
+                let every: Vec<String> = (per_rank.iter())
+                    .map(|o| o.as_ref().map_or_else(|e| e.to_string(), |_| "Ok".into()))
+                    .collect();
+                return Err(Violation {
+                    invariant: "termination",
+                    detail: format!("rank {r} failed: {e}; every rank's outcome: {every:?}"),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The invariant oracle: holds the workload and the cached fault-free
 /// reference run, and judges chaos plans against it.
 pub struct Oracle {
@@ -694,27 +723,8 @@ impl Oracle {
             }
         };
 
-        // 1. termination: every rank finishes Ok, except outcomes the
-        // plan itself scripts — a killed-and-never-revived rank
-        // rightfully ends `RankFailed`, and with a never-healed
-        // partition the quorum-less side rightfully parks forever and
-        // ends `Unreachable`. Anything else (a survivor erroring, a
-        // healed rank stuck, a wrong error kind) is a violation.
-        let killed = plan.permanently_killed();
-        let cut_forever = plan.has_unhealed_partition();
-        for (r, out) in result.per_rank.iter().enumerate() {
-            match out {
-                Ok(_) => {}
-                Err(mpsim::Error::RankFailed { rank }) if *rank == r && killed.contains(&r) => {}
-                Err(mpsim::Error::Unreachable { rank }) if *rank == r && cut_forever => {}
-                Err(e) => {
-                    return Err(Violation {
-                        invariant: "termination",
-                        detail: format!("rank {r} failed: {e}"),
-                    })
-                }
-            }
-        }
+        // 1. termination.
+        termination(&result.per_rank, plan)?;
 
         // 2. virtual-time horizon: no runaway retry/recovery loops.
         let horizon = self.clean_makespan * 50.0 + 30.0;
@@ -1107,6 +1117,41 @@ fn parse_value(b: &[u8], at: &mut usize, depth: usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A rank left waiting at quiescence reads as such, beside the
+    /// peer's early return: rank 1 returns `Unreachable` while rank 0
+    /// waits on it, and the verdict names rank 1's return, not a panic.
+    #[test]
+    fn a_termination_verdict_names_every_ranks_outcome() {
+        let out = mpsim::World::run(2, mpsim::NetModel::free(), |comm| match comm.rank() {
+            0 => comm.recv(1, 7).map(|_| ()),
+            _ => Err(mpsim::Error::Unreachable { rank: 1 }),
+        });
+        let plan = |events| ChaosPlan {
+            seed: 0,
+            pr: 1,
+            pc: 2,
+            iters: 1,
+            events,
+        };
+        let v = termination(&out, &plan(vec![])).unwrap_err();
+        assert_eq!(v.invariant, "termination");
+        assert!(
+            v.detail.starts_with("rank 0 failed: ") && v.detail.contains("quiescent"),
+            "{v}"
+        );
+        let rank1 = mpsim::Error::Unreachable { rank: 1 };
+        assert!(v.detail.ends_with(&format!("\"{rank1}\"]")), "{v}");
+        assert!(!v.detail.contains("panic"), "{v}");
+        let cut = plan(vec![Fault::Partition {
+            group: vec![1],
+            at: 0.5,
+            oneway: false,
+        }]);
+        assert_eq!(termination(&out, &cut).unwrap_err().detail, v.detail);
+        let parked = [Ok(()), Err(mpsim::Error::Unreachable { rank: 1 })];
+        assert!(termination(&parked, &cut).is_ok(), "a scripted park");
+    }
 
     #[test]
     fn generation_is_deterministic_and_varied() {

@@ -82,8 +82,8 @@ use distmm::rows::{relayout, Split};
 
 use crate::overlap::OverlapPlan;
 use crate::trainer::{
-    backward_pass, forward_pass, init_weights, optimizer_step, serial_step, Act, BucketScheduler,
-    FcLayer, Pass,
+    backward_pass, forward_pass, init_weights, optimizer_step, serial_step, split_top, Act,
+    BucketScheduler, FcLayer, Pass,
 };
 
 /// One trunk stage.
@@ -198,6 +198,7 @@ impl CnnSpec {
                         d_in: in_shape.dim(),
                         d_out: out_shape.dim(),
                         act: Act::None,
+                        split_in: false,
                     });
                     continue;
                 }
@@ -218,6 +219,7 @@ impl CnnSpec {
             stages.push(stage);
             trunk_out = (out_shape.c, out_shape.h, out_shape.w);
         }
+        split_top(&mut fcs);
         match (stages.is_empty(), fcs.is_empty()) {
             (true, _) => Err(CnnSpecError::NoTrunk),
             (_, true) => Err(CnnSpecError::NoHead),

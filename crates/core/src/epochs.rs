@@ -187,7 +187,7 @@ pub fn train_epochs_1p5d(
     let full = init_weights(&layers, cfg.seed);
     let (shards, stats) = World::run_with_stats(pr * pc, model, |comm| {
         let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
-        let mut w_local = shard_weights(&full, std::slice::from_ref(&grid));
+        let mut w_local = shard_weights(&layers, &full, std::slice::from_ref(&grid));
         let mut v_local: Vec<Matrix> = w_local
             .iter()
             .map(|w| Matrix::zeros(w.rows(), w.cols()))
@@ -217,7 +217,7 @@ pub fn train_epochs_1p5d(
         }
         (grid.i, grid.j, w_local)
     });
-    let weights = assemble_weights(shards.iter().map(|(i, j, w)| (*i, *j, w)));
+    let weights = assemble_weights(&layers, shards.iter().map(|(i, j, w)| (*i, *j, w)));
     EpochDistResult {
         weights,
         stats,

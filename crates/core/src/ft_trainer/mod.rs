@@ -63,6 +63,8 @@ mod membership;
 mod state;
 mod wire;
 
+use std::borrow::Cow;
+
 use collectives::FtConfig;
 use dnn::{Network, WeightedLayer};
 use mpsim::{Communicator, Error, FaultPlan, RunOpts, TraceConfig, World, WorldStats, WorldTrace};
@@ -226,6 +228,8 @@ pub struct FtDistResult {
     pub per_rank: Vec<Result<FtRankOutcome, Error>>,
     /// Virtual-time, traffic, and fault statistics.
     pub stats: WorldStats,
+    /// The trained chain: which extent each layer's shards split.
+    layers: Vec<FcLayer>,
 }
 
 impl FtDistResult {
@@ -257,11 +261,8 @@ impl FtDistResult {
     ///
     /// Panics if no rank survived.
     pub fn weights(&self) -> Vec<Matrix> {
-        assemble_weights(
-            self.survivors()
-                .into_iter()
-                .map(|r| (r.i, r.j, &r.weight_shards)),
-        )
+        let ranks = self.survivors().into_iter();
+        assemble_weights(&self.layers, ranks.map(|r| (r.i, r.j, &r.weight_shards)))
     }
 }
 
@@ -334,7 +335,10 @@ fn run_rank(
             // Epoch-0 "shrink" of nothing: gives the training phase its
             // own context namespace, uniform with post-recovery grids.
             let alive0 = comm.shrink_exclude(&[], 0)?.guarded(&cfg.ft);
-            let full = |k: usize, a, b| Some(job.weights0.get(k)?.row_block(a, b));
+            let full = |k: usize, a, b| {
+                let w = job.weights0.get(k)?; // a velocity starts at zero
+                Some(job.layers[k].orient(Cow::Borrowed(w)).row_block(a, b))
+            };
             let st = GridState::shard(&alive0, job.grid0, full, job, 0)?;
             let ck = take_checkpoint(comm, &st);
             (Membership::fresh(st.view.clone(), nudge), Some(st), ck)
@@ -518,6 +522,7 @@ pub fn train_1p5d_ft_traced(
             pc0: pc,
             per_rank,
             stats,
+            layers,
         },
         traces,
     )

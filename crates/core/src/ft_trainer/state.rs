@@ -5,6 +5,7 @@
 //! agreed checkpoint's rows to the new grid (Eq. 6), re-shard — and
 //! [`cost`], that relayout's closed form.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use mpsim::fault::checksum;
@@ -85,7 +86,9 @@ pub(super) struct GridState {
 impl GridState {
     /// Lays a `pr × pc` grid over `alive` and cuts this rank's shards
     /// out of the rows `rows(k, a, b)` yields, rows `a..b` of checkpoint
-    /// matrix `k` (as [`Matrix::row_block`] takes them):
+    /// matrix `k` with its split extent as its rows
+    /// ([`FcLayer::orient`](crate::trainer::FcLayer::orient); as
+    /// [`Matrix::row_block`] takes them):
     /// layer `k`'s weights for `k < L`, layer `k − L`'s velocity past
     /// them, zeros where it yields `None`. A velocity is held only with
     /// momentum: without it the velocity is zero and not state, so it is
@@ -103,9 +106,10 @@ impl GridState {
         let l = job.layers.len();
         let mats = if job.cfg.momentum != 0.0 { 2 * l } else { l };
         let cut = |k: usize| {
-            let layer = &job.layers[k % l];
-            let r = part_range(layer.d_out, pr, grid.i);
-            rows(k, r.start, r.end).unwrap_or_else(|| Matrix::zeros(r.len(), layer.d_in))
+            let (layer, (d, w)) = (&job.layers[k % l], job.layers[k % l].split_dims());
+            let r = part_range(d, pr, grid.i);
+            let m = rows(k, r.start, r.end).unwrap_or_else(|| Matrix::zeros(r.len(), w));
+            layer.orient(Cow::Owned(m)).into_owned()
         };
         let mut w: Vec<Matrix> = (0..mats).map(cut).collect();
         let v = w.split_off(l);
@@ -234,17 +238,19 @@ fn weights_checksum(w: &[Matrix]) -> u64 {
 
 /// A recovery's Eq. 6 row relayout, from the last committed grid
 /// (`known.view`) to the `pr × pc` grid over `alive` (row-major): new
-/// rank `r` holds rows `part_range(d_out, pr, r / pc)` of every
-/// checkpoint matrix. It cuts the rows its old grid row held out of its
+/// rank `r` holds rows `part_range(d, pr, r / pc)` of every checkpoint
+/// matrix with its split extent `d` as its rows
+/// ([`FcLayer::orient`](crate::trainer::FcLayer::orient)). It cuts the rows its old grid row held out of its
 /// own checkpoint and fetches each other old row's part in one message
 /// from that row's representative, so every word moves at most once.
 struct Relayout<'a> {
     known: &'a Welcome,
     alive: &'a [usize],
     dims: (usize, usize),
-    /// `(d_out, d_in)` of each checkpoint matrix: the weights, then the
-    /// velocity with momentum (without it the velocity is zero and not
-    /// state).
+    /// `(d, w)` of each checkpoint matrix, its split extent first
+    /// ([`FcLayer::split_dims`](crate::trainer::FcLayer::split_dims)): the weights,
+    /// then the velocity with momentum (without it the velocity is zero
+    /// and not state).
     mats: Vec<(usize, usize)>,
 }
 
@@ -252,8 +258,7 @@ impl<'a> Relayout<'a> {
     fn new(known: &'a Welcome, alive: &'a [usize], dims: (usize, usize), job: &Job) -> Self {
         let l = job.layers.len();
         let n = if job.cfg.momentum != 0.0 { 2 * l } else { l };
-        let shape = |k: usize| (job.layers[k % l].d_out, job.layers[k % l].d_in);
-        let mats = (0..n).map(shape).collect();
+        let mats = (0..n).map(|k| job.layers[k % l].split_dims()).collect();
         Relayout {
             known,
             alive,
@@ -342,10 +347,12 @@ pub(super) fn recover(
     // before any receive is posted, and every receive is posted before
     // any is waited on, as `distmm::rows::relayout` does: a rank waits for
     // its slowest piece, not for the sum of them.
-    let (me, held): (_, Vec<&Matrix>) = (alive.rank(), ck.w.iter().chain(&ck.v).collect());
+    let pairs = ck.w.iter().chain(&ck.v).zip(job.layers.iter().cycle());
+    let held: Vec<_> = pairs.map(|(m, l)| l.orient(Cow::Borrowed(m))).collect();
+    let me = alive.rank();
     if let Some(i) = reps.iter().position(|&r| r == me) {
         for r in (0..alive.size()).filter(|&r| plan.fetched(r).any(|(f, _)| f == i)) {
-            let piece = (0..plan.mats.len()).flat_map(|k| plan.cut(held[k], i, r, k));
+            let piece = (0..plan.mats.len()).flat_map(|k| plan.cut(&held[k], i, r, k));
             alive.send_vec(r, RELAYOUT_TAG, piece.copied().collect())?;
         }
     }
@@ -364,7 +371,7 @@ pub(super) fn recover(
         let mut out = Vec::with_capacity((b - a) * d_in);
         for (i, piece) in got.iter().enumerate() {
             out.extend_from_slice(match holds(&m.known, i, alive.members()[me]) {
-                true => plan.cut(held[k], i, me, k),
+                true => plan.cut(&held[k], i, me, k),
                 false => &piece[plan.at(i, me, k)..plan.at(i, me, k + 1)],
             });
         }
@@ -389,7 +396,6 @@ mod tests {
     use super::*;
     use crate::ft_trainer::FtTrainConfig;
     use crate::trainer::{extract_fc_layers, init_weights, synthetic_data};
-    use distmm::dist::row_shard;
     use mpsim::World;
 
     fn bits(m: &Matrix) -> Vec<u64> {
@@ -422,7 +428,8 @@ mod tests {
                 Checkpoint::empty(4)
             } else {
                 let alive = comm.shrink_exclude(&known.stateless, 0).unwrap();
-                let rows = |k: usize, a, b| Some(full[k].row_block(a, b));
+                let layer = |k: usize| &job.layers[k % job.layers.len()];
+                let rows = |k, a, b| Some(layer(k).orient(Cow::Borrowed(full[k])).row_block(a, b));
                 let dims = (known.view.pr, known.view.pc);
                 Checkpoint::of(&GridState::shard(&alive, dims, rows, job, 4).unwrap())
             };
@@ -521,15 +528,25 @@ mod tests {
                             .iter()
                             .position(|&o| o == g && joiner != Some(g));
                         for (k, (shard, m)) in shards.iter().zip(&full).enumerate() {
+                            // The top is input-split: its shards are
+                            // column blocks, recut like any other.
+                            let layer = &layers[k % layers.len()];
+                            assert_eq!(layer.split_in, k % layers.len() == layers.len() - 1);
+                            let (d, w) = layer.split_dims();
+                            let rows = part_range(d, new.pr, i);
                             assert_eq!(
                                 bits(shard),
-                                bits(&row_shard(m, new.pr, i)),
+                                bits(
+                                    &layer.orient(Cow::Owned(
+                                        layer
+                                            .orient(Cow::Borrowed(m))
+                                            .row_block(rows.start, rows.end)
+                                    ))
+                                ),
                                 "{at}: rank {g}, matrix {k}"
                             );
-                            let rows = part_range(m.rows(), new.pr, i);
-                            let kept =
-                                own.map_or(0..0, |o| part_range(m.rows(), old.pr, o / old.pc));
-                            lacking += (rows.len() - intersect(&rows, &kept).len()) * m.cols();
+                            let kept = own.map_or(0..0, |o| part_range(d, old.pr, o / old.pc));
+                            lacking += (rows.len() - intersect(&rows, &kept).len()) * w;
                         }
                         busiest = busiest.max(secs);
                     }

@@ -41,9 +41,9 @@ pub fn train_mixed(
     strategy: &Strategy,
     model: NetModel,
 ) -> Result<MixedResult, String> {
-    let n_layers = extract_fc_layers(net).len();
-    if strategy.layers.len() != n_layers {
-        let rows = strategy.layers.len();
+    let layers = extract_fc_layers(net);
+    if strategy.layers.len() != layers.len() {
+        let (rows, n_layers) = (strategy.layers.len(), layers.len());
         return Err(format!("{rows} grids for {n_layers} weighted layers"));
     }
     let grid_of = |(l, row): (usize, &LayerParallelism)| match *row {
@@ -55,10 +55,10 @@ pub fn train_mixed(
         .collect::<Result<Vec<_>, _>>()?;
     let off = TraceConfig::disabled();
     let (run, _) = train_grid(net, x, labels, cfg, &grids, model, off, None);
-    // Layer `l`'s rows sit on batch group j = 0 of its own grid: the
+    // Layer `l`'s blocks sit on batch group j = 0 of its own grid: the
     // ranks `i · pc`.
     let stack = |(l, &(pr, pc)): (usize, &(usize, usize))| {
-        Matrix::vcat((0..pr).map(|i| &run.per_rank[i * pc].weight_shards[l]))
+        layers[l].stack((0..pr).map(|i| &run.per_rank[i * pc].weight_shards[l]))
     };
     Ok(MixedResult {
         weights: grids.iter().enumerate().map(stack).collect(),

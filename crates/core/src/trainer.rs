@@ -23,12 +23,13 @@ use tensor::activation::{
 };
 use tensor::init;
 use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
-use tensor::ops::axpy;
+use tensor::ops::{self, axpy};
 use tensor::Matrix;
 
 use distmm::dist::{col_shard, row_shard};
 use distmm::onep5d::{
-    backward_dw_deferred, backward_with, dw_partial, dy_block, forward_into, Grid, Guard,
+    backward_dw_deferred, backward_with, dw_partial, dy_block, forward_into, forward_summed,
+    y_partial, Grid, Guard,
 };
 
 use crate::overlap::OverlapPlan;
@@ -47,6 +48,45 @@ pub(crate) struct FcLayer {
     pub(crate) d_in: usize,
     pub(crate) d_out: usize,
     pub(crate) act: Act,
+    /// `Pr` splits `W`'s input columns, not its output rows
+    /// ([`distmm::onep5d`]'s input-split product; see [`split_top`]).
+    pub(crate) split_in: bool,
+}
+
+impl FcLayer {
+    /// `(d, w)`: the extent `Pr` splits — `d_in` when input-split,
+    /// `d_out` otherwise — and the other one.
+    pub(crate) fn split_dims(&self) -> (usize, usize) {
+        [(self.d_out, self.d_in), (self.d_in, self.d_out)][self.split_in as usize]
+    }
+
+    /// `m`, of this layer's shape or a block of it, with the split
+    /// extent as its rows: transposed when input-split. Its own inverse.
+    pub(crate) fn orient<'m>(&self, m: Cow<'m, Matrix>) -> Cow<'m, Matrix> {
+        match self.split_in {
+            true => Cow::Owned(m.transpose()),
+            false => m,
+        }
+    }
+
+    /// The full matrix from its blocks along the split extent, in order.
+    pub(crate) fn stack<'a>(&self, blocks: impl Iterator<Item = &'a Matrix>) -> Matrix {
+        let parts: Vec<_> = blocks.map(|b| self.orient(Cow::Borrowed(b))).collect();
+        let full = Matrix::vcat(parts.iter().map(|b| b.as_ref()));
+        self.orient(Cow::Owned(full)).into_owned()
+    }
+}
+
+/// The one rule for which dimension `Pr` splits: the top of a chain of
+/// two or more layers is input-split when `d_out < 2·d_in` (every
+/// classifier head). Its input then stays in the row blocks the layer
+/// below formed, and its `∆X` is the block that layer reads, for one
+/// all-reduce of the output: `(Pr − 1)/Pr·(2·d_in − d_out)·B/Pc` words
+/// fewer per rank ([`distmm::onep5d`]).
+pub(crate) fn split_top(layers: &mut [FcLayer]) {
+    if let [_, .., top] = layers {
+        top.split_in = top.d_out < 2 * top.d_in;
+    }
 }
 
 /// Extracts the FC-layer chain from a network.
@@ -63,21 +103,20 @@ pub(crate) fn extract_fc_layers(net: &Network) -> Vec<FcLayer> {
                     d_in: in_shape.dim(),
                     d_out: out_shape.dim(),
                     act: Act::None,
+                    split_in: false,
                 });
             }
-            LayerSpec::ReLU => {
+            LayerSpec::ReLU | LayerSpec::Tanh => {
+                let relu = matches!(spec, LayerSpec::ReLU);
                 let l = out.last_mut().expect("activation must follow an FC layer");
-                l.act = Act::Relu;
-            }
-            LayerSpec::Tanh => {
-                let l = out.last_mut().expect("activation must follow an FC layer");
-                l.act = Act::Tanh;
+                l.act = if relu { Act::Relu } else { Act::Tanh };
             }
             LayerSpec::Dropout { .. } => {} // identity in this trainer
             other => panic!("trainer supports FC networks only, found {other:?}"),
         }
     }
     assert!(!out.is_empty(), "network has no FC layers");
+    split_top(&mut out);
     out
 }
 
@@ -93,12 +132,14 @@ pub(crate) fn init_weights(layers: &[FcLayer], seed: u64) -> Vec<Matrix> {
         .collect()
 }
 
-/// This rank's shard of every layer's weights: its grid row of the
-/// layer's own grid (see [`layer_grid`]).
-pub(crate) fn shard_weights(full: &[Matrix], grids: &[Grid]) -> Vec<Matrix> {
+/// This rank's shard of every layer's weights: its grid row's block of
+/// the layer's split extent on the layer's own grid (see
+/// [`layer_grid`]) — rows, or the columns of an input-split top.
+pub(crate) fn shard_weights(layers: &[FcLayer], full: &[Matrix], grids: &[Grid]) -> Vec<Matrix> {
     let shard = |(l, w)| {
-        let (grid, _) = layer_grid(grids, l);
-        row_shard(w, grid.pr, grid.i)
+        let (grid, layer) = (layer_grid(grids, l).0, &layers[l]);
+        let block = row_shard(&layer.orient(Cow::Borrowed(w)), grid.pr, grid.i);
+        layer.orient(Cow::Owned(block)).into_owned()
     };
     full.iter().enumerate().map(shard).collect()
 }
@@ -230,8 +271,9 @@ pub struct RankOutcome {
     /// (`local_loss · b_local / B`; sums to the global loss over one
     /// grid row).
     pub partial_losses: Vec<f64>,
-    /// Final local weight shards (rows `part_range(d_out, pr, i)` of
-    /// each layer).
+    /// Final local weight shards (block `part_range(d, pr, i)` of each
+    /// layer's split extent `d`: its output rows, or the input columns
+    /// of an input-split top).
     pub weight_shards: Vec<Matrix>,
 }
 
@@ -246,6 +288,8 @@ pub struct DistResult {
     pub per_rank: Vec<RankOutcome>,
     /// Virtual-time and traffic statistics.
     pub stats: WorldStats,
+    /// The trained chain: which extent each layer's shards split.
+    pub(crate) layers: Vec<FcLayer>,
 }
 
 impl DistResult {
@@ -267,7 +311,8 @@ impl DistResult {
     /// Assembles the full weight matrices from the shards held by grid
     /// column 0.
     pub fn weights(&self) -> Vec<Matrix> {
-        assemble_weights(self.per_rank.iter().map(|r| (r.i, r.j, &r.weight_shards)))
+        let ranks = self.per_rank.iter().map(|r| (r.i, r.j, &r.weight_shards));
+        assemble_weights(&self.layers, ranks)
     }
 
     /// Measured fraction of executed collective transfer time that was
@@ -298,9 +343,10 @@ impl DistResult {
     }
 }
 
-/// Stacks the row shards held by grid column 0 — `(i, j, shards)` per
-/// rank — back into full per-layer weight matrices.
+/// Stacks the shards held by grid column 0 — `(i, j, shards)` per rank
+/// — back into full per-layer weight matrices ([`FcLayer::stack`]).
 pub(crate) fn assemble_weights<'a>(
+    layers: &[FcLayer],
     ranks: impl Iterator<Item = (usize, usize, &'a Vec<Matrix>)>,
 ) -> Vec<Matrix> {
     let mut col0: Vec<(usize, &Vec<Matrix>)> = ranks
@@ -308,9 +354,8 @@ pub(crate) fn assemble_weights<'a>(
         .map(|(i, _, shards)| (i, shards))
         .collect();
     col0.sort_by_key(|&(i, _)| i);
-    (0..col0[0].1.len())
-        .map(|l| Matrix::vcat(col0.iter().map(|(_, shards)| &shards[l])))
-        .collect()
+    let stack = |(l, layer): (usize, &FcLayer)| layer.stack(col0.iter().map(|(_, w)| &w[l]));
+    layers.iter().enumerate().map(stack).collect()
 }
 
 /// Distributed full-batch SGD on a `pr × pc` grid over the `mpsim`
@@ -376,7 +421,7 @@ pub(crate) fn train_grid(
             .map(|&(pr, pc)| Grid::new(comm, pr, pc).expect("grid tiles the world"))
             .collect();
         let (first, last) = (&grids[0], &grids[grids.len() - 1]);
-        let mut w_local = shard_weights(&full_weights, &grids);
+        let mut w_local = shard_weights(&layers, &full_weights, &grids);
         // An unsplit batch is the caller's matrix itself.
         let x_local = if pc == 1 {
             Cow::Borrowed(x)
@@ -417,6 +462,7 @@ pub(crate) fn train_grid(
         pc,
         per_rank,
         stats,
+        layers,
     };
     (result, traces)
 }
@@ -454,7 +500,8 @@ pub(crate) struct Tape {
     /// the last entry holds the logits. Layer 0's input is the pass's
     /// `x_local`, borrowed. Pre-activations are not kept (see
     /// [`act_backward`]). Each stays in its own layer's column layout —
-    /// the backward mask needs it there.
+    /// the backward mask needs it there — and below an input-split top it
+    /// is this rank's row block alone.
     acts: Vec<Matrix>,
     /// The inputs that had to be re-laid because `Pc` changed on
     /// entering their layer, in layer order (backward pops them); empty
@@ -474,9 +521,12 @@ pub(crate) struct Tape {
 /// The forward half of the one iteration body (Eq. 8: all-gather
 /// `W_i·X_j` over `Pr`, layer by layer), then the loss gradient. Every
 /// layer's output is gathered straight into its tape entry and
-/// activated there. Where the batch split changes between two layers
-/// ([`layer_grid`]) the activation is re-laid first, and the tape keeps
-/// the re-laid copy as that layer's input.
+/// activated there — except below an input-split top
+/// ([`FcLayer::split_in`]), which keeps its row block, while the top
+/// sums its output over `Pr` ([`forward_summed`]). Where the batch split
+/// changes between two layers ([`layer_grid`]) the activation is
+/// gathered and re-laid first, and the tape keeps the re-laid copy (an
+/// input-split layer's row block of it) as that layer's input.
 pub(crate) fn forward_pass(p: &Pass<'_>, w: &[Matrix]) -> Result<Tape, Error> {
     let (grids, guard, layers) = (p.grids, p.guard, p.layers);
     if p.plan.is_some() && grids.len() > 1 {
@@ -496,11 +546,20 @@ pub(crate) fn forward_pass(p: &Pass<'_>, w: &[Matrix]) -> Result<Tape, Error> {
             let (grid, relaid_from) = layer_grid(grids, idx);
             let mut x = acts.last().unwrap_or(p.x_local);
             if let Some(from) = relaid_from {
-                relaid.push(from.relayout_cols(grid, x, p.b_global)?);
+                let full = from.relayout_cols(grid, x, p.b_global)?;
+                relaid.push(match l.split_in {
+                    true => dy_block(grid, Cow::Owned(full)).into_owned(),
+                    false => full,
+                });
                 x = relaid.last().expect("just pushed");
             }
-            let mut y = Matrix::zeros(0, 0);
-            forward_into(grid, &w[idx], x, l.d_out, guard, &mut y)?;
+            let keeps_block = layers.get(idx + 1).is_some_and(|top| top.split_in)
+                && layer_grid(grids, idx + 1).1.is_none();
+            let mut y = match (l.split_in, keeps_block) {
+                (true, _) => forward_summed(grid, &w[idx], x, guard)?,
+                (_, true) => y_partial(grid, &w[idx], x, guard)?,
+                _ => forward_into(grid, &w[idx], x, l.d_out, guard)?,
+            };
             apply_act(l.act, &mut y);
             acts.push(y);
         }
@@ -511,9 +570,7 @@ pub(crate) fn forward_pass(p: &Pass<'_>, w: &[Matrix]) -> Result<Tape, Error> {
     // global 1/B of the paper's Eq. 1 so the ∆W all-reduce sums to the
     // global mean gradient.
     let scale = logits.cols() as f64 / p.b_global as f64;
-    for g in grad.as_mut_slice() {
-        *g *= scale;
-    }
+    ops::scale(scale, grad.as_mut_slice());
     Ok(Tape {
         acts,
         relaid,
@@ -538,11 +595,14 @@ pub(crate) type Backward = (Option<BucketScheduler>, Option<Matrix>, Vec<f64>);
 /// `∆Y_{i,j}` ([`Grid::w_rows`]), never the full-depth `∆Y_j`: the loss
 /// gradient is cut to its rows once, each activation backward reads the
 /// same rows of the saved output in place, and each layer's `∆X`
-/// reduce-scatter leaves exactly the next block. Where a layer's input
-/// was re-laid (the batch split changes, [`crate::mixed::train_mixed`]),
-/// the blocks are gathered back to full depth over the column group —
-/// the all-reduce's other half, so those words are an all-reduce's —
-/// re-laid, and cut to the lower grid's rows.
+/// reduce-scatter leaves exactly the next block. An input-split top
+/// ([`FcLayer::split_in`]) reads the whole loss gradient, and its local
+/// `∆X` already is the block the layer below reads: no sum. Where a
+/// layer's input was re-laid (the batch split changes,
+/// [`crate::mixed::train_mixed`]), the blocks are gathered back to full
+/// depth over the column group — the all-reduce's other half, so those
+/// words are an all-reduce's — re-laid, and cut to the lower grid's
+/// rows.
 ///
 /// Blocking (`p.plan` is `None`): each layer's ∆W is summed and
 /// applied on the spot — ∆X was already formed from the pre-update
@@ -590,15 +650,19 @@ pub(crate) fn backward_pass(
         mut riders,
         ..
     } = tape;
-    let top = layer_grid(grids, p.layers.len() - 1).0;
-    let mut dy = dy_block(top, Cow::Owned(grad)).into_owned();
+    let (top, split) = (p.layers.len() - 1, p.layers[p.layers.len() - 1].split_in);
+    let cut = |g| dy_block(layer_grid(grids, top).0, Cow::Owned(g)).into_owned();
+    let mut dy = if split { grad } else { cut(grad) };
     {
         let _bwd = comm.trace_span("trainer", "backward", &iter_arg);
         for (idx, l) in p.layers.iter().enumerate().rev() {
             let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
             let (grid, relaid_from) = layer_grid(grids, idx);
-            let (rows, bloc) = (grid.w_rows(l.d_out), dy.cols());
-            let post = &acts[idx].as_slice()[rows.start * bloc..rows.end * bloc];
+            // The saved output's rows that `dy` holds: all of them when
+            // the layer kept its block or is input-split.
+            let (all, bloc) = (acts[idx].rows() == dy.rows(), dy.cols());
+            let from = if all { 0 } else { grid.w_rows(l.d_out).start };
+            let post = &acts[idx].as_slice()[from * bloc..][..dy.len()];
             act_backward(l.act, post, &mut dy);
             let popped;
             let xl = if relaid_from.is_some() {
@@ -625,19 +689,19 @@ pub(crate) fn backward_pass(
             }
             let dx = match &mut sched {
                 None => {
-                    let (dw, dx) = backward_with(grid, &w[idx], xl, &dy, guard)?;
+                    let (dw, dx) = backward_with(grid, &w[idx], xl, &dy, guard, l.split_in)?;
                     apply(w, idx, dw.as_slice());
                     dx
                 }
                 Some(sched) => {
-                    let (dw, dx) = backward_dw_deferred(grid, &w[idx], xl, &dy, guard)?;
+                    let (dw, dx) = backward_dw_deferred(grid, &w[idx], xl, &dy, guard, l.split_in)?;
                     sched.push(idx, dw)?;
                     dx
                 }
             };
             dy = match relaid_from {
                 Some(to) => {
-                    let full = full_depth(grid, dx, l.d_in)?;
+                    let full = grid.gather_rows(dx, l.d_in)?;
                     let relaid = grid.relayout_cols(to, &full, p.b_global)?;
                     dy_block(to, Cow::Owned(relaid)).into_owned()
                 }
@@ -648,21 +712,8 @@ pub(crate) fn backward_pass(
             sched.flush()?;
         }
     }
-    let dx = input_grad.then(|| full_depth(&grids[0], dy, p.layers[0].d_in));
+    let dx = input_grad.then(|| grids[0].gather_rows(dy, p.layers[0].d_in));
     Ok((sched, dx.transpose()?, riders))
-}
-
-/// The full-depth `d`-row matrix whose row block ([`Grid::w_rows`]) this
-/// rank holds: the column group's blocks gathered into place
-/// ([`Grid::gather_rows`]), or `block` itself when the model dimension
-/// is not split.
-fn full_depth(grid: &Grid, block: Matrix, d: usize) -> Result<Matrix, Error> {
-    if grid.pr == 1 {
-        return Ok(block);
-    }
-    let mut full = Matrix::zeros(0, 0);
-    grid.gather_rows(block, d, &mut full)?;
-    Ok(full)
 }
 
 /// The optimizer step that ends an iteration: waits every bucket
@@ -993,16 +1044,20 @@ mod tests {
     /// selected schedules take off the critical path that the engine's
     /// rings held (derived per grid at the call sites).
     ///
-    /// Over `Pr > 1` each layer `l ≥ 1` now also hides its ∆X sum, which
-    /// the engine ran blocking, behind its own ∆W GEMM: on every rank,
-    /// per iteration, the shorter of the GEMM (`2·d_l/Pr·d_{l−1}·B/Pc`
-    /// flops) and the sum, a reduce-scatter
+    /// Over `Pr > 1` each layer `l ≥ 1` below the top now also hides its
+    /// ∆X sum, which the engine ran blocking, behind its own ∆W GEMM: on
+    /// every rank, per iteration, the shorter of the GEMM
+    /// (`2·d_l/Pr·d_{l−1}·B/Pc` flops) and the sum, a reduce-scatter
     /// ([`collectives::cost::reduce_scatter_exact`] of `d_{l−1}·B/Pc`
     /// words over `Pr`). The makespan falls by that much
     /// and the overlapped time rises by it on every rank. Only evenly
     /// divided layers have this closed form: on a ragged one the
     /// short-shard ranks launch their sum early and the group leaves the
-    /// layer at different times.
+    /// layer at different times. The top is input-split
+    /// ([`FcLayer::split_in`]): it hides nothing, and what it no longer
+    /// sends — the gather of its input, its ∆X all-reduce — and the
+    /// all-reduce that replaced its output's gather are in `saved`. Its
+    /// GEMMs take the flops they took split by rows.
     fn assert_retired_clock_less_layer0_dx(
         r: &DistResult,
         model: &NetModel,
@@ -1016,7 +1071,7 @@ mod tests {
         let ring = (2 * (pr - 1)) as f64 * (model.alpha + model.beta * (d0 * bloc / pr) as f64);
         let [makespan, overlapped] = retired.map(f64::from_bits);
         let schedules = iters as f64 * (saved.0 * model.alpha + saved.1 * model.beta);
-        let hidden_dx: f64 = dims[1..]
+        let hidden_dx: f64 = dims[1..dims.len() - 1]
             .windows(2)
             .map(|w| {
                 let (d_in, d_out) = (w[0], w[1]);
@@ -1117,12 +1172,16 @@ mod tests {
         // and gathers double, one step each.
         // * 1×4: two ∆W buckets (10 176 and 6 144 words) halve, 4 steps
         //   against the ring's 6: (4, 0).
-        // * 2×4: two ∆X reduce-scatters over 2 ranks, one step of 384
-        //   words each against the ring's 2, and one ∆W bucket of 8 160
-        //   words halves: (4, 768). Each ∆X sum (13.84 µs) then hides
-        //   behind its ∆W GEMM: 7.68 µs of layer 2's, all of layer 1's.
-        // * 4×2 has no retired-clock form, because its 10-row layer splits
-        //   2, 3, 2, 3. Before the ∆X sums went on the channel it read
+        // * 2×4: layer 1's ∆X reduce-scatter over 2 ranks, one step of
+        //   384 words against the ring's 2 of 384 (1, 384); the top's ∆X
+        //   sum (2, 768) and the gather of its input (1, 384) are gone;
+        //   its logits' gather, one ring step of 40 words, became a
+        //   doubling all-reduce, one step of 80 (0, −40); and one ∆W
+        //   bucket of 8 160 words halves (2, 0): (6, 1 496). Layer 1's ∆X
+        //   sum (13.84 µs) hides behind its ∆W GEMM.
+        // * 4×2 has no retired-clock form, because the retired engine's
+        //   10-row layer split 2, 3, 2, 3 (the input-split top now takes
+        //   24 of the 96 input columns a rank, and no layer is ragged). Before the ∆X sums went on the channel it read
         //   [0x3f532314cf675343, 0x3c28000000000000], which is the retired
         //   clock less (12, −1 520): three gathers over 4 ranks take 2
         //   steps against 3, and the ragged one's critical path is 16 words
@@ -1138,7 +1197,8 @@ mod tests {
         //   Re-recorded, weights included, when the ∆X sums became
         //   reduce-scatters: the two 1 536-word sums over 4 ranks ran
         //   recursive doubling, and the reduce-scatter runs recursive
-        //   halving's two steps, which sum in another order.
+        //   halving's two steps, which sum in another order; and again
+        //   when the top became input-split: its logits sum over 4 ranks.
         let goldens = [
             (
                 (1, 4),
@@ -1147,12 +1207,12 @@ mod tests {
             ),
             (
                 (2, 4),
-                [0x3f51fec14ccd1e69, 0x3f3690bb23ad0362, 0xbe4545396a41047d],
-                Some(([0x3f56b24912ee6f36, 0x3c34000000000000], (4.0, 768.0))),
+                [0x3f515a569ed95ab7, 0x3f2d064b1db59d87, 0x56edffb9165bb77d],
+                Some(([0x3f56b24912ee6f36, 0x3c34000000000000], (6.0, 1496.0))),
             ),
             (
                 (4, 2),
-                [0x3f508b3d8b50d687, 0x3f43c9e9f707bc72, 0x520266c1a6384c1d],
+                [0x3f4d5cff81cd418a, 0x3f40868af40f5be9, 0x0e7b39229ac352f9],
                 None,
             ),
         ];
@@ -1316,14 +1376,16 @@ mod tests {
         let sch = train_1p5d_scheduled(&net, &x, &labels, &cfg, 2, 2, model, plan);
         assert_pr3_golden(
             &sch,
-            [0x3f3470135231140f, 0x3f101b2b29a46927, 0xe7e19beecc6cc70d],
+            [0x3f31e51e9708b474, 0x0000000000000000, 0xb5c86e592c72c6bd],
         );
         let retired = [0x3f4063830fc7fcb6, 0x3bf8000000000000];
-        // Every group has 2 ranks: layer 1's ∆X sum and the ∆W bucket
-        // each take one step where the ring took two, the sum a
-        // reduce-scatter of 384 of its 768 words. That sum (13.84 µs) then
-        // hides 7.68 µs, its ∆W GEMM, on every rank.
-        let saved = (2.0, 384.0);
+        // Every group has 2 ranks. Layer 1 is the input-split top: its ∆X
+        // sum, two ring steps of 384 words (2, 768), and the gather of its
+        // input, one of 384 (1, 384), are gone; its logits' gather, one
+        // ring step of 60 words, became a doubling all-reduce, one step of
+        // 120 (0, −60). The ∆W bucket takes one step where the ring took
+        // two (1, 0). Nothing is left to hide.
+        let saved = (4.0, 1092.0);
         let dims = (&[48, 64, 10][..], 24, 2);
         assert_retired_clock_less_layer0_dx(&sch, &model, dims, retired, saved);
     }
@@ -1368,8 +1430,9 @@ mod tests {
         // collectives layer skips recording even when callers don't),
         // keeping the overlap fraction's denominator honest. What is
         // left is layer 1's ∆X sum over the 4-rank column group, once
-        // per rank and iteration.
-        let net = mlp("m", &[32, 24, 10]);
+        // per rank and iteration, and the input-split top's blocking
+        // logits sum; the top's ∆X needs no sum.
+        let net = mlp("m", &[32, 24, 24, 10]);
         let (x, labels) = synthetic_data(&net, 16, 3);
         let cfg = TrainConfig {
             lr: 0.1,
@@ -1386,8 +1449,9 @@ mod tests {
             NetModel::free(),
             OverlapPlan::default(),
         );
-        let (_, _, nb_ar, nb_ag) = dist.stats.total_collective_calls();
+        let (ar, _, nb_ar, nb_ag) = dist.stats.total_collective_calls();
         assert_eq!(nb_ar, 4 * 2, "∆X sums only: no ∆W launches");
+        assert_eq!(ar, 4 * 2, "the logits sums");
         assert_eq!(nb_ag, 0, "every gather blocks");
         assert_eq!(
             dist.measured_overlap_fraction(),

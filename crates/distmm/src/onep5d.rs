@@ -25,6 +25,27 @@
 //!
 //! `Pr = 1` degenerates to pure batch parallelism (Fig. 2) and
 //! `Pc = 1` to pure model parallelism (Fig. 1); tests pin both.
+//!
+//! The product can split `W` by its input columns instead — the
+//! column-/row-parallel pairing of Megatron-style tensor parallelism.
+//! Rank `(i, j)` then holds `W_{:,i}`, the columns [`Grid::w_rows`]`(d_in)`,
+//! and reads the row block `X_{i,j}` the layer below left it without a
+//! gather:
+//!
+//! * **forward**: local `W_{:,i}·X_{i,j}`, then an all-reduce over the
+//!   column group ([`forward_summed`]): every rank holds `Y_j`;
+//! * **`∆W`**: local `∆Y_j·X_{i,j}ᵀ`, summed over the row group as above;
+//! * **`∆X`**: local `W_{:,i}ᵀ·∆Y_j`, which already is the row block the
+//!   layer below reads: no sum (`split_in` of [`backward_with`] and
+//!   [`backward_dw_deferred`]).
+//!
+//! The trainers take it for the top layer of a chain alone: against
+//! the gather of its input, the reduce-scatter of its `∆X` and the
+//! gather of its output, it pays one all-reduce of the output, so it
+//! gains when `d_out < 2·d_in` (a classifier head). Further down it
+//! gains nothing: a boundary from an input-split layer into an
+//! output-split one pays an all-reduce each way, the words of the
+//! gather and the reduce-scatter it would replace.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -33,7 +54,7 @@ use collectives::ring::allgatherv_ring;
 use collectives::{allgatherv_into, allreduce, ireduce_scatter, reduce_scatter, ReduceOp};
 use mpsim::{apply_flips, Communicator, Error, FaultCtx, Result};
 use tensor::abft::{self, Verdict};
-use tensor::matmul::{matmul_a_bt, matmul_at_b, matmul_flops, matmul_into};
+use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b, matmul_flops};
 use tensor::Matrix;
 
 use crate::cols::redistribute_cols;
@@ -83,17 +104,21 @@ impl Grid {
         part_range(d_out, self.pr, self.i)
     }
 
-    /// Gathers the column group's row blocks ([`Grid::w_rows`]) of a
-    /// `d`-row matrix into `out`, reshaped to `d × bloc`: `part` is this
-    /// rank's `bloc`-column block, and every arriving block is copied
-    /// once into place ([`collectives::allgatherv_into`]).
-    pub fn gather_rows(&self, part: Matrix, d: usize, out: &mut Matrix) -> Result<()> {
-        let bloc = part.cols();
-        out.reshape(d, bloc);
+    /// The full-depth `d × bloc` matrix whose row block
+    /// ([`Grid::w_rows`]) `part` is: the column group's blocks, every
+    /// arriving one copied once into place
+    /// ([`collectives::allgatherv_into`]), or `part` itself when the model
+    /// dimension is not split.
+    pub fn gather_rows(&self, part: Matrix, d: usize) -> Result<Matrix> {
+        if self.pr == 1 {
+            return Ok(part);
+        }
+        let (bloc, mut out) = (part.cols(), Matrix::zeros(d, part.cols()));
         allgatherv_into(&self.col_comm, part.into_vec(), out.as_mut_slice(), |src| {
             let rows = part_range(d, self.pr, src);
             rows.start * bloc..rows.end * bloc
-        })
+        })?;
+        Ok(out)
     }
 
     /// The columns of a `B`-column activation matrix owned by this rank.
@@ -258,25 +283,14 @@ fn sdc_guard(
 /// schedule below is written once and the trainers cannot drift apart.
 pub type Guard<'a> = Option<&'a SdcCtx>;
 
-/// The local forward product `W_i · X_j` into `y` (flops charged,
-/// guarded).
-fn y_partial_into(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    guard: Guard,
-    y: &mut Matrix,
-) -> Result<()> {
+/// The local forward product `W_i · X_j` (flops charged, guarded):
+/// alone, the forward of a layer whose output stays in row blocks (the
+/// layer below an input-split one).
+pub fn y_partial(grid: &Grid, w_local: &Matrix, x_local: &Matrix, guard: Guard) -> Result<Matrix> {
     let comm = &grid.col_comm;
     comm.advance_flops(matmul_flops(w_local.rows(), w_local.cols(), x_local.cols()));
-    matmul_into(w_local, x_local, y);
-    sdc_guard(comm, guard, w_local, x_local, y, GemmKind::Plain)
-}
-
-/// [`y_partial_into`] a fresh matrix.
-fn y_partial(grid: &Grid, w_local: &Matrix, x_local: &Matrix, guard: Guard) -> Result<Matrix> {
-    let mut y = Matrix::zeros(0, 0);
-    y_partial_into(grid, w_local, x_local, guard, &mut y)?;
+    let mut y = matmul(w_local, x_local);
+    sdc_guard(comm, guard, w_local, x_local, &mut y, GemmKind::Plain)?;
     Ok(y)
 }
 
@@ -316,22 +330,11 @@ fn dx_partial(grid: &Grid, w_local: &Matrix, dy_i: &Matrix, guard: Guard) -> Res
 
 /// Forward: `Y_j = allgather_{Pr}(W_i · X_j)`. `w_local` is this rank's
 /// `d_out/Pr × d_in` shard; `x_local` is the full-depth `d_in × B/Pc`
-/// batch shard. Returns the assembled `d_out × B/Pc` output shard.
+/// batch shard. Returns the assembled `d_out × B/Pc` output shard,
+/// gathered by the ring.
 pub fn forward(grid: &Grid, w_local: &Matrix, x_local: &Matrix) -> Result<Matrix> {
-    forward_with(grid, w_local, x_local, None)
-}
-
-/// [`forward`] under a [`Guard`]: the local product is verified before
-/// the all-gather, so a corrupted word never spreads to the column
-/// group.
-pub fn forward_with(
-    grid: &Grid,
-    w_local: &Matrix,
-    x_local: &Matrix,
-    guard: Guard,
-) -> Result<Matrix> {
     let bloc = x_local.cols();
-    let y_partial = y_partial(grid, w_local, x_local, guard)?;
+    let y_partial = y_partial(grid, w_local, x_local, None)?;
     if grid.pr == 1 {
         return Ok(y_partial);
     }
@@ -343,29 +346,38 @@ pub fn forward_with(
     Ok(Matrix::vcat(&mats))
 }
 
-/// [`forward_with`] for a caller that knows the layer's full output
-/// depth `d_out` (the trainers do; only the column group as a whole
-/// does otherwise) and owns the output: `y` is reshaped to
-/// `d_out × B/Pc` and every row block is gathered straight into its
-/// rows ([`collectives::allgatherv_into`]) — each arriving block is
-/// copied once into place and nothing is stacked afterwards. With
-/// `Pr = 1` the product is written into `y` directly. Same values and
-/// SDC op as [`forward_with`]; on a power-of-two `Pr` the gather is
-/// recursive doubling, Eq. 3's `log₂Pr` α-steps where
-/// [`forward_with`]'s ring takes `Pr − 1`.
+/// [`forward`] for a caller that knows the layer's full output depth
+/// `d_out` (the trainers do; only the column group as a whole does
+/// otherwise), under a [`Guard`]: the local product is verified before
+/// the gather, so a corrupted word never spreads to the column group,
+/// and every row block is gathered straight into its rows of the
+/// `d_out × B/Pc` output ([`collectives::allgatherv_into`]) — each
+/// arriving block is copied once into place and nothing is stacked
+/// afterwards. Same values as [`forward`]; on a power-of-two `Pr` the
+/// gather is recursive doubling, Eq. 3's `log₂Pr` α-steps where
+/// [`forward`]'s ring takes `Pr − 1`.
 pub fn forward_into(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
     d_out: usize,
     guard: Guard,
-    y: &mut Matrix,
-) -> Result<()> {
-    if grid.pr == 1 {
-        return y_partial_into(grid, w_local, x_local, guard, y);
+) -> Result<Matrix> {
+    grid.gather_rows(y_partial(grid, w_local, x_local, guard)?, d_out)
+}
+
+/// The input-split forward (see the module doc): the local
+/// `W_{:,i}·X_{i,j}`, summed over the column group so that every rank
+/// holds the `d_out × B/Pc` output `Y_j`. With `Pr = 1` it is the local
+/// product alone.
+pub fn forward_summed(grid: &Grid, w_cols: &Matrix, x_i: &Matrix, guard: Guard) -> Result<Matrix> {
+    // The output's sum over the column group — the one column-group
+    // all-reduce here; every ∆X sum is a reduce-scatter.
+    let (cols, mut y) = (&grid.col_comm, y_partial(grid, w_cols, x_i, guard)?);
+    if grid.pr > 1 {
+        allreduce(cols, y.as_mut_slice(), ReduceOp::Sum)?;
     }
-    let part = y_partial(grid, w_local, x_local, guard)?;
-    grid.gather_rows(part, d_out, y)
+    Ok(y)
 }
 
 /// Backward: given the full-depth output-gradient shard `∆Y_j`
@@ -384,7 +396,7 @@ pub fn backward(
     dy_local: &Matrix,
 ) -> Result<(Matrix, Matrix)> {
     let dy_i = dy_block(grid, Cow::Borrowed(dy_local));
-    backward_with(grid, w_local, x_local, &dy_i, None)
+    backward_with(grid, w_local, x_local, &dy_i, None, false)
 }
 
 /// The rows of the `d_in × bloc` input gradient that the `∆X`
@@ -399,16 +411,24 @@ fn dx_rows(grid: &Grid, d_in: usize, bloc: usize, rows: Vec<f64>) -> Matrix {
 /// reads. Verification happens on the *local* partials, before either
 /// sum — a corrected flip never enters the sum, and an escalation aborts
 /// the group before the reduction commits. SDC op order: (∆W, ∆X).
+///
+/// `split_in`: the layer is input-split (see the module doc) — `w_local`
+/// holds `W_{:,i}`, `x_local` is `X_{i,j}` and `dy_i` the whole `∆Y_j` —
+/// and the local `∆X` partial is returned unsummed: it is the block.
 pub fn backward_with(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
     dy_i: &Matrix,
     guard: Guard,
+    split_in: bool,
 ) -> Result<(Matrix, Matrix)> {
     let mut dw = dw_partial(grid, x_local, dy_i, guard)?;
     allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum)?;
     let dx = dx_partial(grid, w_local, dy_i, guard)?;
+    if split_in {
+        return Ok((dw, dx));
+    }
     let bloc = dx.cols();
     let dx = reduce_scatter(&grid.col_comm, dx.into_vec(), bloc, ReduceOp::Sum)?;
     Ok((dw, dx_rows(grid, w_local.cols(), bloc, dx)))
@@ -431,15 +451,21 @@ pub fn backward_with(
 /// are independent and the non-blocking reduce-scatter reduces in its
 /// blocking twin's exact order. The GEMMs *execute* in the opposite
 /// order, so the SDC op order is (∆X, ∆W): op-indexed fault scripts
-/// written against one schedule do not transfer to the other.
+/// written against one schedule do not transfer to the other. An
+/// input-split layer (`split_in`, as [`backward_with`] takes it) has no
+/// `∆X` sum to hide: its two GEMMs run back to back, in the same order.
 pub fn backward_dw_deferred(
     grid: &Grid,
     w_local: &Matrix,
     x_local: &Matrix,
     dy_i: &Matrix,
     guard: Guard,
+    split_in: bool,
 ) -> Result<(Matrix, Matrix)> {
     let dx = dx_partial(grid, w_local, dy_i, guard)?;
+    if split_in {
+        return Ok((dw_partial(grid, x_local, dy_i, guard)?, dx));
+    }
     let bloc = dx.cols();
     let h = ireduce_scatter(&grid.col_comm, dx.into_vec(), bloc, ReduceOp::Sum)?;
     let dw = dw_partial(grid, x_local, dy_i, guard)?;
@@ -523,6 +549,48 @@ mod tests {
         }
     }
 
+    /// The input-split product: rank `(i, j)` holds columns
+    /// `part_range(d_in, Pr, i)` of `W` and the same rows of `X_j`; the
+    /// summed forward is `Y_j` on every rank, `∆W` is those columns of the
+    /// serial `∆W`, and the unsummed `∆X` those rows of the serial `∆X`,
+    /// blocking and deferred alike, bit for bit.
+    #[test]
+    fn the_input_split_product_matches_serial() {
+        for (pr, pc) in [(2, 3), (3, 2), (4, 1), (1, 4)] {
+            let (d_out, d_in, b) = (6, 10, 9);
+            let r = reference(d_out, d_in, b);
+            let out = World::run(pr * pc, NetModel::cori_knl(), |comm| {
+                let grid = Grid::new(comm, pr, pc).unwrap();
+                let cols = part_range(d_in, pr, grid.i);
+                let wl = r.w.col_block(cols.start, cols.end);
+                let xl = dy_block(&grid, Cow::Owned(col_shard(&r.x, pc, grid.j))).into_owned();
+                let dyl = col_shard(&r.dy, pc, grid.j);
+                let y = forward_summed(&grid, &wl, &xl, None).unwrap();
+                let (dw, dx) = backward_with(&grid, &wl, &xl, &dyl, None, true).unwrap();
+                let (mut dw_d, dx_d) =
+                    backward_dw_deferred(&grid, &wl, &xl, &dyl, None, true).unwrap();
+                allreduce(&grid.row_comm, dw_d.as_mut_slice(), ReduceOp::Sum).unwrap();
+                assert!(dw == dw_d && dx == dx_d, "deferred differs");
+                (y, dw, dx)
+            });
+            for (g, (y, dw, dx)) in out.iter().enumerate() {
+                let (i, j) = (g / pc, g % pc);
+                let (rows, cols) = (part_range(d_in, pr, i), part_range(b, pc, j));
+                let at = format!("grid {pr}x{pc} rank ({i},{j})");
+                assert!(
+                    y.approx_eq(&r.y.col_block(cols.start, cols.end), 1e-12),
+                    "{at} Y"
+                );
+                let dw_want = r.dw.col_block(rows.start, rows.end);
+                assert!(dw.approx_eq(&dw_want, 1e-12), "{at} dW");
+                let dx_want = r.dx.col_block(cols.start, cols.end);
+                let dx_want = dx_want.row_block(rows.start, rows.end);
+                assert!(dx.approx_eq(&dx_want, 1e-12), "{at} dX");
+                assert!(*y == out[j].0, "{at}: Y bit-equal across the column group");
+            }
+        }
+    }
+
     #[test]
     fn matches_serial_on_2x3_grid() {
         check_grid(2, 3, 8, 5, 9);
@@ -565,8 +633,7 @@ mod tests {
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
                 let dyl = col_shard(&r.dy, pc, grid.j);
-                let mut y = Matrix::zeros(0, 0);
-                forward_into(&grid, &wl, &xl, d_out, None, &mut y).unwrap();
+                forward_into(&grid, &wl, &xl, d_out, None).unwrap();
                 let fwd = comm.clock().comm;
                 backward(&grid, &wl, &xl, &dyl).unwrap();
                 (fwd, comm.clock().comm - fwd)
@@ -606,8 +673,7 @@ mod tests {
                 let grid = Grid::new(comm, pr, pc).unwrap();
                 let wl = row_shard(&r.w, pr, grid.i);
                 let xl = col_shard(&r.x, pc, grid.j);
-                let mut y = Matrix::zeros(0, 0);
-                forward_into(&grid, &wl, &xl, d_out, None, &mut y).unwrap();
+                let y = forward_into(&grid, &wl, &xl, d_out, None).unwrap();
                 let bits =
                     |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 (bits(&y), bits(&forward(&grid, &wl, &xl).unwrap()))
@@ -674,7 +740,8 @@ mod tests {
                 let dyl = col_shard(&r.dy, pc, grid.j);
                 let (dw_ref, dx_ref) = backward(&grid, &wl, &xl, &dyl).unwrap();
                 let dy_i = dy_block(&grid, Cow::Owned(dyl));
-                let (mut dw, dx) = backward_dw_deferred(&grid, &wl, &xl, &dy_i, None).unwrap();
+                let (mut dw, dx) =
+                    backward_dw_deferred(&grid, &wl, &xl, &dy_i, None, false).unwrap();
                 allreduce(&grid.row_comm, dw.as_mut_slice(), ReduceOp::Sum).unwrap();
                 (dw_ref, dx_ref, dw, dx)
             });
@@ -704,7 +771,8 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let dyl = col_shard(&r.dy, pc, grid.j);
-            backward_dw_deferred(&grid, &wl, &xl, &dy_block(&grid, Cow::Owned(dyl)), None).unwrap();
+            let dy_i = dy_block(&grid, Cow::Owned(dyl));
+            backward_dw_deferred(&grid, &wl, &xl, &dy_i, None, false).unwrap();
         });
         assert!(
             stats.total_overlapped_secs() > 0.0,
@@ -778,9 +846,10 @@ mod tests {
                     let xl = col_shard(&r.x, pc, grid.j);
                     let dyl = col_shard(&r.dy, pc, grid.j);
                     let dy_i = dy_block(&grid, Cow::Owned(dyl));
-                    let y = forward_with(&grid, &wl, &xl, guard).unwrap();
-                    let (dw, dx) = backward_with(&grid, &wl, &xl, &dy_i, guard).unwrap();
-                    let deferred = backward_dw_deferred(&grid, &wl, &xl, &dy_i, guard).unwrap();
+                    let y = forward_into(&grid, &wl, &xl, r.w.rows(), guard).unwrap();
+                    let (dw, dx) = backward_with(&grid, &wl, &xl, &dy_i, guard, false).unwrap();
+                    let deferred =
+                        backward_dw_deferred(&grid, &wl, &xl, &dy_i, guard, false).unwrap();
                     if abft.is_some() {
                         // fwd + (∆W, ∆X) + (∆X, ∆W).
                         assert_eq!(sdc.ops_done(), 5, "SDC op numbering");
@@ -824,9 +893,9 @@ mod tests {
             let dyl = col_shard(&r.dy, pc, grid.j);
             let sdc = SdcCtx::new(0, true);
             let guard = Some(&sdc);
-            let y = forward_with(&grid, &wl, &xl, guard).unwrap();
+            let y = forward_into(&grid, &wl, &xl, r.w.rows(), guard).unwrap();
             let dy_i = dy_block(&grid, Cow::Owned(dyl));
-            let (dw, dx) = backward_with(&grid, &wl, &xl, &dy_i, guard).unwrap();
+            let (dw, dx) = backward_with(&grid, &wl, &xl, &dy_i, guard, false).unwrap();
             (y, dw, dx)
         });
         assert_eq!(out, clean, "both flips repaired bit-exactly");
@@ -852,7 +921,7 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let sdc = SdcCtx::new(0, true);
-            forward_with(&grid, &wl, &xl, Some(&sdc))
+            forward_into(&grid, &wl, &xl, r.w.rows(), Some(&sdc))
         });
         match &out[1] {
             Err(Error::SilentCorruption {
@@ -898,7 +967,7 @@ mod tests {
             let wl = row_shard(&r.w, pr, grid.i);
             let xl = col_shard(&r.x, pc, grid.j);
             let sdc = SdcCtx::new(0, false);
-            forward_with(&grid, &wl, &xl, Some(&sdc)).unwrap()
+            forward_into(&grid, &wl, &xl, r.w.rows(), Some(&sdc)).unwrap()
         });
         assert_eq!(stats.total_bitflips_compute(), 1, "flip was injected");
         assert_eq!(stats.total_corrupt_detected(), 0, "nobody noticed");

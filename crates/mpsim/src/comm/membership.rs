@@ -308,18 +308,22 @@ impl Communicator {
 
     /// Whether a peer this rank resolved as unreachable is ready for
     /// re-admission: the fault plan shows no remaining cut between the
-    /// pair at this rank's current virtual time, and the peer is
-    /// plan-alive (not killed without a rejoin behind the cut). A pure
-    /// function of the plan, the local unreachability record, and the
-    /// clock — survivors sharing the observation answer identically at
-    /// the same protocol point, like [`Communicator::rejoin_ready`].
+    /// pair, and the peer plan-alive (not killed without a rejoin behind
+    /// the cut), at this rank's current virtual time or at the time the
+    /// record was made, whichever is later — a rank whose clock is short
+    /// of a cut's start must not read a peer parked behind that cut as
+    /// healed. A pure function of the plan, the local unreachability
+    /// record, and the clock — survivors sharing the observation answer
+    /// identically at the same protocol point, like
+    /// [`Communicator::rejoin_ready`].
     pub fn heal_ready(&self, global: usize) -> bool {
         let i = self.inner.borrow();
-        if !i.unreachable_peers.contains_key(&global) || i.dead_peers.contains_key(&global) {
+        let Some(&seen) = i.unreachable_peers.get(&global) else {
             return false;
-        }
-        let now = i.clock.now;
-        !i.plan.pair_cut(global, i.global_rank, now) && i.plan.alive_at(global, now)
+        };
+        let at = i.clock.now.max(seen);
+        let healed = !i.plan.pair_cut(global, i.global_rank, at) && i.plan.alive_at(global, at);
+        healed && !i.dead_peers.contains_key(&global)
     }
 
     /// Global ranks this rank has resolved unreachable (severed by a
@@ -499,6 +503,48 @@ mod tests {
         assert_eq!(stats.ranks[1].bitflips_compute, 1);
         assert_eq!(stats.total_bitflips_compute(), 1);
         assert_eq!(stats.total_bitflips_memory(), 1);
+    }
+
+    /// A peer parked behind a cut is not healed for a rank whose clock
+    /// is still short of the cut's start: `heal_ready` reads the plan at
+    /// the park's time at the earliest. Cut `[2, 5)` asked from 1.9
+    /// about a peer parked at 2.1: not ready, and ready from 5 on; a cut
+    /// that never heals: never ready.
+    #[test]
+    fn heal_ready_reads_the_plan_no_earlier_than_the_park() {
+        let model = NetModel {
+            alpha: 0.0,
+            beta: 0.0,
+            flops: f64::INFINITY,
+        };
+        for heals in [true, false] {
+            let mut plan = crate::FaultPlan::new(0).partition(&[1], 2.0);
+            if heals {
+                plan = plan.heal(&[1], 5.0);
+            }
+            let (out, _) = World::run_with_faults(2, model, plan, |comm| {
+                if comm.rank() == 1 {
+                    comm.advance_compute(2.1);
+                    comm.park().unwrap();
+                    return vec![];
+                }
+                comm.advance_compute(1.9);
+                assert_eq!(comm.recv(1, 1).unwrap_err(), Error::Unreachable { rank: 1 });
+                assert_eq!(comm.now(), 1.9, "surfacing a park moves no clock");
+                let mut ready = vec![comm.heal_ready(1)];
+                for t in [4.9, 5.0, 100.0] {
+                    comm.advance_compute(t - comm.now());
+                    ready.push(comm.heal_ready(1));
+                }
+                ready
+            });
+            let want = if heals {
+                [false, false, true, true]
+            } else {
+                [false; 4]
+            };
+            assert_eq!(out[0], want, "heals: {heals}");
+        }
     }
 
     #[test]

@@ -37,8 +37,10 @@ pub enum Error {
         /// The communicator size.
         size: usize,
     },
-    /// The peer's channel was disconnected (its thread panicked or
-    /// returned early).
+    /// Nothing can arrive from the peer any more: the world went
+    /// quiescent while this rank waited on it (a deadlock, or the peer
+    /// returned or panicked early), or, without faults, the peer had
+    /// returned before this rank sent to it.
     Disconnected {
         /// Global rank of the unreachable peer.
         peer: usize,
@@ -131,7 +133,7 @@ impl fmt::Display for Error {
             Error::Disconnected { peer } => {
                 write!(
                     f,
-                    "peer rank {peer} disconnected (thread panicked or exited early)"
+                    "the world went quiescent while this rank waited on peer rank {peer}"
                 )
             }
             Error::LengthMismatch { expected, got } => {

@@ -4,7 +4,7 @@
 //! `⌈log P⌉` for ring latency, so latency is zeroed here and checked
 //! separately against the Thakur-exact forms in `collectives`).
 
-use integrated_parallelism::collectives::cost::allreduce_exact;
+use integrated_parallelism::collectives::cost::{allreduce_exact, CostTerms};
 use integrated_parallelism::distmm::dist::{col_shard, part_range, row_shard};
 use integrated_parallelism::distmm::domain_general;
 use std::borrow::Cow;
@@ -13,15 +13,15 @@ use integrated_parallelism::distmm::onep5d::{
     backward, backward_dw_deferred, dy_block, forward, Grid,
 };
 use integrated_parallelism::dnn::zoo::{mini_alexnet, mlp};
-use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape};
+use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape, WeightedLayer};
 use integrated_parallelism::integrated::cnn::{synthetic_images, train_cnn_domain_traced};
 use integrated_parallelism::integrated::cost::integrated::{
     integrated_full, integrated_model_batch, layer_cost,
 };
 use integrated_parallelism::integrated::cost::{pure_domain, CommCost};
-use integrated_parallelism::integrated::overlap::OverlapPlan;
+use integrated_parallelism::integrated::overlap::{OverlapPlan, DEFAULT_BUCKET_WORDS};
 use integrated_parallelism::integrated::trainer::{
-    synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig,
+    synthetic_data, train_1p5d, train_1p5d_scheduled, train_1p5d_scheduled_traced, TrainConfig,
 };
 use integrated_parallelism::integrated::{LayerParallelism, MachineModel};
 use integrated_parallelism::mpsim::{EventKind, NetModel, TraceConfig, World};
@@ -45,13 +45,26 @@ fn bandwidth_only() -> (NetModel, MachineModel) {
     (net, machine)
 }
 
-/// Eq. 8's cost as the 1.5D path runs it. Eq. 8 prices each `∆X` sum as
-/// an all-reduce over `Pr`, but the layer below reads only its row block,
-/// so the executed sum is that all-reduce's reduce-scatter half: half the
-/// words, in `log₂Pr` of its `2·log₂Pr` α-steps.
-fn as_executed(mut eq8: CommCost) -> CommCost {
-    eq8.dx_allreduce = eq8.dx_allreduce * 0.5;
-    eq8
+/// Eq. 8's cost of the chain `layers`, `eq8` per layer, as the 1.5D path
+/// runs it. Eq. 8 prices each `∆X` sum as an all-reduce over `Pr`, but the
+/// layer below reads only its row block, so the executed sum is that
+/// all-reduce's reduce-scatter half: half the words, in `log₂Pr` of its
+/// `2·log₂Pr` α-steps. The top of a chain of two or more layers with
+/// `d_out < 2·d_in` is input-split: the gather of its input and its `∆X`
+/// sum are gone, and its output's gather is an all-reduce, twice the
+/// gather's α-steps and words.
+fn as_executed(layers: &[WeightedLayer], eq8: &[CommCost]) -> CommCost {
+    let mut run = eq8.to_vec();
+    for c in &mut run {
+        c.dx_allreduce = c.dx_allreduce * 0.5;
+    }
+    let top = &layers[layers.len() - 1];
+    if let ([.., below, top_cost], true) = (&mut run[..], top.d_out() < 2 * top.d_in()) {
+        below.allgather = CostTerms::ZERO;
+        top_cost.dx_allreduce = CostTerms::ZERO;
+        top_cost.allgather = top_cost.allgather * 2.0;
+    }
+    run.into_iter().fold(CommCost::ZERO, |a, c| a + c)
 }
 
 #[test]
@@ -83,13 +96,14 @@ fn executed_1p5d_layer_matches_eq8_bandwidth() {
         .layer(LayerSpec::FullyConnected { out: d_out })
         .build()
         .unwrap();
-    let layer = &net.weighted_layers()[0];
-    let expect = as_executed(layer_cost(
-        layer,
+    let layers = net.weighted_layers();
+    let eq8 = layer_cost(
+        &layers[0],
         LayerParallelism::ModelBatch { pr, pc },
         b as f64,
         false,
-    ));
+    );
+    let expect = as_executed(&layers, &[eq8]);
     let expect_secs = expect.total().words * machine.beta();
     for (r, &t) in times.iter().enumerate() {
         assert!(
@@ -101,24 +115,22 @@ fn executed_1p5d_layer_matches_eq8_bandwidth() {
 
 /// One `train_1p5d` iteration of the benchmark's `alexnet-fc-exec`
 /// (`[384, 256, 256, 10]`, B = 512) moves exactly Eq. 8's words on its
-/// busiest rank, each ∆X sum run as its reduce-scatter half
-/// ([`as_executed`]) — and only for layers 2..L, since nothing reads the
-/// gradient of the network input ("we do not need to backpropagate the
-/// gradient beyond the first layer"). A trainer that still summed layer
-/// 1's ∆X would be over by `(B/Pc)·(Pr−1)/Pr·384` on every grid with
-/// `Pr > 1`, and one whose ∆X sums were all-reduces by
-/// `(B/Pc)·(Pr−1)/Pr·256` a layer.
+/// busiest rank as the 1.5D path runs it ([`as_executed`]): each ∆X sum
+/// its reduce-scatter half, and only for layers 2..L, since nothing
+/// reads the gradient of the network input ("we do not need to
+/// backpropagate the gradient beyond the first layer"); the input-split
+/// top gathers no input, sums no ∆X and all-reduces its logits. A trainer
+/// that still summed layer 1's ∆X would be over by `(B/Pc)·(Pr−1)/Pr·384`
+/// on every grid with `Pr > 1`, one whose ∆X sums were all-reduces by
+/// `(B/Pc)·(Pr−1)/Pr·256` a layer, and one that split the top by its
+/// rows by `(B/Pc)·(Pr−1)/Pr·(2·256 − 10)`.
 ///
 /// On the free model every all-reduce runs recursive halving, whose
 /// words are the ring's and Eq. 8's, and every gather over a
-/// power-of-two `Pr` doubles. Every shard divides evenly on the grids
-/// of P ∈ {8, 16} with `Pr ≤ 2` — 1×8, 2×4, 1×16, 2×8 — and there the
-/// match is exact. With `Pr ≥ 4` the 10-row logits layer splits
-/// raggedly, and its busiest rank sends a little more: under
-/// `log₂Pr·B/Pc` words on the all-gather (each doubling step sends its
-/// subcube's rows, under one row over their share) and under
-/// `2·(Pc−1)/Pc·256` on the ∆W all-reduce (one weight row more than the
-/// mean).
+/// power-of-two `Pr` doubles. Every shard divides evenly on every grid
+/// of P ∈ {8, 16} — the top's are `256/Pr` input columns, where a row
+/// split cut its 10 rows raggedly for `Pr ≥ 4` — so the match is exact
+/// on all nine.
 #[test]
 fn executed_fc_iteration_matches_eq8_words_on_the_busiest_rank() {
     let net = mlp("alexnet-fc-exec", &[384, 256, 256, 10]);
@@ -143,20 +155,10 @@ fn executed_fc_iteration_matches_eq8_words_on_the_busiest_rank() {
     ] {
         let run = train_1p5d(&net, &x, &labels, &cfg, pr, pc, NetModel::free());
         let busiest = run.stats.ranks.iter().map(|r| r.words_sent).max().unwrap() as f64;
-        let eq8 = as_executed(integrated_model_batch(&layers, b as f64, pr, pc).total)
-            .total()
-            .words;
-        if pr <= 2 {
-            assert_eq!(busiest, eq8, "grid {pr}x{pc}");
-        } else {
-            let log_pr = pr.trailing_zeros() as f64;
-            let ragged = log_pr * (b / pc) as f64 + 2.0 * 256.0 * (pc - 1) as f64 / pc as f64;
-            let over = busiest - eq8;
-            assert!(
-                (0.0..ragged).contains(&over),
-                "grid {pr}x{pc}: {over} over Eq. 8"
-            );
-        }
+        let eq8 = integrated_model_batch(&layers, b as f64, pr, pc).layers;
+        let eq8: Vec<CommCost> = eq8.iter().map(|l| l.cost).collect();
+        let executed = as_executed(&layers, &eq8).total().words;
+        assert_eq!(busiest, executed, "grid {pr}x{pc}");
     }
 }
 
@@ -195,21 +197,39 @@ fn executed_fc_transfer_time_is_eq8s_within_five_percent() {
     }
 }
 
+/// FNV-1a over the bits of every weight of `ms`, in order.
+fn fnv<'a>(ms: impl Iterator<Item = &'a Matrix>) -> u64 {
+    let bytes = ms.flat_map(|m| m.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// The 1.5D `∆X` sum is a reduce-scatter: each rank receives only the
 /// rows of `∆Y` the layer below reads. On every grid of the benchmark's
 /// `fc_1p5d` (`alexnet-fc-exec`, B = 512, two iterations of the scheduled
 /// trainer on Cori KNL, every power-of-two grid of P ∈ {8, 16}):
 ///
-/// * each rank's `∆X` of layers 2 and 3 — the ones summed — is exactly
+/// * each rank's `∆X` of layers 2 and 3 — summed over `Pr` when split
+///   by rows, as these are — is exactly
 ///   its row block of the serial `∆X` (on integer-valued operands, where
 ///   every summation order is exact);
-/// * the busiest rank sends exactly half the `∆X` all-reduces' words
-///   fewer than when the sums were all-reduces (`BEFORE`, its words
-///   then): `(Pr−1)/Pr·d_in·B/Pc` per sum;
+/// * the busiest rank sends exactly the closed forms of what runs:
+///   layer 1's output gathered, layer 2's `∆X` reduce-scattered
+///   (`(Pr−1)/Pr·d_in·B/Pc`, half the all-reduce's words), the
+///   input-split top's logits all-reduced, and the `∆W` buckets. On the
+///   grids that split no shard raggedly when the sums were all-reduces
+///   (`BEFORE`, its words then; `Pr ≤ 2`), that is `BEFORE`'s words less
+///   half of layer 2's `∆X` all-reduce, all of the top's, the gather of
+///   the top's input and the logits' gather, plus the logits' all-reduce;
 /// * the makespan is below the one the all-reduces left (`BEFORE`),
-///   and equal to it on `Pr = 1`, which sums no `∆X`.
+///   and equal to it on `Pr = 1`, which sums no `∆X`; there the weights
+///   are the bits they were while the top was split by its rows.
 #[test]
 fn executed_fc_dx_sum_is_a_reduce_scatter() {
+    // Every rank's final weight shards on 1 × 8 and 1 × 16, recorded
+    // while the top was split by its rows.
+    const PR1: [u64; 2] = [0xa0e4_a067_bd00_6805, 0x7e79_ecd2_8fd0_e6e5];
     // ((Pr, Pc), makespan, busiest rank's words) with all-reduced ∆X.
     const BEFORE: [((usize, usize), f64, u64); 9] = [
         ((1, 8), 4.620878506666667e-4, 582_400),
@@ -247,7 +267,9 @@ fn executed_fc_dx_sum_is_a_reduce_scatter() {
                 let g = Grid::new(comm, pr, pc).unwrap();
                 let (wl, xl) = (row_shard(&w, pr, g.i), col_shard(&x, pc, g.j));
                 let dy_i = dy_block(&g, Cow::Owned(col_shard(&dy, pc, g.j)));
-                backward_dw_deferred(&g, &wl, &xl, &dy_i, None).unwrap().1
+                backward_dw_deferred(&g, &wl, &xl, &dy_i, None, false)
+                    .unwrap()
+                    .1
             });
             for (r, dx) in blocks.iter().enumerate() {
                 let (rows, cols) = (part_range(d_in, pr, r / pc), part_range(b, pc, r % pc));
@@ -267,18 +289,86 @@ fn executed_fc_dx_sum_is_a_reduce_scatter() {
             OverlapPlan::default(),
         );
         let busiest = run.stats.ranks.iter().map(|r| r.words_sent).max().unwrap();
-        let half_dx: usize = (dims[1..3].iter())
-            .map(|d_in| (pr - 1) * d_in * (b / pc) / pr)
-            .sum();
-        assert_eq!(words - busiest, (iters * half_dx) as u64, "{grid}: words");
-        // Pr = 1 has no ∆X sum: its clock is the all-reduce's to the bit.
+        let half_dx = (pr - 1) * 256 * (b / pc) / pr;
+        // What runs, per iteration: layer 1's output gathered and its ∆X
+        // reduce-scattered, the input-split top's logits all-reduced, and
+        // the ∆W buckets (filled top-down, launched at 8 192 words) summed
+        // over the row group.
+        let ar = |p: usize, n: usize| allreduce_exact(p, n as f64, &model).words as usize;
+        let (frac, logits) = (|n: usize| (pr - 1) * n * (b / pc) / pr, 10 * b / pc);
+        let (mut buckets, mut bucket) = (0, 0);
+        for shard in [10 * 256 / pr, 256 * 256 / pr, 384 * 256 / pr] {
+            bucket += shard;
+            if bucket >= DEFAULT_BUCKET_WORDS {
+                (buckets, bucket) = (buckets + ar(pc, bucket), 0);
+            }
+        }
+        let iteration = frac(256) + frac(256) + ar(pr, logits) + buckets + ar(pc, bucket);
+        assert_eq!(busiest, (iters * iteration) as u64, "{grid}: words");
+        if pr <= 2 {
+            // No shard was ragged then: the top's gather of its input and
+            // its ∆X sum are gone, and its logits' gather is an all-reduce.
+            let top = 3 * frac(256) + frac(10) - ar(pr, logits);
+            assert_eq!(words - busiest, (iters * (half_dx + top)) as u64, "{grid}");
+        }
+        // Pr = 1 has no ∆X sum: its clock is the all-reduce's to the bit,
+        // and its weights are the output-split top's (one column block is
+        // the whole matrix).
         let now = run.stats.makespan();
         let faster = if pr == 1 {
+            let digest = fnv(run.per_rank.iter().flat_map(|r| &r.weight_shards));
+            assert_eq!(digest, PR1[pc / 16], "{grid}: weights");
             now == makespan
         } else {
             now < makespan
         };
         assert!(faster, "{grid}: makespan {now:e} vs {makespan:e}");
+    }
+}
+
+/// Per rank and iteration, on every grid of the benchmark's `fc_1p5d`
+/// with `Pr > 1`, the scheduled trainer runs `L − 2` activation gathers
+/// and `L − 2` ∆X reduce-scatters — layer 1's output and layer 2's ∆X;
+/// the input-split top takes its input as the row block layer 2 left it
+/// and needs no ∆X sum — and one blocking all-reduce, the logits'.
+/// Every other non-blocking launch is a ∆W bucket (none over `Pc = 1`).
+#[test]
+fn executed_fc_grids_gather_and_scatter_l_minus_2_times() {
+    let net = mlp("alexnet-fc-exec", &[384, 256, 256, 10]);
+    let (l, b, iters) = (3, 512, 2);
+    let (x, labels) = synthetic_data(&net, b, 7);
+    let cfg = TrainConfig {
+        lr: 0.1,
+        iters,
+        seed: 18,
+    };
+    let model = MachineModel::cori_knl().net_model();
+    for (pr, pc) in [(2, 4), (4, 2), (8, 1), (2, 8), (4, 4), (8, 2), (16, 1)] {
+        let (run, trace) = train_1p5d_scheduled_traced(
+            &net,
+            &x,
+            &labels,
+            &cfg,
+            pr,
+            pc,
+            model,
+            TraceConfig::enabled(),
+            OverlapPlan::default(),
+        );
+        let ranks_iters = (pr * pc * iters) as u64;
+        let flushes: usize = (trace.ranks.iter())
+            .map(|r| r.instant_count("sched", "bucket_flush"))
+            .sum();
+        let buckets = if pc > 1 { flushes as u64 } else { 0 };
+        let (ar, ag, nb_ar, nb_ag) = run.stats.total_collective_calls();
+        let grid = format!("grid {pr}x{pc}");
+        assert_eq!(ag, ranks_iters * (l - 2), "{grid}: gathers");
+        assert_eq!(
+            nb_ar - buckets,
+            ranks_iters * (l - 2),
+            "{grid}: reduce-scatters"
+        );
+        assert_eq!((ar, nb_ag), (ranks_iters, 0), "{grid}: the logits' sum");
     }
 }
 
@@ -294,7 +384,7 @@ fn executed_pure_batch_and_model_match_eq8_degenerations() {
         .layer(LayerSpec::FullyConnected { out: d_out })
         .build()
         .unwrap();
-    let layer = &net.weighted_layers()[0];
+    let layers = net.weighted_layers();
 
     for (pr, pc) in [(1usize, 8usize), (8, 1)] {
         let times = World::run(pr * pc, sim, |comm| {
@@ -306,12 +396,13 @@ fn executed_pure_batch_and_model_match_eq8_degenerations() {
             let (_dw, _dx) = backward(&grid, &wl, &xl, &dyl).unwrap();
             comm.clock().comm
         });
-        let expect = as_executed(layer_cost(
-            layer,
+        let eq8 = layer_cost(
+            &layers[0],
             LayerParallelism::ModelBatch { pr, pc },
             b as f64,
             false,
-        ));
+        );
+        let expect = as_executed(&layers, &[eq8]);
         let expect_secs = expect.total().words * machine.beta();
         for &t in &times {
             assert!(

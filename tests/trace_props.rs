@@ -520,23 +520,33 @@ fn trace_fingerprint(
 /// commit for rank 1's clock. Hence 2 timeouts and 1 backoff where there
 /// were 1 and none, and 24 `peer_dead` notices where there were 21; the
 /// recoveries and rollbacks stay at 11.
+///
+/// Re-recorded, with both FNVs, when the top layer became input-split.
+/// In each of the 40 forward passes the gather of the top's input is
+/// gone and the logits' gather is a one-step doubling all-reduce (120
+/// gathers became 40 gathers and 40 all-reduces, with 40 `recv`s
+/// fewer), and in each backward pass the top's ∆X is not summed (40
+/// launches fewer, with their `chunk_step`s, `xfer`s and `drain`s). The
+/// recovery path is the same: 2 timeouts, 1 backoff, 3 verdicts, 11
+/// recoveries and rollbacks, one rejoin.
 const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
-    ("channel", "xfer", 119),
-    ("collective", "allgatherv_doubling", 120),
+    ("channel", "xfer", 79),
+    ("collective", "allgatherv_doubling", 40),
+    ("collective", "allreduce_recursive_doubling", 40),
     ("comm", "backoff", 1),
-    ("comm", "recv", 120),
+    ("comm", "recv", 80),
     ("comm", "sync", 8),
     ("comm", "timeout", 2),
     ("comm", "wait", 4),
     ("compute", "compute", 320),
-    ("drain", "drain", 119),
+    ("drain", "drain", 79),
     ("fault", "dead_gap", 1),
     ("fault", "died", 1),
     ("fault", "drop", 1),
     ("fault", "peer_dead", 24),
     ("fault", "rejoin", 1),
-    ("nb", "chunk_step", 119),
-    ("nb", "iallreduce_launch", 120),
+    ("nb", "chunk_step", 79),
+    ("nb", "iallreduce_launch", 80),
     ("quorum", "verdict", 3),
     ("sched", "bucket_flush", 40),
     ("trainer", "backward", 40),
@@ -548,15 +558,16 @@ const GOLDEN_FT_HIST: &[(&str, &str, usize)] = &[
     ("trainer", "recovery", 11),
     ("trainer", "rollback", 11),
 ];
-const GOLDEN_FT_FNV: u64 = 0xa640_c99a_01b4_68e5;
+const GOLDEN_FT_FNV: u64 = 0x7a38_ca1e_897a_1438;
 /// The same FNV over every event but the `collective` scope spans:
 /// first recorded while the FT trainer's rings still carried `_ft` names
 /// and no phase sub-spans, to pin what moving the fault policy onto the
 /// communicator had to leave untouched; re-recorded with the histogram
 /// (every time), and with the timestamps when each 2-rank ∆X sum began
-/// sending half its words, when the loss began riding the ∆W bucket, and
-/// when a recovery became a relayout.
-const GOLDEN_FT_LEAF_FNV: u64 = 0x541f_68dc_3c37_f638;
+/// sending half its words, when the loss began riding the ∆W bucket,
+/// when a recovery became a relayout, and when the top layer became
+/// input-split.
+const GOLDEN_FT_LEAF_FNV: u64 = 0xc994_5533_c2eb_c17a;
 /// The scheduled run's histogram. Layer 0's ∆X is not formed (per rank
 /// and iteration, 4 × 3 = 12 GEMMs, launches, drains and 24 ring steps
 /// fewer than the retired engine's 132, 48, 84 and 132). Each of the 36
@@ -567,15 +578,20 @@ const GOLDEN_FT_LEAF_FNV: u64 = 0x541f_68dc_3c37_f638;
 /// retired prefetch launched an `iallgatherv` and took its one ring step
 /// on the channel, and each layer past the first runs its partial
 /// product as one GEMM, where the prefetch accumulated it block by block
-/// (2 compute spans fewer per rank and iteration).
+/// (2 compute spans fewer per rank and iteration). The top layer is
+/// input-split: per rank and iteration, its input is not gathered and
+/// its ∆X not summed (12 gathers with their `recv`s, and 12 launches with
+/// their `chunk_step`, `xfer` and `drain`, fewer), and its logits' gather
+/// is a one-step doubling all-reduce.
 const GOLDEN_SCHED_HIST: &[(&str, &str, usize)] = &[
-    ("channel", "xfer", 132 - 24 - 36 - 36),
-    ("collective", "allgatherv_doubling", 36),
-    ("comm", "recv", 36),
+    ("channel", "xfer", 132 - 24 - 36 - 36 - 12),
+    ("collective", "allgatherv_doubling", 36 - 24),
+    ("collective", "allreduce_recursive_doubling", 12),
+    ("comm", "recv", 36 - 12),
     ("compute", "compute", 132 - 12 - 24),
-    ("drain", "drain", 84 - 12 - 36),
-    ("nb", "chunk_step", 132 - 24 - 36 - 36),
-    ("nb", "iallreduce_launch", 48 - 12),
+    ("drain", "drain", 84 - 12 - 36 - 12),
+    ("nb", "chunk_step", 132 - 24 - 36 - 36 - 12),
+    ("nb", "iallreduce_launch", 48 - 12 - 12),
     ("sched", "bucket_flush", 12),
     ("trainer", "backward", 12),
     ("trainer", "forward", 12),
@@ -585,14 +601,15 @@ const GOLDEN_SCHED_HIST: &[(&str, &str, usize)] = &[
 ];
 /// Re-recorded with the histogram (the forward no longer prefetches).
 /// Re-recorded again, the histogram kept, when each 2-rank ∆X sum became
-/// a reduce-scatter: the same one channel step, sending half its words.
-const GOLDEN_SCHED_FNV: u64 = 0xa4d5_cffd_e0a6_61a5;
+/// a reduce-scatter: the same one channel step, sending half its words;
+/// and with the histogram when the top layer became input-split.
+const GOLDEN_SCHED_FNV: u64 = 0x319d_5166_7521_2be5;
 /// The same FNV over every event but the `trainer` phases, first
 /// recorded to pin that moving the drain left everything below the
 /// phases alone; re-recorded with the histogram, and with
 /// [`GOLDEN_SCHED_FNV`] when each 2-rank ∆X sum began sending half its
-/// words.
-const GOLDEN_SCHED_BELOW_TRAINER_FNV: u64 = 0x0b53_4984_c132_2485;
+/// words and when the top layer became input-split.
+const GOLDEN_SCHED_BELOW_TRAINER_FNV: u64 = 0x6369_7770_8c80_0185;
 
 /// Golden traces recorded at `fc240c2`, before `mpsim`'s three receive
 /// completions, five notice broadcasts and ten `World::run_*` were
