@@ -107,7 +107,7 @@ fn saving_floor(
         let words = (part_range(d, pr, pr - 1).len() * w) as f64;
         let gemm = 2.0 * words * bloc / m.flops;
         let dx_sum = if l > 0 && !split_in {
-            reduce_scatter_exact(pr, d_in as f64 * bloc, m).seconds(m)
+            reduce_scatter_exact(pr, d_in as f64 * bloc).seconds(m)
         } else {
             0.0
         };

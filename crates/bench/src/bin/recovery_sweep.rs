@@ -151,9 +151,10 @@ fn main() {
         ));
     }
     print!("{}", t.render());
-    // The shrunk grid's groups are not powers of two (1x3, 1x15, 1x63):
-    // folded onto their power-of-two cores, their all-reduces pay two
-    // α-steps more than the baseline's, not the ring's 2(P−1).
+    // The shrunk grids' row groups are not powers of two (1x3, 1x15,
+    // 1x63): their ∆W sums run Bruck's rounds, the 2⌈log₂P⌉ α-steps and
+    // 2(P−1)/P·n words the baseline's power-of-two groups pay, or on 1x3
+    // the gather of whole vectors, which costs less there.
     for (p, ratio) in degraded {
         assert!(ratio <= 1.5, "P={p}: degraded/base {ratio:.2}");
     }

@@ -1,6 +1,7 @@
-//! The all-gather in `⌈log₂P⌉` rounds on any group — the latency the
-//! paper's Eqs. 3, 8 and 9 price for assembling activations across the
-//! model-parallel dimension.
+//! Bruck's rounds on any group: the all-gather in `⌈log₂P⌉` rounds —
+//! the latency the paper's Eqs. 3, 8 and 9 price for assembling
+//! activations across the model-parallel dimension — and, on groups
+//! that are not a power of two, the two all-reduces built from them.
 //!
 //! [`allgatherv_into`] gathers blocks of any lengths, empty ones
 //! included, straight into their slots of one output buffer:
@@ -19,15 +20,42 @@
 //! lengths `range_of` gives, copied into place, and refilled with the
 //! next round's blocks, so a gather allocates nothing past the caller's
 //! own block.
+//!
+//! Two step bodies run the all-reduces [`crate::allreduce`] picks on a
+//! group that is not a power of two:
+//!
+//! * `bruck_step`, the schedule `Bruck`: Bruck's rounds backwards, from
+//!   the farthest, as a reduce-scatter — at distance `d` rank `r` sends
+//!   its partials of the blocks from `r + d` onwards to `r + d` and
+//!   reduces the ones `r − d` sends into its own from block `r` onwards,
+//!   so that it ends holding block `r` reduced — then the gather of
+//!   those blocks: each half `⌈log₂P⌉·α + (P−1)/P·n·β`;
+//! * `gather_sum_step`, the schedule `Gather`: the gather of whole
+//!   vectors, `⌈log₂P⌉·α + (P−1)·n·β`, after which each rank reduces
+//!   them as the reduce-scatter would have, block by block,
+//!   so the two leave the same bits.
 
+use std::iter::once;
 use std::ops::Range;
 
-use mpsim::{Communicator, Error, Result, Tag};
+use mpsim::{Communicator, Error, Rank, Result, Tag};
 
+use crate::chunks::starts;
+use crate::op::ReduceOp;
 use crate::recursive::{is_pow2, window};
 use crate::ring::place_block;
+use crate::schedule::{At, Peers};
 
 const AG_TAG: Tag = (1 << 48) + 50;
+
+/// What one round moves, block indices mod `P`: `(to, from)`, the first
+/// block sent, the first received, and how many blocks each way.
+type Round = ((Rank, Rank), usize, usize, usize);
+
+/// `⌈log₂p⌉`: the rounds of a gather on `p` ranks.
+pub(crate) fn rounds(p: usize) -> usize {
+    p.next_power_of_two().trailing_zeros() as usize
+}
 
 /// All-gather of variable-length blocks **into place**: rank `i`'s block
 /// lands in `out[range_of(i)]`, one copy each, with no intermediate
@@ -54,6 +82,11 @@ pub fn allgather_bruck(comm: &Communicator, mine: &[f64]) -> Result<Vec<f64>> {
     Ok(out)
 }
 
+/// Bruck's gather round at distance `d` as rank `r` of `p` sees it.
+fn bruck_gather(p: usize, r: Rank, d: usize) -> Round {
+    (((r + p - d) % p, (r + d) % p), r, r + d, d.min(p - d))
+}
+
 /// The gather's `⌈log₂P⌉` rounds, Bruck's or recursive doubling's.
 fn gather_into(
     comm: &Communicator,
@@ -78,44 +111,144 @@ fn gather_into(
         name,
         &[("p", p as f64), ("words", mine.len() as f64)],
     );
-    // `out`'s slots of the `count` blocks from block `first` on.
-    let blocks = |first: usize, count: usize| (first..first + count).map(|i| range_of(i % p));
     let mut carry = mine;
-    for k in 0..p.next_power_of_two().trailing_zeros() {
+    for k in 0..rounds(p) {
         let d = 1 << k;
-        // Where this round sends and receives from, the first block of
-        // each direction, and how many blocks each way.
-        let ((to, from), send, recv, count) = if bruck {
-            (((r + p - d) % p, (r + d) % p), r, r + d, d.min(p - d))
+        let moves = if bruck {
+            bruck_gather(p, r, d)
         } else {
             let partner = r ^ d;
             let first = |rank| window(rank, d).start;
             ((partner, partner), first(r), first(partner), d)
         };
-        if k > 0 {
-            carry.clear();
-            for slot in blocks(send, count) {
-                carry.extend_from_slice(&out[slot]);
-            }
-        }
-        comm.send_vec(to, AG_TAG, carry)?;
-        let got = comm.recv(from, AG_TAG)?;
-        let expected = blocks(recv, count).map(|slot| slot.len()).sum();
-        if got.len() != expected {
-            return Err(Error::LengthMismatch {
-                expected,
-                got: got.len(),
-            });
-        }
-        let mut at = 0;
-        for slot in blocks(recv, count) {
-            let len = slot.len();
-            out[slot].copy_from_slice(&got[at..at + len]);
-            at += len;
-        }
-        carry = got;
+        carry = round(out, &range_of, p, moves, None, carry, |(to, from), msg| {
+            comm.send_vec(to.expect("every round sends"), AG_TAG, msg)?;
+            comm.recv(from.expect("every round receives"), AG_TAG)
+        })?;
     }
     Ok(())
+}
+
+/// One round over `data`'s blocks, block `b` the words `slot(b)`: sends
+/// the round's blocks ([`Round`]) and copies in the ones it receives,
+/// or, given `op`, reduces them into its own, its own on the left. A
+/// received buffer of the wrong length is an error. `carry` is a spare
+/// buffer (the last one received) for the outgoing blocks.
+fn round(
+    data: &mut [f64],
+    slot: impl Fn(usize) -> Range<usize>,
+    p: usize,
+    ((to, from), send, recv, count): Round,
+    op: Option<ReduceOp>,
+    mut carry: Vec<f64>,
+    exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
+) -> Result<Vec<f64>> {
+    let blocks = |first: usize| (first..first + count).map(|b| slot(b % p));
+    carry.clear();
+    for s in blocks(send) {
+        carry.extend_from_slice(&data[s]);
+    }
+    let got = exchange((Some(to), Some(from)), carry)?;
+    let expected = blocks(recv).map(|s| s.len()).sum();
+    if got.len() != expected {
+        return Err(Error::LengthMismatch {
+            expected,
+            got: got.len(),
+        });
+    }
+    let mut at = 0;
+    for s in blocks(recv) {
+        let theirs = &got[at..at + s.len()];
+        at += s.len();
+        match op {
+            Some(op) => op.apply(&mut data[s], theirs),
+            None => data[s].copy_from_slice(theirs),
+        }
+    }
+    Ok(got)
+}
+
+/// One step of [`crate::schedule::Schedule::Bruck`] as rank `r` of `p`
+/// sees it: steps `0..⌈log₂P⌉` are the reduce-scatter — Bruck's gather
+/// rounds run backwards, from distance `2^(⌈log₂P⌉−1)` down to 1 — after
+/// which rank `r` holds block `r` reduced, and the rest the gather of
+/// those blocks. Blocks are cut as Halving cuts them ([`starts`]): on
+/// whole rows of `row` words, the last `riders` words riding in block
+/// `P − 1`. `carry` is a spare buffer.
+pub(crate) fn bruck_step(
+    data: &mut [f64],
+    op: ReduceOp,
+    (p, r, (row, riders)): At,
+    step: usize,
+    carry: Vec<f64>,
+    exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
+) -> Result<Vec<f64>> {
+    let at = starts(data.len(), riders, row, p);
+    let slot = |b| at(b)..at(b + 1);
+    let log = rounds(p);
+    let (moves, op) = match step.checked_sub(log) {
+        Some(k) => (bruck_gather(p, r, 1 << k), None),
+        None => {
+            // The gather's round at this distance, every block the other way.
+            let ((to, from), send, recv, count) = bruck_gather(p, r, 1 << (log - 1 - step));
+            (((from, to), recv, send, count), Some(op))
+        }
+    };
+    round(data, slot, p, moves, op, carry, exchange)
+}
+
+/// One step of [`crate::schedule::Schedule::Gather`] as rank `r` of `p`
+/// sees it: Bruck's gather round `step` of whole vectors. Rank `r`
+/// holds its own vector in `data` and the ones gathered so far in
+/// `carry`, in rank order from `r + 1` on (mod `P`): Bruck's rounds
+/// deliver them in that order, each round sending a prefix of what the
+/// rank holds. After the last round every rank reduces them locally in
+/// the order the reduce-scatter of [`bruck_step`] does, block by block,
+/// each block cut as it cuts them, so `data` ends with that all-reduce's
+/// bits.
+pub(crate) fn gather_sum_step(
+    data: &mut [f64],
+    op: ReduceOp,
+    (p, r, (row, riders)): At,
+    step: usize,
+    mut carry: Vec<f64>,
+    exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
+) -> Result<Vec<f64>> {
+    let n = data.len();
+    let ((to, from), _, _, count) = bruck_gather(p, r, 1 << step);
+    let mut out = Vec::with_capacity(count * n);
+    out.extend_from_slice(data);
+    out.extend_from_slice(&carry[..(count - 1) * n]);
+    let mut got = exchange((Some(to), Some(from)), out)?;
+    assert_eq!(got.len(), count * n, "an all-reduce of unequal lengths");
+    if step + 1 < rounds(p) || n == 0 {
+        carry.extend_from_slice(&got);
+        return Ok(carry);
+    }
+    // `held[i]` is rank `r + i`'s partial. The reduce-scatter's round at
+    // distance `d` reduces rank `r + i − d`'s partials of blocks
+    // `r + i..r + i + min(d, P − d)` into rank `r + i`'s; then each
+    // block `b` is rank `b`'s. A rank's slice is taken out of `held`
+    // while it is written.
+    let gathered = carry.chunks_mut(n).chain(got.chunks_mut(n));
+    let mut held: Vec<_> = once(data).chain(gathered).collect();
+    let at = starts(n, riders, row, p);
+    let slot = |b: usize| at(b % p)..at(b % p + 1);
+    for k in (0..rounds(p)).rev() {
+        let d = 1 << k;
+        for i in 0..p {
+            let mine = std::mem::take(&mut held[i]);
+            for b in r + i..r + i + d.min(p - d) {
+                op.apply(&mut mine[slot(b)], &held[(i + p - d) % p][slot(b)]);
+            }
+            held[i] = mine;
+        }
+    }
+    let own = std::mem::take(&mut held[0]);
+    for (i, theirs) in held.iter().enumerate().skip(1) {
+        own[slot(r + i)].copy_from_slice(&theirs[slot(r + i)]);
+    }
+    Ok(got)
 }
 
 #[cfg(test)]

@@ -9,14 +9,12 @@
 //!   [`crate::allreduce`] runs: the cheapest of them for the group, the
 //!   message and the model, by the same rule that picks the schedule.
 //! * `paper_*` forms follow the expressions printed in the paper's
-//!   Eqs. 3–9: `2⌈log₂P⌉·α + 2·((P−1)/P)·n·β` for every all-reduce. On
-//!   a power-of-two group that is Rabenseifner's exact cost, and
-//!   [`allreduce_exact`] never exceeds it; on other groups the executed
-//!   fold pays two α-steps and `2n` words more than its power-of-two
-//!   core (`2⌊log₂P⌋ + 2` α-steps under halving), or the ring runs
-//!   where that is cheaper. The figure-reproduction binaries use the
-//!   `paper_*` forms so the reproduced numbers follow the paper's
-//!   arithmetic.
+//!   Eqs. 3–9: `2⌈log₂P⌉·α + 2·((P−1)/P)·n·β` for every all-reduce.
+//!   That is the exact cost of Rabenseifner's all-reduce on a
+//!   power-of-two group and of Bruck's reduce-scatter + all-gather on
+//!   any other, and [`allreduce_exact`] never exceeds it. The
+//!   figure-reproduction binaries use the `paper_*` forms so the
+//!   reproduced numbers follow the paper's arithmetic.
 //!
 //! Costs are expressed as [`CostTerms`] — a latency count and a word
 //! count — so they can be composed symbolically and only converted to
@@ -121,25 +119,23 @@ pub fn ring_allreduce_exact(p: usize, n: f64) -> CostTerms {
 }
 
 /// The all-reduce [`crate::allreduce`] runs on `p` ranks for `n` words
-/// under `model`: the cheapest of [`ring_allreduce_exact`] and, on a
-/// power-of-two group, [`rabenseifner_allreduce`] and
-/// [`recursive_doubling_allreduce`], on any other group either of those
-/// on `2^⌊log₂p⌋` ranks plus `2·`[`ptp`]`(n)` for the fold — the
-/// schedule it runs.
+/// under `model` — the schedule it runs, whose cost is the cheapest of,
+/// on a power-of-two group, [`rabenseifner_allreduce`] and
+/// [`recursive_doubling_allreduce`], and on any other
+/// [`rabenseifner_allreduce`] (Bruck's rounds cost the same),
+/// [`bruck_allgather`] of all `p·n` words (the gather-sum), and
+/// [`recursive_doubling_allreduce`] on `2^⌊log₂p⌋` ranks plus
+/// `2·`[`ptp`]`(n)` (the fold).
 pub fn allreduce_exact(p: usize, n: f64, model: &NetModel) -> CostTerms {
     crate::schedule::Schedule::select(p, n, model).cost(p, n)
 }
 
 /// The reduce-scatter [`crate::reduce_scatter`] runs on `p` ranks for
-/// `n` words under `model`: half of [`rabenseifner_allreduce`],
-/// `log₂p·α + ((p−1)/p)·n·β`, on a power-of-two group, and
-/// [`allreduce_exact`] on any other.
-pub fn reduce_scatter_exact(p: usize, n: f64, model: &NetModel) -> CostTerms {
-    if crate::recursive::is_pow2(p) {
-        rabenseifner_allreduce(p, n) * 0.5
-    } else {
-        allreduce_exact(p, n, model)
-    }
+/// `n` words, recursive halving's or Bruck's:
+/// `⌈log₂p⌉·α + ((p−1)/p)·n·β`, half of [`rabenseifner_allreduce`] on
+/// every group.
+pub fn reduce_scatter_exact(p: usize, n: f64) -> CostTerms {
+    rabenseifner_allreduce(p, n) * 0.5
 }
 
 /// Bruck all-gather of `n` total words over `p` ranks (also the form

@@ -29,12 +29,13 @@
 //!    [`mpsim::Error::Aborted`] and *cascades* the abort in turn, so
 //!    every rank still waiting on the lost message, directly or through
 //!    a peer, fails with "this collective failed, rank k is to blame".
-//!    Under the ring that is the whole group; under recursive doubling
-//!    a rank whose partners all delivered completes with the right sum,
-//!    as a ring rank past its last receive always could. (Cascading is
-//!    what makes the protocol live: each blocked rank waits on exactly
-//!    one peer, and that peer either sends the data, dies — death
-//!    notices are broadcast — or aborts and cascades.)
+//!    Under the ring and Bruck's rounds that is the whole group; under
+//!    recursive doubling a rank whose partners all delivered completes
+//!    with the right sum, as a ring rank past its last receive always
+//!    could. (Cascading is what makes the protocol live: each blocked
+//!    rank waits on exactly one peer, and that peer either sends the
+//!    data, dies — death notices are broadcast — or aborts and
+//!    cascades.)
 //!
 //! After an abort, ranks are expected to run a failure-agreement round
 //! ([`mpsim::Communicator::fault_sync`]), shrink the communicator

@@ -15,16 +15,17 @@
 //! The default entry points run what the paper prices on every group
 //! size:
 //!
-//! * [`allreduce`] and [`iallreduce`] run the cheapest of the ring,
-//!   Rabenseifner's recursive halving and recursive doubling for the
-//!   group size, the message length and the network model, priced by
-//!   [`cost::allreduce_exact`]; a group whose size is not a power of two
-//!   folds its extra ranks onto a power-of-two core that runs halving or
-//!   doubling, for two more α-steps, unless the ring is cheaper;
+//! * [`allreduce`] and [`iallreduce`] run the cheapest of
+//!   Rabenseifner's recursive halving and recursive doubling on a
+//!   power-of-two group, and of Bruck's reduce-scatter + all-gather, a
+//!   Bruck gather of whole vectors summed locally, and a fold onto a
+//!   power-of-two core that runs recursive doubling on any other, for
+//!   the message length and the network model, priced by
+//!   [`cost::allreduce_exact`];
 //! * [`reduce_scatter`] and [`ireduce_scatter`] run the reduce-scatter
-//!   half of Rabenseifner's all-reduce on power-of-two groups —
-//!   `log₂P·α + (P−1)/P·n·β`, [`cost::reduce_scatter_exact`] — and the
-//!   selected all-reduce on any other;
+//!   half of Rabenseifner's all-reduce on power-of-two groups and of
+//!   Bruck's on any other — `⌈log₂P⌉·α + (P−1)/P·n·β` on both,
+//!   [`cost::reduce_scatter_exact`];
 //! * [`allgatherv_into`] gathers by recursive doubling on power-of-two
 //!   groups and by Bruck's algorithm otherwise, in `⌈log₂P⌉` steps on
 //!   both.
@@ -119,12 +120,12 @@ pub fn allreduce_riding(
 
 /// Reduce-scatter of `data`, rows of `row` words each: returns this
 /// rank's rows `chunks::block_range(data.len() / row, P, rank)` reduced
-/// over the group. On a power-of-two group it is the first half of the
-/// Rabenseifner all-reduce [`allreduce`] runs on large messages — its
-/// `log₂P` recursive-halving steps, the butterfly's bits in every row —
-/// and on any other the all-reduce [`allreduce`] picks, of which each
-/// rank keeps its rows. Priced by [`cost::reduce_scatter_exact`];
-/// counted as an all-reduce.
+/// over the group. It is the first half of the all-reduce [`allreduce`]
+/// runs on large messages — on a power-of-two group Rabenseifner's
+/// `log₂P` recursive-halving steps, the butterfly's bits in every row;
+/// on any other Bruck's `⌈log₂P⌉` reduce-scatter rounds, the bits of
+/// Bruck's all-reduce cut on the same rows. Priced by
+/// [`cost::reduce_scatter_exact`]; counted as an all-reduce.
 ///
 /// # Panics
 ///
@@ -149,9 +150,9 @@ pub fn reduce_scatter(
     row: usize,
     op: ReduceOp,
 ) -> Result<Vec<f64>> {
-    let (p, n) = (comm.size(), data.len());
-    let mine = chunks::row_block_range(n, row, p, comm.rank());
-    let (schedule, steps) = Schedule::scatter(p, n as f64, &comm.model());
+    let p = comm.size();
+    let mine = chunks::row_block_range(data.len(), row, p, comm.rank());
+    let (schedule, steps) = Schedule::scatter(p);
     schedule.reduce(comm, &mut data, op, (row, 0), steps)?;
     Ok(chunks::keep(data, mine))
 }

@@ -2,9 +2,10 @@
 //! analogue the paper's Fig. 8 overlap assumes).
 //!
 //! A handle ([`IallreduceHandle`]) is a paused collective: the same data
-//! movement as [`crate::allreduce`] (under the schedule it picks: the
-//! ring, recursive halving or doubling, or a fold of any other group
-//! onto its power-of-two core) or, launched by [`ireduce_scatter`], as
+//! movement as [`crate::allreduce`] (under the schedule it picks:
+//! recursive halving or doubling on a power-of-two group, Bruck's
+//! rounds, a gather of whole vectors or a fold onto the power-of-two
+//! core on any other) or, launched by [`ireduce_scatter`], as
 //! [`crate::reduce_scatter`], but
 //! each step charges its α–β transfer to the rank's **concurrent comm
 //! channel** ([`mpsim::Communicator::recv_channel`]) instead of the main
@@ -45,9 +46,7 @@ use crate::op::ReduceOp;
 use crate::schedule::{Cut, Schedule};
 
 /// An in-flight non-blocking all-reduce or reduce-scatter: the steps of
-/// one schedule (ring, recursive halving, recursive doubling, or either
-/// of the latter two folded onto a power-of-two core), issued on the
-/// channel.
+/// one schedule, issued on the channel.
 pub struct IallreduceHandle {
     comm: Communicator,
     data: Vec<f64>,
@@ -58,11 +57,11 @@ pub struct IallreduceHandle {
     tag: Tag,
     /// Next step to issue, in `0..steps`.
     step: usize,
-    /// Every step of the schedule, or Halving's first `log₂P` for a
-    /// reduce-scatter.
+    /// Every step of the schedule, or Halving's or Bruck's first
+    /// `⌈log₂P⌉` for a reduce-scatter.
     steps: usize,
-    /// How the blocks are cut: Halving's words per row, and the
-    /// trailing words that ride in the last block.
+    /// How the blocks are cut: Halving's and Bruck's words per row, and
+    /// the trailing words that ride in the last block.
     cut: Cut,
     /// The elements of `data` that [`IallreduceHandle::wait`] returns:
     /// all of them, or this rank's rows.
@@ -136,9 +135,9 @@ pub fn ireduce_scatter(
     row: usize,
     op: ReduceOp,
 ) -> Result<IallreduceHandle> {
-    let (p, n) = (comm.size(), data.len());
-    let mine = row_block_range(n, row, p, comm.rank());
-    let (schedule, steps) = Schedule::scatter(p, n as f64, &comm.model());
+    let p = comm.size();
+    let mine = row_block_range(data.len(), row, p, comm.rank());
+    let (schedule, steps) = Schedule::scatter(p);
     let mut h = launch(comm, data, op, schedule)?;
     (h.steps, h.cut, h.keep) = (steps, (row, 0), mine);
     Ok(h)

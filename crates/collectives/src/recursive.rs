@@ -1,8 +1,9 @@
 //! The power-of-two all-reduces: Rabenseifner's recursive halving and
 //! recursive doubling — the `⌈log₂P⌉`-latency schedules the paper's
-//! Eqs. 4, 8 and 9 price. [`crate::allreduce`] picks between them, the
-//! fold that runs them on the power-of-two core of any other group, and
-//! the ring, by cost ([`crate::cost::allreduce_exact`]).
+//! Eqs. 4, 8 and 9 price. [`crate::allreduce`] picks between them by
+//! cost ([`crate::cost::allreduce_exact`]) on a power-of-two group;
+//! recursive doubling also runs on the power-of-two core of the fold
+//! it may pick on any other.
 //!
 //! Rank `r`'s partner at distance `d` is `r ^ d`, and the blocks the
 //! `d` ranks of its aligned subcube hold are the block indices

@@ -1,7 +1,7 @@
 //! Ring collectives: all-gather, reduce-scatter, and the ring all-reduce
-//! (reduce-scatter + all-gather) that [`crate::allreduce`] runs where
-//! its bandwidth beats the latency of the `⌈log₂P⌉` schedules: large
-//! messages on groups whose size is not a power of two.
+//! (reduce-scatter + all-gather). [`crate::allreduce`] never runs the
+//! ring: Bruck's rounds move its words in `⌈log₂P⌉` steps where it
+//! takes `P−1`.
 //!
 //! Cost with `P` ranks and `n` words (n divisible by `P`):
 //!
@@ -82,10 +82,9 @@ pub(crate) fn allreduce_step(
     Ok(got)
 }
 
-/// Ring all-reduce (reduce-scatter then all-gather) on any group: what
-/// [`crate::allreduce`] runs on a large message when the group size is
-/// not a power of two. Its `2(P−1)` α-steps are what the paper's Eqs.
-/// 4, 7, 8 and 9 write as `2⌈log₂P⌉` (see [`crate::cost::rabenseifner_allreduce`]).
+/// Ring all-reduce (reduce-scatter then all-gather) on any group. Its
+/// `2(P−1)` α-steps are what the paper's Eqs. 4, 7, 8 and 9 write as
+/// `2⌈log₂P⌉` (see [`crate::cost::rabenseifner_allreduce`]).
 pub fn allreduce_ring(comm: &Communicator, data: &mut [f64], op: ReduceOp) -> Result<()> {
     Schedule::Ring.allreduce(comm, data, op)
 }

@@ -1,49 +1,63 @@
-//! Which all-reduce runs: four schedules and the α–β selector.
+//! Which all-reduce runs: six schedules and the α–β selector.
 //!
 //! [`crate::allreduce`] and [`crate::iallreduce`] run the cheapest of
-//! the Thakur, Rabenseifner & Gropp schedules that run on the group size
-//! `P`, for the message length `n` and the network model, priced by
-//! their exact closed forms ([`Schedule::cost`]). With `q = 2^⌊log₂P⌋`:
+//! the schedules that run on the group size `P`, for the message length
+//! `n` and the network model, priced by their exact closed forms
+//! ([`Schedule::cost`]). With `L = ⌈log₂P⌉` and `q = 2^⌊log₂P⌋`:
 //!
 //! | schedule | `P` | α-steps | words per rank |
 //! |---|---|---|---|
-//! | [`Schedule::Ring`] | any | `2(P−1)` | `2·(P−1)/P·n` |
-//! | [`Schedule::Halving`] | power of two | `2·log₂P` | `2·(P−1)/P·n` |
-//! | [`Schedule::Doubling`] | power of two | `log₂P` | `log₂P·n` |
-//! | [`Schedule::Fold`] | not a power of two | `2 +` the core's on `q` | `2n +` the core's on `q` |
-//! | reduce-scatter ([`crate::reduce_scatter`]) | power of two | `log₂P` | `(P−1)/P·n` |
+//! | [`Schedule::Halving`] | power of two | `2L` | `2·(P−1)/P·n` |
+//! | [`Schedule::Doubling`] | power of two | `L` | `L·n` |
+//! | [`Schedule::Bruck`] | not a power of two | `2L` | `2·(P−1)/P·n` |
+//! | [`Schedule::Gather`] | not a power of two | `L` | `(P−1)·n` |
+//! | [`Schedule::Fold`] | not a power of two | `2 + log₂q` | `(2 + log₂q)·n` |
+//! | [`Schedule::Ring`] | by name only | `2(P−1)` | `2·(P−1)/P·n` |
+//! | reduce-scatter ([`crate::reduce_scatter`]) | any | `L` | `(P−1)/P·n` |
 //!
-//! The reduce-scatter is no fifth schedule: it is Halving stopped after
-//! its `log₂P` halving steps, blocks cut on whole rows, and on any other
-//! group the all-reduce the selector picks, each rank keeping its rows
-//! ([`Schedule::scatter`], priced by [`crate::cost::reduce_scatter_exact`]).
+//! The reduce-scatter is no seventh schedule: it is Halving stopped after
+//! its `log₂P` halving steps on a power-of-two group, and Bruck stopped
+//! after its `L` reduce-scatter rounds on any other, blocks cut on whole
+//! rows ([`Schedule::scatter`], priced by
+//! [`crate::cost::reduce_scatter_exact`]).
 //!
 //! Halving (Rabenseifner) has the ring's bandwidth with the paper's
 //! `2⌈log₂P⌉` latency (Eqs. 4, 8, 9), so it wins every large message on
 //! a power-of-two group. Doubling pays `n` words per step for half
 //! Halving's latency and wins small ones: every `P = 2` group, and
-//! messages under `4α/β` words at `P = 4`. Any other group folds onto
-//! its power-of-two core of `q` ranks, which runs Halving or Doubling:
-//! two more α-steps and `2n` more words than the core, so the ring keeps
-//! the large messages there. The choice reads nothing but
-//! `(P, n, model)`, which every member shares, so a group agrees on it
-//! without a message. Ties go to Halving on a power-of-two group, the
-//! schedule the paper prices, and to the ring on any other: the free
-//! model (every cost 0) runs them, and a bandwidth-only model (`α = 0`)
-//! never prefers the fold.
+//! messages under `4α/β` words at `P = 4`. On any other group Bruck is
+//! the paper's cost exactly — a reduce-scatter by Bruck's rounds run
+//! backwards, then Bruck's gather — and Gather, the gather of whole
+//! vectors, its counterpart for small messages, as Doubling is Halving's.
+//! The fold of the extra ranks `q..P` onto a power-of-two core that runs
+//! Doubling keeps a window of mid-sized messages on larger groups (at
+//! `P = 15` under the Cori model, 1 500 words: 15.0 µs against Bruck's
+//! 17.9 µs). A fold over Halving has Bruck's α-steps and more words, and
+//! the ring Bruck's words and as many α-steps or more, so neither is a
+//! candidate; the ring stays callable as [`crate::ring::allreduce_ring`].
+//!
+//! The choice reads nothing but `(P, n, model)`, which every member
+//! shares, so a group agrees on it without a message. Ties go to the
+//! schedule the paper prices, Halving or Bruck: the free model (every
+//! cost 0) runs them, and so does a bandwidth-only model (`α = 0`).
+//! Gather reduces in Bruck's order, so on a group that is not a power of
+//! two the model can pick the fold's bits or Bruck's, never a third.
 //!
 //! Each schedule is one step body — `ring::allreduce_step`,
-//! `recursive::halving_step`, `recursive::doubling_step`, and
-//! `fold_step` around the latter two — handed the buffer in flight and
-//! an `exchange((to, from), out)` transport whose either side may be
+//! `recursive::halving_step`, `recursive::doubling_step`,
+//! `bruck::bruck_step`, `bruck::gather_sum_step`, and `fold_step`
+//! around Doubling's — handed the buffer in flight and an
+//! `exchange((to, from), out)` transport whose either side may be
 //! absent (the fold's steps are one-sided). The blocking loop here and
 //! the non-blocking handles ([`crate::nonblocking`]) run the same body,
 //! which is what keeps the two bit-identical and equally timed.
 
 use mpsim::{Communicator, NetModel, Rank, Result, Tag};
 
+use crate::bruck::{bruck_step, gather_sum_step, rounds};
 use crate::cost::{
-    ptp, rabenseifner_allreduce, recursive_doubling_allreduce, ring_allreduce_exact, CostTerms,
+    bruck_allgather, ptp, rabenseifner_allreduce, recursive_doubling_allreduce,
+    ring_allreduce_exact, CostTerms,
 };
 use crate::op::ReduceOp;
 use crate::recursive::{doubling_step, halving_step, is_pow2, refill};
@@ -55,9 +69,9 @@ const TAG: Tag = (1 << 48) + 16;
 /// `None` on a side the step does not use.
 pub(crate) type Peers = (Option<Rank>, Option<Rank>);
 
-/// How a step cuts its blocks, `(row, riders)`: Halving on rows of
-/// `row` words (1 for an all-reduce), every schedule on all but the
-/// trailing `riders` words, which ride in the last block
+/// How a step cuts its blocks, `(row, riders)`: Halving and Bruck on
+/// rows of `row` words (1 for an all-reduce), every schedule on all but
+/// the trailing `riders` words, which ride in the last block
 /// ([`crate::chunks::starts`]).
 pub(crate) type Cut = (usize, usize);
 
@@ -77,17 +91,23 @@ pub(crate) enum Schedule {
     Halving,
     /// Recursive doubling: `log₂P` exchanges of the whole vector.
     Doubling,
+    /// Bruck's reduce-scatter, then Bruck's all-gather, `⌈log₂P⌉`
+    /// rounds each: `bruck::bruck_step`.
+    Bruck,
+    /// Bruck's all-gather of whole vectors, then a local reduction in
+    /// Bruck's order: `bruck::gather_sum_step`.
+    Gather,
     /// The extra ranks `q..P` (`q = 2^⌊log₂P⌋`) fold their vector into
-    /// ranks `0..P−q`, the core schedule (Halving or Doubling) runs on
-    /// ranks `0..q`, and the result goes back out: `fold_step`.
-    Fold(&'static Schedule),
+    /// ranks `0..P−q`, Doubling runs on ranks `0..q`, and the result
+    /// goes back out: `fold_step`.
+    Fold,
 }
 
-use Schedule::{Doubling, Fold, Halving, Ring};
+use Schedule::{Bruck, Doubling, Fold, Gather, Halving, Ring};
 
-/// Every schedule in tie-break order: the first three run on a
+/// The candidates in tie-break order: the first two run on a
 /// power-of-two group, the last three on any other.
-const ALL: [Schedule; 5] = [Halving, Doubling, Ring, Fold(&Halving), Fold(&Doubling)];
+const ALL: [Schedule; 5] = [Halving, Doubling, Bruck, Gather, Fold];
 
 /// `2^⌊log₂p⌋`: the ranks of a fold's core.
 fn core_size(p: usize) -> usize {
@@ -99,49 +119,44 @@ impl Schedule {
     /// `model`: the argmin of [`Schedule::cost`], first in [`ALL`]'s
     /// order on ties.
     pub(crate) fn select(p: usize, n: f64, model: &NetModel) -> Schedule {
-        let candidates = if is_pow2(p) { &ALL[..3] } else { &ALL[2..] };
+        let candidates = if is_pow2(p) { &ALL[..2] } else { &ALL[2..] };
         let secs = |s: &Schedule| s.cost(p, n).seconds(model);
         *candidates
             .iter()
             .min_by(|a, b| secs(a).total_cmp(&secs(b)))
-            .expect("the ring runs on any group")
+            .expect("every group has candidates")
     }
 
     /// The Thakur-exact closed form: what the schedule costs on `p`
     /// ranks for `n` words (exactly the latest clock it leaves when the
     /// ranks start together and the blocks it cuts `n` into are equal:
-    /// `P | n` for the ring and Halving, `2^⌊log₂P⌋ | n` for a fold
-    /// over Halving).
+    /// `P | n` for the ring, Halving and Bruck).
     pub(crate) fn cost(self, p: usize, n: f64) -> CostTerms {
         match self {
             Ring => ring_allreduce_exact(p, n),
-            Halving => rabenseifner_allreduce(p, n),
+            Halving | Bruck => rabenseifner_allreduce(p, n),
             Doubling => recursive_doubling_allreduce(p, n),
-            Fold(core) => core.cost(core_size(p), n) + ptp(n) * 2.0,
+            Gather => bruck_allgather(p, p as f64 * n),
+            Fold => recursive_doubling_allreduce(core_size(p), n) + ptp(n) * 2.0,
         }
     }
 
     /// The schedule and the number of its steps that
-    /// [`crate::reduce_scatter`] runs on `p` ranks for `n` words: Halving's
-    /// `log₂P` halving steps on a power-of-two group, and on any other
-    /// every step of the all-reduce [`Schedule::select`] picks, after
-    /// which each rank holds its own rows among all the others.
-    pub(crate) fn scatter(p: usize, n: f64, model: &NetModel) -> (Schedule, usize) {
-        if is_pow2(p) {
-            return (Halving, p.trailing_zeros() as usize);
-        }
-        let s = Schedule::select(p, n, model);
-        (s, s.steps(p))
+    /// [`crate::reduce_scatter`] runs on `p` ranks: the reduce-scatter
+    /// half of Halving on a power-of-two group and of Bruck on any other,
+    /// after which each rank holds its own rows reduced.
+    pub(crate) fn scatter(p: usize) -> (Schedule, usize) {
+        let s = if is_pow2(p) { Halving } else { Bruck };
+        (s, rounds(p))
     }
 
     /// Exchange steps on `p` ranks.
     pub(crate) fn steps(self, p: usize) -> usize {
-        let log = p.trailing_zeros() as usize;
         match self {
             Ring => 2 * (p - 1),
-            Halving => 2 * log,
-            Doubling => log,
-            Fold(core) => core.steps(core_size(p)) + 2,
+            Halving | Bruck => 2 * rounds(p),
+            Doubling | Gather => rounds(p),
+            Fold => rounds(core_size(p)) + 2,
         }
     }
 
@@ -162,7 +177,9 @@ impl Schedule {
             Ring => ring::allreduce_step(data, op, at, step, carry, exchange),
             Halving => halving_step(data, op, at, step, carry, exchange),
             Doubling => doubling_step(data, op, at, step, carry, exchange),
-            Fold(core) => fold_step(*core, data, op, at, step, carry, exchange),
+            Bruck => bruck_step(data, op, at, step, carry, exchange),
+            Gather => gather_sum_step(data, op, at, step, carry, exchange),
+            Fold => fold_step(data, op, at, step, carry, exchange),
         }
     }
 
@@ -184,7 +201,7 @@ impl Schedule {
     /// The first `steps` of [`Schedule::allreduce`] on the main timeline,
     /// blocks cut on rows of `row` words with the last `riders` words
     /// riding in the last block (`cut = (row, riders)`): the whole
-    /// all-reduce, or Halving's reduce-scatter half
+    /// all-reduce, or Halving's or Bruck's reduce-scatter half
     /// ([`Schedule::scatter`]). Counted as an all-reduce.
     pub(crate) fn reduce(
         self,
@@ -197,7 +214,7 @@ impl Schedule {
         comm.record_allreduce();
         let p = comm.size();
         assert!(
-            matches!(self, Ring | Fold(_)) || is_pow2(p),
+            !matches!(self, Halving | Doubling) || is_pow2(p),
             "{self:?} requires power-of-two ranks, got {p}"
         );
         if p == 1 {
@@ -205,10 +222,13 @@ impl Schedule {
         }
         let name = match self {
             Halving if steps < self.steps(p) => "reduce_scatter_halving",
+            Bruck if steps < self.steps(p) => "reduce_scatter_bruck",
             Ring => "allreduce_ring",
             Halving => "allreduce_rabenseifner",
             Doubling => "allreduce_recursive_doubling",
-            Fold(_) => "allreduce_fold",
+            Bruck => "allreduce_bruck",
+            Gather => "allreduce_gather",
+            Fold => "allreduce_fold",
         };
         let words = data.len() as f64;
         let _span = comm.trace_span("collective", name, &[("p", p as f64), ("words", words)]);
@@ -225,15 +245,14 @@ impl Schedule {
     }
 }
 
-/// One step of [`Schedule::Fold`] over `core` as rank `r` of `p` sees
-/// it, `q = 2^⌊log₂P⌋`. Step 0 folds: each extra rank `r ≥ q` sends its
+/// One step of [`Schedule::Fold`] as rank `r` of `p` sees it,
+/// `q = 2^⌊log₂P⌋`. Step 0 folds: each extra rank `r ≥ q` sends its
 /// vector to its twin `r − q`, which reduces it in as the right operand
-/// (the lower rank's on the left, as everywhere). Steps
-/// `1..=core.steps(q)` are the core's at `(q, r)` on ranks `0..q` while
-/// the extra ranks idle. The last step sends each extra rank its twin's
-/// result. A core rank without a twin idles at both ends.
+/// (the lower rank's on the left, as everywhere). Steps `1..=log₂q` are
+/// Doubling's at `(q, r)` on ranks `0..q` while the extra ranks idle.
+/// The last step sends each extra rank its twin's result. A core rank
+/// without a twin idles at both ends.
 fn fold_step(
-    core: Schedule,
     data: &mut [f64],
     op: ReduceOp,
     (p, r, cut): At,
@@ -242,12 +261,12 @@ fn fold_step(
     exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
 ) -> Result<Vec<f64>> {
     let q = core_size(p);
-    let last = core.steps(q) + 1;
+    let last = rounds(q) + 1;
     if step != 0 && step != last {
         if r >= q {
             return Ok(carry);
         }
-        return core.step(data, op, (q, r, cut), step - 1, carry, exchange);
+        return doubling_step(data, op, (q, r, cut), step - 1, carry, exchange);
     }
     let twin = r ^ q;
     if twin >= p {
@@ -302,22 +321,25 @@ mod tests {
         })
     }
 
+    /// Every schedule that runs on `p` ranks: the candidates, then the
+    /// ring.
+    fn runnable(p: usize) -> Vec<Schedule> {
+        let candidates = if is_pow2(p) { &ALL[..2] } else { &ALL[2..] };
+        [candidates, &[Ring]].concat()
+    }
+
     /// Every schedule × group size × length × operator: blocking and
     /// non-blocking agree to the bit in values and clocks, every rank
-    /// holds the same bits, the values are the reduction, the latest
-    /// clock is the closed form when the blocks are equal (`P` and
-    /// `2^⌊log₂P⌋` divide `n`), and the selector returns the argmin of
-    /// the closed forms.
+    /// holds the same bits, the values are the reduction, Gather's bits
+    /// are Bruck's, the latest clock is the closed form when the blocks
+    /// are equal (`P | n`), and the selector returns the argmin of the
+    /// closed forms.
     #[test]
     fn every_schedule_matches_its_twin_its_closed_form_and_the_selector() {
         let models = [MODEL, NetModel::cori_knl(), NetModel::free()];
         for p in [1, 2, 4, 8, 16, 3, 5, 6, 7, 12, 15, 63] {
-            let (q, runnable): (_, &[Schedule]) = if is_pow2(p) {
-                (p, &ALL[..3])
-            } else {
-                (core_size(p), &ALL[2..])
-            };
-            for n in [0, 1, p - 1, p, p + 1, 33, p * q] {
+            let runnable = runnable(p);
+            for n in [0, 1, p - 1, p, p + 1, 33, p * core_size(p)] {
                 for model in &models {
                     let chosen = Schedule::select(p, n as f64, model);
                     let secs = |s: Schedule| s.cost(p, n as f64).seconds(model);
@@ -334,7 +356,8 @@ mod tests {
                             *s += c.abs();
                         }
                     }
-                    for &s in runnable {
+                    let mut bruck = None;
+                    for &s in &runnable {
                         let at = format!("{s:?} p={p} n={n} {op:?}");
                         let blocking = run(p, n, op, s, true);
                         assert_eq!(blocking, run(p, n, op, s, false), "{at}");
@@ -345,7 +368,12 @@ mod tests {
                             let got = f64::from_bits(b);
                             assert!((got - w).abs() <= 1e-13 * scale, "{at}");
                         }
-                        if n % p == 0 && n % q == 0 {
+                        match s {
+                            Bruck => bruck = Some(bits.clone()),
+                            Gather => assert_eq!(bruck.as_ref(), Some(bits), "{at}"),
+                            _ => {}
+                        }
+                        if n % p == 0 {
                             let t = s.cost(p, n as f64).seconds(&MODEL);
                             let latest = blocking.iter().map(|&(_, c)| f64::from_bits(c));
                             let latest = latest.fold(0.0, f64::max);
@@ -369,17 +397,20 @@ mod tests {
         use crate::cost::reduce_scatter_exact;
         use crate::{ireduce_scatter, reduce_scatter};
         let knl = NetModel::cori_knl();
-        // Halving wherever P is a power of two; P = 2 also against the
-        // Doubling exchange the selector picks there; off a power of
-        // two, the selected all-reduce.
-        let cases: [(usize, Option<Schedule>); 7] = [
-            (2, Some(Doubling)),
-            (2, Some(Halving)),
-            (4, Some(Halving)),
-            (8, Some(Halving)),
-            (16, Some(Halving)),
-            (3, None),
-            (6, None),
+        // Halving wherever P is a power of two, against its all-reduce
+        // cut on single words (the butterfly is every word's tree,
+        // whatever the cut); P = 2 also against the Doubling exchange the
+        // selector picks there. Off a power of two, Bruck, against its
+        // all-reduce cut on the same rows: a block's tree is rooted at
+        // its owner, so a word keeps its bits only in the same block.
+        let cases = [
+            (2, Doubling),
+            (2, Halving),
+            (4, Halving),
+            (8, Halving),
+            (16, Halving),
+            (3, Bruck),
+            (6, Bruck),
         ];
         for (p, whole) in cases {
             for (rows, row) in [
@@ -392,11 +423,14 @@ mod tests {
                 for model in [MODEL, knl] {
                     let n = rows * row;
                     let at = format!("p={p} rows={rows}x{row} {whole:?}");
-                    let whole = whole.unwrap_or_else(|| Schedule::select(p, n as f64, &model));
+                    let cut = if whole == Bruck { (row, 0) } else { (1, 0) };
                     let out = World::run(p, model, |comm| {
                         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         let mut all = contribution(comm.rank(), n);
-                        whole.allreduce(comm, &mut all, ReduceOp::Sum).unwrap();
+                        let steps = whole.steps(p);
+                        whole
+                            .reduce(comm, &mut all, ReduceOp::Sum, cut, steps)
+                            .unwrap();
                         let t0 = comm.now();
                         let mine = contribution(comm.rank(), n);
                         let blocking = reduce_scatter(comm, mine.clone(), row, ReduceOp::Sum);
@@ -408,7 +442,7 @@ mod tests {
                         let got = (bits(&blocking.unwrap()), bits(&launched));
                         (want, got, (t1 - t0, comm.now() - t1))
                     });
-                    let t = reduce_scatter_exact(p, n as f64, &model).seconds(&model);
+                    let t = reduce_scatter_exact(p, n as f64).seconds(&model);
                     let (mut latest_b, mut latest_nb) = (0.0f64, 0.0f64);
                     for (r, (want, (blocking, launched), (tb, tnb))) in out.into_iter().enumerate()
                     {
@@ -436,7 +470,7 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let models = [MODEL, NetModel::cori_knl(), NetModel::free()];
         for p in [2, 3, 4, 5, 6, 7, 8, 12] {
-            let runnable = if is_pow2(p) { &ALL[..3] } else { &ALL[2..] };
+            let runnable = runnable(p);
             for n in [1, p - 1, p + 1, 33, 40 * p + 3] {
                 for riders in [1, 2] {
                     let with_riders = |rank: usize| {
@@ -447,7 +481,7 @@ mod tests {
                     let sums: Vec<f64> = (0..riders)
                         .map(|k| (p * (p - 1) / 2 + p * k) as f64)
                         .collect();
-                    for &s in runnable {
+                    for &s in &runnable {
                         let out = World::run(p, MODEL, |comm| {
                             let mut alone = contribution(comm.rank(), n);
                             s.allreduce(comm, &mut alone, ReduceOp::Sum).unwrap();
@@ -496,13 +530,42 @@ mod tests {
         assert_eq!(Schedule::select(4, crossover - 1.0, &knl), Doubling);
         assert_eq!(Schedule::select(4, crossover + 1.0, &knl), Halving);
         assert_eq!(Schedule::select(16, 1e6, &NetModel::free()), Halving);
-        // Off a power of two the fold takes the latency-bound messages,
-        // Halving's core the middle ones, and the ring the large ones
-        // and the ties.
-        assert_eq!(Schedule::select(6, 1.0, &knl), Fold(&Doubling));
-        assert_eq!(Schedule::select(12, crossover, &knl), Fold(&Halving));
-        assert_eq!(Schedule::select(6, 1e8, &knl), Ring);
-        assert_eq!(Schedule::select(6, 1e6, &NetModel::free()), Ring);
+        // Off a power of two Gather takes the latency-bound messages and
+        // Bruck the large ones and the ties.
+        assert_eq!(Schedule::select(6, 1.0, &knl), Gather);
+        assert_eq!(Schedule::select(6, 1e8, &knl), Bruck);
+        assert_eq!(Schedule::select(6, 1e6, &NetModel::free()), Bruck);
+    }
+
+    /// The two schedules [`Schedule::select`] no longer offers are never
+    /// strictly cheaper than its pick on a group that is not a power of
+    /// two: a fold over Halving has Bruck's α-steps and more words, and
+    /// the ring Bruck's words and at least its α-steps. The fold over
+    /// Doubling keeps a window: at `P = 15`, 1 500 words under the Cori
+    /// model, 15.0 µs against Bruck's 17.9 µs.
+    #[test]
+    fn neither_removed_candidate_beats_the_selected_schedule() {
+        let fold_over_halving =
+            |p: usize, n: f64| rabenseifner_allreduce(core_size(p), n) + ptp(n) * 2.0;
+        let bandwidth_only = NetModel {
+            alpha: 0.0,
+            ..NetModel::cori_knl()
+        };
+        for model in [NetModel::free(), bandwidth_only, NetModel::cori_knl()] {
+            for p in (3..=65).filter(|&p| !is_pow2(p)) {
+                for n in (0..=80).map(|k| 10f64.powf(k as f64 / 10.0).round()) {
+                    let best = Schedule::select(p, n, &model).cost(p, n).seconds(&model);
+                    for removed in [fold_over_halving(p, n), Ring.cost(p, n)] {
+                        let at = format!("{model:?} p={p} n={n}");
+                        assert!(removed.seconds(&model) >= best, "{at}");
+                    }
+                }
+            }
+        }
+        let knl = NetModel::cori_knl();
+        let us = |s: Schedule| s.cost(15, 1500.0).seconds(&knl) * 1e6;
+        assert_eq!(Schedule::select(15, 1500.0, &knl), Fold);
+        assert_eq!(format!("{:.1} {:.1}", us(Fold), us(Bruck)), "15.0 17.9");
     }
 
     /// A lost fold-in message fails the whole group: every core rank
@@ -512,9 +575,34 @@ mod tests {
         let plan = mpsim::FaultPlan::new(7).drop_nth(2, 0, 0);
         let (out, stats) = World::run_with_faults(3, MODEL, plan, |comm| {
             let comm = comm.guarded(&crate::FtConfig::fixed(10.0));
-            Fold(&Doubling).allreduce(&comm, &mut [1.0; 4], ReduceOp::Sum)
+            Fold.allreduce(&comm, &mut [1.0; 4], ReduceOp::Sum)
         });
         assert!(out.iter().all(Result::is_err), "{out:?}");
         assert_eq!(stats.total_dropped(), 1);
+    }
+
+    /// A lost reduce-scatter chunk fails the whole group, blocking or
+    /// launched: the block it carried never completes on its owner, and
+    /// every other rank gathers that block. On 3 ranks rank 2's first
+    /// send to rank 0 is the last reduce-scatter round's.
+    #[test]
+    fn a_dropped_bruck_round_chunk_fails_every_rank() {
+        for blocking in [true, false] {
+            let plan = mpsim::FaultPlan::new(7).drop_nth(2, 0, 0);
+            let (out, stats) = World::run_with_faults(3, MODEL, plan, |comm| {
+                let comm = comm.guarded(&crate::FtConfig::fixed(10.0));
+                let mut data = vec![1.0; 6];
+                if blocking {
+                    Bruck.allreduce(&comm, &mut data, ReduceOp::Sum)
+                } else {
+                    launch(&comm, data, ReduceOp::Sum, Bruck)?.wait().map(drop)
+                }
+            });
+            assert!(
+                out.iter().all(Result::is_err),
+                "blocking={blocking}: {out:?}"
+            );
+            assert_eq!(stats.total_dropped(), 1);
+        }
     }
 }

@@ -208,7 +208,7 @@ mod tests {
         // P-rank column group and, the relayout reading full depth, the
         // gather of its blocks back: (P−1)/P of the 576 words each.
         let n = (dims[1] * b) as f64;
-        let dx = reduce_scatter_exact(p, n, &knl) + bruck_allgather(p, n);
+        let dx = reduce_scatter_exact(p, n) + bruck_allgather(p, n);
         let tail_dx = (p as f64 * dx.words) as u64;
         let own = uniform_words(&dims[..2], 1, p) + uniform_words(&dims[1..], p, 1) + tail_dx;
         // Forward, Eq. 6 itself: every rank gathers the (P−1)/P of the

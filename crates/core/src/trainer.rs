@@ -1077,7 +1077,7 @@ mod tests {
                 let (d_in, d_out) = (w[0], w[1]);
                 assert_eq!(d_out % pr, 0, "layer of {d_out} rows is ragged over {pr}");
                 let gemm = 2.0 * (d_out / pr * d_in * bloc) as f64 / model.flops;
-                let sum = collectives::cost::reduce_scatter_exact(pr, (d_in * bloc) as f64, model);
+                let sum = collectives::cost::reduce_scatter_exact(pr, (d_in * bloc) as f64);
                 gemm.min(sum.seconds(model))
             })
             .sum();

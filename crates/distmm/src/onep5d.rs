@@ -19,8 +19,8 @@
 //!   prices an all-reduce there, but the layer below reads only its row
 //!   block `∆Y_{i,j}` of the sum, so only the all-reduce's
 //!   reduce-scatter half runs ([`collectives::reduce_scatter`]): half the
-//!   words and, on a power-of-two `Pr`, half the α-steps, with the
-//!   all-reduce's bits in every row Halving or `Pr = 2` would have summed.
+//!   words and half the α-steps, with the all-reduce's bits in every row
+//!   Halving or `Pr = 2` would have summed.
 //!   The trainers carry `∆Y_{i,j}` from layer to layer, never `∆Y_j`.
 //!
 //! `Pr = 1` degenerates to pure batch parallelism (Fig. 2) and
@@ -654,7 +654,7 @@ mod tests {
         // alone — run as the reduce-scatter of the rows each rank's layer
         // below reads.
         let y = secs(bruck_allgather(p, (d_out * b) as f64));
-        let dx = secs(reduce_scatter_exact(p, (d_in * b) as f64, &model));
+        let dx = secs(reduce_scatter_exact(p, (d_in * b) as f64));
         for (fwd, bwd) in comm_secs(p, 1) {
             assert!((fwd - y).abs() < 1e-12, "{fwd} vs {y}");
             assert!((bwd - dx).abs() < 1e-12, "{bwd} vs {dx}");

@@ -219,8 +219,9 @@ fn corruption_is_detected_not_folded_into_weights() {
 
     let clean = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 3, FaultPlan::default());
     // Flip one mantissa bit in a mid-training data payload on the
-    // 2→0 link (a ∆W all-reduce's fold-in within 3-rank grid row 0).
-    let plan = FaultPlan::new(23).corrupt_nth(2, 0, 10);
+    // 2→0 link: iteration 3's ∆W bucket, summed within 3-rank grid row 0
+    // by a gather whose round at distance 2 sends 2 → 0.
+    let plan = FaultPlan::new(23).corrupt_nth(2, 0, 3);
     let faulty = train_1p5d_ft(&net, &x, &labels, &cfg, 2, 3, plan);
 
     assert_eq!(

@@ -21,6 +21,9 @@
 //!   or died broadcast none, and every cascaded abort names the culprit
 //!   the first observer blamed.
 //!
+//! Every pattern runs on 4 ranks but the all-reduces that only a group
+//! whose size is not a power of two runs, which run on 3.
+//!
 //! The fault-plan seed is taken from `FT_SEED` (default 3) so CI can
 //! sweep it, on both backends.
 
@@ -31,7 +34,9 @@ use integrated_parallelism::collectives::recursive::{
     allreduce_rabenseifner, allreduce_recursive_doubling,
 };
 use integrated_parallelism::collectives::ring::{allgatherv_ring, allreduce_ring};
-use integrated_parallelism::collectives::{allgatherv_into, FtConfig, ReduceOp};
+use integrated_parallelism::collectives::{
+    allgatherv_into, allreduce, reduce_scatter, FtConfig, ReduceOp,
+};
 use integrated_parallelism::distmm::cols::redistribute_cols;
 use integrated_parallelism::distmm::rows::{fetch_rows, NO_FRAME};
 use integrated_parallelism::mpsim::{
@@ -42,6 +47,9 @@ use integrated_parallelism::tensor::{Matrix, Tensor4};
 const P: usize = 4;
 /// Words each rank contributes (Rabenseifner wants a multiple of `P`).
 const N: usize = 8;
+/// Under [`run`]'s model, a sum over 3 ranks of more words than this
+/// runs Bruck's rounds, and of fewer the gather of whole vectors.
+const BRUCK_FROM: usize = 3000;
 
 fn ft_seed() -> u64 {
     std::env::var("FT_SEED")
@@ -69,34 +77,39 @@ fn sum(
 }
 
 /// Every pattern delivers rank 0's words to every member but the halo
-/// exchange, which has neighbours only.
-const TABLE: [(&str, Pattern); 9] = [
-    ("allreduce_ring", |c| sum(c, allreduce_ring)),
-    ("allreduce_recursive_doubling", |c| {
+/// exchange, which has neighbours only. Each row names the group size
+/// it runs on.
+const TABLE: [(&str, usize, Pattern); 12] = [
+    ("allreduce_ring", P, |c| sum(c, allreduce_ring)),
+    ("allreduce_recursive_doubling", P, |c| {
         sum(c, allreduce_recursive_doubling)
     }),
-    ("allreduce_rabenseifner", |c| sum(c, allreduce_rabenseifner)),
-    ("allgatherv_ring", |c| {
+    ("allreduce_rabenseifner", P, |c| {
+        sum(c, allreduce_rabenseifner)
+    }),
+    ("allgatherv_ring", P, |c| {
         Ok(allgatherv_ring(c, &words(c.rank()))?.concat())
     }),
-    ("allgatherv_into", |c| {
+    ("allgatherv_into", P, |c| {
         let mut out = vec![0.0; P * N];
         allgatherv_into(c, words(c.rank()), &mut out, |r| r * N..(r + 1) * N)?;
         Ok(out)
     }),
-    ("allgather_bruck", |c| allgather_bruck(c, &words(c.rank()))),
-    ("bcast_binomial", |c| {
+    ("allgather_bruck", P, |c| {
+        allgather_bruck(c, &words(c.rank()))
+    }),
+    ("bcast_binomial", P, |c| {
         let mut data = if c.rank() == 0 { words(0) } else { Vec::new() };
         bcast_binomial(c, &mut data, 0)?;
         Ok(data)
     }),
-    ("halo::exchange_1d", |c| {
+    ("halo::exchange_1d", P, |c| {
         let mine = words(c.rank());
         let (halo, ()) = exchange_1d(c, &mine[..3], &mine[3..], || ())?;
         let both = [halo.from_prev, halo.from_next];
         Ok(both.into_iter().flatten().flatten().collect())
     }),
-    ("rows::fetch_rows + cols::redistribute_cols", |c| {
+    ("rows::fetch_rows + cols::redistribute_cols", P, |c| {
         // Each rank owns one row (one column) and needs them all.
         let owned: Vec<_> = (0..P).map(|r| r..r + 1).collect();
         let needed = vec![0..P; P];
@@ -106,24 +119,39 @@ const TABLE: [(&str, Pattern); 9] = [
         let cols = redistribute_cols(c, &x, &owned, &needed, &[true; P])?;
         Ok([rows.as_slice(), cols.as_slice()].concat())
     }),
+    ("allreduce: gather of whole vectors", 3, |c| {
+        sum(c, allreduce)
+    }),
+    ("allreduce: Bruck's rounds", 3, |c| {
+        let mut data = words(c.rank()).repeat(BRUCK_FROM / N + 1);
+        allreduce(c, &mut data, ReduceOp::Sum)?;
+        Ok(data)
+    }),
+    ("reduce_scatter: Bruck's rounds", 3, |c| {
+        reduce_scatter(c, words(c.rank()), 1, ReduceOp::Sum)
+    }),
 ];
 
 /// The reduce-scatter + all-gather all-reduces: every rank owes every
 /// other a block it only comes to hold later, so a fault at one member
 /// must fail them all.
-const CHAINED: [&str; 2] = ["allreduce_ring", "allreduce_rabenseifner"];
+const CHAINED: [&str; 3] = [
+    "allreduce_ring",
+    "allreduce_rabenseifner",
+    "allreduce: Bruck's rounds",
+];
 
 /// What one world leaves behind.
 type Run = (Vec<Result<Vec<u64>>>, WorldStats);
 
-fn run(body: Pattern, plan: FaultPlan, guard: bool) -> Run {
+fn run(p: usize, body: Pattern, plan: FaultPlan, guard: bool) -> Run {
     let model = NetModel {
         alpha: 1e-3,
         beta: 1e-6,
         flops: f64::INFINITY,
     };
     let cfg = FtConfig::fixed(10.0).with_attempts(2).with_backoff(0.5);
-    World::run_with_faults(P, model, plan, |comm| {
+    World::run_with_faults(p, model, plan, |comm| {
         // Skew the ranks so arrival order matters to the clocks.
         comm.advance_compute(1e-4 * comm.rank() as f64);
         let comm = if guard {
@@ -135,18 +163,20 @@ fn run(body: Pattern, plan: FaultPlan, guard: bool) -> Run {
     })
 }
 
-/// Every message into rank 1 fails at first use, by `fault`.
-fn into_rank_1(fault: fn(FaultPlan, usize, usize, u64) -> FaultPlan) -> FaultPlan {
-    [0, 2, 3]
-        .into_iter()
-        .fold(FaultPlan::new(ft_seed()), |p, src| fault(p, src, 1, 0))
+/// Every message into rank 1 of `p` fails at first use, by `fault`.
+fn into_rank_1(p: usize, fault: fn(FaultPlan, usize, usize, u64) -> FaultPlan) -> FaultPlan {
+    (0..p)
+        .filter(|&src| src != 1)
+        .fold(FaultPlan::new(ft_seed()), |plan, src| {
+            fault(plan, src, 1, 0)
+        })
 }
 
 #[test]
 fn guarded_and_plain_agree_bit_for_bit_when_fault_free() {
-    for (name, body) in TABLE {
-        let plain = run(body, FaultPlan::new(ft_seed()), false);
-        let guarded = run(body, FaultPlan::new(ft_seed()), true);
+    for (name, p, body) in TABLE {
+        let plain = run(p, body, FaultPlan::new(ft_seed()), false);
+        let guarded = run(p, body, FaultPlan::new(ft_seed()), true);
         assert!(plain.0.iter().all(Result::is_ok), "{name}: {:?}", plain.0);
         assert_eq!(plain.0, guarded.0, "{name}: values");
         assert_eq!(plain.1, guarded.1, "{name}: RankStats and clocks");
@@ -155,16 +185,16 @@ fn guarded_and_plain_agree_bit_for_bit_when_fault_free() {
 
 #[test]
 fn every_pattern_surfaces_every_fault_on_a_guarded_communicator() {
-    let faults: [(&str, FaultPlan, usize); 3] = [
-        ("drop", into_rank_1(FaultPlan::drop_nth), 1),
-        ("corrupt", into_rank_1(FaultPlan::corrupt_nth), 1),
-        ("kill", FaultPlan::new(ft_seed()).kill(0, 0.0), 0),
-    ];
-    for (name, body) in TABLE {
-        let (clean, _) = run(body, FaultPlan::new(ft_seed()), true);
+    for (name, p, body) in TABLE {
+        let faults: [(&str, FaultPlan, usize); 3] = [
+            ("drop", into_rank_1(p, FaultPlan::drop_nth), 1),
+            ("corrupt", into_rank_1(p, FaultPlan::corrupt_nth), 1),
+            ("kill", FaultPlan::new(ft_seed()).kill(0, 0.0), 0),
+        ];
+        let (clean, _) = run(p, body, FaultPlan::new(ft_seed()), true);
         for (fault, plan, hit) in &faults {
             let row = format!("{name} / {fault}");
-            let (out, stats) = run(body, plan.clone(), true);
+            let (out, stats) = run(p, body, plan.clone(), true);
             // The rank the fault hit errors, first-hand.
             let culprit = match (&out[*hit], *fault) {
                 (Err(Error::Timeout { rank, .. }), "drop") => *rank,
