@@ -205,7 +205,7 @@ pub(crate) fn bruck_step(
 /// rank holds. After the last round every rank reduces them locally in
 /// the order the reduce-scatter of [`bruck_step`] does, block by block,
 /// each block cut as it cuts them, so `data` ends with that all-reduce's
-/// bits.
+/// bits. A received buffer of the wrong length is an error.
 pub(crate) fn gather_sum_step(
     data: &mut [f64],
     op: ReduceOp,
@@ -220,7 +220,12 @@ pub(crate) fn gather_sum_step(
     out.extend_from_slice(data);
     out.extend_from_slice(&carry[..(count - 1) * n]);
     let mut got = exchange((Some(to), Some(from)), out)?;
-    assert_eq!(got.len(), count * n, "an all-reduce of unequal lengths");
+    if got.len() != count * n {
+        return Err(Error::LengthMismatch {
+            expected: count * n,
+            got: got.len(),
+        });
+    }
     if step + 1 < rounds(p) || n == 0 {
         carry.extend_from_slice(&got);
         return Ok(carry);
@@ -365,6 +370,23 @@ mod tests {
             );
         }
         assert!(out[2].is_err(), "{:?}", out[2]);
+    }
+
+    /// So is a vector one word longer than its peers' under either
+    /// all-reduce built on these rounds: a rank that receives it fails
+    /// with the mismatch, and the rest fail with it.
+    #[test]
+    fn a_vector_of_the_wrong_length_fails_both_all_reduces() {
+        use crate::schedule::Schedule::{Bruck, Gather};
+        for s in [Bruck, Gather] {
+            let out = World::run(3, NetModel::free(), |comm| {
+                let mut v = rank_block(comm.rank(), 6 + (comm.rank() == 1) as usize);
+                s.allreduce(comm, &mut v, ReduceOp::Sum)
+            });
+            let short = |r: &Result<()>| matches!(r, Err(Error::LengthMismatch { .. }));
+            assert!(out.iter().any(short), "{s:?}: {out:?}");
+            assert!(out.iter().all(|r| r.is_err()), "{s:?}: {out:?}");
+        }
     }
 
     proptest! {

@@ -387,30 +387,30 @@ mod tests {
 
     /// The reduce-scatter, blocking and launched-then-waited, on `P`
     /// ranks of rows of `row` words: every rank's rows are its block of
-    /// the all-reduce `whole` runs, to the bit, and the latest clock is
+    /// an all-reduce, to the bit, and the latest clock is
     /// [`crate::cost::reduce_scatter_exact`] whenever `P` divides the rows
     /// (so every block is equal), the row length and the row count
-    /// otherwise arbitrary.
+    /// otherwise arbitrary. The all-reduce is the one `allreduce` runs
+    /// wherever the row cut and its word cut give the same blocks: always
+    /// on a power of two, and off one whenever `P` divides the rows.
     #[test]
     fn the_reduce_scatter_keeps_each_ranks_rows_of_the_all_reduce() {
         use crate::chunks::block_range;
         use crate::cost::reduce_scatter_exact;
         use crate::{ireduce_scatter, reduce_scatter};
         let knl = NetModel::cori_knl();
-        // Halving wherever P is a power of two, against its all-reduce
-        // cut on single words (the butterfly is every word's tree,
-        // whatever the cut); P = 2 also against the Doubling exchange the
-        // selector picks there. Off a power of two, Bruck, against its
-        // all-reduce cut on the same rows: a block's tree is rooted at
-        // its owner, so a word keeps its bits only in the same block.
-        let cases = [
-            (2, Doubling),
-            (2, Halving),
-            (4, Halving),
-            (8, Halving),
-            (16, Halving),
-            (3, Bruck),
-            (6, Bruck),
+        // Halving wherever P is a power of two (the butterfly is every
+        // word's tree, whatever the cut); P = 2 also against the Doubling
+        // exchange the selector picks there; off a power of two, the
+        // selected all-reduce.
+        let cases: [(usize, Option<Schedule>); 7] = [
+            (2, Some(Doubling)),
+            (2, Some(Halving)),
+            (4, Some(Halving)),
+            (8, Some(Halving)),
+            (16, Some(Halving)),
+            (3, None),
+            (6, None),
         ];
         for (p, whole) in cases {
             for (rows, row) in [
@@ -423,14 +423,23 @@ mod tests {
                 for model in [MODEL, knl] {
                     let n = rows * row;
                     let at = format!("p={p} rows={rows}x{row} {whole:?}");
-                    let cut = if whole == Bruck { (row, 0) } else { (1, 0) };
+                    // Off a power of two a block's tree is rooted at its
+                    // owner, so where the row cut moves a word into
+                    // another block than the word cut, the word has the
+                    // bits of Bruck cut on the same rows, not of the
+                    // selected all-reduce.
+                    let ragged = whole.is_none() && rows % p != 0;
+                    let whole = whole.unwrap_or_else(|| Schedule::select(p, n as f64, &model));
                     let out = World::run(p, model, |comm| {
                         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         let mut all = contribution(comm.rank(), n);
-                        let steps = whole.steps(p);
-                        whole
-                            .reduce(comm, &mut all, ReduceOp::Sum, cut, steps)
-                            .unwrap();
+                        if ragged {
+                            let steps = Bruck.steps(p);
+                            Bruck.reduce(comm, &mut all, ReduceOp::Sum, (row, 0), steps)
+                        } else {
+                            whole.allreduce(comm, &mut all, ReduceOp::Sum)
+                        }
+                        .unwrap();
                         let t0 = comm.now();
                         let mine = contribution(comm.rank(), n);
                         let blocking = reduce_scatter(comm, mine.clone(), row, ReduceOp::Sum);
