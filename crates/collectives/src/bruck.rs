@@ -122,8 +122,8 @@ fn gather_into(
             ((partner, partner), first(r), first(partner), d)
         };
         carry = round(out, &range_of, p, moves, None, carry, |(to, from), msg| {
-            comm.send_vec(to.expect("every round sends"), AG_TAG, msg)?;
-            comm.recv(from.expect("every round receives"), AG_TAG)
+            comm.send_vec(to, AG_TAG, msg)?;
+            comm.recv(from, AG_TAG)
         })?;
     }
     Ok(())
@@ -148,7 +148,7 @@ fn round(
     for s in blocks(send) {
         carry.extend_from_slice(&data[s]);
     }
-    let got = exchange((Some(to), Some(from)), carry)?;
+    let got = exchange((to, from), carry)?;
     let expected = blocks(recv).map(|s| s.len()).sum();
     if got.len() != expected {
         return Err(Error::LengthMismatch {
@@ -219,7 +219,7 @@ pub(crate) fn gather_sum_step(
     let mut out = Vec::with_capacity(count * n);
     out.extend_from_slice(data);
     out.extend_from_slice(&carry[..(count - 1) * n]);
-    let mut got = exchange((Some(to), Some(from)), out)?;
+    let mut got = exchange((to, from), out)?;
     if got.len() != count * n {
         return Err(Error::LengthMismatch {
             expected: count * n,

@@ -104,11 +104,6 @@ pub fn frac(p: usize) -> f64 {
     }
 }
 
-/// Point-to-point transfer of `n` words.
-pub fn ptp(n: f64) -> CostTerms {
-    CostTerms::new(1.0, n)
-}
-
 /// Ring all-reduce of `n` words over `p` ranks (Thakur-exact):
 /// `2(p−1)·α + 2·((p−1)/p)·n·β`.
 pub fn ring_allreduce_exact(p: usize, n: f64) -> CostTerms {
@@ -122,10 +117,8 @@ pub fn ring_allreduce_exact(p: usize, n: f64) -> CostTerms {
 /// under `model` — the schedule it runs, whose cost is the cheapest of,
 /// on a power-of-two group, [`rabenseifner_allreduce`] and
 /// [`recursive_doubling_allreduce`], and on any other
-/// [`rabenseifner_allreduce`] (Bruck's rounds cost the same),
-/// [`bruck_allgather`] of all `p·n` words (the gather-sum), and
-/// [`recursive_doubling_allreduce`] on `2^⌊log₂p⌋` ranks plus
-/// `2·`[`ptp`]`(n)` (the fold).
+/// [`rabenseifner_allreduce`] (Bruck's rounds cost the same) and
+/// [`bruck_allgather`] of all `p·n` words (the gather-sum).
 pub fn allreduce_exact(p: usize, n: f64, model: &NetModel) -> CostTerms {
     crate::schedule::Schedule::select(p, n, model).cost(p, n)
 }

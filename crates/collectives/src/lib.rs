@@ -17,11 +17,12 @@
 //!
 //! * [`allreduce`] and [`iallreduce`] run the cheapest of
 //!   Rabenseifner's recursive halving and recursive doubling on a
-//!   power-of-two group, and of Bruck's reduce-scatter + all-gather, a
-//!   Bruck gather of whole vectors summed locally, and a fold onto a
-//!   power-of-two core that runs recursive doubling on any other, for
+//!   power-of-two group, and of Bruck's reduce-scatter + all-gather and
+//!   a Bruck gather of whole vectors summed locally on any other, for
 //!   the message length and the network model, priced by
-//!   [`cost::allreduce_exact`];
+//!   [`cost::allreduce_exact`]. The two candidates on a group reduce
+//!   every word in the same order, so the model changes the time, never
+//!   the bits;
 //! * [`reduce_scatter`] and [`ireduce_scatter`] run the reduce-scatter
 //!   half of Rabenseifner's all-reduce on power-of-two groups and of
 //!   Bruck's on any other — `⌈log₂P⌉·α + (P−1)/P·n·β` on both,

@@ -4,10 +4,9 @@
 //! A handle ([`IallreduceHandle`]) is a paused collective: the same data
 //! movement as [`crate::allreduce`] (under the schedule it picks:
 //! recursive halving or doubling on a power-of-two group, Bruck's
-//! rounds, a gather of whole vectors or a fold onto the power-of-two
-//! core on any other) or, launched by [`ireduce_scatter`], as
-//! [`crate::reduce_scatter`], but
-//! each step charges its α–β transfer to the rank's **concurrent comm
+//! rounds or a gather of whole vectors on any other) or, launched by
+//! [`ireduce_scatter`], as [`crate::reduce_scatter`], but each step
+//! charges its α–β transfer to the rank's **concurrent comm
 //! channel** ([`mpsim::Communicator::recv_channel`]) instead of the main
 //! timeline. The caller launches the operation, keeps computing
 //! (optionally poking [`IallreduceHandle::progress`] between kernels to
@@ -222,9 +221,7 @@ impl IallreduceHandle {
 
     /// One step of the blocking schedule's body with the channel as
     /// transport: the outgoing chunk departs when the channel produced
-    /// it, and the receive folds into the channel times. A one-sided
-    /// step (the fold's first and last) leaves the channel times alone
-    /// on the side that only sends.
+    /// it, and the receive folds into the channel times.
     fn step_once(&mut self) -> Result<()> {
         let IallreduceHandle {
             comm,
@@ -243,12 +240,7 @@ impl IallreduceHandle {
             *step,
             carry,
             |(to, from), out| {
-                if let Some(to) = to {
-                    comm.send_vec_at(to, *tag, out, *ready_at)?;
-                }
-                let Some(from) = from else {
-                    return Ok(Vec::new());
-                };
+                comm.send_vec_at(to, *tag, out, *ready_at)?;
                 let got = comm.recv_channel(from, *tag)?;
                 let args = [("step", *step as f64), ("ready_at", got.ready_at)];
                 comm.trace_instant("nb", "chunk_step", &args);

@@ -1,9 +1,7 @@
 //! The power-of-two all-reduces: Rabenseifner's recursive halving and
 //! recursive doubling — the `⌈log₂P⌉`-latency schedules the paper's
 //! Eqs. 4, 8 and 9 price. [`crate::allreduce`] picks between them by
-//! cost ([`crate::cost::allreduce_exact`]) on a power-of-two group;
-//! recursive doubling also runs on the power-of-two core of the fold
-//! it may pick on any other.
+//! cost ([`crate::cost::allreduce_exact`]) on a power-of-two group.
 //!
 //! Rank `r`'s partner at distance `d` is `r ^ d`, and the blocks the
 //! `d` ranks of its aligned subcube hold are the block indices
@@ -31,7 +29,7 @@ pub(crate) fn window(r: Rank, d: usize) -> Range<usize> {
 }
 
 /// `buf`'s allocation holding a copy of `from`.
-pub(crate) fn refill(mut buf: Vec<f64>, from: &[f64]) -> Vec<f64> {
+fn refill(mut buf: Vec<f64>, from: &[f64]) -> Vec<f64> {
     buf.clear();
     buf.extend_from_slice(from);
     buf
@@ -74,14 +72,14 @@ pub(crate) fn halving_step(
         let d = p >> (step + 1);
         let partner = r ^ d;
         let out = refill(carry, &data[span(window(partner, d))]);
-        let got = exchange((Some(partner), Some(partner)), out)?;
+        let got = exchange((partner, partner), out)?;
         fold(op, r < partner, &mut data[span(window(r, d))], &got);
         Ok(got)
     } else {
         let d = 1 << (step - log);
         let partner = r ^ d;
         let out = refill(carry, &data[span(window(r, d))]);
-        let got = exchange((Some(partner), Some(partner)), out)?;
+        let got = exchange((partner, partner), out)?;
         data[span(window(partner, d))].copy_from_slice(&got);
         Ok(got)
     }
@@ -100,7 +98,7 @@ pub(crate) fn doubling_step(
     exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
 ) -> Result<Vec<f64>> {
     let partner = r ^ (p >> (step + 1));
-    let got = exchange((Some(partner), Some(partner)), refill(carry, data))?;
+    let got = exchange((partner, partner), refill(carry, data))?;
     fold(op, r < partner, data, &got);
     Ok(got)
 }

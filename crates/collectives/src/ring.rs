@@ -68,7 +68,7 @@ pub(crate) fn allreduce_step(
         _ => carry,
     };
     let (next, prev) = neighbours(p, r);
-    let mut got = exchange((Some(next), Some(prev)), out)?;
+    let mut got = exchange((next, prev), out)?;
     if step < p - 1 {
         let mine = &mut data[block((r + p - step - 1) % p)];
         op.apply_onto(mine, &mut got);

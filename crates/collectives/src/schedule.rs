@@ -1,9 +1,9 @@
-//! Which all-reduce runs: six schedules and the α–β selector.
+//! Which all-reduce runs: five schedules and the α–β selector.
 //!
 //! [`crate::allreduce`] and [`crate::iallreduce`] run the cheapest of
 //! the schedules that run on the group size `P`, for the message length
 //! `n` and the network model, priced by their exact closed forms
-//! ([`Schedule::cost`]). With `L = ⌈log₂P⌉` and `q = 2^⌊log₂P⌋`:
+//! ([`Schedule::cost`]). With `L = ⌈log₂P⌉`:
 //!
 //! | schedule | `P` | α-steps | words per rank |
 //! |---|---|---|---|
@@ -11,11 +11,10 @@
 //! | [`Schedule::Doubling`] | power of two | `L` | `L·n` |
 //! | [`Schedule::Bruck`] | not a power of two | `2L` | `2·(P−1)/P·n` |
 //! | [`Schedule::Gather`] | not a power of two | `L` | `(P−1)·n` |
-//! | [`Schedule::Fold`] | not a power of two | `2 + log₂q` | `(2 + log₂q)·n` |
 //! | [`Schedule::Ring`] | by name only | `2(P−1)` | `2·(P−1)/P·n` |
 //! | reduce-scatter ([`crate::reduce_scatter`]) | any | `L` | `(P−1)/P·n` |
 //!
-//! The reduce-scatter is no seventh schedule: it is Halving stopped after
+//! The reduce-scatter is no sixth schedule: it is Halving stopped after
 //! its `log₂P` halving steps on a power-of-two group, and Bruck stopped
 //! after its `L` reduce-scatter rounds on any other, blocks cut on whole
 //! rows ([`Schedule::scatter`], priced by
@@ -29,45 +28,46 @@
 //! the paper's cost exactly — a reduce-scatter by Bruck's rounds run
 //! backwards, then Bruck's gather — and Gather, the gather of whole
 //! vectors, its counterpart for small messages, as Doubling is Halving's.
-//! The fold of the extra ranks `q..P` onto a power-of-two core that runs
-//! Doubling keeps a window of mid-sized messages on larger groups (at
-//! `P = 15` under the Cori model, 1 500 words: 15.0 µs against Bruck's
-//! 17.9 µs). A fold over Halving has Bruck's α-steps and more words, and
-//! the ring Bruck's words and as many α-steps or more, so neither is a
-//! candidate; the ring stays callable as [`crate::ring::allreduce_ring`].
+//! The ring has Bruck's words and as many α-steps or more, so it is no
+//! candidate; it stays callable as [`crate::ring::allreduce_ring`].
 //!
 //! The choice reads nothing but `(P, n, model)`, which every member
 //! shares, so a group agrees on it without a message. Ties go to the
 //! schedule the paper prices, Halving or Bruck: the free model (every
 //! cost 0) runs them, and so does a bandwidth-only model (`α = 0`).
-//! Gather reduces in Bruck's order, so on a group that is not a power of
-//! two the model can pick the fold's bits or Bruck's, never a third.
+//! Doubling runs Halving's partners in Halving's order and Gather
+//! reduces in Bruck's, so the model changes the time of an all-reduce,
+//! never its bits. That rules out a fold of the extra ranks onto a
+//! power-of-two core, which sums in its own order. Its price: under the
+//! Cori model it would beat the selected schedule only on mid-sized
+//! messages on groups of `P ≥ 7`, by at most 1.58× (`P = 63`, 316
+//! words; at `P = 15`, 1 500 words, 15.0 µs against Bruck's 17.9 µs),
+//! and no benchmark workload sends one.
 //!
 //! Each schedule is one step body — `ring::allreduce_step`,
 //! `recursive::halving_step`, `recursive::doubling_step`,
-//! `bruck::bruck_step`, `bruck::gather_sum_step`, and `fold_step`
-//! around Doubling's — handed the buffer in flight and an
-//! `exchange((to, from), out)` transport whose either side may be
-//! absent (the fold's steps are one-sided). The blocking loop here and
-//! the non-blocking handles ([`crate::nonblocking`]) run the same body,
-//! which is what keeps the two bit-identical and equally timed.
+//! `bruck::bruck_step` and `bruck::gather_sum_step` — handed the buffer
+//! in flight and an `exchange((to, from), out)` transport: every step
+//! sends one buffer to `to` and receives one from `from`. The blocking
+//! loop here and the non-blocking handles ([`crate::nonblocking`]) run
+//! the same body, which is what keeps the two bit-identical and equally
+//! timed.
 
 use mpsim::{Communicator, NetModel, Rank, Result, Tag};
 
 use crate::bruck::{bruck_step, gather_sum_step, rounds};
 use crate::cost::{
-    bruck_allgather, ptp, rabenseifner_allreduce, recursive_doubling_allreduce,
-    ring_allreduce_exact, CostTerms,
+    bruck_allgather, rabenseifner_allreduce, recursive_doubling_allreduce, ring_allreduce_exact,
+    CostTerms,
 };
 use crate::op::ReduceOp;
-use crate::recursive::{doubling_step, halving_step, is_pow2, refill};
+use crate::recursive::{doubling_step, halving_step, is_pow2};
 use crate::ring;
 
 const TAG: Tag = (1 << 48) + 16;
 
-/// Where one step's block goes and where its incoming block comes from;
-/// `None` on a side the step does not use.
-pub(crate) type Peers = (Option<Rank>, Option<Rank>);
+/// Where one step's block goes and where its incoming block comes from.
+pub(crate) type Peers = (Rank, Rank);
 
 /// How a step cuts its blocks, `(row, riders)`: Halving and Bruck on
 /// rows of `row` words (1 for an all-reduce), every schedule on all but
@@ -97,22 +97,13 @@ pub(crate) enum Schedule {
     /// Bruck's all-gather of whole vectors, then a local reduction in
     /// Bruck's order: `bruck::gather_sum_step`.
     Gather,
-    /// The extra ranks `q..P` (`q = 2^⌊log₂P⌋`) fold their vector into
-    /// ranks `0..P−q`, Doubling runs on ranks `0..q`, and the result
-    /// goes back out: `fold_step`.
-    Fold,
 }
 
-use Schedule::{Bruck, Doubling, Fold, Gather, Halving, Ring};
+use Schedule::{Bruck, Doubling, Gather, Halving, Ring};
 
 /// The candidates in tie-break order: the first two run on a
-/// power-of-two group, the last three on any other.
-const ALL: [Schedule; 5] = [Halving, Doubling, Bruck, Gather, Fold];
-
-/// `2^⌊log₂p⌋`: the ranks of a fold's core.
-fn core_size(p: usize) -> usize {
-    1 << p.ilog2()
-}
+/// power-of-two group, the last two on any other.
+const ALL: [Schedule; 4] = [Halving, Doubling, Bruck, Gather];
 
 impl Schedule {
     /// The cheapest schedule that runs on `p` ranks for `n` words under
@@ -137,7 +128,6 @@ impl Schedule {
             Halving | Bruck => rabenseifner_allreduce(p, n),
             Doubling => recursive_doubling_allreduce(p, n),
             Gather => bruck_allgather(p, p as f64 * n),
-            Fold => recursive_doubling_allreduce(core_size(p), n) + ptp(n) * 2.0,
         }
     }
 
@@ -156,14 +146,13 @@ impl Schedule {
             Ring => 2 * (p - 1),
             Halving | Bruck => 2 * rounds(p),
             Doubling | Gather => rounds(p),
-            Fold => rounds(core_size(p)) + 2,
         }
     }
 
     /// Step `step` of this schedule on `data` as rank `r` of `p` sees it
     /// (`at`). `carry` is what the previous step returned (empty at step
-    /// 0); `exchange` must send its buffer to `to`, if any, and return the
-    /// one received from `from` (empty if none).
+    /// 0); `exchange` must send its buffer to `to` and return the one
+    /// received from `from`.
     pub(crate) fn step(
         self,
         data: &mut [f64],
@@ -179,7 +168,6 @@ impl Schedule {
             Doubling => doubling_step(data, op, at, step, carry, exchange),
             Bruck => bruck_step(data, op, at, step, carry, exchange),
             Gather => gather_sum_step(data, op, at, step, carry, exchange),
-            Fold => fold_step(data, op, at, step, carry, exchange),
         }
     }
 
@@ -228,62 +216,18 @@ impl Schedule {
             Doubling => "allreduce_recursive_doubling",
             Bruck => "allreduce_bruck",
             Gather => "allreduce_gather",
-            Fold => "allreduce_fold",
         };
         let words = data.len() as f64;
         let _span = comm.trace_span("collective", name, &[("p", p as f64), ("words", words)]);
         let (at, mut carry) = ((p, comm.rank(), cut), Vec::new());
         for step in 0..steps {
             carry = self.step(data, op, at, step, carry, |(to, from), out| {
-                if let Some(to) = to {
-                    comm.send_vec(to, TAG, out)?;
-                }
-                from.map_or(Ok(Vec::new()), |from| comm.recv(from, TAG))
+                comm.send_vec(to, TAG, out)?;
+                comm.recv(from, TAG)
             })?;
         }
         Ok(())
     }
-}
-
-/// One step of [`Schedule::Fold`] as rank `r` of `p` sees it,
-/// `q = 2^⌊log₂P⌋`. Step 0 folds: each extra rank `r ≥ q` sends its
-/// vector to its twin `r − q`, which reduces it in as the right operand
-/// (the lower rank's on the left, as everywhere). Steps `1..=log₂q` are
-/// Doubling's at `(q, r)` on ranks `0..q` while the extra ranks idle.
-/// The last step sends each extra rank its twin's result. A core rank
-/// without a twin idles at both ends.
-fn fold_step(
-    data: &mut [f64],
-    op: ReduceOp,
-    (p, r, cut): At,
-    step: usize,
-    carry: Vec<f64>,
-    exchange: impl FnOnce(Peers, Vec<f64>) -> Result<Vec<f64>>,
-) -> Result<Vec<f64>> {
-    let q = core_size(p);
-    let last = rounds(q) + 1;
-    if step != 0 && step != last {
-        if r >= q {
-            return Ok(carry);
-        }
-        return doubling_step(data, op, (q, r, cut), step - 1, carry, exchange);
-    }
-    let twin = r ^ q;
-    if twin >= p {
-        return Ok(carry);
-    }
-    // Step 0 moves vectors down to the core, the last step back up.
-    let folding = step == 0;
-    if (r >= q) == folding {
-        return exchange((Some(twin), None), refill(carry, data));
-    }
-    let got = exchange((None, Some(twin)), carry)?;
-    if folding {
-        op.apply(data, &got);
-    } else {
-        data.copy_from_slice(&got);
-    }
-    Ok(got)
 }
 
 #[cfg(test)]
@@ -339,7 +283,7 @@ mod tests {
         let models = [MODEL, NetModel::cori_knl(), NetModel::free()];
         for p in [1, 2, 4, 8, 16, 3, 5, 6, 7, 12, 15, 63] {
             let runnable = runnable(p);
-            for n in [0, 1, p - 1, p, p + 1, 33, p * core_size(p)] {
+            for n in [0, 1, p - 1, p, p + 1, 33, p << p.ilog2()] {
                 for model in &models {
                     let chosen = Schedule::select(p, n as f64, model);
                     let secs = |s: Schedule| s.cost(p, n as f64).seconds(model);
@@ -531,6 +475,30 @@ mod tests {
         }
     }
 
+    /// The network model changes an all-reduce's time, never its bits:
+    /// on groups of every size that is not a power of two and lengths
+    /// from 1 to 1e5 words, `allreduce` under the free, the Cori and the
+    /// test model leaves the same bits on every rank.
+    #[test]
+    fn the_model_never_changes_an_allreduces_bits() {
+        let models = [NetModel::free(), NetModel::cori_knl(), MODEL];
+        for p in [3, 5, 6, 7, 9, 12, 15, 31, 63] {
+            for n in (0..=20).map(|k| 10f64.powf(k as f64 / 4.0).round() as usize) {
+                let mut first = None;
+                for model in models {
+                    let out = World::run(p, model, |comm| {
+                        let mut data = contribution(comm.rank(), n);
+                        crate::allreduce(comm, &mut data, ReduceOp::Sum).unwrap();
+                        data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                    });
+                    let want = first.get_or_insert_with(|| out[0].clone());
+                    let at = format!("{model:?} p={p} n={n}");
+                    assert!(out.iter().all(|bits| bits == want), "{at}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn doubling_wins_small_messages_and_halving_large_ones() {
         let knl = NetModel::cori_knl();
@@ -546,16 +514,15 @@ mod tests {
         assert_eq!(Schedule::select(6, 1e6, &NetModel::free()), Bruck);
     }
 
-    /// The two schedules [`Schedule::select`] no longer offers are never
+    /// The two schedules [`Schedule::select`] does not offer are never
     /// strictly cheaper than its pick on a group that is not a power of
     /// two: a fold over Halving has Bruck's α-steps and more words, and
-    /// the ring Bruck's words and at least its α-steps. The fold over
-    /// Doubling keeps a window: at `P = 15`, 1 500 words under the Cori
-    /// model, 15.0 µs against Bruck's 17.9 µs.
+    /// the ring Bruck's words and at least its α-steps.
     #[test]
     fn neither_removed_candidate_beats_the_selected_schedule() {
-        let fold_over_halving =
-            |p: usize, n: f64| rabenseifner_allreduce(core_size(p), n) + ptp(n) * 2.0;
+        let fold_over_halving = |p: usize, n: f64| {
+            rabenseifner_allreduce(1 << p.ilog2(), n) + CostTerms::new(2.0, 2.0 * n)
+        };
         let bandwidth_only = NetModel {
             alpha: 0.0,
             ..NetModel::cori_knl()
@@ -571,23 +538,6 @@ mod tests {
                 }
             }
         }
-        let knl = NetModel::cori_knl();
-        let us = |s: Schedule| s.cost(15, 1500.0).seconds(&knl) * 1e6;
-        assert_eq!(Schedule::select(15, 1500.0, &knl), Fold);
-        assert_eq!(format!("{:.1} {:.1}", us(Fold), us(Bruck)), "15.0 17.9");
-    }
-
-    /// A lost fold-in message fails the whole group: every core rank
-    /// needs the extra rank's vector, and the extra rank the result.
-    #[test]
-    fn a_dropped_fold_in_fails_every_rank() {
-        let plan = mpsim::FaultPlan::new(7).drop_nth(2, 0, 0);
-        let (out, stats) = World::run_with_faults(3, MODEL, plan, |comm| {
-            let comm = comm.guarded(&crate::FtConfig::fixed(10.0));
-            Fold.allreduce(&comm, &mut [1.0; 4], ReduceOp::Sum)
-        });
-        assert!(out.iter().all(Result::is_err), "{out:?}");
-        assert_eq!(stats.total_dropped(), 1);
     }
 
     /// A lost reduce-scatter chunk fails the whole group, blocking or

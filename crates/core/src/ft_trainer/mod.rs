@@ -981,9 +981,9 @@ mod tests {
     }
 
     /// The loss word rides the last ∆W bucket without moving a block
-    /// cut, so on every row group — the ring's and the fold's
-    /// non-power-of-two ones included — each weight is the scheduled
-    /// trainer's to the bit.
+    /// cut, so on every row group — the non-power-of-two ones, where
+    /// Bruck's rounds and the gather-sum run, included — each weight is
+    /// the scheduled trainer's to the bit.
     #[test]
     fn fault_free_ft_is_the_scheduled_trainer_to_the_bit_on_every_grid() {
         let grids = [(1, 3), (2, 3), (3, 2), (1, 5), (2, 5), (1, 6), (1, 7)];

@@ -132,6 +132,27 @@ fn deeper_and_wider_grids_agree_with_each_other() {
     assert!(max_diff(&a.weights(), &b.weights()) < 1e-9);
 }
 
+/// The weights of `mlp [40, 64, 48, 10]` after 3 iterations on `pr × pc`:
+/// `[blocking, scheduled]` (`train_1p5d`, `train_1p5d_scheduled`), each
+/// `[free, cori_knl]`.
+fn weights_by_trainer_and_model(pr: usize, pc: usize) -> [[Vec<Matrix>; 2]; 2] {
+    let net = mlp("m", &[40, 64, 48, 10]);
+    let (x, labels) = synthetic_data(&net, 48, 77);
+    let cfg = TrainConfig {
+        lr: 0.1,
+        iters: 3,
+        seed: 21,
+    };
+    let models = [NetModel::free(), NetModel::cori_knl()];
+    [
+        models.map(|m| train_1p5d(&net, &x, &labels, &cfg, pr, pc, m).weights()),
+        models.map(|m| {
+            let plan = OverlapPlan::default();
+            train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, m, plan).weights()
+        }),
+    ]
+}
+
 /// On a power-of-two group every word is summed by one butterfly,
 /// whichever schedule the network model selects and wherever the word
 /// sits in its message: recursive doubling pairs the ranks in recursive
@@ -142,24 +163,28 @@ fn deeper_and_wider_grids_agree_with_each_other() {
 /// every power-of-two grid of this file.
 #[test]
 fn power_of_two_grids_keep_their_bits_across_schedules_and_models() {
-    let net = mlp("m", &[40, 64, 48, 10]);
-    let (x, labels) = synthetic_data(&net, 48, 77);
-    let cfg = TrainConfig {
-        lr: 0.1,
-        iters: 3,
-        seed: 21,
-    };
     for (pr, pc) in [(1, 4), (2, 2), (4, 1), (2, 4), (2, 8), (8, 2)] {
-        let want = train_1p5d(&net, &x, &labels, &cfg, pr, pc, NetModel::free()).weights();
-        for model in [NetModel::free(), NetModel::cori_knl()] {
-            let plan = OverlapPlan::default();
-            let runs = [
-                train_1p5d(&net, &x, &labels, &cfg, pr, pc, model),
-                train_1p5d_scheduled(&net, &x, &labels, &cfg, pr, pc, model, plan),
-            ];
-            for (k, run) in runs.iter().enumerate() {
-                assert!(run.weights() == want, "grid {pr}x{pc} {model:?} run {k}");
-            }
+        let runs = weights_by_trainer_and_model(pr, pc);
+        let want = &runs[0][0];
+        for (k, run) in runs.iter().flatten().enumerate() {
+            assert!(run == want, "grid {pr}x{pc} run {k}");
+        }
+    }
+}
+
+/// Off a power of two a word's tree is rooted at the block its cut puts
+/// it in, under both schedules the model picks between (Bruck's rounds
+/// and the gather-sum, which reduces in their order), so for the same
+/// trainer the free and the Cori KNL models leave the same weight bits.
+/// The blocking and the scheduled trainer are not compared here: the
+/// first cuts each layer's sum into `P` blocks alone, the second cuts a
+/// bucket of several layers' sums, so a word can fall in another block
+/// and be summed in another order.
+#[test]
+fn the_network_model_moves_no_weight_bit_off_a_power_of_two() {
+    for (pr, pc) in [(1, 7), (2, 7), (1, 12), (1, 15), (3, 5)] {
+        for (k, [free, knl]) in weights_by_trainer_and_model(pr, pc).iter().enumerate() {
+            assert!(free == knl, "grid {pr}x{pc} trainer {k}");
         }
     }
 }
