@@ -39,11 +39,11 @@ use std::fmt::Write as _;
 use bench::parse_args;
 use collectives::cost::allreduce_exact;
 use dnn::zoo::mlp;
-use dnn::Network;
-use integrated::overlap::{buckets, overlapped_total, OverlapPlan, PAPER_BACKPROP_FRACTION};
+use integrated::overlap::{overlapped_total, OverlapPlan, PAPER_BACKPROP_FRACTION};
+use integrated::plan::{plan, Collective, CommPlan};
 use integrated::report::{fmt_seconds, Table};
 use integrated::trainer::{
-    fc_grads, synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig,
+    extract_fc_layers, synthetic_data, train_1p5d, train_1p5d_scheduled, TrainConfig,
 };
 use mpsim::NetModel;
 
@@ -63,11 +63,11 @@ struct Row {
 }
 
 /// The least the scheduled run must save over the serialized one per
-/// iteration, from the terms that remain once backprop stops at the
-/// first layer (the last grid row's shard shapes, the largest where rows
-/// split raggedly: the floor is exact where every shard divides evenly),
-/// read off the [`integrated::overlap::Grad`]s the trainer hands the
-/// bucket rule ([`fc_grads`]) and the buckets it cuts ([`buckets`]).
+/// iteration on a row group of `pc`, from the terms that remain once
+/// backprop stops at the first layer, read off a rank's `plan`: the
+/// [`integrated::overlap::Grad`]s the bucket rule read and the buckets it
+/// cut (the last grid row's, whose shards are the largest where rows
+/// split raggedly: the floor is exact where every shard divides evenly).
 /// Each ∆W bucket is priced by [`allreduce_exact`], each ∆X sum — a
 /// reduce-scatter, since the layer below reads only its rows — by its
 /// [`collectives::cost::reduce_scatter_exact`] in the `Grad`; the
@@ -85,10 +85,10 @@ struct Row {
 /// that window. The later buckets may hide more behind the same work, but
 /// nothing runs beside the drain point after backward, so the floor
 /// counts only the first.
-fn saving_floor(net: &Network, b: usize, (pr, pc): (usize, usize), m: &NetModel) -> f64 {
+fn saving_floor(plan: &CommPlan, pc: usize, m: &NetModel) -> f64 {
     let allreduce = |words: usize| allreduce_exact(pc, words as f64, m).seconds(m);
-    let grads = fc_grads(net, b, (pr, pc), pr - 1);
-    let mut cuts = buckets(&grads, pc, m).into_iter();
+    let grads = plan.grads();
+    let mut cuts = plan.buckets.iter().flatten().copied();
     let (mut staged, mut next) = (0, cuts.next());
     let (mut fused, mut first, mut under, mut dx_hidden) = (0.0, None, 0.0, 0.0);
     for g in &grads {
@@ -134,7 +134,7 @@ fn main() {
         seed: 11,
     };
     let (x, labels) = synthetic_data(&net, b, 42);
-    let model = NetModel::cori_knl();
+    let (model, layers) = (NetModel::cori_knl(), extract_fc_layers(&net));
 
     let mut rows: Vec<Row> = Vec::new();
     for &p in ps {
@@ -161,6 +161,9 @@ fn main() {
                 break;
             }
             let pc = p / pr;
+            let plans: Vec<CommPlan> = (0..p)
+                .map(|rank| plan(&layers, b, &[(pr, pc)], rank, false, Some(&model)))
+                .collect();
             let ser = train_1p5d(&net, &x, &labels, &cfg, pr, pc, model);
             let sch = train_1p5d_scheduled(
                 &net,
@@ -203,18 +206,15 @@ fn main() {
                 ser.stats.max_compute(),
                 PAPER_BACKPROP_FRACTION,
             );
+            // Every launch over a group of more than one is counted: the
+            // plans' ∆X reduce-scatters and ∆W buckets. With pc = 1 every
+            // bucket's row group is a single rank, and only the ∆X sums count.
             let (_, _, nb_ar, _) = sch.stats.total_collective_calls();
+            let launched = (plans.iter().flat_map(|p| &p.collectives))
+                .filter(|&&Collective(_, nb, p, _)| nb && p > 1)
+                .count();
+            assert_eq!(nb_ar, (iters * launched) as u64, "{pr}x{pc}: launches");
             let degenerate = pc == 1;
-            if degenerate {
-                // Each ∆X reduce-scatter launches as a non-blocking
-                // all-reduce and is counted as one: every layer's but
-                // the first's and the input-split top's.
-                let dx_sums = (iters * (net.weighted_layers().len() - 2) * p) as u64;
-                assert_eq!(
-                    nb_ar, dx_sums,
-                    "{pr}x1: single-member row groups must launch no ∆W sums"
-                );
-            }
             rows.push(Row {
                 p,
                 pr,
@@ -224,7 +224,7 @@ fn main() {
                 analytic_floor: floor,
                 fig8_pred,
                 scheduled_fraction: sch.measured_overlap_fraction(),
-                saving_floor: iters as f64 * saving_floor(&net, b, (pr, pc), &model),
+                saving_floor: iters as f64 * saving_floor(&plans[(pr - 1) * pc], pc, &model),
                 nb_allreduces: nb_ar,
                 degenerate,
             });

@@ -82,10 +82,11 @@ use distmm::domain_general as dg;
 use distmm::onep5d::Grid;
 use distmm::rows::{relayout, Split};
 
-use crate::overlap::{buckets, buckets_behind, Grad};
+use crate::overlap::{buckets_behind, Grad};
+use crate::plan::{plan, CommPlan};
 use crate::trainer::{
-    backward_pass, chain_grads, forward_pass, init_weights, optimizer_step, serial_step, split_top,
-    Act, BucketScheduler, FcLayer, Pass,
+    backward_pass, forward_pass, init_weights, optimizer_step, serial_step, split_top, Act,
+    BucketScheduler, FcLayer, Pass,
 };
 use collectives::cost::{allreduce_exact, CostTerms};
 
@@ -150,7 +151,7 @@ impl std::error::Error for CnnSpecError {}
 #[derive(Debug, Clone)]
 pub struct CnnSpec {
     stages: Vec<Stage>,
-    fcs: Vec<FcLayer>,
+    pub(crate) fcs: Vec<FcLayer>,
     /// Input (C, H, W).
     input: (usize, usize, usize),
     /// Shape entering the FC head.
@@ -257,14 +258,13 @@ impl CnnSpec {
         (self.stages.len(), self.trunk_out.1)
     }
 
-    /// The words of the head's and the trunk's ∆W buckets for `net` with
-    /// batch `b` on `p` ranks, cut once for every rank. The head's are its
-    /// chain's on the `1 × P` grid. The trunk's are cut from each conv in
-    /// push order (the top first): its weights, its backward's flops on a
-    /// rank's share of the batch's pixels (conv1 forms no ∆X), and no ∆X
-    /// sum — its windows are fetches, not sums — behind the head's sums,
-    /// which are issued on the channel ahead of them.
-    fn buckets(&self, net: &Network, b: usize, p: usize, m: &NetModel) -> [Vec<usize>; 2] {
+    /// The words of the trunk's ∆W buckets for `net` with batch `b` on `p`
+    /// ranks, cut once for every rank from each conv in push order (the
+    /// top first): its weights, its backward's flops on a rank's share of
+    /// the batch's pixels (conv1 forms no ∆X), and no ∆X sum — its windows
+    /// are fetches, not sums — behind the sums of the buckets of the head's
+    /// plan `h`, which are issued on the channel ahead of them.
+    fn buckets(&self, net: &Network, b: usize, p: usize, m: &NetModel, h: &CommPlan) -> Vec<usize> {
         let (mut convs, share) = (net.weighted_layers(), b as f64 / p as f64);
         convs.retain(|l| l.is_conv());
         let grads: Vec<Grad> = (convs.iter().enumerate().rev())
@@ -274,10 +274,8 @@ impl CnnSpec {
                 dx_sum: CostTerms::ZERO,
             })
             .collect();
-        let head = buckets(&chain_grads(&self.fcs, b, (1, p, 0), true), p, m);
         let sum = |&n: &usize| allreduce_exact(p, n as f64, m).seconds(m);
-        let trunk = buckets_behind(head.iter().map(sum).sum(), &grads, p, m);
-        [head, trunk]
+        buckets_behind(h.buckets.iter().flatten().map(sum).sum(), &grads, p, m)
     }
 
     fn init_weights(&self, seed: u64) -> (Vec<Matrix>, Vec<Matrix>) {
@@ -490,7 +488,12 @@ pub fn train_cnn_domain_traced(
     let b_global = x.n;
     // Drawn once; every rank starts from its own copy of the replica.
     let initial_weights = spec.init_weights(cfg.seed);
-    let [head_buckets, conv_buckets] = spec.buckets(net, b_global, pd * pc, &model);
+    // The FC head's plan on the `1 × P` grid, whose input gradient the
+    // trunk reads when it holds a weighted stage.
+    let p = pd * pc;
+    let (fcs, dx) = (&spec.fcs, first_conv.is_some());
+    let head = |r| plan(fcs, b_global, &[(1, p)], r, dx, Some(&model));
+    let conv_buckets = spec.buckets(net, b_global, p, &model, &head(0));
     let rank_body = |comm: &Communicator| -> Result<CnnRankOutcome, Error> {
         // Row-major `pd × pc`: i = strip index (domain), j = batch
         // shard; the column group shares a batch shard. Past the domain
@@ -498,7 +501,7 @@ pub fn train_cnn_domain_traced(
         // grid, whose one-rank column groups send nothing and whose row
         // is the world, runs the rest of the trunk and the FC head.
         let Grid { i, j, col_comm, .. } = Grid::new(comm, pd, pc)?;
-        let batch = Grid::new(comm, 1, pd * pc)?;
+        let (batch, head_plan) = (Grid::new(comm, 1, p)?, head(comm.rank()));
         // Stage `idx`'s group: its strips' column, or past the prefix its
         // own rank; and where its output sits in `acts`: past the prefix
         // one slot up, behind the prefix's output as whole images.
@@ -565,13 +568,12 @@ pub fn train_cnn_domain_traced(
                 labels_local: &labels[batch_range.clone()][part_range(b_local, pd, i)],
                 b_global,
                 iter,
-                plan: Some(&head_buckets),
+                plan: &head_plan,
             };
             let tape = forward_pass(&pass, &fc_w)?;
             partial_losses.push(tape.loss);
             // The head's input gradient is read: it feeds the trunk.
-            let (head_sched, dy, _) =
-                backward_pass(&pass, tape, &mut fc_w, &mut apply, first_conv.is_some())?;
+            let (head_sched, dy, _) = backward_pass(&pass, tape, &mut fc_w, &mut apply)?;
             let (Some(dy), Some(first)) = (dy, first_conv) else {
                 optimizer_step(&batch.row_comm, iter, head_sched, &mut fc_w, &mut apply)?;
                 continue;
@@ -684,7 +686,9 @@ mod tests {
         let net = mini_alexnet();
         let spec = CnnSpec::of(&net).expect("a CNN");
         for p in [4, 8, 16] {
-            let [_, trunk] = spec.buckets(&net, 64, p, &NetModel::cori_knl());
+            let model = NetModel::cori_knl();
+            let head = plan(&spec.fcs, 64, &[(1, p)], 0, true, Some(&model));
+            let trunk = spec.buckets(&net, 64, p, &model, &head);
             assert_eq!(trunk, [9_336], "P = {p}: one bucket of every conv weight");
         }
     }

@@ -20,6 +20,7 @@ use distmm::dist::{col_shard, part_range};
 use distmm::onep5d::Grid;
 
 use crate::data::{accuracy, epoch_order, Dataset};
+use crate::plan::plan;
 use crate::trainer::{
     apply_act, assemble_weights, backward_pass, extract_fc_layers, forward_pass, init_weights,
     optimizer_step, serial_step, shard_weights, FcLayer, Pass,
@@ -187,6 +188,8 @@ pub fn train_epochs_1p5d(
     let full = init_weights(&layers, cfg.seed);
     let (shards, stats) = World::run_with_stats(pr * pc, model, |comm| {
         let grid = Grid::new(comm, pr, pc).expect("grid tiles the world");
+        let (b, rank) = (cfg.batch_size, comm.rank());
+        let plan = plan(&layers, b, &[(pr, pc)], rank, false, None);
         let mut w_local = shard_weights(&layers, &full, std::slice::from_ref(&grid));
         let mut v_local: Vec<Matrix> = w_local
             .iter()
@@ -208,11 +211,11 @@ pub fn train_epochs_1p5d(
                 labels_local: &labels[part_range(b_global, pc, grid.j)],
                 b_global,
                 iter: step,
-                plan: None,
+                plan: &plan,
             };
             let tape = forward_pass(&pass, &w_local).expect("forward");
             let (sched, ..) =
-                backward_pass(&pass, tape, &mut w_local, &mut apply, false).expect("backward");
+                backward_pass(&pass, tape, &mut w_local, &mut apply).expect("backward");
             optimizer_step(&grid.row_comm, step, sched, &mut w_local, &mut apply).expect("step");
         }
         (grid.i, grid.j, w_local)

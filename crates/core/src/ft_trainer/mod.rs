@@ -1075,7 +1075,15 @@ mod tests {
             seed: c.seed,
         };
         let plan = OverlapPlan::default();
-        let bucket = |pr: usize| (net.total_weights() / pr) as f64;
+        // The one ∆W bucket each plan cuts on a `pr × pc` grid.
+        let layers = crate::trainer::extract_fc_layers(&net);
+        let bucket = |pr: usize, pc: usize| {
+            let plan = crate::plan::plan(&layers, 24, &[(pr, pc)], 0, false, Some(&model));
+            let [words] = plan.buckets.expect("scheduled")[..] else {
+                panic!("one bucket")
+            };
+            words as f64
+        };
         // Each case's bucket schedule, the words one rider word adds per
         // row group and iteration, and its β steps over the run; the Pc
         // rider words cost Pc times that.
@@ -1086,16 +1094,20 @@ mod tests {
         //   Pc = 4: every rank sends the whole vector at each of its 2
         //   steps, so each rider word costs each rank 2β per iteration.
         let cases = [
-            ((2, 3), bruck_allgather(3, 3.0 * bucket(2)), 6, 2 * iters),
+            ((2, 3), bruck_allgather(3, 3.0 * bucket(2, 3)), 6, 2 * iters),
             (
                 (1, 4),
-                recursive_doubling_allreduce(4, bucket(1)),
+                recursive_doubling_allreduce(4, bucket(1, 4)),
                 8,
                 2 * iters,
             ),
         ];
         for ((pr, pc), ran, words, steps) in cases {
-            assert_eq!(allreduce_exact(pc, bucket(pr), &model), ran, "{pr}x{pc}");
+            assert_eq!(
+                allreduce_exact(pc, bucket(pr, pc), &model),
+                ran,
+                "{pr}x{pc}"
+            );
             let sched = train_1p5d_scheduled(&net, &x, &labels, &tc, pr, pc, model, plan);
             let ft = train_1p5d_ft(&net, &x, &labels, &c, pr, pc, FaultPlan::default());
             assert_eq!(ft.stats.total_msgs(), sched.stats.total_msgs());

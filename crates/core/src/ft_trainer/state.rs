@@ -19,7 +19,8 @@ use distmm::onep5d::{Grid, SdcCtx};
 use super::membership::Membership;
 use super::wire::{View, Welcome};
 use super::{plan_grid, Job};
-use crate::trainer::{backward_pass, forward_pass, optimizer_step, row_buckets, Pass};
+use crate::plan::{plan, CommPlan};
+use crate::trainer::{backward_pass, forward_pass, optimizer_step, Pass};
 
 /// A consistent snapshot a rank can roll back to: shards are laid out
 /// for the grid that was current when the checkpoint was taken.
@@ -81,9 +82,10 @@ pub(super) struct GridState {
     /// means a memory bit flip landed between iterations and escalates
     /// to rollback.
     wsum: u64,
-    /// The words of each ∆W bucket this grid row fills, cut once per
-    /// grid ([`row_buckets`]); `None` without the scheduler.
-    buckets: Option<Vec<usize>>,
+    /// What this rank's iteration runs on this grid, made once per grid
+    /// ([`plan`]): scheduled or blocking, with the loss riding layer 0's
+    /// ∆W sum.
+    plan: CommPlan,
 }
 
 impl GridState {
@@ -105,7 +107,9 @@ impl GridState {
         job: &Job,
         iter: usize,
     ) -> Result<GridState, Error> {
-        let grid = Grid::new(alive, pr, pc)?;
+        let (grid, model, b) = (Grid::new(alive, pr, pc)?, alive.model(), job.x.cols());
+        let sched = job.cfg.plan.map(|_| &model);
+        let plan = plan(job.layers, b, &[(pr, pc)], grid.comm.rank(), false, sched);
         let l = job.layers.len();
         let mats = if job.cfg.momentum != 0.0 { 2 * l } else { l };
         let cut = |k: usize| {
@@ -125,7 +129,7 @@ impl GridState {
             x_local: col_shard(job.x, pc, grid.j),
             labels_local: job.labels[part_range(job.x.cols(), pc, grid.j)].to_vec(),
             wsum: weights_checksum(&w),
-            buckets: (job.cfg.plan).map(|_| row_buckets(job.layers, job.x.cols(), &grid)),
+            plan: plan.ride(pc),
             grid,
             w,
             v,
@@ -199,7 +203,7 @@ impl GridState {
             labels_local: &self.labels_local,
             b_global: job.x.cols(),
             iter: self.iter,
-            plan: self.buckets.as_deref(),
+            plan: &self.plan,
         };
         let v = &mut self.v;
         let mut apply = |w: &mut [Matrix], idx: usize, summed: &[f64]| {
@@ -223,7 +227,7 @@ impl GridState {
         let comm = &self.grid.row_comm;
         let slot = |j| if j == comm.rank() { tape.loss } else { 0.0 };
         tape.riders = (0..comm.size()).map(slot).collect();
-        let (sched, _, summed) = backward_pass(&pass, tape, &mut self.w, &mut apply, false)?;
+        let (sched, _, summed) = backward_pass(&pass, tape, &mut self.w, &mut apply)?;
         let drained = optimizer_step(comm, self.iter, sched, &mut self.w, &mut apply)?;
         self.iter += 1;
         self.wsum = weights_checksum(&self.w);

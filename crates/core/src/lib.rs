@@ -23,6 +23,7 @@ pub mod memory;
 pub mod mixed;
 pub mod optimizer;
 pub mod overlap;
+pub mod plan;
 pub mod report;
 pub mod strategy;
 pub mod summa_analysis;

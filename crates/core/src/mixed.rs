@@ -16,8 +16,9 @@ use dnn::Network;
 use mpsim::{NetModel, TraceConfig, WorldStats};
 use tensor::Matrix;
 
+use crate::plan::plan;
 use crate::strategy::{LayerParallelism, Strategy};
-use crate::trainer::{extract_fc_layers, train_grid, TrainConfig};
+use crate::trainer::{extract_fc_layers, train_grid, FcLayer, TrainConfig};
 
 /// Outcome of a mixed-grid run.
 pub struct MixedResult {
@@ -54,7 +55,8 @@ pub fn train_mixed(
         .map(grid_of)
         .collect::<Result<Vec<_>, _>>()?;
     let off = TraceConfig::disabled();
-    let (run, _) = train_grid(net, x, labels, cfg, &grids, model, off, None);
+    let blocking = |l: &[FcLayer], r| plan(l, x.cols(), &grids, r, false, None);
+    let (run, _) = train_grid(net, x, labels, cfg, &grids, model, off, blocking);
     // Layer `l`'s blocks sit on batch group j = 0 of its own grid: the
     // ranks `i · pc`.
     let stack = |(l, &(pr, pc)): (usize, &(usize, usize))| {

@@ -174,9 +174,10 @@ pub(crate) fn buckets_behind(queued: f64, grads: &[Grad], p: usize, m: &NetModel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::{synthetic_data, train_grid, TrainConfig};
+    use crate::plan::plan;
+    use crate::trainer::tests::train_cut;
+    use crate::trainer::{extract_fc_layers, synthetic_data, TrainConfig};
     use dnn::zoo::mlp;
-    use mpsim::TraceConfig;
 
     #[test]
     fn no_overlap_is_plain_sum() {
@@ -239,7 +240,7 @@ mod tests {
     fn the_rule_is_within_a_thousandth_of_every_cut() {
         let net = mlp("alexnet-fc-exec", &[384, 256, 256, 10]);
         let (x, labels) = synthetic_data(&net, 512, 7);
-        let (model, off) = (NetModel::cori_knl(), TraceConfig::disabled());
+        let (model, layers) = (NetModel::cori_knl(), extract_fc_layers(&net));
         let cfg = TrainConfig {
             lr: 0.1,
             iters: 1,
@@ -247,13 +248,14 @@ mod tests {
         };
         let grids = [(1, 4), (2, 2), (1, 8), (2, 4), (4, 2)];
         for (pr, pc) in grids.into_iter().chain([(1, 16), (2, 8), (4, 4), (8, 2)]) {
-            let grads = crate::trainer::fc_grads(&net, 512, (pr, pc), 0);
-            let rule = buckets(&grads, pc, &model);
+            let rule = plan(&layers, 512, &[(pr, pc)], 0, false, Some(&model));
+            let grads = rule.grads();
             let makespans = [0, 1, 2, 3].map(|mask| {
                 let cut = fixed(&grads, mask);
-                let lens = Some(Some(&cut[..]));
-                let r = train_grid(&net, &x, &labels, &cfg, &[(pr, pc)], model, off, lens);
-                (cut == rule, r.0.stats.makespan())
+                let r = train_cut(&net, (&x, &labels), &cfg, (pr, pc), model, |g| {
+                    fixed(g, mask)
+                });
+                (Some(cut) == rule.buckets, r.stats.makespan())
             });
             let best = makespans.iter().map(|m| m.1).fold(f64::INFINITY, f64::min);
             let (_, ruled) = *makespans

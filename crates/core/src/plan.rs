@@ -1,0 +1,365 @@
+//! The collectives one FC iteration runs, decided in one place.
+//!
+//! Eq. 8 prices each FC layer as three collectives: the forward
+//! all-gather over `Pr`, the `∆W` all-reduce over `Pc` and the `∆X` sum
+//! over `Pr`. The executed iteration runs a different list: each `∆X` sum
+//! is a reduce-scatter of the rows the layer below reads, layer 0 forms
+//! no `∆X` unless a trunk reads it, the input-split top
+//! (`trainer::split_top`) gathers no input, sums no `∆X` and
+//! all-reduces its output, and the scheduled run fuses the `∆W` sums into
+//! the buckets [`crate::overlap::buckets`] cuts. [`plan`] decides that
+//! list once per run and rank; the trainers run it
+//! (`trainer::forward_pass`, `trainer::backward_pass`),
+//! and the bucket rule, `fig8_exec` and the tests read it.
+
+use collectives::cost::{reduce_scatter_exact, CostTerms};
+use distmm::dist::part_range;
+use mpsim::NetModel;
+
+use crate::overlap::{buckets, Grad};
+use crate::trainer::FcLayer;
+
+/// How a layer's forward leaves its output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Forward {
+    /// Gathered over the column group to full depth
+    /// ([`distmm::onep5d::forward_into`]).
+    Gather,
+    /// This rank's row block alone ([`distmm::onep5d::y_partial`]): the
+    /// input-split layer above reads it as it is.
+    Keep,
+    /// Summed over the column group: the layer is input-split
+    /// ([`distmm::onep5d::forward_summed`]).
+    Sum,
+}
+
+/// What a layer's backward does with its input gradient `∆X`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dx {
+    /// Reduce-scattered over the column group: each rank keeps the rows
+    /// the layer below reads.
+    ReduceScatter,
+    /// Kept unsummed: the layer is input-split, and its local `∆X`
+    /// already is that block.
+    Local,
+    /// Not formed: layer 0, whose input gradient nothing reads.
+    Skip,
+}
+
+/// One layer's entry of a [`CommPlan`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerPlan {
+    /// What the forward does with the output.
+    pub forward: Forward,
+    /// What the backward does with `∆X`.
+    pub dx: Dx,
+    /// The input is re-laid (Eq. 6): `Pc` changes on entering the layer
+    /// ([`crate::mixed::train_mixed`]).
+    pub relaid: bool,
+    /// The layer's `∆W` as [`buckets`] reads it: this rank's `∆W` words,
+    /// the flops of its backward products and its `∆X` sum. The batch
+    /// shard is the mean one, so every member of a row group reads the
+    /// same.
+    pub grad: Grad,
+}
+
+/// A collective's kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// An all-gather of row blocks.
+    AllGather,
+    /// An all-reduce.
+    AllReduce,
+    /// The reduce-scatter half of an all-reduce.
+    ReduceScatter,
+}
+
+/// One collective a rank runs: its kind, whether it is launched
+/// non-blocking on the rank's channel, its group's size (a group of one
+/// moves nothing, and only a launch records it), and the words the rank
+/// hands it (its own block for a gather, the whole buffer otherwise).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Collective(pub Kind, pub bool, pub usize, pub usize);
+
+/// What one rank's FC iteration runs ([`plan`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CommPlan {
+    /// One entry per layer, in layer order.
+    pub layers: Vec<LayerPlan>,
+    /// The words of each `∆W` bucket, in launch order, as [`buckets`]
+    /// cuts them over the row group; `None` when the run is blocking and
+    /// each layer's `∆W` is summed on its own.
+    pub buckets: Option<Vec<usize>>,
+    /// Every collective of an iteration, in issue order.
+    pub collectives: Vec<Collective>,
+}
+
+/// The plan of rank `rank` for the chain `layers` with batch `b`:
+/// `shapes` holds one `(Pr, Pc)` per layer (the last serving every layer
+/// past it; one entry is the uniform grid), `input_grad` says whether the
+/// caller reads the input's gradient ([`crate::cnn`]), and `model` is the
+/// network model of a scheduled run, `None` for a blocking one. The
+/// rank's grids are row-major ([`distmm::onep5d::Grid::new`]).
+///
+/// # Panics
+///
+/// Panics if a scheduled run has more than one shape: the buckets are
+/// bound to one row group.
+pub fn plan(
+    layers: &[FcLayer],
+    b: usize,
+    shapes: &[(usize, usize)],
+    rank: usize,
+    input_grad: bool,
+    model: Option<&NetModel>,
+) -> CommPlan {
+    let one = model.is_none() || shapes.len() == 1;
+    assert!(one, "per-layer grids cannot be scheduled");
+    let at = |l: usize| shapes[l.min(shapes.len() - 1)];
+    let relaid = |l: usize| l > 0 && at(l - 1).1 != at(l).1;
+    // Layer `l`'s `(Pr, Pc)`, and this rank's rows of `d` and batch columns.
+    let block = |d: usize, l: usize| {
+        let (pr, pc) = at(l);
+        let cols = part_range(b, pc, rank % pc).len();
+        (pr, pc, part_range(d, pr, rank / pc).len(), cols)
+    };
+    let (mut steps, mut run) = (Vec::new(), Vec::new());
+    for (l, layer) in layers.iter().enumerate() {
+        let ((pr, pc, rows, bloc), (d, w)) = (block(layer.d_out, l), layer.split_dims());
+        let keep = layers.get(l + 1).is_some_and(|top| top.split_in) && !relaid(l + 1);
+        let (forward, op) = match (layer.split_in, keep) {
+            (true, _) => (Forward::Sum, Some((Kind::AllReduce, layer.d_out * bloc))),
+            (_, true) => (Forward::Keep, None),
+            _ => (Forward::Gather, Some((Kind::AllGather, rows * bloc))),
+        };
+        run.extend(op.map(|(kind, words)| Collective(kind, false, pr, words)));
+        let dx = match (l > 0 || input_grad, layer.split_in) {
+            (false, _) => Dx::Skip,
+            (_, true) => Dx::Local,
+            _ => Dx::ReduceScatter,
+        };
+        let (words, mean) = (part_range(d, pr, rank / pc).len() * w, b as f64 / pc as f64);
+        let sum =
+            (dx == Dx::ReduceScatter).then(|| reduce_scatter_exact(pr, layer.d_in as f64 * mean));
+        let grad = Grad {
+            words,
+            flops: if dx == Dx::Skip { 2.0 } else { 4.0 } * words as f64 * mean,
+            dx_sum: sum.unwrap_or(CostTerms::ZERO),
+        };
+        steps.push(LayerPlan {
+            forward,
+            dx,
+            relaid: relaid(l),
+            grad,
+        });
+    }
+    let grads: Vec<Grad> = steps.iter().rev().map(|s: &LayerPlan| s.grad).collect();
+    let buckets = model.map(|m| buckets(&grads, at(0).1, m));
+    let (launched, mut open, mut staged) = (buckets.is_some(), 0, 0);
+    let lens = buckets.as_deref().unwrap_or_default();
+    for (l, step) in steps.iter().enumerate().rev() {
+        let (pr, pc, rows, bloc) = block(layers[l].d_in, l);
+        let dx = Collective(Kind::ReduceScatter, launched, pr, layers[l].d_in * bloc);
+        if !launched {
+            run.push(Collective(Kind::AllReduce, false, pc, step.grad.words));
+        }
+        run.extend((step.dx == Dx::ReduceScatter).then_some(dx));
+        staged += step.grad.words;
+        // Every bucket but the last launches once its layers are in.
+        if open + 1 < lens.len() && staged == lens[open] {
+            run.push(Collective(Kind::AllReduce, true, pc, staged));
+            (open, staged) = (open + 1, 0);
+        }
+        if step.relaid {
+            run.push(Collective(Kind::AllGather, false, pr, rows * bloc));
+        }
+    }
+    if let Some(&n) = lens.last() {
+        run.push(Collective(Kind::AllReduce, true, at(0).1, n));
+    }
+    if input_grad {
+        let (pr, _, rows, bloc) = block(layers[0].d_in, 0);
+        run.push(Collective(Kind::AllGather, false, pr, rows * bloc));
+    }
+    CommPlan {
+        layers: steps,
+        buckets,
+        collectives: run,
+    }
+}
+
+impl CommPlan {
+    /// Each layer's [`Grad`] in push order, the top first, as [`buckets`]
+    /// cuts them.
+    pub fn grads(&self) -> Vec<Grad> {
+        self.layers.iter().rev().map(|l| l.grad).collect()
+    }
+
+    /// The plan with `words` riding the iteration's last `∆W` sum, layer
+    /// 0's: the riders of [`crate::trainer::Tape`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if layer 0 forms its `∆X`: words ride its sum only without.
+    pub(crate) fn ride(mut self, words: usize) -> CommPlan {
+        assert_eq!(self.layers[0].dx, Dx::Skip, "riders ride layer 0's ∆W sum");
+        self.collectives.last_mut().expect("a ∆W sum").3 += words;
+        self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cnn::{synthetic_images, train_cnn_domain_traced, CnnSpec};
+    use crate::ft_trainer::{train_1p5d_ft_traced, FtTrainConfig};
+    use crate::trainer::{
+        extract_fc_layers, synthetic_data, train_1p5d_scheduled_traced, train_1p5d_traced,
+        train_grid, TrainConfig,
+    };
+    use dnn::zoo::{mini_alexnet, mlp, mlp_tiny};
+    use dnn::Network;
+    use mpsim::{EventKind, FaultPlan, TraceConfig, WorldTrace};
+
+    /// A collective as a trace shows it: launched (the kind unrecorded)
+    /// or blocking and its kind, its group's size and its words.
+    type Seen = (bool, Option<Kind>, usize, usize);
+
+    /// What each rank of `trace` ran inside its FC passes (the `trainer`
+    /// `forward` and `backward` spans), in issue order: every
+    /// `collective` span and `nb`/`iallreduce_launch` instant over a
+    /// group of more than one.
+    fn seen(trace: &WorldTrace) -> Vec<Vec<Seen>> {
+        let ran = |ev: &[mpsim::TraceEvent]| {
+            let mut out = Vec::new();
+            for (k, pass) in ev.iter().enumerate() {
+                let fc = matches!(pass.name, "forward" | "backward") && pass.cat == "trainer";
+                if !fc || pass.kind != EventKind::Span {
+                    continue;
+                }
+                // A span is recorded when it closes: its children are the
+                // deeper events right before it.
+                let inside = ev[..k].iter().rev().take_while(|e| e.depth > pass.depth);
+                for e in inside.collect::<Vec<_>>().into_iter().rev() {
+                    let kind = match (e.cat, e.name) {
+                        ("nb", "iallreduce_launch") => None,
+                        ("collective", n) if n.starts_with("allgather") => Some(Kind::AllGather),
+                        ("collective", n) if n.starts_with("allreduce") => Some(Kind::AllReduce),
+                        ("collective", n) if n.starts_with("reduce_scatter") => {
+                            Some(Kind::ReduceScatter)
+                        }
+                        _ => continue,
+                    };
+                    let arg = |key| e.arg(key).expect("annotated") as usize;
+                    if arg("p") > 1 {
+                        out.push((kind.is_none(), kind, arg("p"), arg("words")));
+                    }
+                }
+            }
+            out
+        };
+        trace.ranks.iter().map(|r| ran(&r.events)).collect()
+    }
+
+    /// Asserts every rank of `trace` ran `iters` times, and nothing else,
+    /// what its plan `plan(rank)` lists over groups of more than one.
+    fn runs_its_plan(trace: &WorldTrace, iters: usize, plan: impl Fn(usize) -> CommPlan, at: &str) {
+        for (r, seen) in seen(trace).into_iter().enumerate() {
+            let listed: Vec<Seen> = (plan(r).collectives.into_iter())
+                .filter(|c| c.2 > 1)
+                .map(|Collective(kind, launched, p, words)| {
+                    (launched, (!launched).then_some(kind), p, words)
+                })
+                .collect();
+            assert_eq!(seen, listed.repeat(iters), "{at} rank {r}");
+        }
+    }
+
+    const ITERS: usize = 2;
+
+    fn cfg() -> TrainConfig {
+        TrainConfig {
+            lr: 0.02,
+            iters: ITERS,
+            seed: 18,
+        }
+    }
+
+    /// Every rank of `net` with batch `b` runs its plan on every grid of
+    /// P = 4, 8 and 16, blocking and, if `scheduled`, scheduled.
+    fn every_grid_runs_its_plan(net: &Network, b: usize, scheduled: bool) {
+        let (model, on, cfg) = (NetModel::cori_knl(), TraceConfig::enabled(), cfg());
+        let (x, labels) = synthetic_data(net, b, 7);
+        let layers = &extract_fc_layers(net);
+        for p in [4usize, 8, 16] {
+            for pr in (0..=p.trailing_zeros()).map(|k| 1 << k) {
+                let pc = p / pr;
+                let at = format!("{} {pr}x{pc}", net.name);
+                let plans = |m| move |r| plan(layers, b, &[(pr, pc)], r, false, m);
+                let (_, trace) = train_1p5d_traced(net, &x, &labels, &cfg, pr, pc, model, on);
+                runs_its_plan(&trace, ITERS, plans(None), &at);
+                if scheduled {
+                    let run = train_1p5d_scheduled_traced;
+                    let (_, trace) = run(net, &x, &labels, &cfg, pr, pc, model, on);
+                    runs_its_plan(&trace, ITERS, plans(Some(&model)), &at);
+                }
+            }
+        }
+    }
+
+    /// The benchmark's `fc_1p5d` (P = 8, 16) and `fig8_exec` (P = 4, 16)
+    /// run one network and batch: each rank runs, in every iteration and
+    /// in order, exactly the collectives its plan lists, blocking and
+    /// scheduled.
+    #[test]
+    fn the_fc_1p5d_and_fig8_exec_grids_run_their_plans() {
+        let net = mlp("alexnet-fc-exec", &[384, 256, 256, 10]);
+        every_grid_runs_its_plan(&net, 512, true);
+    }
+
+    /// `fig6_exec`'s grids (P = 4, 8, 16; blocking) run their plans.
+    #[test]
+    fn the_fig6_exec_grids_run_their_plans() {
+        let net = mlp("mlp-exec", &[256, 512, 512, 128, 10]);
+        every_grid_runs_its_plan(&net, 32, false);
+    }
+
+    /// A run whose `Pc` changes between layers, the CNN head on `1 × P`,
+    /// and a fault-free run of the fault-tolerant trainer, whose loss
+    /// rides layer 0's ∆W sum, run their plans.
+    #[test]
+    fn mixed_grids_the_cnn_head_and_the_ft_trainer_run_their_plans() {
+        let (model, on, cfg) = (NetModel::cori_knl(), TraceConfig::enabled(), cfg());
+        // Layer 0 on 1 × 4, the rest on 2 × 2: its output and ∆X re-laid.
+        let net = mlp("m", &[16, 24, 12, 6]);
+        let (x, labels) = synthetic_data(&net, 24, 3);
+        let (layers, shapes) = (extract_fc_layers(&net), [(1, 4), (2, 2)]);
+        let plans = |l: &[FcLayer], r| plan(l, 24, &shapes, r, false, None);
+        let (_, trace) = train_grid(&net, &x, &labels, &cfg, &shapes, model, on, plans);
+        runs_its_plan(&trace, ITERS, |r| plans(&layers, r), "1x4 then 2x2");
+
+        let net = mini_alexnet();
+        let (x, labels) = synthetic_images(&net, 8, 5);
+        let spec = CnnSpec::of(&net).expect("a CNN");
+        for (pd, pc) in [(2, 2), (1, 4)] {
+            let (_, trace) = train_cnn_domain_traced(&net, &x, &labels, &cfg, pd, pc, model, on);
+            let head = |r| plan(&spec.fcs, 8, &[(1, pd * pc)], r, true, Some(&model));
+            runs_its_plan(&trace, ITERS, head, &format!("CNN head {pd}x{pc}"));
+        }
+
+        let net = mlp_tiny();
+        let (x, labels) = synthetic_data(&net, 24, 5);
+        let layers = extract_fc_layers(&net);
+        let ft = FtTrainConfig {
+            iters: ITERS,
+            ..FtTrainConfig::default()
+        };
+        let model = ft.machine.net_model();
+        for (pr, pc) in [(2, 2), (1, 4)] {
+            let none = FaultPlan::default();
+            let (_, trace) = train_1p5d_ft_traced(&net, &x, &labels, &ft, pr, pc, none, on);
+            let plan = |r| plan(&layers, 24, &[(pr, pc)], r, false, Some(&model)).ride(pc);
+            runs_its_plan(&trace, ITERS, plan, &format!("FT {pr}x{pc}"));
+        }
+    }
+}

@@ -7,7 +7,10 @@
 //! `Y = W·X` products the paper's algebra describes. A convolutional
 //! trunk trains in [`crate::cnn`] (domain parallelism,
 //! `distmm::domain_general`), whose FC head runs the same
-//! `forward_pass`/`backward_pass` pair as every trainer here.
+//! `forward_pass`/`backward_pass` pair as every trainer here. That pair
+//! runs the collectives the rank's plan lists ([`crate::plan::plan`]):
+//! which one each layer's forward and backward issue, and the ∆W
+//! buckets of a scheduled run.
 //!
 //! Dropout layers are treated as identity (inference-mode): randomized
 //! masks would make the serial-vs-distributed comparison seed-order
@@ -15,7 +18,6 @@
 
 use std::borrow::Cow;
 
-use collectives::cost::{reduce_scatter_exact, CostTerms};
 use collectives::{allreduce_riding, iallreduce_riding, IallreduceHandle, ReduceOp};
 use dnn::{LayerSpec, Network};
 use mpsim::{Communicator, Error, NetModel, TraceConfig, World, WorldStats, WorldTrace};
@@ -27,13 +29,14 @@ use tensor::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use tensor::ops::{self, axpy};
 use tensor::Matrix;
 
-use distmm::dist::{col_shard, part_range, row_shard};
+use distmm::dist::{col_shard, row_shard};
 use distmm::onep5d::{
     backward_dw_deferred, backward_with, dw_partial, dy_block, forward_into, forward_summed,
     y_partial, Grid, Guard,
 };
 
-use crate::overlap::{buckets, Grad, OverlapPlan};
+use crate::overlap::OverlapPlan;
+use crate::plan::{plan, CommPlan, Dx, Forward};
 
 /// Activation following an FC layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +48,7 @@ pub(crate) enum Act {
 
 /// One trainable FC layer extracted from a [`Network`].
 #[derive(Debug, Clone)]
-pub(crate) struct FcLayer {
+pub struct FcLayer {
     pub(crate) d_in: usize,
     pub(crate) d_out: usize,
     pub(crate) act: Act,
@@ -95,7 +98,7 @@ pub(crate) fn split_top(layers: &mut [FcLayer]) {
 /// # Panics
 ///
 /// Panics if the network contains conv/pool layers (see module docs).
-pub(crate) fn extract_fc_layers(net: &Network) -> Vec<FcLayer> {
+pub fn extract_fc_layers(net: &Network) -> Vec<FcLayer> {
     let mut out: Vec<FcLayer> = Vec::new();
     for (spec, in_shape, out_shape) in net.layers() {
         match spec {
@@ -138,22 +141,17 @@ pub(crate) fn init_weights(layers: &[FcLayer], seed: u64) -> Vec<Matrix> {
 /// [`layer_grid`]) — rows, or the columns of an input-split top.
 pub(crate) fn shard_weights(layers: &[FcLayer], full: &[Matrix], grids: &[Grid]) -> Vec<Matrix> {
     let shard = |(l, w)| {
-        let (grid, layer) = (layer_grid(grids, l).0, &layers[l]);
+        let (grid, layer) = (layer_grid(grids, l), &layers[l]);
         let block = row_shard(&layer.orient(Cow::Borrowed(w)), grid.pr, grid.i);
         layer.orient(Cow::Owned(block)).into_owned()
     };
     full.iter().enumerate().map(shard).collect()
 }
 
-/// Layer `l`'s grid — `grids[l]`, the last entry serving every layer
-/// past it, so a one-element slice is the uniform grid — and, when the
-/// batch split `Pc` changes on entering the layer, the grid of layer
-/// `l − 1`: the boundary where activations (forward) and `∆X`
-/// (backward) are re-laid by the asymptotically free Eq. 6 exchange.
-fn layer_grid(grids: &[Grid], l: usize) -> (&Grid, Option<&Grid>) {
-    let at = |l: usize| &grids[l.min(grids.len() - 1)];
-    let relaid_from = (l > 0 && at(l - 1).pc != at(l).pc).then(|| at(l - 1));
-    (at(l), relaid_from)
+/// Layer `l`'s grid: `grids[l]`, the last entry serving every layer
+/// past it, so a one-element slice is the uniform grid.
+fn layer_grid(grids: &[Grid], l: usize) -> &Grid {
+    &grids[l.min(grids.len() - 1)]
 }
 
 /// Applies a layer's activation in place: `y` arrives as the
@@ -390,17 +388,16 @@ pub fn train_1p5d_traced(
     model: NetModel,
     trace: TraceConfig,
 ) -> (DistResult, WorldTrace) {
-    train_grid(net, x, labels, cfg, &[(pr, pc)], model, trace, None)
+    let blocking = |l: &[FcLayer], r| plan(l, x.cols(), &[(pr, pc)], r, false, None);
+    train_grid(net, x, labels, cfg, &[(pr, pc)], model, trace, blocking)
 }
 
 /// The one world runner behind the plain entry points and
 /// [`crate::mixed::train_mixed`]: `shapes` holds one `(pr, pc)` per
 /// layer (the last serving every layer past it — one entry is the
-/// uniform grid); `plan = None` trains with blocking collectives,
-/// `Some(lens)` with the scheduled overlap engine: its ∆W buckets hold
-/// the words `lens` lists on every rank or, for `Some(None)`, those
-/// [`buckets`] cuts for the rank's grid row ([`row_buckets`]), once per
-/// run. Every rank runs the shared
+/// uniform grid), and each rank runs the plan `plans(layers, rank)`
+/// makes it once per run ([`crate::plan::plan`] of the same shapes;
+/// a test may swap in buckets of its own). Every rank runs the shared
 /// [`forward_pass`]/[`backward_pass`] pair unguarded with a plain SGD
 /// `axpy` as the optimizer apply. The result's `pr`/`pc` and every
 /// [`RankOutcome`]'s `(i, j)` are layer 0's.
@@ -413,7 +410,7 @@ pub(crate) fn train_grid(
     shapes: &[(usize, usize)],
     model: NetModel,
     trace: TraceConfig,
-    plan: Option<Option<&[usize]>>,
+    plans: impl Fn(&[FcLayer], usize) -> CommPlan + Sync,
 ) -> (DistResult, WorldTrace) {
     let layers = extract_fc_layers(net);
     let b_global = x.cols();
@@ -434,8 +431,7 @@ pub(crate) fn train_grid(
         };
         // The loss is taken where the logits land.
         let labels_local = &labels[last.x_cols(b_global)];
-        let rule = || row_buckets(&layers, b_global, first);
-        let lens = plan.map(|lens| lens.map_or_else(rule, <[_]>::to_vec));
+        let plan = plans(&layers, comm.rank());
         let mut apply =
             |w: &mut [Matrix], k: usize, g: &[f64]| axpy(-cfg.lr, g, w[k].as_mut_slice());
         let mut partial_losses = Vec::with_capacity(cfg.iters);
@@ -448,12 +444,12 @@ pub(crate) fn train_grid(
                 labels_local,
                 b_global,
                 iter: it,
-                plan: lens.as_deref(),
+                plan: &plan,
             };
             let tape = forward_pass(&pass, &w_local).expect("forward");
             partial_losses.push(tape.loss);
             let (sched, ..) =
-                backward_pass(&pass, tape, &mut w_local, &mut apply, false).expect("backward");
+                backward_pass(&pass, tape, &mut w_local, &mut apply).expect("backward");
             optimizer_step(&first.row_comm, it, sched, &mut w_local, &mut apply).expect("step");
         }
         RankOutcome {
@@ -479,7 +475,7 @@ pub(crate) fn train_grid(
 pub(crate) struct Pass<'a> {
     /// One grid per layer, the last serving every layer past it (see
     /// [`layer_grid`]): `std::slice::from_ref(&grid)` is the uniform
-    /// run. More than one entry cannot be combined with `plan`.
+    /// run. `plan` was made for the same shapes.
     pub(crate) grids: &'a [Grid],
     /// The check on every local GEMM. How the collectives treat faults
     /// is the policy of the communicator `grids` were built on.
@@ -493,13 +489,12 @@ pub(crate) struct Pass<'a> {
     pub(crate) b_global: usize,
     /// Iteration number, carried on every phase span of the trace.
     pub(crate) iter: usize,
-    /// `None`: blocking ∆W and ∆X sums, ∆W applied layer by layer.
-    /// `Some(lens)`: each ∆X sum hides behind its layer's ∆W product, and
-    /// the ∆W partials are bucketed, `lens` words a bucket in launch
-    /// order (what [`crate::overlap::buckets`] cut once for the run, in
-    /// every trainer), through a [`BucketScheduler`] that
+    /// This rank's plan: which collective each layer runs, and whether
+    /// the ∆W sums are blocking, applied layer by layer, or bucketed —
+    /// each ∆X sum then hidden behind its layer's ∆W product, and the
+    /// buckets launched through a [`BucketScheduler`] that
     /// [`backward_pass`] returns for [`optimizer_step`] to drain.
-    pub(crate) plan: Option<&'a [usize]>,
+    pub(crate) plan: &'a CommPlan,
 }
 
 /// What [`forward_pass`] leaves for [`backward_pass`].
@@ -527,46 +522,37 @@ pub(crate) struct Tape {
 }
 
 /// The forward half of the one iteration body (Eq. 8: all-gather
-/// `W_i·X_j` over `Pr`, layer by layer), then the loss gradient. Every
-/// layer's output is gathered straight into its tape entry and
-/// activated there — except below an input-split top
-/// ([`FcLayer::split_in`]), which keeps its row block, while the top
-/// sums its output over `Pr` ([`forward_summed`]). Where the batch split
-/// changes between two layers ([`layer_grid`]) the activation is
-/// gathered and re-laid first, and the tape keeps the re-laid copy (an
+/// `W_i·X_j` over `Pr`, layer by layer), then the loss gradient, each
+/// layer running the [`Forward`] its plan lists. Every layer's output is
+/// gathered straight into its tape entry and activated there — except
+/// below an input-split top ([`FcLayer::split_in`]), which keeps its row
+/// block, while the top sums its output over `Pr` ([`forward_summed`]).
+/// Where the plan re-lays a layer's input (the batch split changes) the
+/// activation is re-laid first, and the tape keeps the re-laid copy (an
 /// input-split layer's row block of it) as that layer's input.
 pub(crate) fn forward_pass(p: &Pass<'_>, w: &[Matrix]) -> Result<Tape, Error> {
     let (grids, guard, layers) = (p.grids, p.guard, p.layers);
-    if p.plan.is_some() && grids.len() > 1 {
-        return Err(Error::CollectiveMismatch(
-            "per-layer grids cannot be scheduled: the gradient buckets are bound to one \
-             row group"
-                .into(),
-        ));
-    }
     let comm = &grids[0].row_comm;
     let mut acts: Vec<Matrix> = Vec::with_capacity(layers.len());
     let mut relaid = Vec::new();
     {
         let _fwd = comm.trace_span("trainer", "forward", &[("iter", p.iter as f64)]);
-        for (idx, l) in layers.iter().enumerate() {
+        for (idx, (l, step)) in layers.iter().zip(&p.plan.layers).enumerate() {
             let _layer = comm.trace_span("trainer", "layer_fwd", &[("layer", idx as f64)]);
-            let (grid, relaid_from) = layer_grid(grids, idx);
+            let grid = layer_grid(grids, idx);
             let mut x = acts.last().unwrap_or(p.x_local);
-            if let Some(from) = relaid_from {
-                let full = from.relayout_cols(grid, x, p.b_global)?;
-                relaid.push(match l.split_in {
-                    true => dy_block(grid, Cow::Owned(full)).into_owned(),
-                    false => full,
+            if step.relaid {
+                let full = layer_grid(grids, idx - 1).relayout_cols(grid, x, p.b_global)?;
+                relaid.push(match step.forward {
+                    Forward::Sum => dy_block(grid, Cow::Owned(full)).into_owned(),
+                    _ => full,
                 });
                 x = relaid.last().expect("just pushed");
             }
-            let keeps_block = layers.get(idx + 1).is_some_and(|top| top.split_in)
-                && layer_grid(grids, idx + 1).1.is_none();
-            let mut y = match (l.split_in, keeps_block) {
-                (true, _) => forward_summed(grid, &w[idx], x, guard)?,
-                (_, true) => y_partial(grid, &w[idx], x, guard)?,
-                _ => forward_into(grid, &w[idx], x, l.d_out, guard)?,
+            let mut y = match step.forward {
+                Forward::Sum => forward_summed(grid, &w[idx], x, guard)?,
+                Forward::Keep => y_partial(grid, &w[idx], x, guard)?,
+                Forward::Gather => forward_into(grid, &w[idx], x, l.d_out, guard)?,
             };
             apply_act(l.act, &mut y);
             acts.push(y);
@@ -597,22 +583,23 @@ pub(crate) type Backward = (Option<BucketScheduler>, Option<Matrix>, Vec<f64>);
 /// over `Pc`; `∆X` over `Pr`, run as the reduce-scatter of the rows the
 /// layer below reads), up to the optimizer step: every summed `∆W_i`
 /// reaches `apply(w, layer, summed)` exactly once, here or in
-/// [`optimizer_step`].
+/// [`optimizer_step`]. Which collectives run is the pass's plan
+/// ([`crate::plan::plan`]): each layer's [`Dx`], and the ∆W buckets.
 ///
 /// The gradient carried from layer to layer is this rank's row block
 /// `∆Y_{i,j}` ([`Grid::w_rows`]), never the full-depth `∆Y_j`: the loss
 /// gradient is cut to its rows once, each activation backward reads the
 /// same rows of the saved output in place, and each layer's `∆X`
 /// reduce-scatter leaves exactly the next block. An input-split top
-/// ([`FcLayer::split_in`]) reads the whole loss gradient, and its local
-/// `∆X` already is the block the layer below reads: no sum. Where a
+/// ([`Forward::Sum`], [`Dx::Local`]) reads the whole loss gradient, and
+/// its local `∆X` already is the block the layer below reads: no sum. Where a
 /// layer's input was re-laid (the batch split changes,
 /// [`crate::mixed::train_mixed`]), the blocks are gathered back to full
 /// depth over the column group — the all-reduce's other half, so those
 /// words are an all-reduce's — re-laid, and cut to the lower grid's
 /// rows.
 ///
-/// Blocking (`p.plan` is `None`): each layer's ∆W is summed and
+/// Blocking (the plan cuts no buckets): each layer's ∆W is summed and
 /// applied on the spot — ∆X was already formed from the pre-update
 /// weights — and no scheduler is returned. Scheduled
 /// ([`backward_dw_deferred`]): each layer's ∆X sum is on the channel
@@ -624,15 +611,15 @@ pub(crate) type Backward = (Option<BucketScheduler>, Option<Matrix>, Vec<f64>);
 /// at once (the FC trainers) or after more backward work (the CNN
 /// trunk, [`crate::cnn`]).
 ///
-/// `input_grad` says whether the caller reads `∂loss/∂x_local`, which
-/// is then returned at full depth: a trunk in front of the FC chain
-/// back-propagates it further ([`crate::cnn`]). An FC network's input
-/// has no use for it — the paper does "not need to backpropagate the
-/// gradient beyond the first layer", and Eq. 8 prices no ∆X term there —
-/// so without it layer 0 runs its ∆W partial alone ([`dw_partial`]): no
+/// Where the plan forms layer 0's ∆X, `∂loss/∂x_local` is returned at
+/// full depth: a trunk in front of the FC chain back-propagates it
+/// further ([`crate::cnn`]). An FC network's input has no use for it —
+/// the paper does "not need to backpropagate the gradient beyond the
+/// first layer", and Eq. 8 prices no ∆X term there — so otherwise
+/// ([`Dx::Skip`]) layer 0 runs its ∆W partial alone ([`dw_partial`]): no
 /// ∆X GEMM and no column-group sum, every weight bit unchanged.
 ///
-/// Without `input_grad`, the tape's [`Tape::riders`] ride layer 0's ∆W
+/// With [`Dx::Skip`], the tape's [`Tape::riders`] ride layer 0's ∆W
 /// sum after its gradient, no block of the sum cut for them
 /// ([`allreduce_riding`]), so every ∆W bit is what it is without them.
 /// Blocking, their sums are the third value returned (empty when none
@@ -643,9 +630,8 @@ pub(crate) fn backward_pass(
     tape: Tape,
     w: &mut [Matrix],
     apply: &mut impl FnMut(&mut [Matrix], usize, &[f64]),
-    input_grad: bool,
 ) -> Result<Backward, Error> {
-    let (grids, guard) = (p.grids, p.guard);
+    let (grids, guard, steps) = (p.grids, p.guard, &p.plan.layers);
     let comm = &grids[0].row_comm;
     let iter_arg = [("iter", p.iter as f64)];
     let Tape {
@@ -655,18 +641,22 @@ pub(crate) fn backward_pass(
         mut riders,
         ..
     } = tape;
-    let mut sched = p.plan.map(|lens| {
+    let input_grad = steps[0].dx != Dx::Skip;
+    let mut sched = p.plan.buckets.as_deref().map(|lens| {
         let rides = (!input_grad).then(|| std::mem::take(&mut riders));
         BucketScheduler::new(comm, lens, rides.unwrap_or_default())
     });
-    let (top, split) = (p.layers.len() - 1, p.layers[p.layers.len() - 1].split_in);
-    let cut = |g| dy_block(layer_grid(grids, top).0, Cow::Owned(g)).into_owned();
+    let (top, split) = (
+        steps.len() - 1,
+        steps[steps.len() - 1].forward == Forward::Sum,
+    );
+    let cut = |g| dy_block(layer_grid(grids, top), Cow::Owned(g)).into_owned();
     let mut dy = if split { grad } else { cut(grad) };
     {
         let _bwd = comm.trace_span("trainer", "backward", &iter_arg);
-        for (idx, l) in p.layers.iter().enumerate().rev() {
+        for (idx, (l, step)) in p.layers.iter().zip(steps).enumerate().rev() {
             let _layer = comm.trace_span("trainer", "layer_bwd", &[("layer", idx as f64)]);
-            let (grid, relaid_from) = layer_grid(grids, idx);
+            let grid = layer_grid(grids, idx);
             // The saved output's rows that `dy` holds: all of them when
             // the layer kept its block or is input-split.
             let (all, bloc) = (acts[idx].rows() == dy.rows(), dy.cols());
@@ -674,7 +664,7 @@ pub(crate) fn backward_pass(
             let post = &acts[idx].as_slice()[from * bloc..][..dy.len()];
             act_backward(l.act, post, &mut dy);
             let popped;
-            let xl = if relaid_from.is_some() {
+            let xl = if step.relaid {
                 popped = relaid.pop().expect("forward re-laid this input");
                 &popped
             } else if idx == 0 {
@@ -682,7 +672,7 @@ pub(crate) fn backward_pass(
             } else {
                 &acts[idx - 1]
             };
-            if idx == 0 && !input_grad {
+            if step.dx == Dx::Skip {
                 let dw = dw_partial(grid, xl, &dy, guard)?;
                 if let Some(sched) = &mut sched {
                     sched.push(idx, dw)?;
@@ -695,25 +685,27 @@ pub(crate) fn backward_pass(
                 }
                 break;
             }
+            let local = step.dx == Dx::Local;
             let dx = match &mut sched {
                 None => {
-                    let (dw, dx) = backward_with(grid, &w[idx], xl, &dy, guard, l.split_in)?;
+                    let (dw, dx) = backward_with(grid, &w[idx], xl, &dy, guard, local)?;
                     apply(w, idx, dw.as_slice());
                     dx
                 }
                 Some(sched) => {
-                    let (dw, dx) = backward_dw_deferred(grid, &w[idx], xl, &dy, guard, l.split_in)?;
+                    let (dw, dx) = backward_dw_deferred(grid, &w[idx], xl, &dy, guard, local)?;
                     sched.push(idx, dw)?;
                     dx
                 }
             };
-            dy = match relaid_from {
-                Some(to) => {
+            dy = match step.relaid {
+                true => {
+                    let to = layer_grid(grids, idx - 1);
                     let full = grid.gather_rows(dx, l.d_in)?;
                     let relaid = grid.relayout_cols(to, &full, p.b_global)?;
                     dy_block(to, Cow::Owned(relaid)).into_owned()
                 }
-                None => dx,
+                false => dx,
             };
         }
         if let Some(sched) = &mut sched {
@@ -746,49 +738,6 @@ pub(crate) fn optimizer_step(
     let _step = comm.trace_span("trainer", "optimizer_step", &iter_arg);
     sched.drain(|k, g| apply(w, k, g))
 }
-
-/// The [`Grad`]s the scheduled FC trainers hand
-/// [`crate::overlap::buckets`] for `net` with batch `b` on the ranks of
-/// row `i` of a `pr × pc` grid.
-pub fn fc_grads(net: &Network, b: usize, (pr, pc): (usize, usize), i: usize) -> Vec<Grad> {
-    chain_grads(&extract_fc_layers(net), b, (pr, pc, i), false)
-}
-
-/// The words of each ∆W bucket the scheduled FC trainers fill on `g`'s
-/// grid row for the chain `layers` with batch `b`:
-/// [`crate::overlap::buckets`] of its [`chain_grads`], summed over the
-/// row group.
-pub(crate) fn row_buckets(layers: &[FcLayer], b: usize, g: &Grid) -> Vec<usize> {
-    let grads = chain_grads(layers, b, (g.pr, g.pc, g.i), false);
-    buckets(&grads, g.row_comm.size(), &g.row_comm.model())
-}
-
-/// The [`Grad`]s of the chain `layers`, in push order (the top first),
-/// on grid row `i`: each layer's ∆W shard, the flops of its backward
-/// products, and its ∆X reduce-scatter over the column group. Layer 0
-/// forms no ∆X unless the caller reads it (`input_grad`); an input-split
-/// layer sums none. The batch shard is the mean one, so every member of
-/// a row group cuts the same buckets.
-pub(crate) fn chain_grads(layers: &[FcLayer], b: usize, at: Row, input_grad: bool) -> Vec<Grad> {
-    let ((pr, pc, i), rev) = (at, layers.iter().enumerate().rev());
-    let bloc = b as f64 / pc as f64;
-    rev.map(|(idx, l)| {
-        let ((d, w), dx) = (l.split_dims(), idx > 0 || input_grad);
-        let words = part_range(d, pr, i).len() * w;
-        let sum = (dx && !l.split_in).then(|| reduce_scatter_exact(pr, l.d_in as f64 * bloc));
-        let flops = if dx { 4.0 } else { 2.0 } * words as f64 * bloc;
-        let dx_sum = sum.unwrap_or(CostTerms::ZERO);
-        Grad {
-            words,
-            flops,
-            dx_sum,
-        }
-    })
-    .collect()
-}
-
-/// A rank's grid row: `(Pr, Pc, i)`.
-type Row = (usize, usize, usize);
 
 /// One gradient bucket in flight (or already settled locally).
 struct PendingBucket {
@@ -836,8 +785,9 @@ pub(crate) struct BucketScheduler {
     /// reverse launch order: the last entry is the open bucket's.
     lens: Vec<usize>,
     pending: Vec<PendingBucket>,
-    /// The open bucket's partials, `(layer, ∆W)` in push order.
-    staged: Vec<(usize, Matrix)>,
+    /// The open bucket's words so far, its partials in push order, and
+    /// its `(layer, words)` segments.
+    staged: (Vec<f64>, Vec<(usize, usize)>),
     /// Words that ride the last bucket, after its segments: no block of
     /// the sum is cut for them ([`iallreduce_riding`]), and
     /// [`BucketScheduler::drain`] returns their sums.
@@ -853,7 +803,7 @@ impl BucketScheduler {
             comm: comm.clone(),
             lens: lens.iter().rev().copied().collect(),
             pending: Vec::new(),
-            staged: Vec::new(),
+            staged: Default::default(),
             riders,
         }
     }
@@ -861,48 +811,40 @@ impl BucketScheduler {
     /// Stages layer `idx`'s local ∆W partial, launches the bucket once
     /// its last layer is in — all but the last bucket, which the caller
     /// [`BucketScheduler::flush`]es when backward is done — then polls.
-    /// Panics if the open bucket cannot hold the partial.
+    /// The bucket is stored once: its first partial reserves its length,
+    /// riders included, and each partial is copied in, except a partial
+    /// that is the whole bucket and carries no rider, which is taken as
+    /// it is. Panics if the open bucket cannot hold the partial.
     pub(crate) fn push(&mut self, idx: usize, dw: Matrix) -> Result<(), Error> {
-        self.staged.push((idx, dw));
-        let staged: usize = self.staged.iter().map(|(_, m)| m.len()).sum();
         let open = *self.lens.last().expect("a bucket is open");
+        let rides = self.riders.len() * usize::from(self.lens.len() == 1);
+        let (data, segs) = &mut self.staged;
+        let staged = data.len() + dw.len();
         assert!(staged <= open, "layer {idx}: {staged} ∆W words past {open}");
+        segs.push((idx, dw.len()));
+        if data.is_empty() && (staged, rides) == (open, 0) {
+            *data = dw.into_vec();
+        } else {
+            data.reserve_exact(open + rides - data.len());
+            data.extend_from_slice(dw.as_slice());
+        }
         if self.lens.len() > 1 && staged == open {
             self.flush()?;
         }
         self.poll()
     }
 
-    /// Launches the filled bucket, the riders after the last one's
-    /// segments, recording a `bucket_flush` instant. The bucket is its
-    /// last partial, grown once to its exact length (riders included)
-    /// with the earlier partials' words moved in front: a bucket of one
-    /// partial and no rider is that partial, never copied. Over a
+    /// Launches the filled bucket, the riders appended after the last
+    /// one's segments, recording a `bucket_flush` instant. Over a
     /// single-member row group the all-reduce has no step, and
     /// [`collectives::iallreduce`] counts no launch, so the launch counts
     /// that normalize the measured overlap fraction hold none. Panics if
     /// the staged partials do not fill the bucket.
     pub(crate) fn flush(&mut self) -> Result<(), Error> {
-        let (mut parts, words) = (std::mem::take(&mut self.staged), self.lens.pop());
-        let words = words.expect("a bucket is open");
+        let (mut data, segs) = std::mem::take(&mut self.staged);
+        let words = self.lens.pop().expect("a bucket is open");
         let rides = self.riders.len() * usize::from(self.lens.is_empty());
-        let segs: Vec<(usize, usize)> = parts.iter().map(|(i, m)| (*i, m.len())).collect();
-        let staged = segs.iter().map(|s| s.1).sum::<usize>();
-        assert_eq!(staged, words, "bucket {segs:?} flushed short");
-        let (_, last) = parts.pop().expect("a filled bucket");
-        let mut data = last.into_vec();
-        let head = words - data.len();
-        data.reserve_exact(head + rides);
-        if head > 0 {
-            let tail = data.len();
-            data.resize(words, 0.0);
-            data.copy_within(..tail, head);
-            let mut at = 0;
-            for (_, dw) in &parts {
-                data[at..at + dw.len()].copy_from_slice(dw.as_slice());
-                at += dw.len();
-            }
-        }
+        assert_eq!(data.len(), words, "bucket {segs:?} flushed short");
         data.extend(self.riders.drain(..rides));
         // Pushed top down: the first segment is the highest layer.
         let (max_layer, min_layer) = (segs[0].0, segs[segs.len() - 1].0);
@@ -983,12 +925,9 @@ impl BucketScheduler {
 /// Synchronous SGD semantics are preserved: the trajectory matches
 /// [`train_serial`] up to the reduction-order noise of fusing layer
 /// shards into shared buckets (~1 ulp; replicas within a row group
-/// remain bitwise identical). The default plan's clock is the retired
-/// overlap engine's less layer 0's ∆X, which that engine still formed,
-/// less the latency its rings paid, and less the ∆X transfer each layer
-/// now hides behind its ∆W product; on grids of 2-rank groups its
-/// weights are that engine's to the bit. Golden constants in this
-/// module's tests pin both.
+/// remain bitwise identical). On grids of 2-rank groups its weights are
+/// the retired overlap engine's to the bit. Golden constants in this
+/// module's tests pin its clock and weights.
 #[allow(clippy::too_many_arguments)]
 pub fn train_1p5d_scheduled(
     net: &Network,
@@ -1019,7 +958,9 @@ pub fn train_1p5d_scheduled_traced(
     model: NetModel,
     trace: TraceConfig,
 ) -> (DistResult, WorldTrace) {
-    train_grid(net, x, labels, cfg, &[(pr, pc)], model, trace, Some(None))
+    let (b, sched) = (x.cols(), Some(&model));
+    let scheduled = |l: &[FcLayer], r| plan(l, b, &[(pr, pc)], r, false, sched);
+    train_grid(net, x, labels, cfg, &[(pr, pc)], model, trace, scheduled)
 }
 
 /// Synthetic classification data shaped for a network: inputs in
@@ -1046,9 +987,8 @@ pub(crate) mod tests {
     /// grids with a 4-rank group it was re-recorded when all-reduces
     /// began running the selected schedule, whose recursive halving sums
     /// in another order (a 2-rank sum is one addition either way). The
-    /// clock words are re-recorded and, on evenly divided grids, derived
-    /// from the retired engine's by [`assert_retired_clock_less_layer0_dx`].
-    /// Every golden was recorded under the 8 192-word buckets the
+    /// clock words were re-recorded with every change to what the
+    /// iteration runs. Every golden was recorded under the 8 192-word buckets the
     /// scheduler cut before the rule, which the tests now name
     /// ([`scheduled_at_8192`]).
     fn assert_pr3_golden(r: &DistResult, golden: [u64; 3]) {
@@ -1067,74 +1007,6 @@ pub(crate) mod tests {
             got, golden,
             "grid {}x{}: [makespan, overlapped, weight fnv] {got:#018x?} vs golden {golden:#018x?}",
             r.pr, r.pc
-        );
-    }
-
-    /// Asserts `r`'s clock is the retired engine's, `retired` =
-    /// `[makespan bits, overlapped bits]`, less what layer 0's ∆X cost
-    /// it on an MLP of widths `dims = [d0, d1, …]` with batch `b`: per
-    /// iteration, one `W₀ᵀ·∆Y` GEMM and, over `Pr > 1`, a ring all-reduce
-    /// of the `d0 × B/Pc` gradient — `2(Pr − 1)` steps of
-    /// `α + β·d0·B/(Pc·Pr)`. Over `Pr > 1` both sat on the critical path,
-    /// so the makespan falls by exactly their sum. Over `Pr = 1` the GEMM
-    /// ran while the ∆W ring was in flight: the makespan holds, and the
-    /// overlapped time falls by that GEMM on every rank. The makespan
-    /// also falls by `saved` per iteration: the `(α-steps, words)` the
-    /// selected schedules take off the critical path that the engine's
-    /// rings held (derived per grid at the call sites).
-    ///
-    /// Over `Pr > 1` each layer `l ≥ 1` below the top now also hides its
-    /// ∆X sum, which the engine ran blocking, behind its own ∆W GEMM: on
-    /// every rank, per iteration, the shorter of the GEMM
-    /// (`2·d_l/Pr·d_{l−1}·B/Pc` flops) and the sum, a reduce-scatter
-    /// ([`collectives::cost::reduce_scatter_exact`] of `d_{l−1}·B/Pc`
-    /// words over `Pr`). The makespan falls by that much
-    /// and the overlapped time rises by it on every rank. Only evenly
-    /// divided layers have this closed form: on a ragged one the
-    /// short-shard ranks launch their sum early and the group leaves the
-    /// layer at different times. The top is input-split
-    /// ([`FcLayer::split_in`]): it hides nothing, and what it no longer
-    /// sends — the gather of its input, its ∆X all-reduce — and the
-    /// all-reduce that replaced its output's gather are in `saved`. Its
-    /// GEMMs take the flops they took split by rows.
-    fn assert_retired_clock_less_layer0_dx(
-        r: &DistResult,
-        model: &NetModel,
-        (dims, b, iters): (&[usize], usize, usize),
-        retired: [u64; 2],
-        saved: (f64, f64),
-    ) {
-        let (pr, pc, bloc) = (r.pr, r.pc, b / r.pc);
-        let (d0, d1) = (dims[0], dims[1]);
-        let gemm = 2.0 * (d0 * (d1 / pr) * bloc) as f64 / model.flops;
-        let ring = (2 * (pr - 1)) as f64 * (model.alpha + model.beta * (d0 * bloc / pr) as f64);
-        let [makespan, overlapped] = retired.map(f64::from_bits);
-        let schedules = iters as f64 * (saved.0 * model.alpha + saved.1 * model.beta);
-        let hidden_dx: f64 = dims[1..dims.len() - 1]
-            .windows(2)
-            .map(|w| {
-                let (d_in, d_out) = (w[0], w[1]);
-                assert_eq!(d_out % pr, 0, "layer of {d_out} rows is ragged over {pr}");
-                let gemm = 2.0 * (d_out / pr * d_in * bloc) as f64 / model.flops;
-                let sum = collectives::cost::reduce_scatter_exact(pr, (d_in * bloc) as f64);
-                gemm.min(sum.seconds(model))
-            })
-            .sum();
-        let (dm, dov) = if pr > 1 {
-            let dx = iters as f64 * (gemm + ring + hidden_dx);
-            (dx + schedules, -((pr * pc * iters) as f64) * hidden_dx)
-        } else {
-            (schedules, (pc * iters) as f64 * gemm)
-        };
-        let grid = format!("grid {pr}x{pc}");
-        assert!(
-            (makespan - dm - r.stats.makespan()).abs() < 1e-15,
-            "{grid}: makespan"
-        );
-        let hidden = r.stats.total_overlapped_secs();
-        assert!(
-            (overlapped - dov - hidden).abs() < 1e-15,
-            "{grid}: overlapped"
         );
     }
 
@@ -1204,68 +1076,26 @@ pub(crate) mod tests {
             iters: 2,
             seed: 1,
         };
-        // (grid, golden, the retired engine's clock words and the
-        // (α-steps, words) per iteration the selected schedules save over
-        // its rings). With α/β = 1000 words, a 4-rank sum under 4000 words
-        // runs recursive doubling and a larger one halving; 2-rank sums
-        // and gathers double, one step each.
-        // * 1×4: two ∆W buckets (10 176 and 6 144 words) halve, 4 steps
-        //   against the ring's 6: (4, 0).
-        // * 2×4: layer 1's ∆X reduce-scatter over 2 ranks, one step of
-        //   384 words against the ring's 2 of 384 (1, 384); the top's ∆X
-        //   sum (2, 768) and the gather of its input (1, 384) are gone;
-        //   its logits' gather, one ring step of 40 words, became a
-        //   doubling all-reduce, one step of 80 (0, −40); and one ∆W
-        //   bucket of 8 160 words halves (2, 0): (6, 1 496). Layer 1's ∆X
-        //   sum (13.84 µs) hides behind its ∆W GEMM.
-        // * 4×2 has no retired-clock form, because the retired engine's
-        //   10-row layer split 2, 3, 2, 3 (the input-split top now takes
-        //   24 of the 96 input columns a rank, and no layer is ragged). Before the ∆X sums went on the channel it read
-        //   [0x3f532314cf675343, 0x3c28000000000000], which is the retired
-        //   clock less (12, −1 520): three gathers over 4 ranks take 2
-        //   steps against 3, and the ragged one's critical path is 16 words
-        //   shorter (128 against the ring's 144); two 1 536-word ∆X sums
-        //   double, 2 steps of n words against 6 of n/4, so 8 steps and
-        //   −1 536 words; one ∆W bucket over 2 ranks takes one step. Now the
-        //   2-row ranks launch layer 2's sum 3.072 µs early, and the
-        //   doubling's second step pairs like with like, so the two halves
-        //   of the group leave the layer 3.072 µs apart. The critical path
-        //   moves to the 2-row ranks: 60.896 µs per iteration faster (2
-        //   α-steps, 3 168 words, 9 216 flops), and 467.2 µs per iteration
-        //   hidden (4 × 63.008 + 4 × 53.792), which is no per-layer min.
-        //   Re-recorded, weights included, when the ∆X sums became
-        //   reduce-scatters: the two 1 536-word sums over 4 ranks ran
-        //   recursive doubling, and the reduce-scatter runs recursive
-        //   halving's two steps, which sum in another order; and again
-        //   when the top became input-split: its logits sum over 4 ranks.
-        //   The weights were re-recorded once more when recursive doubling
-        //   took Halving's partner order: the logits' 4-rank doubling sum
-        //   now adds in the halving's tree. No clock bit moved.
+        // (grid, golden). On 4×2 the input-split top takes 24 of the 96
+        // input columns a rank, and no layer is ragged.
         let goldens = [
             (
                 (1, 4),
                 [0x3f5ddea703a946a6, 0x3f49c511dc3a41e5, 0x84f268c29eb9e7bd],
-                Some(([0x3f5f2e325c377d39, 0x3f59c511dc3a41db], (4.0, 0.0))),
             ),
             (
                 (2, 4),
                 [0x3f515a569ed95ab7, 0x3f2d064b1db59d87, 0x56edffb9165bb77d],
-                Some(([0x3f56b24912ee6f36, 0x3c34000000000000], (6.0, 1496.0))),
             ),
             (
                 (4, 2),
                 [0x3f4d5cff81cd418a, 0x3f40868af40f5be9, 0x91dd22eb0b26ae85],
-                None,
             ),
         ];
-        for ((pr, pc), golden, retired) in goldens {
+        for ((pr, pc), golden) in goldens {
             let serialized = train_1p5d(&net, &x, &labels, &cfg, pr, pc, model);
             let overlapped = scheduled_at_8192(&net, (&x, &labels), &cfg, (pr, pc), model);
             assert_pr3_golden(&overlapped, golden);
-            if let Some((retired, saved)) = retired {
-                let dims = (&[64, 96, 96, 10][..], 32, 2);
-                assert_retired_clock_less_layer0_dx(&overlapped, &model, dims, retired, saved);
-            }
             let t_ser = serialized.stats.makespan();
             let t_ovl = overlapped.stats.makespan();
             assert!(
@@ -1343,7 +1173,8 @@ pub(crate) mod tests {
         };
         let pc = 4;
         let dist = train_1p5d(&net, &x, &labels, &cfg, 1, pc, NetModel::free());
-        let total_w = 16 * 12 + 12 * 8;
+        let plan = plan(&extract_fc_layers(&net), 8, &[(1, pc)], 0, false, None);
+        let total_w: usize = plan.layers.iter().map(|l| l.grad.words).sum();
         // Recursive halving (what the free model selects) sends the
         // ring's 2·n·(p−1)/p words per rank; pc ranks.
         let expect = pc as f64 * 2.0 * total_w as f64 * (pc as f64 - 1.0) / pc as f64;
@@ -1364,7 +1195,7 @@ pub(crate) mod tests {
     /// The buckets the clock goldens below were recorded under, before
     /// [`crate::overlap::buckets`]: a bucket closed once it held 8 192
     /// words or more.
-    fn at_8192(grads: &[Grad]) -> Vec<usize> {
+    fn at_8192(grads: &[crate::overlap::Grad]) -> Vec<usize> {
         let mut cuts = vec![0];
         for g in grads {
             if *cuts.last().expect("a bucket") >= 8192 {
@@ -1375,11 +1206,31 @@ pub(crate) mod tests {
         cuts
     }
 
+    /// `net` trained on the `pr × pc` grid by the scheduled engine, each
+    /// rank's buckets the ones `cut` makes of its plan's gradients in place
+    /// of the rule's.
+    pub(crate) fn train_cut(
+        net: &Network,
+        (x, labels): (&Matrix, &[usize]),
+        cfg: &TrainConfig,
+        (pr, pc): (usize, usize),
+        model: NetModel,
+        cut: impl Fn(&[crate::overlap::Grad]) -> Vec<usize> + Sync,
+    ) -> DistResult {
+        let plans = |layers: &[FcLayer], rank| {
+            let rule = plan(layers, x.cols(), &[(pr, pc)], rank, false, Some(&model));
+            CommPlan {
+                buckets: Some(cut(&rule.grads())),
+                ..rule
+            }
+        };
+        let off = TraceConfig::disabled();
+        train_grid(net, x, labels, cfg, &[(pr, pc)], model, off, plans).0
+    }
+
     /// `net` trained on the `pr × pc` grid by the scheduled engine under
     /// [`at_8192`]'s buckets; asserts the rule's run is no slower and
     /// leaves the same weight bits (every group here is a power of two).
-    /// Every grid row here holds shards of one size, so one cut serves
-    /// every rank.
     fn scheduled_at_8192(
         net: &Network,
         (x, labels): (&Matrix, &[usize]),
@@ -1387,10 +1238,7 @@ pub(crate) mod tests {
         (pr, pc): (usize, usize),
         model: NetModel,
     ) -> DistResult {
-        let off = TraceConfig::disabled();
-        let lens = at_8192(&fc_grads(net, x.cols(), (pr, pc), 0));
-        let plan = Some(Some(&lens[..]));
-        let at = train_grid(net, x, labels, cfg, &[(pr, pc)], model, off, plan).0;
+        let at = train_cut(net, (x, labels), cfg, (pr, pc), model, at_8192);
         let rule = train_1p5d_scheduled(net, x, labels, cfg, pr, pc, model, OverlapPlan::default());
         assert!(
             rule.stats.makespan() <= at.stats.makespan(),
@@ -1453,16 +1301,6 @@ pub(crate) mod tests {
             &sch,
             [0x3f31e51e9708b474, 0x0000000000000000, 0xb5c86e592c72c6bd],
         );
-        let retired = [0x3f4063830fc7fcb6, 0x3bf8000000000000];
-        // Every group has 2 ranks. Layer 1 is the input-split top: its ∆X
-        // sum, two ring steps of 384 words (2, 768), and the gather of its
-        // input, one of 384 (1, 384), are gone; its logits' gather, one
-        // ring step of 60 words, became a doubling all-reduce, one step of
-        // 120 (0, −60). The ∆W bucket takes one step where the ring took
-        // two (1, 0). Nothing is left to hide.
-        let saved = (4.0, 1092.0);
-        let dims = (&[48, 64, 10][..], 24, 2);
-        assert_retired_clock_less_layer0_dx(&sch, &model, dims, retired, saved);
     }
 
     #[test]
@@ -1523,9 +1361,21 @@ pub(crate) mod tests {
             NetModel::free(),
             OverlapPlan::default(),
         );
+        // The plans' collectives over groups of more than one, per
+        // iteration: launched, or blocking all-reduces.
+        let (layers, free) = (extract_fc_layers(&net), NetModel::free());
+        let planned = |pick: fn(&crate::plan::Collective) -> bool| {
+            let plans = (0..4).map(|r| plan(&layers, 16, &[(4, 1)], r, false, Some(&free)));
+            let n = plans
+                .flat_map(|p| p.collectives)
+                .filter(|c| c.2 > 1 && pick(c));
+            (n.count() * cfg.iters) as u64
+        };
         let (ar, _, nb_ar, nb_ag) = dist.stats.total_collective_calls();
-        assert_eq!(nb_ar, 4 * 2, "∆X sums only: no ∆W launches");
-        assert_eq!(ar, 4 * 2, "the logits sums");
+        assert_eq!(nb_ar, planned(|c| c.1), "∆X sums only: no ∆W launches");
+        let blocking_sums =
+            |c: &crate::plan::Collective| !c.1 && c.0 == crate::plan::Kind::AllReduce;
+        assert_eq!(ar, planned(blocking_sums), "the logits sums");
         assert_eq!(nb_ag, 0, "every gather blocks");
         assert_eq!(
             dist.measured_overlap_fraction(),
@@ -1577,8 +1427,9 @@ pub(crate) mod tests {
         let net = mlp_tiny();
         let (x, labels) = synthetic_data(&net, 8, 5);
         let (cfg, off) = (TrainConfig::default(), TraceConfig::disabled());
-        let (free, plan) = (NetModel::free(), Some(None));
-        train_grid(&net, &x, &labels, &cfg, &[(1, 4), (2, 2)], free, off, plan);
+        let (free, shapes) = (NetModel::free(), [(1, 4), (2, 2)]);
+        let plans = |layers: &[FcLayer], rank| plan(layers, 8, &shapes, rank, false, Some(&free));
+        train_grid(&net, &x, &labels, &cfg, &shapes, free, off, plans);
     }
 
     /// A scheduler fed partials its lengths do not describe fails at the

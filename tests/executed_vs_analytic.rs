@@ -4,7 +4,9 @@
 //! `⌈log P⌉` for ring latency, so latency is zeroed here and checked
 //! separately against the Thakur-exact forms in `collectives`).
 
-use integrated_parallelism::collectives::cost::{allreduce_exact, CostTerms};
+use integrated_parallelism::collectives::cost::{
+    allreduce_exact, bruck_allgather, reduce_scatter_exact, CostTerms,
+};
 use integrated_parallelism::distmm::dist::{col_shard, part_range, row_shard};
 use integrated_parallelism::distmm::domain_general;
 use std::borrow::Cow;
@@ -13,16 +15,16 @@ use integrated_parallelism::distmm::onep5d::{
     backward, backward_dw_deferred, dy_block, forward, Grid,
 };
 use integrated_parallelism::dnn::zoo::{mini_alexnet, mlp};
-use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape, WeightedLayer};
+use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape};
 use integrated_parallelism::integrated::cnn::{synthetic_images, train_cnn_domain_traced};
 use integrated_parallelism::integrated::cost::integrated::{
     integrated_full, integrated_model_batch, layer_cost,
 };
-use integrated_parallelism::integrated::cost::{pure_domain, CommCost};
-use integrated_parallelism::integrated::overlap::{buckets, OverlapPlan};
+use integrated_parallelism::integrated::cost::pure_domain;
+use integrated_parallelism::integrated::overlap::OverlapPlan;
+use integrated_parallelism::integrated::plan::{plan, Collective, Kind};
 use integrated_parallelism::integrated::trainer::{
-    fc_grads, synthetic_data, train_1p5d, train_1p5d_scheduled, train_1p5d_scheduled_traced,
-    TrainConfig,
+    extract_fc_layers, synthetic_data, train_1p5d, train_1p5d_scheduled, FcLayer, TrainConfig,
 };
 use integrated_parallelism::integrated::{LayerParallelism, MachineModel};
 use integrated_parallelism::mpsim::{EventKind, NetModel, TraceConfig, World};
@@ -46,26 +48,73 @@ fn bandwidth_only() -> (NetModel, MachineModel) {
     (net, machine)
 }
 
-/// Eq. 8's cost of the chain `layers`, `eq8` per layer, as the 1.5D path
-/// runs it. Eq. 8 prices each `∆X` sum as an all-reduce over `Pr`, but the
-/// layer below reads only its row block, so the executed sum is that
-/// all-reduce's reduce-scatter half: half the words, in `log₂Pr` of its
-/// `2·log₂Pr` α-steps. The top of a chain of two or more layers with
-/// `d_out < 2·d_in` is input-split: the gather of its input and its `∆X`
-/// sum are gone, and its output's gather is an all-reduce, twice the
-/// gather's α-steps and words.
-fn as_executed(layers: &[WeightedLayer], eq8: &[CommCost]) -> CommCost {
-    let mut run = eq8.to_vec();
-    for c in &mut run {
-        c.dx_allreduce = c.dx_allreduce * 0.5;
+/// What the collectives `ran` cost a rank under `model`, each priced by
+/// the closed form of the schedule that runs it: a gather's words are the
+/// rank's block of `p` equal ones.
+fn priced(ran: &[Collective], model: &NetModel) -> CostTerms {
+    let cost = |&Collective(kind, _, p, words): &Collective| match kind {
+        Kind::AllGather => bruck_allgather(p, (words * p) as f64),
+        Kind::AllReduce => allreduce_exact(p, words as f64, model),
+        Kind::ReduceScatter => reduce_scatter_exact(p, words as f64),
+    };
+    ran.iter().map(cost).fold(CostTerms::ZERO, |a, c| a + c)
+}
+
+/// The most words any rank's plan ([`plan`]) sends in one iteration of
+/// the chain `layers` with batch `b` on the `pr × pc` grid, scheduled
+/// under `model` or blocking, each collective priced under `price`.
+fn planned_busiest(
+    layers: &[FcLayer],
+    b: usize,
+    (pr, pc): (usize, usize),
+    model: Option<&NetModel>,
+    price: &NetModel,
+) -> f64 {
+    let ran = |r| {
+        priced(
+            &plan(layers, b, &[(pr, pc)], r, false, model).collectives,
+            price,
+        )
+    };
+    (0..pr * pc).map(|r| ran(r).words).fold(0.0, f64::max)
+}
+
+/// One `d_out × d_in` layer's forward and backward with batch `b`, as
+/// `distmm` runs them on each of `grids` on a bandwidth-only machine,
+/// take each rank exactly the time of its plan's words ([`plan`]: the
+/// layer with its ∆X formed, less the gather that hands a trunk the
+/// full-depth ∆X, which `backward` leaves to its caller): Eq. 8's gather
+/// and ∆W all-reduce, and the ∆X sum as the reduce-scatter half of Eq. 8's
+/// all-reduce.
+fn one_layer_runs_its_plan((d_out, d_in, b): (usize, usize, usize), grids: &[(usize, usize)]) {
+    let (sim, machine) = bandwidth_only();
+    let w = init::xavier(d_out, d_in, 1);
+    let x = init::uniform(d_in, b, -1.0, 1.0, 2);
+    let dy = init::uniform(d_out, b, -1.0, 1.0, 3);
+    let net = NetworkBuilder::new("one-layer", Shape::flat(d_in))
+        .layer(LayerSpec::FullyConnected { out: d_out })
+        .build()
+        .unwrap();
+    for &(pr, pc) in grids {
+        let times = World::run(pr * pc, sim, |comm| {
+            let grid = Grid::new(comm, pr, pc).unwrap();
+            let wl = row_shard(&w, pr, grid.i);
+            let xl = col_shard(&x, pc, grid.j);
+            let dyl = col_shard(&dy, pc, grid.j);
+            let _y = forward(&grid, &wl, &xl).unwrap();
+            let (_dw, _dx) = backward(&grid, &wl, &xl, &dyl).unwrap();
+            comm.clock().comm
+        });
+        for (r, &t) in times.iter().enumerate() {
+            let plan = plan(&extract_fc_layers(&net), b, &[(pr, pc)], r, true, None);
+            let ran = &plan.collectives[..plan.collectives.len() - 1];
+            let expect = priced(ran, &sim).words * machine.beta();
+            assert!(
+                (t - expect).abs() < 1e-12,
+                "grid {pr}x{pc} rank {r}: executed {t} vs the plan {expect}"
+            );
+        }
     }
-    let top = &layers[layers.len() - 1];
-    if let ([.., below, top_cost], true) = (&mut run[..], top.d_out() < 2 * top.d_in()) {
-        below.allgather = CostTerms::ZERO;
-        top_cost.dx_allreduce = CostTerms::ZERO;
-        top_cost.allgather = top_cost.allgather * 2.0;
-    }
-    run.into_iter().fold(CommCost::ZERO, |a, c| a + c)
 }
 
 #[test]
@@ -73,58 +122,17 @@ fn executed_1p5d_layer_matches_eq8_bandwidth() {
     // Dimensions chosen so every collective splits evenly (ring
     // all-reduce chunks, all-gather blocks) and the executed volume is
     // exactly the closed form.
-    let (d_out, d_in, b) = (16usize, 12usize, 24usize);
-    let (pr, pc) = (4usize, 6usize);
-    let (sim, machine) = bandwidth_only();
-
-    let w = init::xavier(d_out, d_in, 1);
-    let x = init::uniform(d_in, b, -1.0, 1.0, 2);
-    let dy = init::uniform(d_out, b, -1.0, 1.0, 3);
-
-    let times = World::run(pr * pc, sim, |comm| {
-        let grid = Grid::new(comm, pr, pc).unwrap();
-        let wl = row_shard(&w, pr, grid.i);
-        let xl = col_shard(&x, pc, grid.j);
-        let dyl = col_shard(&dy, pc, grid.j);
-        let _y = forward(&grid, &wl, &xl).unwrap();
-        let (_dw, _dx) = backward(&grid, &wl, &xl, &dyl).unwrap();
-        comm.clock().comm
-    });
-
-    // The matching Eq. 8 per-layer cost (not the first layer, so the
-    // ∆X sum is included), its ∆X sum run as the reduce-scatter.
-    let net = NetworkBuilder::new("one-layer", Shape::flat(d_in))
-        .layer(LayerSpec::FullyConnected { out: d_out })
-        .build()
-        .unwrap();
-    let layers = net.weighted_layers();
-    let eq8 = layer_cost(
-        &layers[0],
-        LayerParallelism::ModelBatch { pr, pc },
-        b as f64,
-        false,
-    );
-    let expect = as_executed(&layers, &[eq8]);
-    let expect_secs = expect.total().words * machine.beta();
-    for (r, &t) in times.iter().enumerate() {
-        assert!(
-            (t - expect_secs).abs() < 1e-12,
-            "rank {r}: executed {t} vs Eq. 8 {expect_secs}"
-        );
-    }
+    one_layer_runs_its_plan((16, 12, 24), &[(4, 6)]);
 }
 
 /// One `train_1p5d` iteration of the benchmark's `alexnet-fc-exec`
-/// (`[384, 256, 256, 10]`, B = 512) moves exactly Eq. 8's words on its
-/// busiest rank as the 1.5D path runs it ([`as_executed`]): each ∆X sum
-/// its reduce-scatter half, and only for layers 2..L, since nothing
-/// reads the gradient of the network input ("we do not need to
-/// backpropagate the gradient beyond the first layer"); the input-split
-/// top gathers no input, sums no ∆X and all-reduces its logits. A trainer
-/// that still summed layer 1's ∆X would be over by `(B/Pc)·(Pr−1)/Pr·384`
-/// on every grid with `Pr > 1`, one whose ∆X sums were all-reduces by
-/// `(B/Pc)·(Pr−1)/Pr·256` a layer, and one that split the top by its
-/// rows by `(B/Pc)·(Pr−1)/Pr·(2·256 − 10)`.
+/// (`[384, 256, 256, 10]`, B = 512) moves exactly the words of its plan
+/// ([`plan`]) on its busiest rank, each collective priced by the schedule
+/// that runs it: each ∆X sum Eq. 8's all-reduce's reduce-scatter half,
+/// and only for layers 2..L, since nothing reads the gradient of the
+/// network input ("we do not need to backpropagate the gradient beyond
+/// the first layer"); the input-split top gathers no input, sums no ∆X
+/// and all-reduces its logits.
 ///
 /// On the free model every all-reduce runs recursive halving, whose
 /// words are the ring's and Eq. 8's, and every gather over a
@@ -142,7 +150,7 @@ fn executed_fc_iteration_matches_eq8_words_on_the_busiest_rank() {
         iters: 1,
         seed: 5,
     };
-    let layers = net.weighted_layers();
+    let (layers, free) = (extract_fc_layers(&net), NetModel::free());
     for (pr, pc) in [
         (1, 8),
         (2, 4),
@@ -154,12 +162,10 @@ fn executed_fc_iteration_matches_eq8_words_on_the_busiest_rank() {
         (8, 2),
         (16, 1),
     ] {
-        let run = train_1p5d(&net, &x, &labels, &cfg, pr, pc, NetModel::free());
+        let run = train_1p5d(&net, &x, &labels, &cfg, pr, pc, free);
         let busiest = run.stats.ranks.iter().map(|r| r.words_sent).max().unwrap() as f64;
-        let eq8 = integrated_model_batch(&layers, b as f64, pr, pc).layers;
-        let eq8: Vec<CommCost> = eq8.iter().map(|l| l.cost).collect();
-        let executed = as_executed(&layers, &eq8).total().words;
-        assert_eq!(busiest, executed, "grid {pr}x{pc}");
+        let planned = planned_busiest(&layers, b, (pr, pc), None, &free);
+        assert_eq!(busiest, planned, "grid {pr}x{pc}");
     }
 }
 
@@ -215,15 +221,11 @@ fn fnv<'a>(ms: impl Iterator<Item = &'a Matrix>) -> u64 {
 ///   by rows, as these are — is exactly
 ///   its row block of the serial `∆X` (on integer-valued operands, where
 ///   every summation order is exact);
-/// * the busiest rank sends exactly the closed forms of what runs:
-///   layer 1's output gathered, layer 2's `∆X` reduce-scattered
-///   (`(Pr−1)/Pr·d_in·B/Pc`, half the all-reduce's words), the
-///   input-split top's logits all-reduced, and the `∆W` buckets the
-///   rule cuts (`CUTS`, checked against [`buckets`]). On the
-///   grids that split no shard raggedly when the sums were all-reduces
-///   (`BEFORE`, its words then; `Pr ≤ 2`), that is `BEFORE`'s words less
-///   half of layer 2's `∆X` all-reduce, all of the top's, the gather of
-///   the top's input and the logits' gather, plus the logits' all-reduce;
+/// * the busiest rank sends exactly what its plan ([`plan`]) lists, each
+///   collective priced by the schedule that runs it: layer 1's output
+///   gathered, layer 2's `∆X` reduce-scattered, the input-split top's
+///   logits all-reduced, and the `∆W` buckets the rule cuts (`CUTS`). That
+///   is `WORDS`, the words recorded when the plan was introduced;
 /// * the makespan is below the one the all-reduces left (`BEFORE`); on
 ///   `Pr = 1`, which sums no `∆X`, it is `PR1_MAKESPAN` to the bit, and
 ///   the weights are the bits they were while the top was split by its
@@ -257,17 +259,22 @@ fn executed_fc_dx_sum_is_a_reduce_scatter() {
         &[2, 1],
         &[3],
     ];
-    // ((Pr, Pc), makespan, busiest rank's words) with all-reduced ∆X.
-    const BEFORE: [((usize, usize), f64, u64); 9] = [
-        ((1, 8), 4.620878506666667e-4, 582_400),
-        ((2, 4), 3.7033565866666674e-4, 447_488),
-        ((4, 2), 5.355943253333332e-4, 677_376),
-        ((8, 1), 1.0368169813333337e-3, 1_386_496),
-        ((1, 16), 4.929105919999999e-4, 624_000),
-        ((2, 8), 3.3810116266666653e-4, 390_144),
-        ((4, 4), 3.7943449599999986e-4, 422_144),
-        ((8, 2), 5.9220352e-4, 735_232),
-        ((16, 1), 1.1168798720000003e-3, 1_485_824),
+    // ((Pr, Pc), makespan) with all-reduced ∆X.
+    const BEFORE: [((usize, usize), f64); 9] = [
+        ((1, 8), 4.620878506666667e-4),
+        ((2, 4), 3.7033565866666674e-4),
+        ((4, 2), 5.355943253333332e-4),
+        ((8, 1), 1.0368169813333337e-3),
+        ((1, 16), 4.929105919999999e-4),
+        ((2, 8), 3.3810116266666653e-4),
+        ((4, 4), 3.7943449599999986e-4),
+        ((8, 2), 5.9220352e-4),
+        ((16, 1), 1.1168798720000003e-3),
+    ];
+    // The busiest rank's words over the two iterations, per grid of
+    // `BEFORE`.
+    const WORDS: [u64; 9] = [
+        588_800, 318_976, 290_048, 489_472, 624_000, 325_248, 228_224, 286_336, 532_480,
     ];
     let dims = [384, 256, 256, 10];
     let net = mlp("alexnet-fc-exec", &dims);
@@ -283,7 +290,8 @@ fn executed_fc_dx_sum_is_a_reduce_scatter() {
     let ints = |rows: usize, cols: usize, seed: usize| {
         Matrix::from_fn(rows, cols, |i, j| ((i * 7 + j * 3 + seed) % 5) as f64 - 2.0)
     };
-    for (((pr, pc), makespan, words), cut) in BEFORE.into_iter().zip(CUTS) {
+    let layers = extract_fc_layers(&net);
+    for ((((pr, pc), makespan), cut), words) in BEFORE.into_iter().zip(CUTS).zip(WORDS) {
         let grid = format!("grid {pr}x{pc}");
         for (l, d) in dims.windows(2).enumerate().skip(1) {
             let (d_in, d_out) = (d[0], d[1]);
@@ -316,40 +324,20 @@ fn executed_fc_dx_sum_is_a_reduce_scatter() {
             OverlapPlan::default(),
         );
         let busiest = run.stats.ranks.iter().map(|r| r.words_sent).max().unwrap();
-        let half_dx = (pr - 1) * 256 * (b / pc) / pr;
-        // What runs, per iteration: layer 1's output gathered and its ∆X
-        // reduce-scattered, the input-split top's logits all-reduced, and
-        // the ∆W buckets (filled top-down, cut by the rule) summed over the
-        // row group.
-        let ar = |p: usize, n: usize| allreduce_exact(p, n as f64, &model).words as usize;
-        let (frac, logits) = (|n: usize| (pr - 1) * n * (b / pc) / pr, 10 * b / pc);
-        // Each layer's ∆W shard, the top first: the input-split top's rows
-        // of its 256 input columns, then layer 1's and layer 0's rows.
-        let shards = [256 / pr * 10, 256 / pr * 256, 256 / pr * 384];
-        let mut layers = shards.into_iter();
-        let cuts: Vec<usize> = cut.iter().map(|&n| layers.by_ref().take(n).sum()).collect();
-        let grads = fc_grads(&net, b, (pr, pc), 0);
-        assert_eq!(buckets(&grads, pc, &model), cuts, "{grid}: the rule's cut");
-        let sums = |cuts: &[usize]| cuts.iter().map(|&n| ar(pc, n)).sum::<usize>();
-        let rule = sums(&cuts);
-        let iteration = frac(256) + frac(256) + ar(pr, logits) + rule;
-        assert_eq!(busiest, (iters * iteration) as u64, "{grid}: words");
-        if pr <= 2 {
-            // No shard was ragged then: the top's gather of its input and
-            // its ∆X sum are gone, and its logits' gather is an all-reduce.
-            // `BEFORE`'s buckets closed once they held 8 192 words.
-            let top = 3 * frac(256) + frac(10) - ar(pr, logits);
-            let mut at_8192 = vec![0];
-            for n in shards {
-                if at_8192[at_8192.len() - 1] >= 8192 {
-                    at_8192.push(0);
-                }
-                *at_8192.last_mut().expect("a bucket") += n;
-            }
-            let moved = sums(&at_8192) as i64 - rule as i64;
-            let fewer = (iters * (half_dx + top)) as i64 + iters as i64 * moved;
-            assert_eq!(words as i64 - busiest as i64, fewer, "{grid}");
-        }
+        let planned = planned_busiest(&layers, b, (pr, pc), Some(&model), &model);
+        assert_eq!(
+            busiest as f64,
+            iters as f64 * planned,
+            "{grid}: words against the plan"
+        );
+        assert_eq!(busiest, words, "{grid}: words");
+        // Each bucket's layers, top first, as the rule cut them.
+        let rule = plan(&layers, b, &[(pr, pc)], 0, false, Some(&model));
+        let mut grads = rule.grads().into_iter();
+        let cuts: Vec<usize> = (cut.iter())
+            .map(|&n| grads.by_ref().take(n).map(|g| g.words).sum())
+            .collect();
+        assert_eq!(rule.buckets, Some(cuts), "{grid}: the rule's cut");
         // Pr = 1 has no ∆X sum: its clock is the buckets' alone, and its
         // weights are the output-split top's (one column block is the
         // whole matrix).
@@ -363,90 +351,9 @@ fn executed_fc_dx_sum_is_a_reduce_scatter() {
     }
 }
 
-/// Per rank and iteration, on every grid of the benchmark's `fc_1p5d`
-/// with `Pr > 1`, the scheduled trainer runs `L − 2` activation gathers
-/// and `L − 2` ∆X reduce-scatters — layer 1's output and layer 2's ∆X;
-/// the input-split top takes its input as the row block layer 2 left it
-/// and needs no ∆X sum — and one blocking all-reduce, the logits'.
-/// Every other non-blocking launch is a ∆W bucket (none over `Pc = 1`).
-#[test]
-fn executed_fc_grids_gather_and_scatter_l_minus_2_times() {
-    let net = mlp("alexnet-fc-exec", &[384, 256, 256, 10]);
-    let (l, b, iters) = (3, 512, 2);
-    let (x, labels) = synthetic_data(&net, b, 7);
-    let cfg = TrainConfig {
-        lr: 0.1,
-        iters,
-        seed: 18,
-    };
-    let model = MachineModel::cori_knl().net_model();
-    for (pr, pc) in [(2, 4), (4, 2), (8, 1), (2, 8), (4, 4), (8, 2), (16, 1)] {
-        let (run, trace) = train_1p5d_scheduled_traced(
-            &net,
-            &x,
-            &labels,
-            &cfg,
-            pr,
-            pc,
-            model,
-            TraceConfig::enabled(),
-        );
-        let ranks_iters = (pr * pc * iters) as u64;
-        let flushes: usize = (trace.ranks.iter())
-            .map(|r| r.instant_count("sched", "bucket_flush"))
-            .sum();
-        let buckets = if pc > 1 { flushes as u64 } else { 0 };
-        let (ar, ag, nb_ar, nb_ag) = run.stats.total_collective_calls();
-        let grid = format!("grid {pr}x{pc}");
-        assert_eq!(ag, ranks_iters * (l - 2), "{grid}: gathers");
-        assert_eq!(
-            nb_ar - buckets,
-            ranks_iters * (l - 2),
-            "{grid}: reduce-scatters"
-        );
-        assert_eq!((ar, nb_ag), (ranks_iters, 0), "{grid}: the logits' sum");
-    }
-}
-
 #[test]
 fn executed_pure_batch_and_model_match_eq8_degenerations() {
-    let (d_out, d_in, b) = (16usize, 8usize, 16usize);
-    let (sim, machine) = bandwidth_only();
-    let w = init::xavier(d_out, d_in, 1);
-    let x = init::uniform(d_in, b, -1.0, 1.0, 2);
-    let dy = init::uniform(d_out, b, -1.0, 1.0, 3);
-
-    let net = NetworkBuilder::new("one-layer", Shape::flat(d_in))
-        .layer(LayerSpec::FullyConnected { out: d_out })
-        .build()
-        .unwrap();
-    let layers = net.weighted_layers();
-
-    for (pr, pc) in [(1usize, 8usize), (8, 1)] {
-        let times = World::run(pr * pc, sim, |comm| {
-            let grid = Grid::new(comm, pr, pc).unwrap();
-            let wl = row_shard(&w, pr, grid.i);
-            let xl = col_shard(&x, pc, grid.j);
-            let dyl = col_shard(&dy, pc, grid.j);
-            let _y = forward(&grid, &wl, &xl).unwrap();
-            let (_dw, _dx) = backward(&grid, &wl, &xl, &dyl).unwrap();
-            comm.clock().comm
-        });
-        let eq8 = layer_cost(
-            &layers[0],
-            LayerParallelism::ModelBatch { pr, pc },
-            b as f64,
-            false,
-        );
-        let expect = as_executed(&layers, &[eq8]);
-        let expect_secs = expect.total().words * machine.beta();
-        for &t in &times {
-            assert!(
-                (t - expect_secs).abs() < 1e-12,
-                "grid {pr}x{pc}: executed {t} vs analytic {expect_secs}"
-            );
-        }
-    }
+    one_layer_runs_its_plan((16, 8, 16), &[(1, 8), (8, 1)]);
 }
 
 #[test]
