@@ -222,10 +222,8 @@ fn main() {
     assert!(polls > 0, "scheduled trace recorded no progress polls");
     println!("[scheduled] sched instants: {flushes} bucket_flush, {polls} progress_poll\n");
 
-    // The CNN trainer's two schedulers on one channel — the head's sum
-    // over the batch shards, issued before the trunk backward and
-    // waited after it, and the trunk's over the whole grid — under the
-    // same invariants.
+    // The CNN trainer's one scheduler over the whole grid, whose buckets
+    // the head's ∆W and then the trunk's fill, under the same invariants.
     let alex = mini_alexnet();
     let (xs, ys) = synthetic_images(&alex, 8, 42);
     let cnn_cfg = TrainConfig { lr: 0.02, ..cfg };

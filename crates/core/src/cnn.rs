@@ -40,24 +40,27 @@
 //!   `domain_general` ops on the one-rank column group of a `1 × P` grid
 //!   — no message, the same flops — and the **FC head** runs the
 //!   scheduled iteration body every FC trainer runs ([`crate::trainer`]'s
-//!   `forward_pass` / `backward_pass`, its buckets cut by
-//!   [`crate::overlap::buckets`])
-//!   on that grid: replicated weights, this rank's images, `∆W` bucketed
-//!   and summed over the world behind the *trunk* backward (Fig. 8):
-//!   every step of that sum is issued on the channel as soon as the
-//!   head's backward ends, ahead of the trunk bucket's, and it is waited,
-//!   then applied, after the trunk backward, just before the trunk's sum.
+//!   `forward_pass` / `backward_pass`) on that grid: replicated weights,
+//!   this rank's images, `∆W` bucketed and summed over the world.
 //!
 //! Each trainer keeps one saved state per stage: the serial one a pool's
 //! argmax, the domain one that or a convolution's halo, dropped once its
-//! `∆W` is formed. Every conv layer's partial `∆W` (over a strip in the
-//! prefix, over the rank's images past it) goes into the gradient
-//! buckets `CnnSpec::buckets` cuts, summed over the full grid by
-//! non-blocking all-reduces — on `mini_alexnet` one bucket, Eq. 9's terms
-//! as one reduction over `P` at full `|W|` — drained once the trunk
-//! backward is done. Above the first convolution, a layer's `∆W` GEMM
-//! runs while its `∆Y` window is in flight, as the forward's interior
-//! rows hide its `X` window. GEMM flops are charged throughout.
+//! `∆W` is formed. The head's `∆W` and every conv layer's partial `∆W`
+//! (over a strip in the prefix, over the rank's images past it) are one
+//! chain of gradient buckets: [`crate::overlap::buckets`] cuts the head's
+//! layers followed by the trunk's convs (`CnnSpec::grads`), once per run
+//! in the head's plan ([`crate::plan::head_plan`]), and one scheduler
+//! sums them over the full grid by non-blocking all-reduces — Eq. 9's
+//! terms as reductions over `P` at full `|W|`. The head launches the
+//! buckets its layers fill and leaves the one its last layers opened to
+//! the trunk's partials, so a sum of the head's runs under the trunk
+//! backward (Fig. 8) only where the rule finds it pays: on
+//! `mini_alexnet` at B = 64 the head's sum and the trunk's are two
+//! buckets on 4 ranks and one on 8 and 16. Every bucket is waited, in
+//! launch order, in one optimizer step after the trunk backward. Above
+//! the first convolution, a layer's `∆W` GEMM runs while its `∆Y` window
+//! is in flight, as the forward's interior rows hide its `X` window.
+//! GEMM flops are charged throughout.
 //!
 //! The serial reference and every grid shape produce identical weight
 //! trajectories — the synchronous-SGD consistency the paper's
@@ -82,13 +85,13 @@ use distmm::domain_general as dg;
 use distmm::onep5d::Grid;
 use distmm::rows::{relayout, Split};
 
-use crate::overlap::{buckets_behind, Grad};
-use crate::plan::{plan, CommPlan};
+use crate::overlap::Grad;
+use crate::plan::head_plan;
 use crate::trainer::{
     backward_pass, forward_pass, init_weights, optimizer_step, serial_step, split_top, Act,
-    BucketScheduler, FcLayer, Pass,
+    FcLayer, Pass,
 };
-use collectives::cost::{allreduce_exact, CostTerms};
+use collectives::cost::CostTerms;
 
 /// One trunk stage.
 #[derive(Debug, Clone)]
@@ -258,41 +261,30 @@ impl CnnSpec {
         (self.stages.len(), self.trunk_out.1)
     }
 
-    /// The words of the trunk's ∆W buckets for `net` with batch `b` on `p`
-    /// ranks, cut once for every rank from each conv in push order (the
-    /// top first): its weights, its backward's flops on a rank's share of
-    /// the batch's pixels (conv1 forms no ∆X), and no ∆X sum — its windows
-    /// are fetches, not sums — behind the sums of the buckets of the head's
-    /// plan `h`, which are issued on the channel ahead of them.
-    fn buckets(&self, net: &Network, b: usize, p: usize, m: &NetModel, h: &CommPlan) -> Vec<usize> {
+    /// The trunk's weighted layers as [`crate::overlap::buckets`] reads
+    /// them for `net` with batch `b` on `p` ranks, in push order (the top
+    /// first): each conv's weights, its backward's flops on a rank's share
+    /// of the batch's pixels (conv1 forms no ∆X), and no ∆X sum — its
+    /// windows are fetches, not sums.
+    pub(crate) fn grads(&self, net: &Network, b: usize, p: usize) -> Vec<Grad> {
         let (mut convs, share) = (net.weighted_layers(), b as f64 / p as f64);
         convs.retain(|l| l.is_conv());
-        let grads: Vec<Grad> = (convs.iter().enumerate().rev())
+        (convs.iter().enumerate().rev())
             .map(|(k, l)| Grad {
                 words: l.weights,
                 flops: l.forward_flops_per_sample() * share * if k > 0 { 2.0 } else { 1.0 },
                 dx_sum: CostTerms::ZERO,
             })
-            .collect();
-        let sum = |&n: &usize| allreduce_exact(p, n as f64, m).seconds(m);
-        buckets_behind(h.buckets.iter().flatten().map(sum).sum(), &grads, p, m)
+            .collect()
     }
 
     fn init_weights(&self, seed: u64) -> (Vec<Matrix>, Vec<Matrix>) {
-        let conv_w: Vec<Matrix> = self
-            .stages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                Stage::Conv { params, .. } => Some(init::xavier(
-                    params.out_c,
-                    params.patch_len(),
-                    seed + i as u64,
-                )),
-                Stage::Pool { .. } | Stage::Lrn { .. } => None,
-            })
-            .collect();
-        (conv_w, init_weights(&self.fcs, seed + 100))
+        let conv = |(s, seed): (&Stage, u64)| match s {
+            Stage::Conv { params: p, .. } => Some(init::xavier(p.out_c, p.patch_len(), seed)),
+            Stage::Pool { .. } | Stage::Lrn { .. } => None,
+        };
+        let convs = self.stages.iter().zip(seed..).filter_map(conv);
+        (convs.collect(), init_weights(&self.fcs, seed + 100))
     }
 }
 
@@ -427,17 +419,12 @@ impl CnnDistResult {
     /// Maximum weight divergence between any two ranks (should be ~0:
     /// all weights are replicated).
     pub fn replica_divergence(&self) -> f64 {
-        let a = &self.per_rank[0];
-        let mut worst: f64 = 0.0;
-        for r in &self.per_rank[1..] {
-            for (x, y) in r.conv_weights.iter().zip(&a.conv_weights) {
-                worst = worst.max(x.max_abs_diff(y));
-            }
-            for (x, y) in r.fc_weights.iter().zip(&a.fc_weights) {
-                worst = worst.max(x.max_abs_diff(y));
-            }
+        fn weights(r: &CnnRankOutcome) -> impl Iterator<Item = &Matrix> {
+            r.conv_weights.iter().chain(&r.fc_weights)
         }
-        worst
+        let (a, others) = (&self.per_rank[0], &self.per_rank[1..]);
+        let pairs = others.iter().flat_map(|r| weights(r).zip(weights(a)));
+        pairs.map(|(x, y)| x.max_abs_diff(y)).fold(0.0, f64::max)
     }
 }
 
@@ -462,11 +449,11 @@ pub fn train_cnn_domain(
 }
 
 /// [`train_cnn_domain`] with per-rank event tracing: the head's
-/// `trainer` phase spans, the `sched` instants of both gradient
-/// schedulers (both over the whole grid), the non-blocking sums' `nb`
-/// instants and `channel` transfers, a `distmm` span per window fetch
-/// and per relayout, and two `optimizer_step` spans per iteration after
-/// the trunk backward, the head's drain and then the trunk's.
+/// `trainer` phase spans, the `sched` instants of the gradient scheduler
+/// (over the whole grid), the non-blocking sums' `nb` instants and
+/// `channel` transfers, a `distmm` span per window fetch and per
+/// relayout, and one `optimizer_step` span per iteration after the trunk
+/// backward.
 ///
 /// # Panics
 ///
@@ -487,13 +474,14 @@ pub fn train_cnn_domain_traced(
     let (split, split_h) = spec.domain_prefix(pd);
     let b_global = x.n;
     // Drawn once; every rank starts from its own copy of the replica.
-    let initial_weights = spec.init_weights(cfg.seed);
-    // The FC head's plan on the `1 × P` grid, whose input gradient the
-    // trunk reads when it holds a weighted stage.
-    let p = pd * pc;
-    let (fcs, dx) = (&spec.fcs, first_conv.is_some());
-    let head = |r| plan(fcs, b_global, &[(1, p)], r, dx, Some(&model));
-    let conv_buckets = spec.buckets(net, b_global, p, &model, &head(0));
+    let ((conv_w0, fc_w0), nf) = (spec.init_weights(cfg.seed), spec.fcs.len());
+    // One plan per rank for the FC head on the `1 × P` grid and, after
+    // it, the trunk's weighted layers, which read the head's input
+    // gradient: one chain of ∆W buckets over the world. Rank `(i, j)`
+    // holds these images of batch shard `j` past the domain prefix.
+    let (p, below) = (pd * pc, spec.grads(net, b_global, pd * pc));
+    let images = |i, j| part_range(part_range(b_global, pc, j).len(), pd, i).len();
+    let plan = |i, j| head_plan(&spec.fcs, b_global, p, images(i, j), &below, &model);
     let rank_body = |comm: &Communicator| -> Result<CnnRankOutcome, Error> {
         // Row-major `pd × pc`: i = strip index (domain), j = batch
         // shard; the column group shares a batch shard. Past the domain
@@ -501,14 +489,16 @@ pub fn train_cnn_domain_traced(
         // grid, whose one-rank column groups send nothing and whose row
         // is the world, runs the rest of the trunk and the FC head.
         let Grid { i, j, col_comm, .. } = Grid::new(comm, pd, pc)?;
-        let (batch, head_plan) = (Grid::new(comm, 1, p)?, head(comm.rank()));
+        let (batch, head_plan) = (Grid::new(comm, 1, p)?, plan(i, j));
         // Stage `idx`'s group: its strips' column, or past the prefix its
         // own rank; and where its output sits in `acts`: past the prefix
         // one slot up, behind the prefix's output as whole images.
         let group = |idx| [&col_comm, &batch.col_comm][usize::from(idx >= split)];
         let at = |idx| idx + usize::from(idx >= split);
 
-        let (mut conv_w, mut fc_w) = initial_weights.clone();
+        // The FC weights, then the conv weights: one list for the one
+        // drain of the ∆W buckets.
+        let mut w: Vec<Matrix> = fc_w0.iter().chain(&conv_w0).cloned().collect();
         let batch_range = part_range(b_global, pc, j);
         let b_local = batch_range.len();
         let x_shard = x.block(batch_range.clone(), part_range(x.h, pd, i), 0..x.w);
@@ -521,7 +511,7 @@ pub fn train_cnn_domain_traced(
             // reads `x_shard`), `saved[k]` what its backward reads besides.
             let mut acts: Vec<Tensor4> = Vec::with_capacity(len + 1);
             let mut saved: Vec<Saved> = Vec::with_capacity(len);
-            let mut wi = 0usize;
+            let mut wi = nf;
             for idx in 0..=len {
                 if idx == split {
                     // Eq. 6 within the column group: whole images from here.
@@ -535,8 +525,7 @@ pub fn train_cnn_domain_traced(
                 let (c, input) = (group(idx), acts.last().unwrap_or(&x_shard));
                 let (y, kept) = match s {
                     Stage::Conv { params, relu, in_h } => {
-                        let (mut y, halo) =
-                            dg::conv_forward_halo(c, input, &conv_w[wi], params, *in_h)?;
+                        let (mut y, halo) = dg::conv_forward_halo(c, input, &w[wi], params, *in_h)?;
                         wi += 1;
                         if *relu {
                             relu_in_place(y.as_mut_slice());
@@ -570,31 +559,24 @@ pub fn train_cnn_domain_traced(
                 iter,
                 plan: &head_plan,
             };
-            let tape = forward_pass(&pass, &fc_w)?;
+            let tape = forward_pass(&pass, &w)?;
             partial_losses.push(tape.loss);
-            // The head's input gradient is read: it feeds the trunk.
-            let (head_sched, dy, _) = backward_pass(&pass, tape, &mut fc_w, &mut apply)?;
+            // The head launches the buckets its layers fill and leaves the
+            // last one it opened to the trunk's partials.
+            let (sched, dy, _) = backward_pass(&pass, tape, &mut w, &mut apply)?;
+            let mut sched = sched.expect("the head is scheduled");
             let (Some(dy), Some(first)) = (dy, first_conv) else {
-                optimizer_step(&batch.row_comm, iter, head_sched, &mut fc_w, &mut apply)?;
+                optimizer_step(comm, iter, Some(sched), &mut w, &mut apply)?;
                 continue;
             };
-            // The head's ∆W sum runs under the trunk backward and is
-            // waited after it. A channel serves steps in the order they
-            // are issued, so every step of it is issued now, ahead of the
-            // trunk bucket's; left to its wait, it would queue behind
-            // that bucket.
-            let mut head_sched = head_sched.expect("the head is scheduled");
-            head_sched.issue()?;
             let mut dt = Tensor4::from_columns(&dy, c0, h0, w0);
-            // Trunk backward, down to its first weighted stage. Each
-            // conv's partial ∆W is formed while the layer's ∆Y window is
-            // in flight (conv1, with no ∆X half, on its own) and bucketed
-            // for one sum over the whole grid — Eq. 9's reduction over P,
-            // not one over the strips and one over the batch shards — and
-            // applied after the loop: every ∆X was formed from the
-            // weights before the update.
-            let mut sched = BucketScheduler::new(comm, &conv_buckets, Vec::new());
-            let mut wi = conv_w.len();
+            // Trunk backward, down to its first weighted stage. Each conv's
+            // partial ∆W is formed while the layer's ∆Y window is in flight
+            // (conv1, with no ∆X half, on its own) and bucketed for one sum
+            // over the whole grid — Eq. 9's reduction over P, not one over
+            // the strips and one over the batch shards — and applied at the
+            // drain: every ∆X was formed from the weights before the update.
+            let mut wi = w.len();
             for (idx, s) in spec.stages.iter().enumerate().skip(first).rev() {
                 if idx + 1 == split {
                     // Back to strips, by the same relayout.
@@ -608,7 +590,7 @@ pub fn train_cnn_domain_traced(
                         if *relu {
                             relu_backward_in_place(acts[out].as_slice(), dt.as_mut_slice());
                         }
-                        let (w, h, mut dw) = (&conv_w[wi], *in_h, None);
+                        let (w, h, mut dw) = (&w[wi], *in_h, None);
                         let form_dw = || {
                             dw = Some(dg::conv_backward_partial(c, input, halo, w, &dt, params, h))
                         };
@@ -630,20 +612,14 @@ pub fn train_cnn_domain_traced(
                 acts.truncate(out);
             }
             sched.flush()?;
-            // Both sums waited in launch order: the head's, then the trunk's.
-            optimizer_step(
-                &batch.row_comm,
-                iter,
-                Some(head_sched),
-                &mut fc_w,
-                &mut apply,
-            )?;
-            optimizer_step(comm, iter, Some(sched), &mut conv_w, &mut apply)?;
+            // Every bucket waited in launch order, the head's first.
+            optimizer_step(comm, iter, Some(sched), &mut w, &mut apply)?;
         }
+        let conv_weights = w.split_off(nf);
         Ok(CnnRankOutcome {
             partial_losses,
-            conv_weights: conv_w,
-            fc_weights: fc_w,
+            conv_weights,
+            fc_weights: w,
         })
     };
     let (outcomes, stats, traces) = World::run_traced_with_stats(pd * pc, model, trace, rank_body);
@@ -673,23 +649,49 @@ pub fn synthetic_images(net: &Network, b: usize, seed: u64) -> (Tensor4, Vec<usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::head_plan;
     use dnn::zoo::mini_alexnet;
     use dnn::{NetworkBuilder, Shape};
 
-    /// PR 39 measured a conv bucket cut at 5 000 words +13.2 % slower on
-    /// `cnn_domain`'s 1 × 4 grid (`mini_alexnet`, B = 64): the head's sum
-    /// is on the channel first, so an early conv launch hides nothing and
-    /// pays an all-reduce's α-steps. The rule keeps one bucket there, and
-    /// on every `cnn_domain` grid.
+    /// The rule's cut of the whole CNN's ∆W on `cnn_domain`'s ranks
+    /// (`mini_alexnet`, B = 64, Cori KNL): one chain, the head's two FC
+    /// layers (3 776 words) then the five convs (9 336). On 4 ranks the
+    /// head's sum hides behind the trunk backward; on 8 and 16 one sum of
+    /// every weight drains first.
     #[test]
-    fn the_rule_keeps_one_conv_bucket_on_cnn_domain() {
-        let net = mini_alexnet();
+    fn the_rule_cuts_the_whole_cnn_on_cnn_domain() {
+        let (net, model) = (mini_alexnet(), NetModel::cori_knl());
         let spec = CnnSpec::of(&net).expect("a CNN");
-        for p in [4, 8, 16] {
-            let model = NetModel::cori_knl();
-            let head = plan(&spec.fcs, 64, &[(1, p)], 0, true, Some(&model));
-            let trunk = spec.buckets(&net, 64, p, &model, &head);
-            assert_eq!(trunk, [9_336], "P = {p}: one bucket of every conv weight");
+        for (p, cut) in [(4, &[3_776, 9_336][..]), (8, &[13_112]), (16, &[13_112])] {
+            let below = spec.grads(&net, 64, p);
+            let plan = head_plan(&spec.fcs, 64, p, 64 / p, &below, &model);
+            assert_eq!(plan.buckets.as_deref(), Some(cut), "P = {p}");
+        }
+    }
+
+    /// `cnn_domain`'s four grids (`mini_alexnet`, B = 64, two
+    /// iterations, Cori KNL) keep their makespans to the bit: 60.5, 97.4,
+    /// 103.1 and 111.2 µs, 372.09 µs in all (381.45 µs while the head's
+    /// and the trunk's sums were cut apart and ran one after the other).
+    #[test]
+    fn cnn_domain_keeps_its_makespans() {
+        let net = mini_alexnet();
+        let (x, labels) = synthetic_images(&net, 64, 7);
+        let cfg = TrainConfig {
+            lr: 0.05,
+            iters: 2,
+            seed: 18,
+        };
+        let golden = [
+            ((1, 4), 6.0514517333333334e-5),
+            ((2, 4), 9.736669866666666e-5),
+            ((4, 4), 1.0305899733333334e-4),
+            ((4, 2), 1.1114999466666669e-4),
+        ];
+        for ((pd, pc), want) in golden {
+            let r = train_cnn_domain(&net, &x, &labels, &cfg, pd, pc, NetModel::cori_knl());
+            let got = r.stats.makespan();
+            assert_eq!(got, want, "{pd}x{pc}: {got:e}");
         }
     }
 

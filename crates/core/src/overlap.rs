@@ -12,17 +12,17 @@
 //! The executed engine overlaps exactly those backprop all-reduces:
 //! each layer's ∆X sum hides behind its ∆W product, and the ∆W sums,
 //! fused into buckets, behind the rest of backward. [`buckets`] cuts
-//! them: a walk over the layers in backward order, after Shi,
-//! Chu & Li's merged-gradient rule (MG-WFBP). It reads each layer's
-//! per-rank ∆W words, the flops its backward charges and its ∆X sum, the
-//! group the buckets are summed over and the network model, and prices
-//! every bucket by the all-reduce that group runs on it
-//! ([`collectives::cost::allreduce_exact`]). A layer's ∆W joins the open
-//! bucket unless launching the bucket now ends the drain sooner than
-//! merging it with the layers below: launched, it hides behind their
-//! compute less their ∆X sums, which queue on the same channel; merged,
-//! it saves an all-reduce's α-steps. With nothing to hide behind (one
-//! member, a free network, no compute) every layer joins one bucket.
+//! them, after Shi, Chu & Li's merged-gradient rule (MG-WFBP). It reads
+//! each layer's per-rank ∆W words, the flops its backward charges and its
+//! ∆X sum, in backward order — the CNN's FC head and then its conv trunk,
+//! one chain — the group the buckets are summed over and the network
+//! model, and prices every bucket by the all-reduce that group runs on it
+//! ([`collectives::cost::allreduce_exact`]). A bucket launched early
+//! hides behind the compute of the layers below less their ∆X sums,
+//! which queue on the same channel; one merged saves an all-reduce's
+//! α-steps. The rule takes the cut whose drain ends first on its clock
+//! of the pass, ties going to fewer buckets: with nothing to hide behind
+//! (one member, a free network, no compute) every layer joins one bucket.
 
 use std::collections::VecDeque;
 
@@ -82,7 +82,7 @@ pub struct Grad {
 /// (its `poll`), each ∆X sum queued behind the steps already issued, and
 /// the drain in launch order (its `drain`). A change to that policy is a
 /// change here.
-#[derive(Clone)]
+#[derive(Default)]
 struct Clock {
     now: f64,
     free: f64,
@@ -113,62 +113,57 @@ impl Clock {
             self.now += c;
         }
     }
+}
 
-    /// When the drain after the last push ends: every step left issued in
-    /// launch order, and the main timeline waiting on the last.
-    fn drain(&self) -> f64 {
-        let issue = |free: f64, b: &[f64; 3]| free.max(b[2]) + b[0] * b[1];
-        self.queue.iter().fold(self.free, issue).max(self.now)
+/// When the drain of a backward pass ends on the [`Clock`] if a bucket
+/// launches at the push of each layer in `ends`, and at the last push.
+fn drain(grads: &[Grad], ends: &[usize], group: usize, m: &NetModel) -> f64 {
+    let (mut clock, mut open) = (Clock::default(), 0);
+    let times = |g: &Grad| [m.compute(g.flops), g.dx_sum.seconds(m)];
+    for (k, g) in grads.iter().enumerate() {
+        open += g.words;
+        let bucket = (ends.contains(&k) || k + 1 == grads.len()).then(|| {
+            let cost = allreduce_exact(group, std::mem::take(&mut open) as f64, m);
+            [cost.alpha, cost.seconds(m)]
+        });
+        clock.push(bucket, grads.get(k + 1).map(times));
     }
+    // Every step left issued in launch order, and the main timeline
+    // waiting on the last.
+    let issue = |free: f64, b: &[f64; 3]| free.max(b[2]) + b[0] * b[1];
+    clock.queue.iter().fold(clock.free, issue).max(clock.now)
 }
 
 /// The buckets of one backward pass (see the module doc): the words of
-/// each, in launch order, every layer's in one. At each push the open
-/// bucket is weighed against merging it with every layer below into one
-/// bucket launched at the last push, on a clock of the pass: launched
-/// now, it runs while the layers below compute, and the rest follows it;
-/// merged, the α-steps of one all-reduce are saved. It launches when that
-/// ends the drain sooner, by more than rounding: ties merge.
+/// each, in launch order, every layer's in one. Of every cut, the one
+/// whose drain ends first on a [`Clock`] of the pass, ties (within
+/// rounding) going to fewer buckets. It is found by a walk over where
+/// the bucket that closes at each push opens: the best cut of the layers
+/// above that, extended by this bucket, is weighed with every layer below
+/// merged into one last bucket.
 pub fn buckets(grads: &[Grad], group: usize, model: &NetModel) -> Vec<usize> {
-    buckets_behind(0.0, grads, group, model)
-}
-
-/// [`buckets`] for a backward pass that finds `queued` seconds already
-/// issued on its channel (the CNN trunk's, behind the head's sums).
-pub(crate) fn buckets_behind(queued: f64, grads: &[Grad], p: usize, m: &NetModel) -> Vec<usize> {
-    let cost = |words: usize| allreduce_exact(p, words as f64, m);
-    let cost = |words| Some([cost(words).alpha, cost(words).seconds(m)]);
-    let times = |g: &Grad| [m.compute(g.flops), g.dx_sum.seconds(m)];
-    let layer = |k: usize| grads.get(k).map(times);
-    // The drain's end from the push of layer `k` on: `first` launched
-    // there, if any, and `rest` at the last push.
-    let end = |mut clock: Clock, k: usize, first: Option<usize>, rest: usize| {
-        clock.push(first.and_then(cost), layer(k + 1));
-        for i in k + 1..grads.len() {
-            let last = (i + 1 == grads.len()).then_some(rest);
-            clock.push(last.and_then(cost), layer(i + 1));
+    // `best[j]`: the layers the buckets of the best cut of pushes `0..=j`
+    // close at, the last closing at `j`.
+    let mut best: Vec<Vec<usize>> = Vec::new();
+    for j in 0..grads.len() {
+        let mut pick: Option<(f64, Vec<usize>)> = None;
+        for from in 0..=j {
+            let mut ends = best[..from].last().cloned().unwrap_or_default();
+            ends.push(j);
+            let t = drain(grads, &ends, group, model);
+            let beats = |(u, e): &(f64, Vec<usize>)| {
+                t < u * (1.0 - 1e-9) || (t <= u * (1.0 + 1e-9) && ends.len() < e.len())
+            };
+            if pick.as_ref().is_none_or(beats) {
+                pick = Some((t, ends));
+            }
         }
-        clock.drain()
-    };
-    let mut clock = Clock {
-        now: 0.0,
-        free: queued,
-        queue: VecDeque::new(),
-    };
-    let (mut cuts, mut open) = (Vec::new(), 0);
-    let mut below: usize = grads.iter().map(|g| g.words).sum();
-    for (k, g) in grads.iter().enumerate() {
-        (open, below) = (open + g.words, below - g.words);
-        let merged = || end(clock.clone(), k, None, open + below);
-        if below > 0 && end(clock.clone(), k, Some(open), below) < merged() * (1.0 - 1e-9) {
-            clock.push(cost(open), layer(k + 1));
-            cuts.push(std::mem::take(&mut open));
-        } else {
-            clock.push(None, layer(k + 1));
-        }
+        best.push(pick.expect("a bucket closes at j").1);
     }
-    cuts.push(open);
-    cuts
+    let ends = best.pop().unwrap_or_default();
+    let starts = std::iter::once(0).chain(ends.iter().map(|e| e + 1));
+    let words = |(a, &e): (usize, &usize)| grads[a..=e].iter().map(|g| g.words).sum();
+    starts.zip(&ends).map(words).collect()
 }
 
 #[cfg(test)]
@@ -287,10 +282,72 @@ mod tests {
             flops: 1e8,
             ..NetModel::cori_knl()
         };
+        // The top layer's bucket would hide behind the middle layer's
+        // backward, but the middle one's sum then queues behind it: merged,
+        // the two drain as soon, in one bucket.
         assert_eq!(
             buckets(&grads, 8, &slow),
-            [100, 2000, 30],
-            "every layer hides the one above"
+            [2100, 30],
+            "the last layer hides the rest"
         );
+        let each = drain(&grads, &[0, 1], 8, &slow);
+        assert!(drain(&grads, &[1], 8, &slow) <= each * (1.0 + 1e-9));
+    }
+
+    /// The cut an exhaustive search picks: of all `2^(n−1)` cuts, the one
+    /// whose drain ends first, ties (within rounding) going to fewer
+    /// buckets.
+    fn exhaustive(grads: &[Grad], group: usize, model: &NetModel) -> Vec<usize> {
+        let n = grads.len();
+        let mut best: Option<(f64, usize, usize)> = None;
+        for mask in 0..1usize << (n - 1) {
+            let ends: Vec<usize> = (0..n).filter(|k| mask >> k & 1 == 1).collect();
+            let (t, k) = (drain(grads, &ends, group, model), ends.len());
+            let better = |&(u, c, _): &(f64, usize, usize)| {
+                t < u * (1.0 - 1e-9) || (t <= u * (1.0 + 1e-9) && k < c)
+            };
+            if best.as_ref().is_none_or(better) {
+                best = Some((t, k, mask));
+            }
+        }
+        fixed(grads, best.expect("one cut at least").2)
+    }
+
+    /// The rule's walk picks the exhaustive search's cut on every chain
+    /// the trainers run it on: the benchmark's `fc_1p5d` (P = 8, 16) and
+    /// `fig8_exec` (P = 4, 16) grids, `cnn_domain`'s whole CNN on 4, 8 and
+    /// 16 ranks, and the slow-core chains of the trainer tests (a
+    /// 100 MFLOP/s core, where layers hide buckets).
+    #[test]
+    fn the_rule_is_the_exhaustive_cut() {
+        let (knl, slow) = (NetModel::cori_knl(), crate::trainer::tests::slow_core());
+        let mut chains: Vec<(String, Vec<Grad>, usize, NetModel)> = Vec::new();
+        let fc = extract_fc_layers(&mlp("alexnet-fc-exec", &[384, 256, 256, 10]));
+        for p in [4usize, 8, 16] {
+            for pr in (0..=p.trailing_zeros()).map(|k| 1 << k) {
+                let rule = plan(&fc, 512, &[(pr, p / pr)], 0, false, Some(&knl));
+                chains.push((format!("fc {pr}x{}", p / pr), rule.grads(), p / pr, knl));
+            }
+        }
+        let net = dnn::zoo::mini_alexnet();
+        let spec = crate::cnn::CnnSpec::of(&net).expect("a CNN");
+        for p in [4, 8, 16] {
+            let below = spec.grads(&net, 64, p);
+            let head = crate::plan::head_plan(&spec.fcs, 64, p, 64 / p, &below, &knl);
+            chains.push((format!("cnn {p}"), [head.grads(), below].concat(), p, knl));
+        }
+        let tiny = extract_fc_layers(&dnn::zoo::mlp_tiny());
+        let digest = extract_fc_layers(&mlp("digest", &[24, 20, 12, 5]));
+        for (layers, b, (pr, pc)) in [(&tiny, 24, (1, 4)), (&tiny, 24, (2, 3))]
+            .into_iter()
+            .chain([(&tiny, 24, (4, 2)), (&digest, 18, (2, 3))])
+        {
+            let rule = plan(layers, b, &[(pr, pc)], 0, false, Some(&slow));
+            chains.push((format!("slow {pr}x{pc}"), rule.grads(), pc, slow));
+        }
+        for (at, grads, group, model) in chains {
+            let exact = exhaustive(&grads, group, &model);
+            assert_eq!(buckets(&grads, group, &model), exact, "{at}");
+        }
     }
 }

@@ -10,7 +10,9 @@
 //! the buckets [`crate::overlap::buckets`] cuts. [`plan`] decides that
 //! list once per run and rank; the trainers run it
 //! (`trainer::forward_pass`, `trainer::backward_pass`),
-//! and the bucket rule, `fig8_exec` and the tests read it.
+//! and the bucket rule, `fig8_exec` and the tests read it. The CNN's
+//! head plan ([`head_plan`]) carries the conv trunk's `∆W` too: the
+//! head's and the trunk's sums are one chain of buckets over the grid.
 
 use collectives::cost::{reduce_scatter_exact, CostTerms};
 use distmm::dist::part_range;
@@ -87,8 +89,9 @@ pub struct CommPlan {
     /// One entry per layer, in layer order.
     pub layers: Vec<LayerPlan>,
     /// The words of each `∆W` bucket, in launch order, as [`buckets`]
-    /// cuts them over the row group; `None` when the run is blocking and
-    /// each layer's `∆W` is summed on its own.
+    /// cuts them over the row group (the trunk's `∆W` after the head's on
+    /// a CNN); `None` when the run is blocking and each layer's `∆W` is
+    /// summed on its own.
     pub buckets: Option<Vec<usize>>,
     /// Every collective of an iteration, in issue order.
     pub collectives: Vec<Collective>,
@@ -97,9 +100,10 @@ pub struct CommPlan {
 /// The plan of rank `rank` for the chain `layers` with batch `b`:
 /// `shapes` holds one `(Pr, Pc)` per layer (the last serving every layer
 /// past it; one entry is the uniform grid), `input_grad` says whether the
-/// caller reads the input's gradient ([`crate::cnn`]), and `model` is the
-/// network model of a scheduled run, `None` for a blocking one. The
-/// rank's grids are row-major ([`distmm::onep5d::Grid::new`]).
+/// caller reads the input's gradient, and `model` is the network model of
+/// a scheduled run, `None` for a blocking one. The rank's grids are
+/// row-major ([`distmm::onep5d::Grid::new`]), and it holds its share of
+/// the batch's columns.
 ///
 /// # Panics
 ///
@@ -113,15 +117,48 @@ pub fn plan(
     input_grad: bool,
     model: Option<&NetModel>,
 ) -> CommPlan {
+    let seat = |pc| (rank / pc, part_range(b, pc, rank % pc).len());
+    chain(layers, b, shapes, seat, input_grad, &[], model)
+}
+
+/// The plan of a rank of the CNN's FC head ([`crate::cnn`]) on the
+/// `1 × P` grid, where the rank holds `images` of the batch of `b`: the
+/// head's `∆W` and, after it, the `∆W` of the trunk's weighted layers
+/// `below` (top first), cut into buckets over the whole grid as one
+/// chain. Those layers read the head's input gradient, so layer 0 forms
+/// it when there are any.
+pub(crate) fn head_plan(
+    layers: &[FcLayer],
+    b: usize,
+    p: usize,
+    images: usize,
+    below: &[Grad],
+    model: &NetModel,
+) -> CommPlan {
+    let (seat, shape, dx) = (|_| (0, images), [(1, p)], !below.is_empty());
+    chain(layers, b, &shape, seat, dx, below, Some(model))
+}
+
+/// [`plan`] for a rank that, on a grid of `Pc` columns, sits in grid row
+/// `seat(Pc).0` and holds `seat(Pc).1` batch columns, above the weighted
+/// layers `below`, whose `∆W` joins the chain's buckets.
+fn chain(
+    layers: &[FcLayer],
+    b: usize,
+    shapes: &[(usize, usize)],
+    seat: impl Fn(usize) -> (usize, usize),
+    input_grad: bool,
+    below: &[Grad],
+    model: Option<&NetModel>,
+) -> CommPlan {
     let one = model.is_none() || shapes.len() == 1;
     assert!(one, "per-layer grids cannot be scheduled");
     let at = |l: usize| shapes[l.min(shapes.len() - 1)];
     let relaid = |l: usize| l > 0 && at(l - 1).1 != at(l).1;
     // Layer `l`'s `(Pr, Pc)`, and this rank's rows of `d` and batch columns.
     let block = |d: usize, l: usize| {
-        let (pr, pc) = at(l);
-        let cols = part_range(b, pc, rank % pc).len();
-        (pr, pc, part_range(d, pr, rank / pc).len(), cols)
+        let ((pr, pc), (i, cols)) = (at(l), seat(at(l).1));
+        (pr, pc, part_range(d, pr, i).len(), cols)
     };
     let (mut steps, mut run) = (Vec::new(), Vec::new());
     for (l, layer) in layers.iter().enumerate() {
@@ -138,7 +175,7 @@ pub fn plan(
             (_, true) => Dx::Local,
             _ => Dx::ReduceScatter,
         };
-        let (words, mean) = (part_range(d, pr, rank / pc).len() * w, b as f64 / pc as f64);
+        let (words, mean) = (block(d, l).2 * w, b as f64 / pc as f64);
         let sum =
             (dx == Dx::ReduceScatter).then(|| reduce_scatter_exact(pr, layer.d_in as f64 * mean));
         let grad = Grad {
@@ -153,10 +190,19 @@ pub fn plan(
             grad,
         });
     }
-    let grads: Vec<Grad> = steps.iter().rev().map(|s: &LayerPlan| s.grad).collect();
+    let head = steps.iter().rev().map(|s| s.grad);
+    let grads: Vec<Grad> = head.chain(below.iter().copied()).collect();
     let buckets = model.map(|m| buckets(&grads, at(0).1, m));
-    let (launched, mut open, mut staged) = (buckets.is_some(), 0, 0);
-    let lens = buckets.as_deref().unwrap_or_default();
+    let launched = buckets.is_some();
+    let (lens, mut filled, mut staged) = (buckets.as_deref().unwrap_or_default(), 0, 0);
+    // A bucket launches once its last layer is in.
+    let mut fill = |run: &mut Vec<Collective>, words: usize| {
+        staged += words;
+        if lens.get(filled) == Some(&staged) {
+            run.push(Collective(Kind::AllReduce, true, at(0).1, staged));
+            (filled, staged) = (filled + 1, 0);
+        }
+    };
     for (l, step) in steps.iter().enumerate().rev() {
         let (pr, pc, rows, bloc) = block(layers[l].d_in, l);
         let dx = Collective(Kind::ReduceScatter, launched, pr, layers[l].d_in * bloc);
@@ -164,22 +210,17 @@ pub fn plan(
             run.push(Collective(Kind::AllReduce, false, pc, step.grad.words));
         }
         run.extend((step.dx == Dx::ReduceScatter).then_some(dx));
-        staged += step.grad.words;
-        // Every bucket but the last launches once its layers are in.
-        if open + 1 < lens.len() && staged == lens[open] {
-            run.push(Collective(Kind::AllReduce, true, pc, staged));
-            (open, staged) = (open + 1, 0);
-        }
+        fill(&mut run, step.grad.words);
         if step.relaid {
             run.push(Collective(Kind::AllGather, false, pr, rows * bloc));
         }
     }
-    if let Some(&n) = lens.last() {
-        run.push(Collective(Kind::AllReduce, true, at(0).1, n));
-    }
     if input_grad {
         let (pr, _, rows, bloc) = block(layers[0].d_in, 0);
         run.push(Collective(Kind::AllGather, false, pr, rows * bloc));
+    }
+    for g in below {
+        fill(&mut run, g.words);
     }
     CommPlan {
         layers: steps,
@@ -228,19 +269,26 @@ mod tests {
     /// What each rank of `trace` ran inside its FC passes (the `trainer`
     /// `forward` and `backward` spans), in issue order: every
     /// `collective` span and `nb`/`iallreduce_launch` instant over a
-    /// group of more than one.
+    /// group of more than one; and every launch outside any span, the
+    /// CNN trunk's.
     fn seen(trace: &WorldTrace) -> Vec<Vec<Seen>> {
         let ran = |ev: &[mpsim::TraceEvent]| {
             let mut out = Vec::new();
             for (k, pass) in ev.iter().enumerate() {
                 let fc = matches!(pass.name, "forward" | "backward") && pass.cat == "trainer";
-                if !fc || pass.kind != EventKind::Span {
-                    continue;
-                }
                 // A span is recorded when it closes: its children are the
                 // deeper events right before it.
-                let inside = ev[..k].iter().rev().take_while(|e| e.depth > pass.depth);
-                for e in inside.collect::<Vec<_>>().into_iter().rev() {
+                let mut inside: Vec<_> = match (fc && pass.kind == EventKind::Span, pass.depth) {
+                    (true, _) => ev[..k]
+                        .iter()
+                        .rev()
+                        .take_while(|e| e.depth > pass.depth)
+                        .collect(),
+                    (false, 0) if pass.name == "iallreduce_launch" => vec![pass],
+                    _ => continue,
+                };
+                inside.reverse();
+                for e in inside {
                     let kind = match (e.cat, e.name) {
                         ("nb", "iallreduce_launch") => None,
                         ("collective", n) if n.starts_with("allgather") => Some(Kind::AllGather),
@@ -324,9 +372,10 @@ mod tests {
         every_grid_runs_its_plan(&net, 32, false);
     }
 
-    /// A run whose `Pc` changes between layers, the CNN head on `1 × P`,
-    /// and a fault-free run of the fault-tolerant trainer, whose loss
-    /// rides layer 0's ∆W sum, run their plans.
+    /// A run whose `Pc` changes between layers, every CNN rank (its head
+    /// on `1 × P`, whose last bucket the trunk's conv partials fill, on
+    /// 2 × 2 and 1 × 4), and a fault-free run of the fault-tolerant
+    /// trainer, whose loss rides layer 0's ∆W sum, run their plans.
     #[test]
     fn mixed_grids_the_cnn_head_and_the_ft_trainer_run_their_plans() {
         let (model, on, cfg) = (NetModel::cori_knl(), TraceConfig::enabled(), cfg());
@@ -343,8 +392,9 @@ mod tests {
         let spec = CnnSpec::of(&net).expect("a CNN");
         for (pd, pc) in [(2, 2), (1, 4)] {
             let (_, trace) = train_cnn_domain_traced(&net, &x, &labels, &cfg, pd, pc, model, on);
-            let head = |r| plan(&spec.fcs, 8, &[(1, pd * pc)], r, true, Some(&model));
-            runs_its_plan(&trace, ITERS, head, &format!("CNN head {pd}x{pc}"));
+            let below = spec.grads(&net, 8, pd * pc);
+            let cnn = |_| head_plan(&spec.fcs, 8, pd * pc, 2, &below, &model);
+            runs_its_plan(&trace, ITERS, cnn, &format!("CNN {pd}x{pc}"));
         }
 
         let net = mlp_tiny();
@@ -360,6 +410,48 @@ mod tests {
             let (_, trace) = train_1p5d_ft_traced(&net, &x, &labels, &ft, pr, pc, none, on);
             let plan = |r| plan(&layers, 24, &[(pr, pc)], r, false, Some(&model)).ride(pc);
             runs_its_plan(&trace, ITERS, plan, &format!("FT {pr}x{pc}"));
+        }
+    }
+
+    /// Each CNN rank's head plan prices the images the rank holds past
+    /// the domain prefix, also where the batch does not split evenly
+    /// (B = 2 on 2 × 2, where two ranks hold none, and B = 10 on 4 × 3):
+    /// the input-split top's forward sum holds `d_out` words an image, and
+    /// every FC layer's traced GEMM multiplies `2·d_in·d_out` flops an
+    /// image.
+    #[test]
+    fn the_cnn_head_plans_the_images_each_rank_holds() {
+        let (net, model) = (mini_alexnet(), NetModel::cori_knl());
+        let spec = CnnSpec::of(&net).expect("a CNN");
+        let top = spec.fcs.last().expect("a head");
+        for (b, pd, pc) in [(2, 2, 2), (10, 4, 3)] {
+            let (x, labels) = synthetic_images(&net, b, 5);
+            let on = TraceConfig::enabled();
+            let (_, trace) = train_cnn_domain_traced(&net, &x, &labels, &cfg(), pd, pc, model, on);
+            let below = spec.grads(&net, b, pd * pc);
+            for rank in &trace.ranks {
+                let (i, j, ev) = (rank.rank / pc, rank.rank % pc, &rank.events);
+                let images = part_range(part_range(b, pc, j).len(), pd, i).len();
+                let plan = head_plan(&spec.fcs, b, pd * pc, images, &below, &model);
+                let sum = plan
+                    .collectives
+                    .iter()
+                    .find(|c| c.0 == Kind::AllReduce && !c.1);
+                let planned = sum.expect("the top's forward sum").3 / top.d_out;
+                let flops = |l: &FcLayer| (2 * l.d_in * l.d_out * planned) as f64;
+                // The GEMM of each `layer_fwd` span (none without an image).
+                let gemms: Vec<f64> = (0..ev.len())
+                    .filter(|&k| ev[k].name == "layer_fwd" && ev[k].kind == EventKind::Span)
+                    .map(|k| {
+                        let mut inside = ev[..k].iter().rev().take_while(|e| e.depth > ev[k].depth);
+                        let gemm = inside.find(|e| e.cat == "compute");
+                        gemm.map_or(0.0, |e| e.arg("flops").expect("flops"))
+                    })
+                    .collect();
+                let at = format!("B = {b} on {pd}x{pc} rank {}", rank.rank);
+                let want: Vec<f64> = spec.fcs.iter().map(flops).collect();
+                assert_eq!(gemms, want.repeat(ITERS), "{at}: {images} images");
+            }
         }
     }
 }

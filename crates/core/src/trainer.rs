@@ -606,10 +606,11 @@ pub(crate) type Backward = (Option<BucketScheduler>, Option<Matrix>, Vec<f64>);
 /// while its ∆W product runs, ∆W partials flush through a
 /// [`BucketScheduler`] while backprop continues (Fig. 8), and each
 /// layer's push drives a chunk of the oldest bucket still being issued.
-/// The pass stops at its last flush and returns the scheduler with its
-/// buckets in flight: the caller waits them with [`optimizer_step`],
-/// at once (the FC trainers) or after more backward work (the CNN
-/// trunk, [`crate::cnn`]).
+/// The pass launches the buckets its layers fill and returns the
+/// scheduler with them in flight: the caller waits them with
+/// [`optimizer_step`], at once (the FC trainers), or first pushes the
+/// conv trunk's partials into the bucket the head left open and flushes
+/// it ([`crate::cnn`]).
 ///
 /// Where the plan forms layer 0's ∆X, `∂loss/∂x_local` is returned at
 /// full depth: a trunk in front of the FC chain back-propagates it
@@ -754,7 +755,10 @@ struct PendingBucket {
 /// ∆W partials are fused (in push order) into flat buffers, cut where
 /// [`crate::overlap::buckets`] cuts them, once for the run, whose
 /// row-group sums launch as non-blocking all-reduces the moment a
-/// bucket's last layer is pushed. Besides launching, it
+/// bucket's last layer is pushed. On a CNN one scheduler serves the FC
+/// head and then the conv trunk ([`crate::cnn`]): the head's backward
+/// leaves the bucket its last layers opened for the trunk's partials to
+/// fill. Besides launching, it
 ///
 /// * records every launch as a zero-duration `sched`/`bucket_flush`
 ///   trace event, so `trace_analyze` can see the schedule without
@@ -772,13 +776,10 @@ struct PendingBucket {
 /// member agrees on, which keeps the mixed-outstanding-handle schedule
 /// deadlock-free (sends are eager; the minimal blocked program position
 /// always has its matching send already issued on the peer). A rank's
-/// channel serves steps in the order they are *issued*, so within one
-/// scheduler no bucket can overtake an earlier one, and layer 0's — the
-/// first the next forward reads — is launched last: waiting any other
-/// order would only move the same barrier. Across two schedulers on one
-/// rank the order is the issue order, not the launch order: a step one
-/// leaves to its `wait` queues behind every step the other issued
-/// first, which is what [`BucketScheduler::issue`] is for.
+/// channel serves steps in the order they are *issued*, so no bucket can
+/// overtake an earlier one, and layer 0's — the first the next forward
+/// reads — is launched last (on a CNN, the first conv's): waiting any
+/// other order would only move the same barrier.
 pub(crate) struct BucketScheduler {
     comm: Communicator,
     /// The words of each bucket still to fill, riders excluded, in
@@ -796,8 +797,8 @@ pub(crate) struct BucketScheduler {
 
 impl BucketScheduler {
     /// `comm` is the group to sum over (the grid's row group; the whole
-    /// grid for the CNN trunk's conv `∆W`); `lens` are the words of each
-    /// bucket, in launch order.
+    /// grid for the CNN); `lens` are the words of each bucket, in launch
+    /// order.
     pub(crate) fn new(comm: &Communicator, lens: &[usize], riders: Vec<f64>) -> Self {
         BucketScheduler {
             comm: comm.clone(),
@@ -809,12 +810,12 @@ impl BucketScheduler {
     }
 
     /// Stages layer `idx`'s local ∆W partial, launches the bucket once
-    /// its last layer is in — all but the last bucket, which the caller
-    /// [`BucketScheduler::flush`]es when backward is done — then polls.
-    /// The bucket is stored once: its first partial reserves its length,
-    /// riders included, and each partial is copied in, except a partial
-    /// that is the whole bucket and carries no rider, which is taken as
-    /// it is. Panics if the open bucket cannot hold the partial.
+    /// its last layer is in — all but the last bucket, which
+    /// [`BucketScheduler::flush`] launches when backward is done — then
+    /// polls. The bucket is stored once: its first partial reserves its
+    /// length, riders included, and each partial is copied in, except a
+    /// partial that is the whole bucket and carries no rider, which is
+    /// taken as it is. Panics if the open bucket cannot hold the partial.
     pub(crate) fn push(&mut self, idx: usize, dw: Matrix) -> Result<(), Error> {
         let open = *self.lens.last().expect("a bucket is open");
         let rides = self.riders.len() * usize::from(self.lens.len() == 1);
@@ -834,27 +835,30 @@ impl BucketScheduler {
         self.poll()
     }
 
-    /// Launches the filled bucket, the riders appended after the last
-    /// one's segments, recording a `bucket_flush` instant. Over a
-    /// single-member row group the all-reduce has no step, and
-    /// [`collectives::iallreduce`] counts no launch, so the launch counts
-    /// that normalize the measured overlap fraction hold none. Panics if
-    /// the staged partials do not fill the bucket.
+    /// Launches the open bucket if its partials fill it, the riders
+    /// appended after the last one's segments, recording a `bucket_flush`
+    /// instant; a bucket still short waits for more partials (the CNN
+    /// head's last, for the trunk's). Over a single-member row group the
+    /// all-reduce has no step, and [`collectives::iallreduce`] counts no
+    /// launch, so the launch counts that normalize the measured overlap
+    /// fraction hold none.
     pub(crate) fn flush(&mut self) -> Result<(), Error> {
+        if self.staged.0.len() < *self.lens.last().expect("a bucket is open") {
+            return Ok(());
+        }
         let (mut data, segs) = std::mem::take(&mut self.staged);
-        let words = self.lens.pop().expect("a bucket is open");
+        self.lens.pop();
         let rides = self.riders.len() * usize::from(self.lens.is_empty());
-        assert_eq!(data.len(), words, "bucket {segs:?} flushed short");
         data.extend(self.riders.drain(..rides));
-        // Pushed top down: the first segment is the highest layer.
-        let (max_layer, min_layer) = (segs[0].0, segs[segs.len() - 1].0);
+        // Weight indices; on a CNN the FC layers' come before the convs'.
+        let layers = || segs.iter().map(|s| s.0 as f64);
         self.comm.trace_instant(
             "sched",
             "bucket_flush",
             &[
                 ("words", data.len() as f64),
-                ("min_layer", min_layer as f64),
-                ("max_layer", max_layer as f64),
+                ("min_layer", layers().fold(f64::MAX, f64::min)),
+                ("max_layer", layers().fold(0.0, f64::max)),
                 ("pending", (self.pending.len() + 1) as f64),
             ],
         );
@@ -875,24 +879,12 @@ impl BucketScheduler {
         Ok(())
     }
 
-    /// Issues every remaining chunk step of every launched bucket, in
-    /// launch order, and waits on none: the sums then hold their place
-    /// on the rank's channel ahead of any step issued later, by this
-    /// scheduler or another — the CNN head's ahead of the trunk's, so
-    /// the head's sum runs under the trunk backward. Every member of the
-    /// group must reach this call at the same point of its program
-    /// (SPMD), as it does [`BucketScheduler::drain`].
-    pub(crate) fn issue(&mut self) -> Result<(), Error> {
-        for b in &mut self.pending {
-            while !b.handle.progress()? {}
-        }
-        Ok(())
-    }
-
     /// Waits every bucket in launch order, applying each one's segments
     /// as its wait completes, and returns the riders' sums, if words
-    /// rode.
+    /// rode. Panics if a bucket is still open: its partials fell short.
     pub(crate) fn drain(self, mut apply: impl FnMut(usize, &[f64])) -> Result<Vec<f64>, Error> {
+        let segs = &self.staged.1;
+        assert!(self.lens.is_empty(), "bucket {segs:?} drained short");
         let mut riders = Vec::new();
         for bucket in self.pending {
             let summed = bucket.handle.wait()?;
@@ -1183,8 +1175,9 @@ pub(crate) mod tests {
 
     /// A Cori KNL link beside a core of 100 MFLOP/s: every layer's
     /// backward outlasts the sum of the bucket above it, so
-    /// [`crate::overlap::buckets`] launches each layer's ∆W on its own.
-    /// (Under the free model every layer joins one bucket.)
+    /// [`crate::overlap::buckets`] launches more than one bucket — on
+    /// `mlp_tiny`, the top two layers' and then layer 0's. (Under the free
+    /// model every layer joins one bucket.)
     pub(crate) fn slow_core() -> NetModel {
         NetModel {
             flops: 1e8,
@@ -1275,9 +1268,9 @@ pub(crate) mod tests {
                 }
                 assert!(dist.replica_divergence() < 1e-15, "{at}: replicas");
             }
-            // One bucket per row group and iteration against one per layer
-            // (and the ∆X sums either way).
-            let buckets = (pr * pc * cfg.iters) as u64 * if pc > 1 { 2 } else { 0 };
+            // One bucket per row group and iteration against two, the top
+            // two layers' and layer 0's (and the ∆X sums either way).
+            let buckets = (pr * pc * cfg.iters) as u64 * u64::from(pc > 1);
             assert_eq!(launches[1] - launches[0], buckets, "grid {pr}x{pc}");
         }
     }
@@ -1433,7 +1426,7 @@ pub(crate) mod tests {
     }
 
     /// A scheduler fed partials its lengths do not describe fails at the
-    /// push or flush that shows it, naming the layer and both lengths.
+    /// push or drain that shows it, naming the layer and both lengths.
     #[test]
     #[should_panic(expected = "layer 1: 8 ∆W words past 6")]
     fn a_partial_past_its_bucket_panics_at_the_push() {
@@ -1444,12 +1437,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bucket [(2, 4)] flushed short")]
-    fn a_bucket_flushed_short_panics() {
+    #[should_panic(expected = "bucket [(2, 4)] drained short")]
+    fn a_bucket_left_short_panics_at_the_drain() {
         World::run(1, NetModel::free(), |comm| {
             let mut sched = BucketScheduler::new(comm, &[6], Vec::new());
             sched.push(2, Matrix::zeros(2, 2)).expect("push");
-            sched.flush().expect("flush");
+            sched.drain(|_, _| ()).expect("drain");
         });
     }
 

@@ -717,26 +717,25 @@ fn executed_domain_backward_weight_allreduce_matches_eq7_batch_term() {
 /// runs: conv1 on strips (`Domain { pd, pc }`), and conv2–5 and the FC
 /// head on whole images over the world (`ModelBatch { pr: 1, pc: P }`),
 /// since no strip of conv2's 7-row input holds its 5-row kernel at
-/// `Pd ≥ 2`. The trainer sums every conv layer's partial `∆W` in one
-/// bucket over the whole grid (9 336 words) and the head's in its own
-/// buckets over the same world (3 776), so each rank launches every
-/// layer's `|W|` in world sums. Summing per layer in two stages (one
-/// all-reduce over the `Pd` strips, one over the `Pc` batch shards)
-/// would send `2|W|((Pd−1)/Pd + (Pc−1)/Pc)` or, by recursive doubling,
-/// more.
+/// `Pd ≥ 2`. The trainer sums the head's `∆W` and every conv layer's
+/// partial `∆W` as one chain of buckets over the whole grid, so each
+/// rank launches every layer's `|W|` in world sums. Summing per layer in
+/// two stages (one all-reduce over the `Pd` strips, one over the `Pc`
+/// batch shards) would send `2|W|((Pd−1)/Pd + (Pc−1)/Pc)` or, by
+/// recursive doubling, more.
 ///
-/// Under `cori_knl` the conv bucket runs halving and sends exactly
-/// Eq. 9's conv term. The head's buckets are α-bound there and run
-/// recursive doubling (`log₂P` steps of the whole bucket): they send
-/// `allreduce_exact`'s words, which exceed Eq. 9's head term (by 4 720
-/// words a rank on 8 ranks, 8 024 on 16). On a bandwidth-only machine
-/// every sum runs halving and the words sent are `integrated_full`'s
-/// `∆W` words to the word.
+/// On these grids (P = 8 and 16) the bucket rule cuts one bucket of all
+/// 13 112 words on both machines — under `cori_knl` the trunk backward
+/// is too short to hide a head sum behind, and on a bandwidth-only
+/// machine nothing hides — and that bucket runs halving: each rank sends
+/// Eq. 9's `∆W` words, `integrated_full`'s, to the word. (While the head's
+/// buckets were cut apart from the trunk's they were α-bound under
+/// `cori_knl` and ran recursive doubling, 4 720 words a rank over Eq. 9
+/// on 8 ranks and 8 024 on 16.)
 ///
 /// The words are counted where they travel: every channel transfer a
 /// rank receives while the last non-blocking sum it launched spans the
-/// whole grid is charged to that sum (the conv bucket by its size; every step of the head's sums is issued
-/// before the conv bucket is launched), and is a word its peer sent in
+/// whole grid is charged to that sum, and is a word its peer sent in
 /// that reduction.
 #[test]
 fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
@@ -750,13 +749,7 @@ fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
         seed: 9,
     };
     let layers = net.weighted_layers();
-    let words = |conv: bool| -> usize {
-        (layers.iter())
-            .filter(|l| l.is_conv() == conv)
-            .map(|l| l.weights)
-            .sum()
-    };
-    let (conv_words, head_words) = (words(true), words(false));
+    let words: usize = layers.iter().map(|l| l.weights).sum();
     let per_iter = |v: f64| v / iters as f64;
     for (pd, pc) in [(2, 4), (4, 2), (4, 4)] {
         let p = pd * pc;
@@ -766,15 +759,11 @@ fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
                 _ => LayerParallelism::ModelBatch { pr: 1, pc: p },
             })
             .collect();
-        let eq9 = |conv: bool| -> f64 {
-            (layers.iter().zip(&assign))
-                .filter(|(l, _)| l.is_conv() == conv)
-                .map(|(l, &a)| layer_cost(l, a, b as f64, false).dw_allreduce.words)
-                .sum()
-        };
-        let (eq9_conv, eq9_head) = (eq9(true), eq9(false));
+        let eq9: f64 = (layers.iter().zip(&assign))
+            .map(|(l, &a)| layer_cost(l, a, b as f64, false).dw_allreduce.words)
+            .sum();
         assert_eq!(
-            eq9_conv + eq9_head,
+            eq9,
             integrated_full(&layers, &assign, b as f64)
                 .total
                 .dw_allreduce
@@ -797,61 +786,38 @@ fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
                 TraceConfig::enabled(),
             );
             assert!(run.replica_divergence() == 0.0, "{grid}");
-            // Per rank, [conv, head]: words launched, words sent, and the
-            // words the schedule each launch picks sends.
-            let (mut launched, mut sent, mut priced) =
-                (vec![[0.0; 2]; p], vec![[0.0; 2]; p], vec![[0.0; 2]; p]);
+            // Per rank: words launched, words sent, and the words the
+            // schedule each launch picks sends.
+            let (mut launched, mut sent, mut priced) = (vec![0.0; p], vec![0.0; p], vec![0.0; p]);
             for rank in &trace.ranks {
                 assert_eq!(rank.dropped, 0, "{grid}: the whole trace kept");
-                let mut bucket = None;
+                let mut world = false;
                 for ev in &rank.events {
                     let arg = |k| ev.arg(k).expect("annotated");
                     match (ev.cat, ev.name, ev.kind) {
                         ("nb", "iallreduce_launch", EventKind::Instant) => {
                             let n = arg("words");
-                            bucket = (arg("p") == p as f64)
-                                .then_some(usize::from(n != conv_words as f64));
-                            if let Some(k) = bucket {
-                                launched[rank.rank][k] += n;
-                                priced[rank.rank][k] += allreduce_exact(p, n, &model).words;
+                            world = arg("p") == p as f64;
+                            if world {
+                                launched[rank.rank] += n;
+                                priced[rank.rank] += allreduce_exact(p, n, &model).words;
                             }
                         }
-                        ("channel", "xfer", EventKind::Span) => {
-                            if let Some(k) = bucket {
-                                sent[arg("peer") as usize][k] += arg("words");
-                            }
+                        ("channel", "xfer", EventKind::Span) if world => {
+                            sent[arg("peer") as usize] += arg("words");
                         }
                         _ => {}
                     }
                 }
             }
             for r in 0..p {
-                let [launched, sent, priced] =
-                    [launched[r], sent[r], priced[r]].map(|v| v.map(per_iter));
+                let [launched, sent, priced] = [launched[r], sent[r], priced[r]].map(per_iter);
                 assert_eq!(
-                    launched,
-                    [conv_words as f64, head_words as f64],
+                    launched, words as f64,
                     "{grid} rank {r}: every ∆W word in a world sum"
                 );
-                assert_eq!(
-                    sent[0], eq9_conv,
-                    "{grid} rank {r}: conv ∆W words sent against Eq. 9"
-                );
-                assert_eq!(
-                    sent[1], priced[1],
-                    "{grid} rank {r}: head ∆W words sent against the schedule run"
-                );
-                // Recursive doubling's excess over Eq. 9's halving words.
-                let excess = match (machine, p) {
-                    ("cori_knl", 8) => 4_720.0,
-                    ("cori_knl", _) => 8_024.0,
-                    _ => 0.0,
-                };
-                assert_eq!(
-                    sent[1] - eq9_head,
-                    excess,
-                    "{grid} rank {r}: head ∆W words sent against Eq. 9"
-                );
+                assert_eq!(sent, priced, "{grid} rank {r}: against the schedule run");
+                assert_eq!(sent, eq9, "{grid} rank {r}: ∆W words sent against Eq. 9");
             }
         }
     }
@@ -859,22 +825,25 @@ fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
 
 /// The CNN backward runs its sums under the trunk backward (Fig. 8,
 /// run). At `cnn_domain`'s shapes (`mini_alexnet`, `B = 64`, two
-/// iterations) on 2×4, 4×4 and 4×2, on every rank and in every
+/// iterations) on 1×4, 2×4, 4×4 and 4×2, on every rank and in every
 /// iteration:
 ///
-/// * the FC head's `∆W` sum is issued before the trunk backward and
-///   drained in the first `optimizer_step` of the iteration, one bucket
-///   with words on the channel. Conv2–5 run on whole images past the
-///   domain prefix, so the trunk backward under it is short, and the sum
-///   spans all `P` ranks: it is only partly hidden, and rank 0's drain
-///   waits 4.0, 11.1 and 3.6 µs of 13.6, 18.1 and 13.6 µs charged;
+/// * one `optimizer_step` after the trunk backward drains every `∆W`
+///   bucket of the head and the trunk, in launch order, each with words
+///   on the channel. On 4 ranks the bucket rule cuts the head's `∆W`
+///   (3 776 words) apart from the trunk's (9 336): the head's sum is
+///   launched as the head's backward ends and runs under the trunk
+///   backward, and rank 0's drain waits 2.6 µs of its 9.0 µs charged.
+///   On 8 and 16 ranks conv2–5 run on whole images past the domain
+///   prefix, too short a trunk backward to hide a head sum behind, and
+///   the rule cuts one bucket of all 13 112 words;
 /// * conv2–5's `∆W` GEMMs run inside their `∆Y` fetch: a compute span of
 ///   exactly the layer's `∆W` flops, on this rank's whole images, nests
 ///   in that layer's backward `fetch_rows` span. Past the prefix that
 ///   fetch runs on a one-rank group, so nothing is in flight under it;
 /// * each grid's makespan is below the one it had when the head's sum
 ///   was waited before the trunk backward began and each `∆W` was formed
-///   before its `∆Y` fetch (`BEFORE`).
+///   before its `∆Y` fetch (`BEFORE`; 1×4 was not recorded then).
 #[test]
 fn executed_cnn_backward_hides_the_head_sum_and_each_dw_gemm() {
     const BEFORE: [((usize, usize), f64); 3] = [
@@ -909,7 +878,7 @@ fn executed_cnn_backward_hides_the_head_sum_and_each_dw_gemm() {
     }
     backward.reverse();
     let per_iter = forward + backward.len();
-    for ((pd, pc), before) in BEFORE {
+    for ((pd, pc), before) in [((1, 4), f64::INFINITY)].into_iter().chain(BEFORE) {
         let (run, trace) = train_cnn_domain_traced(
             &net,
             &x,
@@ -943,17 +912,18 @@ fn executed_cnn_backward_hides_the_head_sum_and_each_dw_gemm() {
                 })
             };
             let steps: Vec<usize> = spans("trainer", "optimizer_step").collect();
-            assert_eq!(
-                steps.len(),
-                2 * iters,
-                "{grid} rank {r}: the head's step, then the trunk's"
-            );
-            for &head in steps.iter().step_by(2) {
-                let drains: Vec<_> = children(head).filter(|e| e.cat == "drain").collect();
-                assert_eq!(drains.len(), 1, "{grid} rank {r}: one head bucket");
+            assert_eq!(steps.len(), iters, "{grid} rank {r}: one step");
+            for &step in &steps {
+                let mut drains: Vec<_> = children(step).filter(|e| e.cat == "drain").collect();
+                drains.reverse();
+                let buckets = if pd * pc == 4 { 2 } else { 1 };
+                assert_eq!(drains.len(), buckets, "{grid} rank {r}: the rule's buckets");
+                for d in &drains {
+                    assert!(d.arg("charged") > Some(0.0), "{grid} rank {r}: a sum");
+                }
                 assert!(
-                    drains[0].arg("charged") > Some(0.0),
-                    "{grid} rank {r}: a head sum on the channel"
+                    buckets == 1 || drains[0].arg("hidden") > Some(0.0),
+                    "{grid} rank {r}: the head's sum under the trunk backward"
                 );
             }
             let fetches: Vec<usize> = spans("distmm", "fetch_rows").collect();
