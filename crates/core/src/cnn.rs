@@ -47,20 +47,26 @@
 //! argmax, the domain one that or a convolution's halo, dropped once its
 //! `∆W` is formed. The head's `∆W` and every conv layer's partial `∆W`
 //! (over a strip in the prefix, over the rank's images past it) are one
-//! chain of gradient buckets: [`crate::overlap::buckets`] cuts the head's
-//! layers followed by the trunk's convs (`CnnSpec::grads`), once per run
-//! in the head's plan ([`crate::plan::head_plan`]), and one scheduler
-//! sums them over the full grid by non-blocking all-reduces — Eq. 9's
-//! terms as reductions over `P` at full `|W|`. The head launches the
-//! buckets its layers fill and leaves the one its last layers opened to
-//! the trunk's partials, so a sum of the head's runs under the trunk
-//! backward (Fig. 8) only where the rule finds it pays: on
-//! `mini_alexnet` at B = 64 the head's sum and the trunk's are two
-//! buckets on 4 ranks and one on 8 and 16. Every bucket is waited, in
+//! chain of gradient buckets, and one scheduler sums them over the full
+//! grid by non-blocking all-reduces — Eq. 9's terms as reductions over
+//! `P` at full `|W|`. Each rank's plan ([`CnnSpec::plans`]) lists the
+//! trunk's window fetches and relayouts, read off shapes by the tables
+//! the exchanges run, and [`crate::overlap::buckets`] cuts the head's
+//! layers followed by the trunk's convs on a clock that also charges the
+//! exchanges that block the backward between two pushes. The head
+//! launches the buckets its layers fill and leaves the one its last
+//! layers opened to the trunk's partials, so a sum runs under the trunk
+//! backward (Fig. 8) only where the rule finds it pays. On
+//! `mini_alexnet` at B = 64 the cut depends on `Pd × Pc`, not on `P`
+//! alone: the head's sum apart from the trunk's on 1×4; everything but
+//! conv1's `∆W` in one bucket on 2×4 and 4×2, whose sum runs while the
+//! relayout back to strips and pool1's `∆Y` fetch block the backward
+//! (6.4 and 7.0 µs); one bucket on 4×4, whose gap (5.5 µs) is too short
+//! to pay for a second all-reduce's α-steps. Every bucket is waited, in
 //! launch order, in one optimizer step after the trunk backward. Above
 //! the first convolution, a layer's `∆W` GEMM runs while its `∆Y` window
-//! is in flight, as the forward's interior rows hide its `X` window.
-//! GEMM flops are charged throughout.
+//! is in flight, as the forward's interior rows hide its `X` window. GEMM
+//! flops are charged throughout.
 //!
 //! The serial reference and every grid shape produce identical weight
 //! trajectories — the synchronous-SGD consistency the paper's
@@ -80,13 +86,13 @@ use tensor::ops::axpy;
 use tensor::pool::{maxpool2d, maxpool2d_backward, Pool2dParams};
 use tensor::Matrix;
 
-use distmm::dist::part_range;
+use distmm::dist::{intersect, part_range};
 use distmm::domain_general as dg;
 use distmm::onep5d::Grid;
-use distmm::rows::{relayout, Split};
+use distmm::rows::{relayout, relayout_part, Split};
 
 use crate::overlap::Grad;
-use crate::plan::head_plan;
+use crate::plan::{chain, CommPlan, Exchange};
 use crate::trainer::{
     backward_pass, forward_pass, init_weights, optimizer_step, serial_step, split_top, Act,
     FcLayer, Pass,
@@ -96,19 +102,24 @@ use collectives::cost::CostTerms;
 /// One trunk stage.
 #[derive(Debug, Clone)]
 enum Stage {
-    Conv {
-        params: Conv2dParams,
-        relu: bool,
-        in_h: usize,
-    },
-    Pool {
-        params: Pool2dParams,
-        in_h: usize,
-        in_w: usize,
-    },
+    /// A convolution, and whether a ReLU follows it.
+    Conv(Conv2dParams, bool),
+    Pool(Pool2dParams),
     /// Local response normalization: per-pixel across channels, so it
     /// runs locally on strips with zero communication.
-    Lrn { params: LrnParams },
+    Lrn(LrnParams),
+}
+
+impl Stage {
+    /// A convolution's or pool's kernel, as `dg::windows` takes it: its
+    /// rows, stride and padding.
+    fn kernel(&self) -> Option<dg::Kernel> {
+        match self {
+            Stage::Conv(p, _) => Some((p.kh, p.stride, p.pad)),
+            Stage::Pool(p) => Some((p.k, p.stride, 0)),
+            Stage::Lrn(_) => None,
+        }
+    }
 }
 
 /// What a trunk stage's forward keeps on a strip for its backward,
@@ -155,10 +166,9 @@ impl std::error::Error for CnnSpecError {}
 pub struct CnnSpec {
     stages: Vec<Stage>,
     pub(crate) fcs: Vec<FcLayer>,
-    /// Input (C, H, W).
-    input: (usize, usize, usize),
-    /// Shape entering the FC head.
-    trunk_out: (usize, usize, usize),
+    /// Each stage's input `(C, H, W)`, then the shape entering the FC
+    /// head.
+    shapes: Vec<(usize, usize, usize)>,
     /// The first weighted trunk stage: backprop stops there, since
     /// nothing reads the input image's gradient. `None` (a pooling-only
     /// trunk): nothing reads the FC head's input gradient either.
@@ -171,7 +181,7 @@ impl CnnSpec {
     pub fn of(net: &Network) -> Result<CnnSpec, CnnSpecError> {
         let mut stages: Vec<Stage> = Vec::new();
         let mut fcs: Vec<FcLayer> = Vec::new();
-        let mut trunk_out = (net.input.c, net.input.h, net.input.w);
+        let mut shapes = vec![(net.input.c, net.input.h, net.input.w)];
         for (spec, in_shape, out_shape) in net.layers() {
             let stage = match *spec {
                 LayerSpec::Conv {
@@ -180,8 +190,8 @@ impl CnnSpec {
                     kw,
                     stride,
                     pad,
-                } => Stage::Conv {
-                    params: Conv2dParams {
+                } => Stage::Conv(
+                    Conv2dParams {
                         in_c: in_shape.c,
                         out_c,
                         kh,
@@ -189,17 +199,10 @@ impl CnnSpec {
                         stride,
                         pad,
                     },
-                    relu: false,
-                    in_h: in_shape.h,
-                },
-                LayerSpec::MaxPool { k, stride } => Stage::Pool {
-                    params: Pool2dParams { k, stride },
-                    in_h: in_shape.h,
-                    in_w: in_shape.w,
-                },
-                LayerSpec::LocalResponseNorm => Stage::Lrn {
-                    params: LrnParams::alexnet(),
-                },
+                    false,
+                ),
+                LayerSpec::MaxPool { k, stride } => Stage::Pool(Pool2dParams { k, stride }),
+                LayerSpec::LocalResponseNorm => Stage::Lrn(LrnParams::alexnet()),
                 LayerSpec::FullyConnected { .. } => {
                     fcs.push(FcLayer {
                         d_in: in_shape.dim(),
@@ -212,7 +215,7 @@ impl CnnSpec {
                 LayerSpec::ReLU => {
                     match (fcs.last_mut(), stages.last_mut()) {
                         (Some(f), _) => f.act = Act::Relu,
-                        (None, Some(Stage::Conv { relu, .. })) => *relu = true,
+                        (None, Some(Stage::Conv(_, relu))) => *relu = true,
                         _ => return Err(CnnSpecError::MisplacedRelu),
                     }
                     continue;
@@ -224,18 +227,17 @@ impl CnnSpec {
                 return Err(CnnSpecError::TrunkAfterHead(spec.clone()));
             }
             stages.push(stage);
-            trunk_out = (out_shape.c, out_shape.h, out_shape.w);
+            shapes.push((out_shape.c, out_shape.h, out_shape.w));
         }
         split_top(&mut fcs);
         match (stages.is_empty(), fcs.is_empty()) {
             (true, _) => Err(CnnSpecError::NoTrunk),
             (_, true) => Err(CnnSpecError::NoHead),
             _ => Ok(CnnSpec {
-                first_conv: stages.iter().position(|s| matches!(s, Stage::Conv { .. })),
+                first_conv: stages.iter().position(|s| matches!(s, Stage::Conv(..))),
                 stages,
                 fcs,
-                input: (net.input.c, net.input.h, net.input.w),
-                trunk_out,
+                shapes,
             }),
         }
     }
@@ -248,40 +250,104 @@ impl CnnSpec {
     /// first stage that fails, and every stage after it, runs
     /// batch-parallel.
     fn domain_prefix(&self, pd: usize) -> (usize, usize) {
-        for (k, s) in self.stages.iter().enumerate() {
-            let (kernel, in_h) = match s {
-                Stage::Conv { params, in_h, .. } => (params.kh, *in_h),
-                Stage::Pool { params, in_h, .. } => (params.k, *in_h),
-                Stage::Lrn { .. } => continue,
-            };
-            if in_h / pd < kernel {
-                return (k, in_h);
-            }
-        }
-        (self.stages.len(), self.trunk_out.1)
+        let misses =
+            |(k, s): (usize, &Stage)| s.kernel().is_some_and(|g| self.shapes[k].1 / pd < g.0);
+        let k = (self.stages.iter().enumerate().position(misses)).unwrap_or(self.stages.len());
+        (k, self.shapes[k].1)
     }
 
-    /// The trunk's weighted layers as [`crate::overlap::buckets`] reads
-    /// them for `net` with batch `b` on `p` ranks, in push order (the top
-    /// first): each conv's weights, its backward's flops on a rank's share
-    /// of the batch's pixels (conv1 forms no ∆X), and no ∆X sum — its
-    /// windows are fetches, not sums.
-    pub(crate) fn grads(&self, net: &Network, b: usize, p: usize) -> Vec<Grad> {
-        let (mut convs, share) = (net.weighted_layers(), b as f64 / p as f64);
-        convs.retain(|l| l.is_conv());
-        (convs.iter().enumerate().rev())
-            .map(|(k, l)| Grad {
-                words: l.weights,
-                flops: l.forward_flops_per_sample() * share * if k > 0 { 2.0 } else { 1.0 },
-                dx_sum: CostTerms::ZERO,
-            })
-            .collect()
+    /// Every rank's plan for a batch of `b` on the `pd × pc` grid under
+    /// `model`, in rank order: the FC head's on the `1 × P` grid, where
+    /// rank `r` holds its images of the batch, and whose chain of `∆W`
+    /// buckets the convs' join ([`CommPlan::below`]), and the trunk's
+    /// exchanges in the order they run ([`CommPlan::trunk`]), read off
+    /// shapes by the tables the exchanges run ([`dg::windows`],
+    /// [`relayout_part`]). A conv's `∆W` is its weights, its backward's
+    /// flops on a rank's share of the batch's pixels (the first forms no
+    /// ∆X) and no ∆X sum (windows are fetches); its [`Grad::gap`] is the
+    /// exchanges between the push above it and its products. The buckets
+    /// are the same on every rank.
+    pub fn plans(&self, b: usize, (pd, pc): (usize, usize), model: &NetModel) -> Vec<CommPlan> {
+        let (p, len, shapes) = (pd * pc, self.stages.len(), &self.shapes);
+        let split = self.domain_prefix(pd).0;
+        // Rank `r`'s strip, and the images of its batch shard.
+        let seat = |r: usize| (r / pc, part_range(b, pc, r % pc).len());
+        // The words of each message a rank of strip `i` receives when peer
+        // `q` of its column group sends it `got(q)`.
+        let messages = |i, got: &dyn Fn(usize) -> usize| {
+            let all = (0..pd).map(|q| got(q) * usize::from(q != i));
+            all.filter(|&k| k > 0).collect()
+        };
+        // Stage `idx`'s window fetch, of `∆Y` if `back` (a pool's with its
+        // argmax): on strips in the prefix, on one rank past it.
+        let fetch = |idx: usize, back: bool, r: usize| -> Vec<usize> {
+            let ((c, h, w), (oc, oh, ow), (i, n)) = (shapes[idx], shapes[idx + 1], seat(r));
+            let pool = usize::from(matches!(self.stages[idx], Stage::Pool(_)));
+            let row = [c * w, (oc * ow) << pool][usize::from(back)] * n * usize::from(idx < split);
+            let kernel = self.stages[idx].kernel().expect("a window");
+            let win = dg::windows((pd, i), kernel, (h, oh), back);
+            let rows = |q| intersect(&win.read_part[q], &win.needed[i]).len() * row;
+            messages(i, &rows)
+        };
+        let relayout = |to, r: usize| -> Vec<usize> {
+            let ((c, h, w), (i, n)) = (shapes[split], seat(r));
+            let part = |q| relayout_part((pd, i), (n, h, w), to, q, true).1;
+            messages(i, &|q| part(q).iter().product::<usize>() * c)
+        };
+        let (mut trunk, mut gap, mut below) = (vec![Vec::new(); p], CostTerms::ZERO, Vec::new());
+        // One exchange on every rank, priced as the rank that waits
+        // longest runs it: α plus β·words of the largest message any rank
+        // receives, since a rank posts every receive before it waits.
+        let mut post = |name, got: &dyn Fn(usize) -> Vec<usize>| {
+            let got: Vec<Vec<usize>> = (0..p).map(got).collect();
+            let most = got.iter().flatten().max().copied();
+            (trunk.iter_mut().zip(got)).for_each(|(rows, got)| rows.push(Exchange(name, got)));
+            most.map_or(CostTerms::ZERO, |n| CostTerms::new(1.0, n as f64))
+        };
+        let window = |idx| self.stages.get(idx).and_then(Stage::kernel).is_some();
+        for idx in 0..=len {
+            if idx == split {
+                post("relayout", &|r| relayout(Split::Samples, r));
+            }
+            if window(idx) {
+                post("fetch_rows", &|r| fetch(idx, false, r));
+            }
+        }
+        for idx in (self.first_conv.unwrap_or(len)..len).rev() {
+            if idx + 1 == split {
+                gap += post("relayout", &|r| relayout(Split::Rows, r));
+            }
+            // Every stage in here but the first conv forms its ∆X.
+            let dx = Some(idx) > self.first_conv;
+            if window(idx) && dx {
+                gap += post("fetch_rows", &|r| fetch(idx, true, r));
+            }
+            if let Stage::Conv(conv, _) = &self.stages[idx] {
+                let (words, (_, oh, ow)) = (conv.out_c * conv.patch_len(), shapes[idx + 1]);
+                let share = b as f64 / p as f64 * if dx { 2.0 } else { 1.0 };
+                let flops = 2.0 * words as f64 * (oh * ow) as f64 * share;
+                let (dx_sum, gap) = (CostTerms::ZERO, std::mem::take(&mut gap));
+                below.push(Grad {
+                    words,
+                    flops,
+                    dx_sum,
+                    gap,
+                });
+            }
+        }
+        let (dx, fcs, one) = (!below.is_empty(), &self.fcs, [(1, p)]);
+        let plan = |(r, trunk): (usize, Vec<Exchange>)| {
+            let images = part_range(seat(r).1, pd, r / pc).len();
+            let head = chain(fcs, b, &one, |_| (0, images), dx, &below, Some(model));
+            CommPlan { trunk, ..head }
+        };
+        trunk.into_iter().enumerate().map(plan).collect()
     }
 
     fn init_weights(&self, seed: u64) -> (Vec<Matrix>, Vec<Matrix>) {
         let conv = |(s, seed): (&Stage, u64)| match s {
-            Stage::Conv { params: p, .. } => Some(init::xavier(p.out_c, p.patch_len(), seed)),
-            Stage::Pool { .. } | Stage::Lrn { .. } => None,
+            Stage::Conv(p, _) => Some(init::xavier(p.out_c, p.patch_len(), seed)),
+            Stage::Pool(_) | Stage::Lrn(_) => None,
         };
         let convs = self.stages.iter().zip(seed..).filter_map(conv);
         (convs.collect(), init_weights(&self.fcs, seed + 100))
@@ -314,7 +380,7 @@ pub fn train_cnn_serial(
     cfg: &TrainConfig,
 ) -> CnnSerialResult {
     let spec = CnnSpec::of(net).unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!((x.c, x.h, x.w), spec.input, "input tensor shape mismatch");
+    assert_eq!((x.c, x.h, x.w), spec.shapes[0], "input shape mismatch");
     let (mut conv_w, mut fc_w) = spec.init_weights(cfg.seed);
     let first = spec.first_conv;
     let mut losses = Vec::with_capacity(cfg.iters);
@@ -328,7 +394,7 @@ pub fn train_cnn_serial(
         for s in &spec.stages {
             let input = acts.last().unwrap_or(x);
             let (y, at) = match s {
-                Stage::Conv { params, relu, .. } => {
+                Stage::Conv(params, relu) => {
                     let mut y = conv2d(input, &conv_w[wi], params);
                     wi += 1;
                     if *relu {
@@ -336,8 +402,8 @@ pub fn train_cnn_serial(
                     }
                     (y, Vec::new())
                 }
-                Stage::Pool { params, .. } => maxpool2d(input, params),
-                Stage::Lrn { params } => (lrn_forward(input, params), Vec::new()),
+                Stage::Pool(params) => maxpool2d(input, params),
+                Stage::Lrn(params) => (lrn_forward(input, params), Vec::new()),
             };
             acts.push(y);
             argmax.push(at);
@@ -351,13 +417,13 @@ pub fn train_cnn_serial(
         let (Some(dy), Some(first)) = (dy, first) else {
             continue;
         };
-        let (c0, h0, w0) = spec.trunk_out;
+        let (c0, h0, w0) = spec.shapes[spec.stages.len()];
         let mut dt = Tensor4::from_columns(&dy, c0, h0, w0);
         let mut wi = conv_w.len();
         for (idx, s) in spec.stages.iter().enumerate().skip(first).rev() {
             let input = if idx == 0 { x } else { &acts[idx - 1] };
             match s {
-                Stage::Conv { params, relu, .. } => {
+                Stage::Conv(params, relu) => {
                     wi -= 1;
                     if *relu {
                         relu_backward_in_place(acts[idx].as_slice(), dt.as_mut_slice());
@@ -369,10 +435,10 @@ pub fn train_cnn_serial(
                     }
                     axpy(-cfg.lr, dw.as_slice(), conv_w[wi].as_mut_slice());
                 }
-                Stage::Pool { in_h, in_w, .. } => {
-                    dt = maxpool2d_backward(&dt, &argmax[idx], *in_h, *in_w);
+                Stage::Pool(_) => {
+                    dt = maxpool2d_backward(&dt, &argmax[idx], input.h, input.w);
                 }
-                Stage::Lrn { params } => dt = lrn_backward(input, &dt, params),
+                Stage::Lrn(params) => dt = lrn_backward(input, &dt, params),
             }
         }
     }
@@ -470,18 +536,26 @@ pub fn train_cnn_domain_traced(
     trace: TraceConfig,
 ) -> (CnnDistResult, WorldTrace) {
     let spec = CnnSpec::of(net).unwrap_or_else(|e| panic!("{e}"));
+    let plans = spec.plans(x.n, (pd, pc), &model);
+    train_planned(&spec, (x, labels), cfg, (pd, pc), model, trace, &plans)
+}
+
+/// [`train_cnn_domain_traced`] with rank `r` running `plans[r]`.
+fn train_planned(
+    spec: &CnnSpec,
+    (x, labels): (&Tensor4, &[usize]),
+    cfg: &TrainConfig,
+    (pd, pc): (usize, usize),
+    model: NetModel,
+    trace: TraceConfig,
+    plans: &[CommPlan],
+) -> (CnnDistResult, WorldTrace) {
     let (first_conv, len) = (spec.first_conv, spec.stages.len());
     let (split, split_h) = spec.domain_prefix(pd);
     let b_global = x.n;
     // Drawn once; every rank starts from its own copy of the replica.
     let ((conv_w0, fc_w0), nf) = (spec.init_weights(cfg.seed), spec.fcs.len());
-    // One plan per rank for the FC head on the `1 × P` grid and, after
-    // it, the trunk's weighted layers, which read the head's input
-    // gradient: one chain of ∆W buckets over the world. Rank `(i, j)`
-    // holds these images of batch shard `j` past the domain prefix.
-    let (p, below) = (pd * pc, spec.grads(net, b_global, pd * pc));
-    let images = |i, j| part_range(part_range(b_global, pc, j).len(), pd, i).len();
-    let plan = |i, j| head_plan(&spec.fcs, b_global, p, images(i, j), &below, &model);
+    let p = pd * pc;
     let rank_body = |comm: &Communicator| -> Result<CnnRankOutcome, Error> {
         // Row-major `pd × pc`: i = strip index (domain), j = batch
         // shard; the column group shares a batch shard. Past the domain
@@ -489,7 +563,7 @@ pub fn train_cnn_domain_traced(
         // grid, whose one-rank column groups send nothing and whose row
         // is the world, runs the rest of the trunk and the FC head.
         let Grid { i, j, col_comm, .. } = Grid::new(comm, pd, pc)?;
-        let (batch, head_plan) = (Grid::new(comm, 1, p)?, plan(i, j));
+        let (batch, plan) = (Grid::new(comm, 1, p)?, &plans[comm.rank()]);
         // Stage `idx`'s group: its strips' column, or past the prefix its
         // own rank; and where its output sits in `acts`: past the prefix
         // one slot up, behind the prefix's output as whole images.
@@ -523,23 +597,24 @@ pub fn train_cnn_domain_traced(
                     break;
                 };
                 let (c, input) = (group(idx), acts.last().unwrap_or(&x_shard));
+                let h = spec.shapes[idx].1;
                 let (y, kept) = match s {
-                    Stage::Conv { params, relu, in_h } => {
-                        let (mut y, halo) = dg::conv_forward_halo(c, input, &w[wi], params, *in_h)?;
+                    Stage::Conv(params, relu) => {
+                        let (mut y, halo) = dg::conv_forward_halo(c, input, &w[wi], params, h)?;
                         wi += 1;
                         if *relu {
                             relu_in_place(y.as_mut_slice());
                         }
                         (y, Saved::Halo(halo))
                     }
-                    Stage::Pool { params, in_h, .. } => {
-                        let (y, argmax) = dg::pool_forward(c, input, params, *in_h)?;
+                    Stage::Pool(params) => {
+                        let (y, argmax) = dg::pool_forward(c, input, params, h)?;
                         (y, Saved::Argmax(argmax))
                     }
                     // Per-pixel across channels: strictly local on strips
                     // — zero communication, as the cost model assumes for
                     // normalization layers.
-                    Stage::Lrn { params } => (lrn_forward(input, params), Saved::Argmax(vec![])),
+                    Stage::Lrn(params) => (lrn_forward(input, params), Saved::Argmax(vec![])),
                 };
                 acts.push(y);
                 saved.push(kept);
@@ -547,7 +622,7 @@ pub fn train_cnn_domain_traced(
             // The FC head: the shared iteration body on the `1 × P` grid —
             // replicated weights, this rank's images, ∆W bucketed for one
             // sum over the world.
-            let (c0, h0, w0) = spec.trunk_out;
+            let (c0, h0, w0) = spec.shapes[len];
             let pass = Pass {
                 grids: std::slice::from_ref(&batch),
                 guard: None,
@@ -557,7 +632,7 @@ pub fn train_cnn_domain_traced(
                 labels_local: &labels[batch_range.clone()][part_range(b_local, pd, i)],
                 b_global,
                 iter,
-                plan: &head_plan,
+                plan,
             };
             let tape = forward_pass(&pass, &w)?;
             partial_losses.push(tape.loss);
@@ -582,15 +657,15 @@ pub fn train_cnn_domain_traced(
                     // Back to strips, by the same relayout.
                     dt = relayout(&col_comm, &dt, (b_local, split_h), Split::Rows)?;
                 }
-                let (c, out) = (group(idx), at(idx));
+                let (c, out, h) = (group(idx), at(idx), spec.shapes[idx].1);
                 let input = if out == 0 { &x_shard } else { &acts[out - 1] };
                 match (s, saved.pop().expect("one saved state per stage")) {
-                    (Stage::Conv { params, relu, in_h }, Saved::Halo(halo)) => {
+                    (Stage::Conv(params, relu), Saved::Halo(halo)) => {
                         wi -= 1;
                         if *relu {
                             relu_backward_in_place(acts[out].as_slice(), dt.as_mut_slice());
                         }
-                        let (w, h, mut dw) = (&w[wi], *in_h, None);
+                        let (w, mut dw) = (&w[wi], None);
                         let form_dw = || {
                             dw = Some(dg::conv_backward_partial(c, input, halo, w, &dt, params, h))
                         };
@@ -601,10 +676,10 @@ pub fn train_cnn_domain_traced(
                         }
                         sched.push(wi, dw.expect("∆W formed"))?;
                     }
-                    (Stage::Pool { params, in_h, in_w }, Saved::Argmax(argmax)) => {
-                        dt = dg::pool_backward(c, &dt, &argmax, params, *in_h, *in_w)?;
+                    (Stage::Pool(params), Saved::Argmax(argmax)) => {
+                        dt = dg::pool_backward(c, &dt, &argmax, params, h, input.w)?;
                     }
-                    (Stage::Lrn { params }, _) => dt = lrn_backward(input, &dt, params),
+                    (Stage::Lrn(params), _) => dt = lrn_backward(input, &dt, params),
                     _ => unreachable!("a stage's saved state is the one its forward kept"),
                 }
                 // Stage `idx`'s output was read for the last time: let it
@@ -647,32 +722,41 @@ pub fn synthetic_images(net: &Network, b: usize, seed: u64) -> (Tensor4, Vec<usi
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::plan::head_plan;
     use dnn::zoo::mini_alexnet;
     use dnn::{NetworkBuilder, Shape};
 
-    /// The rule's cut of the whole CNN's ∆W on `cnn_domain`'s ranks
+    /// The rule's cut of the whole CNN's ∆W on `cnn_domain`'s grids
     /// (`mini_alexnet`, B = 64, Cori KNL): one chain, the head's two FC
-    /// layers (3 776 words) then the five convs (9 336). On 4 ranks the
-    /// head's sum hides behind the trunk backward; on 8 and 16 one sum of
-    /// every weight drains first.
+    /// layers (3 776 words) then the five convs (9 336), conv1's 1 176
+    /// last. On 1×4 the head's sum hides behind the trunk backward. On
+    /// 2×4 and 4×2 every sum but conv1's is launched at conv2's push and
+    /// runs while the relayout back to strips and pool1's `∆Y` window
+    /// block the backward; on 4×4 that gap is shorter and one sum of every
+    /// weight drains first.
     #[test]
     fn the_rule_cuts_the_whole_cnn_on_cnn_domain() {
         let (net, model) = (mini_alexnet(), NetModel::cori_knl());
         let spec = CnnSpec::of(&net).expect("a CNN");
-        for (p, cut) in [(4, &[3_776, 9_336][..]), (8, &[13_112]), (16, &[13_112])] {
-            let below = spec.grads(&net, 64, p);
-            let plan = head_plan(&spec.fcs, 64, p, 64 / p, &below, &model);
-            assert_eq!(plan.buckets.as_deref(), Some(cut), "P = {p}");
+        let split = &[11_936, 1_176][..];
+        let cuts = [((1, 4), &[3_776, 9_336][..]), ((2, 4), split)];
+        for (grid, cut) in cuts
+            .into_iter()
+            .chain([((4, 4), &[13_112][..]), ((4, 2), split)])
+        {
+            for (r, plan) in spec.plans(64, grid, &model).iter().enumerate() {
+                assert_eq!(plan.buckets.as_deref(), Some(cut), "{grid:?} rank {r}");
+            }
         }
     }
 
     /// `cnn_domain`'s four grids (`mini_alexnet`, B = 64, two
-    /// iterations, Cori KNL) keep their makespans to the bit: 60.5, 97.4,
-    /// 103.1 and 111.2 µs, 372.09 µs in all (381.45 µs while the head's
-    /// and the trunk's sums were cut apart and ran one after the other).
+    /// iterations, Cori KNL) keep their makespans to the bit: 60.5, 95.9,
+    /// 103.1 and 108.1 µs, 367.61 µs in all (372.09 µs while the rule's
+    /// clock did not see the trunk's exchanges and merged the whole CNN on
+    /// 2×4 and 4×2, 381.45 µs while the head's and the trunk's sums were
+    /// cut apart and ran one after the other).
     #[test]
     fn cnn_domain_keeps_its_makespans() {
         let net = mini_alexnet();
@@ -684,15 +768,37 @@ mod tests {
         };
         let golden = [
             ((1, 4), 6.0514517333333334e-5),
-            ((2, 4), 9.736669866666666e-5),
+            ((2, 4), 9.591379199999998e-5),
             ((4, 4), 1.0305899733333334e-4),
-            ((4, 2), 1.1114999466666669e-4),
+            ((4, 2), 1.0812610133333334e-4),
         ];
         for ((pd, pc), want) in golden {
             let r = train_cnn_domain(&net, &x, &labels, &cfg, pd, pc, NetModel::cori_knl());
             let got = r.stats.makespan();
             assert_eq!(got, want, "{pd}x{pc}: {got:e}");
         }
+    }
+
+    /// `net` trained on the `pd × pc` grid, each rank's buckets the ones
+    /// `cut` makes of its plan's gradients in place of the rule's: the
+    /// CNN twin of [`crate::trainer::tests::train_cut`].
+    pub(crate) fn train_cnn_cut(
+        net: &Network,
+        (x, labels): (&Tensor4, &[usize]),
+        cfg: &TrainConfig,
+        (pd, pc): (usize, usize),
+        model: NetModel,
+        cut: impl Fn(&[Grad]) -> Vec<usize>,
+    ) -> CnnDistResult {
+        let spec = CnnSpec::of(net).expect("a CNN");
+        let plans: Vec<CommPlan> = (spec.plans(x.n, (pd, pc), &model).into_iter())
+            .map(|rule| CommPlan {
+                buckets: Some(cut(&rule.grads())),
+                ..rule
+            })
+            .collect();
+        let off = TraceConfig::disabled();
+        train_planned(&spec, (x, labels), cfg, (pd, pc), model, off, &plans).0
     }
 
     fn tiny_cnn() -> Network {

@@ -10,9 +10,11 @@
 //! the buckets [`crate::overlap::buckets`] cuts. [`plan`] decides that
 //! list once per run and rank; the trainers run it
 //! (`trainer::forward_pass`, `trainer::backward_pass`),
-//! and the bucket rule, `fig8_exec` and the tests read it. The CNN's
-//! head plan ([`head_plan`]) carries the conv trunk's `∆W` too: the
-//! head's and the trunk's sums are one chain of buckets over the grid.
+//! and the bucket rule, `fig8_exec` and the tests read it. A CNN rank's
+//! plan ([`crate::cnn::CnnSpec::plans`]) is its FC head's on the `1 × P`
+//! grid, carrying the conv trunk's `∆W` too (the head's and the trunk's
+//! sums are one chain of buckets over the grid) and the trunk's window
+//! fetches and relayouts as rows ([`CommPlan::trunk`]).
 
 use collectives::cost::{reduce_scatter_exact, CostTerms};
 use distmm::dist::part_range;
@@ -83,11 +85,25 @@ pub enum Kind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Collective(pub Kind, pub bool, pub usize, pub usize);
 
-/// What one rank's FC iteration runs ([`plan`]).
+/// One exchange of a CNN trunk's iteration on one rank, named as its
+/// trace span is (`distmm`'s `fetch_rows` or `relayout`), with the words
+/// of each message the rank receives in it: one per peer that sends it
+/// any, none on a one-rank group.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Exchange(pub &'static str, pub Vec<usize>);
+
+/// What one rank's FC iteration runs ([`plan`]), or a CNN rank's
+/// ([`crate::cnn::CnnSpec::plans`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommPlan {
     /// One entry per layer, in layer order.
     pub layers: Vec<LayerPlan>,
+    /// The `∆W` of a CNN trunk's weighted layers, in push order: the
+    /// chain's buckets take them after the layers' (none on an FC chain).
+    pub below: Vec<Grad>,
+    /// A CNN trunk's exchanges, in the order they run: the forward's,
+    /// then the backward's (none on an FC chain).
+    pub trunk: Vec<Exchange>,
     /// The words of each `∆W` bucket, in launch order, as [`buckets`]
     /// cuts them over the row group (the trunk's `∆W` after the head's on
     /// a CNN); `None` when the run is blocking and each layer's `∆W` is
@@ -121,28 +137,12 @@ pub fn plan(
     chain(layers, b, shapes, seat, input_grad, &[], model)
 }
 
-/// The plan of a rank of the CNN's FC head ([`crate::cnn`]) on the
-/// `1 × P` grid, where the rank holds `images` of the batch of `b`: the
-/// head's `∆W` and, after it, the `∆W` of the trunk's weighted layers
-/// `below` (top first), cut into buckets over the whole grid as one
-/// chain. Those layers read the head's input gradient, so layer 0 forms
-/// it when there are any.
-pub(crate) fn head_plan(
-    layers: &[FcLayer],
-    b: usize,
-    p: usize,
-    images: usize,
-    below: &[Grad],
-    model: &NetModel,
-) -> CommPlan {
-    let (seat, shape, dx) = (|_| (0, images), [(1, p)], !below.is_empty());
-    chain(layers, b, &shape, seat, dx, below, Some(model))
-}
-
 /// [`plan`] for a rank that, on a grid of `Pc` columns, sits in grid row
 /// `seat(Pc).0` and holds `seat(Pc).1` batch columns, above the weighted
-/// layers `below`, whose `∆W` joins the chain's buckets.
-fn chain(
+/// layers `below`, whose `∆W` joins the chain's buckets: the CNN's FC
+/// head ([`crate::cnn::CnnSpec::plans`]) on the `1 × P` grid, above the
+/// trunk's convs, which read its input gradient.
+pub(crate) fn chain(
     layers: &[FcLayer],
     b: usize,
     shapes: &[(usize, usize)],
@@ -182,6 +182,7 @@ fn chain(
             words,
             flops: if dx == Dx::Skip { 2.0 } else { 4.0 } * words as f64 * mean,
             dx_sum: sum.unwrap_or(CostTerms::ZERO),
+            gap: CostTerms::ZERO,
         };
         steps.push(LayerPlan {
             forward,
@@ -224,16 +225,19 @@ fn chain(
     }
     CommPlan {
         layers: steps,
+        below: below.to_vec(),
+        trunk: Vec::new(),
         buckets,
         collectives: run,
     }
 }
 
 impl CommPlan {
-    /// Each layer's [`Grad`] in push order, the top first, as [`buckets`]
-    /// cuts them.
+    /// Each layer's [`Grad`] in push order, the top first, then a CNN
+    /// trunk's ([`CommPlan::below`]), as [`buckets`] cuts them.
     pub fn grads(&self) -> Vec<Grad> {
-        self.layers.iter().rev().map(|l| l.grad).collect()
+        let layers = self.layers.iter().rev().map(|l| l.grad);
+        layers.chain(self.below.iter().copied()).collect()
     }
 
     /// The plan with `words` riding the iteration's last `∆W` sum, layer
@@ -392,9 +396,13 @@ mod tests {
         let spec = CnnSpec::of(&net).expect("a CNN");
         for (pd, pc) in [(2, 2), (1, 4)] {
             let (_, trace) = train_cnn_domain_traced(&net, &x, &labels, &cfg, pd, pc, model, on);
-            let below = spec.grads(&net, 8, pd * pc);
-            let cnn = |_| head_plan(&spec.fcs, 8, pd * pc, 2, &below, &model);
-            runs_its_plan(&trace, ITERS, cnn, &format!("CNN {pd}x{pc}"));
+            let plans = spec.plans(8, (pd, pc), &model);
+            runs_its_plan(
+                &trace,
+                ITERS,
+                |r| plans[r].clone(),
+                &format!("CNN {pd}x{pc}"),
+            );
         }
 
         let net = mlp_tiny();
@@ -428,12 +436,11 @@ mod tests {
             let (x, labels) = synthetic_images(&net, b, 5);
             let on = TraceConfig::enabled();
             let (_, trace) = train_cnn_domain_traced(&net, &x, &labels, &cfg(), pd, pc, model, on);
-            let below = spec.grads(&net, b, pd * pc);
+            let plans = spec.plans(b, (pd, pc), &model);
             for rank in &trace.ranks {
                 let (i, j, ev) = (rank.rank / pc, rank.rank % pc, &rank.events);
                 let images = part_range(part_range(b, pc, j).len(), pd, i).len();
-                let plan = head_plan(&spec.fcs, b, pd * pc, images, &below, &model);
-                let sum = plan
+                let sum = plans[rank.rank]
                     .collectives
                     .iter()
                     .find(|c| c.0 == Kind::AllReduce && !c.1);

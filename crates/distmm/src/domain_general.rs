@@ -45,27 +45,24 @@ use tensor::Matrix;
 
 use crate::rows::{fetch_rows, Frame, Halo, NO_FRAME};
 
+/// A kernel's vertical geometry: its rows, stride and padding.
+pub type Kernel = (usize, usize, usize);
+
 /// The per-rank block partition of `h` rows.
 pub use collectives::chunks::block_ranges as row_partition;
 
 /// For an output row range and vertical kernel geometry, the
 /// *unclipped* input row window `[o0·s − pad, (o1−1)·s − pad + k)` and
-/// its clip against `[0, in_h)`, returning
+/// its clip against `[0, h)`, returning
 /// `(clipped_range, zeros_above, zeros_below)`.
-fn input_window(
-    out_range: &Range<usize>,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    in_h: usize,
-) -> (Range<usize>, usize, usize) {
-    if out_range.is_empty() {
+fn input_window(out: &Range<usize>, (k, s, pad): Kernel, h: usize) -> (Range<usize>, usize, usize) {
+    if out.is_empty() {
         return (0..0, 0, 0);
     }
-    let lo_raw = out_range.start as isize * stride as isize - pad as isize;
-    let hi_raw = (out_range.end as isize - 1) * stride as isize - pad as isize + k as isize;
+    let lo_raw = out.start as isize * s as isize - pad as isize;
+    let hi_raw = (out.end as isize - 1) * s as isize - pad as isize + k as isize;
     let lo = lo_raw.max(0) as usize;
-    let hi = (hi_raw.max(0) as usize).min(in_h);
+    let hi = (hi_raw.max(0) as usize).min(h);
     let zeros_above = (lo as isize - lo_raw).max(0) as usize;
     let zeros_below = (hi_raw - hi as isize).max(0) as usize;
     (lo..hi.max(lo), zeros_above, zeros_below)
@@ -74,13 +71,7 @@ fn input_window(
 /// The inverse of [`input_window`]: the output rows whose (unclipped)
 /// input windows touch the non-empty input row range `rows` — the `∆Y`
 /// rows a block of `∆X` rows reads.
-fn output_window(
-    rows: &Range<usize>,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    out_h: usize,
-) -> Range<usize> {
+fn output_window(rows: &Range<usize>, (k, stride, pad): Kernel, out_h: usize) -> Range<usize> {
     let hi = ((rows.end - 1 + pad) / stride + 1).min(out_h);
     let lo = (rows.start + pad + 1).saturating_sub(k);
     lo.div_ceil(stride).min(hi)..hi
@@ -89,32 +80,36 @@ fn output_window(
 /// One exchange's row bookkeeping on one rank, derived from shapes
 /// alone (identical tables on every rank): a product whose rows are
 /// split over the ranks reads a window of an operand split the same
-/// way.
-struct Windows {
+/// way. The exchange and a plan of it read the same tables.
+pub struct Windows {
     /// Every rank's block of the operand's rows.
-    read_part: Vec<Range<usize>>,
+    pub read_part: Vec<Range<usize>>,
     /// This rank's block of the product's rows.
     made: Range<usize>,
     /// Every rank's (clipped) window of the operand.
-    needed: Vec<Range<usize>>,
+    pub needed: Vec<Range<usize>>,
     /// How many of `made`'s rows read this rank's own block only —
     /// computable while the rest of the window is in flight. All of
     /// them for a 1×1 kernel or a single rank.
     interior: usize,
 }
 
-fn windows(
-    comm: &Communicator,
-    (made_h, read_h): (usize, usize),
-    window: impl Fn(&Range<usize>) -> Range<usize>,
-) -> Windows {
-    let (size, me) = (comm.size(), comm.rank());
+/// The [`Windows`] of rank `me` of `size` for a kernel `k` from `h.0`
+/// input rows to `h.1` output rows: forward, each block of output rows
+/// reads an input window; `back`ward, each block of `∆X` rows reads the
+/// `∆Y` rows whose windows touch it.
+pub fn windows((size, me): (usize, usize), k: Kernel, h: (usize, usize), back: bool) -> Windows {
+    let window = |rows: &Range<usize>| match back {
+        false => input_window(rows, k, h.0).0,
+        true => output_window(rows, k, h.1),
+    };
+    let (made_h, read_h) = if back { h } else { (h.1, h.0) };
     let (read_part, made_part) = (row_partition(read_h, size), row_partition(made_h, size));
     let mine = &read_part[me];
+    let own = |r: Range<usize>| r.is_empty() || (mine.start <= r.start && r.end <= mine.end);
     let interior = made_part[me]
         .clone()
-        .map(|o| window(&(o..o + 1)))
-        .filter(|rows| rows.is_empty() || (mine.start <= rows.start && rows.end <= mine.end))
+        .filter(|&o| own(window(&(o..o + 1))))
         .count();
     // A rank with no rows reads none.
     let read = |rows: &Range<usize>| if rows.is_empty() { 0..0 } else { window(rows) };
@@ -124,6 +119,11 @@ fn windows(
         interior,
         read_part,
     }
+}
+
+/// A rank's place in its group: the group's size and the rank.
+fn seat(comm: &Communicator) -> (usize, usize) {
+    (comm.size(), comm.rank())
 }
 
 impl Windows {
@@ -153,9 +153,8 @@ fn input_rows(
     in_h: usize,
 ) -> (Windows, Frame, f64) {
     let (out_h, out_w) = p.out_hw(in_h, x_strip.w);
-    let window = |out: &Range<usize>| input_window(out, p.kh, p.stride, p.pad, in_h);
-    let win = windows(comm, (out_h, in_h), |out| window(out).0);
-    let (_, above, below) = window(&win.made);
+    let win = windows(seat(comm), (p.kh, p.stride, p.pad), (in_h, out_h), false);
+    let (_, above, below) = input_window(&win.made, (p.kh, p.stride, p.pad), in_h);
     let row_flops = 2.0 * weights.len() as f64 * (out_w * x_strip.n) as f64;
     (win, (above, below, p.pad), row_flops)
 }
@@ -266,9 +265,7 @@ pub fn conv_backward_data(
     in_flight: impl FnOnce(),
 ) -> Result<Tensor4> {
     let (out_h, _) = p.out_hw(in_h, in_w);
-    let win = windows(comm, (in_h, out_h), |rows| {
-        output_window(rows, p.kh, p.stride, p.pad, out_h)
-    });
+    let win = windows(seat(comm), (p.kh, p.stride, p.pad), (in_h, out_h), true);
     let flops = 2.0 * weights.len() as f64 * (in_w * dy_strip.n) as f64;
     let dy = win.fetch(comm, dy_strip, flops, in_flight)?;
     let dy = dy.frame(dy_strip, NO_FRAME);
@@ -287,9 +284,7 @@ pub fn pool_forward(
     in_h: usize,
 ) -> Result<(Tensor4, Vec<usize>)> {
     let (out_h, out_w) = p.out_hw(in_h, x_strip.w);
-    let win = windows(comm, (out_h, in_h), |o| {
-        input_window(o, p.k, p.stride, 0, in_h).0
-    });
+    let win = windows(seat(comm), (p.k, p.stride, 0), (in_h, out_h), false);
     let flops = (x_strip.n * x_strip.c * out_w * p.k * p.k) as f64;
     let window = win.fetch(comm, x_strip, flops, || ())?;
     let window = window.frame(x_strip, NO_FRAME);
@@ -318,9 +313,7 @@ pub fn pool_backward(
     in_w: usize,
 ) -> Result<Tensor4> {
     let (out_h, _) = p.out_hw(in_h, in_w);
-    let win = windows(comm, (in_h, out_h), |rows| {
-        output_window(rows, p.k, p.stride, 0, out_h)
-    });
+    let win = windows(seat(comm), (p.k, p.stride, 0), (in_h, out_h), true);
     let (n, c, h, w) = dy_strip.shape();
     let dy_at = Tensor4::from_fn(n, 2 * c, h, w, |s, ci, y, x| match ci.checked_sub(c) {
         None => dy_strip.get(s, ci, y, x),

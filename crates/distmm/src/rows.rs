@@ -123,7 +123,9 @@ pub fn fetch_rows(
     let (mine, wanted) = (&owned[me], &needed[me]);
     let (n, c, w) = (strip.n, strip.c, strip.w);
     debug_assert_eq!(strip.h, mine.len());
-    let _span = comm.trace_span("distmm", "fetch_rows", &[("c", c as f64)]);
+    let got = |q| intersect(&owned[q], wanted).len() * usize::from(q != me);
+    let words = ((0..p).map(got).sum::<usize>() * n * c * w) as f64;
+    let _span = comm.trace_span("distmm", "fetch_rows", &[("words", words)]);
 
     // Sends are eager and go first: my rows that peers want.
     for q in 0..p {
@@ -169,12 +171,32 @@ pub enum Split {
     Samples,
 }
 
+/// The part of an `n`-image batch of `h × w` images that rank `me` of `p`
+/// sends peer `q` when [`relayout`] re-lays it to `to`, or, `incoming`,
+/// the part `q` sends `me`: the part's offset in a block holding it, and
+/// its size. Shapes alone decide it, so a plan reads the same parts.
+pub fn relayout_part(
+    (p, me): (usize, usize),
+    (n, h, w): (usize, usize, usize),
+    to: Split,
+    q: usize,
+    incoming: bool,
+) -> ([usize; 3], [usize; 3]) {
+    // Rank `q`'s images of my rows, or my images of `q`'s rows.
+    let (s, r) = (|q| part_range(n, p, q), |q| part_range(h, p, q));
+    match (to == Split::Samples) != incoming {
+        true => ([s(q).start, 0, 0], [s(q).len(), r(me).len(), w]),
+        false => ([0, r(q).start, 0], [s(me).len(), r(q).len(), w]),
+    }
+}
+
 /// Eq. 6 between the two [`Split`]s of an `n`-image, `h`-row batch:
 /// re-lays `t`, this rank's block under the other split, into its block
 /// under `to`. Each rank sends each peer the part of its block the
-/// peer's new block holds, one message per non-empty part, and posts
-/// every receive before it waits on any, as [`fetch_rows`] does: every
-/// element moves at most once, and nothing is replicated.
+/// peer's new block holds ([`relayout_part`]), one message per non-empty
+/// part, and posts every receive before it waits on any, as
+/// [`fetch_rows`] does: every element moves at most once, and nothing is
+/// replicated.
 pub fn relayout(
     comm: &Communicator,
     t: &Tensor4,
@@ -182,33 +204,27 @@ pub fn relayout(
     to: Split,
 ) -> Result<Tensor4> {
     let (p, me, c, w) = (comm.size(), comm.rank(), t.c, t.w);
-    let _span = comm.trace_span("distmm", "relayout", &[("c", c as f64)]);
-    let (s, r) = (|q| part_range(n, p, q), |q| part_range(h, p, q));
-    let (ns, nr) = (s(me).len(), r(me).len());
-    // Rank `q`'s images of my rows, or my images of `q`'s rows: the part's
-    // offset in a block holding it, and its size.
-    let cut = |q, images_of_q| match images_of_q {
-        true => ([s(q).start, 0, 0], [s(q).len(), nr, w]),
-        false => ([0, r(q).start, 0], [ns, r(q).len(), w]),
-    };
-    let to_samples = to == Split::Samples;
-    // What this rank sends peer `q`, and what `q` sends it.
-    let (sent, got) = (|q| cut(q, to_samples), |q| cut(q, !to_samples));
-    let any = |(_, [dn, dh, _]): ([usize; 3], [usize; 3])| dn * dh > 0;
-    for q in (0..p).filter(|&q| q != me && any(sent(q))) {
-        let ([n0, h0, _], [dn, dh, _]) = sent(q);
+    let part = |q, incoming| relayout_part((p, me), (n, h, w), to, q, incoming);
+    let words = |q, incoming| part(q, incoming).1.iter().product::<usize>() * c;
+    // The peers this rank sends a part to, or receives one from.
+    let peers = |incoming| (0..p).filter(move |&q| q != me && words(q, incoming) > 0);
+    let got: usize = peers(true).map(|q| words(q, true)).sum();
+    let _span = comm.trace_span("distmm", "relayout", &[("words", got as f64)]);
+    for q in peers(false) {
+        let ([n0, h0, _], [dn, dh, _]) = part(q, false);
         let piece = t.block(n0..n0 + dn, h0..h0 + dh, 0..w);
         comm.send_vec(q, ROWS_TAG, piece.into_vec())?;
     }
     let mut posted = Vec::with_capacity(p);
-    for q in (0..p).filter(|&q| q != me && any(got(q))) {
+    for q in peers(true) {
         posted.push((q, comm.irecv(q, ROWS_TAG)?));
     }
-    let (on, oh) = if to_samples { (ns, h) } else { (n, nr) };
+    let [ns, nr, _] = part(me, false).1;
+    let (on, oh) = [(n, nr), (ns, h)][usize::from(to == Split::Samples)];
     let mut out = Tensor4::zeros(on, c, oh, w);
-    out.copy_block(got(me).0, t, sent(me).0, got(me).1);
+    out.copy_block(part(me, true).0, t, part(me, false).0, part(me, true).1);
     for (q, handle) in posted {
-        let (at, size) = got(q);
+        let (at, size) = part(q, true);
         let piece = Tensor4::from_vec(size[0], c, size[1], w, comm.wait(handle)?);
         out.copy_block(at, &piece, [0; 3], size);
     }

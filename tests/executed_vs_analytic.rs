@@ -16,7 +16,7 @@ use integrated_parallelism::distmm::onep5d::{
 };
 use integrated_parallelism::dnn::zoo::{mini_alexnet, mlp};
 use integrated_parallelism::dnn::{LayerSpec, NetworkBuilder, Shape};
-use integrated_parallelism::integrated::cnn::{synthetic_images, train_cnn_domain_traced};
+use integrated_parallelism::integrated::cnn::{synthetic_images, train_cnn_domain_traced, CnnSpec};
 use integrated_parallelism::integrated::cost::integrated::{
     integrated_full, integrated_model_batch, layer_cost,
 };
@@ -510,22 +510,24 @@ fn executed_halo_backward_matches_eq7_term() {
 /// A convolution moves the two windows Eq. 7 prices and no third, in
 /// the trainer as in the layer test above, and a batch crosses the end
 /// of the domain prefix once each way. Per iteration every rank of
-/// `train_cnn_domain` runs one fetch per convolution and pool forward
-/// (its input window) and one per pool and convolution above conv1
-/// backward (the `∆Y` window; a pool's carries its argmax as `C` more
-/// channels), and no other: the `∆W` half re-frames the forward's halo.
-/// The prefix ends in front of the first convolution or pool whose
-/// input's strips, `⌊in_h / Pd⌋` rows, are shorter than its kernel (on
-/// `mini_alexnet` conv2 at every `Pd ≥ 2`: 7-row input, 5-row kernel),
-/// or at the end of the trunk. There one relayout hands the column group
-/// whole images, and one carries `∆X` back to strips; past it each
-/// stage's fetch runs on a one-rank group. Read off each rank's
-/// `distmm/fetch_rows` and `distmm/relayout` spans, in order, by name
-/// and by the channels each moved (the span's `c`), on 1×4, 2×4, 4×4
-/// and 4×2.
+/// `train_cnn_domain` runs, in order, the trunk exchanges its plan lists
+/// (`CnnSpec::plans`): one fetch per convolution and pool forward (its
+/// input window), one relayout to whole images and one back to strips
+/// where the prefix ends, and one fetch per pool and convolution above
+/// conv1 backward (the `∆Y` window; a pool's carries its argmax as `C`
+/// more channels), and no other: the `∆W` half re-frames the forward's
+/// halo. It receives in each exactly the words the plan's row lists.
+/// Read off each rank's `distmm/fetch_rows` and `distmm/relayout` spans,
+/// in order, by name and by the words each received (the span's
+/// `words`), on 1×4, 2×4, 4×4 and 4×2. The prefix ends in front of the
+/// first convolution or pool whose input's strips, `⌊in_h / Pd⌋` rows,
+/// are shorter than its kernel (on `mini_alexnet` conv2 at every
+/// `Pd ≥ 2`: 7-row input, 5-row kernel); past it each stage's fetch runs
+/// on a one-rank group and receives nothing.
 #[test]
 fn executed_cnn_iteration_fetches_each_window_once() {
     let net = mini_alexnet();
+    let spec = CnnSpec::of(&net).expect("a CNN");
     let (x, labels) = synthetic_images(&net, 8, 5);
     let iters = 2;
     let cfg = TrainConfig {
@@ -533,43 +535,13 @@ fn executed_cnn_iteration_fetches_each_window_once() {
         iters,
         seed: 9,
     };
-    // One iteration's moves over `pd` strips: the forward in layer
-    // order, then the backward down to the first convolution.
-    let iteration = |pd: usize| -> Vec<(&str, f64)> {
-        // The prefix's end: the first stage whose strips miss a kernel,
-        // or the head.
-        let boundary = net
-            .layers()
-            .position(|(spec, i, _)| match spec {
-                LayerSpec::Conv { kh: k, .. } | LayerSpec::MaxPool { k, .. } => i.h / pd < *k,
-                LayerSpec::FullyConnected { .. } => true,
-                _ => false,
-            })
-            .expect("a head");
-        let (mut forward, mut backward, mut above_conv1) = (Vec::new(), Vec::new(), false);
-        for (n, (spec, i, o)) in net.layers().enumerate() {
-            if n == boundary {
-                forward.push(("relayout", i.c));
-                backward.push(("relayout", i.c));
-            }
-            let pool = match spec {
-                LayerSpec::Conv { .. } => false,
-                LayerSpec::MaxPool { .. } => true,
-                _ => continue,
-            };
-            forward.push(("fetch_rows", i.c));
-            if above_conv1 {
-                backward.push(("fetch_rows", o.c << usize::from(pool)));
-            }
-            above_conv1 = true;
-        }
-        (forward.into_iter())
-            .chain(backward.into_iter().rev())
-            .map(|(name, c)| (name, c as f64))
-            .collect()
-    };
+    // Each window once: a fetch per conv and pool forward, one per pool
+    // and conv above conv1 backward, and a relayout each way.
+    let is_window = |s: &LayerSpec| matches!(s, LayerSpec::Conv { .. } | LayerSpec::MaxPool { .. });
+    let moves = 2 * net.layers().filter(|(s, ..)| is_window(s)).count() - 1 + 2;
     for (pd, pc) in [(1, 4), (2, 4), (4, 4), (4, 2)] {
-        let expect = iteration(pd).repeat(iters);
+        let model = NetModel::cori_knl();
+        let plans = spec.plans(8, (pd, pc), &model);
         let (run, trace) = train_cnn_domain_traced(
             &net,
             &x,
@@ -577,29 +549,40 @@ fn executed_cnn_iteration_fetches_each_window_once() {
             &cfg,
             pd,
             pc,
-            NetModel::cori_knl(),
+            model,
             TraceConfig::enabled(),
         );
         assert!(run.replica_divergence() == 0.0, "grid {pd}x{pc}");
         for rank in &trace.ranks {
             assert_eq!(rank.dropped, 0, "grid {pd}x{pc}: the whole trace kept");
+            let rows = &plans[rank.rank].trunk;
+            assert_eq!(rows.len(), moves, "grid {pd}x{pc}: each window once");
+            let words = |got: &[usize]| got.iter().sum::<usize>() as f64;
+            let expect: Vec<(&str, f64)> = rows.iter().map(|r| (r.0, words(&r.1))).collect();
             let moved: Vec<(&str, f64)> = (rank.events.iter())
                 .filter(|ev| {
                     (ev.cat, ev.kind) == ("distmm", EventKind::Span)
                         && ["fetch_rows", "relayout"].contains(&ev.name)
                 })
-                .map(|ev| (ev.name, ev.arg("c").expect("annotated")))
+                .map(|ev| (ev.name, ev.arg("words").expect("annotated")))
                 .collect();
-            assert_eq!(moved, expect, "grid {pd}x{pc} rank {}", rank.rank);
-        }
-        if pd > 1 {
-            let at = |name| expect.iter().position(|m| m.0 == name);
             assert_eq!(
-                at("relayout"),
-                Some(2),
-                "grid {pd}x{pc}: conv1 and pool1 fetch on strips, conv2 on whole images"
+                moved,
+                expect.repeat(iters),
+                "grid {pd}x{pc} rank {}",
+                rank.rank
+            );
+            let at = expect.iter().position(|m| m.0 == "relayout");
+            let prefix = if pd > 1 { Some(2) } else { Some(7) };
+            assert_eq!(
+                at, prefix,
+                "grid {pd}x{pc}: at Pd ≥ 2 conv1 and pool1 fetch on strips, conv2 on whole images"
             );
         }
+        let sent: f64 = (plans.iter().flat_map(|p| &p.trunk))
+            .map(|r| r.1.iter().sum::<usize>() as f64)
+            .sum();
+        assert_eq!(pd > 1, sent > 0.0, "grid {pd}x{pc}: strips exchange rows");
     }
 }
 
@@ -724,19 +707,23 @@ fn executed_domain_backward_weight_allreduce_matches_eq7_batch_term() {
 /// batch shards) would send `2|W|((Pd−1)/Pd + (Pc−1)/Pc)` or, by
 /// recursive doubling, more.
 ///
-/// On these grids (P = 8 and 16) the bucket rule cuts one bucket of all
-/// 13 112 words on both machines — under `cori_knl` the trunk backward
-/// is too short to hide a head sum behind, and on a bandwidth-only
-/// machine nothing hides — and that bucket runs halving: each rank sends
-/// Eq. 9's `∆W` words, `integrated_full`'s, to the word. (While the head's
-/// buckets were cut apart from the trunk's they were α-bound under
-/// `cori_knl` and ran recursive doubling, 4 720 words a rank over Eq. 9
-/// on 8 ranks and 8 024 on 16.)
+/// On these grids (P = 8 and 16) every bucket runs halving, and each
+/// rank sends Eq. 9's `∆W` words, `integrated_full`'s, to the word. Under
+/// `cori_knl` the rule cuts one bucket of all 13 112 words: at B = 8 the
+/// trunk backward and its gap (the relayout back to strips and pool1's
+/// `∆Y` fetch) are too short to hide a head sum behind. On the
+/// bandwidth-only machine, where compute is free but the gap is not, it
+/// cuts the top FC layer's 320 words apart from the other 12 792: with
+/// α = 0 halving wins at every size, so the split sends no word above
+/// Eq. 9. (While the head's buckets were cut apart from the trunk's they
+/// were α-bound under `cori_knl` and ran recursive doubling, 4 720 words
+/// a rank over Eq. 9 on 8 ranks and 8 024 on 16.)
 ///
 /// The words are counted where they travel: every channel transfer a
-/// rank receives while the last non-blocking sum it launched spans the
-/// whole grid is charged to that sum, and is a word its peer sent in
-/// that reduction.
+/// rank receives while the last non-blocking sum it launched over more
+/// than one rank spans the whole grid is charged to that sum, and is a
+/// word its peer sent in that reduction. (A launch over one rank, the
+/// head's `∆X` reduce-scatter on the `1 × P` grid, moves nothing.)
 #[test]
 fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
     let net = mini_alexnet();
@@ -795,7 +782,7 @@ fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
                 for ev in &rank.events {
                     let arg = |k| ev.arg(k).expect("annotated");
                     match (ev.cat, ev.name, ev.kind) {
-                        ("nb", "iallreduce_launch", EventKind::Instant) => {
+                        ("nb", "iallreduce_launch", EventKind::Instant) if arg("p") > 1.0 => {
                             let n = arg("words");
                             world = arg("p") == p as f64;
                             if world {
@@ -830,13 +817,18 @@ fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
 ///
 /// * one `optimizer_step` after the trunk backward drains every `∆W`
 ///   bucket of the head and the trunk, in launch order, each with words
-///   on the channel. On 4 ranks the bucket rule cuts the head's `∆W`
-///   (3 776 words) apart from the trunk's (9 336): the head's sum is
-///   launched as the head's backward ends and runs under the trunk
-///   backward, and rank 0's drain waits 2.6 µs of its 9.0 µs charged.
-///   On 8 and 16 ranks conv2–5 run on whole images past the domain
-///   prefix, too short a trunk backward to hide a head sum behind, and
-///   the rule cuts one bucket of all 13 112 words;
+///   on the channel, and the first with time hidden under the backward.
+///   On 1×4 the bucket rule cuts the head's `∆W` (3 776 words) apart
+///   from the trunk's (9 336): the head's sum is launched as the head's
+///   backward ends and runs under the trunk backward, and rank 0's drain
+///   waits 2.6 µs of its 9.0 µs charged. On 2×4 and 4×2 it cuts conv1's
+///   1 176 words apart from the rest, whose sum runs while the relayout
+///   back to strips and pool1's `∆Y` fetch block the backward; on 4×4
+///   that gap is shorter, and it cuts one bucket of all 13 112 words;
+/// * the plan prices that gap (conv1's `Grad::gap`) at what it takes on
+///   the rank that waits longest, to rounding: from the backward
+///   relayout span's start to the end of pool1's `∆Y` fetch, 6.39, 5.49
+///   and 6.99 µs on 2×4, 4×4 and 4×2;
 /// * conv2–5's `∆W` GEMMs run inside their `∆Y` fetch: a compute span of
 ///   exactly the layer's `∆W` flops, on this rank's whole images, nests
 ///   in that layer's backward `fetch_rows` span. Past the prefix that
@@ -878,6 +870,14 @@ fn executed_cnn_backward_hides_the_head_sum_and_each_dw_gemm() {
     }
     backward.reverse();
     let per_iter = forward + backward.len();
+    let spec = CnnSpec::of(&net).expect("a CNN");
+    let buckets = |grid| {
+        [((1, 4), 2), ((2, 4), 2), ((4, 4), 1), ((4, 2), 2)][..]
+            .iter()
+            .find(|g| g.0 == grid)
+            .expect("a grid")
+            .1
+    };
     for ((pd, pc), before) in [((1, 4), f64::INFINITY)].into_iter().chain(BEFORE) {
         let (run, trace) = train_cnn_domain_traced(
             &net,
@@ -891,6 +891,25 @@ fn executed_cnn_backward_hides_the_head_sum_and_each_dw_gemm() {
         );
         let grid = format!("grid {pd}x{pc}");
         assert!(run.replica_divergence() == 0.0, "{grid}");
+        let model = MachineModel::cori_knl().net_model();
+        let plan = &spec.plans(b, (pd, pc), &model)[0];
+        let priced = plan.below.last().expect("conv1").gap.seconds(&model);
+        // Each iteration's backward relayout, to the end of the fetch after
+        // it: pool1's. On one strip (1×4) nothing is sent, and the gap is 0.
+        let mut waited = 0.0f64;
+        for rank in &trace.ranks {
+            let moves: Vec<_> = (rank.events.iter())
+                .filter(|e| (e.cat, e.kind) == ("distmm", EventKind::Span))
+                .collect();
+            let relayouts = (0..moves.len()).filter(|&k| moves[k].name == "relayout");
+            for k in relayouts.skip(1).step_by(2).filter(|_| pd > 1) {
+                waited = waited.max(moves[k + 1].t1 - moves[k].t0);
+            }
+        }
+        assert!(
+            (priced - waited).abs() <= 1e-9 * waited,
+            "{grid}: the gap priced {priced:e} vs {waited:e}"
+        );
         let makespan = run.stats.makespan();
         assert!(
             makespan < before,
@@ -916,14 +935,14 @@ fn executed_cnn_backward_hides_the_head_sum_and_each_dw_gemm() {
             for &step in &steps {
                 let mut drains: Vec<_> = children(step).filter(|e| e.cat == "drain").collect();
                 drains.reverse();
-                let buckets = if pd * pc == 4 { 2 } else { 1 };
+                let buckets = buckets((pd, pc));
                 assert_eq!(drains.len(), buckets, "{grid} rank {r}: the rule's buckets");
                 for d in &drains {
                     assert!(d.arg("charged") > Some(0.0), "{grid} rank {r}: a sum");
                 }
                 assert!(
                     buckets == 1 || drains[0].arg("hidden") > Some(0.0),
-                    "{grid} rank {r}: the head's sum under the trunk backward"
+                    "{grid} rank {r}: the first bucket's sum under the trunk backward"
                 );
             }
             let fetches: Vec<usize> = spans("distmm", "fetch_rows").collect();
