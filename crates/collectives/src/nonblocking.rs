@@ -152,17 +152,18 @@ pub(crate) fn launch(
     let p = comm.size();
     if p > 1 {
         // A single-member communicator moves no bytes: recording a
-        // launch would inflate the nb-allreduce count while contributing
-        // nothing to the overlap fraction's denominator (the pc=1 grids'
-        // "16 launches, 0.0 fraction" anomaly).
+        // launch, counted or traced, would inflate the nb-allreduce count
+        // while contributing nothing to the overlap fraction's
+        // denominator (the pc=1 grids' "16 launches, 0.0 fraction"
+        // anomaly).
         comm.record_nb_allreduce();
+        comm.trace_instant(
+            "nb",
+            "iallreduce_launch",
+            &[("p", p as f64), ("words", data.len() as f64)],
+        );
     }
     let tag = comm.alloc_nb_tags();
-    comm.trace_instant(
-        "nb",
-        "iallreduce_launch",
-        &[("p", p as f64), ("words", data.len() as f64)],
-    );
     Ok(IallreduceHandle {
         comm: comm.clone(),
         keep: 0..data.len(),
@@ -369,14 +370,22 @@ mod tests {
         }
     }
 
+    /// A launch on one rank records neither its count nor its
+    /// `nb`/`iallreduce_launch` instant; on two it records both.
     #[test]
     fn single_member_comms_record_no_nb_launches() {
-        let (_, stats) = World::run_with_stats(1, NetModel::free(), |comm| {
-            let h = iallreduce(comm, vec![2.0; 8], ReduceOp::Sum).unwrap();
-            assert_eq!(h.wait().unwrap(), vec![2.0; 8]);
-        });
-        let (_, _, nb_ar, _) = stats.total_collective_calls();
-        assert_eq!(nb_ar, 0, "p=1 all-reduce is degenerate: no launch recorded");
+        for p in [1, 2] {
+            let on = mpsim::TraceConfig::enabled();
+            let (_, stats, trace) = World::run_traced_with_stats(p, NetModel::free(), on, |comm| {
+                let h = iallreduce(comm, vec![2.0; 8], ReduceOp::Sum).unwrap();
+                assert_eq!(h.wait().unwrap(), vec![2.0 * p as f64; 8]);
+            });
+            let (_, _, nb_ar, _) = stats.total_collective_calls();
+            let events = trace.ranks.iter().flat_map(|r| &r.events);
+            let traced = events.filter(|e| e.name == "iallreduce_launch").count();
+            let launched = if p > 1 { p } else { 0 };
+            assert_eq!((nb_ar, traced), (launched as u64, launched), "p={p}");
+        }
     }
 
     #[test]

@@ -23,14 +23,15 @@
 //! hides behind the compute and the blocking exchanges of the layers
 //! below, less their ∆X sums, which queue on the same channel; one merged
 //! saves an all-reduce's α-steps. The rule takes the cut whose drain ends
-//! first on its clock of the pass, ties going to fewer buckets: with
+//! first on the replay's clock of the pass ([`crate::plan::replay`]),
+//! timed from the top layer's push, ties going to fewer buckets: with
 //! nothing to hide behind (one member, a free network, no compute, no
 //! exchange) every layer joins one bucket.
 
-use std::collections::VecDeque;
-
 use collectives::cost::{allreduce_exact, CostTerms};
 use mpsim::NetModel;
+
+use crate::plan::walk;
 
 /// The fraction of communication the paper treats as overlappable
 /// (backprop all-reduces; two of the three per-layer products).
@@ -84,72 +85,29 @@ pub struct Grad {
     pub gap: CostTerms,
 }
 
-/// The clock [`buckets`] runs a backward pass on, from a push: the main
-/// timeline at `now`, the channel free at `free`, and the launched
-/// buckets with steps still to issue, each as `[steps, seconds a step,
-/// ready]` (its α-steps, of one length; `ready` when the last one issued
-/// ends, or the launch). It models the policy of
-/// [`crate::trainer::BucketScheduler`]: one chunk step issued per push
-/// (its `poll`), each ∆X sum queued behind the steps already issued, and
-/// the drain in launch order (its `drain`). A change to that policy is a
-/// change here.
-#[derive(Default)]
-struct Clock {
-    now: f64,
-    free: f64,
-    queue: VecDeque<[f64; 3]>,
-}
-
-impl Clock {
-    /// A push: `bucket` (`[α-steps, seconds]`) launched, if it fills one,
-    /// and one step of the oldest bucket still being issued put on the
-    /// channel, as `BucketScheduler::push` then `poll` do. Then the next
-    /// layer's backward (zeros after the last push), `[c, x, g]`: `g`
-    /// seconds blocked on its gap, `c` seconds of its products, and its
-    /// ∆X sum of `x` seconds, launched after the first product behind
-    /// every step issued so far and waited after the second.
-    fn push(&mut self, bucket: Option<[f64; 2]>, [c, x, g]: [f64; 3]) {
-        let steps = |n: f64| n.max(1.0);
-        (self.queue).extend(bucket.map(|[n, t]| [steps(n), t / steps(n), self.now]));
-        if let Some(b) = self.queue.front_mut() {
-            self.free = self.free.max(b[2]) + b[1];
-            (b[0], b[2]) = (b[0] - 1.0, self.free);
-            if b[0] < 1.0 {
-                self.queue.pop_front();
-            }
-        }
-        self.now += g;
-        if x > 0.0 {
-            self.free = self.free.max(self.now + c / 2.0) + x;
-            self.now = (self.now + c).max(self.free);
-        } else {
-            self.now += c;
-        }
-    }
-}
-
-/// When the drain of a backward pass ends on the [`Clock`] if a bucket
-/// launches at the push of each layer in `ends`, and at the last push.
-fn drain(grads: &[Grad], ends: &[usize], group: usize, m: &NetModel) -> f64 {
-    let (mut clock, mut open) = (Clock::default(), 0);
-    let times = |g: &Grad| [m.compute(g.flops), g.dx_sum.seconds(m), g.gap.seconds(m)];
-    for (k, g) in grads.iter().enumerate() {
-        open += g.words;
-        let bucket = (ends.contains(&k) || k + 1 == grads.len()).then(|| {
-            let cost = allreduce_exact(group, std::mem::take(&mut open) as f64, m);
-            [cost.alpha, cost.seconds(m)]
-        });
-        clock.push(bucket, grads.get(k + 1).map_or([0.0; 3], times));
-    }
-    // Every step left issued in launch order, and the main timeline
-    // waiting on the last.
-    let issue = |free: f64, b: &[f64; 3]| free.max(b[2]) + b[0] * b[1];
-    clock.queue.iter().fold(clock.free, issue).max(clock.now)
+/// When the drain of a backward pass ends on the replay's clock
+/// ([`walk`]), timed from the top layer's push (its products are the same
+/// under every cut), if a bucket launches at the push of each layer in
+/// `ends`, and at the last push, each priced by the all-reduce `group`
+/// runs.
+fn cut_secs(grads: &[Grad], ends: &[usize], group: usize, m: &NetModel) -> f64 {
+    let top = Grad {
+        flops: 0.0,
+        dx_sum: CostTerms::ZERO,
+        gap: CostTerms::ZERO,
+        ..grads[0]
+    };
+    let (pushed, mut open) = ([&[top], &grads[1..]].concat(), 0);
+    walk(&pushed, m, |k| {
+        open += pushed[k].words;
+        let closes = ends.contains(&k) || k + 1 == grads.len();
+        closes.then(|| allreduce_exact(group, std::mem::take(&mut open) as f64, m))
+    })
 }
 
 /// The buckets of one backward pass (see the module doc): the words of
 /// each, in launch order, every layer's in one. Of every cut, the one
-/// whose drain ends first on a `Clock` of the pass, ties (within
+/// whose drain ends first on the replay's clock of the pass, ties (within
 /// rounding) going to fewer buckets. It is found by a walk over where
 /// the bucket that closes at each push opens: the best cut of the layers
 /// above that, extended by this bucket, is weighed with every layer below
@@ -163,7 +121,7 @@ pub fn buckets(grads: &[Grad], group: usize, model: &NetModel) -> Vec<usize> {
         for from in 0..=j {
             let mut ends = best[..from].last().cloned().unwrap_or_default();
             ends.push(j);
-            let t = drain(grads, &ends, group, model);
+            let t = cut_secs(grads, &ends, group, model);
             let beats = |(u, e): &(f64, Vec<usize>)| {
                 t < u * (1.0 - 1e-9) || (t <= u * (1.0 + 1e-9) && ends.len() < e.len())
             };
@@ -183,9 +141,9 @@ pub fn buckets(grads: &[Grad], group: usize, model: &NetModel) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::cnn::tests::train_cnn_cut;
-    use crate::plan::plan;
+    use crate::plan::{plan, replay, CommPlan};
     use crate::trainer::tests::train_cut;
-    use crate::trainer::{extract_fc_layers, synthetic_data, TrainConfig};
+    use crate::trainer::{extract_fc_layers, synthetic_data, train_1p5d, TrainConfig};
     use dnn::zoo::mlp;
 
     #[test]
@@ -237,51 +195,108 @@ mod tests {
         cuts
     }
 
-    /// The bucket ladder as an oracle: on every grid of the benchmark's
-    /// `fc_1p5d` (P = 8 and 16) and of `fig8_exec` (P = 4 and 16) —
-    /// `alexnet-fc-exec`, B = 512, Cori KNL — the rule's makespan is within
-    /// 1e-3 of the least over all four cuts of the three layers. One
-    /// iteration each: every iteration runs the same cut and starts after
-    /// the last one's drain. The `Pc = 1` grids sum no ∆W and are left out;
-    /// on the others every grid row holds shards of one size, so one cut
-    /// serves every rank.
+    /// The replay ([`replay`]) is the executed iteration: on every grid of
+    /// P = 4, 8 and 16 of the benchmark's `fc_1p5d` and of `fig8_exec`
+    /// (`alexnet-fc-exec`, B = 512, Cori KNL), the blocking run's makespan
+    /// and, where `Pc > 1`, the scheduled run's under each of the four cuts
+    /// of the three layers equal the slowest rank's replay of its plan
+    /// within 1e-12; so do `fig6_exec`'s twelve blocking grids
+    /// (`mlp-exec`, B = 32). One iteration each: every iteration runs the
+    /// same plan and starts after the last one's drain. Every shard here
+    /// divides evenly, so no rank waits on a peer the replay does not see.
+    /// `BIT_EQUAL` lists the runs that match to the bit, each cut by the
+    /// mask of the layers its buckets close at; the rest differ in the
+    /// rounding of their sums.
     #[test]
-    fn the_rule_is_within_a_thousandth_of_every_cut() {
-        let net = mlp("alexnet-fc-exec", &[384, 256, 256, 10]);
-        let (x, labels) = synthetic_data(&net, 512, 7);
-        let (model, layers) = (NetModel::cori_knl(), extract_fc_layers(&net));
+    fn the_replay_is_every_executed_cut() {
+        const BIT_EQUAL: [&str; 30] = [
+            "fc 1x4 cut 1",
+            "fc 1x4 cut 2",
+            "fc 1x4 cut 3",
+            "fc 2x2 blocking",
+            "fc 2x2 cut 1",
+            "fc 2x2 cut 2",
+            "fc 4x1 blocking",
+            "fc 1x8 cut 1",
+            "fc 2x4 cut 0",
+            "fc 2x4 cut 1",
+            "fc 2x4 cut 3",
+            "fc 4x2 cut 0",
+            "fc 4x2 cut 1",
+            "fc 4x2 cut 2",
+            "fc 4x2 cut 3",
+            "fc 1x16 blocking",
+            "fc 1x16 cut 0",
+            "fc 1x16 cut 2",
+            "fc 2x8 blocking",
+            "fc 2x8 cut 0",
+            "fc 4x4 cut 2",
+            "fc 8x2 blocking",
+            "fc 8x2 cut 1",
+            "fc 8x2 cut 2",
+            "fc 8x2 cut 3",
+            "fig6 2x2 blocking",
+            "fig6 4x1 blocking",
+            "fig6 4x2 blocking",
+            "fig6 1x16 blocking",
+            "fig6 16x1 blocking",
+        ];
+        let model = NetModel::cori_knl();
         let cfg = TrainConfig {
             lr: 0.1,
             iters: 1,
             seed: 18,
         };
-        let grids = [(1, 4), (2, 2), (1, 8), (2, 4), (4, 2)];
-        for (pr, pc) in grids.into_iter().chain([(1, 16), (2, 8), (4, 4), (8, 2)]) {
-            let rule = plan(&layers, 512, &[(pr, pc)], 0, false, Some(&model));
-            let grads = rule.grads();
-            let makespans = [0, 1, 2, 3].map(|mask| {
-                let cut = fixed(&grads, mask);
-                let r = train_cut(&net, (&x, &labels), &cfg, (pr, pc), model, |g| {
-                    fixed(g, mask)
-                });
-                (Some(cut) == rule.buckets, r.stats.makespan())
-            });
-            let best = makespans.iter().map(|m| m.1).fold(f64::INFINITY, f64::min);
-            let (_, ruled) = *makespans
-                .iter()
-                .find(|m| m.0)
-                .expect("the rule cuts one of the four");
+        let mut bit_equal = Vec::new();
+        let mut check = |at: String, executed: f64, p: usize, plans: &dyn Fn(usize) -> CommPlan| {
+            let replayed = (0..p)
+                .map(|r| replay(&plans(r), &model))
+                .fold(0.0, f64::max);
+            let off = (executed - replayed).abs();
             assert!(
-                ruled <= best * (1.0 + 1e-3),
-                "{pr}x{pc}: {ruled:e} vs {best:e}"
+                off <= 1e-12 * executed,
+                "{at}: {executed:e} vs {replayed:e}"
             );
+            if off == 0.0 {
+                bit_equal.push(at);
+            }
+        };
+        for (name, net, b) in [
+            ("fc", mlp("alexnet-fc-exec", &[384, 256, 256, 10]), 512),
+            ("fig6", mlp("mlp-exec", &[256, 512, 512, 128, 10]), 32),
+        ] {
+            let (x, labels) = synthetic_data(&net, b, 7);
+            let layers = extract_fc_layers(&net);
+            for p in [4usize, 8, 16] {
+                for pr in (0..=p.trailing_zeros()).map(|k| 1 << k) {
+                    let pc = p / pr;
+                    let at = format!("{name} {pr}x{pc}");
+                    let run = train_1p5d(&net, &x, &labels, &cfg, pr, pc, model);
+                    let blocking = |r| plan(&layers, b, &[(pr, pc)], r, false, None);
+                    check(format!("{at} blocking"), run.stats.makespan(), p, &blocking);
+                    if name == "fig6" || pc == 1 {
+                        continue;
+                    }
+                    for mask in 0..4 {
+                        let cut = |g: &[Grad]| fixed(g, mask);
+                        let run = train_cut(&net, (&x, &labels), &cfg, (pr, pc), model, cut);
+                        let plans = |r| {
+                            let rule = plan(&layers, b, &[(pr, pc)], r, false, Some(&model));
+                            let buckets = Some(cut(&rule.grads()));
+                            CommPlan { buckets, ..rule }
+                        };
+                        check(format!("{at} cut {mask}"), run.stats.makespan(), p, &plans);
+                    }
+                }
+            }
         }
+        assert_eq!(bit_equal, BIT_EQUAL);
     }
 
-    /// The CNN twin of the oracle above: on `cnn_domain`'s four grids
-    /// (`mini_alexnet`, B = 64, Cori KNL) the rule's makespan is within
-    /// 1e-3 of the least over all 64 cuts of the head's two FC layers and
-    /// the five convs, one iteration each. Its 256 trainings take minutes
+    /// The bucket ladder as an oracle where the replay stops, the CNN: on
+    /// `cnn_domain`'s four grids (`mini_alexnet`, B = 64, Cori KNL) the
+    /// rule's makespan is within 1e-3 of the least over all 64 cuts of the
+    /// head's two FC layers and the five convs, one iteration each. Its 256 trainings take minutes
     /// in a debug build, so it runs in release (CI's test job).
     #[test]
     #[cfg_attr(debug_assertions, ignore = "256 CNN trainings: run with --release")]
@@ -340,8 +355,8 @@ mod tests {
             [2100, 30],
             "the last layer hides the rest"
         );
-        let each = drain(&grads, &[0, 1], 8, &slow);
-        assert!(drain(&grads, &[1], 8, &slow) <= each * (1.0 + 1e-9));
+        let each = cut_secs(&grads, &[0, 1], 8, &slow);
+        assert!(cut_secs(&grads, &[1], 8, &slow) <= each * (1.0 + 1e-9));
     }
 
     /// The cut an exhaustive search picks: of all `2^(n−1)` cuts, the one
@@ -352,7 +367,7 @@ mod tests {
         let mut best: Option<(f64, usize, usize)> = None;
         for mask in 0..1usize << (n - 1) {
             let ends: Vec<usize> = (0..n).filter(|k| mask >> k & 1 == 1).collect();
-            let (t, k) = (drain(grads, &ends, group, model), ends.len());
+            let (t, k) = (cut_secs(grads, &ends, group, model), ends.len());
             let better = |&(u, c, _): &(f64, usize, usize)| {
                 t < u * (1.0 - 1e-9) || (t <= u * (1.0 + 1e-9) && k < c)
             };

@@ -14,9 +14,13 @@
 //! plan ([`crate::cnn::CnnSpec::plans`]) is its FC head's on the `1 × P`
 //! grid, carrying the conv trunk's `∆W` too (the head's and the trunk's
 //! sums are one chain of buckets over the grid) and the trunk's window
-//! fetches and relayouts as rows ([`CommPlan::trunk`]).
+//! fetches and relayouts as rows ([`CommPlan::trunk`]). [`replay`] runs
+//! an FC rank's plan on the α–β clock: the timeline the bucket rule cuts
+//! on and `fig8_exec` gates on.
 
-use collectives::cost::{reduce_scatter_exact, CostTerms};
+use std::collections::VecDeque;
+
+use collectives::cost::{allreduce_exact, bruck_allgather, reduce_scatter_exact, CostTerms};
 use distmm::dist::part_range;
 use mpsim::NetModel;
 
@@ -60,6 +64,9 @@ pub struct LayerPlan {
     /// The input is re-laid (Eq. 6): `Pc` changes on entering the layer
     /// ([`crate::mixed::train_mixed`]).
     pub relaid: bool,
+    /// The flops of the forward product on the mean batch shard, as
+    /// `grad`'s.
+    pub flops: f64,
     /// The layer's `∆W` as [`buckets`] reads it: this rank's `∆W` words,
     /// the flops of its backward products and its `∆X` sum. The batch
     /// shard is the mean one, so every member of a row group reads the
@@ -188,6 +195,7 @@ pub(crate) fn chain(
             forward,
             dx,
             relaid: relaid(l),
+            flops: 2.0 * words as f64 * mean,
             grad,
         });
     }
@@ -251,6 +259,113 @@ impl CommPlan {
         self.collectives.last_mut().expect("a ∆W sum").3 += words;
         self
     }
+}
+
+impl Collective {
+    /// What the collective costs the rank under `model`: the closed form
+    /// of the schedule that runs it — Bruck's gather (of `p` blocks of the
+    /// rank's size), [`allreduce_exact`] or [`reduce_scatter_exact`].
+    pub fn cost(&self, model: &NetModel) -> CostTerms {
+        let Collective(kind, _, p, words) = *self;
+        match kind {
+            Kind::AllGather => bruck_allgather(p, (words * p) as f64),
+            Kind::AllReduce => allreduce_exact(p, words as f64, model),
+            Kind::ReduceScatter => reduce_scatter_exact(p, words as f64),
+        }
+    }
+}
+
+/// One rank's iteration on the α–β clock of `model`, in seconds, read off
+/// its plan. The forward runs each layer's product and its blocking
+/// collective. A blocking backward adds each layer's products and every
+/// collective left on the list; a scheduled one is the `walk` of its
+/// pushes, each bucket of [`CommPlan::buckets`] launched at the push that
+/// fills it and priced by the row group's all-reduce (riders excluded).
+/// No rank waits on a peer here, so where shards divide evenly the
+/// slowest rank's replay is the executed iteration.
+///
+/// # Panics
+///
+/// Panics on a plan it cannot price: a CNN rank's, whose trunk rows hold
+/// no compute and whose strips are ragged; one that re-lays a layer
+/// ([`crate::mixed::train_mixed`]); or a scheduled one that gathers its
+/// input's gradient (a CNN head's).
+pub fn replay(plan: &CommPlan, model: &NetModel) -> f64 {
+    let (layers, scheduled) = (&plan.layers, plan.buckets.as_deref());
+    let refused = !plan.trunk.is_empty() || layers.iter().any(|l| l.relaid);
+    let refused = refused || scheduled.is_some() && layers[0].dx != Dx::Skip;
+    assert!(
+        !refused,
+        "the replay prices no trunk, re-laid layer or scheduled ∆X gather"
+    );
+    let secs = |c: &Collective| c.cost(model).seconds(model);
+    let (mut run, mut now) = (plan.collectives.iter(), 0.0);
+    for l in layers {
+        now += model.compute(l.flops);
+        if l.forward != Forward::Keep {
+            now += secs(run.next().expect("the forward's collective"));
+        }
+    }
+    let grads = plan.grads();
+    let Some(lens) = scheduled else {
+        let products: f64 = grads.iter().map(|g| model.compute(g.flops)).sum();
+        return now + products + run.map(secs).sum::<f64>();
+    };
+    // The row group's size, off a launch.
+    let group = run
+        .find(|c| c.1 && c.0 == Kind::AllReduce)
+        .map_or(1, |c| c.2);
+    let (mut lens, mut staged) = (lens.iter().peekable(), 0);
+    now + walk(&grads, model, |k| {
+        staged += grads[k].words;
+        let words = lens
+            .next_if_eq(&&staged)
+            .map(|_| std::mem::take(&mut staged));
+        words.map(|n| Collective(Kind::AllReduce, true, group, n).cost(model))
+    })
+}
+
+/// The scheduled backward of `grads` (in push order) on the clock of
+/// `m`: when its drain ends if push `k` launches the bucket `launch(k)`
+/// prices (`None` where it fills none). It follows
+/// [`crate::trainer::BucketScheduler`]'s policy, and a change to that
+/// policy is a change here. Each layer blocks on its `gap`, runs its
+/// products and launches its ∆X sum after the first, behind everything on
+/// the channel, waiting it after the second; its push then puts one
+/// α-step of the oldest bucket still being issued on the channel (the
+/// scheduler's `poll`); the drain issues the rest in launch order.
+pub(crate) fn walk(
+    grads: &[Grad],
+    m: &NetModel,
+    mut launch: impl FnMut(usize) -> Option<CostTerms>,
+) -> f64 {
+    // The launched buckets with steps still to issue, each `[steps,
+    // seconds a step, ready]`: `ready` when its last issued step ends, or
+    // its launch.
+    let (mut now, mut free, mut queue) = (0.0_f64, 0.0_f64, VecDeque::<[f64; 3]>::new());
+    for (k, g) in grads.iter().enumerate() {
+        let (c, x) = (m.compute(g.flops), g.dx_sum.seconds(m));
+        now += g.gap.seconds(m);
+        if x > 0.0 {
+            free = free.max(now + c / 2.0) + x;
+            now = (now + c).max(free);
+        } else {
+            now += c;
+        }
+        if let Some(cost) = launch(k) {
+            let steps = cost.alpha.max(1.0);
+            queue.push_back([steps, cost.seconds(m) / steps, now]);
+        }
+        if let Some(b) = queue.front_mut() {
+            free = free.max(b[2]) + b[1];
+            (b[0], b[2]) = (b[0] - 1.0, free);
+            if b[0] < 1.0 {
+                queue.pop_front();
+            }
+        }
+    }
+    let issue = |free: f64, b: &[f64; 3]| free.max(b[2]) + b[0] * b[1];
+    queue.iter().fold(free, issue).max(now)
 }
 
 #[cfg(test)]
@@ -419,6 +534,16 @@ mod tests {
             let plan = |r| plan(&layers, 24, &[(pr, pc)], r, false, Some(&model)).ride(pc);
             runs_its_plan(&trace, ITERS, plan, &format!("FT {pr}x{pc}"));
         }
+    }
+
+    /// The replay refuses a CNN rank's plan: its trunk rows hold no
+    /// compute.
+    #[test]
+    #[should_panic(expected = "the replay prices no trunk")]
+    fn the_replay_refuses_a_cnn_plan() {
+        let (net, model) = (mini_alexnet(), NetModel::cori_knl());
+        let spec = CnnSpec::of(&net).expect("a CNN");
+        replay(&spec.plans(8, (2, 2), &model)[0], &model);
     }
 
     /// Each CNN rank's head plan prices the images the rank holds past

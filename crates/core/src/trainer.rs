@@ -764,9 +764,9 @@ struct PendingBucket {
 ///   trace event, so `trace_analyze` can see the schedule without
 ///   perturbing the leaf-time partition;
 /// * drives one chunk step of the oldest bucket still being issued
-///   after every push (a `sched`/`progress_poll` instant; the clock
-///   [`crate::overlap::buckets`] cuts by models this policy, and must
-///   follow any change to it), keeping
+///   after every push (a `sched`/`progress_poll` instant; the replay's
+///   walk, [`crate::plan::walk`], which [`crate::overlap::buckets`] cuts
+///   by, models this policy, and must follow any change to it), keeping
 ///   per-handle memory bounded and making pipelining visible
 ///   mid-backward;
 /// * waits every bucket in launch order at one drain point

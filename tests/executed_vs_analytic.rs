@@ -4,9 +4,7 @@
 //! `⌈log P⌉` for ring latency, so latency is zeroed here and checked
 //! separately against the Thakur-exact forms in `collectives`).
 
-use integrated_parallelism::collectives::cost::{
-    allreduce_exact, bruck_allgather, reduce_scatter_exact, CostTerms,
-};
+use integrated_parallelism::collectives::cost::{allreduce_exact, CostTerms};
 use integrated_parallelism::distmm::dist::{col_shard, part_range, row_shard};
 use integrated_parallelism::distmm::domain_general;
 use std::borrow::Cow;
@@ -22,7 +20,7 @@ use integrated_parallelism::integrated::cost::integrated::{
 };
 use integrated_parallelism::integrated::cost::pure_domain;
 use integrated_parallelism::integrated::overlap::OverlapPlan;
-use integrated_parallelism::integrated::plan::{plan, Collective, Kind};
+use integrated_parallelism::integrated::plan::{plan, Collective};
 use integrated_parallelism::integrated::trainer::{
     extract_fc_layers, synthetic_data, train_1p5d, train_1p5d_scheduled, FcLayer, TrainConfig,
 };
@@ -49,15 +47,9 @@ fn bandwidth_only() -> (NetModel, MachineModel) {
 }
 
 /// What the collectives `ran` cost a rank under `model`, each priced by
-/// the closed form of the schedule that runs it: a gather's words are the
-/// rank's block of `p` equal ones.
+/// the closed form of the schedule that runs it ([`Collective::cost`]).
 fn priced(ran: &[Collective], model: &NetModel) -> CostTerms {
-    let cost = |&Collective(kind, _, p, words): &Collective| match kind {
-        Kind::AllGather => bruck_allgather(p, (words * p) as f64),
-        Kind::AllReduce => allreduce_exact(p, words as f64, model),
-        Kind::ReduceScatter => reduce_scatter_exact(p, words as f64),
-    };
-    ran.iter().map(cost).fold(CostTerms::ZERO, |a, c| a + c)
+    ran.iter().map(|c| c.cost(model)).sum()
 }
 
 /// The most words any rank's plan ([`plan`]) sends in one iteration of
@@ -720,10 +712,10 @@ fn executed_domain_backward_weight_allreduce_matches_eq7_batch_term() {
 /// a rank over Eq. 9 on 8 ranks and 8 024 on 16.)
 ///
 /// The words are counted where they travel: every channel transfer a
-/// rank receives while the last non-blocking sum it launched over more
-/// than one rank spans the whole grid is charged to that sum, and is a
-/// word its peer sent in that reduction. (A launch over one rank, the
-/// head's `∆X` reduce-scatter on the `1 × P` grid, moves nothing.)
+/// rank receives while the last non-blocking sum it launched spans the
+/// whole grid is charged to that sum, and is a word its peer sent in that
+/// reduction. (A launch over one rank, the head's `∆X` reduce-scatter on
+/// the `1 × P` grid, moves nothing and is not traced.)
 #[test]
 fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
     let net = mini_alexnet();
@@ -782,7 +774,7 @@ fn executed_conv_dw_words_are_eq9s_one_world_allreduce() {
                 for ev in &rank.events {
                     let arg = |k| ev.arg(k).expect("annotated");
                     match (ev.cat, ev.name, ev.kind) {
-                        ("nb", "iallreduce_launch", EventKind::Instant) if arg("p") > 1.0 => {
+                        ("nb", "iallreduce_launch", EventKind::Instant) => {
                             let n = arg("words");
                             world = arg("p") == p as f64;
                             if world {
