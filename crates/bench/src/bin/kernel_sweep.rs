@@ -15,7 +15,9 @@
 //! if the packed GEMM fails to beat the frozen kernel on the largest
 //! GEMM shape, if any orientation of `chaos_ft`'s 24×64×8 shard runs
 //! under ¼ of the same run's `square_512` rate (a tile-scale product
-//! that has fallen off the packed kernel reads ≈ 0.1), if the implicit
+//! that has fallen off the packed kernel reads ≈ 0.1), if any
+//! `mini_alexnet` conv row (what `cnn_domain` runs, forward and
+//! backward) runs under 0.2 of it (0.27 and up today), if the implicit
 //! convolution fails to beat the materialized reference on the AlexNet
 //! conv2 acceptance shape, or if any backward row (AlexNet conv2 and the `mini_alexnet` strip
 //! windows) fails to beat `conv2d_backward_ref` — a silent kernel
@@ -90,6 +92,11 @@ const LRN_GATE_GBPS: f64 = 0.7;
 /// Share of the same run's `square_512` GFLOP/s under which a
 /// `chaos_ft` 24×64×8 row fails the run.
 const SHARD_GATE_RATIO: f64 = 0.25;
+/// The same share for every `mini_alexnet` conv row, forward and
+/// backward: packing the im2col operand, they read 0.19–0.35 of
+/// `square_512`; read in place, 0.27–0.35 at the thinnest row
+/// (`mini_alexnet_conv1_strip_bwd`) and 0.4–1.1 on the others.
+const MINI_GATE_RATIO: f64 = 0.2;
 
 /// The floor a word-moving row is held to on an AVX2 host; the other
 /// rows are reported, not gated.
@@ -380,6 +387,14 @@ fn main() {
         assert!(
             r.new_gflops >= SHARD_GATE_RATIO * square,
             "tile-scale GEMM regression: {} at {:.2} GF/s < {SHARD_GATE_RATIO} x square_512's {square:.2}",
+            r.shape,
+            r.new_gflops
+        );
+    }
+    for r in rows.iter().filter(|r| r.shape.starts_with("mini_alexnet")) {
+        assert!(
+            r.new_gflops >= MINI_GATE_RATIO * square,
+            "mini_alexnet conv regression: {} at {:.2} GF/s < {MINI_GATE_RATIO} x square_512's {square:.2}",
             r.shape,
             r.new_gflops
         );

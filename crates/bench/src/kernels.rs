@@ -190,10 +190,12 @@ fn strip_window(mut s: ConvShape, rows: usize) -> ConvShape {
 
 /// The convolution benchmark shapes: zoo layers (the AlexNet conv2
 /// entry is the acceptance shape for the implicit-GEMM speedup
-/// criterion), then the `mini_alexnet` strip windows of the
+/// criterion), then the `mini_alexnet` convolutions of the
 /// `cnn_domain` workload at B = 64, `pc` = 4 — conv1 (7×7/2 on 35×35)
-/// at `pd` = 4, where a strip's 4 output rows need a 13-row window, and
-/// conv2 (5×5 same-pad on 7×7) at `pd` = 1, extended to 11×11.
+/// at `pd` = 4, where a strip's 4 output rows need a 13-row window,
+/// conv2 (5×5 same-pad on 7×7) at `pd` = 1, extended to 11×11, conv3–5
+/// (3×3 same-pad on 3×3), and the forward run conv2's `∆X` is (its
+/// 12 → 8 channels, 5×5, on the 11×11 framed `∆Y`).
 pub fn conv_shapes() -> Vec<ConvShape> {
     let alex = alexnet();
     let vgg = vgg16();
@@ -209,6 +211,21 @@ pub fn conv_shapes() -> Vec<ConvShape> {
     };
     shapes.extend(strip(1, "mini_alexnet_conv1_strip", 13));
     shapes.extend(strip(2, "mini_alexnet_conv2_strip", 11));
+    for (i, name) in [
+        (3, "mini_alexnet_conv3"),
+        (4, "mini_alexnet_conv4"),
+        (5, "mini_alexnet_conv5"),
+    ] {
+        shapes.extend(conv_from_zoo(&mini, i, name, STRIP_BATCH));
+    }
+    shapes.extend(
+        conv_from_zoo(&mini, 2, "mini_alexnet_conv2_dx", STRIP_BATCH).map(|mut s| {
+            let Conv2dParams { in_c, out_c, .. } = s.p;
+            (s.h, s.w, s.p.pad) = (11, 11, 0);
+            (s.p.in_c, s.p.out_c) = (out_c, in_c);
+            s
+        }),
+    );
     shapes
 }
 
@@ -288,7 +305,10 @@ mod tests {
         };
         assert_eq!(strip("mini_alexnet_conv1_strip"), (8, 0, (4, 15)));
         assert_eq!(strip("mini_alexnet_conv2_strip"), (12, 0, (7, 7)));
-        assert_eq!(convs.len(), 6);
+        assert_eq!(strip("mini_alexnet_conv3"), (16, 1, (3, 3)));
+        assert_eq!(strip("mini_alexnet_conv5"), (12, 1, (3, 3)));
+        assert_eq!(strip("mini_alexnet_conv2_dx"), (8, 0, (7, 7)));
+        assert_eq!(convs.len(), 10);
         assert_eq!(conv_backward_shapes().len(), 3);
     }
 

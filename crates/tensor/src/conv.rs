@@ -5,15 +5,16 @@
 //! simplicity and connection to high performance computing literature"
 //! (its footnote 1); im2col is the lowering that makes this literal.
 //! The executed kernel here is [`conv2d`], an *implicit*-GEMM: the
-//! panel-packed GEMM core ([`crate::gemm`]) reads the column matrix
-//! through [`Im2colMap`] — the separable offset map
-//! `idx(k, m) = col_base[m] + k_off[k]`, two small tables and one add
-//! per element — so receptive-field patches are packed straight out of
-//! the NCHW input and **no `(in_c·kh·kw) × (n·oh·ow)` column matrix is
-//! ever materialized** (see [`conv_scratch_words`]). Padding is not the
-//! map's business: a padded convolution zero-extends its input once.
-//! The backward pass is two gathers through the same map: `∆W`
-//! contracts the output gradient against implicit im2col panels
+//! GEMM core ([`crate::gemm`]) takes the column matrix as its broadcast
+//! operand and reads it in place through [`Im2colMap`] — the separable
+//! offset map `idx(k, m) = col_base[m] + k_off[k]`, two small tables
+//! and one add per element — so **no `(in_c·kh·kw) × (n·oh·ow)` column
+//! matrix is ever materialized, nor packed**: only the small weight
+//! operand is (see [`conv_scratch_words`]). Each output pixel is a row
+//! of the product and lands straight in the NCHW output. Padding is not
+//! the map's business: a padded convolution zero-extends its input
+//! once. The backward pass is two gathers through the same map: `∆W`
+//! is the column matrix read by tap rows against `∆Yᵀ`
 //! ([`conv2d_backward_weights`]), and `∆X` is the forward kernel itself
 //! run on the output gradient framed in zeros, with the kernel rotated
 //! and its channel roles swapped ([`conv2d_backward_data`]) — each `∆X`
@@ -233,8 +234,24 @@ impl Tensor4 {
     /// A copy framed in zeros: `above` / `below` extra rows and `side`
     /// extra columns on the left and on the right of every plane.
     pub fn zero_extend(&self, above: usize, below: usize, side: usize) -> Tensor4 {
-        let mut ext = Tensor4::zeros(self.n, self.c, self.h + above + below, self.w + 2 * side);
-        ext.copy_block([0, above, side], self, [0; 3], [self.n, self.h, self.w]);
+        let (h, w) = (self.h + above + below, self.w + 2 * side);
+        let mut ext = Tensor4::zeros(self.n, self.c, h, w);
+        if self.h * self.w > 0 {
+            let planes = ext
+                .data
+                .chunks_exact_mut(h * w)
+                .zip(self.data.chunks_exact(self.h * self.w));
+            for (dst, src) in planes {
+                for (d, s) in dst[above * w..]
+                    .chunks_exact_mut(w)
+                    .zip(src.chunks_exact(self.w))
+                {
+                    for (d, &s) in d[side..].iter_mut().zip(s) {
+                        *d = s;
+                    }
+                }
+            }
+        }
         ext
     }
 
@@ -325,38 +342,55 @@ impl Conv2dParams {
     }
 }
 
-/// Direct convolution: `out[n][oc][oh][ow] = Σ w[oc][ic,kh,kw] · in[…]`.
-pub fn conv2d_direct(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
-    assert_conv_shapes(input, weights, p);
-    let (oh, ow) = p.out_hw(input.h, input.w);
-    let mut out = Tensor4::zeros(input.n, p.out_c, oh, ow);
-    for n in 0..input.n {
-        for oc in 0..p.out_c {
-            let wrow = weights.row(oc);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for ic in 0..p.in_c {
-                        for ky in 0..p.kh {
-                            let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                            if iy < 0 || iy >= input.h as isize {
-                                continue;
-                            }
-                            for kx in 0..p.kw {
-                                let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                                if ix < 0 || ix >= input.w as isize {
-                                    continue;
-                                }
-                                let widx = (ic * p.kh + ky) * p.kw + kx;
-                                acc += wrow[widx] * input.get(n, ic, iy as usize, ix as usize);
-                            }
-                        }
+/// Calls `f(col, row, at)` for every tap of every output pixel of an
+/// `n × p.in_c × h × w` input that lands in it (padding reads zero and
+/// is skipped), pixel by pixel and each pixel's taps in ascending order:
+/// `col = (n·oh + oy)·ow + ox` and `row = (ic·kh + ky)·kw + kx` index
+/// [`im2col`]'s matrix, and `at` is the input's flat index.
+fn each_tap(
+    n: usize,
+    h: usize,
+    w: usize,
+    p: &Conv2dParams,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let (oh, ow) = p.out_hw(h, w);
+    let inside =
+        |o: usize, k: usize, len: usize| (o * p.stride + k).checked_sub(p.pad).filter(|&i| i < len);
+    for col in 0..n * oh * ow {
+        let (ni, oy, ox) = (col / (oh * ow), col / ow % oh, col % ow);
+        for ic in 0..p.in_c {
+            for ky in 0..p.kh {
+                let Some(iy) = inside(oy, ky, h) else {
+                    continue;
+                };
+                for kx in 0..p.kw {
+                    if let Some(ix) = inside(ox, kx, w) {
+                        f(
+                            col,
+                            (ic * p.kh + ky) * p.kw + kx,
+                            ((ni * p.in_c + ic) * h + iy) * w + ix,
+                        );
                     }
-                    out.set(n, oc, oy, ox, acc);
                 }
             }
         }
     }
+}
+
+/// Direct convolution: `out[n][oc][oh][ow] = Σ w[oc][ic,kh,kw] · in[…]`,
+/// each sum a plain `+=` over the taps in ascending order.
+pub fn conv2d_direct(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
+    assert_conv_shapes(input, weights, p);
+    let (oh, ow) = p.out_hw(input.h, input.w);
+    let (hw, x) = (oh * ow, input.as_slice());
+    let mut out = Tensor4::zeros(input.n, p.out_c, oh, ow);
+    let od = out.as_mut_slice();
+    each_tap(input.n, input.h, input.w, p, |col, row, at| {
+        for oc in 0..p.out_c {
+            od[(col / hw * p.out_c + oc) * hw + col % hw] += weights.get(oc, row) * x[at];
+        }
+    });
     out
 }
 
@@ -364,31 +398,10 @@ pub fn conv2d_direct(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Ten
 /// `(in_c·kh·kw) × (n·oh·ow)` matrix so convolution becomes `W · cols`.
 pub fn im2col(input: &Tensor4, p: &Conv2dParams) -> Matrix {
     let (oh, ow) = p.out_hw(input.h, input.w);
-    let cols = input.n * oh * ow;
-    let mut m = Matrix::zeros(p.patch_len(), cols);
-    for n in 0..input.n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let col = (n * oh + oy) * ow + ox;
-                for ic in 0..p.in_c {
-                    for ky in 0..p.kh {
-                        let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                        if iy < 0 || iy >= input.h as isize {
-                            continue;
-                        }
-                        for kx in 0..p.kw {
-                            let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                            if ix < 0 || ix >= input.w as isize {
-                                continue;
-                            }
-                            let row = (ic * p.kh + ky) * p.kw + kx;
-                            m.set(row, col, input.get(n, ic, iy as usize, ix as usize));
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let mut m = Matrix::zeros(p.patch_len(), input.n * oh * ow);
+    each_tap(input.n, input.h, input.w, p, |col, row, at| {
+        m.set(row, col, input.as_slice()[at])
+    });
     m
 }
 
@@ -399,71 +412,36 @@ pub fn col2im(cols: &Matrix, n: usize, h: usize, w: usize, p: &Conv2dParams) -> 
     assert_eq!(cols.rows(), p.patch_len(), "col2im row mismatch");
     assert_eq!(cols.cols(), n * oh * ow, "col2im col mismatch");
     let mut out = Tensor4::zeros(n, p.in_c, h, w);
-    for ni in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let col = (ni * oh + oy) * ow + ox;
-                for ic in 0..p.in_c {
-                    for ky in 0..p.kh {
-                        let iy = (oy * p.stride + ky) as isize - p.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..p.kw {
-                            let ix = (ox * p.stride + kx) as isize - p.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let row = (ic * p.kh + ky) * p.kw + kx;
-                            out.add_at(ni, ic, iy as usize, ix as usize, cols.get(row, col));
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let od = out.as_mut_slice();
+    each_tap(n, h, w, p, |col, row, at| od[at] += cols.get(row, col));
     out
+}
+
+/// `product(W, im2col(X))`, laid out as NCHW.
+fn lowered(
+    x: &Tensor4,
+    w: &Matrix,
+    p: &Conv2dParams,
+    product: fn(&Matrix, &Matrix) -> Matrix,
+) -> Tensor4 {
+    let (oh, ow) = p.out_hw(x.h, x.w);
+    let y = product(w, &im2col(x, p)); // out_c × (n·oh·ow)
+    Tensor4::from_fn(x.n, p.out_c, oh, ow, |n, oc, oy, ox| {
+        y.get(oc, (n * oh + oy) * ow + ox)
+    })
 }
 
 /// Convolution via im2col + matmul. Must agree with
 /// [`conv2d_direct`] to rounding error.
 pub fn conv2d_im2col(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
-    let (oh, ow) = p.out_hw(input.h, input.w);
-    let cols = im2col(input, p);
-    let y = matmul(weights, &cols); // out_c × (n·oh·ow)
-    let mut out = Tensor4::zeros(input.n, p.out_c, oh, ow);
-    for oc in 0..p.out_c {
-        let yrow = y.row(oc);
-        for n in 0..input.n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    out.set(n, oc, oy, ox, yrow[(n * oh + oy) * ow + ox]);
-                }
-            }
-        }
-    }
-    out
+    lowered(input, weights, p, matmul)
 }
 
 /// The pre-packing executed convolution (materialized im2col + the
 /// frozen blocked [`matmul_ref`]), kept as the measured baseline for
 /// kernel speedups. Not used by any compute path; benchmarks only.
 pub fn conv2d_im2col_ref(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
-    let (oh, ow) = p.out_hw(input.h, input.w);
-    let cols = im2col(input, p);
-    let y = matmul_ref(weights, &cols);
-    let mut out = Tensor4::zeros(input.n, p.out_c, oh, ow);
-    for oc in 0..p.out_c {
-        let yrow = y.row(oc);
-        for n in 0..input.n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    out.set(n, oc, oy, ox, yrow[(n * oh + oy) * ow + ox]);
-                }
-            }
-        }
-    }
-    out
+    lowered(input, weights, p, matmul_ref)
 }
 
 /// Separable im2col offset map for implicit-GEMM convolution over an
@@ -485,8 +463,8 @@ pub fn conv2d_im2col_ref(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) ->
 /// Two `u32` tables of `m + k` entries, built by nested loops with no
 /// division, replace any per-element index arithmetic; without padding
 /// every tap is in bounds, so there is no validity test either. The
-/// forward gather — which is also `∆X`'s, run on the framed output
-/// gradient — and the `∆W` transposed gather walk the same two tables.
+/// forward reads it by pixel rows — as does `∆X`, run on the framed
+/// output gradient — and `∆W` by tap rows, through the same two tables.
 pub struct Im2colMap {
     /// Per output column `(n, oy, ox)`: flat index of its patch origin.
     pub col_base: Vec<u32>,
@@ -545,13 +523,26 @@ fn assert_conv_shapes(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) {
     );
 }
 
+/// Per pixel `(n, oy, ox)` of an NCHW tensor of `c` channels of `hw`
+/// pixels each, in pixel order: the word of its channel 0, channel `ch`
+/// being `ch·hw` further — the rows a convolution's product lands in.
+fn pixel_offsets(n: usize, c: usize, hw: usize) -> Vec<u32> {
+    assert!(
+        n * c * hw <= u32::MAX as usize,
+        "{n}x{c}x{hw} overflows u32 offsets"
+    );
+    (0..n)
+        .flat_map(|ni| (ni * c * hw..ni * c * hw + hw).map(|w| w as u32))
+        .collect()
+}
+
 /// Transient words the implicit-GEMM forward allocates beyond its
-/// output: the `out_c × (n·oh·ow)` GEMM staging buffer, the
-/// cache-blocking packing scratch, the offset tables, and (when
-/// `pad > 0`) the zero-extended input — bounded by the output size, the
-/// blocking constants and the input size, never by the
+/// output: the packed `Wᵀ` panel, the offset tables (`Im2colMap`'s two
+/// and the output's pixel offsets), and (when `pad > 0`) the
+/// zero-extended input — bounded by the blocking constants, the
+/// pixel count and the input size, never by the
 /// `(in_c·kh·kw) × (n·oh·ow)` column matrix that [`im2col`] would
-/// materialize.
+/// materialize, and with no `out_c × (n·oh·ow)` staging.
 pub fn conv_scratch_words(batch: usize, h: usize, w: usize, p: &Conv2dParams) -> usize {
     let (oh, ow) = p.out_hw(h, w);
     let m = batch * oh * ow;
@@ -560,78 +551,45 @@ pub fn conv_scratch_words(batch: usize, h: usize, w: usize, p: &Conv2dParams) ->
     } else {
         0
     };
-    let tables = (m + p.patch_len()).div_ceil(2); // u32 entries
-    p.out_c * m + gemm::packing_scratch_words(p.out_c, m, p.patch_len()) + tables + padded_input
+    let tables = (2 * m + p.patch_len()).div_ceil(2); // u32 entries
+    gemm::panel_words(p.out_c, p.patch_len()) + tables + padded_input
 }
 
-/// Implicit-GEMM convolution: `Y = W · im2col(X)` where the column
-/// matrix is read through [`Im2colMap`] during panel packing — the
-/// executed forward kernel. Agrees with [`conv2d_direct`] to rounding
-/// error, bit-for-bit with [`conv2d_im2col`], and is bit-reproducible
-/// run-to-run ([`crate::gemm`]'s determinism contract).
+/// Implicit-GEMM convolution: `Yᵀ = im2col(X)ᵀ · Wᵀ`, one row per output
+/// pixel — the executed forward kernel. The column matrix is the
+/// microkernel's broadcast operand, read in place through
+/// [`Im2colMap`] (`x[col_base[pix] + k_off[tap]]`); only `Wᵀ` is
+/// packed, and each pixel's row lands straight in the NCHW output.
+/// Agrees with [`conv2d_direct`] to rounding error, bit-for-bit with
+/// [`conv2d_im2col`], and is bit-reproducible run-to-run
+/// ([`crate::gemm`]'s determinism contract).
 pub fn conv2d(input: &Tensor4, weights: &Matrix, p: &Conv2dParams) -> Tensor4 {
     assert_conv_shapes(input, weights, p);
     let (oh, ow) = p.out_hw(input.h, input.w);
-    let m = input.n * oh * ow;
-    let k = p.patch_len();
+    let (m, k) = (input.n * oh * ow, p.patch_len());
     let mut out = Tensor4::zeros(input.n, p.out_c, oh, ow);
     if m == 0 || k == 0 || p.out_c == 0 {
         return out;
     }
     let x = padded(input, p);
     let map = Im2colMap::new(p, x.n, x.h, x.w);
-    let (wv, xv) = (weights.as_slice(), x.as_slice());
-    // GEMM lands in W-major staging (out_c × m); the output wants
-    // sample-major NCHW, so rows are scattered as contiguous oh·ow runs.
-    let mut y = vec![0.0; p.out_c * m];
-    gemm::gemm_packed(
-        p.out_c,
-        m,
-        k,
-        |i0, kk, dst| gemm::gather_lanes(wv, i0 * k + kk, k, dst),
-        |kk, j0, dst| {
-            // Columns of one output row at stride 1 are one run.
-            let (off, bases) = (map.k_off[kk], &map.col_base[j0..j0 + dst.len()]);
-            let b0 = (bases[0] + off) as usize;
-            if bases[dst.len() - 1] - bases[0] == dst.len() as u32 - 1 {
-                dst.copy_from_slice(&xv[b0..b0 + dst.len()]);
-            } else {
-                for (d, &b) in dst.iter_mut().zip(bases) {
-                    *d = xv[(b + off) as usize];
-                }
-            }
-        },
-        &mut y,
+    let rows = pixel_offsets(input.n, p.out_c, oh * ow);
+    let wv = weights.as_slice();
+    gemm::gemm_in_place(
+        gemm::Offsets::new(x.as_slice(), &map.col_base, &map.k_off),
+        |kk, j0, dst| gemm::gather_lanes(wv, j0 * k + kk, k, dst),
+        gemm::Scatter::new(out.as_mut_slice(), &rows, p.out_c, oh * ow),
     );
-    let hw = oh * ow;
-    let od = out.as_mut_slice();
-    for oc in 0..p.out_c {
-        for n in 0..input.n {
-            od[(n * p.out_c + oc) * hw..][..hw].copy_from_slice(&y[oc * m + n * hw..][..hw]);
-        }
-    }
     out
 }
 
-/// Gathers `dy` into the `out_c × (n·oh·ow)` row-major layout the GEMM
-/// contracts over (contiguous `oh·ow` runs per `(oc, n)`).
-fn dy_rows(dy: &Tensor4, oc: usize, hw: usize) -> Vec<f64> {
-    let m = dy.n * hw;
-    let mut dy_m = vec![0.0; oc * m];
-    let src = dy.as_slice();
-    for o in 0..oc {
-        for n in 0..dy.n {
-            dy_m[o * m + n * hw..][..hw].copy_from_slice(&src[(n * oc + o) * hw..][..hw]);
-        }
-    }
-    dy_m
-}
-
 /// The weight gradient of a convolution alone,
-/// `dW = ∆Y · im2col(X)ᵀ` with the im2col panels packed through
-/// [`Im2colMap`]: [`conv2d_backward`]'s `dW`, to the bit, without its
-/// `∆X` half — all the backward of a layer whose input gradient nobody
-/// reads (a network's first convolution).
+/// `dWᵀ = im2col(X) · ∆Yᵀ`, one row per tap: the column matrix read in
+/// place through [`Im2colMap`] (`x[k_off[tap] + col_base[pix]]`), only
+/// `∆Yᵀ` packed, each row landing in a column of `dW`.
+/// [`conv2d_backward`]'s `dW`, to the bit, without its `∆X` half — all
+/// the backward of a layer whose input gradient nobody reads (a
+/// network's first convolution).
 pub fn conv2d_backward_weights(
     input: &Tensor4,
     weights: &Matrix,
@@ -645,29 +603,22 @@ pub fn conv2d_backward_weights(
         (input.n, p.out_c, oh, ow),
         "dy shape mismatch"
     );
-    let (m, k, oc) = (input.n * oh * ow, p.patch_len(), p.out_c);
+    let (m, k, oc, hw) = (input.n * oh * ow, p.patch_len(), p.out_c, oh * ow);
     let mut dw = Matrix::zeros(oc, k);
     if m == 0 || k == 0 || oc == 0 {
         return dw;
     }
     let x = padded(input, p);
     let map = Im2colMap::new(p, x.n, x.h, x.w);
-    let xv = x.as_slice();
-    let dy_m = dy_rows(dy, oc, oh * ow);
-    // dW = ∆Y · colsᵀ: contract over the n·oh·ow columns, reading the
-    // column matrix transposed through the same two tables.
-    gemm::gemm_packed(
-        oc,
-        k,
-        m,
-        |i0, kk, dst| gemm::gather_lanes(&dy_m, i0 * m + kk, m, dst),
-        |kk, j0, dst| {
-            let base = map.col_base[kk];
-            for (d, &off) in dst.iter_mut().zip(&map.k_off[j0..]) {
-                *d = xv[(base + off) as usize];
-            }
-        },
-        dw.as_mut_slice(),
+    let (pixels, taps) = (
+        pixel_offsets(input.n, oc, hw),
+        (0..k as u32).collect::<Vec<_>>(),
+    );
+    let dyv = dy.as_slice();
+    gemm::gemm_in_place(
+        gemm::Offsets::new(x.as_slice(), &map.k_off, &map.col_base),
+        |kk, j0, dst| gemm::gather_lanes(dyv, pixels[kk] as usize + j0 * hw, hw, dst),
+        gemm::Scatter::new(dw.as_mut_slice(), &taps, oc, k),
     );
     dw
 }
@@ -1048,7 +999,7 @@ mod tests {
         // AlexNet conv2 at batch 8: the im2col matrix would be
         // patch_len × n·oh·ow words; the implicit path's transient
         // scratch must stay well under it and be bounded by the
-        // output-staging + blocking terms.
+        // blocking, table and padded-input terms.
         let p = Conv2dParams {
             in_c: 96,
             out_c: 256,
@@ -1063,15 +1014,11 @@ mod tests {
         let col_matrix_words = p.patch_len() * m;
         let scratch = conv_scratch_words(batch, h, w, &p);
         let padded_input = batch * p.in_c * (h + 2 * p.pad) * (w + 2 * p.pad);
+        // The packed `Wᵀ` panel, three u32 tables, the padded input: no
+        // `out_c × m` staging.
         assert!(
-            scratch
-                <= p.out_c * m
-                    + gemm::KC * gemm::NC
-                    + gemm::MC * gemm::KC
-                    + padded_input
-                    + m
-                    + p.patch_len(),
-            "scratch {scratch} exceeds staging + blocking + O(input) bound"
+            scratch <= gemm::KC * gemm::NC + padded_input + m + p.patch_len(),
+            "scratch {scratch} exceeds blocking + tables + O(input) bound"
         );
         assert!(
             scratch * 3 < col_matrix_words,
@@ -1196,6 +1143,41 @@ mod tests {
         assert!(stitched.approx_eq(&full, 1e-14));
     }
 
+    /// `conv2d` against the materialized lowering and
+    /// `conv2d_backward_weights` against `conv2d_backward_ref`'s `dW`,
+    /// both to the bit.
+    fn in_place_products_match_lowering(n: usize, h: usize, w: usize, p: &Conv2dParams) {
+        let (x, wt) = (test_input(n, p.in_c, h, w), test_weights(p));
+        assert_eq!(
+            conv2d(&x, &wt, p),
+            conv2d_im2col(&x, &wt, p),
+            "{p:?} on {h}x{w}"
+        );
+        let (oh, ow) = p.out_hw(h, w);
+        let dy = Tensor4::from_fn(n, p.out_c, oh, ow, |a, b, y, xx| {
+            ((a * 3 + b * 5 + y + xx * 2) as f64 * 0.06).cos()
+        });
+        let dw = conv2d_backward_weights(&x, &wt, &dy, p);
+        assert_eq!(dw, conv2d_backward_ref(&x, &wt, &dy, p).0, "dW {p:?}");
+    }
+
+    #[test]
+    fn in_place_products_cross_k_panels_and_fork_bit_identically() {
+        // A 300-tap patch crosses a KC panel in the forward; 2·27·27
+        // pixels cross one in `∆W`; 1458·20·300 multiply-adds pass the
+        // 2²³ fork, so row blocks run on the pool in both.
+        let p = Conv2dParams {
+            in_c: 12,
+            out_c: 20,
+            kh: 5,
+            kw: 5,
+            stride: 1,
+            pad: 2,
+        };
+        assert!(p.patch_len() > gemm::KC && 2 * 27 * 27 * 20 * p.patch_len() >= 1 << 23);
+        in_place_products_match_lowering(2, 27, 27, &p);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
@@ -1241,6 +1223,20 @@ mod tests {
             let (dw_r, dx_r) = conv2d_backward_ref(&x, &wt, &dy, &p);
             prop_assert_eq!(dw_i.as_slice(), dw_r.as_slice());
             prop_assert!(dx_i.max_abs_diff(&dx_r) <= 1e-12, "dX {}", dx_i.max_abs_diff(&dx_r));
+        }
+
+        #[test]
+        fn in_place_products_are_the_lowering_to_the_bit(
+            n in 1usize..3, in_c in 1usize..13, out_c in 1usize..21,
+            kh in 1usize..6, kw in 1usize..6,
+            stride in 1usize..4, pad in 0usize..3,
+            extra_h in 0usize..6, extra_w in 0usize..6,
+        ) {
+            // `out_c` off multiples of NR, pixel counts off multiples of
+            // MR, and patches up to 300 taps, past one KC panel.
+            let (h, w) = (kh + extra_h, kw + extra_w);
+            let p = Conv2dParams { in_c, out_c, kh, kw, stride, pad };
+            in_place_products_match_lowering(n, h, w, &p);
         }
 
         #[test]

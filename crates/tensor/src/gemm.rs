@@ -9,22 +9,27 @@
 //!   for k0 in steps of KC:                  // K panels
 //!     pack B[k0.., j0..]  → B̃  (KC×NC, NR-column slivers)
 //!     for i0 in steps of MC:                // parallel over row blocks
-//!       pack A[i0.., k0..] → Ã  (MC×KC, MR-row slivers)
-//!       for each (MR×NR) tile: microkernel(Ã sliver, B̃ sliver, C tile)
+//!       pack A[i0.., k0..] → Ã  (MC×KC, MR-row slivers), or read A in place
+//!       for each (MR×NR) tile: microkernel(A tile, B̃ sliver, C tile)
 //! ```
 //!
-//! Operands are supplied as *sliver-row closures*: `fill_a(i0, k, dst)`
-//! writes the `dst.len() ≤ MR` consecutive rows `i0..` of column `k`,
-//! and `fill_b(k, j0, dst)` the `dst.len() ≤ NR` consecutive columns
-//! `j0..` of row `k` — exactly one row of a packed sliver. The same
-//! core therefore serves plain row-major matrices, the transposed
-//! operand shapes (`AᵀB`, `ABᵀ`), and the fused im2col layout that
-//! packs convolution panels straight out of an NCHW tensor without
-//! materializing the column matrix, and whenever the sliver row is
-//! contiguous in the source (row-major `B`, transposed `A`) the closure
-//! is a single `copy_from_slice`. Packing touches each operand element
-//! exactly once per panel pass; all floating-point arithmetic lives in
-//! the microkernels.
+//! B is supplied as a *sliver-row closure*: `fill_b(k, j0, dst)`
+//! writes the `dst.len() ≤ NR` consecutive columns `j0..` of row `k` —
+//! exactly one row of a packed sliver. The broadcast operand A comes
+//! from one of two places. [`gemm_packed`] packs it the same way,
+//! `fill_a(i0, k, dst)` writing the `dst.len() ≤ MR` consecutive rows
+//! `i0..` of column `k`: that serves plain row-major matrices and the
+//! transposed shapes (`AᵀB`, `ABᵀ`) of [`crate::matmul`], and wherever
+//! the sliver row is contiguous in the source the closure is a single
+//! `copy_from_slice`. `gemm_in_place` reads it where it lies, through
+//! two offset tables (`Offsets`: `A[i, k] = src[rows[i] + ks[k]]`),
+//! and stores C the same way (`Scatter`): the convolution's im2col
+//! matrix is the huge operand and never packed, and its product lands
+//! straight in NCHW (or in `dW`), so only the small weight (or `∆Y`)
+//! operand is packed. Both run one loop nest and one microkernel
+//! source, generic over where a tile's broadcast comes from. Packing
+//! touches each operand element exactly once per panel pass; all
+//! floating-point arithmetic lives in the microkernels.
 //!
 //! ## Determinism contract
 //!
@@ -56,6 +61,7 @@
 //! correctly-rounded software `fma` — slow, but bit-identical.
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 
 use rayon::prelude::*;
 
@@ -97,21 +103,12 @@ pub fn fma_kernel_available() -> bool {
     }
 }
 
-/// Words of packing scratch a `m×k · k×n` product needs: one B̃ panel
-/// on the calling thread plus one Ã block per worker thread, both held
-/// in thread-local buffers that only ever grow to the largest such
-/// need. Bounded by the cache blocking
-/// (`KC·NC + MC·KC`) — never by the operand sizes — which is what lets
-/// the implicit-GEMM convolution run without a materialized im2col
-/// matrix.
-pub fn packing_scratch_words(m: usize, n: usize, k: usize) -> usize {
-    if m == 0 || n == 0 || k == 0 {
-        return 0;
-    }
-    let kc = KC.min(k);
-    let b_panel = kc * NC.min(n.next_multiple_of(NR));
-    let a_block = MC.min(m.next_multiple_of(MR)) * kc;
-    b_panel + a_block
+/// Words of the B̃ panel of a product with `n` columns and depth `k`,
+/// held on the calling thread: all the packing scratch
+/// [`gemm_in_place`] needs, whose A is never packed. Bounded by the
+/// cache blocking (`KC·NC`), never by the operand sizes.
+pub(crate) fn panel_words(n: usize, k: usize) -> usize {
+    KC.min(k) * NC.min(n.next_multiple_of(NR))
 }
 
 thread_local! {
@@ -140,51 +137,105 @@ fn with_scratch<R>(
     })
 }
 
-/// Portable microkernel over the top `rows` rows of an `MR × NR` tile:
-/// loads them from `c` — or, on the product's `first` K panel, starts
-/// from the `+0.0` a cleared tile would have held — folds the packed
-/// slivers over ascending k with `mul_add`, stores them back. All `MR`
-/// rows are folded (a ragged sliver's tail lanes are zero); the rows
-/// past `rows` are neither read from `c` nor written to it.
-fn micro_6x8(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize, rows: usize, first: bool) {
+/// The broadcast operand of one register tile: `MR` rows over one K
+/// panel.
+trait Lanes: Copy {
+    /// `A[r, kk]` of the tile.
+    ///
+    /// # Safety
+    ///
+    /// `r < MR` and `kk` below the depth of the panel the tile was made
+    /// for.
+    unsafe fn at(self, r: usize, kk: usize) -> f64;
+}
+
+/// A packed Ã sliver, k-major: `A[r, kk]` at `kk·MR + r`.
+#[derive(Clone, Copy)]
+struct Sliver<'a>(&'a [f64]);
+
+impl Lanes for Sliver<'_> {
+    #[inline(always)]
+    unsafe fn at(self, r: usize, kk: usize) -> f64 {
+        // SAFETY: the sliver is `kc·MR` words (`Packed::tile`).
+        unsafe { *self.0.get_unchecked(kk * MR + r) }
+    }
+}
+
+/// `MR` rows read in place: `A[r, kk]` at `rows[r] + ks[kk]`, each row
+/// a pointer to its first word.
+#[derive(Clone, Copy)]
+struct InPlace<'a> {
+    rows: [*const f64; MR],
+    ks: &'a [u32],
+}
+
+impl Lanes for InPlace<'_> {
+    #[inline(always)]
+    unsafe fn at(self, r: usize, kk: usize) -> f64 {
+        // SAFETY: `ks` spans the panel and `Offsets::new` checked every
+        // row plus every offset to land in the source.
+        unsafe { *self.rows[r].add(*self.ks.get_unchecked(kk) as usize) }
+    }
+}
+
+/// Portable microkernel over the top `rows` rows and the first `4·V`
+/// columns of an `MR × NR` tile: loads them from `c` — or, on the
+/// product's `first` K panel, starts from the `+0.0` a cleared tile
+/// would have held — folds the tile's broadcast rows against the packed
+/// B̃ sliver over ascending k with `mul_add`, stores them back. All `MR`
+/// rows are folded (a ragged tile's tail rows are zero or repeat a
+/// valid one); the rows past `rows` are neither read from `c` nor
+/// written to it.
+fn micro_6x8<const V: usize, A: Lanes>(
+    kc: usize,
+    a: A,
+    b: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    rows: usize,
+    first: bool,
+) {
+    let lanes = 4 * V;
     let mut acc = [[0.0f64; NR]; MR];
     if !first {
         for (r, row) in acc.iter_mut().enumerate().take(rows) {
-            row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
+            row[..lanes].copy_from_slice(&c[r * ldc..r * ldc + lanes]);
         }
     }
     for kk in 0..kc {
-        let av = &a[kk * MR..kk * MR + MR];
-        let bv = &b[kk * NR..kk * NR + NR];
+        let bv = &b[kk * NR..kk * NR + lanes];
         for (r, row) in acc.iter_mut().enumerate() {
-            let ar = av[r];
-            for (cc, accv) in row.iter_mut().enumerate() {
-                *accv = ar.mul_add(bv[cc], *accv);
+            // SAFETY: `r < MR` and `kk < kc`, the tile's depth.
+            let ar = unsafe { a.at(r, kk) };
+            for (accv, &bc) in row.iter_mut().zip(bv) {
+                *accv = ar.mul_add(bc, *accv);
             }
         }
     }
     for (r, row) in acc.iter().enumerate().take(rows) {
-        c[r * ldc..r * ldc + NR].copy_from_slice(row);
+        c[r * ldc..r * ldc + lanes].copy_from_slice(&row[..lanes]);
     }
 }
 
 /// AVX2+FMA microkernel: 6×8 register tile (12 accumulator ymm, 2 B
 /// vectors, 1 broadcast — 15 of 16 registers), `vfmadd` per lane, which
 /// per element is exactly the ascending-k `mul_add` fold of the
-/// determinism contract. Touches the top `rows` rows of `c`, like
-/// [`micro_6x8`].
+/// determinism contract; `V = 1` runs its left half, 6×4, for a tile
+/// whose valid columns fit in it. Touches the top `rows` rows of `c`,
+/// like [`micro_6x8`].
 ///
 /// # Safety
 ///
 /// Caller must have verified AVX2+FMA support via
-/// [`fma_kernel_available`], `rows` must be in `1..=MR`, and `c` must
-/// have `rows` rows of `ldc` with at least `NR` valid columns at the
-/// tile origin.
+/// [`fma_kernel_available`], `a` must be a tile of depth `kc`, `b` must
+/// hold `kc·NR` words, `rows` must be in `1..=MR`, `V` in `1..=2`, and
+/// `c` must have `rows` rows of `ldc` with at least `4·V` valid columns
+/// at the tile origin.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn micro_6x8_fma(
+unsafe fn micro_6x8_fma<const V: usize, A: Lanes>(
     kc: usize,
-    a: &[f64],
+    a: A,
     b: &[f64],
     c: &mut [f64],
     ldc: usize,
@@ -192,60 +243,64 @@ unsafe fn micro_6x8_fma(
     first: bool,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    debug_assert!((1..=MR).contains(&rows) && c.len() >= (rows - 1) * ldc + NR);
-    let ap = a.as_ptr();
+    debug_assert!(b.len() >= kc * NR && (1..=2).contains(&V));
+    debug_assert!((1..=MR).contains(&rows) && c.len() >= (rows - 1) * ldc + 4 * V);
     let bp = b.as_ptr();
     let cp = c.as_mut_ptr();
-    let mut acc = [[_mm256_setzero_pd(); 2]; MR];
+    let mut acc = [[_mm256_setzero_pd(); V]; MR];
     if !first {
         for (r, row) in acc.iter_mut().enumerate().take(rows) {
-            row[0] = _mm256_loadu_pd(cp.add(r * ldc));
-            row[1] = _mm256_loadu_pd(cp.add(r * ldc + 4));
+            for (v, x) in row.iter_mut().enumerate() {
+                *x = _mm256_loadu_pd(cp.add(r * ldc + 4 * v));
+            }
         }
     }
     for kk in 0..kc {
-        let b0 = _mm256_loadu_pd(bp.add(kk * NR));
-        let b1 = _mm256_loadu_pd(bp.add(kk * NR + 4));
+        let mut bv = [_mm256_setzero_pd(); V];
+        for (v, x) in bv.iter_mut().enumerate() {
+            *x = _mm256_loadu_pd(bp.add(kk * NR + 4 * v));
+        }
         for (r, row) in acc.iter_mut().enumerate() {
-            let ar = _mm256_set1_pd(*ap.add(kk * MR + r));
-            row[0] = _mm256_fmadd_pd(ar, b0, row[0]);
-            row[1] = _mm256_fmadd_pd(ar, b1, row[1]);
+            let ar = _mm256_set1_pd(a.at(r, kk));
+            for (x, &bx) in row.iter_mut().zip(&bv) {
+                *x = _mm256_fmadd_pd(ar, bx, *x);
+            }
         }
     }
     for (r, row) in acc.iter().enumerate().take(rows) {
-        _mm256_storeu_pd(cp.add(r * ldc), row[0]);
-        _mm256_storeu_pd(cp.add(r * ldc + 4), row[1]);
+        for (v, &x) in row.iter().enumerate() {
+            _mm256_storeu_pd(cp.add(r * ldc + 4 * v), x);
+        }
     }
 }
 
-/// Runs one full-width tile of `rows` rows on the best available
-/// microkernel.
+/// Runs one tile of `rows` rows and `4·V` columns on the best available
+/// microkernel; `a` must be a tile of depth `kc`.
 // The argument list mirrors the microkernel ABI; bundling it into a
 // struct would just move the field list.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn micro_rows(
+fn micro_rows<const V: usize, A: Lanes>(
     fma: bool,
     kc: usize,
-    a: &[f64],
+    a: A,
     b: &[f64],
     c: &mut [f64],
     ldc: usize,
     rows: usize,
     first: bool,
 ) {
-    assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    assert!((1..=MR).contains(&rows) && c.len() >= (rows - 1) * ldc + NR);
+    assert!(b.len() >= kc * NR && (1..=2).contains(&V));
+    assert!((1..=MR).contains(&rows) && c.len() >= (rows - 1) * ldc + 4 * V);
     #[cfg(target_arch = "x86_64")]
     if fma {
         // SAFETY: `fma` is only true after runtime AVX2+FMA detection,
         // and the asserts above are the kernel's extent preconditions.
-        unsafe { micro_6x8_fma(kc, a, b, c, ldc, rows, first) };
+        unsafe { micro_6x8_fma::<V, A>(kc, a, b, c, ldc, rows, first) };
         return;
     }
     let _ = fma;
-    micro_6x8(kc, a, b, c, ldc, rows, first);
+    micro_6x8::<V, A>(kc, a, b, c, ldc, rows, first);
 }
 
 /// Dispatches one `mr_eff × nr_eff` tile; `first` marks the product's
@@ -257,10 +312,10 @@ fn micro_rows(
 /// entries, and every kept element is still the ascending-k fold.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn micro_dispatch(
+fn micro_dispatch<A: Lanes>(
     fma: bool,
     kc: usize,
-    a: &[f64],
+    a: A,
     b: &[f64],
     c: &mut [f64],
     ldc: usize,
@@ -269,7 +324,7 @@ fn micro_dispatch(
     first: bool,
 ) {
     if nr_eff == NR {
-        micro_rows(fma, kc, a, b, c, ldc, mr_eff, first);
+        micro_rows::<2, A>(fma, kc, a, b, c, ldc, mr_eff, first);
         return;
     }
     let mut tile = [0.0f64; MR * NR];
@@ -278,7 +333,7 @@ fn micro_dispatch(
             tile[r * NR..r * NR + nr_eff].copy_from_slice(&c[r * ldc..r * ldc + nr_eff]);
         }
     }
-    micro_rows(fma, kc, a, b, &mut tile, NR, mr_eff, first);
+    micro_rows::<2, A>(fma, kc, a, b, &mut tile, NR, mr_eff, first);
     for r in 0..mr_eff {
         c[r * ldc..r * ldc + nr_eff].copy_from_slice(&tile[r * NR..r * NR + nr_eff]);
     }
@@ -319,6 +374,175 @@ fn pack_sliver<const W: usize>(sliver: &mut [f64], lanes: usize, fill: impl Fn(u
     }
 }
 
+/// An `m × k` operand read where it lies: `A[i, kk] = src[rows[i] +
+/// ks[kk]]` — the separable offset map of an im2col matrix
+/// ([`crate::conv::Im2colMap`]), read by pixel rows or by tap rows.
+pub(crate) struct Offsets<'a> {
+    src: &'a [f64],
+    rows: &'a [u32],
+    ks: &'a [u32],
+}
+
+impl<'a> Offsets<'a> {
+    /// Checks that every `rows[i] + ks[kk]` lands in `src`.
+    pub(crate) fn new(src: &'a [f64], rows: &'a [u32], ks: &'a [u32]) -> Self {
+        let max = |t: &[u32]| t.iter().max().map_or(0, |&v| v as usize);
+        assert!(
+            max(rows) + max(ks) < src.len(),
+            "offsets past {} words",
+            src.len()
+        );
+        Offsets { src, rows, ks }
+    }
+
+    /// The tile of rows `is..is + mr_eff` over the K panel from `k0`. A
+    /// ragged tile's tail rows repeat its last: they are folded, never
+    /// stored.
+    fn tile(&self, is: usize, mr_eff: usize, k0: usize) -> InPlace<'_> {
+        let row = |r: usize| self.rows[is + r.min(mr_eff - 1)] as usize;
+        // SAFETY: `new` checked that each row's first word is in `src`.
+        let rows = std::array::from_fn(|r| unsafe { self.src.as_ptr().add(row(r)) });
+        InPlace {
+            rows,
+            ks: &self.ks[k0..],
+        }
+    }
+}
+
+/// An `m × n` product stored where its words lie: `C[i, j]` at
+/// `c[rows[i] + j·stride]` — a convolution's NCHW output (a row per
+/// pixel, a plane per channel) or `dW` stored transposed.
+pub(crate) struct Scatter<'a> {
+    c: *mut f64,
+    rows: &'a [u32],
+    n: usize,
+    stride: usize,
+    _c: PhantomData<&'a mut [f64]>,
+}
+
+// SAFETY: distinct `(i, j)` name distinct words (`Scatter::new`), so the
+// row blocks that threads store from never share a word.
+unsafe impl Sync for Scatter<'_> {}
+
+impl<'a> Scatter<'a> {
+    /// Checks that `(i, j) ↦ rows[i] + j·stride`, `j < n`, names each
+    /// word of `c` at most once: the rows ascend, and each sits in the
+    /// first `stride` words of its `n·stride`-word record, so a word's
+    /// record, place in it and column give back the row.
+    pub(crate) fn new(c: &'a mut [f64], rows: &'a [u32], n: usize, stride: usize) -> Self {
+        let record = n * stride;
+        let fits =
+            |&r: &u32| (r as usize) % record < stride && r as usize + record - stride < c.len();
+        assert!(
+            record > 0 && rows.windows(2).all(|w| w[0] < w[1]) && rows.iter().all(fits),
+            "scatter of {} rows x {n} at stride {stride} into {} words",
+            rows.len(),
+            c.len()
+        );
+        let (c, _c) = (c.as_mut_ptr(), PhantomData);
+        Scatter {
+            c,
+            rows,
+            n,
+            stride,
+            _c,
+        }
+    }
+
+    /// Runs the tile of rows `is..is + mr_eff`, columns `j..j +
+    /// nr_eff`, through a stack tile preloaded from `c` unless `first`;
+    /// a tile whose columns fit in half of one runs the half kernel.
+    #[allow(clippy::too_many_arguments)]
+    fn tile<A: Lanes>(
+        &self,
+        fma: bool,
+        kc: usize,
+        a: A,
+        b: &[f64],
+        is: usize,
+        mr_eff: usize,
+        j: usize,
+        nr_eff: usize,
+        first: bool,
+    ) {
+        // SAFETY: `new` checked every word in bounds and named once, and
+        // row `is + r` is this block's alone.
+        let word = |r: usize, c: usize| unsafe {
+            self.c
+                .add(self.rows[is + r] as usize + (j + c) * self.stride)
+        };
+        let mut tile = [0.0f64; MR * NR];
+        if !first {
+            for r in 0..mr_eff {
+                for c in 0..nr_eff {
+                    tile[r * NR + c] = unsafe { *word(r, c) };
+                }
+            }
+        }
+        if nr_eff > NR / 2 {
+            micro_rows::<2, A>(fma, kc, a, b, &mut tile, NR, mr_eff, first);
+        } else {
+            micro_rows::<1, A>(fma, kc, a, b, &mut tile, NR, mr_eff, first);
+        }
+        for r in 0..mr_eff {
+            for c in 0..nr_eff {
+                unsafe { *word(r, c) = tile[r * NR + c] };
+            }
+        }
+    }
+}
+
+/// The loop nest's operands: where A's tiles come from and where C's go.
+enum Operands<'a, FA> {
+    /// A packed into Ã slivers through its sliver-row closure, C
+    /// row-major ([`gemm_packed`]).
+    Packed(FA, &'a mut [f64]),
+    /// A read in place, C scattered ([`gemm_in_place`]).
+    InPlace(Offsets<'a>, Scatter<'a>),
+}
+
+/// One MC-row block's share of the [`Operands`].
+enum Block<'b, FA> {
+    /// The closure and the block's rows of C.
+    Packed(&'b FA, &'b mut [f64]),
+    /// Both maps; the block's rows are its index's.
+    InPlace(&'b Offsets<'b>, &'b Scatter<'b>),
+}
+
+impl<FA: Sync> Operands<'_, FA> {
+    /// Calls `f(blk, block)` for every MC-row block of an `m × n`
+    /// product, on the pool's threads when `parallel`.
+    fn for_blocks(
+        &mut self,
+        m: usize,
+        n: usize,
+        parallel: bool,
+        f: impl Fn(usize, Block<'_, FA>) + Sync,
+    ) {
+        match self {
+            Operands::Packed(fa, c) if parallel => c
+                .par_chunks_mut(MC * n)
+                .enumerate()
+                .for_each(|(blk, c)| f(blk, Block::Packed(fa, c))),
+            Operands::Packed(fa, c) => {
+                for (blk, c) in c.chunks_mut(MC * n).enumerate() {
+                    f(blk, Block::Packed(fa, c));
+                }
+            }
+            // The pool splits a slice: one (sizeless) unit per block.
+            Operands::InPlace(a, c) if parallel => vec![(); m.div_ceil(MC)]
+                .par_chunks_mut(1)
+                .enumerate()
+                .for_each(|(blk, _)| f(blk, Block::InPlace(a, c))),
+            Operands::InPlace(a, c) => {
+                for blk in 0..m.div_ceil(MC) {
+                    f(blk, Block::InPlace(a, c));
+                }
+            }
+        }
+    }
+}
+
 /// Panel-packed GEMM: `C = op(A)·op(B)` where the operands are
 /// presented as sliver-row closures over an `m×k` view of A and a
 /// `k×n` view of B: `fill_a(i0, kk, dst)` must write
@@ -345,15 +569,39 @@ where
         c.fill(0.0);
         return;
     }
+    gemm(m, n, k, fill_b, Operands::Packed(fill_a, c));
+}
+
+/// [`gemm_packed`] with A read in place through `a`'s offset tables
+/// and C stored through `c`'s: as many rows in both, one column of `c`
+/// per column of B, `fill_b` as there. Only B is packed. An empty
+/// product stores nothing.
+pub(crate) fn gemm_in_place<FB>(a: Offsets<'_>, fill_b: FB, c: Scatter<'_>)
+where
+    FB: Fn(usize, usize, &mut [f64]) + Sync,
+{
+    let (m, n, k) = (a.rows.len(), c.n, a.ks.len());
+    assert_eq!(c.rows.len(), m, "gemm_in_place: rows of A and C");
+    if m > 0 && k > 0 {
+        gemm::<fn(usize, usize, &mut [f64]), _>(m, n, k, fill_b, Operands::InPlace(a, c));
+    }
+}
+
+/// The loop nest both entry points run, on a non-empty product.
+fn gemm<FA, FB>(m: usize, n: usize, k: usize, fill_b: FB, mut ops: Operands<'_, FA>)
+where
+    FA: Fn(usize, usize, &mut [f64]) + Sync,
+    FB: Fn(usize, usize, &mut [f64]) + Sync,
+{
     let fma = fma_kernel_available();
     let parallel = m > MC
         && m.saturating_mul(n).saturating_mul(k) >= PAR_MIN_MNK
         && rayon::current_num_threads() > 1;
-
-    // The two terms of `packing_scratch_words`.
-    let b_words = KC.min(k) * NC.min(n.next_multiple_of(NR));
-    let a_words = MC.min(m.next_multiple_of(MR)) * KC.min(k);
-    with_scratch(&B_PANEL, b_words, |b_panel| {
+    let a_words = match ops {
+        Operands::Packed(..) => MC.min(m.next_multiple_of(MR)) * KC.min(k),
+        Operands::InPlace(..) => 0,
+    };
+    with_scratch(&B_PANEL, panel_words(n, k), |b_panel| {
         let mut j0 = 0;
         while j0 < n {
             let jeff = NC.min(n - j0);
@@ -372,55 +620,42 @@ where
                     });
                 }
                 let b_ref = &*b_panel;
-                let fill_a = &fill_a;
-                let process = |blk: usize, c_chunk: &mut [f64], ap: &mut [f64]| {
-                    let i0 = blk * MC;
-                    let ieff = MC.min(m - i0);
-                    let isl = ieff.div_ceil(MR);
-                    let ap = &mut ap[..isl * MR * keff];
-                    // Pack Ã: MR-row slivers, k-major.
-                    for (s, sliver) in ap.chunks_exact_mut(keff * MR).enumerate() {
-                        let is = i0 + s * MR;
-                        pack_sliver::<MR>(sliver, MR.min(i0 + ieff - is), |kk, dst| {
-                            fill_a(is, k0 + kk, dst)
-                        });
-                    }
-                    for t in 0..jsl {
-                        let nr_eff = NR.min(jeff - t * NR);
-                        let b_sliver = &b_ref[t * keff * NR..(t + 1) * keff * NR];
-                        for s in 0..isl {
-                            let mr_eff = MR.min(ieff - s * MR);
-                            let a_sliver = &ap[s * keff * MR..(s + 1) * keff * MR];
-                            let c_off = (s * MR) * n + j0 + t * NR;
-                            micro_dispatch(
-                                fma,
-                                keff,
-                                a_sliver,
-                                b_sliver,
-                                &mut c_chunk[c_off..],
-                                n,
-                                mr_eff,
-                                nr_eff,
-                                k0 == 0,
-                            );
-                        }
-                    }
-                };
-                // One Ã borrow per worker: per row block on the pool's
-                // threads, once for the whole panel on this one.
-                if parallel {
-                    c.par_chunks_mut(MC * n)
-                        .enumerate()
-                        .for_each(|(blk, chunk)| {
-                            with_scratch(&A_PANEL, a_words, |ap| process(blk, chunk, ap))
-                        });
-                } else {
+                // One Ã borrow per row block, on whichever thread runs it.
+                ops.for_blocks(m, n, parallel, |blk, mut out| {
                     with_scratch(&A_PANEL, a_words, |ap| {
-                        for (blk, chunk) in c.chunks_mut(MC * n).enumerate() {
-                            process(blk, chunk, ap);
+                        let i0 = blk * MC;
+                        let ieff = MC.min(m - i0);
+                        let ap = &mut ap[..a_words.min(ieff.div_ceil(MR) * MR * keff)];
+                        if let Block::Packed(fill_a, _) = out {
+                            // Pack Ã: MR-row slivers, k-major.
+                            for (s, sliver) in ap.chunks_exact_mut(keff * MR).enumerate() {
+                                let is = i0 + s * MR;
+                                pack_sliver::<MR>(sliver, MR.min(i0 + ieff - is), |kk, dst| {
+                                    fill_a(is, k0 + kk, dst)
+                                });
+                            }
                         }
-                    });
-                }
+                        for t in 0..jsl {
+                            let (j, nr_eff) = (j0 + t * NR, NR.min(jeff - t * NR));
+                            let b = &b_ref[t * keff * NR..(t + 1) * keff * NR];
+                            for s in 0..ieff.div_ceil(MR) {
+                                let (is, mr_eff, first) =
+                                    (i0 + s * MR, MR.min(ieff - s * MR), k0 == 0);
+                                match &mut out {
+                                    Block::Packed(_, c) => {
+                                        let a = Sliver(&ap[s * keff * MR..(s + 1) * keff * MR]);
+                                        let c = &mut c[s * MR * n + j..];
+                                        micro_dispatch(fma, keff, a, b, c, n, mr_eff, nr_eff, first)
+                                    }
+                                    Block::InPlace(a, sc) => {
+                                        let a = a.tile(is, mr_eff, k0);
+                                        sc.tile(fma, keff, a, b, is, mr_eff, j, nr_eff, first)
+                                    }
+                                }
+                            }
+                        }
+                    })
+                });
                 k0 += keff;
             }
             j0 += jeff;
@@ -431,6 +666,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Words of packing scratch a `m×k · k×n` [`gemm_packed`] needs: one
+    /// B̃ panel on the calling thread plus one Ã block per worker
+    /// thread, both in thread-local buffers that only ever grow to the
+    /// largest such need — bounded by the cache blocking
+    /// (`KC·NC + MC·KC`), never by the operand sizes.
+    fn packing_scratch_words(m: usize, n: usize, k: usize) -> usize {
+        if m == 0 || n == 0 || k == 0 {
+            return 0;
+        }
+        panel_words(n, k) + MC.min(m.next_multiple_of(MR)) * KC.min(k)
+    }
 
     fn dense(m: usize, k: usize, seed: f64) -> Vec<f64> {
         (0..m * k)
@@ -561,11 +808,21 @@ mod tests {
             let c0 = dense(MR, NR, 0.9);
             let mut portable = c0.clone();
             let mut dispatched = c0.clone();
-            micro_dispatch(false, kc, &a, &b, &mut portable, NR, mr_eff, nr_eff, first);
+            micro_dispatch(
+                false,
+                kc,
+                Sliver(&a),
+                &b,
+                &mut portable,
+                NR,
+                mr_eff,
+                nr_eff,
+                first,
+            );
             micro_dispatch(
                 fma_kernel_available(),
                 kc,
-                &a,
+                Sliver(&a),
                 &b,
                 &mut dispatched,
                 NR,
@@ -577,7 +834,17 @@ mod tests {
             if first {
                 // Storing over C equals folding into a cleared C.
                 let mut cleared = vec![0.0; MR * NR];
-                micro_dispatch(false, kc, &a, &b, &mut cleared, NR, mr_eff, nr_eff, false);
+                micro_dispatch(
+                    false,
+                    kc,
+                    Sliver(&a),
+                    &b,
+                    &mut cleared,
+                    NR,
+                    mr_eff,
+                    nr_eff,
+                    false,
+                );
                 for (i, (got, want)) in portable.iter().zip(&cleared).enumerate() {
                     if i / NR < mr_eff && i % NR < nr_eff {
                         assert_eq!(got.to_bits(), want.to_bits(), "entry {i}");
@@ -683,6 +950,42 @@ mod tests {
             assert!(grown > 0);
             assert_eq!(grown, packing_scratch_words(m, n, k), "m={m} n={n} k={k}");
         }
+    }
+
+    #[test]
+    fn an_in_place_product_packs_only_b() {
+        // A read through offsets and C scattered transposed, on a fresh
+        // thread: the fold is the contract's, the thread grows exactly
+        // the B̃ panel, and no Ã block.
+        let (m, n, k) = (MC + 5, NR + 3, KC + 7);
+        let (a, b) = (dense(m, k, 0.3), dense(k, n, 0.7));
+        let grown = std::thread::spawn(move || {
+            let (rows, ks): (Vec<u32>, Vec<u32>) = (
+                (0..m as u32).map(|i| i * k as u32).collect(),
+                (0..k as u32).collect(),
+            );
+            let cols: Vec<u32> = (0..m as u32).collect();
+            let mut c = vec![f64::NAN; m * n];
+            let c_ref = Scatter::new(&mut c, &cols, n, m);
+            gemm_in_place(
+                Offsets::new(&a, &rows, &ks),
+                |kk, j0, dst| copy_lanes(&b, kk * n + j0, dst),
+                c_ref,
+            );
+            assert_eq!(transposed(n, m, &c), fma_dot(m, n, k, &a, &b));
+            A_PANEL.with(|p| p.borrow().len()) + B_PANEL.with(|p| p.borrow().len())
+        })
+        .join()
+        .expect("product thread");
+        assert_eq!(grown, panel_words(n, k));
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter of 2 rows x 3 at stride 4 into 12 words")]
+    fn a_scatter_that_names_a_word_twice_panics() {
+        // Row 1 sits past its record's first `stride` words: its column 0
+        // would be row 0's column 1.
+        Scatter::new(&mut [0.0; 12], &[0, 4], 3, 4);
     }
 
     #[test]
